@@ -300,6 +300,27 @@ func BenchmarkNoisyCountRelease(b *testing.B) {
 	}
 }
 
+// BenchmarkMeasureOneShot times the one-shot measurement path end to
+// end: synth.Measure of jdd and wedges (plus the three seed queries) on
+// HolmeKim(4000, 5), the bench program's bulk-load graph. wedges
+// pushes ~10^6 length-two paths through Join -> Where -> Select into a
+// single record, so ns/op, B/op and allocs/op here gate the lazy core
+// plan against materializing — or sorting — an intermediate again.
+func BenchmarkMeasureOneShot(b *testing.B) {
+	g, err := graph.HolmeKim(4000, 5, 0.5, rand.New(rand.NewSource(31)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := synth.Config{Eps: 0.1, Workloads: []string{"jdd", "wedges"}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := synth.Measure(g, cfg, rand.New(rand.NewSource(int64(i)))); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkGraphGenerators(b *testing.B) {
 	b.Run("collaboration", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -125,10 +125,14 @@ func HistogramFromMaterialized[T comparable](counts map[T]float64, eps float64, 
 // magnitude never depends on the query: wPINQ scales record weights down
 // instead of scaling noise up.
 //
-// Noise is assigned in sorted record order (weighted.PairsSorted), not
-// map iteration order, so a fixed rng seed pins the released values
-// exactly: identically-seeded measurement runs are byte-identical, which
-// content-addressed measurement stores depend on.
+// The budget is charged before the collection is evaluated, so a refused
+// aggregation costs no query work either.
+//
+// Noise is assigned in canonical record order (weighted.PairsSorted), not
+// in the order the plan happened to produce records, so a fixed rng seed
+// pins which record receives which draw: identically-seeded measurement
+// runs are byte-identical, which content-addressed measurement stores
+// depend on.
 func NoisyCount[T comparable](c *Collection[T], eps float64, rng *rand.Rand) (*Histogram[T], error) {
 	dist, err := laplace.FromEpsilon(eps)
 	if err != nil {
@@ -137,12 +141,13 @@ func NoisyCount[T comparable](c *Collection[T], eps float64, rng *rand.Rand) (*H
 	if err := c.uses.ChargeAll(eps); err != nil {
 		return nil, err
 	}
+	data := c.dataset()
 	h := &Histogram[T]{
-		counts: make(map[T]float64, c.data.Len()),
+		counts: make(map[T]float64, data.Len()),
 		dist:   dist,
 		salt:   rng.Uint64(),
 	}
-	for _, p := range c.data.PairsSorted() {
+	for _, p := range data.PairsSorted() {
 		h.counts[p.Record] = p.Weight + dist.Sample(rng)
 	}
 	return h, nil
@@ -160,10 +165,11 @@ func NoisySum[T comparable](c *Collection[T], eps float64, f func(T) float64, rn
 	if err := c.uses.ChargeAll(eps); err != nil {
 		return 0, err
 	}
-	// Deterministic accumulation order, for the same reason NoisyCount
-	// sorts: float addition does not associate exactly.
+	// Canonical accumulation order, for the same reason NoisyCount
+	// sorts: float addition does not associate exactly, and the sum
+	// should not depend on which plan produced the collection.
 	var sum float64
-	for _, p := range c.data.PairsSorted() {
+	for _, p := range c.dataset().PairsSorted() {
 		v := f(p.Record)
 		if v > 1 {
 			v = 1
@@ -194,11 +200,12 @@ func ExponentialMechanism[T comparable, R any](
 	}
 	// Gumbel-max sampling: argmax(eps*score/2 + Gumbel) is distributed as
 	// the exponential mechanism, and avoids overflow in exp().
+	data := c.dataset()
 	best := 0
 	bestVal := 0.0
 	for i, r := range candidates {
 		g := gumbel(rng)
-		v := eps*score(r, c.data)/2 + g
+		v := eps*score(r, data)/2 + g
 		if i == 0 || v > bestVal {
 			best, bestVal = i, v
 		}

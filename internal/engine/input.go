@@ -66,9 +66,10 @@ func (in *Input[T]) Abort() { in.emitTxn(incremental.TxnAbort) }
 
 // PushDataset pushes an entire weighted dataset as one batch: the idiom
 // for loading initial data into a freshly built graph. As with
-// incremental.Input.PushDataset, the batch is built in PairsSorted
-// order so the bulk load — and every float accumulated downstream of it
-// — is a pure function of the dataset, not of map iteration order.
+// incremental.Input.PushDataset, the batch is built in canonical
+// (weighted.PairsSorted) order so the bulk load — and every float
+// accumulated downstream of it — depends on the dataset's contents
+// alone, not on how it was built.
 func (in *Input[T]) PushDataset(d *weighted.Dataset[T]) {
 	batch := make([]incremental.Delta[T], 0, d.Len())
 	for _, p := range d.PairsSorted() {

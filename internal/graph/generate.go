@@ -1,11 +1,12 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Generators for the synthetic graphs used across the experiments. All
@@ -328,7 +329,11 @@ func FromDegreeSequence(degrees []int, swapsPerEdge int, rng *rand.Rand) (*Graph
 		g.AddNode(Node(i))
 	}
 	for {
-		sort.Slice(rem, func(i, j int) bool { return rem[i].d > rem[j].d })
+		// slices.SortFunc runs the same pdqsort as sort.Slice did here, so
+		// ties land in the same (unstable) permutation and the constructed
+		// graph is unchanged (TestFromDegreeSequencePinned), without
+		// sort.Slice's reflection-based swapper on every vertex's re-sort.
+		slices.SortFunc(rem, func(a, b vd) int { return cmp.Compare(b.d, a.d) })
 		for len(rem) > 0 && rem[len(rem)-1].d == 0 {
 			rem = rem[:len(rem)-1]
 		}

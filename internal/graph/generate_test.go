@@ -2,6 +2,8 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"testing"
 
@@ -245,6 +247,48 @@ func TestGeneratorsDeterministic(t *testing.T) {
 	for i := range ea {
 		if ea[i] != eb[i] {
 			t.Fatal("same seed produced different graphs")
+		}
+	}
+}
+
+// edgeListHash fingerprints a graph's sorted edge list.
+func edgeListHash(g *Graph) uint64 {
+	h := fnv.New64a()
+	for _, e := range g.EdgeList() {
+		fmt.Fprintf(h, "%d,%d;", e.Src, e.Dst)
+	}
+	return h.Sum64()
+}
+
+// TestFromDegreeSequencePinned pins the exact graph Havel-Hakimi plus
+// rewiring builds for two fixed inputs. The per-vertex re-sort is
+// unstable, so its tie permutation decides which vertices get wired
+// together; the hashes were recorded with the original sort.Slice loop
+// and must survive any change of sort routine, or every seeded fit
+// (goldens, resume bit-identity) silently starts from another graph.
+func TestFromDegreeSequencePinned(t *testing.T) {
+	for _, tc := range []struct {
+		n, m int
+		seed int64
+		want uint64
+	}{
+		{300, 3, 11, 0x98360437c2b204c1},
+		{1000, 5, 12, 0x8a7fc193c55323ba},
+	} {
+		src, err := HolmeKim(tc.n, tc.m, 0.5, rand.New(rand.NewSource(tc.seed)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		degrees := make([]int, tc.n)
+		for i := range degrees {
+			degrees[i] = src.Degree(Node(i))
+		}
+		g, err := FromDegreeSequence(degrees, 2, rand.New(rand.NewSource(tc.seed+100)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := edgeListHash(g); got != tc.want {
+			t.Errorf("HolmeKim(%d,%d) degrees: edge-list hash %#x, want %#x", tc.n, tc.m, got, tc.want)
 		}
 	}
 }

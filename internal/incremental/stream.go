@@ -132,10 +132,11 @@ func (in *Input[T]) Abort() { in.Txn(TxnAbort) }
 
 // PushDataset pushes an entire weighted dataset as one batch: the idiom for
 // loading initial data into a freshly built graph. The batch is built in
-// PairsSorted order, never map order — a map-ordered bulk load would seed
-// every downstream node's floating-point state differently per run,
-// silently reintroducing the emission-order nondeterminism the stateful
-// operators were built to exclude. The sort is a one-time load cost.
+// canonical (weighted.PairsSorted) order rather than the dataset's
+// insertion order: the bulk load seeds every downstream node's
+// floating-point state, and the golden traces and checkpoint/resume
+// bit-identity were recorded under this order, so it is part of the
+// loader's contract. The sort is a one-time load cost.
 func (in *Input[T]) PushDataset(d *weighted.Dataset[T]) {
 	batch := make([]Delta[T], 0, d.Len())
 	for _, p := range d.PairsSorted() {

@@ -116,9 +116,11 @@ func pathInAny(pkg string, prefixes []string) bool {
 }
 
 // detPinned lists the determinism-pinned packages: the packages whose
-// emission and accumulation order a seeded MCMC trace depends on.
-// DESIGN.md "Machine-checked invariants" documents the set.
+// emission and accumulation order a seeded MCMC trace or a released
+// measurement depends on. DESIGN.md "Machine-checked invariants"
+// documents the set.
 var detPinned = []string{
+	"wpinq/internal/weighted",
 	"wpinq/internal/incremental",
 	"wpinq/internal/queries",
 	"wpinq/internal/mcmc",

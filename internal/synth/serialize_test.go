@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"wpinq/internal/graph"
 	"wpinq/internal/queries"
 	"wpinq/internal/workload"
 )
@@ -142,10 +143,13 @@ func TestSaveOmitsUnmeasured(t *testing.T) {
 
 // TestMeasureSaveIsDeterministic pins the released bytes: two
 // identically-seeded Measure runs over the same graph must Save
-// byte-identical output. Noise is assigned in sorted record order
-// (core.NoisyCount), Save is canonical, and fit workloads are measured
-// in sorted name order, so the whole release is a pure function of
-// (graph, config, seed) — the property the content-addressed
+// byte-identical output — and so must a run over a graph holding the
+// same edges built in another AddEdge order. The transformations
+// accumulate in dataset insertion order, which graph.SymmetricEdges
+// fixes from the sorted edge list; noise is assigned in canonical record
+// order (core.NoisyCount); Save is canonical; and fit workloads are
+// measured in sorted name order. So the whole release is a pure function
+// of (edge set, config, seed) — the property the content-addressed
 // measurement store builds on.
 func TestMeasureSaveIsDeterministic(t *testing.T) {
 	g := clusteredGraph(t, 80)
@@ -154,7 +158,7 @@ func TestMeasureSaveIsDeterministic(t *testing.T) {
 		Workloads: []string{"tbd", "jdd", "wedges", "star4-by-degree", "tbi"},
 		Bucket:    5,
 	}
-	release := func() []byte {
+	release := func(g *graph.Graph) []byte {
 		t.Helper()
 		m, err := Measure(g, cfg, testRng(99))
 		if err != nil {
@@ -166,8 +170,18 @@ func TestMeasureSaveIsDeterministic(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	a, b := release(), release()
+	a, b := release(g), release(g)
 	if !bytes.Equal(a, b) {
 		t.Errorf("identically-seeded Measure runs released different bytes:\n%s\n---\n%s", a, b)
+	}
+
+	// The same edge set, inserted last edge first with endpoints swapped.
+	rebuilt := graph.New()
+	edges := g.EdgeList()
+	for i := len(edges) - 1; i >= 0; i-- {
+		rebuilt.AddEdge(edges[i].Dst, edges[i].Src)
+	}
+	if c := release(rebuilt); !bytes.Equal(a, c) {
+		t.Errorf("the same edges added in another order released different bytes:\n%s\n---\n%s", a, c)
 	}
 }

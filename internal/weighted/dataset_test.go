@@ -2,6 +2,7 @@ package weighted
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -187,4 +188,174 @@ func fromWeights(ws []float64) *Dataset[int] {
 
 func quickCfg() *quick.Config {
 	return &quick.Config{MaxCount: 200}
+}
+
+func TestRangeIsFirstInsertionOrder(t *testing.T) {
+	d := New[string]()
+	for _, x := range []string{"c", "a", "b"} {
+		d.Add(x, 1)
+	}
+	d.Add("a", 2)  // updating keeps a's place
+	d.Set("c", 5)  // so does Set
+	d.Add("b", -1) // b's weight returns to zero: its place is given up
+	d.Add("d", 1)
+	d.Add("b", 1) // re-adding appends at the end
+	want := []string{"c", "a", "d", "b"}
+	var ranged, paired []string
+	d.Range(func(x string, _ float64) { ranged = append(ranged, x) })
+	for _, p := range d.Pairs() {
+		paired = append(paired, p.Record)
+	}
+	if !slices.Equal(ranged, want) || !slices.Equal(paired, want) || !slices.Equal(d.Records(), want) {
+		t.Errorf("Range %v, Pairs %v, Records %v: all want %v", ranged, paired, d.Records(), want)
+	}
+	// Canonical order ignores how the dataset was built.
+	var sorted []string
+	for _, p := range d.PairsSorted() {
+		sorted = append(sorted, p.Record)
+	}
+	if canon := []string{"a", "b", "c", "d"}; !slices.Equal(sorted, canon) {
+		t.Errorf("PairsSorted order = %v, want %v", sorted, canon)
+	}
+	if got := d.Clone().Records(); !slices.Equal(got, want) {
+		t.Errorf("Clone order = %v, want %v", got, want)
+	}
+}
+
+// TestTombstoneCompaction churns a dataset far past the compaction
+// threshold through every removing method and checks that the survivors
+// keep their relative order, their weights and their positions' index,
+// and that the backing slice does not grow with the churn.
+func TestTombstoneCompaction(t *testing.T) {
+	const n = 10 * minCompact
+	d := New[int]()
+	for i := 0; i < n; i++ {
+		d.Add(i, float64(i+1))
+	}
+	var want []int
+	for i := 0; i < n; i++ {
+		switch {
+		case i%7 == 0:
+			want = append(want, i)
+		case i%3 == 0:
+			d.Remove(i)
+		case i%3 == 1:
+			d.Add(i, -float64(i+1))
+		default:
+			d.Set(i, 0)
+		}
+	}
+	if got := d.Records(); !slices.Equal(got, want) {
+		t.Fatalf("order after churn = %v, want %v", got, want)
+	}
+	if d.Len() != len(want) {
+		t.Errorf("Len = %d, want %d", d.Len(), len(want))
+	}
+	if dead := len(d.recs) - d.Len(); dead > d.Len() && dead >= minCompact {
+		t.Errorf("%d tombstones left beside %d live records: compaction did not run", dead, d.Len())
+	}
+	for _, x := range want {
+		if got := d.Weight(x); got != float64(x+1) {
+			t.Errorf("Weight(%d) = %v after compaction, want %v", x, got, float64(x+1))
+		}
+	}
+	// Updates after compaction land on the right record.
+	d.Add(want[1], 0.5)
+	if got := d.Weight(want[1]); got != float64(want[1]+1)+0.5 {
+		t.Errorf("Add after compaction hit the wrong record: Weight = %v", got)
+	}
+	// Steady add/remove churn keeps the slice bounded.
+	for i := 0; i < 100*n; i++ {
+		d.Add(n+i, 1)
+		d.Remove(n + i)
+	}
+	if len(d.recs) > 2*(len(want)+minCompact) {
+		t.Errorf("backing slice grew to %d entries for %d live records", len(d.recs), d.Len())
+	}
+	if got := d.Records(); !slices.Equal(got, want) {
+		t.Errorf("order after steady churn = %v, want %v", got, want)
+	}
+}
+
+// TestScaleBuriesWithoutSkipping scales most records below Eps in one
+// pass: Scale must visit every record exactly once even though it drops
+// records as it goes, and must leave a consistent index behind.
+func TestScaleBuriesWithoutSkipping(t *testing.T) {
+	d := New[int]()
+	const n = 8 * minCompact
+	for i := 0; i < n; i++ {
+		w := 1e-9 // scaled below Eps
+		if i%5 == 0 {
+			w = 2
+		}
+		d.Add(i, w)
+	}
+	d.Scale(1e-6)
+	var want []int
+	for i := 0; i < n; i += 5 {
+		want = append(want, i)
+	}
+	if got := d.Records(); !slices.Equal(got, want) {
+		t.Fatalf("survivors = %v, want %v", got, want)
+	}
+	for _, x := range want {
+		if got := d.Weight(x); math.Abs(got-2e-6) > 1e-18 {
+			t.Errorf("Weight(%d) = %v, want 2e-6", x, got)
+		}
+	}
+	if d.Scale(0).Len() != 0 || len(d.Records()) != 0 {
+		t.Errorf("Scale(0) left %d records", d.Len())
+	}
+	d.Add(7, 1)
+	if got := d.Records(); !slices.Equal(got, []int{7}) {
+		t.Errorf("dataset unusable after Scale(0): %v", got)
+	}
+}
+
+func TestResetKeepsDatasetUsable(t *testing.T) {
+	d := FromItems(3, 1, 2)
+	d.Remove(1)
+	d.Reset()
+	if d.Len() != 0 || d.Norm() != 0 || len(d.Records()) != 0 {
+		t.Fatalf("Reset left %v", d)
+	}
+	d.Add(9, 1)
+	d.Add(1, 1)
+	if got := d.Records(); !slices.Equal(got, []int{9, 1}) {
+		t.Errorf("order after Reset = %v, want [9 1]", got)
+	}
+}
+
+// TestEqualAndDistanceIgnoreOrder builds one dataset in two insertion
+// orders (one of them through removals and re-adds): Equal and Distance
+// compare weights, never positions. Weights are dyadic so the sums are
+// exact whatever order they are taken in.
+func TestEqualAndDistanceIgnoreOrder(t *testing.T) {
+	a := New[int]()
+	b := New[int]()
+	for i := 0; i < 100; i++ {
+		a.Add(i, float64(i%8)+0.25)
+	}
+	for i := 99; i >= 0; i-- {
+		b.Add(i, 1)
+	}
+	for i := 0; i < 100; i += 2 {
+		b.Remove(i)
+	}
+	for i := 0; i < 100; i++ {
+		b.Set(i, float64(i%8)+0.25)
+	}
+	if slices.Equal(a.Records(), b.Records()) {
+		t.Fatal("test is vacuous: both datasets iterate in the same order")
+	}
+	if !Equal(a, b, 0) || !Equal(b, a, 0) {
+		t.Error("Equal depends on insertion order")
+	}
+	if d := Distance(a, b); d != 0 {
+		t.Errorf("Distance = %v between reorderings of one dataset", d)
+	}
+	other := FromPairs(Pair[int]{3, 1}, Pair[int]{1000, 2})
+	if dab, dba := Distance(a, other), Distance(b, other); dab != dba {
+		t.Errorf("Distance to a third dataset depends on order: %v vs %v", dab, dba)
+	}
 }

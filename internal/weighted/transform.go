@@ -9,17 +9,48 @@ import (
 // satisfies ||T(A) - T(A')|| <= ||A - A'|| (unary) or
 // ||T(A,B) - T(A',B')|| <= ||A-A'|| + ||B-B'|| (binary); the property tests
 // in stability_test.go check these bounds on random inputs.
+//
+// Every transformation X has exactly one implementation, XEach, which
+// hands its output to an emit callback as (record, weight) fragments;
+// X itself is XEach accumulated into a Dataset. The lazy one-shot
+// language (wpinq/internal/core) chains the XEach forms directly, so a
+// query's intermediate results exist only where an operator needs
+// accumulated weights.
+//
+// The linear transformations (Select, Where, SelectMany, Concat, Except)
+// act on each fragment independently, so their Each forms read a Seq —
+// any fragment stream, a Dataset's Range included. The others (GroupBy,
+// Shave, Join, Union, Intersect) depend on each record's total weight
+// and read Datasets.
+
+// Seq is a stream of (record, weight) fragments: calling it emits the
+// fragments in a deterministic order. A record may be emitted more than
+// once; its weight in the dataset the stream denotes is the sum of its
+// fragments. (*Dataset).Range is a Seq emitting each record once.
+type Seq[T comparable] func(emit func(x T, w float64))
+
+// SelectEach is the fragment form of Select.
+func SelectEach[T, U comparable](a Seq[T], f func(T) U, emit func(U, float64)) {
+	a(func(x T, w float64) { emit(f(x), w) })
+}
 
 // Select applies f to each record, accumulating the weights of input records
 // that map to the same output record:
 //
 //	Select(A, f)(x) = sum_{y : f(y)=x} A(y)
 func Select[T, U comparable](a *Dataset[T], f func(T) U) *Dataset[U] {
-	// RangeSorted: colliding outputs accumulate in deterministic order,
-	// so the result is a pure function of the input (see PairsSorted).
 	out := NewSized[U](a.Len())
-	a.RangeSorted(func(x T, w float64) { out.Add(f(x), w) })
+	SelectEach(a.Range, f, out.Add)
 	return out
+}
+
+// WhereEach is the fragment form of Where.
+func WhereEach[T comparable](a Seq[T], p func(T) bool, emit func(T, float64)) {
+	a(func(x T, w float64) {
+		if p(x) {
+			emit(x, w)
+		}
+	})
 }
 
 // Where keeps only the records satisfying predicate p:
@@ -27,12 +58,17 @@ func Select[T, U comparable](a *Dataset[T], f func(T) U) *Dataset[U] {
 //	Where(A, p)(x) = p(x) * A(x)
 func Where[T comparable](a *Dataset[T], p func(T) bool) *Dataset[T] {
 	out := NewSized[T](a.Len())
-	a.Range(func(x T, w float64) {
-		if p(x) {
-			out.Add(x, w)
-		}
-	})
+	WhereEach(a.Range, p, out.Add)
 	return out
+}
+
+// SelectManyEach is the fragment form of SelectMany.
+func SelectManyEach[T, U comparable](a Seq[T], f func(T) *Dataset[U], emit func(U, float64)) {
+	a(func(x T, w float64) {
+		fx := f(x)
+		scale := w / math.Max(1, fx.Norm())
+		fx.Range(func(y U, wy float64) { emit(y, wy*scale) })
+	})
 }
 
 // SelectMany maps each record x to a weighted dataset f(x), scales that
@@ -45,11 +81,7 @@ func Where[T comparable](a *Dataset[T], p func(T) bool) *Dataset[T] {
 // data-dependent rescaling.
 func SelectMany[T, U comparable](a *Dataset[T], f func(T) *Dataset[U]) *Dataset[U] {
 	out := New[U]()
-	a.RangeSorted(func(x T, w float64) {
-		fx := f(x)
-		scale := w / math.Max(1, fx.Norm())
-		fx.Range(func(y U, wy float64) { out.Add(y, wy*scale) })
-	})
+	SelectManyEach(a.Range, f, out.Add)
 	return out
 }
 
@@ -68,6 +100,23 @@ type Grouped[K, R comparable] struct {
 	Result R
 }
 
+// GroupByEach is the fragment form of GroupBy. Groups are emitted in the
+// order their keys first appear in a.
+func GroupByEach[T comparable, K comparable, R comparable](a *Dataset[T], key func(T) K, reduce func([]T) R, emit func(Grouped[K, R], float64)) {
+	groups := make(map[K][]Pair[T])
+	var order []K
+	a.Range(func(x T, w float64) {
+		k := key(x)
+		if _, ok := groups[k]; !ok {
+			order = append(order, k)
+		}
+		groups[k] = append(groups[k], Pair[T]{x, w})
+	})
+	for _, k := range order {
+		PrefixReduce(k, groups[k], reduce, emit)
+	}
+}
+
 // GroupBy groups records by key and applies the reducer to weight-ordered
 // prefixes of each group (paper Section 2.5). For a group with records
 // x_0, x_1, ... ordered by non-increasing weight w_0 >= w_1 >= ..., the
@@ -83,22 +132,8 @@ type Grouped[K, R comparable] struct {
 // records — use order-insensitive functions (count, sum, ...) or sort
 // within the reducer.
 func GroupBy[T comparable, K comparable, R comparable](a *Dataset[T], key func(T) K, reduce func([]T) R) *Dataset[Grouped[K, R]] {
-	// Groups are built and emitted in deterministic (first-seen over
-	// RangeSorted) order: prefix weights and colliding reducer outputs
-	// accumulate identically on every run.
-	groups := make(map[K][]Pair[T])
-	var order []K
-	a.RangeSorted(func(x T, w float64) {
-		k := key(x)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], Pair[T]{x, w})
-	})
 	out := New[Grouped[K, R]]()
-	for _, k := range order {
-		PrefixReduce(k, groups[k], reduce, func(g Grouped[K, R], w float64) { out.Add(g, w) })
-	}
+	GroupByEach(a, key, reduce, out.Add)
 	return out
 }
 
@@ -107,6 +142,13 @@ func GroupBy[T comparable, K comparable, R comparable](a *Dataset[T], key func(T
 type Indexed[T comparable] struct {
 	Value T
 	Index int
+}
+
+// ShaveEach is the fragment form of Shave.
+func ShaveEach[T comparable](a *Dataset[T], f func(x T, i int) float64, emit func(Indexed[T], float64)) {
+	a.Range(func(x T, w float64) {
+		ShaveExpand(x, w, f, func(i int, wi float64) { emit(Indexed[T]{x, i}, wi) })
+	})
 }
 
 // Shave decomposes each record x of weight A(x) into records <x, 0>,
@@ -119,9 +161,7 @@ type Indexed[T comparable] struct {
 // Records with non-positive weight produce no output.
 func Shave[T comparable](a *Dataset[T], f func(x T, i int) float64) *Dataset[Indexed[T]] {
 	out := New[Indexed[T]]()
-	a.Range(func(x T, w float64) {
-		ShaveExpand(x, w, f, func(i int, wi float64) { out.Add(Indexed[T]{x, i}, wi) })
-	})
+	ShaveEach(a, f, out.Add)
 	return out
 }
 
@@ -132,26 +172,18 @@ func ShaveConst[T comparable](a *Dataset[T], w float64) *Dataset[Indexed[T]] {
 	return Shave(a, func(T, int) float64 { return w })
 }
 
-// Join matches records of a and b sharing a key and emits
-// reduce(x, y) for each matching pair, with the weights of each key group
-// normalized by the group's total input norm (paper Section 2.7, eq. 1):
-//
-//	Join(A, B)(r) = sum_k  sum_{(x,y) : keys match k, reduce(x,y)=r}
-//	                  A_k(x) * B_k(y) / (||A_k|| + ||B_k||)
-//
-// This normalized outer product is what makes Join stable on weighted
-// datasets, unlike the standard relational equi-join.
-func Join[A, B comparable, K comparable, R comparable](
+// JoinEach is the fragment form of Join. Key groups are matched in the
+// order their keys first appear in a; within a group, a's records vary
+// slowest.
+func JoinEach[A, B comparable, K comparable, R comparable](
 	a *Dataset[A], b *Dataset[B],
 	keyA func(A) K, keyB func(B) K,
 	reduce func(A, B) R,
-) *Dataset[R] {
-	// Key groups are built and matched in deterministic (first-seen over
-	// RangeSorted) order: per-key norms and colliding outputs accumulate
-	// identically on every run.
+	emit func(R, float64),
+) {
 	ga := make(map[K][]Pair[A])
 	var order []K
-	a.RangeSorted(func(x A, w float64) {
+	a.Range(func(x A, w float64) {
 		k := keyA(x)
 		if _, ok := ga[k]; !ok {
 			order = append(order, k)
@@ -159,11 +191,10 @@ func Join[A, B comparable, K comparable, R comparable](
 		ga[k] = append(ga[k], Pair[A]{x, w})
 	})
 	gb := make(map[K][]Pair[B])
-	b.RangeSorted(func(y B, w float64) {
+	b.Range(func(y B, w float64) {
 		k := keyB(y)
 		gb[k] = append(gb[k], Pair[B]{y, w})
 	})
-	out := New[R]()
 	for _, k := range order {
 		as := ga[k]
 		bs, ok := gb[k]
@@ -183,10 +214,28 @@ func Join[A, B comparable, K comparable, R comparable](
 		}
 		for _, pa := range as {
 			for _, pb := range bs {
-				out.Add(reduce(pa.Record, pb.Record), pa.Weight*pb.Weight/denom)
+				emit(reduce(pa.Record, pb.Record), pa.Weight*pb.Weight/denom)
 			}
 		}
 	}
+}
+
+// Join matches records of a and b sharing a key and emits
+// reduce(x, y) for each matching pair, with the weights of each key group
+// normalized by the group's total input norm (paper Section 2.7, eq. 1):
+//
+//	Join(A, B)(r) = sum_k  sum_{(x,y) : keys match k, reduce(x,y)=r}
+//	                  A_k(x) * B_k(y) / (||A_k|| + ||B_k||)
+//
+// This normalized outer product is what makes Join stable on weighted
+// datasets, unlike the standard relational equi-join.
+func Join[A, B comparable, K comparable, R comparable](
+	a *Dataset[A], b *Dataset[B],
+	keyA func(A) K, keyB func(B) K,
+	reduce func(A, B) R,
+) *Dataset[R] {
+	out := New[R]()
+	JoinEach(a, b, keyA, keyB, reduce, out.Add)
 	return out
 }
 
@@ -205,18 +254,40 @@ type JoinPair[A, B comparable] struct {
 	Right B
 }
 
+// UnionEach is the fragment form of Union; each record is emitted once.
+func UnionEach[T comparable](a, b *Dataset[T], emit func(T, float64)) {
+	a.Range(func(x T, w float64) { emit(x, math.Max(w, b.Weight(x))) })
+	b.Range(func(x T, w float64) {
+		if a.Weight(x) == 0 {
+			emit(x, math.Max(w, 0))
+		}
+	})
+}
+
 // Union takes the element-wise maximum of weights:
 //
 //	Union(A, B)(x) = max(A(x), B(x))
 func Union[T comparable](a, b *Dataset[T]) *Dataset[T] {
 	out := NewSized[T](a.Len() + b.Len())
-	a.Range(func(x T, w float64) { out.Set(x, math.Max(w, b.Weight(x))) })
-	b.Range(func(x T, w float64) {
-		if a.Weight(x) == 0 {
-			out.Set(x, math.Max(w, 0))
+	UnionEach(a, b, out.Add)
+	return out
+}
+
+// IntersectEach is the fragment form of Intersect; each record is
+// emitted once.
+func IntersectEach[T comparable](a, b *Dataset[T], emit func(T, float64)) {
+	a.Range(func(x T, w float64) {
+		if m := math.Min(w, b.Weight(x)); m != 0 {
+			emit(x, m)
 		}
 	})
-	return out
+	// Records present only in b can still contribute negatively:
+	// min(0, w) = w when w < 0.
+	b.Range(func(x T, w float64) {
+		if a.Weight(x) == 0 && w < 0 {
+			emit(x, w)
+		}
+	})
 }
 
 // Intersect takes the element-wise minimum of weights:
@@ -224,36 +295,36 @@ func Union[T comparable](a, b *Dataset[T]) *Dataset[T] {
 //	Intersect(A, B)(x) = min(A(x), B(x))
 func Intersect[T comparable](a, b *Dataset[T]) *Dataset[T] {
 	out := New[T]()
-	a.Range(func(x T, w float64) {
-		m := math.Min(w, b.Weight(x))
-		if m != 0 {
-			out.Set(x, m)
-		}
-	})
-	// Records present only in b can still contribute negatively:
-	// min(0, w) = w when w < 0.
-	b.Range(func(x T, w float64) {
-		if a.Weight(x) == 0 && w < 0 {
-			out.Set(x, w)
-		}
-	})
+	IntersectEach(a, b, out.Add)
 	return out
+}
+
+// ConcatEach is the fragment form of Concat.
+func ConcatEach[T comparable](a, b Seq[T], emit func(T, float64)) {
+	a(emit)
+	b(emit)
 }
 
 // Concat adds weights element-wise:
 //
 //	Concat(A, B)(x) = A(x) + B(x)
 func Concat[T comparable](a, b *Dataset[T]) *Dataset[T] {
-	out := a.Clone()
-	out.AddAll(b, 1)
+	out := NewSized[T](a.Len() + b.Len())
+	ConcatEach(a.Range, b.Range, out.Add)
 	return out
+}
+
+// ExceptEach is the fragment form of Except.
+func ExceptEach[T comparable](a, b Seq[T], emit func(T, float64)) {
+	a(emit)
+	b(func(x T, w float64) { emit(x, -w) })
 }
 
 // Except subtracts weights element-wise:
 //
 //	Except(A, B)(x) = A(x) - B(x)
 func Except[T comparable](a, b *Dataset[T]) *Dataset[T] {
-	out := a.Clone()
-	out.AddAll(b, -1)
+	out := NewSized[T](a.Len() + b.Len())
+	ExceptEach(a.Range, b.Range, out.Add)
 	return out
 }

@@ -650,15 +650,21 @@ func BenchmarkFusedChains(b *testing.B) {
 				}
 			}
 			p.Input().PushDataset(graph.SymmetricEdges(g))
+			// Swaps are pushed the way a fit pushes them, inside a
+			// transaction: a push outside one is a load to the operators,
+			// which release a load's oversized scratch as it ends.
+			in := p.Input().(mcmc.TxnInput)
 			base := p.Fusion().Pushes()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
+				in.Begin()
 				if i%2 == 0 {
-					p.Input().Push(fwd)
+					in.Push(fwd)
 				} else {
-					p.Input().Push(rev)
+					in.Push(rev)
 				}
+				in.Commit()
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(p.Fusion().Pushes()-base)/float64(b.N), "fragpushes/op")

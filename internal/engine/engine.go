@@ -98,19 +98,6 @@ type processor interface {
 	process()
 }
 
-// processSeed is the shard-routing hash seed shared by every Engine in
-// the process. A per-engine seed would route the same record to
-// different shards in different engine instances, reordering emitted
-// batches — and therefore sink floating-point accumulation — between
-// otherwise identically-seeded runs. One process-wide seed makes
-// repeated runs (and concurrent replica-exchange chains) reproducible
-// within a process; across processes the seed differs, so sharded-run
-// scores agree only to accumulation tolerance (the serial engine and
-// single-shard engines are bit-reproducible across processes too).
-//
-//wpinq:nondeterministic-ok the one sanctioned random seed: process-wide shard routing, documented above; drawn once at init, never on a scoring path
-var processSeed = maphash.MakeSeed()
-
 // New returns an engine that partitions operator state into the given
 // number of shards. shards <= 0 selects one shard per available CPU
 // (GOMAXPROCS); the count is clamped to [1, MaxShards]. New(1) is the
@@ -124,7 +111,7 @@ func New(shards int) *Engine {
 	}
 	return &Engine{
 		shards: shards,
-		seed:   processSeed,
+		seed:   incremental.HashSeed(),
 		cutoff: DefaultSerialCutoff,
 	}
 }
@@ -167,15 +154,14 @@ func shardOf[T comparable](e *Engine, x T) int {
 // forN invokes f(0), ..., f(n-1). When the round's work warrants it, the
 // calls are spread over up to Shards() worker goroutines; f must
 // therefore be safe to run concurrently for distinct arguments. forN
-// returns only after every call completes.
+// returns only after every call completes. f escapes to those
+// goroutines, so a closure built at the call site is a heap allocation
+// per round: nodes build theirs once, at construction.
 func (e *Engine) forN(work, n int, f func(i int)) {
 	if n <= 0 {
 		return
 	}
-	workers := e.shards
-	if workers > n {
-		workers = n
-	}
+	workers := min(e.shards, n) // assigned once: the workers capture it by value, not a heap cell
 	if workers <= 1 || work <= e.cutoff {
 		for i := 0; i < n; i++ {
 			f(i)
@@ -338,20 +324,19 @@ func splitChunks[T comparable](batches [][]incremental.Delta[T], total, n int, d
 // routed is the hash-exchange scratch of one stateful-operator input: the
 // current round's differences bucketed by owning shard. Partitioning is
 // itself parallel — each worker buckets one contiguous chunk — and every
-// bucket slice is reused across rounds, so steady-state exchange
-// allocates nothing.
+// bucket slice is reused across rounds (recycle: all but a load's), so
+// steady-state exchange allocates nothing.
 type routed[T comparable] struct {
 	chunks [][]incremental.Delta[T]   // contiguous slices of this round's input
 	parts  [][][]incremental.Delta[T] // [chunk][shard] buckets
+	bucket func(i int)                // buckets chunk i; built once, so a round allocates no closure
 }
 
-// route partitions the round's pending batches by owning shard.
-func (r *routed[T]) route(e *Engine, batches [][]incremental.Delta[T], total int, shard func(T) int) {
-	r.chunks = splitChunks(batches, total, e.shards, r.chunks[:0])
-	for len(r.parts) < len(r.chunks) {
-		r.parts = append(r.parts, make([][]incremental.Delta[T], e.shards))
-	}
-	e.forN(total, len(r.chunks), func(i int) {
+// newRouted returns the exchange scratch of an input whose differences
+// are owned by shard(record).
+func newRouted[T comparable](shard func(T) int) *routed[T] {
+	r := &routed[T]{}
+	r.bucket = func(i int) {
 		buckets := r.parts[i]
 		for s := range buckets {
 			buckets[s] = buckets[s][:0]
@@ -360,7 +345,39 @@ func (r *routed[T]) route(e *Engine, batches [][]incremental.Delta[T], total int
 			s := shard(d.Record)
 			buckets[s] = append(buckets[s], d)
 		}
-	})
+	}
+	return r
+}
+
+// route partitions the round's pending batches by owning shard.
+func (r *routed[T]) route(e *Engine, batches [][]incremental.Delta[T], total int) {
+	r.chunks = splitChunks(batches, total, e.shards, r.chunks[:0])
+	for len(r.parts) < len(r.chunks) {
+		r.parts = append(r.parts, make([][]incremental.Delta[T], e.shards))
+	}
+	e.forN(total, len(r.chunks), r.bucket)
+}
+
+// recycle applies incremental.Recycle to every buffer of a round that
+// has been consumed: in a transaction (keep) they all stay as they are
+// for the next round to truncate; after a load, the oversized ones go.
+func recycle[T any](bufs [][]T, keep bool) {
+	if keep {
+		return
+	}
+	for i := range bufs {
+		bufs[i] = incremental.Recycle(bufs[i], false)
+	}
+}
+
+// recycle releases a load's buckets once every shard has gathered them.
+func (r *routed[T]) recycle(keep bool) {
+	if keep {
+		return
+	}
+	for _, buckets := range r.parts {
+		recycle(buckets, false)
+	}
 }
 
 // gather appends shard s's routed differences to dst in arrival order and

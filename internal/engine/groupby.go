@@ -12,11 +12,11 @@ import (
 type GroupByNode[T comparable, K comparable, R comparable] struct {
 	Stream[weighted.Grouped[K, R]]
 	in    *port[T]
-	r     routed[T]
+	r     *routed[T]
 	feeds []shardFeed[T]
 	subs  []*incremental.GroupByNode[T, K, R]
 	out   *outBuffers[weighted.Grouped[K, R]]
-	key   func(T) K
+	apply func(s int) // applies shard s's routed differences (see forN)
 	gate  txnGate
 }
 
@@ -40,10 +40,14 @@ func GroupBy[T comparable, K comparable, R comparable](
 	n := &GroupByNode[T, K, R]{
 		Stream: Stream[weighted.Grouped[K, R]]{e: e},
 		in:     src.newPort(),
+		r:      newRouted(func(x T) int { return shardOf(e, key(x)) }),
 		feeds:  make([]shardFeed[T], e.shards),
 		subs:   make([]*incremental.GroupByNode[T, K, R], e.shards),
 		out:    newOutBuffers[weighted.Grouped[K, R]](e.shards),
-		key:    key,
+	}
+	n.apply = func(s int) {
+		n.out.reset(s)
+		n.feeds[s].flush(n.r, s, n.gate.Active())
 	}
 	for s := range n.subs {
 		in := incremental.NewInput[T]()
@@ -71,10 +75,9 @@ func (n *GroupByNode[T, K, R]) process() {
 	if total == 0 {
 		return
 	}
-	n.r.route(n.e, batches, total, func(x T) int { return shardOf(n.e, n.key(x)) })
-	n.e.forShards(total, func(s int) {
-		n.out.reset(s)
-		n.feeds[s].flush(&n.r, s)
-	})
+	n.r.route(n.e, batches, total)
+	n.e.forShards(total, n.apply)
 	n.emit(n.out.outs)
+	n.r.recycle(n.gate.Active())
+	recycle(n.out.outs, n.gate.Active())
 }

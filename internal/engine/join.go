@@ -13,18 +13,16 @@ import (
 type JoinNode[A, B comparable, K comparable, R comparable] struct {
 	Stream[R]
 	pa *port[A]
-	ra routed[A]
+	ra *routed[A]
 	pb *port[B]
-	rb routed[B]
+	rb *routed[B]
 
-	fa   []shardFeed[A]
-	fb   []shardFeed[B]
-	subs []*incremental.JoinNode[A, B, K, R]
-	out  *outBuffers[R]
-
-	keyA func(A) K
-	keyB func(B) K
-	gate txnGate
+	fa    []shardFeed[A]
+	fb    []shardFeed[B]
+	subs  []*incremental.JoinNode[A, B, K, R]
+	out   *outBuffers[R]
+	apply func(s int) // applies shard s's routed differences (see forN)
+	gate  txnGate
 }
 
 // onTxn fans a transaction event into every shard's sub-node — through
@@ -50,12 +48,17 @@ func Join[A, B comparable, K comparable, R comparable](
 		Stream: Stream[R]{e: e},
 		pa:     a.newPort(),
 		pb:     b.newPort(),
+		ra:     newRouted(func(x A) int { return shardOf(e, keyA(x)) }),
+		rb:     newRouted(func(y B) int { return shardOf(e, keyB(y)) }),
 		fa:     make([]shardFeed[A], e.shards),
 		fb:     make([]shardFeed[B], e.shards),
 		subs:   make([]*incremental.JoinNode[A, B, K, R], e.shards),
 		out:    newOutBuffers[R](e.shards),
-		keyA:   keyA,
-		keyB:   keyB,
+	}
+	n.apply = func(s int) {
+		n.out.reset(s)
+		n.fa[s].flush(n.ra, s, n.gate.Active())
+		n.fb[s].flush(n.rb, s, n.gate.Active())
 	}
 	for s := range n.subs {
 		ia, ib := incremental.NewInput[A](), incremental.NewInput[B]()
@@ -114,12 +117,11 @@ func (n *JoinNode[A, B, K, R]) process() {
 	if total == 0 {
 		return
 	}
-	n.ra.route(n.e, ba, ta, func(x A) int { return shardOf(n.e, n.keyA(x)) })
-	n.rb.route(n.e, bb, tb, func(y B) int { return shardOf(n.e, n.keyB(y)) })
-	n.e.forShards(total, func(s int) {
-		n.out.reset(s)
-		n.fa[s].flush(&n.ra, s)
-		n.fb[s].flush(&n.rb, s)
-	})
+	n.ra.route(n.e, ba, ta)
+	n.rb.route(n.e, bb, tb)
+	n.e.forShards(total, n.apply)
 	n.emit(n.out.outs)
+	n.ra.recycle(n.gate.Active())
+	n.rb.recycle(n.gate.Active())
+	recycle(n.out.outs, n.gate.Active())
 }

@@ -14,8 +14,9 @@ import (
 type Collector[T comparable] struct {
 	e      *Engine
 	in     *port[T]
-	r      routed[T]
+	r      *routed[T]
 	shards []*weighted.Dataset[T]
+	apply  func(s int) // applies shard s's routed differences (see forN)
 
 	// Transaction state, sharded like the data so speculative rounds log
 	// pre-images without cross-shard races.
@@ -29,10 +30,20 @@ func Collect[T comparable](src Source[T]) *Collector[T] {
 	c := &Collector[T]{
 		e:      e,
 		in:     src.newPort(),
+		r:      newRouted(func(x T) int { return shardOf(e, x) }),
 		shards: make([]*weighted.Dataset[T], e.shards),
 	}
 	for s := range c.shards {
 		c.shards[s] = weighted.New[T]()
+	}
+	c.apply = func(s int) {
+		data, logging := c.shards[s], c.gate.Active()
+		c.r.each(s, func(d incremental.Delta[T]) {
+			if logging {
+				c.txns[s].Observe(d.Record, data)
+			}
+			data.Add(d.Record, d.Weight)
+		})
 	}
 	src.SubscribeTxn(c.onTxn)
 	e.register(c)
@@ -44,17 +55,9 @@ func (c *Collector[T]) process() {
 	if total == 0 {
 		return
 	}
-	c.r.route(c.e, batches, total, func(x T) int { return shardOf(c.e, x) })
-	logging := c.gate.Active()
-	c.e.forShards(total, func(s int) {
-		data := c.shards[s]
-		c.r.each(s, func(d incremental.Delta[T]) {
-			if logging {
-				c.txns[s].Observe(d.Record, data)
-			}
-			data.Add(d.Record, d.Weight)
-		})
-	})
+	c.r.route(c.e, batches, total)
+	c.e.forShards(total, c.apply)
+	c.r.recycle(c.gate.Active())
 }
 
 // onTxn applies a transaction event to every shard's dataset. Collectors

@@ -26,11 +26,12 @@ type shardFeed[T comparable] struct {
 }
 
 // flush pushes shard s's routed differences, if any, into the sub-node.
-func (f *shardFeed[T]) flush(r *routed[T], s int) {
+func (f *shardFeed[T]) flush(r *routed[T], s int, keep bool) {
 	f.batch = r.gather(s, f.batch[:0])
 	if len(f.batch) > 0 {
 		f.in.Push(f.batch)
 	}
+	f.batch = incremental.Recycle(f.batch, keep)
 }
 
 // outBuffers builds the per-shard output accumulators and returns the
@@ -55,10 +56,11 @@ func (o *outBuffers[U]) reset(s int) { o.outs[s] = o.outs[s][:0] }
 type ShaveNode[T comparable] struct {
 	Stream[weighted.Indexed[T]]
 	in    *port[T]
-	r     routed[T]
+	r     *routed[T]
 	feeds []shardFeed[T]
 	subs  []*incremental.ShaveNode[T]
 	out   *outBuffers[weighted.Indexed[T]]
+	apply func(s int) // applies shard s's routed differences (see forN)
 	gate  txnGate
 }
 
@@ -80,9 +82,14 @@ func Shave[T comparable](src Source[T], f func(x T, i int) float64) *ShaveNode[T
 	n := &ShaveNode[T]{
 		Stream: Stream[weighted.Indexed[T]]{e: e},
 		in:     src.newPort(),
+		r:      newRouted(func(x T) int { return shardOf(e, x) }),
 		feeds:  make([]shardFeed[T], e.shards),
 		subs:   make([]*incremental.ShaveNode[T], e.shards),
 		out:    newOutBuffers[weighted.Indexed[T]](e.shards),
+	}
+	n.apply = func(s int) {
+		n.out.reset(s)
+		n.feeds[s].flush(n.r, s, n.gate.Active())
 	}
 	for s := range n.feeds {
 		in := incremental.NewInput[T]()
@@ -114,12 +121,11 @@ func (n *ShaveNode[T]) process() {
 	if total == 0 {
 		return
 	}
-	n.r.route(n.e, batches, total, func(x T) int { return shardOf(n.e, x) })
-	n.e.forShards(total, func(s int) {
-		n.out.reset(s)
-		n.feeds[s].flush(&n.r, s)
-	})
+	n.r.route(n.e, batches, total)
+	n.e.forShards(total, n.apply)
 	n.emit(n.out.outs)
+	n.r.recycle(n.gate.Active())
+	recycle(n.out.outs, n.gate.Active())
 }
 
 // MinMaxNode is the output of Union or Intersect: a record-partitioned
@@ -127,10 +133,11 @@ func (n *ShaveNode[T]) process() {
 type MinMaxNode[T comparable] struct {
 	Stream[T]
 	pa, pb *port[T]
-	ra, rb routed[T]
+	ra, rb *routed[T]
 	fa, fb []shardFeed[T]
 	subs   []*incremental.MinMaxNode[T]
 	out    *outBuffers[T]
+	apply  func(s int) // applies shard s's routed differences (see forN)
 	gate   txnGate
 }
 
@@ -158,14 +165,22 @@ func Intersect[T comparable](a, b Source[T]) *MinMaxNode[T] {
 func minMaxNode[T comparable](a, b Source[T],
 	build func(x, y incremental.Source[T]) *incremental.MinMaxNode[T]) *MinMaxNode[T] {
 	e := sameEngine(a, b)
+	shard := func(x T) int { return shardOf(e, x) }
 	n := &MinMaxNode[T]{
 		Stream: Stream[T]{e: e},
 		pa:     a.newPort(),
 		pb:     b.newPort(),
+		ra:     newRouted(shard),
+		rb:     newRouted(shard),
 		fa:     make([]shardFeed[T], e.shards),
 		fb:     make([]shardFeed[T], e.shards),
 		subs:   make([]*incremental.MinMaxNode[T], e.shards),
 		out:    newOutBuffers[T](e.shards),
+	}
+	n.apply = func(s int) {
+		n.out.reset(s)
+		n.fa[s].flush(n.ra, s, n.gate.Active())
+		n.fb[s].flush(n.rb, s, n.gate.Active())
 	}
 	for s := range n.subs {
 		ia, ib := incremental.NewInput[T](), incremental.NewInput[T]()
@@ -196,13 +211,11 @@ func (n *MinMaxNode[T]) process() {
 	if total == 0 {
 		return
 	}
-	shard := func(x T) int { return shardOf(n.e, x) }
-	n.ra.route(n.e, ba, ta, shard)
-	n.rb.route(n.e, bb, tb, shard)
-	n.e.forShards(total, func(s int) {
-		n.out.reset(s)
-		n.fa[s].flush(&n.ra, s)
-		n.fb[s].flush(&n.rb, s)
-	})
+	n.ra.route(n.e, ba, ta)
+	n.rb.route(n.e, bb, tb)
+	n.e.forShards(total, n.apply)
 	n.emit(n.out.outs)
+	n.ra.recycle(n.gate.Active())
+	n.rb.recycle(n.gate.Active())
+	recycle(n.out.outs, n.gate.Active())
 }

@@ -27,44 +27,45 @@ type JoinNode[A, B comparable, K comparable, R comparable] struct {
 	keyB   func(B) K
 	reduce func(A, B) R
 
-	left  map[K]*stateMap[A]
-	right map[K]*stateMap[B]
+	// Both sides of a key live in one group under one map entry: every
+	// key update reads one side's records and the other's norm, so a
+	// push costs one lookup and one pointer chase per key. A group stays
+	// in the map while either side holds records.
+	groups map[K]*joinGroup[A, B]
 
-	// Freelists of dropped key groups, one per side. MCMC walks churn
-	// groups (a key empties when its last record swaps away, then
-	// reappears), so dropped groups are recycled rather than released.
-	poolA statePool[A]
-	poolB statePool[B]
+	// Freelist of dropped key groups. MCMC walks churn groups (a key
+	// empties when its last record swaps away, then reappears), so
+	// dropped groups are recycled rather than released.
+	pool groupPool[joinGroup[A, B]]
 
 	fastPath bool
 	stats    joinStats
 
-	// Batched-update scratch, reused across pushes so hot loops do not
-	// re-allocate a difference map and output batch per push. Safe
-	// because emitted batches are owned by this node and handlers must
-	// not retain them. Batch deltas are grouped by key into slot-indexed
-	// buckets; the key-order slice records each key's first appearance so
-	// keys are processed — and differences emitted — in a deterministic
-	// order (see stateMap). Slot entries are deleted per push (tracked
-	// via the key order, never clear()), so a bulk load's high-water mark
-	// costs nothing on later small pushes.
-	slotA     map[K]int
-	slotB     map[K]int
-	bucketsA  [][]Delta[A]
-	bucketsB  [][]Delta[B]
-	keyOrderA []K
-	keyOrderB []K
-	scratchA  sideScratch[A]
-	scratchB  sideScratch[B]
-	diff      *orderedDiff[R]
+	// Per-push scratch (see scratch.go), reused across pushes so hot
+	// loops do not re-allocate a grouping, a difference accumulator and
+	// an output batch per push. Safe because emitted batches are owned by
+	// this node and handlers must not retain them. Keys are processed —
+	// and differences emitted — in first-appearance order (see stateMap).
+	byKeyA   keyGrouper[K, A]
+	byKeyB   keyGrouper[K, B]
+	scratchA sideScratch[A]
+	scratchB sideScratch[B]
+	diff     orderedDiff[R]
 
-	// Transaction state: per-side groups first touched this transaction
-	// (their undo logs are active), in touch order. As in GroupByNode,
-	// dropping empty groups is deferred to commit so Abort can restore
-	// them in place.
-	gate     TxnGate
-	touchedA []touchedGroup[K, A]
-	touchedB []touchedGroup[K, B]
+	// Transaction state: one undo log per side, shared by every group,
+	// and the groups first touched this transaction (their stateMaps log
+	// to logA/logB), in touch order. As in GroupByNode, dropping empty
+	// groups is deferred to commit so Abort can restore them in place.
+	gate    TxnGate
+	logA    undoLog[A]
+	logB    undoLog[B]
+	touched []touchedGroup[K, joinGroup[A, B]]
+}
+
+// joinGroup is one key's state: the records of each side under that key.
+type joinGroup[A, B comparable] struct {
+	a stateMap[A]
+	b stateMap[B]
 }
 
 // joinStats counts key-updates taken through each path, for ablations.
@@ -74,19 +75,15 @@ type joinStats struct {
 }
 
 // sideScratch is joinUpdateSide's multi-delta working set: each touched
-// record's pre-push weight, in first-touch order. Reused across pushes;
-// reset deletes exactly the keys the push touched so the map never pays
-// for its high-water mark.
+// record's pre-push weight, in first-touch order. Reused across pushes.
 type sideScratch[X comparable] struct {
-	oldW    map[X]float64
-	touched []X
+	idx  scratchIndex[X]
+	oldW []float64 // oldW[i]: pre-push weight of idx.keys[i]
 }
 
-func (s *sideScratch[X]) reset() {
-	for _, x := range s.touched {
-		delete(s.oldW, x)
-	}
-	s.touched = s.touched[:0]
+func (s *sideScratch[X]) reset(keep bool) {
+	s.idx.reset(keep)
+	s.oldW = Recycle(s.oldW, keep)
 }
 
 // Join builds an incremental join of two difference streams.
@@ -99,15 +96,9 @@ func Join[A, B comparable, K comparable, R comparable](
 		keyA:     keyA,
 		keyB:     keyB,
 		reduce:   reduce,
-		left:     make(map[K]*stateMap[A]),
-		right:    make(map[K]*stateMap[B]),
+		groups:   make(map[K]*joinGroup[A, B]),
 		fastPath: true,
-		slotA:    make(map[K]int),
-		slotB:    make(map[K]int),
-		diff:     newOrderedDiff[R](),
 	}
-	n.scratchA.oldW = make(map[A]float64)
-	n.scratchB.oldW = make(map[B]float64)
 	a.Subscribe(n.onLeft)
 	b.Subscribe(n.onRight)
 	forwardTxn(a, n.onTxn)
@@ -116,56 +107,40 @@ func Join[A, B comparable, K comparable, R comparable](
 }
 
 // onTxn applies a transaction event to every group touched since Begin —
-// O(touched keys), activated lazily by leftGroup/rightGroup — and
-// forwards it downstream.
+// O(touched keys), opened lazily by group — and forwards it downstream.
 func (n *JoinNode[A, B, K, R]) onTxn(op TxnOp) {
 	if !n.gate.Enter(op) {
 		return
 	}
 	switch op {
 	case TxnCommit:
-		for _, t := range n.touchedA {
-			t.g.commitLog()
-			if t.g.len() == 0 {
-				delete(n.left, t.k)
-				n.poolA.put(t.g)
-			}
+		n.logA.commit()
+		n.logB.commit()
+		for _, t := range n.touched {
+			t.g.a.endLog()
+			t.g.b.endLog()
+			n.drop(t.k, t.g)
 		}
-		for _, t := range n.touchedB {
-			t.g.commitLog()
-			if t.g.len() == 0 {
-				delete(n.right, t.k)
-				n.poolB.put(t.g)
-			}
-		}
-		n.touchedA = n.touchedA[:0]
-		n.touchedB = n.touchedB[:0]
+		n.touched = n.touched[:0]
 	case TxnAbort:
-		// The two sides' groups are disjoint state; each side unwinds
-		// last-in-first-out independently.
-		for k := len(n.touchedA) - 1; k >= 0; k-- {
-			t := n.touchedA[k]
-			t.g.abortLog()
+		// The two sides are disjoint state; each unwinds its own log.
+		n.logA.abort()
+		n.logB.abort()
+		for _, t := range n.touched {
+			t.g.a.endLog()
+			t.g.b.endLog()
 			if t.created {
-				delete(n.left, t.k)
-				n.poolA.put(t.g)
+				n.drop(t.k, t.g) // unwound to empty on both sides
 			}
 		}
-		for k := len(n.touchedB) - 1; k >= 0; k-- {
-			t := n.touchedB[k]
-			t.g.abortLog()
-			if t.created {
-				delete(n.right, t.k)
-				n.poolB.put(t.g)
-			}
-		}
-		n.touchedA = n.touchedA[:0]
-		n.touchedB = n.touchedB[:0]
+		n.touched = n.touched[:0]
 	}
 	n.emitTxn(op)
 }
 
 // SetFastPath toggles the norm-unchanged optimization (default on).
+//
+//wpinq:txn-exempt an ablation switch set while the graph is built, not state: both paths produce identical results and no transaction replays it
 func (n *JoinNode[A, B, K, R]) SetFastPath(on bool) { n.fastPath = on }
 
 // FastKeys returns the number of key updates resolved via the fast path.
@@ -179,117 +154,79 @@ func (n *JoinNode[A, B, K, R]) SlowKeys() int64 { return n.stats.slowKeys }
 func (n *JoinNode[A, B, K, R]) StateSize() int {
 	total := 0
 	//wpinq:nondeterministic-ok integer sum over group sizes is order-independent; diagnostics only
-	for _, g := range n.left {
-		total += g.len()
-	}
-	//wpinq:nondeterministic-ok integer sum over group sizes is order-independent; diagnostics only
-	for _, g := range n.right {
-		total += g.len()
+	for _, g := range n.groups {
+		total += g.a.len() + g.b.len()
 	}
 	return total
 }
 
 func (n *JoinNode[A, B, K, R]) onLeft(batch []Delta[A]) {
-	keys := n.keyOrderA[:0]
-	for _, d := range batch {
-		k := n.keyA(d.Record)
-		i, seen := n.slotA[k]
-		if !seen {
-			i = len(keys)
-			if i < len(n.bucketsA) {
-				n.bucketsA[i] = n.bucketsA[i][:0]
-			} else {
-				n.bucketsA = append(n.bucketsA, nil)
-			}
-			n.slotA[k] = i
-			keys = append(keys, k)
+	inTxn := n.gate.Active()
+	for i, k := range n.byKeyA.group(batch, n.keyA) {
+		g := n.group(k)
+		joinUpdateSide(&n.stats, n.byKeyA.run(i), &g.a, &g.b, n.fastPath, n.reduce, &n.scratchA, &n.diff)
+		n.scratchA.reset(inTxn)
+		if !inTxn {
+			n.drop(k, g)
 		}
-		n.bucketsA[i] = append(n.bucketsA[i], d)
 	}
-	n.keyOrderA = keys
-	diff := n.diff
-	for i, k := range keys {
-		joinUpdateSide(&n.stats, n.bucketsA[i], n.leftGroup(k), n.rightGroup(k), n.fastPath, n.reduce, &n.scratchA, diff)
-		n.dropEmpty(k)
-		delete(n.slotA, k)
-	}
-	n.emit(diff.takeBatch())
+	n.byKeyA.reset(inTxn)
+	n.emit(n.diff.takeBatch(inTxn))
 }
 
 func (n *JoinNode[A, B, K, R]) onRight(batch []Delta[B]) {
-	keys := n.keyOrderB[:0]
-	for _, d := range batch {
-		k := n.keyB(d.Record)
-		i, seen := n.slotB[k]
-		if !seen {
-			i = len(keys)
-			if i < len(n.bucketsB) {
-				n.bucketsB[i] = n.bucketsB[i][:0]
-			} else {
-				n.bucketsB = append(n.bucketsB, nil)
-			}
-			n.slotB[k] = i
-			keys = append(keys, k)
-		}
-		n.bucketsB[i] = append(n.bucketsB[i], d)
-	}
-	n.keyOrderB = keys
-	diff := n.diff
 	swapped := func(y B, x A) R { return n.reduce(x, y) }
-	for i, k := range keys {
-		joinUpdateSide(&n.stats, n.bucketsB[i], n.rightGroup(k), n.leftGroup(k), n.fastPath, swapped, &n.scratchB, diff)
-		n.dropEmpty(k)
-		delete(n.slotB, k)
+	inTxn := n.gate.Active()
+	for i, k := range n.byKeyB.group(batch, n.keyB) {
+		g := n.group(k)
+		joinUpdateSide(&n.stats, n.byKeyB.run(i), &g.b, &g.a, n.fastPath, swapped, &n.scratchB, &n.diff)
+		n.scratchB.reset(inTxn)
+		if !inTxn {
+			n.drop(k, g)
+		}
 	}
-	n.emit(diff.takeBatch())
+	n.byKeyB.reset(inTxn)
+	n.emit(n.diff.takeBatch(inTxn))
 }
 
-func (n *JoinNode[A, B, K, R]) leftGroup(k K) *stateMap[A] {
-	g := n.left[k]
-	created := false
-	if g == nil {
-		g = n.poolA.get()
-		n.left[k] = g
-		created = true
+// group returns k's group, creating it if the key is new, and opens it
+// in the current transaction, if any, on first touch.
+func (n *JoinNode[A, B, K, R]) group(k K) *joinGroup[A, B] {
+	g := n.groups[k]
+	created := g == nil
+	if created {
+		g = n.pool.get()
+		n.groups[k] = g
 	}
-	if n.gate.Active() && !g.logging {
-		g.beginLog()
-		n.touchedA = append(n.touchedA, touchedGroup[K, A]{k: k, g: g, created: created})
+	if n.gate.Active() && g.a.log == nil {
+		g.a.beginLog(&n.logA)
+		g.b.beginLog(&n.logB)
+		n.touched = append(n.touched, touchedGroup[K, joinGroup[A, B]]{k: k, g: g, created: created})
 	}
 	return g
 }
 
-func (n *JoinNode[A, B, K, R]) rightGroup(k K) *stateMap[B] {
-	g := n.right[k]
-	created := false
-	if g == nil {
-		g = n.poolB.get()
-		n.right[k] = g
-		created = true
+// drop retires whatever of k's group has drained, so long random walks
+// do not leak memory through abandoned keys: an empty side is recycled
+// in place (its norm must read exactly zero the next time the key's
+// denominator is formed, as a fresh group's would), and a group empty on
+// both sides leaves the map for the freelist. Inside a transaction the
+// callers defer this to commit (an empty side joins to nothing, so
+// keeping it changes no arithmetic) so Abort can restore the group in
+// place.
+//
+//wpinq:txn-exempt runs only outside a transaction or from onTxn once the group's logs are resolved; a group dropped while open would be written by abort after the pool reissued it
+func (n *JoinNode[A, B, K, R]) drop(k K, g *joinGroup[A, B]) {
+	emptyA, emptyB := g.a.len() == 0, g.b.len() == 0
+	if emptyA {
+		g.a.recycle()
 	}
-	if n.gate.Active() && !g.logging {
-		g.beginLog()
-		n.touchedB = append(n.touchedB, touchedGroup[K, B]{k: k, g: g, created: created})
+	if emptyB {
+		g.b.recycle()
 	}
-	return g
-}
-
-// dropEmpty recycles index entries for keys whose groups became empty, so
-// long random walks do not leak memory through abandoned keys. Inside a
-// transaction the drop is deferred to commit (an empty group joins to
-// nothing, so keeping it changes no arithmetic) so Abort can restore the
-// group in place.
-func (n *JoinNode[A, B, K, R]) dropEmpty(k K) {
-	if n.gate.Active() {
-		return
-	}
-	if g, ok := n.left[k]; ok && g.len() == 0 {
-		delete(n.left, k)
-		n.poolA.put(g)
-	}
-	if g, ok := n.right[k]; ok && g.len() == 0 {
-		delete(n.right, k)
-		n.poolB.put(g)
+	if emptyA && emptyB {
+		delete(n.groups, k)
+		n.pool.put(g)
 	}
 }
 
@@ -356,17 +293,14 @@ func joinUpdateSide[X, Y comparable, R comparable](
 	}
 
 	// Apply differences, remembering each touched record's prior weight
-	// in first-touch order. The scratch is node-owned and reset on every
-	// exit path, including panics unwinding through the push.
-	defer scratch.reset()
-	oldWeights := scratch.oldW
+	// in first-touch order (the caller resets the scratch).
 	for _, d := range ds {
-		if _, seen := oldWeights[d.Record]; !seen {
-			oldWeights[d.Record] = own.weight(d.Record)
-			scratch.touched = append(scratch.touched, d.Record)
+		if _, fresh := scratch.idx.slot(d.Record); fresh {
+			scratch.oldW = append(scratch.oldW, own.weight(d.Record))
 		}
 		own.apply(d.Record, d.Weight)
 	}
+	touched, oldWeights := scratch.idx.keys, scratch.oldW
 	newDenom := own.norm + otherNorm
 
 	if other.len() == 0 {
@@ -376,8 +310,8 @@ func joinUpdateSide[X, Y comparable, R comparable](
 
 	if fastPath && math.Abs(newDenom-oldDenom) < weighted.Eps && oldDenom >= weighted.Eps {
 		stats.fastKeys++
-		for _, x := range scratch.touched {
-			dw := own.weight(x) - oldWeights[x]
+		for i, x := range touched {
+			dw := own.weight(x) - oldWeights[i]
 			if math.Abs(dw) < weighted.Eps {
 				continue
 			}
@@ -391,8 +325,8 @@ func joinUpdateSide[X, Y comparable, R comparable](
 	stats.slowKeys++
 	// Retract the old outer product under the old denominator.
 	if oldDenom >= weighted.Eps {
-		for _, x := range scratch.touched {
-			oldW := oldWeights[x]
+		for i, x := range touched {
+			oldW := oldWeights[i]
 			if oldW == 0 {
 				continue
 			}
@@ -401,7 +335,7 @@ func joinUpdateSide[X, Y comparable, R comparable](
 			})
 		}
 		own.each(func(x X, wx float64) {
-			if _, changed := oldWeights[x]; changed {
+			if _, changed := scratch.idx.find(x); changed {
 				return
 			}
 			other.each(func(y Y, wy float64) {

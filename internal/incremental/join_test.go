@@ -1,0 +1,193 @@
+package incremental
+
+import (
+	"maps"
+	"slices"
+	"testing"
+)
+
+// rec is a join input record for the paired-group tests: k is the join
+// key, id tells records of one key apart.
+type rec struct{ k, id int }
+
+func recKey(r rec) int { return r.k }
+
+func newRecJoin() (a, b *Input[rec], j *JoinNode[rec, rec, int, [2]rec]) {
+	a, b = NewInput[rec](), NewInput[rec]()
+	j = Join(a, b, recKey, recKey, func(x, y rec) [2]rec { return [2]rec{x, y} })
+	return a, b, j
+}
+
+// TestJoinDrainedSideNormIsExactlyZero pins what pairing the two sides
+// of a key must not lose. When the sides were separate map entries, a
+// side that drained was dropped and re-created fresh, so its norm read
+// bit-exact 0 the next time the key's denominator was formed. Paired, the
+// drained side stays beside its partner — and a drained stateMap can
+// carry float dust (0.1 + 0.2 - 0.1 - 0.2 leaves 2.8e-17), so it must be
+// reset at the same two points the drop used to happen: after the push
+// outside a transaction, at commit inside one.
+func TestJoinDrainedSideNormIsExactlyZero(t *testing.T) {
+	load := func() (a *Input[rec], j *JoinNode[rec, rec, int, [2]rec]) {
+		a, b, j := newRecJoin()
+		b.Push([]Delta[rec]{{rec{7, 0}, 1}})
+		a.Push([]Delta[rec]{{rec{7, 1}, 0.1}})
+		a.Push([]Delta[rec]{{rec{7, 2}, 0.2}})
+		return a, j
+	}
+
+	t.Run("outside a transaction", func(t *testing.T) {
+		a, j := load()
+		a.Push([]Delta[rec]{{rec{7, 1}, -0.1}})
+		a.Push([]Delta[rec]{{rec{7, 2}, -0.2}})
+		g := j.groups[7]
+		if g == nil || g.a.len() != 0 || g.b.len() != 1 {
+			t.Fatalf("group 7 = %+v, want an empty left side beside the right record", g)
+		}
+		if g.a.norm != 0 {
+			t.Errorf("drained side's norm = %g, want exactly 0", g.a.norm)
+		}
+	})
+
+	t.Run("at commit", func(t *testing.T) {
+		a, j := load()
+		a.Begin()
+		a.Push([]Delta[rec]{{rec{7, 1}, -0.1}})
+		a.Push([]Delta[rec]{{rec{7, 2}, -0.2}})
+		g := j.groups[7]
+		if g.a.len() != 0 || g.a.norm == 0 {
+			// The dust is what makes this test bite; and it must survive
+			// until commit, as it did when the drop was deferred.
+			t.Fatalf("open transaction: %d records, norm %g; want 0 records and float dust", g.a.len(), g.a.norm)
+		}
+		a.Commit()
+		if j.groups[7] != g {
+			t.Fatal("commit dropped a group whose right side still holds a record")
+		}
+		if g.a.norm != 0 {
+			t.Errorf("drained side's norm = %g after commit, want exactly 0", g.a.norm)
+		}
+		if g.a.log != nil || g.b.log != nil {
+			t.Error("commit left the group's sides open")
+		}
+	})
+}
+
+func TestJoinAbortDropsCreatedGroups(t *testing.T) {
+	a, b, j := newRecJoin()
+	a.Push([]Delta[rec]{{rec{1, 0}, 1}})
+	b.Push([]Delta[rec]{{rec{1, 1}, 1}})
+
+	a.Begin()
+	a.Push([]Delta[rec]{{rec{2, 0}, 1}, {rec{3, 0}, 2}})
+	b.Push([]Delta[rec]{{rec{3, 1}, 1}, {rec{4, 1}, 1}})
+	if len(j.groups) != 4 {
+		t.Fatalf("%d groups inside the transaction, want 4", len(j.groups))
+	}
+	a.Abort()
+
+	if len(j.groups) != 1 || j.groups[1] == nil {
+		t.Fatalf("groups after abort: %v, want only key 1", slices.Collect(maps.Keys(j.groups)))
+	}
+	if len(j.pool.free) != 3 {
+		t.Errorf("%d groups on the freelist, want the 3 the transaction created", len(j.pool.free))
+	}
+	for _, g := range j.pool.free {
+		if g.a.len() != 0 || g.b.len() != 0 || g.a.norm != 0 || g.b.norm != 0 || g.a.log != nil || g.b.log != nil {
+			t.Errorf("pooled group not fresh: %+v", g)
+		}
+	}
+	if len(j.touched) != 0 || len(j.logA.entries) != 0 || len(j.logB.entries) != 0 {
+		t.Error("abort left transaction state behind")
+	}
+}
+
+// mapImage is a deep copy of everything abort must restore in one
+// stateMap.
+type mapImage struct {
+	recs []rec
+	ws   []float64
+	pos  map[rec]int
+	norm float64
+}
+
+func imageOf(m *stateMap[rec]) mapImage {
+	return mapImage{slices.Clone(m.recs), slices.Clone(m.ws), maps.Clone(m.pos), m.norm}
+}
+
+func (im mapImage) equal(o mapImage) bool {
+	return slices.Equal(im.recs, o.recs) && slices.Equal(im.ws, o.ws) &&
+		maps.Equal(im.pos, o.pos) && (im.pos == nil) == (o.pos == nil) && im.norm == o.norm
+}
+
+// TestJoinMultiGroupAbortRestoresEverySide drives one transaction across
+// four groups and both sides — inserts, in-place updates, swap-deletes
+// from the middle and the tail, a drain, a group created, a fifth group
+// left alone — through the node's two shared logs, and requires abort to put
+// back every side's records, weights, slice order, position index and
+// norm exactly. The per-map logs this replaces were each replayed on
+// their own; one log per side interleaves the groups' entries, which is
+// only equivalent because groups share no state.
+func TestJoinMultiGroupAbortRestoresEverySide(t *testing.T) {
+	a, b, j := newRecJoin()
+	var load []Delta[rec]
+	for id := 0; id < posThreshold+4; id++ { // key 1: large enough to build pos
+		load = append(load, Delta[rec]{rec{1, id}, float64(id) + 0.5})
+	}
+	for id := 0; id < 5; id++ {
+		load = append(load, Delta[rec]{rec{2, id}, 1 / float64(id+3)})
+	}
+	load = append(load, Delta[rec]{rec{3, 0}, 0.1}, Delta[rec]{rec{3, 1}, 0.2}, Delta[rec]{rec{4, 0}, 2})
+	a.Push(load)
+	b.Push(load[3:])
+	if j.groups[1].a.pos == nil || j.groups[2].a.pos != nil {
+		t.Fatal("fixture: want a position index on key 1's left side only")
+	}
+
+	type sides struct{ a, b mapImage }
+	before := map[int]sides{}
+	for k, g := range j.groups {
+		before[k] = sides{imageOf(&g.a), imageOf(&g.b)}
+	}
+
+	a.Begin()
+	a.Push([]Delta[rec]{
+		{rec{1, 2}, -2.5},    // swap-delete from the middle of an indexed side
+		{rec{2, 1}, 0.75},    // update in place
+		{rec{3, 0}, -0.1},    // drain key 3's left side...
+		{rec{3, 1}, -0.2},    // ...leaving dust in its norm
+		{rec{9, 0}, 1},       // create a group
+		{rec{1, 99}, 4},      // insert into the indexed side
+		{rec{2, 4}, -1. / 7}, // swap-delete the tail
+	})
+	b.Push([]Delta[rec]{
+		{rec{1, 5}, -5.5}, // the other side of the same keys
+		{rec{2, 0}, 3},
+		{rec{9, 1}, 1},
+		{rec{1, 5}, 5.5}, // re-insert what this transaction deleted
+	})
+	a.Push([]Delta[rec]{{rec{1, 99}, -4}, {rec{3, 7}, 1}}) // and again on top of the first push
+	if len(j.logA.entries) == 0 || len(j.logB.entries) == 0 || len(j.touched) < 4 {
+		t.Fatalf("fixture: %d+%d log entries over %d groups", len(j.logA.entries), len(j.logB.entries), len(j.touched))
+	}
+	a.Abort()
+
+	if len(j.groups) != len(before) {
+		t.Errorf("%d groups after abort, want %d", len(j.groups), len(before))
+	}
+	for k, want := range before {
+		g := j.groups[k]
+		if g == nil {
+			t.Errorf("key %d: group gone after abort", k)
+			continue
+		}
+		if got := imageOf(&g.a); !got.equal(want.a) {
+			t.Errorf("key %d left side:\n got %+v\nwant %+v", k, got, want.a)
+		}
+		if got := imageOf(&g.b); !got.equal(want.b) {
+			t.Errorf("key %d right side:\n got %+v\nwant %+v", k, got, want.b)
+		}
+		if g.a.log != nil || g.b.log != nil {
+			t.Errorf("key %d: abort left a side open", k)
+		}
+	}
+}

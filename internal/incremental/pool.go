@@ -17,22 +17,22 @@ var (
 	poolMiss = poolEvents.With("miss")
 )
 
-// statePool is a per-node freelist of empty stateMaps. Stateful operators
-// create and drop key groups constantly during an MCMC walk (a vertex's
-// path group empties when its last edge swaps away, then reappears a few
-// proposals later); recycling the backing storage makes that churn
-// allocation-free at steady state.
+// groupPool is a per-node freelist of empty key groups: a stateMap for
+// GroupBy, a joinGroup (both sides' stateMaps under one key) for Join.
+// Stateful operators create and drop key groups constantly during an
+// MCMC walk (a vertex's path group empties when its last edge swaps
+// away, then reappears a few proposals later); recycling the backing
+// storage makes that churn allocation-free at steady state.
 //
-// Pooling cannot perturb results: only empty groups are recycled, and
-// recycle restores exactly the state a fresh map starts with (norm is
-// forced to bit-exact zero — a drained group can carry float dust — and
-// the undo log is truncated), so a pooled group differs from a new one
-// only in spare capacity.
-type statePool[T comparable] struct {
-	free []*stateMap[T]
+// Pooling cannot perturb results: only empty groups are pooled, and the
+// caller recycles them first, which restores exactly the state a fresh
+// stateMap starts with (see stateMap.recycle), so a pooled group differs
+// from a new one only in spare capacity.
+type groupPool[G any] struct {
+	free []*G
 }
 
-func (p *statePool[T]) get() *stateMap[T] {
+func (p *groupPool[G]) get() *G {
 	if n := len(p.free) - 1; n >= 0 {
 		g := p.free[n]
 		p.free[n] = nil
@@ -41,13 +41,10 @@ func (p *statePool[T]) get() *stateMap[T] {
 		return g
 	}
 	poolMiss.Inc()
-	return newStateMap[T]()
+	return new(G)
 }
 
-// put recycles an empty group. The caller must have removed every
+// put pools an empty, recycled group. The caller must have removed every
 // reference to g first; handing over a non-empty group is a logic error
 // (the next get would resurrect its records).
-func (p *statePool[T]) put(g *stateMap[T]) {
-	g.recycle()
-	p.free = append(p.free, g)
-}
+func (p *groupPool[G]) put(g *G) { p.free = append(p.free, g) }

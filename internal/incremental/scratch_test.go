@@ -1,0 +1,249 @@
+package incremental
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// checkSlots feeds keys through idx.slot and checks every answer against
+// a plain map: first appearances get the next slot, repeats get theirs
+// back, and find agrees throughout.
+func checkSlots(t *testing.T, idx *scratchIndex[int], keys []int) {
+	t.Helper()
+	want := map[int]int{}
+	for _, k := range keys {
+		i, fresh := idx.slot(k)
+		w, seen := want[k]
+		if !seen {
+			w = len(want)
+			want[k] = w
+		}
+		if i != w || fresh == seen {
+			t.Fatalf("slot(%d) = %d, fresh %v; want %d, fresh %v", k, i, fresh, w, !seen)
+		}
+	}
+	if len(idx.keys) != len(want) {
+		t.Fatalf("%d keys held, want %d", len(idx.keys), len(want))
+	}
+	for k, w := range want {
+		if i, ok := idx.find(k); !ok || i != w || idx.keys[i] != k {
+			t.Fatalf("find(%d) = %d, %v; want %d, true", k, i, ok, w)
+		}
+	}
+	if _, ok := idx.find(-1); ok {
+		t.Fatal("find reports a key that was never added")
+	}
+}
+
+func TestScratchIndexHandOverAtThreshold(t *testing.T) {
+	var idx scratchIndex[int]
+	keys := make([]int, scratchLinear)
+	for i := range keys {
+		keys[i] = 100 + 7*i
+	}
+	checkSlots(t, &idx, append(keys, keys...)) // repeats do not count
+	if idx.hashed || idx.cells != nil {
+		t.Fatalf("%d distinct keys built the table (hashed %v, %d cells)", scratchLinear, idx.hashed, len(idx.cells))
+	}
+	// One more distinct key hands over: the keys scanned so far must all
+	// be findable through the table, at their original slots.
+	if i, fresh := idx.slot(999); !fresh || i != scratchLinear {
+		t.Fatalf("slot(999) = %d, fresh %v; want %d, true", i, fresh, scratchLinear)
+	}
+	if !idx.hashed {
+		t.Fatal("the key past scratchLinear did not switch the index to its table")
+	}
+	for i, k := range keys {
+		if j, fresh := idx.slot(k); fresh || j != i {
+			t.Fatalf("after hand-over slot(%d) = %d, fresh %v; want %d, false", k, j, fresh, i)
+		}
+	}
+	idx.reset(false)
+	if idx.hashed || len(idx.keys) != 0 {
+		t.Fatal("reset left the index hashed or non-empty")
+	}
+	if _, ok := idx.find(999); ok {
+		t.Fatal("a key survived reset")
+	}
+}
+
+func TestScratchIndexGrows(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var idx scratchIndex[int]
+	for push := 0; push < 50; push++ {
+		keys := make([]int, rng.Intn(3000))
+		for i := range keys {
+			keys[i] = rng.Intn(2000) // plenty of repeats
+		}
+		checkSlots(t, &idx, keys)
+		if idx.hashed && 2*len(idx.keys) > len(idx.cells) {
+			t.Fatalf("table over half full: %d keys in %d cells", len(idx.keys), len(idx.cells))
+		}
+		idx.reset(false)
+	}
+}
+
+func TestScratchIndexGenerationWraps(t *testing.T) {
+	var idx scratchIndex[int]
+	keys := make([]int, 40)
+	for i := range keys {
+		keys[i] = i * i
+	}
+	checkSlots(t, &idx, keys)
+	idx.reset(false)
+	// The cells just written carry the generation about to come round
+	// again; without the sweep on wrap-around they would read as live.
+	stale := idx.gen
+	idx.gen = math.MaxUint32
+	for _, want := range []uint32{1, 2} {
+		other := make([]int, 30)
+		for i := range other {
+			other[i] = 1000 + i
+		}
+		checkSlots(t, &idx, other)
+		if idx.gen != want {
+			t.Fatalf("generation %d after wrap, want %d", idx.gen, want)
+		}
+		if _, ok := idx.find(keys[len(keys)-1]); ok {
+			t.Fatalf("a cell stamped %d came back to life at generation %d", stale, idx.gen)
+		}
+		idx.reset(false)
+	}
+}
+
+// TestScratchReleasesLoadCapacity pins the release rule: a push outside
+// a transaction (a load) gives back every buffer it grew past
+// scratchRetain as it ends; a push inside one (a fit's proposal) keeps
+// its buffers whatever their size, so a large proposal is paid for once.
+func TestScratchReleasesLoadCapacity(t *testing.T) {
+	var idx scratchIndex[int]
+	fill := func(n int) {
+		for i := 0; i < n; i++ {
+			idx.slot(i)
+		}
+	}
+	fill(scratchRetain / 2)
+	idx.reset(false)
+	if idx.keys == nil || idx.cells == nil {
+		t.Fatalf("a load of %d keys, under the bound, lost its buffers", scratchRetain/2)
+	}
+	fill(4 * scratchRetain)
+	idx.reset(true)
+	if cap(idx.keys) < 4*scratchRetain || idx.cells == nil {
+		t.Fatalf("a transaction's push of %d keys lost its buffers", 4*scratchRetain)
+	}
+	fill(10)
+	idx.reset(false)
+	if idx.keys != nil || idx.cells != nil {
+		t.Fatalf("oversized buffers survived a push outside a transaction (cap %d keys, %d cells; bound %d)",
+			cap(idx.keys), len(idx.cells), scratchRetain)
+	}
+	checkSlots(t, &idx, []int{5, 6, 5, 7}) // and works from nothing again
+
+	if got := Recycle(make([]int, 3, scratchRetain), false); got == nil || len(got) != 0 || cap(got) != scratchRetain {
+		t.Fatalf("Recycle at the bound: len %d cap %d, want the same array emptied", len(got), cap(got))
+	}
+	if got := Recycle(make([]int, 3, scratchRetain+1), false); got != nil {
+		t.Fatalf("Recycle past the bound kept capacity %d", cap(got))
+	}
+	if got := Recycle(make([]int, 3, scratchRetain+1), true); len(got) != 0 || cap(got) != scratchRetain+1 {
+		t.Fatalf("Recycle in a transaction: len %d cap %d, want the same array emptied", len(got), cap(got))
+	}
+
+	// The operators' own buffers follow the rule: the load leaves nothing
+	// oversized behind, and the same batch as a proposal leaves its
+	// buffers for the next one.
+	in := NewInput[int]()
+	j := Join(in, in,
+		func(x int) int { return x / 2 }, func(y int) int { return y / 2 },
+		func(x, y int) [2]int { return [2]int{x, y} })
+	scratch := func() map[string]int {
+		return map[string]int{
+			"grouper flat": cap(j.byKeyA.flat), "grouper slots": cap(j.byKeyA.slots), "grouper keys": cap(j.byKeyA.idx.keys),
+			"diff weights": cap(j.diff.ws), "diff batch": cap(j.diff.out), "diff keys": cap(j.diff.idx.keys),
+		}
+	}
+	bulk := make([]Delta[int], 4*scratchRetain)
+	for i := range bulk {
+		bulk[i] = Delta[int]{i, 1}
+	}
+	in.Push(bulk)
+	for name, c := range scratch() {
+		if c > scratchRetain {
+			t.Errorf("%s: capacity %d outlived the load", name, c)
+		}
+	}
+	for i := range bulk {
+		bulk[i].Weight = -0.5
+	}
+	in.Begin()
+	in.Push(bulk)
+	in.Commit()
+	kept := scratch()
+	for name, c := range kept {
+		if c < len(bulk)/2 {
+			t.Errorf("%s: capacity %d after a %d-difference proposal, want it kept", name, c, len(bulk))
+		}
+	}
+	in.Begin()
+	in.Push(bulk[:10])
+	in.Abort()
+	for name, c := range scratch() {
+		if c != kept[name] {
+			t.Errorf("%s: capacity %d -> %d across a small proposal", name, kept[name], c)
+		}
+	}
+}
+
+// bucketsByMap is the grouping the flat grouper replaced, kept here as
+// its reference: a key -> slot map, a first-appearance key list and one
+// bucket slice per key.
+func bucketsByMap(batch []Delta[int], key func(int) int) (keys []int, buckets [][]Delta[int]) {
+	slot := map[int]int{}
+	for _, d := range batch {
+		k := key(d.Record)
+		i, seen := slot[k]
+		if !seen {
+			i = len(keys)
+			slot[k] = i
+			keys = append(keys, k)
+			buckets = append(buckets, nil)
+		}
+		buckets[i] = append(buckets[i], d)
+	}
+	return keys, buckets
+}
+
+func TestKeyGrouperMatchesMapBuckets(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	var g keyGrouper[int, int]
+	for trial := 0; trial < 300; trial++ {
+		nkeys := 1 + rng.Intn(40) // both sides of scratchLinear
+		key := func(x int) int { return x % nkeys }
+		batch := make([]Delta[int], rng.Intn(200))
+		for i := range batch {
+			batch[i] = Delta[int]{Record: rng.Intn(500), Weight: float64(i)} // weight tags arrival order
+		}
+		wantKeys, wantBuckets := bucketsByMap(batch, key)
+		keys := g.group(batch, key)
+		if len(keys) != len(wantKeys) {
+			t.Fatalf("trial %d: %d keys, want %d", trial, len(keys), len(wantKeys))
+		}
+		for i, k := range keys {
+			if k != wantKeys[i] {
+				t.Fatalf("trial %d: key %d is %d, want %d (first-appearance order)", trial, i, k, wantKeys[i])
+			}
+			run := g.run(i)
+			if len(run) != len(wantBuckets[i]) {
+				t.Fatalf("trial %d key %d: %d deltas, want %d", trial, k, len(run), len(wantBuckets[i]))
+			}
+			for j, d := range run {
+				if d != wantBuckets[i][j] {
+					t.Fatalf("trial %d key %d: delta %d is %v, want %v (arrival order)", trial, k, j, d, wantBuckets[i][j])
+				}
+			}
+		}
+		g.reset(false)
+	}
+}

@@ -14,31 +14,34 @@ import (
 // max/min with both inputs' current weights indexed.
 type MinMaxNode[T comparable] struct {
 	Stream[T]
-	left  *stateMap[T]
-	right *stateMap[T]
+	left  stateMap[T]
+	right stateMap[T]
 	gate  TxnGate
+	log   undoLog[T] // both indexes log here
 
-	// Batched-update scratch, reused across pushes (see GroupByNode).
+	// Output batch, reused across pushes (see GroupByNode).
 	out []Delta[T]
 }
 
 // onTxn applies a transaction event to both input indexes and forwards
-// it downstream. The indexes are fixed (not keyed), so Begin activates
-// their undo logs eagerly — an O(1) flag, not a state walk.
+// it downstream. The indexes are fixed (not keyed), so Begin opens them
+// eagerly — two pointer stores, not a state walk.
 func (n *MinMaxNode[T]) onTxn(op TxnOp) {
 	if !n.gate.Enter(op) {
 		return
 	}
 	switch op {
 	case TxnBegin:
-		n.left.beginLog()
-		n.right.beginLog()
+		n.left.beginLog(&n.log)
+		n.right.beginLog(&n.log)
 	case TxnCommit:
-		n.left.commitLog()
-		n.right.commitLog()
+		n.log.commit()
 	case TxnAbort:
-		n.left.abortLog()
-		n.right.abortLog()
+		n.log.abort()
+	}
+	if op != TxnBegin {
+		n.left.endLog()
+		n.right.endLog()
 	}
 	n.emitTxn(op)
 }
@@ -61,10 +64,10 @@ func Intersect[T comparable](a, b Source[T]) *MinMaxNode[T] {
 func (n *MinMaxNode[T]) StateSize() int { return n.left.len() + n.right.len() }
 
 func minMaxNode[T comparable](a, b Source[T], pick func(x, y float64) float64) *MinMaxNode[T] {
-	n := &MinMaxNode[T]{left: newStateMap[T](), right: newStateMap[T]()}
+	n := &MinMaxNode[T]{}
 	handle := func(own, other *stateMap[T]) Handler[T] {
 		return func(batch []Delta[T]) {
-			out := n.out[:0]
+			out := n.out
 			for _, d := range batch {
 				oldW, newW := own.apply(d.Record, d.Weight)
 				ow := other.weight(d.Record)
@@ -73,12 +76,11 @@ func minMaxNode[T comparable](a, b Source[T], pick func(x, y float64) float64) *
 					out = append(out, Delta[T]{d.Record, diff})
 				}
 			}
-			n.out = out
-			n.emit(out)
+			n.out = n.flush(out, n.gate.Active())
 		}
 	}
-	a.Subscribe(handle(n.left, n.right))
-	b.Subscribe(handle(n.right, n.left))
+	a.Subscribe(handle(&n.left, &n.right))
+	b.Subscribe(handle(&n.right, &n.left))
 	forwardTxn(a, n.onTxn)
 	forwardTxn(b, n.onTxn)
 	return n
@@ -91,63 +93,66 @@ type GroupByNode[T comparable, K comparable, R comparable] struct {
 	key    func(T) K
 	reduce func([]T) R
 
-	// Freelist of dropped groups; see statePool.
-	pool statePool[T]
+	// Freelist of dropped groups; see groupPool.
+	pool groupPool[stateMap[T]]
 
-	// Batched-update scratch, reused across pushes so hot loops do not
-	// re-allocate a fresh index and difference map per batch. Safe
-	// because emitted batches are owned by this node and handlers must
-	// not retain them. Batch deltas are grouped by key into slot-indexed
-	// buckets; keyOrder records each key's first appearance in the
-	// batch, so keys are processed — and differences emitted — in a
-	// deterministic order. Slot entries are deleted per push (tracked
-	// via keyOrder, never clear()), so a bulk load's high-water mark
-	// costs nothing on later small pushes.
-	slot          map[K]int
-	buckets       [][]Delta[T]
-	keyOrder      []K
+	// Per-push scratch (see scratch.go), reused across pushes so hot
+	// loops do not re-allocate a grouping and a difference accumulator
+	// per batch. Safe because emitted batches are owned by this node and
+	// handlers must not retain them. Keys are processed — and
+	// differences emitted — in first-appearance order (see stateMap).
+	byKey         keyGrouper[K, T]
 	members       []weighted.Pair[T]
 	prefixScratch []T
-	diff          *orderedDiff[weighted.Grouped[K, R]]
+	diff          orderedDiff[weighted.Grouped[K, R]]
 
-	// Transaction state: groups first touched this transaction (their
-	// undo logs are active), in touch order. Group deletion is deferred
-	// to commit — an empty group expands to nothing, so keeping it in the
-	// map until the transaction resolves changes no arithmetic, and Abort
-	// can restore its members in place.
+	// Transaction state: the undo log every group shares, and the groups
+	// first touched this transaction (they log to it), in touch order.
+	// Group deletion is deferred to commit — an empty group expands to
+	// nothing, so keeping it in the map until the transaction resolves
+	// changes no arithmetic, and Abort can restore its members in place.
 	gate    TxnGate
-	touched []touchedGroup[K, T]
+	log     undoLog[T]
+	touched []touchedGroup[K, stateMap[T]]
 }
 
 // onTxn applies a transaction event to every group touched since Begin
 // and forwards it downstream. Work is O(touched groups), not O(all
-// groups): logging activates lazily as onInput touches keys.
+// groups): groups are opened lazily as onInput touches keys.
 func (n *GroupByNode[T, K, R]) onTxn(op TxnOp) {
 	if !n.gate.Enter(op) {
 		return
 	}
 	switch op {
 	case TxnCommit:
+		n.log.commit()
 		for _, t := range n.touched {
-			t.g.commitLog()
+			t.g.endLog()
 			if t.g.len() == 0 {
-				delete(n.groups, t.k)
-				n.pool.put(t.g)
+				n.drop(t.k, t.g)
 			}
 		}
 		n.touched = n.touched[:0]
 	case TxnAbort:
-		for k := len(n.touched) - 1; k >= 0; k-- {
-			t := n.touched[k]
-			t.g.abortLog()
+		n.log.abort()
+		for _, t := range n.touched {
+			t.g.endLog()
 			if t.created {
-				delete(n.groups, t.k)
-				n.pool.put(t.g)
+				n.drop(t.k, t.g)
 			}
 		}
 		n.touched = n.touched[:0]
 	}
 	n.emitTxn(op)
+}
+
+// drop moves k's emptied group from the map to the freelist.
+//
+//wpinq:txn-exempt runs only outside a transaction or from onTxn once the group's log is resolved; a group dropped while open would be written by abort after the pool reissued it
+func (n *GroupByNode[T, K, R]) drop(k K, g *stateMap[T]) {
+	delete(n.groups, k)
+	g.recycle()
+	n.pool.put(g)
 }
 
 // GroupBy incrementally groups records by key and re-reduces weight-ordered
@@ -161,8 +166,6 @@ func GroupBy[T comparable, K comparable, R comparable](
 		groups: make(map[K]*stateMap[T]),
 		key:    key,
 		reduce: reduce,
-		slot:   make(map[K]int),
-		diff:   newOrderedDiff[weighted.Grouped[K, R]](),
 	}
 	src.Subscribe(n.onInput)
 	forwardTxn(src, n.onTxn)
@@ -170,56 +173,36 @@ func GroupBy[T comparable, K comparable, R comparable](
 }
 
 func (n *GroupByNode[T, K, R]) onInput(batch []Delta[T]) {
-	// Group arriving differences by key, remembering first-appearance
-	// order.
-	keys := n.keyOrder[:0]
-	for _, d := range batch {
-		k := n.key(d.Record)
-		i, seen := n.slot[k]
-		if !seen {
-			i = len(keys)
-			if i < len(n.buckets) {
-				n.buckets[i] = n.buckets[i][:0]
-			} else {
-				n.buckets = append(n.buckets, nil)
-			}
-			n.slot[k] = i
-			keys = append(keys, k)
-		}
-		n.buckets[i] = append(n.buckets[i], d)
-	}
-	n.keyOrder = keys
-	diff := n.diff
-	for i, k := range keys {
+	diff := &n.diff
+	for i, k := range n.byKey.group(batch, n.key) {
 		group := n.groups[k]
 		// Retract old outputs.
 		n.expand(k, group, func(g weighted.Grouped[K, R], w float64) { diff.add(g, -w) })
 		// Apply the differences.
-		created := false
-		if group == nil {
+		created := group == nil
+		if created {
 			group = n.pool.get()
 			n.groups[k] = group
-			created = true
 		}
-		if n.gate.Active() && !group.logging {
-			group.beginLog()
-			n.touched = append(n.touched, touchedGroup[K, T]{k: k, g: group, created: created})
+		if n.gate.Active() && group.log == nil {
+			group.beginLog(&n.log)
+			n.touched = append(n.touched, touchedGroup[K, stateMap[T]]{k: k, g: group, created: created})
 		}
-		for _, d := range n.buckets[i] {
+		for _, d := range n.byKey.run(i) {
 			group.apply(d.Record, d.Weight)
 		}
 		if group.len() == 0 && !n.gate.Active() {
 			// Deletion is deferred to commit inside a transaction so
 			// Abort can restore the group in place.
-			delete(n.groups, k)
-			n.pool.put(group)
+			n.drop(k, group)
 			group = nil
 		}
 		// Assert new outputs.
 		n.expand(k, group, func(g weighted.Grouped[K, R], w float64) { diff.add(g, w) })
-		delete(n.slot, k)
 	}
-	n.emit(diff.takeBatch())
+	inTxn := n.gate.Active()
+	n.byKey.reset(inTxn)
+	n.emit(diff.takeBatch(inTxn))
 }
 
 // StateSize returns the number of records indexed across all groups.
@@ -232,6 +215,7 @@ func (n *GroupByNode[T, K, R]) StateSize() int {
 	return total
 }
 
+//wpinq:txn-exempt writes only the expansion scratch (members, prefixScratch), never group state
 func (n *GroupByNode[T, K, R]) expand(k K, group *stateMap[T], emit func(weighted.Grouped[K, R], float64)) {
 	if group == nil || group.len() == 0 {
 		return
@@ -247,20 +231,21 @@ func (n *GroupByNode[T, K, R]) expand(k K, group *stateMap[T], emit func(weighte
 // ShaveNode is the output of Shave.
 type ShaveNode[T comparable] struct {
 	Stream[weighted.Indexed[T]]
-	state *stateMap[T]
+	state stateMap[T]
 	f     func(x T, i int) float64
 	gate  TxnGate
+	log   undoLog[T]
 
-	// Batched-update scratch, reused across pushes (see GroupByNode).
-	// slot/pending consolidate a batch per record before expansion: an
-	// unconsolidated batch (a bulk load delivers one delta per edge, so a
-	// source vertex of degree d arrives d times) must cost one
-	// retract/re-expand per distinct record, not one per delta — a record
-	// at weight W expands to O(W) slices, so per-delta expansion is
-	// quadratic in W while per-record expansion is linear.
-	slot    map[T]int
-	pending []Delta[T]
-	diff    *orderedDiff[weighted.Indexed[T]]
+	// Per-push scratch, reused across pushes (see GroupByNode). pending
+	// consolidates a batch per record before expansion: an unconsolidated
+	// batch (a bulk load delivers one delta per edge, so a source vertex
+	// of degree d arrives d times) must cost one retract/re-expand per
+	// distinct record, not one per delta — a record at weight W expands
+	// to O(W) slices, so per-delta expansion is quadratic in W while
+	// per-record expansion is linear.
+	pending scratchIndex[T]
+	pendW   []float64 // pendW[i]: summed delta of pending.keys[i]
+	diff    orderedDiff[weighted.Indexed[T]]
 }
 
 // onTxn applies a transaction event to the record index and forwards it
@@ -271,11 +256,13 @@ func (n *ShaveNode[T]) onTxn(op TxnOp) {
 	}
 	switch op {
 	case TxnBegin:
-		n.state.beginLog()
+		n.state.beginLog(&n.log)
 	case TxnCommit:
-		n.state.commitLog()
+		n.log.commit()
+		n.state.endLog()
 	case TxnAbort:
-		n.state.abortLog()
+		n.log.abort()
+		n.state.endLog()
 	}
 	n.emitTxn(op)
 }
@@ -285,12 +272,7 @@ func (n *ShaveNode[T]) onTxn(op TxnOp) {
 // slices; interior slices cancel, so in the common constant-sequence case
 // only the boundary slices emit differences.
 func Shave[T comparable](src Source[T], f func(x T, i int) float64) *ShaveNode[T] {
-	n := &ShaveNode[T]{
-		state: newStateMap[T](),
-		f:     f,
-		slot:  make(map[T]int),
-		diff:  newOrderedDiff[weighted.Indexed[T]](),
-	}
+	n := &ShaveNode[T]{f: f}
 	src.Subscribe(n.onInput)
 	forwardTxn(src, n.onTxn)
 	return n
@@ -304,26 +286,23 @@ func ShaveConst[T comparable](src Source[T], w float64) *ShaveNode[T] {
 // StateSize returns the number of records indexed by the node.
 func (n *ShaveNode[T]) StateSize() int { return n.state.len() }
 
+//wpinq:txn-exempt pendW is per-push scratch; the record index is written through stateMap.apply, which logs
 func (n *ShaveNode[T]) onInput(batch []Delta[T]) {
 	// Consolidate per record in first-appearance order, then expand each
 	// distinct record exactly once.
-	pending := n.pending
 	for _, d := range batch {
-		if i, ok := n.slot[d.Record]; ok {
-			pending[i].Weight += d.Weight
-			continue
+		if i, fresh := n.pending.slot(d.Record); fresh {
+			n.pendW = append(n.pendW, d.Weight)
+		} else {
+			n.pendW[i] += d.Weight
 		}
-		n.slot[d.Record] = len(pending)
-		pending = append(pending, d)
 	}
-	diff := n.diff
-	for _, d := range pending {
-		delete(n.slot, d.Record)
-		oldW, newW := n.state.apply(d.Record, d.Weight)
+	diff := &n.diff
+	for i, x := range n.pending.keys {
+		oldW, newW := n.state.apply(x, n.pendW[i])
 		if oldW == newW {
 			continue
 		}
-		x := d.Record
 		weighted.ShaveExpand(x, oldW, n.f, func(i int, wi float64) {
 			diff.add(weighted.Indexed[T]{Value: x, Index: i}, -wi)
 		})
@@ -331,6 +310,8 @@ func (n *ShaveNode[T]) onInput(batch []Delta[T]) {
 			diff.add(weighted.Indexed[T]{Value: x, Index: i}, wi)
 		})
 	}
-	n.pending = pending[:0]
-	n.emit(diff.takeBatch())
+	inTxn := n.gate.Active()
+	n.pending.reset(inTxn)
+	n.pendW = Recycle(n.pendW, inTxn)
+	n.emit(diff.takeBatch(inTxn))
 }

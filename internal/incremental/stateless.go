@@ -28,16 +28,15 @@ func (n *Node[T]) onTxn(op TxnOp) {
 
 // Select incrementally applies f to each record, preserving weights.
 // The output buffer is owned by the node and reused across batches
-// (handlers must not retain emitted batches; see Handler).
+// (see Stream.flush).
 func Select[T, U comparable](src Source[T], f func(T) U) *Node[U] {
 	n := &Node[U]{}
 	var out []Delta[U]
 	src.Subscribe(func(batch []Delta[T]) {
-		out = out[:0]
 		for _, d := range batch {
 			out = append(out, Delta[U]{f(d.Record), d.Weight})
 		}
-		n.emit(out)
+		out = n.flush(out, n.gate.Active())
 	})
 	forwardTxn(src, n.onTxn)
 	return n
@@ -48,13 +47,12 @@ func Where[T comparable](src Source[T], p func(T) bool) *Node[T] {
 	n := &Node[T]{}
 	var out []Delta[T]
 	src.Subscribe(func(batch []Delta[T]) {
-		out = out[:0]
 		for _, d := range batch {
 			if p(d.Record) {
 				out = append(out, d)
 			}
 		}
-		n.emit(out)
+		out = n.flush(out, n.gate.Active())
 	})
 	forwardTxn(src, n.onTxn)
 	return n
@@ -67,7 +65,6 @@ func SelectMany[T, U comparable](src Source[T], f func(T) *weighted.Dataset[U]) 
 	n := &Node[U]{}
 	var out []Delta[U]
 	src.Subscribe(func(batch []Delta[T]) {
-		out = out[:0]
 		for _, d := range batch {
 			fx := f(d.Record)
 			scale := d.Weight / math.Max(1, fx.Norm())
@@ -75,7 +72,7 @@ func SelectMany[T, U comparable](src Source[T], f func(T) *weighted.Dataset[U]) 
 				out = append(out, Delta[U]{y, wy * scale})
 			})
 		}
-		n.emit(out)
+		out = n.flush(out, n.gate.Active())
 	})
 	forwardTxn(src, n.onTxn)
 	return n
@@ -105,11 +102,10 @@ func Except[T comparable](a, b Source[T]) *Node[T] {
 	a.Subscribe(func(batch []Delta[T]) { n.emit(batch) })
 	var out []Delta[T]
 	b.Subscribe(func(batch []Delta[T]) {
-		out = out[:0]
 		for _, d := range batch {
 			out = append(out, Delta[T]{d.Record, -d.Weight})
 		}
-		n.emit(out)
+		out = n.flush(out, n.gate.Active())
 	})
 	forwardTxn(a, n.onTxn)
 	forwardTxn(b, n.onTxn)

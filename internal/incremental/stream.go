@@ -86,6 +86,15 @@ func (s *Stream[T]) emit(batch []Delta[T]) {
 	}
 }
 
+// flush emits a node-owned output buffer and returns it emptied for the
+// node's next push — the same array, unless Recycle releases it. Reuse
+// is safe because handlers must not retain emitted batches and emission
+// is synchronous.
+func (s *Stream[T]) flush(out []Delta[T], keep bool) []Delta[T] {
+	s.emit(out)
+	return Recycle(out, keep)
+}
+
 // Input is the root of a dataflow graph: the point where dataset changes
 // enter the computation.
 type Input[T comparable] struct {
@@ -215,11 +224,20 @@ type stateMap[T comparable] struct {
 	ws   []float64
 	norm float64
 
-	// Transactional undo log (see txn.go): while logging, apply records
-	// the pre-image of every mutation so abortLog can restore the exact
+	// log is the owning node's undo log while a transaction has this map
+	// open, nil otherwise (see txn.go): apply appends the pre-image of
+	// every mutation to it, so the node's abort can restore the exact
 	// prior state — including slice order — last-in-first-out.
-	logging bool
-	undo    []stateUndo[T]
+	log *undoLog[T]
+
+	// The first record is stored in the map itself: recs and ws start out
+	// as slices of these one-element arrays. Most key groups of a
+	// path-keyed join hold exactly one record for life, so the common
+	// group costs no allocation beyond itself and a key update reads the
+	// record from the cache line it found the group on. A stateMap must
+	// therefore never be copied once it holds a record.
+	rec0 [1]T
+	w0   [1]float64
 }
 
 // posThreshold is the record count past which a stateMap builds its
@@ -227,10 +245,6 @@ type stateMap[T comparable] struct {
 // comparisons against (typically packed-integer) records, cheaper than
 // one map probe plus the map's allocation.
 const posThreshold = 16
-
-func newStateMap[T comparable]() *stateMap[T] {
-	return &stateMap[T]{}
-}
 
 // index locates record x, via pos when built, else by scanning recs.
 func (m *stateMap[T]) index(x T) (int, bool) {
@@ -259,8 +273,8 @@ func (m *stateMap[T]) apply(x T, delta float64) (oldW, newW float64) {
 	case math.Abs(newW) < weighted.Eps:
 		newW = 0
 		if ok {
-			if m.logging {
-				m.undo = append(m.undo, stateUndo[T]{kind: undoDelete, i: i, x: x, oldW: oldW, oldNorm: m.norm})
+			if m.log != nil {
+				m.log.entries = append(m.log.entries, stateUndo[T]{m: m, kind: undoDelete, i: i, x: x, oldW: oldW, oldNorm: m.norm})
 			}
 			last := len(m.recs) - 1
 			moved := m.recs[last]
@@ -273,16 +287,19 @@ func (m *stateMap[T]) apply(x T, delta float64) (oldW, newW float64) {
 			}
 		}
 	case ok:
-		if m.logging {
-			m.undo = append(m.undo, stateUndo[T]{kind: undoUpdate, i: i, oldW: oldW, oldNorm: m.norm})
+		if m.log != nil {
+			m.log.entries = append(m.log.entries, stateUndo[T]{m: m, kind: undoUpdate, i: i, oldW: oldW, oldNorm: m.norm})
 		}
 		m.ws[i] = newW
 	default:
-		if m.logging {
-			m.undo = append(m.undo, stateUndo[T]{kind: undoInsert, oldNorm: m.norm})
+		if m.log != nil {
+			m.log.entries = append(m.log.entries, stateUndo[T]{m: m, kind: undoInsert, oldNorm: m.norm})
 		}
 		if m.pos != nil {
 			m.pos[x] = len(m.recs)
+		}
+		if m.recs == nil {
+			m.recs, m.ws = m.rec0[:0], m.w0[:0]
 		}
 		m.recs = append(m.recs, x)
 		m.ws = append(m.ws, newW)
@@ -298,19 +315,20 @@ func (m *stateMap[T]) apply(x T, delta float64) (oldW, newW float64) {
 }
 
 // recycle resets an emptied state map to its freshly-constructed state
-// while keeping allocated capacity, so statePool can reuse it. Only empty
-// maps are recycled (pos, when built, has no entries once recs is empty),
-// which makes a recycled map indistinguishable from a new one except for
-// spare capacity — a kept-but-empty pos only changes lookup strategy,
-// never results: norm is forced to exactly zero because a drained group
-// can carry ±1e-17 of float dust, and a fresh map's norm is bit-exact 0 —
-// trace bit-identity requires the zeroing, not just "small".
+// while keeping allocated capacity: a group leaving a keyed operator's
+// map for the freelist, or one side of a join group that drained while
+// its partner stayed. Only empty maps are recycled (pos, when built, has
+// no entries once recs is empty), which makes a recycled map
+// indistinguishable from a new one except for spare capacity — a
+// kept-but-empty pos only changes lookup strategy, never results: norm
+// is forced to exactly zero because a drained group can carry ±1e-17 of
+// float dust, and a fresh map's norm is bit-exact 0 — trace bit-identity
+// requires the zeroing, not just "small".
 func (m *stateMap[T]) recycle() {
 	m.recs = m.recs[:0]
 	m.ws = m.ws[:0]
 	m.norm = 0
-	m.logging = false
-	m.undo = m.undo[:0]
+	m.log = nil
 }
 
 func (m *stateMap[T]) weight(x T) float64 {
@@ -338,58 +356,42 @@ func (m *stateMap[T]) each(f func(x T, w float64)) {
 // map-backed dataset it flushes in insertion order, so a node's emitted
 // batch order is a deterministic function of its input, never of map
 // iteration order (see stateMap).
-//
-// Differences accumulate directly as Delta values, so takeBatch can
-// compact non-zero entries in place and hand the node its own backing
-// array to emit: zero copies and zero allocations at steady state.
-// Handlers must not retain emitted batches (the Handler contract), which
-// is what makes lending the internal slice out safe — emission is
-// synchronous, and the next push overwrites the array only after every
-// downstream handler has returned.
 type orderedDiff[T comparable] struct {
-	pos map[T]int
-	ds  []Delta[T]
-}
-
-func newOrderedDiff[T comparable]() *orderedDiff[T] {
-	return &orderedDiff[T]{pos: make(map[T]int)}
+	idx scratchIndex[T] // record -> position in ws, first-appearance order
+	ws  []float64
+	out []Delta[T]
 }
 
 // add accumulates w onto record x.
 func (d *orderedDiff[T]) add(x T, w float64) {
-	if i, ok := d.pos[x]; ok {
-		nw := d.ds[i].Weight + w
-		if math.Abs(nw) < weighted.Eps {
-			nw = 0
-		}
-		d.ds[i].Weight = nw
-		return
+	i, fresh := d.idx.slot(x)
+	if fresh {
+		d.ws = append(d.ws, 0)
+	} else {
+		w += d.ws[i]
 	}
 	if math.Abs(w) < weighted.Eps {
 		w = 0
 	}
-	d.pos[x] = len(d.ds)
-	d.ds = append(d.ds, Delta[T]{Record: x, Weight: w})
+	d.ws[i] = w
 }
 
-// takeBatch compacts the non-zero accumulated differences in place —
-// preserving insertion order — clears the index, and returns the batch
-// for immediate emission. The index cleanup deletes exactly the keys
-// this push inserted (O(accumulated), never O(map buckets)), so a node
-// that once saw a bulk load does not pay for its high-water mark on
-// every subsequent small push. The accumulator is empty when takeBatch
-// returns; the returned slice aliases the internal array and is valid
-// until the next add.
-func (d *orderedDiff[T]) takeBatch() []Delta[T] {
-	w := 0
-	for _, e := range d.ds {
-		delete(d.pos, e.Record)
-		if e.Weight != 0 {
-			d.ds[w] = e
-			w++
+// takeBatch returns the non-zero accumulated differences, in insertion
+// order, for immediate emission, and empties the accumulator. The
+// returned slice is the accumulator's own output buffer, valid until the
+// next takeBatch: handlers must not retain emitted batches (the Handler
+// contract), and emission is synchronous, so lending it out costs no
+// copy and no allocation at steady state. When Recycle releases the
+// buffer, the emitted batch is its only reference.
+func (d *orderedDiff[T]) takeBatch(keep bool) []Delta[T] {
+	out := d.out[:0]
+	for i, w := range d.ws {
+		if w != 0 {
+			out = append(out, Delta[T]{Record: d.idx.keys[i], Weight: w})
 		}
 	}
-	out := d.ds[:w]
-	d.ds = d.ds[:0]
+	d.idx.reset(keep)
+	d.ws = Recycle(d.ws, keep)
+	d.out = Recycle(out, keep)
 	return out
 }

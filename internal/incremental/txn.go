@@ -108,10 +108,11 @@ const (
 	undoDelete                      // record swap-deleted
 )
 
-// stateUndo is one logged stateMap mutation: enough to restore the exact
-// pre-image — weights, slice order, position index, and norm — when
-// replayed last-in-first-out.
+// stateUndo is one logged stateMap mutation: the map it happened to and
+// enough to restore the exact pre-image — weights, slice order, position
+// index, and norm — when replayed last-in-first-out.
 type stateUndo[T comparable] struct {
+	m       *stateMap[T]
 	kind    stateUndoKind
 	i       int     // slot the mutation touched (update, delete)
 	x       T       // deleted record (delete only)
@@ -119,30 +120,36 @@ type stateUndo[T comparable] struct {
 	oldNorm float64 // pre-image norm
 }
 
-// beginLog starts logging mutations. Idempotent within a transaction;
-// callers use the logging flag to register the map as touched exactly
-// once.
-func (m *stateMap[T]) beginLog() {
-	m.logging = true
-	if m.undo == nil {
-		// Pre-size the first log so a typical transaction's handful of
-		// entries costs one allocation, not a 1-2-4-8 growth ladder.
-		m.undo = make([]stateUndo[T], 0, 8)
-	}
+// undoLog is one node's transaction log for its stateMaps of record type
+// T: every map the transaction has touched appends to the same log, in
+// mutation order. Opening a map (beginLog) is a pointer store, so a
+// proposal that lands on groups no transaction touched before allocates
+// nothing; the one slice grows to the largest transaction the node has
+// seen. Replaying the whole log last-in-first-out restores each map
+// exactly as a private per-map log would, because maps share no state:
+// entries of different maps commute, and each map's own entries are
+// still undone newest first.
+type undoLog[T comparable] struct {
+	entries []stateUndo[T]
 }
 
-// commitLog discards the log and stops logging.
-func (m *stateMap[T]) commitLog() {
-	m.undo = m.undo[:0]
-	m.logging = false
-}
+// beginLog opens m in l's transaction: until endLog, every mutation of m
+// logs its pre-image to l.
+func (m *stateMap[T]) beginLog(l *undoLog[T]) { m.log = l }
 
-// abortLog replays the log last-in-first-out, restoring the exact
-// pre-transaction state: every weight, the record slice order (so future
-// emission order is unchanged), the position index, and the norm.
-func (m *stateMap[T]) abortLog() {
-	for k := len(m.undo) - 1; k >= 0; k-- {
-		u := m.undo[k]
+// endLog closes m once its transaction has committed or aborted.
+func (m *stateMap[T]) endLog() { m.log = nil }
+
+// commit discards the log: the speculative mutations are the truth.
+func (l *undoLog[T]) commit() { l.entries = l.entries[:0] }
+
+// abort replays the log last-in-first-out, restoring every logged map's
+// exact pre-transaction state: every weight, the record slice order (so
+// future emission order is unchanged), the position index, and the norm.
+func (l *undoLog[T]) abort() {
+	for k := len(l.entries) - 1; k >= 0; k-- {
+		u := &l.entries[k]
+		m := u.m
 		switch u.kind {
 		case undoUpdate:
 			m.ws[u.i] = u.oldW
@@ -177,18 +184,16 @@ func (m *stateMap[T]) abortLog() {
 		}
 		m.norm = u.oldNorm
 	}
-	m.undo = m.undo[:0]
-	m.logging = false
+	l.commit()
 }
 
-// touchedGroup records one group stateMap first touched during a
-// transaction, for the keyed operators (GroupBy, Join) whose state is a
-// dynamic map of groups. created marks groups that did not exist at
-// TxnBegin: Abort deletes them from the map after their (all-insert)
-// logs are unwound.
-type touchedGroup[K comparable, T comparable] struct {
+// touchedGroup records one key group first touched during a transaction,
+// for the keyed operators (GroupBy, Join) whose state is a dynamic map of
+// groups. created marks groups that did not exist at TxnBegin: Abort
+// removes them from the map once the log is unwound.
+type touchedGroup[K comparable, G any] struct {
 	k       K
-	g       *stateMap[T]
+	g       *G
 	created bool
 }
 

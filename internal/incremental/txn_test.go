@@ -184,7 +184,7 @@ func TestTxnSinkKeepsNewObservations(t *testing.T) {
 func TestTxnStateMapAbortRestoresOrder(t *testing.T) {
 	for _, size := range []int{6, posThreshold + 8} {
 		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) {
-			m := newStateMap[int]()
+			m := new(stateMap[int])
 			for i := 0; i < size; i++ {
 				m.apply(i, float64(i+1))
 			}
@@ -197,13 +197,15 @@ func TestTxnStateMapAbortRestoresOrder(t *testing.T) {
 			wantWs = append(wantWs, m.ws...)
 			wantNorm := m.norm
 
-			m.beginLog()
+			var log undoLog[int]
+			m.beginLog(&log)
 			m.apply(1, -2)  // delete record 1 (swap-moves the tail into slot 1)
 			m.apply(3, 2.5) // update
 			m.apply(99, 4)  // insert
 			m.apply(99, -4) // delete the tail insert
 			m.apply(0, -1)  // delete record 0
-			m.abortLog()
+			log.abort()
+			m.endLog()
 
 			if len(m.recs) != len(wantRecs) {
 				t.Fatalf("recs length %d, want %d", len(m.recs), len(wantRecs))

@@ -12,9 +12,10 @@ import (
 // explicitly seeded *rand.Rand (or a pinned maphash.Seed), so that a
 // seed pins the whole trace.
 //
-// The two sanctioned exceptions carry directives: the engine's
-// process-wide routing seed (one maphash.MakeSeed at init) and any
-// observability timestamps outside scoring paths.
+// The two sanctioned exceptions carry directives: the process-wide hash
+// seed (one maphash.MakeSeed at init, in incremental: shard routing and
+// scratch-index probing) and any observability timestamps outside
+// scoring paths.
 var DetSource = &Analyzer{
 	Name: "detsource",
 	Doc:  "flag wall-clock and process-global randomness in determinism-pinned packages",

@@ -130,8 +130,8 @@ var detPinned = []string{
 }
 
 // detSourcePinned additionally covers the sharded engine, whose only
-// sanctioned nondeterminism is the process-wide maphash routing seed
-// (carrying its own directive).
+// sanctioned nondeterminism is routing by the process-wide maphash seed
+// (incremental.HashSeed, which carries the directive).
 var detSourcePinned = append([]string{"wpinq/internal/engine"}, detPinned...)
 
 // Directive is one //wpinq:<verb> <reason> suppression comment.

@@ -6,8 +6,8 @@ import (
 )
 
 // PoolAlias guards the pooled-buffer ownership rule (DESIGN.md "Memory
-// model"): the slice returned by orderedDiff.takeBatch aliases the
-// accumulator's backing array and is valid only until the next add —
+// model"): the slice returned by orderedDiff.takeBatch is the
+// accumulator's own output array and is valid only until the next flush —
 // handlers receive it synchronously and must not retain it. Any use
 // that lets the slice header outlive the flush — storing it in a
 // field, map, or slice element, sending it on a channel, returning it,

@@ -6,14 +6,19 @@ import (
 )
 
 // TxnUndo guards the transactional undo-logging invariant (DESIGN.md
-// "Transactional scoring"): any struct that carries an undo log — a
-// field named "undo", as stateMap, NoisyCountSink, and CollectorUndo do
-// — participates in abort replay, so every method that writes one of
-// its replayed fields must also maintain the log (reference the undo
-// log or the logging flag on the transaction-open path). A method that
+// "Transactional scoring"): any struct that carries an undo log
+// participates in abort replay, so every method that writes one of its
+// replayed fields must also maintain the log (reference the log field
+// or the logging flag on the transaction-open path). A method that
 // mutates replayed state without touching the log would leave aborts
 // restoring stale pre-images — exactly the class of bug the golden
 // trace tests catch only after the fact.
+//
+// A struct carries an undo log in one of two shapes: a field named
+// "undo" (a private log, as NoisyCountSink and CollectorUndo keep), or a
+// field whose type is the node-level log — a named type called undoLog,
+// held by value (the operator nodes that own one) or by pointer
+// (stateMap, which logs through its node's).
 //
 // Methods whose writes are provably outside transaction scope carry a
 // //wpinq:txn-exempt <reason> directive on their declaration.
@@ -29,7 +34,7 @@ const txnVerb = "txn-exempt"
 // itself (or are deliberately kept across aborts); writes to them never
 // need a log entry.
 var txnBookkeeping = map[string]bool{
-	"undo": true, "logging": true, "gate": true,
+	"undo": true, "logging": true, "gate": true, "touched": true,
 	"seen": true, "txnSeen": true, "savedL1": true, "savedOrder": true,
 }
 
@@ -58,11 +63,26 @@ func undoLogged(t types.Type) bool {
 		return false
 	}
 	for i := 0; i < st.NumFields(); i++ {
-		if st.Field(i).Name() == "undo" {
+		if isLogField(st.Field(i)) {
 			return true
 		}
 	}
 	return false
+}
+
+// isLogField reports whether a struct field is the undo log itself: the
+// "undo" slice (or its "logging" flag) of a private log, or a node-level
+// undoLog held by value or by pointer.
+func isLogField(f *types.Var) bool {
+	if f.Name() == "undo" || f.Name() == "logging" {
+		return true
+	}
+	t := types.Unalias(f.Type())
+	if p, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(p.Elem())
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "undoLog"
 }
 
 func checkTxnMethod(pass *Pass, fn *ast.FuncDecl) {
@@ -82,44 +102,39 @@ func checkTxnMethod(pass *Pass, fn *ast.FuncDecl) {
 		return
 	}
 
-	var offending []struct {
+	type write struct {
 		pos   ast.Node
-		field string
+		field *types.Var
 	}
+	var offending []write
 	touchesLog := false
+	// replayed reports whether a write to the named receiver field needs
+	// a log entry: the transaction machinery itself does not.
+	replayed := func(field *types.Var) bool {
+		return !txnBookkeeping[field.Name()] && !isLogField(field)
+	}
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.SelectorExpr:
-			if isRecvField(pass, n, recv) {
-				if name := n.Sel.Name; name == "undo" || name == "logging" {
-					touchesLog = true
-				}
+			if f := recvField(pass, n, recv); f != nil && isLogField(f) {
+				touchesLog = true
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
-				if field, ok := writtenRecvField(pass, lhs, recv); ok && !txnBookkeeping[field] {
-					offending = append(offending, struct {
-						pos   ast.Node
-						field string
-					}{lhs, field})
+				if field, ok := writtenRecvField(pass, lhs, recv); ok && replayed(field) {
+					offending = append(offending, write{lhs, field})
 				}
 			}
 		case *ast.IncDecStmt:
-			if field, ok := writtenRecvField(pass, n.X, recv); ok && !txnBookkeeping[field] {
-				offending = append(offending, struct {
-					pos   ast.Node
-					field string
-				}{n.X, field})
+			if field, ok := writtenRecvField(pass, n.X, recv); ok && replayed(field) {
+				offending = append(offending, write{n.X, field})
 			}
 		case *ast.CallExpr:
 			// delete(recv.f, k) and clear(recv.f) mutate the field's
 			// map just as an indexed assignment would.
 			if id, ok := n.Fun.(*ast.Ident); ok && (id.Name == "delete" || id.Name == "clear") && len(n.Args) >= 1 {
-				if field, ok := writtenRecvField(pass, n.Args[0], recv); ok && !txnBookkeeping[field] {
-					offending = append(offending, struct {
-						pos   ast.Node
-						field string
-					}{n.Args[0], field})
+				if field, ok := writtenRecvField(pass, n.Args[0], recv); ok && replayed(field) {
+					offending = append(offending, write{n.Args[0], field})
 				}
 			}
 		}
@@ -134,13 +149,13 @@ func checkTxnMethod(pass *Pass, fn *ast.FuncDecl) {
 	first := offending[0]
 	pass.Reportf(first.pos.Pos(),
 		"method %s writes undo-replayed field %q without consulting the undo log: log a pre-image on the txn-open path or annotate the declaration //wpinq:%s <reason>",
-		fn.Name.Name, first.field, txnVerb)
+		fn.Name.Name, first.field.Name(), txnVerb)
 }
 
 // writtenRecvField resolves an assignment target to a field of the
 // receiver: recv.f, recv.f[i], recv.f[i].g, *recv.f, ... all count as
 // writes to f.
-func writtenRecvField(pass *Pass, lhs ast.Expr, recv types.Object) (string, bool) {
+func writtenRecvField(pass *Pass, lhs ast.Expr, recv types.Object) (*types.Var, bool) {
 	for {
 		switch e := lhs.(type) {
 		case *ast.IndexExpr:
@@ -150,22 +165,26 @@ func writtenRecvField(pass *Pass, lhs ast.Expr, recv types.Object) (string, bool
 		case *ast.ParenExpr:
 			lhs = e.X
 		case *ast.SelectorExpr:
-			if isRecvField(pass, e, recv) {
-				return e.Sel.Name, true
+			if f := recvField(pass, e, recv); f != nil {
+				return f, true
 			}
 			lhs = e.X
 		default:
-			return "", false
+			return nil, false
 		}
 	}
 }
 
-// isRecvField reports whether sel is recv.<field> for the given
-// receiver object.
-func isRecvField(pass *Pass, sel *ast.SelectorExpr, recv types.Object) bool {
+// recvField returns the field sel selects when sel is recv.<field> for
+// the given receiver object, nil otherwise.
+func recvField(pass *Pass, sel *ast.SelectorExpr, recv types.Object) *types.Var {
 	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
+	if !ok || pass.Info.ObjectOf(id) != recv {
+		return nil
 	}
-	return pass.Info.ObjectOf(id) == recv
+	f, _ := pass.Info.ObjectOf(sel.Sel).(*types.Var)
+	if f == nil || !f.IsField() {
+		return nil
+	}
+	return f
 }

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -69,6 +70,64 @@ func TestCancelQueuedJobImmediatelyTerminal(t *testing.T) {
 	}
 	if _, err := svc.Jobs().Cancel(long.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDurableJobRetiresCheckpointBeforeDone pins the order of a durable
+// job's last two acts: the checkpoint is retired first, then the job
+// turns terminal. In the other order a waiter woken by Done() could find
+// the checkpoint of a finished job still in the store — as
+// TestCrashRecoveryResumesDurableJob's retirement check did under load,
+// and as anything listing Store.Checkpoints() after its jobs finished
+// could. The waiter spins rather than blocks so that it looks the moment
+// the job is terminal, not a scheduler wake-up later.
+func TestDurableJobRetiresCheckpointBeforeDone(t *testing.T) {
+	dir := t.TempDir()
+	svc := newTestService(t, Options{Dir: dir, Shards: -1, Workers: 1, Seed: 1})
+	ds, err := svc.Registry().Upload("retire", tbiCost, bytes.NewReader(edgeListBytes(t, testGraph(t, 40))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := svc.Measure(ds.ID, MeasureRequest{Eps: 1, TbI: true, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		st, err := svc.SubmitJob(JobRequest{
+			Measurement: res.Measurement.ID, Steps: 300, CheckpointEvery: 100, Seed: int64(i),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := svc.jobs.get(st.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckptPath := filepath.Join(dir, "ckpt-"+st.ID+".json")
+		checkpointed := false
+		for done := false; !done; {
+			select {
+			case <-j.Done():
+				done = true
+			default:
+				if _, err := os.Stat(ckptPath); err == nil {
+					checkpointed = true
+				}
+				runtime.Gosched()
+			}
+		}
+		if _, err := os.Stat(ckptPath); !os.IsNotExist(err) {
+			t.Fatalf("job %s is done but its checkpoint is still in the store (stat: %v)", st.ID, err)
+		}
+		if ids := svc.Store().Checkpoints(); len(ids) != 0 {
+			t.Fatalf("job %s is done but the store lists checkpoints %v", st.ID, ids)
+		}
+		if got := j.Status(); got.State != JobDone {
+			t.Fatalf("job %s finished %s (%s)", st.ID, got.State, got.Error)
+		}
+		if !checkpointed {
+			t.Logf("job %s: no checkpoint observed while it ran", st.ID)
+		}
 	}
 }
 

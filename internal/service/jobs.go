@@ -644,6 +644,26 @@ func (jm *JobManager) run(j *Job) {
 	if j.resume != nil {
 		jobRestores.With("ok").Inc()
 	}
+	if durable {
+		// The checkpoint is settled before the job turns terminal, so
+		// whoever sees Done() sees the store as the job left it. A clean
+		// terminal state retires the checkpoint; an interrupt at shutdown
+		// keeps it so the next boot's Recover can re-queue the job. The
+		// quit channel — not the cancelled flag — is the discriminator,
+		// because Close sets cancelled on every job, so a cancelled state
+		// alone cannot distinguish a user's cancel (retire) from a
+		// shutdown interrupt (keep).
+		select {
+		case <-jm.quit:
+			log.Info("job interrupted by shutdown; checkpoint kept", "step", res.Stats.Steps)
+		default:
+			if err := jm.store.DeleteCheckpoint(id); err != nil {
+				log.Error("deleting retired checkpoint", "err", err)
+			} else {
+				jobCheckpointStep.Remove(id)
+			}
+		}
+	}
 	j.mu.Lock()
 	j.result = res.Synthetic
 	j.mu.Unlock()
@@ -663,29 +683,6 @@ func (jm *JobManager) run(j *Job) {
 		st.Residuals = res.Residuals
 	})
 	st := j.Status()
-	if durable {
-		// A clean terminal state retires the checkpoint; an interrupt at
-		// shutdown keeps it so the next boot's Recover can re-queue the
-		// job. The quit channel — not the cancelled flag — is the
-		// discriminator, because Close sets cancelled on every job, so a
-		// cancelled state alone cannot distinguish a user's cancel (retire)
-		// from a shutdown interrupt (keep).
-		interrupted := false
-		select {
-		case <-jm.quit:
-			interrupted = true
-		default:
-		}
-		if interrupted {
-			log.Info("job interrupted by shutdown; checkpoint kept", "step", st.Step)
-		} else {
-			if err := jm.store.DeleteCheckpoint(id); err != nil {
-				log.Error("deleting retired checkpoint", "err", err)
-			} else {
-				jobCheckpointStep.Remove(id)
-			}
-		}
-	}
 	log.Info("job finished", "state", st.State, "score", st.Score,
 		"accepted", st.Accepted, "steps", st.Step)
 }

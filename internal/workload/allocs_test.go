@@ -7,8 +7,10 @@ package workload_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
 	"wpinq/internal/mcmc"
 	"wpinq/internal/workload"
@@ -84,5 +86,92 @@ func TestSteadyStateAllocs(t *testing.T) {
 				t.Errorf("aborted proposal: %.1f allocs, budget %.0f", aborted, l.budget)
 			}
 		})
+	}
+}
+
+// walkHotStep builds what the benchmark's walk-hot workload runs — the
+// default executor (a 1-shard engine) over a HolmeKim(400,3) graph with
+// the fused tbi,tbd,jdd,wedges plan at bucket 5 — and returns a function
+// running one valid proposal end to end, committed or aborted.
+func walkHotStep(tb testing.TB) func(commit bool) {
+	tb.Helper()
+	g, err := graph.HolmeKim(400, 3, 0.5, rand.New(rand.NewSource(3)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fits := measureFits(tb, g, []string{"tbi", "tbd", "jdd", "wedges"}, 5, 0.1, 11)
+	p, _, _ := fusePlan(tb, fits, 1, engine.DefaultSerialCutoff, true, 0.1, 23)
+	state := mcmc.NewGraphState(g, p.Input())
+	rng := rand.New(rand.NewSource(99))
+	scorer := p.Scorer()
+	return func(commit bool) {
+		for {
+			prop, ok := state.Propose(rng)
+			if !ok {
+				continue
+			}
+			state.Speculate(prop)
+			scorer.Score()
+			if commit {
+				state.Commit()
+			} else {
+				state.Abort(prop)
+			}
+			return
+		}
+	}
+}
+
+// TestSteadyStateAllocsWalkHot pins the per-proposal allocation cost
+// where the product runs. TestSteadyStateAllocs warms a 36-node graph
+// for 300 steps, by which time every key group has been touched; a real
+// fit is a thousand steps over hundreds of vertices, so most proposals
+// land on groups no transaction has touched before, and anything
+// allocated per first-touched group (the per-group undo logs this test
+// was written against: 40 KB and 180 allocations a step here) is paid on
+// every step of the fit. The warm-up is deliberately short, the measured
+// stretch is one fit's length, and commits outnumber aborts as they do
+// at walk-hot's accept rate.
+//
+// What is left (≈7 KB, ≈3 allocations a step) is state, not scratch:
+// the Go maps under the join groups and the large position indexes
+// re-split their tables as the walk inserts and deletes keys (≈6 KB),
+// and a proposal that creates more path keys than the freelist holds
+// allocates the new groups.
+func TestSteadyStateAllocsWalkHot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("bulk-loads a 1.2k-edge four-workload plan")
+	}
+	step := walkHotStep(t)
+	for i := 0; i < 20; i++ {
+		step(i%8 != 0)
+	}
+	const steps = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < steps; i++ {
+		step(i%8 != 0)
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / steps
+	allocs := float64(after.Mallocs-before.Mallocs) / steps
+	t.Logf("per proposal: %.0f B, %.1f allocs", bytes, allocs)
+	const maxBytes, maxAllocs = 8 << 10, 20
+	if bytes > maxBytes {
+		t.Errorf("%.0f B per proposal, budget %d", bytes, maxBytes)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("%.1f allocs per proposal, budget %d", allocs, maxAllocs)
+	}
+}
+
+// BenchmarkWalkHotStep is the profiling handle for the same plan:
+// go test -run '^$' -bench WalkHotStep -cpuprofile ... ./internal/workload
+func BenchmarkWalkHotStep(b *testing.B) {
+	step := walkHotStep(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step(i%8 != 0)
 	}
 }

@@ -54,7 +54,7 @@ func fuseSubsets(t *testing.T) [][]string {
 // measureFits takes one real DP measurement per named workload (sorted
 // name order, exactly like synth.Measure) against a budget-backed
 // protected graph.
-func measureFits(t *testing.T, g *graph.Graph, names []string, bucket int, eps float64, seed int64) []workload.Measured {
+func measureFits(t testing.TB, g *graph.Graph, names []string, bucket int, eps float64, seed int64) []workload.Measured {
 	t.Helper()
 	ws, err := workload.Resolve(names)
 	if err != nil {
@@ -84,7 +84,7 @@ func measureFits(t *testing.T, g *graph.Graph, names []string, bucket int, eps f
 // hold bit-identical released histograms and draw bit-identical lazy
 // noise) plus a collector per workload, and returns the plan, the
 // attached fits, and the collectors in workload order.
-func fusePlan(t *testing.T, fits []workload.Measured, shards, cutoff int, fuse bool, eps float64, noiseSeed int64) (*workload.Plan, []workload.Measured, []workload.Collected) {
+func fusePlan(t testing.TB, fits []workload.Measured, shards, cutoff int, fuse bool, eps float64, noiseSeed int64) (*workload.Plan, []workload.Measured, []workload.Collected) {
 	t.Helper()
 	p := workload.NewPlanFused(shards, fuse)
 	if e := p.Engine(); e != nil {

@@ -126,7 +126,7 @@ func tbiFixture(b *testing.B, fastPath bool) *mcmc.Runner {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := queries.NewEdgeInput()
+	in := incremental.NewInput[graph.Edge]()
 	// Inline the TbI pipeline so the join node is reachable for SetFastPath.
 	joined := incremental.Join(in, in,
 		func(e graph.Edge) graph.Node { return e.Dst },
@@ -214,8 +214,8 @@ func BenchmarkAblationBucketWidth(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			in := queries.NewEdgeInput()
-			stream := queries.TbDPipeline(in, bucket)
+			in := incremental.NewInput[graph.Edge]()
+			stream := queries.TbDPipeline(nil, in, bucket)
 			sink := incremental.NewNoisyCountSink[queries.DegTriple](
 				stream, incremental.MapObservations[queries.DegTriple]{}, nil, 0.5)
 			state := mcmc.NewGraphState(g, in)
@@ -456,16 +456,16 @@ func BenchmarkEngineShards(b *testing.B) {
 	}
 	workloads := []struct {
 		name  string
-		build func(in engine.Source[graph.Edge]) func() float64
+		build func(in incremental.Source[graph.Edge]) func() float64
 	}{
-		{"degreedist", func(in engine.Source[graph.Edge]) func() float64 {
-			return engine.Collect(queries.EngineDegreeCCDFPipeline(in)).Norm
+		{"degreedist", func(in incremental.Source[graph.Edge]) func() float64 {
+			return shardedNorm(queries.DegreeCCDFPipeline(in))
 		}},
-		{"triangles", func(in engine.Source[graph.Edge]) func() float64 {
-			return engine.Collect(queries.EngineTbDPipeline(in, 20)).Norm
+		{"triangles", func(in incremental.Source[graph.Edge]) func() float64 {
+			return shardedNorm(queries.TbDPipeline(nil, in, 20))
 		}},
-		{"jdd", func(in engine.Source[graph.Edge]) func() float64 {
-			return engine.Collect(queries.EngineJDDPipeline(in)).Norm
+		{"jdd", func(in incremental.Source[graph.Edge]) func() float64 {
+			return shardedNorm(queries.JDDPipeline(nil, in))
 		}},
 	}
 	for _, w := range workloads {
@@ -475,7 +475,7 @@ func BenchmarkEngineShards(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					e := engine.New(shards)
-					in := queries.NewEngineEdgeInput(e)
+					in := engine.NewInput[graph.Edge](e)
 					norm := w.build(in)
 					in.PushDataset(initial)
 					for _, batch := range swapBatches {
@@ -486,6 +486,13 @@ func BenchmarkEngineShards(b *testing.B) {
 			})
 		}
 	}
+}
+
+// shardedNorm terminates a pipeline built over a sharded root in the
+// engine's own sharded collector, so collection parallelizes with the
+// rest of the round.
+func shardedNorm[T comparable](s incremental.Source[T]) func() float64 {
+	return engine.Collect(s.(engine.Source[T])).Norm
 }
 
 // rejectHeavySink defeats dead-code elimination in BenchmarkRejectHeavy.
@@ -514,9 +521,9 @@ func BenchmarkRejectHeavy(b *testing.B) {
 	jddObserved := incremental.MapObservations[queries.DegPair]{}
 	pathsObserved := incremental.MapObservations[queries.Path]{}
 	{
-		in := queries.NewEdgeInput()
-		jddColl := incremental.Collect(queries.JDDPipeline(in))
-		pathColl := incremental.Collect(queries.PathsPipeline(in))
+		in := incremental.NewInput[graph.Edge]()
+		jddColl := incremental.Collect(queries.JDDPipeline(nil, in))
+		pathColl := incremental.Collect(queries.PathsPipeline(nil, in))
 		in.PushDataset(graph.SymmetricEdges(g))
 		jddColl.Snapshot().Range(func(x queries.DegPair, w float64) { jddObserved[x] = w })
 		pathColl.Snapshot().Range(func(x queries.Path, w float64) { pathsObserved[x] = w })
@@ -536,15 +543,15 @@ func BenchmarkRejectHeavy(b *testing.B) {
 			var accepted int
 			var steps int
 			for i := 0; i < b.N; i++ {
-				in := queries.NewEdgeInput()
+				in := incremental.NewInput[graph.Edge]()
 				sink := incremental.NewNoisyCountSink[queries.Unit](
-					queries.TbIPipeline(in),
+					queries.TbIPipeline(nil, in),
 					incremental.MapObservations[queries.Unit]{{}: observed},
 					[]queries.Unit{{}}, 0.5)
 				jddSink := incremental.NewNoisyCountSink[queries.DegPair](
-					queries.JDDPipeline(in), jddObserved, nil, 0.5)
+					queries.JDDPipeline(nil, in), jddObserved, nil, 0.5)
 				pathSink := incremental.NewNoisyCountSink[queries.Path](
-					queries.PathsPipeline(in), pathsObserved, nil, 0.5)
+					queries.PathsPipeline(nil, in), pathsObserved, nil, 0.5)
 				var input mcmc.Input = in
 				if mode.wrap {
 					input = plainEdgeInput{in}
@@ -714,13 +721,13 @@ func BenchmarkMillionEdge(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				in := queries.NewEdgeInput()
+				in := incremental.NewInput[graph.Edge]()
 				ccdf := incremental.NewNoisyCountSink[int](
 					queries.DegreeCCDFPipeline(in), incremental.MapObservations[int]{}, nil, 0.5)
 				seq := incremental.NewNoisyCountSink[int](
 					queries.DegreeSequencePipeline(in), incremental.MapObservations[int]{}, nil, 0.5)
 				degs := incremental.NewNoisyCountSink[weighted.Grouped[graph.Node, int]](
-					queries.DegreesPipeline(in, 1),
+					queries.DegreesPipeline(nil, in, 1),
 					incremental.MapObservations[weighted.Grouped[graph.Node, int]]{}, nil, 0.5)
 				scorer := incremental.NewScorer(ccdf, seq, degs)
 				state := mcmc.NewGraphState(g, in) // pushes the initial dataset itself

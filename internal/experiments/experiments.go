@@ -481,15 +481,16 @@ func Fig6(o Options) error {
 // step rate.
 func tbiLoadAndRate(g *graph.Graph, o Options, seedOffset int64, steps int) (heapMB, stepsPerSec float64, err error) {
 	before := expt.HeapMB()
-	var in mcmc.Input
-	var stream incremental.Source[queries.Unit]
-	if o.Shards < 0 {
-		serialIn := queries.NewEdgeInput()
-		in, stream = serialIn, queries.TbIPipeline(serialIn)
-	} else {
-		engineIn := queries.NewEngineEdgeInput(engine.New(o.Shards))
-		in, stream = engineIn, queries.EngineTbIPipeline(engineIn)
+	// The executor's input is both the MCMC entry point and the root
+	// stream the pipeline builds over.
+	var in interface {
+		mcmc.Input
+		incremental.Source[graph.Edge]
+	} = incremental.NewInput[graph.Edge]()
+	if o.Shards >= 0 {
+		in = engine.NewInput[graph.Edge](engine.New(o.Shards))
 	}
+	stream := queries.TbIPipeline(nil, in)
 	// Score against the graph's own (noiseless) signal: Figure 6 measures
 	// systems behaviour, not accuracy.
 	noise, err := laplace.FromEpsilon(o.Eps)

@@ -26,7 +26,7 @@ func TestGraphStateSwapKeepsInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := queries.NewEdgeInput()
+	in := incremental.NewInput[graph.Edge]()
 	coll := incremental.Collect[graph.Edge](in)
 	s := NewGraphState(g, in)
 	degreesBefore := s.Graph().Degrees()
@@ -62,7 +62,7 @@ func TestGraphStateSwapKeepsInvariants(t *testing.T) {
 func TestGraphStateApplyRevert(t *testing.T) {
 	rng := testRng(2)
 	g := ringGraph(12)
-	in := queries.NewEdgeInput()
+	in := incremental.NewInput[graph.Edge]()
 	coll := incremental.Collect[graph.Edge](in)
 	s := NewGraphState(g, in)
 	before := coll.Snapshot()
@@ -93,7 +93,7 @@ func TestProposeRejectsDegenerate(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 0)
-	in := queries.NewEdgeInput()
+	in := incremental.NewInput[graph.Edge]()
 	s := NewGraphState(g, in)
 	rng := testRng(3)
 	for i := 0; i < 200; i++ {
@@ -104,14 +104,14 @@ func TestProposeRejectsDegenerate(t *testing.T) {
 	// A single edge cannot swap either.
 	one := graph.New()
 	one.AddEdge(0, 1)
-	s2 := NewGraphState(one, queries.NewEdgeInput())
+	s2 := NewGraphState(one, incremental.NewInput[graph.Edge]())
 	if _, ok := s2.Propose(rng); ok {
 		t.Error("single edge should admit no swap")
 	}
 }
 
 func TestRunnerValidation(t *testing.T) {
-	in := queries.NewEdgeInput()
+	in := incremental.NewInput[graph.Edge]()
 	s := NewGraphState(ringGraph(8), in)
 	sc := incremental.NewScorer()
 	if _, err := NewRunner(nil, sc, Config{Pow: 1}, testRng(4)); err == nil {
@@ -128,8 +128,8 @@ func TestRunnerValidation(t *testing.T) {
 // buildTbIFixture wires a TbI pipeline and returns (state, scorer) fitting
 // the given observed triangle signal.
 func buildTbIFixture(g *graph.Graph, observed float64, eps float64) (*GraphState, *incremental.Scorer) {
-	in := queries.NewEdgeInput()
-	stream := queries.TbIPipeline(in)
+	in := incremental.NewInput[graph.Edge]()
+	stream := queries.TbIPipeline(nil, in)
 	sink := incremental.NewNoisyCountSink[queries.Unit](
 		stream,
 		incremental.MapObservations[queries.Unit]{{}: observed},

@@ -62,40 +62,40 @@ type txnFixture struct {
 // reference engine; wrapPlain hides the transactional protocol. cutoff
 // only applies to the sharded executor (0 forces parallel dispatch).
 func buildTxnFixture(g *graph.Graph, shards, cutoff int, wrapPlain bool, obsSeed int64) txnFixture {
-	var (
-		input   Input
-		counter pushCounter
-		sink1   *incremental.NoisyCountSink[queries.Unit]
-		sink2   *incremental.NoisyCountSink[int]
-		sink3   *incremental.NoisyCountSink[queries.DegPair]
-	)
-	degTargets := incremental.MapObservations[int]{0: 8, 1: 6, 2: 5, 3: 3}
-	if shards < 0 {
-		in := queries.NewEdgeInput()
-		sink1 = incremental.NewNoisyCountSink[queries.Unit](
-			queries.TbIPipeline(in), incremental.MapObservations[queries.Unit]{{}: 45}, []queries.Unit{{}}, 0.5)
-		sink2 = incremental.NewNoisyCountSink[int](
-			queries.DegreeSequencePipeline(in), degTargets, nil, 0.3)
-		sink3 = incremental.NewNoisyCountSink[queries.DegPair](
-			queries.JDDPipeline(in), newLazyObs[queries.DegPair](obsSeed), nil, 0.4)
-		input, counter = in, in
-	} else {
+	return buildFixture(g, shards, cutoff, wrapPlain, newLazyObs[queries.DegPair](obsSeed))
+}
+
+// txnRoot is what both executors' edge inputs give the fixtures: the
+// MCMC entry point, the push counter, and the root stream the pipelines
+// build over.
+type txnRoot interface {
+	Input
+	pushCounter
+	incremental.Source[graph.Edge]
+}
+
+// buildFixture wires the three sinks over the selected executor's edge
+// input, scoring the JDD against jddObs.
+func buildFixture(g *graph.Graph, shards, cutoff int, wrapPlain bool, jddObs incremental.Observations[queries.DegPair]) txnFixture {
+	var in txnRoot = incremental.NewInput[graph.Edge]()
+	if shards >= 0 {
 		e := engine.New(shards)
 		e.SetSerialCutoff(cutoff)
-		in := queries.NewEngineEdgeInput(e)
-		sink1 = incremental.NewNoisyCountSink[queries.Unit](
-			queries.EngineTbIPipeline(in), incremental.MapObservations[queries.Unit]{{}: 45}, []queries.Unit{{}}, 0.5)
-		sink2 = incremental.NewNoisyCountSink[int](
-			queries.EngineDegreeSequencePipeline(in), degTargets, nil, 0.3)
-		sink3 = incremental.NewNoisyCountSink[queries.DegPair](
-			queries.EngineJDDPipeline(in), newLazyObs[queries.DegPair](obsSeed), nil, 0.4)
-		input, counter = in, in
+		in = engine.NewInput[graph.Edge](e)
 	}
+	degTargets := incremental.MapObservations[int]{0: 8, 1: 6, 2: 5, 3: 3}
+	sink1 := incremental.NewNoisyCountSink[queries.Unit](
+		queries.TbIPipeline(nil, in), incremental.MapObservations[queries.Unit]{{}: 45}, []queries.Unit{{}}, 0.5)
+	sink2 := incremental.NewNoisyCountSink[int](
+		queries.DegreeSequencePipeline(in), degTargets, nil, 0.3)
+	sink3 := incremental.NewNoisyCountSink[queries.DegPair](
+		queries.JDDPipeline(nil, in), jddObs, nil, 0.4)
+	var input Input = in
 	if wrapPlain {
 		input = plainInput{input}
 	}
 	state := NewGraphState(g, input)
-	return txnFixture{state: state, scorer: incremental.NewScorer(sink1, sink2, sink3), counter: counter}
+	return txnFixture{state: state, scorer: incremental.NewScorer(sink1, sink2, sink3), counter: in}
 }
 
 // stepTrace is one observed walk step.
@@ -313,38 +313,7 @@ func TestTxnRandomCommitAbortLeavesNoTrace(t *testing.T) {
 // up front (no lazy noise), for tests that replay subsets of a proposal
 // sequence.
 func buildFixedObsFixture(g *graph.Graph, shards, cutoff int) txnFixture {
-	var (
-		input   Input
-		counter pushCounter
-		sink1   *incremental.NoisyCountSink[queries.Unit]
-		sink2   *incremental.NoisyCountSink[int]
-		sink3   *incremental.NoisyCountSink[queries.DegPair]
-	)
-	degTargets := incremental.MapObservations[int]{0: 8, 1: 6, 2: 5, 3: 3}
-	jddTargets := incremental.MapObservations[queries.DegPair]{}
-	if shards < 0 {
-		in := queries.NewEdgeInput()
-		sink1 = incremental.NewNoisyCountSink[queries.Unit](
-			queries.TbIPipeline(in), incremental.MapObservations[queries.Unit]{{}: 45}, []queries.Unit{{}}, 0.5)
-		sink2 = incremental.NewNoisyCountSink[int](
-			queries.DegreeSequencePipeline(in), degTargets, nil, 0.3)
-		sink3 = incremental.NewNoisyCountSink[queries.DegPair](
-			queries.JDDPipeline(in), jddTargets, nil, 0.4)
-		input, counter = in, in
-	} else {
-		e := engine.New(shards)
-		e.SetSerialCutoff(cutoff)
-		in := queries.NewEngineEdgeInput(e)
-		sink1 = incremental.NewNoisyCountSink[queries.Unit](
-			queries.EngineTbIPipeline(in), incremental.MapObservations[queries.Unit]{{}: 45}, []queries.Unit{{}}, 0.5)
-		sink2 = incremental.NewNoisyCountSink[int](
-			queries.EngineDegreeSequencePipeline(in), degTargets, nil, 0.3)
-		sink3 = incremental.NewNoisyCountSink[queries.DegPair](
-			queries.EngineJDDPipeline(in), jddTargets, nil, 0.4)
-		input, counter = in, in
-	}
-	state := NewGraphState(g, input)
-	return txnFixture{state: state, scorer: incremental.NewScorer(sink1, sink2, sink3), counter: counter}
+	return buildFixture(g, shards, cutoff, false, incremental.MapObservations[queries.DegPair]{})
 }
 
 // TestTxnAbortRestoresScoreExactly drives the sampler's own rejection

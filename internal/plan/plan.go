@@ -41,6 +41,9 @@
 package plan
 
 import (
+	"fmt"
+	"reflect"
+
 	"wpinq/internal/incremental"
 	"wpinq/internal/obs"
 )
@@ -170,7 +173,9 @@ func (m *Memo) Pushes() uint64 {
 // The key contract is the caller's to uphold: equal keys MUST construct
 // identical operator subgraphs over identical inputs (canonicalize
 // parameters into the key), or fusion would silently splice one
-// workload's operators into another's plan.
+// workload's operators into another's plan. The one violation the memo
+// can observe — a key requested at a stream type other than the one it
+// was built at — panics naming the key and both types.
 func Shared[S any](m *Memo, n Node, build func() S) S {
 	if m == nil {
 		return build()
@@ -178,11 +183,16 @@ func Shared[S any](m *Memo, n Node, build func() S) S {
 	m.requests++
 	if i, ok := m.byKey[n.Key]; ok {
 		m.dag[i].Refs++
-		if m.fuse {
-			m.shared++
-			return m.built[n.Key].(S)
+		if !m.fuse {
+			return build()
 		}
-		return build()
+		m.shared++
+		v, ok := m.built[n.Key].(S)
+		if !ok {
+			panic(fmt.Sprintf("plan: fragment %q requested as %v but built as %T: one key names two stream types",
+				n.Key, reflect.TypeOf((*S)(nil)).Elem(), m.built[n.Key]))
+		}
+		return v
 	}
 	m.byKey[n.Key] = len(m.dag)
 	m.dag = append(m.dag, Fragment{Node: n, Refs: 1})

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"wpinq/internal/incremental"
@@ -32,6 +33,24 @@ func TestSharedFusesByKey(t *testing.T) {
 	if st.Requests != 3 || st.Fragments != 2 || st.Shared != 1 {
 		t.Fatalf("stats = %+v, want 3 requests, 2 fragments, 1 shared", st)
 	}
+}
+
+// TestSharedNamesBothTypesOnKeyCollision pins the diagnosis of a broken
+// key contract: one key requested at two stream types panics naming the
+// key and both types, not with a bare interface-conversion error.
+func TestSharedNamesBothTypesOnKeyCollision(t *testing.T) {
+	m := New(true)
+	Shared(m, Node{Key: "degrees"}, func() incremental.Source[int] { return incremental.NewInput[int]() })
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{`"degrees"`, "incremental.Source[string]", "*incremental.Input[int]"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not mention %s", msg, want)
+			}
+		}
+	}()
+	Shared(m, Node{Key: "degrees"}, func() incremental.Source[string] { return incremental.NewInput[string]() })
+	t.Error("key requested at a second stream type was served")
 }
 
 // TestUnfusedMemoBuildsPrivatelyButRecords pins the differential

@@ -7,6 +7,7 @@ import (
 	"wpinq/internal/core"
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
+	"wpinq/internal/plan"
 )
 
 // Motif counting (paper Section 3.5): "the approach we have taken, forming
@@ -214,6 +215,16 @@ type anchorKey [2]graph.Node
 // symmetric edge collection, producing a single Unit record whose weight
 // reflects the motif's rescaled prevalence. Privacy cost: Uses() * eps.
 func MotifCount(edges *core.Collection[graph.Edge], p Pattern) (*core.Collection[Unit], error) {
+	emb, err := motifEmbeddings(edges, p)
+	if err != nil {
+		return nil, err
+	}
+	return core.Select(emb, func(Embedding) Unit { return Unit{} }), nil
+}
+
+// motifEmbeddings evaluates the pattern's compiled join plan over the
+// edge collection: the one-shot form of the embedding chain.
+func motifEmbeddings(edges *core.Collection[graph.Edge], p Pattern) (*core.Collection[Embedding], error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -242,42 +253,56 @@ func MotifCount(edges *core.Collection[graph.Edge], p Pattern) (*core.Collection
 			})
 		// Injective embeddings only: a just-assigned node must be new.
 		// (A collision leaves the slot equal to another slot's node.)
-		emb = core.Where(joined, func(e Embedding) bool { return injective(e) })
+		emb = core.Where(joined, injective)
 	}
-	return core.Select(emb, func(Embedding) Unit { return Unit{} }), nil
+	return emb, nil
 }
 
 // MotifPipeline is the incremental mirror of MotifCount.
-func MotifPipeline(edges incremental.Source[graph.Edge], p Pattern) (incremental.Source[Unit], error) {
+func MotifPipeline(m *plan.Memo, edges incremental.Source[graph.Edge], p Pattern) (incremental.Source[Unit], error) {
+	emb, err := embeddings(m, edges, p)
+	if err != nil {
+		return nil, err
+	}
+	return sel(emb, func(Embedding) Unit { return Unit{} }), nil
+}
+
+// embeddings requests the pattern's compiled embedding chain through the
+// memo — the incremental form of motifEmbeddings. Two motif workloads
+// over the same pattern share the whole chain.
+func embeddings(m *plan.Memo, edges incremental.Source[graph.Edge], p Pattern) (incremental.Source[Embedding], error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	first, steps := p.compile()
-	var emb incremental.Source[Embedding] = incremental.Select(edges, func(e graph.Edge) Embedding {
-		out := emptyEmbedding()
-		out[first[0]] = e.Src
-		out[first[1]] = e.Dst
-		return out
-	})
-	for _, s := range steps {
-		s := s
-		if s.Closing {
-			emb = incremental.Join[Embedding, graph.Edge, anchorKey, Embedding](emb, edges,
-				func(e Embedding) anchorKey { return anchorKey{e[s.U], e[s.V]} },
-				func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, ed.Dst} },
-				func(e Embedding, _ graph.Edge) Embedding { return e })
-			continue
+	n := plan.Node{Key: motifEmbKey(p), Op: "embedding-joins", Inputs: []string{"edges"}}
+	return fragment(m, n, func() incremental.Source[Embedding] {
+		first, steps := p.compile()
+		emb := sel(edges, func(e graph.Edge) Embedding {
+			out := emptyEmbedding()
+			out[first[0]] = e.Src
+			out[first[1]] = e.Dst
+			return out
+		})
+		for _, s := range steps {
+			s := s
+			if s.Closing {
+				emb = join(emb, edges,
+					func(e Embedding) anchorKey { return anchorKey{e[s.U], e[s.V]} },
+					func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, ed.Dst} },
+					func(e Embedding, _ graph.Edge) Embedding { return e })
+				continue
+			}
+			joined := join(emb, edges,
+				func(e Embedding) anchorKey { return anchorKey{e[s.U], -1} },
+				func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, -1} },
+				func(e Embedding, ed graph.Edge) Embedding {
+					e[s.V] = ed.Dst
+					return e
+				})
+			emb = where(joined, injective)
 		}
-		joined := incremental.Join[Embedding, graph.Edge, anchorKey, Embedding](emb, edges,
-			func(e Embedding) anchorKey { return anchorKey{e[s.U], -1} },
-			func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, -1} },
-			func(e Embedding, ed graph.Edge) Embedding {
-				e[s.V] = ed.Dst
-				return e
-			})
-		emb = incremental.Where[Embedding](joined, func(e Embedding) bool { return injective(e) })
-	}
-	return incremental.Select[Embedding, Unit](emb, func(Embedding) Unit { return Unit{} }), nil
+		return emb
+	}), nil
 }
 
 // injective reports whether all assigned slots hold distinct nodes.
@@ -300,9 +325,4 @@ func injective(e Embedding) bool {
 // clustering-coefficient estimate. Privacy cost: 2 eps.
 func WedgeCount(edges *core.Collection[graph.Edge]) *core.Collection[Unit] {
 	return core.Select(Paths(edges), func(Path) Unit { return Unit{} })
-}
-
-// WedgeCountPipeline mirrors WedgeCount.
-func WedgeCountPipeline(edges incremental.Source[graph.Edge]) incremental.Source[Unit] {
-	return incremental.Select(PathsPipeline(edges), func(Path) Unit { return Unit{} })
 }

@@ -119,9 +119,9 @@ func TestMotifPathCountOnPathGraph(t *testing.T) {
 func TestMotifPipelineMatchesQuery(t *testing.T) {
 	for _, p := range []Pattern{TrianglePattern, SquarePattern, PathPattern3} {
 		p := p
-		checkPipelineMatchesQuery(t, "Motif",
+		checkPipelineMatchesQuery(t, allLayouts, "Motif:"+p.fragmentKey(),
 			func(s incremental.Source[graph.Edge]) incremental.Source[Unit] {
-				out, err := MotifPipeline(s, p)
+				out, err := MotifPipeline(nil, s, p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -143,7 +143,7 @@ func TestMotifRejectsInvalidPattern(t *testing.T) {
 	if _, err := MotifCount(edges, Pattern{K: 3}); err == nil {
 		t.Error("invalid pattern accepted by MotifCount")
 	}
-	if _, err := MotifPipeline(NewEdgeInput(), Pattern{K: 3}); err == nil {
+	if _, err := MotifPipeline(nil, incremental.NewInput[graph.Edge](), Pattern{K: 3}); err == nil {
 		t.Error("invalid pattern accepted by MotifPipeline")
 	}
 }
@@ -157,13 +157,6 @@ func TestWedgeCountMatchesPathNorm(t *testing.T) {
 	if math.Abs(w-4.0) > 1e-9 {
 		t.Errorf("wedge weight = %v, want 4", w)
 	}
-}
-
-func TestSbDPipelineMatchesQuery(t *testing.T) {
-	checkPipelineMatchesQuery(t, "SbD",
-		func(s incremental.Source[graph.Edge]) incremental.Source[DegQuad] { return SbDPipeline(s) },
-		func(c *core.Collection[graph.Edge]) *core.Collection[DegQuad] { return SbD(c) },
-		6)
 }
 
 func TestEmbeddingInjective(t *testing.T) {

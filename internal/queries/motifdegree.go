@@ -4,6 +4,7 @@ import (
 	"wpinq/internal/core"
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
+	"wpinq/internal/plan"
 	"wpinq/internal/weighted"
 )
 
@@ -61,33 +62,9 @@ func MotifByDegreeUses(p Pattern) int { return len(p.Edges) + p.K }
 // (data-dependent) weight to the sorted tuple of its vertices' bucketed
 // degrees. Privacy cost: MotifByDegreeUses(p) * eps.
 func MotifByDegree(edges *core.Collection[graph.Edge], p Pattern, bucket int) (*core.Collection[DegProfile], error) {
-	if err := p.Validate(); err != nil {
+	emb, err := motifEmbeddings(edges, p)
+	if err != nil {
 		return nil, err
-	}
-	first, steps := p.compile()
-	emb := core.Select(edges, func(e graph.Edge) Embedding {
-		out := emptyEmbedding()
-		out[first[0]] = e.Src
-		out[first[1]] = e.Dst
-		return out
-	})
-	for _, s := range steps {
-		s := s
-		if s.Closing {
-			emb = core.Join(emb, edges,
-				func(e Embedding) anchorKey { return anchorKey{e[s.U], e[s.V]} },
-				func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, ed.Dst} },
-				func(e Embedding, _ graph.Edge) Embedding { return e })
-			continue
-		}
-		joined := core.Join(emb, edges,
-			func(e Embedding) anchorKey { return anchorKey{e[s.U], -1} },
-			func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, -1} },
-			func(e Embedding, ed graph.Edge) Embedding {
-				e[s.V] = ed.Dst
-				return e
-			})
-		emb = core.Where(joined, injective)
 	}
 	degs := Degrees(edges, bucket)
 	cur := core.Select(emb, func(e Embedding) embDegs { return embDegs{Emb: e} })
@@ -105,50 +82,32 @@ func MotifByDegree(edges *core.Collection[graph.Edge], p Pattern, bucket int) (*
 	return core.Select(cur, func(x embDegs) DegProfile { return sortProfile(x.Degs[:k]) }), nil
 }
 
-// MotifByDegreePipeline is the incremental mirror of MotifByDegree.
-func MotifByDegreePipeline(edges incremental.Source[graph.Edge], p Pattern, bucket int) (incremental.Source[DegProfile], error) {
-	if err := p.Validate(); err != nil {
+// MotifByDegreePipeline is the incremental mirror of MotifByDegree, with
+// the embedding chain and the degrees prefix requested through the memo.
+func MotifByDegreePipeline(m *plan.Memo, edges incremental.Source[graph.Edge], p Pattern, bucket int) (incremental.Source[DegProfile], error) {
+	emb, err := embeddings(m, edges, p)
+	if err != nil {
 		return nil, err
 	}
-	first, steps := p.compile()
-	var emb incremental.Source[Embedding] = incremental.Select(edges, func(e graph.Edge) Embedding {
-		out := emptyEmbedding()
-		out[first[0]] = e.Src
-		out[first[1]] = e.Dst
-		return out
-	})
-	for _, s := range steps {
-		s := s
-		if s.Closing {
-			emb = incremental.Join[Embedding, graph.Edge, anchorKey, Embedding](emb, edges,
-				func(e Embedding) anchorKey { return anchorKey{e[s.U], e[s.V]} },
-				func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, ed.Dst} },
-				func(e Embedding, _ graph.Edge) Embedding { return e })
-			continue
+	degs := DegreesPipeline(m, edges, bucket)
+	n := plan.Node{
+		Key:    motifDegKey(p, bucket),
+		Op:     "per-vertex degree joins+sortprofile",
+		Inputs: []string{motifEmbKey(p), degreesKey(bucket)},
+	}
+	return fragment(m, n, func() incremental.Source[DegProfile] {
+		cur := sel(emb, func(e Embedding) embDegs { return embDegs{Emb: e} })
+		for v := 0; v < p.K; v++ {
+			v := v
+			cur = join(cur, degs,
+				func(x embDegs) graph.Node { return x.Emb[v] },
+				func(d weighted.Grouped[graph.Node, int]) graph.Node { return d.Key },
+				func(x embDegs, d weighted.Grouped[graph.Node, int]) embDegs {
+					x.Degs[v] = d.Result
+					return x
+				})
 		}
-		joined := incremental.Join[Embedding, graph.Edge, anchorKey, Embedding](emb, edges,
-			func(e Embedding) anchorKey { return anchorKey{e[s.U], -1} },
-			func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, -1} },
-			func(e Embedding, ed graph.Edge) Embedding {
-				e[s.V] = ed.Dst
-				return e
-			})
-		emb = incremental.Where[Embedding](joined, injective)
-	}
-	degs := DegreesPipeline(edges, bucket)
-	var cur incremental.Source[embDegs] = incremental.Select[Embedding, embDegs](emb,
-		func(e Embedding) embDegs { return embDegs{Emb: e} })
-	for v := 0; v < p.K; v++ {
-		v := v
-		cur = incremental.Join[embDegs, weighted.Grouped[graph.Node, int], graph.Node, embDegs](cur, degs,
-			func(x embDegs) graph.Node { return x.Emb[v] },
-			func(d weighted.Grouped[graph.Node, int]) graph.Node { return d.Key },
-			func(x embDegs, d weighted.Grouped[graph.Node, int]) embDegs {
-				x.Degs[v] = d.Result
-				return x
-			})
-	}
-	k := p.K
-	return incremental.Select[embDegs, DegProfile](cur,
-		func(x embDegs) DegProfile { return sortProfile(x.Degs[:k]) }), nil
+		k := p.K
+		return sel(cur, func(x embDegs) DegProfile { return sortProfile(x.Degs[:k]) })
+	}), nil
 }

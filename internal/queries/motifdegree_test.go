@@ -111,7 +111,7 @@ func TestMotifByDegreeRejectsInvalid(t *testing.T) {
 	if _, err := MotifByDegree(publicEdges(k4()), Pattern{K: 2}, 1); err == nil {
 		t.Error("invalid pattern accepted")
 	}
-	if _, err := MotifByDegreePipeline(NewEdgeInput(), Pattern{K: 2}, 1); err == nil {
+	if _, err := MotifByDegreePipeline(nil, incremental.NewInput[graph.Edge](), Pattern{K: 2}, 1); err == nil {
 		t.Error("invalid pattern accepted by pipeline")
 	}
 }
@@ -119,9 +119,9 @@ func TestMotifByDegreeRejectsInvalid(t *testing.T) {
 func TestMotifByDegreePipelineMatchesQuery(t *testing.T) {
 	for _, p := range []Pattern{TrianglePattern, PathPattern3} {
 		p := p
-		checkPipelineMatchesQuery(t, "MotifByDegree",
+		checkPipelineMatchesQuery(t, allLayouts, "MotifByDegree:"+p.fragmentKey(),
 			func(s incremental.Source[graph.Edge]) incremental.Source[DegProfile] {
-				out, err := MotifByDegreePipeline(s, p, 2)
+				out, err := MotifByDegreePipeline(nil, s, p, 2)
 				if err != nil {
 					t.Fatal(err)
 				}

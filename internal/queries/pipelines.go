@@ -1,52 +1,109 @@
 package queries
 
 import (
+	"fmt"
+	"strings"
+
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
+	"wpinq/internal/plan"
 	"wpinq/internal/weighted"
 )
 
 // Incremental pipeline builders: the same dataflow shapes as the one-shot
-// queries, wired over the incremental engine so MCMC can re-score a
+// queries, wired over the dataflow executors so MCMC can re-score a
 // synthetic graph after each edge swap in time proportional to the change
-// (paper Section 4.3). Each builder takes the edge-difference input stream
+// (paper Section 4.3). Each builder takes the edge-difference root stream
 // and returns the stream of final output records, ready to terminate in a
-// NoisyCountSink (for scoring) or Collector (for inspection).
+// NoisyCountSink (for scoring) or Collector (for inspection). A pipeline
+// is described once, over the dispatching operators of ops.go; it runs on
+// whichever executor produced the root stream it is handed.
 //
-// Pipeline interiors run on the packed record encodings of packed.go: a
-// builder packs the edge stream once at entry, threads uint64-keyed
-// records through its joins and group-bys, and decodes only where its
-// public output type requires it. The *Core helpers hold the packed
-// interiors shared between the plain builders here and the fused
-// fragment bodies in fused.go.
+// Every reusable fragment (the length-two-path join, the degree GroupBy,
+// the path-degree join, motif embedding chains) is requested through a
+// plan.Memo, so pipelines built on the same fusing memo share their
+// common prefixes — one fused DAG with fan-out at the divergence points
+// instead of N private copies. A nil or non-fusing memo builds every
+// request privately, constructing the same operators in the same order,
+// which is what makes fused and unfused plans differentially comparable.
+//
+// Fragment interiors run on the packed record encodings of packed.go: a
+// fragment packs its inputs at entry (the *Core helpers hold the packed
+// operator chains), threads uint64-keyed records through its joins and
+// group-bys, and decodes at exit, so fragments exchange decoded records
+// and keys, output types, and DAG shape do not depend on the encoding.
+//
+// Fragment keys canonicalize every parameter that changes the operator
+// subgraph (bucket width, pattern shape); two requests share a fragment
+// exactly when their subgraphs are identical.
 
-// EdgeInput is the root stream type of all graph pipelines: differences to
-// the symmetric directed edge dataset.
-type EdgeInput = *incremental.Input[graph.Edge]
+// fusedBucket canonicalizes the degree bucket width for fragment
+// identity: widths <= 1 all leave degrees unbucketed, so they name one
+// fragment.
+func fusedBucket(bucket int) int {
+	if bucket > 1 {
+		return bucket
+	}
+	return 1
+}
 
-// NewEdgeInput returns an input for symmetric directed edge differences.
-func NewEdgeInput() EdgeInput { return incremental.NewInput[graph.Edge]() }
+// Fragment key constructors.
+func pathsKey() string             { return "paths" }
+func degreesKey(bucket int) string { return fmt.Sprintf("degrees/b=%d", fusedBucket(bucket)) }
+func pathDegKey(bucket int) string { return fmt.Sprintf("pathdeg/b=%d", fusedBucket(bucket)) }
+func tbdKey(bucket int) string     { return fmt.Sprintf("tbd/b=%d", fusedBucket(bucket)) }
+func motifEmbKey(p Pattern) string { return "motif-emb/" + p.fragmentKey() }
+func motifDegKey(p Pattern, bucket int) string {
+	return fmt.Sprintf("motif-deg/%s/b=%d", p.fragmentKey(), fusedBucket(bucket))
+}
 
-// packEdges packs the edge stream for a pipeline's interior. Each builder
-// creates one pack node and fans its interior out from it, preserving the
-// relative cascade order the unpacked builders had when they subscribed
-// to the edge input directly.
+// fragmentKey returns the canonical fusion identity of a pattern: the
+// vertex count and the edge list in declared order and orientation.
+// Edge order is part of the identity because the compiled join plan —
+// and with it the data-dependent motif weights — depends on it.
+func (p Pattern) fragmentKey() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "k%d", p.K)
+	for _, e := range p.Edges {
+		fmt.Fprintf(&b, ":%d-%d", e[0], e[1])
+	}
+	return b.String()
+}
+
+// fragment requests one pipeline fragment through the memo and taps the
+// stream it builds with the memo's propagation counter.
+func fragment[T comparable](m *plan.Memo, n plan.Node, build func() incremental.Source[T]) incremental.Source[T] {
+	return plan.Shared(m, n, func() incremental.Source[T] {
+		s := build()
+		plan.Count(m, s)
+		return s
+	})
+}
+
+// packEdges packs the edge stream for a fragment's interior. Each
+// fragment creates one pack node and fans its interior out from it.
 func packEdges(edges incremental.Source[graph.Edge]) incremental.Source[PEdge] {
-	return incremental.Select(edges, packEdge)
+	return sel(edges, packEdge)
+}
+
+// packGroupedDeg re-enters packed form from the degrees fragment's
+// decoded output.
+func packGroupedDeg(d weighted.Grouped[graph.Node, int]) PDeg {
+	return packedDeg(packNode(d.Key), d.Result)
 }
 
 // pathsCore is the packed interior of PathsPipeline.
 func pathsCore(pe incremental.Source[PEdge]) incremental.Source[PPath] {
-	joined := incremental.Join(pe, pe,
+	joined := join(pe, pe,
 		func(e PEdge) uint64 { return e.dstKey() },
 		func(e PEdge) uint64 { return e.srcKey() },
 		func(x, y PEdge) PPath { return packedPath(x.srcKey(), x.dstKey(), y.dstKey()) })
-	return incremental.Where[PPath](joined, func(p PPath) bool { return p.aKey() != p.cKey() })
+	return where(joined, func(p PPath) bool { return p.aKey() != p.cKey() })
 }
 
 // degreesCore is the packed interior of DegreesPipeline.
 func degreesCore(pe incremental.Source[PEdge], bucket int) incremental.Source[PDeg] {
-	grouped := incremental.GroupBy(pe,
+	grouped := groupBy(pe,
 		func(e PEdge) uint64 { return e.srcKey() },
 		func(es []PEdge) int {
 			if bucket > 1 {
@@ -54,7 +111,7 @@ func degreesCore(pe incremental.Source[PEdge], bucket int) incremental.Source[PD
 			}
 			return len(es)
 		})
-	return incremental.Select(grouped, func(g weighted.Grouped[uint64, int]) PDeg {
+	return sel(grouped, func(g weighted.Grouped[uint64, int]) PDeg {
 		//wpinq:packed-ok g.Key is the GroupBy key produced by e.srcKey(), a packed accessor; the generic Grouped plumbing hides the provenance
 		return packedDeg(g.Key, g.Result)
 	})
@@ -63,7 +120,7 @@ func degreesCore(pe incremental.Source[PEdge], bucket int) incremental.Source[PD
 // pathDegCore joins packed paths with the center vertex's degree: the
 // shared "abc" prefix of TbD and SbD.
 func pathDegCore(pp incremental.Source[PPath], pd incremental.Source[PDeg]) incremental.Source[PPathDeg] {
-	return incremental.Join(pp, pd,
+	return join(pp, pd,
 		func(p PPath) uint64 { return p.bKey() },
 		func(d PDeg) uint64 { return d.nodeKey() },
 		func(p PPath, d PDeg) PPathDeg { return PPathDeg{P: p, Deg: int32(d.deg())} })
@@ -71,25 +128,25 @@ func pathDegCore(pp incremental.Source[PPath], pd incremental.Source[PDeg]) incr
 
 // tbiCore is the rotate/intersect/unit suffix of TbI over packed paths.
 func tbiCore(pp incremental.Source[PPath]) incremental.Source[Unit] {
-	rotated := incremental.Select(pp, func(p PPath) PPath { return p.rotate() })
-	triangles := incremental.Intersect[PPath](rotated, pp)
-	return incremental.Select(triangles, func(PPath) Unit { return Unit{} })
+	rotated := sel(pp, func(p PPath) PPath { return p.rotate() })
+	triangles := intersect(rotated, pp)
+	return sel(triangles, func(PPath) Unit { return Unit{} })
 }
 
 // tbdCore is the rotations/joins/sort suffix of TbD over the packed
 // path-degree stream.
 func tbdCore(abc incremental.Source[PPathDeg]) incremental.Source[DegTriple] {
-	bca := incremental.Select[PPathDeg](abc, func(x PPathDeg) PPathDeg {
+	bca := sel(abc, func(x PPathDeg) PPathDeg {
 		return PPathDeg{x.P.rotate(), x.Deg}
 	})
-	cab := incremental.Select(bca, func(x PPathDeg) PPathDeg {
+	cab := sel(bca, func(x PPathDeg) PPathDeg {
 		return PPathDeg{x.P.rotate(), x.Deg}
 	})
-	two := incremental.Join[PPathDeg, PPathDeg, PPath, PPathDeg2](abc, bca,
+	two := join(abc, bca,
 		func(x PPathDeg) PPath { return x.P },
 		func(y PPathDeg) PPath { return y.P },
 		func(x, y PPathDeg) PPathDeg2 { return PPathDeg2{P: x.P, D1: x.Deg, D2: y.Deg} })
-	return incremental.Join[PPathDeg2, PPathDeg, PPath, DegTriple](two, cab,
+	return join(two, cab,
 		func(x PPathDeg2) PPath { return x.P },
 		func(y PPathDeg) PPath { return y.P },
 		func(x PPathDeg2, y PPathDeg) DegTriple { return SortTriple(int(x.D1), int(x.D2), int(y.Deg)) })
@@ -97,11 +154,11 @@ func tbdCore(abc incremental.Source[PPathDeg]) incremental.Source[DegTriple] {
 
 // jddCore is the degree-join/self-join interior of JDD.
 func jddCore(pd incremental.Source[PDeg], pe incremental.Source[PEdge]) incremental.Source[DegPair] {
-	temp := incremental.Join(pd, pe,
+	temp := join(pd, pe,
 		func(d PDeg) uint64 { return d.nodeKey() },
 		func(e PEdge) uint64 { return e.srcKey() },
 		func(d PDeg, e PEdge) PEdgeDeg { return packedEdgeDeg(e, d.deg()) })
-	return incremental.Join[PEdgeDeg, PEdgeDeg, uint64, DegPair](temp, temp,
+	return join(temp, temp,
 		func(x PEdgeDeg) uint64 { return x.edgeKey() },
 		func(y PEdgeDeg) uint64 { return y.reverseKey() },
 		func(x, y PEdgeDeg) DegPair { return DegPair{DA: x.deg(), DB: y.deg()} })
@@ -109,54 +166,88 @@ func jddCore(pd incremental.Source[PDeg], pe incremental.Source[PEdge]) incremen
 
 // PathsPipeline mirrors Paths: length-two paths (a,b,c), a != c, at weight
 // 1/(2*db).
-func PathsPipeline(edges incremental.Source[graph.Edge]) incremental.Source[Path] {
-	pp := pathsCore(packEdges(edges))
-	return incremental.Select(pp, PPath.unpack)
+func PathsPipeline(m *plan.Memo, edges incremental.Source[graph.Edge]) incremental.Source[Path] {
+	n := plan.Node{Key: pathsKey(), Op: "join(edges,edges)+where(a!=c)", Inputs: []string{"edges"}}
+	return fragment(m, n, func() incremental.Source[Path] {
+		return sel(pathsCore(packEdges(edges)), PPath.unpack)
+	})
 }
 
 // DegreesPipeline mirrors Degrees: (vertex, possibly bucketed degree)
 // pairs at weight 0.5.
-func DegreesPipeline(edges incremental.Source[graph.Edge], bucket int) incremental.Source[weighted.Grouped[graph.Node, int]] {
-	pd := degreesCore(packEdges(edges), bucket)
-	return incremental.Select(pd, func(d PDeg) weighted.Grouped[graph.Node, int] {
-		return weighted.Grouped[graph.Node, int]{Key: unpackNode(d.nodeKey()), Result: d.deg()}
+func DegreesPipeline(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int) incremental.Source[weighted.Grouped[graph.Node, int]] {
+	n := plan.Node{Key: degreesKey(bucket), Op: "groupby(src,deg)", Inputs: []string{"edges"}}
+	return fragment(m, n, func() incremental.Source[weighted.Grouped[graph.Node, int]] {
+		return sel(degreesCore(packEdges(edges), bucket), func(d PDeg) weighted.Grouped[graph.Node, int] {
+			return weighted.Grouped[graph.Node, int]{Key: unpackNode(d.nodeKey()), Result: d.deg()}
+		})
+	})
+}
+
+// PathDegPipeline is the paths-with-center-degree join: TbD's and SbD's
+// "abc" prefix.
+func PathDegPipeline(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int) incremental.Source[PathDeg] {
+	paths := PathsPipeline(m, edges)
+	degs := DegreesPipeline(m, edges, bucket)
+	n := plan.Node{Key: pathDegKey(bucket), Op: "join(paths,degrees)", Inputs: []string{pathsKey(), degreesKey(bucket)}}
+	return fragment(m, n, func() incremental.Source[PathDeg] {
+		pp := sel(paths, packPath)
+		pd := sel(degs, packGroupedDeg)
+		return sel(pathDegCore(pp, pd), PPathDeg.unpack)
 	})
 }
 
 // TbIPipeline mirrors TbI: a single Unit record carrying the triangle
 // signal of eq. 8. Cost model: 4 uses of the edge input.
-func TbIPipeline(edges incremental.Source[graph.Edge]) incremental.Source[Unit] {
-	return tbiCore(pathsCore(packEdges(edges)))
+func TbIPipeline(m *plan.Memo, edges incremental.Source[graph.Edge]) incremental.Source[Unit] {
+	paths := PathsPipeline(m, edges)
+	n := plan.Node{Key: "tbi", Op: "rotate+intersect+unit", Inputs: []string{pathsKey()}}
+	return fragment(m, n, func() incremental.Source[Unit] {
+		return tbiCore(sel(paths, packPath))
+	})
 }
 
 // TbDPipeline mirrors TbD: sorted (bucketed) degree triples of triangles.
 // Cost model: 9 uses of the edge input.
-func TbDPipeline(edges incremental.Source[graph.Edge], bucket int) incremental.Source[DegTriple] {
-	pe := packEdges(edges)
-	return tbdCore(pathDegCore(pathsCore(pe), degreesCore(pe, bucket)))
+func TbDPipeline(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int) incremental.Source[DegTriple] {
+	abc := PathDegPipeline(m, edges, bucket)
+	n := plan.Node{Key: tbdKey(bucket), Op: "rotations+2joins+sorttriple", Inputs: []string{pathDegKey(bucket)}}
+	return fragment(m, n, func() incremental.Source[DegTriple] {
+		packed := sel(abc, func(x PathDeg) PPathDeg {
+			return PPathDeg{P: packPath(x.Path), Deg: int32(x.Deg)}
+		})
+		return tbdCore(packed)
+	})
 }
 
 // JDDPipeline mirrors JDD: (da, db) records at weight 1/(2+2da+2db).
 // Cost model: 4 uses of the edge input.
-func JDDPipeline(edges incremental.Source[graph.Edge]) incremental.Source[DegPair] {
-	pe := packEdges(edges)
-	return jddCore(degreesCore(pe, 1), pe)
+func JDDPipeline(m *plan.Memo, edges incremental.Source[graph.Edge]) incremental.Source[DegPair] {
+	degs := DegreesPipeline(m, edges, 1)
+	n := plan.Node{Key: "jdd", Op: "join(degrees,edges)+selfjoin", Inputs: []string{degreesKey(1), "edges"}}
+	return fragment(m, n, func() incremental.Source[DegPair] {
+		pd := sel(degs, packGroupedDeg)
+		return jddCore(pd, packEdges(edges))
+	})
 }
 
-// SbDPipeline mirrors SbD: sorted degree quadruples of 4-cycles. It runs
-// on decoded records: its [2]graph.Node and Path3 join keys have no
-// packed encoding, and it sits outside the MCMC workload hot path.
-// Cost model: 12 uses of the edge input.
+// WedgeCountPipeline mirrors WedgeCount. Cost model: 2 uses of the edge
+// input.
+func WedgeCountPipeline(m *plan.Memo, edges incremental.Source[graph.Edge]) incremental.Source[Unit] {
+	paths := PathsPipeline(m, edges)
+	n := plan.Node{Key: "wedges", Op: "unit", Inputs: []string{pathsKey()}}
+	return fragment(m, n, func() incremental.Source[Unit] {
+		return sel(paths, func(Path) Unit { return Unit{} })
+	})
+}
+
+// SbDPipeline mirrors SbD: sorted degree quadruples of 4-cycles. Past the
+// path-degree prefix it runs on decoded records: its [2]graph.Node and
+// Path3 join keys have no packed encoding, and it sits outside the MCMC
+// workload hot path. Cost model: 12 uses of the edge input.
 func SbDPipeline(edges incremental.Source[graph.Edge]) incremental.Source[DegQuad] {
-	paths := PathsPipeline(edges)
-	degs := DegreesPipeline(edges, 1)
-	abc := incremental.Join(paths, degs,
-		func(p Path) graph.Node { return p.B },
-		func(d weighted.Grouped[graph.Node, int]) graph.Node { return d.Key },
-		func(p Path, d weighted.Grouped[graph.Node, int]) PathDeg {
-			return PathDeg{Path: p, Deg: d.Result}
-		})
-	abcd := incremental.Join[PathDeg, PathDeg, [2]graph.Node, Path3Deg2](abc, abc,
+	abc := PathDegPipeline(nil, edges, 1)
+	abcd := join(abc, abc,
 		func(x PathDeg) [2]graph.Node { return [2]graph.Node{x.Path.B, x.Path.C} },
 		func(y PathDeg) [2]graph.Node { return [2]graph.Node{y.Path.A, y.Path.B} },
 		func(x, y PathDeg) Path3Deg2 {
@@ -165,11 +256,11 @@ func SbDPipeline(edges incremental.Source[graph.Edge]) incremental.Source[DegQua
 				DB:   x.Deg, DC: y.Deg,
 			}
 		})
-	filtered := incremental.Where[Path3Deg2](abcd, func(p Path3Deg2) bool { return p.Path.A != p.Path.D })
-	cdab := incremental.Select[Path3Deg2](filtered, func(x Path3Deg2) Path3Deg2 {
+	filtered := where(abcd, func(p Path3Deg2) bool { return p.Path.A != p.Path.D })
+	cdab := sel(filtered, func(x Path3Deg2) Path3Deg2 {
 		return Path3Deg2{Path: x.Path.Rotate2(), DB: x.DB, DC: x.DC}
 	})
-	return incremental.Join[Path3Deg2, Path3Deg2, Path3, DegQuad](filtered, cdab,
+	return join(filtered, cdab,
 		func(x Path3Deg2) Path3 { return x.Path },
 		func(y Path3Deg2) Path3 { return y.Path },
 		func(x, y Path3Deg2) DegQuad { return SortQuad(y.DB, x.DB, x.DC, y.DC) })
@@ -177,16 +268,14 @@ func SbDPipeline(edges incremental.Source[graph.Edge]) incremental.Source[DegQua
 
 // DegreeCCDFPipeline mirrors DegreeCCDF. Cost model: 1 use.
 func DegreeCCDFPipeline(edges incremental.Source[graph.Edge]) incremental.Source[int] {
-	names := incremental.Select(edges, func(e graph.Edge) graph.Node { return e.Src })
-	shaved := incremental.ShaveConst[graph.Node](names, 1.0)
-	return incremental.Select[weighted.Indexed[graph.Node], int](shaved,
-		func(ix weighted.Indexed[graph.Node]) int { return ix.Index })
+	names := sel(edges, func(e graph.Edge) graph.Node { return e.Src })
+	shaved := shaveConst(names, 1.0)
+	return sel(shaved, func(ix weighted.Indexed[graph.Node]) int { return ix.Index })
 }
 
 // DegreeSequencePipeline mirrors DegreeSequence. Cost model: 1 use.
 func DegreeSequencePipeline(edges incremental.Source[graph.Edge]) incremental.Source[int] {
 	ccdf := DegreeCCDFPipeline(edges)
-	shaved := incremental.ShaveConst[int](ccdf, 1.0)
-	return incremental.Select[weighted.Indexed[int], int](shaved,
-		func(ix weighted.Indexed[int]) int { return ix.Index })
+	shaved := shaveConst(ccdf, 1.0)
+	return sel(shaved, func(ix weighted.Indexed[int]) int { return ix.Index })
 }

@@ -1,10 +1,12 @@
 package queries
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"wpinq/internal/core"
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
 	"wpinq/internal/weighted"
@@ -38,94 +40,139 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// checkPipelineMatchesQuery loads a graph into an incremental pipeline,
-// applies a series of random valid edge swaps, and verifies after each
-// step that the pipeline output equals the one-shot query on the current
-// graph: the end-to-end equivalence of the two engines on real analyses.
+// pipelineLayout is one executor configuration the pipeline-vs-query
+// checks run under. shards < 0 selects the serial reference engine;
+// cutoff 0 forces parallel dispatch on every round so the race detector
+// sees real concurrency.
+type pipelineLayout struct {
+	name           string
+	shards, cutoff int
+}
+
+// allLayouts is the table; its engine rows are named after the executor
+// parameters, the form the sharded-pipeline tests have always reported.
+var allLayouts = []pipelineLayout{
+	{"serial", -1, 0},
+	{fmt.Sprintf("shards=1,cutoff=%d", engine.DefaultSerialCutoff), 1, engine.DefaultSerialCutoff},
+	{"shards=4,cutoff=0", 4, 0},
+}
+
+// The serial and sharded rows, for the tests that are split by executor.
+var serialLayout, engineLayouts = allLayouts[:1], allLayouts[1:]
+
+// edgeRoot is what both executors' edge inputs provide: the root stream
+// every pipeline builds over, and the push entry points.
+type edgeRoot interface {
+	incremental.Source[graph.Edge]
+	Push(batch []incremental.Delta[graph.Edge])
+	PushDataset(d *weighted.Dataset[graph.Edge])
+}
+
+func (l pipelineLayout) newRoot() edgeRoot {
+	if l.shards < 0 {
+		return incremental.NewInput[graph.Edge]()
+	}
+	eng := engine.New(l.shards)
+	eng.SetSerialCutoff(l.cutoff)
+	return engine.NewInput[graph.Edge](eng)
+}
+
+// checkPipelineMatchesQuery is the one table every pipeline is held to:
+// on each layout it loads a graph into the pipeline, applies a series of
+// random valid edge swaps, and verifies after each step that the
+// pipeline output equals the one-shot query on the current graph — the
+// end-to-end equivalence of the single incremental description, on
+// either executor, with the measurement form.
 func checkPipelineMatchesQuery[T comparable](
 	t *testing.T,
+	layouts []pipelineLayout,
 	name string,
 	buildPipeline func(incremental.Source[graph.Edge]) incremental.Source[T],
 	buildQuery func(*core.Collection[graph.Edge]) *core.Collection[T],
 	swaps int,
 ) {
 	t.Helper()
-	g := testGraph(t)
-	in := NewEdgeInput()
-	out := incremental.Collect(buildPipeline(in))
-	in.PushDataset(graph.SymmetricEdges(g))
+	for _, l := range layouts {
+		l := l
+		t.Run(name+"/"+l.name, func(t *testing.T) {
+			g := testGraph(t)
+			in := l.newRoot()
+			out := incremental.Collect(buildPipeline(in))
+			in.PushDataset(graph.SymmetricEdges(g))
 
-	compare := func(step int) {
-		want := buildQuery(core.FromPublic(graph.SymmetricEdges(g))).Snapshot()
-		if !weighted.Equal(out.Snapshot(), want, 1e-6) {
-			t.Fatalf("%s diverged at step %d", name, step)
-		}
-	}
-	compare(-1)
+			compare := func(step int) {
+				want := buildQuery(core.FromPublic(graph.SymmetricEdges(g))).Snapshot()
+				if !weighted.Equal(out.Snapshot(), want, 1e-6) {
+					t.Fatalf("%s diverged at step %d", name, step)
+				}
+			}
+			compare(-1)
 
-	rng := rand.New(rand.NewSource(99))
-	edges := g.EdgeList()
-	for step := 0; step < swaps; step++ {
-		ei, ej := rng.Intn(len(edges)), rng.Intn(len(edges))
-		if ei == ej {
-			continue
-		}
-		a, b := edges[ei].Src, edges[ei].Dst
-		c, d := edges[ej].Src, edges[ej].Dst
-		if rng.Intn(2) == 0 {
-			c, d = d, c
-		}
-		if a == d || c == b || a == c || b == d || g.HasEdge(a, d) || g.HasEdge(c, b) {
-			continue
-		}
-		g.RemoveEdge(a, b)
-		g.RemoveEdge(c, d)
-		g.AddEdge(a, d)
-		g.AddEdge(c, b)
-		edges[ei] = graph.Edge{Src: min32(a, d), Dst: max32(a, d)}
-		edges[ej] = graph.Edge{Src: min32(c, b), Dst: max32(c, b)}
-		in.Push(swapDiffs(a, b, c, d))
-		compare(step)
+			rng := rand.New(rand.NewSource(99))
+			edges := g.EdgeList()
+			for step := 0; step < swaps; step++ {
+				ei, ej := rng.Intn(len(edges)), rng.Intn(len(edges))
+				if ei == ej {
+					continue
+				}
+				a, b := edges[ei].Src, edges[ei].Dst
+				c, d := edges[ej].Src, edges[ej].Dst
+				if rng.Intn(2) == 0 {
+					c, d = d, c
+				}
+				if a == d || c == b || a == c || b == d || g.HasEdge(a, d) || g.HasEdge(c, b) {
+					continue
+				}
+				g.RemoveEdge(a, b)
+				g.RemoveEdge(c, d)
+				g.AddEdge(a, d)
+				g.AddEdge(c, b)
+				edges[ei] = graph.Edge{Src: a, Dst: d}
+				edges[ej] = graph.Edge{Src: c, Dst: b}
+				in.Push(swapDiffs(a, b, c, d))
+				compare(step)
+			}
+		})
 	}
 }
 
-func min32(a, b graph.Node) graph.Node {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max32(a, b graph.Node) graph.Node {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// The per-workload TbI/TbD/JDD equivalence tests that used to live
-// here were superseded by the registry-driven table test in
-// wpinq/internal/workload (TestRegisteredWorkloadsMatchQueryOnEveryExecutor),
-// which covers every registered workload on both executors. The checks
-// below cover the pipelines that are not registry workloads.
+// The TbI/TbD/JDD/wedges/star4 equivalence checks live in the
+// registry-driven table test in wpinq/internal/workload
+// (TestRegisteredWorkloadsMatchQueryOnEveryExecutor), which covers every
+// registered workload on both executors. The checks here and in
+// motif_test.go / motifdegree_test.go cover the pipelines that are not
+// registry workloads.
 
 func TestDegreePipelinesMatchQueries(t *testing.T) {
-	checkPipelineMatchesQuery(t, "DegreeCCDF",
-		func(s incremental.Source[graph.Edge]) incremental.Source[int] { return DegreeCCDFPipeline(s) },
-		func(c *core.Collection[graph.Edge]) *core.Collection[int] { return DegreeCCDF(c) },
-		25)
-	checkPipelineMatchesQuery(t, "DegreeSequence",
-		func(s incremental.Source[graph.Edge]) incremental.Source[int] { return DegreeSequencePipeline(s) },
-		func(c *core.Collection[graph.Edge]) *core.Collection[int] { return DegreeSequence(c) },
-		25)
+	checkPipelineMatchesQuery(t, serialLayout, "DegreeCCDF", DegreeCCDFPipeline, DegreeCCDF, 25)
+	checkPipelineMatchesQuery(t, serialLayout, "DegreeSequence", DegreeSequencePipeline, DegreeSequence, 25)
+}
+
+func TestEngineDegreeCCDFPipelineMatchesQuery(t *testing.T) {
+	checkPipelineMatchesQuery(t, engineLayouts, "EngineDegreeCCDF", DegreeCCDFPipeline, DegreeCCDF, 12)
+}
+
+func TestEngineDegreeSequencePipelineMatchesQuery(t *testing.T) {
+	checkPipelineMatchesQuery(t, engineLayouts, "EngineDegreeSequence", DegreeSequencePipeline, DegreeSequence, 12)
+}
+
+func TestSbDPipelineMatchesQuery(t *testing.T) {
+	checkPipelineMatchesQuery(t, serialLayout, "SbD", SbDPipeline, SbD, 6)
+}
+
+func TestEngineSbDPipelineMatchesQuery(t *testing.T) {
+	if testing.Short() {
+		t.Skip("SbD pipeline is the heaviest; skipped in -short mode")
+	}
+	checkPipelineMatchesQuery(t, engineLayouts, "EngineSbD", SbDPipeline, SbD, 4)
 }
 
 func TestTbIPipelineRollback(t *testing.T) {
 	// Pushing a swap and its inverse restores the pipeline exactly: the
 	// MCMC rejection path on a real query.
 	g := testGraph(t)
-	in := NewEdgeInput()
-	out := incremental.Collect(TbIPipeline(in))
+	in := incremental.NewInput[graph.Edge]()
+	out := incremental.Collect(TbIPipeline(nil, in))
 	in.PushDataset(graph.SymmetricEdges(g))
 	before := out.Weight(Unit{})
 

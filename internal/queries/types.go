@@ -7,13 +7,13 @@
 //
 //   - a one-shot form over core.Collection, used to take the actual
 //     differentially-private measurements of a protected graph, and
-//   - an incremental pipeline over the dataflow engine, used by MCMC to
-//     score synthetic graphs against those measurements (Section 4.3).
-//     Each pipeline exists twice: over the single-threaded reference
-//     engine (pipelines.go) and over the sharded parallel executor
-//     (engine_pipelines.go, the Engine* builders).
+//   - an incremental pipeline, used by MCMC to score synthetic graphs
+//     against those measurements (Section 4.3). Each pipeline is
+//     described once (pipelines.go) over operators that pick the
+//     executor — the single-threaded reference engine or the sharded
+//     parallel one — from the root stream they are built over (ops.go).
 //
-// All forms share record types and are proven equivalent by tests.
+// Both forms share record types and are proven equivalent by tests.
 //
 // All queries consume the symmetric directed edge dataset produced by
 // graph.SymmetricEdges: both (a,b) and (b,a) at weight 1.0. Privacy costs

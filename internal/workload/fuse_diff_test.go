@@ -13,6 +13,7 @@ import (
 	"wpinq/internal/core"
 	"wpinq/internal/engine"
 	"wpinq/internal/graph"
+	"wpinq/internal/plan"
 	"wpinq/internal/workload"
 )
 
@@ -250,14 +251,12 @@ func TestFusedPlanDAGShape(t *testing.T) {
 	)
 	g := testGraph(t)
 	fits := measureFits(t, g, workload.Names(), bucket, eps, 11)
-	var serialKeys []string
+	var serialDAG []plan.Fragment
 	for _, l := range fuseLayouts {
 		p, _, _ := fusePlan(t, fits, l.shards, l.cutoff, true, eps, 23)
-		m := p.Fusion()
-		var keys []string
+		dag := p.Fusion().DAG()
 		fanout := map[string]int{}
-		for _, f := range m.DAG() {
-			keys = append(keys, f.Key)
+		for _, f := range dag {
 			if f.Refs > 1 {
 				fanout[f.Key] = f.Refs
 			}
@@ -271,11 +270,14 @@ func TestFusedPlanDAGShape(t *testing.T) {
 		if fanout["jdd"] != 2 || fanout["tbi"] != 2 {
 			t.Fatalf("%s: terminal fragments should be shared by sink+collector, got %v", l.name, fanout)
 		}
-		if serialKeys == nil {
-			serialKeys = keys
-		} else if !reflect.DeepEqual(serialKeys, keys) {
-			t.Fatalf("%s: DAG %v differs from serial layout's %v — executors must fuse identically",
-				l.name, keys, serialKeys)
+		// One pipeline description serves every executor, so the whole
+		// fragment record — key, operator label, inputs, reference count,
+		// in construction order — must not depend on the layout.
+		if serialDAG == nil {
+			serialDAG = dag
+		} else if !reflect.DeepEqual(serialDAG, dag) {
+			t.Fatalf("%s: DAG %+v differs from serial layout's %+v — executors must fuse identically",
+				l.name, dag, serialDAG)
 		}
 	}
 }

@@ -1,20 +1,21 @@
 // Package workload is the registry that makes wPINQ's declarative pitch
 // real for this repository: each analysis (a "workload") is defined
-// exactly once — a name, a privacy use count, and builders for the three
-// executions of its query plan — and every layer above (measurement,
+// exactly once — a name, a privacy use count, and builders for the two
+// forms of its query plan — and every layer above (measurement,
 // serialization, MCMC fitting, the curator service, the CLIs) resolves
 // workloads by name instead of hard-coding a query trio.
 //
-// A workload's plan exists in three equivalent forms, mirroring the rest
+// A workload's plan exists in two equivalent forms, mirroring the rest
 // of the repository:
 //
 //   - a one-shot form over core.Collection, used to take the actual
-//     differentially private measurement of a protected graph;
-//   - an incremental pipeline over the serial reference engine
-//     (wpinq/internal/incremental), used by MCMC to re-score a synthetic
-//     graph after each edge swap; and
-//   - the same pipeline over the sharded parallel executor
-//     (wpinq/internal/engine).
+//     differentially private measurement of a protected graph, and the
+//     reference the executor-equivalence tests compare against; and
+//   - one incremental pipeline description, used by MCMC to re-score a
+//     synthetic graph after each edge swap. It runs on whichever
+//     executor produced the root stream it is built over: the serial
+//     reference engine (wpinq/internal/incremental) or the sharded
+//     parallel executor (wpinq/internal/engine).
 //
 // The result histogram is type-erased behind the Histogram interface
 // (typed get, distance, canonical serialization), so workloads with
@@ -148,7 +149,7 @@ type Workload struct {
 	impl impl
 }
 
-// impl is the type-erased implementation of a workload's three plan
+// impl is the type-erased implementation of a workload's two plan
 // forms, provided by Define.
 type impl interface {
 	measure(edges *core.Collection[graph.Edge], bucket int, eps float64, rng *rand.Rand) (Histogram, error)
@@ -217,17 +218,16 @@ func (w Workload) Exact(g *graph.Graph, bucket int) (map[string]float64, error) 
 // match synth.Config.Shards: -1 selects the serial reference engine,
 // 0 the sharded executor with one shard per CPU, >0 an explicit count.
 //
-// Every plan carries a plan.Memo: workloads that register fused
-// builders request their pipeline fragments through it, so attaching
-// several workloads to one fusing plan builds a single DAG that shares
-// operator prefixes (NewPlan default). A non-fusing plan (NewPlanFused
-// with fuse false) builds every workload its private pipeline — the
-// pre-fusion behavior, kept as the differential baseline.
+// Every plan carries a plan.Memo: pipelines request their fragments
+// through it, so attaching several workloads to one fusing plan builds a
+// single DAG that shares operator prefixes (NewPlan default). A
+// non-fusing plan (NewPlanFused with fuse false) builds every workload
+// its private pipeline — the pre-fusion behavior, kept as the
+// differential baseline.
 type Plan struct {
-	serial *incremental.Input[graph.Edge]
-	eng    *engine.Engine
-	engIn  *engine.Input[graph.Edge]
-	input  *obsInput // metrics decorator over the root input
+	root   incremental.Source[graph.Edge] // the executor's input: every pipeline builds over it
+	eng    *engine.Engine                 // nil on the serial reference engine
+	input  *obsInput                      // metrics decorator over the root input
 	scorer *incremental.Scorer
 	memo   *plan.Memo
 }
@@ -242,13 +242,13 @@ func NewPlan(shards int) *Plan { return NewPlanFused(shards, true) }
 func NewPlanFused(shards int, fuse bool) *Plan {
 	p := &Plan{scorer: incremental.NewScorer(), memo: plan.New(fuse)}
 	if shards < 0 {
-		p.serial = incremental.NewInput[graph.Edge]()
-		p.input = newObsInput(p.serial, "serial")
+		in := incremental.NewInput[graph.Edge]()
+		p.root, p.input = in, newObsInput(in, "serial")
 		return p
 	}
 	p.eng = engine.New(shards)
-	p.engIn = engine.NewInput[graph.Edge](p.eng)
-	p.input = newObsInput(p.engIn, "sharded")
+	in := engine.NewInput[graph.Edge](p.eng)
+	p.root, p.input = in, newObsInput(in, "sharded")
 	return p
 }
 
@@ -307,34 +307,27 @@ func (p *Plan) Observations() ([]Observation, error) {
 	return out, nil
 }
 
-// Builders supplies the three executions of one query plan for record
-// type T. The bucket argument is the degree bucket width; workloads
-// that do not use it receive 0 and must ignore it.
-//
-// SerialFused and EngineFused are optional memo-aware variants of
-// Serial and Engine: they request reusable pipeline fragments through
-// the plan's fusion memo (see wpinq/internal/plan and the Fused*
-// builders in wpinq/internal/queries), so several workloads attached to
-// one plan share their common operator prefixes. A workload without
-// fused builders still works on every plan — it just never shares.
+// Builders supplies the two forms of one query plan for record type T.
+// The bucket argument is the degree bucket width; workloads that do not
+// use it receive 0 and must ignore it.
 type Builders[T comparable] struct {
 	// Query is the one-shot measurement form over core.Collection.
 	Query func(edges *core.Collection[graph.Edge], bucket int) *core.Collection[T]
-	// Serial is the incremental pipeline on the reference engine.
-	Serial func(edges incremental.Source[graph.Edge], bucket int) incremental.Source[T]
-	// Engine is the same pipeline on the sharded parallel executor.
-	Engine func(edges engine.Source[graph.Edge], bucket int) engine.Source[T]
-	// SerialFused is Serial requesting fragments through the memo.
-	SerialFused func(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int) incremental.Source[T]
-	// EngineFused is Engine requesting fragments through the memo.
-	EngineFused func(m *plan.Memo, edges engine.Source[graph.Edge], bucket int) engine.Source[T]
+	// Pipeline is the incremental form: it builds over the plan's root
+	// stream, on whichever executor produced it (see the dispatching
+	// operators of wpinq/internal/queries), and requests its reusable
+	// fragments through the plan's fusion memo (wpinq/internal/plan), so
+	// several workloads attached to one plan share their common operator
+	// prefixes. A pipeline that requests no fragments still works on
+	// every plan — it just never shares.
+	Pipeline func(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int) incremental.Source[T]
 }
 
 // Define couples a workload's metadata with its typed builders. The
 // returned workload is ready to Register.
 func Define[T comparable](w Workload, b Builders[T]) Workload {
-	if b.Query == nil || b.Serial == nil || b.Engine == nil {
-		panic(fmt.Sprintf("workload: Define(%q) requires all three builders", w.Name))
+	if b.Query == nil || b.Pipeline == nil {
+		panic(fmt.Sprintf("workload: Define(%q) requires both builders", w.Name))
 	}
 	w.impl = builders[T]{b}
 	return w
@@ -369,22 +362,11 @@ func (bs builders[T]) load(entries []Entry, eps float64, rng *rand.Rand) (Histog
 	return &typedHist[T]{h: h}, nil
 }
 
-// source builds the workload's pipeline on the plan's executor,
-// preferring the fused builders (which share prefixes through the
-// plan's memo) when the workload registered them. Engine streams
-// implement incremental.Source, so both executors return the same
-// stream type and terminate in the same sinks.
+// source builds the workload's pipeline over the plan's root. Engine
+// streams implement incremental.Source, so both executors return the
+// same stream type and terminate in the same sinks.
 func (bs builders[T]) source(p *Plan, bucket int) incremental.Source[T] {
-	if p.serial != nil {
-		if bs.b.SerialFused != nil {
-			return bs.b.SerialFused(p.memo, p.serial, bucket)
-		}
-		return bs.b.Serial(p.serial, bucket)
-	}
-	if bs.b.EngineFused != nil {
-		return bs.b.EngineFused(p.memo, p.engIn, bucket)
-	}
-	return bs.b.Engine(p.engIn, bucket)
+	return bs.b.Pipeline(p.memo, p.root, bucket)
 }
 
 func (bs builders[T]) attach(p *Plan, name string, h Histogram, bucket int, eps float64) error {

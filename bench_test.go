@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"wpinq/internal/budget"
 	"wpinq/internal/core"
@@ -21,6 +22,7 @@ import (
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
 	"wpinq/internal/mcmc"
+	"wpinq/internal/postprocess"
 	"wpinq/internal/queries"
 	"wpinq/internal/synth"
 	"wpinq/internal/weighted"
@@ -319,6 +321,71 @@ func BenchmarkMeasureOneShot(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkSeedGraph times synth.SeedGraph on a jdd measurement of
+// HolmeKim(4000, 5), the bench program's bulk-load graph: ns/op is the
+// whole call. Outside the timer each iteration replays the call's three
+// phases on what it fitted: the lattice regression (gridpath-ms, on a grid
+// as wide as the released node count and half again as high as the fitted
+// maximum degree — SeedGraph's own height is its CCDF extent scan plus the
+// same slack), Havel-Hakimi (realize-ms) and the 20-attempts-per-edge
+// mixing (rewire-ms).
+func BenchmarkSeedGraph(b *testing.B) {
+	g, err := graph.HolmeKim(4000, 5, 0.5, rand.New(rand.NewSource(31)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := synth.Measure(g, synth.Config{Eps: 0.1, Workloads: []string{"jdd"}}, rand.New(rand.NewSource(32)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	width := m.EstimatedNodes()
+	v := make([]float64, width)
+	for x := range v {
+		v[x] = m.DegSeq.Get(x)
+	}
+	var gridpath, realize, rewire time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rng := rand.New(rand.NewSource(int64(i)))
+		seed, err := synth.SeedGraph(m, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		height := min(width, seed.MaxDegree()+seed.MaxDegree()/2+8)
+		h := make([]float64, height)
+		for y := range h {
+			h[y] = m.CCDF.Get(y)
+		}
+		t0 := time.Now()
+		if _, err := postprocess.GridPath(v, h, width, height); err != nil {
+			b.Fatal(err)
+		}
+		gridpath += time.Since(t0)
+		// Havel-Hakimi numbers vertices in fitted-degree order, so the
+		// seed's degrees by id are the sequence it was built from.
+		degrees := make([]int, seed.NumNodes())
+		for v := range degrees {
+			degrees[v] = seed.Degree(graph.Node(v))
+		}
+		t0 = time.Now()
+		unmixed, err := graph.FromDegreeSequence(degrees, 0, rng)
+		realize += time.Since(t0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		t0 = time.Now()
+		graph.Rewire(unmixed, 20*unmixed.NumEdges(), rng)
+		rewire += time.Since(t0)
+		b.StartTimer()
+	}
+	perOp := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }
+	b.ReportMetric(perOp(gridpath), "gridpath-ms")
+	b.ReportMetric(perOp(realize), "realize-ms")
+	b.ReportMetric(perOp(rewire), "rewire-ms")
 }
 
 func BenchmarkGraphGenerators(b *testing.B) {

@@ -5,8 +5,10 @@
 package graph
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -93,7 +95,7 @@ func (g *Graph) Nodes() []Node {
 	for u := range g.adj {
 		out = append(out, u)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -115,11 +117,11 @@ func (g *Graph) EdgeList() []Edge {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
+	slices.SortFunc(out, func(a, b Edge) int {
+		if c := cmp.Compare(a.Src, b.Src); c != 0 {
+			return c
 		}
-		return out[i].Dst < out[j].Dst
+		return cmp.Compare(a.Dst, b.Dst)
 	})
 	return out
 }

@@ -6,8 +6,9 @@ import (
 )
 
 // FuzzGridPath ensures the regression never panics, always returns a
-// non-increasing integer sequence of the requested width, and stays within
-// the grid's height bound — whatever the noisy measurements look like.
+// non-increasing integer sequence of the requested width, stays within
+// the grid's height bound and costs what the reference Dijkstra's path
+// costs — whatever the noisy measurements look like.
 func FuzzGridPath(f *testing.F) {
 	f.Add([]byte{10, 8, 3, 1}, []byte{4, 3, 1}, 6, 12)
 	f.Add([]byte{}, []byte{}, 1, 1)
@@ -33,16 +34,13 @@ func FuzzGridPath(f *testing.F) {
 		if err != nil {
 			t.Fatalf("GridPath(%v, %v, %d, %d): %v", v, h, width, height, err)
 		}
-		if len(fitted) != width {
-			t.Fatalf("len = %d, want %d", len(fitted), width)
-		}
-		for i, y := range fitted {
-			if y < 0 || y > height {
-				t.Fatalf("fitted[%d] = %d outside [0, %d]", i, y, height)
-			}
-			if i > 0 && y > fitted[i-1] {
-				t.Fatalf("not non-increasing at %d: %v", i, fitted)
-			}
+		checkStaircase(t, fitted, width, height)
+		// The measurements are integers, so every path cost is exact and
+		// the optimum ties widely: the reference may take another path,
+		// never a cheaper one.
+		ref := gridPathDijkstra(v, h, width, height)
+		if got, want := pathCost(v, h, fitted, height), pathCost(v, h, ref, height); got != want {
+			t.Fatalf("GridPath(%v, %v, %d, %d): path cost %v, reference %v", v, h, width, height, got, want)
 		}
 	})
 }

@@ -14,7 +14,6 @@
 package postprocess
 
 import (
-	"container/heap"
 	"errors"
 	"math"
 )
@@ -78,107 +77,74 @@ func IsotonicIncreasing(xs []float64) []float64 {
 // or h are treated as 0 (pure noise was measured there). The returned
 // sequence fitted[x] is the y-level of the path over column x, a
 // non-increasing integer degree sequence of length width.
+//
+// The lattice is a DAG, so the shortest path is a dynamic programme,
+//
+//	dist(x,y) = min(dist(x-1,y) + |v[x-1]-y|, dist(x,y+1) + |h[y]-x|),
+//
+// filled column by column with one rolling column of distances and one
+// back-pointer bit per lattice point: O(width*height) time and
+// width*height bits of memory. The L1 cost ties structurally (right-then-
+// down and down-then-right around a cell often cost the same), so the tie
+// rule decides the fit: on equal candidates the predecessor with the
+// smaller dist wins, and the left one when those tie too.
 func GridPath(v, h []float64, width, height int) ([]int, error) {
 	if width <= 0 || height <= 0 {
 		return nil, errors.New("postprocess: grid dimensions must be positive")
 	}
-	vAt := func(x int) float64 {
-		if x < len(v) {
-			return v[x]
-		}
-		return 0
+	// hs[y] is the measurement a down step into row y commits against.
+	hs := make([]float64, height)
+	copy(hs, h)
+	// fromLeft holds one bit per lattice point (x, y), column-major: set
+	// when the cheapest way into the point is the horizontal step.
+	words := (height + 1 + 63) / 64
+	fromLeft := make([]uint64, (width+1)*words)
+	// Column 0 is reachable only by down steps from the start (0, height).
+	col := make([]float64, height+1)
+	for y := height - 1; y >= 0; y-- {
+		col[y] = col[y+1] + math.Abs(hs[y])
 	}
-	hAt := func(y int) float64 {
-		if y < len(h) {
-			return h[y]
+	for x := 1; x <= width; x++ {
+		var vx float64
+		if x-1 < len(v) {
+			vx = v[x-1]
 		}
-		return 0
-	}
-	// Dijkstra over lattice points (x, y), 0 <= x <= width,
-	// 0 <= y <= height, edges right and down. The optimal path hugs the
-	// trough near the true staircase, so only a small fraction of the grid
-	// is visited in practice.
-	type point struct{ x, y int }
-	dist := make(map[point]float64, 4*(width+height))
-	prev := make(map[point]point, 4*(width+height))
-	start := point{0, height}
-	goal := point{width, 0}
-	pq := &pointQueue{}
-	heap.Init(pq)
-	heap.Push(pq, pqItem{start, 0})
-	dist[start] = 0
-	for pq.Len() > 0 {
-		it := heap.Pop(pq).(pqItem)
-		p := it.p
-		if it.d > dist[p]+1e-15 {
-			continue
-		}
-		if p == goal {
-			break
-		}
-		// Right: (x, y) -> (x+1, y), cost |v[x] - y|.
-		if p.x < width {
-			q := point{p.x + 1, p.y}
-			nd := it.d + math.Abs(vAt(p.x)-float64(p.y))
-			if old, ok := dist[q]; !ok || nd < old {
-				dist[q] = nd
-				prev[q] = p
-				heap.Push(pq, pqItem{q, nd})
+		fx := float64(x)
+		bits := fromLeft[x*words : (x+1)*words]
+		// Row height is reachable only by right steps.
+		col[height] += math.Abs(vx - float64(height))
+		bits[height>>6] |= 1 << (height & 63)
+		for y := height - 1; y >= 0; y-- {
+			// col[y] still holds dist(x-1, y); col[y+1] is dist(x, y+1).
+			left := col[y] + math.Abs(vx-float64(y))
+			down := col[y+1] + math.Abs(hs[y]-fx)
+			if left < down || (left == down && col[y] <= col[y+1]) {
+				col[y] = left
+				bits[y>>6] |= 1 << (y & 63)
+			} else {
+				col[y] = down
 			}
 		}
-		// Down: (x, y) -> (x, y-1), cost |h[y-1] - x|.
-		if p.y > 0 {
-			q := point{p.x, p.y - 1}
-			nd := it.d + math.Abs(hAt(p.y-1)-float64(p.x))
-			if old, ok := dist[q]; !ok || nd < old {
-				dist[q] = nd
-				prev[q] = p
-				heap.Push(pq, pqItem{q, nd})
-			}
-		}
-	}
-	if _, ok := dist[goal]; !ok {
-		return nil, errors.New("postprocess: no path found (internal error)")
 	}
 	// Walk back from the goal, recording the y-level at which each column
 	// x was crossed (the y when stepping x -> x+1).
 	fitted := make([]int, width)
-	p := goal
-	for p != start {
-		q := prev[p]
-		if q.x == p.x-1 { // horizontal step q -> p over column q.x
-			fitted[q.x] = q.y
+	for x, y := width, 0; x > 0; {
+		if fromLeft[x*words+(y>>6)]&(1<<(y&63)) != 0 {
+			x--
+			fitted[x] = y
+		} else {
+			y++
 		}
-		p = q
 	}
 	return fitted, nil
-}
-
-type pqItem struct {
-	p struct{ x, y int }
-	d float64
-}
-
-type pointQueue []pqItem
-
-func (q pointQueue) Len() int            { return len(q) }
-func (q pointQueue) Less(i, j int) bool  { return q[i].d < q[j].d }
-func (q pointQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pointQueue) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pointQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
 }
 
 // RoundToGraphical converts a fitted real-valued degree sequence into a
 // non-increasing, even-sum, graphical integer sequence suitable for seed
 // graph construction: values are rounded and clamped to [0, n-1], sorted
-// non-increasing, the Erdos-Gallai condition enforced by decrementing the
-// largest offending degrees, and parity fixed on the smallest positive
-// degree.
+// non-increasing, and one unit at a time is shaved off the largest degree
+// until the sum is even and the Erdos-Gallai condition holds.
 func RoundToGraphical(seq []float64) []int {
 	n := len(seq)
 	out := make([]int, n)
@@ -194,22 +160,24 @@ func RoundToGraphical(seq []float64) []int {
 	}
 	// Non-increasing (input should nearly be; enforce exactly).
 	insertionSortDesc(out)
-	// Erdos-Gallai: for each k, sum of first k degrees must be at most
-	// k(k-1) + sum_{i>k} min(d_i, k). Repair by lowering the head.
 	for !isGraphicalDesc(out) {
-		for i := 0; i < n; i++ {
-			if out[i] > 0 {
-				out[i]--
-				break
-			}
+		// Lower the head. Taking the unit from the last of the values
+		// equal to it keeps the sequence sorted.
+		j := 0
+		for j+1 < n && out[j+1] == out[0] {
+			j++
 		}
-		insertionSortDesc(out)
+		out[j]--
 	}
 	return out
 }
 
 // isGraphicalDesc checks the Erdos-Gallai condition on a non-increasing
-// sequence, including the even-sum requirement.
+// sequence, including the even-sum requirement: for each k the first k
+// degrees sum to at most k(k-1) + sum_{i>k} min(d_i, k). One pass: the
+// degrees past the first k split into those >= k, which contribute k each,
+// and a tail that contributes its own sum, and the split point only moves
+// down while it is above k and then rides on k.
 func isGraphicalDesc(d []int) bool {
 	n := len(d)
 	var sum int
@@ -219,19 +187,19 @@ func isGraphicalDesc(d []int) bool {
 	if sum%2 != 0 {
 		return false
 	}
-	// Prefix sums for the condition.
 	lhs := 0
+	split, tail := n, 0 // tail = sum of d[split:]
 	for k := 1; k <= n; k++ {
 		lhs += d[k-1]
-		rhs := k * (k - 1)
-		for i := k; i < n; i++ {
-			if d[i] < k {
-				rhs += d[i]
-			} else {
-				rhs += k
-			}
+		if split < k {
+			tail -= d[split]
+			split++
 		}
-		if lhs > rhs {
+		for split > k && d[split-1] < k {
+			split--
+			tail += d[split]
+		}
+		if lhs > k*(k-1)+k*(split-k)+tail {
 			return false
 		}
 	}

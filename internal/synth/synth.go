@@ -373,8 +373,8 @@ func SeedGraph(m *Measurements, rng *rand.Rand) (*graph.Graph, error) {
 	nEst := m.EstimatedNodes()
 	width := nEst
 	height := scanExtent(func(i int) float64 { return m.CCDF.Get(i) }, m.Eps, nEst)
-	// Generous slack: clipping the height truncates hubs, while extra grid
-	// rows only cost Dijkstra time in the noise trough.
+	// Generous slack: clipping the height truncates hubs, while an extra
+	// grid row only costs the regression one more cell per column.
 	height += height/2 + 8
 	if height > nEst {
 		height = nEst

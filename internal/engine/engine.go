@@ -66,6 +66,7 @@ import (
 	"fmt"
 	"hash/maphash"
 	"runtime"
+	"slices"
 	"sync"
 
 	"wpinq/internal/incremental"
@@ -339,7 +340,8 @@ func newRouted[T comparable](shard func(T) int) *routed[T] {
 	r.bucket = func(i int) {
 		buckets := r.parts[i]
 		for s := range buckets {
-			buckets[s] = buckets[s][:0]
+			// An even share of the chunk: all of it at one shard.
+			buckets[s] = slices.Grow(buckets[s][:0], len(r.chunks[i])/len(buckets))
 		}
 		for _, d := range r.chunks[i] {
 			s := shard(d.Record)

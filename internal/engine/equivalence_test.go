@@ -286,6 +286,72 @@ func TestJoinSelfJoinEquivalence(t *testing.T) {
 	})
 }
 
+// TestLoadEmissionChangesHands covers the one place a batch is kept by
+// its receiver: a load whose per-shard emission is past the retention
+// bound is released by the sub-node and taken, not copied, by the shard's
+// output buffer. The load must read like the reference downstream of two
+// more operators, and the buffers must be the engine's own afterwards —
+// transactional pushes that reuse them, commits, aborts and a second
+// load all keep agreeing with the reference.
+func TestLoadEmissionChangesHands(t *testing.T) {
+	type edge struct{ s, d int }
+	type path struct{ a, b, c int }
+	srcKey := func(e edge) int { return e.s }
+	dstKey := func(e edge) int { return e.d }
+	mkPath := func(x, y edge) path { return path{x.s, x.d, y.d} }
+	open := func(p path) bool { return p.a != p.c }
+	ends := func(p path) [2]int { return [2]int{p.a, p.c} }
+	forEachConfig(t, func(t *testing.T, e *Engine) {
+		in := NewInput[edge](e)
+		j := Join[edge, edge, int, path](in, in, dstKey, srcKey, mkPath)
+		out := Collect[[2]int](Select(Where[path](j, open), ends))
+		ref := weighted.New[edge]()
+		check := func(when string) {
+			t.Helper()
+			paths := weighted.Join(ref, ref, dstKey, srcKey, mkPath)
+			if want := weighted.Select(weighted.Where(paths, open), ends); !weighted.Equal(out.Snapshot(), want, eqTol) {
+				t.Fatalf("%s: engine diverged from the reference (%d vs %d records)", when, out.Len(), want.Len())
+			}
+		}
+		push := func(n, from int) {
+			var batch []incremental.Delta[edge]
+			for v := from; v < from+n; v++ { // a ring lattice: 12 paths in, 12 out per vertex
+				for k := 1; k <= 6; k++ {
+					w := from + (v-from+k)%n
+					batch = append(batch,
+						incremental.Delta[edge]{Record: edge{v, w}, Weight: 1},
+						incremental.Delta[edge]{Record: edge{w, v}, Weight: 1})
+				}
+			}
+			for _, d := range batch {
+				ref.Add(d.Record, d.Weight)
+			}
+			in.Push(batch)
+		}
+		push(200, 0) // 28 800 paths: thousands per shard at 8 shards
+		check("after the load")
+		rng := rand.New(rand.NewSource(10))
+		for step := 0; step < 12; step++ {
+			ed := edge{rng.Intn(200), rng.Intn(200)}
+			delta := 1.0
+			if ref.Weight(ed) > 0 {
+				delta = -1
+			}
+			in.Begin()
+			in.Push([]incremental.Delta[edge]{{Record: ed, Weight: delta}})
+			if step%3 == 0 {
+				in.Abort()
+			} else {
+				in.Commit()
+				ref.Add(ed, delta)
+			}
+			check(fmt.Sprintf("after proposal %d", step))
+		}
+		push(150, 1000)
+		check("after a second load")
+	})
+}
+
 func TestDeepPipelineEquivalence(t *testing.T) {
 	// Select -> Where -> GroupBy -> Shave: heterogeneous stateful
 	// operators chained, with differences crossing two exchanges.

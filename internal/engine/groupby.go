@@ -53,7 +53,7 @@ func GroupBy[T comparable, K comparable, R comparable](
 		in := incremental.NewInput[T]()
 		n.feeds[s].in = in
 		n.subs[s] = incremental.GroupBy(in, key, reduce)
-		n.subs[s].Subscribe(n.out.handler(s))
+		n.subs[s].Subscribe(n.out.handler(s, &n.gate))
 	}
 	src.SubscribeTxn(n.onTxn)
 	e.register(n)

@@ -64,7 +64,7 @@ func Join[A, B comparable, K comparable, R comparable](
 		ia, ib := incremental.NewInput[A](), incremental.NewInput[B]()
 		n.fa[s].in, n.fb[s].in = ia, ib
 		n.subs[s] = incremental.Join(ia, ib, keyA, keyB, reduce)
-		n.subs[s].Subscribe(n.out.handler(s))
+		n.subs[s].Subscribe(n.out.handler(s, &n.gate))
 	}
 	a.SubscribeTxn(n.onTxn)
 	b.SubscribeTxn(n.onTxn)

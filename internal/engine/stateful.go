@@ -34,9 +34,9 @@ func (f *shardFeed[T]) flush(r *routed[T], s int, keep bool) {
 	f.batch = incremental.Recycle(f.batch, keep)
 }
 
-// outBuffers builds the per-shard output accumulators and returns the
-// subscription handler for shard s, which appends the sub-node's emitted
-// differences to shard s's buffer.
+// outBuffers holds the per-shard output accumulators: shard s's sub-node
+// emits into outs[s] through handler(s) — the sub-node's only subscriber
+// — and the node emits outs downstream once per round.
 type outBuffers[U comparable] struct {
 	outs [][]incremental.Delta[U]
 }
@@ -45,8 +45,21 @@ func newOutBuffers[U comparable](shards int) *outBuffers[U] {
 	return &outBuffers[U]{outs: make([][]incremental.Delta[U], shards)}
 }
 
-func (o *outBuffers[U]) handler(s int) incremental.Handler[U] {
-	return func(b []incremental.Delta[U]) { o.outs[s] = append(o.outs[s], b...) }
+// handler returns shard s's subscription: it appends the sub-node's
+// emitted differences to outs[s] — or, when the emission is an array its
+// emitter has just released (incremental.Recycle, asked about the same
+// array under the node's own gate, answers as it answered the sub-node)
+// and outs[s] is empty, takes the array for outs[s] instead of copying
+// it: a load's 10^6-record emission crosses the shard boundary as a
+// slice header.
+func (o *outBuffers[U]) handler(s int, gate *txnGate) incremental.Handler[U] {
+	return func(b []incremental.Delta[U]) {
+		if len(o.outs[s]) == 0 && incremental.Recycle(b, gate.Active()) == nil {
+			o.outs[s] = b
+			return
+		}
+		o.outs[s] = append(o.outs[s], b...)
+	}
 }
 
 func (o *outBuffers[U]) reset(s int) { o.outs[s] = o.outs[s][:0] }
@@ -95,7 +108,7 @@ func Shave[T comparable](src Source[T], f func(x T, i int) float64) *ShaveNode[T
 		in := incremental.NewInput[T]()
 		n.feeds[s].in = in
 		n.subs[s] = incremental.Shave[T](in, f)
-		n.subs[s].Subscribe(n.out.handler(s))
+		n.subs[s].Subscribe(n.out.handler(s, &n.gate))
 	}
 	src.SubscribeTxn(n.onTxn)
 	e.register(n)
@@ -186,7 +199,7 @@ func minMaxNode[T comparable](a, b Source[T],
 		ia, ib := incremental.NewInput[T](), incremental.NewInput[T]()
 		n.fa[s].in, n.fb[s].in = ia, ib
 		n.subs[s] = build(ia, ib)
-		n.subs[s].Subscribe(n.out.handler(s))
+		n.subs[s].Subscribe(n.out.handler(s, &n.gate))
 	}
 	a.SubscribeTxn(n.onTxn)
 	b.SubscribeTxn(n.onTxn)

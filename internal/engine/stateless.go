@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 
 	"wpinq/internal/incremental"
 	"wpinq/internal/weighted"
@@ -32,7 +33,8 @@ func (n *Node[T]) onTxn(op incremental.TxnOp) {
 
 // mapped builds the shared chunk-parallel skeleton of Select, Where and
 // SelectMany: transform applies one input chunk, appending to a reused
-// per-chunk output buffer.
+// per-chunk output buffer — which Select and Where, whose output is
+// bounded by the chunk, size from it first (SelectMany's fan-out is f's).
 func mapped[T, U comparable](src Source[T], transform func(in []incremental.Delta[T], out []incremental.Delta[U]) []incremental.Delta[U]) *Node[U] {
 	e := src.engine()
 	in := src.newPort()
@@ -64,6 +66,7 @@ func mapped[T, U comparable](src Source[T], transform func(in []incremental.Delt
 // is invoked concurrently across chunks.
 func Select[T, U comparable](src Source[T], f func(T) U) *Node[U] {
 	return mapped(src, func(in []incremental.Delta[T], out []incremental.Delta[U]) []incremental.Delta[U] {
+		out = slices.Grow(out, len(in))
 		for _, d := range in {
 			out = append(out, incremental.Delta[U]{Record: f(d.Record), Weight: d.Weight})
 		}
@@ -74,6 +77,7 @@ func Select[T, U comparable](src Source[T], f func(T) U) *Node[U] {
 // Where filters records by p. p must be pure.
 func Where[T comparable](src Source[T], p func(T) bool) *Node[T] {
 	return mapped(src, func(in []incremental.Delta[T], out []incremental.Delta[T]) []incremental.Delta[T] {
+		out = slices.Grow(out, len(in))
 		for _, d := range in {
 			if p(d.Record) {
 				out = append(out, d)
@@ -131,7 +135,7 @@ func Except[T comparable](a, b Source[T]) *Node[T] {
 	var chunks [][]incremental.Delta[T]
 	var outs [][]incremental.Delta[T]
 	negate := func(i int) { // built once: see forN
-		out := outs[i][:0]
+		out := slices.Grow(outs[i][:0], len(chunks[i]))
 		for _, d := range chunks[i] {
 			out = append(out, incremental.Delta[T]{Record: d.Record, Weight: -d.Weight})
 		}

@@ -42,14 +42,15 @@ type JoinNode[A, B comparable, K comparable, R comparable] struct {
 	stats    joinStats
 
 	// Per-push scratch (see scratch.go), reused across pushes so hot
-	// loops do not re-allocate a grouping, a difference accumulator and
-	// an output batch per push. Safe because emitted batches are owned by
-	// this node and handlers must not retain them. Keys are processed —
-	// and differences emitted — in first-appearance order (see stateMap).
+	// loops do not re-allocate a grouping and a difference accumulator —
+	// which is the output batch — per push. Safe because emitted batches
+	// are owned by this node and handlers must not retain them. Keys are
+	// processed — and differences emitted — in first-appearance order
+	// (see stateMap).
 	byKeyA   keyGrouper[K, A]
 	byKeyB   keyGrouper[K, B]
-	scratchA sideScratch[A]
-	scratchB sideScratch[B]
+	scratchA scratchIndex[A] // joinUpdateSide's touched records and their pre-push weights
+	scratchB scratchIndex[B]
 	diff     orderedDiff[R]
 
 	// Transaction state: one undo log per side, shared by every group,
@@ -72,18 +73,6 @@ type joinGroup[A, B comparable] struct {
 type joinStats struct {
 	fastKeys int64
 	slowKeys int64
-}
-
-// sideScratch is joinUpdateSide's multi-delta working set: each touched
-// record's pre-push weight, in first-touch order. Reused across pushes.
-type sideScratch[X comparable] struct {
-	idx  scratchIndex[X]
-	oldW []float64 // oldW[i]: pre-push weight of idx.keys[i]
-}
-
-func (s *sideScratch[X]) reset(keep bool) {
-	s.idx.reset(keep)
-	s.oldW = Recycle(s.oldW, keep)
 }
 
 // Join builds an incremental join of two difference streams.
@@ -160,9 +149,28 @@ func (n *JoinNode[A, B, K, R]) StateSize() int {
 	return total
 }
 
+// onLeft (and onRight, its mirror image) applies one side's batch key
+// by key. Outside a transaction it first reserves the accumulator for
+// what the push asserts: under each key, every difference of the run
+// against every record the other side holds. For a load — the state it
+// finds is what the same push put on the other side a moment ago, or
+// nothing — that is exactly the distinct records it will accumulate; a
+// key that also has to retract and rescale records it already held (no
+// load does) grows past it as any push grows.
 func (n *JoinNode[A, B, K, R]) onLeft(batch []Delta[A]) {
 	inTxn := n.gate.Active()
-	for i, k := range n.byKeyA.group(batch, n.keyA) {
+	keys := n.byKeyA.group(batch, n.keyA)
+	if !inTxn {
+		size := 0
+		for i, e := range keys {
+			if g := n.groups[e.Record]; g != nil {
+				size += len(n.byKeyA.run(i)) * g.b.len()
+			}
+		}
+		n.diff.reserve(size)
+	}
+	for i, e := range keys {
+		k := e.Record
 		g := n.group(k)
 		joinUpdateSide(&n.stats, n.byKeyA.run(i), &g.a, &g.b, n.fastPath, n.reduce, &n.scratchA, &n.diff)
 		n.scratchA.reset(inTxn)
@@ -177,7 +185,18 @@ func (n *JoinNode[A, B, K, R]) onLeft(batch []Delta[A]) {
 func (n *JoinNode[A, B, K, R]) onRight(batch []Delta[B]) {
 	swapped := func(y B, x A) R { return n.reduce(x, y) }
 	inTxn := n.gate.Active()
-	for i, k := range n.byKeyB.group(batch, n.keyB) {
+	keys := n.byKeyB.group(batch, n.keyB)
+	if !inTxn {
+		size := 0
+		for i, e := range keys {
+			if g := n.groups[e.Record]; g != nil {
+				size += len(n.byKeyB.run(i)) * g.a.len()
+			}
+		}
+		n.diff.reserve(size)
+	}
+	for i, e := range keys {
+		k := e.Record
 		g := n.group(k)
 		joinUpdateSide(&n.stats, n.byKeyB.run(i), &g.b, &g.a, n.fastPath, swapped, &n.scratchB, &n.diff)
 		n.scratchB.reset(inTxn)
@@ -240,7 +259,7 @@ func joinUpdateSide[X, Y comparable, R comparable](
 	own *stateMap[X], other *stateMap[Y],
 	fastPath bool,
 	reduce func(X, Y) R,
-	scratch *sideScratch[X],
+	scratch *scratchIndex[X],
 	diff *orderedDiff[R],
 ) {
 	otherNorm := other.norm
@@ -295,12 +314,12 @@ func joinUpdateSide[X, Y comparable, R comparable](
 	// Apply differences, remembering each touched record's prior weight
 	// in first-touch order (the caller resets the scratch).
 	for _, d := range ds {
-		if _, fresh := scratch.idx.slot(d.Record); fresh {
-			scratch.oldW = append(scratch.oldW, own.weight(d.Record))
+		if i, fresh := scratch.slot(d.Record); fresh {
+			scratch.ents[i].Weight = own.weight(d.Record)
 		}
 		own.apply(d.Record, d.Weight)
 	}
-	touched, oldWeights := scratch.idx.keys, scratch.oldW
+	touched := scratch.ents // Weight: the record's pre-push weight
 	newDenom := own.norm + otherNorm
 
 	if other.len() == 0 {
@@ -310,8 +329,8 @@ func joinUpdateSide[X, Y comparable, R comparable](
 
 	if fastPath && math.Abs(newDenom-oldDenom) < weighted.Eps && oldDenom >= weighted.Eps {
 		stats.fastKeys++
-		for i, x := range touched {
-			dw := own.weight(x) - oldWeights[i]
+		for _, t := range touched {
+			x, dw := t.Record, own.weight(t.Record)-t.Weight
 			if math.Abs(dw) < weighted.Eps {
 				continue
 			}
@@ -325,8 +344,8 @@ func joinUpdateSide[X, Y comparable, R comparable](
 	stats.slowKeys++
 	// Retract the old outer product under the old denominator.
 	if oldDenom >= weighted.Eps {
-		for i, x := range touched {
-			oldW := oldWeights[i]
+		for _, t := range touched {
+			x, oldW := t.Record, t.Weight
 			if oldW == 0 {
 				continue
 			}
@@ -335,7 +354,7 @@ func joinUpdateSide[X, Y comparable, R comparable](
 			})
 		}
 		own.each(func(x X, wx float64) {
-			if _, changed := scratch.idx.find(x); changed {
+			if _, changed := scratch.find(x); changed {
 				return
 			}
 			other.each(func(y Y, wy float64) {

@@ -191,3 +191,82 @@ func TestJoinMultiGroupAbortRestoresEverySide(t *testing.T) {
 		}
 	}
 }
+
+// TestJoinReserveIsExactForLoads pins what a join reserves outside a
+// transaction: what the push asserts, run × other under each key. For a
+// load — one side then the other, or both sides of a self-join in one
+// push — that is exactly the distinct records it accumulates, and the
+// entry array the first add finds is the one the push emits: reserved
+// once, never regrown. A push that is not a load is not charged for the
+// group it touches: moving weight inside a 60 × 60 group reserves its
+// 2 × 60 differences, not the 3 720 records a rescale could touch, so its
+// accumulator stays under the retention bound and is kept from push to
+// push (an upper bound here cost the inverse-push walk 10× its bytes).
+func TestJoinReserveIsExactForLoads(t *testing.T) {
+	key := func(x int) int { return x % 5 }
+	var j *JoinNode[int, int, int, [2]int]
+	// reduce runs once per add, after the reservation: it sees which
+	// records the push accumulates and the array it accumulates them in.
+	added := map[[2]int]bool{}
+	atFirstAdd := 0
+	pair := func(x, y int) [2]int {
+		if len(added) == 0 {
+			atFirstAdd = cap(j.diff.ents)
+		}
+		added[[2]int{x, y}] = true
+		return [2]int{x, y}
+	}
+	emitted := 0
+	watch := func(batch []Delta[[2]int]) { emitted = cap(batch) }
+	check := func(what string, want int) {
+		t.Helper()
+		if len(added) != want {
+			t.Fatalf("%s accumulated %d distinct records, want %d", what, len(added), want)
+		}
+		if want > 0 && (atFirstAdd < want || emitted != atFirstAdd) {
+			t.Fatalf("%s: room for %d entries at the first add, %d emitted, %d needed — not reserved once", what, atFirstAdd, emitted, want)
+		}
+		clear(added)
+	}
+	unit := func(lo, hi int) []Delta[int] {
+		var ds []Delta[int]
+		for x := lo; x < hi; x++ {
+			ds = append(ds, Delta[int]{x, 1})
+		}
+		return ds
+	}
+
+	a, b := NewInput[int](), NewInput[int]()
+	j = Join(a, b, key, key, pair)
+	j.Subscribe(watch)
+	a.Push(unit(0, 60))
+	check("loading one side against an empty other", 0)
+	b.Push(unit(0, 45))
+	check("loading the other side", 5*12*9)
+
+	in := NewInput[int]()
+	j = Join(in, in, key, key, pair)
+	j.Subscribe(watch)
+	in.Push(unit(0, 1000)) // 5 keys × 200 × 200: past every retention bound
+	check("a self-join load", 5*200*200)
+
+	a, b = NewInput[int](), NewInput[int]()
+	j = Join(a, b, func(int) int { return 0 }, func(int) int { return 0 }, pair)
+	j.Subscribe(watch)
+	a.Push(unit(0, 60))
+	b.Push(unit(0, 60))
+	check("a one-key load", 60*60)
+	var kept *Delta[[2]int]
+	for step := 0; step < 4; step++ {
+		a.Push([]Delta[int]{{step, 0.25}, {step + 1, -0.25}}) // the group's norm stays put
+		check("moving weight inside a group", 2*60)
+		if c := cap(j.diff.ents); c == 0 || c > scratchRetain {
+			t.Fatalf("a 2-difference push left an accumulator of capacity %d (kept ones are 1..%d)", c, scratchRetain)
+		}
+		if first := &j.diff.ents[:1][0]; step > 0 && first != kept {
+			t.Fatal("the accumulator was reallocated between two small pushes")
+		} else {
+			kept = first
+		}
+	}
+}

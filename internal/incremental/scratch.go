@@ -1,6 +1,12 @@
 package incremental
 
-import "hash/maphash"
+import (
+	"fmt"
+	"hash/maphash"
+	"math"
+	"math/bits"
+	"slices"
+)
 
 // Per-push scratch of the stateful operators. A push needs two transient
 // lookups — "have I seen this record (or key) earlier in this batch?" and
@@ -8,13 +14,14 @@ import "hash/maphash"
 // them a thousand times a second about a handful of records, right after a
 // bulk load asked them once about every record there is. Both helpers here
 // cost what the push in hand costs, never what the largest push so far
-// did: small pushes never hash, resetting touches no per-key memory, and
-// whatever a bulk load grew is handed back to the allocator when that
-// push ends (Recycle).
+// did: small pushes never hash, resetting touches no per-key memory, a
+// bulk load sizes what it needs once from what it is about to do
+// (reserve) and hands it back to the allocator — or on to the one
+// consumer of what it emitted — when that push ends (Recycle).
 
 const (
 	// scratchLinear is the distinct-key count up to which a scratchIndex
-	// answers lookups by scanning its key slice: at most one cache line
+	// answers lookups by scanning its entries: at most two cache lines
 	// of packed keys, cheaper than hashing one of them.
 	scratchLinear = 8
 
@@ -24,10 +31,13 @@ const (
 	scratchRetain = 1 << 10
 )
 
-// hashSeed is the process-wide hash seed, shared by every scratchIndex
-// and by the sharded executor's record routing.
+// hashSeed is the process-wide hash seed. Two things hash under it:
+// every scratchIndex probe, for every key type (a fixed 64-bit finaliser
+// for the packed uint64 keys was tried and dropped: the hash is 3 % of a
+// load, the cache miss on the cell it picks is the rest), and the sharded
+// executor's record routing.
 //
-//wpinq:nondeterministic-ok the one sanctioned random seed. A scratchIndex uses it only to pick probe cells — slots are assigned in first-appearance order whatever the seed — and shard routing is documented as per-process (HashSeed); drawn once at init, never on a scoring path
+//wpinq:nondeterministic-ok the one sanctioned random seed, drawn once at init, never on a scoring path. Its two users: scratchIndex.probe, where it only picks cells — slots are assigned in first-appearance order whatever the seed, so no result depends on it — and engine.shardOf, whose routing is documented as per-process (HashSeed)
 var hashSeed = maphash.MakeSeed()
 
 // HashSeed returns the process-wide hash seed. The sharded executor
@@ -41,9 +51,16 @@ var hashSeed = maphash.MakeSeed()
 // not route, and are bit-reproducible across processes too).
 func HashSeed() maphash.Seed { return hashSeed }
 
-// Recycle empties a per-push buffer for reuse — or releases it, when the
-// push was a load that grew it past scratchRetain. Both executors reset
-// every per-push buffer through it.
+// Recycle empties a per-push buffer for reuse — or releases it,
+// returning nil, when the push was a load that grew it past
+// scratchRetain. Both executors reset every per-push buffer through it,
+// so it is also the one statement of when an emitted batch changes
+// hands: a node that emits a buffer and then Recycles it has, when the
+// answer is nil, left the emission as the array's only reference, and a
+// batch's single receiver — asking Recycle the same question of the same
+// array — may then keep it instead of copying it (the engine's shard
+// output buffers do). Every other emission is the emitter's, to be
+// overwritten by its next push.
 //
 // What tells a load from a fit is the transaction: every proposal of a
 // fit is pushed inside one (keep), and the only pushes outside one are
@@ -61,15 +78,19 @@ func Recycle[T any](buf []T, keep bool) []T {
 }
 
 // scratchIndex assigns dense slots to the distinct keys of one push, in
-// first-appearance order. Up to scratchLinear keys it is the key slice
-// alone; past that it also keeps an open-addressing table of slots,
-// whose cells are stamped with the generation that wrote them so that
-// starting over is a generation bump, not a sweep.
+// first-appearance order, and keeps one float per key for its owner
+// beside the key — the running sum of a difference accumulator, a
+// record's pre-push weight, a record's consolidated delta — so that a
+// slot is one array element, and the array of an accumulator is the batch
+// it emits. Up to scratchLinear keys the index is that array alone; past
+// that it also keeps an open-addressing table of slots, whose cells are
+// stamped with the generation that wrote them so that starting over is a
+// generation bump, not a sweep.
 type scratchIndex[K comparable] struct {
-	keys   []K
+	ents   []Delta[K]    // ents[i]: the i-th distinct key and its owner's float
 	cells  []scratchCell // power-of-two length, at most half full
 	gen    uint32        // stamp of the cells written this push; never 0 while hashed
-	hashed bool          // cells index keys (this push outgrew scratchLinear)
+	hashed bool          // cells index ents (this push outgrew scratchLinear, or reserved past it)
 }
 
 // scratchCell is one table cell: live when its stamp is the current
@@ -88,7 +109,7 @@ func (s *scratchIndex[K]) probe(k K) (cell int, slot int, ok bool) {
 		if c.gen != s.gen {
 			return int(p), 0, false
 		}
-		if s.keys[c.slot] == k {
+		if s.ents[c.slot].Record == k {
 			return int(p), int(c.slot), true
 		}
 	}
@@ -100,26 +121,26 @@ func (s *scratchIndex[K]) find(k K) (int, bool) {
 		_, i, ok := s.probe(k)
 		return i, ok
 	}
-	for i, x := range s.keys {
-		if x == k {
+	for i := range s.ents {
+		if s.ents[i].Record == k {
 			return i, true
 		}
 	}
 	return 0, false
 }
 
-// slot returns k's slot, assigning the next one (fresh) when this is
-// k's first appearance in the push.
+// slot returns k's slot, assigning the next one (fresh, its float zero)
+// when this is k's first appearance in the push.
 func (s *scratchIndex[K]) slot(k K) (i int, fresh bool) {
 	if !s.hashed {
-		for i, x := range s.keys {
-			if x == k {
+		for i := range s.ents {
+			if s.ents[i].Record == k {
 				return i, false
 			}
 		}
-		if len(s.keys) < scratchLinear {
-			s.keys = append(s.keys, k)
-			return len(s.keys) - 1, true
+		if len(s.ents) < scratchLinear {
+			s.ents = append(s.ents, Delta[K]{Record: k})
+			return len(s.ents) - 1, true
 		}
 		s.rehash(max(len(s.cells), 4*scratchLinear))
 	}
@@ -127,14 +148,33 @@ func (s *scratchIndex[K]) slot(k K) (i int, fresh bool) {
 	if ok {
 		return i, false
 	}
-	i = len(s.keys)
-	s.keys = append(s.keys, k)
-	if 2*len(s.keys) > len(s.cells) {
+	i = len(s.ents)
+	s.ents = append(s.ents, Delta[K]{Record: k})
+	if 2*len(s.ents) > len(s.cells) {
 		s.rehash(2 * len(s.cells))
 	} else {
 		s.cells[cell] = scratchCell{gen: s.gen, slot: int32(i)}
 	}
 	return i, true
+}
+
+// reserve readies an empty index for a push expected to hold n distinct
+// keys: the entry array is allocated once at that size and the table is
+// built once at its final size, so a push that stays inside n neither
+// regrows nor rehashes, and one that outruns it grows as if nothing had
+// been reserved. Stateful nodes call it for loads only — pushes outside
+// a transaction, whose buffers start from nothing and whose size costs
+// one pass over the push's keys; a transaction's buffers already sit at
+// the fit's high-water mark. Slots are 32-bit: a push that could need
+// more is refused here, before it allocates, rather than left to wrap.
+func (s *scratchIndex[K]) reserve(n int) {
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("incremental: push of %d distinct records exceeds the %d a scratch index can number", n, math.MaxInt32))
+	}
+	s.ents = slices.Grow(s.ents, n)
+	if n > scratchLinear {
+		s.rehash(max(len(s.cells), 1<<bits.Len(uint(2*n-1))))
+	}
 }
 
 // rehash indexes every key in a table of n cells under a new generation,
@@ -149,18 +189,18 @@ func (s *scratchIndex[K]) rehash(n int) {
 		s.gen = 1
 	}
 	s.hashed = true
-	for i, k := range s.keys {
-		cell, _, _ := s.probe(k)
+	for i := range s.ents {
+		cell, _, _ := s.probe(s.ents[i].Record)
 		s.cells[cell] = scratchCell{gen: s.gen, slot: int32(i)}
 	}
 }
 
 // reset forgets every key. The table is left as it is — the next push
-// to need it stamps a new generation — unless Recycle releases the keys,
-// in which case the table goes with them.
+// to need it stamps a new generation — unless Recycle releases the
+// entries, in which case the table goes with them.
 func (s *scratchIndex[K]) reset(keep bool) {
 	s.hashed = false
-	if s.keys = Recycle(s.keys, keep); s.keys == nil {
+	if s.ents = Recycle(s.ents, keep); s.ents == nil {
 		s.cells = nil
 	}
 }
@@ -172,16 +212,17 @@ func (s *scratchIndex[K]) reset(keep bool) {
 // turns the counts into offsets, and scatters the batch into one flat
 // reusable array.
 type keyGrouper[K comparable, T comparable] struct {
-	idx   scratchIndex[K]
-	slots []int32    // slots[j]: key slot of batch[j]
-	ends  []int      // after group: ends[i] is where key i's run ends in flat
-	flat  []Delta[T] // the batch, stably reordered by key slot
+	idx   scratchIndex[K] // the distinct keys; their floats are unused
+	slots []int32         // slots[j]: key slot of batch[j]
+	ends  []int           // after group: ends[i] is where key i's run ends in flat
+	flat  []Delta[T]      // the batch, stably reordered by key slot
 }
 
-// group partitions batch and returns its distinct keys; run(i) is then
-// the i-th key's differences. The result is valid until the next group
-// or reset.
-func (g *keyGrouper[K, T]) group(batch []Delta[T], key func(T) K) []K {
+// group partitions batch and returns its distinct keys, as the Record of
+// each entry; run(i) is then the i-th key's differences. The result is
+// valid until the next group or reset.
+func (g *keyGrouper[K, T]) group(batch []Delta[T], key func(T) K) []Delta[K] {
+	g.slots = slices.Grow(g.slots, len(batch))
 	for _, d := range batch {
 		i, fresh := g.idx.slot(key(d.Record))
 		if fresh {
@@ -204,7 +245,7 @@ func (g *keyGrouper[K, T]) group(batch []Delta[T], key func(T) K) []K {
 		g.flat[g.ends[i]] = d
 		g.ends[i]++
 	}
-	return g.idx.keys
+	return g.idx.ents
 }
 
 // run returns the differences of the i-th key of the last group call.

@@ -3,7 +3,10 @@ package incremental
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"wpinq/internal/weighted"
 )
 
 // checkSlots feeds keys through idx.slot and checks every answer against
@@ -23,11 +26,11 @@ func checkSlots(t *testing.T, idx *scratchIndex[int], keys []int) {
 			t.Fatalf("slot(%d) = %d, fresh %v; want %d, fresh %v", k, i, fresh, w, !seen)
 		}
 	}
-	if len(idx.keys) != len(want) {
-		t.Fatalf("%d keys held, want %d", len(idx.keys), len(want))
+	if len(idx.ents) != len(want) {
+		t.Fatalf("%d keys held, want %d", len(idx.ents), len(want))
 	}
 	for k, w := range want {
-		if i, ok := idx.find(k); !ok || i != w || idx.keys[i] != k {
+		if i, ok := idx.find(k); !ok || i != w || idx.ents[i].Record != k {
 			t.Fatalf("find(%d) = %d, %v; want %d, true", k, i, ok, w)
 		}
 	}
@@ -60,7 +63,7 @@ func TestScratchIndexHandOverAtThreshold(t *testing.T) {
 		}
 	}
 	idx.reset(false)
-	if idx.hashed || len(idx.keys) != 0 {
+	if idx.hashed || len(idx.ents) != 0 {
 		t.Fatal("reset left the index hashed or non-empty")
 	}
 	if _, ok := idx.find(999); ok {
@@ -77,8 +80,8 @@ func TestScratchIndexGrows(t *testing.T) {
 			keys[i] = rng.Intn(2000) // plenty of repeats
 		}
 		checkSlots(t, &idx, keys)
-		if idx.hashed && 2*len(idx.keys) > len(idx.cells) {
-			t.Fatalf("table over half full: %d keys in %d cells", len(idx.keys), len(idx.cells))
+		if idx.hashed && 2*len(idx.ents) > len(idx.cells) {
+			t.Fatalf("table over half full: %d keys in %d cells", len(idx.ents), len(idx.cells))
 		}
 		idx.reset(false)
 	}
@@ -125,19 +128,19 @@ func TestScratchReleasesLoadCapacity(t *testing.T) {
 	}
 	fill(scratchRetain / 2)
 	idx.reset(false)
-	if idx.keys == nil || idx.cells == nil {
+	if idx.ents == nil || idx.cells == nil {
 		t.Fatalf("a load of %d keys, under the bound, lost its buffers", scratchRetain/2)
 	}
 	fill(4 * scratchRetain)
 	idx.reset(true)
-	if cap(idx.keys) < 4*scratchRetain || idx.cells == nil {
+	if cap(idx.ents) < 4*scratchRetain || idx.cells == nil {
 		t.Fatalf("a transaction's push of %d keys lost its buffers", 4*scratchRetain)
 	}
 	fill(10)
 	idx.reset(false)
-	if idx.keys != nil || idx.cells != nil {
+	if idx.ents != nil || idx.cells != nil {
 		t.Fatalf("oversized buffers survived a push outside a transaction (cap %d keys, %d cells; bound %d)",
-			cap(idx.keys), len(idx.cells), scratchRetain)
+			cap(idx.ents), len(idx.cells), scratchRetain)
 	}
 	checkSlots(t, &idx, []int{5, 6, 5, 7}) // and works from nothing again
 
@@ -160,8 +163,8 @@ func TestScratchReleasesLoadCapacity(t *testing.T) {
 		func(x, y int) [2]int { return [2]int{x, y} })
 	scratch := func() map[string]int {
 		return map[string]int{
-			"grouper flat": cap(j.byKeyA.flat), "grouper slots": cap(j.byKeyA.slots), "grouper keys": cap(j.byKeyA.idx.keys),
-			"diff weights": cap(j.diff.ws), "diff batch": cap(j.diff.out), "diff keys": cap(j.diff.idx.keys),
+			"grouper flat": cap(j.byKeyA.flat), "grouper slots": cap(j.byKeyA.slots), "grouper keys": cap(j.byKeyA.idx.ents),
+			"diff entries": cap(j.diff.ents), "diff table": len(j.diff.cells),
 		}
 	}
 	bulk := make([]Delta[int], 4*scratchRetain)
@@ -230,7 +233,8 @@ func TestKeyGrouperMatchesMapBuckets(t *testing.T) {
 		if len(keys) != len(wantKeys) {
 			t.Fatalf("trial %d: %d keys, want %d", trial, len(keys), len(wantKeys))
 		}
-		for i, k := range keys {
+		for i, e := range keys {
+			k := e.Record
 			if k != wantKeys[i] {
 				t.Fatalf("trial %d: key %d is %d, want %d (first-appearance order)", trial, i, k, wantKeys[i])
 			}
@@ -246,4 +250,141 @@ func TestKeyGrouperMatchesMapBuckets(t *testing.T) {
 		}
 		g.reset(false)
 	}
+}
+
+// refDiff is the obvious difference accumulator orderedDiff must match
+// bit for bit: a record -> position map, an order slice, and the same
+// per-add arithmetic (sum, collapse below Eps to exactly zero).
+type refDiff struct {
+	pos  map[int]int
+	recs []int
+	ws   []float64
+}
+
+func (r *refDiff) add(x int, w float64) {
+	i, seen := r.pos[x]
+	if !seen {
+		if r.pos == nil {
+			r.pos = map[int]int{}
+		}
+		i = len(r.recs)
+		r.pos[x] = i
+		r.recs = append(r.recs, x)
+		r.ws = append(r.ws, 0)
+	} else {
+		w += r.ws[i]
+	}
+	if math.Abs(w) < weighted.Eps {
+		w = 0
+	}
+	r.ws[i] = w
+}
+
+func (r *refDiff) takeBatch() []Delta[int] {
+	var out []Delta[int]
+	for i, w := range r.ws {
+		if w != 0 {
+			out = append(out, Delta[int]{r.recs[i], w})
+		}
+	}
+	*r = refDiff{}
+	return out
+}
+
+// TestOrderedDiffMatchesReference pins "same order, same floats" for the
+// in-place accumulator: over random add sequences — repeats, sums that
+// collapse below Eps and are re-added later, every side of scratchLinear
+// and scratchRetain, a reservation smaller than, equal to and larger
+// than the distinct count, one accumulator reused across kept and
+// released flushes — it emits the reference's records, in its order,
+// with its weight bits.
+func TestOrderedDiffMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	weights := []float64{1, -1, 0.5, -0.5, 0.25, weighted.Eps / 4, -weighted.Eps / 4, 0}
+	var d orderedDiff[int]
+	var ref refDiff
+	for trial := 0; trial < 400; trial++ {
+		dom := []int{3, scratchLinear, scratchLinear + 1, 40, 700, 3 * scratchRetain}[trial%6]
+		adds := make([]Delta[int], rng.Intn(4*dom+2))
+		distinct := map[int]bool{}
+		for i := range adds {
+			w := weights[rng.Intn(len(weights))]
+			if rng.Intn(3) == 0 {
+				w = rng.NormFloat64()
+			}
+			adds[i] = Delta[int]{rng.Intn(dom), w}
+			distinct[adds[i].Record] = true
+		}
+		switch trial % 4 { // 0: no reservation
+		case 1:
+			d.reserve(len(distinct) / 2)
+		case 2:
+			d.reserve(len(distinct))
+		case 3:
+			d.reserve(3*len(distinct) + 9)
+		}
+		for _, a := range adds {
+			d.add(a.Record, a.Weight)
+			ref.add(a.Record, a.Weight)
+		}
+		if len(d.ents) != len(distinct) {
+			t.Fatalf("trial %d: %d entries for %d distinct records", trial, len(d.ents), len(distinct))
+		}
+		keep := rng.Intn(2) == 0
+		got, want := d.takeBatch(keep), ref.takeBatch()
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d differences, want %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Record != want[i].Record || math.Float64bits(got[i].Weight) != math.Float64bits(want[i].Weight) {
+				t.Fatalf("trial %d: difference %d is %v, want %v (same record, same bits)", trial, i, got[i], want[i])
+			}
+		}
+		if len(d.ents) != 0 || d.hashed {
+			t.Fatalf("trial %d: takeBatch left %d entries (hashed %v)", trial, len(d.ents), d.hashed)
+		}
+		// The emitted batch is the entry array: kept for the next push
+		// inside a transaction, given up with its table after a load.
+		if !keep && cap(got) > scratchRetain {
+			if d.ents != nil || d.cells != nil {
+				t.Fatalf("trial %d: a load's %d-entry array (or its table) outlived the flush", trial, cap(got))
+			}
+		} else if len(got) > 0 && (cap(d.ents) != cap(got) || &got[0] != &d.ents[:1][0]) {
+			t.Fatalf("trial %d (keep %v): the emitted batch is not the kept entry array", trial, keep)
+		}
+	}
+}
+
+// TestScratchReserveBuildsOnce pins what reserve is for: a push that
+// stays inside its reservation allocates its entry array and its table
+// once — no regrowth, no rehash — and one that could need more slots
+// than a cell can number is refused before it allocates anything.
+func TestScratchReserveBuildsOnce(t *testing.T) {
+	const n = 5 * scratchRetain
+	var idx scratchIndex[int]
+	idx.reserve(n)
+	ents, cells, gen := &idx.ents[:1][0], &idx.cells[0], idx.gen
+	if cap(idx.ents) < n || len(idx.cells) < 2*n {
+		t.Fatalf("reserve(%d) left room for %d entries in %d cells", n, cap(idx.ents), len(idx.cells))
+	}
+	keys := make([]int, 2*n)
+	for i := range keys {
+		keys[i] = (i * 7919) % n // every key twice
+	}
+	checkSlots(t, &idx, keys)
+	if &idx.ents[0] != ents || &idx.cells[0] != cells || idx.gen != gen {
+		t.Fatalf("a push inside its reservation regrew or rehashed (generation %d -> %d)", gen, idx.gen)
+	}
+
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.HasPrefix(msg, "incremental: push of 2147483648 distinct records exceeds") {
+			t.Fatalf("reserve past the slot width: recovered %q, want the named panic", msg)
+		}
+		if idx.ents != nil {
+			t.Fatal("the refused reservation allocated")
+		}
+	}()
+	idx.reset(false)
+	idx.reserve(math.MaxInt32 + 1)
 }

@@ -134,31 +134,45 @@ func NewNoisyCountSink[T comparable](source Source[T], obs Observations[T], doma
 	return s
 }
 
+// onInput applies a batch one run of equal consecutive records at a time:
+// the observation, the current weight and the transaction's first-touch
+// bookkeeping are looked up once per run and the weight is written back
+// once, while the float operations are the per-difference ones in the
+// per-difference order — so how a stream is cut into batches or runs
+// cannot show in l1. Unit sinks (wedges, tbi) receive nothing but one
+// record: hundreds of differences per proposal, a million per load.
 func (s *NoisyCountSink[T]) onInput(batch []Delta[T]) {
-	for _, d := range batch {
-		mv, ok := s.m[d.Record]
+	for i := 0; i < len(batch); {
+		x := batch[i].Record
+		mv, ok := s.m[x]
 		if !ok {
-			mv = s.src.Get(d.Record)
-			s.m[d.Record] = mv
-			s.order = append(s.order, d.Record)
+			mv = s.src.Get(x)
+			s.m[x] = mv
+			s.order = append(s.order, x)
 			s.l1 += math.Abs(mv) // q was 0 until now
 		}
-		oldQ := s.q[d.Record]
+		q, had := s.q[x]
 		if s.gate.Active() {
-			if _, seen := s.txnSeen[d.Record]; !seen {
-				s.txnSeen[d.Record] = struct{}{}
-				_, had := s.q[d.Record]
-				s.undo = append(s.undo, sinkUndo[T]{x: d.Record, oldQ: oldQ, had: had})
+			if _, seen := s.txnSeen[x]; !seen {
+				s.txnSeen[x] = struct{}{}
+				s.undo = append(s.undo, sinkUndo[T]{x: x, oldQ: q, had: had})
 			}
 		}
-		newQ := oldQ + d.Weight
-		if math.Abs(newQ) < 1e-12 {
-			newQ = 0
-			delete(s.q, d.Record)
-		} else {
-			s.q[d.Record] = newQ
+		l1 := s.l1
+		for ; i < len(batch) && batch[i].Record == x; i++ {
+			newQ := q + batch[i].Weight
+			if math.Abs(newQ) < 1e-12 {
+				newQ = 0
+			}
+			l1 += math.Abs(newQ-mv) - math.Abs(q-mv)
+			q = newQ
 		}
-		s.l1 += math.Abs(newQ-mv) - math.Abs(oldQ-mv)
+		s.l1 = l1
+		if q == 0 {
+			delete(s.q, x)
+		} else {
+			s.q[x] = q
+		}
 	}
 }
 

@@ -228,3 +228,85 @@ func TestEmptyBatchNoEmission(t *testing.T) {
 		t.Errorf("empty pushes triggered %d emissions, want 0", calls)
 	}
 }
+
+// TestSinkRunsMatchPerDelta pins "same order, same floats" for the
+// sink's run loop: the same differences delivered as one batch, cut into
+// arbitrary sub-batches (mid-run included) and one at a time — where
+// every run has length one, the per-difference loop this one replaced —
+// leave bit-equal L1, equal weights and the same observation order;
+// outside a transaction, inside one that commits, and inside one that
+// aborts (where observations drawn by the aborted pushes are kept).
+// Streams are runs of a few records, some never observed before, with
+// weights that cancel exactly or fall under the sink's 1e-12 mid-run.
+func TestSinkRunsMatchPerDelta(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	const dom = 8
+	weights := []float64{1, -1, 1, -1, 0.5, -0.5, 3e-13, -3e-13}
+	stream := func() []Delta[int] {
+		var ds []Delta[int]
+		for runs := 1 + rng.Intn(12); runs > 0; runs-- {
+			x := rng.Intn(dom)
+			for n := 1 + rng.Intn(6); n > 0; n-- {
+				w := weights[rng.Intn(len(weights))]
+				if rng.Intn(4) == 0 {
+					w = rng.NormFloat64()
+				}
+				ds = append(ds, Delta[int]{x, w})
+			}
+		}
+		return ds
+	}
+	for trial := 0; trial < 300; trial++ {
+		warm, body := stream(), stream()
+		for _, mode := range []string{"load", "commit", "abort"} {
+			type outcome struct {
+				l1   uint64
+				q    [dom]float64
+				keys string
+			}
+			var got [3]outcome
+			for cut := range got {
+				in := NewInput[int]()
+				s := NewNoisyCountSink[int](in, obsFunc[int](rngObs), []int{0, 1, 2}, 0.5)
+				in.Push(warm)
+				if mode != "load" {
+					in.Begin()
+				}
+				for rest := body; len(rest) > 0; {
+					n := len(rest) // cut 0: the whole stream at once
+					switch cut {
+					case 1:
+						n = 1 + rng.Intn(len(rest))
+					case 2:
+						n = 1
+					}
+					in.Push(rest[:n])
+					rest = rest[n:]
+				}
+				switch mode {
+				case "commit":
+					in.Commit()
+				case "abort":
+					in.Abort()
+				}
+				keys, err := s.ObservedKeys()
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := outcome{l1: math.Float64bits(s.L1())}
+				for x := range o.q {
+					o.q[x] = s.Weight(x)
+				}
+				for _, k := range keys {
+					o.keys += string(k) + ","
+				}
+				got[cut] = o
+			}
+			for cut, o := range got[1:] {
+				if o != got[0] {
+					t.Fatalf("trial %d, %s: delivery %d ended at %+v, one batch at %+v", trial, mode, cut+1, o, got[0])
+				}
+			}
+		}
+	}
+}

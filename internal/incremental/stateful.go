@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"math"
+	"slices"
 
 	"wpinq/internal/weighted"
 )
@@ -67,7 +68,7 @@ func minMaxNode[T comparable](a, b Source[T], pick func(x, y float64) float64) *
 	n := &MinMaxNode[T]{}
 	handle := func(own, other *stateMap[T]) Handler[T] {
 		return func(batch []Delta[T]) {
-			out := n.out
+			out := slices.Grow(n.out, len(batch))
 			for _, d := range batch {
 				oldW, newW := own.apply(d.Record, d.Weight)
 				ow := other.weight(d.Record)
@@ -174,7 +175,15 @@ func GroupBy[T comparable, K comparable, R comparable](
 
 func (n *GroupByNode[T, K, R]) onInput(batch []Delta[T]) {
 	diff := &n.diff
-	for i, k := range n.byKey.group(batch, n.key) {
+	inTxn := n.gate.Active()
+	keys := n.byKey.group(batch, n.key)
+	if !inTxn {
+		// A group of equal weights — every group of a load — reduces to
+		// one prefix: one retracted and one asserted per key.
+		diff.reserve(2 * len(keys))
+	}
+	for i, e := range keys {
+		k := e.Record
 		group := n.groups[k]
 		// Retract old outputs.
 		n.expand(k, group, func(g weighted.Grouped[K, R], w float64) { diff.add(g, -w) })
@@ -191,7 +200,7 @@ func (n *GroupByNode[T, K, R]) onInput(batch []Delta[T]) {
 		for _, d := range n.byKey.run(i) {
 			group.apply(d.Record, d.Weight)
 		}
-		if group.len() == 0 && !n.gate.Active() {
+		if group.len() == 0 && !inTxn {
 			// Deletion is deferred to commit inside a transaction so
 			// Abort can restore the group in place.
 			n.drop(k, group)
@@ -200,7 +209,6 @@ func (n *GroupByNode[T, K, R]) onInput(batch []Delta[T]) {
 		// Assert new outputs.
 		n.expand(k, group, func(g weighted.Grouped[K, R], w float64) { diff.add(g, w) })
 	}
-	inTxn := n.gate.Active()
 	n.byKey.reset(inTxn)
 	n.emit(diff.takeBatch(inTxn))
 }
@@ -243,8 +251,7 @@ type ShaveNode[T comparable] struct {
 	// distinct record, not one per delta — a record at weight W expands
 	// to O(W) slices, so per-delta expansion is quadratic in W while
 	// per-record expansion is linear.
-	pending scratchIndex[T]
-	pendW   []float64 // pendW[i]: summed delta of pending.keys[i]
+	pending scratchIndex[T] // each distinct record of the batch and its summed delta
 	diff    orderedDiff[weighted.Indexed[T]]
 }
 
@@ -286,20 +293,23 @@ func ShaveConst[T comparable](src Source[T], w float64) *ShaveNode[T] {
 // StateSize returns the number of records indexed by the node.
 func (n *ShaveNode[T]) StateSize() int { return n.state.len() }
 
-//wpinq:txn-exempt pendW is per-push scratch; the record index is written through stateMap.apply, which logs
+//wpinq:txn-exempt pending is per-push scratch; the record index is written through stateMap.apply, which logs
 func (n *ShaveNode[T]) onInput(batch []Delta[T]) {
 	// Consolidate per record in first-appearance order, then expand each
 	// distinct record exactly once.
 	for _, d := range batch {
-		if i, fresh := n.pending.slot(d.Record); fresh {
-			n.pendW = append(n.pendW, d.Weight)
-		} else {
-			n.pendW[i] += d.Weight
-		}
+		i, _ := n.pending.slot(d.Record)
+		n.pending.ents[i].Weight += d.Weight
 	}
 	diff := &n.diff
-	for i, x := range n.pending.keys {
-		oldW, newW := n.state.apply(x, n.pendW[i])
+	inTxn := n.gate.Active()
+	if !inTxn {
+		// A load's unit differences shave into one slice each.
+		diff.reserve(len(batch))
+	}
+	for _, p := range n.pending.ents {
+		x := p.Record
+		oldW, newW := n.state.apply(x, p.Weight)
 		if oldW == newW {
 			continue
 		}
@@ -310,8 +320,6 @@ func (n *ShaveNode[T]) onInput(batch []Delta[T]) {
 			diff.add(weighted.Indexed[T]{Value: x, Index: i}, wi)
 		})
 	}
-	inTxn := n.gate.Active()
 	n.pending.reset(inTxn)
-	n.pendW = Recycle(n.pendW, inTxn)
 	n.emit(diff.takeBatch(inTxn))
 }

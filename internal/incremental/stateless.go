@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"math"
+	"slices"
 
 	"wpinq/internal/weighted"
 )
@@ -28,11 +29,14 @@ func (n *Node[T]) onTxn(op TxnOp) {
 
 // Select incrementally applies f to each record, preserving weights.
 // The output buffer is owned by the node and reused across batches
-// (see Stream.flush).
+// (see Stream.flush); like every operator whose output is bounded by its
+// input, it is sized from the batch before the loop, so a load's output
+// is allocated once rather than regrown on the way up.
 func Select[T, U comparable](src Source[T], f func(T) U) *Node[U] {
 	n := &Node[U]{}
 	var out []Delta[U]
 	src.Subscribe(func(batch []Delta[T]) {
+		out = slices.Grow(out, len(batch))
 		for _, d := range batch {
 			out = append(out, Delta[U]{f(d.Record), d.Weight})
 		}
@@ -47,6 +51,7 @@ func Where[T comparable](src Source[T], p func(T) bool) *Node[T] {
 	n := &Node[T]{}
 	var out []Delta[T]
 	src.Subscribe(func(batch []Delta[T]) {
+		out = slices.Grow(out, len(batch))
 		for _, d := range batch {
 			if p(d.Record) {
 				out = append(out, d)
@@ -102,6 +107,7 @@ func Except[T comparable](a, b Source[T]) *Node[T] {
 	a.Subscribe(func(batch []Delta[T]) { n.emit(batch) })
 	var out []Delta[T]
 	b.Subscribe(func(batch []Delta[T]) {
+		out = slices.Grow(out, len(batch))
 		for _, d := range batch {
 			out = append(out, Delta[T]{d.Record, -d.Weight})
 		}

@@ -355,43 +355,41 @@ func (m *stateMap[T]) each(f func(x T, w float64)) {
 // exactly, and zero records are skipped at flush — but unlike a
 // map-backed dataset it flushes in insertion order, so a node's emitted
 // batch order is a deterministic function of its input, never of map
-// iteration order (see stateMap).
+// iteration order (see stateMap). It is a scratchIndex whose floats are
+// the running sums — ents[i] is the i-th distinct record and its sum —
+// so the accumulator is the batch it emits.
 type orderedDiff[T comparable] struct {
-	idx scratchIndex[T] // record -> position in ws, first-appearance order
-	ws  []float64
-	out []Delta[T]
+	scratchIndex[T]
 }
 
-// add accumulates w onto record x.
+// add accumulates w onto record x (a first appearance starts from the
+// fresh entry's zero).
 func (d *orderedDiff[T]) add(x T, w float64) {
-	i, fresh := d.idx.slot(x)
-	if fresh {
-		d.ws = append(d.ws, 0)
-	} else {
-		w += d.ws[i]
-	}
+	i, _ := d.slot(x)
+	e := &d.ents[i]
+	w += e.Weight
 	if math.Abs(w) < weighted.Eps {
 		w = 0
 	}
-	d.ws[i] = w
+	e.Weight = w
 }
 
 // takeBatch returns the non-zero accumulated differences, in insertion
-// order, for immediate emission, and empties the accumulator. The
-// returned slice is the accumulator's own output buffer, valid until the
-// next takeBatch: handlers must not retain emitted batches (the Handler
-// contract), and emission is synchronous, so lending it out costs no
-// copy and no allocation at steady state. When Recycle releases the
-// buffer, the emitted batch is its only reference.
+// order, for immediate emission, and empties the accumulator. The zeros
+// are squeezed out in place and the returned slice is the accumulator's
+// own entry array, valid until the next add: handlers must not retain
+// emitted batches (the Handler contract), and emission is synchronous,
+// so lending it out costs no copy and no allocation. When Recycle
+// releases the array — a load's, past scratchRetain — the emitted batch
+// is its only reference, and its one receiver may keep it.
 func (d *orderedDiff[T]) takeBatch(keep bool) []Delta[T] {
-	out := d.out[:0]
-	for i, w := range d.ws {
-		if w != 0 {
-			out = append(out, Delta[T]{Record: d.idx.keys[i], Weight: w})
+	out := d.ents[:0]
+	for _, e := range d.ents {
+		if e.Weight != 0 {
+			out = append(out, e)
 		}
 	}
-	d.idx.reset(keep)
-	d.ws = Recycle(d.ws, keep)
-	d.out = Recycle(out, keep)
+	d.ents = out
+	d.reset(keep)
 	return out
 }

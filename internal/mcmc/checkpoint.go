@@ -38,7 +38,6 @@ import (
 	"sync"
 
 	"wpinq/internal/graph"
-	"wpinq/internal/incremental"
 )
 
 // CountingSource is a seeded rand.Source64 that counts draws, making
@@ -120,23 +119,7 @@ func NewGraphStateFromEdges(edges []graph.Edge, isolated []graph.Node, input Inp
 			return nil, fmt.Errorf("mcmc: checkpoint edge (%d,%d) is a duplicate", e.Src, e.Dst)
 		}
 	}
-	s := &GraphState{
-		g:     g,
-		edges: append([]graph.Edge(nil), edges...),
-		input: input,
-	}
-	if t, ok := input.(TxnInput); ok {
-		s.txn = t
-	}
-	batch := make([]incremental.Delta[graph.Edge], 0, 2*len(s.edges))
-	for _, e := range s.edges {
-		batch = append(batch,
-			incremental.Delta[graph.Edge]{Record: graph.Edge{Src: e.Src, Dst: e.Dst}, Weight: 1},
-			incremental.Delta[graph.Edge]{Record: graph.Edge{Src: e.Dst, Dst: e.Src}, Weight: 1},
-		)
-	}
-	s.input.Push(batch)
-	return s, nil
+	return loadGraphState(g, append([]graph.Edge(nil), edges...), input), nil
 }
 
 // SetStep overrides the runner's step counter, so a re-anchored or

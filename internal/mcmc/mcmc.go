@@ -89,22 +89,28 @@ type GraphState struct {
 // order) so the dataflow's floating-point state — and therefore a seeded
 // walk's accept/reject trace — is bit-reproducible across runs.
 func NewGraphState(g *graph.Graph, input Input) *GraphState {
-	s := &GraphState{
-		g:     g.Clone(),
-		edges: g.EdgeList(),
-		input: input,
-	}
+	return loadGraphState(g.Clone(), g.EdgeList(), input)
+}
+
+// loadGraphState couples g and its normalized edge list (both owned by
+// the new state) to input and loads the dataflow: two directed unit
+// differences per edge, in edge-list order, as one push outside any
+// transaction. The order seeds every downstream node's floating-point
+// state, so a fresh fit and a checkpoint re-anchor — the two callers —
+// must, and here do, spell it the same way.
+func loadGraphState(g *graph.Graph, edges []graph.Edge, input Input) *GraphState {
+	s := &GraphState{g: g, edges: edges, input: input}
 	if t, ok := input.(TxnInput); ok {
 		s.txn = t
 	}
-	batch := make([]incremental.Delta[graph.Edge], 0, 2*len(s.edges))
-	for _, e := range s.edges {
+	batch := make([]incremental.Delta[graph.Edge], 0, 2*len(edges))
+	for _, e := range edges {
 		batch = append(batch,
 			incremental.Delta[graph.Edge]{Record: graph.Edge{Src: e.Src, Dst: e.Dst}, Weight: 1},
 			incremental.Delta[graph.Edge]{Record: graph.Edge{Src: e.Dst, Dst: e.Src}, Weight: 1},
 		)
 	}
-	s.input.Push(batch)
+	input.Push(batch)
 	return s
 }
 

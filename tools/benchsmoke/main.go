@@ -1,6 +1,7 @@
 // Command benchsmoke is the benchmark regression gate: it runs the
-// MCMC-relevant benchmarks, the one-shot measurement benchmark and the
-// seed-graph benchmark through `go test -bench -benchmem -json`,
+// MCMC-relevant benchmarks, the one-shot measurement benchmark, the
+// seed-graph benchmark and the bulk-load benchmark through
+// `go test -bench -benchmem -json`,
 // writes every parsed per-op metric to a JSON report (BENCH_mcmc.json
 // in CI), and exits non-zero when a gated metric — ns/op, allocs/op,
 // B/op, heapMB, or fragpushes/op — is more than -threshold times worse
@@ -99,7 +100,7 @@ var resultRe = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+(.+)$`)
 var metricRe = regexp.MustCompile(`(-?[0-9][0-9.eE+-]*)\s+([^\s]+)`)
 
 func main() {
-	bench := flag.String("bench", "BenchmarkRejectHeavy|BenchmarkChains|BenchmarkEngineShards|BenchmarkFusedChains|BenchmarkMillionEdge|BenchmarkMeasureOneShot|BenchmarkSeedGraph",
+	bench := flag.String("bench", "BenchmarkRejectHeavy|BenchmarkChains|BenchmarkEngineShards|BenchmarkFusedChains|BenchmarkMillionEdge|BenchmarkMeasureOneShot|BenchmarkSeedGraph|BenchmarkBulkLoad",
 		"benchmark regexp passed to go test -bench")
 	benchtime := flag.String("benchtime", "1x", "benchtime passed to go test")
 	short := flag.Bool("short", false, "pass -short to go test (skips the million-edge full-scale run)")

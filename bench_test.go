@@ -119,6 +119,12 @@ func BenchmarkFig6Scalability(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------
 
+// oneShardInput is the edge input of a one-shard executor: what a
+// benchmark that only needs an input builds over.
+func oneShardInput() *engine.Input[graph.Edge] {
+	return engine.NewInput[graph.Edge](engine.New(1))
+}
+
 // tbiFixture wires a TbI pipeline over a clustered graph and returns the
 // MCMC runner, for per-step benchmarks.
 func tbiFixture(b *testing.B, fastPath bool) *mcmc.Runner {
@@ -128,17 +134,17 @@ func tbiFixture(b *testing.B, fastPath bool) *mcmc.Runner {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := incremental.NewInput[graph.Edge]()
+	in := oneShardInput()
 	// Inline the TbI pipeline so the join node is reachable for SetFastPath.
-	joined := incremental.Join(in, in,
+	joined := engine.Join(in, in,
 		func(e graph.Edge) graph.Node { return e.Dst },
 		func(e graph.Edge) graph.Node { return e.Src },
 		func(x, y graph.Edge) queries.Path { return queries.Path{A: x.Src, B: x.Dst, C: y.Dst} })
 	joined.SetFastPath(fastPath)
-	paths := incremental.Where[queries.Path](joined, func(p queries.Path) bool { return p.A != p.C })
-	rotated := incremental.Select[queries.Path](paths, func(p queries.Path) queries.Path { return p.Rotate() })
-	tris := incremental.Intersect[queries.Path](rotated, paths)
-	unit := incremental.Select[queries.Path](tris, func(queries.Path) queries.Unit { return queries.Unit{} })
+	paths := engine.Where[queries.Path](joined, func(p queries.Path) bool { return p.A != p.C })
+	rotated := engine.Select[queries.Path](paths, func(p queries.Path) queries.Path { return p.Rotate() })
+	tris := engine.Intersect[queries.Path](rotated, paths)
+	unit := engine.Select[queries.Path](tris, func(queries.Path) queries.Unit { return queries.Unit{} })
 	sink := incremental.NewNoisyCountSink[queries.Unit](
 		unit,
 		incremental.MapObservations[queries.Unit]{{}: queries.TbISignal(g) * 1.5},
@@ -216,7 +222,7 @@ func BenchmarkAblationBucketWidth(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			in := incremental.NewInput[graph.Edge]()
+			in := oneShardInput()
 			stream := queries.TbDPipeline(nil, in, bucket)
 			sink := incremental.NewNoisyCountSink[queries.DegTriple](
 				stream, incremental.MapObservations[queries.DegTriple]{}, nil, 0.5)
@@ -391,12 +397,11 @@ func BenchmarkSeedGraph(b *testing.B) {
 // bulkLoadSink defeats dead-code elimination in BenchmarkBulkLoad.
 var bulkLoadSink float64
 
-// BenchmarkBulkLoad times the executors' bulk push: the fused jdd,wedges
+// BenchmarkBulkLoad times the executor's bulk push: the fused jdd,wedges
 // plan of the bench program's bulk-load workload is built, attached and
 // loaded with the seed graph of a HolmeKim(4000, 5) measurement — the
-// push every fit starts with and every checkpoint re-anchor repeats — on
-// the serial reference executor (-1), the one-shard engine (1) and the
-// default engine (0, one shard per CPU). records/op is what the load has
+// push every fit starts with and every checkpoint re-anchor repeats — at
+// one shard (1) and at the default (0, one shard per CPU). records/op is what the load has
 // to move — the paths join's output, one record per ordered pair of
 // edges at a vertex — and MB-alloc/op is what it allocates to move them.
 func BenchmarkBulkLoad(b *testing.B) {
@@ -416,7 +421,7 @@ func BenchmarkBulkLoad(b *testing.B) {
 	for _, v := range seed.Nodes() {
 		records += seed.Degree(v) * seed.Degree(v)
 	}
-	for _, shards := range []int{-1, 1, 0} {
+	for _, shards := range []int{1, 0} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -522,8 +527,9 @@ func BenchmarkChains(b *testing.B) {
 // engineShardsSink defeats dead-code elimination in BenchmarkEngineShards.
 var engineShardsSink float64
 
-// BenchmarkEngineShards compares the sharded parallel executor at 1 vs N
-// shards on the paper's graph workloads: the degree distribution
+// BenchmarkEngineShards compares the executor at 1 vs N shards on the
+// paper's graph workloads, each terminated in the engine's own sharded
+// collector (so collection parallelizes with the rest of the round): the degree distribution
 // (Section 3.1), triangles by degree (Section 3.3), and the joint degree
 // distribution (Section 3.2). Each iteration bulk-loads a clustered graph
 // through the pipeline — the phase whose difference fronts are large
@@ -575,16 +581,16 @@ func BenchmarkEngineShards(b *testing.B) {
 	}
 	workloads := []struct {
 		name  string
-		build func(in incremental.Source[graph.Edge]) func() float64
+		build func(in engine.Source[graph.Edge]) func() float64
 	}{
-		{"degreedist", func(in incremental.Source[graph.Edge]) func() float64 {
-			return shardedNorm(queries.DegreeCCDFPipeline(in))
+		{"degreedist", func(in engine.Source[graph.Edge]) func() float64 {
+			return engine.Collect(queries.DegreeCCDFPipeline(in)).Norm
 		}},
-		{"triangles", func(in incremental.Source[graph.Edge]) func() float64 {
-			return shardedNorm(queries.TbDPipeline(nil, in, 20))
+		{"triangles", func(in engine.Source[graph.Edge]) func() float64 {
+			return engine.Collect(queries.TbDPipeline(nil, in, 20)).Norm
 		}},
-		{"jdd", func(in incremental.Source[graph.Edge]) func() float64 {
-			return shardedNorm(queries.JDDPipeline(nil, in))
+		{"jdd", func(in engine.Source[graph.Edge]) func() float64 {
+			return engine.Collect(queries.JDDPipeline(nil, in)).Norm
 		}},
 	}
 	for _, w := range workloads {
@@ -607,13 +613,6 @@ func BenchmarkEngineShards(b *testing.B) {
 	}
 }
 
-// shardedNorm terminates a pipeline built over a sharded root in the
-// engine's own sharded collector, so collection parallelizes with the
-// rest of the round.
-func shardedNorm[T comparable](s incremental.Source[T]) func() float64 {
-	return engine.Collect(s.(engine.Source[T])).Norm
-}
-
 // rejectHeavySink defeats dead-code elimination in BenchmarkRejectHeavy.
 var rejectHeavySink float64
 
@@ -621,12 +620,10 @@ var rejectHeavySink float64
 // protocol where it pays: a fit whose pow is harsh enough that the
 // overwhelming majority of proposals is rejected (the regime
 // replica-exchange cold chains deliberately run in). Each iteration runs
-// the same seeded 1500-step walk; the "txn" variant aborts rejected
-// proposals from the operators' undo logs (one propagation per
-// proposal), the "inverse-push" variant re-propagates the inverse swap
-// (two propagations per reject, the pre-transactional protocol). The
-// win is algorithmic — one propagation saved per reject — so it shows
-// on a single CPU; it does not depend on shard parallelism.
+// the same seeded 1500-step walk, aborting rejected proposals from the
+// operators' undo logs: one propagation per proposal, where re-pushing
+// the inverse swap — the pre-transactional protocol, last measured at
+// 675 ms against 541 — paid two per reject.
 func BenchmarkRejectHeavy(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	g, err := graph.HolmeKim(300, 4, 0.6, rng)
@@ -640,7 +637,7 @@ func BenchmarkRejectHeavy(b *testing.B) {
 	jddObserved := incremental.MapObservations[queries.DegPair]{}
 	pathsObserved := incremental.MapObservations[queries.Path]{}
 	{
-		in := incremental.NewInput[graph.Edge]()
+		in := oneShardInput()
 		jddColl := incremental.Collect(queries.JDDPipeline(nil, in))
 		pathColl := incremental.Collect(queries.PathsPipeline(nil, in))
 		in.PushDataset(graph.SymmetricEdges(g))
@@ -648,52 +645,38 @@ func BenchmarkRejectHeavy(b *testing.B) {
 		pathColl.Snapshot().Range(func(x queries.Path, w float64) { pathsObserved[x] = w })
 	}
 
-	// plainEdgeInput hides the transactional protocol, forcing the
-	// inverse-push rejection path.
-	type plainEdgeInput struct{ mcmc.Input }
-
-	for _, mode := range []struct {
-		name string
-		wrap bool
-	}{{"txn", false}, {"inverse-push", true}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var accepted int
-			var steps int
-			for i := 0; i < b.N; i++ {
-				in := incremental.NewInput[graph.Edge]()
-				sink := incremental.NewNoisyCountSink[queries.Unit](
-					queries.TbIPipeline(nil, in),
-					incremental.MapObservations[queries.Unit]{{}: observed},
-					[]queries.Unit{{}}, 0.5)
-				jddSink := incremental.NewNoisyCountSink[queries.DegPair](
-					queries.JDDPipeline(nil, in), jddObserved, nil, 0.5)
-				pathSink := incremental.NewNoisyCountSink[queries.Path](
-					queries.PathsPipeline(nil, in), pathsObserved, nil, 0.5)
-				var input mcmc.Input = in
-				if mode.wrap {
-					input = plainEdgeInput{in}
-				}
-				state := mcmc.NewGraphState(g, input)
-				r, err := mcmc.NewRunner(state, incremental.NewScorer(sink, jddSink, pathSink), mcmc.Config{Pow: 1e7}, rand.New(rand.NewSource(10)))
-				if err != nil {
-					b.Fatal(err)
-				}
-				st := r.Run(1500)
-				accepted += st.Accepted
-				steps += st.Steps
-				rejectHeavySink = st.FinalScore
+	b.Run("txn", func(b *testing.B) {
+		b.ReportAllocs()
+		var accepted int
+		var steps int
+		for i := 0; i < b.N; i++ {
+			in := oneShardInput()
+			sink := incremental.NewNoisyCountSink[queries.Unit](
+				queries.TbIPipeline(nil, in),
+				incremental.MapObservations[queries.Unit]{{}: observed},
+				[]queries.Unit{{}}, 0.5)
+			jddSink := incremental.NewNoisyCountSink[queries.DegPair](
+				queries.JDDPipeline(nil, in), jddObserved, nil, 0.5)
+			pathSink := incremental.NewNoisyCountSink[queries.Path](
+				queries.PathsPipeline(nil, in), pathsObserved, nil, 0.5)
+			state := mcmc.NewGraphState(g, in)
+			r, err := mcmc.NewRunner(state, incremental.NewScorer(sink, jddSink, pathSink), mcmc.Config{Pow: 1e7}, rand.New(rand.NewSource(10)))
+			if err != nil {
+				b.Fatal(err)
 			}
-			if steps > 0 {
-				rate := float64(accepted) / float64(steps)
-				b.ReportMetric(rate, "accept-rate")
-				if rate > 0.10 {
-					b.Fatalf("accept rate %.2f; benchmark must be reject-heavy (<0.10)", rate)
-				}
+			st := r.Run(1500)
+			accepted += st.Accepted
+			steps += st.Steps
+			rejectHeavySink = st.FinalScore
+		}
+		if steps > 0 {
+			rate := float64(accepted) / float64(steps)
+			b.ReportMetric(rate, "accept-rate")
+			if rate > 0.10 {
+				b.Fatalf("accept rate %.2f; benchmark must be reject-heavy (<0.10)", rate)
 			}
-		})
-	}
+		}
+	})
 }
 
 // fusedChainsSink defeats dead-code elimination in BenchmarkFusedChains.
@@ -779,7 +762,7 @@ func BenchmarkFusedChains(b *testing.B) {
 			// Swaps are pushed the way a fit pushes them, inside a
 			// transaction: a push outside one is a load to the operators,
 			// which release a load's oversized scratch as it ends.
-			in := p.Input().(mcmc.TxnInput)
+			in := p.Input()
 			base := p.Fusion().Pushes()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -840,7 +823,7 @@ func BenchmarkMillionEdge(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				in := incremental.NewInput[graph.Edge]()
+				in := oneShardInput()
 				ccdf := incremental.NewNoisyCountSink[int](
 					queries.DegreeCCDFPipeline(in), incremental.MapObservations[int]{}, nil, 0.5)
 				seq := incremental.NewNoisyCountSink[int](

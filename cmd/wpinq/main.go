@@ -79,7 +79,7 @@ func run(args []string) error {
 	fs.IntVar(&opts.Samples, "samples", opts.Samples, "trajectory points per figure line")
 	fs.IntVar(&opts.Repeats, "repeats", opts.Repeats, "repetitions for error bars (fig5)")
 	fs.IntVar(&opts.Shards, "shards", opts.Shards,
-		"dataflow shards: 0 = one per CPU, -1 = serial reference engine")
+		"dataflow shards: 0 = one per CPU, n = exactly n (-1 is read as 1)")
 	fs.IntVar(&opts.Chains, "chains", opts.Chains,
 		"replica-exchange chains per fit at a geometric pow ladder (0 or 1 = single chain)")
 	fuse := fs.Bool("fuse", true,

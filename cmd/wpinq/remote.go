@@ -105,7 +105,7 @@ func runRemoteSynthesize(args []string) error {
 		"comma-separated fit workloads (default: every workload in the release)")
 	steps := fs.Int("steps", 100000, "MCMC steps")
 	pow := fs.Float64("pow", 10000, "posterior sharpening")
-	shards := fs.Int("shards", 0, "dataflow shards: 0 = one per CPU, -1 = serial reference engine (omit to use the server default)")
+	shards := fs.Int("shards", 0, "dataflow shards: 0 = one per CPU, n = exactly n (-1 is read as 1) (omit to use the server default)")
 	chains := fs.Int("chains", 0, "replica-exchange chains (0 = server default, 1 = single chain)")
 	swapEvery := fs.Int("swap-every", 0, "steps between replica swap attempts (0 = default 1024)")
 	fuse := fs.Bool("fuse", true,

@@ -46,7 +46,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("wpinqd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	data := fs.String("data", "", "directory persisting released measurements (empty = in-memory)")
-	shards := fs.Int("shards", 0, "default dataflow shards per synthesis job: 0 = one per CPU, -1 = serial reference engine")
+	shards := fs.Int("shards", 0, "default dataflow shards per synthesis job: 0 = one per CPU, n = exactly n (-1 is read as 1)")
 	chains := fs.Int("chains", 1, "default replica-exchange chains per synthesis job (1 = single chain)")
 	workers := fs.Int("workers", 0, "synthesis worker pool size (0 = GOMAXPROCS divided by per-job shards)")
 	fuse := fs.Bool("fuse", true,

@@ -5,13 +5,14 @@
 // synthesizing datasets from noisy measurements.
 //
 // The implementation lives under internal/ (see DESIGN.md for the module
-// inventory). Queries execute on one of two interchangeable engines: the
-// single-threaded incremental engine (internal/incremental), which is the
-// executable reference, and the sharded parallel executor
-// (internal/engine), which hash-partitions every operator's record space
-// across CPU shards and routes weight differences to their owning shard
-// before applying them; equivalence tests pin both to the from-scratch
-// semantics in internal/weighted.
+// inventory). Incremental queries run on one executor (internal/engine):
+// a round scheduler over a dataflow graph that runs every operator once
+// per pushed change and can hash-partition each operator's record space
+// across CPU shards, routing weight differences to their owning shard
+// before applying them. The stateful operators' bodies live in
+// internal/incremental, one instance per shard; equivalence tests pin
+// both, at every shard layout, to the from-scratch semantics in
+// internal/weighted.
 //
 // cmd/wpinq regenerates the paper's tables and figures, and examples/
 // holds runnable demonstrations. bench_test.go at this root maps one

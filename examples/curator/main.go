@@ -39,7 +39,7 @@ func main() {
 func run() error {
 	// Start wpinqd on a loopback port, exactly as `wpinqd -addr ...`
 	// would (in-memory measurement store for the demo).
-	svc, err := service.New(service.Options{Shards: -1, Seed: 1})
+	svc, err := service.New(service.Options{Seed: 1})
 	if err != nil {
 		return err
 	}

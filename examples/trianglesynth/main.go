@@ -43,7 +43,7 @@ func main() {
 		Workloads: []string{"tbi"}, // triangles-by-intersect (4 eps)
 		Pow:       10000,           // near-greedy posterior (cold chain)
 		Steps:     30000,
-		Shards:    0, // sharded executor; CPUs split across chains
+		Shards:    0, // one shard per CPU, split across chains
 		Chains:    2, // replica exchange: cold (pow) + hot (pow/2)
 		SwapEvery: 2048,
 	}

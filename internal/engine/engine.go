@@ -1,11 +1,12 @@
-// Package engine is the sharded parallel executor for wPINQ's incremental
-// dataflow engine (wpinq/internal/incremental).
+// Package engine is the executor of wPINQ's incremental dataflow (paper
+// Section 4.3): the graph of inputs, operators and sinks a query is built
+// as, the round scheduler that runs it, and the sharding that runs it in
+// parallel.
 //
-// The incremental engine evaluates a query as a graph of operator nodes,
-// each translating input weight differences into output differences. Its
-// nodes are single-threaded: one goroutine owns the whole graph. This
-// package runs the same operators at scale by partitioning every
-// operator's record space into hash shards:
+// A query is a graph of operator nodes, each translating input weight
+// differences into output differences. Every operator's record space is
+// partitioned into hash shards (one shard is the serial configuration:
+// the same scheduling, nothing to route):
 //
 //   - Stateless operators (Select, Where, SelectMany, Concat, Except) are
 //     embarrassingly parallel: each round's input is cut into contiguous
@@ -16,24 +17,25 @@
 //     (respectively its key), then apply each shard's differences to that
 //     shard's private operator state in parallel.
 //
-// Each shard's state is a private instance of the corresponding
-// incremental operator, so the sharded engine inherits the incremental
-// engine's semantics — including the Join fast path — per shard; the
-// executor adds only routing, batching, and scheduling. Equivalence tests
-// against the from-scratch reference semantics in wpinq/internal/weighted
-// pin the combination.
+// Each shard's state is a private instance of the operator's body in
+// wpinq/internal/incremental — which is where the semantics, including
+// the Join fast path, live; the executor adds only routing, batching, and
+// scheduling. Equivalence tests against the from-scratch reference
+// semantics in wpinq/internal/weighted pin the combination.
 //
 // # Execution model
 //
 // A dataflow graph is built bottom-up against a single Engine: inputs via
 // NewInput, operators via the package-level constructors. Construction
 // order is topological order, and the engine schedules one round per
-// Input.Push: every node, in construction order, drains the batches its
-// upstreams emitted earlier in the round, routes them, applies them
-// shard-parallel, and emits its per-shard outputs downstream exactly once
-// (the batched update path: differences accumulate per shard and flush
-// once per round). When Push returns, every subscriber and sink reflects
-// the change, exactly like the incremental engine's synchronous Push.
+// Input.Push: every node, in construction order, takes the batches its
+// upstreams emitted earlier in the round — all of them, from every
+// upstream, at once — routes them, applies them shard-parallel, and emits
+// its per-shard outputs downstream exactly once. A node reached along
+// several paths from the input (every join whose two sides share an
+// ancestor) therefore still runs once per round, where delivering each
+// emission as it is made would run it once per path. When Push returns,
+// every subscriber and sink reflects the change.
 //
 // Rounds whose total pending work is below SerialCutoff are applied on
 // the calling goroutine (still sharded, no parallel dispatch), so the
@@ -42,16 +44,16 @@
 // Pushes may be bracketed by Input.Begin and Input.Commit/Input.Abort:
 // speculative rounds run identically, but every shard's sub-node logs
 // the pre-images of the state it overwrites, and Abort restores them in
-// O(touched keys) without another round (see txn.go and the incremental
+// O(touched keys) without another round (see txnGate and the incremental
 // package's TxnOp).
 //
-// # Interoperating with the incremental engine
+// # Sinks
 //
 // Every engine stream implements incremental.Source, so the incremental
 // package's terminal consumers — Collect, NewNoisyCountSink — attach to a
-// sharded pipeline unchanged. Handlers subscribed this way run serially
-// on the scheduling goroutine. The engine's own Collect is the sharded,
-// parallel materialization sink.
+// pipeline directly. Handlers subscribed this way run serially on the
+// scheduling goroutine. The engine's own Collect is the sharded, parallel
+// materialization sink.
 //
 // # Concurrency contract
 //
@@ -103,6 +105,8 @@ type processor interface {
 // number of shards. shards <= 0 selects one shard per available CPU
 // (GOMAXPROCS); the count is clamped to [1, MaxShards]. New(1) is the
 // serial configuration: identical scheduling, no parallel dispatch.
+// (Callers that accept the retired reference engine's -1 map it to 1
+// themselves: see workload.NewPlanFused.)
 func New(shards int) *Engine {
 	if shards <= 0 {
 		shards = runtime.GOMAXPROCS(0)
@@ -187,7 +191,8 @@ func (e *Engine) forShards(work int, f func(s int)) { e.forN(work, e.shards, f) 
 
 // port is one node's pending input from one upstream stream: the batches
 // emitted earlier in the current round, awaiting the owner's process
-// call. Batches are owned by the emitter and are read-only.
+// call. Batches are owned by the emitter and are read-only, valid until
+// the emitting node's next round.
 type port[T comparable] struct {
 	batches [][]incremental.Delta[T]
 	total   int
@@ -198,13 +203,23 @@ func (p *port[T]) add(batch []incremental.Delta[T]) {
 	p.total += len(batch)
 }
 
-// drain returns and clears the pending batches. The returned slices are
-// valid until the emitting node's next round.
-func (p *port[T]) drain() ([][]incremental.Delta[T], int) {
-	b, n := p.batches, p.total
+// reset empties the port once its owner has consumed the round. The
+// slots are cleared, not just truncated: a load's batches are the
+// emitter's released arrays, and a port that kept pointing at them would
+// keep them alive until later rounds happened to overwrite the slots.
+func (p *port[T]) reset() {
+	clear(p.batches)
 	p.batches, p.total = p.batches[:0], 0
-	return b, n
 }
+
+// txnGate is the shared event-dedup gate. Transaction control events
+// (incremental.TxnOp) travel the same edges as difference batches: each
+// node receives an event from every upstream, drops redundant deliveries
+// at its gate, applies the event to its own state — for a stateful node,
+// by fanning it into every shard's sub-node, which runs its own undo-log
+// machinery — and forwards it downstream. Events carry no data and run
+// serially on the scheduling goroutine, outside any round.
+type txnGate = incremental.TxnGate
 
 // Stream is the output side of a node: it broadcasts emitted batches to
 // downstream engine nodes (via their ports) and to handlers subscribed
@@ -238,9 +253,9 @@ func (s *Stream[T]) newPort() *port[T] {
 }
 
 // Subscribe registers a serial handler, satisfying incremental.Source.
-// The handler runs on the scheduling goroutine once per emitted batch; as
-// in the incremental engine, it must not retain or mutate the batch, and
-// subscriptions must complete before the first push.
+// The handler runs on the scheduling goroutine once per emitted batch; it
+// must not retain or mutate the batch, and subscriptions must complete
+// before the first push.
 func (s *Stream[T]) Subscribe(h incremental.Handler[T]) {
 	s.handlers = append(s.handlers, h)
 }
@@ -372,8 +387,12 @@ func recycle[T any](bufs [][]T, keep bool) {
 	}
 }
 
-// recycle releases a load's buckets once every shard has gathered them.
+// recycle ends a round once every shard has gathered its buckets: the
+// chunk table stops pointing into the upstream's batches (see port.reset)
+// and, after a load, the oversized buckets go.
 func (r *routed[T]) recycle(keep bool) {
+	clear(r.chunks)
+	r.chunks = r.chunks[:0]
 	if keep {
 		return
 	}

@@ -6,10 +6,8 @@ import (
 	"wpinq/internal/weighted"
 )
 
-// Input is the root of a sharded dataflow graph: the point where dataset
-// changes enter the computation. It mirrors incremental.Input and
-// satisfies the same pushing contract, so drivers written against the
-// incremental engine (for example mcmc.GraphState) run on either.
+// Input is the root of a dataflow graph: the point where dataset changes
+// enter the computation. It satisfies mcmc.Input.
 type Input[T comparable] struct {
 	Stream[T]
 	pending [][]incremental.Delta[T]
@@ -29,9 +27,9 @@ func (in *Input[T]) process() {
 	if len(in.pending) == 0 {
 		return
 	}
-	batches := in.pending
+	in.emit(in.pending)
+	clear(in.pending) // the caller's batch: see port.reset
 	in.pending = in.pending[:0]
-	in.emit(batches)
 }
 
 // Push propagates a batch of differences through the graph as one round.
@@ -65,11 +63,11 @@ func (in *Input[T]) Commit() { in.emitTxn(incremental.TxnCommit) }
 func (in *Input[T]) Abort() { in.emitTxn(incremental.TxnAbort) }
 
 // PushDataset pushes an entire weighted dataset as one batch: the idiom
-// for loading initial data into a freshly built graph. As with
-// incremental.Input.PushDataset, the batch is built in canonical
-// (weighted.PairsSorted) order so the bulk load — and every float
-// accumulated downstream of it — depends on the dataset's contents
-// alone, not on how it was built.
+// for loading initial data into a freshly built graph. The batch is built
+// in canonical (weighted.PairsSorted) order rather than the dataset's
+// insertion order, so the bulk load — and every float accumulated
+// downstream of it — depends on the dataset's contents alone, not on how
+// it was built. The sort is a one-time load cost.
 func (in *Input[T]) PushDataset(d *weighted.Dataset[T]) {
 	batch := make([]incremental.Delta[T], 0, d.Len())
 	for _, p := range d.PairsSorted() {

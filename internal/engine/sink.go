@@ -51,13 +51,13 @@ func Collect[T comparable](src Source[T]) *Collector[T] {
 }
 
 func (c *Collector[T]) process() {
-	batches, total := c.in.drain()
-	if total == 0 {
+	if c.in.total == 0 {
 		return
 	}
-	c.r.route(c.e, batches, total)
-	c.e.forShards(total, c.apply)
+	c.r.route(c.e, c.in.batches, c.in.total)
+	c.e.forShards(c.in.total, c.apply)
 	c.r.recycle(c.gate.Active())
+	c.in.reset()
 }
 
 // onTxn applies a transaction event to every shard's dataset. Collectors

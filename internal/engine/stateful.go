@@ -6,113 +6,228 @@ import (
 )
 
 // Stateful operators partition their indexed state by hash — of the
-// record for the element-wise operators here, of the key for GroupBy and
-// Join. Each shard's state lives inside a private instance of the
-// corresponding incremental operator, fed through a private
-// incremental.Input; the engine's contribution is the exchange that
-// routes each difference to its owning shard, the per-shard batch that
-// flushes once per round, and the parallel application. Because a
-// record's (or key's) entire history lands on one shard, each sub-node
-// observes exactly the difference stream a serial incremental node would
-// for its slice of the record space, and correctness reduces to the
-// incremental engine's, which is pinned against wpinq/internal/weighted.
+// record for Shave, Union and Intersect, of the key for GroupBy and Join.
+// Each shard's state lives inside a private instance of the corresponding
+// incremental operator, fed through a private incremental.Input; the
+// engine's contribution is the exchange that routes each difference to
+// its owning shard, the per-shard batch that flushes once per round, and
+// the parallel application. Because a record's (or key's) entire history
+// lands on one shard, each sub-node observes exactly the difference
+// stream one unsharded node would for its slice of the record space, and
+// correctness reduces to the operator bodies', which are pinned against
+// wpinq/internal/weighted.
+//
+// That protocol — port, route, per-shard feed, collect, emit, recycle,
+// transaction fan — is written once, in sharded, over one or two inlets.
+// An operator is an owner function per input (which shard a difference
+// belongs to) and a constructor for one shard's sub-node.
 
-// shardFeed is the per-shard plumbing shared by the stateful operators:
-// the private input feeding one shard's incremental sub-node and the
-// reusable contiguous batch flushed into it each round.
-type shardFeed[T comparable] struct {
-	in    *incremental.Input[T]
-	batch []incremental.Delta[T]
+// subNode is what the wiring needs of one shard's operator instance.
+type subNode[U comparable] interface {
+	incremental.Source[U]
+	StateSize() int
 }
 
-// flush pushes shard s's routed differences, if any, into the sub-node.
-func (f *shardFeed[T]) flush(r *routed[T], s int, keep bool) {
-	f.batch = r.gather(s, f.batch[:0])
-	if len(f.batch) > 0 {
-		f.in.Push(f.batch)
+// inlet is one input of a sharded operator, with its record type erased
+// so that one node wires inputs of different types.
+type inlet interface {
+	// pending reports how many differences the upstream emitted this round.
+	pending() int
+	// route buckets them by owning shard.
+	route(e *Engine)
+	// flush pushes shard s's bucket, if any, into that shard's sub-node.
+	flush(s int, keep bool)
+	// release ends the round: a load's oversized buckets go (Recycle), and
+	// the consumed batches are forgotten.
+	release(keep bool)
+	// txn fans a transaction event into every shard's sub-node.
+	txn(op incremental.TxnOp)
+}
+
+// inletOf is the inlet of a stream of T: the port its upstream emits
+// into, the hash exchange, and per shard the private input feeding that
+// shard's sub-node with the reusable contiguous batch flushed into it.
+type inletOf[T comparable] struct {
+	port  *port[T]
+	r     *routed[T]
+	feeds []*incremental.Input[T]
+	batch [][]incremental.Delta[T]
+}
+
+// newInlet subscribes a new inlet to src; owner names the shard a
+// record's differences belong to.
+func newInlet[T comparable](src Source[T], owner func(T) int) *inletOf[T] {
+	shards := src.engine().shards
+	in := &inletOf[T]{
+		port:  src.newPort(),
+		r:     newRouted(owner),
+		feeds: make([]*incremental.Input[T], shards),
+		batch: make([][]incremental.Delta[T], shards),
 	}
-	f.batch = incremental.Recycle(f.batch, keep)
+	for s := range in.feeds {
+		in.feeds[s] = incremental.NewInput[T]()
+	}
+	return in
 }
 
-// outBuffers holds the per-shard output accumulators: shard s's sub-node
-// emits into outs[s] through handler(s) — the sub-node's only subscriber
-// — and the node emits outs downstream once per round.
-type outBuffers[U comparable] struct {
-	outs [][]incremental.Delta[U]
+func (in *inletOf[T]) pending() int { return in.port.total }
+
+func (in *inletOf[T]) route(e *Engine) { in.r.route(e, in.port.batches, in.port.total) }
+
+func (in *inletOf[T]) flush(s int, keep bool) {
+	b := in.r.gather(s, in.batch[s][:0])
+	if len(b) > 0 {
+		in.feeds[s].Push(b)
+	}
+	in.batch[s] = incremental.Recycle(b, keep)
 }
 
-func newOutBuffers[U comparable](shards int) *outBuffers[U] {
-	return &outBuffers[U]{outs: make([][]incremental.Delta[U], shards)}
+func (in *inletOf[T]) release(keep bool) {
+	in.r.recycle(keep)
+	in.port.reset()
 }
 
-// handler returns shard s's subscription: it appends the sub-node's
-// emitted differences to outs[s] — or, when the emission is an array its
-// emitter has just released (incremental.Recycle, asked about the same
-// array under the node's own gate, answers as it answered the sub-node)
-// and outs[s] is empty, takes the array for outs[s] instead of copying
-// it: a load's 10^6-record emission crosses the shard boundary as a
-// slice header.
-func (o *outBuffers[U]) handler(s int, gate *txnGate) incremental.Handler[U] {
+func (in *inletOf[T]) txn(op incremental.TxnOp) {
+	for _, f := range in.feeds {
+		f.Txn(op)
+	}
+}
+
+// sharded is a stateful operator's node: inlets in flush order (a binary
+// operator's left before its right), one sub-node per shard, and the
+// per-shard output buffers the sub-nodes emit into, emitted downstream
+// once per round.
+type sharded[U comparable, S subNode[U]] struct {
+	Stream[U]
+	inlets []inlet
+	subs   []S
+	outs   [][]incremental.Delta[U]
+	apply  func(s int) // applies shard s's routed differences (see forN)
+	gate   txnGate
+}
+
+// newSharded wires a node over inlets whose shard-s sub-node is build(s).
+// The caller subscribes its onTxn to every upstream.
+func newSharded[U comparable, S subNode[U]](e *Engine, build func(s int) S, inlets ...inlet) *sharded[U, S] {
+	n := &sharded[U, S]{
+		Stream: Stream[U]{e: e},
+		inlets: inlets,
+		subs:   make([]S, e.shards),
+		outs:   make([][]incremental.Delta[U], e.shards),
+	}
+	n.apply = func(s int) {
+		n.outs[s] = n.outs[s][:0]
+		for _, in := range n.inlets {
+			in.flush(s, n.gate.Active())
+		}
+	}
+	for s := range n.subs {
+		n.subs[s] = build(s)
+		n.subs[s].Subscribe(n.collect(s))
+	}
+	e.register(n)
+	return n
+}
+
+// collect returns shard s's subscription — the sub-node's only one: it
+// appends the sub-node's emitted differences to outs[s] — or, when the
+// emission is an array its emitter has just released (incremental.Recycle,
+// asked about the same array under the node's own gate, answers as it
+// answered the sub-node) and outs[s] is empty, takes the array for outs[s]
+// instead of copying it: a load's 10^6-record emission crosses the shard
+// boundary as a slice header.
+func (n *sharded[U, S]) collect(s int) incremental.Handler[U] {
 	return func(b []incremental.Delta[U]) {
-		if len(o.outs[s]) == 0 && incremental.Recycle(b, gate.Active()) == nil {
-			o.outs[s] = b
+		if len(n.outs[s]) == 0 && incremental.Recycle(b, n.gate.Active()) == nil {
+			n.outs[s] = b
 			return
 		}
-		o.outs[s] = append(o.outs[s], b...)
+		n.outs[s] = append(n.outs[s], b...)
 	}
 }
 
-func (o *outBuffers[U]) reset(s int) { o.outs[s] = o.outs[s][:0] }
-
-// ShaveNode is the output of Shave: a record-partitioned sharding of
-// incremental.ShaveNode.
-type ShaveNode[T comparable] struct {
-	Stream[weighted.Indexed[T]]
-	in    *port[T]
-	r     *routed[T]
-	feeds []shardFeed[T]
-	subs  []*incremental.ShaveNode[T]
-	out   *outBuffers[weighted.Indexed[T]]
-	apply func(s int) // applies shard s's routed differences (see forN)
-	gate  txnGate
+func (n *sharded[U, S]) process() {
+	total := 0
+	for _, in := range n.inlets {
+		total += in.pending()
+	}
+	if total == 0 {
+		return
+	}
+	for _, in := range n.inlets {
+		in.route(n.e)
+	}
+	n.e.forShards(total, n.apply)
+	n.emit(n.outs)
+	keep := n.gate.Active()
+	for _, in := range n.inlets {
+		in.release(keep)
+	}
+	recycle(n.outs, keep)
 }
 
-// onTxn fans a transaction event into every shard's sub-node and
-// forwards it downstream.
-func (n *ShaveNode[T]) onTxn(op incremental.TxnOp) {
+// onTxn fans a transaction event into every shard's sub-node — through
+// the first inlet only: a binary sub-node's own gate treats its two
+// private inputs as one node — and forwards it downstream.
+func (n *sharded[U, S]) onTxn(op incremental.TxnOp) {
 	if !n.gate.Enter(op) {
 		return
 	}
-	fanTxn(n.feeds, op)
+	n.inlets[0].txn(op)
 	n.emitTxn(op)
 }
 
+// StateSize returns the number of records the operator indexes, summed
+// over shards: its memory footprint in records.
+func (n *sharded[U, S]) StateSize() int {
+	total := 0
+	for _, sub := range n.subs {
+		total += sub.StateSize()
+	}
+	return total
+}
+
+// unary wires a one-input operator: differences of src go to the shard
+// owner names, whose sub-node build constructs over that shard's feed.
+func unary[T, U comparable, S subNode[U]](src Source[T], owner func(T) int, build func(incremental.Source[T]) S) *sharded[U, S] {
+	in := newInlet(src, owner)
+	n := newSharded(src.engine(), func(s int) S { return build(in.feeds[s]) }, in)
+	src.SubscribeTxn(n.onTxn)
+	return n
+}
+
+// binary wires a two-input operator the same way, each side routed by
+// its own owner function.
+func binary[A, B, U comparable, S subNode[U]](
+	a Source[A], b Source[B], ownerA func(A) int, ownerB func(B) int,
+	build func(incremental.Source[A], incremental.Source[B]) S,
+) *sharded[U, S] {
+	e := sameEngine(a, b)
+	ia, ib := newInlet(a, ownerA), newInlet(b, ownerB)
+	n := newSharded(e, func(s int) S { return build(ia.feeds[s], ib.feeds[s]) }, ia, ib)
+	a.SubscribeTxn(n.onTxn)
+	b.SubscribeTxn(n.onTxn)
+	return n
+}
+
+// The operators' node types: each is the one wiring over its own shard
+// sub-node type, so every node has StateSize.
+type (
+	// ShaveNode is the output of Shave.
+	ShaveNode[T comparable] = sharded[weighted.Indexed[T], *incremental.ShaveNode[T]]
+	// MinMaxNode is the output of Union or Intersect.
+	MinMaxNode[T comparable] = sharded[T, *incremental.MinMaxNode[T]]
+	// GroupByNode is the output of GroupBy.
+	GroupByNode[T, K, R comparable] = sharded[weighted.Grouped[K, R], *incremental.GroupByNode[T, K, R]]
+)
+
 // Shave decomposes records into indexed slices following the weight
-// sequence f (paper Section 2.8). f must be pure: shards invoke it
-// concurrently.
+// sequence f (paper Section 2.8), partitioned by record. f must be pure:
+// shards invoke it concurrently.
 func Shave[T comparable](src Source[T], f func(x T, i int) float64) *ShaveNode[T] {
 	e := src.engine()
-	n := &ShaveNode[T]{
-		Stream: Stream[weighted.Indexed[T]]{e: e},
-		in:     src.newPort(),
-		r:      newRouted(func(x T) int { return shardOf(e, x) }),
-		feeds:  make([]shardFeed[T], e.shards),
-		subs:   make([]*incremental.ShaveNode[T], e.shards),
-		out:    newOutBuffers[weighted.Indexed[T]](e.shards),
-	}
-	n.apply = func(s int) {
-		n.out.reset(s)
-		n.feeds[s].flush(n.r, s, n.gate.Active())
-	}
-	for s := range n.feeds {
-		in := incremental.NewInput[T]()
-		n.feeds[s].in = in
-		n.subs[s] = incremental.Shave[T](in, f)
-		n.subs[s].Subscribe(n.out.handler(s, &n.gate))
-	}
-	src.SubscribeTxn(n.onTxn)
-	e.register(n)
-	return n
+	return unary(src, func(x T) int { return shardOf(e, x) },
+		func(in incremental.Source[T]) *incremental.ShaveNode[T] { return incremental.Shave(in, f) })
 }
 
 // ShaveConst is Shave with a constant weight sequence.
@@ -120,115 +235,82 @@ func ShaveConst[T comparable](src Source[T], w float64) *ShaveNode[T] {
 	return Shave(src, func(T, int) float64 { return w })
 }
 
-// StateSize returns the number of records indexed across all shards.
-func (n *ShaveNode[T]) StateSize() int {
-	total := 0
-	for _, sub := range n.subs {
-		total += sub.StateSize()
-	}
-	return total
-}
-
-func (n *ShaveNode[T]) process() {
-	batches, total := n.in.drain()
-	if total == 0 {
-		return
-	}
-	n.r.route(n.e, batches, total)
-	n.e.forShards(total, n.apply)
-	n.emit(n.out.outs)
-	n.r.recycle(n.gate.Active())
-	recycle(n.out.outs, n.gate.Active())
-}
-
-// MinMaxNode is the output of Union or Intersect: a record-partitioned
-// sharding of incremental.MinMaxNode.
-type MinMaxNode[T comparable] struct {
-	Stream[T]
-	pa, pb *port[T]
-	ra, rb *routed[T]
-	fa, fb []shardFeed[T]
-	subs   []*incremental.MinMaxNode[T]
-	out    *outBuffers[T]
-	apply  func(s int) // applies shard s's routed differences (see forN)
-	gate   txnGate
-}
-
-// onTxn fans a transaction event into every shard's sub-node — through
-// one side's input only; the sub-node's own gate treats the two private
-// inputs as one node — and forwards it downstream.
-func (n *MinMaxNode[T]) onTxn(op incremental.TxnOp) {
-	if !n.gate.Enter(op) {
-		return
-	}
-	fanTxn(n.fa, op)
-	n.emitTxn(op)
-}
-
-// Union computes the element-wise maximum of two streams.
+// Union computes the element-wise maximum of two streams, partitioned by
+// record.
 func Union[T comparable](a, b Source[T]) *MinMaxNode[T] {
-	return minMaxNode(a, b, incremental.Union[T])
+	return minMax(a, b, incremental.Union[T])
 }
 
 // Intersect computes the element-wise minimum of two streams.
 func Intersect[T comparable](a, b Source[T]) *MinMaxNode[T] {
-	return minMaxNode(a, b, incremental.Intersect[T])
+	return minMax(a, b, incremental.Intersect[T])
 }
 
-func minMaxNode[T comparable](a, b Source[T],
-	build func(x, y incremental.Source[T]) *incremental.MinMaxNode[T]) *MinMaxNode[T] {
+func minMax[T comparable](a, b Source[T], build func(x, y incremental.Source[T]) *incremental.MinMaxNode[T]) *MinMaxNode[T] {
 	e := sameEngine(a, b)
-	shard := func(x T) int { return shardOf(e, x) }
-	n := &MinMaxNode[T]{
-		Stream: Stream[T]{e: e},
-		pa:     a.newPort(),
-		pb:     b.newPort(),
-		ra:     newRouted(shard),
-		rb:     newRouted(shard),
-		fa:     make([]shardFeed[T], e.shards),
-		fb:     make([]shardFeed[T], e.shards),
-		subs:   make([]*incremental.MinMaxNode[T], e.shards),
-		out:    newOutBuffers[T](e.shards),
-	}
-	n.apply = func(s int) {
-		n.out.reset(s)
-		n.fa[s].flush(n.ra, s, n.gate.Active())
-		n.fb[s].flush(n.rb, s, n.gate.Active())
-	}
-	for s := range n.subs {
-		ia, ib := incremental.NewInput[T](), incremental.NewInput[T]()
-		n.fa[s].in, n.fb[s].in = ia, ib
-		n.subs[s] = build(ia, ib)
-		n.subs[s].Subscribe(n.out.handler(s, &n.gate))
-	}
-	a.SubscribeTxn(n.onTxn)
-	b.SubscribeTxn(n.onTxn)
-	e.register(n)
-	return n
+	owner := func(x T) int { return shardOf(e, x) }
+	return binary(a, b, owner, owner, build)
 }
 
-// StateSize returns the number of records indexed across both inputs and
-// all shards.
-func (n *MinMaxNode[T]) StateSize() int {
-	total := 0
+// GroupBy groups records by key and re-reduces weight-ordered prefixes
+// (paper Section 2.5). Differences are routed by the hash of their
+// record's key, so a key's entire group lives on one shard and prefix
+// re-derivation stays shard-local. key and reduce must be pure: shards
+// invoke them concurrently.
+func GroupBy[T, K, R comparable](src Source[T], key func(T) K, reduce func([]T) R) *GroupByNode[T, K, R] {
+	e := src.engine()
+	return unary(src, func(x T) int { return shardOf(e, key(x)) },
+		func(in incremental.Source[T]) *incremental.GroupByNode[T, K, R] {
+			return incremental.GroupBy(in, key, reduce)
+		})
+}
+
+// JoinNode is the output of Join: the wiring plus the per-shard joins'
+// fast-path switch and counters.
+type JoinNode[A, B, K, R comparable] struct {
+	*sharded[R, *incremental.JoinNode[A, B, K, R]]
+}
+
+// Join is wPINQ's normalized join (paper Section 2.7). Each left
+// difference is routed by hash of keyA and each right difference by hash
+// of keyB, so both sides of any key — and the key's group norms,
+// denominators, and outer products — live on one shard, which keeps the
+// join's norm-unchanged fast path. keyA, keyB and reduce must be pure:
+// shards invoke them concurrently.
+func Join[A, B, K, R comparable](
+	a Source[A], b Source[B], keyA func(A) K, keyB func(B) K, reduce func(A, B) R,
+) JoinNode[A, B, K, R] {
+	e := sameEngine(a, b)
+	return JoinNode[A, B, K, R]{binary(a, b,
+		func(x A) int { return shardOf(e, keyA(x)) },
+		func(y B) int { return shardOf(e, keyB(y)) },
+		func(ia incremental.Source[A], ib incremental.Source[B]) *incremental.JoinNode[A, B, K, R] {
+			return incremental.Join(ia, ib, keyA, keyB, reduce)
+		})}
+}
+
+// SetFastPath toggles the norm-unchanged optimization on every shard
+// (default on). Results are identical either way.
+func (n JoinNode[A, B, K, R]) SetFastPath(on bool) {
 	for _, sub := range n.subs {
-		total += sub.StateSize()
+		sub.SetFastPath(on)
+	}
+}
+
+// FastKeys returns the number of key updates resolved via the fast path,
+// summed over shards.
+func (n JoinNode[A, B, K, R]) FastKeys() (total int64) {
+	for _, sub := range n.subs {
+		total += sub.FastKeys()
 	}
 	return total
 }
 
-func (n *MinMaxNode[T]) process() {
-	ba, ta := n.pa.drain()
-	bb, tb := n.pb.drain()
-	total := ta + tb
-	if total == 0 {
-		return
+// SlowKeys returns the number of key updates that required rescaling,
+// summed over shards.
+func (n JoinNode[A, B, K, R]) SlowKeys() (total int64) {
+	for _, sub := range n.subs {
+		total += sub.SlowKeys()
 	}
-	n.ra.route(n.e, ba, ta)
-	n.rb.route(n.e, bb, tb)
-	n.e.forShards(total, n.apply)
-	n.emit(n.out.outs)
-	n.ra.recycle(n.gate.Active())
-	n.rb.recycle(n.gate.Active())
-	recycle(n.out.outs, n.gate.Active())
+	return total
 }

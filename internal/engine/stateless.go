@@ -31,10 +31,11 @@ func (n *Node[T]) onTxn(op incremental.TxnOp) {
 	}
 }
 
-// mapped builds the shared chunk-parallel skeleton of Select, Where and
-// SelectMany: transform applies one input chunk, appending to a reused
-// per-chunk output buffer — which Select and Where, whose output is
-// bounded by the chunk, size from it first (SelectMany's fan-out is f's).
+// mapped builds the shared chunk-parallel skeleton of Select, Where,
+// SelectMany and Except's negation: transform applies one input chunk,
+// appending to a reused per-chunk output buffer — which the operators
+// whose output is bounded by the chunk size from it first (SelectMany's
+// fan-out is f's).
 func mapped[T, U comparable](src Source[T], transform func(in []incremental.Delta[T], out []incremental.Delta[U]) []incremental.Delta[U]) *Node[U] {
 	e := src.engine()
 	in := src.newPort()
@@ -45,17 +46,18 @@ func mapped[T, U comparable](src Source[T], transform func(in []incremental.Delt
 		outs[i] = transform(chunks[i], outs[i][:0])
 	}
 	n.run = func() {
-		batches, total := in.drain()
-		if total == 0 {
+		if in.total == 0 {
 			return
 		}
-		chunks = splitChunks(batches, total, e.shards, chunks[:0])
+		chunks = splitChunks(in.batches, in.total, e.shards, chunks[:0])
 		for len(outs) < len(chunks) {
 			outs = append(outs, nil)
 		}
-		e.forN(total, len(chunks), apply)
+		e.forN(in.total, len(chunks), apply)
 		n.emit(outs[:len(chunks)])
 		recycle(outs, n.gate.Active())
+		clear(chunks) // they alias the upstream's batches: see port.reset
+		in.reset()
 	}
 	src.SubscribeTxn(n.onTxn)
 	e.register(n)
@@ -115,10 +117,10 @@ func Concat[T comparable](a, b Source[T]) *Node[T] {
 	pa, pb := a.newPort(), b.newPort()
 	n := &Node[T]{Stream: Stream[T]{e: e}}
 	n.run = func() {
-		ba, _ := pa.drain()
-		bb, _ := pb.drain()
-		n.emit(ba)
-		n.emit(bb)
+		n.emit(pa.batches)
+		n.emit(pb.batches)
+		pa.reset()
+		pb.reset()
 	}
 	a.SubscribeTxn(n.onTxn)
 	b.SubscribeTxn(n.onTxn)
@@ -129,35 +131,11 @@ func Concat[T comparable](a, b Source[T]) *Node[T] {
 // Except subtracts stream b from stream a: differences from b pass
 // through negated.
 func Except[T comparable](a, b Source[T]) *Node[T] {
-	e := sameEngine(a, b)
-	pa, pb := a.newPort(), b.newPort()
-	n := &Node[T]{Stream: Stream[T]{e: e}}
-	var chunks [][]incremental.Delta[T]
-	var outs [][]incremental.Delta[T]
-	negate := func(i int) { // built once: see forN
-		out := slices.Grow(outs[i][:0], len(chunks[i]))
-		for _, d := range chunks[i] {
+	return Concat(a, mapped(b, func(in []incremental.Delta[T], out []incremental.Delta[T]) []incremental.Delta[T] {
+		out = slices.Grow(out, len(in))
+		for _, d := range in {
 			out = append(out, incremental.Delta[T]{Record: d.Record, Weight: -d.Weight})
 		}
-		outs[i] = out
-	}
-	n.run = func() {
-		ba, _ := pa.drain()
-		n.emit(ba)
-		bb, total := pb.drain()
-		if total == 0 {
-			return
-		}
-		chunks = splitChunks(bb, total, e.shards, chunks[:0])
-		for len(outs) < len(chunks) {
-			outs = append(outs, nil)
-		}
-		e.forN(total, len(chunks), negate)
-		n.emit(outs[:len(chunks)])
-		recycle(outs, n.gate.Active())
-	}
-	a.SubscribeTxn(n.onTxn)
-	b.SubscribeTxn(n.onTxn)
-	e.register(n)
-	return n
+		return out
+	}))
 }

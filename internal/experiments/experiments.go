@@ -11,20 +11,20 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 
 	"wpinq/internal/datasets"
-	"wpinq/internal/engine"
 	"wpinq/internal/expt"
 	"wpinq/internal/graph"
-	"wpinq/internal/incremental"
 	"wpinq/internal/laplace"
 	"wpinq/internal/mcmc"
 	"wpinq/internal/queries"
 	"wpinq/internal/synth"
+	"wpinq/internal/workload"
 )
 
 // Options parameterizes every experiment.
@@ -47,10 +47,8 @@ type Options struct {
 	Samples int
 	// Repeats is the number of repetitions for error bars (Figure 5).
 	Repeats int
-	// Shards selects the dataflow executor for every MCMC fit: 0 runs
-	// the sharded engine with one shard per CPU, n > 0 pins the shard
-	// count, -1 selects the single-threaded reference engine (see
-	// synth.Config.Shards).
+	// Shards is the executor's shard count for every MCMC fit: 0 is one
+	// shard per CPU, n > 0 pins the count (see synth.Config.Shards).
 	Shards int
 	// Chains runs every synthesis fit as this many replica-exchange
 	// chains at a geometric pow ladder (see synth.Config.Chains; 0 or 1
@@ -476,21 +474,10 @@ func Fig6(o Options) error {
 	return nil
 }
 
-// tbiLoadAndRate builds a TbI pipeline over g on the executor selected by
-// o.Shards, reports the live heap after loading and the sustained MCMC
-// step rate.
+// tbiLoadAndRate builds a TbI fit plan over g at o.Shards, reports the
+// live heap after loading and the sustained MCMC step rate.
 func tbiLoadAndRate(g *graph.Graph, o Options, seedOffset int64, steps int) (heapMB, stepsPerSec float64, err error) {
 	before := expt.HeapMB()
-	// The executor's input is both the MCMC entry point and the root
-	// stream the pipeline builds over.
-	var in interface {
-		mcmc.Input
-		incremental.Source[graph.Edge]
-	} = incremental.NewInput[graph.Edge]()
-	if o.Shards >= 0 {
-		in = engine.NewInput[graph.Edge](engine.New(o.Shards))
-	}
-	stream := queries.TbIPipeline(nil, in)
 	// Score against the graph's own (noiseless) signal: Figure 6 measures
 	// systems behaviour, not accuracy.
 	noise, err := laplace.FromEpsilon(o.Eps)
@@ -498,13 +485,20 @@ func tbiLoadAndRate(g *graph.Graph, o Options, seedOffset int64, steps int) (hea
 		return 0, 0, err
 	}
 	observed := queries.TbISignal(g) + noise.Sample(o.rng(seedOffset))
-	sink := incremental.NewNoisyCountSink[queries.Unit](
-		stream,
-		incremental.MapObservations[queries.Unit]{{}: observed},
-		[]queries.Unit{{}},
-		o.Eps)
-	state := mcmc.NewGraphState(g, in)
-	runner, err := mcmc.NewRunner(state, incremental.NewScorer(sink), mcmc.Config{
+	tbi, err := workload.Get("tbi")
+	if err != nil {
+		return 0, 0, err
+	}
+	fit, err := tbi.Load([]workload.Entry{{Key: json.RawMessage("{}"), Count: observed}}, 0, o.Eps, o.rng(seedOffset))
+	if err != nil {
+		return 0, 0, err
+	}
+	plan := workload.NewPlanFused(o.Shards, false)
+	if err := fit.Attach(plan, o.Eps); err != nil {
+		return 0, 0, err
+	}
+	state := mcmc.NewGraphState(g, plan.Input())
+	runner, err := mcmc.NewRunner(state, plan.Scorer(), mcmc.Config{
 		Pow:            o.Pow,
 		RecomputeEvery: 1 << 15,
 	}, o.rng(seedOffset+1))

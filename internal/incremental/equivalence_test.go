@@ -7,10 +7,12 @@ import (
 	"wpinq/internal/weighted"
 )
 
-// Equivalence tests: drive the incremental engine with random sequences of
-// difference batches and require that every operator's collected output
-// equals the reference transformation (internal/weighted) applied to the
-// accumulated input — the central correctness contract of the engine.
+// Equivalence tests: drive each stateful operator with random sequences
+// of difference batches and require that its collected output equals the
+// reference transformation (internal/weighted) applied to the accumulated
+// input — the central correctness contract of the operator bodies. (The
+// stateless operators are the engine's; engine/equivalence_test.go holds
+// theirs.)
 
 const eqTol = 1e-8
 
@@ -32,62 +34,6 @@ func applyToReference(ref *weighted.Dataset[int], batch []Delta[int]) {
 	for _, d := range batch {
 		ref.Add(d.Record, d.Weight)
 	}
-}
-
-// checkUnaryEquivalence drives one unary operator with nSteps random
-// batches and compares against the reference transformation after each.
-func checkUnaryEquivalence[U comparable](
-	t *testing.T,
-	name string,
-	build func(Source[int]) Source[U],
-	reference func(*weighted.Dataset[int]) *weighted.Dataset[U],
-	seed int64,
-) {
-	t.Helper()
-	rng := rand.New(rand.NewSource(seed))
-	in := NewInput[int]()
-	out := Collect(build(in))
-	ref := weighted.New[int]()
-	for step := 0; step < 60; step++ {
-		batch := randBatch(rng, 8, 1+rng.Intn(4))
-		in.Push(batch)
-		applyToReference(ref, batch)
-		want := reference(ref)
-		if !weighted.Equal(out.Snapshot(), want, eqTol) {
-			t.Fatalf("%s diverged at step %d:\nincremental: %v\nreference:   %v",
-				name, step, out.Snapshot(), want)
-		}
-	}
-}
-
-func TestSelectEquivalence(t *testing.T) {
-	f := func(x int) int { return x % 3 }
-	checkUnaryEquivalence(t, "Select",
-		func(s Source[int]) Source[int] { return Select(s, f) },
-		func(d *weighted.Dataset[int]) *weighted.Dataset[int] { return weighted.Select(d, f) },
-		1)
-}
-
-func TestWhereEquivalence(t *testing.T) {
-	p := func(x int) bool { return x%2 == 0 }
-	checkUnaryEquivalence(t, "Where",
-		func(s Source[int]) Source[int] { return Where(s, p) },
-		func(d *weighted.Dataset[int]) *weighted.Dataset[int] { return weighted.Where(d, p) },
-		2)
-}
-
-func TestSelectManyEquivalence(t *testing.T) {
-	f := func(x int) []int {
-		out := make([]int, x+1)
-		for i := range out {
-			out[i] = i
-		}
-		return out
-	}
-	checkUnaryEquivalence(t, "SelectMany",
-		func(s Source[int]) Source[int] { return SelectManySlice(s, f) },
-		func(d *weighted.Dataset[int]) *weighted.Dataset[int] { return weighted.SelectManySlice(d, f) },
-		3)
 }
 
 func TestShaveEquivalence(t *testing.T) {
@@ -137,29 +83,6 @@ func TestGroupByEquivalence(t *testing.T) {
 		if !weighted.Equal(out.Snapshot(), want, eqTol) {
 			t.Fatalf("GroupBy diverged at step %d:\nincremental: %v\nreference:   %v",
 				step, out.Snapshot(), want)
-		}
-	}
-}
-
-func TestConcatExceptEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	inA := NewInput[int]()
-	inB := NewInput[int]()
-	outConcat := Collect(Concat[int](inA, inB))
-	outExcept := Collect(Except[int](inA, inB))
-	refA, refB := weighted.New[int](), weighted.New[int]()
-	for step := 0; step < 60; step++ {
-		ba := randBatch(rng, 8, 2)
-		bb := randBatch(rng, 8, 2)
-		inA.Push(ba)
-		inB.Push(bb)
-		applyToReference(refA, ba)
-		applyToReference(refB, bb)
-		if !weighted.Equal(outConcat.Snapshot(), weighted.Concat(refA, refB), eqTol) {
-			t.Fatalf("Concat diverged at step %d", step)
-		}
-		if !weighted.Equal(outExcept.Snapshot(), weighted.Except(refA, refB), eqTol) {
-			t.Fatalf("Except diverged at step %d", step)
 		}
 	}
 }
@@ -263,25 +186,20 @@ func TestJoinSelfJoinEquivalence(t *testing.T) {
 }
 
 func TestDeepPipelineEquivalence(t *testing.T) {
-	// Chain Select -> Where -> GroupBy -> Shave: differences propagate
-	// through heterogeneous stateful operators.
+	// Chain GroupBy -> Shave -> GroupBy: differences propagate through
+	// heterogeneous stateful operators.
+	type shaved = weighted.Indexed[weighted.Grouped[int, int]]
+	key := func(x int) int { return x % 2 }
+	count := func(m []int) int { return len(m) }
+	index := func(s shaved) int { return s.Index }
+	keys := func(m []shaved) int { return len(m) }
 	rng := rand.New(rand.NewSource(10))
 	in := NewInput[int]()
-	sel := Select(in, func(x int) int { return x % 5 })
-	whr := Where[int](sel, func(x int) bool { return x != 3 })
-	grp := GroupBy[int, int, int](whr, func(x int) int { return x % 2 }, func(m []int) int { return len(m) })
-	shv := ShaveConst[weighted.Grouped[int, int]](grp, 0.25)
-	out := Collect[weighted.Indexed[weighted.Grouped[int, int]]](shv)
+	out := Collect(GroupBy(ShaveConst(GroupBy(in, key, count), 0.25), index, keys))
 
 	ref := weighted.New[int]()
-	reference := func(d *weighted.Dataset[int]) *weighted.Dataset[weighted.Indexed[weighted.Grouped[int, int]]] {
-		s := weighted.Select(d, func(x int) int { return x % 5 })
-		w := weighted.Where(s, func(x int) bool { return x != 3 })
-		g := weighted.GroupBy(w, func(x int) int { return x % 2 }, func(m []int) int { return len(m) })
-		return weighted.ShaveConst(g, 0.25)
-	}
 	for step := 0; step < 60; step++ {
-		x := rng.Intn(10)
+		x := rng.Intn(5)
 		cur := ref.Weight(x)
 		delta := rng.Float64() - 0.3
 		if cur+delta < 0 {
@@ -290,7 +208,8 @@ func TestDeepPipelineEquivalence(t *testing.T) {
 		b := []Delta[int]{{x, delta}}
 		in.Push(b)
 		applyToReference(ref, b)
-		if !weighted.Equal(out.Snapshot(), reference(ref), eqTol) {
+		want := weighted.GroupBy(weighted.ShaveConst(weighted.GroupBy(ref, key, count), 0.25), index, keys)
+		if !weighted.Equal(out.Snapshot(), want, eqTol) {
 			t.Fatalf("deep pipeline diverged at step %d", step)
 		}
 	}

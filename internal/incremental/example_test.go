@@ -4,30 +4,37 @@ import (
 	"fmt"
 
 	"wpinq/internal/incremental"
+	"wpinq/internal/weighted"
 )
 
 func Example() {
-	// Build a dataflow graph once; then push differences through it.
+	// Wire an operator once; then push differences through it.
 	in := incremental.NewInput[string]()
-	lengths := incremental.Select(in, func(s string) int { return len(s) })
-	longOnes := incremental.Where[int](lengths, func(n int) bool { return n >= 5 })
-	out := incremental.Collect[int](longOnes)
+	byLen := incremental.GroupBy(in,
+		func(s string) int { return len(s) },
+		func(words []string) int { return len(words) })
+	out := incremental.Collect(byLen)
+	five := weighted.Grouped[int, int]{Key: 5, Result: 1}   // one word of length 5
+	two6 := weighted.Grouped[int, int]{Key: 6, Result: 2}   // two words of length 6
+	banana := weighted.Grouped[int, int]{Key: 6, Result: 1} // the heaviest word of length 6
 
 	in.Push([]incremental.Delta[string]{
 		{Record: "apple", Weight: 1},
-		{Record: "fig", Weight: 1},
 		{Record: "banana", Weight: 2},
+		{Record: "cherry", Weight: 1},
 	})
-	fmt.Println("len-5 weight:", out.Weight(5))
-	fmt.Println("len-6 weight:", out.Weight(6))
+	fmt.Println("one of length 5:", out.Weight(five))
+	fmt.Println("heaviest of length 6:", out.Weight(banana))
+	fmt.Println("two of length 6:", out.Weight(two6))
 
 	// Retract one banana: only the difference propagates.
 	in.Push([]incremental.Delta[string]{{Record: "banana", Weight: -1}})
-	fmt.Println("len-6 after retraction:", out.Weight(6))
+	fmt.Println("heaviest of length 6 after retraction:", out.Weight(banana))
 	// Output:
-	// len-5 weight: 1
-	// len-6 weight: 2
-	// len-6 after retraction: 1
+	// one of length 5: 0.5
+	// heaviest of length 6: 0.5
+	// two of length 6: 0.5
+	// heaviest of length 6 after retraction: 0
 }
 
 func ExampleNewNoisyCountSink() {

@@ -50,7 +50,7 @@ func TestJoinDrainedSideNormIsExactlyZero(t *testing.T) {
 
 	t.Run("at commit", func(t *testing.T) {
 		a, j := load()
-		a.Begin()
+		a.Txn(TxnBegin)
 		a.Push([]Delta[rec]{{rec{7, 1}, -0.1}})
 		a.Push([]Delta[rec]{{rec{7, 2}, -0.2}})
 		g := j.groups[7]
@@ -59,7 +59,7 @@ func TestJoinDrainedSideNormIsExactlyZero(t *testing.T) {
 			// until commit, as it did when the drop was deferred.
 			t.Fatalf("open transaction: %d records, norm %g; want 0 records and float dust", g.a.len(), g.a.norm)
 		}
-		a.Commit()
+		a.Txn(TxnCommit)
 		if j.groups[7] != g {
 			t.Fatal("commit dropped a group whose right side still holds a record")
 		}
@@ -77,13 +77,13 @@ func TestJoinAbortDropsCreatedGroups(t *testing.T) {
 	a.Push([]Delta[rec]{{rec{1, 0}, 1}})
 	b.Push([]Delta[rec]{{rec{1, 1}, 1}})
 
-	a.Begin()
+	a.Txn(TxnBegin)
 	a.Push([]Delta[rec]{{rec{2, 0}, 1}, {rec{3, 0}, 2}})
 	b.Push([]Delta[rec]{{rec{3, 1}, 1}, {rec{4, 1}, 1}})
 	if len(j.groups) != 4 {
 		t.Fatalf("%d groups inside the transaction, want 4", len(j.groups))
 	}
-	a.Abort()
+	a.Txn(TxnAbort)
 
 	if len(j.groups) != 1 || j.groups[1] == nil {
 		t.Fatalf("groups after abort: %v, want only key 1", slices.Collect(maps.Keys(j.groups)))
@@ -149,7 +149,7 @@ func TestJoinMultiGroupAbortRestoresEverySide(t *testing.T) {
 		before[k] = sides{imageOf(&g.a), imageOf(&g.b)}
 	}
 
-	a.Begin()
+	a.Txn(TxnBegin)
 	a.Push([]Delta[rec]{
 		{rec{1, 2}, -2.5},    // swap-delete from the middle of an indexed side
 		{rec{2, 1}, 0.75},    // update in place
@@ -169,7 +169,7 @@ func TestJoinMultiGroupAbortRestoresEverySide(t *testing.T) {
 	if len(j.logA.entries) == 0 || len(j.logB.entries) == 0 || len(j.touched) < 4 {
 		t.Fatalf("fixture: %d+%d log entries over %d groups", len(j.logA.entries), len(j.logB.entries), len(j.touched))
 	}
-	a.Abort()
+	a.Txn(TxnAbort)
 
 	if len(j.groups) != len(before) {
 		t.Errorf("%d groups after abort, want %d", len(j.groups), len(before))

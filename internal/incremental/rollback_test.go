@@ -47,18 +47,6 @@ func checkRollback[U comparable](t *testing.T, name string, build func(Source[in
 	}
 }
 
-func TestRollbackSelect(t *testing.T) {
-	checkRollback(t, "Select", func(s Source[int]) Source[int] {
-		return Select(s, func(x int) int { return x % 4 })
-	})
-}
-
-func TestRollbackSelectMany(t *testing.T) {
-	checkRollback(t, "SelectMany", func(s Source[int]) Source[int] {
-		return SelectManySlice(s, func(x int) []int { return []int{x, x + 1, x + 2} })
-	})
-}
-
 func TestRollbackGroupBy(t *testing.T) {
 	checkRollback(t, "GroupBy", func(s Source[int]) Source[weighted.Grouped[int, int]] {
 		return GroupBy(s, func(x int) int { return x % 3 }, func(m []int) int { return len(m) })
@@ -80,21 +68,31 @@ func TestRollbackSelfJoin(t *testing.T) {
 }
 
 func TestRollbackUnionIntersect(t *testing.T) {
-	checkRollback(t, "Union+Intersect", func(s Source[int]) Source[int] {
-		evens := Where(s, func(x int) bool { return x%2 == 0 })
-		return Intersect[int](Union[int](s, evens), s)
-	})
+	checkRollback(t, "Union+Intersect", diamond)
 }
 
 func TestRollbackDeepTbIShape(t *testing.T) {
-	// The exact operator shape MCMC rolls back through.
-	type path struct{ a, b, c int }
-	checkRollback(t, "TbI-shape", func(s Source[int]) Source[path] {
-		j := Join(s, s,
-			func(x int) int { return x % 5 }, func(y int) int { return (y + 1) % 5 },
-			func(x, y int) path { return path{x, x % 5, y} })
-		filtered := Where[path](j, func(p path) bool { return p.a != p.c })
-		rotated := Select[path](filtered, func(p path) path { return path{p.b, p.c, p.a} })
-		return Intersect[path](rotated, filtered)
-	})
+	// The stateful part of the operator shape MCMC rolls back through.
+	checkRollback(t, "TbI-shape", tbiShape)
+}
+
+// diamond derives a second stream from s with a self-join and reconverges
+// the two through Union and Intersect: every node downstream of s is
+// reached along more than one path.
+func diamond(s Source[int]) Source[int] {
+	mixed := Join(s, s,
+		func(x int) int { return x % 2 }, func(y int) int { return y % 2 },
+		func(x, y int) int { return (x + y) % 10 })
+	return Intersect[int](Union[int](s, mixed), s)
+}
+
+type tbiPath struct{ a, b, c int }
+
+// tbiShape is TbI's paths join intersected with its own rotation (the
+// rotation a second join, reducing to the rotated path).
+func tbiShape(s Source[int]) Source[tbiPath] {
+	keyA, keyB := func(x int) int { return x % 5 }, func(y int) int { return (y + 1) % 5 }
+	paths := Join(s, s, keyA, keyB, func(x, y int) tbiPath { return tbiPath{x, x % 5, y} })
+	rotated := Join(s, s, keyA, keyB, func(x, y int) tbiPath { return tbiPath{x % 5, y, x} })
+	return Intersect[tbiPath](rotated, paths)
 }

@@ -47,15 +47,15 @@ var hashSeed = maphash.MakeSeed()
 // between identically-seeded runs. One seed per process makes repeated
 // runs (and concurrent replica-exchange chains) reproducible within a
 // process; across processes it differs, so multi-shard scores agree only
-// to accumulation tolerance (the serial and single-shard executors do
-// not route, and are bit-reproducible across processes too).
+// to accumulation tolerance (one shard does not route, and is
+// bit-reproducible across processes too).
 func HashSeed() maphash.Seed { return hashSeed }
 
 // Recycle empties a per-push buffer for reuse — or releases it,
 // returning nil, when the push was a load that grew it past
-// scratchRetain. Both executors reset every per-push buffer through it,
-// so it is also the one statement of when an emitted batch changes
-// hands: a node that emits a buffer and then Recycles it has, when the
+// scratchRetain. The engine and these operators reset every per-push
+// buffer through it, so it is also the one statement of when an emitted
+// batch changes hands: a node that emits a buffer and then Recycles it has, when the
 // answer is nil, left the emission as the array's only reference, and a
 // batch's single receiver — asking Recycle the same question of the same
 // array — may then keep it instead of copying it (the engine's shard

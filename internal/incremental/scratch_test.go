@@ -180,18 +180,18 @@ func TestScratchReleasesLoadCapacity(t *testing.T) {
 	for i := range bulk {
 		bulk[i].Weight = -0.5
 	}
-	in.Begin()
+	in.Txn(TxnBegin)
 	in.Push(bulk)
-	in.Commit()
+	in.Txn(TxnCommit)
 	kept := scratch()
 	for name, c := range kept {
 		if c < len(bulk)/2 {
 			t.Errorf("%s: capacity %d after a %d-difference proposal, want it kept", name, c, len(bulk))
 		}
 	}
-	in.Begin()
+	in.Txn(TxnBegin)
 	in.Push(bulk[:10])
-	in.Abort()
+	in.Txn(TxnAbort)
 	for name, c := range scratch() {
 		if c != kept[name] {
 			t.Errorf("%s: capacity %d -> %d across a small proposal", name, kept[name], c)

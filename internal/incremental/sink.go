@@ -54,10 +54,7 @@ type NoisyCountSink[T comparable] struct {
 	// restores q and l1 but deliberately keeps observations drawn for
 	// records first materialized during the transaction (m, order, and
 	// their |m(x)| terms in l1): wPINQ's memoized noise is monotone — a
-	// measurement consulted once is released — and the inverse-push
-	// rejection path this protocol replaces kept them too, so rejected
-	// proposals that explored new records shift the score baseline
-	// identically under both protocols.
+	// measurement consulted once is released.
 	gate       TxnGate
 	savedL1    float64
 	savedOrder int

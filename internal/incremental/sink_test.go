@@ -205,19 +205,6 @@ func TestCollectorWeightAndNorm(t *testing.T) {
 	}
 }
 
-func TestPushDataset(t *testing.T) {
-	in := NewInput[string]()
-	c := Collect[string](in)
-	d := weighted.FromPairs(
-		weighted.Pair[string]{Record: "a", Weight: 1.5},
-		weighted.Pair[string]{Record: "b", Weight: 2.5},
-	)
-	in.PushDataset(d)
-	if !weighted.Equal(c.Snapshot(), d, 1e-12) {
-		t.Errorf("PushDataset mismatch: %v vs %v", c.Snapshot(), d)
-	}
-}
-
 func TestEmptyBatchNoEmission(t *testing.T) {
 	in := NewInput[int]()
 	calls := 0
@@ -270,7 +257,7 @@ func TestSinkRunsMatchPerDelta(t *testing.T) {
 				s := NewNoisyCountSink[int](in, obsFunc[int](rngObs), []int{0, 1, 2}, 0.5)
 				in.Push(warm)
 				if mode != "load" {
-					in.Begin()
+					in.Txn(TxnBegin)
 				}
 				for rest := body; len(rest) > 0; {
 					n := len(rest) // cut 0: the whole stream at once
@@ -285,9 +272,9 @@ func TestSinkRunsMatchPerDelta(t *testing.T) {
 				}
 				switch mode {
 				case "commit":
-					in.Commit()
+					in.Txn(TxnCommit)
 				case "abort":
-					in.Abort()
+					in.Txn(TxnAbort)
 				}
 				keys, err := s.ObservedKeys()
 				if err != nil {

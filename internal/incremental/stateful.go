@@ -20,7 +20,9 @@ type MinMaxNode[T comparable] struct {
 	gate  TxnGate
 	log   undoLog[T] // both indexes log here
 
-	// Output batch, reused across pushes (see GroupByNode).
+	// Output batch, reused across pushes — the same array, unless Recycle
+	// releases it: handlers must not retain emitted batches and emission
+	// is synchronous.
 	out []Delta[T]
 }
 
@@ -77,7 +79,8 @@ func minMaxNode[T comparable](a, b Source[T], pick func(x, y float64) float64) *
 					out = append(out, Delta[T]{d.Record, diff})
 				}
 			}
-			n.out = n.flush(out, n.gate.Active())
+			n.emit(out)
+			n.out = Recycle(out, n.gate.Active())
 		}
 	}
 	a.Subscribe(handle(&n.left, &n.right))

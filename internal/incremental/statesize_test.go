@@ -57,19 +57,18 @@ func TestGroupByAndShaveStateSize(t *testing.T) {
 
 // TestTriangleStateScalesWithSumDegreeSquares reproduces the paper's
 // complexity claim: on a star graph K_{1,d}, the TbI-shaped intersect
-// state holds all length-two paths twice — ~2*d*(d-1) records — while the
-// join holds only the 2*2d directed edge records.
+// state holds all length-two paths twice — 2*d*(d+1) records, counting
+// the degenerate a = c ones TbI filters out before this point — while
+// the join holds only the 2*2d directed edge records.
 func TestTriangleStateScalesWithSumDegreeSquares(t *testing.T) {
 	type edge struct{ s, d int }
 	type path struct{ a, b, c int }
 	build := func(d int) (joinSize, intersectSize int) {
 		in := NewInput[edge]()
-		j := Join(in, in,
-			func(e edge) int { return e.d }, func(e edge) int { return e.s },
-			func(x, y edge) path { return path{x.s, x.d, y.d} })
-		filtered := Where[path](j, func(p path) bool { return p.a != p.c })
-		rotated := Select[path](filtered, func(p path) path { return path{p.b, p.c, p.a} })
-		tri := Intersect[path](rotated, filtered)
+		dst, src := func(e edge) int { return e.d }, func(e edge) int { return e.s }
+		j := Join(in, in, dst, src, func(x, y edge) path { return path{x.s, x.d, y.d} })
+		rotated := Join(in, in, dst, src, func(x, y edge) path { return path{x.d, y.d, x.s} })
+		tri := Intersect[path](rotated, j)
 		var batch []Delta[edge]
 		for i := 1; i <= d; i++ {
 			batch = append(batch, Delta[edge]{edge{0, i}, 1}, Delta[edge]{edge{i, 0}, 1})
@@ -82,7 +81,7 @@ func TestTriangleStateScalesWithSumDegreeSquares(t *testing.T) {
 		if want := 2 * 2 * d; joinSize != want {
 			t.Errorf("d=%d: join state = %d, want %d (edges, both sides)", d, joinSize, want)
 		}
-		if want := 2 * d * (d - 1); triSize != want {
+		if want := 2 * d * (d + 1); triSize != want {
 			t.Errorf("d=%d: intersect state = %d, want %d (paths, both sides)", d, triSize, want)
 		}
 	}

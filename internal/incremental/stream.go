@@ -1,30 +1,30 @@
-// Package incremental implements wPINQ's incremental query evaluation
-// engine (paper Section 4.3 and Appendix B).
+// Package incremental holds the operator bodies of wPINQ's incremental
+// query evaluation (paper Section 4.3 and Appendix B): the stateful
+// difference-translating operators, the scoring sinks, and the
+// transaction machinery they share.
 //
-// Queries are built once as a dataflow graph of operator nodes. Input
-// changes are pushed as batches of weighted differences (Delta values);
-// each operator maintains whatever indexed state it needs to translate
-// input differences into output differences, so re-evaluating a query after
-// a small change (one MCMC step) costs only the propagation of the change,
-// not a from-scratch evaluation.
+// A query is a dataflow graph whose edges carry batches of weighted
+// differences (Delta values). Each stateful operator maintains whatever
+// indexed state it needs to translate input differences into output
+// differences, so re-evaluating a query after a small change (one MCMC
+// step) costs only the propagation of the change, not a from-scratch
+// evaluation. Every operator implements exactly the semantics of the
+// corresponding reference transformation in wpinq/internal/weighted; the
+// equivalence is enforced by property tests that drive both with random
+// update sequences.
 //
-// Every operator implements exactly the semantics of the corresponding
-// reference transformation in wpinq/internal/weighted; the equivalence is
-// enforced by property tests that drive both engines with random update
-// sequences.
+// The graph itself — inputs, stateless operators, scheduling, sharding —
+// is wpinq/internal/engine's. It instantiates one node of this package
+// per shard of each stateful operator, feeds it that shard's differences
+// through a private Input, and collects what it emits; a node here is
+// single-threaded and, outside this package's tests, has that one
+// subscriber and no neighbour of its own kind. The engine's streams are Sources in this package's
+// sense, so the sinks below terminate its pipelines.
 //
-// The engine is single-threaded: pushes are synchronous and nodes must not
-// be shared across goroutines without external synchronization. This
-// mirrors the MCMC loop, which is inherently sequential. For parallel
-// execution, wpinq/internal/engine shards this package's operators by
-// record (or key) hash and exchanges differences between shards; its
-// streams remain Sources in this package's sense, so the sinks below
-// terminate pipelines on either engine.
-//
-// Pushes may be transactional: Input.Begin marks subsequent pushes
+// Pushes may be transactional: TxnBegin marks subsequent pushes
 // speculative (stateful nodes log pre-images of overwritten state), and
-// Input.Commit/Input.Abort resolve them — Abort restoring bit-identical
-// state in O(touched keys) without a second propagation. See txn.go.
+// TxnCommit/TxnAbort resolve them — Abort restoring bit-identical state
+// in O(touched keys) without a second propagation. See txn.go.
 package incremental
 
 import (
@@ -50,7 +50,10 @@ type Source[T comparable] interface {
 }
 
 // Stream is an embeddable broadcaster of difference batches. Operator nodes
-// embed Stream to implement Source (and TxnSource).
+// embed Stream to implement Source (and TxnSource). Delivery is
+// depth-first — a handler runs, and emits, before the next one is called
+// — which is why whole graphs are not built from it: see DESIGN.md "Why
+// depth-first delivery lost".
 type Stream[T comparable] struct {
 	handlers []Handler[T]
 	txnSubs  []func(TxnOp)
@@ -86,73 +89,25 @@ func (s *Stream[T]) emit(batch []Delta[T]) {
 	}
 }
 
-// flush emits a node-owned output buffer and returns it emptied for the
-// node's next push — the same array, unless Recycle releases it. Reuse
-// is safe because handlers must not retain emitted batches and emission
-// is synchronous.
-func (s *Stream[T]) flush(out []Delta[T], keep bool) []Delta[T] {
-	s.emit(out)
-	return Recycle(out, keep)
-}
-
-// Input is the root of a dataflow graph: the point where dataset changes
-// enter the computation.
+// Input is where differences enter a node of this package: the engine's
+// per-shard feed.
 type Input[T comparable] struct {
 	Stream[T]
-	pushes uint64
 }
 
-// NewInput returns a new dataflow input.
+// NewInput returns a new input.
 func NewInput[T comparable]() *Input[T] {
 	return &Input[T]{}
 }
 
-// Push propagates a batch of differences through the graph synchronously.
-// When Push returns, every sink reflects the change.
-func (in *Input[T]) Push(batch []Delta[T]) {
-	in.pushes++
-	in.emit(batch)
-}
+// Push delivers a batch of differences synchronously: when Push returns,
+// every subscribed node has applied it and emitted what it changes.
+func (in *Input[T]) Push(batch []Delta[T]) { in.emit(batch) }
 
-// Pushes returns the number of Push calls so far: the propagation
-// counter. One MCMC proposal costs exactly one propagation under the
-// transactional protocol (Begin/Commit/Abort are control events, not
-// propagations), where the inverse-push rejection path cost two.
-func (in *Input[T]) Pushes() uint64 { return in.pushes }
-
-// Txn broadcasts a transaction control event through the graph. Every
-// stateful node applies it to its own state and forwards it downstream;
-// the call is synchronous and pushes no data.
+// Txn delivers a transaction control event to every subscribed node,
+// which applies it to its own state and forwards it downstream; the call
+// is synchronous and pushes no data. Transactions do not nest.
 func (in *Input[T]) Txn(op TxnOp) { in.emitTxn(op) }
-
-// Begin opens a transaction: pushes until Commit or Abort are
-// speculative, with every stateful node logging the pre-image of the
-// state it overwrites. Transactions do not nest.
-func (in *Input[T]) Begin() { in.Txn(TxnBegin) }
-
-// Commit keeps the speculative pushes and discards the undo logs.
-func (in *Input[T]) Commit() { in.Txn(TxnCommit) }
-
-// Abort restores every stateful node and sink to its pre-transaction
-// state in O(touched keys), without a second propagation. See the TxnOp
-// documentation for the one deliberate exception (memoized noisy-count
-// observations are kept).
-func (in *Input[T]) Abort() { in.Txn(TxnAbort) }
-
-// PushDataset pushes an entire weighted dataset as one batch: the idiom for
-// loading initial data into a freshly built graph. The batch is built in
-// canonical (weighted.PairsSorted) order rather than the dataset's
-// insertion order: the bulk load seeds every downstream node's
-// floating-point state, and the golden traces and checkpoint/resume
-// bit-identity were recorded under this order, so it is part of the
-// loader's contract. The sort is a one-time load cost.
-func (in *Input[T]) PushDataset(d *weighted.Dataset[T]) {
-	batch := make([]Delta[T], 0, d.Len())
-	for _, p := range d.PairsSorted() {
-		batch = append(batch, Delta[T]{p.Record, p.Weight})
-	}
-	in.Push(batch)
-}
 
 // Collector is a sink that materializes the current state of a stream as a
 // weighted dataset. Used by tests and by callers that need full outputs.

@@ -8,26 +8,26 @@ import (
 )
 
 // Stress tests: deep and wide operator graphs driven by long random
-// update sequences, checked against the reference engine at the end
+// update sequences, checked against the reference semantics at the end
 // (intermediate checks would dominate runtime).
 
 func TestDeepChainLongRun(t *testing.T) {
-	// Select -> GroupBy -> Shave -> Select -> Union(with self via Where)
+	// GroupBy -> Shave -> GroupBy -> Union(with its own Intersect)
+	type shaved = weighted.Indexed[weighted.Grouped[int, int]]
+	key := func(x int) int { return x % 3 }
+	count := func(m []int) int { return len(m) }
+	index := func(s shaved) int { return s.Index }
+	keys := func(m []shaved) int { return len(m) }
 	rng := rand.New(rand.NewSource(100))
 	in := NewInput[int]()
-	sel := Select(in, func(x int) int { return x % 7 })
-	grp := GroupBy[int, int, int](sel, func(x int) int { return x % 3 }, func(m []int) int { return len(m) })
-	shv := ShaveConst[weighted.Grouped[int, int]](grp, 0.4)
-	flat := Select[weighted.Indexed[weighted.Grouped[int, int]], int](shv,
-		func(ix weighted.Indexed[weighted.Grouped[int, int]]) int {
-			return ix.Value.Key*100 + ix.Value.Result*10 + ix.Index
-		})
-	evens := Where[int](flat, func(x int) bool { return x%2 == 0 })
-	out := Collect(Union[int](flat, evens))
+	grp := GroupBy(in, key, count)
+	flat := GroupBy(ShaveConst(grp, 0.4), index, keys)
+	both := Intersect[weighted.Grouped[int, int]](flat, grp)
+	out := Collect(Union[weighted.Grouped[int, int]](flat, both))
 
 	ref := weighted.New[int]()
 	for step := 0; step < 3000; step++ {
-		x := rng.Intn(40)
+		x := rng.Intn(7)
 		cur := ref.Weight(x)
 		delta := rng.Float64()*2 - 0.8
 		if cur+delta < 0 {
@@ -37,14 +37,9 @@ func TestDeepChainLongRun(t *testing.T) {
 		ref.Add(x, delta)
 	}
 	// Reference evaluation of the same pipeline.
-	rsel := weighted.Select(ref, func(x int) int { return x % 7 })
-	rgrp := weighted.GroupBy(rsel, func(x int) int { return x % 3 }, func(m []int) int { return len(m) })
-	rshv := weighted.ShaveConst(rgrp, 0.4)
-	rflat := weighted.Select(rshv, func(ix weighted.Indexed[weighted.Grouped[int, int]]) int {
-		return ix.Value.Key*100 + ix.Value.Result*10 + ix.Index
-	})
-	revens := weighted.Where(rflat, func(x int) bool { return x%2 == 0 })
-	want := weighted.Union(rflat, revens)
+	rgrp := weighted.GroupBy(ref, key, count)
+	rflat := weighted.GroupBy(weighted.ShaveConst(rgrp, 0.4), index, keys)
+	want := weighted.Union(rflat, weighted.Intersect(rflat, rgrp))
 	if !weighted.Equal(out.Snapshot(), want, 1e-6) {
 		t.Errorf("deep chain diverged after 3000 updates:\nincremental: %v\nreference:   %v",
 			out.Snapshot(), want)
@@ -54,15 +49,12 @@ func TestDeepChainLongRun(t *testing.T) {
 func TestDiamondTopology(t *testing.T) {
 	// One input fans out to two branches that reconverge through a join:
 	// exercises multiple subscriptions and reconvergent updates.
+	keyL := func(s weighted.Indexed[int]) int { return s.Value % 4 }
+	keyR := func(y int) int { return y % 4 }
+	pair := func(s weighted.Indexed[int], y int) [2]int { return [2]int{s.Value*8 + s.Index, y} }
 	rng := rand.New(rand.NewSource(101))
 	in := NewInput[int]()
-	left := Select(in, func(x int) int { return x * 2 })
-	right := Where(in, func(x int) bool { return x != 3 })
-	j := Join[int, int, int, [2]int](left, right,
-		func(x int) int { return x % 4 },
-		func(y int) int { return y % 4 },
-		func(x, y int) [2]int { return [2]int{x, y} })
-	out := Collect[[2]int](j)
+	out := Collect(Join(ShaveConst(in, 0.5), in, keyL, keyR, pair))
 
 	ref := weighted.New[int]()
 	for step := 0; step < 2000; step++ {
@@ -75,12 +67,7 @@ func TestDiamondTopology(t *testing.T) {
 		in.Push([]Delta[int]{{x, delta}})
 		ref.Add(x, delta)
 	}
-	rleft := weighted.Select(ref, func(x int) int { return x * 2 })
-	rright := weighted.Where(ref, func(x int) bool { return x != 3 })
-	want := weighted.Join(rleft, rright,
-		func(x int) int { return x % 4 },
-		func(y int) int { return y % 4 },
-		func(x, y int) [2]int { return [2]int{x, y} })
+	want := weighted.Join(weighted.ShaveConst(ref, 0.5), ref, keyL, keyR, pair)
 	if !weighted.Equal(out.Snapshot(), want, 1e-6) {
 		t.Error("diamond topology diverged after 2000 updates")
 	}
@@ -111,10 +98,10 @@ func TestManySmallBatchesMatchOneBigBatch(t *testing.T) {
 }
 
 func TestNegativeTransientWeights(t *testing.T) {
-	// Linear operators must tolerate transiently negative state (a
-	// retraction arriving before the corresponding assertion).
+	// A collector must tolerate transiently negative state (a retraction
+	// arriving before the corresponding assertion).
 	in := NewInput[int]()
-	out := Collect(Select(in, func(x int) int { return x }))
+	out := Collect(in)
 	in.Push([]Delta[int]{{1, -2}})
 	if out.Weight(1) != -2 {
 		t.Errorf("negative weight = %v, want -2", out.Weight(1))

@@ -7,8 +7,8 @@ import "wpinq/internal/weighted"
 // rejected proposal.
 //
 // A transaction brackets one or more speculative pushes. Between
-// Input.Begin and Input.Commit/Input.Abort, every stateful operator and
-// sink buffers the pre-image of each piece of state it overwrites — a
+// TxnBegin and TxnCommit/TxnAbort, every stateful operator and sink
+// buffers the pre-image of each piece of state it overwrites — a
 // (record, old weight) undo entry per first touch, in mutation order —
 // instead of forgetting it. Commit discards the logs (the speculative
 // propagation is already the truth); Abort replays them last-in-first-out,
@@ -36,8 +36,7 @@ import "wpinq/internal/weighted"
 //     records first materialized during the transaction are kept, along
 //     with their |m(x)| contribution to the sink's L1. The memoized-noise
 //     semantics of wPINQ are monotone (a measurement, once consulted, is
-//     released), and the pre-transaction inverse-push rejection path kept
-//     them too.
+//     released).
 type TxnOp uint8
 
 const (
@@ -52,8 +51,7 @@ const (
 
 // TxnSource is a difference source that also broadcasts transaction
 // control events. Every operator stream in this package and in
-// wpinq/internal/engine implements it; a graph whose nodes all implement
-// it supports transactional pushes end to end.
+// wpinq/internal/engine implements it.
 type TxnSource interface {
 	// SubscribeTxn registers a control-event handler. Like Subscribe,
 	// registration must complete before the first push.
@@ -197,8 +195,8 @@ type touchedGroup[K comparable, G any] struct {
 	created bool
 }
 
-// CollectorUndo is the first-touch undo log shared by both executors'
-// materializing collectors: Observe records a record's pre-transaction
+// CollectorUndo is the first-touch undo log shared by this package's and
+// the engine's materializing collectors: Observe records a record's pre-transaction
 // weight once (before the collector overwrites it), Abort restores the
 // dataset from the log, and Reset clears the log at commit. The sharded
 // executor keeps one per state shard so speculative rounds log without

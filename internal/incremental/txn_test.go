@@ -57,7 +57,7 @@ func checkTxn[U comparable](t *testing.T, name string, build func(Source[int]) S
 
 	for cycle := 0; cycle < 300; cycle++ {
 		// One transaction: one to three speculative batches.
-		subjectIn.Begin()
+		subjectIn.Txn(TxnBegin)
 		batches := make([][]Delta[int], 1+rng.Intn(3))
 		for bi := range batches {
 			batch := make([]Delta[int], 1+rng.Intn(3))
@@ -68,12 +68,12 @@ func checkTxn[U comparable](t *testing.T, name string, build func(Source[int]) S
 			subjectIn.Push(batch)
 		}
 		if rng.Intn(2) == 0 {
-			subjectIn.Commit()
+			subjectIn.Txn(TxnCommit)
 			for _, batch := range batches {
 				twinIn.Push(batch)
 			}
 		} else {
-			subjectIn.Abort()
+			subjectIn.Txn(TxnAbort)
 		}
 		exactEqual(t, name, subjectOut.Snapshot(), twinOut.Snapshot())
 	}
@@ -82,18 +82,6 @@ func checkTxn[U comparable](t *testing.T, name string, build func(Source[int]) S
 	probe := []Delta[int]{{3, 0.25}, {7, -0.5}, {11, 1.5}}
 	push(probe)
 	exactEqual(t, name+" probe", subjectOut.Snapshot(), twinOut.Snapshot())
-}
-
-func TestTxnSelect(t *testing.T) {
-	checkTxn(t, "Select", func(s Source[int]) Source[int] {
-		return Select(s, func(x int) int { return x % 4 })
-	})
-}
-
-func TestTxnSelectMany(t *testing.T) {
-	checkTxn(t, "SelectMany", func(s Source[int]) Source[int] {
-		return SelectManySlice(s, func(x int) []int { return []int{x, x + 1, x + 2} })
-	})
 }
 
 func TestTxnGroupBy(t *testing.T) {
@@ -119,30 +107,12 @@ func TestTxnSelfJoin(t *testing.T) {
 func TestTxnUnionIntersectDiamond(t *testing.T) {
 	// Diamond topology: the gate must deduplicate control events arriving
 	// along both paths, or aborts would double-restore.
-	checkTxn(t, "Union+Intersect", func(s Source[int]) Source[int] {
-		evens := Where(s, func(x int) bool { return x%2 == 0 })
-		return Intersect[int](Union[int](s, evens), s)
-	})
+	checkTxn(t, "Union+Intersect", diamond)
 }
 
 func TestTxnDeepTbIShape(t *testing.T) {
-	// The exact operator shape MCMC aborts through.
-	type path struct{ a, b, c int }
-	checkTxn(t, "TbI-shape", func(s Source[int]) Source[path] {
-		j := Join(s, s,
-			func(x int) int { return x % 5 }, func(y int) int { return (y + 1) % 5 },
-			func(x, y int) path { return path{x, x % 5, y} })
-		filtered := Where[path](j, func(p path) bool { return p.a != p.c })
-		rotated := Select[path](filtered, func(p path) path { return path{p.b, p.c, p.a} })
-		return Intersect[path](rotated, filtered)
-	})
-}
-
-func TestTxnConcatExcept(t *testing.T) {
-	checkTxn(t, "Concat+Except", func(s Source[int]) Source[int] {
-		odds := Where(s, func(x int) bool { return x%2 == 1 })
-		return Except[int](Concat[int](s, odds), odds)
-	})
+	// The stateful part of the operator shape MCMC aborts through.
+	checkTxn(t, "TbI-shape", tbiShape)
 }
 
 // TestTxnSinkKeepsNewObservations pins the one deliberate abort
@@ -156,9 +126,9 @@ func TestTxnSinkKeepsNewObservations(t *testing.T) {
 	in.Push([]Delta[int]{{1, 2}}) // |2-5| replaces |0-5|
 	before := sink.L1()
 
-	in.Begin()
+	in.Txn(TxnBegin)
 	in.Push([]Delta[int]{{1, 1}, {2, 4}}) // record 2 observed for the first time
-	in.Abort()
+	in.Txn(TxnAbort)
 
 	// q is restored (1 -> weight 2, 2 -> gone) but record 2's observation
 	// remains: L1 gains |0 - (-3)| = 3.

@@ -8,7 +8,7 @@ import (
 )
 
 func TestPowScheduleValidation(t *testing.T) {
-	in := incremental.NewInput[graph.Edge]()
+	in := newEdgeInput()
 	s := NewGraphState(ringGraph(8), in)
 	// PowSchedule alone (Pow zero) must be accepted.
 	sched := func(step int) float64 { return 1 + float64(step) }

@@ -17,12 +17,10 @@
 // must be negative for the posterior to concentrate on good fits, matching
 // the Laplace likelihood. See DESIGN.md "Known deviations".)
 //
-// Scoring is transactional on both executors: each proposal's edge
-// differences propagate exactly once, speculatively, and a rejection
-// restores the dataflow's pre-proposal state from per-operator undo
-// logs instead of propagating the inverse swap a second time (DESIGN.md
-// "Transactional scoring"). Inputs that do not implement TxnInput fall
-// back to inverse-push rejection.
+// Scoring is transactional: each proposal's edge differences propagate
+// exactly once, speculatively, and a rejection restores the dataflow's
+// pre-proposal state from per-operator undo logs instead of propagating
+// the inverse swap a second time (DESIGN.md "Transactional scoring").
 package mcmc
 
 import (
@@ -32,31 +30,17 @@ import (
 
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
-	"wpinq/internal/weighted"
 )
 
 // Input is the dataflow entry point the sampler drives: it accepts the
-// edge differences of a proposed swap and propagates them synchronously
-// to every subscribed pipeline. Both the serial reference engine's
-// *incremental.Input[graph.Edge] and the sharded parallel executor's
-// *engine.Input[graph.Edge] satisfy it, so the sampler is agnostic to
-// which engine scores proposals.
+// edge differences of a proposed swap, propagates them synchronously to
+// every subscribed pipeline, and brackets them in a transaction (see
+// incremental.TxnOp) so that a rejection restores every stateful
+// operator's pre-image from undo logs in O(touched keys) instead of
+// propagating the inverse differences. *engine.Input[graph.Edge] and
+// workload.Plan's input satisfy it.
 type Input interface {
 	Push(batch []incremental.Delta[graph.Edge])
-	PushDataset(d *weighted.Dataset[graph.Edge])
-}
-
-// TxnInput is an Input whose dataflow graph supports transactional
-// pushes (see incremental.TxnOp): a proposal's edge differences are
-// propagated once, speculatively, and a rejection restores every
-// stateful operator's pre-image from undo logs in O(touched keys)
-// instead of propagating the inverse differences a second time. Both
-// executors' inputs (*incremental.Input[graph.Edge] and
-// *engine.Input[graph.Edge]) satisfy it, so the sampler uses the
-// protocol automatically; a plain Input falls back to inverse-push
-// rejection.
-type TxnInput interface {
-	Input
 	// Begin opens a transaction; subsequent pushes are speculative.
 	Begin()
 	// Commit keeps the speculative pushes and discards the undo logs.
@@ -72,12 +56,11 @@ type GraphState struct {
 	g     *graph.Graph
 	edges []graph.Edge // normalized (Src < Dst) undirected edge list
 	input Input
-	txn   TxnInput // input's transactional view, nil when unsupported
 
 	// swapBatch is the reusable eight-delta proposal batch. Push consumes
-	// the slice synchronously (the serial executor propagates before
-	// returning; the engine drains its round inside Push), so reusing it
-	// across proposals is safe and keeps Apply allocation-free.
+	// the slice synchronously (the engine drains its round inside Push),
+	// so reusing it across proposals is safe and keeps Apply
+	// allocation-free.
 	swapBatch []incremental.Delta[graph.Edge]
 }
 
@@ -100,9 +83,6 @@ func NewGraphState(g *graph.Graph, input Input) *GraphState {
 // must, and here do, spell it the same way.
 func loadGraphState(g *graph.Graph, edges []graph.Edge, input Input) *GraphState {
 	s := &GraphState{g: g, edges: edges, input: input}
-	if t, ok := input.(TxnInput); ok {
-		s.txn = t
-	}
 	batch := make([]incremental.Delta[graph.Edge], 0, 2*len(edges))
 	for _, e := range edges {
 		batch = append(batch,
@@ -178,60 +158,30 @@ func (s *GraphState) Apply(p Proposal) {
 	s.input.Push(s.swapBatch)
 }
 
-// Revert undoes a just-applied proposal by applying the inverse swap:
-// the pre-transactional Metropolis rejection path, costing a second full
-// propagation. Speculate/Abort is the cheap path; Revert remains the
-// fallback for non-transactional inputs and the reference the
-// transactional path is trace-tested against.
-func (s *GraphState) Revert(p Proposal) {
-	s.Apply(Proposal{I: p.I, J: p.J, A: p.A, B: p.D, C: p.C, D: p.B})
-}
-
-// Transactional reports whether the coupled input supports the
-// propose/score/commit-or-abort protocol.
-func (s *GraphState) Transactional() bool { return s.txn != nil }
-
-// Speculate performs the swap inside a transaction when the input
-// supports one (reported by the return value): the eight edge
+// Speculate performs the swap inside a transaction: the eight edge
 // differences propagate exactly once, with every stateful operator
 // logging pre-images, and the proposal stays pending until Commit or
-// Abort. On a plain input it degenerates to Apply, whose rejection path
-// is Revert.
-func (s *GraphState) Speculate(p Proposal) bool {
-	if s.txn == nil {
-		s.Apply(p)
-		return false
-	}
-	s.txn.Begin()
+// Abort.
+func (s *GraphState) Speculate(p Proposal) {
+	s.input.Begin()
 	s.Apply(p)
-	return true
 }
 
-// Commit accepts the pending speculative proposal (no-op on a plain
-// input: Apply already committed it).
-func (s *GraphState) Commit() {
-	if s.txn != nil {
-		s.txn.Commit()
-	}
-}
+// Commit accepts the pending speculative proposal.
+func (s *GraphState) Commit() { s.input.Commit() }
 
 // Abort rejects a just-speculated proposal: the graph and edge-list
 // mutations are unwound directly (set operations, exactly invertible)
 // and the dataflow state is restored from the operators' undo logs in
-// O(touched keys) — no second propagation. On a plain input it falls
-// back to Revert.
+// O(touched keys) — no second propagation.
 func (s *GraphState) Abort(p Proposal) {
-	if s.txn == nil {
-		s.Revert(p)
-		return
-	}
 	s.g.RemoveEdge(p.A, p.D)
 	s.g.RemoveEdge(p.C, p.B)
 	s.g.AddEdge(p.A, p.B)
 	s.g.AddEdge(p.C, p.D)
 	s.edges[p.I] = normEdge(p.A, p.B)
 	s.edges[p.J] = normEdge(p.C, p.D)
-	s.txn.Abort()
+	s.input.Abort()
 }
 
 func normEdge(u, v graph.Node) graph.Edge {
@@ -340,10 +290,9 @@ func (r *Runner) Step() bool {
 
 // transition performs one propose/score/commit-or-abort cycle. valid is
 // false when the proposal draw was degenerate (nothing changed). The
-// proposal's differences propagate exactly once: on transactional inputs
-// a rejection unwinds state from the operators' undo logs instead of
-// propagating the inverse swap (the pre-transactional path, still taken
-// for plain inputs via Speculate's Apply/Revert fallback).
+// proposal's differences propagate exactly once: a rejection unwinds
+// state from the operators' undo logs instead of propagating the inverse
+// swap.
 func (r *Runner) transition() (accepted, valid bool) {
 	p, ok := r.state.Propose(r.rng)
 	if !ok {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
 	"wpinq/internal/queries"
@@ -11,6 +12,17 @@ import (
 )
 
 func testRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+
+// newEdgeInput returns a one-shard executor's edge input: what a test
+// that only needs an input builds over.
+func newEdgeInput() *engine.Input[graph.Edge] {
+	return engine.NewInput[graph.Edge](engine.New(1))
+}
+
+// inverse returns the proposal that swaps p's edges back.
+func inverse(p Proposal) Proposal {
+	return Proposal{I: p.I, J: p.J, A: p.A, B: p.D, C: p.C, D: p.B}
+}
 
 func ringGraph(n int) *graph.Graph {
 	g := graph.New()
@@ -26,7 +38,7 @@ func TestGraphStateSwapKeepsInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := incremental.NewInput[graph.Edge]()
+	in := newEdgeInput()
 	coll := incremental.Collect[graph.Edge](in)
 	s := NewGraphState(g, in)
 	degreesBefore := s.Graph().Degrees()
@@ -62,7 +74,7 @@ func TestGraphStateSwapKeepsInvariants(t *testing.T) {
 func TestGraphStateApplyRevert(t *testing.T) {
 	rng := testRng(2)
 	g := ringGraph(12)
-	in := incremental.NewInput[graph.Edge]()
+	in := newEdgeInput()
 	coll := incremental.Collect[graph.Edge](in)
 	s := NewGraphState(g, in)
 	before := coll.Snapshot()
@@ -72,7 +84,7 @@ func TestGraphStateApplyRevert(t *testing.T) {
 		p, ok = s.Propose(rng)
 	}
 	s.Apply(p)
-	s.Revert(p)
+	s.Apply(inverse(p))
 	after := coll.Snapshot()
 	if before.Len() != after.Len() {
 		t.Fatalf("record count changed after revert: %d -> %d", before.Len(), after.Len())
@@ -93,7 +105,7 @@ func TestProposeRejectsDegenerate(t *testing.T) {
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
 	g.AddEdge(2, 0)
-	in := incremental.NewInput[graph.Edge]()
+	in := newEdgeInput()
 	s := NewGraphState(g, in)
 	rng := testRng(3)
 	for i := 0; i < 200; i++ {
@@ -104,14 +116,14 @@ func TestProposeRejectsDegenerate(t *testing.T) {
 	// A single edge cannot swap either.
 	one := graph.New()
 	one.AddEdge(0, 1)
-	s2 := NewGraphState(one, incremental.NewInput[graph.Edge]())
+	s2 := NewGraphState(one, newEdgeInput())
 	if _, ok := s2.Propose(rng); ok {
 		t.Error("single edge should admit no swap")
 	}
 }
 
 func TestRunnerValidation(t *testing.T) {
-	in := incremental.NewInput[graph.Edge]()
+	in := newEdgeInput()
 	s := NewGraphState(ringGraph(8), in)
 	sc := incremental.NewScorer()
 	if _, err := NewRunner(nil, sc, Config{Pow: 1}, testRng(4)); err == nil {
@@ -128,7 +140,7 @@ func TestRunnerValidation(t *testing.T) {
 // buildTbIFixture wires a TbI pipeline and returns (state, scorer) fitting
 // the given observed triangle signal.
 func buildTbIFixture(g *graph.Graph, observed float64, eps float64) (*GraphState, *incremental.Scorer) {
-	in := incremental.NewInput[graph.Edge]()
+	in := newEdgeInput()
 	stream := queries.TbIPipeline(nil, in)
 	sink := incremental.NewNoisyCountSink[queries.Unit](
 		stream,

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"wpinq/internal/graph"
-	"wpinq/internal/incremental"
 )
 
 // Distribution tests for GraphState.Propose: the walk is symmetric only
@@ -17,7 +16,7 @@ import (
 // proposeState couples a graph to a no-op pipeline, for proposal-only
 // tests.
 func proposeState(g *graph.Graph) *GraphState {
-	return NewGraphState(g, incremental.NewInput[graph.Edge]())
+	return NewGraphState(g, newEdgeInput())
 }
 
 // edgePair is an unordered pair of normalized edges, for tallying which

@@ -1,6 +1,7 @@
 package mcmc
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,17 +14,12 @@ import (
 // Tests of the transactional propose/score/commit-or-abort protocol: a
 // rejected proposal must cost exactly one propagation (down from two
 // under inverse-push rejection), and the seeded walk it produces must be
-// byte-identical — accept/reject decisions and final edge list — to the
-// pre-transactional inverse-swap path on both executors.
-
-// plainInput hides an input's transactional methods, so NewGraphState
-// falls back to the inverse-push rejection path (Apply + Revert). The
-// comparison tests use it to run the pre-transactional protocol on
-// today's code.
-type plainInput struct{ Input }
-
-// pushCounter is the propagation counter both executors' inputs expose.
-type pushCounter interface{ Pushes() uint64 }
+// byte-identical — accept/reject decisions and final edge list — to a
+// walk that rejects by pushing the inverse swap.
+//
+// The "serial" rows are Shards -1, the retired reference engine's value,
+// which every layer that still accepts it reads as one shard
+// (workload.NewPlanFused); they stay because the value does.
 
 // lazyObs mimics core.Histogram's memoized lazy noise: a record's
 // observation is drawn on first Get and cached. Two instances with
@@ -48,41 +44,27 @@ func (o *lazyObs[T]) Get(x T) float64 {
 	return v
 }
 
-// txnFixture couples a scoring graph state to the concrete input it was
-// built on.
+// txnFixture couples a scoring graph state to the input it was built on.
 type txnFixture struct {
-	state   *GraphState
-	scorer  *incremental.Scorer
-	counter pushCounter
+	state  *GraphState
+	scorer *incremental.Scorer
+	input  *engine.Input[graph.Edge]
 }
 
 // buildTxnFixture wires a three-sink fit — triangle count (TbI), degree
 // sequence, and the joint degree distribution against lazily-drawn
-// observations — on the selected executor. shards < 0 selects the serial
-// reference engine; wrapPlain hides the transactional protocol. cutoff
-// only applies to the sharded executor (0 forces parallel dispatch).
-func buildTxnFixture(g *graph.Graph, shards, cutoff int, wrapPlain bool, obsSeed int64) txnFixture {
-	return buildFixture(g, shards, cutoff, wrapPlain, newLazyObs[queries.DegPair](obsSeed))
+// observations — at the given shard count (negative: one) and cutoff (0
+// forces parallel dispatch).
+func buildTxnFixture(g *graph.Graph, shards, cutoff int, obsSeed int64) txnFixture {
+	return buildFixture(g, shards, cutoff, newLazyObs[queries.DegPair](obsSeed))
 }
 
-// txnRoot is what both executors' edge inputs give the fixtures: the
-// MCMC entry point, the push counter, and the root stream the pipelines
-// build over.
-type txnRoot interface {
-	Input
-	pushCounter
-	incremental.Source[graph.Edge]
-}
-
-// buildFixture wires the three sinks over the selected executor's edge
-// input, scoring the JDD against jddObs.
-func buildFixture(g *graph.Graph, shards, cutoff int, wrapPlain bool, jddObs incremental.Observations[queries.DegPair]) txnFixture {
-	var in txnRoot = incremental.NewInput[graph.Edge]()
-	if shards >= 0 {
-		e := engine.New(shards)
-		e.SetSerialCutoff(cutoff)
-		in = engine.NewInput[graph.Edge](e)
-	}
+// buildFixture wires the three sinks over the edge input, scoring the JDD
+// against jddObs.
+func buildFixture(g *graph.Graph, shards, cutoff int, jddObs incremental.Observations[queries.DegPair]) txnFixture {
+	e := engine.New(max(shards, 1))
+	e.SetSerialCutoff(cutoff)
+	in := engine.NewInput[graph.Edge](e)
 	degTargets := incremental.MapObservations[int]{0: 8, 1: 6, 2: 5, 3: 3}
 	sink1 := incremental.NewNoisyCountSink[queries.Unit](
 		queries.TbIPipeline(nil, in), incremental.MapObservations[queries.Unit]{{}: 45}, []queries.Unit{{}}, 0.5)
@@ -90,12 +72,7 @@ func buildFixture(g *graph.Graph, shards, cutoff int, wrapPlain bool, jddObs inc
 		queries.DegreeSequencePipeline(in), degTargets, nil, 0.3)
 	sink3 := incremental.NewNoisyCountSink[queries.DegPair](
 		queries.JDDPipeline(nil, in), jddObs, nil, 0.4)
-	var input Input = in
-	if wrapPlain {
-		input = plainInput{input}
-	}
-	state := NewGraphState(g, input)
-	return txnFixture{state: state, scorer: incremental.NewScorer(sink1, sink2, sink3), counter: in}
+	return txnFixture{state: NewGraphState(g, in), scorer: incremental.NewScorer(sink1, sink2, sink3), input: in}
 }
 
 // stepTrace is one observed walk step.
@@ -117,21 +94,49 @@ func runTraced(t *testing.T, f txnFixture, pow float64, rngSeed int64, n int) (S
 	return r.Run(n), trace
 }
 
-// TestTxnTraceMatchesInversePushPath pins the protocol swap end to end:
-// for a fixed seed, the transactional walk's accept/reject decisions and
-// final edge list are byte-identical to the pre-transactional
-// inverse-push walk, on the serial engine and on sharded executors.
-// (Scores are not compared bitwise: the inverse-push path re-derives
-// state arithmetically and its scalar accumulators can drift by ~1e-15
-// on rare rejects, which is exactly the imprecision the undo log
-// removes; such drift would flip a decision only at an astronomically
-// near tie.)
+// runInversePush is Runner.Run with the pre-transactional rejection: the
+// proposal is applied outright and a rejection applies the inverse swap,
+// a second propagation. It makes the same draws from the same rng.
+func runInversePush(f txnFixture, pow float64, rngSeed int64, n int) (Stats, []stepTrace) {
+	rng := testRng(rngSeed)
+	st := Stats{Steps: n}
+	trace := make([]stepTrace, n)
+	score := f.scorer.Score()
+	for i := range trace {
+		p, ok := f.state.Propose(rng)
+		if !ok {
+			st.Invalid++
+			continue
+		}
+		f.state.Apply(p)
+		next := f.scorer.Score()
+		if next <= score || rng.Float64() < math.Exp(-pow*(next-score)) {
+			score = next
+			st.Accepted++
+			trace[i].accepted = true
+			continue
+		}
+		f.state.Apply(inverse(p))
+		st.Rejected++
+	}
+	st.FinalScore = score
+	return st, trace
+}
+
+// TestTxnTraceMatchesInversePushPath pins the protocol end to end: for a
+// fixed seed, the transactional walk's accept/reject decisions and final
+// edge list are byte-identical to the inverse-push walk's, at one shard
+// and at three. (Scores are not compared bitwise: the inverse-push path
+// re-derives state arithmetically and its scalar accumulators can drift
+// by ~1e-15 on rare rejects, which is exactly the imprecision the undo
+// log removes; such drift would flip a decision only at an
+// astronomically near tie.)
 func TestTxnTraceMatchesInversePushPath(t *testing.T) {
 	for _, cfg := range []struct {
 		name           string
 		shards, cutoff int
 	}{
-		{"serial", -1, 0},
+		{"serial", -1, engine.DefaultSerialCutoff},
 		{"engine1", 1, engine.DefaultSerialCutoff},
 		{"engine3", 3, engine.DefaultSerialCutoff},
 	} {
@@ -141,17 +146,11 @@ func TestTxnTraceMatchesInversePushPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			txn := buildTxnFixture(g, cfg.shards, cfg.cutoff, false, 77)
-			old := buildTxnFixture(g, cfg.shards, cfg.cutoff, true, 77)
-			if !txn.state.Transactional() {
-				t.Fatal("transactional fixture did not detect a TxnInput")
-			}
-			if old.state.Transactional() {
-				t.Fatal("plain-wrapped fixture still transactional")
-			}
+			txn := buildTxnFixture(g, cfg.shards, cfg.cutoff, 77)
+			old := buildTxnFixture(g, cfg.shards, cfg.cutoff, 77)
 
 			stTxn, trTxn := runTraced(t, txn, 300, 99, 1500)
-			stOld, trOld := runTraced(t, old, 300, 99, 1500)
+			stOld, trOld := runInversePush(old, 300, 99, 1500)
 
 			if stTxn.Steps != stOld.Steps || stTxn.Accepted != stOld.Accepted ||
 				stTxn.Rejected != stOld.Rejected || stTxn.Invalid != stOld.Invalid {
@@ -180,17 +179,16 @@ func TestTxnTraceMatchesInversePushPath(t *testing.T) {
 }
 
 // TestTxnRejectCostsOnePropagation is the reject-heavy regression test:
-// with the propagation counter on both executors' inputs, a run at a pow
-// harsh enough to reject the overwhelming majority of proposals must
-// propagate exactly once per valid proposal — bulk load + accepted +
-// rejected — where the inverse-push path paid a second propagation per
-// reject.
+// a run at a pow harsh enough to reject the overwhelming majority of
+// proposals must propagate exactly once per valid proposal — bulk load +
+// accepted + rejected — where inverse-push rejection paid a second
+// propagation per reject.
 func TestTxnRejectCostsOnePropagation(t *testing.T) {
 	for _, cfg := range []struct {
 		name           string
 		shards, cutoff int
 	}{
-		{"serial", -1, 0},
+		{"serial", -1, engine.DefaultSerialCutoff},
 		{"engine2", 2, engine.DefaultSerialCutoff},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
@@ -199,29 +197,18 @@ func TestTxnRejectCostsOnePropagation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			run := func(wrapPlain bool) (Stats, uint64) {
-				f := buildTxnFixture(g, cfg.shards, cfg.cutoff, wrapPlain, 78)
-				r, err := NewRunner(f.state, f.scorer, Config{Pow: 1e7}, testRng(41))
-				if err != nil {
-					t.Fatal(err)
-				}
-				st := r.Run(600)
-				return st, f.counter.Pushes()
+			f := buildTxnFixture(g, cfg.shards, cfg.cutoff, 78)
+			r, err := NewRunner(f.state, f.scorer, Config{Pow: 1e7}, testRng(41))
+			if err != nil {
+				t.Fatal(err)
 			}
-
-			st, pushes := run(false)
+			st := r.Run(600)
 			if st.Rejected < 200 {
 				t.Fatalf("fixture is not reject-heavy: %+v", st)
 			}
 			want := uint64(1 + st.Accepted + st.Rejected) // bulk load + one per valid proposal
-			if pushes != want {
-				t.Errorf("transactional run propagated %d times, want %d (exactly 1 per proposal)", pushes, want)
-			}
-
-			stOld, pushesOld := run(true)
-			wantOld := uint64(1 + stOld.Accepted + 2*stOld.Rejected)
-			if pushesOld != wantOld {
-				t.Errorf("inverse-push run propagated %d times, want %d (2 per reject)", pushesOld, wantOld)
+			if pushes := f.input.Pushes(); pushes != want {
+				t.Errorf("run propagated %d times, want %d (exactly 1 per proposal)", pushes, want)
 			}
 		})
 	}
@@ -232,15 +219,15 @@ func TestTxnRejectCostsOnePropagation(t *testing.T) {
 // the graph, every operator's state, the sinks' L1 accumulators, and the
 // score bit-identical to a twin that applied only the committed swaps —
 // and equal, to float-accumulation tolerance, to a fresh pipeline
-// bulk-loaded with the final edge list. Runs across the serial engine
-// and sharded executors (including a cutoff-0 layout so -race exercises
-// speculative rounds under parallel dispatch).
+// bulk-loaded with the final edge list. Runs at one shard and at three
+// with cutoff 0, so -race exercises speculative rounds under parallel
+// dispatch.
 func TestTxnRandomCommitAbortLeavesNoTrace(t *testing.T) {
 	for _, cfg := range []struct {
 		name           string
 		shards, cutoff int
 	}{
-		{"serial", -1, 0},
+		{"serial", -1, engine.DefaultSerialCutoff},
 		{"engine1", 1, engine.DefaultSerialCutoff},
 		{"engine3-cutoff0", 3, 0},
 	} {
@@ -313,12 +300,12 @@ func TestTxnRandomCommitAbortLeavesNoTrace(t *testing.T) {
 // up front (no lazy noise), for tests that replay subsets of a proposal
 // sequence.
 func buildFixedObsFixture(g *graph.Graph, shards, cutoff int) txnFixture {
-	return buildFixture(g, shards, cutoff, false, incremental.MapObservations[queries.DegPair]{})
+	return buildFixture(g, shards, cutoff, incremental.MapObservations[queries.DegPair]{})
 }
 
 // TestTxnAbortRestoresScoreExactly drives the sampler's own rejection
 // path and checks, proposal by proposal, that an abort restores the
-// scorer bit-exactly — the property the inverse-push path only held to
+// scorer bit-exactly — the property inverse-push rejection only held to
 // within float drift.
 func TestTxnAbortRestoresScoreExactly(t *testing.T) {
 	rng := testRng(61)
@@ -326,7 +313,7 @@ func TestTxnAbortRestoresScoreExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := buildFixedObsFixture(g, -1, 0)
+	f := buildFixedObsFixture(g, 1, engine.DefaultSerialCutoff)
 	for i := 0; i < 2000; i++ {
 		p, ok := f.state.Propose(rng)
 		if !ok {

@@ -2,9 +2,8 @@
 // shared operator prefixes of several workloads' fit pipelines into one
 // dataflow DAG with fan-out at the divergence points.
 //
-// Every registered workload compiles to a pipeline over one of the two
-// dataflow executors (wpinq/internal/incremental and
-// wpinq/internal/engine). Before this package, a plan fitting N
+// Every registered workload compiles to a pipeline over the dataflow
+// executor (wpinq/internal/engine). Before this package, a plan fitting N
 // workloads built N private pipelines, so tbi, tbd, and wedges each
 // maintained their own copy of the length-two-path join even though the
 // three subgraphs are identical — propagation cost per MCMC proposal
@@ -26,7 +25,7 @@
 // cheap structural rules rather than cardinality estimation.
 //
 // Correctness under the transactional scoring protocol comes from the
-// executors themselves: transaction control events travel the dataflow
+// executor itself: transaction control events travel the dataflow
 // edges and every node deduplicates redundant deliveries with a TxnGate,
 // so the new diamonds fusion introduces (a shared prefix reaching one
 // node along two paths) apply Begin/Commit/Abort exactly once per node.
@@ -206,8 +205,8 @@ func Shared[S any](m *Memo, n Node, build func() S) S {
 // Count taps a fragment's output stream with a batch-delivery counter
 // feeding Pushes. Fragment builders call it on the stream they return;
 // the tap is a pure observer (it never mutates the batch), so it leaves
-// the propagation semantics untouched on either executor (engine streams
-// implement incremental.Source).
+// the propagation semantics untouched (engine streams implement
+// incremental.Source).
 func Count[T comparable](m *Memo, src incremental.Source[T]) {
 	if m == nil {
 		return

@@ -5,8 +5,8 @@ import (
 	"fmt"
 
 	"wpinq/internal/core"
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
-	"wpinq/internal/incremental"
 	"wpinq/internal/plan"
 )
 
@@ -259,25 +259,25 @@ func motifEmbeddings(edges *core.Collection[graph.Edge], p Pattern) (*core.Colle
 }
 
 // MotifPipeline is the incremental mirror of MotifCount.
-func MotifPipeline(m *plan.Memo, edges incremental.Source[graph.Edge], p Pattern) (incremental.Source[Unit], error) {
+func MotifPipeline(m *plan.Memo, edges engine.Source[graph.Edge], p Pattern) (engine.Source[Unit], error) {
 	emb, err := embeddings(m, edges, p)
 	if err != nil {
 		return nil, err
 	}
-	return sel(emb, func(Embedding) Unit { return Unit{} }), nil
+	return engine.Select(emb, func(Embedding) Unit { return Unit{} }), nil
 }
 
 // embeddings requests the pattern's compiled embedding chain through the
 // memo — the incremental form of motifEmbeddings. Two motif workloads
 // over the same pattern share the whole chain.
-func embeddings(m *plan.Memo, edges incremental.Source[graph.Edge], p Pattern) (incremental.Source[Embedding], error) {
+func embeddings(m *plan.Memo, edges engine.Source[graph.Edge], p Pattern) (engine.Source[Embedding], error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	n := plan.Node{Key: motifEmbKey(p), Op: "embedding-joins", Inputs: []string{"edges"}}
-	return fragment(m, n, func() incremental.Source[Embedding] {
+	return fragment(m, n, func() engine.Source[Embedding] {
 		first, steps := p.compile()
-		emb := sel(edges, func(e graph.Edge) Embedding {
+		var emb engine.Source[Embedding] = engine.Select(edges, func(e graph.Edge) Embedding {
 			out := emptyEmbedding()
 			out[first[0]] = e.Src
 			out[first[1]] = e.Dst
@@ -286,20 +286,20 @@ func embeddings(m *plan.Memo, edges incremental.Source[graph.Edge], p Pattern) (
 		for _, s := range steps {
 			s := s
 			if s.Closing {
-				emb = join(emb, edges,
+				emb = engine.Join(emb, edges,
 					func(e Embedding) anchorKey { return anchorKey{e[s.U], e[s.V]} },
 					func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, ed.Dst} },
 					func(e Embedding, _ graph.Edge) Embedding { return e })
 				continue
 			}
-			joined := join(emb, edges,
+			joined := engine.Join(emb, edges,
 				func(e Embedding) anchorKey { return anchorKey{e[s.U], -1} },
 				func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, -1} },
 				func(e Embedding, ed graph.Edge) Embedding {
 					e[s.V] = ed.Dst
 					return e
 				})
-			emb = where(joined, injective)
+			emb = engine.Where(joined, injective)
 		}
 		return emb
 	}), nil

@@ -6,8 +6,8 @@ import (
 
 	"wpinq/internal/budget"
 	"wpinq/internal/core"
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
-	"wpinq/internal/incremental"
 )
 
 func motifWeight(t *testing.T, g *graph.Graph, p Pattern) float64 {
@@ -120,7 +120,7 @@ func TestMotifPipelineMatchesQuery(t *testing.T) {
 	for _, p := range []Pattern{TrianglePattern, SquarePattern, PathPattern3} {
 		p := p
 		checkPipelineMatchesQuery(t, allLayouts, "Motif:"+p.fragmentKey(),
-			func(s incremental.Source[graph.Edge]) incremental.Source[Unit] {
+			func(s engine.Source[graph.Edge]) engine.Source[Unit] {
 				out, err := MotifPipeline(nil, s, p)
 				if err != nil {
 					t.Fatal(err)
@@ -143,7 +143,7 @@ func TestMotifRejectsInvalidPattern(t *testing.T) {
 	if _, err := MotifCount(edges, Pattern{K: 3}); err == nil {
 		t.Error("invalid pattern accepted by MotifCount")
 	}
-	if _, err := MotifPipeline(nil, incremental.NewInput[graph.Edge](), Pattern{K: 3}); err == nil {
+	if _, err := MotifPipeline(nil, engine.NewInput[graph.Edge](engine.New(1)), Pattern{K: 3}); err == nil {
 		t.Error("invalid pattern accepted by MotifPipeline")
 	}
 }

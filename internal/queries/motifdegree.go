@@ -2,8 +2,8 @@ package queries
 
 import (
 	"wpinq/internal/core"
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
-	"wpinq/internal/incremental"
 	"wpinq/internal/plan"
 	"wpinq/internal/weighted"
 )
@@ -84,7 +84,7 @@ func MotifByDegree(edges *core.Collection[graph.Edge], p Pattern, bucket int) (*
 
 // MotifByDegreePipeline is the incremental mirror of MotifByDegree, with
 // the embedding chain and the degrees prefix requested through the memo.
-func MotifByDegreePipeline(m *plan.Memo, edges incremental.Source[graph.Edge], p Pattern, bucket int) (incremental.Source[DegProfile], error) {
+func MotifByDegreePipeline(m *plan.Memo, edges engine.Source[graph.Edge], p Pattern, bucket int) (engine.Source[DegProfile], error) {
 	emb, err := embeddings(m, edges, p)
 	if err != nil {
 		return nil, err
@@ -95,11 +95,11 @@ func MotifByDegreePipeline(m *plan.Memo, edges incremental.Source[graph.Edge], p
 		Op:     "per-vertex degree joins+sortprofile",
 		Inputs: []string{motifEmbKey(p), degreesKey(bucket)},
 	}
-	return fragment(m, n, func() incremental.Source[DegProfile] {
-		cur := sel(emb, func(e Embedding) embDegs { return embDegs{Emb: e} })
+	return fragment(m, n, func() engine.Source[DegProfile] {
+		var cur engine.Source[embDegs] = engine.Select(emb, func(e Embedding) embDegs { return embDegs{Emb: e} })
 		for v := 0; v < p.K; v++ {
 			v := v
-			cur = join(cur, degs,
+			cur = engine.Join(cur, degs,
 				func(x embDegs) graph.Node { return x.Emb[v] },
 				func(d weighted.Grouped[graph.Node, int]) graph.Node { return d.Key },
 				func(x embDegs, d weighted.Grouped[graph.Node, int]) embDegs {
@@ -108,6 +108,6 @@ func MotifByDegreePipeline(m *plan.Memo, edges incremental.Source[graph.Edge], p
 				})
 		}
 		k := p.K
-		return sel(cur, func(x embDegs) DegProfile { return sortProfile(x.Degs[:k]) })
+		return engine.Select(cur, func(x embDegs) DegProfile { return sortProfile(x.Degs[:k]) })
 	}), nil
 }

@@ -6,8 +6,8 @@ import (
 
 	"wpinq/internal/budget"
 	"wpinq/internal/core"
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
-	"wpinq/internal/incremental"
 )
 
 // twoTrianglesGraph: triangles 0-1-2 (degrees 3,3,3 given the extras) and
@@ -111,7 +111,7 @@ func TestMotifByDegreeRejectsInvalid(t *testing.T) {
 	if _, err := MotifByDegree(publicEdges(k4()), Pattern{K: 2}, 1); err == nil {
 		t.Error("invalid pattern accepted")
 	}
-	if _, err := MotifByDegreePipeline(nil, incremental.NewInput[graph.Edge](), Pattern{K: 2}, 1); err == nil {
+	if _, err := MotifByDegreePipeline(nil, engine.NewInput[graph.Edge](engine.New(1)), Pattern{K: 2}, 1); err == nil {
 		t.Error("invalid pattern accepted by pipeline")
 	}
 }
@@ -120,7 +120,7 @@ func TestMotifByDegreePipelineMatchesQuery(t *testing.T) {
 	for _, p := range []Pattern{TrianglePattern, PathPattern3} {
 		p := p
 		checkPipelineMatchesQuery(t, allLayouts, "MotifByDegree:"+p.fragmentKey(),
-			func(s incremental.Source[graph.Edge]) incremental.Source[DegProfile] {
+			func(s engine.Source[graph.Edge]) engine.Source[DegProfile] {
 				out, err := MotifByDegreePipeline(nil, s, p, 2)
 				if err != nil {
 					t.Fatal(err)

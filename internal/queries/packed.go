@@ -9,7 +9,7 @@ import (
 )
 
 // Packed record encodings for the hot pipeline interiors. The dataflow
-// engines key their state maps and hash exchanges on the record types
+// operators key their state maps and hash exchanges on the record types
 // flowing through them; packing the graph-shaped intermediates (edges,
 // length-two paths, degree pairs) into single uint64 words shrinks that
 // state and hits the runtime's fast fixed-size map variants. Packing is

@@ -4,20 +4,19 @@ import (
 	"fmt"
 	"strings"
 
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
-	"wpinq/internal/incremental"
 	"wpinq/internal/plan"
 	"wpinq/internal/weighted"
 )
 
 // Incremental pipeline builders: the same dataflow shapes as the one-shot
-// queries, wired over the dataflow executors so MCMC can re-score a
-// synthetic graph after each edge swap in time proportional to the change
-// (paper Section 4.3). Each builder takes the edge-difference root stream
-// and returns the stream of final output records, ready to terminate in a
-// NoisyCountSink (for scoring) or Collector (for inspection). A pipeline
-// is described once, over the dispatching operators of ops.go; it runs on
-// whichever executor produced the root stream it is handed.
+// queries, wired over the executor's operators (wpinq/internal/engine) so
+// MCMC can re-score a synthetic graph after each edge swap in time
+// proportional to the change (paper Section 4.3). Each builder takes the
+// edge-difference root stream and returns the stream of final output
+// records, ready to terminate in a NoisyCountSink (for scoring) or
+// Collector (for inspection).
 //
 // Every reusable fragment (the length-two-path join, the degree GroupBy,
 // the path-degree join, motif embedding chains) is requested through a
@@ -72,8 +71,8 @@ func (p Pattern) fragmentKey() string {
 
 // fragment requests one pipeline fragment through the memo and taps the
 // stream it builds with the memo's propagation counter.
-func fragment[T comparable](m *plan.Memo, n plan.Node, build func() incremental.Source[T]) incremental.Source[T] {
-	return plan.Shared(m, n, func() incremental.Source[T] {
+func fragment[T comparable](m *plan.Memo, n plan.Node, build func() engine.Source[T]) engine.Source[T] {
+	return plan.Shared(m, n, func() engine.Source[T] {
 		s := build()
 		plan.Count(m, s)
 		return s
@@ -82,8 +81,8 @@ func fragment[T comparable](m *plan.Memo, n plan.Node, build func() incremental.
 
 // packEdges packs the edge stream for a fragment's interior. Each
 // fragment creates one pack node and fans its interior out from it.
-func packEdges(edges incremental.Source[graph.Edge]) incremental.Source[PEdge] {
-	return sel(edges, packEdge)
+func packEdges(edges engine.Source[graph.Edge]) engine.Source[PEdge] {
+	return engine.Select(edges, packEdge)
 }
 
 // packGroupedDeg re-enters packed form from the degrees fragment's
@@ -93,17 +92,17 @@ func packGroupedDeg(d weighted.Grouped[graph.Node, int]) PDeg {
 }
 
 // pathsCore is the packed interior of PathsPipeline.
-func pathsCore(pe incremental.Source[PEdge]) incremental.Source[PPath] {
-	joined := join(pe, pe,
+func pathsCore(pe engine.Source[PEdge]) engine.Source[PPath] {
+	joined := engine.Join(pe, pe,
 		func(e PEdge) uint64 { return e.dstKey() },
 		func(e PEdge) uint64 { return e.srcKey() },
 		func(x, y PEdge) PPath { return packedPath(x.srcKey(), x.dstKey(), y.dstKey()) })
-	return where(joined, func(p PPath) bool { return p.aKey() != p.cKey() })
+	return engine.Where(joined, func(p PPath) bool { return p.aKey() != p.cKey() })
 }
 
 // degreesCore is the packed interior of DegreesPipeline.
-func degreesCore(pe incremental.Source[PEdge], bucket int) incremental.Source[PDeg] {
-	grouped := groupBy(pe,
+func degreesCore(pe engine.Source[PEdge], bucket int) engine.Source[PDeg] {
+	grouped := engine.GroupBy(pe,
 		func(e PEdge) uint64 { return e.srcKey() },
 		func(es []PEdge) int {
 			if bucket > 1 {
@@ -111,7 +110,7 @@ func degreesCore(pe incremental.Source[PEdge], bucket int) incremental.Source[PD
 			}
 			return len(es)
 		})
-	return sel(grouped, func(g weighted.Grouped[uint64, int]) PDeg {
+	return engine.Select(grouped, func(g weighted.Grouped[uint64, int]) PDeg {
 		//wpinq:packed-ok g.Key is the GroupBy key produced by e.srcKey(), a packed accessor; the generic Grouped plumbing hides the provenance
 		return packedDeg(g.Key, g.Result)
 	})
@@ -119,46 +118,46 @@ func degreesCore(pe incremental.Source[PEdge], bucket int) incremental.Source[PD
 
 // pathDegCore joins packed paths with the center vertex's degree: the
 // shared "abc" prefix of TbD and SbD.
-func pathDegCore(pp incremental.Source[PPath], pd incremental.Source[PDeg]) incremental.Source[PPathDeg] {
-	return join(pp, pd,
+func pathDegCore(pp engine.Source[PPath], pd engine.Source[PDeg]) engine.Source[PPathDeg] {
+	return engine.Join(pp, pd,
 		func(p PPath) uint64 { return p.bKey() },
 		func(d PDeg) uint64 { return d.nodeKey() },
 		func(p PPath, d PDeg) PPathDeg { return PPathDeg{P: p, Deg: int32(d.deg())} })
 }
 
 // tbiCore is the rotate/intersect/unit suffix of TbI over packed paths.
-func tbiCore(pp incremental.Source[PPath]) incremental.Source[Unit] {
-	rotated := sel(pp, func(p PPath) PPath { return p.rotate() })
-	triangles := intersect(rotated, pp)
-	return sel(triangles, func(PPath) Unit { return Unit{} })
+func tbiCore(pp engine.Source[PPath]) engine.Source[Unit] {
+	rotated := engine.Select(pp, func(p PPath) PPath { return p.rotate() })
+	triangles := engine.Intersect(rotated, pp)
+	return engine.Select(triangles, func(PPath) Unit { return Unit{} })
 }
 
 // tbdCore is the rotations/joins/sort suffix of TbD over the packed
 // path-degree stream.
-func tbdCore(abc incremental.Source[PPathDeg]) incremental.Source[DegTriple] {
-	bca := sel(abc, func(x PPathDeg) PPathDeg {
+func tbdCore(abc engine.Source[PPathDeg]) engine.Source[DegTriple] {
+	bca := engine.Select(abc, func(x PPathDeg) PPathDeg {
 		return PPathDeg{x.P.rotate(), x.Deg}
 	})
-	cab := sel(bca, func(x PPathDeg) PPathDeg {
+	cab := engine.Select(bca, func(x PPathDeg) PPathDeg {
 		return PPathDeg{x.P.rotate(), x.Deg}
 	})
-	two := join(abc, bca,
+	two := engine.Join(abc, bca,
 		func(x PPathDeg) PPath { return x.P },
 		func(y PPathDeg) PPath { return y.P },
 		func(x, y PPathDeg) PPathDeg2 { return PPathDeg2{P: x.P, D1: x.Deg, D2: y.Deg} })
-	return join(two, cab,
+	return engine.Join(two, cab,
 		func(x PPathDeg2) PPath { return x.P },
 		func(y PPathDeg) PPath { return y.P },
 		func(x PPathDeg2, y PPathDeg) DegTriple { return SortTriple(int(x.D1), int(x.D2), int(y.Deg)) })
 }
 
 // jddCore is the degree-join/self-join interior of JDD.
-func jddCore(pd incremental.Source[PDeg], pe incremental.Source[PEdge]) incremental.Source[DegPair] {
-	temp := join(pd, pe,
+func jddCore(pd engine.Source[PDeg], pe engine.Source[PEdge]) engine.Source[DegPair] {
+	temp := engine.Join(pd, pe,
 		func(d PDeg) uint64 { return d.nodeKey() },
 		func(e PEdge) uint64 { return e.srcKey() },
 		func(d PDeg, e PEdge) PEdgeDeg { return packedEdgeDeg(e, d.deg()) })
-	return join(temp, temp,
+	return engine.Join(temp, temp,
 		func(x PEdgeDeg) uint64 { return x.edgeKey() },
 		func(y PEdgeDeg) uint64 { return y.reverseKey() },
 		func(x, y PEdgeDeg) DegPair { return DegPair{DA: x.deg(), DB: y.deg()} })
@@ -166,19 +165,19 @@ func jddCore(pd incremental.Source[PDeg], pe incremental.Source[PEdge]) incremen
 
 // PathsPipeline mirrors Paths: length-two paths (a,b,c), a != c, at weight
 // 1/(2*db).
-func PathsPipeline(m *plan.Memo, edges incremental.Source[graph.Edge]) incremental.Source[Path] {
+func PathsPipeline(m *plan.Memo, edges engine.Source[graph.Edge]) engine.Source[Path] {
 	n := plan.Node{Key: pathsKey(), Op: "join(edges,edges)+where(a!=c)", Inputs: []string{"edges"}}
-	return fragment(m, n, func() incremental.Source[Path] {
-		return sel(pathsCore(packEdges(edges)), PPath.unpack)
+	return fragment(m, n, func() engine.Source[Path] {
+		return engine.Select(pathsCore(packEdges(edges)), PPath.unpack)
 	})
 }
 
 // DegreesPipeline mirrors Degrees: (vertex, possibly bucketed degree)
 // pairs at weight 0.5.
-func DegreesPipeline(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int) incremental.Source[weighted.Grouped[graph.Node, int]] {
+func DegreesPipeline(m *plan.Memo, edges engine.Source[graph.Edge], bucket int) engine.Source[weighted.Grouped[graph.Node, int]] {
 	n := plan.Node{Key: degreesKey(bucket), Op: "groupby(src,deg)", Inputs: []string{"edges"}}
-	return fragment(m, n, func() incremental.Source[weighted.Grouped[graph.Node, int]] {
-		return sel(degreesCore(packEdges(edges), bucket), func(d PDeg) weighted.Grouped[graph.Node, int] {
+	return fragment(m, n, func() engine.Source[weighted.Grouped[graph.Node, int]] {
+		return engine.Select(degreesCore(packEdges(edges), bucket), func(d PDeg) weighted.Grouped[graph.Node, int] {
 			return weighted.Grouped[graph.Node, int]{Key: unpackNode(d.nodeKey()), Result: d.deg()}
 		})
 	})
@@ -186,34 +185,34 @@ func DegreesPipeline(m *plan.Memo, edges incremental.Source[graph.Edge], bucket 
 
 // PathDegPipeline is the paths-with-center-degree join: TbD's and SbD's
 // "abc" prefix.
-func PathDegPipeline(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int) incremental.Source[PathDeg] {
+func PathDegPipeline(m *plan.Memo, edges engine.Source[graph.Edge], bucket int) engine.Source[PathDeg] {
 	paths := PathsPipeline(m, edges)
 	degs := DegreesPipeline(m, edges, bucket)
 	n := plan.Node{Key: pathDegKey(bucket), Op: "join(paths,degrees)", Inputs: []string{pathsKey(), degreesKey(bucket)}}
-	return fragment(m, n, func() incremental.Source[PathDeg] {
-		pp := sel(paths, packPath)
-		pd := sel(degs, packGroupedDeg)
-		return sel(pathDegCore(pp, pd), PPathDeg.unpack)
+	return fragment(m, n, func() engine.Source[PathDeg] {
+		pp := engine.Select(paths, packPath)
+		pd := engine.Select(degs, packGroupedDeg)
+		return engine.Select(pathDegCore(pp, pd), PPathDeg.unpack)
 	})
 }
 
 // TbIPipeline mirrors TbI: a single Unit record carrying the triangle
 // signal of eq. 8. Cost model: 4 uses of the edge input.
-func TbIPipeline(m *plan.Memo, edges incremental.Source[graph.Edge]) incremental.Source[Unit] {
+func TbIPipeline(m *plan.Memo, edges engine.Source[graph.Edge]) engine.Source[Unit] {
 	paths := PathsPipeline(m, edges)
 	n := plan.Node{Key: "tbi", Op: "rotate+intersect+unit", Inputs: []string{pathsKey()}}
-	return fragment(m, n, func() incremental.Source[Unit] {
-		return tbiCore(sel(paths, packPath))
+	return fragment(m, n, func() engine.Source[Unit] {
+		return tbiCore(engine.Select(paths, packPath))
 	})
 }
 
 // TbDPipeline mirrors TbD: sorted (bucketed) degree triples of triangles.
 // Cost model: 9 uses of the edge input.
-func TbDPipeline(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int) incremental.Source[DegTriple] {
+func TbDPipeline(m *plan.Memo, edges engine.Source[graph.Edge], bucket int) engine.Source[DegTriple] {
 	abc := PathDegPipeline(m, edges, bucket)
 	n := plan.Node{Key: tbdKey(bucket), Op: "rotations+2joins+sorttriple", Inputs: []string{pathDegKey(bucket)}}
-	return fragment(m, n, func() incremental.Source[DegTriple] {
-		packed := sel(abc, func(x PathDeg) PPathDeg {
+	return fragment(m, n, func() engine.Source[DegTriple] {
+		packed := engine.Select(abc, func(x PathDeg) PPathDeg {
 			return PPathDeg{P: packPath(x.Path), Deg: int32(x.Deg)}
 		})
 		return tbdCore(packed)
@@ -222,22 +221,22 @@ func TbDPipeline(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int)
 
 // JDDPipeline mirrors JDD: (da, db) records at weight 1/(2+2da+2db).
 // Cost model: 4 uses of the edge input.
-func JDDPipeline(m *plan.Memo, edges incremental.Source[graph.Edge]) incremental.Source[DegPair] {
+func JDDPipeline(m *plan.Memo, edges engine.Source[graph.Edge]) engine.Source[DegPair] {
 	degs := DegreesPipeline(m, edges, 1)
 	n := plan.Node{Key: "jdd", Op: "join(degrees,edges)+selfjoin", Inputs: []string{degreesKey(1), "edges"}}
-	return fragment(m, n, func() incremental.Source[DegPair] {
-		pd := sel(degs, packGroupedDeg)
+	return fragment(m, n, func() engine.Source[DegPair] {
+		pd := engine.Select(degs, packGroupedDeg)
 		return jddCore(pd, packEdges(edges))
 	})
 }
 
 // WedgeCountPipeline mirrors WedgeCount. Cost model: 2 uses of the edge
 // input.
-func WedgeCountPipeline(m *plan.Memo, edges incremental.Source[graph.Edge]) incremental.Source[Unit] {
+func WedgeCountPipeline(m *plan.Memo, edges engine.Source[graph.Edge]) engine.Source[Unit] {
 	paths := PathsPipeline(m, edges)
 	n := plan.Node{Key: "wedges", Op: "unit", Inputs: []string{pathsKey()}}
-	return fragment(m, n, func() incremental.Source[Unit] {
-		return sel(paths, func(Path) Unit { return Unit{} })
+	return fragment(m, n, func() engine.Source[Unit] {
+		return engine.Select(paths, func(Path) Unit { return Unit{} })
 	})
 }
 
@@ -245,9 +244,9 @@ func WedgeCountPipeline(m *plan.Memo, edges incremental.Source[graph.Edge]) incr
 // path-degree prefix it runs on decoded records: its [2]graph.Node and
 // Path3 join keys have no packed encoding, and it sits outside the MCMC
 // workload hot path. Cost model: 12 uses of the edge input.
-func SbDPipeline(edges incremental.Source[graph.Edge]) incremental.Source[DegQuad] {
+func SbDPipeline(edges engine.Source[graph.Edge]) engine.Source[DegQuad] {
 	abc := PathDegPipeline(nil, edges, 1)
-	abcd := join(abc, abc,
+	abcd := engine.Join(abc, abc,
 		func(x PathDeg) [2]graph.Node { return [2]graph.Node{x.Path.B, x.Path.C} },
 		func(y PathDeg) [2]graph.Node { return [2]graph.Node{y.Path.A, y.Path.B} },
 		func(x, y PathDeg) Path3Deg2 {
@@ -256,26 +255,26 @@ func SbDPipeline(edges incremental.Source[graph.Edge]) incremental.Source[DegQua
 				DB:   x.Deg, DC: y.Deg,
 			}
 		})
-	filtered := where(abcd, func(p Path3Deg2) bool { return p.Path.A != p.Path.D })
-	cdab := sel(filtered, func(x Path3Deg2) Path3Deg2 {
+	filtered := engine.Where(abcd, func(p Path3Deg2) bool { return p.Path.A != p.Path.D })
+	cdab := engine.Select(filtered, func(x Path3Deg2) Path3Deg2 {
 		return Path3Deg2{Path: x.Path.Rotate2(), DB: x.DB, DC: x.DC}
 	})
-	return join(filtered, cdab,
+	return engine.Join(filtered, cdab,
 		func(x Path3Deg2) Path3 { return x.Path },
 		func(y Path3Deg2) Path3 { return y.Path },
 		func(x, y Path3Deg2) DegQuad { return SortQuad(y.DB, x.DB, x.DC, y.DC) })
 }
 
 // DegreeCCDFPipeline mirrors DegreeCCDF. Cost model: 1 use.
-func DegreeCCDFPipeline(edges incremental.Source[graph.Edge]) incremental.Source[int] {
-	names := sel(edges, func(e graph.Edge) graph.Node { return e.Src })
-	shaved := shaveConst(names, 1.0)
-	return sel(shaved, func(ix weighted.Indexed[graph.Node]) int { return ix.Index })
+func DegreeCCDFPipeline(edges engine.Source[graph.Edge]) engine.Source[int] {
+	names := engine.Select(edges, func(e graph.Edge) graph.Node { return e.Src })
+	shaved := engine.ShaveConst(names, 1.0)
+	return engine.Select(shaved, func(ix weighted.Indexed[graph.Node]) int { return ix.Index })
 }
 
 // DegreeSequencePipeline mirrors DegreeSequence. Cost model: 1 use.
-func DegreeSequencePipeline(edges incremental.Source[graph.Edge]) incremental.Source[int] {
+func DegreeSequencePipeline(edges engine.Source[graph.Edge]) engine.Source[int] {
 	ccdf := DegreeCCDFPipeline(edges)
-	shaved := shaveConst(ccdf, 1.0)
-	return sel(shaved, func(ix weighted.Indexed[int]) int { return ix.Index })
+	shaved := engine.ShaveConst(ccdf, 1.0)
+	return engine.Select(shaved, func(ix weighted.Indexed[int]) int { return ix.Index })
 }

@@ -41,9 +41,10 @@ func testGraph(t *testing.T) *graph.Graph {
 }
 
 // pipelineLayout is one executor configuration the pipeline-vs-query
-// checks run under. shards < 0 selects the serial reference engine;
-// cutoff 0 forces parallel dispatch on every round so the race detector
-// sees real concurrency.
+// checks run under. shards -1 is the retired reference engine's value,
+// which every layer that still accepts it reads as one shard
+// (workload.NewPlanFused); cutoff 0 forces parallel dispatch on every
+// round so the race detector sees real concurrency.
 type pipelineLayout struct {
 	name           string
 	shards, cutoff int
@@ -52,27 +53,16 @@ type pipelineLayout struct {
 // allLayouts is the table; its engine rows are named after the executor
 // parameters, the form the sharded-pipeline tests have always reported.
 var allLayouts = []pipelineLayout{
-	{"serial", -1, 0},
+	{"serial", -1, engine.DefaultSerialCutoff},
 	{fmt.Sprintf("shards=1,cutoff=%d", engine.DefaultSerialCutoff), 1, engine.DefaultSerialCutoff},
 	{"shards=4,cutoff=0", 4, 0},
 }
 
-// The serial and sharded rows, for the tests that are split by executor.
+// The -1 row and the explicit rows, for the tests that are split by them.
 var serialLayout, engineLayouts = allLayouts[:1], allLayouts[1:]
 
-// edgeRoot is what both executors' edge inputs provide: the root stream
-// every pipeline builds over, and the push entry points.
-type edgeRoot interface {
-	incremental.Source[graph.Edge]
-	Push(batch []incremental.Delta[graph.Edge])
-	PushDataset(d *weighted.Dataset[graph.Edge])
-}
-
-func (l pipelineLayout) newRoot() edgeRoot {
-	if l.shards < 0 {
-		return incremental.NewInput[graph.Edge]()
-	}
-	eng := engine.New(l.shards)
+func (l pipelineLayout) newRoot() *engine.Input[graph.Edge] {
+	eng := engine.New(max(l.shards, 1))
 	eng.SetSerialCutoff(l.cutoff)
 	return engine.NewInput[graph.Edge](eng)
 }
@@ -81,13 +71,13 @@ func (l pipelineLayout) newRoot() edgeRoot {
 // on each layout it loads a graph into the pipeline, applies a series of
 // random valid edge swaps, and verifies after each step that the
 // pipeline output equals the one-shot query on the current graph — the
-// end-to-end equivalence of the single incremental description, on
-// either executor, with the measurement form.
+// end-to-end equivalence of the single incremental description with the
+// measurement form.
 func checkPipelineMatchesQuery[T comparable](
 	t *testing.T,
 	layouts []pipelineLayout,
 	name string,
-	buildPipeline func(incremental.Source[graph.Edge]) incremental.Source[T],
+	buildPipeline func(engine.Source[graph.Edge]) engine.Source[T],
 	buildQuery func(*core.Collection[graph.Edge]) *core.Collection[T],
 	swaps int,
 ) {
@@ -139,7 +129,7 @@ func checkPipelineMatchesQuery[T comparable](
 // The TbI/TbD/JDD/wedges/star4 equivalence checks live in the
 // registry-driven table test in wpinq/internal/workload
 // (TestRegisteredWorkloadsMatchQueryOnEveryExecutor), which covers every
-// registered workload on both executors. The checks here and in
+// registered workload on every layout. The checks here and in
 // motif_test.go / motifdegree_test.go cover the pipelines that are not
 // registry workloads.
 
@@ -171,7 +161,7 @@ func TestTbIPipelineRollback(t *testing.T) {
 	// Pushing a swap and its inverse restores the pipeline exactly: the
 	// MCMC rejection path on a real query.
 	g := testGraph(t)
-	in := incremental.NewInput[graph.Edge]()
+	in := engine.NewInput[graph.Edge](engine.New(1))
 	out := incremental.Collect(TbIPipeline(nil, in))
 	in.PushDataset(graph.SymmetricEdges(g))
 	before := out.Weight(Unit{})

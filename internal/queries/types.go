@@ -9,9 +9,8 @@
 //     differentially-private measurements of a protected graph, and
 //   - an incremental pipeline, used by MCMC to score synthetic graphs
 //     against those measurements (Section 4.3). Each pipeline is
-//     described once (pipelines.go) over operators that pick the
-//     executor — the single-threaded reference engine or the sharded
-//     parallel one — from the root stream they are built over (ops.go).
+//     described once (pipelines.go), over the operators of
+//     wpinq/internal/engine.
 //
 // Both forms share record types and are proven equivalent by tests.
 //

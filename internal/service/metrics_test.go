@@ -57,7 +57,8 @@ func TestMetricsExposedOverHTTP(t *testing.T) {
 		`wpinq_jobs_total{state="done"}`,
 		`wpinq_dataset_budget_spent{dataset="` + ds.ID + `"}`,
 		`wpinq_dataset_budget_remaining{dataset="` + ds.ID + `"}`,
-		`wpinq_plan_pushes_total{executor="serial"}`,
+		`wpinq_plan_pushes_total`,
+		`wpinq_plan_txn_total{op="begin"}`,
 		`wpinq_mcmc_steps_total{outcome="accepted"}`,
 		`wpinq_store_measurements_total`,
 		`wpinq_store_provenance_records_total`,

@@ -44,8 +44,8 @@ type Options struct {
 	// memory-only.
 	Dir string
 	// Shards is the default dataflow shard count for synthesis jobs
-	// (synth.Config.Shards semantics: 0 = one per CPU, -1 = serial
-	// reference engine). Individual jobs may override it.
+	// (synth.Config.Shards semantics: 0 = one per CPU; -1 is read as 1).
+	// Individual jobs may override it.
 	Shards int
 	// Chains is the default replica-exchange chain count for synthesis
 	// jobs (synth.Config.Chains semantics; 0 or 1 = single chain).
@@ -95,6 +95,9 @@ func New(opts Options) (*Service, error) {
 	if opts.Shards < -1 {
 		return nil, fmt.Errorf("service: invalid shard count %d", opts.Shards)
 	}
+	if opts.Shards == -1 {
+		opts.Shards = 1 // the retired reference engine's value: one shard
+	}
 	if opts.Chains < 0 || opts.Chains > maxJobChains {
 		return nil, fmt.Errorf("service: invalid chain count %d (max %d)", opts.Chains, maxJobChains)
 	}
@@ -131,18 +134,15 @@ func New(opts Options) (*Service, error) {
 }
 
 // workerCount sizes the job pool: each job's executor occupies roughly
-// `shards` CPUs (GOMAXPROCS for the auto setting, 1 for the serial
-// reference engine), so the pool admits GOMAXPROCS/shards jobs at once.
+// `shards` CPUs (GOMAXPROCS for the auto setting), so the pool admits
+// GOMAXPROCS/shards jobs at once.
 func workerCount(opts Options) int {
 	if opts.Workers > 0 {
 		return opts.Workers
 	}
 	procs := runtime.GOMAXPROCS(0)
 	perJob := opts.Shards
-	switch {
-	case perJob <= -1:
-		perJob = 1
-	case perJob == 0:
+	if perJob == 0 {
 		perJob = procs
 	}
 	n := procs / perJob

@@ -9,8 +9,8 @@ package synth
 // interrupted or not, so the state at a boundary is a pure function of
 // the checkpoint's contents and a resumed process continues the exact
 // proposal trace the original would have produced (bit-identical final
-// edge lists and accept/reject decisions on the serial and 1-shard
-// executors; see DESIGN.md "Durable jobs").
+// edge lists and accept/reject decisions at one shard; see DESIGN.md
+// "Durable jobs").
 //
 // The price of durability is a different trace from the non-durable
 // path (re-anchoring replaces incrementally maintained float state with
@@ -237,7 +237,7 @@ func SynthesizeResume(m *Measurements, seed *graph.Graph, ck *Checkpoint, cfg Co
 		m:        m,
 		cfg:      cfg,
 		names:    names,
-		shards:   ck.Shards,
+		shards:   cfg.Shards,
 		isolated: isolatedNodes(seed),
 		seed:     seed,
 	}
@@ -261,10 +261,13 @@ func SynthesizeResume(m *Measurements, seed *graph.Graph, ck *Checkpoint, cfg Co
 			return nil, err
 		}
 		// Score verification is meaningful only under the cross-process
-		// determinism contract: serial and 1-shard executors. Multi-shard
-		// runs route records by a per-process maphash seed, so their float
-		// accumulation order legitimately differs across processes.
-		if (d.shards == -1 || d.shards == 1) && math.Float64bits(ch.runner.Score()) != cc.ScoreBits {
+		// determinism contract: one shard. Multi-shard runs route records
+		// by a per-process maphash seed, so their float accumulation order
+		// legitimately differs across processes — and a checkpoint that
+		// recorded -1 was written by the retired reference engine, whose
+		// delivery order summed the same terms to different last bits; it
+		// resumes at one shard on the score this executor derives.
+		if ck.Shards == 1 && math.Float64bits(ch.runner.Score()) != cc.ScoreBits {
 			return nil, fmt.Errorf("%w: chain %d re-anchored score %x does not reproduce checkpointed %x",
 				ErrCheckpointStale, i, math.Float64bits(ch.runner.Score()), cc.ScoreBits)
 		}

@@ -4,9 +4,10 @@ package synth
 // at a checkpoint boundary, resume it in "another process" (a fresh
 // master rng replaying the same load/seed prefix), and require the
 // resumed run to be bit-identical to an unbroken one — same final edge
-// list, same accept/reject trace, same score bits — on both executors
-// the determinism contract covers (serial and 1-shard). Plus rejection
-// paths: stale seeds, mismatched parent hashes, tampered documents.
+// list, same accept/reject trace, same score bits — at one shard, the
+// layout the determinism contract covers, asked for as 1 and as -1.
+// Plus rejection paths: stale seeds, mismatched parent hashes, tampered
+// documents.
 
 import (
 	"bytes"
@@ -168,6 +169,67 @@ func TestDurableKillResumeBitIdentical(t *testing.T) {
 				t.Errorf("resumed result has %d chain stats, want %d", len(resumed.Chains), tc.chains)
 			}
 		})
+	}
+}
+
+// TestResumeLegacySerialCheckpoint pins what Shards -1 means on disk. A
+// run configured with it records 1 in its checkpoints. A stored
+// checkpoint that carries -1 was written by the retired reference
+// engine, whose delivery order summed the same score terms to different
+// last bits: it resumes at one shard — same decisions, same graph as an
+// unbroken one-shard run — although its score bits cannot be reproduced,
+// and from then on records 1. The same disagreement on a checkpoint that
+// says 1 is still a stale checkpoint.
+func TestResumeLegacySerialCheckpoint(t *testing.T) {
+	data := durableFixture(t)
+	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1700, Shards: -1, CheckpointEvery: 500}
+	const seed = 77
+	unbroken, _, _ := runDurable(t, data, seed, cfg, 0)
+	_, _, ckpts := runDurable(t, data, seed, cfg, 500)
+
+	// resave rewrites the step-500 checkpoint as another executor would
+	// have left it: the given shard count, the score one ulp away.
+	resave := func(shards int) []byte {
+		ck, err := LoadCheckpoint(bytes.NewReader(ckpts[500]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck.Shards != 1 {
+			t.Fatalf("a Shards -1 run recorded shards %d in its checkpoint, want 1", ck.Shards)
+		}
+		ck.Shards = shards
+		ck.Chains[0].ScoreBits ^= 1
+		var buf bytes.Buffer
+		if err := ck.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+
+	legacy := resave(-1)
+	if !bytes.Contains(legacy, []byte(`"shards":-1`)) {
+		t.Fatal("legacy fixture does not carry \"shards\":-1")
+	}
+	var later []int
+	resumed, _, err := resumeDurable(t, data, seed, legacy, Config{OnCheckpoint: func(ck *Checkpoint) bool {
+		later = append(later, ck.Shards)
+		return true
+	}})
+	if err != nil {
+		t.Fatalf("a stored \"shards\":-1 checkpoint did not resume: %v", err)
+	}
+	sameEdges(t, "resumed legacy vs unbroken", edgeListOf(resumed.Synthetic), edgeListOf(unbroken.Synthetic))
+	if len(later) == 0 {
+		t.Fatal("the resumed run wrote no checkpoint")
+	}
+	for _, shards := range later {
+		if shards != 1 {
+			t.Errorf("resumed run recorded shards %d, want 1", shards)
+		}
+	}
+
+	if _, _, err := resumeDurable(t, data, seed, resave(1), Config{}); !errors.Is(err, ErrCheckpointStale) {
+		t.Fatalf("one-shard checkpoint with foreign score bits: got %v, want ErrCheckpointStale", err)
 	}
 }
 

@@ -12,7 +12,7 @@
 //
 // Fit workloads are resolved by name against the workload registry
 // (wpinq/internal/workload): each workload carries its own privacy use
-// count, measurement query, and fit pipelines for both executors, so
+// count, measurement query, and fit pipeline, so
 // adding a new fittable analysis is one registration, not a change to
 // this package.
 //
@@ -105,20 +105,19 @@ type Config struct {
 	// ladder Pow/2^i for chain i: chain 0 walks at the configured
 	// target sharpening and each further chain at half the previous.
 	PowLadder []float64
-	// Shards selects the dataflow executor for Phase 2:
+	// Shards is the executor's shard count for Phase 2: 0 (the default)
+	// is one shard per CPU, n > 0 exactly n. Sharding pays off on the
+	// bulk initial load and on large per-swap difference fronts; a walk's
+	// rounds fall below the engine's parallel cutoff whatever the count.
+	// -1, which selected the retired single-threaded reference engine,
+	// stays accepted and means one shard (Validate rewrites it to 1, so
+	// that is what checkpoints record).
 	//
-	//	 0  sharded parallel executor, one shard per CPU (the default);
-	//	>0  sharded parallel executor with exactly that many shards;
-	//	-1  the single-threaded reference engine (internal/incremental).
-	//
-	// Both executors implement identical operator semantics (pinned by
-	// equivalence tests against internal/weighted); sharding pays off on
-	// the bulk initial load and on large per-swap difference fronts. On
-	// either executor, Phase 2 scores proposals transactionally: one
-	// propagation per step, with rejected swaps unwound from operator
-	// undo logs rather than re-propagated (DESIGN.md "Transactional
-	// scoring") — the dominant cost saving in high-Pow and
-	// replica-exchange (cold chain) regimes where most steps reject.
+	// Phase 2 scores proposals transactionally: one propagation per
+	// step, with rejected swaps unwound from operator undo logs rather
+	// than re-propagated (DESIGN.md "Transactional scoring") — the
+	// dominant cost saving in high-Pow and replica-exchange (cold chain)
+	// regimes where most steps reject.
 	Shards int
 	// CheckpointEvery > 0 makes Phase 2 durable: every that many steps
 	// the fit re-anchors (rebuilds its pipelines from the live edge
@@ -166,7 +165,10 @@ func (c *Config) Validate() error {
 		c.RecomputeEvery = 1 << 15
 	}
 	if c.Shards < -1 {
-		return errors.New("synth: Shards must be -1 (reference engine), 0 (auto), or positive")
+		return errors.New("synth: Shards must be 0 (auto), positive, or -1 (one shard)")
+	}
+	if c.Shards == -1 {
+		c.Shards = 1
 	}
 	// A non-positive cadence would make runChunked's chunk size 0 and
 	// the progress loop spin forever; default it here and guard again in
@@ -471,8 +473,7 @@ type Result struct {
 	Cancelled bool
 }
 
-// Synthesize implements Phase 2: build a fit plan on the executor
-// selected by cfg.Shards, attach each requested workload's pipeline and
+// Synthesize implements Phase 2: build a fit plan at cfg.Shards, attach each requested workload's pipeline and
 // scoring sink (cfg.Workloads; empty fits everything measured), seed
 // the MCMC state, and run the fit. Each workload fits at the bucket
 // width its measurement was released with — a pipeline bucketed

@@ -215,11 +215,10 @@ func TestOnStepObservesRun(t *testing.T) {
 }
 
 func TestExecutorsScoreIdentically(t *testing.T) {
-	// The sharded executor and the serial reference engine must assign
-	// the same fit score to the same seed graph under the same
-	// measurements: Synthesize with zero steps reports the initial
-	// scorer value, which exercises every registered workload's pipeline
-	// stack end to end on both executors.
+	// Every shard layout must assign the same fit score to the same seed
+	// graph under the same measurements: Synthesize with zero steps
+	// reports the initial scorer value, which exercises every registered
+	// workload's pipeline stack end to end.
 	g := clusteredGraph(t, 90)
 	base := Config{
 		Eps:       1.0,
@@ -249,27 +248,46 @@ func TestExecutorsScoreIdentically(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		got := score(shards)
 		if math.Abs(got-ref) > 1e-6*(1+math.Abs(ref)) {
-			t.Errorf("shards=%d score %v, reference engine %v", shards, got, ref)
+			t.Errorf("shards=%d score %v, shards=-1 %v", shards, got, ref)
 		}
 	}
 }
 
 func TestReferenceEngineWorkflowRuns(t *testing.T) {
-	// The serial reference executor stays selectable via Shards: -1.
+	// Shards -1 selected the retired serial reference engine; it stays
+	// accepted and is one shard: the same fixed-seed workflow, edge for
+	// edge and score bit for score bit.
 	g := clusteredGraph(t, 80)
-	cfg := Config{
-		Eps:       1.0,
-		Workloads: []string{"tbi"},
-		Pow:       1000,
-		Steps:     500,
-		Shards:    -1,
+	run := func(shards int) *Result {
+		cfg := Config{
+			Eps:       1.0,
+			Workloads: []string{"tbi", "jdd"},
+			Pow:       1000,
+			Steps:     500,
+			Shards:    shards,
+		}
+		res, err := Run(g, cfg, testRng(23))
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		return res
 	}
-	res, err := Run(g, cfg, testRng(23))
-	if err != nil {
+	minusOne, one := run(-1), run(1)
+	if minusOne.Stats.Accepted == 0 {
+		t.Error("workflow accepted no steps")
+	}
+	var a, b bytes.Buffer
+	if err := graph.WriteEdgeList(&a, minusOne.Synthetic); err != nil {
 		t.Fatal(err)
 	}
-	if res.Stats.Accepted == 0 {
-		t.Error("reference-engine workflow accepted no steps")
+	if err := graph.WriteEdgeList(&b, one.Synthetic); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+		t.Error("Shards -1 and Shards 1 wrote different edge lists for one seed")
+	}
+	if minusOne.Stats != one.Stats {
+		t.Errorf("Shards -1 walked %+v, Shards 1 %+v", minusOne.Stats, one.Stats)
 	}
 }
 

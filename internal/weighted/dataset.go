@@ -253,16 +253,16 @@ func (d *Dataset[T]) Pairs() []Pair[T] {
 // ints). Unlike Range order, canonical order depends only on the
 // dataset's contents, not on how it was built, and it costs a
 // fmt.Sprint per record plus O(n log n) string comparisons — so it is
-// reserved for the four places where a content-defined order is part of
+// reserved for the three places where a content-defined order is part of
 // a contract, and no transformation uses it:
 //
 //   - core.NoisyCount assigns its noise draws in this order, so a seed
 //     pins which record receives which draw whatever plan produced the
 //     collection;
 //   - core.NoisySum accumulates in this order, for the same reason;
-//   - incremental.Input.PushDataset and engine.Input.PushDataset build
-//     their bulk-load batch in this order, which the golden traces and
-//     the checkpoint/resume bit-identity guarantee were recorded under.
+//   - engine.Input.PushDataset builds its bulk-load batch in this order,
+//     which the golden traces and the checkpoint/resume bit-identity
+//     guarantee were recorded under.
 func (d *Dataset[T]) PairsSorted() []Pair[T] {
 	pairs := d.Pairs()
 	keys := make([]string, len(pairs))

@@ -6,9 +6,9 @@ import (
 )
 
 // This file holds the shared expansion semantics of GroupBy and Shave used
-// by both the reference engine (transform.go) and the incremental engine
-// (wpinq/internal/incremental). Keeping a single implementation guarantees
-// both engines agree bit-for-bit on operator semantics.
+// by both the reference transformations (transform.go) and the incremental
+// operators (wpinq/internal/incremental). Keeping a single implementation
+// guarantees the two agree bit-for-bit on operator semantics.
 
 // PrefixReduce emits the weight-ordered prefix outputs of a single group
 // (paper Section 2.5). members lists the group's records with their

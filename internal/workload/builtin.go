@@ -2,8 +2,8 @@ package workload
 
 import (
 	"wpinq/internal/core"
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
-	"wpinq/internal/incremental"
 	"wpinq/internal/plan"
 	"wpinq/internal/queries"
 )
@@ -16,7 +16,7 @@ import (
 //
 // Each workload is defined exactly once, here. Everything downstream —
 // privacy cost accounting, measurement, the canonical serialization
-// format, both fit executors, the curator service API, and the CLI
+// format, the fit executor, the curator service API, and the CLI
 // flags — picks it up by name.
 func init() {
 	MustRegister(Define[queries.Unit](Workload{
@@ -27,7 +27,7 @@ func init() {
 		Query: func(edges *core.Collection[graph.Edge], _ int) *core.Collection[queries.Unit] {
 			return queries.TbI(edges)
 		},
-		Pipeline: func(m *plan.Memo, edges incremental.Source[graph.Edge], _ int) incremental.Source[queries.Unit] {
+		Pipeline: func(m *plan.Memo, edges engine.Source[graph.Edge], _ int) engine.Source[queries.Unit] {
 			return queries.TbIPipeline(m, edges)
 		},
 	}))
@@ -50,7 +50,7 @@ func init() {
 		Query: func(edges *core.Collection[graph.Edge], _ int) *core.Collection[queries.DegPair] {
 			return queries.JDD(edges)
 		},
-		Pipeline: func(m *plan.Memo, edges incremental.Source[graph.Edge], _ int) incremental.Source[queries.DegPair] {
+		Pipeline: func(m *plan.Memo, edges engine.Source[graph.Edge], _ int) engine.Source[queries.DegPair] {
 			return queries.JDDPipeline(m, edges)
 		},
 	}))
@@ -63,7 +63,7 @@ func init() {
 		Query: func(edges *core.Collection[graph.Edge], _ int) *core.Collection[queries.Unit] {
 			return queries.WedgeCount(edges)
 		},
-		Pipeline: func(m *plan.Memo, edges incremental.Source[graph.Edge], _ int) incremental.Source[queries.Unit] {
+		Pipeline: func(m *plan.Memo, edges engine.Source[graph.Edge], _ int) engine.Source[queries.Unit] {
 			return queries.WedgeCountPipeline(m, edges)
 		},
 	}))
@@ -82,7 +82,7 @@ func init() {
 		Query: func(edges *core.Collection[graph.Edge], bucket int) *core.Collection[queries.DegProfile] {
 			return mustPlan(queries.MotifByDegree(edges, queries.StarPattern4, bucket))
 		},
-		Pipeline: func(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int) incremental.Source[queries.DegProfile] {
+		Pipeline: func(m *plan.Memo, edges engine.Source[graph.Edge], bucket int) engine.Source[queries.DegProfile] {
 			return mustPlan(queries.MotifByDegreePipeline(m, edges, queries.StarPattern4, bucket))
 		},
 	}))

@@ -14,19 +14,20 @@ import (
 
 // TestRegisteredWorkloadsMatchQueryOnEveryExecutor is the registry's
 // payoff for correctness coverage: one table-driven test proves, for
-// EVERY registered workload, that both incremental executors track the
-// one-shot reference query exactly — initially and across a sequence of
-// random edge swaps. Registering a new workload buys this coverage for
-// free; no per-workload equivalence test needs to be written. Run under
-// -race, the cutoff-0 layout also exercises the sharded executor's real
-// parallel dispatch.
+// EVERY registered workload, that its pipeline tracks the one-shot
+// reference query exactly on every layout (see fuseLayouts for the -1
+// row) — initially and across a sequence of random edge swaps.
+// Registering a new workload buys this coverage for free; no
+// per-workload equivalence test needs to be written. Run under -race,
+// the cutoff-0 layout also exercises the executor's real parallel
+// dispatch.
 func TestRegisteredWorkloadsMatchQueryOnEveryExecutor(t *testing.T) {
 	layouts := []struct {
 		name   string
 		shards int
 		cutoff int
 	}{
-		{"serial", -1, 0},
+		{"serial", -1, engine.DefaultSerialCutoff},
 		{"engine-1", 1, engine.DefaultSerialCutoff},
 		{"engine-4", 4, 0}, // cutoff 0: parallel dispatch on every round
 	}
@@ -42,9 +43,7 @@ func TestRegisteredWorkloadsMatchQueryOnEveryExecutor(t *testing.T) {
 				t.Parallel()
 				g := testGraph(t)
 				p := workload.NewPlan(l.shards)
-				if e := p.Engine(); e != nil {
-					e.SetSerialCutoff(l.cutoff)
-				}
+				p.Engine().SetSerialCutoff(l.cutoff)
 				col := w.Collect(p, bucket)
 				p.Input().PushDataset(graph.SymmetricEdges(g))
 

@@ -18,15 +18,16 @@ import (
 )
 
 // fuseLayouts are the executor layouts every fused-vs-unfused
-// differential runs on: the serial reference engine, a single-shard
-// parallel executor, and a genuinely parallel three-shard executor with
+// differential runs on: Shards -1 (the retired reference engine's value,
+// which bench/ and stored checkpoints still pass: one shard), one shard
+// asked for by name, and a genuinely parallel three-shard executor with
 // serial cutoff 0 (parallel dispatch on every round; run under -race).
 var fuseLayouts = []struct {
 	name   string
 	shards int
 	cutoff int
 }{
-	{"serial", -1, 0},
+	{"serial", -1, engine.DefaultSerialCutoff},
 	{"engine-1", 1, engine.DefaultSerialCutoff},
 	{"engine-3", 3, 0},
 }
@@ -88,9 +89,7 @@ func measureFits(t testing.TB, g *graph.Graph, names []string, bucket int, eps f
 func fusePlan(t testing.TB, fits []workload.Measured, shards, cutoff int, fuse bool, eps float64, noiseSeed int64) (*workload.Plan, []workload.Measured, []workload.Collected) {
 	t.Helper()
 	p := workload.NewPlanFused(shards, fuse)
-	if e := p.Engine(); e != nil {
-		e.SetSerialCutoff(cutoff)
-	}
+	p.Engine().SetSerialCutoff(cutoff)
 	rng := rand.New(rand.NewSource(noiseSeed))
 	attached := make([]workload.Measured, 0, len(fits))
 	cols := make([]workload.Collected, 0, len(fits))
@@ -241,7 +240,7 @@ func TestFusedMatchesUnfusedOnWorkloadSubsets(t *testing.T) {
 }
 
 // TestFusedPlanDAGShape pins the fused DAG the full registry compiles
-// to, on both executors: one paths join fanning out to tbi, tbd, and
+// to, on every layout: one paths join fanning out to tbi, tbd, and
 // wedges; one unbucketed degrees fragment for jdd; one bucketed degrees
 // fragment shared by tbd and star4-by-degree.
 func TestFusedPlanDAGShape(t *testing.T) {
@@ -270,13 +269,13 @@ func TestFusedPlanDAGShape(t *testing.T) {
 		if fanout["jdd"] != 2 || fanout["tbi"] != 2 {
 			t.Fatalf("%s: terminal fragments should be shared by sink+collector, got %v", l.name, fanout)
 		}
-		// One pipeline description serves every executor, so the whole
+		// One pipeline description serves every layout, so the whole
 		// fragment record — key, operator label, inputs, reference count,
 		// in construction order — must not depend on the layout.
 		if serialDAG == nil {
 			serialDAG = dag
 		} else if !reflect.DeepEqual(serialDAG, dag) {
-			t.Fatalf("%s: DAG %+v differs from serial layout's %+v — executors must fuse identically",
+			t.Fatalf("%s: DAG %+v differs from serial layout's %+v — layouts must fuse identically",
 				l.name, dag, serialDAG)
 		}
 	}

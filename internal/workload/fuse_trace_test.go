@@ -7,15 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
 	"wpinq/internal/mcmc"
 	"wpinq/internal/workload"
 )
-
-// pushCounter is the propagation odometer both executors' inputs expose.
-type pushCounter interface {
-	Pushes() uint64
-}
 
 // fuseTrace is one recorded MCMC walk: the per-step decision stream
 // ('A'ccepted, 'R'ejected, 'I'nvalid), the per-step scores, the final
@@ -49,14 +45,7 @@ func runFuseTrace(t *testing.T, fits []workload.Measured, shards, cutoff int, fu
 	// swaps move +/-1, stranding removed edges at weight 1 — state then
 	// grows monotonically with the walk instead of staying degree-bounded.
 	state := mcmc.NewGraphState(g, p.Input())
-	if !state.Transactional() {
-		t.Fatalf("fuse=%v shards=%d: fused DAG input does not speak the txn protocol", fuse, shards)
-	}
-
-	counter, ok := p.Input().(pushCounter)
-	if !ok {
-		t.Fatalf("plan input %T has no Pushes counter", p.Input())
-	}
+	counter := p.Input()
 	basePushes := counter.Pushes()
 	baseMemo := p.Fusion().Pushes()
 
@@ -125,7 +114,7 @@ func TestFusedTraceMatchesUnfused(t *testing.T) {
 		shards int
 		cutoff int
 	}{
-		{"serial", -1, 0},
+		{"serial", -1, engine.DefaultSerialCutoff}, // Shards -1 is one shard: see fuseLayouts
 		{"engine-3", 3, 0},
 	} {
 		l := l
@@ -172,5 +161,54 @@ func TestFusedTraceMatchesUnfused(t *testing.T) {
 				l.name, steps, fused.stats.Accepted, fused.inputPushes,
 				fused.memoPushes, plain.memoPushes, float64(plain.memoPushes)/float64(fused.memoPushes))
 		})
+	}
+}
+
+// walkHotPlan builds what the benchmark's walk-hot workload runs — one
+// shard over a HolmeKim(400,3) graph with the fused tbi,tbd,jdd,wedges
+// plan at bucket 5 — loaded and ready to walk.
+func walkHotPlan(tb testing.TB) (*workload.Plan, *mcmc.GraphState) {
+	tb.Helper()
+	g, err := graph.HolmeKim(400, 3, 0.5, rand.New(rand.NewSource(3)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fits := measureFits(tb, g, []string{"tbi", "tbd", "jdd", "wedges"}, 5, 0.1, 11)
+	p, _, _ := fusePlan(tb, fits, 1, engine.DefaultSerialCutoff, true, 0.1, 23)
+	return p, mcmc.NewGraphState(g, p.Input())
+}
+
+// TestWalkHotDeliversOncePerFragment pins what made the round scheduler
+// the one executor. A round runs every node once, whatever number of
+// paths lead to it, so at one shard a fragment's output delivers at most
+// one batch per proposal: deliveries per proposal are bounded by the
+// live fragments (8 on this plan; the walk measures about 4.8, because a
+// swap's differences die out before they reach every fragment).
+// Delivering each emission as it is made — depth-first, the retired
+// reference engine's way — runs a two-input node once per incoming edge
+// whenever its inputs share an ancestor, and tbd stacks four such joins:
+// the same plan read 14.3.
+func TestWalkHotDeliversOncePerFragment(t *testing.T) {
+	p, state := walkHotPlan(t)
+	runner, err := mcmc.NewRunner(state, p.Scorer(), mcmc.Config{Pow: 0.1}, rand.New(rand.NewSource(99)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fragments := p.Fusion().Stats().Fragments
+	if fragments != 8 {
+		t.Fatalf("walk-hot's fused plan has %d fragments, want 8", fragments)
+	}
+	proposals, deliveries := p.Input().Pushes(), p.Fusion().Pushes()
+	runner.Run(1000)
+	proposals, deliveries = p.Input().Pushes()-proposals, p.Fusion().Pushes()-deliveries
+	perProposal := float64(deliveries) / float64(proposals)
+	t.Logf("%d proposals, %d fragment-output deliveries: %.2f per proposal over %d fragments",
+		proposals, deliveries, perProposal, fragments)
+	if proposals < 500 {
+		t.Fatalf("only %d valid proposals in 1000 steps; fixture too degenerate", proposals)
+	}
+	if perProposal > float64(fragments) {
+		t.Errorf("%.2f deliveries per proposal exceed the %d live fragments: a node ran more than once in a round",
+			perProposal, fragments)
 	}
 }

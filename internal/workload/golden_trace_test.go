@@ -42,12 +42,14 @@ type goldenTrace struct {
 	MemoPushes  uint64    `json:"memo_pushes"`
 }
 
-// TestGoldenTrace pins the full seeded 1500-step fused 5-workload walk
-// against committed trace files on the two layouts that are
-// bit-reproducible across processes: the serial executor and the
-// single-shard engine. (Multi-shard engines route by a per-process hash
-// seed, so their accumulation order is reproducible only in-process; the
-// engine-3 coverage is TestEngine3MatchesSerialForcedWalk below.)
+// TestGoldenTrace pins the full seeded 1500-step fused 4-workload walk
+// against the committed trace file of the one layout that is
+// bit-reproducible across processes, a single shard — asked for as 1 and
+// as -1, the retired reference engine's value, which must now be the
+// same walk to the last bit. (Multi-shard engines route by a per-process
+// hash seed, so their accumulation order is reproducible only
+// in-process; the engine-3 coverage is TestEngine3MatchesSerialForcedWalk
+// below.)
 func TestGoldenTrace(t *testing.T) {
 	const steps = 1500
 	fits := measureFits(t, testGraph(t), goldenNames, 2, 1.0, 11)
@@ -56,7 +58,7 @@ func TestGoldenTrace(t *testing.T) {
 		shards int
 		cutoff int
 	}{
-		{"serial", -1, 0},
+		{"serial", -1, engine.DefaultSerialCutoff},
 		{"engine-1", 1, engine.DefaultSerialCutoff},
 	} {
 		l := l
@@ -69,7 +71,7 @@ func TestGoldenTrace(t *testing.T) {
 				InputPushes: tr.inputPushes,
 				MemoPushes:  tr.memoPushes,
 			}
-			path := filepath.Join("testdata", "golden_trace_"+l.name+".json")
+			path := filepath.Join("testdata", "golden_trace_engine-1.json")
 			if *updateGolden {
 				b, err := json.MarshalIndent(got, "", " ")
 				if err != nil {
@@ -117,21 +119,22 @@ func TestGoldenTrace(t *testing.T) {
 	}
 }
 
-// TestEngine3MatchesSerialForcedWalk covers the layout the golden files
+// TestEngine3MatchesSerialForcedWalk covers the layout the golden file
 // cannot: a genuinely parallel three-shard engine, whose per-process
 // routing seed makes its accumulation order reproducible only
-// in-process. Both executors are driven through the same deterministic
-// proposal sequence with a forced commit/abort alternation (no
-// float-dependent branching), and after the walk every workload's
-// collected output weights must agree to float tolerance.
+// in-process. It and the serial configuration — one shard — are driven
+// through the same deterministic proposal sequence with a forced
+// commit/abort alternation (no float-dependent branching), and after the
+// walk every workload's collected output weights must agree to float
+// tolerance.
 //
-// Scores are deliberately not compared across executors: a sink's L1
+// Scores are deliberately not compared across layouts: a sink's L1
 // permanently includes |m(x)| for every record it has ever observed,
-// and executors with different batch granularity explore different
+// and layouts with different batch granularity explore different
 // transient records (a record whose net weight cancels within one
-// executor's batch never reaches the sink there, but does on the
-// other). The maintained state — what pooling and packed encodings
-// could corrupt — is the snapshot, and that must match.
+// shard's batch never reaches the sink there, but does when its
+// differences arrive in two). The maintained state — what pooling and
+// packed encodings could corrupt — is the snapshot, and that must match.
 func TestEngine3MatchesSerialForcedWalk(t *testing.T) {
 	const steps = 400
 	fits := measureFits(t, testGraph(t), goldenNames, 2, 1.0, 11)
@@ -179,7 +182,7 @@ func TestEngine3MatchesSerialForcedWalk(t *testing.T) {
 		return snaps, sb.String()
 	}
 
-	serialSnaps, serialEdges := run(-1, 0)
+	serialSnaps, serialEdges := run(1, engine.DefaultSerialCutoff)
 	engSnaps, engEdges := run(3, 0)
 	if serialEdges != engEdges {
 		t.Fatalf("final edge lists differ: the forced proposal sequence diverged")

@@ -1,80 +1,48 @@
 package workload
 
 import (
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
 	"wpinq/internal/obs"
 	"wpinq/internal/weighted"
 )
 
-// Plan-root metrics, labeled by executor ("serial" or "sharded"). The
-// root is the right tap: the sharded engine internally re-pushes each
-// batch once per shard feed, so instrumenting the executors' own Push
-// would count implementation fan-out, not dataflow input. Pushes,
-// batch sizes, and transaction outcomes are recorded per root delivery
-// — one counter bump and one histogram observation per MCMC proposal.
+// Plan-root metrics. The root is the right tap: the executor re-pushes
+// each batch once per shard feed, so instrumenting its internals would
+// count implementation fan-out, not dataflow input. Pushes, batch sizes,
+// and transaction outcomes are recorded per root delivery — one counter
+// bump and one histogram observation per MCMC proposal.
 var (
-	planPushes = obs.Default.CounterVec("wpinq_plan_pushes_total",
-		"Edge-difference batches pushed into plan roots.", "executor")
-	planBatchSize = obs.Default.HistogramVec("wpinq_plan_push_batch_size",
+	planPushes = obs.Default.Counter("wpinq_plan_pushes_total",
+		"Edge-difference batches pushed into plan roots.")
+	planBatchSize = obs.Default.Histogram("wpinq_plan_push_batch_size",
 		"Edge-difference records per plan-root push (deltas, or dataset size for bulk loads).",
-		obs.SizeBuckets(24), "executor")
-	planTxn = obs.Default.CounterVec("wpinq_plan_txn_total",
-		"Plan-root transaction control events.", "executor", "op")
+		obs.SizeBuckets(24))
+	planTxn    = obs.Default.CounterVec("wpinq_plan_txn_total", "Plan-root transaction control events.", "op")
+	planBegin  = planTxn.With("begin")
+	planCommit = planTxn.With("commit")
+	planAbort  = planTxn.With("abort")
 )
 
-// planInput is what both executors' concrete inputs provide: the
-// dataflow entry points, the transactional protocol, and the push
-// counter. (*incremental.Input[graph.Edge] and
-// *engine.Input[graph.Edge] both satisfy it.)
-type planInput interface {
-	Input
-	Begin()
-	Commit()
-	Abort()
-	Pushes() uint64
-}
-
-// obsInput decorates a plan's root input with metrics. It forwards the
-// full planInput surface, so plans keep satisfying mcmc.TxnInput (the
-// transactional scoring protocol engages exactly as before) and tests
-// that read Pushes() through the plan input still see the executor's
-// own counter.
+// obsInput decorates a plan's root input with the metrics above; Pushes
+// is the executor's own counter.
 type obsInput struct {
-	in     planInput
-	push   obs.Counter
-	batch  obs.Histogram
-	begin  obs.Counter
-	commit obs.Counter
-	abort  obs.Counter
+	*engine.Input[graph.Edge]
 }
 
-func newObsInput(in planInput, executor string) *obsInput {
-	return &obsInput{
-		in:     in,
-		push:   planPushes.With(executor),
-		batch:  planBatchSize.With(executor),
-		begin:  planTxn.With(executor, "begin"),
-		commit: planTxn.With(executor, "commit"),
-		abort:  planTxn.With(executor, "abort"),
-	}
+func (o obsInput) Push(batch []incremental.Delta[graph.Edge]) {
+	planPushes.Inc()
+	planBatchSize.Observe(float64(len(batch)))
+	o.Input.Push(batch)
 }
 
-func (o *obsInput) Push(batch []incremental.Delta[graph.Edge]) {
-	o.push.Inc()
-	o.batch.Observe(float64(len(batch)))
-	o.in.Push(batch)
+func (o obsInput) PushDataset(d *weighted.Dataset[graph.Edge]) {
+	planPushes.Inc()
+	planBatchSize.Observe(float64(d.Len()))
+	o.Input.PushDataset(d)
 }
 
-func (o *obsInput) PushDataset(d *weighted.Dataset[graph.Edge]) {
-	o.push.Inc()
-	o.batch.Observe(float64(d.Len()))
-	o.in.PushDataset(d)
-}
-
-func (o *obsInput) Begin()  { o.begin.Inc(); o.in.Begin() }
-func (o *obsInput) Commit() { o.commit.Inc(); o.in.Commit() }
-func (o *obsInput) Abort()  { o.abort.Inc(); o.in.Abort() }
-
-// Pushes reports the underlying executor input's delivery counter.
-func (o *obsInput) Pushes() uint64 { return o.in.Pushes() }
+func (o obsInput) Begin()  { planBegin.Inc(); o.Input.Begin() }
+func (o obsInput) Commit() { planCommit.Inc(); o.Input.Commit() }
+func (o obsInput) Abort()  { planAbort.Inc(); o.Input.Abort() }

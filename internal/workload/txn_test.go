@@ -2,6 +2,7 @@ package workload_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"wpinq/internal/budget"
@@ -11,14 +12,17 @@ import (
 	"wpinq/internal/workload"
 )
 
-// TestPlanInputsAreTransactional pins the wire-through: every plan form
-// (serial reference engine, auto-sharded executor, explicit shards)
-// exposes an input implementing mcmc.TxnInput, so Phase 2 synthesis
-// scores proposals with one propagation per rejected step on whichever
-// executor the configuration selects.
+// TestPlanInputsAreTransactional pins the wire-through: at every shard
+// setting — auto, explicit, and -1, which is one shard — the plan's input
+// couples to the sampler and an aborted proposal restores the score
+// bit-for-bit, so Phase 2 synthesis scores proposals with one propagation
+// per rejected step.
 func TestPlanInputsAreTransactional(t *testing.T) {
-	for _, shards := range []int{-1, 0, 1, 3} {
+	for shards, want := range map[int]int{-1: 1, 0: runtime.GOMAXPROCS(0), 1: 1, 3: 3} {
 		p := workload.NewPlan(shards)
+		if got := p.Engine().Shards(); got != want {
+			t.Errorf("NewPlan(%d) runs on %d shards, want %d", shards, got, want)
+		}
 		w, err := workload.Get("tbi")
 		if err != nil {
 			t.Fatal(err)
@@ -39,12 +43,22 @@ func TestPlanInputsAreTransactional(t *testing.T) {
 		if err := m.Attach(p, 1); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := p.Input().(mcmc.TxnInput); !ok {
-			t.Errorf("shards=%d: plan input %T does not implement mcmc.TxnInput", shards, p.Input())
-		}
 		state := mcmc.NewGraphState(g, p.Input())
-		if !state.Transactional() {
-			t.Errorf("shards=%d: GraphState did not adopt the transactional protocol", shards)
+		before, pushes := p.Scorer().Score(), p.Input().Pushes()
+		for tries := 0; tries < 100; tries++ {
+			prop, ok := state.Propose(rng)
+			if !ok {
+				continue
+			}
+			state.Speculate(prop)
+			state.Abort(prop)
+			break
+		}
+		if got := p.Input().Pushes() - pushes; got != 1 {
+			t.Errorf("shards=%d: a rejected proposal cost %d propagations, want 1", shards, got)
+		}
+		if after := p.Scorer().Score(); after != before {
+			t.Errorf("shards=%d: abort restored score %v, want %v", shards, after, before)
 		}
 	}
 }

@@ -11,11 +11,9 @@
 //   - a one-shot form over core.Collection, used to take the actual
 //     differentially private measurement of a protected graph, and the
 //     reference the executor-equivalence tests compare against; and
-//   - one incremental pipeline description, used by MCMC to re-score a
-//     synthetic graph after each edge swap. It runs on whichever
-//     executor produced the root stream it is built over: the serial
-//     reference engine (wpinq/internal/incremental) or the sharded
-//     parallel executor (wpinq/internal/engine).
+//   - one incremental pipeline description over the executor's
+//     operators (wpinq/internal/engine), used by MCMC to re-score a
+//     synthetic graph after each edge swap.
 //
 // The result histogram is type-erased behind the Histogram interface
 // (typed get, distance, canonical serialization), so workloads with
@@ -38,16 +36,19 @@ import (
 	"wpinq/internal/weighted"
 )
 
-// Input is the dataflow entry point a fit plan exposes: it accepts the
-// edge differences of a proposed swap. Both executors' inputs satisfy
-// it, and it is structurally identical to mcmc.Input, so a Plan's input
-// plugs straight into mcmc.NewGraphState. Both concrete inputs also
-// implement mcmc.TxnInput (Begin/Commit/Abort), so the sampler scores
-// proposals transactionally — one propagation per proposal, rejected or
-// not — on every plan this package builds, in either plan form.
+// Input is the dataflow entry point a fit plan exposes: the executor's
+// edge input behind the plan's metrics. It is a superset of mcmc.Input,
+// so a Plan's input plugs straight into mcmc.NewGraphState and the
+// sampler scores proposals transactionally — one propagation per
+// proposal, rejected or not.
 type Input interface {
 	Push(batch []incremental.Delta[graph.Edge])
 	PushDataset(d *weighted.Dataset[graph.Edge])
+	Begin()
+	Commit()
+	Abort()
+	// Pushes reports the executor's propagation counter: one per Push.
+	Pushes() uint64
 }
 
 // Entry is one record of a released histogram in canonical form: the
@@ -91,10 +92,10 @@ type Measured struct {
 // Entries returns the canonical serialized records of the measurement.
 func (m Measured) Entries() ([]Entry, error) { return m.Hist.Entries() }
 
-// Attach builds the workload's fit pipeline on the plan's executor,
-// terminates it in a NoisyCountSink against the released histogram, and
-// registers the sink with the plan's scorer. eps is the privacy
-// parameter the measurement was taken with.
+// Attach builds the workload's fit pipeline on the plan, terminates it
+// in a NoisyCountSink against the released histogram, and registers the
+// sink with the plan's scorer. eps is the privacy parameter the
+// measurement was taken with.
 func (m Measured) Attach(p *Plan, eps float64) error {
 	return m.Workload.impl.attach(p, m.Workload.Name, m.Hist, m.Bucket, eps)
 }
@@ -199,8 +200,8 @@ func (w Workload) Load(entries []Entry, bucket int, eps float64, rng *rand.Rand)
 	return Measured{Workload: w, Bucket: w.normBucket(bucket), Hist: h}, nil
 }
 
-// Collect builds the workload's pipeline on the plan's executor and
-// terminates it in a materializing collector, for tests and inspection.
+// Collect builds the workload's pipeline on the plan and terminates it
+// in a materializing collector, for tests and inspection.
 func (w Workload) Collect(p *Plan, bucket int) Collected {
 	return w.impl.collect(p, w.normBucket(bucket))
 }
@@ -208,15 +209,16 @@ func (w Workload) Collect(p *Plan, bucket int) Collected {
 // Exact evaluates the workload's one-shot query over g without noise or
 // privacy charge (the graph is treated as public) and returns the exact
 // output weights, canonically keyed. This is the reference the
-// executor-equivalence tests compare both engines against.
+// equivalence tests compare the executor against.
 func (w Workload) Exact(g *graph.Graph, bucket int) (map[string]float64, error) {
 	return w.impl.exact(g, w.normBucket(bucket))
 }
 
-// Plan is a fit pipeline under construction on one executor: the MCMC
-// input root plus the scorer the attached sinks feed. Shards semantics
-// match synth.Config.Shards: -1 selects the serial reference engine,
-// 0 the sharded executor with one shard per CPU, >0 an explicit count.
+// Plan is a fit pipeline under construction: the MCMC input root plus
+// the scorer the attached sinks feed. Shards semantics match
+// synth.Config.Shards: 0 is one shard per CPU, >0 an explicit count, and
+// -1 — the retired reference engine's value, which callers and stored
+// checkpoints still pass — one shard.
 //
 // Every plan carries a plan.Memo: pipelines request their fragments
 // through it, so attaching several workloads to one fusing plan builds a
@@ -225,31 +227,30 @@ func (w Workload) Exact(g *graph.Graph, bucket int) (map[string]float64, error) 
 // its private pipeline — the pre-fusion behavior, kept as the
 // differential baseline.
 type Plan struct {
-	root   incremental.Source[graph.Edge] // the executor's input: every pipeline builds over it
-	eng    *engine.Engine                 // nil on the serial reference engine
-	input  *obsInput                      // metrics decorator over the root input
+	eng    *engine.Engine
+	root   *engine.Input[graph.Edge] // every pipeline builds over it
 	scorer *incremental.Scorer
 	memo   *plan.Memo
 }
 
-// NewPlan returns an empty fusing plan on the selected executor. Attach
-// every workload before pushing data through Input (both engines
-// require subscriptions to complete before the first push).
+// NewPlan returns an empty fusing plan. Attach every workload before
+// pushing data through Input (subscriptions must complete before the
+// first push).
 func NewPlan(shards int) *Plan { return NewPlanFused(shards, true) }
 
 // NewPlanFused is NewPlan with explicit control over prefix fusion:
 // fuse false builds per-workload pipelines (the -fuse=false baseline).
 func NewPlanFused(shards int, fuse bool) *Plan {
-	p := &Plan{scorer: incremental.NewScorer(), memo: plan.New(fuse)}
 	if shards < 0 {
-		in := incremental.NewInput[graph.Edge]()
-		p.root, p.input = in, newObsInput(in, "serial")
-		return p
+		shards = 1 // engine.New would read it as "one per CPU"
 	}
-	p.eng = engine.New(shards)
-	in := engine.NewInput[graph.Edge](p.eng)
-	p.root, p.input = in, newObsInput(in, "sharded")
-	return p
+	eng := engine.New(shards)
+	return &Plan{
+		eng:    eng,
+		root:   engine.NewInput[graph.Edge](eng),
+		scorer: incremental.NewScorer(),
+		memo:   plan.New(fuse),
+	}
 }
 
 // Fusion returns the plan's fusion memo: the fused DAG, sharing stats,
@@ -257,15 +258,13 @@ func NewPlanFused(shards int, fuse bool) *Plan {
 func (p *Plan) Fusion() *plan.Memo { return p.memo }
 
 // Input returns the plan's edge-difference entry point: the executor's
-// root input behind a metrics decorator that still satisfies
-// mcmc.TxnInput and exposes the executor's Pushes counter.
-func (p *Plan) Input() Input { return p.input }
+// root input behind the plan-root metrics.
+func (p *Plan) Input() Input { return obsInput{p.root} }
 
 // Scorer returns the scorer aggregating every attached sink.
 func (p *Plan) Scorer() *incremental.Scorer { return p.scorer }
 
-// Engine returns the sharded executor backing the plan, or nil when the
-// plan runs on the serial reference engine.
+// Engine returns the executor the plan runs on.
 func (p *Plan) Engine() *engine.Engine { return p.eng }
 
 // Observation is one attached sink's observation history: the workload
@@ -314,13 +313,12 @@ type Builders[T comparable] struct {
 	// Query is the one-shot measurement form over core.Collection.
 	Query func(edges *core.Collection[graph.Edge], bucket int) *core.Collection[T]
 	// Pipeline is the incremental form: it builds over the plan's root
-	// stream, on whichever executor produced it (see the dispatching
-	// operators of wpinq/internal/queries), and requests its reusable
-	// fragments through the plan's fusion memo (wpinq/internal/plan), so
-	// several workloads attached to one plan share their common operator
-	// prefixes. A pipeline that requests no fragments still works on
-	// every plan — it just never shares.
-	Pipeline func(m *plan.Memo, edges incremental.Source[graph.Edge], bucket int) incremental.Source[T]
+	// stream and requests its reusable fragments through the plan's
+	// fusion memo (wpinq/internal/plan), so several workloads attached to
+	// one plan share their common operator prefixes. A pipeline that
+	// requests no fragments still works on every plan — it just never
+	// shares.
+	Pipeline func(m *plan.Memo, edges engine.Source[graph.Edge], bucket int) engine.Source[T]
 }
 
 // Define couples a workload's metadata with its typed builders. The
@@ -362,10 +360,8 @@ func (bs builders[T]) load(entries []Entry, eps float64, rng *rand.Rand) (Histog
 	return &typedHist[T]{h: h}, nil
 }
 
-// source builds the workload's pipeline over the plan's root. Engine
-// streams implement incremental.Source, so both executors return the
-// same stream type and terminate in the same sinks.
-func (bs builders[T]) source(p *Plan, bucket int) incremental.Source[T] {
+// source builds the workload's pipeline over the plan's root.
+func (bs builders[T]) source(p *Plan, bucket int) engine.Source[T] {
 	return bs.b.Pipeline(p.memo, p.root, bucket)
 }
 

@@ -204,7 +204,7 @@ func BenchmarkAblationIncrementalVsRescore(b *testing.B) {
 			// One swap + full one-shot re-evaluation of TbI.
 			graph.Rewire(work, 1, rng)
 			edges := core.FromPublic(graph.SymmetricEdges(work))
-			snapshot := queries.TbI(edges).Snapshot()
+			snapshot := queries.OneShot(queries.TbI(), edges).Snapshot()
 			_ = snapshot.Weight(queries.Unit{})
 		}
 	})
@@ -223,7 +223,7 @@ func BenchmarkAblationBucketWidth(b *testing.B) {
 				b.Fatal(err)
 			}
 			in := oneShardInput()
-			stream := queries.TbDPipeline(nil, in, bucket)
+			stream := queries.Stream(queries.TbD(bucket), nil, in)
 			sink := incremental.NewNoisyCountSink[queries.DegTriple](
 				stream, incremental.MapObservations[queries.DegTriple]{}, nil, 0.5)
 			state := mcmc.NewGraphState(g, in)
@@ -584,13 +584,13 @@ func BenchmarkEngineShards(b *testing.B) {
 		build func(in engine.Source[graph.Edge]) func() float64
 	}{
 		{"degreedist", func(in engine.Source[graph.Edge]) func() float64 {
-			return engine.Collect(queries.DegreeCCDFPipeline(in)).Norm
+			return engine.Collect(queries.Stream(queries.DegreeCCDF(), nil, in)).Norm
 		}},
 		{"triangles", func(in engine.Source[graph.Edge]) func() float64 {
-			return engine.Collect(queries.TbDPipeline(nil, in, 20)).Norm
+			return engine.Collect(queries.Stream(queries.TbD(20), nil, in)).Norm
 		}},
 		{"jdd", func(in engine.Source[graph.Edge]) func() float64 {
-			return engine.Collect(queries.JDDPipeline(nil, in)).Norm
+			return engine.Collect(queries.Stream(queries.JDD(), nil, in)).Norm
 		}},
 	}
 	for _, w := range workloads {
@@ -638,8 +638,8 @@ func BenchmarkRejectHeavy(b *testing.B) {
 	pathsObserved := incremental.MapObservations[queries.Path]{}
 	{
 		in := oneShardInput()
-		jddColl := incremental.Collect(queries.JDDPipeline(nil, in))
-		pathColl := incremental.Collect(queries.PathsPipeline(nil, in))
+		jddColl := incremental.Collect(queries.Stream(queries.JDD(), nil, in))
+		pathColl := incremental.Collect(queries.Stream(queries.Paths(), nil, in))
 		in.PushDataset(graph.SymmetricEdges(g))
 		jddColl.Snapshot().Range(func(x queries.DegPair, w float64) { jddObserved[x] = w })
 		pathColl.Snapshot().Range(func(x queries.Path, w float64) { pathsObserved[x] = w })
@@ -652,13 +652,13 @@ func BenchmarkRejectHeavy(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			in := oneShardInput()
 			sink := incremental.NewNoisyCountSink[queries.Unit](
-				queries.TbIPipeline(nil, in),
+				queries.Stream(queries.TbI(), nil, in),
 				incremental.MapObservations[queries.Unit]{{}: observed},
 				[]queries.Unit{{}}, 0.5)
 			jddSink := incremental.NewNoisyCountSink[queries.DegPair](
-				queries.JDDPipeline(nil, in), jddObserved, nil, 0.5)
+				queries.Stream(queries.JDD(), nil, in), jddObserved, nil, 0.5)
 			pathSink := incremental.NewNoisyCountSink[queries.Path](
-				queries.PathsPipeline(nil, in), pathsObserved, nil, 0.5)
+				queries.Stream(queries.Paths(), nil, in), pathsObserved, nil, 0.5)
 			state := mcmc.NewGraphState(g, in)
 			r, err := mcmc.NewRunner(state, incremental.NewScorer(sink, jddSink, pathSink), mcmc.Config{Pow: 1e7}, rand.New(rand.NewSource(10)))
 			if err != nil {
@@ -825,11 +825,11 @@ func BenchmarkMillionEdge(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				in := oneShardInput()
 				ccdf := incremental.NewNoisyCountSink[int](
-					queries.DegreeCCDFPipeline(in), incremental.MapObservations[int]{}, nil, 0.5)
+					queries.Stream(queries.DegreeCCDF(), nil, in), incremental.MapObservations[int]{}, nil, 0.5)
 				seq := incremental.NewNoisyCountSink[int](
-					queries.DegreeSequencePipeline(in), incremental.MapObservations[int]{}, nil, 0.5)
+					queries.Stream(queries.DegreeSequence(), nil, in), incremental.MapObservations[int]{}, nil, 0.5)
 				degs := incremental.NewNoisyCountSink[weighted.Grouped[graph.Node, int]](
-					queries.DegreesPipeline(nil, in, 1),
+					queries.Stream(queries.Degrees(1), nil, in),
 					incremental.MapObservations[weighted.Grouped[graph.Node, int]]{}, nil, 0.5)
 				scorer := incremental.NewScorer(ccdf, seq, degs)
 				state := mcmc.NewGraphState(g, in) // pushes the initial dataset itself

@@ -56,32 +56,29 @@ func runMotif(args []string) error {
 	}
 	rng := rand.New(rand.NewSource(*seed))
 
-	uses := pattern.Uses()
-	if *byDegree {
-		uses = queries.MotifByDegreeUses(pattern)
-	}
-	src := budget.NewSource("edges", float64(uses)*(*eps)*(1+1e-9))
-	edges := core.FromDataset(graph.SymmetricEdges(g), src)
-
 	if !*byDegree {
-		q, err := queries.MotifCount(edges, pattern)
+		q, err := queries.MotifCount(pattern)
 		if err != nil {
 			return err
 		}
-		hist, err := core.NoisyCount(q, *eps, rng)
+		hist, spent, err := releaseMotif(q, g, *eps, rng)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%s weighted prevalence: %.4f (privacy cost %.4g)\n",
-			*name, hist.Get(queries.Unit{}), src.Spent())
+			*name, hist.Get(queries.Unit{}), spent)
 		return nil
 	}
 
-	q, err := queries.MotifByDegree(edges, pattern, *bucket)
+	q, err := queries.MotifByDegree(pattern, *bucket)
 	if err != nil {
 		return err
 	}
-	hist, err := core.NoisyCount(q, *eps, rng)
+	// The degree joins pack the file's node ids.
+	if err := queries.CheckNodeRange(g); err != nil {
+		return err
+	}
+	hist, spent, err := releaseMotif(q, g, *eps, rng)
 	if err != nil {
 		return err
 	}
@@ -95,9 +92,18 @@ func runMotif(args []string) error {
 		rows = append(rows, row{p, w})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].w > rows[j].w })
-	fmt.Printf("%s weighted prevalence by degree profile (privacy cost %.4g):\n", *name, src.Spent())
+	fmt.Printf("%s weighted prevalence by degree profile (privacy cost %.4g):\n", *name, spent)
 	for _, r := range rows {
 		fmt.Printf("  %v  %.4f\n", r.profile[:pattern.K], r.w)
 	}
 	return nil
+}
+
+// releaseMotif measures q on g with a budget sized exactly to the
+// tree's uses of the edge dataset, returning the release and its cost.
+func releaseMotif[T comparable](q queries.Expr[T], g *graph.Graph, eps float64, rng *rand.Rand) (*core.Histogram[T], float64, error) {
+	src := budget.NewSource("edges", float64(queries.Uses(q))*eps*(1+1e-9))
+	edges := core.FromDataset(graph.SymmetricEdges(g), src)
+	hist, err := core.NoisyCount(queries.OneShot(q, edges), eps, rng)
+	return hist, src.Spent(), err
 }

@@ -37,11 +37,11 @@ func main() {
 	const eps = 0.5
 	src := budget.NewSource("edges", 2*eps)
 	edges := core.FromDataset(graph.SymmetricEdges(g), src)
-	seqHist, err := core.NoisyCount(queries.DegreeSequence(edges), eps, rng)
+	seqHist, err := core.NoisyCount(queries.OneShot(queries.DegreeSequence(), edges), eps, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
-	ccdfHist, err := core.NoisyCount(queries.DegreeCCDF(edges), eps, rng)
+	ccdfHist, err := core.NoisyCount(queries.OneShot(queries.DegreeCCDF(), edges), eps, rng)
 	if err != nil {
 		log.Fatal(err)
 	}

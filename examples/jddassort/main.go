@@ -45,7 +45,7 @@ func main() {
 	}{{"collaboration graph", g}, {"degree-matched random", random}} {
 		src := budget.NewSource("edges", 4*eps)
 		edges := core.FromDataset(graph.SymmetricEdges(run.g), src)
-		hist, err := core.NoisyCount(queries.JDD(edges), eps, rng)
+		hist, err := core.NoisyCount(queries.OneShot(queries.JDD(), edges), eps, rng)
 		if err != nil {
 			log.Fatal(err)
 		}

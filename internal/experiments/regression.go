@@ -36,11 +36,11 @@ func Regression(o Options) error {
 			rng := o.rng(151 + int64(rep) + int64(eps*1000))
 			src := budget.NewSource("edges", 2*eps*(1+1e-9))
 			edges := core.FromDataset(graph.SymmetricEdges(g), src)
-			seqHist, err := core.NoisyCount(queries.DegreeSequence(edges), eps, rng)
+			seqHist, err := core.NoisyCount(queries.OneShot(queries.DegreeSequence(), edges), eps, rng)
 			if err != nil {
 				return err
 			}
-			ccdfHist, err := core.NoisyCount(queries.DegreeCCDF(edges), eps, rng)
+			ccdfHist, err := core.NoisyCount(queries.OneShot(queries.DegreeCCDF(), edges), eps, rng)
 			if err != nil {
 				return err
 			}

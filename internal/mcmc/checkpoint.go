@@ -151,7 +151,7 @@ type DurableConfig struct {
 	RoundEvery int
 	// Ladder is the rung→chain assignment to start from (a permutation
 	// of chain indices, coldest first), carried by a checkpoint; nil
-	// derives it from the runners' pow values as RunReplicas does.
+	// derives it from the runners' pow values, largest first.
 	Ladder []int
 	// Parity selects which adjacent-pair set the next swap round
 	// proposes (0 fresh; a checkpoint carries the live value).
@@ -169,21 +169,22 @@ type DurableConfig struct {
 	OnRound func(done int, chains []ChainStats) bool
 }
 
-// RunDurable drives a checkpointable (multi-)chain run: RunReplicas'
-// schedule plus deterministic re-anchor stops at every CheckpointEvery
-// multiple. A fresh durable run and one resumed from any of its
-// checkpoints compute the identical stop set and therefore the
+// RunDurable is the one chain loop: it drives a (multi-)chain run with
+// swap rounds at every SwapEvery multiple — RunReplicas is this with no
+// checkpoint stops — plus deterministic re-anchor stops at every
+// CheckpointEvery multiple. A fresh durable run and one resumed from any
+// of its checkpoints compute the identical stop set and therefore the
 // identical proposal, swap, and re-anchor trace.
 func RunDurable(runners []*Runner, cfg DurableConfig, swapRng *rand.Rand) (ReplicaResult, error) {
 	if len(runners) == 0 {
-		return ReplicaResult{}, errors.New("mcmc: durable run requires at least one chain")
+		return ReplicaResult{}, errors.New("mcmc: a chain run requires at least one chain")
 	}
 	for _, r := range runners {
 		if r == nil {
 			return ReplicaResult{}, errors.New("mcmc: nil chain runner")
 		}
 		if r.cfg.PowSchedule != nil {
-			return ReplicaResult{}, errors.New("mcmc: durable runs require fixed-pow chains (no PowSchedule)")
+			return ReplicaResult{}, errors.New("mcmc: chain runs require fixed-pow chains (no PowSchedule)")
 		}
 	}
 	if cfg.Steps < 0 || cfg.StartStep < 0 || cfg.StartStep > cfg.Steps {
@@ -197,7 +198,7 @@ func RunDurable(runners []*Runner, cfg DurableConfig, swapRng *rand.Rand) (Repli
 	}
 	swapEvery := cfg.SwapEvery
 	if swapEvery <= 0 {
-		swapEvery = 1024
+		swapEvery = defaultSwapEvery
 	}
 
 	stats := make([]ChainStats, len(runners))
@@ -208,9 +209,13 @@ func RunDurable(runners []*Runner, cfg DurableConfig, swapRng *rand.Rand) (Repli
 		copy(stats, cfg.Stats)
 	} else {
 		for i, r := range runners {
+			// Seed FinalScore with the current score so zero-step runs
+			// report the actual state of the walk, not 0.
 			stats[i] = ChainStats{Chain: i, Pow: r.cfg.Pow, Stats: Stats{FinalScore: r.Score()}}
 		}
 	}
+	// ladder[k] is the chain currently holding the k-th coldest rung
+	// (largest pow first). Swaps permute this assignment.
 	ladder := make([]int, len(runners))
 	if cfg.Ladder != nil {
 		if len(cfg.Ladder) != len(runners) {

@@ -141,7 +141,7 @@ func TestRunnerValidation(t *testing.T) {
 // the given observed triangle signal.
 func buildTbIFixture(g *graph.Graph, observed float64, eps float64) (*GraphState, *incremental.Scorer) {
 	in := newEdgeInput()
-	stream := queries.TbIPipeline(nil, in)
+	stream := queries.Stream(queries.TbI(), nil, in)
 	sink := incremental.NewNoisyCountSink[queries.Unit](
 		stream,
 		incremental.MapObservations[queries.Unit]{{}: observed},

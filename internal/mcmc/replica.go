@@ -17,12 +17,12 @@
 package mcmc
 
 import (
-	"errors"
 	"math"
 	"math/rand"
-	"sort"
-	"sync"
 )
+
+// defaultSwapEvery is the swap cadence when a config leaves it unset.
+const defaultSwapEvery = 1024
 
 // ReplicaConfig parameterizes RunReplicas.
 type ReplicaConfig struct {
@@ -75,90 +75,18 @@ type ReplicaResult struct {
 // A single runner degenerates to exactly that runner's Run(cfg.Steps)
 // proposal trace (no swap rounds, swapRng unused and may be nil).
 func RunReplicas(runners []*Runner, cfg ReplicaConfig, swapRng *rand.Rand) (ReplicaResult, error) {
-	if len(runners) == 0 {
-		return ReplicaResult{}, errors.New("mcmc: replica exchange requires at least one chain")
-	}
-	for _, r := range runners {
-		if r == nil {
-			return ReplicaResult{}, errors.New("mcmc: nil chain runner")
-		}
-		if r.cfg.PowSchedule != nil {
-			return ReplicaResult{}, errors.New("mcmc: replica exchange requires fixed-pow chains (no PowSchedule)")
-		}
-	}
-	if cfg.Steps < 0 {
-		return ReplicaResult{}, errors.New("mcmc: Steps must be non-negative")
-	}
-	if len(runners) > 1 && swapRng == nil {
-		return ReplicaResult{}, errors.New("mcmc: swapRng is required for more than one chain")
-	}
 	swapEvery := cfg.SwapEvery
 	if swapEvery <= 0 {
-		swapEvery = 1024
+		swapEvery = defaultSwapEvery
 	}
-
-	stats := make([]ChainStats, len(runners))
-	for i, r := range runners {
-		// Seed FinalScore with the current score so zero-step runs
-		// report the actual state of the walk, not 0.
-		stats[i] = ChainStats{Chain: i, Pow: r.cfg.Pow, Stats: Stats{FinalScore: r.Score()}}
-	}
-	// ladder[k] is the chain currently holding the k-th coldest rung
-	// (largest pow first). Swaps permute this assignment.
-	ladder := make([]int, len(runners))
-	for i := range ladder {
-		ladder[i] = i
-	}
-	sort.SliceStable(ladder, func(a, b int) bool {
-		return runners[ladder[a]].cfg.Pow > runners[ladder[b]].cfg.Pow
-	})
-
-	res := ReplicaResult{Chains: stats}
-	chunk := make([]Stats, len(runners))
-	parity := 0
-	for done := 0; done < cfg.Steps; {
-		n := swapEvery
-		if rest := cfg.Steps - done; n > rest {
-			n = rest
-		}
-		var wg sync.WaitGroup
-		for i := range runners {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				chunk[i] = runners[i].Run(n)
-			}(i)
-		}
-		wg.Wait()
-		for i := range runners {
-			s := &stats[i]
-			s.Steps += chunk[i].Steps
-			s.Accepted += chunk[i].Accepted
-			s.Rejected += chunk[i].Rejected
-			s.Invalid += chunk[i].Invalid
-			s.FinalScore = chunk[i].FinalScore
-		}
-		done += n
-		if done < cfg.Steps && len(runners) > 1 {
-			exchange(runners, stats, ladder, parity, swapRng)
-			parity ^= 1
-		}
-		recordChains(stats)
-		if cfg.OnRound != nil {
-			snap := make([]ChainStats, len(stats))
-			copy(snap, stats)
-			if !cfg.OnRound(done, snap) {
-				res.Cancelled = true
-				break
-			}
-		}
-	}
-	for i := range stats {
-		if stats[i].FinalScore < stats[res.Best].FinalScore {
-			res.Best = i
-		}
-	}
-	return res, nil
+	// RunDurable's schedule without checkpoint stops. RoundEvery makes a
+	// single chain, which has no swap rounds, report at a ladder's cadence.
+	return RunDurable(runners, DurableConfig{
+		Steps:      cfg.Steps,
+		SwapEvery:  swapEvery,
+		RoundEvery: swapEvery,
+		OnRound:    cfg.OnRound,
+	}, swapRng)
 }
 
 // exchange proposes one Metropolis swap per ladder-adjacent pair,

@@ -67,11 +67,11 @@ func buildFixture(g *graph.Graph, shards, cutoff int, jddObs incremental.Observa
 	in := engine.NewInput[graph.Edge](e)
 	degTargets := incremental.MapObservations[int]{0: 8, 1: 6, 2: 5, 3: 3}
 	sink1 := incremental.NewNoisyCountSink[queries.Unit](
-		queries.TbIPipeline(nil, in), incremental.MapObservations[queries.Unit]{{}: 45}, []queries.Unit{{}}, 0.5)
+		queries.Stream(queries.TbI(), nil, in), incremental.MapObservations[queries.Unit]{{}: 45}, []queries.Unit{{}}, 0.5)
 	sink2 := incremental.NewNoisyCountSink[int](
-		queries.DegreeSequencePipeline(in), degTargets, nil, 0.3)
+		queries.Stream(queries.DegreeSequence(), nil, in), degTargets, nil, 0.3)
 	sink3 := incremental.NewNoisyCountSink[queries.DegPair](
-		queries.JDDPipeline(nil, in), jddObs, nil, 0.4)
+		queries.Stream(queries.JDD(), nil, in), jddObs, nil, 0.4)
 	return txnFixture{state: NewGraphState(g, in), scorer: incremental.NewScorer(sink1, sink2, sink3), input: in}
 }
 

@@ -13,9 +13,9 @@
 // The optimizer is a hash-consing memo over canonical fragment keys. A
 // fragment is a connected piece of a pipeline (the paths join, the
 // degree GroupBy, a workload's private suffix) identified by a Node
-// descriptor: an operator label, canonicalized parameters folded into
-// the key, and the keys of its input fragments. Builders request
-// fragments bottom-up through Shared; the first request for a key
+// descriptor: a key with the canonicalized parameters folded in, and
+// the keys of its input fragments. The lowering of an operator tree
+// requests fragments bottom-up through Shared; the first request for a key
 // constructs the operators, every later request returns the existing
 // stream, and subscribing another consumer to it is exactly the fan-out
 // point of the fused DAG. Two pipelines therefore share their longest
@@ -42,6 +42,7 @@ package plan
 import (
 	"fmt"
 	"reflect"
+	"strconv"
 
 	"wpinq/internal/incremental"
 	"wpinq/internal/obs"
@@ -55,15 +56,15 @@ import (
 var fragPushes = obs.Default.CounterVec("wpinq_plan_fragment_pushes_total",
 	"Difference batches delivered through plan fragment outputs.", "fused")
 
-// Node describes one fragment of a pipeline for structural
-// identification: Op is a human-readable operator label, Key is the
-// canonical identity (equal keys must mean identical operator subgraphs
-// over identical inputs — parameters such as bucket widths must be
+// Node describes one fragment of a pipeline: Key is the canonical
+// identity (equal keys must mean identical operator subgraphs over
+// identical inputs — parameters such as bucket widths must be
 // canonicalized into it), and Inputs names the fragment keys this
-// fragment consumes ("edges" denotes the plan's root input).
+// fragment consumes ("edges" denotes the plan's root input). The
+// requester derives Inputs from the fragment's operator tree
+// (wpinq/internal/queries); the memo only records them, for DAG.
 type Node struct {
 	Key    string
-	Op     string
 	Inputs []string
 }
 
@@ -129,7 +130,7 @@ func (m *Memo) Stats() Stats {
 }
 
 // DAG returns the fused DAG in construction order (a topological order:
-// builders request inputs before the fragments consuming them).
+// a fragment's inputs are requested before the fragment itself).
 func (m *Memo) DAG() []Fragment {
 	if m == nil {
 		return nil
@@ -211,16 +212,9 @@ func Count[T comparable](m *Memo, src incremental.Source[T]) {
 	if m == nil {
 		return
 	}
-	c := fragPushes.With(fusedLabel(m.fuse))
+	c := fragPushes.With(strconv.FormatBool(m.fuse))
 	src.Subscribe(func([]incremental.Delta[T]) {
 		m.pushes++
 		c.Inc()
 	})
-}
-
-func fusedLabel(fuse bool) string {
-	if fuse {
-		return "true"
-	}
-	return "false"
 }

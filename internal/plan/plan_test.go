@@ -16,9 +16,9 @@ func TestSharedFusesByKey(t *testing.T) {
 	builds := 0
 	build := func() *int { builds++; v := builds; return &v }
 
-	a1 := Shared(m, Node{Key: "a", Op: "op-a", Inputs: []string{"edges"}}, build)
-	a2 := Shared(m, Node{Key: "a", Op: "op-a", Inputs: []string{"edges"}}, build)
-	b := Shared(m, Node{Key: "b", Op: "op-b", Inputs: []string{"a"}}, build)
+	a1 := Shared(m, Node{Key: "a", Inputs: []string{"edges"}}, build)
+	a2 := Shared(m, Node{Key: "a", Inputs: []string{"edges"}}, build)
+	b := Shared(m, Node{Key: "b", Inputs: []string{"a"}}, build)
 
 	if builds != 2 {
 		t.Fatalf("built %d fragments, want 2 (a shared, b private)", builds)
@@ -83,10 +83,10 @@ func TestUnfusedMemoBuildsPrivatelyButRecords(t *testing.T) {
 func TestDAGAndFanOuts(t *testing.T) {
 	m := New(true)
 	mk := func() struct{} { return struct{}{} }
-	Shared(m, Node{Key: "paths", Op: "join", Inputs: []string{"edges"}}, mk)
-	Shared(m, Node{Key: "tbi", Op: "intersect", Inputs: []string{"paths"}}, mk)
-	Shared(m, Node{Key: "paths", Op: "join", Inputs: []string{"edges"}}, mk)
-	Shared(m, Node{Key: "wedges", Op: "unit", Inputs: []string{"paths"}}, mk)
+	Shared(m, Node{Key: "paths", Inputs: []string{"edges"}}, mk)
+	Shared(m, Node{Key: "tbi", Inputs: []string{"paths"}}, mk)
+	Shared(m, Node{Key: "paths", Inputs: []string{"edges"}}, mk)
+	Shared(m, Node{Key: "wedges", Inputs: []string{"paths"}}, mk)
 
 	dag := m.DAG()
 	keys := make([]string, len(dag))

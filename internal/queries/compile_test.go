@@ -3,6 +3,10 @@ package queries
 import (
 	"reflect"
 	"testing"
+
+	"wpinq/internal/engine"
+	"wpinq/internal/graph"
+	"wpinq/internal/plan"
 )
 
 // TestCompileBuiltinPlansUnchanged pins the compiled join plan of every
@@ -92,23 +96,42 @@ func TestCompilePrefersConnectedExtensions(t *testing.T) {
 }
 
 // TestFragmentKeys pins the canonicalization rules fusion identity
-// rests on: bucket widths <= 1 collapse to one degrees fragment, and a
-// pattern's key reflects its edge order and orientation (different
-// order means a different compiled plan, which must not fuse).
+// rests on, as a fusing memo sees them: bucket widths <= 1 collapse to
+// one degrees fragment, and a pattern's key reflects its edge order and
+// orientation (different order means a different compiled plan, which
+// must not fuse).
 func TestFragmentKeys(t *testing.T) {
-	if degreesKey(0) != degreesKey(1) {
-		t.Fatalf("bucket 0 and 1 name different degree fragments: %q vs %q", degreesKey(0), degreesKey(1))
+	m := plan.New(true)
+	in := engine.NewInput[graph.Edge](engine.New(1))
+	refs := func() map[string]int {
+		out := map[string]int{}
+		for _, f := range m.DAG() {
+			out[f.Key] = f.Refs
+		}
+		return out
 	}
-	if degreesKey(1) == degreesKey(2) {
-		t.Fatalf("bucket 1 and 2 share a degree fragment key %q", degreesKey(1))
+	for _, bucket := range []int{0, 1, 2} {
+		Stream(Degrees(bucket), m, in)
 	}
-	a := Pattern{K: 3, Edges: [][2]int{{0, 1}, {1, 2}, {2, 0}}}
-	b := Pattern{K: 3, Edges: [][2]int{{0, 1}, {2, 0}, {1, 2}}}
-	if a.fragmentKey() == b.fragmentKey() {
-		t.Fatalf("patterns with different edge order share key %q", a.fragmentKey())
+	if got := refs(); len(got) != 2 || got["degrees/b=1"] != 2 || got["degrees/b=2"] != 1 {
+		t.Fatalf("buckets 0, 1, 2 fused as %v, want degrees/b=1 twice and degrees/b=2 once", got)
 	}
-	if a.fragmentKey() != TrianglePattern.fragmentKey() {
-		t.Fatalf("identical patterns have different keys: %q vs %q",
-			a.fragmentKey(), TrianglePattern.fragmentKey())
+	for _, p := range []Pattern{
+		{K: 3, Edges: [][2]int{{0, 1}, {1, 2}, {2, 0}}},
+		{K: 3, Edges: [][2]int{{0, 1}, {2, 0}, {1, 2}}},
+		TrianglePattern,
+	} {
+		e, err := MotifCount(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		Stream(e, m, in)
+	}
+	got := refs()
+	if got["motif-emb/k3:0-1:1-2:2-0"] != 2 {
+		t.Errorf("identical patterns did not share one embedding fragment: %v", got)
+	}
+	if got["motif-emb/k3:0-1:2-0:1-2"] != 1 {
+		t.Errorf("a pattern with another edge order fused with the triangle: %v", got)
 	}
 }

@@ -27,7 +27,7 @@ func TestTbDInversionRecoversTriangleCounts(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		g := randomClustered(t, seed)
 		truth := g.TrianglesByDegree()
-		tbd := TbD(publicEdges(g), 1).Snapshot()
+		tbd := OneShot(TbD(1), publicEdges(g)).Snapshot()
 
 		// Every measured triple must invert to an integer count matching
 		// the ground truth...
@@ -60,7 +60,7 @@ func TestJDDInversionRecoversEdgeCounts(t *testing.T) {
 		truth[[2]int{da, db}]++
 		truth[[2]int{db, da}]++
 	}
-	jdd := JDD(publicEdges(g)).Snapshot()
+	jdd := OneShot(JDD(), publicEdges(g)).Snapshot()
 	released := make(map[DegPair]float64)
 	jdd.Range(func(p DegPair, w float64) { released[p] = w })
 	counts := JDDCounts(released)
@@ -77,7 +77,7 @@ func TestJDDInversionRecoversEdgeCounts(t *testing.T) {
 func TestTbIInversionMatchesSignalOnRandomGraphs(t *testing.T) {
 	for seed := int64(7); seed <= 9; seed++ {
 		g := randomClustered(t, seed)
-		w := TbI(publicEdges(g)).Snapshot().Weight(Unit{})
+		w := OneShot(TbI(), publicEdges(g)).Snapshot().Weight(Unit{})
 		want := TbISignal(g)
 		if math.Abs(w-want) > 1e-6 {
 			t.Errorf("seed %d: TbI weight = %v, want eq.8 signal %v", seed, w, want)
@@ -87,7 +87,7 @@ func TestTbIInversionMatchesSignalOnRandomGraphs(t *testing.T) {
 
 func TestNodesInversionRecoversNodeCount(t *testing.T) {
 	g := randomClustered(t, 11)
-	w := NodeCount(publicEdges(g)).Snapshot().Weight(Unit{})
+	w := OneShot(NodeCount(), publicEdges(g)).Snapshot().Weight(Unit{})
 	if got := 2 * w; math.Abs(got-float64(g.NumNodes())) > 1e-9 {
 		t.Errorf("2 * node-count weight = %v, want %d", got, g.NumNodes())
 	}
@@ -95,7 +95,7 @@ func TestNodesInversionRecoversNodeCount(t *testing.T) {
 
 func TestDegreeSequenceInversionMatchesGraph(t *testing.T) {
 	g := randomClustered(t, 13)
-	seq := DegreeSequence(publicEdges(g)).Snapshot()
+	seq := OneShot(DegreeSequence(), publicEdges(g)).Snapshot()
 	truth := g.DegreeSequence()
 	for i, d := range truth {
 		if got := seq.Weight(i); math.Abs(got-float64(d)) > 1e-9 {

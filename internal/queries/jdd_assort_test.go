@@ -37,7 +37,7 @@ func TestAssortativityFromDPJDD(t *testing.T) {
 	estimate := func(target *graph.Graph, eps float64) float64 {
 		src := budget.NewSource("edges", 4*eps)
 		edges := core.FromDataset(graph.SymmetricEdges(target), src)
-		hist, err := core.NoisyCount(JDD(edges), eps, rng)
+		hist, err := core.NoisyCount(OneShot(JDD(), edges), eps, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,7 +58,7 @@ func TestAssortativityFromDPJDD(t *testing.T) {
 			realSum/reps, randSum/reps)
 	}
 	// And the noiseless pipeline recovers r almost exactly.
-	exact := JDD(core.FromPublic(graph.SymmetricEdges(g))).Snapshot()
+	exact := OneShot(JDD(), publicEdges(g)).Snapshot()
 	exactCounts := make(map[DegPair]float64)
 	exact.Range(func(p DegPair, w float64) { exactCounts[p] = w })
 	exactR := postprocess.AssortativityFromCounts(JDDCounts(exactCounts))

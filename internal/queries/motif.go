@@ -3,11 +3,9 @@ package queries
 import (
 	"errors"
 	"fmt"
+	"strings"
 
-	"wpinq/internal/core"
-	"wpinq/internal/engine"
 	"wpinq/internal/graph"
-	"wpinq/internal/plan"
 )
 
 // Motif counting (paper Section 3.5): "the approach we have taken, forming
@@ -96,10 +94,6 @@ func (p Pattern) Validate() error {
 	}
 	return nil
 }
-
-// Uses returns the number of times the edge dataset appears in the
-// compiled query plan: once per pattern edge (the privacy multiplier).
-func (p Pattern) Uses() int { return len(p.Edges) }
 
 // planStep is one compiled join: attach pattern edge (U, V) where U is
 // already embedded; Closing means V is too (cycle-closing check).
@@ -199,52 +193,55 @@ func emptyEmbedding() Embedding {
 	return e
 }
 
-func (e Embedding) contains(n graph.Node) bool {
-	for _, x := range e {
-		if x == n {
-			return true
-		}
-	}
-	return false
-}
-
 // anchor keys: (node, -1) anchors one endpoint, (a, b) anchors both.
 type anchorKey [2]graph.Node
 
-// MotifCount compiles the pattern and evaluates it over the protected
-// symmetric edge collection, producing a single Unit record whose weight
-// reflects the motif's rescaled prevalence. Privacy cost: Uses() * eps.
-func MotifCount(edges *core.Collection[graph.Edge], p Pattern) (*core.Collection[Unit], error) {
-	emb, err := motifEmbeddings(edges, p)
-	if err != nil {
-		return nil, err
+// fragmentKey returns the canonical fusion identity of a pattern: the
+// vertex count and the edge list in declared order and orientation.
+// Edge order is part of the identity because the compiled join plan —
+// and with it the data-dependent motif weights — depends on it.
+func (p Pattern) fragmentKey() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "k%d", p.K)
+	for _, e := range p.Edges {
+		fmt.Fprintf(&b, ":%d-%d", e[0], e[1])
 	}
-	return core.Select(emb, func(Embedding) Unit { return Unit{} }), nil
+	return b.String()
 }
 
-// motifEmbeddings evaluates the pattern's compiled join plan over the
-// edge collection: the one-shot form of the embedding chain.
-func motifEmbeddings(edges *core.Collection[graph.Edge], p Pattern) (*core.Collection[Embedding], error) {
+// MotifCount compiles the pattern into a tree over the symmetric edge
+// dataset producing a single Unit record whose weight reflects the
+// motif's rescaled prevalence. Privacy cost: one use per pattern edge.
+func MotifCount(p Pattern) (Expr[Unit], error) {
+	emb, err := embeddings(p)
+	if err != nil {
+		return Expr[Unit]{}, err
+	}
+	return sel(emb, func(Embedding) Unit { return Unit{} }), nil
+}
+
+// embeddings is the pattern's compiled embedding chain, one fragment: two
+// motif analyses over the same pattern share the whole chain.
+func embeddings(p Pattern) (Expr[Embedding], error) {
 	if err := p.Validate(); err != nil {
-		return nil, err
+		return Expr[Embedding]{}, err
 	}
 	first, steps := p.compile()
-	emb := core.Select(edges, func(e graph.Edge) Embedding {
+	emb := sel(root, func(e graph.Edge) Embedding {
 		out := emptyEmbedding()
 		out[first[0]] = e.Src
 		out[first[1]] = e.Dst
 		return out
 	})
 	for _, s := range steps {
-		s := s
 		if s.Closing {
-			emb = core.Join(emb, edges,
+			emb = join(emb, root,
 				func(e Embedding) anchorKey { return anchorKey{e[s.U], e[s.V]} },
 				func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, ed.Dst} },
 				func(e Embedding, _ graph.Edge) Embedding { return e })
 			continue
 		}
-		joined := core.Join(emb, edges,
+		joined := join(emb, root,
 			func(e Embedding) anchorKey { return anchorKey{e[s.U], -1} },
 			func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, -1} },
 			func(e Embedding, ed graph.Edge) Embedding {
@@ -253,56 +250,9 @@ func motifEmbeddings(edges *core.Collection[graph.Edge], p Pattern) (*core.Colle
 			})
 		// Injective embeddings only: a just-assigned node must be new.
 		// (A collision leaves the slot equal to another slot's node.)
-		emb = core.Where(joined, injective)
+		emb = where(joined, injective)
 	}
-	return emb, nil
-}
-
-// MotifPipeline is the incremental mirror of MotifCount.
-func MotifPipeline(m *plan.Memo, edges engine.Source[graph.Edge], p Pattern) (engine.Source[Unit], error) {
-	emb, err := embeddings(m, edges, p)
-	if err != nil {
-		return nil, err
-	}
-	return engine.Select(emb, func(Embedding) Unit { return Unit{} }), nil
-}
-
-// embeddings requests the pattern's compiled embedding chain through the
-// memo — the incremental form of motifEmbeddings. Two motif workloads
-// over the same pattern share the whole chain.
-func embeddings(m *plan.Memo, edges engine.Source[graph.Edge], p Pattern) (engine.Source[Embedding], error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	n := plan.Node{Key: motifEmbKey(p), Op: "embedding-joins", Inputs: []string{"edges"}}
-	return fragment(m, n, func() engine.Source[Embedding] {
-		first, steps := p.compile()
-		var emb engine.Source[Embedding] = engine.Select(edges, func(e graph.Edge) Embedding {
-			out := emptyEmbedding()
-			out[first[0]] = e.Src
-			out[first[1]] = e.Dst
-			return out
-		})
-		for _, s := range steps {
-			s := s
-			if s.Closing {
-				emb = engine.Join(emb, edges,
-					func(e Embedding) anchorKey { return anchorKey{e[s.U], e[s.V]} },
-					func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, ed.Dst} },
-					func(e Embedding, _ graph.Edge) Embedding { return e })
-				continue
-			}
-			joined := engine.Join(emb, edges,
-				func(e Embedding) anchorKey { return anchorKey{e[s.U], -1} },
-				func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, -1} },
-				func(e Embedding, ed graph.Edge) Embedding {
-					e[s.V] = ed.Dst
-					return e
-				})
-			emb = engine.Where(joined, injective)
-		}
-		return emb
-	}), nil
+	return frag("motif-emb/"+p.fragmentKey(), emb), nil
 }
 
 // injective reports whether all assigned slots hold distinct nodes.
@@ -318,11 +268,4 @@ func injective(e Embedding) bool {
 		}
 	}
 	return true
-}
-
-// WedgeCount reduces the length-two-path dataset to a single Unit record:
-// the rescaled wedge count, whose ratio to a triangle measurement yields a
-// clustering-coefficient estimate. Privacy cost: 2 eps.
-func WedgeCount(edges *core.Collection[graph.Edge]) *core.Collection[Unit] {
-	return core.Select(Paths(edges), func(Path) Unit { return Unit{} })
 }

@@ -6,17 +6,16 @@ import (
 
 	"wpinq/internal/budget"
 	"wpinq/internal/core"
-	"wpinq/internal/engine"
 	"wpinq/internal/graph"
 )
 
 func motifWeight(t *testing.T, g *graph.Graph, p Pattern) float64 {
 	t.Helper()
-	c, err := MotifCount(publicEdges(g), p)
+	e, err := MotifCount(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.Snapshot().Weight(Unit{})
+	return OneShot(e, publicEdges(g)).Snapshot().Weight(Unit{})
 }
 
 func TestPatternValidate(t *testing.T) {
@@ -42,18 +41,19 @@ func TestPatternValidate(t *testing.T) {
 }
 
 func TestPatternUses(t *testing.T) {
-	if TrianglePattern.Uses() != 3 || SquarePattern.Uses() != 4 || PathPattern3.Uses() != 2 {
-		t.Error("Uses should equal the pattern's edge count")
-	}
-	// The compiled plan charges exactly Uses() on the budget.
-	src := budget.NewSource("edges", 100)
-	edges := core.FromDataset(graph.SymmetricEdges(k4()), src)
-	c, err := MotifCount(edges, SquarePattern)
+	// The compiled plan reads the edge dataset once per pattern edge, and
+	// a measurement charges exactly that on the budget.
+	e, err := MotifCount(SquarePattern)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Uses().Count(src); got != SquarePattern.Uses() {
-		t.Errorf("plan uses = %d, want %d", got, SquarePattern.Uses())
+	if got := Uses(e); got != len(SquarePattern.Edges) {
+		t.Errorf("Uses = %d, want one per pattern edge (%d)", got, len(SquarePattern.Edges))
+	}
+	src := budget.NewSource("edges", 100)
+	edges := core.FromDataset(graph.SymmetricEdges(k4()), src)
+	if got := OneShot(e, edges).Uses().Count(src); got != len(SquarePattern.Edges) {
+		t.Errorf("plan uses = %d, want %d", got, len(SquarePattern.Edges))
 	}
 }
 
@@ -118,33 +118,17 @@ func TestMotifPathCountOnPathGraph(t *testing.T) {
 
 func TestMotifPipelineMatchesQuery(t *testing.T) {
 	for _, p := range []Pattern{TrianglePattern, SquarePattern, PathPattern3} {
-		p := p
-		checkPipelineMatchesQuery(t, allLayouts, "Motif:"+p.fragmentKey(),
-			func(s engine.Source[graph.Edge]) engine.Source[Unit] {
-				out, err := MotifPipeline(nil, s, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return out
-			},
-			func(c *core.Collection[graph.Edge]) *core.Collection[Unit] {
-				out, err := MotifCount(c, p)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return out
-			},
-			6)
+		e, err := MotifCount(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPipelineMatchesQuery(t, allLayouts, "Motif:"+p.fragmentKey(), e, 6)
 	}
 }
 
 func TestMotifRejectsInvalidPattern(t *testing.T) {
-	edges := publicEdges(triangleGraph())
-	if _, err := MotifCount(edges, Pattern{K: 3}); err == nil {
+	if _, err := MotifCount(Pattern{K: 3}); err == nil {
 		t.Error("invalid pattern accepted by MotifCount")
-	}
-	if _, err := MotifPipeline(nil, engine.NewInput[graph.Edge](engine.New(1)), Pattern{K: 3}); err == nil {
-		t.Error("invalid pattern accepted by MotifPipeline")
 	}
 }
 
@@ -153,7 +137,7 @@ func TestWedgeCountMatchesPathNorm(t *testing.T) {
 	// weight: sum over paths of 1/(2 d_b) = sum over b of d_b(d_b-1)/(2 d_b)
 	// = sum over b of (d_b - 1)/2.
 	g := k4() // all degrees 3: 4 * (3-1)/2 = 4
-	w := WedgeCount(publicEdges(g)).Snapshot().Weight(Unit{})
+	w := OneShot(WedgeCount(), publicEdges(g)).Snapshot().Weight(Unit{})
 	if math.Abs(w-4.0) > 1e-9 {
 		t.Errorf("wedge weight = %v, want 4", w)
 	}

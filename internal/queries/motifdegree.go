@@ -1,10 +1,9 @@
 package queries
 
 import (
-	"wpinq/internal/core"
-	"wpinq/internal/engine"
+	"fmt"
+
 	"wpinq/internal/graph"
-	"wpinq/internal/plan"
 	"wpinq/internal/weighted"
 )
 
@@ -52,25 +51,21 @@ type embDegs struct {
 	Degs [MaxPatternNodes]int
 }
 
-// MotifByDegreeUses returns the privacy multiplier of MotifByDegree for a
-// pattern: one use per pattern edge for the embedding plan, plus one use
-// of the edge dataset per pattern vertex for its degree join.
-func MotifByDegreeUses(p Pattern) int { return len(p.Edges) + p.K }
-
-// MotifByDegree compiles the pattern and evaluates its degree profile over
-// the protected symmetric edge collection: each occurrence contributes its
-// (data-dependent) weight to the sorted tuple of its vertices' bucketed
-// degrees. Privacy cost: MotifByDegreeUses(p) * eps.
-func MotifByDegree(edges *core.Collection[graph.Edge], p Pattern, bucket int) (*core.Collection[DegProfile], error) {
-	emb, err := motifEmbeddings(edges, p)
+// MotifByDegree compiles the pattern's degree profile: each occurrence
+// contributes its (data-dependent) weight to the sorted tuple of its
+// vertices' bucketed degrees. The embedding chain and the degrees prefix
+// are the fragments MotifCount and TbD use. Privacy cost: one use per
+// pattern edge for the embedding plan, plus one per pattern vertex for
+// its degree join.
+func MotifByDegree(p Pattern, bucket int) (Expr[DegProfile], error) {
+	emb, err := embeddings(p)
 	if err != nil {
-		return nil, err
+		return Expr[DegProfile]{}, err
 	}
-	degs := Degrees(edges, bucket)
-	cur := core.Select(emb, func(e Embedding) embDegs { return embDegs{Emb: e} })
+	degs := Degrees(bucket)
+	cur := sel(emb, func(e Embedding) embDegs { return embDegs{Emb: e} })
 	for v := 0; v < p.K; v++ {
-		v := v
-		cur = core.Join(cur, degs,
+		cur = join(cur, degs,
 			func(x embDegs) graph.Node { return x.Emb[v] },
 			func(d weighted.Grouped[graph.Node, int]) graph.Node { return d.Key },
 			func(x embDegs, d weighted.Grouped[graph.Node, int]) embDegs {
@@ -79,35 +74,6 @@ func MotifByDegree(edges *core.Collection[graph.Edge], p Pattern, bucket int) (*
 			})
 	}
 	k := p.K
-	return core.Select(cur, func(x embDegs) DegProfile { return sortProfile(x.Degs[:k]) }), nil
-}
-
-// MotifByDegreePipeline is the incremental mirror of MotifByDegree, with
-// the embedding chain and the degrees prefix requested through the memo.
-func MotifByDegreePipeline(m *plan.Memo, edges engine.Source[graph.Edge], p Pattern, bucket int) (engine.Source[DegProfile], error) {
-	emb, err := embeddings(m, edges, p)
-	if err != nil {
-		return nil, err
-	}
-	degs := DegreesPipeline(m, edges, bucket)
-	n := plan.Node{
-		Key:    motifDegKey(p, bucket),
-		Op:     "per-vertex degree joins+sortprofile",
-		Inputs: []string{motifEmbKey(p), degreesKey(bucket)},
-	}
-	return fragment(m, n, func() engine.Source[DegProfile] {
-		var cur engine.Source[embDegs] = engine.Select(emb, func(e Embedding) embDegs { return embDegs{Emb: e} })
-		for v := 0; v < p.K; v++ {
-			v := v
-			cur = engine.Join(cur, degs,
-				func(x embDegs) graph.Node { return x.Emb[v] },
-				func(d weighted.Grouped[graph.Node, int]) graph.Node { return d.Key },
-				func(x embDegs, d weighted.Grouped[graph.Node, int]) embDegs {
-					x.Degs[v] = d.Result
-					return x
-				})
-		}
-		k := p.K
-		return engine.Select(cur, func(x embDegs) DegProfile { return sortProfile(x.Degs[:k]) })
-	}), nil
+	return frag(fmt.Sprintf("motif-deg/%s/b=%d", p.fragmentKey(), degreeBucket(bucket)),
+		sel(cur, func(x embDegs) DegProfile { return sortProfile(x.Degs[:k]) })), nil
 }

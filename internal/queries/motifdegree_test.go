@@ -6,7 +6,6 @@ import (
 
 	"wpinq/internal/budget"
 	"wpinq/internal/core"
-	"wpinq/internal/engine"
 	"wpinq/internal/graph"
 )
 
@@ -26,12 +25,12 @@ func twoTrianglesGraph() *graph.Graph {
 
 func motifProfile(t *testing.T, g *graph.Graph, p Pattern, bucket int) map[DegProfile]float64 {
 	t.Helper()
-	c, err := MotifByDegree(publicEdges(g), p, bucket)
+	e, err := MotifByDegree(p, bucket)
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make(map[DegProfile]float64)
-	c.Snapshot().Range(func(pr DegProfile, w float64) { out[pr] = w })
+	OneShot(e, publicEdges(g)).Snapshot().Range(func(pr DegProfile, w float64) { out[pr] = w })
 	return out
 }
 
@@ -92,49 +91,35 @@ func TestMotifByDegreeSquare(t *testing.T) {
 }
 
 func TestMotifByDegreeUsesAccounting(t *testing.T) {
-	src := budget.NewSource("edges", 1000)
-	edges := core.FromDataset(graph.SymmetricEdges(k4()), src)
-	c, err := MotifByDegree(edges, TrianglePattern, 1)
+	// One use per pattern edge for the embedding plan plus one per pattern
+	// vertex for its degree join: 3 + 3 on the triangle.
+	e, err := MotifByDegree(TrianglePattern, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := MotifByDegreeUses(TrianglePattern) // 3 edges + 3 vertices = 6
-	if want != 6 {
-		t.Fatalf("MotifByDegreeUses(triangle) = %d, want 6", want)
+	if got := Uses(e); got != 6 {
+		t.Fatalf("Uses(triangle by degree) = %d, want 6", got)
 	}
-	if got := c.Uses().Count(src); got != want {
-		t.Errorf("plan uses = %d, want %d", got, want)
+	src := budget.NewSource("edges", 1000)
+	edges := core.FromDataset(graph.SymmetricEdges(k4()), src)
+	if got := OneShot(e, edges).Uses().Count(src); got != 6 {
+		t.Errorf("plan uses = %d, want 6", got)
 	}
 }
 
 func TestMotifByDegreeRejectsInvalid(t *testing.T) {
-	if _, err := MotifByDegree(publicEdges(k4()), Pattern{K: 2}, 1); err == nil {
+	if _, err := MotifByDegree(Pattern{K: 2}, 1); err == nil {
 		t.Error("invalid pattern accepted")
-	}
-	if _, err := MotifByDegreePipeline(nil, engine.NewInput[graph.Edge](engine.New(1)), Pattern{K: 2}, 1); err == nil {
-		t.Error("invalid pattern accepted by pipeline")
 	}
 }
 
 func TestMotifByDegreePipelineMatchesQuery(t *testing.T) {
 	for _, p := range []Pattern{TrianglePattern, PathPattern3} {
-		p := p
-		checkPipelineMatchesQuery(t, allLayouts, "MotifByDegree:"+p.fragmentKey(),
-			func(s engine.Source[graph.Edge]) engine.Source[DegProfile] {
-				out, err := MotifByDegreePipeline(nil, s, p, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return out
-			},
-			func(c *core.Collection[graph.Edge]) *core.Collection[DegProfile] {
-				out, err := MotifByDegree(c, p, 2)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return out
-			},
-			5)
+		e, err := MotifByDegree(p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkPipelineMatchesQuery(t, allLayouts, "MotifByDegree:"+p.fragmentKey(), e, 5)
 	}
 }
 

@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -13,10 +14,11 @@ import (
 // flowing through them; packing the graph-shaped intermediates (edges,
 // length-two paths, degree pairs) into single uint64 words shrinks that
 // state and hits the runtime's fast fixed-size map variants. Packing is
-// confined to pipeline interiors: every public builder still accepts
-// graph.Edge differences and emits the decoded record types, and fused
-// fragments pack at entry and decode at exit, so fragment keys, output
-// types, and the fused DAG shape are unchanged.
+// confined to tree interiors: every tree reads graph.Edge records and
+// every exported analysis emits a decoded record type. Fragments hand
+// each other packed words, so a record is packed once, where the edge
+// dataset enters a fragment, and decoded only where a decoded record is
+// the output.
 //
 // Packing cannot perturb results or trace determinism: it is an
 // injective re-encoding applied to records only — weights never pass
@@ -32,13 +34,16 @@ import (
 const (
 	nodeBits = 21
 	nodeMask = 1<<nodeBits - 1
+	// internCap is the interning table's capacity.
+	internCap = 1 << 16
 	// internBase is the first packed code served by the interning table;
 	// codes below it are identity-encoded node ids.
-	internBase = 1<<nodeBits - 1<<16
+	internBase = 1<<nodeBits - internCap
 )
 
 // internedKeys exposes the interning table's size: zero on every
-// generator-produced graph, and bounded by 2^16 before packNode panics.
+// generator-produced graph, and bounded by internCap before packNode
+// panics.
 var internedKeys = obs.Default.Gauge("wpinq_packed_interned_keys",
 	"Entries in the packed-record node interning table (node ids outside the identity-encoded range).")
 
@@ -62,7 +67,7 @@ func packNode(n graph.Node) uint64 {
 	if c, ok := interner.fwd[n]; ok {
 		return c
 	}
-	if len(interner.rev) >= 1<<16 {
+	if len(interner.rev) >= internCap {
 		panic("queries: packed-node interning table full (more than 65536 node ids outside [0, 2031616))")
 	}
 	c := internBase + uint64(len(interner.rev))
@@ -80,6 +85,32 @@ func unpackNode(c uint64) graph.Node {
 	interner.Lock()
 	defer interner.Unlock()
 	return interner.rev[c-internBase]
+}
+
+// ErrNodeRange reports a graph with more node ids outside the
+// identity-encoded range than the interning table can still take.
+var ErrNodeRange = errors.New("queries: node ids out of packed range")
+
+// CheckNodeRange returns ErrNodeRange if packing g's node ids would
+// overflow the interning table. One-shot evaluation packs the ids of the
+// graph it measures, so a measurement calls this on the protected graph
+// before charging anything; packNode's panic stays behind it as the
+// backstop. (Degrees need no check: they are bounded by the id count.)
+func CheckNodeRange(g *graph.Graph) error {
+	nodes := g.Nodes()
+	interner.Lock()
+	defer interner.Unlock()
+	need := 0
+	for _, n := range nodes {
+		if _, ok := interner.fwd[n]; !ok && (n < 0 || uint64(n) >= internBase) {
+			need++
+		}
+	}
+	if free := internCap - len(interner.rev); need > free {
+		return fmt.Errorf("%w: %d ids outside [0, %d) need interning, %d of %d codes free",
+			ErrNodeRange, need, internBase, free, internCap)
+	}
+	return nil
 }
 
 // packDeg encodes a (possibly bucketed) degree into 21 bits. Degrees are
@@ -126,12 +157,6 @@ func (p PPath) rotate() PPath {
 
 func (p PPath) unpack() Path {
 	return Path{unpackNode(p.aKey()), unpackNode(p.bKey()), unpackNode(p.cKey())}
-}
-
-// packPath is unpack's inverse, used where a fused fragment re-enters
-// packed form from a decoded upstream fragment.
-func packPath(p Path) PPath {
-	return packedPath(packNode(p.A), packNode(p.B), packNode(p.C))
 }
 
 // PDeg is a (vertex, degree) pair packed as node<<21 | deg: the packed

@@ -1,6 +1,7 @@
 package queries
 
 import (
+	"errors"
 	"testing"
 
 	"wpinq/internal/graph"
@@ -37,13 +38,13 @@ func TestPackedPathRoundTripAndRotate(t *testing.T) {
 		{A: 2031615, B: 0, C: 1048576},
 	}
 	for _, want := range cases {
-		p := packPath(want)
+		p := packedPath(packNode(want.A), packNode(want.B), packNode(want.C))
 		if got := p.unpack(); got != want {
-			t.Errorf("packPath(%v).unpack() = %v", want, got)
+			t.Errorf("packed %v unpacks to %v", want, got)
 		}
 		wantRot := Path{A: want.B, B: want.C, C: want.A}
 		if got := p.rotate().unpack(); got != wantRot {
-			t.Errorf("packPath(%v).rotate() = %v, want %v", want, got, wantRot)
+			t.Errorf("packed %v rotates to %v, want %v", want, got, wantRot)
 		}
 	}
 }
@@ -107,5 +108,29 @@ func TestPackNodeInterning(t *testing.T) {
 		if back := unpackNode(c); back != n {
 			t.Errorf("unpackNode(packNode(%d)) = %d", n, back)
 		}
+	}
+}
+
+// TestCheckNodeRange pins the pre-flight check in front of packNode's
+// panic: in-range ids and a few out-of-range ones pass, more new
+// out-of-range ids than the interning table has free codes are
+// ErrNodeRange, and checking interns nothing.
+func TestCheckNodeRange(t *testing.T) {
+	few := graph.New()
+	few.AddEdge(-7, 5)
+	few.AddEdge(internBase+3, 2031615)
+	if err := CheckNodeRange(few); err != nil {
+		t.Errorf("graph with two out-of-range ids refused: %v", err)
+	}
+	many := graph.New()
+	for i := graph.Node(1); i <= internCap; i++ {
+		many.AddEdge(-i, -i-1) // internCap+1 negative ids
+	}
+	size := len(interner.rev)
+	if err := CheckNodeRange(many); !errors.Is(err, ErrNodeRange) {
+		t.Errorf("graph with %d negative ids: %v, want ErrNodeRange", many.NumNodes(), err)
+	}
+	if len(interner.rev) != size {
+		t.Errorf("CheckNodeRange interned %d ids", len(interner.rev)-size)
 	}
 }

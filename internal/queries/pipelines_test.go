@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"wpinq/internal/core"
 	"wpinq/internal/engine"
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
@@ -67,31 +66,25 @@ func (l pipelineLayout) newRoot() *engine.Input[graph.Edge] {
 	return engine.NewInput[graph.Edge](eng)
 }
 
-// checkPipelineMatchesQuery is the one table every pipeline is held to:
-// on each layout it loads a graph into the pipeline, applies a series of
-// random valid edge swaps, and verifies after each step that the
-// pipeline output equals the one-shot query on the current graph — the
-// end-to-end equivalence of the single incremental description with the
-// measurement form.
-func checkPipelineMatchesQuery[T comparable](
-	t *testing.T,
-	layouts []pipelineLayout,
-	name string,
-	buildPipeline func(engine.Source[graph.Edge]) engine.Source[T],
-	buildQuery func(*core.Collection[graph.Edge]) *core.Collection[T],
-	swaps int,
-) {
+// checkPipelineMatchesQuery is the one table every description is held
+// to: on each layout it lowers e to the executor, loads a graph, applies
+// a series of random valid edge swaps, and verifies after each step that
+// the stream's output equals e's one-shot lowering on the current graph
+// — the end-to-end equivalence of the tree's two lowerings. (That the
+// one-shot lowering computes the right thing is the closed-form tests'
+// job: they do not share these lambdas.)
+func checkPipelineMatchesQuery[T comparable](t *testing.T, layouts []pipelineLayout, name string, e Expr[T], swaps int) {
 	t.Helper()
 	for _, l := range layouts {
 		l := l
 		t.Run(name+"/"+l.name, func(t *testing.T) {
 			g := testGraph(t)
 			in := l.newRoot()
-			out := incremental.Collect(buildPipeline(in))
+			out := incremental.Collect(Stream(e, nil, in))
 			in.PushDataset(graph.SymmetricEdges(g))
 
 			compare := func(step int) {
-				want := buildQuery(core.FromPublic(graph.SymmetricEdges(g))).Snapshot()
+				want := OneShot(e, publicEdges(g)).Snapshot()
 				if !weighted.Equal(out.Snapshot(), want, 1e-6) {
 					t.Fatalf("%s diverged at step %d", name, step)
 				}
@@ -130,31 +123,31 @@ func checkPipelineMatchesQuery[T comparable](
 // registry-driven table test in wpinq/internal/workload
 // (TestRegisteredWorkloadsMatchQueryOnEveryExecutor), which covers every
 // registered workload on every layout. The checks here and in
-// motif_test.go / motifdegree_test.go cover the pipelines that are not
+// motif_test.go / motifdegree_test.go cover the descriptions that are not
 // registry workloads.
 
 func TestDegreePipelinesMatchQueries(t *testing.T) {
-	checkPipelineMatchesQuery(t, serialLayout, "DegreeCCDF", DegreeCCDFPipeline, DegreeCCDF, 25)
-	checkPipelineMatchesQuery(t, serialLayout, "DegreeSequence", DegreeSequencePipeline, DegreeSequence, 25)
+	checkPipelineMatchesQuery(t, serialLayout, "DegreeCCDF", DegreeCCDF(), 25)
+	checkPipelineMatchesQuery(t, serialLayout, "DegreeSequence", DegreeSequence(), 25)
 }
 
 func TestEngineDegreeCCDFPipelineMatchesQuery(t *testing.T) {
-	checkPipelineMatchesQuery(t, engineLayouts, "EngineDegreeCCDF", DegreeCCDFPipeline, DegreeCCDF, 12)
+	checkPipelineMatchesQuery(t, engineLayouts, "EngineDegreeCCDF", DegreeCCDF(), 12)
 }
 
 func TestEngineDegreeSequencePipelineMatchesQuery(t *testing.T) {
-	checkPipelineMatchesQuery(t, engineLayouts, "EngineDegreeSequence", DegreeSequencePipeline, DegreeSequence, 12)
+	checkPipelineMatchesQuery(t, engineLayouts, "EngineDegreeSequence", DegreeSequence(), 12)
 }
 
 func TestSbDPipelineMatchesQuery(t *testing.T) {
-	checkPipelineMatchesQuery(t, serialLayout, "SbD", SbDPipeline, SbD, 6)
+	checkPipelineMatchesQuery(t, serialLayout, "SbD", SbD(), 6)
 }
 
 func TestEngineSbDPipelineMatchesQuery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SbD pipeline is the heaviest; skipped in -short mode")
 	}
-	checkPipelineMatchesQuery(t, engineLayouts, "EngineSbD", SbDPipeline, SbD, 4)
+	checkPipelineMatchesQuery(t, engineLayouts, "EngineSbD", SbD(), 4)
 }
 
 func TestTbIPipelineRollback(t *testing.T) {
@@ -162,7 +155,7 @@ func TestTbIPipelineRollback(t *testing.T) {
 	// MCMC rejection path on a real query.
 	g := testGraph(t)
 	in := engine.NewInput[graph.Edge](engine.New(1))
-	out := incremental.Collect(TbIPipeline(nil, in))
+	out := incremental.Collect(Stream(TbI(), nil, in))
 	in.PushDataset(graph.SymmetricEdges(g))
 	before := out.Weight(Unit{})
 

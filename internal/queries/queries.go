@@ -1,133 +1,170 @@
 package queries
 
 import (
-	"wpinq/internal/core"
+	"fmt"
+
 	"wpinq/internal/graph"
 	"wpinq/internal/weighted"
 )
 
-// One-shot query builders. Each returns the final transformed Collection;
-// release a measurement with core.NoisyCount, which also charges the
-// privacy budget by the collection's use counts.
+// The analyses, each written once as an operator tree; expr.go says how
+// a tree is measured (OneShot) and how it is fitted (Stream).
+//
+// Every reusable piece (the length-two-path join, the degree GroupBy,
+// the path-degree join, a motif's embedding chain, each fit analysis's
+// own suffix) is a fragment, so trees lowered through the same fusing
+// plan.Memo share their common prefixes — one DAG with fan-out at the
+// divergence points instead of N private copies. A nil or non-fusing
+// memo builds every tree privately, constructing the same operators in
+// the same order, which is what makes fused and unfused plans
+// differentially comparable.
+//
+// The graph-shaped interiors run on the packed record encodings of
+// packed.go, fragment boundaries included: paths, degrees and
+// path-degree hand their consumers PPath, PDeg and PPathDeg words, and
+// a record is decoded only where a decoded record is the output (Paths,
+// Degrees, SbD's suffix, the motif degree joins).
+//
+// Fragment keys spell every parameter that changes the operator subgraph
+// (bucket width, pattern shape); two requests share a fragment exactly
+// when their subgraphs are identical.
+
+// degreeBucket canonicalizes the degree bucket width: widths <= 1 all
+// leave degrees exact, so they name one fragment.
+func degreeBucket(bucket int) int { return max(bucket, 1) }
+
+// packedEdges packs the edge dataset for a fragment's interior. Each
+// fragment has its own pack node and fans its interior out from it.
+func packedEdges() Expr[PEdge] { return sel(root, packEdge) }
 
 // Nodes transforms the symmetric edge dataset into a dataset of vertices,
 // each at weight 0.5 (paper Section 2.8's SelectMany/Shave/Where idiom).
-func Nodes(edges *core.Collection[graph.Edge]) *core.Collection[graph.Node] {
-	names := core.SelectManySlice(edges, func(e graph.Edge) []graph.Node {
+func Nodes() Expr[graph.Node] {
+	names := selectManySlice(root, func(e graph.Edge) []graph.Node {
 		return []graph.Node{e.Src, e.Dst}
 	})
-	shaved := core.ShaveConst(names, 0.5)
-	first := core.Where(shaved, func(ix weighted.Indexed[graph.Node]) bool { return ix.Index == 0 })
-	return core.Select(first, func(ix weighted.Indexed[graph.Node]) graph.Node { return ix.Value })
+	shaved := shaveConst(names, 0.5)
+	first := where(shaved, func(ix weighted.Indexed[graph.Node]) bool { return ix.Index == 0 })
+	return sel(first, func(ix weighted.Indexed[graph.Node]) graph.Node { return ix.Value })
 }
 
 // NodeCount reduces the node dataset to a single record whose weight is
 // |V| / 2, for releasing the (noisy) number of vertices. Privacy cost: eps.
-func NodeCount(edges *core.Collection[graph.Edge]) *core.Collection[Unit] {
-	return core.Select(Nodes(edges), func(graph.Node) Unit { return Unit{} })
+func NodeCount() Expr[Unit] {
+	return sel(Nodes(), func(graph.Node) Unit { return Unit{} })
 }
 
 // DegreeCCDF builds the degree complementary CDF (paper Section 3.1):
 // record i carries the number of vertices with degree greater than i.
 // Privacy cost: eps.
-func DegreeCCDF(edges *core.Collection[graph.Edge]) *core.Collection[int] {
-	names := core.Select(edges, func(e graph.Edge) graph.Node { return e.Src })
-	shaved := core.ShaveConst(names, 1.0)
-	return core.Select(shaved, func(ix weighted.Indexed[graph.Node]) int { return ix.Index })
+func DegreeCCDF() Expr[int] {
+	names := sel(root, func(e graph.Edge) graph.Node { return e.Src })
+	shaved := shaveConst(names, 1.0)
+	return sel(shaved, func(ix weighted.Indexed[graph.Node]) int { return ix.Index })
 }
 
 // DegreeSequence builds the non-increasing degree sequence by transposing
 // the CCDF (paper Section 3.1): record j carries the degree of the
 // (j+1)-th highest-degree vertex. Privacy cost: eps.
-func DegreeSequence(edges *core.Collection[graph.Edge]) *core.Collection[int] {
-	ccdf := DegreeCCDF(edges)
-	shaved := core.ShaveConst(ccdf, 1.0)
-	return core.Select(shaved, func(ix weighted.Indexed[int]) int { return ix.Index })
+func DegreeSequence() Expr[int] {
+	shaved := shaveConst(DegreeCCDF(), 1.0)
+	return sel(shaved, func(ix weighted.Indexed[int]) int { return ix.Index })
+}
+
+// degrees is the fragment behind Degrees: packed (vertex, degree) words.
+func degrees(bucket int) Expr[PDeg] {
+	bucket = degreeBucket(bucket)
+	grouped := groupBy(packedEdges(), PEdge.srcKey, func(es []PEdge) int { return len(es) / bucket })
+	return frag(fmt.Sprintf("degrees/b=%d", bucket), sel(grouped, func(g weighted.Grouped[uint64, int]) PDeg {
+		//wpinq:packed-ok g.Key is the GroupBy key produced by e.srcKey(), a packed accessor; the generic Grouped plumbing hides the provenance
+		return packedDeg(g.Key, g.Result)
+	}))
 }
 
 // Degrees computes (vertex, degree) pairs at weight 0.5 via GroupBy (paper
 // Section 2.5). bucket >= 2 groups degrees into floor(d/bucket) buckets,
 // the Figure 3 remedy for noise-dominated TbD measurements; bucket <= 1
 // leaves degrees exact.
-func Degrees(edges *core.Collection[graph.Edge], bucket int) *core.Collection[weighted.Grouped[graph.Node, int]] {
-	return core.GroupBy(edges,
-		func(e graph.Edge) graph.Node { return e.Src },
-		func(es []graph.Edge) int {
-			if bucket > 1 {
-				return len(es) / bucket
-			}
-			return len(es)
-		})
+func Degrees(bucket int) Expr[weighted.Grouped[graph.Node, int]] {
+	return sel(degrees(bucket), func(d PDeg) weighted.Grouped[graph.Node, int] {
+		return weighted.Grouped[graph.Node, int]{Key: unpackNode(d.nodeKey()), Result: d.deg()}
+	})
+}
+
+// paths is the fragment behind Paths: packed length-two paths.
+func paths() Expr[PPath] {
+	pe := packedEdges()
+	joined := join(pe, pe, PEdge.dstKey, PEdge.srcKey,
+		func(x, y PEdge) PPath { return packedPath(x.srcKey(), x.dstKey(), y.dstKey()) })
+	return frag("paths", where(joined, func(p PPath) bool { return p.aKey() != p.cKey() }))
 }
 
 // Paths builds the length-two-path dataset (a,b,c), a != c, each at weight
 // 1/(2*db) (paper Section 2.7). Privacy cost contribution: 2 uses.
-func Paths(edges *core.Collection[graph.Edge]) *core.Collection[Path] {
-	joined := core.Join(edges, edges,
-		func(e graph.Edge) graph.Node { return e.Dst },
-		func(e graph.Edge) graph.Node { return e.Src },
-		func(x, y graph.Edge) Path { return Path{x.Src, x.Dst, y.Dst} })
-	return core.Where(joined, func(p Path) bool { return p.A != p.C })
+func Paths() Expr[Path] { return sel(paths(), PPath.unpack) }
+
+// pathDeg joins packed paths with the center vertex's degree: the shared
+// "abc" prefix of TbD and SbD.
+func pathDeg(bucket int) Expr[PPathDeg] {
+	return frag(fmt.Sprintf("pathdeg/b=%d", degreeBucket(bucket)),
+		join(paths(), degrees(bucket), PPath.bKey, PDeg.nodeKey,
+			func(p PPath, d PDeg) PPathDeg { return PPathDeg{P: p, Deg: int32(d.deg())} }))
+}
+
+// WedgeCount reduces the length-two-path dataset to a single Unit record:
+// the rescaled wedge count, whose ratio to a triangle measurement yields a
+// clustering-coefficient estimate. Privacy cost: 2 eps.
+func WedgeCount() Expr[Unit] {
+	return frag("wedges", sel(paths(), func(PPath) Unit { return Unit{} }))
+}
+
+// TbI builds the triangles-by-intersect dataset (paper Section 5.3): a
+// single Unit record whose weight is eq. 8's triangle signal,
+// sum over triangles of min-reciprocal-degree pairs. Privacy cost: 4 eps.
+func TbI() Expr[Unit] {
+	pp := paths()
+	triangles := intersect(sel(pp, PPath.rotate), pp)
+	return frag("tbi", sel(triangles, func(PPath) Unit { return Unit{} }))
 }
 
 // JDD builds the joint degree distribution (paper Section 3.2): records
 // (da, db) for each directed edge (a,b), at weight 1/(2+2da+2db) (eq. 3).
 // Privacy cost: 4 eps.
-func JDD(edges *core.Collection[graph.Edge]) *core.Collection[DegPair] {
-	degs := Degrees(edges, 1)
-	temp := core.Join(degs, edges,
-		func(d weighted.Grouped[graph.Node, int]) graph.Node { return d.Key },
-		func(e graph.Edge) graph.Node { return e.Src },
-		func(d weighted.Grouped[graph.Node, int], e graph.Edge) EdgeDeg {
-			return EdgeDeg{Edge: e, Deg: d.Result}
-		})
-	return core.Join(temp, temp,
-		func(x EdgeDeg) graph.Edge { return x.Edge },
-		func(y EdgeDeg) graph.Edge { return y.Edge.Reverse() },
-		func(x, y EdgeDeg) DegPair { return DegPair{DA: x.Deg, DB: y.Deg} })
+func JDD() Expr[DegPair] {
+	temp := join(degrees(1), packedEdges(), PDeg.nodeKey, PEdge.srcKey,
+		func(d PDeg, e PEdge) PEdgeDeg { return packedEdgeDeg(e, d.deg()) })
+	return frag("jdd", join(temp, temp, PEdgeDeg.edgeKey, PEdgeDeg.reverseKey,
+		func(x, y PEdgeDeg) DegPair { return DegPair{DA: x.deg(), DB: y.deg()} }))
 }
 
 // TbD builds the triangles-by-degree dataset (paper Section 3.3): sorted
 // degree triples, where each triangle (a,b,c) contributes total weight
 // 3/(da^2+db^2+dc^2) to its sorted triple (eq. 4). bucket >= 2 replaces
 // degrees with floor(d/bucket) (Section 5.2). Privacy cost: 9 eps.
-func TbD(edges *core.Collection[graph.Edge], bucket int) *core.Collection[DegTriple] {
-	paths := Paths(edges)
-	degs := Degrees(edges, bucket)
-	abc := core.Join(paths, degs,
-		func(p Path) graph.Node { return p.B },
-		func(d weighted.Grouped[graph.Node, int]) graph.Node { return d.Key },
-		func(p Path, d weighted.Grouped[graph.Node, int]) PathDeg {
-			return PathDeg{Path: p, Deg: d.Result}
-		})
-	bca := core.Select(abc, func(x PathDeg) PathDeg { return PathDeg{x.Path.Rotate(), x.Deg} })
-	cab := core.Select(bca, func(x PathDeg) PathDeg { return PathDeg{x.Path.Rotate(), x.Deg} })
-	two := core.Join(abc, bca,
-		func(x PathDeg) Path { return x.Path },
-		func(y PathDeg) Path { return y.Path },
-		func(x, y PathDeg) PathDeg2 { return PathDeg2{Path: x.Path, D1: x.Deg, D2: y.Deg} })
-	three := core.Join(two, cab,
-		func(x PathDeg2) Path { return x.Path },
-		func(y PathDeg) Path { return y.Path },
-		func(x PathDeg2, y PathDeg) DegTriple { return SortTriple(x.D1, x.D2, y.Deg) })
-	return three
+func TbD(bucket int) Expr[DegTriple] {
+	abc := pathDeg(bucket)
+	rotate := func(x PPathDeg) PPathDeg { return PPathDeg{x.P.rotate(), x.Deg} }
+	byPath := func(x PPathDeg) PPath { return x.P }
+	bca := sel(abc, rotate)
+	cab := sel(bca, rotate)
+	two := join(abc, bca, byPath, byPath,
+		func(x, y PPathDeg) PPathDeg2 { return PPathDeg2{P: x.P, D1: x.Deg, D2: y.Deg} })
+	return frag(fmt.Sprintf("tbd/b=%d", degreeBucket(bucket)),
+		join(two, cab, func(x PPathDeg2) PPath { return x.P }, byPath,
+			func(x PPathDeg2, y PPathDeg) DegTriple { return SortTriple(int(x.D1), int(x.D2), int(y.Deg)) }))
 }
 
 // SbD builds the squares-by-degree dataset (paper Section 3.4): sorted
 // degree quadruples where each 4-cycle contributes eight observations of
-// weight SbDWeight (eq. 6). Privacy cost: 12 eps.
-func SbD(edges *core.Collection[graph.Edge]) *core.Collection[DegQuad] {
-	paths := Paths(edges)
-	degs := Degrees(edges, 1)
-	abc := core.Join(paths, degs,
-		func(p Path) graph.Node { return p.B },
-		func(d weighted.Grouped[graph.Node, int]) graph.Node { return d.Key },
-		func(p Path, d weighted.Grouped[graph.Node, int]) PathDeg {
-			return PathDeg{Path: p, Deg: d.Result}
-		})
+// weight SbDWeight (eq. 6). Past the path-degree prefix it runs on
+// decoded records: its [2]graph.Node and Path3 join keys have no packed
+// encoding, and it sits outside the MCMC workload hot path. Privacy
+// cost: 12 eps.
+func SbD() Expr[DegQuad] {
+	abc := sel(pathDeg(1), PPathDeg.unpack)
 	// Join abc with itself matching (a,b,c) against (b,c,d): length-three
 	// paths (a,b,c,d) carrying db and dc.
-	abcd := core.Join(abc, abc,
+	abcd := join(abc, abc,
 		func(x PathDeg) [2]graph.Node { return [2]graph.Node{x.Path.B, x.Path.C} },
 		func(y PathDeg) [2]graph.Node { return [2]graph.Node{y.Path.A, y.Path.B} },
 		func(x, y PathDeg) Path3Deg2 {
@@ -136,19 +173,16 @@ func SbD(edges *core.Collection[graph.Edge]) *core.Collection[DegQuad] {
 				DB:   x.Deg, DC: y.Deg,
 			}
 		})
-	abcd = core.Where(abcd, func(p Path3Deg2) bool { return p.Path.A != p.Path.D })
-	cdab := core.Select(abcd, func(x Path3Deg2) Path3Deg2 {
+	abcd = where(abcd, func(p Path3Deg2) bool { return p.Path.A != p.Path.D })
+	cdab := sel(abcd, func(x Path3Deg2) Path3Deg2 {
 		return Path3Deg2{Path: x.Path.Rotate2(), DB: x.DB, DC: x.DC}
 	})
-	squares := core.Join(abcd, cdab,
-		func(x Path3Deg2) Path3 { return x.Path },
-		func(y Path3Deg2) Path3 { return y.Path },
-		func(x, y Path3Deg2) DegQuad {
-			// x carries (db, dc) of path (a,b,c,d); y's fields are the
-			// degrees (dd, da) observed from the rotated path (c,d,a,b).
-			return SortQuad(y.DB, x.DB, x.DC, y.DC)
-		})
-	return squares
+	byPath := func(x Path3Deg2) Path3 { return x.Path }
+	return join(abcd, cdab, byPath, byPath, func(x, y Path3Deg2) DegQuad {
+		// x carries (db, dc) of path (a,b,c,d); y's fields are the
+		// degrees (dd, da) observed from the rotated path (c,d,a,b).
+		return SortQuad(y.DB, x.DB, x.DC, y.DC)
+	})
 }
 
 // JDDCounts converts released JDD record weights into estimated directed
@@ -175,14 +209,4 @@ func JDDCountsThresholded(released map[DegPair]float64, minWeight float64) map[[
 		out[[2]int{p.DA, p.DB}] = w / JDDWeight(p.DA, p.DB)
 	}
 	return out
-}
-
-// TbI builds the triangles-by-intersect dataset (paper Section 5.3): a
-// single Unit record whose weight is eq. 8's triangle signal,
-// sum over triangles of min-reciprocal-degree pairs. Privacy cost: 4 eps.
-func TbI(edges *core.Collection[graph.Edge]) *core.Collection[Unit] {
-	paths := Paths(edges)
-	rotated := core.Select(paths, func(p Path) Path { return p.Rotate() })
-	triangles := core.Intersect(rotated, paths)
-	return core.Select(triangles, func(Path) Unit { return Unit{} })
 }

@@ -50,7 +50,7 @@ func publicEdges(g *graph.Graph) *core.Collection[graph.Edge] {
 func TestPathsWeights(t *testing.T) {
 	// In a triangle all degrees are 2: every path (a,b,c), a != c, has
 	// weight 1/(2*2) = 0.25, and there are 6 such paths.
-	paths := Paths(publicEdges(triangleGraph())).Snapshot()
+	paths := OneShot(Paths(), publicEdges(triangleGraph())).Snapshot()
 	if paths.Len() != 6 {
 		t.Fatalf("path count = %d, want 6", paths.Len())
 	}
@@ -62,7 +62,7 @@ func TestPathsWeights(t *testing.T) {
 }
 
 func TestNodesWeights(t *testing.T) {
-	nodes := Nodes(publicEdges(triangleGraph())).Snapshot()
+	nodes := OneShot(Nodes(), publicEdges(triangleGraph())).Snapshot()
 	if nodes.Len() != 3 {
 		t.Fatalf("node count = %d, want 3", nodes.Len())
 	}
@@ -74,7 +74,7 @@ func TestNodesWeights(t *testing.T) {
 }
 
 func TestNodeCountWeight(t *testing.T) {
-	count := NodeCount(publicEdges(k4())).Snapshot()
+	count := OneShot(NodeCount(), publicEdges(k4())).Snapshot()
 	if w := count.Weight(Unit{}); math.Abs(w-2.0) > 1e-12 {
 		t.Errorf("node count weight = %v, want 2.0 (4 nodes * 0.5)", w)
 	}
@@ -86,7 +86,7 @@ func TestDegreeCCDFExact(t *testing.T) {
 	g := graph.New()
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	ccdf := DegreeCCDF(publicEdges(g)).Snapshot()
+	ccdf := OneShot(DegreeCCDF(), publicEdges(g)).Snapshot()
 	if w := ccdf.Weight(0); math.Abs(w-3) > 1e-12 {
 		t.Errorf("ccdf[0] = %v, want 3", w)
 	}
@@ -103,7 +103,7 @@ func TestDegreeSequenceExact(t *testing.T) {
 	g := graph.New()
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	seq := DegreeSequence(publicEdges(g)).Snapshot()
+	seq := OneShot(DegreeSequence(), publicEdges(g)).Snapshot()
 	want := []float64{2, 1, 1}
 	for i, d := range want {
 		if w := seq.Weight(i); math.Abs(w-d) > 1e-12 {
@@ -116,7 +116,7 @@ func TestDegreeSequenceExact(t *testing.T) {
 }
 
 func TestDegreesHalvedAndBucketed(t *testing.T) {
-	degs := Degrees(publicEdges(k4()), 1).Snapshot()
+	degs := OneShot(Degrees(1), publicEdges(k4())).Snapshot()
 	degs.Range(func(g weighted.Grouped[graph.Node, int], w float64) {
 		if g.Result != 3 {
 			t.Errorf("degree of %d = %d, want 3", g.Key, g.Result)
@@ -125,7 +125,7 @@ func TestDegreesHalvedAndBucketed(t *testing.T) {
 			t.Errorf("degree record weight = %v, want 0.5", w)
 		}
 	})
-	bucketed := Degrees(publicEdges(k4()), 2).Snapshot()
+	bucketed := OneShot(Degrees(2), publicEdges(k4())).Snapshot()
 	bucketed.Range(func(g weighted.Grouped[graph.Node, int], w float64) {
 		if g.Result != 1 {
 			t.Errorf("bucketed degree = %d, want floor(3/2) = 1", g.Result)
@@ -140,7 +140,7 @@ func TestJDDWeightsMatchEquation3(t *testing.T) {
 	g := graph.New()
 	g.AddEdge(0, 1)
 	g.AddEdge(1, 2)
-	jdd := JDD(publicEdges(g)).Snapshot()
+	jdd := OneShot(JDD(), publicEdges(g)).Snapshot()
 	if w := jdd.Weight(DegPair{1, 2}); math.Abs(w-2.0/8) > 1e-12 {
 		t.Errorf("jdd(1,2) = %v, want 0.25", w)
 	}
@@ -156,7 +156,7 @@ func TestJDDWeightsMatchEquation3(t *testing.T) {
 func TestTbDWeightsMatchEquation4(t *testing.T) {
 	// Triangle: degrees (2,2,2). Sorted triple (2,2,2) accumulates
 	// 6 * 1/(2*(4+4+4)) = 6/24 = 0.25 (eq. 4).
-	tbd := TbD(publicEdges(triangleGraph()), 1).Snapshot()
+	tbd := OneShot(TbD(1), publicEdges(triangleGraph())).Snapshot()
 	want := TbDTotalWeight(2, 2, 2)
 	if w := tbd.Weight(SortTriple(2, 2, 2)); math.Abs(w-want) > 1e-12 {
 		t.Errorf("tbd(2,2,2) = %v, want %v", w, want)
@@ -167,7 +167,7 @@ func TestTbDWeightsMatchEquation4(t *testing.T) {
 
 	// K4: 4 triangles, all degrees 3: triple (3,3,3) accumulates
 	// 4 * 6/(2*27) = 4 * 1/9.
-	tbdK4 := TbD(publicEdges(k4()), 1).Snapshot()
+	tbdK4 := OneShot(TbD(1), publicEdges(k4())).Snapshot()
 	wantK4 := 4 * TbDTotalWeight(3, 3, 3)
 	if w := tbdK4.Weight(SortTriple(3, 3, 3)); math.Abs(w-wantK4) > 1e-9 {
 		t.Errorf("tbd K4 = %v, want %v", w, wantK4)
@@ -176,7 +176,7 @@ func TestTbDWeightsMatchEquation4(t *testing.T) {
 
 func TestTbDNoTrianglesNoWeight(t *testing.T) {
 	// A 4-cycle has no triangles: TbD must be empty.
-	tbd := TbD(publicEdges(c4()), 1).Snapshot()
+	tbd := OneShot(TbD(1), publicEdges(c4())).Snapshot()
 	if tbd.Len() != 0 {
 		t.Errorf("tbd on C4 = %v, want empty", tbd)
 	}
@@ -184,7 +184,7 @@ func TestTbDNoTrianglesNoWeight(t *testing.T) {
 
 func TestTbDBucketing(t *testing.T) {
 	// Bucketing by 2 maps degree 2 -> bucket 1.
-	tbd := TbD(publicEdges(triangleGraph()), 2).Snapshot()
+	tbd := OneShot(TbD(2), publicEdges(triangleGraph())).Snapshot()
 	if w := tbd.Weight(SortTriple(1, 1, 1)); w <= 0 {
 		t.Errorf("bucketed tbd missing weight at (1,1,1): %v", tbd)
 	}
@@ -193,7 +193,7 @@ func TestTbDBucketing(t *testing.T) {
 func TestSbDWeightsMatchEquation6(t *testing.T) {
 	// C4: one square, all degrees 2. Eight observations of weight
 	// 1/(2*(4*1+4*1+4*1+4*1)) = 1/32 accumulate to 0.25 on (2,2,2,2).
-	sbd := SbD(publicEdges(c4())).Snapshot()
+	sbd := OneShot(SbD(), publicEdges(c4())).Snapshot()
 	want := 8 * SbDWeight(2, 2, 2, 2)
 	if w := sbd.Weight(SortQuad(2, 2, 2, 2)); math.Abs(w-want) > 1e-12 {
 		t.Errorf("sbd(2,2,2,2) = %v, want %v", w, want)
@@ -204,7 +204,7 @@ func TestSbDWeightsMatchEquation6(t *testing.T) {
 }
 
 func TestSbDNoSquares(t *testing.T) {
-	sbd := SbD(publicEdges(triangleGraph())).Snapshot()
+	sbd := OneShot(SbD(), publicEdges(triangleGraph())).Snapshot()
 	if sbd.Len() != 0 {
 		t.Errorf("sbd on triangle = %v, want empty", sbd)
 	}
@@ -216,7 +216,7 @@ func TestTbISignalMatchesEquation8(t *testing.T) {
 		"k4":       k4(),
 		"c4":       c4(),
 	} {
-		tbi := TbI(publicEdges(g)).Snapshot()
+		tbi := OneShot(TbI(), publicEdges(g)).Snapshot()
 		want := TbISignal(g)
 		got := tbi.Weight(Unit{})
 		if math.Abs(got-want) > 1e-9 {
@@ -236,28 +236,49 @@ func TestTbISignalValues(t *testing.T) {
 	}
 }
 
+// TestPrivacyCostMultipliers pins the derived use counts against the
+// paper's table (Section 5's accounting, Section 3.5 for the motifs): the
+// multiplier is read off the tree, so the paper's numbers are the check,
+// not the source. Every workload's registered Uses is this value.
 func TestPrivacyCostMultipliers(t *testing.T) {
-	// Section 5's accounting: TbI uses the edges input 4 times, TbD 9,
-	// JDD 4, SbD 12, degree queries once.
-	src := budget.NewSource("edges", 1000)
-	edges := core.FromDataset(graph.SymmetricEdges(k4()), src)
+	motif := func(p Pattern) int {
+		e, err := MotifCount(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Uses(e)
+	}
+	byDegree := func(p Pattern) int {
+		e, err := MotifByDegree(p, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Uses(e)
+	}
 	cases := []struct {
-		name string
-		uses budget.Uses
-		want int
+		name      string
+		got, want int
 	}{
-		{"TbI", TbI(edges).Uses(), 4},
-		{"TbD", TbD(edges, 1).Uses(), 9},
-		{"JDD", JDD(edges).Uses(), 4},
-		{"SbD", SbD(edges).Uses(), 12},
-		{"DegreeCCDF", DegreeCCDF(edges).Uses(), 1},
-		{"DegreeSequence", DegreeSequence(edges).Uses(), 1},
-		{"NodeCount", NodeCount(edges).Uses(), 1},
-		{"Paths", Paths(edges).Uses(), 2},
+		{"TbI", Uses(TbI()), 4},
+		{"TbD", Uses(TbD(1)), 9},
+		{"TbD bucketed", Uses(TbD(5)), 9},
+		{"JDD", Uses(JDD()), 4},
+		{"SbD", Uses(SbD()), 12},
+		{"WedgeCount", Uses(WedgeCount()), 2},
+		{"Paths", Uses(Paths()), 2},
+		{"Degrees", Uses(Degrees(1)), 1},
+		{"DegreeCCDF", Uses(DegreeCCDF()), 1},
+		{"DegreeSequence", Uses(DegreeSequence()), 1},
+		{"NodeCount", Uses(NodeCount()), 1},
+		{"triangle motif", motif(TrianglePattern), 3},
+		{"square motif", motif(SquarePattern), 4},
+		{"wedge motif", motif(PathPattern3), 2},
+		{"star4 by degree", byDegree(StarPattern4), 7},
+		{"triangle by degree", byDegree(TrianglePattern), 6},
 	}
 	for _, c := range cases {
-		if got := c.uses.Count(src); got != c.want {
-			t.Errorf("%s uses = %d, want %d", c.name, got, c.want)
+		if c.got != c.want {
+			t.Errorf("%s uses = %d, want %d", c.name, c.got, c.want)
 		}
 	}
 }
@@ -265,7 +286,7 @@ func TestPrivacyCostMultipliers(t *testing.T) {
 func TestMeasurementChargesCorrectCost(t *testing.T) {
 	src := budget.NewSource("edges", 10)
 	edges := core.FromDataset(graph.SymmetricEdges(triangleGraph()), src)
-	if _, err := core.NoisyCount(TbI(edges), 0.1, testRng()); err != nil {
+	if _, err := core.NoisyCount(OneShot(TbI(), edges), 0.1, testRng()); err != nil {
 		t.Fatal(err)
 	}
 	if got := src.Spent(); math.Abs(got-0.4) > 1e-12 {

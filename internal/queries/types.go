@@ -1,23 +1,21 @@
 // Package queries implements the paper's graph analyses (Sections 3 and 5)
 // as wPINQ programs: degree CCDF and sequence, joint degree distribution
 // (JDD), triangles by degree (TbD, with bucketing), squares by degree
-// (SbD), and triangles by intersect (TbI).
+// (SbD), triangles by intersect (TbI), and motif counts (Section 3.5).
 //
-// Each analysis exists in two equivalent forms:
+// Each analysis is written once, as a typed operator tree (Expr, in
+// expr.go) with two lowerings: OneShot, over core.Collection, takes the
+// actual differentially-private measurement of a protected graph;
+// Stream, over the operators of wpinq/internal/engine, is the
+// incremental pipeline MCMC scores synthetic graphs with (Section 4.3).
+// Tests hold the two lowerings equal after every edge swap, and the
+// one-shot lowering to closed forms that share none of its lambdas.
 //
-//   - a one-shot form over core.Collection, used to take the actual
-//     differentially-private measurements of a protected graph, and
-//   - an incremental pipeline, used by MCMC to score synthetic graphs
-//     against those measurements (Section 4.3). Each pipeline is
-//     described once (pipelines.go), over the operators of
-//     wpinq/internal/engine.
-//
-// Both forms share record types and are proven equivalent by tests.
-//
-// All queries consume the symmetric directed edge dataset produced by
+// All analyses consume the symmetric directed edge dataset produced by
 // graph.SymmetricEdges: both (a,b) and (b,a) at weight 1.0. Privacy costs
-// are stated in that model, matching Section 5 of the paper (TbI = 4 eps,
-// TbD = 9 eps, JDD = 4 eps, SbD = 12 eps).
+// are stated in that model and derived from the tree (Uses), matching
+// Section 5 of the paper (TbI = 4 eps, TbD = 9 eps, JDD = 4 eps,
+// SbD = 12 eps).
 package queries
 
 import (
@@ -61,12 +59,6 @@ type PathDeg2 struct {
 type Path3Deg2 struct {
 	Path   Path3
 	DB, DC int
-}
-
-// Path3Deg4 carries all four degrees of a candidate square.
-type Path3Deg4 struct {
-	Path           Path3
-	DA, DB, DC, DD int
 }
 
 // DegTriple is a sorted triple of (possibly bucketed) vertex degrees: the

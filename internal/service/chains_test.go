@@ -16,7 +16,7 @@ func TestMultiChainJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := svc.Measure(info.ID, MeasureRequest{Eps: 1, TbI: true, Seed: 11})
+	res, err := svc.Measure(info.ID, MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

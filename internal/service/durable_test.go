@@ -88,7 +88,7 @@ func TestDurableJobRetiresCheckpointBeforeDone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := svc.Measure(ds.ID, MeasureRequest{Eps: 1, TbI: true, Seed: 7})
+	res, err := svc.Measure(ds.ID, MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestCrashRecoveryResumesDurableJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := svc1.Measure(ds.ID, MeasureRequest{Eps: 1, TbI: true, Seed: 7})
+	res, err := svc1.Measure(ds.ID, MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,7 +50,7 @@ func TestEndToEndOverHTTP(t *testing.T) {
 	}
 
 	// Curator: measure; the budget is debited and the graph discarded.
-	mres, err := client.Measure(ds.ID, MeasureRequest{Eps: 1, TbI: true, Seed: measureSeed})
+	mres, err := client.Measure(ds.ID, MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: measureSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestEndToEndOverHTTP(t *testing.T) {
 	}
 
 	// A second measurement past the budget: structured overdraw error.
-	_, err = client.Measure(ds.ID, MeasureRequest{Eps: 1, TbI: true, Seed: 9})
+	_, err = client.Measure(ds.ID, MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 9})
 	var api *APIError
 	if !errors.As(err, &api) || api.Code != CodeInsufficientBudget {
 		t.Fatalf("second measure: got %v, want APIError %s", err, CodeInsufficientBudget)
@@ -166,7 +166,7 @@ func TestConcurrentOverdrawOverHTTP(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			_, errs[i] = client.Measure(ds.ID, MeasureRequest{
-				Eps: 1, TbI: true, Keep: true, Seed: int64(300 + i),
+				Eps: 1, Workloads: []string{"tbi"}, Keep: true, Seed: int64(300 + i),
 			})
 		}(i)
 	}

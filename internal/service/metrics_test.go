@@ -22,7 +22,7 @@ func TestMetricsExposedOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mres, err := client.Measure(ds.ID, MeasureRequest{Eps: 1, TbI: true, Seed: 5})
+	mres, err := client.Measure(ds.ID, MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

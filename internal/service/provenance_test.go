@@ -21,7 +21,7 @@ func measureOnce(t *testing.T, opts Options) (*Service, string, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := svc.Measure(ds.ID, MeasureRequest{Eps: 1, TbI: true, Seed: 7, Keep: true})
+	res, err := svc.Measure(ds.ID, MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 7, Keep: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestProvenanceChainAndCleanAudit(t *testing.T) {
 	}
 
 	// A second measurement chains onto the first and lists it as parent.
-	res2, err := svc.Measure(dsID, MeasureRequest{Eps: 1, TbI: true, Seed: 8})
+	res2, err := svc.Measure(dsID, MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestProvenanceChainAndCleanAudit(t *testing.T) {
 // and named for what it is.
 func TestAuditDetectsTampering(t *testing.T) {
 	svc, dsID, _ := measureOnce(t, Options{})
-	if _, err := svc.Measure(dsID, MeasureRequest{Eps: 1, TbI: true, Seed: 8}); err != nil {
+	if _, err := svc.Measure(dsID, MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 8}); err != nil {
 		t.Fatal(err)
 	}
 	recs := svc.Store().Provenance(dsID)

@@ -10,6 +10,7 @@ import (
 
 	"wpinq/internal/budget"
 	"wpinq/internal/graph"
+	"wpinq/internal/queries"
 	"wpinq/internal/synth"
 	"wpinq/internal/workload"
 )
@@ -148,17 +149,10 @@ type MeasureRequest struct {
 	// Eps is the per-measurement privacy parameter (required, > 0).
 	Eps float64 `json:"eps"`
 	// Workloads names the fit workloads to measure, resolved against
-	// the workload registry (at least one, counting the legacy flags;
-	// each costs its registered use count times eps on top of the
-	// 3-eps seed bundle). `wpinq workloads` lists the registry.
+	// the workload registry (at least one; each costs its use count
+	// times eps on top of the 3-eps seed bundle). `wpinq workloads`
+	// lists the registry.
 	Workloads []string `json:"workloads,omitempty"`
-	// TbI/TbD/JDD are the pre-registry selectors, kept so existing
-	// clients keep working; they append "tbi"/"tbd"/"jdd" to Workloads.
-	//
-	// Deprecated: name workloads in Workloads instead.
-	TbI bool `json:"tbi,omitempty"`
-	TbD bool `json:"tbd,omitempty"`
-	JDD bool `json:"jdd,omitempty"`
 	// Bucket is the degree bucket width for bucketed workloads
 	// (synth.Config.Bucket).
 	Bucket int `json:"bucket,omitempty"`
@@ -174,25 +168,11 @@ type MeasureRequest struct {
 	Seed int64 `json:"seed,omitempty"`
 }
 
-// Config converts the request to the synthesis workflow configuration,
-// folding the deprecated boolean selectors into the workload list.
+// Config converts the request to the synthesis workflow configuration.
 func (mr MeasureRequest) Config() synth.Config {
-	names := append([]string(nil), mr.Workloads...)
-	has := make(map[string]bool, len(names))
-	for _, n := range names {
-		has[n] = true
-	}
-	for _, legacy := range []struct {
-		on   bool
-		name string
-	}{{mr.TbI, "tbi"}, {mr.TbD, "tbd"}, {mr.JDD, "jdd"}} {
-		if legacy.on && !has[legacy.name] {
-			names = append(names, legacy.name)
-		}
-	}
 	return synth.Config{
 		Eps:       mr.Eps,
-		Workloads: names,
+		Workloads: mr.Workloads,
 		Bucket:    mr.Bucket,
 	}
 }
@@ -252,6 +232,12 @@ func (s *Service) Measure(id string, req MeasureRequest) (MeasureResult, error) 
 	if d.g == nil {
 		d.mu.Unlock()
 		return MeasureResult{}, fmt.Errorf("%w: dataset %s", ErrDiscarded, id)
+	}
+	// Like the empty workload list: synth.Measure's own check would fire
+	// after the debit.
+	if err := queries.CheckNodeRange(d.g); err != nil {
+		d.mu.Unlock()
+		return MeasureResult{}, err
 	}
 	if err := d.src.Charge(cost); err != nil {
 		d.mu.Unlock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -11,6 +12,8 @@ import (
 
 	"wpinq/internal/budget"
 	"wpinq/internal/graph"
+	"wpinq/internal/obs"
+	"wpinq/internal/queries"
 	"wpinq/internal/synth"
 )
 
@@ -103,7 +106,7 @@ func TestMeasureDiscardsGraphAndKeepsLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := svc.Measure(info.ID, MeasureRequest{Eps: 1, TbI: true, Seed: 5})
+	res, err := svc.Measure(info.ID, MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +116,7 @@ func TestMeasureDiscardsGraphAndKeepsLedger(t *testing.T) {
 	if res.Cost != tbiCost {
 		t.Errorf("cost = %g, want %g", res.Cost, tbiCost)
 	}
-	if _, err := svc.Measure(info.ID, MeasureRequest{Eps: 1, TbI: true, Seed: 6}); !errors.Is(err, ErrDiscarded) {
+	if _, err := svc.Measure(info.ID, MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 6}); !errors.Is(err, ErrDiscarded) {
 		t.Fatalf("measure after discard: got %v, want ErrDiscarded", err)
 	}
 	after, err := svc.Registry().Info(info.ID)
@@ -145,7 +148,7 @@ func TestMeasureConcurrentOverdraw(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			_, errs[i] = svc.Measure(info.ID, MeasureRequest{
-				Eps: 1, TbI: true, Keep: true, Seed: int64(100 + i),
+				Eps: 1, Workloads: []string{"tbi"}, Keep: true, Seed: int64(100 + i),
 			})
 		}(i)
 	}
@@ -194,7 +197,7 @@ func TestJobLifecycleAndCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := svc.Measure(info.ID, MeasureRequest{Eps: 1, TbI: true, Seed: 7})
+	res, err := svc.Measure(info.ID, MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,5 +344,59 @@ func TestSubmitRejectsUnmeasuredWorkload(t *testing.T) {
 	}
 	if _, err := svc.Jobs().Get(st.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestMeasureRefusesUnpackableIDsBeforeCharge pins the id-range check: a
+// protected graph with more out-of-range node ids than the packed-record
+// interner can take is refused with queries.ErrNodeRange by both
+// measurement entry points — synth.Measure, and Service.Measure (over
+// the wire: bad_request) before it charges — leaving the ledger, the
+// interner and the dataset's lock as they were.
+func TestMeasureRefusesUnpackableIDsBeforeCharge(t *testing.T) {
+	g := graph.New()
+	for i := graph.Node(1); i <= 1<<16; i++ {
+		g.AddEdge(-i, -i-1) // a path over 65 537 negative ids
+	}
+	req := MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 5}
+	interned := obs.Default.Gauge("wpinq_packed_interned_keys", "")
+	before := interned.Value()
+
+	if _, err := synth.Measure(g, req.Config(), rand.New(rand.NewSource(5))); !errors.Is(err, queries.ErrNodeRange) {
+		t.Fatalf("synth.Measure: %v, want ErrNodeRange", err)
+	}
+
+	svc := newTestService(t, Options{Shards: -1})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	bad, err := svc.Registry().Upload("negative", tbiCost, bytes.NewReader(edgeListBytes(t, g)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Measure(bad.ID, req); !errors.Is(err, queries.ErrNodeRange) {
+		t.Fatalf("Service.Measure: %v, want ErrNodeRange", err)
+	}
+	// Again, over the wire: a wedged dataset lock would hang here.
+	var api *APIError
+	if _, err := NewClient(srv.URL).Measure(bad.ID, req); !errors.As(err, &api) || api.Code != CodeBadRequest {
+		t.Fatalf("POST measure: %v, want %s", err, CodeBadRequest)
+	}
+	info, err := svc.Registry().Info(bad.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Ledger.Spent != 0 || info.Discarded {
+		t.Errorf("refused measurement left ledger %+v, discarded=%v", info.Ledger, info.Discarded)
+	}
+	if got := interned.Value(); got != before {
+		t.Errorf("refused measurements interned ids: table size %v -> %v", before, got)
+	}
+
+	ok, err := svc.Registry().Upload("normal", tbiCost, bytes.NewReader(edgeListBytes(t, testGraph(t, 40))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Measure(ok.ID, req); err != nil {
+		t.Fatalf("measure of a normal graph after the refusals: %v", err)
 	}
 }

@@ -327,17 +327,22 @@ func Measure(g *graph.Graph, cfg Config, rng *rand.Rand) (*Measurements, error) 
 		return nil, errors.New("synth: at least one fit workload is required (see `wpinq workloads`)")
 	}
 	sort.Slice(ws, func(i, j int) bool { return ws[i].Name < ws[j].Name })
+	// The one-shot queries pack g's node ids: refuse ids that cannot be
+	// packed here, before anything is charged.
+	if err := queries.CheckNodeRange(g); err != nil {
+		return nil, fmt.Errorf("synth: %w", err)
+	}
 	src := budget.NewSource("edges", cfg.MeasureCost()*(1+1e-9))
 	edges := core.FromDataset(graph.SymmetricEdges(g), src)
 
 	m := &Measurements{Eps: cfg.Eps, Fits: make(map[string]workload.Measured, len(ws))}
-	if m.DegSeq, err = core.NoisyCount(queries.DegreeSequence(edges), cfg.Eps, rng); err != nil {
+	if m.DegSeq, err = core.NoisyCount(queries.OneShot(queries.DegreeSequence(), edges), cfg.Eps, rng); err != nil {
 		return nil, fmt.Errorf("synth: degree sequence: %w", err)
 	}
-	if m.CCDF, err = core.NoisyCount(queries.DegreeCCDF(edges), cfg.Eps, rng); err != nil {
+	if m.CCDF, err = core.NoisyCount(queries.OneShot(queries.DegreeCCDF(), edges), cfg.Eps, rng); err != nil {
 		return nil, fmt.Errorf("synth: degree ccdf: %w", err)
 	}
-	if m.NodeCount, err = core.NoisyCount(queries.NodeCount(edges), cfg.Eps, rng); err != nil {
+	if m.NodeCount, err = core.NoisyCount(queries.OneShot(queries.NodeCount(), edges), cfg.Eps, rng); err != nil {
 		return nil, fmt.Errorf("synth: node count: %w", err)
 	}
 	for _, w := range ws {

@@ -1,12 +1,6 @@
 package workload
 
-import (
-	"wpinq/internal/core"
-	"wpinq/internal/engine"
-	"wpinq/internal/graph"
-	"wpinq/internal/plan"
-	"wpinq/internal/queries"
-)
+import "wpinq/internal/queries"
 
 // The built-in workloads: the paper's fit measurements (TbI Section 5.3,
 // TbD Section 3.3, JDD Section 3.2) plus two analyses the pre-registry
@@ -19,77 +13,43 @@ import (
 // format, the fit executor, the curator service API, and the CLI
 // flags — picks it up by name.
 func init() {
-	MustRegister(Define[queries.Unit](Workload{
+	MustRegister(Define(Workload{
 		Name:        "tbi",
 		Description: "triangles by intersect: single-record triangle signal (paper Section 5.3)",
-		Uses:        4,
-	}, Builders[queries.Unit]{
-		Query: func(edges *core.Collection[graph.Edge], _ int) *core.Collection[queries.Unit] {
-			return queries.TbI(edges)
-		},
-		Pipeline: func(m *plan.Memo, edges engine.Source[graph.Edge], _ int) engine.Source[queries.Unit] {
-			return queries.TbIPipeline(m, edges)
-		},
-	}))
+	}, Builders[queries.Unit]{Expr: func(int) queries.Expr[queries.Unit] { return queries.TbI() }}))
 
-	MustRegister(Define[queries.DegTriple](Workload{
+	MustRegister(Define(Workload{
 		Name:        "tbd",
 		Description: "triangles by degree: weight per sorted degree triple (paper Section 3.3)",
-		Uses:        9,
 		Bucketed:    true,
-	}, Builders[queries.DegTriple]{
-		Query:    queries.TbD,
-		Pipeline: queries.TbDPipeline,
-	}))
+	}, Builders[queries.DegTriple]{Expr: queries.TbD}))
 
-	MustRegister(Define[queries.DegPair](Workload{
+	MustRegister(Define(Workload{
 		Name:        "jdd",
 		Description: "joint degree distribution: weight per directed-edge degree pair (paper Section 3.2)",
-		Uses:        4,
-	}, Builders[queries.DegPair]{
-		Query: func(edges *core.Collection[graph.Edge], _ int) *core.Collection[queries.DegPair] {
-			return queries.JDD(edges)
-		},
-		Pipeline: func(m *plan.Memo, edges engine.Source[graph.Edge], _ int) engine.Source[queries.DegPair] {
-			return queries.JDDPipeline(m, edges)
-		},
-	}))
+	}, Builders[queries.DegPair]{Expr: func(int) queries.Expr[queries.DegPair] { return queries.JDD() }}))
 
-	MustRegister(Define[queries.Unit](Workload{
+	MustRegister(Define(Workload{
 		Name:        "wedges",
 		Description: "length-two-path count: clustering-coefficient denominator (paper Section 2.7)",
-		Uses:        2,
-	}, Builders[queries.Unit]{
-		Query: func(edges *core.Collection[graph.Edge], _ int) *core.Collection[queries.Unit] {
-			return queries.WedgeCount(edges)
-		},
-		Pipeline: func(m *plan.Memo, edges engine.Source[graph.Edge], _ int) engine.Source[queries.Unit] {
-			return queries.WedgeCountPipeline(m, edges)
-		},
-	}))
+	}, Builders[queries.Unit]{Expr: func(int) queries.Expr[queries.Unit] { return queries.WedgeCount() }}))
 
 	// star4-by-degree instantiates the generic motif-by-degree plan on
 	// the 3-star: the weighted prevalence of hubs-with-three-leaves,
-	// broken down by the (bucketed) degrees of the four vertices. Its
-	// builders run the same compiled join plan as every other pattern,
-	// so registering another motif workload is a Define call away.
-	MustRegister(Define[queries.DegProfile](Workload{
+	// broken down by the (bucketed) degrees of the four vertices. It runs
+	// the same compiled join plan as every other pattern, so registering
+	// another motif workload is a Define call away.
+	MustRegister(Define(Workload{
 		Name:        "star4-by-degree",
 		Description: "3-star motif prevalence by sorted degree profile (paper Section 3.5)",
-		Uses:        queries.MotifByDegreeUses(queries.StarPattern4),
 		Bucketed:    true,
-	}, Builders[queries.DegProfile]{
-		Query: func(edges *core.Collection[graph.Edge], bucket int) *core.Collection[queries.DegProfile] {
-			return mustPlan(queries.MotifByDegree(edges, queries.StarPattern4, bucket))
-		},
-		Pipeline: func(m *plan.Memo, edges engine.Source[graph.Edge], bucket int) engine.Source[queries.DegProfile] {
-			return mustPlan(queries.MotifByDegreePipeline(m, edges, queries.StarPattern4, bucket))
-		},
-	}))
+	}, Builders[queries.DegProfile]{Expr: func(bucket int) queries.Expr[queries.DegProfile] {
+		return mustPlan(queries.MotifByDegree(queries.StarPattern4, bucket))
+	}}))
 }
 
-// mustPlan unwraps motif builders' error return: the built-in patterns
-// are static and validated, so compilation cannot fail.
+// mustPlan unwraps the motif compiler's error return: the built-in
+// patterns are static and validated, so compilation cannot fail.
 func mustPlan[S any](s S, err error) S {
 	if err != nil {
 		panic(err)

@@ -269,9 +269,32 @@ func TestFusedPlanDAGShape(t *testing.T) {
 		if fanout["jdd"] != 2 || fanout["tbi"] != 2 {
 			t.Fatalf("%s: terminal fragments should be shared by sink+collector, got %v", l.name, fanout)
 		}
-		// One pipeline description serves every layout, so the whole
-		// fragment record — key, operator label, inputs, reference count,
-		// in construction order — must not depend on the layout.
+		// Inputs are read off the operator tree and requested before
+		// their consumer, so the DAG lists every fragment after all of
+		// its inputs.
+		at := map[string]int{"edges": -1}
+		inputs := map[string][]string{}
+		for i, f := range dag {
+			at[f.Key], inputs[f.Key] = i, f.Inputs
+			for _, in := range f.Inputs {
+				if j, ok := at[in]; !ok || j >= i {
+					t.Fatalf("%s: fragment %s is recorded before its input %s: %+v", l.name, f.Key, in, dag)
+				}
+			}
+		}
+		for key, want := range map[string][]string{
+			"paths":       {"edges"},
+			"pathdeg/b=2": {"paths", "degrees/b=2"},
+			"jdd":         {"degrees/b=1", "edges"},
+			"tbd/b=2":     {"pathdeg/b=2"},
+		} {
+			if !reflect.DeepEqual(inputs[key], want) {
+				t.Fatalf("%s: fragment %s has inputs %v, want %v", l.name, key, inputs[key], want)
+			}
+		}
+		// One description serves every layout, so the whole fragment
+		// record — key, derived inputs, reference count, in construction
+		// order — must not depend on the layout.
 		if serialDAG == nil {
 			serialDAG = dag
 		} else if !reflect.DeepEqual(serialDAG, dag) {

@@ -24,9 +24,6 @@ func Register(w Workload) error {
 	if w.impl == nil {
 		return fmt.Errorf("workload: Register(%q): built without Define", w.Name)
 	}
-	if w.Uses <= 0 {
-		return fmt.Errorf("workload: Register(%q): Uses must be positive, got %d", w.Name, w.Uses)
-	}
 	regMu.Lock()
 	defer regMu.Unlock()
 	if _, ok := registry[w.Name]; ok {

@@ -166,3 +166,97 @@ func TestHistogramRoundTripAndTypedGet(t *testing.T) {
 		t.Errorf("malformed key accepted: %v", err)
 	}
 }
+
+// TestDefineFromOneDescription is the "adding a workload is one literal"
+// acceptance: squares by degree — never a registered workload — becomes
+// one from its description alone, without Register. Its privacy
+// multiplier is derived and charged (12, the paper's), its exact output
+// is eq. 6's closed form over a brute-force enumeration of 4-cycles (an
+// oracle sharing none of the query's lambdas), and its fit pipeline
+// tracks the exact output across random edge swaps on one and on four
+// shards.
+func TestDefineFromOneDescription(t *testing.T) {
+	sbd := workload.Define(workload.Workload{
+		Name:        "sbd",
+		Description: "squares by degree: weight per sorted degree quadruple (paper Section 3.4)",
+	}, workload.Builders[queries.DegQuad]{Expr: func(int) queries.Expr[queries.DegQuad] { return queries.SbD() }})
+	if sbd.Uses != 12 {
+		t.Fatalf("derived Uses = %d, want 12", sbd.Uses)
+	}
+
+	const eps = 0.25
+	g := testGraph(t)
+	src := budget.NewSource("edges", 100)
+	if _, err := sbd.Measure(core.FromDataset(graph.SymmetricEdges(g), src), 0, eps, rand.New(rand.NewSource(1))); err != nil {
+		t.Fatal(err)
+	}
+	if got := src.Spent(); math.Abs(got-12*eps) > 1e-12 {
+		t.Errorf("measurement charged %v, want 12 eps = %v", got, 12*eps)
+	}
+
+	// Every 4-cycle is observed once per (start, direction): eight walks
+	// (a,b,c,d), each adding SbDWeight of its own orientation.
+	want := map[string]float64{}
+	for _, a := range g.Nodes() {
+		g.Neighbors(a, func(b graph.Node) {
+			g.Neighbors(b, func(c graph.Node) {
+				g.Neighbors(c, func(d graph.Node) {
+					if c == a || d == b || d == a || !g.HasEdge(d, a) {
+						return
+					}
+					da, db, dc, dd := g.Degree(a), g.Degree(b), g.Degree(c), g.Degree(d)
+					key, _ := json.Marshal(queries.SortQuad(da, db, dc, dd))
+					want[string(key)] += queries.SbDWeight(da, db, dc, dd)
+				})
+			})
+		})
+	}
+	if len(want) == 0 {
+		t.Fatal("fixture has no 4-cycles: the comparison is vacuous")
+	}
+	got, err := sbd.Exact(g, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffMaps(t, -1, got, want)
+
+	for _, shards := range []int{1, 4} {
+		g := g.Clone()
+		p := workload.NewPlan(shards)
+		p.Engine().SetSerialCutoff(0)
+		col := sbd.Collect(p, 0)
+		p.Input().PushDataset(graph.SymmetricEdges(g))
+		rng := rand.New(rand.NewSource(7))
+		edges := g.EdgeList()
+		swapped := 0
+		for step := 0; step < 8; step++ {
+			ei, ej := rng.Intn(len(edges)), rng.Intn(len(edges))
+			a, b := edges[ei].Src, edges[ei].Dst
+			c, d := edges[ej].Src, edges[ej].Dst
+			if ei == ej || a == d || c == b || a == c || b == d || g.HasEdge(a, d) || g.HasEdge(c, b) {
+				continue
+			}
+			g.RemoveEdge(a, b)
+			g.RemoveEdge(c, d)
+			g.AddEdge(a, d)
+			g.AddEdge(c, b)
+			edges[ei] = graph.Edge{Src: a, Dst: d}
+			edges[ej] = graph.Edge{Src: c, Dst: b}
+			p.Input().Push(swapDiffs(a, b, c, d))
+
+			got, err := col.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := sbd.Exact(g, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffMaps(t, step, got, want)
+			swapped++
+		}
+		if swapped == 0 {
+			t.Fatalf("%d shards: no proposed swap was valid", shards)
+		}
+	}
+}

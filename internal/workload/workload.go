@@ -1,19 +1,17 @@
 // Package workload is the registry that makes wPINQ's declarative pitch
 // real for this repository: each analysis (a "workload") is defined
-// exactly once — a name, a privacy use count, and builders for the two
-// forms of its query plan — and every layer above (measurement,
+// exactly once — a name and the description of its query, an operator
+// tree from wpinq/internal/queries — and every layer above (measurement,
 // serialization, MCMC fitting, the curator service, the CLIs) resolves
 // workloads by name instead of hard-coding a query trio.
 //
-// A workload's plan exists in two equivalent forms, mirroring the rest
-// of the repository:
-//
-//   - a one-shot form over core.Collection, used to take the actual
-//     differentially private measurement of a protected graph, and the
-//     reference the executor-equivalence tests compare against; and
-//   - one incremental pipeline description over the executor's
-//     operators (wpinq/internal/engine), used by MCMC to re-score a
-//     synthetic graph after each edge swap.
+// Everything else about a workload is read off that tree: the one-shot
+// query over core.Collection that takes the actual differentially
+// private measurement of a protected graph (and is the reference the
+// executor-equivalence tests compare against), the incremental pipeline
+// over the executor's operators (wpinq/internal/engine) that MCMC
+// re-scores a synthetic graph with after each edge swap, and the privacy
+// use count a measurement costs.
 //
 // The result histogram is type-erased behind the Histogram interface
 // (typed get, distance, canonical serialization), so workloads with
@@ -33,6 +31,7 @@ import (
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
 	"wpinq/internal/plan"
+	"wpinq/internal/queries"
 	"wpinq/internal/weighted"
 )
 
@@ -95,20 +94,31 @@ func (m Measured) Entries() ([]Entry, error) { return m.Hist.Entries() }
 // Attach builds the workload's fit pipeline on the plan, terminates it
 // in a NoisyCountSink against the released histogram, and registers the
 // sink with the plan's scorer. eps is the privacy parameter the
-// measurement was taken with.
+// measurement was taken with. The sink's domain is the histogram's
+// materialized records in canonical (sorted-key) order: the sink
+// accumulates its initial L1 in domain order, so a map-ordered domain
+// would make the starting score — and with it the whole seeded MCMC
+// trace — vary between runs.
 func (m Measured) Attach(p *Plan, eps float64) error {
-	return m.Workload.impl.attach(p, m.Workload.Name, m.Hist, m.Bucket, eps)
+	entries, err := m.Hist.Entries()
+	if err != nil {
+		return err
+	}
+	keys := make([]json.RawMessage, len(entries))
+	for i, e := range entries {
+		keys[i] = e.Key
+	}
+	return m.AttachWithDomain(p, eps, keys)
 }
 
 // AttachWithDomain is Attach with an explicit sink domain: keys lists
 // the records the sink should materialize up front, in order, as
-// canonical JSON (the form ObservedKeys/Observations produce). The
-// ordinary Attach derives its domain from the histogram's materialized
-// records in sorted-key order; a resumed or re-anchored fit instead
-// replays a previous sink's exact first-observation order, because the
-// sink's L1 accumulator is order-sensitive and must match bit-for-bit.
+// canonical JSON (the form ObservedKeys/Observations produce). A resumed
+// or re-anchored fit replays a previous sink's exact first-observation
+// order this way, because the sink's L1 accumulator is order-sensitive
+// and must match bit-for-bit.
 func (m Measured) AttachWithDomain(p *Plan, eps float64, keys []json.RawMessage) error {
-	return m.Workload.impl.attachDomain(p, m.Workload.Name, m.Hist, m.Bucket, eps, keys)
+	return m.Workload.impl.attach(p, m.Workload.Name, m.Hist, m.Bucket, eps, keys)
 }
 
 // Reseed returns a copy of the measurement whose histogram draws lazy
@@ -141,7 +151,9 @@ type Workload struct {
 	// Description is a one-line summary for listings.
 	Description string
 	// Uses is the privacy multiplier: the number of times the plan uses
-	// the protected edge dataset, so a measurement costs Uses*eps.
+	// the protected edge dataset, so a measurement costs Uses*eps. Define
+	// derives it from the description (queries.Uses); a value set by the
+	// caller is overwritten.
 	Uses int
 	// Bucketed reports whether the degree bucket width parameter
 	// changes the query (e.g. TbD's floor(d/bucket) grouping).
@@ -150,13 +162,12 @@ type Workload struct {
 	impl impl
 }
 
-// impl is the type-erased implementation of a workload's two plan
-// forms, provided by Define.
+// impl is the type-erased view of a workload's description, provided by
+// Define.
 type impl interface {
 	measure(edges *core.Collection[graph.Edge], bucket int, eps float64, rng *rand.Rand) (Histogram, error)
 	load(entries []Entry, eps float64, rng *rand.Rand) (Histogram, error)
-	attach(p *Plan, name string, h Histogram, bucket int, eps float64) error
-	attachDomain(p *Plan, name string, h Histogram, bucket int, eps float64, keys []json.RawMessage) error
+	attach(p *Plan, name string, h Histogram, bucket int, eps float64, keys []json.RawMessage) error
 	collect(p *Plan, bucket int) Collected
 	exact(g *graph.Graph, bucket int) (map[string]float64, error)
 }
@@ -306,45 +317,40 @@ func (p *Plan) Observations() ([]Observation, error) {
 	return out, nil
 }
 
-// Builders supplies the two forms of one query plan for record type T.
-// The bucket argument is the degree bucket width; workloads that do not
-// use it receive 0 and must ignore it.
+// Builders holds the one description of a workload's query for record
+// type T: the operator tree (queries.Expr), given the degree bucket
+// width. Workloads that do not use the bucket receive 0 and must ignore
+// it. Both of the workload's forms are lowerings of this tree: the
+// one-shot measurement (queries.OneShot) and the fit pipeline
+// (queries.Stream), whose fragments are requested through the plan's
+// fusion memo, so several workloads attached to one plan share their
+// common operator prefixes. A tree without fragments still works on
+// every plan — it just never shares.
 type Builders[T comparable] struct {
-	// Query is the one-shot measurement form over core.Collection.
-	Query func(edges *core.Collection[graph.Edge], bucket int) *core.Collection[T]
-	// Pipeline is the incremental form: it builds over the plan's root
-	// stream and requests its reusable fragments through the plan's
-	// fusion memo (wpinq/internal/plan), so several workloads attached to
-	// one plan share their common operator prefixes. A pipeline that
-	// requests no fragments still works on every plan — it just never
-	// shares.
-	Pipeline func(m *plan.Memo, edges engine.Source[graph.Edge], bucket int) engine.Source[T]
+	Expr func(bucket int) queries.Expr[T]
 }
 
-// Define couples a workload's metadata with its typed builders. The
-// returned workload is ready to Register.
+// Define couples a workload's metadata with its description and derives
+// its privacy multiplier from the tree. The returned workload is ready to
+// Register.
 func Define[T comparable](w Workload, b Builders[T]) Workload {
-	if b.Query == nil || b.Pipeline == nil {
-		panic(fmt.Sprintf("workload: Define(%q) requires both builders", w.Name))
+	if b.Expr == nil {
+		panic(fmt.Sprintf("workload: Define(%q) requires a description", w.Name))
 	}
-	w.impl = builders[T]{b}
+	w.Uses = queries.Uses(b.Expr(0))
+	w.impl = b
 	return w
 }
 
-// builders adapts typed Builders to the type-erased impl interface.
-type builders[T comparable] struct {
-	b Builders[T]
-}
-
-func (bs builders[T]) measure(edges *core.Collection[graph.Edge], bucket int, eps float64, rng *rand.Rand) (Histogram, error) {
-	h, err := core.NoisyCount(bs.b.Query(edges, bucket), eps, rng)
+func (b Builders[T]) measure(edges *core.Collection[graph.Edge], bucket int, eps float64, rng *rand.Rand) (Histogram, error) {
+	h, err := core.NoisyCount(queries.OneShot(b.Expr(bucket), edges), eps, rng)
 	if err != nil {
 		return nil, err
 	}
 	return &typedHist[T]{h: h}, nil
 }
 
-func (bs builders[T]) load(entries []Entry, eps float64, rng *rand.Rand) (Histogram, error) {
+func (b Builders[T]) load(entries []Entry, eps float64, rng *rand.Rand) (Histogram, error) {
 	counts := make(map[T]float64, len(entries))
 	for _, e := range entries {
 		var x T
@@ -360,37 +366,7 @@ func (bs builders[T]) load(entries []Entry, eps float64, rng *rand.Rand) (Histog
 	return &typedHist[T]{h: h}, nil
 }
 
-// source builds the workload's pipeline over the plan's root.
-func (bs builders[T]) source(p *Plan, bucket int) engine.Source[T] {
-	return bs.b.Pipeline(p.memo, p.root, bucket)
-}
-
-func (bs builders[T]) attach(p *Plan, name string, h Histogram, bucket int, eps float64) error {
-	th, ok := h.(*typedHist[T])
-	if !ok {
-		return fmt.Errorf("workload: histogram has record type %T, want %T", h, &typedHist[T]{})
-	}
-	// Canonical (sorted-key) domain order: the sink accumulates its
-	// initial L1 in domain order, so a map-ordered domain would make the
-	// starting score — and with it the whole seeded MCMC trace — vary
-	// between runs.
-	domain := make([]T, 0, len(th.h.Materialized()))
-	keys := make([]string, 0, cap(domain))
-	for k := range th.h.Materialized() {
-		key, err := json.Marshal(k)
-		if err != nil {
-			return fmt.Errorf("workload: encoding record %v: %w", k, err)
-		}
-		domain = append(domain, k)
-		keys = append(keys, string(key))
-	}
-	sort.Sort(&domainByKey[T]{recs: domain, keys: keys})
-	sink := incremental.NewNoisyCountSink[T](bs.source(p, bucket), th.h, domain, eps)
-	p.scorer.AddNamed(name, sink)
-	return nil
-}
-
-func (bs builders[T]) attachDomain(p *Plan, name string, h Histogram, bucket int, eps float64, keys []json.RawMessage) error {
+func (b Builders[T]) attach(p *Plan, name string, h Histogram, bucket int, eps float64, keys []json.RawMessage) error {
 	th, ok := h.(*typedHist[T])
 	if !ok {
 		return fmt.Errorf("workload: histogram has record type %T, want %T", h, &typedHist[T]{})
@@ -401,30 +377,17 @@ func (bs builders[T]) attachDomain(p *Plan, name string, h Histogram, bucket int
 			return fmt.Errorf("workload: decoding domain record %s: %w", k, err)
 		}
 	}
-	sink := incremental.NewNoisyCountSink[T](bs.source(p, bucket), th.h, domain, eps)
+	sink := incremental.NewNoisyCountSink[T](queries.Stream(b.Expr(bucket), p.memo, p.root), th.h, domain, eps)
 	p.scorer.AddNamed(name, sink)
 	return nil
 }
 
-// domainByKey sorts a sink domain by its records' canonical JSON keys.
-type domainByKey[T comparable] struct {
-	recs []T
-	keys []string
+func (b Builders[T]) collect(p *Plan, bucket int) Collected {
+	return typedCollected[T]{c: incremental.Collect(queries.Stream(b.Expr(bucket), p.memo, p.root))}
 }
 
-func (s *domainByKey[T]) Len() int           { return len(s.recs) }
-func (s *domainByKey[T]) Less(i, j int) bool { return s.keys[i] < s.keys[j] }
-func (s *domainByKey[T]) Swap(i, j int) {
-	s.recs[i], s.recs[j] = s.recs[j], s.recs[i]
-	s.keys[i], s.keys[j] = s.keys[j], s.keys[i]
-}
-
-func (bs builders[T]) collect(p *Plan, bucket int) Collected {
-	return typedCollected[T]{c: incremental.Collect[T](bs.source(p, bucket))}
-}
-
-func (bs builders[T]) exact(g *graph.Graph, bucket int) (map[string]float64, error) {
-	q := bs.b.Query(core.FromPublic(graph.SymmetricEdges(g)), bucket)
+func (b Builders[T]) exact(g *graph.Graph, bucket int) (map[string]float64, error) {
+	q := queries.OneShot(b.Expr(bucket), core.FromPublic(graph.SymmetricEdges(g)))
 	return canonicalize(q.Snapshot())
 }
 

@@ -750,7 +750,11 @@ func BenchmarkFusedChains(b *testing.B) {
 			p := workload.NewPlanFused(2, cfg.fuse)
 			seedRng := rand.New(rand.NewSource(23))
 			for _, fit := range fits {
-				fit, err := fit.Reseed(eps, seedRng)
+				entries, err := fit.Entries()
+				if err != nil {
+					b.Fatal(err)
+				}
+				fit, err := fit.Workload.Load(entries, fit.Bucket, eps, seedRng)
 				if err != nil {
 					b.Fatal(err)
 				}

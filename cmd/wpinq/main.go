@@ -82,12 +82,9 @@ func run(args []string) error {
 		"dataflow shards: 0 = one per CPU, n = exactly n (-1 is read as 1)")
 	fs.IntVar(&opts.Chains, "chains", opts.Chains,
 		"replica-exchange chains per fit at a geometric pow ladder (0 or 1 = single chain)")
-	fuse := fs.Bool("fuse", true,
-		"fuse shared pipeline prefixes across fit workloads (-fuse=false keeps per-workload pipelines)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
-	opts.NoFuse = !*fuse
 
 	names := []string{name}
 	if name == "all" {
@@ -135,6 +132,6 @@ remote verbs (clients of a wpinqd curator server; see `+"`wpinqd -h`"+`):
   remote resume      re-attach to (or re-queue) a durable job after a restart
   remote status      inspect dataset ledgers, releases, and jobs
 
-flags (after the experiment name): -scale -epinions-scale -steps -eps -pow -seed -samples -repeats -shards -chains -fuse
+flags (after the experiment name): -scale -epinions-scale -steps -eps -pow -seed -samples -repeats -shards -chains
 (measure/synthesize/motif and the remote verbs take their own flags; run them with -h)`)
 }

@@ -108,8 +108,6 @@ func runRemoteSynthesize(args []string) error {
 	shards := fs.Int("shards", 0, "dataflow shards: 0 = one per CPU, n = exactly n (-1 is read as 1) (omit to use the server default)")
 	chains := fs.Int("chains", 0, "replica-exchange chains (0 = server default, 1 = single chain)")
 	swapEvery := fs.Int("swap-every", 0, "steps between replica swap attempts (0 = default 1024)")
-	fuse := fs.Bool("fuse", true,
-		"fuse shared pipeline prefixes across fit workloads (omit to use the server default)")
 	checkpointEvery := fs.Int("checkpoint-every", 0,
 		"checkpoint cadence in MCMC steps: >0 makes the job durable across daemon restarts, <0 forces off (0 = server default)")
 	seed := fs.Int64("seed", 0, "job seed (0 = server-derived)")
@@ -134,15 +132,11 @@ func runRemoteSynthesize(args []string) error {
 		CheckpointEvery: *checkpointEvery,
 		Seed:            *seed,
 	}
-	// Only override the server's default shard and fusion configuration
-	// when the flags were explicitly given (shards 0 is a meaningful
-	// value: auto; fuse defaults are the server's call).
+	// Only override the server's default shard count when the flag was
+	// explicitly given (shards 0 is a meaningful value: auto).
 	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "shards":
+		if f.Name == "shards" {
 			req.Shards = shards
-		case "fuse":
-			req.Fuse = fuse
 		}
 	})
 	c := service.NewClient(*server)

@@ -85,8 +85,6 @@ func runSynthesize(args []string) error {
 	shards := fs.Int("shards", 0, "dataflow shards: 0 = one per CPU, n = exactly n (-1 is read as 1)")
 	chains := fs.Int("chains", 1, "replica-exchange chains at a geometric pow ladder (1 = single chain)")
 	swapEvery := fs.Int("swap-every", 1024, "steps between replica swap attempts (with -chains > 1)")
-	fuse := fs.Bool("fuse", true,
-		"fuse shared pipeline prefixes across fit workloads (-fuse=false keeps per-workload pipelines)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -122,7 +120,6 @@ func runSynthesize(args []string) error {
 		Shards:    *shards,
 		Chains:    *chains,
 		SwapEvery: *swapEvery,
-		NoFuse:    !*fuse,
 	}
 	res, err := synth.Synthesize(m, seedGraph, cfg, rng)
 	if err != nil {

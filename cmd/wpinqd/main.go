@@ -6,7 +6,7 @@
 // Usage:
 //
 //	wpinqd [-addr :8080] [-data DIR] [-shards N] [-chains K] [-workers N]
-//	       [-fuse] [-checkpoint-every N] [-seed N] [-log-format text|json]
+//	       [-checkpoint-every N] [-seed N] [-log-format text|json]
 //	       [-debug-addr ADDR]
 //
 // The API is documented on service.Handler; `wpinq remote` is the
@@ -49,8 +49,6 @@ func run(args []string) error {
 	shards := fs.Int("shards", 0, "default dataflow shards per synthesis job: 0 = one per CPU, n = exactly n (-1 is read as 1)")
 	chains := fs.Int("chains", 1, "default replica-exchange chains per synthesis job (1 = single chain)")
 	workers := fs.Int("workers", 0, "synthesis worker pool size (0 = GOMAXPROCS divided by per-job shards)")
-	fuse := fs.Bool("fuse", true,
-		"default plan fusion for synthesis jobs: fuse shared pipeline prefixes across fit workloads")
 	checkpointEvery := fs.Int("checkpoint-every", 0,
 		"default checkpoint cadence in MCMC steps for synthesis jobs (durable jobs survive daemon restarts; 0 = not durable)")
 	seed := fs.Int64("seed", 1, "base seed for requests that do not supply one")
@@ -76,7 +74,6 @@ func run(args []string) error {
 		Shards:          *shards,
 		Chains:          *chains,
 		Workers:         *workers,
-		NoFuse:          !*fuse,
 		CheckpointEvery: *checkpointEvery,
 		Seed:            *seed,
 		Logger:          logger,

@@ -18,7 +18,6 @@ import (
 	"math/rand"
 
 	"wpinq/internal/datasets"
-	"wpinq/internal/expt"
 	"wpinq/internal/graph"
 	"wpinq/internal/laplace"
 	"wpinq/internal/mcmc"
@@ -55,10 +54,6 @@ type Options struct {
 	// = the single-chain walk the paper uses). Trajectory samples follow
 	// chain 0, the chain that starts on the coldest rung.
 	Chains int
-	// NoFuse disables multi-workload plan fusion in every fit
-	// (synth.Config.NoFuse semantics); the default fuses shared
-	// pipeline prefixes.
-	NoFuse bool
 }
 
 // Defaults returns the scaled-down defaults used by the CLI and benches.
@@ -95,7 +90,7 @@ func (o *Options) sampleEvery() int {
 // and its degree-preserving randomization, alongside the paper's values.
 func Table1(o Options) error {
 	fmt.Fprintln(o.Out, "Table 1: graph statistics (stand-ins at scale", o.Scale, "vs paper values)")
-	tb := expt.NewTable("Graph", "Nodes", "Edges", "dmax", "Triangles", "r",
+	tb := newTable("Graph", "Nodes", "Edges", "dmax", "Triangles", "r",
 		"paperNodes", "paperEdges", "paperDmax", "paperTri", "paperR")
 	for _, name := range datasets.All() {
 		scale := o.Scale
@@ -147,7 +142,7 @@ func Fig1(o Options) error {
 		base += 3
 	}
 	fmt.Fprintln(o.Out, "Figure 1: worst-case vs best-case triangle counting")
-	tb := expt.NewTable("Graph", "Nodes", "Triangles",
+	tb := newTable("Graph", "Nodes", "Triangles",
 		"worstCaseNoise(|V|-2)/eps", "wPINQSignal(eq8)", "signal/noiseRatio")
 	for _, row := range []struct {
 		name string
@@ -166,17 +161,17 @@ func Fig1(o Options) error {
 
 // trajectory runs the synthesis workflow and records (step, triangles,
 // assortativity) samples.
-func trajectory(g *graph.Graph, cfg synth.Config, o Options, seedOffset int64, name string) (*expt.Series, *synth.Result, error) {
-	series := expt.NewSeries(name, "step", "triangles", "assortativity")
+func trajectory(g *graph.Graph, cfg synth.Config, o Options, seedOffset int64, name string) (*series, *synth.Result, error) {
+	line := newSeries(name, "step", "triangles", "assortativity")
 	cfg.SampleEvery = o.sampleEvery()
 	cfg.OnSample = func(step int, sg *graph.Graph) {
-		series.Add(float64(step), float64(sg.Triangles()), sg.Assortativity())
+		line.Add(float64(step), float64(sg.Triangles()), sg.Assortativity())
 	}
 	res, err := synth.Run(g, cfg, o.rng(seedOffset))
 	if err != nil {
 		return nil, nil, err
 	}
-	return series, res, nil
+	return line, res, nil
 }
 
 // Fig3 regenerates Figure 3: TbD-driven synthesis with and without degree
@@ -216,13 +211,12 @@ func Fig3(o Options) error {
 			Steps:     steps,
 			Shards:    o.Shards,
 			Chains:    o.Chains,
-			NoFuse:    o.NoFuse,
 		}
-		series, _, err := trajectory(run.g, cfg, o, 33+int64(i), run.name)
+		line, _, err := trajectory(run.g, cfg, o, 33+int64(i), run.name)
 		if err != nil {
 			return fmt.Errorf("fig3: %s: %w", run.name, err)
 		}
-		if err := series.Render(o.Out); err != nil {
+		if err := line.Render(o.Out); err != nil {
 			return err
 		}
 	}
@@ -258,7 +252,6 @@ func Fig4(o Options) error {
 		Steps:     o.Steps,
 		Shards:    o.Shards,
 		Chains:    o.Chains,
-		NoFuse:    o.NoFuse,
 	}
 	i := int64(0)
 	for _, name := range []datasets.Name{datasets.GrQc, datasets.HepTh, datasets.HepPh, datasets.Caltech} {
@@ -271,13 +264,13 @@ func Fig4(o Options) error {
 			{string(name) + "/real", g},
 			{string(name) + "/random", random},
 		} {
-			series, res, err := trajectory(run.g, cfg, o, 60+i, run.label)
+			line, res, err := trajectory(run.g, cfg, o, 60+i, run.label)
 			if err != nil {
 				return fmt.Errorf("fig4: %s: %w", run.label, err)
 			}
 			fmt.Fprintf(o.Out, "# true triangles: %d (accept rate %.1f%%)\n",
 				run.g.Triangles(), 100*res.Stats.AcceptRate())
-			if err := series.Render(o.Out); err != nil {
+			if err := line.Render(o.Out); err != nil {
 				return err
 			}
 			i++
@@ -294,7 +287,7 @@ func Table2(o Options) error {
 		return err
 	}
 	fmt.Fprintln(o.Out, "Table 2: triangles before MCMC (seed), after TbI MCMC, and in the original")
-	tb := expt.NewTable("Graph", "Seed", "MCMC", "Truth")
+	tb := newTable("Graph", "Seed", "MCMC", "Truth")
 	cfg := synth.Config{
 		Eps:       o.Eps,
 		Workloads: []string{"tbi"},
@@ -302,7 +295,6 @@ func Table2(o Options) error {
 		Steps:     o.Steps,
 		Shards:    o.Shards,
 		Chains:    o.Chains,
-		NoFuse:    o.NoFuse,
 	}
 	for i, name := range []datasets.Name{datasets.GrQc, datasets.HepPh, datasets.HepTh, datasets.Caltech} {
 		g := graphs[name]
@@ -325,7 +317,7 @@ func Fig5(o Options) error {
 	random := datasets.Randomized(g, o.rng(81))
 	fmt.Fprintf(o.Out, "Figure 5: TbI under varying eps (true triangles=%d, random=%d, %d repeats)\n",
 		g.Triangles(), random.Triangles(), o.Repeats)
-	tb := expt.NewTable("eps", "graph", "meanTriangles", "stddev")
+	tb := newTable("eps", "graph", "meanTriangles", "stddev")
 	for _, eps := range []float64{0.01, 0.1, 1, 10} {
 		for _, run := range []struct {
 			label string
@@ -340,7 +332,6 @@ func Fig5(o Options) error {
 					Steps:     o.Steps,
 					Shards:    o.Shards,
 					Chains:    o.Chains,
-					NoFuse:    o.NoFuse,
 				}
 				res, err := synth.Run(run.g, cfg, o.rng(90+int64(rep)+int64(eps*1000)))
 				if err != nil {
@@ -388,7 +379,7 @@ func (o Options) table3Size() (n, mPerNode int) {
 func Table3(o Options) error {
 	n, m := o.table3Size()
 	fmt.Fprintf(o.Out, "Table 3: Barabasi-Albert sweep (n=%d, %d edges/node; paper: n=100000, 20/node)\n", n, m)
-	tb := expt.NewTable("beta", "Nodes", "Edges", "dmax", "Triangles", "sum d^2")
+	tb := newTable("beta", "Nodes", "Edges", "dmax", "Triangles", "sum d^2")
 	for i, beta := range datasets.Table3Betas() {
 		g, err := datasets.BarabasiForBeta(beta, n, m, o.rng(100+int64(i)))
 		if err != nil {
@@ -421,7 +412,7 @@ func (o Options) fig6Size() (n, mPerNode int) {
 func Fig6(o Options) error {
 	n, m := o.fig6Size()
 	fmt.Fprintf(o.Out, "Figure 6 (left): TbI pipeline memory and throughput, BA sweep (n=%d, %d/node)\n", n, m)
-	tb := expt.NewTable("beta", "sum d^2", "heapMB", "steps/sec")
+	tb := newTable("beta", "sum d^2", "heapMB", "steps/sec")
 	stepsPerPoint := o.Steps / 10
 	if stepsPerPoint < 200 {
 		stepsPerPoint = 200
@@ -455,19 +446,18 @@ func Fig6(o Options) error {
 		Steps:     o.Steps,
 		Shards:    o.Shards,
 		Chains:    o.Chains,
-		NoFuse:    o.NoFuse,
 	}
 	for i, run := range []struct {
 		label string
 		g     *graph.Graph
 	}{{"Epinions/real", g}, {"Epinions/random", random}} {
-		series, res, err := trajectory(run.g, cfg, o, 140+int64(i), run.label)
+		line, res, err := trajectory(run.g, cfg, o, 140+int64(i), run.label)
 		if err != nil {
 			return fmt.Errorf("fig6: %s: %w", run.label, err)
 		}
 		fmt.Fprintf(o.Out, "# true triangles: %d (accept rate %.1f%%)\n",
 			run.g.Triangles(), 100*res.Stats.AcceptRate())
-		if err := series.Render(o.Out); err != nil {
+		if err := line.Render(o.Out); err != nil {
 			return err
 		}
 	}
@@ -477,7 +467,7 @@ func Fig6(o Options) error {
 // tbiLoadAndRate builds a TbI fit plan over g at o.Shards, reports the
 // live heap after loading and the sustained MCMC step rate.
 func tbiLoadAndRate(g *graph.Graph, o Options, seedOffset int64, steps int) (heapMB, stepsPerSec float64, err error) {
-	before := expt.HeapMB()
+	before := liveHeapMB()
 	// Score against the graph's own (noiseless) signal: Figure 6 measures
 	// systems behaviour, not accuracy.
 	noise, err := laplace.FromEpsilon(o.Eps)
@@ -493,7 +483,7 @@ func tbiLoadAndRate(g *graph.Graph, o Options, seedOffset int64, steps int) (hea
 	if err != nil {
 		return 0, 0, err
 	}
-	plan := workload.NewPlanFused(o.Shards, false)
+	plan := workload.NewPlan(o.Shards)
 	if err := fit.Attach(plan, o.Eps); err != nil {
 		return 0, 0, err
 	}
@@ -505,10 +495,10 @@ func tbiLoadAndRate(g *graph.Graph, o Options, seedOffset int64, steps int) (hea
 	if err != nil {
 		return 0, 0, err
 	}
-	heapMB = expt.HeapMB() - before
+	heapMB = liveHeapMB() - before
 	if heapMB < 0 {
 		heapMB = 0
 	}
-	stepsPerSec = expt.Throughput(steps, func() { runner.Step() })
+	stepsPerSec = throughput(steps, func() { runner.Step() })
 	return heapMB, stepsPerSec, nil
 }

@@ -7,7 +7,6 @@ import (
 	"wpinq/internal/budget"
 	"wpinq/internal/core"
 	"wpinq/internal/datasets"
-	"wpinq/internal/expt"
 	"wpinq/internal/graph"
 	"wpinq/internal/postprocess"
 	"wpinq/internal/queries"
@@ -29,7 +28,7 @@ func Regression(o Options) error {
 	n := g.NumNodes()
 	fmt.Fprintf(o.Out, "Section 3.1 regression quality (GrQc stand-in, n=%d, dmax=%d, %d repeats)\n",
 		n, g.MaxDegree(), o.Repeats)
-	tb := expt.NewTable("eps", "rawL1", "isotonicL1", "gridPathL1", "grid/raw")
+	tb := newTable("eps", "rawL1", "isotonicL1", "gridPathL1", "grid/raw")
 	for _, eps := range []float64{0.1, 0.5, 2.0} {
 		var rawE, isoE, gridE float64
 		for rep := 0; rep < o.Repeats; rep++ {

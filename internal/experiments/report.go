@@ -1,7 +1,7 @@
-// Package expt provides the small utilities shared by the experiment
-// harness (cmd/wpinq) and the benchmark suite: aligned table rendering,
+package experiments
+
+// What every experiment reports with: aligned table rendering,
 // trajectory series output, wall-clock throughput and memory sampling.
-package expt
 
 import (
 	"fmt"
@@ -11,20 +11,20 @@ import (
 	"time"
 )
 
-// Table accumulates rows and renders them with aligned columns, in the
+// table accumulates rows and renders them with aligned columns, in the
 // spirit of the paper's tables.
-type Table struct {
+type table struct {
 	header []string
 	rows   [][]string
 }
 
-// NewTable starts a table with the given column headers.
-func NewTable(header ...string) *Table {
-	return &Table{header: header}
+// newTable starts a table with the given column headers.
+func newTable(header ...string) *table {
+	return &table{header: header}
 }
 
 // AddRow appends a row; values are formatted with %v.
-func (t *Table) AddRow(values ...interface{}) {
+func (t *table) AddRow(values ...interface{}) {
 	row := make([]string, len(values))
 	for i, v := range values {
 		switch x := v.(type) {
@@ -38,7 +38,7 @@ func (t *Table) AddRow(values ...interface{}) {
 }
 
 // Render writes the table with aligned columns.
-func (t *Table) Render(w io.Writer) error {
+func (t *table) Render(w io.Writer) error {
 	widths := make([]int, len(t.header))
 	for i, h := range t.header {
 		widths[i] = len(h)
@@ -82,31 +82,31 @@ func pad(s string, w int) string {
 	return s + strings.Repeat(" ", w-len(s))
 }
 
-// Series records an (x, y...) trajectory — one figure line.
-type Series struct {
+// series records an (x, y...) trajectory — one figure line.
+type series struct {
 	Name   string
 	Labels []string
 	points [][]float64
 }
 
-// NewSeries starts a series with a name and per-column labels (the first
+// newSeries starts a series with a name and per-column labels (the first
 // label is the x axis).
-func NewSeries(name string, labels ...string) *Series {
-	return &Series{Name: name, Labels: labels}
+func newSeries(name string, labels ...string) *series {
+	return &series{Name: name, Labels: labels}
 }
 
 // Add appends one point.
-func (s *Series) Add(values ...float64) {
+func (s *series) Add(values ...float64) {
 	p := make([]float64, len(values))
 	copy(p, values)
 	s.points = append(s.points, p)
 }
 
 // Len returns the number of points.
-func (s *Series) Len() int { return len(s.points) }
+func (s *series) Len() int { return len(s.points) }
 
 // Last returns the final point (nil if empty).
-func (s *Series) Last() []float64 {
+func (s *series) Last() []float64 {
 	if len(s.points) == 0 {
 		return nil
 	}
@@ -114,7 +114,7 @@ func (s *Series) Last() []float64 {
 }
 
 // Render writes the series as aligned columns prefixed by its name.
-func (s *Series) Render(w io.Writer) error {
+func (s *series) Render(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# series: %s\n", s.Name); err != nil {
 		return err
 	}
@@ -133,18 +133,18 @@ func (s *Series) Render(w io.Writer) error {
 	return nil
 }
 
-// HeapMB returns the current live-heap size in mebibytes after a GC, the
+// liveHeapMB returns the current live-heap size in mebibytes after a GC, the
 // measurement used for Figure 6's memory axis.
-func HeapMB() float64 {
+func liveHeapMB() float64 {
 	runtime.GC()
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	return float64(ms.HeapAlloc) / (1 << 20)
 }
 
-// Throughput measures steps/second for a stepped workload: it runs step()
+// throughput measures steps/second for a stepped workload: it runs step()
 // n times and returns the rate.
-func Throughput(n int, step func()) float64 {
+func throughput(n int, step func()) float64 {
 	start := time.Now()
 	for i := 0; i < n; i++ {
 		step()

@@ -1,4 +1,4 @@
-package expt
+package experiments
 
 import (
 	"bytes"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestTableRender(t *testing.T) {
-	tb := NewTable("Graph", "Nodes", "r")
+	tb := newTable("Graph", "Nodes", "r")
 	tb.AddRow("CA-GrQc", 5242, 0.66)
 	tb.AddRow("Caltech", 769, -0.06)
 	var buf bytes.Buffer
@@ -33,7 +33,7 @@ func TestTableRender(t *testing.T) {
 }
 
 func TestSeries(t *testing.T) {
-	s := NewSeries("triangles", "step", "count")
+	s := newSeries("triangles", "step", "count")
 	s.Add(0, 10)
 	s.Add(100, 25)
 	if s.Len() != 2 {
@@ -57,21 +57,21 @@ func TestSeries(t *testing.T) {
 }
 
 func TestSeriesEmpty(t *testing.T) {
-	s := NewSeries("empty", "x")
+	s := newSeries("empty", "x")
 	if s.Last() != nil {
 		t.Error("Last on empty series should be nil")
 	}
 }
 
 func TestHeapMBPositive(t *testing.T) {
-	if mb := HeapMB(); mb <= 0 {
+	if mb := liveHeapMB(); mb <= 0 {
 		t.Errorf("HeapMB = %v, want positive", mb)
 	}
 }
 
 func TestThroughput(t *testing.T) {
 	calls := 0
-	rate := Throughput(100, func() { calls++ })
+	rate := throughput(100, func() { calls++ })
 	if calls != 100 {
 		t.Errorf("step called %d times, want 100", calls)
 	}

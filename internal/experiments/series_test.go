@@ -1,4 +1,4 @@
-package expt
+package experiments
 
 import (
 	"bytes"
@@ -7,7 +7,7 @@ import (
 )
 
 func TestTableFloatFormatting(t *testing.T) {
-	tb := NewTable("x")
+	tb := newTable("x")
 	tb.AddRow(0.123456789)
 	tb.AddRow(1234567.0)
 	var buf bytes.Buffer
@@ -21,7 +21,7 @@ func TestTableFloatFormatting(t *testing.T) {
 
 func TestTableRaggedRows(t *testing.T) {
 	// Rows shorter than the header must not panic and must render.
-	tb := NewTable("a", "b", "c")
+	tb := newTable("a", "b", "c")
 	tb.AddRow(1)
 	tb.AddRow(1, 2, 3)
 	var buf bytes.Buffer
@@ -34,7 +34,7 @@ func TestTableRaggedRows(t *testing.T) {
 }
 
 func TestSeriesMultiColumn(t *testing.T) {
-	s := NewSeries("multi", "step", "a", "b", "c")
+	s := newSeries("multi", "step", "a", "b", "c")
 	s.Add(1, 2, 3, 4)
 	var buf bytes.Buffer
 	if err := s.Render(&buf); err != nil {

@@ -36,6 +36,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"time"
 
 	"wpinq/internal/graph"
 )
@@ -169,12 +170,21 @@ type DurableConfig struct {
 	OnRound func(done int, chains []ChainStats) bool
 }
 
-// RunDurable is the one chain loop: it drives a (multi-)chain run with
-// swap rounds at every SwapEvery multiple — RunReplicas is this with no
-// checkpoint stops — plus deterministic re-anchor stops at every
-// CheckpointEvery multiple. A fresh durable run and one resumed from any
-// of its checkpoints compute the identical stop set and therefore the
-// identical proposal, swap, and re-anchor trace.
+// RunDurable is the one chain loop: it drives len(runners) chains
+// concurrently for cfg.Steps steps each, with Metropolis swap rounds
+// between temperature-adjacent chains at every SwapEvery multiple and
+// deterministic re-anchor stops at every CheckpointEvery multiple. Each
+// runner must have its own GraphState, scoring pipeline and rng, so the
+// per-chunk goroutines race on nothing and a run is deterministic for
+// fixed runner seeds and a fixed swapRng. A fresh run and one resumed
+// from any of its checkpoints compute the identical stop set and
+// therefore the identical proposal, swap, and re-anchor trace.
+//
+// A single runner with no checkpoint stops degenerates to exactly that
+// runner's Run(cfg.Steps) proposal trace (no swap rounds; swapRng is
+// unused and may be nil), which is also the only shape that may carry a
+// PowSchedule: a swap exchanges fixed pows, and a re-anchor rebuilds a
+// runner from its checkpointed pow.
 func RunDurable(runners []*Runner, cfg DurableConfig, swapRng *rand.Rand) (ReplicaResult, error) {
 	if len(runners) == 0 {
 		return ReplicaResult{}, errors.New("mcmc: a chain run requires at least one chain")
@@ -183,8 +193,8 @@ func RunDurable(runners []*Runner, cfg DurableConfig, swapRng *rand.Rand) (Repli
 		if r == nil {
 			return ReplicaResult{}, errors.New("mcmc: nil chain runner")
 		}
-		if r.cfg.PowSchedule != nil {
-			return ReplicaResult{}, errors.New("mcmc: chain runs require fixed-pow chains (no PowSchedule)")
+		if r.cfg.PowSchedule != nil && (len(runners) > 1 || cfg.CheckpointEvery > 0) {
+			return ReplicaResult{}, errors.New("mcmc: swap rounds and checkpoint stops require fixed-pow chains (no PowSchedule)")
 		}
 	}
 	if cfg.Steps < 0 || cfg.StartStep < 0 || cfg.StartStep > cfg.Steps {
@@ -253,6 +263,8 @@ func RunDurable(runners []*Runner, cfg DurableConfig, swapRng *rand.Rand) (Repli
 			next = min(next, done-done%cfg.RoundEvery+cfg.RoundEvery)
 		}
 		n := next - done
+		//wpinq:nondeterministic-ok observability timestamp, read once per stop and only ever handed to the fitRound histogram
+		began := time.Now()
 		var wg sync.WaitGroup
 		for i := range runners {
 			wg.Add(1)
@@ -262,6 +274,7 @@ func RunDurable(runners []*Runner, cfg DurableConfig, swapRng *rand.Rand) (Repli
 			}(i)
 		}
 		wg.Wait()
+		fitRound.Observe(time.Since(began).Seconds())
 		for i := range runners {
 			s := &stats[i]
 			s.Steps += chunk[i].Steps

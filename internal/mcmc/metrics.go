@@ -25,6 +25,10 @@ var (
 	chainScore      = obs.Default.GaugeVec("wpinq_mcmc_chain_score", "Per-chain fit score at the latest swap-round barrier.", "chain")
 	chainAcceptRate = obs.Default.GaugeVec("wpinq_mcmc_chain_accept_rate", "Per-chain cumulative proposal accept rate.", "chain")
 	chainPow        = obs.Default.GaugeVec("wpinq_mcmc_chain_pow", "Per-chain posterior sharpening (ladder rung, moved by accepted swaps).", "chain")
+
+	// fitRound's clock is read twice per stop of RunDurable, never per
+	// proposal.
+	fitRound = obs.Default.Histogram("wpinq_fit_round_seconds", "Wall seconds of each chunk of a fit between two stops (swap, checkpoint, progress or end), all chains.", nil)
 )
 
 // recordRun publishes one Run call's outcome counts.

@@ -24,26 +24,10 @@ import (
 // defaultSwapEvery is the swap cadence when a config leaves it unset.
 const defaultSwapEvery = 1024
 
-// ReplicaConfig parameterizes RunReplicas.
-type ReplicaConfig struct {
-	// Steps is the walk length of every chain (not a shared budget: K
-	// chains each run Steps proposals).
-	Steps int
-	// SwapEvery is the number of steps between swap rounds (default
-	// 1024). All chains barrier at each swap round, so it also bounds
-	// how far chains drift apart in wall-clock.
-	SwapEvery int
-	// OnRound, when set, observes the per-chain statistics after every
-	// swap round (and after the final partial round). Returning false
-	// cancels the run: every chain stops at the barrier it has already
-	// reached, never mid-proposal.
-	OnRound func(done int, chains []ChainStats) bool
-}
-
 // ChainStats is one chain's view of a replica-exchange run: its walk
 // statistics plus its position in the temperature ladder.
 type ChainStats struct {
-	// Chain is the index of the runner in the RunReplicas argument.
+	// Chain is the index of the runner in the RunDurable argument.
 	Chain int
 	// Pow is the chain's current posterior sharpening — its initial
 	// ladder rung, moved by accepted swaps.
@@ -55,38 +39,14 @@ type ChainStats struct {
 	Stats
 }
 
-// ReplicaResult is the outcome of a replica-exchange run.
+// ReplicaResult is the outcome of a chain run (RunDurable).
 type ReplicaResult struct {
 	// Chains holds per-chain statistics, indexed like the runners.
 	Chains []ChainStats
 	// Best is the index of the chain with the lowest final score.
 	Best int
-	// Cancelled reports that OnRound stopped the run early.
+	// Cancelled reports that OnRound or Reanchor stopped the run early.
 	Cancelled bool
-}
-
-// RunReplicas drives len(runners) chains concurrently for cfg.Steps
-// steps each, proposing Metropolis swaps of pow assignments between
-// temperature-adjacent chains every cfg.SwapEvery steps. Each runner
-// must have its own GraphState, scoring pipeline, and rng; the chains
-// share nothing, so the per-chunk goroutines race on nothing and a run
-// is deterministic for fixed runner seeds and a fixed swapRng.
-//
-// A single runner degenerates to exactly that runner's Run(cfg.Steps)
-// proposal trace (no swap rounds, swapRng unused and may be nil).
-func RunReplicas(runners []*Runner, cfg ReplicaConfig, swapRng *rand.Rand) (ReplicaResult, error) {
-	swapEvery := cfg.SwapEvery
-	if swapEvery <= 0 {
-		swapEvery = defaultSwapEvery
-	}
-	// RunDurable's schedule without checkpoint stops. RoundEvery makes a
-	// single chain, which has no swap rounds, report at a ladder's cadence.
-	return RunDurable(runners, DurableConfig{
-		Steps:      cfg.Steps,
-		SwapEvery:  swapEvery,
-		RoundEvery: swapEvery,
-		OnRound:    cfg.OnRound,
-	}, swapRng)
 }
 
 // exchange proposes one Metropolis swap per ladder-adjacent pair,

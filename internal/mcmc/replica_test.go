@@ -45,17 +45,17 @@ func replicaFixture(t *testing.T, n int, pows []float64, seedBase int64) []*Runn
 }
 
 func TestRunReplicasValidation(t *testing.T) {
-	if _, err := RunReplicas(nil, ReplicaConfig{Steps: 10}, testRng(1)); err == nil {
+	if _, err := RunDurable(nil, DurableConfig{Steps: 10}, testRng(1)); err == nil {
 		t.Error("empty runner list accepted")
 	}
 	runners := replicaFixture(t, 2, []float64{100, 50}, 10)
-	if _, err := RunReplicas(runners, ReplicaConfig{Steps: 10}, nil); err == nil {
+	if _, err := RunDurable(runners, DurableConfig{Steps: 10}, nil); err == nil {
 		t.Error("nil swapRng accepted for multi-chain run")
 	}
-	if _, err := RunReplicas(runners, ReplicaConfig{Steps: -1}, testRng(2)); err == nil {
+	if _, err := RunDurable(runners, DurableConfig{Steps: -1}, testRng(2)); err == nil {
 		t.Error("negative Steps accepted")
 	}
-	if _, err := RunReplicas([]*Runner{runners[0], nil}, ReplicaConfig{Steps: 10}, testRng(3)); err == nil {
+	if _, err := RunDurable([]*Runner{runners[0], nil}, DurableConfig{Steps: 10}, testRng(3)); err == nil {
 		t.Error("nil runner accepted")
 	}
 	state, scorer := buildTbIFixture(ringGraph(16), 4.0, 0.5)
@@ -63,8 +63,17 @@ func TestRunReplicasValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunReplicas([]*Runner{sched}, ReplicaConfig{Steps: 10}, testRng(5)); err == nil {
-		t.Error("PowSchedule chain accepted")
+	// A schedule is refused only where the run would have to move or
+	// rebuild the chain's pow: beside another chain, or at checkpoint stops.
+	if _, err := RunDurable([]*Runner{sched}, DurableConfig{Steps: 10}, nil); err != nil {
+		t.Errorf("lone PowSchedule chain without checkpoint stops refused: %v", err)
+	}
+	if _, err := RunDurable([]*Runner{sched, runners[0]}, DurableConfig{Steps: 10}, testRng(5)); err == nil {
+		t.Error("PowSchedule chain accepted in a ladder")
+	}
+	reanchor := func(int, []*Runner, []int, int, []ChainStats) ([]*Runner, bool, error) { return nil, true, nil }
+	if _, err := RunDurable([]*Runner{sched}, DurableConfig{Steps: 10, CheckpointEvery: 5, Reanchor: reanchor}, nil); err == nil {
+		t.Error("PowSchedule chain accepted with checkpoint stops")
 	}
 }
 
@@ -73,7 +82,7 @@ func TestRunReplicasSingleChainMatchesRun(t *testing.T) {
 	// same rng consumption, same stats, same final edge list.
 	a := replicaFixture(t, 1, []float64{500}, 20)[0]
 	b := replicaFixture(t, 1, []float64{500}, 20)[0]
-	res, err := RunReplicas([]*Runner{a}, ReplicaConfig{Steps: 700, SwapEvery: 100}, nil)
+	res, err := RunDurable([]*Runner{a}, DurableConfig{Steps: 700, SwapEvery: 100, RoundEvery: 100}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +102,7 @@ func TestRunReplicasDeterministic(t *testing.T) {
 	pows := []float64{800, 400, 200}
 	run := func() (ReplicaResult, [][]graph.Edge) {
 		runners := replicaFixture(t, 3, pows, 30)
-		res, err := RunReplicas(runners, ReplicaConfig{Steps: 600, SwapEvery: 50}, testRng(99))
+		res, err := RunDurable(runners, DurableConfig{Steps: 600, SwapEvery: 50, RoundEvery: 50}, testRng(99))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -126,7 +135,7 @@ func TestRunReplicasDeterministic(t *testing.T) {
 func TestRunReplicasLadderInvariants(t *testing.T) {
 	pows := []float64{1000, 250, 60, 15}
 	runners := replicaFixture(t, 4, pows, 40)
-	res, err := RunReplicas(runners, ReplicaConfig{Steps: 900, SwapEvery: 60}, testRng(7))
+	res, err := RunDurable(runners, DurableConfig{Steps: 900, SwapEvery: 60, RoundEvery: 60}, testRng(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +171,7 @@ func TestRunReplicasZeroStepsReportsScore(t *testing.T) {
 	if want == 0 {
 		t.Fatal("fixture has zero initial score; test needs a nonzero one")
 	}
-	res, err := RunReplicas(runners, ReplicaConfig{Steps: 0, SwapEvery: 10}, testRng(8))
+	res, err := RunDurable(runners, DurableConfig{Steps: 0, SwapEvery: 10, RoundEvery: 10}, testRng(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,9 +185,10 @@ func TestRunReplicasZeroStepsReportsScore(t *testing.T) {
 func TestRunReplicasCancellation(t *testing.T) {
 	runners := replicaFixture(t, 2, []float64{100, 50}, 60)
 	rounds := 0
-	res, err := RunReplicas(runners, ReplicaConfig{
-		Steps:     1000,
-		SwapEvery: 100,
+	res, err := RunDurable(runners, DurableConfig{
+		Steps:      1000,
+		SwapEvery:  100,
+		RoundEvery: 100,
 		OnRound: func(done int, chains []ChainStats) bool {
 			rounds++
 			return rounds < 3

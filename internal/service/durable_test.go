@@ -14,6 +14,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"wpinq/internal/synth"
 )
 
 func TestSubmitAfterCloseRefused(t *testing.T) {
@@ -131,6 +133,23 @@ func TestDurableJobRetiresCheckpointBeforeDone(t *testing.T) {
 	}
 }
 
+// waitForCheckpoint blocks until a running durable job has persisted a
+// checkpoint at path.
+func waitForCheckpoint(t *testing.T, path string) {
+	t.Helper()
+	deadline := time.After(2 * time.Minute)
+	for {
+		if _, err := os.Stat(path); err == nil {
+			return
+		}
+		select {
+		case <-deadline:
+			t.Fatal("job never wrote a checkpoint")
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+}
+
 // TestCrashRecoveryResumesDurableJob is the service-level half of the
 // durability claim: kill the daemon mid-fit (Close with the job still
 // running plays the orderly part; the checkpoint file would survive a
@@ -162,17 +181,7 @@ func TestCrashRecoveryResumesDurableJob(t *testing.T) {
 		t.Fatalf("submitted job checkpointEvery = %d, want 500", job.CheckpointEvery)
 	}
 	ckptPath := filepath.Join(dir, "ckpt-"+job.ID+".json")
-	deadline := time.After(2 * time.Minute)
-	for {
-		if _, err := os.Stat(ckptPath); err == nil {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("job never wrote a checkpoint")
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
+	waitForCheckpoint(t, ckptPath)
 	svc1.Close() // dies mid-fit: the checkpoint must survive
 
 	if _, err := os.Stat(ckptPath); err != nil {
@@ -221,6 +230,58 @@ func TestCrashRecoveryResumesDurableJob(t *testing.T) {
 	}
 	if !bytes.Equal(edgeListBytes(t, resumed), edgeListBytes(t, goldenG)) {
 		t.Error("recovered job's edge list differs from the uninterrupted run")
+	}
+}
+
+// TestBootCountsParentFormatCheckpointAsStale pins what a daemon
+// upgraded across the checkpoint format cut does with a job it was
+// killed in the middle of: the `wpinq-checkpoint v1` file is counted
+// under wpinq_job_restores_total{outcome="stale"}, left on disk, and
+// neither re-queued nor allowed to fail the boot; an explicit resume of
+// it is refused as stale.
+func TestBootCountsParentFormatCheckpointAsStale(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, Shards: -1, Workers: 1, Seed: 1}
+	svc1, _, mID := measureOnce(t, opts)
+	job, err := svc1.SubmitJob(JobRequest{
+		Measurement: mID, Steps: 50_000_000, ProgressEvery: 100, CheckpointEvery: 200, Seed: 42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckptPath := filepath.Join(dir, "ckpt-"+job.ID+".json")
+	waitForCheckpoint(t, ckptPath)
+	svc1.Close()
+	v2, err := os.ReadFile(ckptPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1 := bytes.Replace(v2, []byte("wpinq-checkpoint v2\n"), []byte("wpinq-checkpoint v1\n"), 1)
+	if bytes.Equal(v1, v2) {
+		t.Fatalf("checkpoint file does not start with the v2 header: %q", v2[:32])
+	}
+	if err := os.WriteFile(ckptPath, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	stale := jobRestores.With("stale")
+	before := stale.Value()
+	svc2, err := New(opts)
+	if err != nil {
+		t.Fatalf("a parent-format checkpoint failed the boot: %v", err)
+	}
+	t.Cleanup(svc2.Close)
+	if got := stale.Value() - before; got != 1 {
+		t.Errorf("boot counted %v stale restores, want 1", got)
+	}
+	if _, err := svc2.Jobs().Get(job.ID); !errors.Is(err, ErrNotFound) {
+		t.Errorf("the stale job was re-queued (err=%v)", err)
+	}
+	if _, err := os.Stat(ckptPath); err != nil {
+		t.Errorf("the refused checkpoint was not left on disk: %v", err)
+	}
+	if _, err := svc2.ResumeJob(job.ID); !errors.Is(err, synth.ErrCheckpointStale) {
+		t.Errorf("explicit resume of a v1 checkpoint: got %v, want ErrCheckpointStale", err)
 	}
 }
 

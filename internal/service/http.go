@@ -209,8 +209,9 @@ func writeErr(w http.ResponseWriter, err error) {
 		api = &APIError{Status: http.StatusInternalServerError, Code: CodeInternal, Message: err.Error()}
 	default:
 		// Validation failures surface from synth/graph parsing as plain
-		// errors; anything unrecognized is the caller's input, not server
-		// state, so 400 is the safe default.
+		// errors (synth.ErrMeasurementFormat among them); anything
+		// unrecognized is the caller's input, not server state, so 400 is
+		// the safe default.
 		api = badRequest(err)
 	}
 	writeJSON(w, api.Status, api)

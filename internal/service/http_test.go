@@ -2,11 +2,14 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -191,6 +194,40 @@ func TestConcurrentOverdrawOverHTTP(t *testing.T) {
 	}
 	if after.Ledger.Spent != 2*tbiCost {
 		t.Errorf("spent %g, want %g", after.Ledger.Spent, 2*tbiCost)
+	}
+}
+
+// TestJobRequestIgnoresRetiredFuseField pins wire compatibility across
+// the removal of the fusion choice: a client that still sends "fuse" is
+// served — the field is ignored, every plan fuses — and no status
+// reports a "fused" flag any more.
+func TestJobRequestIgnoresRetiredFuseField(t *testing.T) {
+	svc, _, mID := measureOnce(t, Options{Shards: -1, Workers: 1})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	body := `{"measurement":"` + mID + `","steps":50,"seed":3,"fuse":false}`
+	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("job request carrying \"fuse\": status %d, body %s", resp.StatusCode, raw)
+	}
+	if bytes.Contains(raw, []byte(`"fused"`)) {
+		t.Errorf("job status still reports a fused flag: %s", raw)
+	}
+	var st JobStatus
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
+	final, err := NewClient(srv.URL).WaitJob(st.ID, 5*time.Millisecond, nil)
+	if err != nil || final.State != JobDone {
+		t.Fatalf("job finished %+v, %v", final, err)
 	}
 }
 

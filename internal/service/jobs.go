@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"wpinq/internal/graph"
 	"wpinq/internal/synth"
@@ -22,9 +23,9 @@ import (
 const jobQueueDepth = 256
 
 // maxJobChains bounds the replica-exchange chain count a single job may
-// request. Every chain owns full fit pipelines plus a private copy of
-// each measurement, so Chains multiplies resident memory; an unbounded
-// network-facing knob would let one request OOM the daemon.
+// request. Every chain owns full fit pipelines, so Chains multiplies
+// resident memory; an unbounded network-facing knob would let one
+// request OOM the daemon.
 const maxJobChains = 64
 
 // Job states reported by JobStatus.State.
@@ -64,14 +65,9 @@ type JobRequest struct {
 	// single chain).
 	Chains int `json:"chains,omitempty"`
 	// SwapEvery is the replica swap interval in steps (default 1024;
-	// only meaningful when the job runs more than one chain). For
-	// multi-chain jobs it also sets the progress/cancellation cadence.
+	// only meaningful when the job runs more than one chain). Swap
+	// rounds are progress and cancellation points too.
 	SwapEvery int `json:"swapEvery,omitempty"`
-	// Fuse overrides the service's default multi-workload plan fusion
-	// setting for this job (synth.Config.NoFuse is its negation). Nil
-	// uses the service default; false fits each workload on a private
-	// pipeline.
-	Fuse *bool `json:"fuse,omitempty"`
 	// CheckpointEvery makes the job durable: every that many steps it
 	// persists a resumable checkpoint through the store, and a daemon
 	// restart re-queues it from the last one (synth.Config.CheckpointEvery
@@ -102,7 +98,6 @@ type JobStatus struct {
 	AcceptRate  float64 `json:"acceptRate"`
 	Score       float64 `json:"score"`
 	Shards      int     `json:"shards"`
-	Fused       bool    `json:"fused"`
 	Seed        int64   `json:"seed"`
 	SeedNodes   int     `json:"seedNodes,omitempty"`
 	SeedEdges   int     `json:"seedEdges,omitempty"`
@@ -152,7 +147,6 @@ type JobManager struct {
 	store           *Store
 	defaultShards   int
 	defaultChains   int
-	defaultNoFuse   bool
 	defaultCkptEvry int
 	log             *slog.Logger
 
@@ -170,12 +164,11 @@ type JobManager struct {
 
 // NewJobManager starts workers goroutines consuming the job queue.
 // defaultChains is the replica-exchange chain count applied to jobs that
-// do not set one (values below 1 mean a single chain). defaultNoFuse
-// disables multi-workload plan fusion for jobs that do not set
-// JobRequest.Fuse. defaultCheckpointEvery is the checkpoint cadence for
-// jobs that do not set one (0 leaves jobs non-durable). A nil logger
-// discards job lifecycle logs.
-func NewJobManager(store *Store, defaultShards, defaultChains, workers int, defaultNoFuse bool, defaultCheckpointEvery int, logger *slog.Logger) *JobManager {
+// do not set one (values below 1 mean a single chain).
+// defaultCheckpointEvery is the checkpoint cadence for jobs that do not
+// set one (0 leaves jobs non-durable). A nil logger discards job
+// lifecycle logs.
+func NewJobManager(store *Store, defaultShards, defaultChains, workers, defaultCheckpointEvery int, logger *slog.Logger) *JobManager {
 	if workers < 1 {
 		workers = 1
 	}
@@ -192,7 +185,6 @@ func NewJobManager(store *Store, defaultShards, defaultChains, workers int, defa
 		store:           store,
 		defaultShards:   defaultShards,
 		defaultChains:   defaultChains,
-		defaultNoFuse:   defaultNoFuse,
 		defaultCkptEvry: defaultCheckpointEvery,
 		log:             logger,
 		jobs:            make(map[string]*Job),
@@ -292,14 +284,8 @@ func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 		req.CheckpointEvery = 0
 	}
 
-	fuse := !jm.defaultNoFuse
-	if req.Fuse != nil {
-		fuse = *req.Fuse
-	}
-
 	run := req
 	run.Shards = &shards
-	run.Fuse = &fuse
 	// The closed check and the enqueue sit under one critical section
 	// with Close's closed=true: either Submit sees closed and refuses, or
 	// Close's queue drain happens after this enqueue and finishes the job
@@ -319,7 +305,6 @@ func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 			State:           JobQueued,
 			Steps:           req.Steps,
 			Shards:          shards,
-			Fused:           fuse,
 			Seed:            req.Seed,
 			CheckpointEvery: req.CheckpointEvery,
 		},
@@ -338,7 +323,7 @@ func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 	jm.mu.Unlock()
 	jm.log.Info("job queued", "job", j.status.ID,
 		"measurement", req.Measurement, "steps", req.Steps,
-		"chains", run.Chains, "shards", shards, "fused", fuse,
+		"chains", run.Chains, "shards", shards,
 		"checkpointEvery", req.CheckpointEvery)
 
 	if !queued {
@@ -566,7 +551,6 @@ func (jm *JobManager) run(j *Job) {
 		ProgressEvery: req.ProgressEvery,
 		Chains:        req.Chains,
 		SwapEvery:     req.SwapEvery,
-		NoFuse:        !*req.Fuse,
 		OnProgress: func(p synth.Progress) bool {
 			j.mu.Lock()
 			j.status.Step = p.Step
@@ -599,12 +583,14 @@ func (jm *JobManager) run(j *Job) {
 		cfg.CheckpointEvery = req.CheckpointEvery
 		cfg.ParentHash = ContentHash(data)
 		cfg.OnCheckpoint = func(ck *synth.Checkpoint) bool {
+			began := time.Now()
 			ck.Meta = meta
 			var buf bytes.Buffer
 			err := ck.Save(&buf)
 			if err == nil {
 				err = jm.store.PutCheckpoint(id, buf.Bytes())
 			}
+			jobCheckpointWrite.Observe(time.Since(began).Seconds())
 			if err != nil {
 				// A failed checkpoint write degrades durability, not the
 				// fit: the job keeps running and the previous checkpoint
@@ -691,14 +677,19 @@ func (jm *JobManager) run(j *Job) {
 // original job ID, advancing the ID counter past them. The service
 // calls it once at boot, after the workers are up: a daemon killed
 // mid-job comes back with the job queued at its last checkpoint rather
-// than silently forgotten. An unusable checkpoint (corrupt, or metadata
-// that does not match its file) is logged and counted but left on disk
-// for inspection; it never blocks boot.
+// than silently forgotten. An unusable checkpoint (corrupt, metadata
+// that does not match its file, or written by an earlier fit driver —
+// counted as stale) is logged and counted but left on disk for
+// inspection; it never blocks boot.
 func (jm *JobManager) Recover() {
 	for _, id := range jm.store.Checkpoints() {
 		ck, req, err := jm.loadCheckpoint(id)
 		if err != nil {
-			jobRestores.With("error").Inc()
+			outcome := "error"
+			if errors.Is(err, synth.ErrCheckpointStale) {
+				outcome = "stale"
+			}
+			jobRestores.With(outcome).Inc()
 			jm.log.Error("job checkpoint unusable; leaving file", "job", id, "err", err)
 			continue
 		}
@@ -745,7 +736,9 @@ func (jm *JobManager) loadCheckpoint(id string) (*synth.Checkpoint, JobRequest, 
 	}
 	ck, err := synth.LoadCheckpoint(bytes.NewReader(data))
 	if err != nil {
-		return nil, JobRequest{}, fmt.Errorf("%w: job %s checkpoint: %v", ErrInternal, id, err)
+		// Both wrapped: a checkpoint an earlier driver wrote must stay
+		// recognizable as stale (writeErr and Recover test for it first).
+		return nil, JobRequest{}, fmt.Errorf("%w: job %s checkpoint: %w", ErrInternal, id, err)
 	}
 	if len(ck.Meta) == 0 {
 		return nil, JobRequest{}, fmt.Errorf("%w: job %s checkpoint has no job metadata", ErrInternal, id)
@@ -757,7 +750,7 @@ func (jm *JobManager) loadCheckpoint(id string) (*synth.Checkpoint, JobRequest, 
 	if meta.Job != id {
 		return nil, JobRequest{}, fmt.Errorf("%w: checkpoint stored for job %s belongs to job %s", ErrInternal, id, meta.Job)
 	}
-	if meta.Request.Shards == nil || meta.Request.Fuse == nil {
+	if meta.Request.Shards == nil {
 		return nil, JobRequest{}, fmt.Errorf("%w: job %s checkpoint request is missing resolved defaults", ErrInternal, id)
 	}
 	return ck, meta.Request, nil
@@ -775,7 +768,6 @@ func (jm *JobManager) requeue(id string, req JobRequest, ck *synth.Checkpoint) (
 			Steps:           req.Steps,
 			Step:            ck.Step,
 			Shards:          *req.Shards,
-			Fused:           *req.Fuse,
 			Seed:            req.Seed,
 			CheckpointEvery: req.CheckpointEvery,
 			ResumedFrom:     ck.Step,

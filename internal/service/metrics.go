@@ -40,6 +40,8 @@ var (
 		"Durable-job checkpoints written, by outcome (ok or error).", "outcome")
 	jobRestores = obs.Default.CounterVec("wpinq_job_restores_total",
 		"Durable-job resume attempts (boot recovery and explicit resume), by outcome (ok, stale, or error).", "outcome")
+	jobCheckpointWrite = obs.Default.Histogram("wpinq_job_checkpoint_write_seconds",
+		"Wall seconds to serialize one job checkpoint and persist it (temp file, fsync, rename).", nil)
 	jobCheckpointStep = obs.Default.GaugeVec("wpinq_job_checkpoint_step",
 		"Step count of a job's most recent checkpoint; the series is removed when the checkpoint is deleted.", "job")
 )

@@ -219,10 +219,20 @@ func (s *Service) Measure(id string, req MeasureRequest) (MeasureResult, error) 
 	}
 	cost := cfg.MeasureCost()
 
+	return s.measureLocked(d, req, cfg, cost, seed)
+}
+
+// measureLocked is Measure's critical section: pre-check, charge,
+// measure, persist, ledger, discard, all under the dataset's lock. The
+// unlock is deferred so that a panic below it (a workload's query
+// failing on some graph; net/http recovers the handler) leaves the
+// dataset usable. What such a panic does not undo is the charge: the
+// debit stands, as for any measurement that fails after it.
+func (s *Service) measureLocked(d *dataset, req MeasureRequest, cfg synth.Config, cost float64, seed int64) (MeasureResult, error) {
 	d.mu.Lock()
+	defer d.mu.Unlock()
 	snap := d.src.Snapshot()
 	if cost > snap.Remaining+1e-12 {
-		d.mu.Unlock()
 		return MeasureResult{}, &budget.InsufficientBudgetError{
 			Source:    snap.Name,
 			Requested: cost,
@@ -230,31 +240,29 @@ func (s *Service) Measure(id string, req MeasureRequest) (MeasureResult, error) 
 		}
 	}
 	if d.g == nil {
-		d.mu.Unlock()
-		return MeasureResult{}, fmt.Errorf("%w: dataset %s", ErrDiscarded, id)
+		return MeasureResult{}, fmt.Errorf("%w: dataset %s", ErrDiscarded, d.id)
 	}
 	// Like the empty workload list: synth.Measure's own check would fire
 	// after the debit.
 	if err := queries.CheckNodeRange(d.g); err != nil {
-		d.mu.Unlock()
 		return MeasureResult{}, err
 	}
 	if err := d.src.Charge(cost); err != nil {
-		d.mu.Unlock()
 		return MeasureResult{}, err
 	}
+	// From here on the in-memory ledger has moved: publish it whatever
+	// happens next, so the exported gauges never drift from it.
+	defer func() { recordLedger(d.id, d.src.Snapshot()) }()
 	m, err := synth.Measure(d.g, cfg, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		// The debit stands: failing open would risk re-running against a
 		// budget the failed attempt may already have touched.
-		d.mu.Unlock()
 		return MeasureResult{}, err
 	}
 	// Persist before discarding: a store failure (e.g. full disk) must
 	// not destroy the only copy of a release the budget already paid for.
 	info, err := s.store.Put(m)
 	if err != nil {
-		d.mu.Unlock()
 		return MeasureResult{}, err
 	}
 	ledger := d.src.Snapshot()
@@ -263,13 +271,12 @@ func (s *Service) Measure(id string, req MeasureRequest) (MeasureResult, error) 
 	// must reflect exactly the state this charge committed against.
 	stored, err := s.store.Bytes(info.ID)
 	if err != nil {
-		d.mu.Unlock()
 		return MeasureResult{}, err
 	}
 	workloads := append([]string(nil), cfg.Workloads...)
 	sort.Strings(workloads)
 	if _, err := s.store.AppendProvenance(ProvenanceRecord{
-		Dataset:       id,
+		Dataset:       d.id,
 		Op:            ProvenanceOpMeasure,
 		Measurement:   info.ID,
 		Workloads:     workloads,
@@ -282,21 +289,17 @@ func (s *Service) Measure(id string, req MeasureRequest) (MeasureResult, error) 
 	}); err != nil {
 		// The release is stored and the charge stands, but an unledgered
 		// release would fail every future audit — surface that now.
-		d.mu.Unlock()
 		return MeasureResult{}, fmt.Errorf("measurement %s stored but provenance append failed: %w", info.ID, err)
 	}
 	if !req.Keep {
 		d.g = nil // the paper's "discard the data" step
 	}
 	d.measurements = append(d.measurements, info.ID)
-	recordLedger(id, ledger)
-	res := MeasureResult{
+	return MeasureResult{
 		Measurement: info,
 		Cost:        cost,
 		Ledger:      ledger,
 		Discarded:   d.g == nil,
 		Seed:        seed,
-	}
-	d.mu.Unlock()
-	return res, nil
+	}, nil
 }

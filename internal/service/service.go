@@ -55,10 +55,6 @@ type Options struct {
 	// hardware: GOMAXPROCS divided by the CPUs each job's executor
 	// uses, and at least 1.
 	Workers int
-	// NoFuse disables multi-workload plan fusion by default for
-	// synthesis jobs (synth.Config.NoFuse semantics). Individual jobs
-	// may override it via JobRequest.Fuse.
-	NoFuse bool
 	// CheckpointEvery makes synthesis jobs durable by default: every
 	// that many steps a job persists a resumable checkpoint, and a
 	// daemon restart re-queues interrupted jobs from their last one.
@@ -124,7 +120,7 @@ func New(opts Options) (*Service, error) {
 			s.registry.nextID = n
 		}
 	}
-	s.jobs = NewJobManager(st, opts.Shards, opts.Chains, workerCount(opts), opts.NoFuse, opts.CheckpointEvery, opts.Logger)
+	s.jobs = NewJobManager(st, opts.Shards, opts.Chains, workerCount(opts), opts.CheckpointEvery, opts.Logger)
 	// Boot-time crash recovery: any job with a persisted checkpoint was
 	// interrupted (cleanly finished jobs retire theirs); re-queue each
 	// under its original ID so a killed daemon's work resumes instead of

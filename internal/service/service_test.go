@@ -3,8 +3,10 @@ package service
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +17,7 @@ import (
 	"wpinq/internal/obs"
 	"wpinq/internal/queries"
 	"wpinq/internal/synth"
+	"wpinq/internal/workload"
 )
 
 func testGraph(t *testing.T, n int) *graph.Graph {
@@ -398,5 +401,85 @@ func TestMeasureRefusesUnpackableIDsBeforeCharge(t *testing.T) {
 	}
 	if _, err := svc.Measure(ok.ID, req); err != nil {
 		t.Fatalf("measure of a normal graph after the refusals: %v", err)
+	}
+}
+
+// TestMeasurePanicLeavesDatasetUsable pins the deferred unlock in
+// Service.Measure: a workload whose description panics while the dataset
+// is locked — after the charge, as a failing query would — must not
+// wedge the dataset for the life of the daemon (net/http recovers the
+// handler, nothing recovers a held mutex). The debit stands, as for any
+// measurement that fails after it; what must not happen is a lock left
+// held, a budget gauge that no longer matches the ledger, or a torn or
+// phantom record in the persisted provenance chain.
+func TestMeasurePanicLeavesDatasetUsable(t *testing.T) {
+	const poisoned = 13
+	workload.MustRegister(workload.Define(workload.Workload{
+		Name:        "tbi-panics-at-13",
+		Description: "test only: TbI whose description panics at bucket 13",
+		Bucketed:    true,
+	}, workload.Builders[queries.Unit]{Expr: func(bucket int) queries.Expr[queries.Unit] {
+		if bucket == poisoned {
+			panic("description failed under the dataset lock")
+		}
+		return queries.TbI()
+	}}))
+
+	dir := t.TempDir()
+	svc := newTestService(t, Options{Dir: dir, Shards: -1})
+	ds, err := svc.Registry().Upload("panics", 3*tbiCost, bytes.NewReader(edgeListBytes(t, testGraph(t, 40))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One clean release first, so the chain on disk is not empty.
+	good := MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 5, Keep: true}
+	if _, err := svc.Measure(ds.ID, good); err != nil {
+		t.Fatal(err)
+	}
+	bad := MeasureRequest{Eps: 1, Workloads: []string{"tbi-panics-at-13"}, Bucket: poisoned, Seed: 6, Keep: true}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the poisoned workload did not panic inside Measure")
+			}
+		}()
+		svc.Measure(ds.ID, bad)
+	}()
+
+	type outcome struct {
+		info DatasetInfo
+		err  error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		if _, err := svc.Measure(ds.ID, good); err != nil {
+			done <- outcome{err: err}
+			return
+		}
+		info, err := svc.Registry().Info(ds.ID)
+		done <- outcome{info, err}
+	}()
+	var after outcome
+	select {
+	case after = <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Measure/Info on the dataset did not return after a panic under its lock: the dataset is wedged")
+	}
+	if after.err != nil {
+		t.Fatalf("measure after the panic: %v", after.err)
+	}
+	if want := 3 * tbiCost; math.Abs(after.info.Ledger.Spent-want) > 1e-9 {
+		t.Errorf("ledger spent %g, want %g: two releases and the panicked attempt's standing debit", after.info.Ledger.Spent, want)
+	}
+	if got := obs.Default.GaugeVec("wpinq_dataset_budget_spent", "", "dataset").With(ds.ID).Value(); got != after.info.Ledger.Spent {
+		t.Errorf("exported budget gauge %g drifted from the ledger's %g", got, after.info.Ledger.Spent)
+	}
+	inMemory := svc.Store().Provenance(ds.ID)
+	reread, err := NewStore(dir, nil)
+	if err != nil {
+		t.Fatalf("the persisted store no longer loads: %v", err)
+	}
+	if onDisk := reread.Provenance(ds.ID); len(inMemory) != 2 || !reflect.DeepEqual(onDisk, inMemory) {
+		t.Errorf("provenance chain on disk %+v != in memory %+v (want the two releases, nothing torn)", onDisk, inMemory)
 	}
 }

@@ -52,15 +52,16 @@ func TestChainConfigValidate(t *testing.T) {
 }
 
 // TestRunChunkedProgressEveryZeroTerminates pins the regression where a
-// caller reaching runChunked with OnProgress set but ProgressEvery <= 0
-// (bypassing Validate's default) spun forever on zero-step chunks.
+// fit with OnProgress set but ProgressEvery <= 0 (Validate's default
+// undone) spun forever on zero-step chunks: to the one driver a zero
+// cadence means no extra stops, and the report at the end still fires.
 func TestRunChunkedProgressEveryZeroTerminates(t *testing.T) {
 	m, seed := fixtureMeasurements(t, 60, []string{"tbi"}, 0)
 	cfg := Config{Eps: m.Eps, Workloads: []string{"tbi"}, Pow: 100, Steps: 64}
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// Undo the validated default to hit runChunked's own guard.
+	// Undo the validated default.
 	cfg.ProgressEvery = 0
 	calls := 0
 	cfg.OnProgress = func(p Progress) bool { calls++; return true }
@@ -117,8 +118,8 @@ func sameEdges(t *testing.T, label string, a, b []graph.Edge) {
 }
 
 // TestChainDeterminism is the acceptance table: (a) Chains=1 is
-// trace-identical to the pre-PR serial path (the default-config path,
-// chunked or not) and (b) fixed-seed multi-chain runs reproduce the
+// trace-identical to the default-config fit, chunked by OnProgress or
+// not, and (b) fixed-seed multi-chain runs reproduce the
 // same synthetic edge list with scores equal to 1e-9 relative, on both
 // executors. Run under -race this also exercises the chain goroutines.
 func TestChainDeterminism(t *testing.T) {
@@ -162,8 +163,7 @@ func TestChainDeterminism(t *testing.T) {
 			}
 			if tc.chains == 1 {
 				// (a) The explicit Chains=1 run must be trace-identical to
-				// the default config (the pre-PR serial path), chunked by
-				// OnProgress or not.
+				// the default config, chunked by OnProgress or not.
 				legacy := run(func(c *Config) { c.Chains = 0; c.SwapEvery = 0 })
 				sameEdges(t, "legacy", edgeListOf(r1.Synthetic), edgeListOf(legacy.Synthetic))
 				if r1.Stats != legacy.Stats {

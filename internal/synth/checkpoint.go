@@ -1,9 +1,9 @@
 package synth
 
-// The durable-run checkpoint format (`wpinq-checkpoint v1`): everything
-// a fresh process needs to continue a Phase 2 fit bit-identically from
-// a re-anchor boundary. See DESIGN.md "Durable jobs" for the recovery
-// contract and durable.go for the re-anchor discipline that makes the
+// The fit checkpoint format (`wpinq-checkpoint v2`): everything a fresh
+// process needs to continue a Phase 2 fit bit-identically from a
+// re-anchor boundary. See DESIGN.md "Durable jobs" for the recovery
+// contract and fit.go for the re-anchor discipline that makes the
 // captured state sufficient.
 //
 // What is serialized is deliberately small: the per-chain edge lists in
@@ -23,26 +23,28 @@ import (
 	"io"
 
 	"wpinq/internal/graph"
+	"wpinq/internal/workload"
 )
 
 // checkpointHeader is the first token of the format's header line.
 const checkpointHeader = "wpinq-checkpoint"
 
-// checkpointVersion is the current checkpoint format version.
-const checkpointVersion = 1
+// checkpointVersion is the current checkpoint format version. v1 had
+// the same fields, but its chains drew one salt per fit workload from
+// their rngs before the first proposal, so a v1 rng_pos counts draws this
+// driver never makes: v1 is refused, not resumed onto another trace.
+const checkpointVersion = 2
 
-// ErrCheckpointStale reports a checkpoint that does not belong to the
-// measurement and master seed it is being resumed against: the parent
-// content hash or a replayed construction draw disagrees. Resuming
-// would not reproduce the original trace, so the checkpoint is refused.
-var ErrCheckpointStale = errors.New("synth: checkpoint does not match the measurement and seed")
+// ErrCheckpointStale reports a checkpoint that cannot continue the run
+// that wrote it here: the parent content hash or a replayed seed draw
+// disagrees with the measurement and master seed it is being resumed
+// against, or an earlier driver wrote it. Resuming would not reproduce
+// the original trace, so the checkpoint is refused.
+var ErrCheckpointStale = errors.New("synth: checkpoint does not match the measurement, seed and fit driver")
 
 // ObservationKeys is one sink's observation history in a checkpoint:
 // the workload name and its records in first-observation order.
-type ObservationKeys struct {
-	Workload string            `json:"workload"`
-	Keys     []json.RawMessage `json:"keys"`
-}
+type ObservationKeys = workload.Observation
 
 // ChainCheckpoint is one chain's durable state at a re-anchor boundary.
 type ChainCheckpoint struct {
@@ -72,7 +74,7 @@ type ChainCheckpoint struct {
 	Observations []ObservationKeys `json:"observations"`
 }
 
-// Checkpoint is a complete `wpinq-checkpoint v1` document.
+// Checkpoint is a complete `wpinq-checkpoint v2` document.
 type Checkpoint struct {
 	Version int `json:"version"`
 	// ParentHash is the content hash (sha256, hex) of the serialized
@@ -89,8 +91,7 @@ type Checkpoint struct {
 	RecomputeEvery  int      `json:"recompute_every"`
 	// Shards is the resolved executor width (auto-resolution happens
 	// before the first step, so resume reuses the original's choice).
-	Shards int  `json:"shards"`
-	NoFuse bool `json:"no_fuse,omitempty"`
+	Shards int `json:"shards"`
 	// Ladder and Parity carry the replica-exchange schedule state.
 	Ladder []int `json:"ladder"`
 	Parity int   `json:"parity"`
@@ -121,7 +122,7 @@ func hashCheckpoint(ck *Checkpoint) (string, error) {
 }
 
 // Save writes the checkpoint to w in the versioned on-disk format: a
-// `wpinq-checkpoint v1` header line followed by one JSON document with
+// `wpinq-checkpoint v2` header line followed by one JSON document with
 // an embedded self-hash.
 func (ck *Checkpoint) Save(w io.Writer) error {
 	ck.Version = checkpointVersion
@@ -137,7 +138,8 @@ func (ck *Checkpoint) Save(w io.Writer) error {
 }
 
 // LoadCheckpoint reads a checkpoint written by Save, verifying the
-// header, the version, and the embedded self-hash.
+// header, the version, and the embedded self-hash. A checkpoint of an
+// earlier version fails with ErrCheckpointStale.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	br := bufio.NewReader(r)
 	line, err := br.ReadString('\n')
@@ -147,6 +149,9 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	var v int
 	if _, err := fmt.Sscanf(line, checkpointHeader+" v%d", &v); err != nil {
 		return nil, fmt.Errorf("synth: not a %s file: %q", checkpointHeader, line)
+	}
+	if v > 0 && v < checkpointVersion {
+		return nil, fmt.Errorf("%w: checkpoint version %d was written by an earlier fit driver (current: %d)", ErrCheckpointStale, v, checkpointVersion)
 	}
 	if v != checkpointVersion {
 		return nil, fmt.Errorf("synth: unsupported checkpoint version %d (supported: %d)", v, checkpointVersion)

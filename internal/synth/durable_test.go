@@ -19,7 +19,7 @@ import (
 // durableFixture measures a small clustered graph and returns the
 // serialized release: every run in these tests loads the same bytes,
 // exactly as service jobs load the same stored measurement.
-func durableFixture(t *testing.T) []byte {
+func durableFixture(t testing.TB) []byte {
 	t.Helper()
 	g := clusteredGraph(t, 60)
 	m, err := Measure(g, Config{Eps: 1.0, Workloads: []string{"tbi"}}, testRng(40))
@@ -279,6 +279,12 @@ func TestLoadCheckpointRejectsCorruption(t *testing.T) {
 	}
 	if _, err := LoadCheckpoint(bytes.NewReader([]byte("wpinq-checkpoint v999\n{}"))); err == nil {
 		t.Error("unsupported version accepted")
+	}
+	// A parent-format document: its rng positions count draws this driver
+	// never makes, so it is stale, not resumable onto a different trace.
+	v1 := bytes.Replace(good, []byte("wpinq-checkpoint v2\n"), []byte("wpinq-checkpoint v1\n"), 1)
+	if _, err := LoadCheckpoint(bytes.NewReader(v1)); bytes.Equal(v1, good) || !errors.Is(err, ErrCheckpointStale) {
+		t.Errorf("wpinq-checkpoint v1 document: got %v, want ErrCheckpointStale", err)
 	}
 	// Flip one digit inside the JSON document: the self-hash must catch it.
 	tampered := bytes.Replace(good, []byte(`"step":500`), []byte(`"step":501`), 1)

@@ -2,7 +2,7 @@ package synth
 
 import (
 	"bytes"
-	"flag"
+	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -11,28 +11,18 @@ import (
 	"testing"
 )
 
-// -update-golden regenerates testdata/measurements.v2.golden from the
-// checked-in v1 golden (the upgrade path is the generator, so the two
-// files always describe the same release).
-var updateGolden = flag.Bool("update-golden", false, "rewrite measurements.v2.golden from the v1 golden")
-
-// TestGoldenV1MeasurementsStayLoadable pins the v1 on-disk format: the
-// checked-in golden file (saved by format v1 with every measurement
-// kind populated) must keep loading, with its fixed tbi/tbd/jdd fields
-// landing in the registry-backed fit map. The measurement store depends
-// on old releases staying loadable.
-func TestGoldenV1MeasurementsStayLoadable(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "measurements.v1.golden"))
+// TestGoldenV2MeasurementsRoundTrip pins the current format: the v2
+// golden (a release with every measurement kind populated) must load
+// with its bookkeeping intact and save back to byte-identical output
+// (Save stays canonical).
+func TestGoldenV2MeasurementsRoundTrip(t *testing.T) {
+	v2, err := os.ReadFile(filepath.Join("testdata", "measurements.v2.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(data), "wpinq-measurements v1\n") {
-		t.Fatalf("golden file lost its format-version header: %q", data[:32])
-	}
-
-	m, err := LoadMeasurements(bytes.NewReader(data), rand.New(rand.NewSource(1)))
+	m, err := LoadMeasurements(bytes.NewReader(v2), rand.New(rand.NewSource(2)))
 	if err != nil {
-		t.Fatalf("golden v1 release no longer loads: %v", err)
+		t.Fatalf("golden v2 release no longer loads: %v", err)
 	}
 	if m.Eps != 1 || m.TotalCost != 20 {
 		t.Errorf("golden bookkeeping: eps=%g cost=%g", m.Eps, m.TotalCost)
@@ -46,57 +36,6 @@ func TestGoldenV1MeasurementsStayLoadable(t *testing.T) {
 	if m.DegSeq == nil || m.CCDF == nil || m.NodeCount == nil {
 		t.Error("golden release lost a seed measurement")
 	}
-}
-
-// TestGoldenV1UpgradesToV2 pins the upgrade path: saving the loaded v1
-// release must produce exactly the checked-in v2 golden (Save writes
-// the current format and is canonical, so the upgrade is deterministic).
-func TestGoldenV1UpgradesToV2(t *testing.T) {
-	v1, err := os.ReadFile(filepath.Join("testdata", "measurements.v1.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadMeasurements(bytes.NewReader(v1), rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := m.Save(&out); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(out.String(), "wpinq-measurements v2\n") {
-		t.Fatalf("upgraded save lost the v2 header: %q", out.String()[:32])
-	}
-	v2path := filepath.Join("testdata", "measurements.v2.golden")
-	if *updateGolden {
-		if err := os.WriteFile(v2path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("rewrote %s (%d bytes)", v2path, out.Len())
-		return
-	}
-	v2, err := os.ReadFile(v2path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), v2) {
-		t.Error("save(load(v1 golden)) != v2 golden: the v1→v2 upgrade changed shape " +
-			"(regenerate with -update-golden if intentional)")
-	}
-}
-
-// TestGoldenV2MeasurementsRoundTrip pins the current format: the v2
-// golden must load, carry the same released values as the v1 golden,
-// and save back to byte-identical output (Save stays canonical).
-func TestGoldenV2MeasurementsRoundTrip(t *testing.T) {
-	v2, err := os.ReadFile(filepath.Join("testdata", "measurements.v2.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := LoadMeasurements(bytes.NewReader(v2), rand.New(rand.NewSource(2)))
-	if err != nil {
-		t.Fatalf("golden v2 release no longer loads: %v", err)
-	}
 
 	var out bytes.Buffer
 	if err := m.Save(&out); err != nil {
@@ -105,43 +44,34 @@ func TestGoldenV2MeasurementsRoundTrip(t *testing.T) {
 	if !bytes.Equal(out.Bytes(), v2) {
 		t.Error("save(load(v2 golden)) != v2 golden: Save is no longer canonical")
 	}
-
-	// Same released values as the v1 golden describes.
-	v1, err := os.ReadFile(filepath.Join("testdata", "measurements.v1.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mv1, err := LoadMeasurements(bytes.NewReader(v1), rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m.DegSeq.Materialized(), mv1.DegSeq.Materialized()) {
-		t.Error("degree sequence differs between v1 and v2 goldens")
-	}
-	for _, name := range mv1.FitNames() {
-		if got, want := fitEntries(t, m, name), fitEntries(t, mv1, name); !reflect.DeepEqual(got, want) {
-			t.Errorf("%s values differ between v1 and v2 goldens", name)
-		}
-	}
 }
 
-// TestLegacyBareJSONStaysLoadable covers releases written before the
-// format-version header existed: a bare JSON body must still load.
-func TestLegacyBareJSONStaysLoadable(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "measurements.v1.golden"))
+// TestLoadRefusesPreV2Formats pins the retirement of the pre-registry
+// layouts: a v1 header (fixed tbi/tbd/jdd fields) and a bare JSON body
+// with no header line — nothing has written either since the workload
+// registry — fail with ErrMeasurementFormat instead of loading.
+func TestLoadRefusesPreV2Formats(t *testing.T) {
+	const v1Body = `{"version":1,"eps":1,"totalCost":20,"degSeq":[{"i":0,"c":3.5}],"ccdf":[{"i":0,"c":4.5}],` +
+		`"nodeCount":2.5,"tbdBucket":5,"tbi":12.25,"tbd":[{"t":[1,1,2],"c":0.5}],"jdd":[{"da":1,"db":2,"c":0.75}]}` + "\n"
+	v2, err := os.ReadFile(filepath.Join("testdata", "measurements.v2.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, body, ok := bytes.Cut(data, []byte("\n"))
+	_, v2Body, ok := bytes.Cut(v2, []byte("\n"))
 	if !ok {
 		t.Fatal("golden file has no header line")
 	}
-	m, err := LoadMeasurements(bytes.NewReader(body), rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatalf("legacy bare-JSON release no longer loads: %v", err)
+	cases := map[string]string{
+		"v1 header":                  "wpinq-measurements v1\n" + v1Body,
+		"v1 header over a v2 body":   "wpinq-measurements v1\n" + string(v2Body),
+		"bare v1 JSON, no header":    v1Body,
+		"bare v2 JSON, no header":    string(v2Body),
+		"bare JSON after whitespace": "  " + v1Body,
 	}
-	if _, okFit := m.Fits["tbi"]; m.Eps != 1 || !okFit {
-		t.Errorf("legacy load dropped fields: eps=%g fits=%v", m.Eps, m.FitNames())
+	for name, in := range cases {
+		if _, err := LoadMeasurements(strings.NewReader(in), rand.New(rand.NewSource(1))); !errors.Is(err, ErrMeasurementFormat) {
+			t.Errorf("%s: got %v, want ErrMeasurementFormat", name, err)
+		}
 	}
 }
 

@@ -1,0 +1,94 @@
+package synth
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestOneFitDriver pins the single Phase 2 driver mechanically: outside
+// bench/ (which times the sampler's layers on purpose) the module's
+// non-test code calls mcmc.RunDurable exactly once — fit.run — and,
+// outside internal/mcmc, never drives a Runner with Run itself. A second
+// way to run a fit, with its own rng spelling and progress assembly,
+// cannot come back unnoticed.
+func TestOneFitDriver(t *testing.T) {
+	const root = "../.."
+	const mcmcPath = "wpinq/internal/mcmc"
+	var drivers []string
+	checked := 0
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, path)
+		if d.IsDir() {
+			switch {
+			case rel == "bench", rel == filepath.Join("internal", "mcmc"), d.Name() == "testdata",
+				rel != "." && strings.HasPrefix(d.Name(), "."):
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		checked++
+		// The name this file knows the sampler package by, and every other
+		// import's name: X.Run with X a package is not a method call.
+		mcmcName, pkgs := "", map[string]bool{}
+		for _, imp := range f.Imports {
+			p, _ := strconv.Unquote(imp.Path.Value)
+			name := p[strings.LastIndex(p, "/")+1:]
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			pkgs[name] = true
+			if p == mcmcPath {
+				mcmcName = name
+			}
+		}
+		if mcmcName == "" {
+			return nil // cannot name a Runner
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			sel, ok := call.Fun.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			x, isIdent := sel.X.(*ast.Ident)
+			switch {
+			case isIdent && x.Name == mcmcName && sel.Sel.Name == "RunDurable":
+				drivers = append(drivers, fset.Position(call.Pos()).String())
+			case sel.Sel.Name == "Run" && len(call.Args) == 1 && !(isIdent && pkgs[x.Name]):
+				t.Errorf("%s: a Runner is driven with Run outside internal/mcmc: a fit goes through synth's one driver",
+					fset.Position(call.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if checked < 40 {
+		t.Fatalf("only %d files inspected: the walk no longer finds the module", checked)
+	}
+	if len(drivers) != 1 || !strings.HasSuffix(filepath.ToSlash(strings.SplitN(drivers[0], ":", 2)[0]), "internal/synth/fit.go") {
+		t.Errorf("mcmc.RunDurable is called from %v, want exactly one call, in internal/synth/fit.go", drivers)
+	}
+}

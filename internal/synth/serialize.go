@@ -3,6 +3,7 @@ package synth
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -26,13 +27,16 @@ import (
 // Save output is canonical (workloads sorted by name, entries sorted by
 // key bytes): identical measurements serialize to identical bytes, which
 // is what lets the service's measurement store address releases by
-// content hash. Format v1 (fixed tbi/tbd/jdd fields) and the pre-header
-// legacy bare-JSON layout still load; saving a v1 release upgrades it
-// to v2.
+// content hash. LoadMeasurements reads exactly what Save writes: the
+// pre-registry layouts (v1's fixed tbi/tbd/jdd fields, and the bare JSON
+// body that preceded the header) are refused with ErrMeasurementFormat.
 
-// measurementsJSON is the on-disk layout, covering both versions: v2
-// populates Fits; v1 populated the fixed TbI/TbD/JDD fields, which are
-// retained for the load path only.
+// ErrMeasurementFormat reports a measurements file in a layout this
+// package no longer reads (a `wpinq-measurements v1` header, or a JSON
+// body with no header line): nothing writes them, so nothing loads them.
+var ErrMeasurementFormat = errors.New("synth: measurements are in a retired pre-v2 format")
+
+// measurementsJSON is the on-disk layout.
 type measurementsJSON struct {
 	Version   int        `json:"version"`
 	Eps       float64    `json:"eps"`
@@ -40,13 +44,8 @@ type measurementsJSON struct {
 	DegSeq    []intCount `json:"degSeq"`
 	CCDF      []intCount `json:"ccdf"`
 	NodeCount float64    `json:"nodeCount"`
-	// Fits is the v2 fit-measurement list, sorted by workload name.
+	// Fits is the fit-measurement list, sorted by workload name.
 	Fits []fitJSON `json:"fits,omitempty"`
-	// Legacy v1 fields (load path only).
-	TbDBucket int              `json:"tbdBucket,omitempty"`
-	TbI       *float64         `json:"tbi,omitempty"`
-	TbD       []degTripleCount `json:"tbd,omitempty"`
-	JDD       []degPairCount   `json:"jdd,omitempty"`
 }
 
 // fitJSON is one workload's released histogram: the registry name, the
@@ -58,20 +57,9 @@ type fitJSON struct {
 	Entries []workload.Entry `json:"entries"`
 }
 
-type degPairCount struct {
-	DA    int     `json:"da"`
-	DB    int     `json:"db"`
-	Count float64 `json:"c"`
-}
-
 type intCount struct {
 	Index int     `json:"i"`
 	Count float64 `json:"c"`
-}
-
-type degTripleCount struct {
-	Triple [3]int  `json:"t"`
-	Count  float64 `json:"c"`
 }
 
 const serializationVersion = 2
@@ -84,7 +72,7 @@ const serializationVersion = 2
 const formatHeader = "wpinq-measurements"
 
 // Save writes the released measurements as a one-line format-version
-// header followed by JSON (format v2, whatever format they loaded from).
+// header followed by JSON.
 func (m *Measurements) Save(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "%s v%d\n", formatHeader, serializationVersion); err != nil {
 		return err
@@ -124,37 +112,32 @@ func (m *Measurements) Save(w io.Writer) error {
 // LoadMeasurements reads measurements saved by Save. The supplied rng
 // continues to serve fresh memoized noise for records never requested
 // before the save (NoisyCount's lazy dictionary survives serialization).
-//
-// The current headered v2 format, the v1 format (fixed tbi/tbd/jdd
-// fields), and the pre-header legacy bare-JSON layout (which begins
-// with '{') are all accepted, so releases stored before the workload
-// registry existed stay loadable.
 func LoadMeasurements(r io.Reader, rng *rand.Rand) (*Measurements, error) {
 	br := bufio.NewReader(r)
-	first, err := br.Peek(1)
-	if err != nil {
-		return nil, fmt.Errorf("synth: reading measurements: %w", err)
+	line, err := br.ReadString('\n')
+	if err != nil && line == "" {
+		return nil, fmt.Errorf("synth: reading measurements header: %w", err)
 	}
-	if first[0] != '{' {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return nil, fmt.Errorf("synth: reading measurements header: %w", err)
-		}
-		var v int
-		if _, err := fmt.Sscanf(strings.TrimSpace(line), formatHeader+" v%d", &v); err != nil {
-			return nil, fmt.Errorf("synth: not a measurements file (header %q)", strings.TrimSpace(line))
-		}
-		if v < 1 || v > serializationVersion {
-			return nil, fmt.Errorf("synth: unsupported measurements format version %d", v)
-		}
+	line = strings.TrimSpace(line)
+	if strings.HasPrefix(line, "{") {
+		return nil, fmt.Errorf("%w: no %q header line", ErrMeasurementFormat, formatHeader)
+	}
+	var v int
+	if _, err := fmt.Sscanf(line, formatHeader+" v%d", &v); err != nil {
+		return nil, fmt.Errorf("synth: not a measurements file (header %q)", line)
+	}
+	if v > 0 && v < serializationVersion {
+		return nil, fmt.Errorf("%w: header says v%d", ErrMeasurementFormat, v)
+	}
+	if v != serializationVersion {
+		return nil, fmt.Errorf("synth: unsupported measurements format version %d", v)
 	}
 	var in measurementsJSON
-	dec := json.NewDecoder(br)
-	if err := dec.Decode(&in); err != nil {
+	if err := json.NewDecoder(br).Decode(&in); err != nil {
 		return nil, fmt.Errorf("synth: decoding measurements: %w", err)
 	}
-	if in.Version < 1 || in.Version > serializationVersion {
-		return nil, fmt.Errorf("synth: unsupported measurements version %d", in.Version)
+	if in.Version != serializationVersion {
+		return nil, fmt.Errorf("synth: measurements header says v%d but document says v%d", v, in.Version)
 	}
 	if in.Eps <= 0 {
 		return nil, fmt.Errorf("synth: invalid eps %v in measurements", in.Eps)
@@ -193,64 +176,5 @@ func LoadMeasurements(r io.Reader, rng *rand.Rand) (*Measurements, error) {
 		}
 		m.Fits[f.Name] = fit
 	}
-	if err := loadLegacyFits(m, in, rng); err != nil {
-		return nil, err
-	}
 	return m, nil
-}
-
-// loadLegacyFits upgrades the v1 fixed fields (tbi/tbd/jdd) into
-// registry workloads, so pre-registry releases keep loading and re-save
-// as v2.
-func loadLegacyFits(m *Measurements, in measurementsJSON, rng *rand.Rand) error {
-	load := func(name string, bucket int, entries []workload.Entry) error {
-		w, err := workload.Get(name)
-		if err != nil {
-			return fmt.Errorf("synth: legacy measurement needs %w", err)
-		}
-		fit, err := w.Load(entries, bucket, in.Eps, rng)
-		if err != nil {
-			return fmt.Errorf("synth: %w", err)
-		}
-		m.Fits[name] = fit
-		return nil
-	}
-	if in.TbI != nil {
-		if err := load("tbi", 0, unitEntries(*in.TbI)); err != nil {
-			return err
-		}
-	}
-	if in.TbD != nil {
-		entries := make([]workload.Entry, 0, len(in.TbD))
-		for _, p := range in.TbD {
-			key, err := json.Marshal(queries.DegTriple(p.Triple))
-			if err != nil {
-				return err
-			}
-			entries = append(entries, workload.Entry{Key: key, Count: p.Count})
-		}
-		if err := load("tbd", in.TbDBucket, entries); err != nil {
-			return err
-		}
-	}
-	if in.JDD != nil {
-		entries := make([]workload.Entry, 0, len(in.JDD))
-		for _, p := range in.JDD {
-			key, err := json.Marshal(queries.DegPair{DA: p.DA, DB: p.DB})
-			if err != nil {
-				return err
-			}
-			entries = append(entries, workload.Entry{Key: key, Count: p.Count})
-		}
-		if err := load("jdd", 0, entries); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// unitEntries builds the one-record entry list of a Unit-typed release.
-func unitEntries(count float64) []workload.Entry {
-	key, _ := json.Marshal(queries.Unit{})
-	return []workload.Entry{{Key: key, Count: count}}
 }

@@ -100,19 +100,18 @@ func TestLoadedMeasurementsSynthesize(t *testing.T) {
 }
 
 func TestLoadMeasurementsRejectsBadInput(t *testing.T) {
-	if _, err := LoadMeasurements(strings.NewReader("{"), testRng(1)); err == nil {
-		t.Error("truncated JSON accepted")
+	const header = "wpinq-measurements v2\n"
+	cases := map[string]string{
+		"truncated JSON":       `{`,
+		"version disagreement": `{"version":99,"eps":0.1}`,
+		"invalid eps":          `{"version":2,"eps":0}`,
+		"unregistered workload": `{"version":2,"eps":0.1,"nodeCount":1,` +
+			`"fits":[{"name":"no-such-workload","entries":[]}]}`,
 	}
-	if _, err := LoadMeasurements(strings.NewReader(`{"version":99,"eps":0.1}`), testRng(1)); err == nil {
-		t.Error("unknown version accepted")
-	}
-	if _, err := LoadMeasurements(strings.NewReader(`{"version":1,"eps":0}`), testRng(1)); err == nil {
-		t.Error("invalid eps accepted")
-	}
-	if _, err := LoadMeasurements(strings.NewReader(
-		`{"version":2,"eps":0.1,"nodeCount":1,"fits":[{"name":"no-such-workload","entries":[]}]}`,
-	), testRng(1)); err == nil {
-		t.Error("unregistered workload accepted")
+	for name, body := range cases {
+		if _, err := LoadMeasurements(strings.NewReader(header+body), testRng(1)); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 

@@ -72,30 +72,27 @@ type Config struct {
 	SampleEvery int
 	// OnSample observes the evolving synthetic graph (optional).
 	OnSample func(step int, g *graph.Graph)
-	// OnProgress, when set, observes Phase 2 progress every ProgressEvery
-	// steps and once after the final step. Returning false cancels the
-	// run: Synthesize stops after the current chunk and returns the
-	// partial synthetic graph with Result.Cancelled set. Long-running
-	// fits become observable and stoppable (e.g. by an async job
-	// manager) without touching the MCMC trace: chunking the run does
-	// not change the sequence of proposals. Multi-chain runs (Chains >
-	// 1) report after every swap round instead — SwapEvery sets the
-	// cadence — with per-chain detail in Progress.Chains, and
-	// cancellation stops every chain at its current round barrier.
+	// OnProgress, when set, observes Phase 2 progress at every stop of
+	// the fit — each multiple of ProgressEvery, of SwapEvery (Chains > 1)
+	// and of CheckpointEvery — and once after the final step, with
+	// per-chain detail in Progress.Chains for multi-chain runs. Returning
+	// false cancels the run: every chain stops at the barrier it has
+	// reached and Synthesize returns the partial synthetic graph with
+	// Result.Cancelled set. Long-running fits become observable and
+	// stoppable (e.g. by an async job manager) without touching the MCMC
+	// trace: stopping a run does not change the sequence of proposals.
 	OnProgress func(Progress) bool
 	// ProgressEvery is the OnProgress callback cadence in steps
-	// (default 1024; only consulted when OnProgress is set and
-	// Chains <= 1).
+	// (default 1024; only consulted when OnProgress is set).
 	ProgressEvery int
 	// Chains is the number of replica-exchange (parallel tempering)
-	// MCMC chains run concurrently in Phase 2. The default (0 or 1) is
-	// today's single chain, whose proposal trace is untouched. With K >
-	// 1 chains, each chain gets its own fit pipelines, graph state, and
-	// a deterministic rng derived from the master rng, and walks at its
-	// own pow from PowLadder; Metropolis swap proposals between
+	// MCMC chains run concurrently in Phase 2 (default 1). Each chain
+	// gets its own fit pipelines, graph state, and a deterministic rng
+	// seeded from the master rng, and walks at its own pow from
+	// PowLadder; with K > 1, Metropolis swap proposals between
 	// temperature-adjacent chains every SwapEvery steps let hot chains
-	// explore while cold chains refine (see internal/mcmc.RunReplicas
-	// and DESIGN.md "Replica exchange").
+	// explore while cold chains refine (see mcmc.RunDurable and
+	// DESIGN.md "Replica exchange").
 	Chains int
 	// SwapEvery is the step interval between replica swap rounds
 	// (default 1024; only consulted when Chains > 1).
@@ -123,11 +120,10 @@ type Config struct {
 	// the fit re-anchors (rebuilds its pipelines from the live edge
 	// list; see DESIGN.md "Durable jobs") and emits a Checkpoint to
 	// OnCheckpoint, from which SynthesizeResume can continue the run
-	// bit-identically in a fresh process. Durable runs draw from counted
-	// rngs and re-accumulate float state at each boundary, so their
-	// proposal trace differs from a CheckpointEvery=0 run of the same
-	// seed; 0 (the default) leaves the classic trace untouched.
-	// Incompatible with PowSchedule.
+	// bit-identically in a fresh process. Re-anchoring re-accumulates
+	// float state at each boundary, so the proposal trace differs from a
+	// CheckpointEvery=0 run of the same seed; it does not depend on
+	// whether OnCheckpoint is set. Incompatible with PowSchedule.
 	CheckpointEvery int
 	// OnCheckpoint receives each checkpoint of a durable run, with all
 	// chains parked. Returning false cancels the run at this boundary
@@ -138,13 +134,6 @@ type Config struct {
 	// measurement this fit runs against, so a checkpoint cannot be
 	// resumed against a different measurement.
 	ParentHash string
-	// NoFuse disables multi-workload plan fusion: each workload gets its
-	// own private pipeline, as in pre-fusion releases. The default
-	// (false) fuses shared operator prefixes across the configured
-	// workloads into one DAG (DESIGN.md "Plan fusion"), so per-proposal
-	// propagation cost scales with the merged DAG rather than the
-	// workload count.
-	NoFuse bool
 }
 
 // Validate fills defaults and rejects inconsistent configurations.
@@ -170,9 +159,6 @@ func (c *Config) Validate() error {
 	if c.Shards == -1 {
 		c.Shards = 1
 	}
-	// A non-positive cadence would make runChunked's chunk size 0 and
-	// the progress loop spin forever; default it here and guard again in
-	// runChunked for callers that bypass Validate.
 	if c.ProgressEvery <= 0 {
 		c.ProgressEvery = 1024
 	}
@@ -205,12 +191,6 @@ func (c *Config) Validate() error {
 			if p <= 0 {
 				return errors.New("synth: PowLadder entries must be positive")
 			}
-		}
-		// A one-rung ladder is a pow override: the single-chain path never
-		// consults PowLadder, so fold it into Pow rather than silently
-		// ignoring an explicitly requested temperature.
-		if c.Chains == 1 {
-			c.Pow = c.PowLadder[0]
 		}
 	}
 	return nil
@@ -478,18 +458,20 @@ type Result struct {
 	Cancelled bool
 }
 
-// Synthesize implements Phase 2: build a fit plan at cfg.Shards, attach each requested workload's pipeline and
-// scoring sink (cfg.Workloads; empty fits everything measured), seed
-// the MCMC state, and run the fit. Each workload fits at the bucket
-// width its measurement was released with — a pipeline bucketed
-// differently would miss the measured domain and fit fresh noise. The
-// seed graph is not modified; the synthetic result is independent.
+// Synthesize implements Phase 2: for each of cfg.Chains chains build a
+// fit plan at cfg.Shards, attach each requested workload's pipeline and
+// scoring sink (cfg.Workloads; empty fits everything measured), load the
+// seed graph, and run the fit (fit.go); the best-scoring chain's graph
+// is returned, with per-chain detail in Result.Chains when there are
+// several. Each workload fits at the bucket width its measurement was
+// released with — a pipeline bucketed differently would miss the
+// measured domain and fit fresh noise. The seed graph is not modified;
+// the synthetic result is independent.
 //
-// With cfg.Chains > 1, Phase 2 becomes a replica-exchange run: every
-// chain gets its own pipelines and graph state, and the best-scoring
-// chain's graph is returned (per-chain detail in Result.Chains). The
-// default single chain reproduces the exact proposal trace of previous
-// releases for a fixed seed.
+// The chains score against m's own histograms, so a fit memoizes in m
+// the noise of every never-released record a proposal touched: the
+// residuals it reports reconcile with m afterwards, and two fits that
+// must agree bit for bit each load their own copy of the measurement.
 func Synthesize(m *Measurements, seed *graph.Graph, cfg Config, rng *rand.Rand) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -504,50 +486,18 @@ func Synthesize(m *Measurements, seed *graph.Graph, cfg Config, rng *rand.Rand) 
 	if len(names) == 0 {
 		return nil, errors.New("synth: measurements contain no fit workloads")
 	}
-	if cfg.CheckpointEvery > 0 {
-		return synthesizeDurable(m, seed, cfg, names, rng)
-	}
-	if cfg.Chains > 1 {
-		return synthesizeReplicas(m, seed, cfg, names, rng)
-	}
-	plan := workload.NewPlanFused(cfg.Shards, !cfg.NoFuse)
-	for _, name := range names {
-		fit, ok := m.Fits[name]
-		if !ok {
-			return nil, fmt.Errorf("synth: %s fitting requested but not measured", name)
-		}
-		if err := fit.Attach(plan, m.Eps); err != nil {
-			return nil, fmt.Errorf("synth: %w", err)
-		}
-	}
-	scorer := plan.Scorer()
-	state := mcmc.NewGraphState(seed, plan.Input())
-	runner, err := mcmc.NewRunner(state, scorer, mcmc.Config{
-		Pow:            cfg.Pow,
-		PowSchedule:    cfg.PowSchedule,
-		RecomputeEvery: cfg.RecomputeEvery,
-		OnStep:         sampledOnStep(cfg, state, true),
-	}, rng)
+	f, err := newFit(m, seed, cfg, names, nil, rng)
 	if err != nil {
 		return nil, err
 	}
-	stats, cancelled := runChunked(runner, cfg)
-	return &Result{
-		Seed:      seed,
-		Synthetic: state.Graph(),
-		Stats:     stats,
-		TotalCost: m.TotalCost,
-		Residuals: scorer.Residuals(residualTopK),
-		Cancelled: cancelled,
-	}, nil
+	return f.run(nil)
 }
 
 // sampledOnStep wraps cfg.OnStep with the SampleEvery/OnSample trigger
-// against state's live graph, preserving the exact wrapper behavior of
-// the single-chain path. initial emits the step-0 sample immediately;
-// re-anchored and resumed states pass false so the sample stream is not
-// re-seeded mid-run. With no sampling configured it returns cfg.OnStep
-// unchanged.
+// against state's live graph. initial emits the step-0 sample
+// immediately; re-anchored and resumed states pass false so the sample
+// stream is not re-seeded mid-run. With no sampling configured it
+// returns cfg.OnStep unchanged.
 func sampledOnStep(cfg Config, state *mcmc.GraphState, initial bool) func(step int, accepted bool, score float64) {
 	onStep := cfg.OnStep
 	if cfg.SampleEvery > 0 && cfg.OnSample != nil {
@@ -567,48 +517,6 @@ func sampledOnStep(cfg Config, state *mcmc.GraphState, initial bool) func(step i
 		}
 	}
 	return onStep
-}
-
-// runChunked drives the runner in ProgressEvery-step chunks so OnProgress
-// can observe and cancel the fit. The runner keeps its step counter and
-// score across Run calls, so the proposal trace is identical to one
-// uninterrupted Run(cfg.Steps).
-func runChunked(runner *mcmc.Runner, cfg Config) (mcmc.Stats, bool) {
-	if cfg.OnProgress == nil {
-		return runner.Run(cfg.Steps), false
-	}
-	// Seed FinalScore with the runner's current score so a zero-step run
-	// reports the actual fit score, exactly like the no-callback path
-	// through Runner.Run(0).
-	stats := mcmc.Stats{FinalScore: runner.Score()}
-	for done := 0; done < cfg.Steps; {
-		n := cfg.ProgressEvery
-		if n <= 0 {
-			// Validate defaults ProgressEvery, but guard the direct-call
-			// path too: a zero chunk would never advance done.
-			n = cfg.Steps - done
-		}
-		if rest := cfg.Steps - done; n > rest {
-			n = rest
-		}
-		s := runner.Run(n)
-		stats.Steps += s.Steps
-		stats.Accepted += s.Accepted
-		stats.Rejected += s.Rejected
-		stats.Invalid += s.Invalid
-		stats.FinalScore = s.FinalScore
-		done += n
-		if !cfg.OnProgress(Progress{
-			Step:      done,
-			Steps:     cfg.Steps,
-			Accepted:  stats.Accepted,
-			Score:     s.FinalScore,
-			Residuals: runner.Scorer().Residuals(residualTopK),
-		}) {
-			return stats, true
-		}
-	}
-	return stats, false
 }
 
 // Run executes the complete workflow: Measure -> SeedGraph -> Synthesize.

@@ -11,7 +11,7 @@ import (
 
 func testRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func clusteredGraph(t *testing.T, n int) *graph.Graph {
+func clusteredGraph(t testing.TB, n int) *graph.Graph {
 	t.Helper()
 	g, err := graph.HolmeKim(n, 4, 0.8, testRng(1000))
 	if err != nil {

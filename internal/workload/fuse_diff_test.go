@@ -82,10 +82,10 @@ func measureFits(t testing.TB, g *graph.Graph, names []string, bucket int, eps f
 }
 
 // fusePlan builds one plan (fused or not) on a layout, attaches every
-// fit (reseeded deterministically, so both plans of a differential pair
-// hold bit-identical released histograms and draw bit-identical lazy
-// noise) plus a collector per workload, and returns the plan, the
-// attached fits, and the collectors in workload order.
+// fit (its own copy, loaded under a fixed seed, so both plans of a
+// differential pair hold bit-identical released histograms and draw
+// bit-identical lazy noise) plus a collector per workload, and returns
+// the plan, the attached fits, and the collectors in workload order.
 func fusePlan(t testing.TB, fits []workload.Measured, shards, cutoff int, fuse bool, eps float64, noiseSeed int64) (*workload.Plan, []workload.Measured, []workload.Collected) {
 	t.Helper()
 	p := workload.NewPlanFused(shards, fuse)
@@ -94,7 +94,11 @@ func fusePlan(t testing.TB, fits []workload.Measured, shards, cutoff int, fuse b
 	attached := make([]workload.Measured, 0, len(fits))
 	cols := make([]workload.Collected, 0, len(fits))
 	for _, fit := range fits {
-		fit, err := fit.Reseed(eps, rng)
+		entries, err := fit.Entries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fit, err := fit.Workload.Load(entries, fit.Bucket, eps, rng)
 		if err != nil {
 			t.Fatal(err)
 		}

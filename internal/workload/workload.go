@@ -121,20 +121,6 @@ func (m Measured) AttachWithDomain(p *Plan, eps float64, keys []json.RawMessage)
 	return m.Workload.impl.attach(p, m.Workload.Name, m.Hist, m.Bucket, eps, keys)
 }
 
-// Reseed returns a copy of the measurement whose histogram draws lazy
-// noise for never-materialized records from rng instead of sharing (and
-// consuming) the original's noise stream. Materialized released records
-// are copied exactly. Replica-exchange synthesis gives each concurrent
-// chain its own reseeded copy, so chains neither race on the shared
-// noise memoization nor perturb one another's draws.
-func (m Measured) Reseed(eps float64, rng *rand.Rand) (Measured, error) {
-	entries, err := m.Hist.Entries()
-	if err != nil {
-		return Measured{}, fmt.Errorf("workload %s: %w", m.Workload.Name, err)
-	}
-	return m.Workload.Load(entries, m.Bucket, eps, rng)
-}
-
 // Collected is a type-erased collector over one workload's pipeline,
 // used by equivalence tests and diagnostics.
 type Collected interface {
@@ -233,10 +219,10 @@ func (w Workload) Exact(g *graph.Graph, bucket int) (map[string]float64, error) 
 //
 // Every plan carries a plan.Memo: pipelines request their fragments
 // through it, so attaching several workloads to one fusing plan builds a
-// single DAG that shares operator prefixes (NewPlan default). A
-// non-fusing plan (NewPlanFused with fuse false) builds every workload
-// its private pipeline — the pre-fusion behavior, kept as the
-// differential baseline.
+// single DAG that shares operator prefixes (NewPlan). A non-fusing plan
+// (NewPlanFused with fuse false) builds every workload its private
+// pipeline: the oracle the fusion tests and benchmarks difference
+// against, which nothing else selects.
 type Plan struct {
 	eng    *engine.Engine
 	root   *engine.Input[graph.Edge] // every pipeline builds over it
@@ -250,7 +236,7 @@ type Plan struct {
 func NewPlan(shards int) *Plan { return NewPlanFused(shards, true) }
 
 // NewPlanFused is NewPlan with explicit control over prefix fusion:
-// fuse false builds per-workload pipelines (the -fuse=false baseline).
+// fuse false builds per-workload pipelines, for the differential tests.
 func NewPlanFused(shards int, fuse bool) *Plan {
 	if shards < 0 {
 		shards = 1 // engine.New would read it as "one per CPU"

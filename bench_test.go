@@ -242,8 +242,8 @@ func BenchmarkAblationBucketWidth(b *testing.B) {
 }
 
 // BenchmarkAblationLazyNoise compares Histogram reads of materialized
-// records against first-touch reads that must draw and memoize noise
-// (Section 2.2's dictionary).
+// records against reads of never-released ones, whose noise is derived
+// from the record on every access (Section 2.2's dictionary, unstored).
 func BenchmarkAblationLazyNoise(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	data := weighted.New[int]()
@@ -262,7 +262,7 @@ func BenchmarkAblationLazyNoise(b *testing.B) {
 	})
 	b.Run("firstTouch", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			hist.Get(1000 + i) // never seen: draws and memoizes
+			hist.Get(1000 + i) // never released: hashes the record, takes the quantile
 		}
 	})
 }

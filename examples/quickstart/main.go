@@ -5,7 +5,7 @@
 //	B = {("1", 3.0),  ("4", 2.0)}
 //
 // It walks through transformations, a differentially private release with
-// NoisyCount, the memoized noise for never-seen records, and the privacy
+// NoisyCount, the derived noise for never-seen records, and the privacy
 // budget running out.
 package main
 
@@ -63,8 +63,10 @@ func main() {
 	fmt.Printf("  odd  ~ 1.75 + Laplace(1/0.3) = %.3f\n", hist.Get("odd"))
 	fmt.Printf("  even ~ 2.00 + Laplace(1/0.3) = %.3f\n", hist.Get("even"))
 
-	// Requesting a record that was never in the data draws fresh noise —
-	// and repeats it on later queries (Section 2.2's dictionary).
+	// Requesting a record that was never in the data answers with noise —
+	// the same value on later queries (Section 2.2's dictionary) because
+	// it is derived from the record and the histogram's salt, not because
+	// the first answer was stored: asking changes nothing in hist.
 	fmt.Printf("  ghost record: %.3f (asked again: %.3f)\n",
 		hist.Get("ghost"), hist.Get("ghost"))
 

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math"
 	"math/rand"
-	"sync"
 
 	"wpinq/internal/laplace"
 	"wpinq/internal/weighted"
@@ -16,37 +16,34 @@ import (
 // Histogram is the result of a NoisyCount aggregation (paper Section 2.2):
 // a dictionary mapping records to noisy weights. To preserve differential
 // privacy, a Histogram must answer for *every* record in the (possibly
-// unbounded) domain, including records absent from the data. Unseen
-// records receive fresh memoized Laplace noise on first access.
+// unbounded) domain, including records absent from the data. The records
+// with non-zero true weight are stored at release; every other record's
+// value is derived on each access.
 //
-// That lazy noise is record-keyed, not stream-drawn: each unseen record's
-// value is the Laplace quantile of a hash of (salt, record), so the noise
-// a record observes is a pure function of the histogram's seed and the
-// record itself, independent of the order fit pipelines happen to touch
-// records in. Plan transformations that reorder propagation (fusing
-// shared prefixes, re-sharding an executor) therefore score candidate
-// graphs identically instead of silently reassigning noise.
+// That derived noise is record-keyed, not stream-drawn: an unseen record's
+// value is the Laplace quantile of a hash of (salt, record), a pure
+// function of the histogram's seed and the record itself — so asking twice
+// returns one value without anything being stored, and the order fit
+// pipelines happen to touch records in cannot show. Plan transformations
+// that reorder propagation (fusing shared prefixes, re-sharding an
+// executor) therefore score candidate graphs identically instead of
+// silently reassigning noise.
 //
-// Histogram is safe for concurrent use.
+// Nothing writes a Histogram after its constructor returns, so it is safe
+// for concurrent use without a lock.
 type Histogram[T comparable] struct {
-	mu     sync.Mutex
 	counts map[T]float64
 	dist   laplace.Dist
 	salt   uint64
 }
 
-// Get returns the released noisy count for record x, deriving and
-// recording fresh record-keyed noise if x has never been requested and
-// had zero true weight.
+// Get returns the noisy count for record x: the released value if x had
+// non-zero true weight, else the record-keyed noise derived from x.
 func (h *Histogram[T]) Get(x T) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	if v, ok := h.counts[x]; ok {
 		return v
 	}
-	v := h.dist.Quantile(recordUniform(h.salt, x))
-	h.counts[x] = v
-	return v
+	return h.dist.Quantile(recordUniform(h.salt, x))
 }
 
 // recordUniform hashes (salt, record) to a uniform in (0,1): FNV-1a over
@@ -75,19 +72,12 @@ func recordUniform(salt uint64, x any) float64 {
 	return (float64(u>>11) + 0.5) / (1 << 53)
 }
 
-// Materialized returns a copy of every (record, noisy count) pair released
-// so far: the records with non-zero true weight plus any zero-weight
-// records previously requested through Get.
-func (h *Histogram[T]) Materialized() map[T]float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	out := make(map[T]float64, len(h.counts))
-	//wpinq:nondeterministic-ok map-to-map copy; the result is a map, so no iteration order is observable
-	for k, v := range h.counts {
-		out[k] = v
-	}
-	return out
-}
+// Len returns the number of released records.
+func (h *Histogram[T]) Len() int { return len(h.counts) }
+
+// Materialized returns a copy of the release: the (record, noisy count)
+// pair of every record that had non-zero true weight.
+func (h *Histogram[T]) Materialized() map[T]float64 { return maps.Clone(h.counts) }
 
 // Epsilon returns the per-use privacy parameter of the aggregation.
 func (h *Histogram[T]) Epsilon() float64 { return 1 / h.dist.Scale() }
@@ -95,25 +85,15 @@ func (h *Histogram[T]) Epsilon() float64 { return 1 / h.dist.Scale() }
 // HistogramFromMaterialized reconstructs a Histogram from previously
 // released (record, noisy count) pairs — e.g. measurements loaded from
 // disk after the protected dataset was discarded. Unseen records continue
-// to receive fresh memoized noise at the same eps (record-keyed by a salt
-// drawn from rng), preserving NoisyCount's semantics across
-// serialization. No privacy budget is charged: the values were already
-// released.
+// to derive noise at the same eps (record-keyed by a salt drawn from rng),
+// preserving NoisyCount's semantics across serialization. No privacy
+// budget is charged: the values were already released.
 func HistogramFromMaterialized[T comparable](counts map[T]float64, eps float64, rng *rand.Rand) (*Histogram[T], error) {
 	dist, err := laplace.FromEpsilon(eps)
 	if err != nil {
 		return nil, err
 	}
-	h := &Histogram[T]{
-		counts: make(map[T]float64, len(counts)),
-		dist:   dist,
-		salt:   rng.Uint64(),
-	}
-	//wpinq:nondeterministic-ok map-to-map copy; the result is a map, so no iteration order is observable
-	for k, v := range counts {
-		h.counts[k] = v
-	}
-	return h, nil
+	return &Histogram[T]{counts: maps.Clone(counts), dist: dist, salt: rng.Uint64()}, nil
 }
 
 // NoisyCount releases the weight of every record with Laplace(1/eps) noise:

@@ -11,10 +11,12 @@ import (
 )
 
 // TestHistogramConcurrentGet hammers one released Histogram from many
-// goroutines (run under -race in CI). The memoized-noise dictionary
-// must hand every goroutine the same value for the same record, even
-// when the first accesses race: the release boundary is where a
-// curator service serves many analysts from one histogram.
+// goroutines (run under -race in CI). Get writes nothing — an unseen
+// record's noise is derived on every access — so the histogram carries no
+// lock, and this test is the pin: every goroutine must see the same value
+// for the same record, and the race detector must see no write. The
+// release boundary is where a curator service serves many analysts, and a
+// fit its concurrent chains, from one histogram.
 func TestHistogramConcurrentGet(t *testing.T) {
 	d := weighted.New[int]()
 	for i := 0; i < 8; i++ {
@@ -28,7 +30,7 @@ func TestHistogramConcurrentGet(t *testing.T) {
 
 	const (
 		goroutines = 16
-		domain     = 200 // mostly unseen records: every Get may draw noise
+		domain     = 200 // mostly unseen records: most Gets derive noise
 		rounds     = 50
 	)
 	seen := make([]map[int]float64, goroutines)

@@ -8,9 +8,9 @@ import (
 // Collector is the sharded materialization sink: it maintains the
 // current state of a stream as record-partitioned weighted datasets,
 // applied in parallel. For scoring sinks attach
-// incremental.NewNoisyCountSink directly to any engine Source — its
-// memoized-noise observations are inherently sequential, and MCMC
-// scoring rounds are far too small to benefit from sharding.
+// incremental.NewNoisyCountSink directly to any engine Source — its L1
+// accumulator is inherently sequential, and MCMC scoring rounds are far
+// too small to benefit from sharding.
 type Collector[T comparable] struct {
 	e      *Engine
 	in     *port[T]

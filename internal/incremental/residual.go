@@ -3,7 +3,6 @@ package incremental
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -15,11 +14,13 @@ import (
 // adaptive-measurement loop needs: the next epsilon is best spent where
 // the residuals concentrate.
 
-// BinResidual is one measurement record's contribution to a sink's L1
-// distance: the released noisy count, the synthetic graph's current
-// query weight, and their absolute difference. Key is the record's
-// canonical JSON form (the same key the measurement serialization
-// uses).
+// BinResidual is one measurement record's term of a sink's L1 distance
+// (the terms of a sink's bins sum to its L1): the record's noisy count,
+// the synthetic graph's current query weight, and |Current - Released| —
+// less |Released| for a record outside the release, whose term counts
+// only what the graph's weight on it costs (see NoisyCountSink). Key is
+// the record's canonical JSON form (the same key the measurement
+// serialization uses).
 type BinResidual struct {
 	Key      string  `json:"key"`
 	Released float64 `json:"released"`
@@ -37,7 +38,8 @@ type WorkloadResidual struct {
 	Epsilon  float64 `json:"epsilon"`
 	L1       float64 `json:"l1"`
 	Weighted float64 `json:"weighted"`
-	// Bins is the number of records with a materialized observation.
+	// Bins is the number of records L1 ranges over: the released ones
+	// plus the never-released ones the graph currently gives weight.
 	Bins int `json:"bins"`
 	// Worst holds the top-K bins by residual, largest first.
 	Worst []BinResidual `json:"worst,omitempty"`
@@ -46,27 +48,26 @@ type WorkloadResidual struct {
 // SinkResiduals is the optional sink interface residual reporting
 // needs; NoisyCountSink implements it.
 type SinkResiduals interface {
-	// Bins returns the number of observed records.
+	// Bins returns the number of records L1 ranges over.
 	Bins() int
-	// WorstBins returns the k records with the largest |q(x) - m(x)|,
-	// largest first, with deterministic (observation-order) tie-breaks.
+	// WorstBins returns the k records with the largest term of L1,
+	// largest first, with deterministic (list-order) tie-breaks.
 	WorstBins(k int) []BinResidual
 }
 
-// Bins returns the number of records with a materialized observation.
+// Bins returns the number of records L1 ranges over: released plus live.
 func (s *NoisyCountSink[T]) Bins() int { return len(s.order) }
 
-// WorstBins returns the k records with the largest residual
-// |q(x) - m(x)|, largest first. Iteration follows s.order (observation
-// order) and ties keep the earlier-observed record, so the result is a
-// deterministic function of the sink's history.
+// WorstBins returns the k records with the largest term of L1, largest
+// first. Iteration follows s.order and ties keep the earlier-listed
+// record, so the result is a deterministic function of the sink's pushes.
 func (s *NoisyCountSink[T]) WorstBins(k int) []BinResidual {
 	if k <= 0 {
 		return nil
 	}
 	worst := make([]BinResidual, 0, k)
-	for _, x := range s.order {
-		r := math.Abs(s.q[x] - s.m[x])
+	for i, x := range s.order {
+		q, m, r := s.term(i)
 		if len(worst) == cap(worst) && r <= worst[len(worst)-1].Residual {
 			continue
 		}
@@ -74,9 +75,9 @@ func (s *NoisyCountSink[T]) WorstBins(k int) []BinResidual {
 		if err != nil {
 			key = []byte(fmt.Sprintf("%q", fmt.Sprint(x)))
 		}
-		b := BinResidual{Key: string(key), Released: s.m[x], Current: s.q[x], Residual: r}
-		// Insert keeping descending order; > (strict) preserves
-		// observation order among equal residuals.
+		b := BinResidual{Key: string(key), Released: m, Current: q, Residual: r}
+		// Insert keeping descending order; > (strict) preserves list
+		// order among equal residuals.
 		i := sort.Search(len(worst), func(i int) bool { return b.Residual > worst[i].Residual })
 		if len(worst) < cap(worst) {
 			worst = append(worst, BinResidual{})

@@ -1,16 +1,13 @@
 package incremental
 
-import (
-	"encoding/json"
-	"fmt"
-	"math"
-)
+import "math"
 
-// Observations supplies released noisy measurements m(x) for the records a
-// query produces. core.Histogram implements it: unseen records receive
-// fresh, memoized Laplace noise — exactly wPINQ's NoisyCount semantics, so
-// MCMC faithfully "fits the noise" in never-observed buckets (the Figure 3
-// failure mode discussed in Section 5.2).
+// Observations supplies the noisy measurement m(x) of any record a query
+// can produce. core.Histogram implements it: a record outside the release
+// observes Laplace noise derived from the record itself — exactly wPINQ's
+// NoisyCount semantics, so MCMC faithfully "fits the noise" in
+// never-observed buckets (the Figure 3 failure mode discussed in Section
+// 5.2). Get must be a function: a sink asks again for what it forgot.
 type Observations[T comparable] interface {
 	Get(x T) float64
 }
@@ -24,49 +21,50 @@ type MapObservations[T comparable] map[T]float64
 func (m MapObservations[T]) Get(x T) float64 { return m[x] }
 
 // NoisyCountSink terminates a dataflow graph at a NoisyCount measurement:
-// it maintains the current query output weights q(x) and the L1 distance
+// it maintains the current query output weights q(x) and, incrementally as
+// differences arrive, the distance MCMC scores candidate datasets by
+// (paper Section 4.2)
 //
-//	||Q(A) - m||_1 = sum_x |q(x) - m(x)|
+//	L1 = sum_{x released} |q(x) - m(x)|
+//	   + sum_{x not released, q(x) != 0} (|q(x) - m(x)| - |m(x)|)
 //
-// incrementally as differences arrive. The sum ranges over every record
-// that has a released observation or a non-zero current weight; when the
-// synthetic dataset produces a record never observed before, the sink asks
-// the Observations for (and thereafter holds) its released value.
-//
-// The L1 distance is the quantity MCMC scores candidate datasets by
-// (paper Section 4.2).
+// — the paper's ||Q(A) - m||_1 over the whole domain, minus the part of it
+// no dataset can change (a weightless record outside the release costs
+// |m(x)| there whatever A is, and 0 here), so L1 is a function of the
+// current q alone. A never-released record enters the sink when a
+// difference first gives it weight (its term is 0 at that moment: entering
+// adds nothing) and leaves when its weight is back at zero.
 type NoisyCountSink[T comparable] struct {
 	q map[T]float64
-	m map[T]float64 // cached observations
-	// order lists the observed records in first-observation order, so
-	// RecomputeL1's floating-point accumulation is a deterministic
-	// function of the sink's history rather than of map iteration order —
-	// a periodic recompute must not perturb an otherwise reproducible
-	// MCMC trace.
-	order []T
-	src   Observations[T]
-	l1    float64
-	eps   float64
+	m map[T]sinkObs // the records the sum ranges over
+	// order lists those records: the released domain as handed over, then
+	// the never-released ones in the order they entered (a departure moves
+	// the last into the gap). RecomputeL1 accumulates in this order, a
+	// function of the sink's pushes and not of map iteration: a periodic
+	// recompute must not perturb an otherwise reproducible MCMC trace.
+	order    []T
+	released int // len of order's fixed prefix
+	src      Observations[T]
+	l1       float64
+	eps      float64
 
-	// Transaction state: savedL1 and savedOrder snapshot the scalar
-	// accumulator and the observation count at Begin; undo holds the
-	// pre-image q weight of every record first touched since. Abort
-	// restores q and l1 but deliberately keeps observations drawn for
-	// records first materialized during the transaction (m, order, and
-	// their |m(x)| terms in l1): wPINQ's memoized noise is monotone — a
-	// measurement consulted once is released.
+	// Transaction state: savedL1 and savedOrder snapshot the accumulator
+	// and the list's length at Begin; undo holds the pre-image weight of
+	// every record first touched since. Inside a transaction the list only
+	// grows — a record back at zero stays until Commit — so Abort restores
+	// q from undo, truncates the list, puts savedL1 back, and the sink is
+	// bit for bit what it was at Begin.
 	gate       TxnGate
 	savedL1    float64
 	savedOrder int
 	txnSeen    map[T]struct{}
-	undo       []sinkUndo[T]
+	undo       []Delta[T]
 }
 
-// sinkUndo is one record's pre-transaction query weight.
-type sinkUndo[T comparable] struct {
-	x    T
-	oldQ float64
-	had  bool
+// sinkObs is one held record's observation and its index in order.
+type sinkObs struct {
+	v   float64
+	pos int
 }
 
 // onTxn applies a transaction event to the sink's maintained state.
@@ -82,38 +80,39 @@ func (s *NoisyCountSink[T]) onTxn(op TxnOp) {
 		}
 		s.savedL1 = s.l1
 		s.savedOrder = len(s.order)
+		return
 	case TxnAbort:
 		for _, u := range s.undo {
-			if u.had {
-				s.q[u.x] = u.oldQ
+			if u.Weight == 0 {
+				delete(s.q, u.Record)
 			} else {
-				delete(s.q, u.x)
+				s.q[u.Record] = u.Weight
 			}
 		}
-		// Newly drawn observations stay; their records' q is back to 0,
-		// so each contributes |0 - m(x)| = |m(x)|, accumulated in
-		// observation order.
-		l1 := s.savedL1
 		for _, x := range s.order[s.savedOrder:] {
-			l1 += math.Abs(s.m[x])
+			delete(s.m, x)
 		}
-		s.l1 = l1
-		clear(s.txnSeen)
-		s.undo = s.undo[:0]
+		s.order = s.order[:s.savedOrder]
+		s.l1 = s.savedL1
 	case TxnCommit:
-		clear(s.txnSeen)
-		s.undo = s.undo[:0]
+		for _, u := range s.undo {
+			if _, live := s.q[u.Record]; !live {
+				s.forget(u.Record)
+			}
+		}
 	}
+	clear(s.txnSeen)
+	s.undo = s.undo[:0]
 }
 
-// NewNoisyCountSink attaches a sink to src. domain lists the records whose
-// observations were materialized at release time (they contribute
-// |0 - m(x)| immediately); eps is the privacy parameter the measurement was
-// taken with, used by scorers to weight this sink's distance.
+// NewNoisyCountSink attaches a sink to src. domain lists the released
+// records (each contributes |0 - m(x)| immediately); eps is the privacy
+// parameter the measurement was taken with, used by scorers to weight this
+// sink's distance.
 func NewNoisyCountSink[T comparable](source Source[T], obs Observations[T], domain []T, eps float64) *NoisyCountSink[T] {
 	s := &NoisyCountSink[T]{
 		q:   make(map[T]float64),
-		m:   make(map[T]float64),
+		m:   make(map[T]sinkObs, len(domain)),
 		src: obs,
 		eps: eps,
 	}
@@ -122,10 +121,11 @@ func NewNoisyCountSink[T comparable](source Source[T], obs Observations[T], doma
 			continue
 		}
 		mv := obs.Get(x)
-		s.m[x] = mv
+		s.m[x] = sinkObs{v: mv, pos: len(s.order)}
 		s.order = append(s.order, x)
 		s.l1 += math.Abs(mv)
 	}
+	s.released = len(s.order)
 	source.Subscribe(s.onInput)
 	forwardTxn(source, s.onTxn)
 	return s
@@ -141,21 +141,20 @@ func NewNoisyCountSink[T comparable](source Source[T], obs Observations[T], doma
 func (s *NoisyCountSink[T]) onInput(batch []Delta[T]) {
 	for i := 0; i < len(batch); {
 		x := batch[i].Record
-		mv, ok := s.m[x]
+		o, ok := s.m[x]
 		if !ok {
-			mv = s.src.Get(x)
-			s.m[x] = mv
+			o = sinkObs{v: s.src.Get(x), pos: len(s.order)}
+			s.m[x] = o
 			s.order = append(s.order, x)
-			s.l1 += math.Abs(mv) // q was 0 until now
 		}
-		q, had := s.q[x]
+		q := s.q[x]
 		if s.gate.Active() {
 			if _, seen := s.txnSeen[x]; !seen {
 				s.txnSeen[x] = struct{}{}
-				s.undo = append(s.undo, sinkUndo[T]{x: x, oldQ: q, had: had})
+				s.undo = append(s.undo, Delta[T]{x, q})
 			}
 		}
-		l1 := s.l1
+		l1, mv := s.l1, o.v
 		for ; i < len(batch) && batch[i].Record == x; i++ {
 			newQ := q + batch[i].Weight
 			if math.Abs(newQ) < 1e-12 {
@@ -165,15 +164,37 @@ func (s *NoisyCountSink[T]) onInput(batch []Delta[T]) {
 			q = newQ
 		}
 		s.l1 = l1
-		if q == 0 {
-			delete(s.q, x)
-		} else {
+		if q != 0 {
 			s.q[x] = q
+			continue
+		}
+		delete(s.q, x)
+		if !s.gate.Active() {
+			s.forget(x)
 		}
 	}
 }
 
-// L1 returns the incrementally maintained ||Q(A) - m||_1.
+// forget drops x, whose weight is zero, unless it is a released record:
+// its term is zero and its observation can be derived again.
+//
+//wpinq:txn-exempt runs outside a transaction or at its commit, never between Begin and Abort: a record at zero inside a transaction stays listed so that Abort only has to truncate
+func (s *NoisyCountSink[T]) forget(x T) {
+	pos := s.m[x].pos
+	if pos < s.released {
+		return
+	}
+	last := len(s.order) - 1
+	if pos != last {
+		y := s.order[last]
+		s.order[pos] = y
+		s.m[y] = sinkObs{v: s.m[y].v, pos: pos}
+	}
+	s.order = s.order[:last]
+	delete(s.m, x)
+}
+
+// L1 returns the incrementally maintained distance.
 func (s *NoisyCountSink[T]) L1() float64 { return s.l1 }
 
 // Epsilon returns the privacy parameter of the underlying measurement.
@@ -182,33 +203,12 @@ func (s *NoisyCountSink[T]) Epsilon() float64 { return s.eps }
 // Weight returns the current query output weight q(x), for tests.
 func (s *NoisyCountSink[T]) Weight(x T) float64 { return s.q[x] }
 
-// ObservedKeys returns the sink's observation history — every record
-// with a cached released value, serialized as canonical JSON, in
-// first-observation order. Rebuilding a sink with exactly this list as
-// its domain (NewNoisyCountSink Gets memoized, record-keyed noise, so
-// the values reproduce) restores m, order, and the |m(x)| terms of l1
-// bit-for-bit: the serializable half of the sink's state, used by
-// checkpoint/resume.
-func (s *NoisyCountSink[T]) ObservedKeys() ([]json.RawMessage, error) {
-	out := make([]json.RawMessage, len(s.order))
-	for i, x := range s.order {
-		b, err := json.Marshal(x)
-		if err != nil {
-			return nil, fmt.Errorf("incremental: encoding observed record %v: %w", x, err)
-		}
-		out[i] = b
-	}
-	return out, nil
-}
-
 // RecomputeL1 re-derives the distance from scratch and returns it; it also
 // replaces the maintained value, squashing any accumulated floating-point
 // drift. Long MCMC runs call this periodically.
 //
 //wpinq:txn-exempt callers invoke this between transactions; the recomputed l1 is the ground truth both commit and abort converge to, so no pre-image is needed
 func (s *NoisyCountSink[T]) RecomputeL1() float64 {
-	// Records with weight but no cached observation cannot exist: onInput
-	// always caches the observation first, so s.order covers the sum.
 	s.l1 = s.recompute()
 	return s.l1
 }
@@ -219,10 +219,22 @@ func (s *NoisyCountSink[T]) Drift() float64 {
 	return math.Abs(s.recompute() - s.l1)
 }
 
+// term returns the i-th held record's weight, observation and term of L1.
+func (s *NoisyCountSink[T]) term(i int) (q, m, t float64) {
+	x := s.order[i]
+	q, m = s.q[x], s.m[x].v
+	t = math.Abs(q - m)
+	if i >= s.released {
+		t -= math.Abs(m)
+	}
+	return q, m, t
+}
+
 func (s *NoisyCountSink[T]) recompute() float64 {
 	var l1 float64
-	for _, x := range s.order {
-		l1 += math.Abs(s.q[x] - s.m[x])
+	for i := range s.order {
+		_, _, t := s.term(i)
+		l1 += t
 	}
 	return l1
 }
@@ -267,15 +279,6 @@ func (sc *Scorer) Add(s SinkScore) { sc.AddNamed("", s) }
 // Residuals can report its score contribution by name.
 func (sc *Scorer) AddNamed(name string, s SinkScore) {
 	sc.sinks = append(sc.sinks, namedSink{name: name, s: s})
-}
-
-// Each visits every registered sink in attach order, with its workload
-// attribution. Checkpointing walks the sinks this way to serialize
-// their observation histories.
-func (sc *Scorer) Each(f func(name string, s SinkScore)) {
-	for _, e := range sc.sinks {
-		f(e.name, e.s)
-	}
 }
 
 // Score returns sum_i eps_i * L1_i: lower is a better fit. (The MCMC

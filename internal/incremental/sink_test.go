@@ -41,15 +41,27 @@ func TestNoisyCountSinkLazyObservation(t *testing.T) {
 	if sink.L1() != 0 {
 		t.Errorf("empty domain L1 = %v, want 0", sink.L1())
 	}
-	// A new record appears: its observation (7.0) is fetched lazily.
+	// A never-released record appears: its observation (7.0) is fetched
+	// lazily, and first touch adds 0 — the term is |q-7| - |7|, what the
+	// graph's weight on the record costs, not |q-7|.
 	in.Push([]Delta[string]{{"new", 1.0}})
-	if got := sink.L1(); math.Abs(got-6.0) > 1e-12 {
-		t.Errorf("L1 after new record = %v, want |1-7| = 6", got)
+	if got := sink.L1(); got != -1 {
+		t.Errorf("L1 after new record = %v, want |1-7| - |7| = -1", got)
 	}
-	// Removing the record again leaves |0 - 7| = 7: the observation stays.
+	if sink.Bins() != 1 {
+		t.Errorf("sink holds %d records, want the live one", sink.Bins())
+	}
+	// Removing the record again returns L1 to its prior bits and the
+	// record is forgotten: the score is a function of q alone.
 	in.Push([]Delta[string]{{"new", -1.0}})
-	if got := sink.L1(); math.Abs(got-7.0) > 1e-12 {
-		t.Errorf("L1 after retraction = %v, want 7", got)
+	if got := sink.L1(); math.Float64bits(got) != math.Float64bits(0) {
+		t.Errorf("L1 after retraction = %v, want exactly the 0 it started from", got)
+	}
+	if sink.Bins() != 0 {
+		t.Errorf("sink still holds %d records after the retraction", sink.Bins())
+	}
+	if got := sink.RecomputeL1(); got != 0 {
+		t.Errorf("recomputed L1 = %v, want 0", got)
 	}
 }
 
@@ -220,11 +232,14 @@ func TestEmptyBatchNoEmission(t *testing.T) {
 // sink's run loop: the same differences delivered as one batch, cut into
 // arbitrary sub-batches (mid-run included) and one at a time — where
 // every run has length one, the per-difference loop this one replaced —
-// leave bit-equal L1, equal weights and the same observation order;
-// outside a transaction, inside one that commits, and inside one that
-// aborts (where observations drawn by the aborted pushes are kept).
-// Streams are runs of a few records, some never observed before, with
-// weights that cancel exactly or fall under the sink's 1e-12 mid-run.
+// leave bit-equal L1, equal weights and as many held records; outside a
+// transaction, inside one that commits, and inside one that aborts (which
+// must also put back the L1 bits and record count it began with). The
+// order of the held never-released records may differ with the cut: a
+// record whose weight passes through zero between two pushes outside a
+// transaction is forgotten and re-enters at the end. Streams are runs of
+// a few records, some never released, with weights that cancel exactly or
+// fall under the sink's 1e-12 mid-run.
 func TestSinkRunsMatchPerDelta(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	const dom = 8
@@ -249,13 +264,14 @@ func TestSinkRunsMatchPerDelta(t *testing.T) {
 			type outcome struct {
 				l1   uint64
 				q    [dom]float64
-				keys string
+				bins int
 			}
 			var got [3]outcome
 			for cut := range got {
 				in := NewInput[int]()
 				s := NewNoisyCountSink[int](in, obsFunc[int](rngObs), []int{0, 1, 2}, 0.5)
 				in.Push(warm)
+				began := outcome{l1: math.Float64bits(s.L1()), bins: s.Bins()}
 				if mode != "load" {
 					in.Txn(TxnBegin)
 				}
@@ -276,16 +292,13 @@ func TestSinkRunsMatchPerDelta(t *testing.T) {
 				case "abort":
 					in.Txn(TxnAbort)
 				}
-				keys, err := s.ObservedKeys()
-				if err != nil {
-					t.Fatal(err)
+				o := outcome{l1: math.Float64bits(s.L1()), bins: s.Bins()}
+				if mode == "abort" && (o.l1 != began.l1 || o.bins != began.bins) {
+					t.Fatalf("trial %d, delivery %d: abort left L1 bits %x and %d records, began with %x and %d",
+						trial, cut, o.l1, o.bins, began.l1, began.bins)
 				}
-				o := outcome{l1: math.Float64bits(s.L1())}
 				for x := range o.q {
 					o.q[x] = s.Weight(x)
-				}
-				for _, k := range keys {
-					o.keys += string(k) + ","
 				}
 				got[cut] = o
 			}

@@ -31,12 +31,11 @@ import "wpinq/internal/weighted"
 //     an untracked push would have.
 //   - Abort restores the exact pre-image bytes of every touched key —
 //     stateMap slice order included, because future emission order (and
-//     with it every downstream float accumulation) depends on it — with
-//     one deliberate exception: noisy-count observations drawn for
-//     records first materialized during the transaction are kept, along
-//     with their |m(x)| contribution to the sink's L1. The memoized-noise
-//     semantics of wPINQ are monotone (a measurement, once consulted, is
-//     released).
+//     with it every downstream float accumulation) depends on it — and
+//     the sinks are no exception: a noisy-count observation derived for
+//     a record the transaction first gave weight is dropped with it,
+//     because the score is a function of the current weights alone and
+//     the observation can be derived again (see NoisyCountSink).
 type TxnOp uint8
 
 const (

@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -115,34 +116,52 @@ func TestTxnDeepTbIShape(t *testing.T) {
 	checkTxn(t, "TbI-shape", tbiShape)
 }
 
-// TestTxnSinkKeepsNewObservations pins the one deliberate abort
-// exception: observations drawn for records first materialized during an
-// aborted transaction stay cached (m, order, and their |m(x)| L1 terms),
-// exactly as the inverse-push rejection path kept them.
+// TestTxnSinkKeepsNewObservations keeps the name of the exception it
+// used to pin and now pins its absence: an aborted transaction leaves no
+// observation behind. A record first given weight inside the transaction
+// is gone after the abort — from q, from the record list and from L1,
+// whose bits are the ones Begin saw — and so is one the transaction
+// brought back to zero and up again; a committed transaction forgets the
+// never-released records it left at zero.
 func TestTxnSinkKeepsNewObservations(t *testing.T) {
 	in := NewInput[int]()
-	obs := MapObservations[int]{1: 5, 2: -3}
+	obs := MapObservations[int]{1: 5, 2: -3, 3: 0.7}
 	sink := NewNoisyCountSink[int](in, obs, []int{1}, 0.5)
-	in.Push([]Delta[int]{{1, 2}}) // |2-5| replaces |0-5|
-	before := sink.L1()
+	in.Push([]Delta[int]{{1, 2}, {3, 0.1}}) // |2-5| replaces |0-5|; 3 is live, never released
+	before, bins := sink.L1(), sink.Bins()
 
 	in.Txn(TxnBegin)
-	in.Push([]Delta[int]{{1, 1}, {2, 4}}) // record 2 observed for the first time
+	in.Push([]Delta[int]{{1, 1}, {2, 4}, {3, -0.1}}) // record 2 enters, record 3 falls to zero
+	if sink.Bins() != bins+1 {
+		t.Errorf("sink holds %d records inside the transaction, want %d (a record at zero stays until commit)", sink.Bins(), bins+1)
+	}
 	in.Txn(TxnAbort)
 
-	// q is restored (1 -> weight 2, 2 -> gone) but record 2's observation
-	// remains: L1 gains |0 - (-3)| = 3.
 	if got := sink.Weight(1); got != 2 {
 		t.Errorf("q(1) = %v after abort, want 2", got)
 	}
 	if got := sink.Weight(2); got != 0 {
 		t.Errorf("q(2) = %v after abort, want 0", got)
 	}
-	if want := before + 3; sink.L1() != want {
-		t.Errorf("L1 = %v after abort, want %v (kept new observation)", sink.L1(), want)
+	if got := sink.Weight(3); got != 0.1 {
+		t.Errorf("q(3) = %v after abort, want 0.1", got)
 	}
-	if drift := sink.Drift(); drift != 0 {
+	if math.Float64bits(sink.L1()) != math.Float64bits(before) || sink.Bins() != bins {
+		t.Errorf("after abort L1 = %v over %d records, want the %v over %d the transaction began with",
+			sink.L1(), sink.Bins(), before, bins)
+	}
+	if drift := sink.Drift(); drift > 1e-15 {
 		t.Errorf("maintained L1 drifts from recomputed by %v after abort", drift)
+	}
+
+	in.Txn(TxnBegin)
+	in.Push([]Delta[int]{{2, 4}, {3, -0.1}, {2, -4}})
+	in.Txn(TxnCommit)
+	if sink.Bins() != 1 {
+		t.Errorf("sink holds %d records after the commit, want only the released one", sink.Bins())
+	}
+	if want := math.Abs(2.0 - 5); math.Abs(sink.L1()-want) > 1e-12 {
+		t.Errorf("L1 = %v after the commit, want %v", sink.L1(), want)
 	}
 }
 

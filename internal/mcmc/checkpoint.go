@@ -128,10 +128,6 @@ func NewGraphStateFromEdges(edges []graph.Edge, isolated []graph.Node, input Inp
 // lookups) continuously with the run it replaces.
 func (r *Runner) SetStep(step int) { r.step = step }
 
-// Pow returns the runner's current posterior sharpening — its config
-// value, which replica-exchange swaps mutate.
-func (r *Runner) Pow() float64 { return r.cfg.Pow }
-
 // DurableConfig parameterizes RunDurable.
 type DurableConfig struct {
 	// Steps is the total walk length of every chain, counted from step
@@ -277,6 +273,7 @@ func RunDurable(runners []*Runner, cfg DurableConfig, swapRng *rand.Rand) (Repli
 		fitRound.Observe(time.Since(began).Seconds())
 		for i := range runners {
 			s := &stats[i]
+			recordChunk(s.Chain, chunk[i], s.FinalScore)
 			s.Steps += chunk[i].Steps
 			s.Accepted += chunk[i].Accepted
 			s.Rejected += chunk[i].Rejected

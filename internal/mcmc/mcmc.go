@@ -239,7 +239,6 @@ type Runner struct {
 	cfg    Config
 	rng    *rand.Rand
 
-	score          float64
 	step           int
 	sinceRecompute int
 }
@@ -258,7 +257,6 @@ func NewRunner(state *GraphState, scorer *incremental.Scorer, cfg Config, rng *r
 		scorer: scorer,
 		cfg:    cfg,
 		rng:    rng,
-		score:  scorer.Score(),
 	}, nil
 }
 
@@ -270,8 +268,9 @@ func (r *Runner) pow() float64 {
 	return r.cfg.Pow
 }
 
-// Score returns the current fit score (lower is better).
-func (r *Runner) Score() float64 { return r.score }
+// Score returns the current fit score (lower is better): the scorer's,
+// which is a function of the current graph — the runner keeps no copy.
+func (r *Runner) Score() float64 { return r.scorer.Score() }
 
 // Scorer returns the scorer the runner scores proposals against, for
 // residual diagnostics over the attached sinks.
@@ -298,7 +297,7 @@ func (r *Runner) transition() (accepted, valid bool) {
 	if !ok {
 		return false, false
 	}
-	old := r.score
+	old := r.scorer.Score()
 	r.state.Speculate(p)
 	next := r.scorer.Score()
 	accept := next <= old
@@ -307,10 +306,9 @@ func (r *Runner) transition() (accepted, valid bool) {
 	}
 	if accept {
 		r.state.Commit()
-		r.score = next
 		r.sinceRecompute++
 		if r.cfg.RecomputeEvery > 0 && r.sinceRecompute >= r.cfg.RecomputeEvery {
-			r.score = r.scorer.Recompute()
+			r.scorer.Recompute()
 			r.sinceRecompute = 0
 		}
 		return true, true
@@ -333,11 +331,11 @@ func (r *Runner) Run(steps int) Stats {
 			st.Rejected++
 		}
 		if r.cfg.OnStep != nil {
-			r.cfg.OnStep(r.step, accepted, r.score)
+			r.cfg.OnStep(r.step, accepted, r.scorer.Score())
 		}
 		r.step++
 	}
-	st.FinalScore = r.score
+	st.FinalScore = r.scorer.Score()
 	recordRun(st)
 	return st
 }

@@ -21,11 +21,12 @@ import (
 // which every layer that still accepts it reads as one shard
 // (workload.NewPlanFused); they stay because the value does.
 
-// lazyObs mimics core.Histogram's memoized lazy noise: a record's
-// observation is drawn on first Get and cached. Two instances with
-// identically seeded rngs draw identical streams as long as records are
-// first requested in the same order — which is itself part of what the
-// trace-identity test pins.
+// lazyObs hands out noise in first-request order: a record's observation
+// is drawn on first Get and cached, so Get is a function for the life of
+// the instance, as a sink requires of the records it forgets and asks for
+// again. Two instances with identically seeded rngs agree as long as
+// records are first requested in the same order — which is itself part of
+// what the trace-identity test pins.
 type lazyObs[T comparable] struct {
 	rng  *rand.Rand
 	vals map[T]float64
@@ -51,7 +52,7 @@ type txnFixture struct {
 	input  *engine.Input[graph.Edge]
 }
 
-// buildTxnFixture wires a three-sink fit — triangle count (TbI), degree
+// buildTxnFixture wires buildFixture's fit — triangle count (TbI), degree
 // sequence, and the joint degree distribution against lazily-drawn
 // observations — at the given shard count (negative: one) and cutoff (0
 // forces parallel dispatch).
@@ -59,8 +60,23 @@ func buildTxnFixture(g *graph.Graph, shards, cutoff int, obsSeed int64) txnFixtu
 	return buildFixture(g, shards, cutoff, newLazyObs[queries.DegPair](obsSeed))
 }
 
+// edgeObs gives every directed edge an observation in (0.25, 0.75), a
+// function of the edge alone.
+type edgeObs struct{}
+
+func (edgeObs) Get(e graph.Edge) float64 {
+	_, frac := math.Modf(math.Abs(math.Sin(float64(e.Src)*12.9898+float64(e.Dst)*78.233)) * 43758.5453)
+	return 0.25 + frac/2
+}
+
 // buildFixture wires the three sinks over the edge input, scoring the JDD
-// against jddObs.
+// against jddObs, plus a lightly weighted fourth that scores the edge set
+// itself against edgeObs. The fourth makes every proposal move the score
+// by a generic amount: the score being a function of the graph, a swap
+// between equal-degree endpoints is otherwise an exact tie — accepted
+// without an rng draw — and whether the cancelling differences behind it
+// round to +0 or to 1e-14 depends on the accumulators' last bits, which is
+// exactly where two paths that agree on every decision may still differ.
 func buildFixture(g *graph.Graph, shards, cutoff int, jddObs incremental.Observations[queries.DegPair]) txnFixture {
 	e := engine.New(max(shards, 1))
 	e.SetSerialCutoff(cutoff)
@@ -72,7 +88,8 @@ func buildFixture(g *graph.Graph, shards, cutoff int, jddObs incremental.Observa
 		queries.Stream(queries.DegreeSequence(), nil, in), degTargets, nil, 0.3)
 	sink3 := incremental.NewNoisyCountSink[queries.DegPair](
 		queries.Stream(queries.JDD(), nil, in), jddObs, nil, 0.4)
-	return txnFixture{state: NewGraphState(g, in), scorer: incremental.NewScorer(sink1, sink2, sink3), input: in}
+	sink4 := incremental.NewNoisyCountSink[graph.Edge](in, edgeObs{}, nil, 0.05)
+	return txnFixture{state: NewGraphState(g, in), scorer: incremental.NewScorer(sink1, sink2, sink3, sink4), input: in}
 }
 
 // stepTrace is one observed walk step.
@@ -96,22 +113,24 @@ func runTraced(t *testing.T, f txnFixture, pow float64, rngSeed int64, n int) (S
 
 // runInversePush is Runner.Run with the pre-transactional rejection: the
 // proposal is applied outright and a rejection applies the inverse swap,
-// a second propagation. It makes the same draws from the same rng.
+// a second propagation. It makes the same draws from the same rng, and
+// like the runner it reads the score it compares against from the scorer,
+// just before the proposal, not from a copy saved before its own
+// re-derived state drifted.
 func runInversePush(f txnFixture, pow float64, rngSeed int64, n int) (Stats, []stepTrace) {
 	rng := testRng(rngSeed)
 	st := Stats{Steps: n}
 	trace := make([]stepTrace, n)
-	score := f.scorer.Score()
 	for i := range trace {
 		p, ok := f.state.Propose(rng)
 		if !ok {
 			st.Invalid++
 			continue
 		}
+		score := f.scorer.Score()
 		f.state.Apply(p)
 		next := f.scorer.Score()
 		if next <= score || rng.Float64() < math.Exp(-pow*(next-score)) {
-			score = next
 			st.Accepted++
 			trace[i].accepted = true
 			continue
@@ -119,7 +138,7 @@ func runInversePush(f txnFixture, pow float64, rngSeed int64, n int) (Stats, []s
 		f.state.Apply(inverse(p))
 		st.Rejected++
 	}
-	st.FinalScore = score
+	st.FinalScore = f.scorer.Score()
 	return st, trace
 }
 

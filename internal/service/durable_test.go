@@ -9,6 +9,8 @@ package service
 import (
 	"bytes"
 	"errors"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -234,54 +236,65 @@ func TestCrashRecoveryResumesDurableJob(t *testing.T) {
 }
 
 // TestBootCountsParentFormatCheckpointAsStale pins what a daemon
-// upgraded across the checkpoint format cut does with a job it was
-// killed in the middle of: the `wpinq-checkpoint v1` file is counted
-// under wpinq_job_restores_total{outcome="stale"}, left on disk, and
-// neither re-queued nor allowed to fail the boot; an explicit resume of
-// it is refused as stale.
+// upgraded across a checkpoint format cut does with a job it was killed
+// in the middle of: a `wpinq-checkpoint v1` or `v2` file is counted under
+// wpinq_job_restores_total{outcome="stale"}, left on disk, and neither
+// re-queued nor allowed to fail the boot; an explicit resume of it is
+// refused as stale, 409 over HTTP.
 func TestBootCountsParentFormatCheckpointAsStale(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: -1, Workers: 1, Seed: 1}
-	svc1, _, mID := measureOnce(t, opts)
-	job, err := svc1.SubmitJob(JobRequest{
-		Measurement: mID, Steps: 50_000_000, ProgressEvery: 100, CheckpointEvery: 200, Seed: 42,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ckptPath := filepath.Join(dir, "ckpt-"+job.ID+".json")
-	waitForCheckpoint(t, ckptPath)
-	svc1.Close()
-	v2, err := os.ReadFile(ckptPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1 := bytes.Replace(v2, []byte("wpinq-checkpoint v2\n"), []byte("wpinq-checkpoint v1\n"), 1)
-	if bytes.Equal(v1, v2) {
-		t.Fatalf("checkpoint file does not start with the v2 header: %q", v2[:32])
-	}
-	if err := os.WriteFile(ckptPath, v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	for _, header := range []string{"wpinq-checkpoint v1\n", "wpinq-checkpoint v2\n"} {
+		t.Run(header[len("wpinq-checkpoint "):len(header)-1], func(t *testing.T) {
+			dir := t.TempDir()
+			opts := Options{Dir: dir, Shards: -1, Workers: 1, Seed: 1}
+			svc1, _, mID := measureOnce(t, opts)
+			job, err := svc1.SubmitJob(JobRequest{
+				Measurement: mID, Steps: 50_000_000, ProgressEvery: 100, CheckpointEvery: 200, Seed: 42,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckptPath := filepath.Join(dir, "ckpt-"+job.ID+".json")
+			waitForCheckpoint(t, ckptPath)
+			svc1.Close()
+			current, err := os.ReadFile(ckptPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			old := bytes.Replace(current, []byte("wpinq-checkpoint v3\n"), []byte(header), 1)
+			if bytes.Equal(old, current) {
+				t.Fatalf("checkpoint file does not start with the v3 header: %q", current[:32])
+			}
+			if err := os.WriteFile(ckptPath, old, 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	stale := jobRestores.With("stale")
-	before := stale.Value()
-	svc2, err := New(opts)
-	if err != nil {
-		t.Fatalf("a parent-format checkpoint failed the boot: %v", err)
-	}
-	t.Cleanup(svc2.Close)
-	if got := stale.Value() - before; got != 1 {
-		t.Errorf("boot counted %v stale restores, want 1", got)
-	}
-	if _, err := svc2.Jobs().Get(job.ID); !errors.Is(err, ErrNotFound) {
-		t.Errorf("the stale job was re-queued (err=%v)", err)
-	}
-	if _, err := os.Stat(ckptPath); err != nil {
-		t.Errorf("the refused checkpoint was not left on disk: %v", err)
-	}
-	if _, err := svc2.ResumeJob(job.ID); !errors.Is(err, synth.ErrCheckpointStale) {
-		t.Errorf("explicit resume of a v1 checkpoint: got %v, want ErrCheckpointStale", err)
+			stale := jobRestores.With("stale")
+			before := stale.Value()
+			svc2, err := New(opts)
+			if err != nil {
+				t.Fatalf("a parent-format checkpoint failed the boot: %v", err)
+			}
+			t.Cleanup(svc2.Close)
+			if got := stale.Value() - before; got != 1 {
+				t.Errorf("boot counted %v stale restores, want 1", got)
+			}
+			if _, err := svc2.Jobs().Get(job.ID); !errors.Is(err, ErrNotFound) {
+				t.Errorf("the stale job was re-queued (err=%v)", err)
+			}
+			if _, err := os.Stat(ckptPath); err != nil {
+				t.Errorf("the refused checkpoint was not left on disk: %v", err)
+			}
+			if _, err := svc2.ResumeJob(job.ID); !errors.Is(err, synth.ErrCheckpointStale) {
+				t.Errorf("explicit resume: got %v, want ErrCheckpointStale", err)
+			}
+			srv := httptest.NewServer(svc2.Handler())
+			t.Cleanup(srv.Close)
+			var api *APIError
+			if _, err := NewClient(srv.URL).ResumeJob(job.ID); !errors.As(err, &api) ||
+				api.Status != http.StatusConflict || api.Code != CodeCheckpointStale {
+				t.Errorf("POST resume: got %v, want 409 %s", err, CodeCheckpointStale)
+			}
+		})
 	}
 }
 

@@ -34,9 +34,16 @@ import (
 // stored bytes; `wpinq remote audit` runs it client-side, so the
 // analyst verifies the curator rather than taking the service's word.
 
-// ProvenanceOpMeasure is the Op of a measurement/release record (the
-// only record type today; the field leaves room for e.g. deletions).
+// ProvenanceOpMeasure is the Op of a measurement/release record.
 const ProvenanceOpMeasure = "measure"
+
+// ProvenanceOpMeasureFailed is the Op of a charge that produced no
+// chained release: the budget was debited and then the measurement, the
+// store or the ledger append failed. The debit stands (deliberately: the
+// failed attempt may already have touched the data), and this record is
+// what keeps it inside the chain — it carries the cost and the SpentAfter
+// checkpoint like a release and names no measurement.
+const ProvenanceOpMeasureFailed = "measure-failed"
 
 // ProvenanceRecord is one link of a dataset's hash chain.
 type ProvenanceRecord struct {
@@ -44,7 +51,8 @@ type ProvenanceRecord struct {
 	Seq int `json:"seq"`
 	// Dataset is the registry ID the record belongs to.
 	Dataset string `json:"dataset"`
-	// Op is the operation kind (ProvenanceOpMeasure).
+	// Op is the operation kind (ProvenanceOpMeasure or
+	// ProvenanceOpMeasureFailed).
 	Op string `json:"op"`
 	// Measurement is the content-addressed store ID of the release.
 	Measurement string `json:"measurement"`
@@ -66,6 +74,11 @@ type ProvenanceRecord struct {
 	// ContentHash is the full SHA-256 (hex) of the stored bytes; the
 	// store ID is a truncation of it, the full hash pins the content.
 	ContentHash string `json:"contentHash"`
+	// Failure classifies what went wrong after the charge of a
+	// ProvenanceOpMeasureFailed record — the step that failed, or
+	// "panic" — and is empty otherwise. It is a class, never an error's
+	// or a panic's text: the ledger is served to analysts.
+	Failure string `json:"failure,omitempty"`
 	// PrevHash chains to the previous record's Hash ("" for Seq 0).
 	PrevHash string `json:"prevHash"`
 	// Hash is the SHA-256 (hex) of this record's canonical JSON with
@@ -322,11 +335,12 @@ const auditTolerance = 1e-9
 // bytes of a release ID (a Store's Bytes method server-side, the HTTP
 // measurement fetch client-side). The audit verifies, per record: the
 // hash chain (seq, prev-hash link, self hash), the content (store ID
-// and full SHA-256 of the fetched bytes, format version), the cost
-// (recomputed from the recorded workloads and epsilon via the privacy
-// calculus), and the budget replay (running cost sum against the
-// record's SpentAfter checkpoint — which catches out-of-order or
-// retroactively edited charges — and finally against the live ledger).
+// and full SHA-256 of the fetched bytes, format version; a failed
+// measurement's record must name no release), the cost (recomputed from
+// the recorded workloads and epsilon via the privacy calculus), and the
+// budget replay (running cost sum against the record's SpentAfter
+// checkpoint — which catches out-of-order or retroactively edited
+// charges — and finally against the live ledger).
 func AuditRecords(dataset string, recs []ProvenanceRecord, ledger budget.Snapshot, fetch func(id string) ([]byte, error)) AuditReport {
 	rep := AuditReport{
 		Dataset:      dataset,
@@ -359,7 +373,12 @@ func AuditRecords(dataset string, recs []ProvenanceRecord, ledger budget.Snapsho
 		}
 		prevHash = rec.Hash
 
-		if rec.Op == ProvenanceOpMeasure {
+		switch rec.Op {
+		case ProvenanceOpMeasureFailed:
+			if rec.Measurement != "" || rec.ContentHash != "" {
+				fail("a charge recorded as failed names release %s", rec.Measurement)
+			}
+		case ProvenanceOpMeasure:
 			data, err := fetch(rec.Measurement)
 			switch {
 			case err != nil:
@@ -371,6 +390,8 @@ func AuditRecords(dataset string, recs []ProvenanceRecord, ledger budget.Snapsho
 			case formatVersion(data) != rec.FormatVersion:
 				fail("release %s format version %q, ledger says %q", rec.Measurement, formatVersion(data), rec.FormatVersion)
 			}
+		}
+		if rec.Op == ProvenanceOpMeasure || rec.Op == ProvenanceOpMeasureFailed {
 			want := synth.Config{Eps: rec.Eps, Workloads: rec.Workloads}.MeasureCost()
 			if math.Abs(want-rec.Cost) > auditTolerance {
 				fail("recorded cost %g, privacy calculus gives %g for eps %g workloads %v",

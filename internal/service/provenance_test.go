@@ -120,6 +120,12 @@ func TestAuditDetectsTampering(t *testing.T) {
 	edited[0].Eps = 0.5
 	expectProblem(t, "edited epsilon", audit(edited, fetch, ledger.Ledger), "record edited")
 
+	// Relabel a release as a charge that produced none: the record would
+	// replay as budget spent on nothing while its bytes stay served.
+	relabelled := append([]ProvenanceRecord(nil), recs...)
+	relabelled[1].Op = ProvenanceOpMeasureFailed
+	expectProblem(t, "release relabelled as failed", audit(relabelled, fetch, ledger.Ledger), "recorded as failed names release")
+
 	// Drop the first record: the chain link and every SpentAfter
 	// checkpoint after it break.
 	expectProblem(t, "dropped record", audit(recs[1:], fetch, ledger.Ledger), "chain reordered or record removed")

@@ -227,7 +227,9 @@ func (s *Service) Measure(id string, req MeasureRequest) (MeasureResult, error) 
 // unlock is deferred so that a panic below it (a workload's query
 // failing on some graph; net/http recovers the handler) leaves the
 // dataset usable. What such a panic does not undo is the charge: the
-// debit stands, as for any measurement that fails after it.
+// debit stands, as for any measurement that fails after it, and every
+// such failure leaves a measure-failed record in the provenance chain, so
+// an audit finds the charge inside the chain and not beside it.
 func (s *Service) measureLocked(d *dataset, req MeasureRequest, cfg synth.Config, cost float64, seed int64) (MeasureResult, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -250,31 +252,47 @@ func (s *Service) measureLocked(d *dataset, req MeasureRequest, cfg synth.Config
 	if err := d.src.Charge(cost); err != nil {
 		return MeasureResult{}, err
 	}
+	ledger := d.src.Snapshot()
+	workloads := append([]string(nil), cfg.Workloads...)
+	sort.Strings(workloads)
 	// From here on the in-memory ledger has moved: publish it whatever
-	// happens next, so the exported gauges never drift from it.
-	defer func() { recordLedger(d.id, d.src.Snapshot()) }()
+	// happens next, so the exported gauges never drift from it — and if
+	// what happens next is not a chained release, chain the charge alone.
+	// The debit stands: failing open would risk re-running against a
+	// budget the failed attempt may already have touched.
+	failure := "panic" // how this function is being left, until a step below knows better
+	defer func() {
+		recordLedger(d.id, ledger)
+		if failure == "" {
+			return
+		}
+		if _, perr := s.store.AppendProvenance(ProvenanceRecord{
+			Dataset: d.id, Op: ProvenanceOpMeasureFailed, Workloads: workloads,
+			Eps: cfg.Eps, Cost: cost, SpentAfter: ledger.Spent, Failure: failure,
+		}); perr != nil {
+			s.opts.Logger.Error("a charge with no release could not be chained", "dataset", d.id, "cost", cost, "failure", failure, "err", perr)
+		}
+	}()
 	m, err := synth.Measure(d.g, cfg, rand.New(rand.NewSource(seed)))
 	if err != nil {
-		// The debit stands: failing open would risk re-running against a
-		// budget the failed attempt may already have touched.
+		failure = "measure"
 		return MeasureResult{}, err
 	}
 	// Persist before discarding: a store failure (e.g. full disk) must
 	// not destroy the only copy of a release the budget already paid for.
 	info, err := s.store.Put(m)
 	if err != nil {
+		failure = "store"
 		return MeasureResult{}, err
 	}
-	ledger := d.src.Snapshot()
 	// Chain the release into the dataset's provenance ledger while still
 	// holding the dataset lock: the parent list and SpentAfter checkpoint
 	// must reflect exactly the state this charge committed against.
 	stored, err := s.store.Bytes(info.ID)
 	if err != nil {
+		failure = "store"
 		return MeasureResult{}, err
 	}
-	workloads := append([]string(nil), cfg.Workloads...)
-	sort.Strings(workloads)
 	if _, err := s.store.AppendProvenance(ProvenanceRecord{
 		Dataset:       d.id,
 		Op:            ProvenanceOpMeasure,
@@ -289,8 +307,10 @@ func (s *Service) measureLocked(d *dataset, req MeasureRequest, cfg synth.Config
 	}); err != nil {
 		// The release is stored and the charge stands, but an unledgered
 		// release would fail every future audit — surface that now.
+		failure = "provenance"
 		return MeasureResult{}, fmt.Errorf("measurement %s stored but provenance append failed: %w", info.ID, err)
 	}
+	failure = ""
 	if !req.Keep {
 		d.g = nil // the paper's "discard the data" step
 	}

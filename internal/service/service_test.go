@@ -99,6 +99,67 @@ func TestStorePersistsAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestMeasurementBytesSurviveAFit pins that the release is fixed at
+// Measure: neither Phase 1 (which reads the degree histograms far past
+// their released records) nor a three-chain Phase 2 (whose proposals give
+// weight to records the fit histograms never contained) writes into it,
+// so it serializes to the same bytes — and the store addresses it by the
+// same content id — before and after.
+func TestMeasurementBytesSurviveAFit(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	cfg := synth.Config{Eps: 1, Workloads: []string{"jdd", "tbd"}, Bucket: 2, Pow: 1e4, Steps: 600, Shards: 1, Chains: 3, SwapEvery: 100}
+	m, err := synth.Measure(testGraph(t, 80), cfg, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := NewStore("", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() ([]byte, string) {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		info, err := store.Put(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), info.ID
+	}
+	released, id := snapshot()
+	stages := []struct {
+		name string
+		run  func() error
+	}{
+		{"SeedGraph", func() error { _, err := synth.SeedGraph(m, rng); return err }},
+		{"Synthesize", func() error {
+			seed, err := synth.SeedGraph(m, rng)
+			if err != nil {
+				return err
+			}
+			res, err := synth.Synthesize(m, seed, cfg, rng)
+			if err == nil && res.Stats.Accepted == 0 {
+				err = errors.New("the fit accepted nothing: it exercised no sink")
+			}
+			return err
+		}},
+	}
+	for _, stage := range stages {
+		if err := stage.run(); err != nil {
+			t.Fatalf("%s: %v", stage.name, err)
+		}
+		if got, gotID := snapshot(); !bytes.Equal(got, released) || gotID != id {
+			t.Errorf("after %s the measurement saves %d bytes as %s, released %d bytes as %s",
+				stage.name, len(got), gotID, len(released), id)
+		}
+	}
+	if n := len(store.List()); n != 1 {
+		t.Errorf("the store holds %d releases of one measurement", n)
+	}
+}
+
 func TestMeasureDiscardsGraphAndKeepsLedger(t *testing.T) {
 	svc := newTestService(t, Options{Shards: -1})
 	g := testGraph(t, 60)
@@ -410,8 +471,11 @@ func TestMeasureRefusesUnpackableIDsBeforeCharge(t *testing.T) {
 // wedge the dataset for the life of the daemon (net/http recovers the
 // handler, nothing recovers a held mutex). The debit stands, as for any
 // measurement that fails after it; what must not happen is a lock left
-// held, a budget gauge that no longer matches the ledger, or a torn or
-// phantom record in the persisted provenance chain.
+// held, a budget gauge that no longer matches the ledger, a torn or
+// phantom record in the persisted provenance chain — or a charge the
+// chain does not account for: the attempt leaves a measure-failed record
+// carrying its cost and a failure class (not the panic's text), and the
+// audit replays clean.
 func TestMeasurePanicLeavesDatasetUsable(t *testing.T) {
 	const poisoned = 13
 	workload.MustRegister(workload.Define(workload.Workload{
@@ -479,7 +543,16 @@ func TestMeasurePanicLeavesDatasetUsable(t *testing.T) {
 	if err != nil {
 		t.Fatalf("the persisted store no longer loads: %v", err)
 	}
-	if onDisk := reread.Provenance(ds.ID); len(inMemory) != 2 || !reflect.DeepEqual(onDisk, inMemory) {
-		t.Errorf("provenance chain on disk %+v != in memory %+v (want the two releases, nothing torn)", onDisk, inMemory)
+	if onDisk := reread.Provenance(ds.ID); len(inMemory) != 3 || !reflect.DeepEqual(onDisk, inMemory) {
+		t.Fatalf("provenance chain on disk %+v != in memory %+v (want two releases around the failed attempt, nothing torn)", onDisk, inMemory)
+	}
+	failed := inMemory[1]
+	if failed.Op != ProvenanceOpMeasureFailed || failed.Failure != "panic" || failed.Measurement != "" ||
+		math.Abs(failed.Cost-tbiCost) > 1e-9 || math.Abs(failed.SpentAfter-2*tbiCost) > 1e-9 ||
+		!reflect.DeepEqual(failed.Workloads, bad.Workloads) || failed.Eps != bad.Eps {
+		t.Errorf("the panicked attempt is chained as %+v, want a measure-failed record of its charge", failed)
+	}
+	if rep, err := svc.Audit(ds.ID); err != nil || !rep.OK || rep.Verified != 3 || math.Abs(rep.SpentReplayed-after.info.Ledger.Spent) > 1e-9 {
+		t.Errorf("audit after the panic: %+v (err=%v), want OK with the chain replaying to the ledger's spend", rep, err)
 	}
 }

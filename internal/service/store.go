@@ -299,9 +299,8 @@ func (st *Store) Bytes(id string) ([]byte, error) {
 	return append([]byte(nil), e.data...), nil
 }
 
-// Load deserializes one release. The rng serves memoized noise for
-// records never requested before the release was saved (see
-// synth.LoadMeasurements).
+// Load deserializes one release. The rng salts the noise derived for
+// records outside the release (see synth.LoadMeasurements).
 func (st *Store) Load(id string, rng *rand.Rand) (*synth.Measurements, error) {
 	data, err := st.Bytes(id)
 	if err != nil {

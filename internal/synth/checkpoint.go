@@ -1,17 +1,17 @@
 package synth
 
-// The fit checkpoint format (`wpinq-checkpoint v2`): everything a fresh
+// The fit checkpoint format (`wpinq-checkpoint v3`): everything a fresh
 // process needs to continue a Phase 2 fit bit-identically from a
 // re-anchor boundary. See DESIGN.md "Durable jobs" for the recovery
 // contract and fit.go for the re-anchor discipline that makes the
 // captured state sufficient.
 //
 // What is serialized is deliberately small: the per-chain edge lists in
-// live order, each chain's rng (seed, position), each sink's
-// observation-key order, the pow/ladder assignment, and the step count.
-// Everything else — the graphs' isolated nodes, the dataflow operators'
-// float state, the lazy-noise values — is a deterministic function of
-// those plus the measurement, and is rebuilt rather than stored.
+// live order, each chain's rng (seed, position), the pow/ladder
+// assignment, and the step count. Everything else — the graphs' isolated
+// nodes, the dataflow operators' float state, the sinks' records and
+// their derived-noise values — is a deterministic function of those plus
+// the measurement, and is rebuilt rather than stored.
 
 import (
 	"bufio"
@@ -23,17 +23,19 @@ import (
 	"io"
 
 	"wpinq/internal/graph"
-	"wpinq/internal/workload"
 )
 
 // checkpointHeader is the first token of the format's header line.
 const checkpointHeader = "wpinq-checkpoint"
 
-// checkpointVersion is the current checkpoint format version. v1 had
-// the same fields, but its chains drew one salt per fit workload from
-// their rngs before the first proposal, so a v1 rng_pos counts draws this
-// driver never makes: v1 is refused, not resumed onto another trace.
-const checkpointVersion = 2
+// checkpointVersion is the current checkpoint format version. Earlier
+// versions are refused, not resumed onto another trace: a v1 rng_pos
+// counts per-workload salt draws this driver never makes, and a v2
+// document carries every sink's observation history (and a
+// recompute_every knob), written by a walk whose score depended on that
+// history — its score_bits and every later accept decision are not the
+// ones this driver's score, a function of the edge list alone, produces.
+const checkpointVersion = 3
 
 // ErrCheckpointStale reports a checkpoint that cannot continue the run
 // that wrote it here: the parent content hash or a replayed seed draw
@@ -41,10 +43,6 @@ const checkpointVersion = 2
 // against, or an earlier driver wrote it. Resuming would not reproduce
 // the original trace, so the checkpoint is refused.
 var ErrCheckpointStale = errors.New("synth: checkpoint does not match the measurement, seed and fit driver")
-
-// ObservationKeys is one sink's observation history in a checkpoint:
-// the workload name and its records in first-observation order.
-type ObservationKeys = workload.Observation
 
 // ChainCheckpoint is one chain's durable state at a re-anchor boundary.
 type ChainCheckpoint struct {
@@ -69,12 +67,9 @@ type ChainCheckpoint struct {
 	// Edges is the chain's undirected edge list in live (swap-permuted)
 	// order, each entry a normalized (src, dst) pair.
 	Edges [][2]int32 `json:"edges"`
-	// Observations holds each attached sink's observation-key order, in
-	// workload attach order.
-	Observations []ObservationKeys `json:"observations"`
 }
 
-// Checkpoint is a complete `wpinq-checkpoint v2` document.
+// Checkpoint is a complete `wpinq-checkpoint v3` document.
 type Checkpoint struct {
 	Version int `json:"version"`
 	// ParentHash is the content hash (sha256, hex) of the serialized
@@ -88,7 +83,6 @@ type Checkpoint struct {
 	Step            int      `json:"step"`
 	CheckpointEvery int      `json:"checkpoint_every"`
 	SwapEvery       int      `json:"swap_every"`
-	RecomputeEvery  int      `json:"recompute_every"`
 	// Shards is the resolved executor width (auto-resolution happens
 	// before the first step, so resume reuses the original's choice).
 	Shards int `json:"shards"`
@@ -122,7 +116,7 @@ func hashCheckpoint(ck *Checkpoint) (string, error) {
 }
 
 // Save writes the checkpoint to w in the versioned on-disk format: a
-// `wpinq-checkpoint v2` header line followed by one JSON document with
+// `wpinq-checkpoint v3` header line followed by one JSON document with
 // an embedded self-hash.
 func (ck *Checkpoint) Save(w io.Writer) error {
 	ck.Version = checkpointVersion

@@ -13,6 +13,8 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -280,11 +282,21 @@ func TestLoadCheckpointRejectsCorruption(t *testing.T) {
 	if _, err := LoadCheckpoint(bytes.NewReader([]byte("wpinq-checkpoint v999\n{}"))); err == nil {
 		t.Error("unsupported version accepted")
 	}
-	// A parent-format document: its rng positions count draws this driver
-	// never makes, so it is stale, not resumable onto a different trace.
-	v1 := bytes.Replace(good, []byte("wpinq-checkpoint v2\n"), []byte("wpinq-checkpoint v1\n"), 1)
-	if _, err := LoadCheckpoint(bytes.NewReader(v1)); bytes.Equal(v1, good) || !errors.Is(err, ErrCheckpointStale) {
-		t.Errorf("wpinq-checkpoint v1 document: got %v, want ErrCheckpointStale", err)
+	// A document headed by an earlier version was written by an earlier
+	// driver — v1's rng positions count draws this one never makes, v2's
+	// walk scored against its observation history — so it is stale, not
+	// resumable onto a different trace.
+	v2, err := os.ReadFile(filepath.Join("testdata", "checkpoint.v2.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, doc := range map[string][]byte{
+		"a v1 header":               bytes.Replace(good, []byte("wpinq-checkpoint v3\n"), []byte("wpinq-checkpoint v1\n"), 1),
+		"the last v2 driver's file": v2,
+	} {
+		if _, err := LoadCheckpoint(bytes.NewReader(doc)); bytes.Equal(doc, good) || !errors.Is(err, ErrCheckpointStale) {
+			t.Errorf("%s: got %v, want ErrCheckpointStale", name, err)
+		}
 	}
 	// Flip one digit inside the JSON document: the self-hash must catch it.
 	tampered := bytes.Replace(good, []byte(`"step":500`), []byte(`"step":501`), 1)

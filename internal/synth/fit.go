@@ -5,24 +5,25 @@ package synth
 // newFit and driven by one mcmc.RunDurable call. Each chain owns its
 // plan, graph state and a counted rng seeded by one draw of the master
 // rng; what the chains share is the caller's *Measurements: every chain
-// attaches m.Fits[name] itself. core.Histogram is mutex-guarded and the
-// noise it derives for a never-released record is a pure function of
-// (salt, record), so concurrent chains race on nothing, observe the same
-// value for the same record whatever their interleaving, and need no
-// copy — and the residuals a fit reports are residuals against the
-// histograms the caller holds (DESIGN.md "Replica exchange").
+// attaches m.Fits[name] itself. A fit writes nothing into m: a
+// core.Histogram is fixed at release and the noise it derives for a
+// never-released record is a pure function of (salt, record), so
+// concurrent chains race on nothing, observe the same value for the same
+// record whatever their interleaving, and need no copy — and the
+// residuals a fit reports are residuals against the histograms the caller
+// holds (DESIGN.md "Replica exchange").
 //
 // CheckpointEvery > 0 adds re-anchor stops and nothing else: at each
 // one every chain's pipelines, sinks and graph state are discarded and
-// rebuilt from its current edge list and observation history, and only
-// then is the checkpoint captured. The rebuild happens in every such
-// run, interrupted or not, so the state at a boundary is a pure function
-// of the checkpoint's contents and a resumed process continues the exact
-// proposal trace the original would have produced (bit-identical final
-// edge lists and accept/reject decisions at one shard; see DESIGN.md
-// "Durable jobs"). Re-anchoring replaces incrementally maintained float
-// state with freshly accumulated state, which is why a checkpointed
-// run's trace differs from a CheckpointEvery=0 run of the same seed.
+// rebuilt from its current edge list, and only then is the checkpoint
+// captured. The rebuild happens in every such run, interrupted or not,
+// so the state at a boundary is a pure function of the checkpoint's
+// contents and a resumed process continues the exact proposal trace the
+// original would have produced (bit-identical final edge lists and
+// accept/reject decisions at one shard; see DESIGN.md "Durable jobs").
+// Re-anchoring replaces incrementally maintained float state with freshly
+// accumulated state, which is why a checkpointed run's trace differs from
+// a CheckpointEvery=0 run of the same seed.
 
 import (
 	"errors"
@@ -42,14 +43,18 @@ import (
 var reanchorSeconds = obs.Default.Histogram("wpinq_fit_reanchor_seconds",
 	"Wall seconds to rebuild every chain of a fit from its edge list at one checkpoint stop (the checkpoint sink excluded).", nil)
 
+// liveDerived makes the paper's Figure 3 failure mode — a fit spending
+// its weight on records the release never contained, "fitting the noise"
+// — visible from outside. Set at progress stops only.
+var liveDerived = obs.Default.Gauge("wpinq_fit_live_derived_records",
+	"Never-released records the best chain's synthetic graph currently gives weight, summed over its fit workloads.")
+
 // fitChain is one chain's live resources plus the serializable identity
 // (seed, counted rng) that lets a resumed process rebuild them.
 type fitChain struct {
 	seed   int64
 	src    *mcmc.CountingSource
 	rng    *rand.Rand
-	plan   *workload.Plan
-	state  *mcmc.GraphState
 	runner *mcmc.Runner
 }
 
@@ -157,41 +162,27 @@ func newFit(m *Measurements, seed *graph.Graph, cfg Config, names []string, ck *
 	return f, nil
 }
 
-// anchor (re)builds chain idx's plan, graph state and runner at step.
-// With at nil it loads the Phase 1 seed graph against each measurement's
-// released domain; otherwise the sinks replay at's recorded observation
-// order and the graph state replays its live edge order, because both
-// accumulations are order-sensitive and must come out bit-for-bit. It
-// consumes no rng.
+// anchor (re)builds chain idx's plan, graph state and runner at step:
+// every workload attached over its released domain, then the Phase 1 seed
+// graph loaded when at is nil, else at's edges in their live order — the
+// accumulations downstream are order-sensitive and must come out
+// bit-for-bit. It consumes no rng.
 func (f *fit) anchor(idx, step int, pow float64, at *ChainCheckpoint) error {
-	if at != nil && len(at.Observations) != len(f.names) {
-		return fmt.Errorf("synth: chain %d has %d observation sets for %d workloads", idx, len(at.Observations), len(f.names))
-	}
 	plan := workload.NewPlan(f.cfg.Shards)
-	for k, name := range f.names {
-		var err error
-		switch {
-		case at == nil:
-			err = f.m.Fits[name].Attach(plan, f.m.Eps)
-		case at.Observations[k].Workload != name:
-			err = fmt.Errorf("observation set %d is for %q, want %q", k, at.Observations[k].Workload, name)
-		default:
-			err = f.m.Fits[name].AttachWithDomain(plan, f.m.Eps, at.Observations[k].Keys)
-		}
-		if err != nil {
+	for _, name := range f.names {
+		if err := f.m.Fits[name].Attach(plan, f.m.Eps); err != nil {
 			return fmt.Errorf("synth: chain %d: %w", idx, err)
 		}
 	}
-	var state *mcmc.GraphState
-	if at == nil {
-		state = mcmc.NewGraphState(f.seed, plan.Input())
-	} else {
-		var err error
-		if state, err = mcmc.NewGraphStateFromEdges(unpackEdges(at.Edges), f.isolated, plan.Input()); err != nil {
-			return fmt.Errorf("synth: chain %d: %w", idx, err)
-		}
+	edges := f.seed.EdgeList()
+	if at != nil {
+		edges = unpackEdges(at.Edges)
 	}
-	mcfg := mcmc.Config{Pow: pow, PowSchedule: f.cfg.PowSchedule, RecomputeEvery: f.cfg.RecomputeEvery}
+	state, err := mcmc.NewGraphStateFromEdges(edges, f.isolated, plan.Input())
+	if err != nil {
+		return fmt.Errorf("synth: chain %d: %w", idx, err)
+	}
+	mcfg := mcmc.Config{Pow: pow, PowSchedule: f.cfg.PowSchedule, RecomputeEvery: recomputeEvery}
 	if idx == 0 {
 		// OnStep/OnSample observe chain 0, the chain that starts on the
 		// coldest (target-pow) rung.
@@ -203,7 +194,7 @@ func (f *fit) anchor(idx, step int, pow float64, at *ChainCheckpoint) error {
 		return err
 	}
 	runner.SetStep(step)
-	ch.plan, ch.state, ch.runner = plan, state, runner
+	ch.runner = runner
 	return nil
 }
 
@@ -233,7 +224,6 @@ func SynthesizeResume(m *Measurements, seed *graph.Graph, ck *Checkpoint, cfg Co
 	cfg.Chains = len(ck.Chains)
 	cfg.SwapEvery = ck.SwapEvery
 	cfg.CheckpointEvery = ck.CheckpointEvery
-	cfg.RecomputeEvery = ck.RecomputeEvery
 	cfg.Shards = ck.Shards
 	cfg.PowSchedule = nil
 	cfg.PowLadder = nil
@@ -305,7 +295,7 @@ func (f *fit) run(ck *Checkpoint) (*Result, error) {
 	best := f.chains[res.Best]
 	r := &Result{
 		Seed:      f.seed,
-		Synthetic: best.state.Graph(),
+		Synthetic: best.runner.State().Graph(),
 		Stats:     res.Chains[res.Best].Stats,
 		BestChain: res.Best,
 		TotalCost: f.m.TotalCost,
@@ -319,17 +309,13 @@ func (f *fit) run(ck *Checkpoint) (*Result, error) {
 }
 
 // reanchor is the mcmc.DurableConfig.Reanchor hook: rebuild every chain
-// from its live edge list and observation history, then emit the
-// checkpoint describing exactly the rebuilt state.
+// from its live edge list, then emit the checkpoint describing exactly
+// the rebuilt state.
 func (f *fit) reanchor(done int, _ []*mcmc.Runner, ladder []int, parity int, stats []mcmc.ChainStats) ([]*mcmc.Runner, bool, error) {
 	began := time.Now()
 	ckChains := make([]ChainCheckpoint, len(f.chains))
 	next := make([]*mcmc.Runner, len(f.chains))
 	for i, ch := range f.chains {
-		obs, err := ch.plan.Observations()
-		if err != nil {
-			return nil, false, err
-		}
 		cc := &ckChains[i]
 		*cc = ChainCheckpoint{
 			Seed:          ch.seed,
@@ -340,8 +326,7 @@ func (f *fit) reanchor(done int, _ []*mcmc.Runner, ladder []int, parity int, sta
 			Invalid:       stats[i].Invalid,
 			SwapsProposed: stats[i].SwapsProposed,
 			SwapsAccepted: stats[i].SwapsAccepted,
-			Edges:         packEdges(ch.state.Edges()),
-			Observations:  obs,
+			Edges:         packEdges(ch.runner.State().Edges()),
 		}
 		if err := f.anchor(i, done, cc.Pow, cc); err != nil {
 			return nil, false, err
@@ -362,7 +347,6 @@ func (f *fit) reanchor(done int, _ []*mcmc.Runner, ladder []int, parity int, sta
 		Step:            done,
 		CheckpointEvery: f.cfg.CheckpointEvery,
 		SwapEvery:       f.cfg.SwapEvery,
-		RecomputeEvery:  f.cfg.RecomputeEvery,
 		Shards:          f.cfg.Shards,
 		Ladder:          append([]int(nil), ladder...),
 		Parity:          parity,
@@ -392,6 +376,11 @@ func (f *fit) progress(done int, chains []mcmc.ChainStats) Progress {
 	if len(chains) > 1 {
 		p.Chains = ChainSnapshots(chains)
 	}
+	live := 0
+	for _, r := range p.Residuals {
+		live += r.Bins - f.m.Fits[r.Workload].Hist.Len()
+	}
+	liveDerived.Set(float64(live))
 	return p
 }
 

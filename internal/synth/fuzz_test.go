@@ -2,6 +2,7 @@ package synth
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -42,8 +43,16 @@ func FuzzLoadMeasurements(f *testing.F) {
 }
 
 // FuzzLoadCheckpoint does the same for LoadCheckpoint, which boot
-// recovery runs over whatever a killed daemon left in its store.
+// recovery runs over whatever a killed daemon left in its store — a
+// document of the previous format among it (testdata/checkpoint.v2.golden,
+// written by the last v2 driver), which must be refused as stale however
+// its body is damaged.
 func FuzzLoadCheckpoint(f *testing.F) {
+	v2, err := os.ReadFile(filepath.Join("testdata", "checkpoint.v2.golden"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2)
 	rng := testRng(77)
 	m, err := LoadMeasurements(bytes.NewReader(durableFixture(f)), rng)
 	if err != nil {
@@ -67,6 +76,9 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	addWithDamage(f, saved.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := LoadCheckpoint(bytes.NewReader(data))
+		if bytes.HasPrefix(data, []byte("wpinq-checkpoint v2\n")) && !errors.Is(err, ErrCheckpointStale) {
+			t.Fatalf("a v2-headed document was not refused as stale: %v", err)
+		}
 		if err != nil {
 			return
 		}

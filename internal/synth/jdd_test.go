@@ -41,7 +41,7 @@ func TestJDDFitImprovesScore(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Measure seed chosen for a landscape where the annealed walk finds
-	// improvement across executor traces (the memoized noise for
+	// improvement across executor traces (the derived noise for
 	// never-observed records is record-keyed by the measurement's salt,
 	// so the landscape away from the seed depends on the measurement
 	// seed; some salts leave the seed in a local optimum this short walk
@@ -70,7 +70,7 @@ func TestJDDFitImprovesScore(t *testing.T) {
 		return 0.2 + 40*frac*frac
 	}
 	// Assert on the best score the walk reaches, not on wherever the
-	// still-warm walk happens to sit at the final step: the memoized
+	// still-warm walk happens to sit at the final step: the derived
 	// NoisyCount noise for never-observed records is record-keyed by the
 	// measurement salt, so the score landscape away from the seed
 	// legitimately varies with the measurement seed, and the final-step

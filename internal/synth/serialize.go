@@ -110,8 +110,9 @@ func (m *Measurements) Save(w io.Writer) error {
 }
 
 // LoadMeasurements reads measurements saved by Save. The supplied rng
-// continues to serve fresh memoized noise for records never requested
-// before the save (NoisyCount's lazy dictionary survives serialization).
+// draws one salt per histogram, from which the noise of every record
+// outside the release is derived (NoisyCount answers for the whole domain,
+// and keeps doing so after serialization).
 func LoadMeasurements(r io.Reader, rng *rand.Rand) (*Measurements, error) {
 	br := bufio.NewReader(r)
 	line, err := br.ReadString('\n')

@@ -62,8 +62,6 @@ type Config struct {
 	PowSchedule func(step int) float64
 	// Steps is the number of MCMC steps in Phase 2.
 	Steps int
-	// RecomputeEvery bounds floating-point drift (default 1 << 15).
-	RecomputeEvery int
 	// OnStep observes MCMC progress (optional).
 	OnStep func(step int, accepted bool, score float64)
 	// SampleEvery > 0 invokes OnSample with the live synthetic graph every
@@ -150,9 +148,6 @@ func (c *Config) Validate() error {
 	if c.Steps < 0 {
 		return errors.New("synth: Steps must be non-negative")
 	}
-	if c.RecomputeEvery <= 0 {
-		c.RecomputeEvery = 1 << 15
-	}
 	if c.Shards < -1 {
 		return errors.New("synth: Shards must be 0 (auto), positive, or -1 (one shard)")
 	}
@@ -222,6 +217,10 @@ type WorkloadResidual = incremental.WorkloadResidual
 // BinResidual is one measurement record's residual; see
 // incremental.BinResidual.
 type BinResidual = incremental.BinResidual
+
+// recomputeEvery bounds floating-point drift: every chain re-derives its
+// sinks' distances from scratch after this many accepted proposals.
+const recomputeEvery = 1 << 15
 
 // residualTopK is how many worst bins each workload's residual report
 // carries in progress snapshots and results.
@@ -468,10 +467,9 @@ type Result struct {
 // measured domain and fit fresh noise. The seed graph is not modified;
 // the synthetic result is independent.
 //
-// The chains score against m's own histograms, so a fit memoizes in m
-// the noise of every never-released record a proposal touched: the
-// residuals it reports reconcile with m afterwards, and two fits that
-// must agree bit for bit each load their own copy of the measurement.
+// The chains score against m's own histograms and write nothing into
+// them: the residuals a fit reports reconcile with m, m serializes to the
+// same bytes afterwards, and two fits against one m agree bit for bit.
 func Synthesize(m *Measurements, seed *graph.Graph, cfg Config, rng *rand.Rand) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

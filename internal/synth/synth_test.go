@@ -36,7 +36,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if good.Pow != 10000 || good.RecomputeEvery == 0 {
+	if good.Pow != 10000 || good.SwapEvery == 0 || good.ProgressEvery == 0 {
 		t.Errorf("defaults not applied: %+v", good)
 	}
 }

@@ -152,14 +152,15 @@ func TestHistogramRoundTripAndTypedGet(t *testing.T) {
 	if d, err = fit.Hist.Distance(moved.Hist); err != nil || math.Abs(d-2.5) > 1e-12 {
 		t.Errorf("distance to perturbed copy = %v (%v), want 2.5", d, err)
 	}
-	// Keys that never occurred decode fine and draw memoized noise.
+	// Keys that never occurred decode fine and derive their noise: the
+	// same value each time, and nothing recorded.
 	key, _ := json.Marshal(queries.SortTriple(91, 92, 93))
 	v1, err := fit.Hist.Get(key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v2, _ := fit.Hist.Get(key); v1 != v2 {
-		t.Errorf("lazy noise not memoized: %v then %v", v1, v2)
+		t.Errorf("derived noise is not a function of the record: %v then %v", v1, v2)
 	}
 	if _, err := fit.Hist.Get(json.RawMessage(`"not-a-triple"`)); err == nil ||
 		!strings.Contains(err.Error(), "decoding") {

@@ -23,6 +23,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -63,18 +64,18 @@ type Entry struct {
 // Histogram is the type-erased view of one workload's released
 // histogram (a core.Histogram[T] for the workload's record type T).
 type Histogram interface {
-	// Len returns the number of materialized records.
+	// Len returns the number of released records.
 	Len() int
-	// Get returns the released noisy count for the record encoded by
-	// key (the same JSON form Entries uses). Unseen records draw fresh
-	// memoized noise, exactly like core.Histogram.Get.
+	// Get returns the noisy count for the record encoded by key (the
+	// same JSON form Entries uses). A record outside the release derives
+	// its noise from the record, exactly like core.Histogram.Get: asking
+	// changes nothing.
 	Get(key json.RawMessage) (float64, error)
 	// Distance returns the L1 distance between this histogram's
-	// materialized records and other's, over the union of their keys.
-	// It inspects only materialized records (no fresh noise draws).
+	// released records and other's, over the union of their keys.
 	Distance(other Histogram) (float64, error)
-	// Entries returns the materialized (key, count) pairs sorted
-	// bytewise by key: the canonical serialization.
+	// Entries returns the released (key, count) pairs sorted bytewise by
+	// key: the canonical serialization.
 	Entries() ([]Entry, error)
 }
 
@@ -94,31 +95,14 @@ func (m Measured) Entries() ([]Entry, error) { return m.Hist.Entries() }
 // Attach builds the workload's fit pipeline on the plan, terminates it
 // in a NoisyCountSink against the released histogram, and registers the
 // sink with the plan's scorer. eps is the privacy parameter the
-// measurement was taken with. The sink's domain is the histogram's
-// materialized records in canonical (sorted-key) order: the sink
-// accumulates its initial L1 in domain order, so a map-ordered domain
-// would make the starting score — and with it the whole seeded MCMC
-// trace — vary between runs.
+// measurement was taken with. The sink's domain is the release in
+// canonical (sorted-key) order: the sink accumulates its initial L1 in
+// domain order, so a map-ordered domain would make the starting score —
+// and with it the whole seeded MCMC trace — vary between runs. Every
+// anchor of a fit — fresh, re-anchored or resumed — is this call: a sink
+// keeps nothing a loaded edge list does not re-derive.
 func (m Measured) Attach(p *Plan, eps float64) error {
-	entries, err := m.Hist.Entries()
-	if err != nil {
-		return err
-	}
-	keys := make([]json.RawMessage, len(entries))
-	for i, e := range entries {
-		keys[i] = e.Key
-	}
-	return m.AttachWithDomain(p, eps, keys)
-}
-
-// AttachWithDomain is Attach with an explicit sink domain: keys lists
-// the records the sink should materialize up front, in order, as
-// canonical JSON (the form ObservedKeys/Observations produce). A resumed
-// or re-anchored fit replays a previous sink's exact first-observation
-// order this way, because the sink's L1 accumulator is order-sensitive
-// and must match bit-for-bit.
-func (m Measured) AttachWithDomain(p *Plan, eps float64, keys []json.RawMessage) error {
-	return m.Workload.impl.attach(p, m.Workload.Name, m.Hist, m.Bucket, eps, keys)
+	return m.Workload.impl.attach(p, m.Workload.Name, m.Hist, m.Bucket, eps)
 }
 
 // Collected is a type-erased collector over one workload's pipeline,
@@ -153,7 +137,7 @@ type Workload struct {
 type impl interface {
 	measure(edges *core.Collection[graph.Edge], bucket int, eps float64, rng *rand.Rand) (Histogram, error)
 	load(entries []Entry, eps float64, rng *rand.Rand) (Histogram, error)
-	attach(p *Plan, name string, h Histogram, bucket int, eps float64, keys []json.RawMessage) error
+	attach(p *Plan, name string, h Histogram, bucket int, eps float64) error
 	collect(p *Plan, bucket int) Collected
 	exact(g *graph.Graph, bucket int) (map[string]float64, error)
 }
@@ -185,7 +169,7 @@ func (w Workload) Measure(edges *core.Collection[graph.Edge], bucket int, eps fl
 
 // Load reconstructs a previously released measurement from its
 // canonical entries (the deserialization path). Unseen records continue
-// to draw fresh memoized noise at eps.
+// to derive their noise at eps.
 func (w Workload) Load(entries []Entry, bucket int, eps float64, rng *rand.Rand) (Measured, error) {
 	if w.impl == nil {
 		return Measured{}, fmt.Errorf("workload: %q has no implementation", w.Name)
@@ -264,45 +248,6 @@ func (p *Plan) Scorer() *incremental.Scorer { return p.scorer }
 // Engine returns the executor the plan runs on.
 func (p *Plan) Engine() *engine.Engine { return p.eng }
 
-// Observation is one attached sink's observation history: the workload
-// it was attached under and its records in first-observation order,
-// serialized as canonical JSON.
-type Observation struct {
-	Workload string            `json:"workload"`
-	Keys     []json.RawMessage `json:"keys"`
-}
-
-// Observations returns every attached sink's observation history, in
-// attach order. Feeding each entry's keys back through AttachWithDomain
-// on a fresh plan rebuilds the sinks' released-value state exactly —
-// the measurement half of a fit checkpoint.
-func (p *Plan) Observations() ([]Observation, error) {
-	var out []Observation
-	var firstErr error
-	p.scorer.Each(func(name string, s incremental.SinkScore) {
-		if firstErr != nil {
-			return
-		}
-		k, ok := s.(interface {
-			ObservedKeys() ([]json.RawMessage, error)
-		})
-		if !ok {
-			firstErr = fmt.Errorf("workload: sink for %q does not expose its observations", name)
-			return
-		}
-		keys, err := k.ObservedKeys()
-		if err != nil {
-			firstErr = err
-			return
-		}
-		out = append(out, Observation{Workload: name, Keys: keys})
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
-
 // Builders holds the one description of a workload's query for record
 // type T: the operator tree (queries.Expr), given the degree bucket
 // width. Workloads that do not use the bucket receive 0 and must ignore
@@ -352,18 +297,16 @@ func (b Builders[T]) load(entries []Entry, eps float64, rng *rand.Rand) (Histogr
 	return &typedHist[T]{h: h}, nil
 }
 
-func (b Builders[T]) attach(p *Plan, name string, h Histogram, bucket int, eps float64, keys []json.RawMessage) error {
+func (b Builders[T]) attach(p *Plan, name string, h Histogram, bucket int, eps float64) error {
 	th, ok := h.(*typedHist[T])
 	if !ok {
 		return fmt.Errorf("workload: histogram has record type %T, want %T", h, &typedHist[T]{})
 	}
-	domain := make([]T, len(keys))
-	for i, k := range keys {
-		if err := json.Unmarshal(k, &domain[i]); err != nil {
-			return fmt.Errorf("workload: decoding domain record %s: %w", k, err)
-		}
+	release, err := th.canonical()
+	if err != nil {
+		return err
 	}
-	sink := incremental.NewNoisyCountSink[T](queries.Stream(b.Expr(bucket), p.memo, p.root), th.h, domain, eps)
+	sink := incremental.NewNoisyCountSink[T](queries.Stream(b.Expr(bucket), p.memo, p.root), th.h, release.recs, eps)
 	p.scorer.AddNamed(name, sink)
 	return nil
 }
@@ -410,7 +353,7 @@ type typedHist[T comparable] struct {
 	h *core.Histogram[T]
 }
 
-func (t *typedHist[T]) Len() int { return len(t.h.Materialized()) }
+func (t *typedHist[T]) Len() int { return t.h.Len() }
 
 func (t *typedHist[T]) Get(key json.RawMessage) (float64, error) {
 	var x T
@@ -420,18 +363,38 @@ func (t *typedHist[T]) Get(key json.RawMessage) (float64, error) {
 	return t.h.Get(x), nil
 }
 
-func (t *typedHist[T]) Entries() ([]Entry, error) {
+// byKey is a release in canonical order: the typed records beside their
+// serialized entries, sorted together bytewise by key.
+type byKey[T comparable] struct {
+	recs    []T
+	entries []Entry
+}
+
+func (b byKey[T]) Len() int           { return len(b.entries) }
+func (b byKey[T]) Less(i, j int) bool { return bytes.Compare(b.entries[i].Key, b.entries[j].Key) < 0 }
+func (b byKey[T]) Swap(i, j int) {
+	b.recs[i], b.recs[j] = b.recs[j], b.recs[i]
+	b.entries[i], b.entries[j] = b.entries[j], b.entries[i]
+}
+
+func (t *typedHist[T]) canonical() (byKey[T], error) {
 	mat := t.h.Materialized()
-	out := make([]Entry, 0, len(mat))
+	recs, entries := make([]T, 0, len(mat)), make([]Entry, 0, len(mat))
 	for x, c := range mat {
 		key, err := json.Marshal(x)
 		if err != nil {
-			return nil, fmt.Errorf("workload: encoding record %v: %w", x, err)
+			return byKey[T]{}, fmt.Errorf("workload: encoding record %v: %w", x, err)
 		}
-		out = append(out, Entry{Key: key, Count: c})
+		recs = append(recs, x)
+		entries = append(entries, Entry{Key: key, Count: c})
 	}
-	sort.Slice(out, func(i, j int) bool { return bytes.Compare(out[i].Key, out[j].Key) < 0 })
-	return out, nil
+	sort.Sort(byKey[T]{recs, entries})
+	return byKey[T]{recs, entries}, nil
+}
+
+func (t *typedHist[T]) Entries() ([]Entry, error) {
+	release, err := t.canonical()
+	return release.entries, err
 }
 
 func (t *typedHist[T]) Distance(other Histogram) (float64, error) {
@@ -444,35 +407,25 @@ func (t *typedHist[T]) Distance(other Histogram) (float64, error) {
 		return 0, err
 	}
 	var l1 float64
-	i, j := 0, 0
-	for i < len(a) || j < len(b) {
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		// A histogram that has run out sorts after everything.
+		cmp := -1
+		if i == len(a) {
+			cmp = 1
+		} else if j < len(b) {
+			cmp = bytes.Compare(a[i].Key, b[j].Key)
+		}
 		switch {
-		case j >= len(b):
-			l1 += abs(a[i].Count)
+		case cmp < 0:
+			l1 += math.Abs(a[i].Count)
 			i++
-		case i >= len(a):
-			l1 += abs(b[j].Count)
+		case cmp > 0:
+			l1 += math.Abs(b[j].Count)
 			j++
 		default:
-			switch cmp := bytes.Compare(a[i].Key, b[j].Key); {
-			case cmp < 0:
-				l1 += abs(a[i].Count)
-				i++
-			case cmp > 0:
-				l1 += abs(b[j].Count)
-				j++
-			default:
-				l1 += abs(a[i].Count - b[j].Count)
-				i, j = i+1, j+1
-			}
+			l1 += math.Abs(a[i].Count - b[j].Count)
+			i, j = i+1, j+1
 		}
 	}
 	return l1, nil
-}
-
-func abs(x float64) float64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

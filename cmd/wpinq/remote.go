@@ -12,10 +12,12 @@ package main
 // compose in scripts.
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"time"
 
 	"wpinq/internal/graph"
@@ -281,6 +283,12 @@ func printJob(st service.JobStatus) {
 	}
 	fmt.Println()
 	printResiduals(os.Stdout, "  ", st.Residuals)
+	// The three dataflow nodes that moved the most differences.
+	ops := slices.Clone(st.Operators)
+	slices.SortStableFunc(ops, func(a, b service.OperatorProfile) int { return cmp.Compare(b.In+b.Out, a.In+a.Out) })
+	for _, op := range ops[:min(3, len(ops))] {
+		fmt.Printf("  operator %d %-10s rounds %d in %d out %d state %d\n", op.Index, op.Op, op.Rounds, op.In, op.Out, op.State)
+	}
 }
 
 // printResiduals renders the per-workload fit-residual breakdown: which

@@ -93,6 +93,9 @@ func TestRemoteWorkflow(t *testing.T) {
 			t.Errorf("remote status output missing %q:\n%s", want, status)
 		}
 	}
+	if got := strings.Count(status, "\n  operator "); got != 3 {
+		t.Errorf("remote status lists %d operators, want the three busiest:\n%s", got, status)
+	}
 }
 
 func TestRemoteValidation(t *testing.T) {

@@ -73,6 +73,26 @@ func TestMeasureValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteNumbersAreRefusedBeforeAnyCharge is the CLI row of the
+// service test of the same name: -eps parses NaN and Inf (strconv does),
+// and a measurement taken with either must be refused — an error, no
+// release written. (The CLI's ledger is private to the call, and the
+// noise layer used to catch what Config.Validate now refuses first, so
+// unlike the service rows this one pins behaviour, not a fix.)
+func TestNonFiniteNumbersAreRefusedBeforeAnyCharge(t *testing.T) {
+	dir := t.TempDir()
+	edges := writeTestGraph(t, dir)
+	for _, eps := range []string{"NaN", "+Inf"} {
+		out := filepath.Join(dir, "meas-"+eps+".json")
+		if err := runMeasure([]string{"-in", edges, "-out", out, "-eps", eps}); err == nil {
+			t.Errorf("measure -eps %s succeeded", eps)
+		}
+		if _, err := os.Stat(out); !os.IsNotExist(err) {
+			t.Errorf("measure -eps %s wrote a release (%v)", eps, err)
+		}
+	}
+}
+
 func TestSynthesizeValidation(t *testing.T) {
 	if err := runSynthesize(nil); err == nil {
 		t.Error("missing -in accepted")

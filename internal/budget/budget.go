@@ -10,6 +10,7 @@ package budget
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 )
@@ -115,8 +116,8 @@ func (e *InsufficientBudgetError) Error() string {
 // Charge debits cost from the source, failing atomically (no partial debit)
 // when the remaining budget is insufficient.
 func (s *Source) Charge(cost float64) error {
-	if cost < 0 {
-		return fmt.Errorf("budget: negative charge %g on source %q", cost, s.name)
+	if !(cost >= 0) || math.IsInf(cost, 1) { // NaN compares false: one NaN debit would make every later charge succeed
+		return fmt.Errorf("budget: charge %g on source %q is not a finite non-negative number", cost, s.name)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()

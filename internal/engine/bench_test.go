@@ -38,7 +38,7 @@ func BenchmarkShaveShards(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := New(shards)
 				in := NewInput[int](e)
-				out := Collect[weighted.Indexed[int]](ShaveConst[int](in, 1))
+				out := incremental.Collect[weighted.Indexed[int]](ShaveConst[int](in, 1))
 				in.Push(batch)
 				benchSink = out.Norm()
 			}
@@ -57,7 +57,7 @@ func BenchmarkGroupByShards(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := New(shards)
 				in := NewInput[int](e)
-				out := Collect[weighted.Grouped[int, int]](GroupBy[int, int, int](in, key, reduce))
+				out := incremental.Collect[weighted.Grouped[int, int]](GroupBy[int, int, int](in, key, reduce))
 				in.Push(batch)
 				benchSink = out.Norm()
 			}
@@ -78,7 +78,7 @@ func BenchmarkJoinShards(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				e := New(shards)
 				in := NewInput[int](e)
-				out := Collect[[2]int](Join[int, int, int, [2]int](in, in, key, key, reduce))
+				out := incremental.Collect[[2]int](Join[int, int, int, [2]int](in, in, key, key, reduce))
 				in.Push(batch)
 				benchSink = out.Norm()
 			}

@@ -17,11 +17,12 @@
 //     (respectively its key), then apply each shard's differences to that
 //     shard's private operator state in parallel.
 //
-// Each shard's state is a private instance of the operator's body in
-// wpinq/internal/incremental — which is where the semantics, including
-// the Join fast path, live; the executor adds only routing, batching, and
-// scheduling. Equivalence tests against the from-scratch reference
-// semantics in wpinq/internal/weighted pin the combination.
+// Each shard's state is a private operator body from
+// wpinq/internal/incremental — a state machine the node calls, and where
+// the semantics, including the Join fast path, live; the executor adds
+// only routing, batching, and scheduling. Equivalence tests against the
+// from-scratch reference semantics in wpinq/internal/weighted pin the
+// combination.
 //
 // # Execution model
 //
@@ -42,8 +43,8 @@
 // tiny rounds of an MCMC edge swap do not pay goroutine fan-out.
 //
 // Pushes may be bracketed by Input.Begin and Input.Commit/Input.Abort:
-// speculative rounds run identically, but every shard's sub-node logs
-// the pre-images of the state it overwrites, and Abort restores them in
+// speculative rounds run identically, but every shard's body logs the
+// pre-images of the state it overwrites, and Abort restores them in
 // O(touched keys) without another round (see txnGate and the incremental
 // package's TxnOp).
 //
@@ -52,8 +53,13 @@
 // Every engine stream implements incremental.Source, so the incremental
 // package's terminal consumers — Collect, NewNoisyCountSink — attach to a
 // pipeline directly. Handlers subscribed this way run serially on the
-// scheduling goroutine. The engine's own Collect is the sharded, parallel
-// materialization sink.
+// scheduling goroutine.
+//
+// # Profile
+//
+// Every node counts the rounds it executed and the differences it took
+// and emitted, on the scheduling goroutine; Engine.Profile reads the
+// counters, with each stateful node's indexed records, between rounds.
 //
 // # Concurrency contract
 //
@@ -94,11 +100,38 @@ type Engine struct {
 	inRun  bool
 }
 
-// processor is one schedulable node: Inputs, operators, and sinks.
+// processor is one schedulable node: an Input or an operator.
 type processor interface {
 	// process drains the node's pending input, applies it, and emits any
 	// output downstream. Called once per round in construction order.
 	process()
+	// profile returns the node's counters (see NodeProfile).
+	profile() NodeProfile
+}
+
+// NodeProfile is what one node has cost so far: the rounds in which it
+// had input, the differences it took and the differences it emitted,
+// counted where the node executes, and the records its state indexes (0
+// for a stateless node). Index is the node's place in construction —
+// scheduling — order.
+type NodeProfile struct {
+	Index  int    `json:"node"`
+	Op     string `json:"op"`
+	Rounds uint64 `json:"rounds"`
+	In     uint64 `json:"in"`
+	Out    uint64 `json:"out"`
+	State  int    `json:"state"`
+}
+
+// Profile returns every node's NodeProfile in scheduling order. Like the
+// rest of the API it must not run concurrently with a Push.
+func (e *Engine) Profile() []NodeProfile {
+	out := make([]NodeProfile, len(e.nodes))
+	for i, n := range e.nodes {
+		out[i] = n.profile()
+		out[i].Index = i
+	}
+	return out
 }
 
 // New returns an engine that partitions operator state into the given
@@ -186,9 +219,6 @@ func (e *Engine) forN(work, n int, f func(i int)) {
 	wg.Wait()
 }
 
-// forShards invokes f once per shard; see forN for the dispatch rules.
-func (e *Engine) forShards(work int, f func(s int)) { e.forN(work, e.shards, f) }
-
 // port is one node's pending input from one upstream stream: the batches
 // emitted earlier in the current round, awaiting the owner's process
 // call. Batches are owned by the emitter and are read-only, valid until
@@ -216,8 +246,8 @@ func (p *port[T]) reset() {
 // (incremental.TxnOp) travel the same edges as difference batches: each
 // node receives an event from every upstream, drops redundant deliveries
 // at its gate, applies the event to its own state — for a stateful node,
-// by fanning it into every shard's sub-node, which runs its own undo-log
-// machinery — and forwards it downstream. Events carry no data and run
+// by telling every shard's body, which runs its own undo-log machinery —
+// and forwards it downstream. Events carry no data and run
 // serially on the scheduling goroutine, outside any round.
 type txnGate = incremental.TxnGate
 
@@ -229,21 +259,29 @@ type Stream[T comparable] struct {
 	ports    []*port[T]
 	handlers []incremental.Handler[T]
 	txnSubs  []func(incremental.TxnOp)
+	prof     NodeProfile // Op, Rounds, In, Out: written by the owning node's process
 }
 
 // Source is a stream of weight differences of type T produced by a
-// sharded dataflow node. Every Source is also an incremental.Source and
-// an incremental.TxnSource, so the incremental package's sinks (Collect,
-// NewNoisyCountSink) attach to engine pipelines directly and observe
-// transactions. Only this package constructs Sources.
+// sharded dataflow node. Every Source is also an incremental.Source, so
+// the incremental package's sinks (Collect, NewNoisyCountSink) attach to
+// engine pipelines directly and observe transactions. Only this package
+// constructs Sources.
 type Source[T comparable] interface {
 	incremental.Source[T]
-	SubscribeTxn(f func(incremental.TxnOp))
 	engine() *Engine
 	newPort() *port[T]
 }
 
 func (s *Stream[T]) engine() *Engine { return s.e }
+
+func (s *Stream[T]) profile() NodeProfile { return s.prof }
+
+// ran counts one executed round that took in differences.
+func (s *Stream[T]) ran(in int) {
+	s.prof.Rounds++
+	s.prof.In += uint64(in)
+}
 
 // newPort registers a downstream engine node's input port.
 func (s *Stream[T]) newPort() *port[T] {
@@ -261,7 +299,7 @@ func (s *Stream[T]) Subscribe(h incremental.Handler[T]) {
 }
 
 // SubscribeTxn registers a transaction control-event handler, satisfying
-// incremental.TxnSource. Handlers run serially on the scheduling
+// incremental.Source. Handlers run serially on the scheduling
 // goroutine, outside any round; registration must complete before the
 // first push.
 func (s *Stream[T]) SubscribeTxn(f func(incremental.TxnOp)) {
@@ -282,25 +320,13 @@ func (s *Stream[T]) emit(batches [][]incremental.Delta[T]) {
 		if len(b) == 0 {
 			continue
 		}
+		s.prof.Out += uint64(len(b))
 		for _, p := range s.ports {
 			p.add(b)
 		}
 		for _, h := range s.handlers {
 			h(b)
 		}
-	}
-}
-
-// emitOne is emit for a single batch.
-func (s *Stream[T]) emitOne(batch []incremental.Delta[T]) {
-	if len(batch) == 0 {
-		return
-	}
-	for _, p := range s.ports {
-		p.add(batch)
-	}
-	for _, h := range s.handlers {
-		h(batch)
 	}
 }
 
@@ -408,13 +434,4 @@ func (r *routed[T]) gather(s int, dst []incremental.Delta[T]) []incremental.Delt
 		dst = append(dst, r.parts[i][s]...)
 	}
 	return dst
-}
-
-// each invokes f for shard s's routed differences in arrival order.
-func (r *routed[T]) each(s int, f func(incremental.Delta[T])) {
-	for i := range r.chunks {
-		for _, d := range r.parts[i][s] {
-			f(d)
-		}
-	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"wpinq/internal/incremental"
@@ -26,7 +27,7 @@ func TestNewClampsShards(t *testing.T) {
 func TestPushDatasetLoadsInitialData(t *testing.T) {
 	e := New(4)
 	in := NewInput[int](e)
-	out := Collect[int](Select[int, int](in, func(x int) int { return x * 2 }))
+	out := incremental.Collect[int](Select[int, int](in, func(x int) int { return x * 2 }))
 	d := weighted.FromPairs(
 		weighted.Pair[int]{Record: 1, Weight: 0.5},
 		weighted.Pair[int]{Record: 2, Weight: 2},
@@ -38,7 +39,7 @@ func TestPushDatasetLoadsInitialData(t *testing.T) {
 	if w := out.Weight(4); w != 2 {
 		t.Errorf("weight(4) = %v, want 2", w)
 	}
-	if n := out.Len(); n != 2 {
+	if n := out.Snapshot().Len(); n != 2 {
 		t.Errorf("len = %d, want 2", n)
 	}
 	if nm := out.Norm(); nm != 2.5 {
@@ -53,7 +54,7 @@ func TestBulkLoadTakesParallelPath(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	in := NewInput[int](e)
 	grp := GroupBy[int, int, int](in, func(x int) int { return x % 17 }, func(m []int) int { return len(m) })
-	out := Collect[weighted.Grouped[int, int]](grp)
+	out := incremental.Collect[weighted.Grouped[int, int]](grp)
 	ref := weighted.New[int]()
 	batch := make([]incremental.Delta[int], 0, 8*DefaultSerialCutoff)
 	for i := 0; i < 8*DefaultSerialCutoff; i++ {
@@ -110,7 +111,7 @@ func TestJoinFastPathStats(t *testing.T) {
 	in := NewInput[int](e)
 	other := NewInput[int](e)
 	j := Join[int, int, int, [2]int](in, other, key, key, func(x, y int) [2]int { return [2]int{x, y} })
-	Collect[[2]int](j)
+	incremental.Collect[[2]int](j)
 	other.Push([]incremental.Delta[int]{{Record: 0, Weight: 1}, {Record: 2, Weight: 1}})
 	in.Push([]incremental.Delta[int]{{Record: 4, Weight: 1}})
 	// Move weight from record 4 to record 6: same key (0), same norm.
@@ -129,7 +130,7 @@ func TestShaveStateSize(t *testing.T) {
 	e := New(4)
 	in := NewInput[int](e)
 	sh := ShaveConst[int](in, 1)
-	Collect[weighted.Indexed[int]](sh)
+	incremental.Collect[weighted.Indexed[int]](sh)
 	in.Push([]incremental.Delta[int]{{Record: 1, Weight: 2}, {Record: 2, Weight: 1}})
 	if got := sh.StateSize(); got != 2 {
 		t.Errorf("shave state size = %d, want 2", got)
@@ -140,7 +141,7 @@ func TestMinMaxStateSize(t *testing.T) {
 	e := New(4)
 	a, b := NewInput[int](e), NewInput[int](e)
 	u := Union[int](a, b)
-	Collect[int](u)
+	incremental.Collect[int](u)
 	a.Push([]incremental.Delta[int]{{Record: 1, Weight: 1}})
 	b.Push([]incremental.Delta[int]{{Record: 1, Weight: 2}, {Record: 2, Weight: 1}})
 	if got := u.StateSize(); got != 3 {
@@ -209,4 +210,36 @@ func TestShardOfIsStable(t *testing.T) {
 			t.Fatalf("shardOf(%d) unstable", x)
 		}
 	}
+}
+
+// TestProfileCountsWhereOperatorsRun pins Engine.Profile: per node, in
+// scheduling order, the rounds in which it had input, the differences it
+// took and emitted — counted by the scheduler, once per round, whatever
+// the shard count — and the records a stateful node indexes. A round
+// that brings a node nothing, and a transaction event, count nothing.
+func TestProfileCountsWhereOperatorsRun(t *testing.T) {
+	forEachConfig(t, func(t *testing.T, e *Engine) {
+		in := NewInput[int](e)
+		odd := Where[int](in, func(x int) bool { return x%2 == 1 })
+		grp := GroupBy[int, int, int](odd, func(x int) int { return x % 3 }, func(m []int) int { return len(m) })
+		incremental.Collect[weighted.Grouped[int, int]](grp)
+
+		in.Push([]incremental.Delta[int]{{Record: 1, Weight: 1}, {Record: 2, Weight: 1}, {Record: 3, Weight: 1}})
+		in.Begin()
+		in.Push([]incremental.Delta[int]{{Record: 4, Weight: 1}}) // filtered: the GroupBy sees no round
+		in.Abort()
+
+		got := e.Profile()
+		want := []NodeProfile{
+			{Index: 0, Op: "input", Rounds: 2, In: 4, Out: 4},
+			{Index: 1, Op: "where", Rounds: 2, In: 4, Out: 2},
+			{Index: 2, Op: "groupby", Rounds: 1, In: 2, Out: 2, State: 2},
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("profile\n got %+v\nwant %+v", got, want)
+		}
+		if grp.StateSize() != want[2].State {
+			t.Errorf("profile state %d != StateSize %d", want[2].State, grp.StateSize())
+		}
+	})
 }

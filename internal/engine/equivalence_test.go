@@ -98,7 +98,7 @@ func checkUnary[U comparable](
 	forEachConfig(t, func(t *testing.T, e *Engine) {
 		rng := rand.New(rand.NewSource(seed))
 		in := NewInput[int](e)
-		out := Collect[U](build(e, in))
+		out := incremental.Collect[U](build(e, in))
 		ref := weighted.New[int]()
 		for step := 0; step < 50; step++ {
 			var batch []incremental.Delta[int]
@@ -175,8 +175,8 @@ func TestConcatExceptEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(6))
 		inA := NewInput[int](e)
 		inB := NewInput[int](e)
-		outConcat := Collect[int](Concat[int](inA, inB))
-		outExcept := Collect[int](Except[int](inA, inB))
+		outConcat := incremental.Collect[int](Concat[int](inA, inB))
+		outExcept := incremental.Collect[int](Except[int](inA, inB))
 		refA, refB := weighted.New[int](), weighted.New[int]()
 		for step := 0; step < 40; step++ {
 			ba := randBatch(rng, 8, 3)
@@ -200,8 +200,8 @@ func TestUnionIntersectEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		inA := NewInput[int](e)
 		inB := NewInput[int](e)
-		outUnion := Collect[int](Union[int](inA, inB))
-		outInter := Collect[int](Intersect[int](inA, inB))
+		outUnion := incremental.Collect[int](Union[int](inA, inB))
+		outInter := incremental.Collect[int](Intersect[int](inA, inB))
 		refA, refB := weighted.New[int](), weighted.New[int]()
 		for step := 0; step < 60; step++ {
 			ba := randBatch(rng, 6, 2)
@@ -235,7 +235,7 @@ func TestJoinEquivalence(t *testing.T) {
 				inB := NewInput[int](e)
 				j := Join[int, int, int, [2]int](inA, inB, joinKey, joinKey, reduce)
 				j.SetFastPath(fastPath)
-				out := Collect[[2]int](j)
+				out := incremental.Collect[[2]int](j)
 				refA, refB := weighted.New[int](), weighted.New[int]()
 				for step := 0; step < 60; step++ {
 					ba := nonNegBatch(rng, refA, 8, 1+rng.Intn(3))
@@ -265,7 +265,7 @@ func TestJoinSelfJoinEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(9))
 		in := NewInput[edge](e)
 		j := Join[edge, edge, int, path](in, in, dstKey, srcKey, mkPath)
-		out := Collect[path](j)
+		out := incremental.Collect[path](j)
 		ref := weighted.New[edge]()
 		for step := 0; step < 50; step++ {
 			ed := edge{rng.Intn(5), rng.Intn(5)}
@@ -288,7 +288,7 @@ func TestJoinSelfJoinEquivalence(t *testing.T) {
 
 // TestLoadEmissionChangesHands covers the one place a batch is kept by
 // its receiver: a load whose per-shard emission is past the retention
-// bound is released by the sub-node and taken, not copied, by the shard's
+// bound is released by the shard's body and taken, not copied, by the shard's
 // output buffer. The load must read like the reference downstream of two
 // more operators, and the buffers must be the engine's own afterwards —
 // transactional pushes that reuse them, commits, aborts and a second
@@ -304,13 +304,13 @@ func TestLoadEmissionChangesHands(t *testing.T) {
 	forEachConfig(t, func(t *testing.T, e *Engine) {
 		in := NewInput[edge](e)
 		j := Join[edge, edge, int, path](in, in, dstKey, srcKey, mkPath)
-		out := Collect[[2]int](Select(Where[path](j, open), ends))
+		out := incremental.Collect[[2]int](Select(Where[path](j, open), ends))
 		ref := weighted.New[edge]()
 		check := func(when string) {
 			t.Helper()
 			paths := weighted.Join(ref, ref, dstKey, srcKey, mkPath)
 			if want := weighted.Select(weighted.Where(paths, open), ends); !weighted.Equal(out.Snapshot(), want, eqTol) {
-				t.Fatalf("%s: engine diverged from the reference (%d vs %d records)", when, out.Len(), want.Len())
+				t.Fatalf("%s: engine diverged from the reference (%d vs %d records)", when, out.Snapshot().Len(), want.Len())
 			}
 		}
 		push := func(n, from int) {
@@ -486,9 +486,9 @@ func TestRandomPipelineEquivalence(t *testing.T) {
 				}
 				// Collect every stream, not just the last: interior
 				// divergence must not be masked by a forgiving tail.
-				collectors := make([]*Collector[int], len(streams))
+				collectors := make([]*incremental.Collector[int], len(streams))
 				for i, s := range streams {
-					collectors[i] = Collect[int](s.src)
+					collectors[i] = incremental.Collect[int](s.src)
 				}
 				ref := weighted.New[int]()
 				for step := 0; step < 25; step++ {

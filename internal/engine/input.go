@@ -17,7 +17,7 @@ type Input[T comparable] struct {
 // NewInput returns a new dataflow input registered with e. Every input
 // and operator of one graph must share one engine.
 func NewInput[T comparable](e *Engine) *Input[T] {
-	in := &Input[T]{Stream: Stream[T]{e: e}}
+	in := &Input[T]{Stream: Stream[T]{e: e, prof: NodeProfile{Op: "input"}}}
 	e.register(in)
 	return in
 }
@@ -39,6 +39,7 @@ func (in *Input[T]) Push(batch []incremental.Delta[T]) {
 	in.pushes++
 	if len(batch) > 0 {
 		in.pending = append(in.pending, batch)
+		in.ran(len(batch)) // an input takes what it emits
 	}
 	in.e.run()
 }
@@ -49,7 +50,7 @@ func (in *Input[T]) Push(batch []incremental.Delta[T]) {
 func (in *Input[T]) Pushes() uint64 { return in.pushes }
 
 // Begin opens a transaction: pushes until Commit or Abort are
-// speculative, with every stateful shard sub-node logging the pre-image
+// speculative, with every stateful shard's body logging the pre-image
 // of the state it overwrites. Control events are broadcast synchronously
 // through the node graph outside any round; the engine must be quiescent
 // (between pushes), which the single-goroutine API contract guarantees.

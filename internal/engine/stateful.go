@@ -7,25 +7,39 @@ import (
 
 // Stateful operators partition their indexed state by hash — of the
 // record for Shave, Union and Intersect, of the key for GroupBy and Join.
-// Each shard's state lives inside a private instance of the corresponding
-// incremental operator, fed through a private incremental.Input; the
-// engine's contribution is the exchange that routes each difference to
-// its owning shard, the per-shard batch that flushes once per round, and
-// the parallel application. Because a record's (or key's) entire history
-// lands on one shard, each sub-node observes exactly the difference
-// stream one unsharded node would for its slice of the record space, and
-// correctness reduces to the operator bodies', which are pinned against
-// wpinq/internal/weighted.
+// Each shard's state is a private operator body from
+// wpinq/internal/incremental, a single-threaded state machine the node
+// calls; the engine's contribution is the exchange that routes each
+// difference to its owning shard, the per-shard batch applied once per
+// round, and the parallel application. Because a record's (or key's)
+// entire history lands on one shard, each body observes exactly the
+// difference stream one unsharded body would for its slice of the record
+// space, and correctness reduces to the operator bodies', which are pinned
+// against wpinq/internal/weighted.
 //
-// That protocol — port, route, per-shard feed, collect, emit, recycle,
-// transaction fan — is written once, in sharded, over one or two inlets.
-// An operator is an owner function per input (which shard a difference
-// belongs to) and a constructor for one shard's sub-node.
+// That protocol — port, route, apply, take, emit, recycle, transaction
+// fan — is written once, in sharded, over one or two inlets. An operator
+// is an owner function per input (which shard a difference belongs to)
+// and a constructor for one shard's body.
 
-// subNode is what the wiring needs of one shard's operator instance.
-type subNode[U comparable] interface {
-	incremental.Source[U]
+// body is what the wiring needs of one shard's operator body, whatever
+// its inputs.
+type body interface {
+	Txn(op incremental.TxnOp)
 	StateSize() int
+}
+
+// unaryBody is a body with one input.
+type unaryBody[T comparable] interface {
+	body
+	Apply(batch []incremental.Delta[T])
+}
+
+// binaryBody is a body with two.
+type binaryBody[A, B comparable] interface {
+	body
+	ApplyLeft(batch []incremental.Delta[A])
+	ApplyRight(batch []incremental.Delta[B])
 }
 
 // inlet is one input of a sharded operator, with its record type erased
@@ -35,39 +49,34 @@ type inlet interface {
 	pending() int
 	// route buckets them by owning shard.
 	route(e *Engine)
-	// flush pushes shard s's bucket, if any, into that shard's sub-node.
+	// flush applies shard s's bucket, if any, to that shard's body.
 	flush(s int, keep bool)
 	// release ends the round: a load's oversized buckets go (Recycle), and
 	// the consumed batches are forgotten.
 	release(keep bool)
-	// txn fans a transaction event into every shard's sub-node.
-	txn(op incremental.TxnOp)
 }
 
 // inletOf is the inlet of a stream of T: the port its upstream emits
-// into, the hash exchange, and per shard the private input feeding that
-// shard's sub-node with the reusable contiguous batch flushed into it.
+// into, the hash exchange, and per shard the body's apply method for this
+// input with the reusable contiguous batch gathered for it.
 type inletOf[T comparable] struct {
 	port  *port[T]
 	r     *routed[T]
-	feeds []*incremental.Input[T]
+	apply []func(batch []incremental.Delta[T])
 	batch [][]incremental.Delta[T]
 }
 
 // newInlet subscribes a new inlet to src; owner names the shard a
-// record's differences belong to.
+// record's differences belong to. The caller fills apply once the bodies
+// exist.
 func newInlet[T comparable](src Source[T], owner func(T) int) *inletOf[T] {
 	shards := src.engine().shards
-	in := &inletOf[T]{
+	return &inletOf[T]{
 		port:  src.newPort(),
 		r:     newRouted(owner),
-		feeds: make([]*incremental.Input[T], shards),
+		apply: make([]func([]incremental.Delta[T]), shards),
 		batch: make([][]incremental.Delta[T], shards),
 	}
-	for s := range in.feeds {
-		in.feeds[s] = incremental.NewInput[T]()
-	}
-	return in
 }
 
 func (in *inletOf[T]) pending() int { return in.port.total }
@@ -77,7 +86,7 @@ func (in *inletOf[T]) route(e *Engine) { in.r.route(e, in.port.batches, in.port.
 func (in *inletOf[T]) flush(s int, keep bool) {
 	b := in.r.gather(s, in.batch[s][:0])
 	if len(b) > 0 {
-		in.feeds[s].Push(b)
+		in.apply[s](b)
 	}
 	in.batch[s] = incremental.Recycle(b, keep)
 }
@@ -87,17 +96,11 @@ func (in *inletOf[T]) release(keep bool) {
 	in.port.reset()
 }
 
-func (in *inletOf[T]) txn(op incremental.TxnOp) {
-	for _, f := range in.feeds {
-		f.Txn(op)
-	}
-}
-
 // sharded is a stateful operator's node: inlets in flush order (a binary
-// operator's left before its right), one sub-node per shard, and the
-// per-shard output buffers the sub-nodes emit into, emitted downstream
-// once per round.
-type sharded[U comparable, S subNode[U]] struct {
+// operator's left before its right), one body per shard, and the
+// per-shard output buffers the bodies emit into, emitted downstream once
+// per round.
+type sharded[U comparable, S body] struct {
 	Stream[U]
 	inlets []inlet
 	subs   []S
@@ -106,11 +109,12 @@ type sharded[U comparable, S subNode[U]] struct {
 	gate   txnGate
 }
 
-// newSharded wires a node over inlets whose shard-s sub-node is build(s).
-// The caller subscribes its onTxn to every upstream.
-func newSharded[U comparable, S subNode[U]](e *Engine, build func(s int) S, inlets ...inlet) *sharded[U, S] {
+// newSharded wires a node over inlets whose shard-s body is build(out),
+// out being where that body's emissions go. The caller subscribes its
+// onTxn to every upstream.
+func newSharded[U comparable, S body](e *Engine, op string, build func(out incremental.Handler[U]) S, inlets ...inlet) *sharded[U, S] {
 	n := &sharded[U, S]{
-		Stream: Stream[U]{e: e},
+		Stream: Stream[U]{e: e, prof: NodeProfile{Op: op}},
 		inlets: inlets,
 		subs:   make([]S, e.shards),
 		outs:   make([][]incremental.Delta[U], e.shards),
@@ -122,20 +126,19 @@ func newSharded[U comparable, S subNode[U]](e *Engine, build func(s int) S, inle
 		}
 	}
 	for s := range n.subs {
-		n.subs[s] = build(s)
-		n.subs[s].Subscribe(n.collect(s))
+		n.subs[s] = build(n.collect(s))
 	}
 	e.register(n)
 	return n
 }
 
-// collect returns shard s's subscription — the sub-node's only one: it
-// appends the sub-node's emitted differences to outs[s] — or, when the
-// emission is an array its emitter has just released (incremental.Recycle,
-// asked about the same array under the node's own gate, answers as it
-// answered the sub-node) and outs[s] is empty, takes the array for outs[s]
-// instead of copying it: a load's 10^6-record emission crosses the shard
-// boundary as a slice header.
+// collect returns the handler shard s's body is built with: it appends
+// the body's emitted differences to outs[s] — or, when the emission is an
+// array its emitter has just released (incremental.Recycle, asked about
+// the same array under the node's own gate, answers as it answered the
+// body) and outs[s] is empty, takes the array for outs[s] instead of
+// copying it: a load's 10^6-record emission crosses the shard boundary as
+// a slice header.
 func (n *sharded[U, S]) collect(s int) incremental.Handler[U] {
 	return func(b []incremental.Delta[U]) {
 		if len(n.outs[s]) == 0 && incremental.Recycle(b, n.gate.Active()) == nil {
@@ -154,10 +157,11 @@ func (n *sharded[U, S]) process() {
 	if total == 0 {
 		return
 	}
+	n.ran(total)
 	for _, in := range n.inlets {
 		in.route(n.e)
 	}
-	n.e.forShards(total, n.apply)
+	n.e.forN(total, n.e.shards, n.apply)
 	n.emit(n.outs)
 	keep := n.gate.Active()
 	for _, in := range n.inlets {
@@ -166,14 +170,16 @@ func (n *sharded[U, S]) process() {
 	recycle(n.outs, keep)
 }
 
-// onTxn fans a transaction event into every shard's sub-node — through
-// the first inlet only: a binary sub-node's own gate treats its two
-// private inputs as one node — and forwards it downstream.
+// onTxn tells every shard's body about a transaction event, once — the
+// node's gate has dropped the redundant deliveries — and forwards it
+// downstream.
 func (n *sharded[U, S]) onTxn(op incremental.TxnOp) {
 	if !n.gate.Enter(op) {
 		return
 	}
-	n.inlets[0].txn(op)
+	for _, sub := range n.subs {
+		sub.Txn(op)
+	}
 	n.emitTxn(op)
 }
 
@@ -187,31 +193,43 @@ func (n *sharded[U, S]) StateSize() int {
 	return total
 }
 
+func (n *sharded[U, S]) profile() NodeProfile {
+	p := n.prof
+	p.State = n.StateSize()
+	return p
+}
+
 // unary wires a one-input operator: differences of src go to the shard
-// owner names, whose sub-node build constructs over that shard's feed.
-func unary[T, U comparable, S subNode[U]](src Source[T], owner func(T) int, build func(incremental.Source[T]) S) *sharded[U, S] {
+// owner names, whose body build constructs.
+func unary[T, U comparable, S unaryBody[T]](src Source[T], op string, owner func(T) int, build func(out incremental.Handler[U]) S) *sharded[U, S] {
 	in := newInlet(src, owner)
-	n := newSharded(src.engine(), func(s int) S { return build(in.feeds[s]) }, in)
+	n := newSharded(src.engine(), op, build, in)
+	for s, sub := range n.subs {
+		in.apply[s] = sub.Apply
+	}
 	src.SubscribeTxn(n.onTxn)
 	return n
 }
 
 // binary wires a two-input operator the same way, each side routed by
 // its own owner function.
-func binary[A, B, U comparable, S subNode[U]](
-	a Source[A], b Source[B], ownerA func(A) int, ownerB func(B) int,
-	build func(incremental.Source[A], incremental.Source[B]) S,
+func binary[A, B, U comparable, S binaryBody[A, B]](
+	a Source[A], b Source[B], op string, ownerA func(A) int, ownerB func(B) int,
+	build func(out incremental.Handler[U]) S,
 ) *sharded[U, S] {
 	e := sameEngine(a, b)
 	ia, ib := newInlet(a, ownerA), newInlet(b, ownerB)
-	n := newSharded(e, func(s int) S { return build(ia.feeds[s], ib.feeds[s]) }, ia, ib)
+	n := newSharded(e, op, build, ia, ib)
+	for s, sub := range n.subs {
+		ia.apply[s], ib.apply[s] = sub.ApplyLeft, sub.ApplyRight
+	}
 	a.SubscribeTxn(n.onTxn)
 	b.SubscribeTxn(n.onTxn)
 	return n
 }
 
-// The operators' node types: each is the one wiring over its own shard
-// sub-node type, so every node has StateSize.
+// The operators' node types: each is the one wiring over its own body
+// type, so every node has StateSize.
 type (
 	// ShaveNode is the output of Shave.
 	ShaveNode[T comparable] = sharded[weighted.Indexed[T], *incremental.ShaveNode[T]]
@@ -226,8 +244,10 @@ type (
 // shards invoke it concurrently.
 func Shave[T comparable](src Source[T], f func(x T, i int) float64) *ShaveNode[T] {
 	e := src.engine()
-	return unary(src, func(x T) int { return shardOf(e, x) },
-		func(in incremental.Source[T]) *incremental.ShaveNode[T] { return incremental.Shave(in, f) })
+	return unary(src, "shave", func(x T) int { return shardOf(e, x) },
+		func(out incremental.Handler[weighted.Indexed[T]]) *incremental.ShaveNode[T] {
+			return incremental.Shave(f, out)
+		})
 }
 
 // ShaveConst is Shave with a constant weight sequence.
@@ -238,18 +258,18 @@ func ShaveConst[T comparable](src Source[T], w float64) *ShaveNode[T] {
 // Union computes the element-wise maximum of two streams, partitioned by
 // record.
 func Union[T comparable](a, b Source[T]) *MinMaxNode[T] {
-	return minMax(a, b, incremental.Union[T])
+	return minMax(a, b, "union", incremental.Union[T])
 }
 
 // Intersect computes the element-wise minimum of two streams.
 func Intersect[T comparable](a, b Source[T]) *MinMaxNode[T] {
-	return minMax(a, b, incremental.Intersect[T])
+	return minMax(a, b, "intersect", incremental.Intersect[T])
 }
 
-func minMax[T comparable](a, b Source[T], build func(x, y incremental.Source[T]) *incremental.MinMaxNode[T]) *MinMaxNode[T] {
+func minMax[T comparable](a, b Source[T], op string, build func(out incremental.Handler[T]) *incremental.MinMaxNode[T]) *MinMaxNode[T] {
 	e := sameEngine(a, b)
 	owner := func(x T) int { return shardOf(e, x) }
-	return binary(a, b, owner, owner, build)
+	return binary(a, b, op, owner, owner, build)
 }
 
 // GroupBy groups records by key and re-reduces weight-ordered prefixes
@@ -259,13 +279,13 @@ func minMax[T comparable](a, b Source[T], build func(x, y incremental.Source[T])
 // invoke them concurrently.
 func GroupBy[T, K, R comparable](src Source[T], key func(T) K, reduce func([]T) R) *GroupByNode[T, K, R] {
 	e := src.engine()
-	return unary(src, func(x T) int { return shardOf(e, key(x)) },
-		func(in incremental.Source[T]) *incremental.GroupByNode[T, K, R] {
-			return incremental.GroupBy(in, key, reduce)
+	return unary(src, "groupby", func(x T) int { return shardOf(e, key(x)) },
+		func(out incremental.Handler[weighted.Grouped[K, R]]) *incremental.GroupByNode[T, K, R] {
+			return incremental.GroupBy(key, reduce, out)
 		})
 }
 
-// JoinNode is the output of Join: the wiring plus the per-shard joins'
+// JoinNode is the output of Join: the wiring plus the per-shard bodies'
 // fast-path switch and counters.
 type JoinNode[A, B, K, R comparable] struct {
 	*sharded[R, *incremental.JoinNode[A, B, K, R]]
@@ -281,11 +301,11 @@ func Join[A, B, K, R comparable](
 	a Source[A], b Source[B], keyA func(A) K, keyB func(B) K, reduce func(A, B) R,
 ) JoinNode[A, B, K, R] {
 	e := sameEngine(a, b)
-	return JoinNode[A, B, K, R]{binary(a, b,
+	return JoinNode[A, B, K, R]{binary(a, b, "join",
 		func(x A) int { return shardOf(e, keyA(x)) },
 		func(y B) int { return shardOf(e, keyB(y)) },
-		func(ia incremental.Source[A], ib incremental.Source[B]) *incremental.JoinNode[A, B, K, R] {
-			return incremental.Join(ia, ib, keyA, keyB, reduce)
+		func(out incremental.Handler[R]) *incremental.JoinNode[A, B, K, R] {
+			return incremental.Join(keyA, keyB, reduce, out)
 		})}
 }
 

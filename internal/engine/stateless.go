@@ -36,10 +36,10 @@ func (n *Node[T]) onTxn(op incremental.TxnOp) {
 // appending to a reused per-chunk output buffer — which the operators
 // whose output is bounded by the chunk size from it first (SelectMany's
 // fan-out is f's).
-func mapped[T, U comparable](src Source[T], transform func(in []incremental.Delta[T], out []incremental.Delta[U]) []incremental.Delta[U]) *Node[U] {
+func mapped[T, U comparable](src Source[T], op string, transform func(in []incremental.Delta[T], out []incremental.Delta[U]) []incremental.Delta[U]) *Node[U] {
 	e := src.engine()
 	in := src.newPort()
-	n := &Node[U]{Stream: Stream[U]{e: e}}
+	n := &Node[U]{Stream: Stream[U]{e: e, prof: NodeProfile{Op: op}}}
 	var chunks [][]incremental.Delta[T]
 	var outs [][]incremental.Delta[U]
 	apply := func(i int) { // built once: see forN
@@ -49,6 +49,7 @@ func mapped[T, U comparable](src Source[T], transform func(in []incremental.Delt
 		if in.total == 0 {
 			return
 		}
+		n.ran(in.total)
 		chunks = splitChunks(in.batches, in.total, e.shards, chunks[:0])
 		for len(outs) < len(chunks) {
 			outs = append(outs, nil)
@@ -67,7 +68,7 @@ func mapped[T, U comparable](src Source[T], transform func(in []incremental.Delt
 // Select applies f to each record, preserving weights. f must be pure: it
 // is invoked concurrently across chunks.
 func Select[T, U comparable](src Source[T], f func(T) U) *Node[U] {
-	return mapped(src, func(in []incremental.Delta[T], out []incremental.Delta[U]) []incremental.Delta[U] {
+	return mapped(src, "select", func(in []incremental.Delta[T], out []incremental.Delta[U]) []incremental.Delta[U] {
 		out = slices.Grow(out, len(in))
 		for _, d := range in {
 			out = append(out, incremental.Delta[U]{Record: f(d.Record), Weight: d.Weight})
@@ -78,7 +79,7 @@ func Select[T, U comparable](src Source[T], f func(T) U) *Node[U] {
 
 // Where filters records by p. p must be pure.
 func Where[T comparable](src Source[T], p func(T) bool) *Node[T] {
-	return mapped(src, func(in []incremental.Delta[T], out []incremental.Delta[T]) []incremental.Delta[T] {
+	return mapped(src, "where", func(in []incremental.Delta[T], out []incremental.Delta[T]) []incremental.Delta[T] {
 		out = slices.Grow(out, len(in))
 		for _, d := range in {
 			if p(d.Record) {
@@ -94,7 +95,7 @@ func Where[T comparable](src Source[T], p func(T) bool) *Node[T] {
 // re-invoked, possibly concurrently, on every difference touching the
 // record.
 func SelectMany[T, U comparable](src Source[T], f func(T) *weighted.Dataset[U]) *Node[U] {
-	return mapped(src, func(in []incremental.Delta[T], out []incremental.Delta[U]) []incremental.Delta[U] {
+	return mapped(src, "selectmany", func(in []incremental.Delta[T], out []incremental.Delta[U]) []incremental.Delta[U] {
 		for _, d := range in {
 			fx := f(d.Record)
 			scale := d.Weight / math.Max(1, fx.Norm())
@@ -115,8 +116,11 @@ func SelectManySlice[T, U comparable](src Source[T], f func(T) []U) *Node[U] {
 func Concat[T comparable](a, b Source[T]) *Node[T] {
 	e := sameEngine(a, b)
 	pa, pb := a.newPort(), b.newPort()
-	n := &Node[T]{Stream: Stream[T]{e: e}}
+	n := &Node[T]{Stream: Stream[T]{e: e, prof: NodeProfile{Op: "concat"}}}
 	n.run = func() {
+		if total := pa.total + pb.total; total > 0 {
+			n.ran(total)
+		}
 		n.emit(pa.batches)
 		n.emit(pb.batches)
 		pa.reset()
@@ -131,7 +135,7 @@ func Concat[T comparable](a, b Source[T]) *Node[T] {
 // Except subtracts stream b from stream a: differences from b pass
 // through negated.
 func Except[T comparable](a, b Source[T]) *Node[T] {
-	return Concat(a, mapped(b, func(in []incremental.Delta[T], out []incremental.Delta[T]) []incremental.Delta[T] {
+	return Concat(a, mapped(b, "negate", func(in []incremental.Delta[T], out []incremental.Delta[T]) []incremental.Delta[T] {
 		out = slices.Grow(out, len(in))
 		for _, d := range in {
 			out = append(out, incremental.Delta[T]{Record: d.Record, Weight: -d.Weight})

@@ -34,7 +34,7 @@ func exactEqual[T comparable](t *testing.T, name string, got, want *weighted.Dat
 // a shave, and a min/max diamond, terminating in both an engine
 // Collector and an incremental sink attached across the package
 // boundary.
-func buildTxnGraph(e *Engine) (*Input[int], *Collector[[2]int], *incremental.NoisyCountSink[weighted.Grouped[int, int]]) {
+func buildTxnGraph(e *Engine) (*Input[int], *incremental.Collector[[2]int], *incremental.NoisyCountSink[weighted.Grouped[int, int]]) {
 	in := NewInput[int](e)
 	sel := Select[int](in, func(x int) int { return x % 16 })
 	evens := Where[int](sel, func(x int) bool { return x%2 == 0 })
@@ -44,7 +44,7 @@ func buildTxnGraph(e *Engine) (*Input[int], *Collector[[2]int], *incremental.Noi
 	j := Join[int, int, int, [2]int](merged, merged,
 		func(x int) int { return x % 3 }, func(y int) int { return y % 3 },
 		func(x, y int) [2]int { return [2]int{x, y} })
-	col := Collect[[2]int](j)
+	col := incremental.Collect[[2]int](j)
 	grouped := GroupBy[int, int, int](sel, func(x int) int { return x % 5 }, func(m []int) int { return len(m) })
 	sink := incremental.NewNoisyCountSink[weighted.Grouped[int, int]](
 		grouped,
@@ -119,7 +119,7 @@ func TestTxnEnginePushCounter(t *testing.T) {
 // through a binary join (a fan-out diamond), the third a group-by
 // branch — so transaction control events reach every downstream node
 // along multiple paths and the per-node gates must dedup them.
-func buildFusionDiamond(e *Engine) (*Input[int], *Collector[[2]int], *Collector[weighted.Grouped[int, int]]) {
+func buildFusionDiamond(e *Engine) (*Input[int], *incremental.Collector[[2]int], *incremental.Collector[weighted.Grouped[int, int]]) {
 	in := NewInput[int](e)
 	shared := Select[int](in, func(x int) int { return x % 32 }) // the fused prefix
 	left := Where[int](shared, func(x int) bool { return x%2 == 0 })
@@ -129,7 +129,7 @@ func buildFusionDiamond(e *Engine) (*Input[int], *Collector[[2]int], *Collector[
 		func(x int) int { return x % 4 }, func(y int) int { return y % 4 },
 		func(x, y int) [2]int { return [2]int{x, y} })
 	grouped := GroupBy[int, int, int](shared, func(x int) int { return x % 7 }, func(m []int) int { return len(m) })
-	return in, Collect[[2]int](diamond), Collect[weighted.Grouped[int, int]](grouped)
+	return in, incremental.Collect[[2]int](diamond), incremental.Collect[weighted.Grouped[int, int]](grouped)
 }
 
 // TestTxnFanOutDiamond fuzzes randomized commit/abort cycles through the

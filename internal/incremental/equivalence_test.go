@@ -7,41 +7,19 @@ import (
 	"wpinq/internal/weighted"
 )
 
-// Equivalence tests: drive each stateful operator with random sequences
-// of difference batches and require that its collected output equals the
+// Equivalence tests: drive each operator body with random sequences of
+// difference batches and require that its accumulated output equals the
 // reference transformation (internal/weighted) applied to the accumulated
 // input — the central correctness contract of the operator bodies. (The
 // stateless operators are the engine's; engine/equivalence_test.go holds
-// theirs.)
-
-const eqTol = 1e-8
-
-// randBatch produces a batch of nb random differences over records [0, dom).
-func randBatch(rng *rand.Rand, dom, nb int) []Delta[int] {
-	batch := make([]Delta[int], nb)
-	for i := range batch {
-		w := rng.NormFloat64() * 2
-		if rng.Intn(4) == 0 {
-			w = float64(rng.Intn(5) - 2) // exact integers, incl. 0
-		}
-		batch[i] = Delta[int]{rng.Intn(dom), w}
-	}
-	return batch
-}
-
-// applyToReference mirrors a batch into a reference dataset.
-func applyToReference(ref *weighted.Dataset[int], batch []Delta[int]) {
-	for _, d := range batch {
-		ref.Add(d.Record, d.Weight)
-	}
-}
+// theirs, and graph_test.go the pipelines of several bodies.)
 
 func TestShaveEquivalence(t *testing.T) {
 	// Shave state must stay non-negative for the semantics to be defined;
 	// drive it with non-negative accumulations by pushing magnitudes.
 	rng := rand.New(rand.NewSource(4))
-	in := NewInput[int]()
-	out := Collect(ShaveConst(in, 0.6))
+	out := weighted.New[weighted.Indexed[int]]()
+	in := Shave(func(int, int) float64 { return 0.6 }, fold(out))
 	ref := weighted.New[int]()
 	for step := 0; step < 80; step++ {
 		x := rng.Intn(6)
@@ -52,12 +30,12 @@ func TestShaveEquivalence(t *testing.T) {
 			delta = -cur
 		}
 		batch := []Delta[int]{{x, delta}}
-		in.Push(batch)
+		in.Apply(batch)
 		applyToReference(ref, batch)
 		want := weighted.ShaveConst(ref, 0.6)
-		if !weighted.Equal(out.Snapshot(), want, eqTol) {
+		if !weighted.Equal(out, want, eqTol) {
 			t.Fatalf("Shave diverged at step %d:\nincremental: %v\nreference:   %v",
-				step, out.Snapshot(), want)
+				step, out, want)
 		}
 	}
 }
@@ -66,8 +44,8 @@ func TestGroupByEquivalence(t *testing.T) {
 	key := func(x int) int { return x % 2 }
 	reduce := func(m []int) int { return len(m) }
 	rng := rand.New(rand.NewSource(5))
-	in := NewInput[int]()
-	out := Collect(GroupBy(in, key, reduce))
+	out := weighted.New[weighted.Grouped[int, int]]()
+	in := GroupBy(key, reduce, fold(out))
 	ref := weighted.New[int]()
 	for step := 0; step < 80; step++ {
 		x := rng.Intn(8)
@@ -77,37 +55,37 @@ func TestGroupByEquivalence(t *testing.T) {
 			delta = -cur
 		}
 		batch := []Delta[int]{{x, delta}}
-		in.Push(batch)
+		in.Apply(batch)
 		applyToReference(ref, batch)
 		want := weighted.GroupBy(ref, key, reduce)
-		if !weighted.Equal(out.Snapshot(), want, eqTol) {
+		if !weighted.Equal(out, want, eqTol) {
 			t.Fatalf("GroupBy diverged at step %d:\nincremental: %v\nreference:   %v",
-				step, out.Snapshot(), want)
+				step, out, want)
 		}
 	}
 }
 
 func TestUnionIntersectEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	inA := NewInput[int]()
-	inB := NewInput[int]()
-	outUnion := Collect(Union[int](inA, inB))
-	outInter := Collect(Intersect[int](inA, inB))
+	outUnion, outInter := weighted.New[int](), weighted.New[int]()
+	union, inter := Union(fold(outUnion)), Intersect(fold(outInter))
 	refA, refB := weighted.New[int](), weighted.New[int]()
 	for step := 0; step < 80; step++ {
 		ba := randBatch(rng, 6, 2)
 		bb := randBatch(rng, 6, 2)
-		inA.Push(ba)
-		inB.Push(bb)
+		for _, n := range []*MinMaxNode[int]{union, inter} {
+			n.ApplyLeft(ba)
+			n.ApplyRight(bb)
+		}
 		applyToReference(refA, ba)
 		applyToReference(refB, bb)
-		if !weighted.Equal(outUnion.Snapshot(), weighted.Union(refA, refB), eqTol) {
+		if !weighted.Equal(outUnion, weighted.Union(refA, refB), eqTol) {
 			t.Fatalf("Union diverged at step %d:\nincremental: %v\nreference:   %v",
-				step, outUnion.Snapshot(), weighted.Union(refA, refB))
+				step, outUnion, weighted.Union(refA, refB))
 		}
-		if !weighted.Equal(outInter.Snapshot(), weighted.Intersect(refA, refB), eqTol) {
+		if !weighted.Equal(outInter, weighted.Intersect(refA, refB), eqTol) {
 			t.Fatalf("Intersect diverged at step %d:\nincremental: %v\nreference:   %v",
-				step, outInter.Snapshot(), weighted.Intersect(refA, refB))
+				step, outInter, weighted.Intersect(refA, refB))
 		}
 	}
 }
@@ -117,17 +95,15 @@ func joinKeys(x int) int { return x % 2 }
 func TestJoinEquivalence(t *testing.T) {
 	for _, fastPath := range []bool{true, false} {
 		rng := rand.New(rand.NewSource(8))
-		inA := NewInput[int]()
-		inB := NewInput[int]()
-		j := Join(inA, inB, joinKeys, joinKeys,
-			func(x, y int) [2]int { return [2]int{x, y} })
+		out := weighted.New[[2]int]()
+		j := Join(joinKeys, joinKeys,
+			func(x, y int) [2]int { return [2]int{x, y} }, fold(out))
 		j.SetFastPath(fastPath)
-		out := Collect[[2]int](j)
 		refA, refB := weighted.New[int](), weighted.New[int]()
 		for step := 0; step < 80; step++ {
 			// Joins divide by group norms; keep weights non-negative as in
 			// real wPINQ pipelines.
-			push := func(in *Input[int], ref *weighted.Dataset[int]) {
+			push := func(apply func([]Delta[int]), ref *weighted.Dataset[int]) {
 				x := rng.Intn(8)
 				cur := ref.Weight(x)
 				delta := rng.Float64()*3 - 1
@@ -135,32 +111,31 @@ func TestJoinEquivalence(t *testing.T) {
 					delta = -cur
 				}
 				b := []Delta[int]{{x, delta}}
-				in.Push(b)
+				apply(b)
 				applyToReference(ref, b)
 			}
-			push(inA, refA)
-			push(inB, refB)
+			push(j.ApplyLeft, refA)
+			push(j.ApplyRight, refB)
 			want := weighted.Join(refA, refB, joinKeys, joinKeys,
 				func(x, y int) [2]int { return [2]int{x, y} })
-			if !weighted.Equal(out.Snapshot(), want, eqTol) {
+			if !weighted.Equal(out, want, eqTol) {
 				t.Fatalf("Join(fastPath=%v) diverged at step %d:\nincremental: %v\nreference:   %v",
-					fastPath, step, out.Snapshot(), want)
+					fastPath, step, out, want)
 			}
 		}
 	}
 }
 
 func TestJoinSelfJoinEquivalence(t *testing.T) {
-	// Both sides subscribed to the same input: the length-two-paths idiom.
+	// Both sides take the same batches: the length-two-paths idiom.
 	type edge struct{ s, d int }
 	type path struct{ a, b, c int }
 	rng := rand.New(rand.NewSource(9))
-	in := NewInput[edge]()
-	j := Join[edge, edge, int, path](in, in,
+	out := weighted.New[path]()
+	push := both(Join(
 		func(e edge) int { return e.d },
 		func(e edge) int { return e.s },
-		func(x, y edge) path { return path{x.s, x.d, y.d} })
-	out := Collect[path](j)
+		func(x, y edge) path { return path{x.s, x.d, y.d} }, fold(out)))
 	ref := weighted.New[edge]()
 	for step := 0; step < 60; step++ {
 		e := edge{rng.Intn(5), rng.Intn(5)}
@@ -170,7 +145,7 @@ func TestJoinSelfJoinEquivalence(t *testing.T) {
 			delta = -cur
 		}
 		b := []Delta[edge]{{e, delta}}
-		in.Push(b)
+		push(b)
 		for _, d := range b {
 			ref.Add(d.Record, d.Weight)
 		}
@@ -178,39 +153,9 @@ func TestJoinSelfJoinEquivalence(t *testing.T) {
 			func(e edge) int { return e.d },
 			func(e edge) int { return e.s },
 			func(x, y edge) path { return path{x.s, x.d, y.d} })
-		if !weighted.Equal(out.Snapshot(), want, eqTol) {
+		if !weighted.Equal(out, want, eqTol) {
 			t.Fatalf("self-Join diverged at step %d:\nincremental: %v\nreference:   %v",
-				step, out.Snapshot(), want)
-		}
-	}
-}
-
-func TestDeepPipelineEquivalence(t *testing.T) {
-	// Chain GroupBy -> Shave -> GroupBy: differences propagate through
-	// heterogeneous stateful operators.
-	type shaved = weighted.Indexed[weighted.Grouped[int, int]]
-	key := func(x int) int { return x % 2 }
-	count := func(m []int) int { return len(m) }
-	index := func(s shaved) int { return s.Index }
-	keys := func(m []shaved) int { return len(m) }
-	rng := rand.New(rand.NewSource(10))
-	in := NewInput[int]()
-	out := Collect(GroupBy(ShaveConst(GroupBy(in, key, count), 0.25), index, keys))
-
-	ref := weighted.New[int]()
-	for step := 0; step < 60; step++ {
-		x := rng.Intn(5)
-		cur := ref.Weight(x)
-		delta := rng.Float64() - 0.3
-		if cur+delta < 0 {
-			delta = -cur
-		}
-		b := []Delta[int]{{x, delta}}
-		in.Push(b)
-		applyToReference(ref, b)
-		want := weighted.GroupBy(weighted.ShaveConst(weighted.GroupBy(ref, key, count), 0.25), index, keys)
-		if !weighted.Equal(out.Snapshot(), want, eqTol) {
-			t.Fatalf("deep pipeline diverged at step %d", step)
+				step, out, want)
 		}
 	}
 }

@@ -3,14 +3,16 @@ package incremental_test
 import (
 	"fmt"
 
+	"wpinq/internal/engine"
 	"wpinq/internal/incremental"
 	"wpinq/internal/weighted"
 )
 
 func Example() {
-	// Wire an operator once; then push differences through it.
-	in := incremental.NewInput[string]()
-	byLen := incremental.GroupBy(in,
+	// Wire an operator once, on an engine; then push differences through
+	// it. (incremental.GroupBy is the body the engine keeps per shard.)
+	in := engine.NewInput[string](engine.New(1))
+	byLen := engine.GroupBy(in,
 		func(s string) int { return len(s) },
 		func(words []string) int { return len(words) })
 	out := incremental.Collect(byLen)
@@ -38,7 +40,7 @@ func Example() {
 }
 
 func ExampleNewNoisyCountSink() {
-	in := incremental.NewInput[string]()
+	in := engine.NewInput[string](engine.New(1))
 	sink := incremental.NewNoisyCountSink[string](
 		in,
 		incremental.MapObservations[string]{"x": 3.0},

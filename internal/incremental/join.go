@@ -22,7 +22,7 @@ import (
 // The fast path can be disabled (SetFastPath) to measure its benefit; see
 // BenchmarkAblationJoinFastPath. Results are identical either way.
 type JoinNode[A, B comparable, K comparable, R comparable] struct {
-	Stream[R]
+	emit   Handler[R]
 	keyA   func(A) K
 	keyB   func(B) K
 	reduce func(A, B) R
@@ -57,7 +57,7 @@ type JoinNode[A, B comparable, K comparable, R comparable] struct {
 	// and the groups first touched this transaction (their stateMaps log
 	// to logA/logB), in touch order. As in GroupByNode, dropping empty
 	// groups is deferred to commit so Abort can restore them in place.
-	gate    TxnGate
+	logging bool
 	logA    undoLog[A]
 	logB    undoLog[B]
 	touched []touchedGroup[K, joinGroup[A, B]]
@@ -75,32 +75,26 @@ type joinStats struct {
 	slowKeys int64
 }
 
-// Join builds an incremental join of two difference streams.
+// Join builds an incremental join of two difference streams whose output
+// differences go to out.
 func Join[A, B comparable, K comparable, R comparable](
-	a Source[A], b Source[B],
 	keyA func(A) K, keyB func(B) K,
-	reduce func(A, B) R,
+	reduce func(A, B) R, out Handler[R],
 ) *JoinNode[A, B, K, R] {
-	n := &JoinNode[A, B, K, R]{
+	return &JoinNode[A, B, K, R]{
+		emit:     out,
 		keyA:     keyA,
 		keyB:     keyB,
 		reduce:   reduce,
 		groups:   make(map[K]*joinGroup[A, B]),
 		fastPath: true,
 	}
-	a.Subscribe(n.onLeft)
-	b.Subscribe(n.onRight)
-	forwardTxn(a, n.onTxn)
-	forwardTxn(b, n.onTxn)
-	return n
 }
 
-// onTxn applies a transaction event to every group touched since Begin —
-// O(touched keys), opened lazily by group — and forwards it downstream.
-func (n *JoinNode[A, B, K, R]) onTxn(op TxnOp) {
-	if !n.gate.Enter(op) {
-		return
-	}
+// Txn applies a transaction event to every group touched since Begin —
+// O(touched keys), opened lazily by group.
+func (n *JoinNode[A, B, K, R]) Txn(op TxnOp) {
+	n.logging = op == TxnBegin
 	switch op {
 	case TxnCommit:
 		n.logA.commit()
@@ -124,7 +118,6 @@ func (n *JoinNode[A, B, K, R]) onTxn(op TxnOp) {
 		}
 		n.touched = n.touched[:0]
 	}
-	n.emitTxn(op)
 }
 
 // SetFastPath toggles the norm-unchanged optimization (default on).
@@ -149,16 +142,16 @@ func (n *JoinNode[A, B, K, R]) StateSize() int {
 	return total
 }
 
-// onLeft (and onRight, its mirror image) applies one side's batch key
-// by key. Outside a transaction it first reserves the accumulator for
+// ApplyLeft (and ApplyRight, its mirror image) applies one side's batch
+// key by key. Outside a transaction it first reserves the accumulator for
 // what the push asserts: under each key, every difference of the run
 // against every record the other side holds. For a load — the state it
 // finds is what the same push put on the other side a moment ago, or
 // nothing — that is exactly the distinct records it will accumulate; a
 // key that also has to retract and rescale records it already held (no
 // load does) grows past it as any push grows.
-func (n *JoinNode[A, B, K, R]) onLeft(batch []Delta[A]) {
-	inTxn := n.gate.Active()
+func (n *JoinNode[A, B, K, R]) ApplyLeft(batch []Delta[A]) {
+	inTxn := n.logging
 	keys := n.byKeyA.group(batch, n.keyA)
 	if !inTxn {
 		size := 0
@@ -179,12 +172,12 @@ func (n *JoinNode[A, B, K, R]) onLeft(batch []Delta[A]) {
 		}
 	}
 	n.byKeyA.reset(inTxn)
-	n.emit(n.diff.takeBatch(inTxn))
+	n.emit.send(n.diff.takeBatch(inTxn))
 }
 
-func (n *JoinNode[A, B, K, R]) onRight(batch []Delta[B]) {
+func (n *JoinNode[A, B, K, R]) ApplyRight(batch []Delta[B]) {
 	swapped := func(y B, x A) R { return n.reduce(x, y) }
-	inTxn := n.gate.Active()
+	inTxn := n.logging
 	keys := n.byKeyB.group(batch, n.keyB)
 	if !inTxn {
 		size := 0
@@ -205,7 +198,7 @@ func (n *JoinNode[A, B, K, R]) onRight(batch []Delta[B]) {
 		}
 	}
 	n.byKeyB.reset(inTxn)
-	n.emit(n.diff.takeBatch(inTxn))
+	n.emit.send(n.diff.takeBatch(inTxn))
 }
 
 // group returns k's group, creating it if the key is new, and opens it
@@ -217,7 +210,7 @@ func (n *JoinNode[A, B, K, R]) group(k K) *joinGroup[A, B] {
 		g = n.pool.get()
 		n.groups[k] = g
 	}
-	if n.gate.Active() && g.a.log == nil {
+	if n.logging && g.a.log == nil {
 		g.a.beginLog(&n.logA)
 		g.b.beginLog(&n.logB)
 		n.touched = append(n.touched, touchedGroup[K, joinGroup[A, B]]{k: k, g: g, created: created})
@@ -234,7 +227,7 @@ func (n *JoinNode[A, B, K, R]) group(k K) *joinGroup[A, B] {
 // keeping it changes no arithmetic) so Abort can restore the group in
 // place.
 //
-//wpinq:txn-exempt runs only outside a transaction or from onTxn once the group's logs are resolved; a group dropped while open would be written by abort after the pool reissued it
+//wpinq:txn-exempt runs only outside a transaction or from Txn once the group's logs are resolved; a group dropped while open would be written by abort after the pool reissued it
 func (n *JoinNode[A, B, K, R]) drop(k K, g *joinGroup[A, B]) {
 	emptyA, emptyB := g.a.len() == 0, g.b.len() == 0
 	if emptyA {

@@ -12,10 +12,10 @@ type rec struct{ k, id int }
 
 func recKey(r rec) int { return r.k }
 
-func newRecJoin() (a, b *Input[rec], j *JoinNode[rec, rec, int, [2]rec]) {
-	a, b = NewInput[rec](), NewInput[rec]()
-	j = Join(a, b, recKey, recKey, func(x, y rec) [2]rec { return [2]rec{x, y} })
-	return a, b, j
+// newRecJoin returns a join body whose emissions go nowhere: these tests
+// read its state.
+func newRecJoin() *JoinNode[rec, rec, int, [2]rec] {
+	return Join(recKey, recKey, func(x, y rec) [2]rec { return [2]rec{x, y} }, func([]Delta[[2]rec]) {})
 }
 
 // TestJoinDrainedSideNormIsExactlyZero pins what pairing the two sides
@@ -27,18 +27,18 @@ func newRecJoin() (a, b *Input[rec], j *JoinNode[rec, rec, int, [2]rec]) {
 // reset at the same two points the drop used to happen: after the push
 // outside a transaction, at commit inside one.
 func TestJoinDrainedSideNormIsExactlyZero(t *testing.T) {
-	load := func() (a *Input[rec], j *JoinNode[rec, rec, int, [2]rec]) {
-		a, b, j := newRecJoin()
-		b.Push([]Delta[rec]{{rec{7, 0}, 1}})
-		a.Push([]Delta[rec]{{rec{7, 1}, 0.1}})
-		a.Push([]Delta[rec]{{rec{7, 2}, 0.2}})
-		return a, j
+	load := func() *JoinNode[rec, rec, int, [2]rec] {
+		j := newRecJoin()
+		j.ApplyRight([]Delta[rec]{{rec{7, 0}, 1}})
+		j.ApplyLeft([]Delta[rec]{{rec{7, 1}, 0.1}})
+		j.ApplyLeft([]Delta[rec]{{rec{7, 2}, 0.2}})
+		return j
 	}
 
 	t.Run("outside a transaction", func(t *testing.T) {
-		a, j := load()
-		a.Push([]Delta[rec]{{rec{7, 1}, -0.1}})
-		a.Push([]Delta[rec]{{rec{7, 2}, -0.2}})
+		j := load()
+		j.ApplyLeft([]Delta[rec]{{rec{7, 1}, -0.1}})
+		j.ApplyLeft([]Delta[rec]{{rec{7, 2}, -0.2}})
 		g := j.groups[7]
 		if g == nil || g.a.len() != 0 || g.b.len() != 1 {
 			t.Fatalf("group 7 = %+v, want an empty left side beside the right record", g)
@@ -49,17 +49,17 @@ func TestJoinDrainedSideNormIsExactlyZero(t *testing.T) {
 	})
 
 	t.Run("at commit", func(t *testing.T) {
-		a, j := load()
-		a.Txn(TxnBegin)
-		a.Push([]Delta[rec]{{rec{7, 1}, -0.1}})
-		a.Push([]Delta[rec]{{rec{7, 2}, -0.2}})
+		j := load()
+		j.Txn(TxnBegin)
+		j.ApplyLeft([]Delta[rec]{{rec{7, 1}, -0.1}})
+		j.ApplyLeft([]Delta[rec]{{rec{7, 2}, -0.2}})
 		g := j.groups[7]
 		if g.a.len() != 0 || g.a.norm == 0 {
 			// The dust is what makes this test bite; and it must survive
 			// until commit, as it did when the drop was deferred.
 			t.Fatalf("open transaction: %d records, norm %g; want 0 records and float dust", g.a.len(), g.a.norm)
 		}
-		a.Txn(TxnCommit)
+		j.Txn(TxnCommit)
 		if j.groups[7] != g {
 			t.Fatal("commit dropped a group whose right side still holds a record")
 		}
@@ -73,17 +73,17 @@ func TestJoinDrainedSideNormIsExactlyZero(t *testing.T) {
 }
 
 func TestJoinAbortDropsCreatedGroups(t *testing.T) {
-	a, b, j := newRecJoin()
-	a.Push([]Delta[rec]{{rec{1, 0}, 1}})
-	b.Push([]Delta[rec]{{rec{1, 1}, 1}})
+	j := newRecJoin()
+	j.ApplyLeft([]Delta[rec]{{rec{1, 0}, 1}})
+	j.ApplyRight([]Delta[rec]{{rec{1, 1}, 1}})
 
-	a.Txn(TxnBegin)
-	a.Push([]Delta[rec]{{rec{2, 0}, 1}, {rec{3, 0}, 2}})
-	b.Push([]Delta[rec]{{rec{3, 1}, 1}, {rec{4, 1}, 1}})
+	j.Txn(TxnBegin)
+	j.ApplyLeft([]Delta[rec]{{rec{2, 0}, 1}, {rec{3, 0}, 2}})
+	j.ApplyRight([]Delta[rec]{{rec{3, 1}, 1}, {rec{4, 1}, 1}})
 	if len(j.groups) != 4 {
 		t.Fatalf("%d groups inside the transaction, want 4", len(j.groups))
 	}
-	a.Txn(TxnAbort)
+	j.Txn(TxnAbort)
 
 	if len(j.groups) != 1 || j.groups[1] == nil {
 		t.Fatalf("groups after abort: %v, want only key 1", slices.Collect(maps.Keys(j.groups)))
@@ -128,7 +128,7 @@ func (im mapImage) equal(o mapImage) bool {
 // their own; one log per side interleaves the groups' entries, which is
 // only equivalent because groups share no state.
 func TestJoinMultiGroupAbortRestoresEverySide(t *testing.T) {
-	a, b, j := newRecJoin()
+	j := newRecJoin()
 	var load []Delta[rec]
 	for id := 0; id < posThreshold+4; id++ { // key 1: large enough to build pos
 		load = append(load, Delta[rec]{rec{1, id}, float64(id) + 0.5})
@@ -137,8 +137,8 @@ func TestJoinMultiGroupAbortRestoresEverySide(t *testing.T) {
 		load = append(load, Delta[rec]{rec{2, id}, 1 / float64(id+3)})
 	}
 	load = append(load, Delta[rec]{rec{3, 0}, 0.1}, Delta[rec]{rec{3, 1}, 0.2}, Delta[rec]{rec{4, 0}, 2})
-	a.Push(load)
-	b.Push(load[3:])
+	j.ApplyLeft(load)
+	j.ApplyRight(load[3:])
 	if j.groups[1].a.pos == nil || j.groups[2].a.pos != nil {
 		t.Fatal("fixture: want a position index on key 1's left side only")
 	}
@@ -149,8 +149,8 @@ func TestJoinMultiGroupAbortRestoresEverySide(t *testing.T) {
 		before[k] = sides{imageOf(&g.a), imageOf(&g.b)}
 	}
 
-	a.Txn(TxnBegin)
-	a.Push([]Delta[rec]{
+	j.Txn(TxnBegin)
+	j.ApplyLeft([]Delta[rec]{
 		{rec{1, 2}, -2.5},    // swap-delete from the middle of an indexed side
 		{rec{2, 1}, 0.75},    // update in place
 		{rec{3, 0}, -0.1},    // drain key 3's left side...
@@ -159,17 +159,17 @@ func TestJoinMultiGroupAbortRestoresEverySide(t *testing.T) {
 		{rec{1, 99}, 4},      // insert into the indexed side
 		{rec{2, 4}, -1. / 7}, // swap-delete the tail
 	})
-	b.Push([]Delta[rec]{
+	j.ApplyRight([]Delta[rec]{
 		{rec{1, 5}, -5.5}, // the other side of the same keys
 		{rec{2, 0}, 3},
 		{rec{9, 1}, 1},
 		{rec{1, 5}, 5.5}, // re-insert what this transaction deleted
 	})
-	a.Push([]Delta[rec]{{rec{1, 99}, -4}, {rec{3, 7}, 1}}) // and again on top of the first push
+	j.ApplyLeft([]Delta[rec]{{rec{1, 99}, -4}, {rec{3, 7}, 1}}) // and again on top of the first push
 	if len(j.logA.entries) == 0 || len(j.logB.entries) == 0 || len(j.touched) < 4 {
 		t.Fatalf("fixture: %d+%d log entries over %d groups", len(j.logA.entries), len(j.logB.entries), len(j.touched))
 	}
-	a.Txn(TxnAbort)
+	j.Txn(TxnAbort)
 
 	if len(j.groups) != len(before) {
 		t.Errorf("%d groups after abort, want %d", len(j.groups), len(before))
@@ -236,29 +236,23 @@ func TestJoinReserveIsExactForLoads(t *testing.T) {
 		return ds
 	}
 
-	a, b := NewInput[int](), NewInput[int]()
-	j = Join(a, b, key, key, pair)
-	j.Subscribe(watch)
-	a.Push(unit(0, 60))
+	j = Join(key, key, pair, watch)
+	j.ApplyLeft(unit(0, 60))
 	check("loading one side against an empty other", 0)
-	b.Push(unit(0, 45))
+	j.ApplyRight(unit(0, 45))
 	check("loading the other side", 5*12*9)
 
-	in := NewInput[int]()
-	j = Join(in, in, key, key, pair)
-	j.Subscribe(watch)
-	in.Push(unit(0, 1000)) // 5 keys × 200 × 200: past every retention bound
+	j = Join(key, key, pair, watch)
+	both(j)(unit(0, 1000)) // 5 keys × 200 × 200: past every retention bound
 	check("a self-join load", 5*200*200)
 
-	a, b = NewInput[int](), NewInput[int]()
-	j = Join(a, b, func(int) int { return 0 }, func(int) int { return 0 }, pair)
-	j.Subscribe(watch)
-	a.Push(unit(0, 60))
-	b.Push(unit(0, 60))
+	j = Join(func(int) int { return 0 }, func(int) int { return 0 }, pair, watch)
+	j.ApplyLeft(unit(0, 60))
+	j.ApplyRight(unit(0, 60))
 	check("a one-key load", 60*60)
 	var kept *Delta[[2]int]
 	for step := 0; step < 4; step++ {
-		a.Push([]Delta[int]{{step, 0.25}, {step + 1, -0.25}}) // the group's norm stays put
+		j.ApplyLeft([]Delta[int]{{step, 0.25}, {step + 1, -0.25}}) // the group's norm stays put
 		check("moving weight inside a group", 2*60)
 		if c := cap(j.diff.ents); c == 0 || c > scratchRetain {
 			t.Fatalf("a 2-difference push left an accumulator of capacity %d (kept ones are 1..%d)", c, scratchRetain)

@@ -157,10 +157,10 @@ func TestScratchReleasesLoadCapacity(t *testing.T) {
 	// The operators' own buffers follow the rule: the load leaves nothing
 	// oversized behind, and the same batch as a proposal leaves its
 	// buffers for the next one.
-	in := NewInput[int]()
-	j := Join(in, in,
+	j := Join(
 		func(x int) int { return x / 2 }, func(y int) int { return y / 2 },
-		func(x, y int) [2]int { return [2]int{x, y} })
+		func(x, y int) [2]int { return [2]int{x, y} }, func([]Delta[[2]int]) {})
+	push := both(j)
 	scratch := func() map[string]int {
 		return map[string]int{
 			"grouper flat": cap(j.byKeyA.flat), "grouper slots": cap(j.byKeyA.slots), "grouper keys": cap(j.byKeyA.idx.ents),
@@ -171,7 +171,7 @@ func TestScratchReleasesLoadCapacity(t *testing.T) {
 	for i := range bulk {
 		bulk[i] = Delta[int]{i, 1}
 	}
-	in.Push(bulk)
+	push(bulk)
 	for name, c := range scratch() {
 		if c > scratchRetain {
 			t.Errorf("%s: capacity %d outlived the load", name, c)
@@ -180,18 +180,18 @@ func TestScratchReleasesLoadCapacity(t *testing.T) {
 	for i := range bulk {
 		bulk[i].Weight = -0.5
 	}
-	in.Txn(TxnBegin)
-	in.Push(bulk)
-	in.Txn(TxnCommit)
+	j.Txn(TxnBegin)
+	push(bulk)
+	j.Txn(TxnCommit)
 	kept := scratch()
 	for name, c := range kept {
 		if c < len(bulk)/2 {
 			t.Errorf("%s: capacity %d after a %d-difference proposal, want it kept", name, c, len(bulk))
 		}
 	}
-	in.Txn(TxnBegin)
-	in.Push(bulk[:10])
-	in.Txn(TxnAbort)
+	j.Txn(TxnBegin)
+	push(bulk[:10])
+	j.Txn(TxnAbort)
 	for name, c := range scratch() {
 		if c != kept[name] {
 			t.Errorf("%s: capacity %d -> %d across a small proposal", name, kept[name], c)

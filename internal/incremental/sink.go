@@ -127,7 +127,7 @@ func NewNoisyCountSink[T comparable](source Source[T], obs Observations[T], doma
 	}
 	s.released = len(s.order)
 	source.Subscribe(s.onInput)
-	forwardTxn(source, s.onTxn)
+	source.SubscribeTxn(s.onTxn)
 	return s
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestNoisyCountSinkInitialDomain(t *testing.T) {
-	in := NewInput[string]()
+	in := newFeed[string]()
 	obs := MapObservations[string]{"a": 2.0, "b": -1.0}
 	sink := NewNoisyCountSink[string](in, obs, []string{"a", "b"}, 0.1)
 	// q = 0 everywhere: L1 = |0-2| + |0-(-1)| = 3.
@@ -19,7 +19,7 @@ func TestNoisyCountSinkInitialDomain(t *testing.T) {
 }
 
 func TestNoisyCountSinkTracksPushes(t *testing.T) {
-	in := NewInput[string]()
+	in := newFeed[string]()
 	obs := MapObservations[string]{"a": 2.0}
 	sink := NewNoisyCountSink[string](in, obs, []string{"a"}, 0.1)
 	in.Push([]Delta[string]{{"a", 1.5}})
@@ -34,7 +34,7 @@ func TestNoisyCountSinkTracksPushes(t *testing.T) {
 }
 
 func TestNoisyCountSinkLazyObservation(t *testing.T) {
-	in := NewInput[string]()
+	in := newFeed[string]()
 	// Observations that return a fixed value for unseen records.
 	obs := obsFunc[string](func(x string) float64 { return 7.0 })
 	sink := NewNoisyCountSink[string](in, obs, nil, 0.1)
@@ -73,7 +73,7 @@ func TestNoisyCountSinkRollbackExact(t *testing.T) {
 	// Pushing a batch and then its negation must restore L1 (within float
 	// tolerance): the MCMC rejection path.
 	rng := rand.New(rand.NewSource(11))
-	in := NewInput[int]()
+	in := newFeed[int]()
 	obs := obsFunc[int](func(x int) float64 { return float64(x) * 0.3 })
 	// The domain covers every record randBatch can produce, so lazily
 	// fetched observations cannot shift the baseline mid-test.
@@ -97,7 +97,7 @@ func TestNoisyCountSinkRollbackExact(t *testing.T) {
 
 func TestNoisyCountSinkDriftAndRecompute(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	in := NewInput[int]()
+	in := newFeed[int]()
 	obs := obsFunc[int](func(x int) float64 { return rngObs(x) })
 	sink := NewNoisyCountSink[int](in, obs, nil, 0.2)
 	for i := 0; i < 5000; i++ {
@@ -120,8 +120,8 @@ func TestNoisyCountSinkDriftAndRecompute(t *testing.T) {
 func rngObs(x int) float64 { return math.Sin(float64(x)) * 3 }
 
 func TestScorerCombinesSinks(t *testing.T) {
-	inA := NewInput[string]()
-	inB := NewInput[string]()
+	inA := newFeed[string]()
+	inB := newFeed[string]()
 	sa := NewNoisyCountSink[string](inA, MapObservations[string]{"x": 1.0}, []string{"x"}, 0.5)
 	sb := NewNoisyCountSink[string](inB, MapObservations[string]{"y": 2.0}, []string{"y"}, 0.25)
 	sc := NewScorer(sa, sb)
@@ -140,7 +140,7 @@ func TestScorerCombinesSinks(t *testing.T) {
 
 func TestScorerAdd(t *testing.T) {
 	sc := NewScorer()
-	in := NewInput[string]()
+	in := newFeed[string]()
 	s := NewNoisyCountSink[string](in, MapObservations[string]{"x": 4.0}, []string{"x"}, 1.0)
 	sc.Add(s)
 	if got := sc.Score(); math.Abs(got-4.0) > 1e-12 {
@@ -152,21 +152,18 @@ func TestJoinFastPathStats(t *testing.T) {
 	// An update that moves weight between records of the same key without
 	// changing the group norm must take the fast path; an update that
 	// changes the norm must take the slow path.
-	in := NewInput[int]()
-	other := NewInput[int]()
-	j := Join(in, other,
+	j := Join(
 		func(x int) int { return 0 }, func(x int) int { return 0 },
-		func(x, y int) [2]int { return [2]int{x, y} })
-	Collect[[2]int](j)
-	other.Push([]Delta[int]{{100, 1}})
-	in.Push([]Delta[int]{{1, 1}, {2, 1}}) // norm 0 -> 2: slow
+		func(x, y int) [2]int { return [2]int{x, y} }, func([]Delta[[2]int]) {})
+	j.ApplyRight([]Delta[int]{{100, 1}})
+	j.ApplyLeft([]Delta[int]{{1, 1}, {2, 1}}) // norm 0 -> 2: slow
 	slowBefore := j.SlowKeys()
 	if slowBefore == 0 {
 		t.Fatal("expected slow path on norm change")
 	}
 	fastBefore := j.FastKeys()
 	// Swap weight between records: norm stays 2.
-	in.Push([]Delta[int]{{1, -1}, {3, 1}})
+	j.ApplyLeft([]Delta[int]{{1, -1}, {3, 1}})
 	if j.FastKeys() != fastBefore+1 {
 		t.Errorf("fast keys = %d, want %d", j.FastKeys(), fastBefore+1)
 	}
@@ -180,23 +177,21 @@ func TestJoinFastPathMatchesSlowPathResults(t *testing.T) {
 	// identical outputs (the ablation's correctness precondition).
 	run := func(fast bool) *weighted.Dataset[[2]int] {
 		rng := rand.New(rand.NewSource(13))
-		inA := NewInput[int]()
-		inB := NewInput[int]()
-		j := Join(inA, inB, joinKeys, joinKeys,
-			func(x, y int) [2]int { return [2]int{x, y} })
+		out := weighted.New[[2]int]()
+		j := Join(joinKeys, joinKeys,
+			func(x, y int) [2]int { return [2]int{x, y} }, fold(out))
 		j.SetFastPath(fast)
-		out := Collect[[2]int](j)
 		for i := 0; i < 200; i++ {
 			// Norm-preserving moves half the time.
 			if rng.Intn(2) == 0 {
 				a, b := rng.Intn(4)*2, rng.Intn(4)*2 // same key (even)
-				inA.Push([]Delta[int]{{a, 1}, {b, -1}})
+				j.ApplyLeft([]Delta[int]{{a, 1}, {b, -1}})
 			} else {
-				inA.Push(randBatch(rng, 8, 1))
-				inB.Push(randBatch(rng, 8, 1))
+				j.ApplyLeft(randBatch(rng, 8, 1))
+				j.ApplyRight(randBatch(rng, 8, 1))
 			}
 		}
-		return out.Snapshot()
+		return out
 	}
 	withFast := run(true)
 	withoutFast := run(false)
@@ -206,7 +201,7 @@ func TestJoinFastPathMatchesSlowPathResults(t *testing.T) {
 }
 
 func TestCollectorWeightAndNorm(t *testing.T) {
-	in := NewInput[string]()
+	in := newFeed[string]()
 	c := Collect[string](in)
 	in.Push([]Delta[string]{{"a", 2}, {"b", -1}})
 	if c.Weight("a") != 2 || c.Weight("b") != -1 {
@@ -217,14 +212,23 @@ func TestCollectorWeightAndNorm(t *testing.T) {
 	}
 }
 
+// TestEmptyBatchNoEmission pins that a body calls its handler only with
+// differences to hand over: an empty input, one that does not move the
+// output, one side of a join whose other side is empty and one that
+// cancels within the batch emit nothing.
 func TestEmptyBatchNoEmission(t *testing.T) {
-	in := NewInput[int]()
 	calls := 0
-	in.Subscribe(func([]Delta[int]) { calls++ })
-	in.Push(nil)
-	in.Push([]Delta[int]{})
+	count := func([]Delta[int]) { calls++ }
+	u := Union(count)
+	u.ApplyLeft(nil)
+	u.ApplyRight([]Delta[int]{})
+	u.ApplyLeft([]Delta[int]{{1, -1}}) // max(-1, 0) is still 0
+	j := Join(joinKeys, joinKeys, func(x, y int) int { return x + y }, count)
+	j.ApplyLeft([]Delta[int]{{1, 1}, {2, 1}})
+	s := Shave(func(int, int) float64 { return 1 }, func([]Delta[weighted.Indexed[int]]) { calls++ })
+	s.Apply([]Delta[int]{{1, 1}, {1, -1}})
 	if calls != 0 {
-		t.Errorf("empty pushes triggered %d emissions, want 0", calls)
+		t.Errorf("pushes that change no output triggered %d emissions, want 0", calls)
 	}
 }
 
@@ -268,7 +272,7 @@ func TestSinkRunsMatchPerDelta(t *testing.T) {
 			}
 			var got [3]outcome
 			for cut := range got {
-				in := NewInput[int]()
+				in := newFeed[int]()
 				s := NewNoisyCountSink[int](in, obsFunc[int](rngObs), []int{0, 1, 2}, 0.5)
 				in.Push(warm)
 				began := outcome{l1: math.Float64bits(s.L1()), bins: s.Bins()}

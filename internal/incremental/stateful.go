@@ -9,16 +9,21 @@ import (
 
 // Stateful unary and element-wise binary operators (Appendix B). Each
 // maintains a record-weight index so that an input difference can be
-// translated into the exact difference of outputs.
+// translated into the exact difference of outputs, and hands that
+// difference to the handler it was built with.
 
-// MinMaxNode is the output of Union or Intersect: an element-wise
-// max/min with both inputs' current weights indexed.
+// MinMaxNode is the body of Union or Intersect: an element-wise max/min
+// with both inputs' current weights indexed.
 type MinMaxNode[T comparable] struct {
-	Stream[T]
+	pick  func(x, y float64) float64
+	emit  Handler[T]
 	left  stateMap[T]
 	right stateMap[T]
-	gate  TxnGate
 	log   undoLog[T] // both indexes log here
+	// logging is set between TxnBegin and TxnCommit/TxnAbort: pushes are
+	// speculative. The caller delivers each event once (the engine's node
+	// gates them), so a body keeps a flag, not a TxnGate.
+	logging bool
 
 	// Output batch, reused across pushes — the same array, unless Recycle
 	// releases it: handlers must not retain emitted batches and emission
@@ -26,39 +31,36 @@ type MinMaxNode[T comparable] struct {
 	out []Delta[T]
 }
 
-// onTxn applies a transaction event to both input indexes and forwards
-// it downstream. The indexes are fixed (not keyed), so Begin opens them
-// eagerly — two pointer stores, not a state walk.
-func (n *MinMaxNode[T]) onTxn(op TxnOp) {
-	if !n.gate.Enter(op) {
-		return
-	}
+// Txn applies a transaction event to both input indexes. The indexes are
+// fixed (not keyed), so Begin opens them eagerly — two pointer stores,
+// not a state walk.
+func (n *MinMaxNode[T]) Txn(op TxnOp) {
+	n.logging = op == TxnBegin
 	switch op {
 	case TxnBegin:
 		n.left.beginLog(&n.log)
 		n.right.beginLog(&n.log)
+		return
 	case TxnCommit:
 		n.log.commit()
 	case TxnAbort:
 		n.log.abort()
 	}
-	if op != TxnBegin {
-		n.left.endLog()
-		n.right.endLog()
-	}
-	n.emitTxn(op)
+	n.left.endLog()
+	n.right.endLog()
 }
 
-// Union incrementally computes the element-wise maximum of two streams.
-// It maintains both inputs' current weights; a difference on either side
-// changes the output only when it moves the maximum.
-func Union[T comparable](a, b Source[T]) *MinMaxNode[T] {
-	return minMaxNode(a, b, math.Max)
+// Union incrementally computes the element-wise maximum of two streams,
+// handing its output differences to out. It maintains both inputs'
+// current weights; a difference on either side changes the output only
+// when it moves the maximum.
+func Union[T comparable](out Handler[T]) *MinMaxNode[T] {
+	return &MinMaxNode[T]{pick: math.Max, emit: out}
 }
 
 // Intersect incrementally computes the element-wise minimum of two streams.
-func Intersect[T comparable](a, b Source[T]) *MinMaxNode[T] {
-	return minMaxNode(a, b, math.Min)
+func Intersect[T comparable](out Handler[T]) *MinMaxNode[T] {
+	return &MinMaxNode[T]{pick: math.Min, emit: out}
 }
 
 // StateSize returns the number of records indexed across both inputs: the
@@ -66,33 +68,30 @@ func Intersect[T comparable](a, b Source[T]) *MinMaxNode[T] {
 // grows with the number of length-two paths for the triangle queries).
 func (n *MinMaxNode[T]) StateSize() int { return n.left.len() + n.right.len() }
 
-func minMaxNode[T comparable](a, b Source[T], pick func(x, y float64) float64) *MinMaxNode[T] {
-	n := &MinMaxNode[T]{}
-	handle := func(own, other *stateMap[T]) Handler[T] {
-		return func(batch []Delta[T]) {
-			out := slices.Grow(n.out, len(batch))
-			for _, d := range batch {
-				oldW, newW := own.apply(d.Record, d.Weight)
-				ow := other.weight(d.Record)
-				diff := pick(newW, ow) - pick(oldW, ow)
-				if math.Abs(diff) >= weighted.Eps {
-					out = append(out, Delta[T]{d.Record, diff})
-				}
-			}
-			n.emit(out)
-			n.out = Recycle(out, n.gate.Active())
+// ApplyLeft applies a batch of the left input's differences.
+func (n *MinMaxNode[T]) ApplyLeft(batch []Delta[T]) { n.apply(batch, &n.left, &n.right) }
+
+// ApplyRight applies a batch of the right input's differences.
+func (n *MinMaxNode[T]) ApplyRight(batch []Delta[T]) { n.apply(batch, &n.right, &n.left) }
+
+//wpinq:txn-exempt out is per-push scratch; the indexes are written through stateMap.apply, which logs
+func (n *MinMaxNode[T]) apply(batch []Delta[T], own, other *stateMap[T]) {
+	out := slices.Grow(n.out, len(batch))
+	for _, d := range batch {
+		oldW, newW := own.apply(d.Record, d.Weight)
+		ow := other.weight(d.Record)
+		diff := n.pick(newW, ow) - n.pick(oldW, ow)
+		if math.Abs(diff) >= weighted.Eps {
+			out = append(out, Delta[T]{d.Record, diff})
 		}
 	}
-	a.Subscribe(handle(&n.left, &n.right))
-	b.Subscribe(handle(&n.right, &n.left))
-	forwardTxn(a, n.onTxn)
-	forwardTxn(b, n.onTxn)
-	return n
+	n.emit.send(out)
+	n.out = Recycle(out, n.logging)
 }
 
-// GroupByNode is the output of GroupBy.
+// GroupByNode is the body of GroupBy.
 type GroupByNode[T comparable, K comparable, R comparable] struct {
-	Stream[weighted.Grouped[K, R]]
+	emit   Handler[weighted.Grouped[K, R]]
 	groups map[K]*stateMap[T]
 	key    func(T) K
 	reduce func([]T) R
@@ -115,18 +114,16 @@ type GroupByNode[T comparable, K comparable, R comparable] struct {
 	// Group deletion is deferred to commit — an empty group expands to
 	// nothing, so keeping it in the map until the transaction resolves
 	// changes no arithmetic, and Abort can restore its members in place.
-	gate    TxnGate
+	logging bool
 	log     undoLog[T]
 	touched []touchedGroup[K, stateMap[T]]
 }
 
-// onTxn applies a transaction event to every group touched since Begin
-// and forwards it downstream. Work is O(touched groups), not O(all
-// groups): groups are opened lazily as onInput touches keys.
-func (n *GroupByNode[T, K, R]) onTxn(op TxnOp) {
-	if !n.gate.Enter(op) {
-		return
-	}
+// Txn applies a transaction event to every group touched since Begin.
+// Work is O(touched groups), not O(all groups): groups are opened lazily
+// as Apply touches keys.
+func (n *GroupByNode[T, K, R]) Txn(op TxnOp) {
+	n.logging = op == TxnBegin
 	switch op {
 	case TxnCommit:
 		n.log.commit()
@@ -147,12 +144,11 @@ func (n *GroupByNode[T, K, R]) onTxn(op TxnOp) {
 		}
 		n.touched = n.touched[:0]
 	}
-	n.emitTxn(op)
 }
 
 // drop moves k's emptied group from the map to the freelist.
 //
-//wpinq:txn-exempt runs only outside a transaction or from onTxn once the group's log is resolved; a group dropped while open would be written by abort after the pool reissued it
+//wpinq:txn-exempt runs only outside a transaction or from Txn once the group's log is resolved; a group dropped while open would be written by abort after the pool reissued it
 func (n *GroupByNode[T, K, R]) drop(k K, g *stateMap[T]) {
 	delete(n.groups, k)
 	g.recycle()
@@ -163,22 +159,22 @@ func (n *GroupByNode[T, K, R]) drop(k K, g *stateMap[T]) {
 // prefixes. When a difference arrives, only the affected keys' outputs are
 // re-derived: the old prefix outputs are retracted and the new ones
 // asserted (their overlap cancels, so unchanged prefixes emit nothing).
+// Output differences go to out.
 func GroupBy[T comparable, K comparable, R comparable](
-	src Source[T], key func(T) K, reduce func([]T) R,
+	key func(T) K, reduce func([]T) R, out Handler[weighted.Grouped[K, R]],
 ) *GroupByNode[T, K, R] {
-	n := &GroupByNode[T, K, R]{
+	return &GroupByNode[T, K, R]{
+		emit:   out,
 		groups: make(map[K]*stateMap[T]),
 		key:    key,
 		reduce: reduce,
 	}
-	src.Subscribe(n.onInput)
-	forwardTxn(src, n.onTxn)
-	return n
 }
 
-func (n *GroupByNode[T, K, R]) onInput(batch []Delta[T]) {
+// Apply applies a batch of input differences.
+func (n *GroupByNode[T, K, R]) Apply(batch []Delta[T]) {
 	diff := &n.diff
-	inTxn := n.gate.Active()
+	inTxn := n.logging
 	keys := n.byKey.group(batch, n.key)
 	if !inTxn {
 		// A group of equal weights — every group of a load — reduces to
@@ -196,7 +192,7 @@ func (n *GroupByNode[T, K, R]) onInput(batch []Delta[T]) {
 			group = n.pool.get()
 			n.groups[k] = group
 		}
-		if n.gate.Active() && group.log == nil {
+		if n.logging && group.log == nil {
 			group.beginLog(&n.log)
 			n.touched = append(n.touched, touchedGroup[K, stateMap[T]]{k: k, g: group, created: created})
 		}
@@ -213,7 +209,7 @@ func (n *GroupByNode[T, K, R]) onInput(batch []Delta[T]) {
 		n.expand(k, group, func(g weighted.Grouped[K, R], w float64) { diff.add(g, w) })
 	}
 	n.byKey.reset(inTxn)
-	n.emit(diff.takeBatch(inTxn))
+	n.emit.send(diff.takeBatch(inTxn))
 }
 
 // StateSize returns the number of records indexed across all groups.
@@ -239,13 +235,14 @@ func (n *GroupByNode[T, K, R]) expand(k K, group *stateMap[T], emit func(weighte
 	n.prefixScratch = weighted.PrefixReduceInto(k, members, n.reduce, emit, n.prefixScratch)
 }
 
-// ShaveNode is the output of Shave.
+// ShaveNode is the body of Shave.
 type ShaveNode[T comparable] struct {
-	Stream[weighted.Indexed[T]]
+	emit  Handler[weighted.Indexed[T]]
 	state stateMap[T]
 	f     func(x T, i int) float64
-	gate  TxnGate
 	log   undoLog[T]
+
+	logging bool // see MinMaxNode
 
 	// Per-push scratch, reused across pushes (see GroupByNode). pending
 	// consolidates a batch per record before expansion: an unconsolidated
@@ -258,12 +255,10 @@ type ShaveNode[T comparable] struct {
 	diff    orderedDiff[weighted.Indexed[T]]
 }
 
-// onTxn applies a transaction event to the record index and forwards it
-// downstream (see MinMaxNode.onTxn).
-func (n *ShaveNode[T]) onTxn(op TxnOp) {
-	if !n.gate.Enter(op) {
-		return
-	}
+// Txn applies a transaction event to the record index (see
+// MinMaxNode.Txn).
+func (n *ShaveNode[T]) Txn(op TxnOp) {
+	n.logging = op == TxnBegin
 	switch op {
 	case TxnBegin:
 		n.state.beginLog(&n.log)
@@ -274,30 +269,23 @@ func (n *ShaveNode[T]) onTxn(op TxnOp) {
 		n.log.abort()
 		n.state.endLog()
 	}
-	n.emitTxn(op)
 }
 
 // Shave incrementally decomposes records into indexed slices following the
 // weight sequence f. A difference on a record re-derives only that record's
 // slices; interior slices cancel, so in the common constant-sequence case
-// only the boundary slices emit differences.
-func Shave[T comparable](src Source[T], f func(x T, i int) float64) *ShaveNode[T] {
-	n := &ShaveNode[T]{f: f}
-	src.Subscribe(n.onInput)
-	forwardTxn(src, n.onTxn)
-	return n
-}
-
-// ShaveConst is Shave with a constant weight sequence.
-func ShaveConst[T comparable](src Source[T], w float64) *ShaveNode[T] {
-	return Shave(src, func(T, int) float64 { return w })
+// only the boundary slices emit differences. Output differences go to out.
+func Shave[T comparable](f func(x T, i int) float64, out Handler[weighted.Indexed[T]]) *ShaveNode[T] {
+	return &ShaveNode[T]{f: f, emit: out}
 }
 
 // StateSize returns the number of records indexed by the node.
 func (n *ShaveNode[T]) StateSize() int { return n.state.len() }
 
+// Apply applies a batch of input differences.
+//
 //wpinq:txn-exempt pending is per-push scratch; the record index is written through stateMap.apply, which logs
-func (n *ShaveNode[T]) onInput(batch []Delta[T]) {
+func (n *ShaveNode[T]) Apply(batch []Delta[T]) {
 	// Consolidate per record in first-appearance order, then expand each
 	// distinct record exactly once.
 	for _, d := range batch {
@@ -305,7 +293,7 @@ func (n *ShaveNode[T]) onInput(batch []Delta[T]) {
 		n.pending.ents[i].Weight += d.Weight
 	}
 	diff := &n.diff
-	inTxn := n.gate.Active()
+	inTxn := n.logging
 	if !inTxn {
 		// A load's unit differences shave into one slice each.
 		diff.reserve(len(batch))
@@ -324,5 +312,5 @@ func (n *ShaveNode[T]) onInput(batch []Delta[T]) {
 		})
 	}
 	n.pending.reset(inTxn)
-	n.emit(diff.takeBatch(inTxn))
+	n.emit.send(diff.takeBatch(inTxn))
 }

@@ -13,13 +13,15 @@
 // equivalence is enforced by property tests that drive both with random
 // update sequences.
 //
-// The graph itself — inputs, stateless operators, scheduling, sharding —
-// is wpinq/internal/engine's. It instantiates one node of this package
-// per shard of each stateful operator, feeds it that shard's differences
-// through a private Input, and collects what it emits; a node here is
-// single-threaded and, outside this package's tests, has that one
-// subscriber and no neighbour of its own kind. The engine's streams are Sources in this package's
-// sense, so the sinks below terminate its pipelines.
+// The graph itself — inputs, stateless operators, ports, scheduling,
+// sharding — is wpinq/internal/engine's. An operator body here is a plain
+// single-threaded state machine: built with its parameters and the one
+// Handler its output goes to, it is told Apply (ApplyLeft, ApplyRight)
+// for a batch of input differences and Txn for a transaction event, and
+// hands what changes to that handler before the call returns. The engine
+// keeps one body per shard of each stateful operator and is the only
+// caller outside this package's tests. Its streams are Sources in this
+// package's sense, so the sinks below terminate its pipelines.
 //
 // Pushes may be transactional: TxnBegin marks subsequent pushes
 // speculative (stateful nodes log pre-images of overwritten state), and
@@ -43,71 +45,21 @@ type Delta[T comparable] struct {
 // emitter: handlers must not retain or mutate it.
 type Handler[T comparable] func(batch []Delta[T])
 
-// Source is anything that emits difference batches of type T. All operator
-// nodes and Input implement Source for their output type.
-type Source[T comparable] interface {
-	Subscribe(h Handler[T])
-}
-
-// Stream is an embeddable broadcaster of difference batches. Operator nodes
-// embed Stream to implement Source (and TxnSource). Delivery is
-// depth-first — a handler runs, and emits, before the next one is called
-// — which is why whole graphs are not built from it: see DESIGN.md "Why
-// depth-first delivery lost".
-type Stream[T comparable] struct {
-	handlers []Handler[T]
-	txnSubs  []func(TxnOp)
-}
-
-// Subscribe registers a downstream handler. Subscription order is the
-// delivery order. Subscriptions must complete before the first push.
-func (s *Stream[T]) Subscribe(h Handler[T]) {
-	s.handlers = append(s.handlers, h)
-}
-
-// SubscribeTxn registers a downstream transaction-event handler,
-// satisfying TxnSource. Like Subscribe, registration must complete before
-// the first push.
-func (s *Stream[T]) SubscribeTxn(f func(TxnOp)) {
-	s.txnSubs = append(s.txnSubs, f)
-}
-
-// emitTxn delivers a transaction event to every control subscriber.
-func (s *Stream[T]) emitTxn(op TxnOp) {
-	for _, f := range s.txnSubs {
-		f(op)
-	}
-}
-
-// emit delivers a batch to every subscriber. Empty batches are dropped.
-func (s *Stream[T]) emit(batch []Delta[T]) {
-	if len(batch) == 0 {
-		return
-	}
-	for _, h := range s.handlers {
+// send hands a batch to h; empty batches are dropped.
+func (h Handler[T]) send(batch []Delta[T]) {
+	if len(batch) > 0 {
 		h(batch)
 	}
 }
 
-// Input is where differences enter a node of this package: the engine's
-// per-shard feed.
-type Input[T comparable] struct {
-	Stream[T]
+// Source is a stream a sink can terminate: it delivers difference batches
+// to subscribed handlers and transaction events to subscribed control
+// handlers. Every stream of wpinq/internal/engine is one. Subscriptions
+// must complete before the first push.
+type Source[T comparable] interface {
+	Subscribe(h Handler[T])
+	SubscribeTxn(f func(TxnOp))
 }
-
-// NewInput returns a new input.
-func NewInput[T comparable]() *Input[T] {
-	return &Input[T]{}
-}
-
-// Push delivers a batch of differences synchronously: when Push returns,
-// every subscribed node has applied it and emitted what it changes.
-func (in *Input[T]) Push(batch []Delta[T]) { in.emit(batch) }
-
-// Txn delivers a transaction control event to every subscribed node,
-// which applies it to its own state and forwards it downstream; the call
-// is synchronous and pushes no data. Transactions do not nest.
-func (in *Input[T]) Txn(op TxnOp) { in.emitTxn(op) }
 
 // Collector is a sink that materializes the current state of a stream as a
 // weighted dataset. Used by tests and by callers that need full outputs.
@@ -115,7 +67,7 @@ type Collector[T comparable] struct {
 	data *weighted.Dataset[T]
 
 	gate TxnGate
-	undo CollectorUndo[T]
+	undo collectorUndo[T]
 }
 
 // Collect attaches a new Collector to src.
@@ -124,12 +76,12 @@ func Collect[T comparable](src Source[T]) *Collector[T] {
 	src.Subscribe(func(batch []Delta[T]) {
 		for _, d := range batch {
 			if c.gate.Active() {
-				c.undo.Observe(d.Record, c.data)
+				c.undo.observe(d.Record, c.data)
 			}
 			c.data.Add(d.Record, d.Weight)
 		}
 	})
-	forwardTxn(src, c.onTxn)
+	src.SubscribeTxn(c.onTxn)
 	return c
 }
 
@@ -139,9 +91,9 @@ func (c *Collector[T]) onTxn(op TxnOp) {
 	}
 	switch op {
 	case TxnAbort:
-		c.undo.Abort(c.data)
+		c.undo.abort(c.data)
 	case TxnCommit:
-		c.undo.Reset()
+		c.undo.reset()
 	}
 }
 

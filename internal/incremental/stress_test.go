@@ -7,79 +7,16 @@ import (
 	"wpinq/internal/weighted"
 )
 
-// Stress tests: deep and wide operator graphs driven by long random
-// update sequences, checked against the reference semantics at the end
-// (intermediate checks would dominate runtime).
-
-func TestDeepChainLongRun(t *testing.T) {
-	// GroupBy -> Shave -> GroupBy -> Union(with its own Intersect)
-	type shaved = weighted.Indexed[weighted.Grouped[int, int]]
-	key := func(x int) int { return x % 3 }
-	count := func(m []int) int { return len(m) }
-	index := func(s shaved) int { return s.Index }
-	keys := func(m []shaved) int { return len(m) }
-	rng := rand.New(rand.NewSource(100))
-	in := NewInput[int]()
-	grp := GroupBy(in, key, count)
-	flat := GroupBy(ShaveConst(grp, 0.4), index, keys)
-	both := Intersect[weighted.Grouped[int, int]](flat, grp)
-	out := Collect(Union[weighted.Grouped[int, int]](flat, both))
-
-	ref := weighted.New[int]()
-	for step := 0; step < 3000; step++ {
-		x := rng.Intn(7)
-		cur := ref.Weight(x)
-		delta := rng.Float64()*2 - 0.8
-		if cur+delta < 0 {
-			delta = -cur
-		}
-		in.Push([]Delta[int]{{x, delta}})
-		ref.Add(x, delta)
-	}
-	// Reference evaluation of the same pipeline.
-	rgrp := weighted.GroupBy(ref, key, count)
-	rflat := weighted.GroupBy(weighted.ShaveConst(rgrp, 0.4), index, keys)
-	want := weighted.Union(rflat, weighted.Intersect(rflat, rgrp))
-	if !weighted.Equal(out.Snapshot(), want, 1e-6) {
-		t.Errorf("deep chain diverged after 3000 updates:\nincremental: %v\nreference:   %v",
-			out.Snapshot(), want)
-	}
-}
-
-func TestDiamondTopology(t *testing.T) {
-	// One input fans out to two branches that reconverge through a join:
-	// exercises multiple subscriptions and reconvergent updates.
-	keyL := func(s weighted.Indexed[int]) int { return s.Value % 4 }
-	keyR := func(y int) int { return y % 4 }
-	pair := func(s weighted.Indexed[int], y int) [2]int { return [2]int{s.Value*8 + s.Index, y} }
-	rng := rand.New(rand.NewSource(101))
-	in := NewInput[int]()
-	out := Collect(Join(ShaveConst(in, 0.5), in, keyL, keyR, pair))
-
-	ref := weighted.New[int]()
-	for step := 0; step < 2000; step++ {
-		x := rng.Intn(12)
-		cur := ref.Weight(x)
-		delta := rng.Float64() - 0.4
-		if cur+delta < 0 {
-			delta = -cur
-		}
-		in.Push([]Delta[int]{{x, delta}})
-		ref.Add(x, delta)
-	}
-	want := weighted.Join(weighted.ShaveConst(ref, 0.5), ref, keyL, keyR, pair)
-	if !weighted.Equal(out.Snapshot(), want, 1e-6) {
-		t.Error("diamond topology diverged after 2000 updates")
-	}
-}
+// Batching and sign robustness of a single body and of the collector.
+// (The deep and wide operator graphs driven by long random update
+// sequences are graph_test.go's, through the engine.)
 
 func TestManySmallBatchesMatchOneBigBatch(t *testing.T) {
 	// Pushing records one at a time and all at once must agree: batching
 	// is an optimization, not a semantic knob.
-	build := func() (*Input[int], *Collector[weighted.Grouped[int, int]]) {
-		in := NewInput[int]()
-		grp := GroupBy[int, int, int](in, func(x int) int { return x % 2 }, func(m []int) int { return len(m) })
-		return in, Collect[weighted.Grouped[int, int]](grp)
+	build := func() (*GroupByNode[int, int, int], *weighted.Dataset[weighted.Grouped[int, int]]) {
+		out := weighted.New[weighted.Grouped[int, int]]()
+		return GroupBy(func(x int) int { return x % 2 }, func(m []int) int { return len(m) }, fold(out)), out
 	}
 	var big []Delta[int]
 	rng := rand.New(rand.NewSource(102))
@@ -87,12 +24,12 @@ func TestManySmallBatchesMatchOneBigBatch(t *testing.T) {
 		big = append(big, Delta[int]{rng.Intn(10), rng.Float64()})
 	}
 	inOne, outOne := build()
-	inOne.Push(big)
+	inOne.Apply(big)
 	inMany, outMany := build()
 	for _, d := range big {
-		inMany.Push([]Delta[int]{d})
+		inMany.Apply([]Delta[int]{d})
 	}
-	if !weighted.Equal(outOne.Snapshot(), outMany.Snapshot(), 1e-9) {
+	if !weighted.Equal(outOne, outMany, 1e-9) {
 		t.Error("batched and unbatched pushes disagree")
 	}
 }
@@ -100,8 +37,8 @@ func TestManySmallBatchesMatchOneBigBatch(t *testing.T) {
 func TestNegativeTransientWeights(t *testing.T) {
 	// A collector must tolerate transiently negative state (a retraction
 	// arriving before the corresponding assertion).
-	in := NewInput[int]()
-	out := Collect(in)
+	in := newFeed[int]()
+	out := Collect[int](in)
 	in.Push([]Delta[int]{{1, -2}})
 	if out.Weight(1) != -2 {
 		t.Errorf("negative weight = %v, want -2", out.Weight(1))

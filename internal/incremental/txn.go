@@ -15,12 +15,14 @@ import "wpinq/internal/weighted"
 // restoring bit-identical state in O(touched keys) without pushing the
 // inverse differences back through the graph.
 //
-// Control events travel the same dataflow edges as difference batches: a
-// node receives Begin/Commit/Abort from each upstream it subscribes to,
+// Control events travel the engine's dataflow edges like difference
+// batches: a node there receives Begin/Commit/Abort from each upstream,
 // deduplicates redundant deliveries (diamond topologies deliver an event
-// once per incoming edge) with a txnGate, applies the event to its own
-// state, and forwards it downstream. The propagation is synchronous and
-// carries no data, so its cost is one virtual call per graph edge.
+// once per incoming edge) with a TxnGate, tells every shard's operator
+// body (Txn) — which applies the event to its own state and forwards it
+// to nobody — and passes it on downstream, where the sinks subscribe to
+// it (Source.SubscribeTxn). The propagation is synchronous and carries no
+// data, so its cost is one virtual call per graph edge.
 //
 // Two invariants make Abort trace-faithful (see DESIGN.md "Transactional
 // scoring"):
@@ -48,31 +50,13 @@ const (
 	TxnAbort
 )
 
-// TxnSource is a difference source that also broadcasts transaction
-// control events. Every operator stream in this package and in
-// wpinq/internal/engine implements it.
-type TxnSource interface {
-	// SubscribeTxn registers a control-event handler. Like Subscribe,
-	// registration must complete before the first push.
-	SubscribeTxn(f func(TxnOp))
-}
-
-// forwardTxn subscribes f to src's control events when src broadcasts
-// them. Sources outside this package (and outside wpinq/internal/engine)
-// may not; their downstream nodes then never see transactions, which is
-// safe only if no transaction is ever begun on that graph.
-func forwardTxn[T comparable](src Source[T], f func(TxnOp)) {
-	if ts, ok := src.(TxnSource); ok {
-		ts.SubscribeTxn(f)
-	}
-}
-
 // TxnGate deduplicates transaction events for nodes with multiple paths
 // from the root (diamond topologies, binary operators on overlapping
 // subgraphs): the first delivery of Begin opens the gate, the first
 // delivery of Commit/Abort closes it, and every redundant delivery is
-// dropped so events cannot multiply along parallel paths. Exported so
-// the sharded executor's nodes gate with the identical semantics.
+// dropped so events cannot multiply along parallel paths. The engine's
+// nodes and the sinks keep one each; the operator bodies, told each event
+// once by the node that owns them, need none.
 type TxnGate struct {
 	in bool
 }
@@ -194,25 +178,17 @@ type touchedGroup[K comparable, G any] struct {
 	created bool
 }
 
-// CollectorUndo is the first-touch undo log shared by this package's and
-// the engine's materializing collectors: Observe records a record's pre-transaction
-// weight once (before the collector overwrites it), Abort restores the
-// dataset from the log, and Reset clears the log at commit. The sharded
-// executor keeps one per state shard so speculative rounds log without
-// cross-shard races.
-type CollectorUndo[T comparable] struct {
-	seen map[T]struct{}
-	undo []collectorUndo[T]
-}
-
-// collectorUndo is one record's pre-transaction weight (0 when absent).
+// collectorUndo is the Collector's first-touch undo log: observe records
+// a record's pre-transaction weight (0 when absent) once, before the
+// collector overwrites it, abort restores the dataset from the log, and
+// reset clears the log at commit.
 type collectorUndo[T comparable] struct {
-	x    T
-	oldW float64
+	seen map[T]struct{}
+	undo []Delta[T]
 }
 
-// Observe logs x's current weight in d, once per transaction.
-func (u *CollectorUndo[T]) Observe(x T, d *weighted.Dataset[T]) {
+// observe logs x's current weight in d, once per transaction.
+func (u *collectorUndo[T]) observe(x T, d *weighted.Dataset[T]) {
 	if u.seen == nil {
 		u.seen = make(map[T]struct{})
 	}
@@ -220,24 +196,24 @@ func (u *CollectorUndo[T]) Observe(x T, d *weighted.Dataset[T]) {
 		return
 	}
 	u.seen[x] = struct{}{}
-	u.undo = append(u.undo, collectorUndo[T]{x: x, oldW: d.Weight(x)})
+	u.undo = append(u.undo, Delta[T]{x, d.Weight(x)})
 }
 
-// Abort restores every observed record's pre-transaction weight in d
+// abort restores every observed record's pre-transaction weight in d
 // and clears the log.
-func (u *CollectorUndo[T]) Abort(d *weighted.Dataset[T]) {
+func (u *collectorUndo[T]) abort(d *weighted.Dataset[T]) {
 	for _, e := range u.undo {
-		if e.oldW == 0 {
-			d.Remove(e.x)
+		if e.Weight == 0 {
+			d.Remove(e.Record)
 		} else {
-			d.Set(e.x, e.oldW)
+			d.Set(e.Record, e.Weight)
 		}
 	}
-	u.Reset()
+	u.reset()
 }
 
-// Reset discards the log, keeping capacity for the next transaction.
-func (u *CollectorUndo[T]) Reset() {
+// reset discards the log, keeping capacity for the next transaction.
+func (u *collectorUndo[T]) reset() {
 	clear(u.seen)
 	u.undo = u.undo[:0]
 }

@@ -30,24 +30,26 @@ func exactEqual[T comparable](t *testing.T, name string, got, want *weighted.Dat
 	})
 }
 
-// checkTxn drives two identical graphs: the subject sees speculative
+// checkTxn drives two identical bodies (build returns the body's apply
+// and Txn over the out it is handed): the subject sees speculative
 // batches inside transactions (randomly committed or aborted), the twin
-// sees only the committed ones, pushed plainly. After every transaction
-// and at the end, collected outputs must match bit-for-bit; a final
-// probe batch pushed to both must produce identical collected state,
-// proving aborts also restored the operators' internal emission order.
-func checkTxn[U comparable](t *testing.T, name string, build func(Source[int]) Source[U]) {
+// sees only the committed ones, pushed plainly. A body emits nothing on
+// abort, so the subject's accumulated output is put back to its Begin
+// image — what every sink downstream of it does with its own log. After
+// every transaction and at the end the outputs must match bit-for-bit; a
+// final probe batch pushed to both must produce identical state, proving
+// aborts also restored the operators' internal emission order.
+func checkTxn[U comparable](t *testing.T, name string, build func(out Handler[U]) (apply func([]Delta[int]), txn func(TxnOp))) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(61))
 
-	subjectIn := NewInput[int]()
-	subjectOut := Collect(build(subjectIn))
-	twinIn := NewInput[int]()
-	twinOut := Collect(build(twinIn))
+	subjectOut, twinOut := weighted.New[U](), weighted.New[U]()
+	subject, subjectTxn := build(func(b []Delta[U]) { fold(subjectOut)(b) })
+	twin, _ := build(fold(twinOut))
 
 	push := func(batch []Delta[int]) {
-		subjectIn.Push(batch)
-		twinIn.Push(batch)
+		subject(batch)
+		twin(batch)
 	}
 
 	var base []Delta[int]
@@ -58,7 +60,8 @@ func checkTxn[U comparable](t *testing.T, name string, build func(Source[int]) S
 
 	for cycle := 0; cycle < 300; cycle++ {
 		// One transaction: one to three speculative batches.
-		subjectIn.Txn(TxnBegin)
+		subjectTxn(TxnBegin)
+		began := subjectOut.Clone()
 		batches := make([][]Delta[int], 1+rng.Intn(3))
 		for bi := range batches {
 			batch := make([]Delta[int], 1+rng.Intn(3))
@@ -66,54 +69,47 @@ func checkTxn[U comparable](t *testing.T, name string, build func(Source[int]) S
 				batch[i] = Delta[int]{rng.Intn(10), rng.Float64()*2 - 1}
 			}
 			batches[bi] = batch
-			subjectIn.Push(batch)
+			subject(batch)
 		}
 		if rng.Intn(2) == 0 {
-			subjectIn.Txn(TxnCommit)
+			subjectTxn(TxnCommit)
 			for _, batch := range batches {
-				twinIn.Push(batch)
+				twin(batch)
 			}
 		} else {
-			subjectIn.Txn(TxnAbort)
+			subjectTxn(TxnAbort)
+			subjectOut = began
 		}
-		exactEqual(t, name, subjectOut.Snapshot(), twinOut.Snapshot())
+		exactEqual(t, name, subjectOut, twinOut)
 	}
 
 	// Probe: identical future inputs must produce identical outputs.
 	probe := []Delta[int]{{3, 0.25}, {7, -0.5}, {11, 1.5}}
 	push(probe)
-	exactEqual(t, name+" probe", subjectOut.Snapshot(), twinOut.Snapshot())
+	exactEqual(t, name+" probe", subjectOut, twinOut)
 }
 
 func TestTxnGroupBy(t *testing.T) {
-	checkTxn(t, "GroupBy", func(s Source[int]) Source[weighted.Grouped[int, int]] {
-		return GroupBy(s, func(x int) int { return x % 3 }, func(m []int) int { return len(m) })
+	checkTxn(t, "GroupBy", func(out Handler[weighted.Grouped[int, int]]) (func([]Delta[int]), func(TxnOp)) {
+		n := GroupBy(func(x int) int { return x % 3 }, func(m []int) int { return len(m) }, out)
+		return n.Apply, n.Txn
 	})
 }
 
 func TestTxnShave(t *testing.T) {
-	checkTxn(t, "Shave", func(s Source[int]) Source[weighted.Indexed[int]] {
-		return ShaveConst(s, 0.75)
+	checkTxn(t, "Shave", func(out Handler[weighted.Indexed[int]]) (func([]Delta[int]), func(TxnOp)) {
+		n := Shave(func(int, int) float64 { return 0.75 }, out)
+		return n.Apply, n.Txn
 	})
 }
 
 func TestTxnSelfJoin(t *testing.T) {
-	checkTxn(t, "Join", func(s Source[int]) Source[[2]int] {
-		return Join(s, s,
+	checkTxn(t, "Join", func(out Handler[[2]int]) (func([]Delta[int]), func(TxnOp)) {
+		n := Join(
 			func(x int) int { return x % 3 }, func(y int) int { return y % 3 },
-			func(x, y int) [2]int { return [2]int{x, y} })
+			func(x, y int) [2]int { return [2]int{x, y} }, out)
+		return both(n), n.Txn
 	})
-}
-
-func TestTxnUnionIntersectDiamond(t *testing.T) {
-	// Diamond topology: the gate must deduplicate control events arriving
-	// along both paths, or aborts would double-restore.
-	checkTxn(t, "Union+Intersect", diamond)
-}
-
-func TestTxnDeepTbIShape(t *testing.T) {
-	// The stateful part of the operator shape MCMC aborts through.
-	checkTxn(t, "TbI-shape", tbiShape)
 }
 
 // TestTxnSinkKeepsNewObservations keeps the name of the exception it
@@ -124,7 +120,7 @@ func TestTxnDeepTbIShape(t *testing.T) {
 // brought back to zero and up again; a committed transaction forgets the
 // never-released records it left at zero.
 func TestTxnSinkKeepsNewObservations(t *testing.T) {
-	in := NewInput[int]()
+	in := newFeed[int]()
 	obs := MapObservations[int]{1: 5, 2: -3, 3: 0.7}
 	sink := NewNoisyCountSink[int](in, obs, []int{1}, 0.5)
 	in.Push([]Delta[int]{{1, 2}, {3, 0.1}}) // |2-5| replaces |0-5|; 3 is live, never released

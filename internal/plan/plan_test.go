@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"wpinq/internal/engine"
 	"wpinq/internal/incremental"
 )
 
@@ -40,16 +41,16 @@ func TestSharedFusesByKey(t *testing.T) {
 // key and both types, not with a bare interface-conversion error.
 func TestSharedNamesBothTypesOnKeyCollision(t *testing.T) {
 	m := New(true)
-	Shared(m, Node{Key: "degrees"}, func() incremental.Source[int] { return incremental.NewInput[int]() })
+	Shared(m, Node{Key: "degrees"}, func() incremental.Source[int] { return engine.NewInput[int](engine.New(1)) })
 	defer func() {
 		msg, _ := recover().(string)
-		for _, want := range []string{`"degrees"`, "incremental.Source[string]", "*incremental.Input[int]"} {
+		for _, want := range []string{`"degrees"`, "incremental.Source[string]", "*engine.Input[int]"} {
 			if !strings.Contains(msg, want) {
 				t.Errorf("panic %q does not mention %s", msg, want)
 			}
 		}
 	}()
-	Shared(m, Node{Key: "degrees"}, func() incremental.Source[string] { return incremental.NewInput[string]() })
+	Shared(m, Node{Key: "degrees"}, func() incremental.Source[string] { return engine.NewInput[string](engine.New(1)) })
 	t.Error("key requested at a second stream type was served")
 }
 
@@ -127,7 +128,7 @@ func TestNilMemoBuilds(t *testing.T) {
 // the tap does not disturb other subscribers.
 func TestCountTapsBatchDeliveries(t *testing.T) {
 	m := New(true)
-	in := incremental.NewInput[int]()
+	in := engine.NewInput[int](engine.New(1))
 	Count[int](m, in)
 	var seen int
 	in.Subscribe(func(batch []incremental.Delta[int]) { seen += len(batch) })

@@ -80,11 +80,12 @@ type JobRequest struct {
 	Resume string `json:"resume,omitempty"`
 }
 
-// WorkloadResidual and BinResidual re-export the synth residual views
-// so API clients need only this package.
+// WorkloadResidual, BinResidual and OperatorProfile re-export the synth
+// diagnostic views so API clients need only this package.
 type (
 	WorkloadResidual = synth.WorkloadResidual
 	BinResidual      = synth.BinResidual
+	OperatorProfile  = synth.OperatorProfile
 )
 
 // JobStatus is the pollable view of one job.
@@ -119,7 +120,12 @@ type JobStatus struct {
 	// which workload the sampler is failing to match. Updated at each
 	// progress checkpoint and final on termination.
 	Residuals []synth.WorkloadResidual `json:"residuals,omitempty"`
-	Error     string                   `json:"error,omitempty"`
+	// Operators is the best chain's executor profile, one entry per
+	// dataflow node: rounds run, differences in and out, records indexed
+	// (counted from the chain's last checkpoint re-anchor). Updated with
+	// Residuals.
+	Operators []synth.OperatorProfile `json:"operators,omitempty"`
+	Error     string                  `json:"error,omitempty"`
 }
 
 // Terminal reports whether the job has stopped (done, cancelled, or
@@ -559,6 +565,7 @@ func (jm *JobManager) run(j *Job) {
 			j.status.Score = p.Score
 			j.status.Chains = p.Chains
 			j.status.Residuals = p.Residuals
+			j.status.Operators = p.Operators
 			j.mu.Unlock()
 			select {
 			case <-jm.quit:
@@ -667,6 +674,7 @@ func (jm *JobManager) run(j *Job) {
 		st.ResultEdges = res.Synthetic.NumEdges()
 		st.Chains = synth.ChainSnapshots(res.Chains)
 		st.Residuals = res.Residuals
+		st.Operators = res.Operators
 	})
 	st := j.Status()
 	log.Info("job finished", "state", st.State, "score", st.Score,

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"fmt"
 	"regexp"
 	"strconv"
 	"strings"
@@ -46,12 +47,33 @@ func TestMetricsExposedOverHTTP(t *testing.T) {
 		}
 	}
 
+	// Which operator is hot: the finished job carries the best chain's
+	// executor profile, and the same stop exported it.
+	var ran, stateful *OperatorProfile
+	for i, op := range final.Operators {
+		if op.Index != i || op.Op == "" {
+			t.Errorf("operator entry %d not populated: %+v", i, op)
+		}
+		if op.Rounds > 0 && op.In > 0 && op.Out > 0 && ran == nil {
+			ran = &final.Operators[i]
+		}
+		if op.State > 0 && (stateful == nil || op.In+op.Out > stateful.In+stateful.Out) {
+			stateful = &final.Operators[i]
+		}
+	}
+	if ran == nil || stateful == nil {
+		t.Fatalf("finished job's operators %+v: want one with rounds, in and out > 0 and a stateful one with state > 0", final.Operators)
+	}
+
 	page, err := client.Metrics()
 	if err != nil {
 		t.Fatal(err)
 	}
 	text := string(page)
 	for _, m := range []string{
+		fmt.Sprintf(`wpinq_fit_operator_records{node="%d",op="%s",dir="in"}`, stateful.Index, stateful.Op),
+		fmt.Sprintf(`wpinq_fit_operator_records{node="%d",op="%s",dir="out"}`, stateful.Index, stateful.Op),
+		fmt.Sprintf(`wpinq_fit_operator_state_records{node="%d",op="%s"}`, stateful.Index, stateful.Op),
 		`wpinq_http_requests_total{route="POST /v1/datasets/{id}/measure",method="POST",status="200"}`,
 		`wpinq_http_request_seconds_count{route="GET /v1/jobs/{id}"}`,
 		`wpinq_jobs_total{state="done"}`,

@@ -87,16 +87,16 @@ type ProvenanceRecord struct {
 }
 
 // recordHash computes the chain hash of rec (ignoring its Hash field).
-func recordHash(rec ProvenanceRecord) string {
+// It fails only on a record JSON cannot carry — a non-finite Eps, Cost or
+// SpentAfter — which no verified ledger line can hold.
+func recordHash(rec ProvenanceRecord) (string, error) {
 	rec.Hash = ""
 	b, err := json.Marshal(rec)
 	if err != nil {
-		// ProvenanceRecord is marshal-safe by construction (plain
-		// fields); a failure here is a programming error.
-		panic(fmt.Sprintf("service: hashing provenance record: %v", err))
+		return "", fmt.Errorf("hashing provenance record: %v", err)
 	}
 	sum := sha256.Sum256(b)
-	return hex.EncodeToString(sum[:])
+	return hex.EncodeToString(sum[:]), nil
 }
 
 // ContentHash returns the full SHA-256 (hex) of stored release bytes.
@@ -132,7 +132,10 @@ func (st *Store) AppendProvenance(rec ProvenanceRecord) (ProvenanceRecord, error
 	if len(chain) > 0 {
 		rec.PrevHash = chain[len(chain)-1].Hash
 	}
-	rec.Hash = recordHash(rec)
+	var err error
+	if rec.Hash, err = recordHash(rec); err != nil {
+		return ProvenanceRecord{}, fmt.Errorf("%w: %v", ErrInternal, err)
+	}
 	if st.dir != "" {
 		line, err := json.Marshal(rec)
 		if err != nil {
@@ -225,7 +228,7 @@ func (st *Store) loadProvenance() error {
 			return fmt.Errorf("service: provenance ledger line %d: dataset %s chain broken at seq %d",
 				line, rec.Dataset, rec.Seq)
 		}
-		if recordHash(rec) != rec.Hash {
+		if h, err := recordHash(rec); err != nil || h != rec.Hash {
 			return fmt.Errorf("service: provenance ledger line %d: dataset %s record %d hash mismatch",
 				line, rec.Dataset, rec.Seq)
 		}
@@ -368,7 +371,7 @@ func AuditRecords(dataset string, recs []ProvenanceRecord, ledger budget.Snapsho
 		if rec.PrevHash != prevHash {
 			fail("prev-hash link broken (chain reordered or record removed)")
 		}
-		if recordHash(rec) != rec.Hash {
+		if h, err := recordHash(rec); err != nil || h != rec.Hash {
 			fail("record hash mismatch (record edited after append)")
 		}
 		prevHash = rec.Hash

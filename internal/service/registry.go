@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -65,8 +66,8 @@ func NewRegistry() *Registry {
 // total privacy budget (in epsilon). The budget is fixed at upload
 // time: every measurement debits it, and it can never be raised.
 func (r *Registry) Upload(name string, totalBudget float64, edges io.Reader) (DatasetInfo, error) {
-	if totalBudget <= 0 {
-		return DatasetInfo{}, fmt.Errorf("dataset budget must be positive, got %g", totalBudget)
+	if !(totalBudget > 0) || math.IsInf(totalBudget, 1) { // NaN compares false; no charge ever exceeds either
+		return DatasetInfo{}, fmt.Errorf("dataset budget must be positive and finite, got %g", totalBudget)
 	}
 	g, err := graph.ReadEdgeList(edges)
 	if err != nil {

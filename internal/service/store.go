@@ -33,6 +33,36 @@ type Store struct {
 	order   []string // insertion order, for stable listings
 	prov    map[string][]ProvenanceRecord
 	ckpts   map[string][]byte // job ID -> serialized checkpoint
+
+	write func(path string, data []byte) error // writeAtomic; tests make a chosen step of it fail
+}
+
+// writeAtomic persists data at path so that a crash at any point leaves
+// the previous file or the complete new one, never a torn one: a temp
+// file beside it is written, fsynced, closed and renamed over path, and
+// removed if any of that fails. Releases and checkpoints are both written
+// this way: the provenance line that names a release is fsynced, so the
+// bytes it names must be too.
+func writeAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if serr := f.Sync(); err == nil {
+		err = serr
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 type storeEntry struct {
@@ -67,12 +97,22 @@ func NewStore(dir string, logger *slog.Logger) (*Store, error) {
 		log:     logger,
 		entries: make(map[string]storeEntry),
 		ckpts:   make(map[string][]byte),
+		write:   writeAtomic,
 	}
 	if dir == "" {
 		return st, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: creating store dir: %w", err)
+	}
+	// A crash between a temp file's creation and its rename leaves it
+	// behind; nothing ever acknowledged it.
+	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	if err != nil {
+		return nil, err
+	}
+	for _, tmp := range tmps {
+		os.Remove(tmp)
 	}
 	names, err := filepath.Glob(filepath.Join(dir, "m*.json"))
 	if err != nil {
@@ -131,32 +171,14 @@ func (st *Store) loadCheckpoints() error {
 }
 
 // PutCheckpoint persists a job's serialized checkpoint, replacing any
-// previous one. The write is atomic (temp file, fsync, rename): a crash
-// mid-checkpoint leaves the previous checkpoint intact, never a torn
-// half-document.
+// previous one, atomically (writeAtomic): a crash mid-checkpoint leaves
+// the previous checkpoint intact, never a torn half-document.
 func (st *Store) PutCheckpoint(jobID string, data []byte) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.dir != "" {
-		path := filepath.Join(st.dir, checkpointFile(jobID))
-		tmp := path + ".tmp"
-		f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-		if err != nil {
-			return fmt.Errorf("%w: creating checkpoint temp file: %v", ErrInternal, err)
-		}
-		_, werr := f.Write(data)
-		if serr := f.Sync(); werr == nil {
-			werr = serr
-		}
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr == nil {
-			werr = os.Rename(tmp, path)
-		}
-		if werr != nil {
-			os.Remove(tmp)
-			return fmt.Errorf("%w: persisting checkpoint: %v", ErrInternal, werr)
+		if err := st.write(filepath.Join(st.dir, checkpointFile(jobID)), data); err != nil {
+			return fmt.Errorf("%w: persisting checkpoint: %v", ErrInternal, err)
 		}
 	}
 	st.ckpts[jobID] = append([]byte(nil), data...)
@@ -256,7 +278,7 @@ func (st *Store) Put(m *synth.Measurements) (MeasurementInfo, error) {
 		return prev.info, nil
 	}
 	if st.dir != "" {
-		if err := os.WriteFile(filepath.Join(st.dir, id+".json"), data, 0o644); err != nil {
+		if err := st.write(filepath.Join(st.dir, id+".json"), data); err != nil {
 			return MeasurementInfo{}, fmt.Errorf("%w: persisting measurement: %v", ErrInternal, err)
 		}
 	}

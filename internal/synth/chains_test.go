@@ -262,3 +262,46 @@ func TestMultiChainImprovesFit(t *testing.T) {
 	}
 	var _ mcmc.Stats = res.Stats
 }
+
+// TestFitReportsOperators pins the executor profile's way out of a fit:
+// every progress stop and the Result carry the best chain's, node by node
+// in scheduling order, counted from the chain's last anchor — the input
+// ran once for the load and at most once per proposal, counters only
+// grow between stops, and the joins TbI is made of index records.
+func TestFitReportsOperators(t *testing.T) {
+	m, seed := fixtureMeasurements(t, 60, []string{"tbi"}, 0)
+	cfg := Config{Eps: m.Eps, Workloads: []string{"tbi"}, Pow: 100, Steps: 256, ProgressEvery: 64, Shards: 1}
+	var stops [][]OperatorProfile
+	cfg.OnProgress = func(p Progress) bool { stops = append(stops, p.Operators); return true }
+	res, err := Synthesize(m, seed.Clone(), cfg, testRng(511))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stops) < 4 {
+		t.Fatalf("%d progress stops, want one per 64 steps", len(stops))
+	}
+	prev := stops[0]
+	for _, next := range append(stops[1:], res.Operators) {
+		if len(next) != len(prev) {
+			t.Fatalf("profile of %d nodes after one of %d", len(next), len(prev))
+		}
+		for i := range next {
+			if next[i].Index != i || next[i].Op != prev[i].Op || next[i].Rounds < prev[i].Rounds || next[i].In < prev[i].In || next[i].Out < prev[i].Out {
+				t.Fatalf("node %d went from %+v to %+v", i, prev[i], next[i])
+			}
+		}
+		prev = next
+	}
+	if in := res.Operators[0]; in.Op != "input" || in.Rounds < 2 || in.Rounds > uint64(1+cfg.Steps) || in.In != in.Out {
+		t.Errorf("input node %+v: want 1 load + up to %d proposals, out == in", in, cfg.Steps)
+	}
+	joins := 0
+	for _, op := range res.Operators {
+		if op.Op == "join" && op.State > 0 && op.In > 0 {
+			joins++
+		}
+	}
+	if joins == 0 {
+		t.Errorf("no join with state and input among %+v", res.Operators)
+	}
+}

@@ -31,8 +31,10 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strconv"
 	"time"
 
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
 	"wpinq/internal/mcmc"
 	"wpinq/internal/obs"
@@ -49,6 +51,16 @@ var reanchorSeconds = obs.Default.Histogram("wpinq_fit_reanchor_seconds",
 var liveDerived = obs.Default.Gauge("wpinq_fit_live_derived_records",
 	"Never-released records the best chain's synthetic graph currently gives weight, summed over its fit workloads.")
 
+// The operator gauges answer "which operator is hot" from the running
+// system: the best chain's engine profile (engine.Engine.Profile), set at
+// progress stops and when a fit ends.
+var (
+	operatorRecords = obs.Default.GaugeVec("wpinq_fit_operator_records",
+		"Differences a dataflow node of the best chain took (dir=in) and emitted (dir=out) since the chain's last anchor.", "node", "op", "dir")
+	operatorState = obs.Default.GaugeVec("wpinq_fit_operator_state_records",
+		"Records a stateful dataflow node of the best chain indexes.", "node", "op")
+)
+
 // fitChain is one chain's live resources plus the serializable identity
 // (seed, counted rng) that lets a resumed process rebuild them.
 type fitChain struct {
@@ -56,6 +68,22 @@ type fitChain struct {
 	src    *mcmc.CountingSource
 	rng    *rand.Rand
 	runner *mcmc.Runner
+	eng    *engine.Engine // the executor runner's plan runs on
+}
+
+// operators reads the chain's executor profile and exports it. Called
+// with the chain parked: at a stop, or after the run.
+func (ch *fitChain) operators() []OperatorProfile {
+	prof := ch.eng.Profile()
+	for _, p := range prof {
+		node := strconv.Itoa(p.Index)
+		operatorRecords.With(node, p.Op, "in").Set(float64(p.In))
+		operatorRecords.With(node, p.Op, "out").Set(float64(p.Out))
+		if p.State > 0 {
+			operatorState.With(node, p.Op).Set(float64(p.State))
+		}
+	}
+	return prof
 }
 
 // fit carries the shared context of one Phase 2 run.
@@ -194,7 +222,7 @@ func (f *fit) anchor(idx, step int, pow float64, at *ChainCheckpoint) error {
 		return err
 	}
 	runner.SetStep(step)
-	ch.runner = runner
+	ch.runner, ch.eng = runner, plan.Engine()
 	return nil
 }
 
@@ -300,6 +328,7 @@ func (f *fit) run(ck *Checkpoint) (*Result, error) {
 		BestChain: res.Best,
 		TotalCost: f.m.TotalCost,
 		Residuals: best.runner.Scorer().Residuals(residualTopK),
+		Operators: best.operators(),
 		Cancelled: res.Cancelled,
 	}
 	if len(f.chains) > 1 {
@@ -366,12 +395,14 @@ func (f *fit) progress(done int, chains []mcmc.ChainStats) Progress {
 			best = i
 		}
 	}
+	ch := f.chains[chains[best].Chain]
 	p := Progress{
 		Step:      done,
 		Steps:     f.cfg.Steps,
 		Accepted:  chains[best].Accepted,
 		Score:     chains[best].FinalScore,
-		Residuals: f.chains[chains[best].Chain].runner.Scorer().Residuals(residualTopK),
+		Residuals: ch.runner.Scorer().Residuals(residualTopK),
+		Operators: ch.operators(),
 	}
 	if len(chains) > 1 {
 		p.Chains = ChainSnapshots(chains)

@@ -29,6 +29,7 @@ import (
 
 	"wpinq/internal/budget"
 	"wpinq/internal/core"
+	"wpinq/internal/engine"
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
 	"wpinq/internal/laplace"
@@ -136,8 +137,11 @@ type Config struct {
 
 // Validate fills defaults and rejects inconsistent configurations.
 func (c *Config) Validate() error {
-	if c.Eps <= 0 {
-		return errors.New("synth: Eps must be positive")
+	if !(c.Eps > 0) || math.IsInf(c.Eps, 1) {
+		return errors.New("synth: Eps must be positive and finite")
+	}
+	if math.IsNaN(c.Pow) || math.IsInf(c.Pow, 0) {
+		return errors.New("synth: Pow must be finite")
 	}
 	if _, err := workload.Resolve(c.Workloads); err != nil {
 		return fmt.Errorf("synth: %w", err)
@@ -208,11 +212,19 @@ type Progress struct {
 	// worst measurement bins (best chain for multi-chain runs): the
 	// operator-level provenance of the score.
 	Residuals []WorkloadResidual
+	// Operators is the best chain's executor profile, one entry per
+	// dataflow node in scheduling order: which operator is hot. Counters
+	// run from the chain's last (re-)anchor.
+	Operators []OperatorProfile
 }
 
 // WorkloadResidual is one workload's share of the fit score with its
 // worst bins; see incremental.WorkloadResidual for the field contract.
 type WorkloadResidual = incremental.WorkloadResidual
+
+// OperatorProfile is one dataflow node's rounds, differences in and out,
+// and indexed records; see engine.NodeProfile.
+type OperatorProfile = engine.NodeProfile
 
 // BinResidual is one measurement record's residual; see
 // incremental.BinResidual.
@@ -452,6 +464,8 @@ type Result struct {
 	// Residuals is the final per-workload score breakdown of the
 	// returned synthetic graph (the best chain's, for multi-chain runs).
 	Residuals []WorkloadResidual
+	// Operators is that chain's executor profile (see Progress).
+	Operators []OperatorProfile
 	// Cancelled reports that OnProgress stopped the fit early; Synthetic
 	// holds the partial result at the point of cancellation.
 	Cancelled bool

@@ -26,6 +26,10 @@ func TestConfigValidate(t *testing.T) {
 		{Eps: 0.1, Workloads: []string{"no-such-workload"}},
 		{Eps: 0.1, Workloads: []string{"tbi", "tbi"}},
 		{Eps: 0.1, Workloads: []string{"tbi"}, Steps: -1},
+		{Eps: math.NaN(), Workloads: []string{"tbi"}},
+		{Eps: math.Inf(1), Workloads: []string{"tbi"}},
+		{Eps: 0.1, Workloads: []string{"tbi"}, Pow: math.NaN()},
+		{Eps: 0.1, Workloads: []string{"tbi"}, Pow: math.Inf(1)},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

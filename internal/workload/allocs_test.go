@@ -207,9 +207,8 @@ func TestLoadAllocatesOnce(t *testing.T) {
 	for _, shards := range []int{-1, 1, 2} {
 		var push func([]incremental.Delta[uint64])
 		if shards < 0 {
-			in := incremental.NewInput[uint64]()
-			incremental.Join(in, in, dst, src, path).Subscribe(count)
-			push = in.Push
+			j := incremental.Join(dst, src, path, count)
+			push = func(b []incremental.Delta[uint64]) { j.ApplyLeft(b); j.ApplyRight(b) }
 		} else {
 			in := engine.NewInput[uint64](engine.New(shards))
 			engine.Join(in, in, dst, src, path).Subscribe(count)

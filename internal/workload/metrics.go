@@ -8,11 +8,11 @@ import (
 	"wpinq/internal/weighted"
 )
 
-// Plan-root metrics. The root is the right tap: the executor re-pushes
-// each batch once per shard feed, so instrumenting its internals would
-// count implementation fan-out, not dataflow input. Pushes, batch sizes,
-// and transaction outcomes are recorded per root delivery — one counter
-// bump and one histogram observation per MCMC proposal.
+// Plan-root metrics. The root is the tap for dataflow input: pushes,
+// batch sizes, and transaction outcomes are recorded per root delivery —
+// one counter bump and one histogram observation per MCMC proposal. (What
+// each operator below the root costs is engine.Engine.Profile's to say:
+// the scheduler counts every node's rounds and differences where it runs.)
 var (
 	planPushes = obs.Default.Counter("wpinq_plan_pushes_total",
 		"Edge-difference batches pushed into plan roots.")

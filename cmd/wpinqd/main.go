@@ -35,6 +35,11 @@ import (
 	"wpinq/internal/service"
 )
 
+// readHeaderTimeout bounds how long a client may take to send its request
+// headers on either listener; without it a connection that never finishes
+// them is held forever.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "wpinqd:", err)
@@ -83,14 +88,14 @@ func run(args []string) error {
 	}
 	defer svc.Close()
 
-	srv := &http.Server{Addr: *addr, Handler: svc.Handler()}
+	srv := &http.Server{Addr: *addr, Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 2)
 	go func() { errc <- srv.ListenAndServe() }()
 	logger.Info("serving", "addr", *addr, "store", storeDesc(*data))
 
 	var debug *http.Server
 	if *debugAddr != "" {
-		debug = &http.Server{Addr: *debugAddr, Handler: debugMux()}
+		debug = &http.Server{Addr: *debugAddr, Handler: debugMux(), ReadHeaderTimeout: readHeaderTimeout}
 		go func() { errc <- debug.ListenAndServe() }()
 		logger.Info("debug listener up", "addr", *debugAddr)
 	}

@@ -356,135 +356,3 @@ func FromDegreeSequence(degrees []int, swapsPerEdge int, rng *rand.Rand) (*Graph
 	Rewire(g, swapsPerEdge*g.NumEdges(), rng)
 	return g, nil
 }
-
-// Rewire performs up to attempts degree-preserving double-edge swaps:
-// random edges (a,b), (c,d) become (a,d), (c,b) when the replacement keeps
-// the graph simple. This is the paper's Random(X) construction and the
-// MCMC random walk's move. It returns the number of successful swaps.
-//
-// The loop tests and updates a flat set of packed edges beside the edge
-// slice — one probe per adjacency test, none of g's nested maps — and g
-// receives the net difference once, after the last attempt.
-func Rewire(g *Graph, attempts int, rng *rand.Rand) int {
-	edges := g.EdgeList()
-	if len(edges) < 2 {
-		return 0
-	}
-	before := slices.Clone(edges)
-	present := newEdgeSet(len(edges))
-	for _, e := range edges {
-		present.add(packEdge(e.Src, e.Dst))
-	}
-	done := 0
-	for i := 0; i < attempts; i++ {
-		ei := rng.Intn(len(edges))
-		ej := rng.Intn(len(edges))
-		if ei == ej {
-			continue
-		}
-		a, b := edges[ei].Src, edges[ei].Dst
-		c, d := edges[ej].Src, edges[ej].Dst
-		// Swap orientation half the time so both pairings are reachable.
-		if rng.Intn(2) == 0 {
-			c, d = d, c
-		}
-		if a == d || c == b || a == c || b == d {
-			continue
-		}
-		ad, cb := packEdge(a, d), packEdge(c, b)
-		if present.has(ad) || present.has(cb) {
-			continue
-		}
-		present.remove(packEdge(a, b))
-		present.remove(packEdge(c, d))
-		present.add(ad)
-		present.add(cb)
-		edges[ei] = normEdge(a, d)
-		edges[ej] = normEdge(c, b)
-		done++
-	}
-	for _, e := range before {
-		if !present.has(packEdge(e.Src, e.Dst)) {
-			g.RemoveEdge(e.Src, e.Dst)
-		}
-	}
-	for _, e := range edges {
-		g.AddEdge(e.Src, e.Dst) // a no-op for the edges that survived
-	}
-	return done
-}
-
-func normEdge(u, v Node) Edge {
-	if u > v {
-		u, v = v, u
-	}
-	return Edge{u, v}
-}
-
-// packEdge is the undirected edge {u, v} as one word, smaller endpoint in
-// the high half. Never zero: a simple graph has no edge {0, 0}.
-func packEdge(u, v Node) uint64 {
-	e := normEdge(u, v)
-	return uint64(uint32(e.Src))<<32 | uint64(uint32(e.Dst))
-}
-
-// edgeSet is a set of packed edges for Rewire: open addressing with linear
-// probing over a power-of-two table at most half full, zero marking an
-// empty slot, and backward-shift deletion so that a walk of removes and
-// adds at constant size leaves no tombstones behind.
-type edgeSet struct {
-	slots []uint64
-	shift uint // 64 - log2(len(slots))
-}
-
-func newEdgeSet(n int) *edgeSet {
-	bits := uint(4)
-	for 1<<bits < 2*n {
-		bits++
-	}
-	return &edgeSet{slots: make([]uint64, 1<<bits), shift: 64 - bits}
-}
-
-// home is the slot a key hashes to (Fibonacci hashing: the top bits of a
-// multiplication by 2^64/phi).
-func (s *edgeSet) home(k uint64) int { return int(k * 0x9e3779b97f4a7c15 >> s.shift) }
-
-func (s *edgeSet) has(k uint64) bool {
-	mask := len(s.slots) - 1
-	for i := s.home(k); ; i = (i + 1) & mask {
-		switch s.slots[i] {
-		case k:
-			return true
-		case 0:
-			return false
-		}
-	}
-}
-
-// add inserts a key that is not in the set.
-func (s *edgeSet) add(k uint64) {
-	mask := len(s.slots) - 1
-	i := s.home(k)
-	for s.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	s.slots[i] = k
-}
-
-// remove deletes a key that is in the set, moving later members of its
-// probe run back so that every key stays reachable from its home slot.
-func (s *edgeSet) remove(k uint64) {
-	mask := len(s.slots) - 1
-	i := s.home(k)
-	for s.slots[i] != k {
-		i = (i + 1) & mask
-	}
-	for j := (i + 1) & mask; s.slots[j] != 0; j = (j + 1) & mask {
-		// slots[j] may fill the hole at i unless its home lies in (i, j].
-		if h := s.home(s.slots[j]); (j-h)&mask >= (j-i)&mask {
-			s.slots[i] = s.slots[j]
-			i = j
-		}
-	}
-	s.slots[i] = 0
-}

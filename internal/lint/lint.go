@@ -24,9 +24,9 @@
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis
 // API shape (Analyzer, Pass, Diagnostic) on the standard library alone,
-// so the repo stays dependency-free: packages are loaded from `go list
-// -export` metadata and type-checked against gc export data, and
-// cmd/wpinqlint speaks the `go vet -vettool` command-line protocol.
+// so the repo stays dependency-free: cmd/wpinqlint speaks the `go vet
+// -vettool` command-line protocol, and each unit the go command hands it
+// is type-checked against gc export data.
 package lint
 
 import (
@@ -230,22 +230,4 @@ func (p *Pass) FuncDirective(fn *ast.FuncDecl, verb string) (Directive, bool) {
 		}
 	}
 	return Directive{}, false
-}
-
-// runAnalyzers applies each analyzer to pkg, appending findings to out.
-func runAnalyzers(analyzers []*Analyzer, pkg *Package, out *[]Diagnostic) error {
-	for _, a := range analyzers {
-		pass := &Pass{
-			Analyzer: a,
-			Fset:     pkg.Fset,
-			Files:    pkg.Files,
-			Pkg:      pkg.Types,
-			Info:     pkg.Info,
-			report:   func(d Diagnostic) { *out = append(*out, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			return fmt.Errorf("%s: %s: %w", pkg.Path, a.Name, err)
-		}
-	}
-	return nil
 }

@@ -3,31 +3,68 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
-// loadFixture type-checks one fixture package from the testdata module
-// (whose module path is also "wpinq", so fixture import paths land in
-// the analyzers' pinned-package prefixes).
-func loadFixture(t *testing.T, pattern string) *Package {
-	t.Helper()
-	pkgs, err := Load("testdata", pattern)
+// tool is the wpinqlint binary, built once for the whole test binary:
+// every test below drives the analyzers the way CI and a developer do,
+// through `go vet -vettool`.
+var tool string
+
+func TestMain(m *testing.M) {
+	dir, err := os.MkdirTemp("", "wpinqlint")
 	if err != nil {
-		t.Fatalf("loading %s: %v", pattern, err)
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if len(pkgs) != 1 {
-		t.Fatalf("loading %s: got %d packages, want 1", pattern, len(pkgs))
+	tool = filepath.Join(dir, "wpinqlint")
+	if out, err := exec.Command("go", "build", "-o", tool, "wpinq/cmd/wpinqlint").CombinedOutput(); err != nil {
+		fmt.Fprintf(os.Stderr, "building wpinqlint: %v\n%s", err, out)
+		os.Exit(1)
 	}
-	pkg := pkgs[0]
-	for _, err := range pkg.Errs {
-		t.Errorf("fixture type error: %v", err)
-	}
-	return pkg
+	code := m.Run()
+	os.RemoveAll(dir)
+	os.Exit(code)
 }
+
+// finding is one `file:line:col: analyzer: message` line of the tool's
+// stderr, file relative to the testdata module.
+type finding struct {
+	file     string
+	line     int
+	analyzer string
+	message  string
+}
+
+var findingRe = regexp.MustCompile(`^(.+\.go):(\d+):\d+: (\w+): (.*)$`)
+
+// fixtureFindings runs the tool once over the testdata module (whose
+// module path is also "wpinq", so fixture import paths land in the
+// analyzers' pinned-package prefixes) and returns everything it printed.
+var fixtureFindings = sync.OnceValues(func() ([]finding, error) {
+	vet := exec.Command("go", "vet", "-vettool="+tool, "./...")
+	vet.Dir = "testdata"
+	out, _ := vet.CombinedOutput() // exits 1: the fixtures have findings
+	var fs []finding
+	for _, line := range strings.Split(string(out), "\n") {
+		if m := findingRe.FindStringSubmatch(line); m != nil {
+			n, _ := strconv.Atoi(m[2])
+			fs = append(fs, finding{file: filepath.Clean(m[1]), line: n, analyzer: m[3], message: m[4]})
+		} else if line != "" && !strings.HasPrefix(line, "#") {
+			return nil, fmt.Errorf("go vet -vettool over testdata printed %q:\n%s", line, out)
+		}
+	}
+	return fs, nil
+})
 
 // wantRe extracts the expectation from a `// want `+"`regex`"+“ comment.
 var wantRe = regexp.MustCompile("// want `([^`]*)`")
@@ -38,51 +75,62 @@ type expectation struct {
 	re   *regexp.Regexp
 }
 
-// parseWants collects every // want expectation in the package,
-// keyed to the comment's line.
-func parseWants(t *testing.T, pkg *Package) []expectation {
+// parseWants collects every // want expectation in the fixture
+// directory dir (relative to testdata), keyed to the comment's line.
+func parseWants(t *testing.T, dir string) []expectation {
 	t.Helper()
+	names, err := filepath.Glob(filepath.Join("testdata", dir, "*.go"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no fixture sources in %s (%v)", dir, err)
+	}
 	var wants []expectation
-	for _, f := range pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := wantRe.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				re, err := regexp.Compile(m[1])
-				if err != nil {
-					t.Fatalf("bad want regexp %q: %v", m[1], err)
-				}
-				pos := pkg.Fset.Position(c.Pos())
-				wants = append(wants, expectation{file: pos.Filename, line: pos.Line, re: re})
+	for _, name := range names {
+		src, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, text := range strings.Split(string(src), "\n") {
+			m := wantRe.FindStringSubmatch(text)
+			if m == nil {
+				continue
 			}
+			re, err := regexp.Compile(m[1])
+			if err != nil {
+				t.Fatalf("bad want regexp %q: %v", m[1], err)
+			}
+			wants = append(wants, expectation{file: filepath.Join(dir, filepath.Base(name)), line: i + 1, re: re})
 		}
 	}
 	return wants
 }
 
-// runFixture applies one analyzer to one fixture package and matches
-// its findings against the fixture's // want comments, both ways:
+// bareFixture holds only reasonless directives; its findings belong to
+// TestBareDirectivesAreFindings.
+const bareFixture = "internal/incremental/barefix"
+
+// runFixture matches one analyzer's findings over the whole module
+// against the // want comments of its fixture directory, both ways:
 // every want must be hit, and every finding must be wanted.
-func runFixture(t *testing.T, a *Analyzer, pattern string) {
+func runFixture(t *testing.T, a *Analyzer, dir string) {
 	t.Helper()
-	pkg := loadFixture(t, pattern)
-	var diags []Diagnostic
-	if err := runAnalyzers([]*Analyzer{a}, pkg, &diags); err != nil {
+	all, err := fixtureFindings()
+	if err != nil {
 		t.Fatal(err)
 	}
-	wants := parseWants(t, pkg)
+	wants := parseWants(t, dir)
 	matched := make([]bool, len(wants))
 outer:
-	for _, d := range diags {
+	for _, d := range all {
+		if d.analyzer != a.Name || filepath.Dir(d.file) == bareFixture {
+			continue
+		}
 		for i, w := range wants {
-			if !matched[i] && w.file == d.Pos.Filename && w.line == d.Pos.Line && w.re.MatchString(d.Message) {
+			if !matched[i] && w.file == d.file && w.line == d.line && w.re.MatchString(d.message) {
 				matched[i] = true
 				continue outer
 			}
 		}
-		t.Errorf("unexpected finding: %s", d)
+		t.Errorf("unexpected finding: %s:%d: %s: %s", d.file, d.line, d.analyzer, d.message)
 	}
 	for i, w := range wants {
 		if !matched[i] {
@@ -92,34 +140,37 @@ outer:
 }
 
 func TestDetRangeFixture(t *testing.T) {
-	runFixture(t, DetRange, "./internal/incremental/detrangefix")
+	runFixture(t, DetRange, "internal/incremental/detrangefix")
 }
 
 func TestDetSourceFixture(t *testing.T) {
-	runFixture(t, DetSource, "./internal/incremental/detsourcefix")
+	runFixture(t, DetSource, "internal/incremental/detsourcefix")
 }
 
 func TestTxnUndoFixture(t *testing.T) {
-	runFixture(t, TxnUndo, "./internal/incremental/txnfix")
+	runFixture(t, TxnUndo, "internal/incremental/txnfix")
 }
 
 func TestPoolAliasFixture(t *testing.T) {
-	runFixture(t, PoolAlias, "./internal/incremental/poolfix")
+	runFixture(t, PoolAlias, "internal/incremental/poolfix")
 }
 
 func TestPackedBoundsFixture(t *testing.T) {
-	runFixture(t, PackedBounds, "./internal/queries/packedfix")
+	runFixture(t, PackedBounds, "internal/queries/packedfix")
 }
 
 func TestErrSinkFixture(t *testing.T) {
-	runFixture(t, ErrSink, "./internal/service/errfix")
+	runFixture(t, ErrSink, "internal/service/errfix")
 }
 
 // TestBareDirectivesAreFindings pins the self-enforcing suppression
 // rule: a //wpinq: directive with no reason string is itself reported
 // by the analyzer that owns the verb.
 func TestBareDirectivesAreFindings(t *testing.T) {
-	pkg := loadFixture(t, "./internal/incremental/barefix")
+	all, err := fixtureFindings()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		a    *Analyzer
 		verb string
@@ -128,27 +179,27 @@ func TestBareDirectivesAreFindings(t *testing.T) {
 		{TxnUndo, "txn-exempt"},
 		{PoolAlias, "alias-ok"},
 	} {
-		var diags []Diagnostic
-		if err := runAnalyzers([]*Analyzer{tc.a}, pkg, &diags); err != nil {
-			t.Fatal(err)
-		}
 		found := false
-		for _, d := range diags {
-			if strings.Contains(d.Message, tc.verb) && strings.Contains(d.Message, "requires a reason") {
+		for _, d := range all {
+			if filepath.Dir(d.file) == bareFixture && d.analyzer == tc.a.Name &&
+				strings.Contains(d.message, tc.verb) && strings.Contains(d.message, "requires a reason") {
 				found = true
 			}
 		}
 		if !found {
-			t.Errorf("%s: bare //wpinq:%s directive not reported (got %v)", tc.a.Name, tc.verb, diags)
+			t.Errorf("%s: bare //wpinq:%s directive not reported (got %v)", tc.a.Name, tc.verb, all)
 		}
 	}
 }
 
-// TestDirectiveParsing pins the verb/reason split and the same-line /
-// line-above suppression window.
+// TestDirectiveParsing pins the verb/reason split of a parsed directive.
 func TestDirectiveParsing(t *testing.T) {
-	pkg := loadFixture(t, "./internal/incremental/poolfix")
-	pass := &Pass{Analyzer: PoolAlias, Fset: pkg.Fset, Files: pkg.Files, Pkg: pkg.Types, Info: pkg.Info}
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "testdata/internal/incremental/poolfix/poolfix.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pass := &Pass{Analyzer: PoolAlias, Fset: fset, Files: []*ast.File{f}}
 	var dirs []Directive
 	for _, d := range pass.Directives() {
 		if d.Verb == "alias-ok" {
@@ -191,15 +242,8 @@ func TestRepoIsLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("repo-wide vet in -short mode")
 	}
-	root := repoRoot(t)
-	tool := filepath.Join(t.TempDir(), "wpinqlint")
-	build := exec.Command("go", "build", "-o", tool, "wpinq/cmd/wpinqlint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building wpinqlint: %v\n%s", err, out)
-	}
 	vet := exec.Command("go", "vet", "-vettool="+tool, "./...")
-	vet.Dir = root
+	vet.Dir = repoRoot(t)
 	if out, err := vet.CombinedOutput(); err != nil {
 		t.Fatalf("go vet -vettool reported findings:\n%s", out)
 	}
@@ -208,16 +252,6 @@ func TestRepoIsLintClean(t *testing.T) {
 // TestVetProtocolProbes pins the two command-line probes the go command
 // sends before trusting a vettool.
 func TestVetProtocolProbes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tool build in -short mode")
-	}
-	root := repoRoot(t)
-	tool := filepath.Join(t.TempDir(), "wpinqlint")
-	build := exec.Command("go", "build", "-o", tool, "wpinq/cmd/wpinqlint")
-	build.Dir = root
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building wpinqlint: %v\n%s", err, out)
-	}
 	version, err := exec.Command(tool, "-V=full").Output()
 	if err != nil {
 		t.Fatalf("-V=full: %v", err)

@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"cmp"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"go/types"
 	"io"
 	"os"
+	"slices"
 	"strings"
 )
 
@@ -41,16 +43,17 @@ type vetConfig struct {
 	SucceedOnTypecheckFailure bool
 }
 
-// Main is the entry point for cmd/wpinqlint. Modes:
+// Main is the entry point for cmd/wpinqlint, a `go vet -vettool`:
 //
 //	wpinqlint -V=full          # print tool build ID (go vet protocol)
 //	wpinqlint -flags           # print supported flags, JSON (go vet protocol)
 //	wpinqlint path/to/vet.cfg  # analyze one unit (go vet protocol)
-//	wpinqlint [packages]       # standalone driver over package patterns
+//	wpinqlint help             # list the analyzers
 //
-// In standalone mode patterns default to ./... and findings print to
-// stderr with exit status 1; unit mode exits 2 on findings, matching
-// unitchecker.
+// The go command does the loading — it lists the packages, compiles their
+// dependencies and hands over one unit at a time — so anything else on
+// the command line gets the usage text and exit status 2. A unit with
+// findings exits 2 as well, matching unitchecker.
 func Main(analyzers []*Analyzer) {
 	args := os.Args[1:]
 	if len(args) == 1 {
@@ -63,39 +66,29 @@ func Main(analyzers []*Analyzer) {
 			fmt.Println("[]")
 			return
 		case args[0] == "help" || args[0] == "-h" || args[0] == "--help":
-			printUsage(analyzers)
+			printUsage(os.Stdout, analyzers)
 			return
 		case strings.HasSuffix(args[0], ".cfg"):
-			code := unitCheck(args[0], analyzers)
-			os.Exit(code)
+			os.Exit(unitCheck(args[0], analyzers))
 		}
 	}
-	diags, err := Run(analyzers, ".", args...)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wpinqlint: %v\n", err)
-		os.Exit(1)
-	}
-	for _, d := range diags {
-		fmt.Fprintf(os.Stderr, "%s\n", d)
-	}
-	if len(diags) > 0 {
-		os.Exit(1)
-	}
+	printUsage(os.Stderr, analyzers)
+	os.Exit(2)
 }
 
-func printUsage(analyzers []*Analyzer) {
-	fmt.Println("wpinqlint checks wpinq's hand-maintained invariants.")
-	fmt.Println()
-	fmt.Println("Usage: wpinqlint [packages]       (standalone)")
-	fmt.Println("       go vet -vettool=$(command -v wpinqlint) ./...")
-	fmt.Println()
-	fmt.Println("Registered analyzers:")
+func printUsage(w io.Writer, analyzers []*Analyzer) {
+	fmt.Fprintln(w, "wpinqlint checks wpinq's hand-maintained invariants.")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Usage: go build -o bin/wpinqlint ./cmd/wpinqlint")
+	fmt.Fprintln(w, "       go vet -vettool=bin/wpinqlint ./...")
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "Registered analyzers:")
 	for _, a := range analyzers {
 		doc := a.Doc
 		if i := strings.IndexByte(doc, '\n'); i >= 0 {
 			doc = doc[:i]
 		}
-		fmt.Printf("  %-12s %s\n", a.Name, doc)
+		fmt.Fprintf(w, "  %-12s %s\n", a.Name, doc)
 	}
 }
 
@@ -161,22 +154,42 @@ func unitCheck(cfgPath string, analyzers []*Analyzer) int {
 		}
 		return os.Open(e)
 	}
-	pkg := &Package{Path: cfg.ImportPath, Fset: fset, Files: files}
+	// Analyzers still run on a unit with type errors, on whatever type
+	// information the checker recovered — go vet's behavior for code that
+	// is mid-edit — unless the go command asked for silence instead.
 	conf := types.Config{
 		Importer:  importer.ForCompiler(fset, "gc", lookup),
 		GoVersion: cfg.GoVersion,
-		Error:     func(err error) { pkg.Errs = append(pkg.Errs, err) },
+		Error:     func(error) {},
 	}
-	pkg.Info = newInfo()
-	pkg.Types, err = conf.Check(basePath(cfg.ImportPath), fset, files, pkg.Info)
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+		Scopes:     map[ast.Node]*types.Scope{},
+	}
+	// A test variant's import path is "p [p.test]"; its package is p.
+	path, _, _ := strings.Cut(cfg.ImportPath, " [")
+	pkg, err := conf.Check(path, fset, files, info)
 	if err != nil && cfg.SucceedOnTypecheckFailure {
 		return 0
 	}
 
 	var diags []Diagnostic
-	if err := runAnalyzers(analyzers, pkg, &diags); err != nil {
-		fmt.Fprintf(os.Stderr, "wpinqlint: %v\n", err)
-		return 1
+	for _, a := range analyzers {
+		pass := &Pass{
+			Analyzer: a,
+			Fset:     fset,
+			Files:    files,
+			Pkg:      pkg,
+			Info:     info,
+			report:   func(d Diagnostic) { diags = append(diags, d) },
+		}
+		if err := a.Run(pass); err != nil {
+			fmt.Fprintf(os.Stderr, "wpinqlint: %s: %s: %v\n", cfg.ImportPath, a.Name, err)
+			return 1
+		}
 	}
 	sortDiagnostics(diags)
 	for _, d := range diags {
@@ -186,4 +199,16 @@ func unitCheck(cfgPath string, analyzers []*Analyzer) int {
 		return 2
 	}
 	return 0
+}
+
+// sortDiagnostics orders findings by file, line, column, then analyzer.
+func sortDiagnostics(ds []Diagnostic) {
+	slices.SortFunc(ds, func(a, b Diagnostic) int {
+		return cmp.Or(
+			cmp.Compare(a.Pos.Filename, b.Pos.Filename),
+			cmp.Compare(a.Pos.Line, b.Pos.Line),
+			cmp.Compare(a.Pos.Column, b.Pos.Column),
+			cmp.Compare(a.Analyzer, b.Analyzer),
+		)
+	})
 }

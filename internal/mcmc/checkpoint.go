@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"wpinq/internal/graph"
+	"wpinq/internal/incremental"
 )
 
 // CountingSource is a seeded rand.Source64 that counts draws, making
@@ -94,33 +95,32 @@ func (c *CountingSource) Skip(n uint64) {
 // (Apply overwrites slots I and J in place), and Propose indexes into
 // it, so a resumed state must restore exactly this order — not a
 // canonical sort — for the proposal stream to continue identically.
-func (s *GraphState) Edges() []graph.Edge {
-	out := make([]graph.Edge, len(s.edges))
-	copy(out, s.edges)
-	return out
-}
+func (s *GraphState) Edges() []graph.Edge { return s.swaps.Edges() }
 
-// NewGraphStateFromEdges rebuilds a GraphState from a checkpointed edge
-// list: isolated lists the graph's degree-zero nodes (degree-preserving
-// swaps never create or absorb them, so the set is the seed graph's and
-// need not be serialized), and the edges are pushed through input in
-// the given order — the same order NewGraphState would have used had the
-// graph arrived with this edge list, so the dataflow's floating-point
-// accumulation is reproduced exactly.
+// NewGraphStateFromEdges builds a GraphState over a copy of edges, which
+// must be normalized and duplicate-free — a checkpointed edge list, or a
+// graph's EdgeList. isolated lists the graph's degree-zero nodes
+// (degree-preserving swaps never create or absorb them, so the set is the
+// seed graph's and need not be serialized; it is kept, not copied). The
+// dataflow is loaded with two directed unit differences per edge, in the
+// given order, as one push outside any transaction: that order seeds
+// every downstream node's floating-point state, so a fresh fit and a
+// checkpoint re-anchor must, and through this one function do, spell it
+// the same way.
 func NewGraphStateFromEdges(edges []graph.Edge, isolated []graph.Node, input Input) (*GraphState, error) {
-	g := graph.New()
-	for _, v := range isolated {
-		g.AddNode(v)
+	swaps, err := graph.NewSwaps(edges)
+	if err != nil {
+		return nil, fmt.Errorf("mcmc: checkpoint: %w", err)
 	}
+	batch := make([]incremental.Delta[graph.Edge], 0, 2*len(edges))
 	for _, e := range edges {
-		if e.Src >= e.Dst {
-			return nil, fmt.Errorf("mcmc: checkpoint edge (%d,%d) is not normalized", e.Src, e.Dst)
-		}
-		if !g.AddEdge(e.Src, e.Dst) {
-			return nil, fmt.Errorf("mcmc: checkpoint edge (%d,%d) is a duplicate", e.Src, e.Dst)
-		}
+		batch = append(batch,
+			incremental.Delta[graph.Edge]{Record: e, Weight: 1},
+			incremental.Delta[graph.Edge]{Record: e.Reverse(), Weight: 1},
+		)
 	}
-	return loadGraphState(g, append([]graph.Edge(nil), edges...), input), nil
+	input.Push(batch)
+	return &GraphState{swaps: swaps, isolated: isolated, input: input}, nil
 }
 
 // SetStep overrides the runner's step counter, so a re-anchored or

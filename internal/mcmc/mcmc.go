@@ -50,12 +50,13 @@ type Input interface {
 }
 
 // GraphState is a synthetic graph coupled to the edge-difference input of
-// one or more incremental query pipelines. Mutations go through proposals
-// so the graph, the edge list, and the dataflow state never diverge.
+// one or more incremental query pipelines: the edge set under swaps, the
+// isolated vertices no swap touches, and the input. Mutations go through
+// proposals so the edge set and the dataflow state never diverge.
 type GraphState struct {
-	g     *graph.Graph
-	edges []graph.Edge // normalized (Src < Dst) undirected edge list
-	input Input
+	swaps    *graph.Swaps
+	isolated []graph.Node
+	input    Input
 
 	// swapBatch is the reusable eight-delta proposal batch. Push consumes
 	// the slice synchronously (the engine drains its round inside Push),
@@ -64,87 +65,56 @@ type GraphState struct {
 	swapBatch []incremental.Delta[graph.Edge]
 }
 
-// NewGraphState couples g (cloned) to input and pushes the initial edge
-// dataset through the dataflow graph. All pipeline subscriptions on input
-// must be in place before this call.
+// NewGraphState couples a copy of g's edges to input and pushes the
+// initial edge dataset through the dataflow graph. All pipeline
+// subscriptions on input must be in place before this call.
 //
 // The bulk load is pushed in edge-list order (not weighted-dataset map
 // order) so the dataflow's floating-point state — and therefore a seeded
 // walk's accept/reject trace — is bit-reproducible across runs.
 func NewGraphState(g *graph.Graph, input Input) *GraphState {
-	return loadGraphState(g.Clone(), g.EdgeList(), input)
-}
-
-// loadGraphState couples g and its normalized edge list (both owned by
-// the new state) to input and loads the dataflow: two directed unit
-// differences per edge, in edge-list order, as one push outside any
-// transaction. The order seeds every downstream node's floating-point
-// state, so a fresh fit and a checkpoint re-anchor — the two callers —
-// must, and here do, spell it the same way.
-func loadGraphState(g *graph.Graph, edges []graph.Edge, input Input) *GraphState {
-	s := &GraphState{g: g, edges: edges, input: input}
-	batch := make([]incremental.Delta[graph.Edge], 0, 2*len(edges))
-	for _, e := range edges {
-		batch = append(batch,
-			incremental.Delta[graph.Edge]{Record: graph.Edge{Src: e.Src, Dst: e.Dst}, Weight: 1},
-			incremental.Delta[graph.Edge]{Record: graph.Edge{Src: e.Dst, Dst: e.Src}, Weight: 1},
-		)
+	var isolated []graph.Node
+	for _, v := range g.Nodes() {
+		if g.Degree(v) == 0 {
+			isolated = append(isolated, v)
+		}
 	}
-	input.Push(batch)
+	s, err := NewGraphStateFromEdges(g.EdgeList(), isolated, input)
+	if err != nil {
+		panic(err) // EdgeList is normalized and duplicate-free
+	}
 	return s
 }
 
-// Graph returns the live synthetic graph. Callers must treat it as
-// read-only; mutations outside proposals would desynchronize the dataflow.
-func (s *GraphState) Graph() *graph.Graph { return s.g }
-
-// NumEdges returns the number of undirected edges (invariant under swaps).
-func (s *GraphState) NumEdges() int { return len(s.edges) }
+// Graph returns the current synthetic graph: a snapshot built from the
+// live edges and the isolated vertices, which later proposals do not
+// change.
+func (s *GraphState) Graph() *graph.Graph {
+	g := graph.New()
+	for _, v := range s.isolated {
+		g.AddNode(v)
+	}
+	for _, e := range s.swaps.Edges() {
+		g.AddEdge(e.Src, e.Dst)
+	}
+	return g
+}
 
 // Proposal is one candidate edge swap: undirected edges {A,B} and {C,D}
 // (at edge-list indices I and J) are replaced by {A,D} and {C,B}.
-type Proposal struct {
-	I, J       int
-	A, B, C, D graph.Node
-}
+type Proposal = graph.Swap
 
 // Propose draws a random edge swap. ok is false when the draw is invalid
 // (self-loop, duplicate edge, or shared endpoints) — invalid draws are
 // simply skipped by the runner, as in the paper's random walk.
 func (s *GraphState) Propose(rng *rand.Rand) (p Proposal, ok bool) {
-	if len(s.edges) < 2 {
-		return Proposal{}, false
-	}
-	i := rng.Intn(len(s.edges))
-	j := rng.Intn(len(s.edges))
-	if i == j {
-		return Proposal{}, false
-	}
-	a, b := s.edges[i].Src, s.edges[i].Dst
-	c, d := s.edges[j].Src, s.edges[j].Dst
-	// Flip orientation half the time so both re-pairings are reachable
-	// (keeps the walk symmetric).
-	if rng.Intn(2) == 0 {
-		c, d = d, c
-	}
-	if a == d || c == b || a == c || b == d {
-		return Proposal{}, false
-	}
-	if s.g.HasEdge(a, d) || s.g.HasEdge(c, b) {
-		return Proposal{}, false
-	}
-	return Proposal{I: i, J: j, A: a, B: b, C: c, D: d}, true
+	return s.swaps.Propose(rng)
 }
 
-// Apply performs the swap on the graph and propagates the eight directed
-// edge differences through the dataflow.
+// Apply performs the swap on the edge set and propagates the eight
+// directed edge differences through the dataflow.
 func (s *GraphState) Apply(p Proposal) {
-	s.g.RemoveEdge(p.A, p.B)
-	s.g.RemoveEdge(p.C, p.D)
-	s.g.AddEdge(p.A, p.D)
-	s.g.AddEdge(p.C, p.B)
-	s.edges[p.I] = normEdge(p.A, p.D)
-	s.edges[p.J] = normEdge(p.C, p.B)
+	s.swaps.Apply(p)
 	s.swapBatch = append(s.swapBatch[:0],
 		incremental.Delta[graph.Edge]{Record: graph.Edge{Src: p.A, Dst: p.B}, Weight: -1},
 		incremental.Delta[graph.Edge]{Record: graph.Edge{Src: p.B, Dst: p.A}, Weight: -1},
@@ -170,25 +140,13 @@ func (s *GraphState) Speculate(p Proposal) {
 // Commit accepts the pending speculative proposal.
 func (s *GraphState) Commit() { s.input.Commit() }
 
-// Abort rejects a just-speculated proposal: the graph and edge-list
-// mutations are unwound directly (set operations, exactly invertible)
-// and the dataflow state is restored from the operators' undo logs in
-// O(touched keys) — no second propagation.
+// Abort rejects a just-speculated proposal: the edge set is unwound
+// directly (set operations, exactly invertible) and the dataflow state is
+// restored from the operators' undo logs in O(touched keys) — no second
+// propagation.
 func (s *GraphState) Abort(p Proposal) {
-	s.g.RemoveEdge(p.A, p.D)
-	s.g.RemoveEdge(p.C, p.B)
-	s.g.AddEdge(p.A, p.B)
-	s.g.AddEdge(p.C, p.D)
-	s.edges[p.I] = normEdge(p.A, p.B)
-	s.edges[p.J] = normEdge(p.C, p.D)
+	s.swaps.Revert(p)
 	s.input.Abort()
-}
-
-func normEdge(u, v graph.Node) graph.Edge {
-	if u > v {
-		u, v = v, u
-	}
-	return graph.Edge{Src: u, Dst: v}
 }
 
 // Config parameterizes a Metropolis-Hastings run.

@@ -23,6 +23,13 @@ func proposeState(g *graph.Graph) *GraphState {
 // re-pairing a proposal produced.
 type edgePair struct{ a, b graph.Edge }
 
+func normEdge(u, v graph.Node) graph.Edge {
+	if u > v {
+		u, v = v, u
+	}
+	return graph.Edge{Src: u, Dst: v}
+}
+
 func pairOf(p Proposal) edgePair {
 	x, y := normEdge(p.A, p.D), normEdge(p.C, p.B)
 	if y.Src < x.Src || (y.Src == x.Src && y.Dst < x.Dst) {
@@ -130,19 +137,20 @@ func TestProposeValidDrawsAreSound(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := proposeState(g)
+	edges := s.Edges() // nothing is applied, so the slots do not move
 	for i := 0; i < 30000; i++ {
 		p, ok := s.Propose(rng)
 		if !ok {
 			continue
 		}
-		if s.edges[p.I] != normEdge(p.A, p.B) || s.edges[p.J] != normEdge(p.C, p.D) {
+		if edges[p.I] != normEdge(p.A, p.B) || edges[p.J] != normEdge(p.C, p.D) {
 			t.Fatalf("draw %d: proposal %+v does not match edge list entries %v, %v",
-				i, p, s.edges[p.I], s.edges[p.J])
+				i, p, edges[p.I], edges[p.J])
 		}
 		if p.A == p.D || p.C == p.B || p.A == p.C || p.B == p.D {
 			t.Fatalf("draw %d: degenerate endpoints in %+v", i, p)
 		}
-		if s.g.HasEdge(p.A, p.D) || s.g.HasEdge(p.C, p.B) {
+		if g.HasEdge(p.A, p.D) || g.HasEdge(p.C, p.B) {
 			t.Fatalf("draw %d: proposal %+v would duplicate an existing edge", i, p)
 		}
 	}

@@ -53,6 +53,7 @@ func (e *APIError) Error() string {
 // Error codes carried in APIError.Code.
 const (
 	CodeBadRequest         = "bad_request"
+	CodeRequestTooLarge    = "request_too_large"
 	CodeNotFound           = "not_found"
 	CodeInsufficientBudget = "insufficient_budget"
 	CodeDatasetDiscarded   = "dataset_discarded"

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -112,7 +113,9 @@ func (s *Service) Handler() http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		graph.WriteEdgeList(w, g)
+		if err := graph.WriteEdgeList(w, g); err != nil {
+			httpWriteErrors.Inc()
+		}
 	})
 	return instrument(mux, s.opts.Logger)
 }
@@ -136,10 +139,31 @@ func (s *Service) handleUpload(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, info)
 }
 
+// maxJSONBody bounds a JSON request body. A measure or job request is a
+// few hundred bytes; uploads are not JSON and stay streaming (the edge-list
+// scanner bounds a line at 4 MiB).
+const maxJSONBody = 1 << 20
+
+// decodeJSON reads r's body, at most maxJSONBody of it, as exactly one
+// JSON value into v: bytes after the value are an error, not ignored.
+func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	var tooLarge *http.MaxBytesError
+	if _, err := dec.Token(); errors.As(err, &tooLarge) {
+		return err
+	} else if err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
+}
+
 func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	var req MeasureRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, badRequest(fmt.Errorf("decoding measure request: %w", err)))
+	if err := decodeJSON(w, r, &req); err != nil {
+		writeErr(w, fmt.Errorf("decoding measure request: %w", err))
 		return
 	}
 	res, err := s.Measure(r.PathValue("id"), req)
@@ -152,8 +176,8 @@ func (s *Service) handleMeasure(w http.ResponseWriter, r *http.Request) {
 
 func (s *Service) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, badRequest(fmt.Errorf("decoding job request: %w", err)))
+	if err := decodeJSON(w, r, &req); err != nil {
+		writeErr(w, fmt.Errorf("decoding job request: %w", err))
 		return
 	}
 	st, err := s.SubmitJob(req)
@@ -181,8 +205,11 @@ func badRequest(err error) *APIError {
 func writeErr(w http.ResponseWriter, err error) {
 	var api *APIError
 	var overdraw *budget.InsufficientBudgetError
+	var tooLarge *http.MaxBytesError
 	switch {
 	case errors.As(err, &api):
+	case errors.As(err, &tooLarge):
+		api = &APIError{Status: http.StatusRequestEntityTooLarge, Code: CodeRequestTooLarge, Message: err.Error()}
 	case errors.As(err, &overdraw):
 		api = &APIError{
 			Status:    http.StatusPaymentRequired,

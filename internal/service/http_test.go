@@ -262,4 +262,52 @@ func TestHTTPErrorShapes(t *testing.T) {
 			t.Errorf("%s: got %v, want code %s", c.name, c.err, c.code)
 		}
 	}
+
+	// Hostile JSON bodies, served in memory: a body over the cap is a typed
+	// 413 before any of it is interpreted, bytes after the JSON value are a
+	// 400, and neither charges the ledger nor queues a job.
+	svc := newTestService(t, Options{})
+	info, err := svc.Registry().Upload("g", 9, strings.NewReader("0 1\n1 2\n0 2\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spent := math.Float64bits(info.Ledger.Spent)
+	huge := []byte(`{"workloads":"` + strings.Repeat("a", 2<<20) + `"}`)
+	trailing := []byte(`{"steps":1}garbage`)
+	for _, c := range []struct {
+		name, path string
+		body       []byte
+		status     int
+		code, msg  string
+	}{
+		{"oversized measure", "/v1/datasets/" + info.ID + "/measure", huge, http.StatusRequestEntityTooLarge, CodeRequestTooLarge, "too large"},
+		{"oversized job", "/v1/jobs", huge, http.StatusRequestEntityTooLarge, CodeRequestTooLarge, "too large"},
+		{"trailing bytes on measure", "/v1/datasets/" + info.ID + "/measure", trailing, http.StatusBadRequest, CodeBadRequest, "trailing data"},
+		{"trailing bytes on job", "/v1/jobs", trailing, http.StatusBadRequest, CodeBadRequest, "trailing data"},
+	} {
+		rec := postRaw(svc.Handler(), c.path, c.body)
+		var api APIError
+		if err := json.Unmarshal(rec.Body.Bytes(), &api); err != nil {
+			t.Errorf("%s: body %q is not an APIError: %v", c.name, rec.Body, err)
+		}
+		if rec.Code != c.status || api.Code != c.code || !strings.Contains(api.Message, c.msg) {
+			t.Errorf("%s: got %d %s %q, want %d %s …%s…", c.name, rec.Code, api.Code, api.Message, c.status, c.code, c.msg)
+		}
+		now, err := svc.Registry().Info(info.ID)
+		if err != nil || math.Float64bits(now.Ledger.Spent) != spent {
+			t.Errorf("%s: ledger spent %v (err %v), want it untouched", c.name, now.Ledger.Spent, err)
+		}
+		if jobs := svc.Jobs().List(); len(jobs) != 0 {
+			t.Errorf("%s: %d jobs queued, want none", c.name, len(jobs))
+		}
+	}
+}
+
+// postRaw serves one JSON POST of body to path through h, in memory.
+func postRaw(h http.Handler, path string, body []byte) *httptest.ResponseRecorder {
+	req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, req)
+	return rec
 }

@@ -139,7 +139,7 @@ type impl interface {
 	load(entries []Entry, eps float64, rng *rand.Rand) (Histogram, error)
 	attach(p *Plan, name string, h Histogram, bucket int, eps float64) error
 	collect(p *Plan, bucket int) Collected
-	exact(g *graph.Graph, bucket int) (map[string]float64, error)
+	exact(edges *weighted.Dataset[graph.Edge], bucket int) (map[string]float64, error)
 }
 
 // normBucket canonicalizes the bucket parameter: workloads that ignore
@@ -192,7 +192,7 @@ func (w Workload) Collect(p *Plan, bucket int) Collected {
 // output weights, canonically keyed. This is the reference the
 // equivalence tests compare the executor against.
 func (w Workload) Exact(g *graph.Graph, bucket int) (map[string]float64, error) {
-	return w.impl.exact(g, w.normBucket(bucket))
+	return w.impl.exact(graph.SymmetricEdges(g), w.normBucket(bucket))
 }
 
 // Plan is a fit pipeline under construction: the MCMC input root plus
@@ -315,8 +315,8 @@ func (b Builders[T]) collect(p *Plan, bucket int) Collected {
 	return typedCollected[T]{c: incremental.Collect(queries.Stream(b.Expr(bucket), p.memo, p.root))}
 }
 
-func (b Builders[T]) exact(g *graph.Graph, bucket int) (map[string]float64, error) {
-	q := queries.OneShot(b.Expr(bucket), core.FromPublic(graph.SymmetricEdges(g)))
+func (b Builders[T]) exact(edges *weighted.Dataset[graph.Edge], bucket int) (map[string]float64, error) {
+	q := queries.OneShot(b.Expr(bucket), core.FromPublic(edges))
 	return canonicalize(q.Snapshot())
 }
 

@@ -331,15 +331,28 @@ func BenchmarkMeasureOneShot(b *testing.B) {
 }
 
 // BenchmarkSeedGraph times synth.SeedGraph on a jdd measurement of
-// HolmeKim(4000, 5), the bench program's bulk-load graph: ns/op is the
-// whole call. Outside the timer each iteration replays the call's three
-// phases on what it fitted: the lattice regression (gridpath-ms, on a grid
-// as wide as the released node count and half again as high as the fitted
-// maximum degree — SeedGraph's own height is its CCDF extent scan plus the
-// same slack), Havel-Hakimi (realize-ms) and the 20-attempts-per-edge
-// mixing (rewire-ms).
+// HolmeKim(edges/5, 5) — at 20000 edges the bench program's bulk-load
+// graph, at 10⁶ the scale the paper claims: ns/op is the whole call.
+// Outside the timer each iteration replays the call's three phases on what
+// it fitted: the lattice regression (gridpath-ms, on a grid as wide as the
+// released node count and half again as high as the fitted maximum degree —
+// SeedGraph's own height is its CCDF extent scan plus the same slack),
+// Havel-Hakimi into a graph (realize-ms) and what the 20 swap attempts per
+// edge add to that (rewire-ms). realize-ms is where a per-vertex re-sort
+// would show: it grew with the square of the size, the other two do not.
 func BenchmarkSeedGraph(b *testing.B) {
-	g, err := graph.HolmeKim(4000, 5, 0.5, rand.New(rand.NewSource(31)))
+	for _, edges := range []int{20_000, 100_000, 1_000_000} {
+		b.Run(fmt.Sprintf("edges=%d", edges), func(b *testing.B) {
+			if edges > 100_000 && testing.Short() {
+				b.Skip("-short runs 2e4 and 1e5 edges; the 1e6-edge run is local/nightly")
+			}
+			benchmarkSeedGraph(b, edges/5)
+		})
+	}
+}
+
+func benchmarkSeedGraph(b *testing.B, n int) {
+	g, err := graph.HolmeKim(n, 5, 0.5, rand.New(rand.NewSource(31)))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -372,21 +385,23 @@ func BenchmarkSeedGraph(b *testing.B) {
 			b.Fatal(err)
 		}
 		gridpath += time.Since(t0)
-		// Havel-Hakimi numbers vertices in fitted-degree order, so the
-		// seed's degrees by id are the sequence it was built from.
+		// FromDegreeSequence gives vertex i the i-th degree, so the seed's
+		// degrees by id are the sequence it was built from.
 		degrees := make([]int, seed.NumNodes())
 		for v := range degrees {
 			degrees[v] = seed.Degree(graph.Node(v))
 		}
 		t0 = time.Now()
-		unmixed, err := graph.FromDegreeSequence(degrees, 0, rng)
-		realize += time.Since(t0)
-		if err != nil {
+		if _, err := graph.FromDegreeSequence(degrees, 0, rng); err != nil {
 			b.Fatal(err)
 		}
+		unmixed := time.Since(t0)
 		t0 = time.Now()
-		graph.Rewire(unmixed, 20*unmixed.NumEdges(), rng)
-		rewire += time.Since(t0)
+		if _, err := graph.FromDegreeSequence(degrees, 20, rng); err != nil {
+			b.Fatal(err)
+		}
+		realize += unmixed
+		rewire += time.Since(t0) - unmixed
 		b.StartTimer()
 	}
 	perOp := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) / float64(b.N) }

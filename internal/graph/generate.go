@@ -1,12 +1,10 @@
 package graph
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 )
 
 // Generators for the synthetic graphs used across the experiments. All
@@ -302,57 +300,151 @@ func Collaboration(cfg CollaborationConfig, rng *rand.Rand) (*Graph, error) {
 	return g, nil
 }
 
-// FromDegreeSequence constructs a simple graph realizing the given degree
-// sequence via the Havel-Hakimi algorithm, then randomizes it with
-// degree-preserving edge swaps so the result is not the deterministic
-// Havel-Hakimi extremal graph. Returns an error if the sequence is not
-// graphical.
+// ErrNotGraphical is wrapped by the error FromDegreeSequence returns for a
+// sequence no simple graph realizes: an odd degree sum, or a vertex left
+// with fewer partners than its degree.
+var ErrNotGraphical = errors.New("graph: degree sequence is not graphical")
+
+// FromDegreeSequence constructs a simple graph on vertices 0..len(degrees)-1
+// realizing the given degree sequence via the Havel-Hakimi algorithm, then
+// randomizes it with swapsPerEdge degree-preserving swap attempts per edge
+// (the paper's Random(X)) so the result is not the deterministic
+// Havel-Hakimi extremal graph. The error wraps ErrNotGraphical when no
+// simple graph has these degrees.
+//
+// The graph is a pure function of (degrees, swapsPerEdge, the rng's
+// state): Havel-Hakimi wires under one total order (see havelHakimi), the
+// swaps run over its edges in EdgeList order, and every fixed-seed fit
+// starts from the result (TestFromDegreeSequencePinned).
 func FromDegreeSequence(degrees []int, swapsPerEdge int, rng *rand.Rand) (*Graph, error) {
-	type vd struct {
-		v Node
-		d int
+	edges, err := havelHakimi(degrees)
+	if err != nil {
+		return nil, err
 	}
-	rem := make([]vd, len(degrees))
-	var sum int
-	for i, d := range degrees {
+	sortEdges(edges)
+	s, err := NewSwaps(edges)
+	if err != nil {
+		panic(err) // havelHakimi's edges are normalized and duplicate-free
+	}
+	s.mix(swapsPerEdge*len(edges), rng)
+	g := New()
+	for v := range degrees {
+		g.AddNode(Node(v))
+	}
+	for _, e := range s.edges {
+		g.AddEdge(e.Src, e.Dst)
+	}
+	return g, nil
+}
+
+// havelHakimi returns the edges, each normalized, of the Havel-Hakimi
+// realization of degrees under the total order (residual degree
+// descending, vertex id ascending): the first vertex in that order is
+// wired to the d that follow it, d its residual degree, until every
+// residual is zero. A binary heap holds the vertices with a positive
+// residual, so a round costs O(d log V) — O((V+E) log V) in all, with no
+// allocation sized by a degree's value — and the tie rule is the heap's
+// comparison, not a sort routine's internals. havelHakimiReference
+// (reference_test.go) is the same order as one sort per round.
+func havelHakimi(degrees []int) ([]Edge, error) {
+	h := make(residualHeap, 0, len(degrees))
+	odd := false
+	for v, d := range degrees {
 		if d < 0 {
 			return nil, fmt.Errorf("graph: negative degree %d", d)
 		}
-		rem[i] = vd{Node(i), d}
-		sum += d
-	}
-	if sum%2 != 0 {
-		return nil, errors.New("graph: degree sum must be even")
-	}
-	g := New()
-	for i := range degrees {
-		g.AddNode(Node(i))
-	}
-	for {
-		// slices.SortFunc runs the same pdqsort as sort.Slice did here, so
-		// ties land in the same (unstable) permutation and the constructed
-		// graph is unchanged (TestFromDegreeSequencePinned), without
-		// sort.Slice's reflection-based swapper on every vertex's re-sort.
-		slices.SortFunc(rem, func(a, b vd) int { return cmp.Compare(b.d, a.d) })
-		for len(rem) > 0 && rem[len(rem)-1].d == 0 {
-			rem = rem[:len(rem)-1]
+		odd = odd != (d%2 == 1)
+		if d > 0 {
+			h = append(h, residual{Node(v), d})
 		}
-		if len(rem) == 0 {
-			break
+	}
+	if odd {
+		return nil, fmt.Errorf("%w: the degree sum is odd", ErrNotGraphical)
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+	var edges []Edge
+	var partners []residual
+	for len(h) > 0 {
+		head := h.pop()
+		if head.d > len(h) {
+			return nil, fmt.Errorf("%w: vertex %d needs %d more neighbors, %d vertices remain",
+				ErrNotGraphical, head.v, head.d, len(h))
 		}
-		head := rem[0]
-		if head.d > len(rem)-1 {
-			return nil, errors.New("graph: degree sequence is not graphical")
+		partners = partners[:0]
+		for i := 0; i < head.d; i++ {
+			partners = append(partners, h.pop())
 		}
-		for i := 1; i <= head.d; i++ {
-			g.AddEdge(head.v, rem[i].v)
-			rem[i].d--
-			if rem[i].d < 0 {
-				return nil, errors.New("graph: degree sequence is not graphical")
+		for _, p := range partners {
+			edges = append(edges, normEdge(head.v, p.v))
+			if p.d > 1 {
+				h.push(residual{p.v, p.d - 1})
 			}
 		}
-		rem[0].d = 0
 	}
-	Rewire(g, swapsPerEdge*g.NumEdges(), rng)
-	return g, nil
+	return edges, nil
+}
+
+// residual is a vertex and the degree it still has to be given.
+type residual struct {
+	v Node
+	d int
+}
+
+// before is havelHakimi's total order.
+func (a residual) before(b residual) bool {
+	return a.d > b.d || a.d == b.d && a.v < b.v
+}
+
+// residualHeap is a binary heap with the first residual in before's order
+// at index 0.
+type residualHeap []residual
+
+func (h *residualHeap) push(r residual) {
+	s := append(*h, r)
+	i := len(s) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !r.before(s[parent]) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = r
+	*h = s
+}
+
+func (h *residualHeap) pop() residual {
+	s := *h
+	top := s[0]
+	last := len(s) - 1
+	s[0] = s[last]
+	*h = s[:last]
+	h.down(0)
+	return top
+}
+
+// down restores the heap below index i; a no-op past the end.
+func (h residualHeap) down(i int) {
+	if i >= len(h) {
+		return
+	}
+	x := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && h[c+1].before(h[c]) {
+			c++
+		}
+		if !h[c].before(x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
 }

@@ -99,6 +99,18 @@ func (g *Graph) Nodes() []Node {
 	return out
 }
 
+// Isolated returns the degree-zero vertices in ascending order.
+func (g *Graph) Isolated() []Node {
+	var out []Node
+	for u, nbrs := range g.adj {
+		if len(nbrs) == 0 {
+			out = append(out, u)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 // Neighbors calls f for every neighbor of u.
 func (g *Graph) Neighbors(u Node, f func(v Node)) {
 	for v := range g.adj[u] {
@@ -117,13 +129,18 @@ func (g *Graph) EdgeList() []Edge {
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b Edge) int {
+	sortEdges(out)
+	return out
+}
+
+// sortEdges puts edges in EdgeList order: by Src, then by Dst.
+func sortEdges(edges []Edge) {
+	slices.SortFunc(edges, func(a, b Edge) int {
 		if c := cmp.Compare(a.Src, b.Src); c != 0 {
 			return c
 		}
 		return cmp.Compare(a.Dst, b.Dst)
 	})
-	return out
 }
 
 // Clone returns a deep copy.

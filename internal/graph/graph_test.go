@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -65,6 +66,36 @@ func TestDegreesAndSequence(t *testing.T) {
 	}
 	if g.MaxDegree() != 3 {
 		t.Errorf("dmax = %d, want 3", g.MaxDegree())
+	}
+}
+
+func TestIsolated(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		nodes []Node
+		edges []Edge
+		drop  []Edge
+		want  []Node
+	}{
+		{name: "empty"},
+		{name: "no isolated", edges: []Edge{{0, 1}, {1, 2}}},
+		{name: "ascending", nodes: []Node{9, 4, 7}, edges: []Edge{{5, 6}}, want: []Node{4, 7, 9}},
+		{name: "added node gains an edge", nodes: []Node{3, 8}, edges: []Edge{{3, 1}}, want: []Node{8}},
+		{name: "last edge removed", edges: []Edge{{0, 1}, {1, 2}}, drop: []Edge{{0, 1}}, want: []Node{0}},
+	} {
+		g := New()
+		for _, v := range tc.nodes {
+			g.AddNode(v)
+		}
+		for _, e := range tc.edges {
+			g.AddEdge(e.Src, e.Dst)
+		}
+		for _, e := range tc.drop {
+			g.RemoveEdge(e.Src, e.Dst)
+		}
+		if got := g.Isolated(); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: Isolated() = %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -141,6 +142,21 @@ func TestFromDegreeSequenceRealizesAnyGraphical(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+	// And at the size of a release, vertex by vertex: 2·10⁴ vertices and
+	// 10⁵ edges took the per-vertex re-sort seconds.
+	const n = 20000
+	src, err := HolmeKim(n, 5, 0.5, rand.New(rand.NewSource(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := degreesByID(src, n)
+	h, err := FromDegreeSequence(want, 1, rand.New(rand.NewSource(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := degreesByID(h, n); !slices.Equal(got, want) || h.NumNodes() != n {
+		t.Errorf("HolmeKim(%d, 5) degrees not realized exactly", n)
 	}
 }
 

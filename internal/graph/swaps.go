@@ -17,8 +17,9 @@ type Swap struct {
 // Swaps is a simple graph's edge set under double-edge swaps: the edges in
 // a slice whose slots Propose indexes, beside a flat set of the same edges
 // packed one per word, so an adjacency test is one probe. It is the one
-// implementation of the paper's move: Rewire loops over it for Phase 1's
-// Random(X), mcmc.GraphState walks it in Phase 2 and checkpoints its slots.
+// implementation of the paper's move: Rewire and FromDegreeSequence loop
+// over it for Phase 1's Random(X), mcmc.GraphState walks it in Phase 2 and
+// checkpoints its slots.
 type Swaps struct {
 	edges   []Edge // normalized (Src < Dst), no duplicates
 	present *edgeSet
@@ -94,16 +95,9 @@ func (s *Swaps) replace(slot int, u, v, w Node) {
 	s.edges[slot] = normEdge(u, w)
 }
 
-// Rewire attempts that many swaps on g — the paper's Random(X) construction
-// — and returns the number that succeeded. The loop runs over a Swaps of
-// g's edge list, none of g's nested maps, and g receives the net difference
-// once, after the last attempt.
-func Rewire(g *Graph, attempts int, rng *rand.Rand) int {
-	before := g.EdgeList()
-	s, err := NewSwaps(before)
-	if err != nil {
-		panic(err) // EdgeList is normalized and duplicate-free
-	}
+// mix attempts that many swaps — the paper's Random(X) construction — and
+// returns the number that succeeded.
+func (s *Swaps) mix(attempts int, rng *rand.Rand) int {
 	done := 0
 	for i := 0; i < attempts; i++ {
 		if sw, ok := s.Propose(rng); ok {
@@ -111,6 +105,20 @@ func Rewire(g *Graph, attempts int, rng *rand.Rand) int {
 			done++
 		}
 	}
+	return done
+}
+
+// Rewire attempts that many swaps on g and returns the number that
+// succeeded. The loop runs over a Swaps of g's edge list, none of g's
+// nested maps, and g receives the net difference once, after the last
+// attempt.
+func Rewire(g *Graph, attempts int, rng *rand.Rand) int {
+	before := g.EdgeList()
+	s, err := NewSwaps(before)
+	if err != nil {
+		panic(err) // EdgeList is normalized and duplicate-free
+	}
+	done := s.mix(attempts, rng)
 	for _, e := range before {
 		if !s.Has(e.Src, e.Dst) {
 			g.RemoveEdge(e.Src, e.Dst)

@@ -73,13 +73,7 @@ type GraphState struct {
 // order) so the dataflow's floating-point state — and therefore a seeded
 // walk's accept/reject trace — is bit-reproducible across runs.
 func NewGraphState(g *graph.Graph, input Input) *GraphState {
-	var isolated []graph.Node
-	for _, v := range g.Nodes() {
-		if g.Degree(v) == 0 {
-			isolated = append(isolated, v)
-		}
-	}
-	s, err := NewGraphStateFromEdges(g.EdgeList(), isolated, input)
+	s, err := NewGraphStateFromEdges(g.EdgeList(), g.Isolated(), input)
 	if err != nil {
 		panic(err) // EdgeList is normalized and duplicate-free
 	}

@@ -538,7 +538,9 @@ func (jm *JobManager) run(j *Job) {
 		fail("load", err)
 		return
 	}
+	began := time.Now()
 	seedG, err := synth.SeedGraph(m, rng)
+	jobSeed.Observe(time.Since(began).Seconds())
 	if err != nil {
 		fail("seed", err)
 		return

@@ -36,6 +36,9 @@ var (
 	provenanceTornTails = obs.Default.Counter("wpinq_store_provenance_torn_tails_total",
 		"Torn final ledger lines (crash mid-append) truncated and discarded at boot.")
 
+	jobSeed = obs.Default.Histogram("wpinq_job_seed_seconds",
+		"Wall seconds of a job's Phase 1: degree regression, graphical rounding, Havel-Hakimi and mixing (synth.SeedGraph), once per job before its first proposal.", nil)
+
 	jobCheckpoints = obs.Default.CounterVec("wpinq_job_checkpoints_total",
 		"Durable-job checkpoints written, by outcome (ok or error).", "outcome")
 	jobRestores = obs.Default.CounterVec("wpinq_job_restores_total",

@@ -88,29 +88,18 @@ func (ch *fitChain) operators() []OperatorProfile {
 
 // fit carries the shared context of one Phase 2 run.
 type fit struct {
-	m        *Measurements
-	cfg      Config // validated, Shards resolved
-	names    []string
+	m     *Measurements
+	cfg   Config // validated, Shards resolved
+	names []string
+	// isolated is the seed's degree-zero nodes. Swaps never create or
+	// absorb one, so it holds for the whole fit and is recomputed from
+	// the seed graph on resume instead of serialized.
 	isolated []graph.Node
 	seed     *graph.Graph
 	chains   []*fitChain
 	swapSeed int64
 	swapSrc  *mcmc.CountingSource
 	swapRng  *rand.Rand
-}
-
-// isolatedNodes returns g's degree-zero nodes in ascending order.
-// Degree-preserving swaps never create or absorb isolated nodes, so the
-// set is invariant over the whole fit and is recomputed from the seed
-// graph instead of serialized.
-func isolatedNodes(g *graph.Graph) []graph.Node {
-	var out []graph.Node
-	for _, v := range g.Nodes() {
-		if g.Degree(v) == 0 {
-			out = append(out, v)
-		}
-	}
-	return out
 }
 
 // newFit builds the chains of a fit of names against m: at step 0 from
@@ -136,7 +125,7 @@ func newFit(m *Measurements, seed *graph.Graph, cfg Config, names []string, ck *
 		m:        m,
 		cfg:      cfg,
 		names:    names,
-		isolated: isolatedNodes(seed),
+		isolated: seed.Isolated(),
 		seed:     seed,
 		chains:   make([]*fitChain, cfg.Chains),
 	}

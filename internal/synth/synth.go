@@ -393,7 +393,14 @@ func SeedGraph(m *Measurements, rng *rand.Rand) (*graph.Graph, error) {
 	for i, d := range fitted {
 		asFloat[i] = float64(d)
 	}
-	degs := postprocess.RoundToGraphical(asFloat)
+	return seedFromDegrees(postprocess.RoundToGraphical(asFloat), nEst, rng)
+}
+
+// seedFromDegrees is SeedGraph's last step: a random graph with the given
+// degrees, padded with isolated vertices up to n so that the seed's order
+// matches the (noisy) node-count measurement. Its error keeps
+// graph.ErrNotGraphical in its chain.
+func seedFromDegrees(degs []int, n int, rng *rand.Rand) (*graph.Graph, error) {
 	// Havel-Hakimi produces a maximally assortative, clustered realization;
 	// 20 swap attempts per edge mixes it to a uniform-ish random graph with
 	// the same degrees, which is what "random seed graph" means in Section
@@ -402,9 +409,7 @@ func SeedGraph(m *Measurements, rng *rand.Rand) (*graph.Graph, error) {
 	if err != nil {
 		return nil, fmt.Errorf("synth: seed construction: %w", err)
 	}
-	// Pad isolated vertices up to the estimated node count so the seed's
-	// order matches the (noisy) measurement.
-	for v := g.NumNodes(); v < nEst; v++ {
+	for v := g.NumNodes(); v < n; v++ {
 		g.AddNode(graph.Node(v))
 	}
 	return g, nil

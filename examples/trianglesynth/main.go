@@ -47,12 +47,26 @@ func main() {
 		Chains:    2, // replica exchange: cold (pow) + hot (pow/2)
 		SwapEvery: 2048,
 	}
-	cfg.SampleEvery = 5000
-	cfg.OnSample = func(step int, sg *graph.Graph) {
-		fmt.Printf("  step %6d: triangles = %d\n", step, sg.Triangles())
+	// Watch the fit at its stops: every 5000 steps, the best chain's graph.
+	const every = 5000
+	cfg.ProgressEvery = every
+	cfg.OnProgress = func(p synth.Progress) bool {
+		if p.Step%every == 0 {
+			fmt.Printf("  step %6d: triangles = %d\n", p.Step, p.Synthetic().Triangles())
+		}
+		return true
 	}
 
-	res, err := synth.Run(g, cfg, rng)
+	m, err := synth.Measure(g, cfg, rng)
+	if err != nil {
+		log.Fatal(err)
+	}
+	seed, err := synth.SeedGraph(m, rng)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("  step %6d: triangles = %d\n", 0, seed.Triangles())
+	res, err := synth.Synthesize(m, seed, cfg, rng)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -52,7 +52,7 @@ type Options struct {
 	// Chains runs every synthesis fit as this many replica-exchange
 	// chains at a geometric pow ladder (see synth.Config.Chains; 0 or 1
 	// = the single-chain walk the paper uses). Trajectory samples follow
-	// chain 0, the chain that starts on the coldest rung.
+	// the best chain at each stop, as Result.Synthetic does at the end.
 	Chains int
 }
 
@@ -160,17 +160,26 @@ func Fig1(o Options) error {
 }
 
 // trajectory runs the synthesis workflow and records (step, triangles,
-// assortativity) samples.
+// assortativity) samples: the seed graph at step 0, then the best chain's
+// graph at every progress stop that falls on a multiple of sampleEvery.
 func trajectory(g *graph.Graph, cfg synth.Config, o Options, seedOffset int64, name string) (*series, *synth.Result, error) {
-	line := newSeries(name, "step", "triangles", "assortativity")
-	cfg.SampleEvery = o.sampleEvery()
-	cfg.OnSample = func(step int, sg *graph.Graph) {
-		line.Add(float64(step), float64(sg.Triangles()), sg.Assortativity())
+	every := o.sampleEvery()
+	var stops [][]float64
+	cfg.ProgressEvery = every
+	cfg.OnProgress = func(p synth.Progress) bool {
+		if p.Step%every == 0 {
+			sg := p.Synthetic()
+			stops = append(stops, []float64{float64(p.Step), float64(sg.Triangles()), sg.Assortativity()})
+		}
+		return true
 	}
 	res, err := synth.Run(g, cfg, o.rng(seedOffset))
 	if err != nil {
 		return nil, nil, err
 	}
+	line := newSeries(name, "step", "triangles", "assortativity")
+	line.Add(0, float64(res.Seed.Triangles()), res.Seed.Assortativity())
+	line.points = append(line.points, stops...)
 	return line, res, nil
 }
 

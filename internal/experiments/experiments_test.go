@@ -2,8 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"wpinq/internal/datasets"
+	"wpinq/internal/synth"
 )
 
 // tinyOptions shrinks every experiment far enough to run in test time
@@ -55,6 +59,43 @@ func TestFig3Runs(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("fig3 output missing %q", want)
 		}
+	}
+}
+
+// TestTrajectoryShape pins what a figure line holds: Samples + 1 points,
+// the first the seed graph's at step 0, the rest at multiples of
+// sampleEvery — not at the swap stops a ladder adds between them — and the
+// last the graph the fit returns.
+func TestTrajectoryShape(t *testing.T) {
+	var buf bytes.Buffer
+	o := tinyOptions(&buf)
+	g, err := datasets.Generate(datasets.GrQc, o.Scale, o.rng(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := synth.Config{
+		Eps: o.Eps, Workloads: []string{"tbi"}, Pow: o.Pow, Steps: o.Steps,
+		Shards: 1, Chains: 2, SwapEvery: 64,
+	}
+	line, res, err := trajectory(g, cfg, o, 33, "shape")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if line.Len() != o.Samples+1 {
+		t.Fatalf("%d points, want Samples+1 = %d: %v", line.Len(), o.Samples+1, line.points)
+	}
+	first := line.points[0]
+	if first[0] != 0 || first[1] != float64(res.Seed.Triangles()) || math.Abs(first[2]-res.Seed.Assortativity()) > 1e-12 {
+		t.Errorf("first point %v, want step 0 with the seed's %d triangles and r=%v",
+			first, res.Seed.Triangles(), res.Seed.Assortativity())
+	}
+	for i, p := range line.points[1:] {
+		if want := float64((i + 1) * o.sampleEvery()); p[0] != want {
+			t.Errorf("point %d at step %v, want %v", i+1, p[0], want)
+		}
+	}
+	if last := line.Last(); last[1] != float64(res.Synthetic.Triangles()) {
+		t.Errorf("last point has %v triangles, the returned graph %d", last[1], res.Synthetic.Triangles())
 	}
 }
 

@@ -123,11 +123,6 @@ func NewGraphStateFromEdges(edges []graph.Edge, isolated []graph.Node, input Inp
 	return &GraphState{swaps: swaps, isolated: isolated, input: input}, nil
 }
 
-// SetStep overrides the runner's step counter, so a re-anchored or
-// resumed runner numbers its OnStep observations (and any PowSchedule
-// lookups) continuously with the run it replaces.
-func (r *Runner) SetStep(step int) { r.step = step }
-
 // DurableConfig parameterizes RunDurable.
 type DurableConfig struct {
 	// Steps is the total walk length of every chain, counted from step
@@ -178,9 +173,7 @@ type DurableConfig struct {
 //
 // A single runner with no checkpoint stops degenerates to exactly that
 // runner's Run(cfg.Steps) proposal trace (no swap rounds; swapRng is
-// unused and may be nil), which is also the only shape that may carry a
-// PowSchedule: a swap exchanges fixed pows, and a re-anchor rebuilds a
-// runner from its checkpointed pow.
+// unused and may be nil).
 func RunDurable(runners []*Runner, cfg DurableConfig, swapRng *rand.Rand) (ReplicaResult, error) {
 	if len(runners) == 0 {
 		return ReplicaResult{}, errors.New("mcmc: a chain run requires at least one chain")
@@ -188,9 +181,6 @@ func RunDurable(runners []*Runner, cfg DurableConfig, swapRng *rand.Rand) (Repli
 	for _, r := range runners {
 		if r == nil {
 			return ReplicaResult{}, errors.New("mcmc: nil chain runner")
-		}
-		if r.cfg.PowSchedule != nil && (len(runners) > 1 || cfg.CheckpointEvery > 0) {
-			return ReplicaResult{}, errors.New("mcmc: swap rounds and checkpoint stops require fixed-pow chains (no PowSchedule)")
 		}
 	}
 	if cfg.Steps < 0 || cfg.StartStep < 0 || cfg.StartStep > cfg.Steps {

@@ -148,19 +148,9 @@ type Config struct {
 	// Pow sharpens the posterior (paper Section 4.2); the experiments use
 	// 10000 to make MCMC behave like a greedy fit.
 	Pow float64
-	// PowSchedule, when set, overrides Pow with a per-step value — an
-	// annealing schedule. The paper notes large pow "slows down the
-	// convergence of MCMC but eventually results in outputs that more
-	// closely fit the measurements"; ramping pow from small to large takes
-	// both sides of that trade-off (an extension beyond the paper's fixed
-	// pow). The schedule must return positive values.
-	PowSchedule func(step int) float64
 	// RecomputeEvery squashes floating-point drift in the sinks every this
 	// many accepted steps (0 disables; 1<<16 is a sensible default).
 	RecomputeEvery int
-	// OnStep, when set, observes every step (including invalid proposals)
-	// after it resolves. Useful for tracing fit trajectories.
-	OnStep func(step int, accepted bool, score float64)
 }
 
 // Stats summarizes a run.
@@ -191,7 +181,6 @@ type Runner struct {
 	cfg    Config
 	rng    *rand.Rand
 
-	step           int
 	sinceRecompute int
 }
 
@@ -201,8 +190,8 @@ func NewRunner(state *GraphState, scorer *incremental.Scorer, cfg Config, rng *r
 	if state == nil || scorer == nil {
 		return nil, errors.New("mcmc: state and scorer are required")
 	}
-	if cfg.Pow <= 0 && cfg.PowSchedule == nil {
-		return nil, errors.New("mcmc: Pow must be positive (or supply PowSchedule)")
+	if cfg.Pow <= 0 {
+		return nil, errors.New("mcmc: Pow must be positive")
 	}
 	return &Runner{
 		state:  state,
@@ -210,14 +199,6 @@ func NewRunner(state *GraphState, scorer *incremental.Scorer, cfg Config, rng *r
 		cfg:    cfg,
 		rng:    rng,
 	}, nil
-}
-
-// pow returns the posterior sharpening for the current step.
-func (r *Runner) pow() float64 {
-	if r.cfg.PowSchedule != nil {
-		return r.cfg.PowSchedule(r.step)
-	}
-	return r.cfg.Pow
 }
 
 // Score returns the current fit score (lower is better): the scorer's,
@@ -234,9 +215,8 @@ func (r *Runner) State() *GraphState { return r.state }
 // Step attempts one Metropolis-Hastings transition and reports whether a
 // proposal was accepted.
 func (r *Runner) Step() bool {
-	accepted, valid := r.transition()
-	r.step++
-	return accepted && valid
+	accepted, _ := r.transition()
+	return accepted
 }
 
 // transition performs one propose/score/commit-or-abort cycle. valid is
@@ -254,7 +234,7 @@ func (r *Runner) transition() (accepted, valid bool) {
 	next := r.scorer.Score()
 	accept := next <= old
 	if !accept {
-		accept = r.rng.Float64() < math.Exp(-r.pow()*(next-old))
+		accept = r.rng.Float64() < math.Exp(-r.cfg.Pow*(next-old))
 	}
 	if accept {
 		r.state.Commit()
@@ -282,10 +262,6 @@ func (r *Runner) Run(steps int) Stats {
 		default:
 			st.Rejected++
 		}
-		if r.cfg.OnStep != nil {
-			r.cfg.OnStep(r.step, accepted, r.scorer.Score())
-		}
-		r.step++
 	}
 	st.FinalScore = r.scorer.Score()
 	recordRun(st)

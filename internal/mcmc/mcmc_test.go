@@ -217,30 +217,6 @@ func TestMCMCPreservesDegreeSequence(t *testing.T) {
 	}
 }
 
-func TestOnStepCallback(t *testing.T) {
-	rng := testRng(8)
-	g, err := graph.ErdosRenyi(30, 60, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state, scorer := buildTbIFixture(g, 5.0, 0.5)
-	calls := 0
-	r, err := NewRunner(state, scorer, Config{
-		Pow:    100,
-		OnStep: func(step int, accepted bool, score float64) { calls++ },
-	}, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := r.Run(500)
-	if calls != 500 {
-		t.Errorf("OnStep called %d times, want 500", calls)
-	}
-	if st.Accepted+st.Rejected+st.Invalid != 500 {
-		t.Errorf("stats don't add up: %+v", st)
-	}
-}
-
 func TestStepSingle(t *testing.T) {
 	rng := testRng(9)
 	g, err := graph.ErdosRenyi(30, 60, rng)

@@ -58,23 +58,6 @@ func TestRunReplicasValidation(t *testing.T) {
 	if _, err := RunDurable([]*Runner{runners[0], nil}, DurableConfig{Steps: 10}, testRng(3)); err == nil {
 		t.Error("nil runner accepted")
 	}
-	state, scorer := buildTbIFixture(ringGraph(16), 4.0, 0.5)
-	sched, err := NewRunner(state, scorer, Config{PowSchedule: func(int) float64 { return 1 }}, testRng(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A schedule is refused only where the run would have to move or
-	// rebuild the chain's pow: beside another chain, or at checkpoint stops.
-	if _, err := RunDurable([]*Runner{sched}, DurableConfig{Steps: 10}, nil); err != nil {
-		t.Errorf("lone PowSchedule chain without checkpoint stops refused: %v", err)
-	}
-	if _, err := RunDurable([]*Runner{sched, runners[0]}, DurableConfig{Steps: 10}, testRng(5)); err == nil {
-		t.Error("PowSchedule chain accepted in a ladder")
-	}
-	reanchor := func(int, []*Runner, []int, int, []ChainStats) ([]*Runner, bool, error) { return nil, true, nil }
-	if _, err := RunDurable([]*Runner{sched}, DurableConfig{Steps: 10, CheckpointEvery: 5, Reanchor: reanchor}, nil); err == nil {
-		t.Error("PowSchedule chain accepted with checkpoint stops")
-	}
 }
 
 func TestRunReplicasSingleChainMatchesRun(t *testing.T) {

@@ -97,18 +97,28 @@ type stepTrace struct {
 	accepted bool
 }
 
-// runTraced runs n steps recording per-step accept decisions.
+// runTraced runs n steps as n Run(1) calls, recording per-step accept
+// decisions; each call must classify its one step exactly once.
 func runTraced(t *testing.T, f txnFixture, pow float64, rngSeed int64, n int) (Stats, []stepTrace) {
 	t.Helper()
-	var trace []stepTrace
-	r, err := NewRunner(f.state, f.scorer, Config{
-		Pow:    pow,
-		OnStep: func(step int, accepted bool, score float64) { trace = append(trace, stepTrace{accepted}) },
-	}, testRng(rngSeed))
+	r, err := NewRunner(f.state, f.scorer, Config{Pow: pow}, testRng(rngSeed))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.Run(n), trace
+	st := Stats{Steps: n}
+	trace := make([]stepTrace, n)
+	for i := range trace {
+		s := r.Run(1)
+		if s.Steps != 1 || s.Accepted+s.Rejected+s.Invalid != 1 {
+			t.Fatalf("step %d: stats don't add up: %+v", i, s)
+		}
+		st.Accepted += s.Accepted
+		st.Rejected += s.Rejected
+		st.Invalid += s.Invalid
+		st.FinalScore = s.FinalScore
+		trace[i].accepted = s.Accepted == 1
+	}
+	return st, trace
 }
 
 // runInversePush is Runner.Run with the pre-transactional rejection: the

@@ -237,13 +237,37 @@ func TestCrashRecoveryResumesDurableJob(t *testing.T) {
 
 // TestBootCountsParentFormatCheckpointAsStale pins what a daemon
 // upgraded across a checkpoint format cut does with a job it was killed
-// in the middle of: a `wpinq-checkpoint v1` or `v2` file is counted under
-// wpinq_job_restores_total{outcome="stale"}, left on disk, and neither
-// re-queued nor allowed to fail the boot; an explicit resume of it is
-// refused as stale, 409 over HTTP.
+// in the middle of: a `wpinq-checkpoint v1` or `v2` file, or a v3 one
+// recording fewer than one shard, which no v3 writer produces, is counted
+// under wpinq_job_restores_total{outcome="stale"}, left on disk, and
+// neither re-queued nor allowed to fail the boot; an explicit resume of it
+// is refused as stale, 409 over HTTP.
 func TestBootCountsParentFormatCheckpointAsStale(t *testing.T) {
-	for _, header := range []string{"wpinq-checkpoint v1\n", "wpinq-checkpoint v2\n"} {
-		t.Run(header[len("wpinq-checkpoint "):len(header)-1], func(t *testing.T) {
+	reheader := func(header string) func(*testing.T, []byte) []byte {
+		return func(t *testing.T, current []byte) []byte {
+			return bytes.Replace(current, []byte("wpinq-checkpoint v3\n"), []byte(header), 1)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		rewrite func(*testing.T, []byte) []byte
+	}{
+		{"v1", reheader("wpinq-checkpoint v1\n")},
+		{"v2", reheader("wpinq-checkpoint v2\n")},
+		{"shards=-1", func(t *testing.T, current []byte) []byte {
+			ck, err := synth.LoadCheckpoint(bytes.NewReader(current))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ck.Shards = -1
+			var buf bytes.Buffer
+			if err := ck.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			opts := Options{Dir: dir, Shards: -1, Workers: 1, Seed: 1}
 			svc1, _, mID := measureOnce(t, opts)
@@ -260,9 +284,9 @@ func TestBootCountsParentFormatCheckpointAsStale(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			old := bytes.Replace(current, []byte("wpinq-checkpoint v3\n"), []byte(header), 1)
+			old := tc.rewrite(t, current)
 			if bytes.Equal(old, current) {
-				t.Fatalf("checkpoint file does not start with the v3 header: %q", current[:32])
+				t.Fatalf("rewrite left the checkpoint unchanged: %q", current[:32])
 			}
 			if err := os.WriteFile(ckptPath, old, 0o644); err != nil {
 				t.Fatal(err)

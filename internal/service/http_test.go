@@ -284,6 +284,9 @@ func TestHTTPErrorShapes(t *testing.T) {
 		{"oversized job", "/v1/jobs", huge, http.StatusRequestEntityTooLarge, CodeRequestTooLarge, "too large"},
 		{"trailing bytes on measure", "/v1/datasets/" + info.ID + "/measure", trailing, http.StatusBadRequest, CodeBadRequest, "trailing data"},
 		{"trailing bytes on job", "/v1/jobs", trailing, http.StatusBadRequest, CodeBadRequest, "trailing data"},
+		// Resuming is POST /v1/jobs/{id}/resume alone: a retired "resume"
+		// field is ignored like "fuse", leaving a request with no steps.
+		{"retired resume field", "/v1/jobs", []byte(`{"resume":"j1"}`), http.StatusBadRequest, CodeBadRequest, "Steps must be positive"},
 	} {
 		rec := postRaw(svc.Handler(), c.path, c.body)
 		var api APIError

@@ -74,10 +74,6 @@ type JobRequest struct {
 	// semantics; see DESIGN.md "Durable jobs"). 0 uses the service
 	// default; a negative value disables checkpointing explicitly.
 	CheckpointEvery int `json:"checkpointEvery,omitempty"`
-	// Resume, when set, ignores every other field and re-queues the
-	// named job from its persisted checkpoint (the same operation boot
-	// recovery performs automatically for interrupted jobs).
-	Resume string `json:"resume,omitempty"`
 }
 
 // WorkloadResidual, BinResidual and OperatorProfile re-export the synth

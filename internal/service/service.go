@@ -224,13 +224,9 @@ func (s *Service) Audit(id string) (AuditReport, error) {
 func (s *Service) Close() { s.jobs.Close() }
 
 // SubmitJob fills the request defaults the service owns (the derived
-// seed) and enqueues a synthesis job. A request with Resume set is a
-// resume, not a fresh submission: every other field is ignored and the
-// named job is re-queued from its persisted checkpoint.
+// seed) and enqueues a synthesis job. ResumeJob is the only way to
+// resume one.
 func (s *Service) SubmitJob(req JobRequest) (JobStatus, error) {
-	if req.Resume != "" {
-		return s.jobs.Resume(req.Resume)
-	}
 	if req.Seed == 0 {
 		req.Seed = s.nextSeed()
 	}

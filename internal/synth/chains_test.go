@@ -28,10 +28,6 @@ func TestChainConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Eps: 1, Workloads: []string{"tbi"}, Chains: -1},
 		{Eps: 1, Workloads: []string{"tbi"}, SwapEvery: -1},
-		{Eps: 1, Workloads: []string{"tbi"}, Chains: 2, PowSchedule: func(int) float64 { return 1 }},
-		{Eps: 1, Workloads: []string{"tbi"}, Chains: 2, PowLadder: []float64{100}},
-		{Eps: 1, Workloads: []string{"tbi"}, Chains: 2, PowLadder: []float64{100, 0}},
-		{Eps: 1, Workloads: []string{"tbi"}, Chains: 2, PowLadder: []float64{100, -5}},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -44,10 +40,6 @@ func TestChainConfigValidate(t *testing.T) {
 	}
 	if good.Chains != 1 || good.SwapEvery != 1024 || good.ProgressEvery != 1024 {
 		t.Errorf("defaults not applied: %+v", good)
-	}
-	ladder := Config{Eps: 1, Workloads: []string{"tbi"}, Chains: 3, PowLadder: []float64{900, 300, 100}}
-	if err := ladder.Validate(); err != nil {
-		t.Fatalf("explicit ladder rejected: %v", err)
 	}
 }
 

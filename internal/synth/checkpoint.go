@@ -167,6 +167,12 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if len(ck.Chains) == 0 {
 		return nil, errors.New("synth: checkpoint has no chains")
 	}
+	// Every v3 writer resolves the width (-1 and 0 included) before its
+	// first step, so a document recording less than one shard was not
+	// written by this driver.
+	if ck.Shards < 1 {
+		return nil, fmt.Errorf("%w: checkpoint records shards %d, not a resolved executor width", ErrCheckpointStale, ck.Shards)
+	}
 	return &ck, nil
 }
 

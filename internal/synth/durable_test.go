@@ -12,6 +12,7 @@ package synth
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -35,12 +36,27 @@ func durableFixture(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// stepTrace is one chain-0 proposal decision: the full accept/reject
-// trace of a run, with scores compared at the bit level.
+// stepTrace is chain 0 after one proposal: its cumulative accept count
+// and its score at the bit level. One per step is the run's full
+// accept/reject trace.
 type stepTrace struct {
 	step     int
-	accepted bool
+	accepted int
 	score    uint64
+}
+
+// traceSteps makes every step a progress stop and records chain 0's
+// stepTrace at each.
+func traceSteps(cfg *Config, trace *[]stepTrace) {
+	cfg.ProgressEvery = 1
+	cfg.OnProgress = func(p Progress) bool {
+		accepted, score := p.Accepted, p.Score
+		if len(p.Chains) > 0 {
+			accepted, score = p.Chains[0].Accepted, p.Chains[0].Score
+		}
+		*trace = append(*trace, stepTrace{p.Step, accepted, math.Float64bits(score)})
+		return true
+	}
 }
 
 // runDurable executes a durable fit over the fixture bytes with master
@@ -59,9 +75,7 @@ func runDurable(t *testing.T, data []byte, seed int64, cfg Config, stopAt int) (
 		t.Fatal(err)
 	}
 	var trace []stepTrace
-	cfg.OnStep = func(step int, accepted bool, score float64) {
-		trace = append(trace, stepTrace{step, accepted, math.Float64bits(score)})
-	}
+	traceSteps(&cfg, &trace)
 	ckpts := make(map[int][]byte)
 	cfg.OnCheckpoint = func(ck *Checkpoint) bool {
 		var buf bytes.Buffer
@@ -97,9 +111,7 @@ func resumeDurable(t *testing.T, data []byte, seed int64, ckBytes []byte, cfg Co
 		t.Fatal(err)
 	}
 	var trace []stepTrace
-	cfg.OnStep = func(step int, accepted bool, score float64) {
-		trace = append(trace, stepTrace{step, accepted, math.Float64bits(score)})
-	}
+	traceSteps(&cfg, &trace)
 	res, err := SynthesizeResume(m, seedG, ck, cfg, rng)
 	return res, trace, err
 }
@@ -133,6 +145,9 @@ func TestDurableKillResumeBitIdentical(t *testing.T) {
 			}
 			const seed = 77
 			unbroken, unbrokenTrace, _ := runDurable(t, data, seed, cfg, 0)
+			if len(unbrokenTrace) != tc.steps {
+				t.Fatalf("unbroken trace has %d entries, want one per step (%d)", len(unbrokenTrace), tc.steps)
+			}
 			killed, _, ckpts := runDurable(t, data, seed, cfg, tc.stopAt)
 			if !killed.Cancelled {
 				t.Fatal("interrupted run did not report cancellation")
@@ -175,18 +190,15 @@ func TestDurableKillResumeBitIdentical(t *testing.T) {
 }
 
 // TestResumeLegacySerialCheckpoint pins what Shards -1 means on disk. A
-// run configured with it records 1 in its checkpoints. A stored
-// checkpoint that carries -1 was written by the retired reference
-// engine, whose delivery order summed the same score terms to different
-// last bits: it resumes at one shard — same decisions, same graph as an
-// unbroken one-shard run — although its score bits cannot be reproduced,
-// and from then on records 1. The same disagreement on a checkpoint that
-// says 1 is still a stale checkpoint.
+// run configured with it records 1 in its checkpoints: every writer
+// resolves the width before its first step, so no v3 document recording
+// fewer than one shard was ever written, and LoadCheckpoint refuses one
+// as stale. A one-shard checkpoint whose score bits the re-anchor does
+// not reproduce is stale too.
 func TestResumeLegacySerialCheckpoint(t *testing.T) {
 	data := durableFixture(t)
 	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1700, Shards: -1, CheckpointEvery: 500}
 	const seed = 77
-	unbroken, _, _ := runDurable(t, data, seed, cfg, 0)
 	_, _, ckpts := runDurable(t, data, seed, cfg, 500)
 
 	// resave rewrites the step-500 checkpoint as another executor would
@@ -208,25 +220,13 @@ func TestResumeLegacySerialCheckpoint(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	legacy := resave(-1)
-	if !bytes.Contains(legacy, []byte(`"shards":-1`)) {
-		t.Fatal("legacy fixture does not carry \"shards\":-1")
-	}
-	var later []int
-	resumed, _, err := resumeDurable(t, data, seed, legacy, Config{OnCheckpoint: func(ck *Checkpoint) bool {
-		later = append(later, ck.Shards)
-		return true
-	}})
-	if err != nil {
-		t.Fatalf("a stored \"shards\":-1 checkpoint did not resume: %v", err)
-	}
-	sameEdges(t, "resumed legacy vs unbroken", edgeListOf(resumed.Synthetic), edgeListOf(unbroken.Synthetic))
-	if len(later) == 0 {
-		t.Fatal("the resumed run wrote no checkpoint")
-	}
-	for _, shards := range later {
-		if shards != 1 {
-			t.Errorf("resumed run recorded shards %d, want 1", shards)
+	for _, shards := range []int{-1, 0} {
+		doc := resave(shards)
+		if !bytes.Contains(doc, []byte(fmt.Sprintf(`"shards":%d`, shards))) {
+			t.Fatalf("fixture does not carry \"shards\":%d", shards)
+		}
+		if _, err := LoadCheckpoint(bytes.NewReader(doc)); !errors.Is(err, ErrCheckpointStale) {
+			t.Errorf("a stored \"shards\":%d checkpoint: got %v, want ErrCheckpointStale", shards, err)
 		}
 	}
 
@@ -311,9 +311,5 @@ func TestLoadCheckpointRejectsCorruption(t *testing.T) {
 func TestDurableConfigValidation(t *testing.T) {
 	if err := (&Config{Eps: 1, Workloads: []string{"tbi"}, CheckpointEvery: -1}).Validate(); err == nil {
 		t.Error("negative CheckpointEvery accepted")
-	}
-	sched := func(step int) float64 { return 100 }
-	if err := (&Config{Eps: 1, Workloads: []string{"tbi"}, CheckpointEvery: 10, PowSchedule: sched}).Validate(); err == nil {
-		t.Error("CheckpointEvery with PowSchedule accepted")
 	}
 }

@@ -135,14 +135,9 @@ func newFit(m *Measurements, seed *graph.Graph, cfg Config, names []string, ck *
 		ch.rng = rand.New(ch.src)
 		f.chains[i] = ch
 		if ck == nil {
-			// The default ladder is geometric: chain 0 walks at the
-			// configured target sharpening, each further chain at half the
-			// previous.
-			pow := cfg.Pow / math.Pow(2, float64(i))
-			if len(cfg.PowLadder) > 0 {
-				pow = cfg.PowLadder[i]
-			}
-			if err := f.anchor(i, 0, pow, nil); err != nil {
+			// The ladder is geometric: chain 0 walks at the configured
+			// target sharpening, each further chain at half the previous.
+			if err := f.anchor(i, cfg.Pow/math.Pow(2, float64(i)), nil); err != nil {
 				return nil, err
 			}
 			continue
@@ -152,16 +147,13 @@ func newFit(m *Measurements, seed *graph.Graph, cfg Config, names []string, ck *
 			return nil, fmt.Errorf("%w: chain %d seed replay mismatch", ErrCheckpointStale, i)
 		}
 		ch.src.Skip(cc.RngPos)
-		if err := f.anchor(i, ck.Step, cc.Pow, cc); err != nil {
+		if err := f.anchor(i, cc.Pow, cc); err != nil {
 			return nil, err
 		}
 		// Score verification is meaningful only under the cross-process
 		// determinism contract: one shard. Multi-shard runs route records
 		// by a per-process maphash seed, so their float accumulation order
-		// legitimately differs across processes — and a checkpoint that
-		// recorded -1 was written by the retired reference engine, whose
-		// delivery order summed the same terms to different last bits; it
-		// resumes at one shard on the score this executor derives.
+		// legitimately differs across processes.
 		if got := math.Float64bits(ch.runner.Score()); ck.Shards == 1 && got != cc.ScoreBits {
 			return nil, fmt.Errorf("%w: chain %d re-anchored score %x does not reproduce checkpointed %x",
 				ErrCheckpointStale, i, got, cc.ScoreBits)
@@ -179,12 +171,12 @@ func newFit(m *Measurements, seed *graph.Graph, cfg Config, names []string, ck *
 	return f, nil
 }
 
-// anchor (re)builds chain idx's plan, graph state and runner at step:
-// every workload attached over its released domain, then the Phase 1 seed
-// graph loaded when at is nil, else at's edges in their live order — the
+// anchor (re)builds chain idx's plan, graph state and runner: every
+// workload attached over its released domain, then the Phase 1 seed graph
+// loaded when at is nil, else at's edges in their live order — the
 // accumulations downstream are order-sensitive and must come out
 // bit-for-bit. It consumes no rng.
-func (f *fit) anchor(idx, step int, pow float64, at *ChainCheckpoint) error {
+func (f *fit) anchor(idx int, pow float64, at *ChainCheckpoint) error {
 	plan := workload.NewPlan(f.cfg.Shards)
 	for _, name := range f.names {
 		if err := f.m.Fits[name].Attach(plan, f.m.Eps); err != nil {
@@ -199,18 +191,11 @@ func (f *fit) anchor(idx, step int, pow float64, at *ChainCheckpoint) error {
 	if err != nil {
 		return fmt.Errorf("synth: chain %d: %w", idx, err)
 	}
-	mcfg := mcmc.Config{Pow: pow, PowSchedule: f.cfg.PowSchedule, RecomputeEvery: recomputeEvery}
-	if idx == 0 {
-		// OnStep/OnSample observe chain 0, the chain that starts on the
-		// coldest (target-pow) rung.
-		mcfg.OnStep = sampledOnStep(f.cfg, state, at == nil)
-	}
 	ch := f.chains[idx]
-	runner, err := mcmc.NewRunner(state, plan.Scorer(), mcfg, ch.rng)
+	runner, err := mcmc.NewRunner(state, plan.Scorer(), mcmc.Config{Pow: pow, RecomputeEvery: recomputeEvery}, ch.rng)
 	if err != nil {
 		return err
 	}
-	runner.SetStep(step)
 	ch.runner, ch.eng = runner, plan.Engine()
 	return nil
 }
@@ -223,8 +208,8 @@ func (f *fit) anchor(idx, step int, pow float64, at *ChainCheckpoint) error {
 // measurement or master seed fails with ErrCheckpointStale instead of
 // silently diverging. The trace-relevant configuration (steps, chains,
 // cadences, executor width) comes from the checkpoint; cfg supplies only
-// observational hooks (progress, sampling, checkpoint sink) and
-// ParentHash for the staleness check.
+// observational hooks (progress, checkpoint sink) and ParentHash for the
+// staleness check.
 func SynthesizeResume(m *Measurements, seed *graph.Graph, ck *Checkpoint, cfg Config, rng *rand.Rand) (*Result, error) {
 	if ck == nil {
 		return nil, errors.New("synth: nil checkpoint")
@@ -242,8 +227,6 @@ func SynthesizeResume(m *Measurements, seed *graph.Graph, ck *Checkpoint, cfg Co
 	cfg.SwapEvery = ck.SwapEvery
 	cfg.CheckpointEvery = ck.CheckpointEvery
 	cfg.Shards = ck.Shards
-	cfg.PowSchedule = nil
-	cfg.PowLadder = nil
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -346,7 +329,7 @@ func (f *fit) reanchor(done int, _ []*mcmc.Runner, ladder []int, parity int, sta
 			SwapsAccepted: stats[i].SwapsAccepted,
 			Edges:         packEdges(ch.runner.State().Edges()),
 		}
-		if err := f.anchor(i, done, cc.Pow, cc); err != nil {
+		if err := f.anchor(i, cc.Pow, cc); err != nil {
 			return nil, false, err
 		}
 		cc.ScoreBits = math.Float64bits(ch.runner.Score())
@@ -375,8 +358,9 @@ func (f *fit) reanchor(done int, _ []*mcmc.Runner, ladder []int, parity int, sta
 }
 
 // progress assembles the OnProgress view of one stop: top-level fields
-// track the best chain, whose scorer the residual breakdown reads (every
-// chain is parked at a stop, so the read races nothing).
+// track the best chain, whose scorer the residual breakdown reads and
+// whose graph state Progress.Synthetic reads (every chain is parked at a
+// stop, so neither read races anything).
 func (f *fit) progress(done int, chains []mcmc.ChainStats) Progress {
 	best := 0
 	for i := range chains {
@@ -392,6 +376,7 @@ func (f *fit) progress(done int, chains []mcmc.ChainStats) Progress {
 		Score:     chains[best].FinalScore,
 		Residuals: ch.runner.Scorer().Residuals(residualTopK),
 		Operators: ch.operators(),
+		best:      ch.runner.State(),
 	}
 	if len(chains) > 1 {
 		p.Chains = ChainSnapshots(chains)

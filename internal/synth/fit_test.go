@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"wpinq/internal/graph"
 	"wpinq/internal/mcmc"
 	"wpinq/internal/workload"
 )
@@ -106,18 +107,26 @@ func TestFitReconcilesWithCallersMeasurements(t *testing.T) {
 // TestProgressStopsAreTheUnion pins where a fit can be observed: with
 // OnProgress set, reports arrive at every multiple of ProgressEvery, of
 // SwapEvery (more than one chain) and of CheckpointEvery, and once at the
-// end — and observing changes nothing: the final edge list is the one the
-// unobserved run produces.
+// end — at ProgressEvery 1, once per step — and observing changes
+// nothing: the final edge list is the one the unobserved run produces.
 func TestProgressStopsAreTheUnion(t *testing.T) {
 	data := durableFixture(t)
-	for _, chains := range []int{1, 3} {
-		t.Run(fmt.Sprintf("chains=%d", chains), func(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		chains, every int
+	}{
+		{"chains=1", 1, 300},
+		{"chains=3", 3, 300},
+		{"every=1", 1, 1},
+	} {
+		chains := tc.chains
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
 				Eps: 1.0, Pow: 500, Steps: 1000, Shards: 1, Chains: chains,
-				ProgressEvery: 300, SwapEvery: 128, CheckpointEvery: 250,
+				ProgressEvery: tc.every, SwapEvery: 128, CheckpointEvery: 250,
 			}
 			want := map[int]bool{1000: true}
-			for _, every := range []int{300, 250} {
+			for _, every := range []int{tc.every, 250} {
 				for s := every; s < cfg.Steps; s += every {
 					want[s] = true
 				}
@@ -127,6 +136,7 @@ func TestProgressStopsAreTheUnion(t *testing.T) {
 					want[s] = true
 				}
 			}
+			var lastStop []graph.Edge // Progress.Synthetic at the final stop
 			run := func(observe bool) (*Result, []int) {
 				rng := testRng(710)
 				m, err := LoadMeasurements(bytes.NewReader(data), rng)
@@ -144,6 +154,9 @@ func TestProgressStopsAreTheUnion(t *testing.T) {
 						stops = append(stops, p.Step)
 						if (len(p.Chains) > 0) != (chains > 1) || p.Steps != cfg.Steps {
 							t.Errorf("progress at %d: %d chain views for %d chains, steps %d", p.Step, len(p.Chains), chains, p.Steps)
+						}
+						if p.Step == cfg.Steps {
+							lastStop = edgeListOf(p.Synthetic())
 						}
 						return true
 					}
@@ -163,6 +176,8 @@ func TestProgressStopsAreTheUnion(t *testing.T) {
 					t.Errorf("report %d at step %d: not a stop, or out of order (%v)", i, s, stops)
 				}
 			}
+			// The last stop sees the best chain, the graph the fit returns.
+			sameEdges(t, "last stop vs result", lastStop, edgeListOf(observed.Synthetic))
 			plain, _ := run(false)
 			sameEdges(t, "observed vs unobserved", edgeListOf(observed.Synthetic), edgeListOf(plain.Synthetic))
 			if observed.Stats != plain.Stats {

@@ -56,21 +56,8 @@ type Config struct {
 	Bucket int
 	// Pow sharpens the MCMC posterior (paper: 10000).
 	Pow float64
-	// PowSchedule, when set, overrides Pow with a per-step annealing
-	// schedule (see mcmc.Config.PowSchedule). Detailed multi-record fits
-	// (TbD, JDD) have rough landscapes where a fixed large pow freezes in
-	// the first local optimum; ramping pow explores first, then locks in.
-	PowSchedule func(step int) float64
 	// Steps is the number of MCMC steps in Phase 2.
 	Steps int
-	// OnStep observes MCMC progress (optional).
-	OnStep func(step int, accepted bool, score float64)
-	// SampleEvery > 0 invokes OnSample with the live synthetic graph every
-	// that many steps (and once at step 0), for trajectory plots. The
-	// callback must treat the graph as read-only.
-	SampleEvery int
-	// OnSample observes the evolving synthetic graph (optional).
-	OnSample func(step int, g *graph.Graph)
 	// OnProgress, when set, observes Phase 2 progress at every stop of
 	// the fit — each multiple of ProgressEvery, of SwapEvery (Chains > 1)
 	// and of CheckpointEvery — and once after the final step, with
@@ -87,20 +74,16 @@ type Config struct {
 	// Chains is the number of replica-exchange (parallel tempering)
 	// MCMC chains run concurrently in Phase 2 (default 1). Each chain
 	// gets its own fit pipelines, graph state, and a deterministic rng
-	// seeded from the master rng, and walks at its own pow from
-	// PowLadder; with K > 1, Metropolis swap proposals between
-	// temperature-adjacent chains every SwapEvery steps let hot chains
-	// explore while cold chains refine (see mcmc.RunDurable and
-	// DESIGN.md "Replica exchange").
+	// seeded from the master rng, and walks at its own rung of the
+	// geometric ladder Pow/2^i: chain 0 at the configured target
+	// sharpening, each further chain at half the previous. With K > 1,
+	// Metropolis swap proposals between temperature-adjacent chains every
+	// SwapEvery steps let hot chains explore while cold chains refine (see
+	// mcmc.RunDurable and DESIGN.md "Replica exchange").
 	Chains int
 	// SwapEvery is the step interval between replica swap rounds
 	// (default 1024; only consulted when Chains > 1).
 	SwapEvery int
-	// PowLadder assigns each chain's pow explicitly (length must equal
-	// Chains; all entries positive). Empty defaults to the geometric
-	// ladder Pow/2^i for chain i: chain 0 walks at the configured
-	// target sharpening and each further chain at half the previous.
-	PowLadder []float64
 	// Shards is the executor's shard count for Phase 2: 0 (the default)
 	// is one shard per CPU, n > 0 exactly n. Sharding pays off on the
 	// bulk initial load and on large per-swap difference fronts; a walk's
@@ -122,7 +105,7 @@ type Config struct {
 	// bit-identically in a fresh process. Re-anchoring re-accumulates
 	// float state at each boundary, so the proposal trace differs from a
 	// CheckpointEvery=0 run of the same seed; it does not depend on
-	// whether OnCheckpoint is set. Incompatible with PowSchedule.
+	// whether OnCheckpoint is set.
 	CheckpointEvery int
 	// OnCheckpoint receives each checkpoint of a durable run, with all
 	// chains parked. Returning false cancels the run at this boundary
@@ -146,7 +129,7 @@ func (c *Config) Validate() error {
 	if _, err := workload.Resolve(c.Workloads); err != nil {
 		return fmt.Errorf("synth: %w", err)
 	}
-	if c.Pow <= 0 && c.PowSchedule == nil {
+	if c.Pow <= 0 {
 		c.Pow = 10000
 	}
 	if c.Steps < 0 {
@@ -167,30 +150,14 @@ func (c *Config) Validate() error {
 	if c.Chains == 0 {
 		c.Chains = 1
 	}
-	if c.Chains > 1 && c.PowSchedule != nil {
-		return errors.New("synth: PowSchedule cannot be combined with replica exchange (Chains > 1)")
-	}
 	if c.CheckpointEvery < 0 {
 		return errors.New("synth: CheckpointEvery must be non-negative")
-	}
-	if c.CheckpointEvery > 0 && c.PowSchedule != nil {
-		return errors.New("synth: PowSchedule cannot be combined with checkpointing (CheckpointEvery > 0)")
 	}
 	if c.SwapEvery < 0 {
 		return errors.New("synth: SwapEvery must be non-negative")
 	}
 	if c.SwapEvery == 0 {
 		c.SwapEvery = 1024
-	}
-	if len(c.PowLadder) > 0 {
-		if len(c.PowLadder) != c.Chains {
-			return fmt.Errorf("synth: PowLadder has %d entries for %d chains", len(c.PowLadder), c.Chains)
-		}
-		for _, p := range c.PowLadder {
-			if p <= 0 {
-				return errors.New("synth: PowLadder entries must be positive")
-			}
-		}
 	}
 	return nil
 }
@@ -216,7 +183,14 @@ type Progress struct {
 	// dataflow node in scheduling order: which operator is hot. Counters
 	// run from the chain's last (re-)anchor.
 	Operators []OperatorProfile
+
+	best *mcmc.GraphState // the best chain's, parked for the callback
 }
+
+// Synthetic builds the best chain's synthetic graph as of this stop. Call
+// it only inside the OnProgress callback, while every chain is parked; the
+// graph is a snapshot that later proposals do not change.
+func (p Progress) Synthetic() *graph.Graph { return p.best.Graph() }
 
 // WorkloadResidual is one workload's share of the fit score with its
 // worst bins; see incremental.WorkloadResidual for the field contract.
@@ -508,32 +482,6 @@ func Synthesize(m *Measurements, seed *graph.Graph, cfg Config, rng *rand.Rand) 
 		return nil, err
 	}
 	return f.run(nil)
-}
-
-// sampledOnStep wraps cfg.OnStep with the SampleEvery/OnSample trigger
-// against state's live graph. initial emits the step-0 sample
-// immediately; re-anchored and resumed states pass false so the sample
-// stream is not re-seeded mid-run. With no sampling configured it
-// returns cfg.OnStep unchanged.
-func sampledOnStep(cfg Config, state *mcmc.GraphState, initial bool) func(step int, accepted bool, score float64) {
-	onStep := cfg.OnStep
-	if cfg.SampleEvery > 0 && cfg.OnSample != nil {
-		every := cfg.SampleEvery
-		sample := cfg.OnSample
-		inner := onStep
-		if initial {
-			sample(0, state.Graph())
-		}
-		onStep = func(step int, accepted bool, score float64) {
-			if (step+1)%every == 0 {
-				sample(step+1, state.Graph())
-			}
-			if inner != nil {
-				inner(step, accepted, score)
-			}
-		}
-	}
-	return onStep
 }
 
 // Run executes the complete workflow: Measure -> SeedGraph -> Synthesize.

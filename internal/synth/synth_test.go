@@ -200,24 +200,6 @@ func TestRandomGraphStaysTrianglePoor(t *testing.T) {
 	}
 }
 
-func TestOnStepObservesRun(t *testing.T) {
-	g := clusteredGraph(t, 60)
-	calls := 0
-	cfg := Config{
-		Eps:       0.5,
-		Workloads: []string{"tbi"},
-		Pow:       100,
-		Steps:     200,
-		OnStep:    func(int, bool, float64) { calls++ },
-	}
-	if _, err := Run(g, cfg, testRng(13)); err != nil {
-		t.Fatal(err)
-	}
-	if calls != 200 {
-		t.Errorf("OnStep calls = %d, want 200", calls)
-	}
-}
-
 func TestExecutorsScoreIdentically(t *testing.T) {
 	// Every shard layout must assign the same fit score to the same seed
 	// graph under the same measurements: Synthesize with zero steps

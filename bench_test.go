@@ -154,7 +154,7 @@ func tbiFixture(b *testing.B, fastPath bool) *mcmc.Runner {
 	state := mcmc.NewGraphState(g, in)
 	runner, err := mcmc.NewRunner(state, incremental.NewScorer(sink), mcmc.Config{
 		Pow:            1000,
-		RecomputeEvery: 1 << 15,
+		RecomputeEvery: mcmc.DefaultRecomputeEvery,
 	}, rng)
 	if err != nil {
 		b.Fatal(err)

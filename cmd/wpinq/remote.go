@@ -107,7 +107,6 @@ func runRemoteSynthesize(args []string) error {
 		"comma-separated fit workloads (default: every workload in the release)")
 	steps := fs.Int("steps", 100000, "MCMC steps")
 	pow := fs.Float64("pow", 10000, "posterior sharpening")
-	shards := fs.Int("shards", 0, "dataflow shards: 0 = one per CPU, n = exactly n (-1 is read as 1) (omit to use the server default)")
 	chains := fs.Int("chains", 0, "replica-exchange chains (0 = server default, 1 = single chain)")
 	swapEvery := fs.Int("swap-every", 0, "steps between replica swap attempts (0 = default 1024)")
 	checkpointEvery := fs.Int("checkpoint-every", 0,
@@ -134,19 +133,12 @@ func runRemoteSynthesize(args []string) error {
 		CheckpointEvery: *checkpointEvery,
 		Seed:            *seed,
 	}
-	// Only override the server's default shard count when the flag was
-	// explicitly given (shards 0 is a meaningful value: auto).
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "shards" {
-			req.Shards = shards
-		}
-	})
 	c := service.NewClient(*server)
 	job, err := c.SubmitJob(req)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "remote: job %s submitted (%d steps, shards=%d)\n", job.ID, job.Steps, job.Shards)
+	fmt.Fprintf(os.Stderr, "remote: job %s submitted (%d steps)\n", job.ID, job.Steps)
 	return waitJobResult(c, "remote synthesize", job.ID, *poll, *out)
 }
 

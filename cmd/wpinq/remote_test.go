@@ -15,7 +15,7 @@ import (
 // startTestServer runs a wpinqd service in-process and returns its URL.
 func startTestServer(t *testing.T) string {
 	t.Helper()
-	svc, err := service.New(service.Options{Shards: -1})
+	svc, err := service.New(service.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestRemoteWorkflow(t *testing.T) {
 
 	if err := runRemote([]string{"synthesize",
 		"-server", url, "-measurement", measurementID, "-workloads", "tbi,wedges",
-		"-steps", "300", "-seed", "12", "-shards", "-1", "-poll", "10ms", "-out", out}); err != nil {
+		"-steps", "300", "-seed", "12", "-poll", "10ms", "-out", out}); err != nil {
 		t.Fatal(err)
 	}
 	f, err := os.Open(out)
@@ -113,5 +113,10 @@ func TestRemoteValidation(t *testing.T) {
 	}
 	if err := runRemote([]string{"synthesize"}); err == nil {
 		t.Error("synthesize without -measurement accepted")
+	}
+	// Every daemon job fits at one shard; the client has no knob for it.
+	err := runRemote([]string{"synthesize", "-shards", "1", "-measurement", "m1"})
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
+		t.Errorf("synthesize -shards: got %v, want an undefined-flag error", err)
 	}
 }

@@ -5,9 +5,14 @@
 //
 // Usage:
 //
-//	wpinqd [-addr :8080] [-data DIR] [-shards N] [-chains K] [-workers N]
+//	wpinqd [-addr :8080] [-data DIR] [-chains K] [-workers N]
 //	       [-checkpoint-every N] [-seed N] [-log-format text|json]
 //	       [-debug-addr ADDR]
+//
+// Every synthesis job fits at one dataflow shard, so a job is a function
+// of the release bytes and its seed, bit-identical across processes;
+// the daemon runs jobs (and a job its -chains) in parallel instead, one
+// worker per CPU by default.
 //
 // The API is documented on service.Handler; `wpinq remote` is the
 // matching command-line client. See README.md, "Serving".
@@ -51,9 +56,8 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("wpinqd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	data := fs.String("data", "", "directory persisting released measurements (empty = in-memory)")
-	shards := fs.Int("shards", 0, "default dataflow shards per synthesis job: 0 = one per CPU, n = exactly n (-1 is read as 1)")
 	chains := fs.Int("chains", 1, "default replica-exchange chains per synthesis job (1 = single chain)")
-	workers := fs.Int("workers", 0, "synthesis worker pool size (0 = GOMAXPROCS divided by per-job shards)")
+	workers := fs.Int("workers", 0, "synthesis worker pool size (0 = GOMAXPROCS)")
 	checkpointEvery := fs.Int("checkpoint-every", 0,
 		"default checkpoint cadence in MCMC steps for synthesis jobs (durable jobs survive daemon restarts; 0 = not durable)")
 	seed := fs.Int64("seed", 1, "base seed for requests that do not supply one")
@@ -76,7 +80,6 @@ func run(args []string) error {
 
 	svc, err := service.New(service.Options{
 		Dir:             *data,
-		Shards:          *shards,
 		Chains:          *chains,
 		Workers:         *workers,
 		CheckpointEvery: *checkpointEvery,

@@ -499,7 +499,7 @@ func tbiLoadAndRate(g *graph.Graph, o Options, seedOffset int64, steps int) (hea
 	state := mcmc.NewGraphState(g, plan.Input())
 	runner, err := mcmc.NewRunner(state, plan.Scorer(), mcmc.Config{
 		Pow:            o.Pow,
-		RecomputeEvery: 1 << 15,
+		RecomputeEvery: mcmc.DefaultRecomputeEvery,
 	}, o.rng(seedOffset+1))
 	if err != nil {
 		return 0, 0, err

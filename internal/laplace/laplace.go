@@ -83,8 +83,5 @@ func (d Dist) Quantile(p float64) float64 {
 	return -d.b * math.Log(2*(1-p))
 }
 
-// Mean returns the distribution mean (always 0 for this zero-mean form).
-func (d Dist) Mean() float64 { return 0 }
-
 // Variance returns 2b^2.
 func (d Dist) Variance() float64 { return 2 * d.b * d.b }

@@ -143,13 +143,18 @@ func (s *GraphState) Abort(p Proposal) {
 	s.input.Abort()
 }
 
+// DefaultRecomputeEvery is the RecomputeEvery every fit uses: a chain
+// re-derives its sinks' distances from scratch after this many accepted
+// proposals, which bounds floating-point drift.
+const DefaultRecomputeEvery = 1 << 15
+
 // Config parameterizes a Metropolis-Hastings run.
 type Config struct {
 	// Pow sharpens the posterior (paper Section 4.2); the experiments use
 	// 10000 to make MCMC behave like a greedy fit.
 	Pow float64
 	// RecomputeEvery squashes floating-point drift in the sinks every this
-	// many accepted steps (0 disables; 1<<16 is a sensible default).
+	// many accepted steps (0 disables; see DefaultRecomputeEvery).
 	RecomputeEvery int
 }
 

@@ -10,7 +10,7 @@ import (
 // status, the chain count can be overridden per job, and repeated
 // fixed-seed jobs reproduce the same synthetic edge list.
 func TestMultiChainJob(t *testing.T) {
-	svc := newTestService(t, Options{Shards: -1, Chains: 2, Workers: 1})
+	svc := newTestService(t, Options{Chains: 2, Workers: 1})
 	g := testGraph(t, 60)
 	info, err := svc.Registry().Upload("chains", tbiCost, bytes.NewReader(edgeListBytes(t, g)))
 	if err != nil {

@@ -21,7 +21,7 @@ import (
 )
 
 func TestSubmitAfterCloseRefused(t *testing.T) {
-	svc, _, mID := measureOnce(t, Options{Shards: -1, Workers: 1})
+	svc, _, mID := measureOnce(t, Options{Workers: 1})
 	svc.Close()
 	if _, err := svc.SubmitJob(JobRequest{Measurement: mID, Steps: 10}); !errors.Is(err, ErrManagerClosed) {
 		t.Fatalf("submit after close: got %v, want ErrManagerClosed", err)
@@ -32,7 +32,7 @@ func TestSubmitAfterCloseRefused(t *testing.T) {
 }
 
 func TestCancelQueuedJobImmediatelyTerminal(t *testing.T) {
-	svc, _, mID := measureOnce(t, Options{Shards: -1, Workers: 1})
+	svc, _, mID := measureOnce(t, Options{Workers: 1})
 	long, err := svc.SubmitJob(JobRequest{Measurement: mID, Steps: 50_000_000, ProgressEvery: 100, Seed: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -87,7 +87,7 @@ func TestCancelQueuedJobImmediatelyTerminal(t *testing.T) {
 // the job is terminal, not a scheduler wake-up later.
 func TestDurableJobRetiresCheckpointBeforeDone(t *testing.T) {
 	dir := t.TempDir()
-	svc := newTestService(t, Options{Dir: dir, Shards: -1, Workers: 1, Seed: 1})
+	svc := newTestService(t, Options{Dir: dir, Workers: 1, Seed: 1})
 	ds, err := svc.Registry().Upload("retire", tbiCost, bytes.NewReader(edgeListBytes(t, testGraph(t, 40))))
 	if err != nil {
 		t.Fatal(err)
@@ -160,7 +160,7 @@ func waitForCheckpoint(t *testing.T, path string) {
 // to an unbroken run of the same request.
 func TestCrashRecoveryResumesDurableJob(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Dir: dir, Shards: -1, Workers: 1, Seed: 1}
+	opts := Options{Dir: dir, Workers: 1, Seed: 1}
 	svc1 := newTestService(t, opts)
 	g := testGraph(t, 60)
 	ds, err := svc1.Registry().Upload("crash", tbiCost, bytes.NewReader(edgeListBytes(t, g)))
@@ -269,7 +269,7 @@ func TestBootCountsParentFormatCheckpointAsStale(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := Options{Dir: dir, Shards: -1, Workers: 1, Seed: 1}
+			opts := Options{Dir: dir, Workers: 1, Seed: 1}
 			svc1, _, mID := measureOnce(t, opts)
 			job, err := svc1.SubmitJob(JobRequest{
 				Measurement: mID, Steps: 50_000_000, ProgressEvery: 100, CheckpointEvery: 200, Seed: 42,

@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -31,11 +33,10 @@ func newTestClient(t *testing.T, opts Options) *Client {
 // the graph), and is refused a second measurement with a structured
 // overdraw error; the analyst lists and fetches the release, runs an
 // async synthesis job, polls it, and downloads a synthetic edge list
-// whose fit score matches the same workflow run in-process with the
-// same seeds and shard configuration.
+// whose fit score and edge list are bit-identical to the same workflow
+// run in-process at one shard with the same seeds.
 func TestEndToEndOverHTTP(t *testing.T) {
 	const (
-		shards      = 2
 		measureSeed = 101
 		jobSeed     = 202
 		steps       = 400
@@ -93,11 +94,9 @@ func TestEndToEndOverHTTP(t *testing.T) {
 	}
 
 	// Analyst: async synthesis job, polled to completion.
-	sh := shards
 	job, err := client.SubmitJob(JobRequest{
 		Measurement:   mres.Measurement.ID,
 		Steps:         steps,
-		Shards:        &sh,
 		Seed:          jobSeed,
 		ProgressEvery: 50,
 	})
@@ -120,8 +119,8 @@ func TestEndToEndOverHTTP(t *testing.T) {
 	}
 
 	// The job must reproduce the in-process workflow exactly: load the
-	// same release bytes, seed, and fit with the same rng and shard
-	// config, and compare fit score and edge list.
+	// same release bytes, seed, and fit with the same rng at one shard,
+	// and compare fit score and edge list.
 	rng := rand.New(rand.NewSource(jobSeed))
 	m2, err := synth.LoadMeasurements(bytes.NewReader(stored), rng)
 	if err != nil {
@@ -132,18 +131,13 @@ func TestEndToEndOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := synth.Synthesize(m2, seedG, synth.Config{
-		Eps: m2.Eps, Workloads: []string{"tbi"}, Pow: 10000, Steps: steps, Shards: shards,
+		Eps: m2.Eps, Workloads: []string{"tbi"}, Pow: 10000, Steps: steps, Shards: 1,
 	}, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The trajectories are identical (the edge lists match exactly,
-	// below); the scores agree to accumulation tolerance — sink state is
-	// summed in dataset map-iteration order, so the last few bits of the
-	// L1 norm differ between any two runs (see DESIGN.md on float
-	// accumulation order).
-	if diff := math.Abs(res.Stats.FinalScore - final.Score); diff > 1e-9*(1+math.Abs(final.Score)) {
-		t.Errorf("fit score over HTTP %v != in-process %v (diff %g)", final.Score, res.Stats.FinalScore, diff)
+	if math.Float64bits(final.Score) != math.Float64bits(res.Stats.FinalScore) {
+		t.Errorf("fit score over HTTP %v != in-process %v", final.Score, res.Stats.FinalScore)
 	}
 	want := edgeListBytes(t, res.Synthetic)
 	got := edgeListBytes(t, synthetic)
@@ -155,7 +149,7 @@ func TestEndToEndOverHTTP(t *testing.T) {
 // TestConcurrentOverdrawOverHTTP hammers one dataset with parallel
 // measurement requests; the ledger admits exactly the affordable number.
 func TestConcurrentOverdrawOverHTTP(t *testing.T) {
-	client := newTestClient(t, Options{Shards: -1})
+	client := newTestClient(t, Options{})
 	g := testGraph(t, 60)
 	ds, err := client.Upload("race", 2*tbiCost, bytes.NewReader(edgeListBytes(t, g)))
 	if err != nil {
@@ -197,38 +191,136 @@ func TestConcurrentOverdrawOverHTTP(t *testing.T) {
 	}
 }
 
-// TestJobRequestIgnoresRetiredFuseField pins wire compatibility across
-// the removal of the fusion choice: a client that still sends "fuse" is
-// served — the field is ignored, every plan fuses — and no status
-// reports a "fused" flag any more.
-func TestJobRequestIgnoresRetiredFuseField(t *testing.T) {
-	svc, _, mID := measureOnce(t, Options{Shards: -1, Workers: 1})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-	body := `{"measurement":"` + mID + `","steps":50,"seed":3,"fuse":false}`
-	resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+// TestJobRequestIgnoresRetiredFields pins the wire format's one rule for
+// retired fields: a field the server no longer reads is ignored, never an
+// error. "fuse" left with the fusion choice (every plan fuses) and
+// "shards" with the per-job executor width (every job fits at one
+// shard); a client still sending either is served, and no status reports
+// the field back. The last row is the same rule on disk: a checkpoint
+// whose meta request still carries "shards" — as a daemon that ran jobs
+// at two shards wrote it — recovers at boot and resumes at the width it
+// records.
+func TestJobRequestIgnoresRetiredFields(t *testing.T) {
+	for _, tc := range []struct{ name, field string }{
+		{"fuse=false", `"fuse":false`},
+		{"shards=4", `"shards":4`},
+		{"shards=-1", `"shards":-1`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, _, mID := measureOnce(t, Options{Workers: 1})
+			srv := httptest.NewServer(svc.Handler())
+			defer srv.Close()
+			body := `{"measurement":"` + mID + `","steps":50,"seed":3,` + tc.field + `}`
+			resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			raw, err := io.ReadAll(resp.Body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("job request carrying %s: status %d, body %s", tc.field, resp.StatusCode, raw)
+			}
+			if bytes.Contains(raw, []byte(`"fused"`)) || bytes.Contains(raw, []byte(`"shards"`)) {
+				t.Errorf("job status still reports a retired field: %s", raw)
+			}
+			var st JobStatus
+			if err := json.Unmarshal(raw, &st); err != nil {
+				t.Fatal(err)
+			}
+			final, err := NewClient(srv.URL).WaitJob(st.ID, 5*time.Millisecond, nil)
+			if err != nil || final.State != JobDone {
+				t.Fatalf("job finished %+v, %v", final, err)
+			}
+		})
 	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("job request carrying \"fuse\": status %d, body %s", resp.StatusCode, raw)
-	}
-	if bytes.Contains(raw, []byte(`"fused"`)) {
-		t.Errorf("job status still reports a fused flag: %s", raw)
-	}
-	var st JobStatus
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatal(err)
-	}
-	final, err := NewClient(srv.URL).WaitJob(st.ID, 5*time.Millisecond, nil)
-	if err != nil || final.State != JobDone {
-		t.Fatalf("job finished %+v, %v", final, err)
-	}
+
+	t.Run("checkpoint-shards=2", func(t *testing.T) {
+		dir := t.TempDir()
+		opts := Options{Dir: dir, Workers: 1, Seed: 1}
+		svc1, _, mID := measureOnce(t, opts)
+		job, err := svc1.SubmitJob(JobRequest{
+			Measurement: mID, Steps: 50_000_000, ProgressEvery: 100, CheckpointEvery: 200, Seed: 42,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ckptPath := filepath.Join(dir, "ckpt-"+job.ID+".json")
+		waitForCheckpoint(t, ckptPath)
+		svc1.Close()
+		data, err := os.ReadFile(ckptPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck, err := synth.LoadCheckpoint(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ck.Shards != 1 {
+			t.Fatalf("the daemon's checkpoint records shards %d, want 1", ck.Shards)
+		}
+
+		// Rewrite it as a daemon that ran the job at two shards did.
+		var meta map[string]json.RawMessage
+		if err := json.Unmarshal(ck.Meta, &meta); err != nil {
+			t.Fatal(err)
+		}
+		var req map[string]json.RawMessage
+		if err := json.Unmarshal(meta["request"], &req); err != nil {
+			t.Fatal(err)
+		}
+		req["shards"] = json.RawMessage("2")
+		if meta["request"], err = json.Marshal(req); err != nil {
+			t.Fatal(err)
+		}
+		if ck.Meta, err = json.Marshal(meta); err != nil {
+			t.Fatal(err)
+		}
+		ck.Shards = 2
+		var buf bytes.Buffer
+		if err := ck.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(ckptPath, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+
+		svc2 := newTestService(t, opts)
+		st, err := svc2.Jobs().Get(job.ID)
+		if err != nil {
+			t.Fatalf("boot recovery did not re-queue job %s: %v", job.ID, err)
+		}
+		if st.ResumedFrom != ck.Step {
+			t.Fatalf("recovered job resumedFrom = %d, want %d", st.ResumedFrom, ck.Step)
+		}
+		// The resumed fit's next checkpoint records the width it runs at.
+		for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the recovered job never wrote a later checkpoint")
+			}
+			if data, err := os.ReadFile(ckptPath); err == nil {
+				if next, err := synth.LoadCheckpoint(bytes.NewReader(data)); err == nil && next.Step > ck.Step {
+					if next.Shards != 2 {
+						t.Errorf("the recovered job resumed at shards %d, want 2", next.Shards)
+					}
+					break
+				}
+			}
+		}
+		if _, err := svc2.Jobs().Cancel(job.ID); err != nil {
+			t.Fatal(err)
+		}
+		j, err := svc2.jobs.get(job.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		<-j.Done()
+		if st := j.Status(); st.State != JobCancelled || st.Error != "" {
+			t.Errorf("recovered job finished %s (%s), want cancelled", st.State, st.Error)
+		}
+	})
 }
 
 func TestHTTPErrorShapes(t *testing.T) {

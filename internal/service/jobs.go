@@ -51,9 +51,6 @@ type JobRequest struct {
 	Steps int `json:"steps"`
 	// Pow sharpens the posterior (default 10000, the paper's setting).
 	Pow float64 `json:"pow,omitempty"`
-	// Shards overrides the service's default executor shard count for
-	// this job (synth.Config.Shards semantics). Nil uses the default.
-	Shards *int `json:"shards,omitempty"`
 	// Seed, when non-zero, fixes the job rng (measurement lazy noise,
 	// seed-graph construction, and the MCMC walk) for reproducibility.
 	Seed int64 `json:"seed,omitempty"`
@@ -94,7 +91,6 @@ type JobStatus struct {
 	Accepted    int     `json:"accepted"`
 	AcceptRate  float64 `json:"acceptRate"`
 	Score       float64 `json:"score"`
-	Shards      int     `json:"shards"`
 	Seed        int64   `json:"seed"`
 	SeedNodes   int     `json:"seedNodes,omitempty"`
 	SeedEdges   int     `json:"seedEdges,omitempty"`
@@ -147,7 +143,6 @@ type Job struct {
 // running jobs at their next progress checkpoint.
 type JobManager struct {
 	store           *Store
-	defaultShards   int
 	defaultChains   int
 	defaultCkptEvry int
 	log             *slog.Logger
@@ -170,7 +165,7 @@ type JobManager struct {
 // defaultCheckpointEvery is the checkpoint cadence for jobs that do not
 // set one (0 leaves jobs non-durable). A nil logger discards job
 // lifecycle logs.
-func NewJobManager(store *Store, defaultShards, defaultChains, workers, defaultCheckpointEvery int, logger *slog.Logger) *JobManager {
+func NewJobManager(store *Store, defaultChains, workers, defaultCheckpointEvery int, logger *slog.Logger) *JobManager {
 	if workers < 1 {
 		workers = 1
 	}
@@ -185,7 +180,6 @@ func NewJobManager(store *Store, defaultShards, defaultChains, workers, defaultC
 	}
 	jm := &JobManager{
 		store:           store,
-		defaultShards:   defaultShards,
 		defaultChains:   defaultChains,
 		defaultCkptEvry: defaultCheckpointEvery,
 		log:             logger,
@@ -249,13 +243,6 @@ func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 				req.Measurement, name, info.Kinds)
 		}
 	}
-	shards := jm.defaultShards
-	if req.Shards != nil {
-		shards = *req.Shards
-	}
-	if shards < -1 {
-		return JobStatus{}, fmt.Errorf("job Shards must be >= -1, got %d", shards)
-	}
 	if req.Pow == 0 {
 		req.Pow = 10000
 	}
@@ -286,8 +273,6 @@ func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 		req.CheckpointEvery = 0
 	}
 
-	run := req
-	run.Shards = &shards
 	// The closed check and the enqueue sit under one critical section
 	// with Close's closed=true: either Submit sees closed and refuses, or
 	// Close's queue drain happens after this enqueue and finishes the job
@@ -300,13 +285,12 @@ func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 	}
 	jm.nextID++
 	j := &Job{
-		req: run,
+		req: req,
 		status: JobStatus{
 			ID:              fmt.Sprintf("j%d", jm.nextID),
 			Measurement:     req.Measurement,
 			State:           JobQueued,
 			Steps:           req.Steps,
-			Shards:          shards,
 			Seed:            req.Seed,
 			CheckpointEvery: req.CheckpointEvery,
 		},
@@ -325,7 +309,7 @@ func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 	jm.mu.Unlock()
 	jm.log.Info("job queued", "job", j.status.ID,
 		"measurement", req.Measurement, "steps", req.Steps,
-		"chains", run.Chains, "shards", shards,
+		"chains", req.Chains,
 		"checkpointEvery", req.CheckpointEvery)
 
 	if !queued {
@@ -506,16 +490,17 @@ type checkpointMeta struct {
 }
 
 // run executes one job: load the release, build the seed graph, fit.
-// The whole pipeline shares one rng seeded from the request, so a job
-// is reproducible given (stored bytes, seed, shard config) — the same
-// guarantee the in-process workflow gives. A job with a checkpoint
-// attached (boot recovery, explicit resume) replays the identical
-// prefix — rng, measurement load, seed graph — and then continues from
-// the checkpoint instead of step 0.
+// The whole pipeline shares one rng seeded from the request, and every
+// job fits at one shard — jobs and chains are the daemon's parallelism —
+// so a job is a function of (stored bytes, seed), bit-identical across
+// processes and to an in-process fit at Shards 1. A job with a
+// checkpoint attached (boot recovery, explicit resume) replays the
+// identical prefix — rng, measurement load, seed graph — and then
+// continues from the checkpoint instead of step 0, at the width the
+// checkpoint records.
 func (jm *JobManager) run(j *Job) {
 	req := j.req
 	seed := req.Seed
-	shards := *req.Shards
 	id, started := j.tryStart()
 	if !started {
 		return
@@ -551,7 +536,7 @@ func (jm *JobManager) run(j *Job) {
 		Workloads:     req.Workloads, // empty = every measured workload
 		Pow:           req.Pow,
 		Steps:         req.Steps,
-		Shards:        shards,
+		Shards:        1,
 		ProgressEvery: req.ProgressEvery,
 		Chains:        req.Chains,
 		SwapEvery:     req.SwapEvery,
@@ -756,9 +741,6 @@ func (jm *JobManager) loadCheckpoint(id string) (*synth.Checkpoint, JobRequest, 
 	if meta.Job != id {
 		return nil, JobRequest{}, fmt.Errorf("%w: checkpoint stored for job %s belongs to job %s", ErrInternal, id, meta.Job)
 	}
-	if meta.Request.Shards == nil {
-		return nil, JobRequest{}, fmt.Errorf("%w: job %s checkpoint request is missing resolved defaults", ErrInternal, id)
-	}
 	return ck, meta.Request, nil
 }
 
@@ -773,7 +755,6 @@ func (jm *JobManager) requeue(id string, req JobRequest, ck *synth.Checkpoint) (
 			State:           JobQueued,
 			Steps:           req.Steps,
 			Step:            ck.Step,
-			Shards:          *req.Shards,
 			Seed:            req.Seed,
 			CheckpointEvery: req.CheckpointEvery,
 			ResumedFrom:     ck.Step,

@@ -17,7 +17,7 @@ import (
 // is process-global, so assertions are presence/positivity, not exact
 // counts.
 func TestMetricsExposedOverHTTP(t *testing.T) {
-	client := newTestClient(t, Options{Shards: -1})
+	client := newTestClient(t, Options{})
 	g := testGraph(t, 40)
 	ds, err := client.Upload("obs", 2*tbiCost, bytes.NewReader(edgeListBytes(t, g)))
 	if err != nil {

@@ -28,7 +28,7 @@ import (
 // unchanged, no provenance record, no release, no panic.
 // (cmd/wpinq's test of the same name covers `wpinq measure -eps NaN`.)
 func TestNonFiniteNumbersAreRefusedBeforeAnyCharge(t *testing.T) {
-	svc := newTestService(t, Options{Shards: -1})
+	svc := newTestService(t, Options{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	edges := edgeListBytes(t, testGraph(t, 40))
@@ -147,7 +147,7 @@ func TestStoreWriteFailureLeavesNothingBehind(t *testing.T) {
 		t.Skip("no /dev/full to fail a write with")
 	}
 	dir := t.TempDir()
-	svc := newTestService(t, Options{Dir: dir, Shards: -1})
+	svc := newTestService(t, Options{Dir: dir})
 	st := svc.Store()
 	ds, err := svc.Registry().Upload("d", 6*tbiCost, bytes.NewReader(edgeListBytes(t, testGraph(t, 40))))
 	if err != nil {

@@ -43,17 +43,12 @@ type Options struct {
 	// this directory (created if absent). Empty keeps the store
 	// memory-only.
 	Dir string
-	// Shards is the default dataflow shard count for synthesis jobs
-	// (synth.Config.Shards semantics: 0 = one per CPU; -1 is read as 1).
-	// Individual jobs may override it.
-	Shards int
 	// Chains is the default replica-exchange chain count for synthesis
 	// jobs (synth.Config.Chains semantics; 0 or 1 = single chain).
 	// Individual jobs may override it.
 	Chains int
-	// Workers bounds the synthesis worker pool. 0 sizes it off the
-	// hardware: GOMAXPROCS divided by the CPUs each job's executor
-	// uses, and at least 1.
+	// Workers bounds the synthesis worker pool. 0 sizes it to
+	// GOMAXPROCS: every job fits at one shard, so one job per CPU.
 	Workers int
 	// CheckpointEvery makes synthesis jobs durable by default: every
 	// that many steps a job persists a resumable checkpoint, and a
@@ -88,12 +83,6 @@ func New(opts Options) (*Service, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
 	}
-	if opts.Shards < -1 {
-		return nil, fmt.Errorf("service: invalid shard count %d", opts.Shards)
-	}
-	if opts.Shards == -1 {
-		opts.Shards = 1 // the retired reference engine's value: one shard
-	}
 	if opts.Chains < 0 || opts.Chains > maxJobChains {
 		return nil, fmt.Errorf("service: invalid chain count %d (max %d)", opts.Chains, maxJobChains)
 	}
@@ -120,7 +109,7 @@ func New(opts Options) (*Service, error) {
 			s.registry.nextID = n
 		}
 	}
-	s.jobs = NewJobManager(st, opts.Shards, opts.Chains, workerCount(opts), opts.CheckpointEvery, opts.Logger)
+	s.jobs = NewJobManager(st, opts.Chains, workerCount(opts), opts.CheckpointEvery, opts.Logger)
 	// Boot-time crash recovery: any job with a persisted checkpoint was
 	// interrupted (cleanly finished jobs retire theirs); re-queue each
 	// under its original ID so a killed daemon's work resumes instead of
@@ -129,23 +118,14 @@ func New(opts Options) (*Service, error) {
 	return s, nil
 }
 
-// workerCount sizes the job pool: each job's executor occupies roughly
-// `shards` CPUs (GOMAXPROCS for the auto setting), so the pool admits
-// GOMAXPROCS/shards jobs at once.
+// workerCount sizes the job pool: each job fits at one shard, so the
+// pool admits GOMAXPROCS jobs at once unless Options.Workers says
+// otherwise.
 func workerCount(opts Options) int {
 	if opts.Workers > 0 {
 		return opts.Workers
 	}
-	procs := runtime.GOMAXPROCS(0)
-	perJob := opts.Shards
-	if perJob == 0 {
-		perJob = procs
-	}
-	n := procs / perJob
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return runtime.GOMAXPROCS(0)
 }
 
 // HealthInfo is the health endpoint's response: liveness plus the

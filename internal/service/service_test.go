@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -161,7 +162,7 @@ func TestMeasurementBytesSurviveAFit(t *testing.T) {
 }
 
 func TestMeasureDiscardsGraphAndKeepsLedger(t *testing.T) {
-	svc := newTestService(t, Options{Shards: -1})
+	svc := newTestService(t, Options{})
 	g := testGraph(t, 60)
 	// Budget for two bundles, but the default workflow discards the
 	// graph after the first: the second request must fail on discard,
@@ -196,7 +197,7 @@ func TestMeasureDiscardsGraphAndKeepsLedger(t *testing.T) {
 }
 
 func TestMeasureConcurrentOverdraw(t *testing.T) {
-	svc := newTestService(t, Options{Shards: -1})
+	svc := newTestService(t, Options{})
 	g := testGraph(t, 60)
 	// Exactly two bundles are affordable; ten concurrent requests race
 	// for them with Keep so the graph survives for every attempt.
@@ -255,7 +256,7 @@ func TestMeasureConcurrentOverdraw(t *testing.T) {
 }
 
 func TestJobLifecycleAndCancellation(t *testing.T) {
-	svc := newTestService(t, Options{Shards: -1, Workers: 1})
+	svc := newTestService(t, Options{Workers: 1})
 	g := testGraph(t, 60)
 	info, err := svc.Registry().Upload("jobs", tbiCost, bytes.NewReader(edgeListBytes(t, g)))
 	if err != nil {
@@ -334,15 +335,14 @@ func TestJobLifecycleAndCancellation(t *testing.T) {
 func TestWorkerCount(t *testing.T) {
 	cases := []struct {
 		opts Options
-		min  int
+		want int
 	}{
 		{Options{Workers: 3}, 3},
-		{Options{Shards: 0}, 1},  // auto: each job uses every CPU
-		{Options{Shards: -1}, 1}, // serial jobs: one worker per CPU
+		{Options{}, runtime.GOMAXPROCS(0)}, // one-shard jobs: one worker per CPU
 	}
 	for _, c := range cases {
-		if got := workerCount(c.opts); got < c.min {
-			t.Errorf("workerCount(%+v) = %d, want >= %d", c.opts, got, c.min)
+		if got := workerCount(c.opts); got != c.want {
+			t.Errorf("workerCount(%+v) = %d, want %d", c.opts, got, c.want)
 		}
 	}
 }
@@ -351,7 +351,7 @@ func TestMeasureEmptyWorkloadsChargesNothing(t *testing.T) {
 	// A measure request naming no fit workloads must be rejected before
 	// the ledger is touched: the deeper check inside synth.Measure only
 	// fires after the debit, which deliberately does not refund.
-	svc := newTestService(t, Options{Shards: -1})
+	svc := newTestService(t, Options{})
 	g := testGraph(t, 60)
 	info, err := svc.Registry().Upload("empty", tbiCost, bytes.NewReader(edgeListBytes(t, g)))
 	if err != nil {
@@ -379,7 +379,7 @@ func TestMeasureEmptyWorkloadsChargesNothing(t *testing.T) {
 func TestSubmitRejectsUnmeasuredWorkload(t *testing.T) {
 	// Requesting a fit against a workload the release does not contain
 	// must fail at submission, not asynchronously in a worker.
-	svc := newTestService(t, Options{Shards: -1})
+	svc := newTestService(t, Options{})
 	g := testGraph(t, 60)
 	info, err := svc.Registry().Upload("subset", tbiCost, bytes.NewReader(edgeListBytes(t, g)))
 	if err != nil {
@@ -430,7 +430,7 @@ func TestMeasureRefusesUnpackableIDsBeforeCharge(t *testing.T) {
 		t.Fatalf("synth.Measure: %v, want ErrNodeRange", err)
 	}
 
-	svc := newTestService(t, Options{Shards: -1})
+	svc := newTestService(t, Options{})
 	srv := httptest.NewServer(svc.Handler())
 	defer srv.Close()
 	bad, err := svc.Registry().Upload("negative", tbiCost, bytes.NewReader(edgeListBytes(t, g)))
@@ -490,7 +490,7 @@ func TestMeasurePanicLeavesDatasetUsable(t *testing.T) {
 	}}))
 
 	dir := t.TempDir()
-	svc := newTestService(t, Options{Dir: dir, Shards: -1})
+	svc := newTestService(t, Options{Dir: dir})
 	ds, err := svc.Registry().Upload("panics", 3*tbiCost, bytes.NewReader(edgeListBytes(t, testGraph(t, 40))))
 	if err != nil {
 		t.Fatal(err)

@@ -192,7 +192,7 @@ func (f *fit) anchor(idx int, pow float64, at *ChainCheckpoint) error {
 		return fmt.Errorf("synth: chain %d: %w", idx, err)
 	}
 	ch := f.chains[idx]
-	runner, err := mcmc.NewRunner(state, plan.Scorer(), mcmc.Config{Pow: pow, RecomputeEvery: recomputeEvery}, ch.rng)
+	runner, err := mcmc.NewRunner(state, plan.Scorer(), mcmc.Config{Pow: pow, RecomputeEvery: mcmc.DefaultRecomputeEvery}, ch.rng)
 	if err != nil {
 		return err
 	}

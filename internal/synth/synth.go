@@ -204,10 +204,6 @@ type OperatorProfile = engine.NodeProfile
 // incremental.BinResidual.
 type BinResidual = incremental.BinResidual
 
-// recomputeEvery bounds floating-point drift: every chain re-derives its
-// sinks' distances from scratch after this many accepted proposals.
-const recomputeEvery = 1 << 15
-
 // residualTopK is how many worst bins each workload's residual report
 // carries in progress snapshots and results.
 const residualTopK = 5

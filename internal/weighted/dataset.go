@@ -322,11 +322,6 @@ func (d *Dataset[T]) Scale(s float64) *Dataset[T] {
 	return d
 }
 
-// AddAll adds every record of other (scaled by factor) into the receiver.
-func (d *Dataset[T]) AddAll(other *Dataset[T], factor float64) {
-	other.Range(func(x T, w float64) { d.Add(x, w*factor) })
-}
-
 // Distance returns ||A - B|| = sum_x |A(x) - B(x)|: the metric under which
 // differential privacy for weighted datasets is defined (Definition 1).
 func Distance[T comparable](a, b *Dataset[T]) float64 {

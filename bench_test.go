@@ -251,7 +251,7 @@ func BenchmarkAblationLazyNoise(b *testing.B) {
 	for i := 0; i < 1000; i++ {
 		data.Add(i, float64(i%10)+1)
 	}
-	c := core.FromDataset(data, budget.NewUnlimitedSource("u"))
+	c := core.FromDataset(data, budget.NewSource("u", 1e9))
 	hist, err := core.NoisyCount(c, 0.5, rng)
 	if err != nil {
 		b.Fatal(err)
@@ -302,7 +302,7 @@ func BenchmarkNoisyCountRelease(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		c := core.FromDataset(data, budget.NewUnlimitedSource("u"))
+		c := core.FromDataset(data, budget.NewSource("u", 1e9))
 		if _, err := core.NoisyCount(c, 0.5, rng); err != nil {
 			b.Fatal(err)
 		}

@@ -74,8 +74,8 @@ func runMotif(args []string) error {
 	if err != nil {
 		return err
 	}
-	// The degree joins pack the file's node ids.
-	if err := queries.CheckNodeRange(g); err != nil {
+	// The degree joins pack the file's node ids, ranked onto [0, n).
+	if err := queries.CheckNodeRange(g.NumNodes()); err != nil {
 		return err
 	}
 	hist, spent, err := releaseMotif(q, g, *eps, rng)
@@ -99,11 +99,12 @@ func runMotif(args []string) error {
 	return nil
 }
 
-// releaseMotif measures q on g with a budget sized exactly to the
-// tree's uses of the edge dataset, returning the release and its cost.
+// releaseMotif measures q on g, its ids ranked onto [0, n), with a budget
+// sized exactly to the tree's uses of the edge dataset, returning the
+// release and its cost.
 func releaseMotif[T comparable](q queries.Expr[T], g *graph.Graph, eps float64, rng *rand.Rand) (*core.Histogram[T], float64, error) {
 	src := budget.NewSource("edges", float64(queries.Uses(q))*eps*(1+1e-9))
-	edges := core.FromDataset(graph.SymmetricEdges(g), src)
+	edges := core.FromDataset(graph.SymmetricEdges(g.Ranked()), src)
 	hist, err := core.NoisyCount(queries.OneShot(q, edges), eps, rng)
 	return hist, src.Spent(), err
 }

@@ -20,10 +20,9 @@ import (
 type Source struct {
 	name string
 
-	mu        sync.Mutex
-	budget    float64
-	spent     float64
-	unlimited bool
+	mu     sync.Mutex
+	budget float64
+	spent  float64
 }
 
 // NewSource registers a protected dataset with a total privacy budget.
@@ -32,24 +31,13 @@ func NewSource(name string, budget float64) *Source {
 	return &Source{name: name, budget: budget}
 }
 
-// NewUnlimitedSource registers a dataset with no budget cap. Intended for
-// public data (e.g. synthetic graphs during MCMC, which are not sensitive)
-// and for tests.
-func NewUnlimitedSource(name string) *Source {
-	return &Source{name: name, unlimited: true}
-}
-
 // Name returns the source's registered name.
 func (s *Source) Name() string { return s.name }
 
-// Remaining returns the unspent budget. Unlimited sources report +Inf-like
-// behaviour via Unlimited; Remaining returns 0 for them.
+// Remaining returns the unspent budget.
 func (s *Source) Remaining() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.unlimited {
-		return 0
-	}
 	return s.budget - s.spent
 }
 
@@ -60,11 +48,7 @@ func (s *Source) Spent() float64 {
 	return s.spent
 }
 
-// Unlimited reports whether the source has no budget cap.
-func (s *Source) Unlimited() bool { return s.unlimited }
-
-// Budget returns the total budget the source was registered with
-// (0 for unlimited sources).
+// Budget returns the total budget the source was registered with.
 func (s *Source) Budget() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -78,7 +62,6 @@ type Snapshot struct {
 	Budget    float64 `json:"budget"`
 	Spent     float64 `json:"spent"`
 	Remaining float64 `json:"remaining"`
-	Unlimited bool    `json:"unlimited,omitempty"`
 }
 
 // Snapshot returns a consistent view of the source's ledger: all three
@@ -87,17 +70,12 @@ type Snapshot struct {
 func (s *Source) Snapshot() Snapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := Snapshot{
+	return Snapshot{
 		Name:      s.name,
 		Budget:    s.budget,
 		Spent:     s.spent,
 		Remaining: s.budget - s.spent,
-		Unlimited: s.unlimited,
 	}
-	if s.unlimited {
-		snap.Budget, snap.Remaining = 0, 0
-	}
-	return snap
 }
 
 // InsufficientBudgetError reports an aggregation that would overdraw a
@@ -121,7 +99,7 @@ func (s *Source) Charge(cost float64) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if !s.unlimited && s.spent+cost > s.budget+1e-12 {
+	if s.spent+cost > s.budget+1e-12 {
 		return &InsufficientBudgetError{
 			Source:    s.name,
 			Requested: cost,

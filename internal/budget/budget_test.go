@@ -48,21 +48,6 @@ func TestNegativeChargeRejected(t *testing.T) {
 	}
 }
 
-func TestUnlimitedSource(t *testing.T) {
-	s := NewUnlimitedSource("synthetic")
-	for i := 0; i < 100; i++ {
-		if err := s.Charge(10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !s.Unlimited() {
-		t.Error("Unlimited() = false")
-	}
-	if s.Spent() != 1000 {
-		t.Errorf("spent = %v, want 1000", s.Spent())
-	}
-}
-
 func TestUsesPlusAndTimes(t *testing.T) {
 	a := NewSource("a", 10)
 	b := NewSource("b", 10)
@@ -170,10 +155,6 @@ func TestSnapshot(t *testing.T) {
 	}
 	if got.Spent+got.Remaining != got.Budget {
 		t.Errorf("snapshot not internally consistent: %+v", got)
-	}
-	u := NewUnlimitedSource("pub").Snapshot()
-	if !u.Unlimited || u.Budget != 0 || u.Remaining != 0 {
-		t.Errorf("unlimited snapshot = %+v", u)
 	}
 	if b := s.Budget(); b != 2 {
 		t.Errorf("Budget() = %v, want 2", b)

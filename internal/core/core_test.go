@@ -123,7 +123,7 @@ func TestNoisyCountFailedChargeReleasesNothing(t *testing.T) {
 func TestHistogramCentersOnTrueWeights(t *testing.T) {
 	// Mean of many independent releases approaches the true weight.
 	rng := newRng()
-	src := budget.NewUnlimitedSource("u")
+	src := budget.NewSource("u", 1e9)
 	data := weighted.FromPairs(weighted.Pair[string]{Record: "x", Weight: 5.0})
 	const n = 20000
 	var sum float64
@@ -208,7 +208,7 @@ func TestSnapshotOnPublic(t *testing.T) {
 
 func TestNoisySum(t *testing.T) {
 	rng := newRng()
-	src := budget.NewUnlimitedSource("u")
+	src := budget.NewSource("u", 1e9)
 	data := weighted.FromPairs(
 		weighted.Pair[string]{Record: "a", Weight: 2.0},
 		weighted.Pair[string]{Record: "b", Weight: 3.0},
@@ -237,7 +237,7 @@ func TestNoisySum(t *testing.T) {
 
 func TestNoisySumClampsValuation(t *testing.T) {
 	rng := newRng()
-	src := budget.NewUnlimitedSource("u")
+	src := budget.NewSource("u", 1e9)
 	data := weighted.FromPairs(weighted.Pair[string]{Record: "a", Weight: 1.0})
 	const n = 20000
 	var sum float64
@@ -257,7 +257,7 @@ func TestNoisySumClampsValuation(t *testing.T) {
 
 func TestExponentialMechanismPrefersHighScore(t *testing.T) {
 	rng := newRng()
-	src := budget.NewUnlimitedSource("u")
+	src := budget.NewSource("u", 1e9)
 	data := weighted.FromItems("x")
 	counts := map[string]int{}
 	const n = 5000

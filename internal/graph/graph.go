@@ -143,6 +143,38 @@ func sortEdges(edges []Edge) {
 	})
 }
 
+// Ranked returns g with every node id replaced by its rank among g's
+// ids: the k-th smallest becomes k, so the ids become 0, …, n−1 in the
+// order they had. Edges, isolated vertices, degrees and EdgeList's order
+// carry over. It returns g itself when the ids already are 0, …, n−1.
+func (g *Graph) Ranked() *Graph {
+	n := len(g.adj)
+	dense := true
+	for u := range g.adj {
+		if u < 0 || int(u) >= n {
+			dense = false
+			break
+		}
+	}
+	if dense {
+		return g
+	}
+	nodes := g.Nodes()
+	rank := make(map[Node]Node, n)
+	for i, u := range nodes {
+		rank[u] = Node(i)
+	}
+	r := &Graph{adj: make(map[Node]map[Node]struct{}, n), numEdges: g.numEdges}
+	for i, u := range nodes {
+		nbrs := make(map[Node]struct{}, len(g.adj[u]))
+		for v := range g.adj[u] {
+			nbrs[rank[v]] = struct{}{}
+		}
+		r.adj[Node(i)] = nbrs
+	}
+	return r
+}
+
 // Clone returns a deep copy.
 func (g *Graph) Clone() *Graph {
 	c := New()

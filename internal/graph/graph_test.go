@@ -262,6 +262,39 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
+// TestRanked pins the measurement boundary's relabel: ids 0, …, n−1
+// come back as the same graph, and any other ids map onto [0, n) by
+// rank, keeping edges, isolated vertices and EdgeList's order.
+func TestRanked(t *testing.T) {
+	g := twoTriangles()
+	if g.Ranked() != g {
+		t.Error("Ranked copied a graph whose ids already are 0..n-1")
+	}
+	ids := []Node{math.MinInt32, -1, 0, 7, math.MaxInt32} // ranks 0..4
+	foreign := New()
+	for _, e := range g.EdgeList() {
+		foreign.AddEdge(ids[e.Src], ids[e.Dst])
+	}
+	foreign.AddNode(-5) // isolated, ranked between MinInt32 and -1
+	r := foreign.Ranked()
+	want := map[Node]Node{math.MinInt32: 0, -5: 1, -1: 2, 0: 3, 7: 4, math.MaxInt32: 5}
+	if !slices.Equal(r.Nodes(), []Node{0, 1, 2, 3, 4, 5}) || !slices.Equal(r.Isolated(), []Node{1}) {
+		t.Fatalf("ranked nodes %v, isolated %v", r.Nodes(), r.Isolated())
+	}
+	if r.NumEdges() != foreign.NumEdges() {
+		t.Errorf("ranked graph has %d edges, want %d", r.NumEdges(), foreign.NumEdges())
+	}
+	fe, re := foreign.EdgeList(), r.EdgeList()
+	for i := range fe {
+		if re[i] != (Edge{want[fe[i].Src], want[fe[i].Dst]}) {
+			t.Errorf("ranked edge %d = %v, want %v ranked", i, re[i], fe[i])
+		}
+	}
+	if !foreign.HasEdge(math.MinInt32, -1) {
+		t.Error("Ranked modified its receiver")
+	}
+}
+
 func TestEdgeListDeterministic(t *testing.T) {
 	g := twoTriangles()
 	a := g.EdgeList()

@@ -10,7 +10,7 @@ import (
 // PackedBounds guards the packed-key encoding invariants (DESIGN.md
 // "Packed interior keys"): PEdge/PPath/PDeg-family words hold 21-bit
 // node codes, and a code is valid only if it came from packNode /
-// packDeg (which intern or panic on out-of-range ids) or from another
+// packDeg (which panic on values outside [0, 2^21)) or from another
 // packed value's accessor. Constructing a packed word from an arbitrary
 // integer silently aliases distinct records — a soundness bug the
 // weighted joins cannot detect.
@@ -21,7 +21,7 @@ import (
 //   - conversions to a packed type are built only from sanctioned
 //     leaves: packNode/packDeg calls, packed values (and their uint64
 //     conversions), accessor calls on packed receivers, constants below
-//     internBase, and shift/or/and/xor compositions of those;
+//     2^21, and shift/or/and/xor compositions of those;
 //   - calls to kernel constructors (functions carrying a
 //     //wpinq:packed-kernel <reason> doc directive, whose own
 //     conversions are exempt) pass only sanctioned values in their
@@ -34,7 +34,7 @@ import (
 // the offending line.
 var PackedBounds = &Analyzer{
 	Name: "packedbounds",
-	Doc:  "require packed interior keys built from interned codes with 21-bit-consistent shifts and masks",
+	Doc:  "require packed interior keys built from range-checked codes with 21-bit-consistent shifts and masks",
 	Run:  runPackedBounds,
 }
 
@@ -42,11 +42,8 @@ const (
 	packedVerb = "packed-ok"
 	kernelVerb = "packed-kernel"
 
-	// packedNodeBits / packedInternBase mirror queries.nodeBits and
-	// queries.internBase: 21-bit codes, identity-encoded below
-	// 2^21-2^16, interned above.
-	packedNodeBits   = 21
-	packedInternBase = 1<<packedNodeBits - 1<<16
+	// packedNodeBits mirrors queries.nodeBits: node codes are 21 bits.
+	packedNodeBits = 21
 )
 
 // packedMasks are the field-extraction masks consistent with the
@@ -136,7 +133,7 @@ func checkPackedFunc(pass *Pass, fn *ast.FuncDecl, packed map[*types.TypeName]bo
 				}
 				if !allowedPackedExpr(pass, n.Args[0], packed, kernels, allowed) && !pass.Suppressed(packedVerb, n.Pos()) {
 					pass.Reportf(n.Pos(),
-						"packed key built from a value not provably below internBase: route node ids through packNode/packDeg or the interner, or annotate //wpinq:%s <reason>",
+						"packed key built from a value not provably below 2^21: route node ids through packNode/packDeg, or annotate //wpinq:%s <reason>",
 						packedVerb)
 				}
 				return true
@@ -179,7 +176,7 @@ func checkKernelCall(pass *Pass, call *ast.CallExpr, packed map[*types.TypeName]
 		}
 		if !allowedPackedExpr(pass, arg, packed, kernels, allowed) && !pass.Suppressed(packedVerb, arg.Pos()) {
 			pass.Reportf(arg.Pos(),
-				"packed-kernel argument not provably below internBase: pass a packNode/packDeg result or a packed accessor value, or annotate //wpinq:%s <reason>",
+				"packed-kernel argument not provably below 2^21: pass a packNode/packDeg result or a packed accessor value, or annotate //wpinq:%s <reason>",
 				packedVerb)
 		}
 	}
@@ -285,12 +282,12 @@ func allowedLocals(pass *Pass, body *ast.BlockStmt, packed map[*types.TypeName]b
 }
 
 // allowedPackedExpr reports whether e is provably a sanctioned packed
-// word: its value is below internBase or was produced by the interner
-// path (packNode/packDeg, a packed value, or a packed accessor).
+// word: its value is below 2^21 or was produced by a range-checked path
+// (packNode/packDeg, a packed value, or a packed accessor).
 func allowedPackedExpr(pass *Pass, e ast.Expr, packed map[*types.TypeName]bool, kernels map[types.Object]bool, allowed map[types.Object]bool) bool {
-	// Constant: in the identity-encoded range, or a layout mask.
+	// Constant: a 21-bit code, or a layout mask.
 	if v, ok := constUint(pass, e); ok {
-		return v < packedInternBase || packedMasks[v]
+		return v < 1<<packedNodeBits || packedMasks[v]
 	}
 	// Any expression already of a packed type.
 	if tv, ok := pass.Info.Types[e]; ok && tv.Type != nil && isPackedType(tv.Type, packed) {
@@ -311,7 +308,7 @@ func allowedPackedExpr(pass *Pass, e ast.Expr, packed map[*types.TypeName]bool, 
 		}
 		switch fun := e.Fun.(type) {
 		case *ast.Ident:
-			// The interner entry points, and kernel results.
+			// The range-checked entry points, and kernel results.
 			if fun.Name == "packNode" || fun.Name == "packDeg" {
 				return true
 			}

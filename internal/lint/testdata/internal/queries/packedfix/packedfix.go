@@ -1,28 +1,25 @@
 // Package packedfix exercises the packedbounds analyzer: packed key
-// words built only from interned codes, with 21-bit-consistent shifts
-// and masks.
+// words built only from range-checked codes, with 21-bit-consistent
+// shifts and masks.
 package packedfix
 
 const (
 	nodeBits = 21
 	nodeMask = 1<<nodeBits - 1
-	// internBase mirrors the real encoding: codes below it are
-	// identity-encoded node ids.
-	internBase = 1<<nodeBits - 1<<16
 )
 
 // PEdge is the fixture's packed edge word.
 type PEdge uint64
 
-// packNode is the fixture's interner entry point (interning elided).
+// packNode is the fixture's range-checked entry point.
 func packNode(n int64) uint64 {
-	if n >= 0 && uint64(n) < internBase {
-		return uint64(n)
+	if n < 0 || n > nodeMask {
+		panic("packedfix: node id out of range")
 	}
-	panic("packedfix: interning elided")
+	return uint64(n)
 }
 
-// packEdge builds the word from interned codes: allowed.
+// packEdge builds the word from range-checked codes: allowed.
 func packEdge(src, dst int64) PEdge {
 	return PEdge(packNode(src)<<nodeBits | packNode(dst))
 }
@@ -32,7 +29,7 @@ func (e PEdge) dstKey() uint64 { return uint64(e) & nodeMask }
 
 // raw builds the word from arbitrary integers: flagged.
 func raw(src, dst uint64) PEdge {
-	return PEdge(src<<nodeBits | dst) // want `not provably below internBase`
+	return PEdge(src<<nodeBits | dst) // want `not provably below 2\^21`
 }
 
 // kernel assembles raw codes; the declaration directive exempts its

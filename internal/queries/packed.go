@@ -3,10 +3,8 @@ package queries
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"wpinq/internal/graph"
-	"wpinq/internal/obs"
 )
 
 // Packed record encodings for the hot pipeline interiors. The dataflow
@@ -26,89 +24,39 @@ import (
 // distinct stay distinct), and every ordering the operators rely on is
 // positional (insertion order), never an order over record values.
 //
-// Node ids occupy 21 bits, so a length-two path packs into 63. Ids in
-// [0, internBase) — every graph the generators produce — encode as
-// themselves; rarer ids (negative, or beyond ~2M vertices) go through a
-// small interning table occupying the top 2^16 codes.
+// Node ids occupy 21 bits, so a length-two path packs into 63, and a
+// node id packs as itself. Every graph the generators produce has ids
+// 0, …, n−1; a measurement of a caller's graph ranks its ids onto
+// [0, n) first (graph.Ranked), which no released record can tell apart,
+// since released records carry degrees, never ids.
 
 const (
 	nodeBits = 21
 	nodeMask = 1<<nodeBits - 1
-	// internCap is the interning table's capacity.
-	internCap = 1 << 16
-	// internBase is the first packed code served by the interning table;
-	// codes below it are identity-encoded node ids.
-	internBase = 1<<nodeBits - internCap
 )
-
-// internedKeys exposes the interning table's size: zero on every
-// generator-produced graph, and bounded by internCap before packNode
-// panics.
-var internedKeys = obs.Default.Gauge("wpinq_packed_interned_keys",
-	"Entries in the packed-record node interning table (node ids outside the identity-encoded range).")
-
-// interner maps out-of-range node ids to packed codes and back. Pack and
-// unpack run inside operator closures, which the sharded engine may
-// execute concurrently, hence the lock; the identity fast path in
-// packNode/unpackNode never takes it.
-var interner = struct {
-	sync.Mutex
-	fwd map[graph.Node]uint64
-	rev []graph.Node
-}{fwd: make(map[graph.Node]uint64)}
 
 // packNode encodes a node id into 21 bits.
 func packNode(n graph.Node) uint64 {
-	if n >= 0 && uint64(n) < internBase {
-		return uint64(n)
+	if n < 0 || n > nodeMask {
+		panic(fmt.Sprintf("queries: node id %d out of packed range [0, %d)", n, 1<<nodeBits))
 	}
-	interner.Lock()
-	defer interner.Unlock()
-	if c, ok := interner.fwd[n]; ok {
-		return c
-	}
-	if len(interner.rev) >= internCap {
-		panic("queries: packed-node interning table full (more than 65536 node ids outside [0, 2031616))")
-	}
-	c := internBase + uint64(len(interner.rev))
-	interner.fwd[n] = c
-	interner.rev = append(interner.rev, n)
-	internedKeys.Set(float64(len(interner.rev)))
-	return c
+	return uint64(n)
 }
 
 // unpackNode is packNode's inverse.
-func unpackNode(c uint64) graph.Node {
-	if c < internBase {
-		return graph.Node(c)
-	}
-	interner.Lock()
-	defer interner.Unlock()
-	return interner.rev[c-internBase]
-}
+func unpackNode(c uint64) graph.Node { return graph.Node(c) }
 
-// ErrNodeRange reports a graph with more node ids outside the
-// identity-encoded range than the interning table can still take.
+// ErrNodeRange reports a graph with more vertices than 21-bit node codes
+// can number.
 var ErrNodeRange = errors.New("queries: node ids out of packed range")
 
-// CheckNodeRange returns ErrNodeRange if packing g's node ids would
-// overflow the interning table. One-shot evaluation packs the ids of the
-// graph it measures, so a measurement calls this on the protected graph
-// before charging anything; packNode's panic stays behind it as the
-// backstop. (Degrees need no check: they are bounded by the id count.)
-func CheckNodeRange(g *graph.Graph) error {
-	nodes := g.Nodes()
-	interner.Lock()
-	defer interner.Unlock()
-	need := 0
-	for _, n := range nodes {
-		if _, ok := interner.fwd[n]; !ok && (n < 0 || uint64(n) >= internBase) {
-			need++
-		}
-	}
-	if free := internCap - len(interner.rev); need > free {
-		return fmt.Errorf("%w: %d ids outside [0, %d) need interning, %d of %d codes free",
-			ErrNodeRange, need, internBase, free, internCap)
+// CheckNodeRange returns ErrNodeRange if a graph of n vertices, ranked
+// onto [0, n), would not fit the 21-bit node codes. A measurement calls
+// it before charging anything; packNode's panic stays behind it as the
+// backstop. (Degrees need no check: they are below the vertex count.)
+func CheckNodeRange(n int) error {
+	if n > 1<<nodeBits {
+		return fmt.Errorf("%w: %d vertices, at most %d", ErrNodeRange, n, 1<<nodeBits)
 	}
 	return nil
 }

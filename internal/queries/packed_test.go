@@ -2,6 +2,7 @@ package queries
 
 import (
 	"errors"
+	"math"
 	"testing"
 
 	"wpinq/internal/graph"
@@ -14,7 +15,7 @@ func TestPackedEdgeRoundTrip(t *testing.T) {
 	cases := []graph.Edge{
 		{Src: 0, Dst: 0},
 		{Src: 1, Dst: 2},
-		{Src: 2031615, Dst: 7}, // internBase-1: last identity-encoded id
+		{Src: nodeMask, Dst: 7}, // the last 21-bit code
 		{Src: 300, Dst: 2031615},
 	}
 	for _, e := range cases {
@@ -86,51 +87,37 @@ func TestPackDegPanicsOutOfRange(t *testing.T) {
 	}
 }
 
-// TestPackNodeInterning covers the escape hatch for ids outside the
-// identity range: negative and >= internBase ids round-trip through the
-// interning table, repeated packs reuse the same code, and distinct ids
-// get distinct codes.
-func TestPackNodeInterning(t *testing.T) {
-	ids := []graph.Node{-1, -12345, internBase, internBase + 99}
-	codes := make(map[uint64]graph.Node)
-	for _, n := range ids {
-		c := packNode(n)
-		if c < internBase {
-			t.Errorf("packNode(%d) = %d: out-of-range id encoded in identity space", n, c)
+// TestPackNodeRange pins the backstop behind CheckNodeRange: ids in
+// [0, 2^21) pack as themselves and unpack back, and any other id — one
+// a measurement failed to rank — panics instead of aliasing another.
+func TestPackNodeRange(t *testing.T) {
+	for _, n := range []graph.Node{0, 1, 2031616, nodeMask} {
+		if c := packNode(n); c != uint64(n) || unpackNode(c) != n {
+			t.Errorf("packNode(%d) = %d, unpacks to %d", n, c, unpackNode(c))
 		}
-		if prev, dup := codes[c]; dup {
-			t.Errorf("packNode(%d) and packNode(%d) share code %d", prev, n, c)
-		}
-		codes[c] = n
-		if c2 := packNode(n); c2 != c {
-			t.Errorf("packNode(%d) unstable: %d then %d", n, c, c2)
-		}
-		if back := unpackNode(c); back != n {
-			t.Errorf("unpackNode(packNode(%d)) = %d", n, back)
-		}
+	}
+	for _, n := range []graph.Node{-1, nodeMask + 1, math.MinInt32, math.MaxInt32} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("packNode(%d) did not panic", n)
+				}
+			}()
+			packNode(n)
+		}()
 	}
 }
 
 // TestCheckNodeRange pins the pre-flight check in front of packNode's
-// panic: in-range ids and a few out-of-range ones pass, more new
-// out-of-range ids than the interning table has free codes are
-// ErrNodeRange, and checking interns nothing.
+// panic: a graph ranked onto [0, n) packs when n <= 2^21, and a larger
+// one is ErrNodeRange.
 func TestCheckNodeRange(t *testing.T) {
-	few := graph.New()
-	few.AddEdge(-7, 5)
-	few.AddEdge(internBase+3, 2031615)
-	if err := CheckNodeRange(few); err != nil {
-		t.Errorf("graph with two out-of-range ids refused: %v", err)
+	for _, n := range []int{0, 1, 1 << nodeBits} {
+		if err := CheckNodeRange(n); err != nil {
+			t.Errorf("CheckNodeRange(%d) = %v, want nil", n, err)
+		}
 	}
-	many := graph.New()
-	for i := graph.Node(1); i <= internCap; i++ {
-		many.AddEdge(-i, -i-1) // internCap+1 negative ids
-	}
-	size := len(interner.rev)
-	if err := CheckNodeRange(many); !errors.Is(err, ErrNodeRange) {
-		t.Errorf("graph with %d negative ids: %v, want ErrNodeRange", many.NumNodes(), err)
-	}
-	if len(interner.rev) != size {
-		t.Errorf("CheckNodeRange interned %d ids", len(interner.rev)-size)
+	if err := CheckNodeRange(1<<nodeBits + 1); !errors.Is(err, ErrNodeRange) {
+		t.Errorf("CheckNodeRange(2^21+1) = %v, want ErrNodeRange", err)
 	}
 }

@@ -323,6 +323,36 @@ func TestJobRequestIgnoresRetiredFields(t *testing.T) {
 	})
 }
 
+// TestCancelJobOverHTTP covers Client.CancelJob: cancelling a live job
+// returns its status, the job ends cancelled, and cancelling it again is
+// the 409 job_finished refusal.
+func TestCancelJobOverHTTP(t *testing.T) {
+	svc, _, mID := measureOnce(t, Options{Workers: 1})
+	srv := httptest.NewServer(svc.Handler())
+	defer srv.Close()
+	client := NewClient(srv.URL)
+	job, err := client.SubmitJob(JobRequest{Measurement: mID, Steps: 50_000_000, ProgressEvery: 100, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := client.CancelJob(job.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID != job.ID || st.Steps != job.Steps {
+		t.Errorf("cancel returned %+v, want the status of job %s", st, job.ID)
+	}
+	final, err := client.WaitJob(job.ID, 5*time.Millisecond, nil)
+	if err != nil || final.State != JobCancelled {
+		t.Fatalf("cancelled job finished %+v, %v", final, err)
+	}
+	_, err = client.CancelJob(job.ID)
+	var api *APIError
+	if !errors.As(err, &api) || api.Status != http.StatusConflict || api.Code != CodeJobFinished {
+		t.Fatalf("second cancel: %v, want 409 %s", err, CodeJobFinished)
+	}
+}
+
 func TestHTTPErrorShapes(t *testing.T) {
 	client := newTestClient(t, Options{})
 	if h, err := client.Health(); err != nil {

@@ -411,14 +411,12 @@ func AuditRecords(dataset string, recs []ProvenanceRecord, ledger budget.Snapsho
 		}
 	}
 	rep.SpentReplayed = running
-	if !ledger.Unlimited {
-		if math.Abs(running-ledger.Spent) > auditTolerance {
-			problem("ledger reports %g spent but the chain replays to %g (charge outside the ledger)",
-				ledger.Spent, running)
-		}
-		if running > ledger.Budget+auditTolerance {
-			problem("replayed spend %g exceeds the registered budget %g", running, ledger.Budget)
-		}
+	if math.Abs(running-ledger.Spent) > auditTolerance {
+		problem("ledger reports %g spent but the chain replays to %g (charge outside the ledger)",
+			ledger.Spent, running)
+	}
+	if running > ledger.Budget+auditTolerance {
+		problem("replayed spend %g exceeds the registered budget %g", running, ledger.Budget)
 	}
 	rep.OK = len(rep.Problems) == 0
 	return rep

@@ -247,7 +247,7 @@ func (s *Service) measureLocked(d *dataset, req MeasureRequest, cfg synth.Config
 	}
 	// Like the empty workload list: synth.Measure's own check would fire
 	// after the debit.
-	if err := queries.CheckNodeRange(d.g); err != nil {
+	if err := queries.CheckNodeRange(d.g.NumNodes()); err != nil {
 		return MeasureResult{}, err
 	}
 	if err := d.src.Charge(cost); err != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"net/http/httptest"
 	"reflect"
 	"runtime"
 	"strings"
@@ -411,57 +410,40 @@ func TestSubmitRejectsUnmeasuredWorkload(t *testing.T) {
 	}
 }
 
-// TestMeasureRefusesUnpackableIDsBeforeCharge pins the id-range check: a
-// protected graph with more out-of-range node ids than the packed-record
-// interner can take is refused with queries.ErrNodeRange by both
-// measurement entry points — synth.Measure, and Service.Measure (over
-// the wire: bad_request) before it charges — leaving the ledger, the
-// interner and the dataset's lock as they were.
-func TestMeasureRefusesUnpackableIDsBeforeCharge(t *testing.T) {
-	g := graph.New()
-	for i := graph.Node(1); i <= 1<<16; i++ {
-		g.AddEdge(-i, -i-1) // a path over 65 537 negative ids
+// TestMeasureRanksForeignIDsPerDataset pins that node ids outside
+// [0, 2^21) cost a daemon nothing that outlives a measurement: two
+// uploads, each a ring over 40 000 such ids (negative in one, past 2^21
+// in the other), both measure in one Service, and since a release is
+// blind to ids, both release the bytes of the same ring over 0..n-1.
+func TestMeasureRanksForeignIDsPerDataset(t *testing.T) {
+	const n = 40_000
+	ring := func(id func(i int) graph.Node) *graph.Graph {
+		g := graph.New()
+		for i := 0; i < n; i++ {
+			g.AddEdge(id(i), id((i+1)%n))
+		}
+		return g
 	}
-	req := MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 5}
-	interned := obs.Default.Gauge("wpinq_packed_interned_keys", "")
-	before := interned.Value()
-
-	if _, err := synth.Measure(g, req.Config(), rand.New(rand.NewSource(5))); !errors.Is(err, queries.ErrNodeRange) {
-		t.Fatalf("synth.Measure: %v, want ErrNodeRange", err)
-	}
-
 	svc := newTestService(t, Options{})
-	srv := httptest.NewServer(svc.Handler())
-	defer srv.Close()
-	bad, err := svc.Registry().Upload("negative", tbiCost, bytes.NewReader(edgeListBytes(t, g)))
-	if err != nil {
-		t.Fatal(err)
+	req := MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 5}
+	var ids []string
+	for _, g := range []*graph.Graph{
+		ring(func(i int) graph.Node { return graph.Node(-1 - i) }),
+		ring(func(i int) graph.Node { return graph.Node(3_000_000 + 7*i) }),
+		ring(func(i int) graph.Node { return graph.Node(i) }),
+	} {
+		ds, err := svc.Registry().Upload("ring", tbiCost, bytes.NewReader(edgeListBytes(t, g)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := svc.Measure(ds.ID, req)
+		if err != nil {
+			t.Fatalf("measure of dataset %s: %v", ds.ID, err)
+		}
+		ids = append(ids, res.Measurement.ID)
 	}
-	if _, err := svc.Measure(bad.ID, req); !errors.Is(err, queries.ErrNodeRange) {
-		t.Fatalf("Service.Measure: %v, want ErrNodeRange", err)
-	}
-	// Again, over the wire: a wedged dataset lock would hang here.
-	var api *APIError
-	if _, err := NewClient(srv.URL).Measure(bad.ID, req); !errors.As(err, &api) || api.Code != CodeBadRequest {
-		t.Fatalf("POST measure: %v, want %s", err, CodeBadRequest)
-	}
-	info, err := svc.Registry().Info(bad.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Ledger.Spent != 0 || info.Discarded {
-		t.Errorf("refused measurement left ledger %+v, discarded=%v", info.Ledger, info.Discarded)
-	}
-	if got := interned.Value(); got != before {
-		t.Errorf("refused measurements interned ids: table size %v -> %v", before, got)
-	}
-
-	ok, err := svc.Registry().Upload("normal", tbiCost, bytes.NewReader(edgeListBytes(t, testGraph(t, 40))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := svc.Measure(ok.ID, req); err != nil {
-		t.Fatalf("measure of a normal graph after the refusals: %v", err)
+	if ids[0] != ids[2] || ids[1] != ids[2] {
+		t.Errorf("relabelled rings released %v, want one release", ids)
 	}
 }
 

@@ -244,6 +244,29 @@ func TestResumeRejectsWrongMasterSeed(t *testing.T) {
 	}
 }
 
+// TestResumeRejectsForeignVertices pins that a checkpoint edge naming an
+// id outside the seed graph — one the fit could not pack — is a stale
+// checkpoint, not a panic in the plan load.
+func TestResumeRejectsForeignVertices(t *testing.T) {
+	data := durableFixture(t)
+	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1500, Shards: -1, CheckpointEvery: 500}
+	_, _, ckpts := runDurable(t, data, 77, cfg, 500)
+	for _, id := range []int32{-1, 1 << 22} {
+		ck, err := LoadCheckpoint(bytes.NewReader(ckpts[500]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck.Chains[0].Edges[0][1] = id
+		var buf bytes.Buffer
+		if err := ck.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := resumeDurable(t, data, 77, buf.Bytes(), Config{}); !errors.Is(err, ErrCheckpointStale) {
+			t.Errorf("checkpoint edge to vertex %d: got %v, want ErrCheckpointStale", id, err)
+		}
+	}
+}
+
 func TestResumeRejectsMismatchedParentHash(t *testing.T) {
 	data := durableFixture(t)
 	cfg := Config{

@@ -147,6 +147,13 @@ func newFit(m *Measurements, seed *graph.Graph, cfg Config, names []string, ck *
 			return nil, fmt.Errorf("%w: chain %d seed replay mismatch", ErrCheckpointStale, i)
 		}
 		ch.src.Skip(cc.RngPos)
+		// Swaps keep every endpoint a seed vertex, whose id packs; an edge
+		// naming any other id was not written by this fit.
+		for _, e := range cc.Edges {
+			if seed.Degree(e[0]) == 0 || seed.Degree(e[1]) == 0 {
+				return nil, fmt.Errorf("%w: chain %d edge %d-%d is not between seed vertices", ErrCheckpointStale, i, e[0], e[1])
+			}
+		}
 		if err := f.anchor(i, cc.Pow, cc); err != nil {
 			return nil, err
 		}

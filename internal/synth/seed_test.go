@@ -6,7 +6,9 @@ import (
 	"hash/fnv"
 	"testing"
 
+	"wpinq/internal/core"
 	"wpinq/internal/graph"
+	"wpinq/internal/queries"
 )
 
 // edgeListHash fingerprints a graph's sorted edge list.
@@ -79,5 +81,30 @@ func TestSeedRefusalKeepsErrNotGraphical(t *testing.T) {
 	}
 	if g.NumNodes() != 5 || g.NumEdges() != 1 {
 		t.Errorf("padded seed has %d nodes and %d edges, want 5 and 1", g.NumNodes(), g.NumEdges())
+	}
+}
+
+// TestSeedGraphRefusesUnpackableNodeCount pins SeedGraph's typed refusal:
+// a release (read from outside, as `wpinq synthesize -in` reads one) whose
+// node-count estimate exceeds the 2^21 vertices the fit can pack is
+// ErrNodeRange, before the regression allocates its width-sized grid.
+func TestSeedGraphRefusesUnpackableNodeCount(t *testing.T) {
+	hist := func(counts map[int]float64) *core.Histogram[int] {
+		h, err := core.HistogramFromMaterialized(counts, 1, testRng(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return h
+	}
+	nodes, err := core.HistogramFromMaterialized(map[queries.Unit]float64{{}: 1 << 21}, 1, testRng(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := &Measurements{Eps: 1, DegSeq: hist(map[int]float64{0: 3}), CCDF: hist(map[int]float64{0: 3}), NodeCount: nodes}
+	if n := m.EstimatedNodes(); n != 1<<22 {
+		t.Fatalf("estimate %d, want 2^22", n)
+	}
+	if _, err := SeedGraph(m, testRng(2)); !errors.Is(err, queries.ErrNodeRange) {
+		t.Fatalf("SeedGraph with 2^22 estimated nodes: %v, want ErrNodeRange", err)
 	}
 }

@@ -2,6 +2,7 @@ package synth
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -183,4 +184,43 @@ func TestMeasureSaveIsDeterministic(t *testing.T) {
 	if c := release(rebuilt); !bytes.Equal(a, c) {
 		t.Errorf("the same edges added in another order released different bytes:\n%s\n---\n%s", a, c)
 	}
+}
+
+// TestMeasureIsBlindToNodeIDs pins the rank at the measurement boundary:
+// released records carry degrees, never ids, so a graph and an
+// order-preserving relabel of it that reaches negative ids and ids past
+// 2^21 release the same bytes under every registered workload, and a
+// graph whose ids span int32 measures like any other.
+func TestMeasureIsBlindToNodeIDs(t *testing.T) {
+	g, err := graph.HolmeKim(400, 3, 0.5, testRng(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Eps: 0.5, Workloads: workload.Names()}
+	release := func(g *graph.Graph) []byte {
+		t.Helper()
+		m, err := Measure(g, cfg, testRng(99))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := m.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	relabelled := graph.New()
+	for _, e := range g.EdgeList() {
+		relabelled.AddEdge(20000*e.Src-1_000_000, 20000*e.Dst-1_000_000)
+	}
+	if a, b := release(g), release(relabelled); !bytes.Equal(a, b) {
+		t.Errorf("x -> 20000x - 10^6 released different bytes:\n%s\n---\n%s", a, b)
+	}
+
+	wide := graph.New()
+	ids := []graph.Node{math.MinInt32, -1, 0, math.MaxInt32}
+	for i, u := range ids {
+		wide.AddEdge(u, ids[(i+1)%len(ids)])
+	}
+	release(wide)
 }

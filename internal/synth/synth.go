@@ -288,11 +288,13 @@ func Measure(g *graph.Graph, cfg Config, rng *rand.Rand) (*Measurements, error) 
 		return nil, errors.New("synth: at least one fit workload is required (see `wpinq workloads`)")
 	}
 	sort.Slice(ws, func(i, j int) bool { return ws[i].Name < ws[j].Name })
-	// The one-shot queries pack g's node ids: refuse ids that cannot be
-	// packed here, before anything is charged.
-	if err := queries.CheckNodeRange(g); err != nil {
+	// The one-shot queries pack node ids into 21 bits: refuse a graph
+	// with more vertices than that here, before anything is charged, and
+	// rank its ids onto [0, n).
+	if err := queries.CheckNodeRange(g.NumNodes()); err != nil {
 		return nil, fmt.Errorf("synth: %w", err)
 	}
+	g = g.Ranked()
 	src := budget.NewSource("edges", cfg.MeasureCost()*(1+1e-9))
 	edges := core.FromDataset(graph.SymmetricEdges(g), src)
 
@@ -339,6 +341,10 @@ func (m *Measurements) EstimatedNodes() int {
 // scanned from the CCDF, whose own end is where *it* fades into noise.
 func SeedGraph(m *Measurements, rng *rand.Rand) (*graph.Graph, error) {
 	nEst := m.EstimatedNodes()
+	// The seed's vertices are 0, …, nEst−1, and the fit packs them.
+	if err := queries.CheckNodeRange(nEst); err != nil {
+		return nil, fmt.Errorf("synth: seed graph: %w", err)
+	}
 	width := nEst
 	height := scanExtent(func(i int) float64 { return m.CCDF.Get(i) }, m.Eps, nEst)
 	// Generous slack: clipping the height truncates hubs, while an extra

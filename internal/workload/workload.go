@@ -190,9 +190,10 @@ func (w Workload) Collect(p *Plan, bucket int) Collected {
 // Exact evaluates the workload's one-shot query over g without noise or
 // privacy charge (the graph is treated as public) and returns the exact
 // output weights, canonically keyed. This is the reference the
-// equivalence tests compare the executor against.
+// equivalence tests compare the executor against. g's ids are ranked
+// onto [0, n) first, as a measurement ranks them.
 func (w Workload) Exact(g *graph.Graph, bucket int) (map[string]float64, error) {
-	return w.impl.exact(graph.SymmetricEdges(g), w.normBucket(bucket))
+	return w.impl.exact(graph.SymmetricEdges(g.Ranked()), w.normBucket(bucket))
 }
 
 // Plan is a fit pipeline under construction: the MCMC input root plus

@@ -417,47 +417,59 @@ var bulkLoadSink float64
 // plan of the bench program's bulk-load workload is built, attached and
 // loaded with the seed graph of a HolmeKim(4000, 5) measurement — the
 // push every fit starts with and every checkpoint re-anchor repeats — at
-// one shard (1) and at the default (0, one shard per CPU). records/op is what the load has
-// to move — the paths join's output, one record per ordered pair of
-// edges at a vertex — and MB-alloc/op is what it allocates to move them.
+// one shard (1) and at the default (0, one shard per CPU); and with the
+// seed graph of serve-durable's HolmeKim(300, 4) measurement at one
+// shard, the daemon's only width: what each re-anchor of a daemon job
+// loads. Sub-benchmarks are named by the seed graph's edge count.
+// records/op is what the load has to move — the paths join's output, one
+// record per ordered pair of edges at a vertex — and MB-alloc/op is what
+// it allocates to move them.
 func BenchmarkBulkLoad(b *testing.B) {
-	g, err := graph.HolmeKim(4000, 5, 0.5, rand.New(rand.NewSource(31)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := synth.Measure(g, synth.Config{Eps: 0.1, Workloads: []string{"jdd", "wedges"}}, rand.New(rand.NewSource(32)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	seed, err := synth.SeedGraph(m, rand.New(rand.NewSource(33)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	records := 0
-	for _, v := range seed.Nodes() {
-		records += seed.Degree(v) * seed.Degree(v)
-	}
-	for _, shards := range []int{1, 0} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p := workload.NewPlanFused(shards, true)
-				for _, name := range m.FitNames() {
-					if err := m.Fits[name].Attach(p, m.Eps); err != nil {
-						b.Fatal(err)
+	for _, c := range []struct {
+		nodes, perNode int
+		shards         []int
+	}{
+		{4000, 5, []int{1, 0}}, // bulk-load's measurement
+		{300, 4, []int{1}},     // serve-durable's
+	} {
+		g, err := graph.HolmeKim(c.nodes, c.perNode, 0.5, rand.New(rand.NewSource(31)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		m, err := synth.Measure(g, synth.Config{Eps: 0.1, Workloads: []string{"jdd", "wedges"}}, rand.New(rand.NewSource(32)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		seed, err := synth.SeedGraph(m, rand.New(rand.NewSource(33)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		records := 0
+		for _, v := range seed.Nodes() {
+			records += seed.Degree(v) * seed.Degree(v)
+		}
+		for _, shards := range c.shards {
+			b.Run(fmt.Sprintf("edges=%d/shards=%d", seed.NumEdges(), shards), func(b *testing.B) {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p := workload.NewPlanFused(shards, true)
+					for _, name := range m.FitNames() {
+						if err := m.Fits[name].Attach(p, m.Eps); err != nil {
+							b.Fatal(err)
+						}
 					}
+					mcmc.NewGraphState(seed, p.Input())
+					bulkLoadSink = p.Scorer().Score()
 				}
-				mcmc.NewGraphState(seed, p.Input())
-				bulkLoadSink = p.Scorer().Score()
-			}
-			b.StopTimer()
-			runtime.ReadMemStats(&after)
-			b.ReportMetric(float64(records), "records/op")
-			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1e6/float64(b.N), "MB-alloc/op")
-		})
+				b.StopTimer()
+				runtime.ReadMemStats(&after)
+				b.ReportMetric(float64(records), "records/op")
+				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1e6/float64(b.N), "MB-alloc/op")
+			})
+		}
 	}
 }
 

@@ -300,12 +300,29 @@ type JoinNode[A, B, K, R comparable] struct {
 func Join[A, B, K, R comparable](
 	a Source[A], b Source[B], keyA func(A) K, keyB func(B) K, reduce func(A, B) R,
 ) JoinNode[A, B, K, R] {
+	return join(a, b, keyA, keyB, reduce, incremental.Join[A, B, K, R])
+}
+
+// JoinDistinct is Join for a reduce under which no two matching pairs
+// give the same record (incremental.JoinDistinct): a load's outer
+// product is emitted without merging. The results are Join's, bit for
+// bit; a reduce that can collapse pairs must use Join.
+func JoinDistinct[A, B, K, R comparable](
+	a Source[A], b Source[B], keyA func(A) K, keyB func(B) K, reduce func(A, B) R,
+) JoinNode[A, B, K, R] {
+	return join(a, b, keyA, keyB, reduce, incremental.JoinDistinct[A, B, K, R])
+}
+
+func join[A, B, K, R comparable](
+	a Source[A], b Source[B], keyA func(A) K, keyB func(B) K, reduce func(A, B) R,
+	body func(func(A) K, func(B) K, func(A, B) R, incremental.Handler[R]) *incremental.JoinNode[A, B, K, R],
+) JoinNode[A, B, K, R] {
 	e := sameEngine(a, b)
 	return JoinNode[A, B, K, R]{binary(a, b, "join",
 		func(x A) int { return shardOf(e, keyA(x)) },
 		func(y B) int { return shardOf(e, keyB(y)) },
 		func(out incremental.Handler[R]) *incremental.JoinNode[A, B, K, R] {
-			return incremental.Join(keyA, keyB, reduce, out)
+			return body(keyA, keyB, reduce, out)
 		})}
 }
 

@@ -21,6 +21,12 @@ import (
 //
 // The fast path can be disabled (SetFastPath) to measure its benefit; see
 // BenchmarkAblationJoinFastPath. Results are identical either way.
+//
+// A join built by JoinDistinct declares that no two matching pairs reduce
+// to the same record. A load onto it — a push outside a transaction
+// whose keys all had an empty own side — then appends each record it
+// asserts straight to the output batch, with no accumulator table: the
+// batch is the one the accumulator would emit, element for element.
 type JoinNode[A, B comparable, K comparable, R comparable] struct {
 	emit   Handler[R]
 	keyA   func(A) K
@@ -39,6 +45,7 @@ type JoinNode[A, B comparable, K comparable, R comparable] struct {
 	pool groupPool[joinGroup[A, B]]
 
 	fastPath bool
+	distinct bool // set at construction (JoinDistinct); no setter
 	stats    joinStats
 
 	// Per-push scratch (see scratch.go), reused across pushes so hot
@@ -89,6 +96,18 @@ func Join[A, B comparable, K comparable, R comparable](
 		groups:   make(map[K]*joinGroup[A, B]),
 		fastPath: true,
 	}
+}
+
+// JoinDistinct is Join for a reduce under which no two matching pairs
+// (x, y) give the same record: its loads skip the accumulator's table.
+// A reduce that can collapse pairs must use Join, whose loads merge them.
+func JoinDistinct[A, B comparable, K comparable, R comparable](
+	keyA func(A) K, keyB func(B) K,
+	reduce func(A, B) R, out Handler[R],
+) *JoinNode[A, B, K, R] {
+	n := Join(keyA, keyB, reduce, out)
+	n.distinct = true
+	return n
 }
 
 // Txn applies a transaction event to every group touched since Begin —
@@ -145,22 +164,25 @@ func (n *JoinNode[A, B, K, R]) StateSize() int {
 // ApplyLeft (and ApplyRight, its mirror image) applies one side's batch
 // key by key. Outside a transaction it first reserves the accumulator for
 // what the push asserts: under each key, every difference of the run
-// against every record the other side holds. For a load — the state it
-// finds is what the same push put on the other side a moment ago, or
-// nothing — that is exactly the distinct records it will accumulate; a
-// key that also has to retract and rescale records it already held (no
-// load does) grows past it as any push grows.
+// against every record the other side holds. For a load — every key's
+// own side is empty, and the other holds what the same push put there a
+// moment ago, or nothing — that is exactly the distinct records it will
+// accumulate; a key that also has to retract and rescale records it
+// already held (no load does) grows past it as any push grows. A load
+// only asserts, each matching pair once, so at a distinct join its
+// records cannot meet and it reserves no table (reserveDistinct).
 func (n *JoinNode[A, B, K, R]) ApplyLeft(batch []Delta[A]) {
 	inTxn := n.logging
 	keys := n.byKeyA.group(batch, n.keyA)
 	if !inTxn {
-		size := 0
+		size, load := 0, true
 		for i, e := range keys {
 			if g := n.groups[e.Record]; g != nil {
 				size += len(n.byKeyA.run(i)) * g.b.len()
+				load = load && g.a.len() == 0
 			}
 		}
-		n.diff.reserve(size)
+		n.reserve(size, load)
 	}
 	for i, e := range keys {
 		k := e.Record
@@ -180,13 +202,14 @@ func (n *JoinNode[A, B, K, R]) ApplyRight(batch []Delta[B]) {
 	inTxn := n.logging
 	keys := n.byKeyB.group(batch, n.keyB)
 	if !inTxn {
-		size := 0
+		size, load := 0, true
 		for i, e := range keys {
 			if g := n.groups[e.Record]; g != nil {
 				size += len(n.byKeyB.run(i)) * g.a.len()
+				load = load && g.b.len() == 0
 			}
 		}
-		n.diff.reserve(size)
+		n.reserve(size, load)
 	}
 	for i, e := range keys {
 		k := e.Record
@@ -199,6 +222,16 @@ func (n *JoinNode[A, B, K, R]) ApplyRight(batch []Delta[B]) {
 	}
 	n.byKeyB.reset(inTxn)
 	n.emit.send(n.diff.takeBatch(inTxn))
+}
+
+// reserve sizes the accumulator for a push outside a transaction that
+// asserts size records; load reports that every key's own side was empty.
+func (n *JoinNode[A, B, K, R]) reserve(size int, load bool) {
+	if n.distinct && load {
+		n.diff.reserveDistinct(size)
+		return
+	}
+	n.diff.reserve(size)
 }
 
 // group returns k's group, creating it if the key is new, and opens it

@@ -2,6 +2,8 @@ package incremental
 
 import (
 	"maps"
+	"math"
+	"math/rand"
 	"slices"
 	"testing"
 )
@@ -261,6 +263,96 @@ func TestJoinReserveIsExactForLoads(t *testing.T) {
 			t.Fatal("the accumulator was reallocated between two small pushes")
 		} else {
 			kept = first
+		}
+	}
+}
+
+// TestJoinDistinctLoadMatchesAccumulator is the differential test of a
+// distinct join's load path: random batches go through a JoinDistinct
+// and a Join with the same injective reduce, and every push must emit
+// the same batch from both — records, weight bits and order. A fresh
+// load (one side against the other, or a self-join applied left then
+// right) must append directly; a second push outside a transaction onto
+// records its keys hold, and any push inside a transaction, must take
+// the accumulator.
+func TestJoinDistinctLoadMatchesAccumulator(t *testing.T) {
+	type pairJoin = JoinNode[int, int, int, [2]int]
+	key := func(x int) int { return x % 7 }
+	var plainOut, distinctOut [][]Delta[[2]int]
+	record := func(into *[][]Delta[[2]int]) Handler[[2]int] {
+		return func(b []Delta[[2]int]) { *into = append(*into, slices.Clone(b)) }
+	}
+	// path is what the distinct join's reduce saw its accumulator doing
+	// on this push: "" (not called), "direct" or "accumulate".
+	var j *pairJoin
+	var path string
+	pairOf := func(x, y int) [2]int { return [2]int{x, y} }
+	observed := func(x, y int) [2]int {
+		path = "accumulate"
+		if j.diff.direct {
+			path = "direct"
+		}
+		return pairOf(x, y)
+	}
+	paths := map[string]int{}
+	type pair struct{ plain, distinct *pairJoin }
+	// push applies one push to both joins and compares what they emit.
+	push := func(seed int64, what, want string, js pair, apply func(*pairJoin)) {
+		t.Helper()
+		plainOut, distinctOut = nil, nil
+		apply(js.plain)
+		j, path = js.distinct, ""
+		apply(js.distinct)
+		if path != "" && path != want {
+			t.Fatalf("seed %d, %s: took the %s path, want %s", seed, what, path, want)
+		}
+		paths[what+" "+path]++
+		if len(plainOut) != len(distinctOut) {
+			t.Fatalf("seed %d, %s: %d batches from Join, %d from JoinDistinct", seed, what, len(plainOut), len(distinctOut))
+		}
+		for b := range plainOut {
+			p, d := plainOut[b], distinctOut[b]
+			if len(p) != len(d) {
+				t.Fatalf("seed %d, %s: batch of %d from Join, %d from JoinDistinct", seed, what, len(p), len(d))
+			}
+			for i := range p {
+				if p[i].Record != d[i].Record || math.Float64bits(p[i].Weight) != math.Float64bits(d[i].Weight) {
+					t.Fatalf("seed %d, %s: element %d is %v from Join, %v from JoinDistinct", seed, what, i, p[i], d[i])
+				}
+			}
+		}
+	}
+	fresh := func() pair {
+		return pair{Join(key, key, pairOf, record(&plainOut)), JoinDistinct(key, key, observed, record(&distinctOut))}
+	}
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		batch := func() []Delta[int] { return randBatch(rng, 60, 1+rng.Intn(80)) }
+
+		js := fresh()
+		left, right := batch(), batch()
+		push(seed, "load left", "direct", js, func(n *pairJoin) { n.ApplyLeft(left) })
+		push(seed, "load right", "direct", js, func(n *pairJoin) { n.ApplyRight(right) })
+		again := append(batch(), Delta[int]{left[0].Record, 1}) // onto a key the left side holds
+		push(seed, "push onto held records", "accumulate", js, func(n *pairJoin) { n.ApplyLeft(again) })
+		inTxn := batch()
+		op := TxnCommit
+		if rng.Intn(2) == 0 {
+			op = TxnAbort
+		}
+		push(seed, "push in a transaction", "accumulate", js, func(n *pairJoin) {
+			n.Txn(TxnBegin)
+			n.ApplyRight(inTxn)
+			n.Txn(op)
+		})
+
+		js = fresh()
+		self := batch()
+		push(seed, "self-join load", "direct", js, func(n *pairJoin) { both(n)(self) })
+	}
+	for _, what := range []string{"load right direct", "push onto held records accumulate", "push in a transaction accumulate", "self-join load direct"} {
+		if paths[what] == 0 {
+			t.Errorf("no seed exercised %q: %v", what, paths)
 		}
 	}
 }

@@ -168,12 +168,18 @@ func (s *scratchIndex[K]) slot(k K) (i int, fresh bool) {
 // the fit's high-water mark. Slots are 32-bit: a push that could need
 // more is refused here, before it allocates, rather than left to wrap.
 func (s *scratchIndex[K]) reserve(n int) {
-	if n > math.MaxInt32 {
-		panic(fmt.Sprintf("incremental: push of %d distinct records exceeds the %d a scratch index can number", n, math.MaxInt32))
-	}
+	refuseSlots(n)
 	s.ents = slices.Grow(s.ents, n)
 	if n > scratchLinear {
 		s.rehash(max(len(s.cells), 1<<bits.Len(uint(2*n-1))))
+	}
+}
+
+// refuseSlots panics, naming the limit, if a push could need more than
+// the 2³¹−1 entries a 32-bit slot numbers.
+func refuseSlots(n int) {
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("incremental: push of %d distinct records exceeds the %d a scratch index can number", n, math.MaxInt32))
 	}
 }
 

@@ -358,7 +358,8 @@ func TestOrderedDiffMatchesReference(t *testing.T) {
 // TestScratchReserveBuildsOnce pins what reserve is for: a push that
 // stays inside its reservation allocates its entry array and its table
 // once — no regrowth, no rehash — and one that could need more slots
-// than a cell can number is refused before it allocates anything.
+// than a cell can number is refused before it allocates anything, on
+// the distinct path (reserveDistinct) too.
 func TestScratchReserveBuildsOnce(t *testing.T) {
 	const n = 5 * scratchRetain
 	var idx scratchIndex[int]
@@ -376,15 +377,24 @@ func TestScratchReserveBuildsOnce(t *testing.T) {
 		t.Fatalf("a push inside its reservation regrew or rehashed (generation %d -> %d)", gen, idx.gen)
 	}
 
-	defer func() {
-		msg, _ := recover().(string)
-		if !strings.HasPrefix(msg, "incremental: push of 2147483648 distinct records exceeds") {
-			t.Fatalf("reserve past the slot width: recovered %q, want the named panic", msg)
-		}
-		if idx.ents != nil {
-			t.Fatal("the refused reservation allocated")
-		}
-	}()
 	idx.reset(false)
-	idx.reserve(math.MaxInt32 + 1)
+	var diff orderedDiff[int]
+	for _, c := range []struct {
+		what    string
+		reserve func(int)
+		ents    *[]Delta[int]
+	}{{"reserve", idx.reserve, &idx.ents}, {"reserveDistinct", diff.reserveDistinct, &diff.ents}} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.HasPrefix(msg, "incremental: push of 2147483648 distinct records exceeds") {
+					t.Fatalf("%s past the slot width: recovered %q, want the named panic", c.what, msg)
+				}
+				if *c.ents != nil {
+					t.Fatalf("the refused %s allocated", c.what)
+				}
+			}()
+			c.reserve(math.MaxInt32 + 1)
+		}()
+	}
 }

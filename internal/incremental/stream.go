@@ -31,6 +31,7 @@ package incremental
 
 import (
 	"math"
+	"slices"
 
 	"wpinq/internal/weighted"
 )
@@ -267,11 +268,33 @@ func (m *stateMap[T]) each(f func(x T, w float64)) {
 // so the accumulator is the batch it emits.
 type orderedDiff[T comparable] struct {
 	scratchIndex[T]
+
+	// direct is set, until takeBatch, by reserveDistinct: add appends.
+	direct bool
+}
+
+// reserveDistinct readies an empty accumulator for a push that adds n
+// records no two of which are equal: only the entry array, at that size,
+// and no table, for add appends to it without looking anything up. The
+// batch is the one the accumulator would emit: with every record
+// distinct, first-appearance order is the order they are added in, and
+// each sum is 0 + w = w, collapsed below weighted.Eps as add collapses it.
+func (d *orderedDiff[T]) reserveDistinct(n int) {
+	refuseSlots(n)
+	d.ents = slices.Grow(d.ents, n)
+	d.direct = true
 }
 
 // add accumulates w onto record x (a first appearance starts from the
 // fresh entry's zero).
 func (d *orderedDiff[T]) add(x T, w float64) {
+	if d.direct {
+		if math.Abs(w) < weighted.Eps {
+			return
+		}
+		d.ents = append(d.ents, Delta[T]{x, w})
+		return
+	}
 	i, _ := d.slot(x)
 	e := &d.ents[i]
 	w += e.Weight
@@ -290,13 +313,16 @@ func (d *orderedDiff[T]) add(x T, w float64) {
 // releases the array — a load's, past scratchRetain — the emitted batch
 // is its only reference, and its one receiver may keep it.
 func (d *orderedDiff[T]) takeBatch(keep bool) []Delta[T] {
-	out := d.ents[:0]
-	for _, e := range d.ents {
-		if e.Weight != 0 {
-			out = append(out, e)
+	out := d.ents
+	if !d.direct { // a direct add appends no zeros
+		out = d.ents[:0]
+		for _, e := range d.ents {
+			if e.Weight != 0 {
+				out = append(out, e)
+			}
 		}
 	}
-	d.ents = out
+	d.ents, d.direct = out, false
 	d.reset(keep)
 	return out
 }

@@ -51,6 +51,9 @@ type lowering struct {
 	// two walks (two workloads on a non-fusing plan, two measurements)
 	// share nothing. A walk starts with the root lowered to its edges.
 	built map[any]any
+	// declared, if set, is told the reduce of every join the walk
+	// lowers as distinct: how the injectivity test finds what to check.
+	declared func(reduce any)
 }
 
 func lowered[V any](l *lowering, id any, build func(*lowering) V) V {
@@ -181,6 +184,25 @@ func join[A, B, K, R comparable](a Expr[A], b Expr[B], keyA func(A) K, keyB func
 			return core.Join(a.collection(l), b.collection(l), keyA, keyB, reduce)
 		},
 		func(l *lowering) engine.Source[R] { return engine.Join(a.source(l), b.source(l), keyA, keyB, reduce) })
+}
+
+// joinDistinct is join for a reduce under which no two matching pairs
+// give the same record: the executor's loads then emit the outer product
+// without merging it (engine.JoinDistinct), bit-identical to join's.
+// Measured one-shot it is join. Each reduce declared here is a named
+// function, and injectivity_test.go checks it exhaustively over a small
+// domain.
+func joinDistinct[A, B, K, R comparable](a Expr[A], b Expr[B], keyA func(A) K, keyB func(B) K, reduce func(A, B) R) Expr[R] {
+	return op(union(a.n.below, b.n.below),
+		func(l *lowering) *core.Collection[R] {
+			return core.Join(a.collection(l), b.collection(l), keyA, keyB, reduce)
+		},
+		func(l *lowering) engine.Source[R] {
+			if l.declared != nil {
+				l.declared(reduce)
+			}
+			return engine.JoinDistinct(a.source(l), b.source(l), keyA, keyB, reduce)
+		})
 }
 
 func intersect[T comparable](a, b Expr[T]) Expr[T] {

@@ -235,24 +235,40 @@ func embeddings(p Pattern) (Expr[Embedding], error) {
 	})
 	for _, s := range steps {
 		if s.Closing {
-			emb = join(emb, root,
+			emb = joinDistinct(emb, root,
 				func(e Embedding) anchorKey { return anchorKey{e[s.U], e[s.V]} },
 				func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, ed.Dst} },
-				func(e Embedding, _ graph.Edge) Embedding { return e })
+				closeCycle)
 			continue
 		}
-		joined := join(emb, root,
+		joined := joinDistinct(emb, root,
 			func(e Embedding) anchorKey { return anchorKey{e[s.U], -1} },
 			func(ed graph.Edge) anchorKey { return anchorKey{ed.Src, -1} },
-			func(e Embedding, ed graph.Edge) Embedding {
-				e[s.V] = ed.Dst
-				return e
-			})
+			extendTo(s.V))
 		// Injective embeddings only: a just-assigned node must be new.
 		// (A collision leaves the slot equal to another slot's node.)
 		emb = where(joined, injective)
 	}
 	return frag("motif-emb/"+p.fragmentKey(), emb), nil
+}
+
+// closeCycle keeps an embedding that has the edge between its anchored
+// vertices. That edge is the join key, so the embedding determines the
+// pair: distinct.
+func closeCycle(e Embedding, _ graph.Edge) Embedding { return e }
+
+// extendTo assigns slot v, unassigned in every embedding reaching the
+// step, the far end of an edge from the anchor: the record spells the
+// embedding (clear slot v) and the edge (anchor, slot v), so distinct.
+// Not inlined: an inlined copy would be a second closure body, and the
+// injectivity test identifies a declared reduce by its code.
+//
+//go:noinline
+func extendTo(v int) func(Embedding, graph.Edge) Embedding {
+	return func(e Embedding, ed graph.Edge) Embedding {
+		e[v] = ed.Dst
+		return e
+	}
 }
 
 // injective reports whether all assigned slots hold distinct nodes.

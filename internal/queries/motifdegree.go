@@ -51,6 +51,19 @@ type embDegs struct {
 	Degs [MaxPatternNodes]int
 }
 
+// degreeAt records a degree of vertex v's node in slot v, zero in every
+// tuple reaching the join: the record spells the tuple (clear slot v)
+// and the degree record (its node, slot v), so distinct. Not inlined,
+// like extendTo.
+//
+//go:noinline
+func degreeAt(v int) func(embDegs, weighted.Grouped[graph.Node, int]) embDegs {
+	return func(x embDegs, d weighted.Grouped[graph.Node, int]) embDegs {
+		x.Degs[v] = d.Result
+		return x
+	}
+}
+
 // MotifByDegree compiles the pattern's degree profile: each occurrence
 // contributes its (data-dependent) weight to the sorted tuple of its
 // vertices' bucketed degrees. The embedding chain and the degrees prefix
@@ -65,13 +78,10 @@ func MotifByDegree(p Pattern, bucket int) (Expr[DegProfile], error) {
 	degs := Degrees(bucket)
 	cur := sel(emb, func(e Embedding) embDegs { return embDegs{Emb: e} })
 	for v := 0; v < p.K; v++ {
-		cur = join(cur, degs,
+		cur = joinDistinct(cur, degs,
 			func(x embDegs) graph.Node { return x.Emb[v] },
 			func(d weighted.Grouped[graph.Node, int]) graph.Node { return d.Key },
-			func(x embDegs, d weighted.Grouped[graph.Node, int]) embDegs {
-				x.Degs[v] = d.Result
-				return x
-			})
+			degreeAt(v))
 	}
 	k := p.K
 	return frag(fmt.Sprintf("motif-deg/%s/b=%d", p.fragmentKey(), degreeBucket(bucket)),

@@ -18,7 +18,7 @@ import (
 func TestOneDescriptionPerAnalysis(t *testing.T) {
 	operators := map[string]bool{}
 	for _, name := range []string{"Select", "Where", "SelectMany", "SelectManySlice", "Shave", "ShaveConst",
-		"GroupBy", "Join", "Intersect", "Union", "Concat", "Except"} {
+		"GroupBy", "Join", "JoinDistinct", "Intersect", "Union", "Concat", "Except"} {
 		operators[name] = true
 	}
 	files, err := filepath.Glob("*.go")

@@ -94,10 +94,13 @@ func Degrees(bucket int) Expr[weighted.Grouped[graph.Node, int]] {
 // paths is the fragment behind Paths: packed length-two paths.
 func paths() Expr[PPath] {
 	pe := packedEdges()
-	joined := join(pe, pe, PEdge.dstKey, PEdge.srcKey,
-		func(x, y PEdge) PPath { return packedPath(x.srcKey(), x.dstKey(), y.dstKey()) })
+	joined := joinDistinct(pe, pe, PEdge.dstKey, PEdge.srcKey, pathOf)
 	return frag("paths", where(joined, func(p PPath) bool { return p.aKey() != p.cKey() }))
 }
+
+// pathOf joins edge (a, b) to edge (b, c) as the path (a, b, c), which
+// spells both edges: distinct.
+func pathOf(x, y PEdge) PPath { return packedPath(x.srcKey(), x.dstKey(), y.dstKey()) }
 
 // Paths builds the length-two-path dataset (a,b,c), a != c, each at weight
 // 1/(2*db) (paper Section 2.7). Privacy cost contribution: 2 uses.
@@ -107,9 +110,12 @@ func Paths() Expr[Path] { return sel(paths(), PPath.unpack) }
 // "abc" prefix of TbD and SbD.
 func pathDeg(bucket int) Expr[PPathDeg] {
 	return frag(fmt.Sprintf("pathdeg/b=%d", degreeBucket(bucket)),
-		join(paths(), degrees(bucket), PPath.bKey, PDeg.nodeKey,
-			func(p PPath, d PDeg) PPathDeg { return PPathDeg{P: p, Deg: int32(d.deg())} }))
+		joinDistinct(paths(), degrees(bucket), PPath.bKey, PDeg.nodeKey, pathDegOf))
 }
+
+// pathDegOf pairs path (a, b, c) with a degree record (b, d) as
+// ((a, b, c), d), which spells both: distinct.
+func pathDegOf(p PPath, d PDeg) PPathDeg { return PPathDeg{P: p, Deg: int32(d.deg())} }
 
 // WedgeCount reduces the length-two-path dataset to a single Unit record:
 // the rescaled wedge count, whose ratio to a triangle measurement yields a
@@ -131,11 +137,16 @@ func TbI() Expr[Unit] {
 // (da, db) for each directed edge (a,b), at weight 1/(2+2da+2db) (eq. 3).
 // Privacy cost: 4 eps.
 func JDD() Expr[DegPair] {
-	temp := join(degrees(1), packedEdges(), PDeg.nodeKey, PEdge.srcKey,
-		func(d PDeg, e PEdge) PEdgeDeg { return packedEdgeDeg(e, d.deg()) })
+	temp := joinDistinct(degrees(1), packedEdges(), PDeg.nodeKey, PEdge.srcKey, edgeDegOf)
+	// Many edges share a degree pair: this join merges, so it is not
+	// distinct.
 	return frag("jdd", join(temp, temp, PEdgeDeg.edgeKey, PEdgeDeg.reverseKey,
 		func(x, y PEdgeDeg) DegPair { return DegPair{DA: x.deg(), DB: y.deg()} }))
 }
+
+// edgeDegOf pairs edge (a, b) with a degree record (a, d) as (a, b, d),
+// which spells both: distinct.
+func edgeDegOf(d PDeg, e PEdge) PEdgeDeg { return packedEdgeDeg(e, d.deg()) }
 
 // TbD builds the triangles-by-degree dataset (paper Section 3.3): sorted
 // degree triples, where each triangle (a,b,c) contributes total weight
@@ -147,12 +158,17 @@ func TbD(bucket int) Expr[DegTriple] {
 	byPath := func(x PPathDeg) PPath { return x.P }
 	bca := sel(abc, rotate)
 	cab := sel(bca, rotate)
-	two := join(abc, bca, byPath, byPath,
-		func(x, y PPathDeg) PPathDeg2 { return PPathDeg2{P: x.P, D1: x.Deg, D2: y.Deg} })
+	two := joinDistinct(abc, bca, byPath, byPath, pathDeg2Of)
+	// Every triangle of one degree profile lands on one triple: this join
+	// merges, so it is not distinct.
 	return frag(fmt.Sprintf("tbd/b=%d", degreeBucket(bucket)),
 		join(two, cab, func(x PPathDeg2) PPath { return x.P }, byPath,
 			func(x PPathDeg2, y PPathDeg) DegTriple { return SortTriple(int(x.D1), int(x.D2), int(y.Deg)) }))
 }
+
+// pathDeg2Of pairs two degree records of one path, (p, d1) and (p, d2),
+// as (p, d1, d2), which spells both: distinct.
+func pathDeg2Of(x, y PPathDeg) PPathDeg2 { return PPathDeg2{P: x.P, D1: x.Deg, D2: y.Deg} }
 
 // SbD builds the squares-by-degree dataset (paper Section 3.4): sorted
 // degree quadruples where each 4-cycle contributes eight observations of

@@ -6,6 +6,7 @@
 package workload_test
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -186,7 +187,9 @@ func BenchmarkWalkHotStep(b *testing.B) {
 // weights and a separate output array each grown from nothing, the
 // table rebuilt at every doubling, the engine copying each shard's
 // emission — measured 13.8× (bare), 15.4× (one shard) and 15.5× (two);
-// this one 2.3×, 2.4× and 2.5×.
+// this one 2.3×, 2.4× and 2.5×. The reduce is injective, so the same
+// rows run again on a distinct join (JoinDistinct), whose load builds
+// no cell table: its budget is 2×, and it measured 1.3–1.6×.
 func TestLoadAllocatesOnce(t *testing.T) {
 	const n, d = 3000, 16
 	var edges []incremental.Delta[uint64] // src<<32 | dst
@@ -204,29 +207,36 @@ func TestLoadAllocatesOnce(t *testing.T) {
 	emitted := 0
 	count := func(batch []incremental.Delta[[2]uint64]) { emitted += len(batch) }
 
-	for _, shards := range []int{-1, 1, 2} {
-		var push func([]incremental.Delta[uint64])
-		if shards < 0 {
-			j := incremental.Join(dst, src, path, count)
-			push = func(b []incremental.Delta[uint64]) { j.ApplyLeft(b); j.ApplyRight(b) }
-		} else {
-			in := engine.NewInput[uint64](engine.New(shards))
-			engine.Join(in, in, dst, src, path).Subscribe(count)
-			push = in.Push
+	for _, distinct := range []bool{false, true} {
+		body, join, budget := incremental.Join[uint64, uint64, uint64, [2]uint64], engine.Join[uint64, uint64, uint64, [2]uint64], 4.0
+		if distinct {
+			body, join, budget = incremental.JoinDistinct[uint64, uint64, uint64, [2]uint64], engine.JoinDistinct[uint64, uint64, uint64, [2]uint64], 2
 		}
-		emitted = 0
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		push(edges)
-		runtime.ReadMemStats(&after)
-		if emitted != n*d*d {
-			t.Fatalf("shards=%d: the load emitted %d records, want %d", shards, emitted, n*d*d)
-		}
-		out := float64(emitted) * float64(unsafe.Sizeof(incremental.Delta[[2]uint64]{}))
-		multiple := float64(after.TotalAlloc-before.TotalAlloc) / out
-		t.Logf("shards=%d: %.1f MB emitted, %.2f× that allocated", shards, out/1e6, multiple)
-		if multiple > 4 {
-			t.Errorf("shards=%d: the load allocated %.2f× the bytes it emitted, budget 4×", shards, multiple)
+		for _, shards := range []int{-1, 1, 2} {
+			row := fmt.Sprintf("distinct=%v shards=%d", distinct, shards)
+			var push func([]incremental.Delta[uint64])
+			if shards < 0 {
+				j := body(dst, src, path, count)
+				push = func(b []incremental.Delta[uint64]) { j.ApplyLeft(b); j.ApplyRight(b) }
+			} else {
+				in := engine.NewInput[uint64](engine.New(shards))
+				join(in, in, dst, src, path).Subscribe(count)
+				push = in.Push
+			}
+			emitted = 0
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			push(edges)
+			runtime.ReadMemStats(&after)
+			if emitted != n*d*d {
+				t.Fatalf("%s: the load emitted %d records, want %d", row, emitted, n*d*d)
+			}
+			out := float64(emitted) * float64(unsafe.Sizeof(incremental.Delta[[2]uint64]{}))
+			multiple := float64(after.TotalAlloc-before.TotalAlloc) / out
+			t.Logf("%s: %.1f MB emitted, %.2f× that allocated", row, out/1e6, multiple)
+			if multiple > budget {
+				t.Errorf("%s: the load allocated %.2f× the bytes it emitted, budget %g×", row, multiple, budget)
+			}
 		}
 	}
 }

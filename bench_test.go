@@ -9,7 +9,6 @@ package wpinq
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -120,10 +119,10 @@ func BenchmarkFig6Scalability(b *testing.B) {
 
 // --- Ablations -----------------------------------------------------------
 
-// oneShardInput is the edge input of a one-shard executor: what a
-// benchmark that only needs an input builds over.
-func oneShardInput() *engine.Input[graph.Edge] {
-	return engine.NewInput[graph.Edge](engine.New(1))
+// edgeInput is a fresh engine's edge input: what a benchmark that only
+// needs an input builds over.
+func edgeInput() *engine.Input[graph.Edge] {
+	return engine.NewInput[graph.Edge](engine.New())
 }
 
 // tbiFixture wires a TbI pipeline over a clustered graph and returns the
@@ -135,7 +134,7 @@ func tbiFixture(b *testing.B, fastPath bool) *mcmc.Runner {
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := oneShardInput()
+	in := edgeInput()
 	// Inline the TbI pipeline so the join node is reachable for SetFastPath.
 	joined := engine.Join(in, in,
 		func(e graph.Edge) graph.Node { return e.Dst },
@@ -223,7 +222,7 @@ func BenchmarkAblationBucketWidth(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			in := oneShardInput()
+			in := edgeInput()
 			stream := queries.Stream(queries.TbD(bucket), nil, in)
 			sink := incremental.NewNoisyCountSink[queries.DegTriple](
 				stream, incremental.MapObservations[queries.DegTriple]{}, nil, 0.5)
@@ -416,21 +415,17 @@ var bulkLoadSink float64
 // BenchmarkBulkLoad times the executor's bulk push: the fused jdd,wedges
 // plan of the bench program's bulk-load workload is built, attached and
 // loaded with the seed graph of a HolmeKim(4000, 5) measurement — the
-// push every fit starts with and every checkpoint re-anchor repeats — at
-// one shard (1) and at the default (0, one shard per CPU); and with the
-// seed graph of serve-durable's HolmeKim(300, 4) measurement at one
-// shard, the daemon's only width: what each re-anchor of a daemon job
-// loads. Sub-benchmarks are named by the seed graph's edge count.
+// push every fit starts with and every checkpoint re-anchor repeats —
+// and with the seed graph of serve-durable's HolmeKim(300, 4)
+// measurement: what each re-anchor of a daemon job loads. Sub-benchmarks
+// are named by the seed graph's edge count.
 // records/op is what the load has to move — the paths join's output, one
 // record per ordered pair of edges at a vertex — and MB-alloc/op is what
 // it allocates to move them.
 func BenchmarkBulkLoad(b *testing.B) {
-	for _, c := range []struct {
-		nodes, perNode int
-		shards         []int
-	}{
-		{4000, 5, []int{1, 0}}, // bulk-load's measurement
-		{300, 4, []int{1}},     // serve-durable's
+	for _, c := range []struct{ nodes, perNode int }{
+		{4000, 5}, // bulk-load's measurement
+		{300, 4},  // serve-durable's
 	} {
 		g, err := graph.HolmeKim(c.nodes, c.perNode, 0.5, rand.New(rand.NewSource(31)))
 		if err != nil {
@@ -448,28 +443,26 @@ func BenchmarkBulkLoad(b *testing.B) {
 		for _, v := range seed.Nodes() {
 			records += seed.Degree(v) * seed.Degree(v)
 		}
-		for _, shards := range c.shards {
-			b.Run(fmt.Sprintf("edges=%d/shards=%d", seed.NumEdges(), shards), func(b *testing.B) {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					p := workload.NewPlanFused(shards, true)
-					for _, name := range m.FitNames() {
-						if err := m.Fits[name].Attach(p, m.Eps); err != nil {
-							b.Fatal(err)
-						}
+		b.Run(fmt.Sprintf("edges=%d", seed.NumEdges()), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				p := workload.NewPlan()
+				for _, name := range m.FitNames() {
+					if err := m.Fits[name].Attach(p, m.Eps); err != nil {
+						b.Fatal(err)
 					}
-					mcmc.NewGraphState(seed, p.Input())
-					bulkLoadSink = p.Scorer().Score()
 				}
-				b.StopTimer()
-				runtime.ReadMemStats(&after)
-				b.ReportMetric(float64(records), "records/op")
-				b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1e6/float64(b.N), "MB-alloc/op")
-			})
-		}
+				mcmc.NewGraphState(seed, p.Input())
+				bulkLoadSink = p.Scorer().Score()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(records), "records/op")
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/1e6/float64(b.N), "MB-alloc/op")
+		})
 	}
 }
 
@@ -503,8 +496,8 @@ func BenchmarkRegressionPostprocessing(b *testing.B) {
 // --- Replica exchange ----------------------------------------------------
 
 // BenchmarkChains measures the whole-chain parallelism axis: the same
-// TbI fit run as 1, 2, and 4 replica-exchange chains (each chain on a
-// single-shard executor, so chains are the only concurrency). Wall-clock
+// TbI fit run as 1, 2, and 4 replica-exchange chains (each chain runs
+// its engine on one goroutine, so chains are the only concurrency). Wall-clock
 // per iteration should stay near-flat as chains grow when CPUs are
 // available — K chains explore K temperatures for the cost of one on an
 // idle machine — while total proposals scale with K.
@@ -534,7 +527,6 @@ func BenchmarkChains(b *testing.B) {
 					Steps:     2000,
 					SwapEvery: 500,
 					Chains:    chains,
-					Shards:    1,
 				}
 				if _, err := synth.Synthesize(m, seed, cfg, rand.New(rand.NewSource(int64(i)))); err != nil {
 					b.Fatal(err)
@@ -548,109 +540,6 @@ func BenchmarkChains(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(chains), "ns/chainop")
 		})
 	}
-}
-
-// --- Sharded executor ----------------------------------------------------
-
-// engineShardsSink defeats dead-code elimination in BenchmarkEngineShards.
-var engineShardsSink float64
-
-// BenchmarkEngineShards compares the executor at 1 vs N shards on the
-// paper's graph workloads, each terminated in a subscribed handler that
-// sums |w| over what the pipeline emits (it measures operators, not a
-// sink): the degree distribution (Section 3.1), triangles by degree
-// (Section 3.3), and the joint degree distribution (Section 3.2). Each iteration bulk-loads a clustered graph
-// through the pipeline — the phase whose difference fronts are large
-// enough to fan out across shards — and then replays a burst of
-// edge-swap rounds. Speedup at 4+ shards over 1 shard requires 4+ CPUs;
-// on a single-CPU machine the shard counts should tie to within
-// scheduling overhead.
-func BenchmarkEngineShards(b *testing.B) {
-	rng := rand.New(rand.NewSource(7))
-	g, err := graph.HolmeKim(1000, 5, 0.5, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	initial := graph.SymmetricEdges(g)
-	// Pre-generate valid swap batches on a scratch clone so every shard
-	// configuration replays the identical update sequence.
-	var swapBatches [][]incremental.Delta[graph.Edge]
-	work := g.Clone()
-	edges := work.EdgeList()
-	for len(swapBatches) < 64 {
-		ei, ej := rng.Intn(len(edges)), rng.Intn(len(edges))
-		if ei == ej {
-			continue
-		}
-		a, bb := edges[ei].Src, edges[ei].Dst
-		c, d := edges[ej].Src, edges[ej].Dst
-		if rng.Intn(2) == 0 {
-			c, d = d, c
-		}
-		if a == d || c == bb || a == c || bb == d || work.HasEdge(a, d) || work.HasEdge(c, bb) {
-			continue
-		}
-		work.RemoveEdge(a, bb)
-		work.RemoveEdge(c, d)
-		work.AddEdge(a, d)
-		work.AddEdge(c, bb)
-		edges[ei] = graph.Edge{Src: a, Dst: d}
-		edges[ej] = graph.Edge{Src: c, Dst: bb}
-		swapBatches = append(swapBatches, []incremental.Delta[graph.Edge]{
-			{Record: graph.Edge{Src: a, Dst: bb}, Weight: -1},
-			{Record: graph.Edge{Src: bb, Dst: a}, Weight: -1},
-			{Record: graph.Edge{Src: c, Dst: d}, Weight: -1},
-			{Record: graph.Edge{Src: d, Dst: c}, Weight: -1},
-			{Record: graph.Edge{Src: a, Dst: d}, Weight: 1},
-			{Record: graph.Edge{Src: d, Dst: a}, Weight: 1},
-			{Record: graph.Edge{Src: c, Dst: bb}, Weight: 1},
-			{Record: graph.Edge{Src: bb, Dst: c}, Weight: 1},
-		})
-	}
-	workloads := []struct {
-		name  string
-		build func(in engine.Source[graph.Edge]) func() float64
-	}{
-		{"degreedist", func(in engine.Source[graph.Edge]) func() float64 {
-			return emittedNorm(queries.Stream(queries.DegreeCCDF(), nil, in))
-		}},
-		{"triangles", func(in engine.Source[graph.Edge]) func() float64 {
-			return emittedNorm(queries.Stream(queries.TbD(20), nil, in))
-		}},
-		{"jdd", func(in engine.Source[graph.Edge]) func() float64 {
-			return emittedNorm(queries.Stream(queries.JDD(), nil, in))
-		}},
-	}
-	for _, w := range workloads {
-		for _, shards := range []int{1, 2, 4, 8} {
-			w, shards := w, shards
-			b.Run(fmt.Sprintf("%s/shards=%d", w.name, shards), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					e := engine.New(shards)
-					in := engine.NewInput[graph.Edge](e)
-					norm := w.build(in)
-					in.PushDataset(initial)
-					for _, batch := range swapBatches {
-						in.Push(batch)
-					}
-					engineShardsSink = norm()
-				}
-			})
-		}
-	}
-}
-
-// emittedNorm subscribes a handler summing |w| over every difference src
-// emits and returns the running sum's reader.
-func emittedNorm[T comparable](src incremental.Source[T]) func() float64 {
-	var sum float64
-	src.Subscribe(func(batch []incremental.Delta[T]) {
-		for _, d := range batch {
-			sum += math.Abs(d.Weight)
-		}
-	})
-	return func() float64 { return sum }
 }
 
 // rejectHeavySink defeats dead-code elimination in BenchmarkRejectHeavy.
@@ -677,7 +566,7 @@ func BenchmarkRejectHeavy(b *testing.B) {
 	jddObserved := incremental.MapObservations[queries.DegPair]{}
 	pathsObserved := incremental.MapObservations[queries.Path]{}
 	{
-		in := oneShardInput()
+		in := edgeInput()
 		jddColl := incremental.Collect(queries.Stream(queries.JDD(), nil, in))
 		pathColl := incremental.Collect(queries.Stream(queries.Paths(), nil, in))
 		in.PushDataset(graph.SymmetricEdges(g))
@@ -690,7 +579,7 @@ func BenchmarkRejectHeavy(b *testing.B) {
 		var accepted int
 		var steps int
 		for i := 0; i < b.N; i++ {
-			in := oneShardInput()
+			in := edgeInput()
 			sink := incremental.NewNoisyCountSink[queries.Unit](
 				queries.Stream(queries.TbI(), nil, in),
 				incremental.MapObservations[queries.Unit]{{}: observed},
@@ -787,7 +676,7 @@ func BenchmarkFusedChains(b *testing.B) {
 	}{{"fused", true}, {"unfused", false}} {
 		cfg := cfg
 		b.Run(cfg.name, func(b *testing.B) {
-			p := workload.NewPlanFused(2, cfg.fuse)
+			p := workload.NewPlanFused(1, cfg.fuse)
 			seedRng := rand.New(rand.NewSource(23))
 			for _, fit := range fits {
 				entries, err := fit.Entries()
@@ -867,7 +756,7 @@ func BenchmarkMillionEdge(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				in := oneShardInput()
+				in := edgeInput()
 				ccdf := incremental.NewNoisyCountSink[int](
 					queries.Stream(queries.DegreeCCDF(), nil, in), incremental.MapObservations[int]{}, nil, 0.5)
 				seq := incremental.NewNoisyCountSink[int](

@@ -82,7 +82,6 @@ func runSynthesize(args []string) error {
 	steps := fs.Int("steps", 100000, "MCMC steps")
 	pow := fs.Float64("pow", 10000, "posterior sharpening")
 	seed := fs.Int64("seed", 1, "random seed")
-	shards := fs.Int("shards", 0, "dataflow shards: 0 = one per CPU, n = exactly n (-1 is read as 1)")
 	chains := fs.Int("chains", 1, "replica-exchange chains at a geometric pow ladder (1 = single chain)")
 	swapEvery := fs.Int("swap-every", 1024, "steps between replica swap attempts (with -chains > 1)")
 	if err := fs.Parse(args); err != nil {
@@ -117,7 +116,6 @@ func runSynthesize(args []string) error {
 		Workloads: workloads, // empty = every workload in the file
 		Pow:       *pow,
 		Steps:     *steps,
-		Shards:    *shards,
 		Chains:    *chains,
 		SwapEvery: *swapEvery,
 	}

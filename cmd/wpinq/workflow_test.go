@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wpinq/internal/graph"
@@ -113,5 +114,16 @@ func TestRunDispatch(t *testing.T) {
 	}
 	if err := run([]string{"not-an-experiment"}); err == nil {
 		t.Error("unknown experiment accepted")
+	}
+	// The engine is one partition, so no verb has a shard knob: a
+	// retired flag is refused, never silently ignored.
+	for _, args := range [][]string{
+		{"synthesize", "-shards", "1"},
+		{"fig3", "-shards", "1"},
+	} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
+			t.Errorf("%v: got %v, want an undefined-flag error", args, err)
+		}
 	}
 }

@@ -9,10 +9,9 @@
 //	       [-checkpoint-every N] [-seed N] [-log-format text|json]
 //	       [-debug-addr ADDR]
 //
-// Every synthesis job fits at one dataflow shard, so a job is a function
-// of the release bytes and its seed, bit-identical across processes;
-// the daemon runs jobs (and a job its -chains) in parallel instead, one
-// worker per CPU by default.
+// A synthesis job is a function of the release bytes and its seed,
+// bit-identical across processes; the daemon runs jobs (and a job its
+// -chains) in parallel, one worker per CPU by default.
 //
 // The API is documented on service.Handler; `wpinq remote` is the
 // matching command-line client. See README.md, "Serving".

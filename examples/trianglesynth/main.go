@@ -5,7 +5,7 @@
 //  2. Regress a degree sequence and build a random seed graph.
 //  3. Fit the seed to the TbI triangle signal with Metropolis-Hastings
 //     over degree-preserving edge swaps, scored incrementally on the
-//     sharded dataflow executor — as two replica-exchange chains: a cold
+//     dataflow executor — as two replica-exchange chains: a cold
 //     chain at the target pow refines while a hot chain at pow/2
 //     explores, trading temperatures every SwapEvery steps.
 //
@@ -43,8 +43,7 @@ func main() {
 		Workloads: []string{"tbi"}, // triangles-by-intersect (4 eps)
 		Pow:       10000,           // near-greedy posterior (cold chain)
 		Steps:     30000,
-		Shards:    0, // one shard per CPU, split across chains
-		Chains:    2, // replica exchange: cold (pow) + hot (pow/2)
+		Chains:    2, // replica exchange: cold (pow) + hot (pow/2), one goroutine each
 		SwapEvery: 2048,
 	}
 	// Watch the fit at its stops: every 5000 steps, the best chain's graph.

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,13 +8,9 @@ import (
 	"wpinq/internal/weighted"
 )
 
-// Micro-benchmarks of single sharded operators under bulk batches: the
-// per-operator view of the workload benchmarks at the repository root
-// (BenchmarkEngineShards). Parallel speedup at N shards requires N CPUs;
-// on fewer cores these measure the overhead of routing plus the cache
-// benefit of smaller per-shard state.
-
-var benchShardCounts = []int{1, 4}
+// Micro-benchmarks of single stateful operators under bulk batches: the
+// per-operator view of the bulk load at the repository root
+// (BenchmarkBulkLoad).
 
 // benchSink defeats dead-code elimination.
 var benchSink float64
@@ -31,18 +26,13 @@ func benchBatch(n, dom int) []incremental.Delta[int] {
 
 func BenchmarkShaveShards(b *testing.B) {
 	batch := benchBatch(1<<16, 1<<13)
-	for _, shards := range benchShardCounts {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := New(shards)
-				in := NewInput[int](e)
-				out := incremental.Collect[weighted.Indexed[int]](ShaveConst[int](in, 1))
-				in.Push(batch)
-				benchSink = out.Norm()
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New()
+		in := NewInput[int](e)
+		out := incremental.Collect[weighted.Indexed[int]](ShaveConst[int](in, 1))
+		in.Push(batch)
+		benchSink = out.Norm()
 	}
 }
 
@@ -50,18 +40,13 @@ func BenchmarkGroupByShards(b *testing.B) {
 	batch := benchBatch(1<<16, 1<<13)
 	key := func(x int) int { return x >> 3 }
 	reduce := func(m []int) int { return len(m) }
-	for _, shards := range benchShardCounts {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := New(shards)
-				in := NewInput[int](e)
-				out := incremental.Collect[weighted.Grouped[int, int]](GroupBy[int, int, int](in, key, reduce))
-				in.Push(batch)
-				benchSink = out.Norm()
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New()
+		in := NewInput[int](e)
+		out := incremental.Collect[weighted.Grouped[int, int]](GroupBy[int, int, int](in, key, reduce))
+		in.Push(batch)
+		benchSink = out.Norm()
 	}
 }
 
@@ -71,17 +56,12 @@ func BenchmarkJoinShards(b *testing.B) {
 	batch := benchBatch(1<<14, 1<<12)
 	key := func(x int) int { return x >> 3 }
 	reduce := func(x, y int) [2]int { return [2]int{x, y} }
-	for _, shards := range benchShardCounts {
-		shards := shards
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				e := New(shards)
-				in := NewInput[int](e)
-				out := incremental.Collect[[2]int](Join[int, int, int, [2]int](in, in, key, key, reduce))
-				in.Push(batch)
-				benchSink = out.Norm()
-			}
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New()
+		in := NewInput[int](e)
+		out := incremental.Collect[[2]int](Join[int, int, int, [2]int](in, in, key, key, reduce))
+		in.Push(batch)
+		benchSink = out.Norm()
 	}
 }

@@ -9,23 +9,8 @@ import (
 	"wpinq/internal/weighted"
 )
 
-func TestNewClampsShards(t *testing.T) {
-	if got := New(0).Shards(); got < 1 {
-		t.Errorf("New(0) shards = %d, want >= 1", got)
-	}
-	if got := New(-3).Shards(); got < 1 {
-		t.Errorf("New(-3) shards = %d, want >= 1", got)
-	}
-	if got := New(5).Shards(); got != 5 {
-		t.Errorf("New(5) shards = %d, want 5", got)
-	}
-	if got := New(10 * MaxShards).Shards(); got != MaxShards {
-		t.Errorf("shards = %d, want clamp to %d", got, MaxShards)
-	}
-}
-
 func TestPushDatasetLoadsInitialData(t *testing.T) {
-	e := New(4)
+	e := New()
 	in := NewInput[int](e)
 	out := incremental.Collect[int](Select[int, int](in, func(x int) int { return x * 2 }))
 	d := weighted.FromPairs(
@@ -47,17 +32,18 @@ func TestPushDatasetLoadsInitialData(t *testing.T) {
 	}
 }
 
-func TestBulkLoadTakesParallelPath(t *testing.T) {
-	// A batch far beyond the serial cutoff must produce the same result
-	// as the reference, with every operator dispatching workers.
-	e := New(8)
+func TestBulkLoadMatchesReference(t *testing.T) {
+	// A load far past the retention bound — whose emission the node
+	// adopts instead of copying — must produce the same result as the
+	// reference, and leave the state holding every record.
+	e := New()
 	rng := rand.New(rand.NewSource(42))
 	in := NewInput[int](e)
 	grp := GroupBy[int, int, int](in, func(x int) int { return x % 17 }, func(m []int) int { return len(m) })
 	out := incremental.Collect[weighted.Grouped[int, int]](grp)
 	ref := weighted.New[int]()
-	batch := make([]incremental.Delta[int], 0, 8*DefaultSerialCutoff)
-	for i := 0; i < 8*DefaultSerialCutoff; i++ {
+	batch := make([]incremental.Delta[int], 0, 4096)
+	for i := 0; i < 4096; i++ {
 		x := rng.Intn(500)
 		w := rng.Float64()
 		batch = append(batch, incremental.Delta[int]{Record: x, Weight: w})
@@ -75,10 +61,9 @@ func TestBulkLoadTakesParallelPath(t *testing.T) {
 
 func TestIncrementalSinksAttachToEngineStreams(t *testing.T) {
 	// Engine streams implement incremental.Source, so the incremental
-	// package's Collect and NoisyCountSink consume sharded pipelines
+	// package's Collect and NoisyCountSink consume engine pipelines
 	// unchanged.
-	e := New(3)
-	e.SetSerialCutoff(0)
+	e := New()
 	in := NewInput[int](e)
 	sel := Select[int, int](in, func(x int) int { return x % 4 })
 	serial := incremental.Collect[int](sel)
@@ -103,10 +88,10 @@ func TestIncrementalSinksAttachToEngineStreams(t *testing.T) {
 }
 
 func TestJoinFastPathStats(t *testing.T) {
-	// An edge swap leaves group norms unchanged, so the sharded join
+	// An edge swap leaves group norms unchanged, so the engine's join
 	// must resolve it through the fast path, mirroring the incremental
 	// engine's ablation counters.
-	e := New(4)
+	e := New()
 	key := func(x int) int { return x % 2 }
 	in := NewInput[int](e)
 	other := NewInput[int](e)
@@ -127,7 +112,7 @@ func TestJoinFastPathStats(t *testing.T) {
 }
 
 func TestShaveStateSize(t *testing.T) {
-	e := New(4)
+	e := New()
 	in := NewInput[int](e)
 	sh := ShaveConst[int](in, 1)
 	incremental.Collect[weighted.Indexed[int]](sh)
@@ -138,7 +123,7 @@ func TestShaveStateSize(t *testing.T) {
 }
 
 func TestMinMaxStateSize(t *testing.T) {
-	e := New(4)
+	e := New()
 	a, b := NewInput[int](e), NewInput[int](e)
 	u := Union[int](a, b)
 	incremental.Collect[int](u)
@@ -155,13 +140,13 @@ func TestCrossEnginePanics(t *testing.T) {
 			t.Fatal("binary operator across engines did not panic")
 		}
 	}()
-	a := NewInput[int](New(2))
-	b := NewInput[int](New(2))
+	a := NewInput[int](New())
+	b := NewInput[int](New())
 	Concat[int](a, b)
 }
 
 func TestReentrantPushPanics(t *testing.T) {
-	e := New(2)
+	e := New()
 	in := NewInput[int](e)
 	sel := Select[int, int](in, func(x int) int { return x })
 	sel.Subscribe(func([]incremental.Delta[int]) {
@@ -175,50 +160,13 @@ func TestReentrantPushPanics(t *testing.T) {
 	in.Push([]incremental.Delta[int]{{Record: 1, Weight: 1}})
 }
 
-func TestSplitChunks(t *testing.T) {
-	mk := func(n int) []incremental.Delta[int] {
-		b := make([]incremental.Delta[int], n)
-		for i := range b {
-			b[i] = incremental.Delta[int]{Record: i, Weight: 1}
-		}
-		return b
-	}
-	chunks := splitChunks([][]incremental.Delta[int]{mk(10), mk(3), nil}, 13, 4, nil)
-	total := 0
-	for _, c := range chunks {
-		if len(c) == 0 {
-			t.Error("splitChunks produced an empty chunk")
-		}
-		if len(c) > 4 {
-			t.Errorf("chunk size %d exceeds target 4", len(c))
-		}
-		total += len(c)
-	}
-	if total != 13 {
-		t.Errorf("chunked total = %d, want 13", total)
-	}
-}
-
-func TestShardOfIsStable(t *testing.T) {
-	e := New(8)
-	for x := 0; x < 100; x++ {
-		s := shardOf(e, x)
-		if s < 0 || s >= 8 {
-			t.Fatalf("shardOf(%d) = %d out of range", x, s)
-		}
-		if shardOf(e, x) != s {
-			t.Fatalf("shardOf(%d) unstable", x)
-		}
-	}
-}
-
 // TestProfileCountsWhereOperatorsRun pins Engine.Profile: per node, in
 // scheduling order, the rounds in which it had input, the differences it
-// took and emitted — counted by the scheduler, once per round, whatever
-// the shard count — and the records a stateful node indexes. A round
+// took and emitted — counted by the scheduler, once per round — and the
+// records a stateful node indexes. A round
 // that brings a node nothing, and a transaction event, count nothing.
 func TestProfileCountsWhereOperatorsRun(t *testing.T) {
-	forEachConfig(t, func(t *testing.T, e *Engine) {
+	forEachConfig(t, func(t *testing.T, e *Engine, _ int64) {
 		in := NewInput[int](e)
 		odd := Where[int](in, func(x int) bool { return x%2 == 1 })
 		grp := GroupBy[int, int, int](odd, func(x int) int { return x % 3 }, func(m []int) int { return len(m) })

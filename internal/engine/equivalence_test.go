@@ -9,41 +9,28 @@ import (
 	"wpinq/internal/weighted"
 )
 
-// Equivalence tests: drive the sharded engine with random update
-// sequences and require that every collected output equals the reference
+// Equivalence tests: drive the engine with random update sequences and
+// require that every collected output equals the reference
 // transformation (internal/weighted, the executable specification)
-// applied to the accumulated input. Each test runs across several shard
-// configurations, including one with the serial cutoff forced to zero so
-// every round exercises the parallel dispatch paths — which is what makes
-// `go test -race ./internal/engine/...` a real concurrency check.
+// applied to the accumulated input.
 
 const eqTol = 1e-8
 
-// shardConfigs enumerates the engine layouts every equivalence test runs
-// under. cutoff 0 forces worker dispatch for every round, however small.
-var shardConfigs = []struct {
-	shards int
-	cutoff int
-}{
-	{1, DefaultSerialCutoff},
-	{2, DefaultSerialCutoff},
-	{3, 0},
-	{8, 0},
-}
+// rows names the subtests every equivalence test runs. The names are
+// those of the shard layouts the engine once partitioned its state into,
+// kept because test ids outlive what they named. Every row runs the one
+// engine there is; row i draws its random updates from the test's seed
+// plus rowSalt*i, so the rows are independent trials, and the first row
+// replays the test's own seed.
+var rows = []string{"shards=1,cutoff=512", "shards=2,cutoff=512", "shards=3,cutoff=0", "shards=8,cutoff=0"}
 
-func newTestEngine(shards, cutoff int) *Engine {
-	e := New(shards)
-	e.SetSerialCutoff(cutoff)
-	return e
-}
+const rowSalt = 1000
 
-// forEachConfig runs f as a subtest per shard configuration.
-func forEachConfig(t *testing.T, f func(t *testing.T, e *Engine)) {
-	for _, cfg := range shardConfigs {
-		cfg := cfg
-		t.Run(fmt.Sprintf("shards=%d,cutoff=%d", cfg.shards, cfg.cutoff), func(t *testing.T) {
-			f(t, newTestEngine(cfg.shards, cfg.cutoff))
-		})
+// forEachConfig runs f as a subtest per row, with a fresh engine and the
+// row's seed offset.
+func forEachConfig(t *testing.T, f func(t *testing.T, e *Engine, salt int64)) {
+	for i, name := range rows {
+		t.Run(name, func(t *testing.T) { f(t, New(), rowSalt*int64(i)) })
 	}
 }
 
@@ -95,8 +82,8 @@ func checkUnary[U comparable](
 	seed int64,
 ) {
 	t.Helper()
-	forEachConfig(t, func(t *testing.T, e *Engine) {
-		rng := rand.New(rand.NewSource(seed))
+	forEachConfig(t, func(t *testing.T, e *Engine, salt int64) {
+		rng := rand.New(rand.NewSource(seed + salt))
 		in := NewInput[int](e)
 		out := incremental.Collect[U](build(e, in))
 		ref := weighted.New[int]()
@@ -171,8 +158,8 @@ func TestGroupByEquivalence(t *testing.T) {
 }
 
 func TestConcatExceptEquivalence(t *testing.T) {
-	forEachConfig(t, func(t *testing.T, e *Engine) {
-		rng := rand.New(rand.NewSource(6))
+	forEachConfig(t, func(t *testing.T, e *Engine, salt int64) {
+		rng := rand.New(rand.NewSource(6 + salt))
 		inA := NewInput[int](e)
 		inB := NewInput[int](e)
 		outConcat := incremental.Collect[int](Concat[int](inA, inB))
@@ -196,8 +183,8 @@ func TestConcatExceptEquivalence(t *testing.T) {
 }
 
 func TestUnionIntersectEquivalence(t *testing.T) {
-	forEachConfig(t, func(t *testing.T, e *Engine) {
-		rng := rand.New(rand.NewSource(7))
+	forEachConfig(t, func(t *testing.T, e *Engine, salt int64) {
+		rng := rand.New(rand.NewSource(7 + salt))
 		inA := NewInput[int](e)
 		inB := NewInput[int](e)
 		outUnion := incremental.Collect[int](Union[int](inA, inB))
@@ -229,8 +216,8 @@ func TestJoinEquivalence(t *testing.T) {
 	for _, fastPath := range []bool{true, false} {
 		fastPath := fastPath
 		t.Run(fmt.Sprintf("fastPath=%v", fastPath), func(t *testing.T) {
-			forEachConfig(t, func(t *testing.T, e *Engine) {
-				rng := rand.New(rand.NewSource(8))
+			forEachConfig(t, func(t *testing.T, e *Engine, salt int64) {
+				rng := rand.New(rand.NewSource(8 + salt))
 				inA := NewInput[int](e)
 				inB := NewInput[int](e)
 				j := Join[int, int, int, [2]int](inA, inB, joinKey, joinKey, reduce)
@@ -261,8 +248,8 @@ func TestJoinSelfJoinEquivalence(t *testing.T) {
 	srcKey := func(e edge) int { return e.s }
 	dstKey := func(e edge) int { return e.d }
 	mkPath := func(x, y edge) path { return path{x.s, x.d, y.d} }
-	forEachConfig(t, func(t *testing.T, e *Engine) {
-		rng := rand.New(rand.NewSource(9))
+	forEachConfig(t, func(t *testing.T, e *Engine, salt int64) {
+		rng := rand.New(rand.NewSource(9 + salt))
 		in := NewInput[edge](e)
 		j := Join[edge, edge, int, path](in, in, dstKey, srcKey, mkPath)
 		out := incremental.Collect[path](j)
@@ -287,8 +274,8 @@ func TestJoinSelfJoinEquivalence(t *testing.T) {
 }
 
 // TestLoadEmissionChangesHands covers the one place a batch is kept by
-// its receiver: a load whose per-shard emission is past the retention
-// bound is released by the shard's body and taken, not copied, by the shard's
+// its receiver: a load whose emission is past the retention bound is
+// released by the node's body and taken, not copied, by the node's
 // output buffer. The load must read like the reference downstream of two
 // more operators, and the buffers must be the engine's own afterwards —
 // transactional pushes that reuse them, commits, aborts and a second
@@ -301,7 +288,7 @@ func TestLoadEmissionChangesHands(t *testing.T) {
 	mkPath := func(x, y edge) path { return path{x.s, x.d, y.d} }
 	open := func(p path) bool { return p.a != p.c }
 	ends := func(p path) [2]int { return [2]int{p.a, p.c} }
-	forEachConfig(t, func(t *testing.T, e *Engine) {
+	forEachConfig(t, func(t *testing.T, e *Engine, salt int64) {
 		in := NewInput[edge](e)
 		j := Join[edge, edge, int, path](in, in, dstKey, srcKey, mkPath)
 		out := incremental.Collect[[2]int](Select(Where[path](j, open), ends))
@@ -328,9 +315,9 @@ func TestLoadEmissionChangesHands(t *testing.T) {
 			}
 			in.Push(batch)
 		}
-		push(200, 0) // 28 800 paths: thousands per shard at 8 shards
+		push(200, 0) // 28 800 paths: far past the retention bound
 		check("after the load")
-		rng := rand.New(rand.NewSource(10))
+		rng := rand.New(rand.NewSource(10 + salt))
 		for step := 0; step < 12; step++ {
 			ed := edge{rng.Intn(200), rng.Intn(200)}
 			delta := 1.0
@@ -354,7 +341,7 @@ func TestLoadEmissionChangesHands(t *testing.T) {
 
 func TestDeepPipelineEquivalence(t *testing.T) {
 	// Select -> Where -> GroupBy -> Shave: heterogeneous stateful
-	// operators chained, with differences crossing two exchanges.
+	// operators chained.
 	sel := func(x int) int { return x % 5 }
 	whr := func(x int) bool { return x != 3 }
 	key := func(x int) int { return x % 2 }
@@ -408,8 +395,8 @@ func TestRandomPipelineEquivalence(t *testing.T) {
 	for trial := 0; trial < 6; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial=%d", trial), func(t *testing.T) {
-			forEachConfig(t, func(t *testing.T, e *Engine) {
-				rng := rand.New(rand.NewSource(100 + int64(trial)))
+			forEachConfig(t, func(t *testing.T, e *Engine, salt int64) {
+				rng := rand.New(rand.NewSource(100 + int64(trial) + salt))
 				in := NewInput[int](e)
 				streams := []stream{{
 					src: in,

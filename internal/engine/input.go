@@ -27,7 +27,9 @@ func (in *Input[T]) process() {
 	if len(in.pending) == 0 {
 		return
 	}
-	in.emit(in.pending)
+	for _, b := range in.pending {
+		in.emit(b)
+	}
 	clear(in.pending) // the caller's batch: see port.reset
 	in.pending = in.pending[:0]
 }
@@ -50,7 +52,7 @@ func (in *Input[T]) Push(batch []incremental.Delta[T]) {
 func (in *Input[T]) Pushes() uint64 { return in.pushes }
 
 // Begin opens a transaction: pushes until Commit or Abort are
-// speculative, with every stateful shard's body logging the pre-image
+// speculative, with every stateful node's body logging the pre-image
 // of the state it overwrites. Control events are broadcast synchronously
 // through the node graph outside any round; the engine must be quiescent
 // (between pushes), which the single-goroutine API contract guarantees.

@@ -9,9 +9,9 @@ import (
 )
 
 // Stateless operators are linear in their input: an input difference maps
-// directly to an output difference with no maintained state, so no
-// exchange is needed — each round's input is cut into contiguous chunks
-// and the chunks are transformed concurrently.
+// directly to an output difference with no maintained state, so each
+// batch an upstream emitted is transformed into one output batch of its
+// own.
 
 // Node is a stateless operator's output: a stream of differences of type
 // T with no state of its own. Transaction events pass through unchanged
@@ -31,33 +31,32 @@ func (n *Node[T]) onTxn(op incremental.TxnOp) {
 	}
 }
 
-// mapped builds the shared chunk-parallel skeleton of Select, Where,
-// SelectMany and Except's negation: transform applies one input chunk,
-// appending to a reused per-chunk output buffer — which the operators
-// whose output is bounded by the chunk size from it first (SelectMany's
-// fan-out is f's).
+// mapped builds the shared skeleton of Select, Where, SelectMany and
+// Except's negation: transform applies one input batch, appending to a
+// reused per-batch output buffer — which the operators whose output is
+// bounded by the batch size grow from it first (SelectMany's fan-out is
+// f's).
 func mapped[T, U comparable](src Source[T], op string, transform func(in []incremental.Delta[T], out []incremental.Delta[U]) []incremental.Delta[U]) *Node[U] {
 	e := src.engine()
 	in := src.newPort()
 	n := &Node[U]{Stream: Stream[U]{e: e, prof: NodeProfile{Op: op}}}
-	var chunks [][]incremental.Delta[T]
 	var outs [][]incremental.Delta[U]
-	apply := func(i int) { // built once: see forN
-		outs[i] = transform(chunks[i], outs[i][:0])
-	}
 	n.run = func() {
 		if in.total == 0 {
 			return
 		}
 		n.ran(in.total)
-		chunks = splitChunks(in.batches, in.total, e.shards, chunks[:0])
-		for len(outs) < len(chunks) {
+		for len(outs) < len(in.batches) {
 			outs = append(outs, nil)
 		}
-		e.forN(in.total, len(chunks), apply)
-		n.emit(outs[:len(chunks)])
-		recycle(outs, n.gate.Active())
-		clear(chunks) // they alias the upstream's batches: see port.reset
+		for i, b := range in.batches {
+			outs[i] = transform(b, outs[i][:0])
+			n.emit(outs[i])
+		}
+		keep := n.gate.Active()
+		for i := range outs {
+			outs[i] = incremental.Recycle(outs[i], keep)
+		}
 		in.reset()
 	}
 	src.SubscribeTxn(n.onTxn)
@@ -65,8 +64,7 @@ func mapped[T, U comparable](src Source[T], op string, transform func(in []incre
 	return n
 }
 
-// Select applies f to each record, preserving weights. f must be pure: it
-// is invoked concurrently across chunks.
+// Select applies f to each record, preserving weights. f must be pure.
 func Select[T, U comparable](src Source[T], f func(T) U) *Node[U] {
 	return mapped(src, "select", func(in []incremental.Delta[T], out []incremental.Delta[U]) []incremental.Delta[U] {
 		out = slices.Grow(out, len(in))
@@ -92,8 +90,7 @@ func Where[T comparable](src Source[T], p func(T) bool) *Node[T] {
 
 // SelectMany maps each record to a weighted dataset rescaled to at most
 // unit norm (paper Section 2.4). f must be pure and deterministic: it is
-// re-invoked, possibly concurrently, on every difference touching the
-// record.
+// re-invoked on every difference touching the record.
 func SelectMany[T, U comparable](src Source[T], f func(T) *weighted.Dataset[U]) *Node[U] {
 	return mapped(src, "selectmany", func(in []incremental.Delta[T], out []incremental.Delta[U]) []incremental.Delta[U] {
 		for _, d := range in {
@@ -121,8 +118,12 @@ func Concat[T comparable](a, b Source[T]) *Node[T] {
 		if total := pa.total + pb.total; total > 0 {
 			n.ran(total)
 		}
-		n.emit(pa.batches)
-		n.emit(pb.batches)
+		for _, b := range pa.batches {
+			n.emit(b)
+		}
+		for _, b := range pb.batches {
+			n.emit(b)
+		}
 		pa.reset()
 		pb.reset()
 	}

@@ -8,13 +8,10 @@ import (
 	"wpinq/internal/weighted"
 )
 
-// Transactional propagation on the sharded executor: an aborted
-// transaction must leave every shard's state — and therefore the
-// engine's collected outputs and future emissions — bit-identical to an
-// engine that never saw the speculative rounds. Runs across all shard
-// layouts, including cutoff-0 configurations that force parallel
-// dispatch for every speculative round, so `go test -race` exercises the
-// per-shard undo logging concurrently.
+// Transactional propagation: an aborted transaction must leave every
+// node's state — and therefore the engine's collected outputs and future
+// emissions — bit-identical to an engine that never saw the speculative
+// rounds.
 
 // exactEqual compares two datasets bit-for-bit.
 func exactEqual[T comparable](t *testing.T, name string, got, want *weighted.Dataset[T]) {
@@ -50,15 +47,15 @@ func buildTxnGraph(e *Engine) (*Input[int], *incremental.Collector[[2]int], *inc
 		grouped,
 		incremental.MapObservations[weighted.Grouped[int, int]]{},
 		nil, 0.5)
-	ShaveConst[int](sel, 0.5) // exercise record-partitioned state too
+	ShaveConst[int](sel, 0.5) // exercise record-indexed state too
 	return in, col, sink
 }
 
 func TestTxnEngineAbortLeavesNoTrace(t *testing.T) {
-	forEachConfig(t, func(t *testing.T, e *Engine) {
-		rng := rand.New(rand.NewSource(62))
+	forEachConfig(t, func(t *testing.T, e *Engine, salt int64) {
+		rng := rand.New(rand.NewSource(62 + salt))
 		subjectIn, subjectCol, subjectSink := buildTxnGraph(e)
-		twinIn, twinCol, twinSink := buildTxnGraph(newTestEngine(e.Shards(), e.cutoff))
+		twinIn, twinCol, twinSink := buildTxnGraph(New())
 
 		base := randBatch(rng, 40, 64)
 		subjectIn.Push(base)
@@ -100,7 +97,7 @@ func TestTxnEngineAbortLeavesNoTrace(t *testing.T) {
 // TestTxnEnginePushCounter pins the propagation counter: control events
 // are free, pushes count.
 func TestTxnEnginePushCounter(t *testing.T) {
-	e := New(2)
+	e := New()
 	in, _, _ := buildTxnGraph(e)
 	in.Push(randBatch(rand.New(rand.NewSource(1)), 10, 4))
 	in.Begin()
@@ -124,7 +121,7 @@ func buildFusionDiamond(e *Engine) (*Input[int], *incremental.Collector[[2]int],
 	shared := Select[int](in, func(x int) int { return x % 32 }) // the fused prefix
 	left := Where[int](shared, func(x int) bool { return x%2 == 0 })
 	right := Select[int](shared, func(x int) int { return (x * 3) % 32 })
-	ShaveConst[int](shared, 0.25) // a third consumer with record-partitioned state
+	ShaveConst[int](shared, 0.25) // a third consumer with record-indexed state
 	diamond := Join[int, int, int, [2]int](left, right,
 		func(x int) int { return x % 4 }, func(y int) int { return y % 4 },
 		func(x, y int) [2]int { return [2]int{x, y} })
@@ -135,14 +132,12 @@ func buildFusionDiamond(e *Engine) (*Input[int], *incremental.Collector[[2]int],
 // TestTxnFanOutDiamond fuzzes randomized commit/abort cycles through the
 // fusion-shaped DAG against a twin that only ever sees the committed
 // batches: gate dedup at the diamond's reconvergence must leave aborted
-// speculation invisible, bit-for-bit, on every shard layout (cutoff-0
-// configs force parallel dispatch each round, so -race covers the
-// concurrent gate paths).
+// speculation invisible, bit-for-bit.
 func TestTxnFanOutDiamond(t *testing.T) {
-	forEachConfig(t, func(t *testing.T, e *Engine) {
-		rng := rand.New(rand.NewSource(77))
+	forEachConfig(t, func(t *testing.T, e *Engine, salt int64) {
+		rng := rand.New(rand.NewSource(77 + salt))
 		subjectIn, subjectDiamond, subjectGroups := buildFusionDiamond(e)
-		twinIn, twinDiamond, twinGroups := buildFusionDiamond(newTestEngine(e.Shards(), e.cutoff))
+		twinIn, twinDiamond, twinGroups := buildFusionDiamond(New())
 
 		base := randBatch(rng, 48, 80)
 		subjectIn.Push(base)

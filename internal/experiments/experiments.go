@@ -46,9 +46,6 @@ type Options struct {
 	Samples int
 	// Repeats is the number of repetitions for error bars (Figure 5).
 	Repeats int
-	// Shards is the executor's shard count for every MCMC fit: 0 is one
-	// shard per CPU, n > 0 pins the count (see synth.Config.Shards).
-	Shards int
 	// Chains runs every synthesis fit as this many replica-exchange
 	// chains at a geometric pow ladder (see synth.Config.Chains; 0 or 1
 	// = the single-chain walk the paper uses). Trajectory samples follow
@@ -218,7 +215,6 @@ func Fig3(o Options) error {
 			Bucket:    run.bucket,
 			Pow:       o.Pow,
 			Steps:     steps,
-			Shards:    o.Shards,
 			Chains:    o.Chains,
 		}
 		line, _, err := trajectory(run.g, cfg, o, 33+int64(i), run.name)
@@ -259,7 +255,6 @@ func Fig4(o Options) error {
 		Workloads: []string{"tbi"},
 		Pow:       o.Pow,
 		Steps:     o.Steps,
-		Shards:    o.Shards,
 		Chains:    o.Chains,
 	}
 	i := int64(0)
@@ -302,7 +297,6 @@ func Table2(o Options) error {
 		Workloads: []string{"tbi"},
 		Pow:       o.Pow,
 		Steps:     o.Steps,
-		Shards:    o.Shards,
 		Chains:    o.Chains,
 	}
 	for i, name := range []datasets.Name{datasets.GrQc, datasets.HepPh, datasets.HepTh, datasets.Caltech} {
@@ -339,7 +333,6 @@ func Fig5(o Options) error {
 					Workloads: []string{"tbi"},
 					Pow:       o.Pow,
 					Steps:     o.Steps,
-					Shards:    o.Shards,
 					Chains:    o.Chains,
 				}
 				res, err := synth.Run(run.g, cfg, o.rng(90+int64(rep)+int64(eps*1000)))
@@ -453,7 +446,6 @@ func Fig6(o Options) error {
 		Workloads: []string{"tbi"},
 		Pow:       o.Pow,
 		Steps:     o.Steps,
-		Shards:    o.Shards,
 		Chains:    o.Chains,
 	}
 	for i, run := range []struct {
@@ -473,7 +465,7 @@ func Fig6(o Options) error {
 	return nil
 }
 
-// tbiLoadAndRate builds a TbI fit plan over g at o.Shards, reports the
+// tbiLoadAndRate builds a TbI fit plan over g, reports the
 // live heap after loading and the sustained MCMC step rate.
 func tbiLoadAndRate(g *graph.Graph, o Options, seedOffset int64, steps int) (heapMB, stepsPerSec float64, err error) {
 	before := liveHeapMB()
@@ -492,7 +484,7 @@ func tbiLoadAndRate(g *graph.Graph, o Options, seedOffset int64, steps int) (hea
 	if err != nil {
 		return 0, 0, err
 	}
-	plan := workload.NewPlan(o.Shards)
+	plan := workload.NewPlan()
 	if err := fit.Attach(plan, o.Eps); err != nil {
 		return 0, 0, err
 	}

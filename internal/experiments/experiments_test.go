@@ -75,7 +75,7 @@ func TestTrajectoryShape(t *testing.T) {
 	}
 	cfg := synth.Config{
 		Eps: o.Eps, Workloads: []string{"tbi"}, Pow: o.Pow, Steps: o.Steps,
-		Shards: 1, Chains: 2, SwapEvery: 64,
+		Chains: 2, SwapEvery: 64,
 	}
 	line, res, err := trajectory(g, cfg, o, 33, "shape")
 	if err != nil {

@@ -10,8 +10,8 @@ import (
 
 func Example() {
 	// Wire an operator once, on an engine; then push differences through
-	// it. (incremental.GroupBy is the body the engine keeps per shard.)
-	in := engine.NewInput[string](engine.New(1))
+	// it. (incremental.GroupBy is the body the engine node keeps.)
+	in := engine.NewInput[string](engine.New())
 	byLen := engine.GroupBy(in,
 		func(s string) int { return len(s) },
 		func(words []string) int { return len(words) })
@@ -40,7 +40,7 @@ func Example() {
 }
 
 func ExampleNewNoisyCountSink() {
-	in := engine.NewInput[string](engine.New(1))
+	in := engine.NewInput[string](engine.New())
 	sink := incremental.NewNoisyCountSink[string](
 		in,
 		incremental.MapObservations[string]{"x": 3.0},

@@ -10,7 +10,7 @@ import (
 )
 
 // Graphs of several operator bodies, built the one way a graph is built —
-// on an engine (one shard: nothing to route) — and terminated in this
+// on an engine — and terminated in this
 // package's Collector: long random update sequences against the reference
 // semantics, inverse-push rollback, and transactions through shapes in
 // which a node is reached along more than one path.
@@ -26,7 +26,7 @@ func TestDeepPipelineEquivalence(t *testing.T) {
 	index := func(s shaved) int { return s.Index }
 	keys := func(m []shaved) int { return len(m) }
 	rng := rand.New(rand.NewSource(10))
-	in := engine.NewInput[int](engine.New(1))
+	in := engine.NewInput[int](engine.New())
 	out := incremental.Collect(engine.GroupBy(engine.ShaveConst(engine.GroupBy(in, key, count), 0.25), index, keys))
 
 	ref := weighted.New[int]()
@@ -54,7 +54,7 @@ func TestDeepChainLongRun(t *testing.T) {
 	index := func(s shaved) int { return s.Index }
 	keys := func(m []shaved) int { return len(m) }
 	rng := rand.New(rand.NewSource(100))
-	in := engine.NewInput[int](engine.New(1))
+	in := engine.NewInput[int](engine.New())
 	grp := engine.GroupBy(in, key, count)
 	flat := engine.GroupBy(engine.ShaveConst(grp, 0.4), index, keys)
 	both := engine.Intersect[weighted.Grouped[int, int]](flat, grp)
@@ -88,7 +88,7 @@ func TestDiamondTopology(t *testing.T) {
 	keyR := func(y int) int { return y % 4 }
 	pair := func(s weighted.Indexed[int], y int) [2]int { return [2]int{s.Value*8 + s.Index, y} }
 	rng := rand.New(rand.NewSource(101))
-	in := engine.NewInput[int](engine.New(1))
+	in := engine.NewInput[int](engine.New())
 	out := incremental.Collect[[2]int](engine.Join(engine.ShaveConst(in, 0.5), in, keyL, keyR, pair))
 
 	ref := weighted.New[int]()
@@ -135,7 +135,7 @@ func tbiShape(s engine.Source[int]) engine.Source[tbiPath] {
 func checkRollback[U comparable](t *testing.T, name string, build func(engine.Source[int]) engine.Source[U]) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(60))
-	in := engine.NewInput[int](engine.New(1))
+	in := engine.NewInput[int](engine.New())
 	out := incremental.Collect[U](build(in))
 	// Base load keeps weights non-negative overall.
 	var base []delta
@@ -178,9 +178,9 @@ func checkTxn[U comparable](t *testing.T, name string, build func(engine.Source[
 	t.Helper()
 	rng := rand.New(rand.NewSource(61))
 
-	subjectIn := engine.NewInput[int](engine.New(1))
+	subjectIn := engine.NewInput[int](engine.New())
 	subjectOut := incremental.Collect[U](build(subjectIn))
-	twinIn := engine.NewInput[int](engine.New(1))
+	twinIn := engine.NewInput[int](engine.New())
 	twinOut := incremental.Collect[U](build(twinIn))
 	same := func(when string) {
 		t.Helper()
@@ -249,7 +249,7 @@ func TestTriangleStateScalesWithSumDegreeSquares(t *testing.T) {
 	type edge struct{ s, d int }
 	type path struct{ a, b, c int }
 	build := func(d int) (joinSize, intersectSize int) {
-		in := engine.NewInput[edge](engine.New(1))
+		in := engine.NewInput[edge](engine.New())
 		dst, src := func(e edge) int { return e.d }, func(e edge) int { return e.s }
 		j := engine.Join(in, in, dst, src, func(x, y edge) path { return path{x.s, x.d, y.d} })
 		rotated := engine.Join(in, in, dst, src, func(x, y edge) path { return path{x.d, y.d, x.s} })

@@ -31,25 +31,13 @@ const (
 	scratchRetain = 1 << 10
 )
 
-// hashSeed is the process-wide hash seed. Two things hash under it:
-// every scratchIndex probe, for every key type (a fixed 64-bit finaliser
-// for the packed uint64 keys was tried and dropped: the hash is 3 % of a
-// load, the cache miss on the cell it picks is the rest), and the sharded
-// executor's record routing.
+// hashSeed is the process-wide hash seed every scratchIndex probe hashes
+// under, for every key type (a fixed 64-bit finaliser for the packed
+// uint64 keys was tried and dropped: the hash is 3 % of a load, the cache
+// miss on the cell it picks is the rest).
 //
-//wpinq:nondeterministic-ok the one sanctioned random seed, drawn once at init, never on a scoring path. Its two users: scratchIndex.probe, where it only picks cells — slots are assigned in first-appearance order whatever the seed, so no result depends on it — and engine.shardOf, whose routing is documented as per-process (HashSeed)
+//wpinq:nondeterministic-ok the one sanctioned random seed, drawn once at init, never on a scoring path: scratchIndex.probe only picks cells with it, and slots are assigned in first-appearance order whatever the seed, so no result depends on it
 var hashSeed = maphash.MakeSeed()
-
-// HashSeed returns the process-wide hash seed. The sharded executor
-// routes records by it: a per-engine seed would send one record to
-// different shards in different engine instances, reordering emitted
-// batches — and with them every sink's floating-point accumulation —
-// between identically-seeded runs. One seed per process makes repeated
-// runs (and concurrent replica-exchange chains) reproducible within a
-// process; across processes it differs, so multi-shard scores agree only
-// to accumulation tolerance (one shard does not route, and is
-// bit-reproducible across processes too).
-func HashSeed() maphash.Seed { return hashSeed }
 
 // Recycle empties a per-push buffer for reuse — or releases it,
 // returning nil, when the push was a load that grew it past
@@ -58,7 +46,7 @@ func HashSeed() maphash.Seed { return hashSeed }
 // batch changes hands: a node that emits a buffer and then Recycles it has, when the
 // answer is nil, left the emission as the array's only reference, and a
 // batch's single receiver — asking Recycle the same question of the same
-// array — may then keep it instead of copying it (the engine's shard
+// array — may then keep it instead of copying it (the engine's node
 // output buffers do). Every other emission is the emitter's, to be
 // overwritten by its next push.
 //

@@ -13,14 +13,14 @@
 // equivalence is enforced by property tests that drive both with random
 // update sequences.
 //
-// The graph itself — inputs, stateless operators, ports, scheduling,
-// sharding — is wpinq/internal/engine's. An operator body here is a plain
+// The graph itself — inputs, stateless operators, ports, scheduling —
+// is wpinq/internal/engine's. An operator body here is a plain
 // single-threaded state machine: built with its parameters and the one
 // Handler its output goes to, it is told Apply (ApplyLeft, ApplyRight)
 // for a batch of input differences and Txn for a transaction event, and
 // hands what changes to that handler before the call returns. The engine
-// keeps one body per shard of each stateful operator and is the only
-// caller outside this package's tests. Its streams are Sources in this
+// keeps one body per stateful operator and is the only caller outside
+// this package's tests. Its streams are Sources in this
 // package's sense, so the sinks below terminate its pipelines.
 //
 // Pushes may be transactional: TxnBegin marks subsequent pushes

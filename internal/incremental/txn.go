@@ -18,8 +18,8 @@ import "wpinq/internal/weighted"
 // Control events travel the engine's dataflow edges like difference
 // batches: a node there receives Begin/Commit/Abort from each upstream,
 // deduplicates redundant deliveries (diamond topologies deliver an event
-// once per incoming edge) with a TxnGate, tells every shard's operator
-// body (Txn) — which applies the event to its own state and forwards it
+// once per incoming edge) with a TxnGate, tells its operator body
+// (Txn) — which applies the event to its own state and forwards it
 // to nobody — and passes it on downstream, where the sinks subscribe to
 // it (Source.SubscribeTxn). The propagation is synchronous and carries no
 // data, so its cost is one virtual call per graph edge.

@@ -6,16 +6,16 @@ import (
 )
 
 // DetSource flags sources of run-to-run nondeterminism in the
-// determinism-pinned packages (plus the sharded engine): wall-clock
+// determinism-pinned packages (plus the engine): wall-clock
 // reads, the process-global math/rand source, and randomly self-seeded
 // maphash values. All randomness on scoring paths must flow through an
 // explicitly seeded *rand.Rand (or a pinned maphash.Seed), so that a
 // seed pins the whole trace.
 //
 // The two sanctioned exceptions carry directives: the process-wide hash
-// seed (one maphash.MakeSeed at init, in incremental: shard routing and
-// scratch-index probing) and any observability timestamps outside
-// scoring paths.
+// seed (one maphash.MakeSeed at init, in incremental, which only picks
+// scratch-index cells) and any observability timestamps outside scoring
+// paths.
 var DetSource = &Analyzer{
 	Name: "detsource",
 	Doc:  "flag wall-clock and process-global randomness in determinism-pinned packages",

@@ -7,7 +7,7 @@
 //   - detrange: no map-iteration order observable in the
 //     determinism-pinned packages (bit-reproducible seeded traces).
 //   - detsource: no wall-clock or process-global randomness in those
-//     same packages (plus the sharded engine's routing seed).
+//     same packages (plus the engine that schedules them).
 //   - txnundo: every write to undo-replayed state is accompanied by
 //     undo-log maintenance on the transaction-open path.
 //   - poolalias: pooled difference batches (takeBatch results) must not
@@ -129,9 +129,9 @@ var detPinned = []string{
 	"wpinq/internal/core",
 }
 
-// detSourcePinned additionally covers the sharded engine, whose only
-// sanctioned nondeterminism is routing by the process-wide maphash seed
-// (incremental.HashSeed, which carries the directive).
+// detSourcePinned additionally covers the engine, whose rounds order
+// every accumulation downstream of an input. It draws no randomness and
+// carries no directive.
 var detSourcePinned = append([]string{"wpinq/internal/engine"}, detPinned...)
 
 // Directive is one //wpinq:<verb> <reason> suppression comment.

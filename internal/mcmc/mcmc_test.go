@@ -13,10 +13,10 @@ import (
 
 func testRng(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-// newEdgeInput returns a one-shard executor's edge input: what a test
+// newEdgeInput returns an engine's edge input: what a test
 // that only needs an input builds over.
 func newEdgeInput() *engine.Input[graph.Edge] {
-	return engine.NewInput[graph.Edge](engine.New(1))
+	return engine.NewInput[graph.Edge](engine.New())
 }
 
 // inverse returns the proposal that swaps p's edges back.

@@ -17,9 +17,9 @@ import (
 // byte-identical — accept/reject decisions and final edge list — to a
 // walk that rejects by pushing the inverse swap.
 //
-// The "serial" rows are Shards -1, the retired reference engine's value,
-// which every layer that still accepts it reads as one shard
-// (workload.NewPlanFused); they stay because the value does.
+// The rows of the table tests are named after the executor layouts they
+// once ran at; test ids outlive what they named, so each row now walks
+// its own seed on the one engine there is.
 
 // lazyObs hands out noise in first-request order: a record's observation
 // is drawn on first Get and cached, so Get is a function for the life of
@@ -54,10 +54,9 @@ type txnFixture struct {
 
 // buildTxnFixture wires buildFixture's fit — triangle count (TbI), degree
 // sequence, and the joint degree distribution against lazily-drawn
-// observations — at the given shard count (negative: one) and cutoff (0
-// forces parallel dispatch).
-func buildTxnFixture(g *graph.Graph, shards, cutoff int, obsSeed int64) txnFixture {
-	return buildFixture(g, shards, cutoff, newLazyObs[queries.DegPair](obsSeed))
+// observations.
+func buildTxnFixture(g *graph.Graph, obsSeed int64) txnFixture {
+	return buildFixture(g, newLazyObs[queries.DegPair](obsSeed))
 }
 
 // edgeObs gives every directed edge an observation in (0.25, 0.75), a
@@ -77,10 +76,8 @@ func (edgeObs) Get(e graph.Edge) float64 {
 // without an rng draw — and whether the cancelling differences behind it
 // round to +0 or to 1e-14 depends on the accumulators' last bits, which is
 // exactly where two paths that agree on every decision may still differ.
-func buildFixture(g *graph.Graph, shards, cutoff int, jddObs incremental.Observations[queries.DegPair]) txnFixture {
-	e := engine.New(max(shards, 1))
-	e.SetSerialCutoff(cutoff)
-	in := engine.NewInput[graph.Edge](e)
+func buildFixture(g *graph.Graph, jddObs incremental.Observations[queries.DegPair]) txnFixture {
+	in := engine.NewInput[graph.Edge](engine.New())
 	degTargets := incremental.MapObservations[int]{0: 8, 1: 6, 2: 5, 3: 3}
 	sink1 := incremental.NewNoisyCountSink[queries.Unit](
 		queries.Stream(queries.TbI(), nil, in), incremental.MapObservations[queries.Unit]{{}: 45}, []queries.Unit{{}}, 0.5)
@@ -154,20 +151,21 @@ func runInversePush(f txnFixture, pow float64, rngSeed int64, n int) (Stats, []s
 
 // TestTxnTraceMatchesInversePushPath pins the protocol end to end: for a
 // fixed seed, the transactional walk's accept/reject decisions and final
-// edge list are byte-identical to the inverse-push walk's, at one shard
-// and at three. (Scores are not compared bitwise: the inverse-push path
+// edge list are byte-identical to the inverse-push walk's, on each row's
+// walk (the row names are the executor layouts the test once ran at).
+// (Scores are not compared bitwise: the inverse-push path
 // re-derives state arithmetically and its scalar accumulators can drift
 // by ~1e-15 on rare rejects, which is exactly the imprecision the undo
 // log removes; such drift would flip a decision only at an
 // astronomically near tie.)
 func TestTxnTraceMatchesInversePushPath(t *testing.T) {
 	for _, cfg := range []struct {
-		name           string
-		shards, cutoff int
+		name string
+		seed int64 // of the walk
 	}{
-		{"serial", -1, engine.DefaultSerialCutoff},
-		{"engine1", 1, engine.DefaultSerialCutoff},
-		{"engine3", 3, engine.DefaultSerialCutoff},
+		{"serial", 99},
+		{"engine1", 1099},
+		{"engine3", 2099},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			rng := testRng(21)
@@ -175,11 +173,11 @@ func TestTxnTraceMatchesInversePushPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			txn := buildTxnFixture(g, cfg.shards, cfg.cutoff, 77)
-			old := buildTxnFixture(g, cfg.shards, cfg.cutoff, 77)
+			txn := buildTxnFixture(g, 77)
+			old := buildTxnFixture(g, 77)
 
-			stTxn, trTxn := runTraced(t, txn, 300, 99, 1500)
-			stOld, trOld := runInversePush(old, 300, 99, 1500)
+			stTxn, trTxn := runTraced(t, txn, 300, cfg.seed, 1500)
+			stOld, trOld := runInversePush(old, 300, cfg.seed, 1500)
 
 			if stTxn.Steps != stOld.Steps || stTxn.Accepted != stOld.Accepted ||
 				stTxn.Rejected != stOld.Rejected || stTxn.Invalid != stOld.Invalid {
@@ -214,11 +212,11 @@ func TestTxnTraceMatchesInversePushPath(t *testing.T) {
 // propagation per reject.
 func TestTxnRejectCostsOnePropagation(t *testing.T) {
 	for _, cfg := range []struct {
-		name           string
-		shards, cutoff int
+		name string
+		seed int64 // of the walk
 	}{
-		{"serial", -1, engine.DefaultSerialCutoff},
-		{"engine2", 2, engine.DefaultSerialCutoff},
+		{"serial", 41},
+		{"engine2", 1041},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			rng := testRng(31)
@@ -226,8 +224,8 @@ func TestTxnRejectCostsOnePropagation(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			f := buildTxnFixture(g, cfg.shards, cfg.cutoff, 78)
-			r, err := NewRunner(f.state, f.scorer, Config{Pow: 1e7}, testRng(41))
+			f := buildTxnFixture(g, 78)
+			r, err := NewRunner(f.state, f.scorer, Config{Pow: 1e7}, testRng(cfg.seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -248,28 +246,27 @@ func TestTxnRejectCostsOnePropagation(t *testing.T) {
 // the graph, every operator's state, the sinks' L1 accumulators, and the
 // score bit-identical to a twin that applied only the committed swaps —
 // and equal, to float-accumulation tolerance, to a fresh pipeline
-// bulk-loaded with the final edge list. Runs at one shard and at three
-// with cutoff 0, so -race exercises speculative rounds under parallel
-// dispatch.
+// bulk-loaded with the final edge list. Each row (named after the
+// executor layouts the test once ran at) fuzzes its own interleaving.
 func TestTxnRandomCommitAbortLeavesNoTrace(t *testing.T) {
 	for _, cfg := range []struct {
-		name           string
-		shards, cutoff int
+		name string
+		seed int64
 	}{
-		{"serial", -1, engine.DefaultSerialCutoff},
-		{"engine1", 1, engine.DefaultSerialCutoff},
-		{"engine3-cutoff0", 3, 0},
+		{"serial", 51},
+		{"engine1", 1051},
+		{"engine3-cutoff0", 2051},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
-			rng := testRng(51)
+			rng := testRng(cfg.seed)
 			g, err := graph.ErdosRenyi(45, 120, rng)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Fixed observations only: aborted proposals must not consume
 			// lazy noise draws the committed-only twin never sees.
-			subject := buildFixedObsFixture(g, cfg.shards, cfg.cutoff)
-			twin := buildFixedObsFixture(g, cfg.shards, cfg.cutoff)
+			subject := buildFixedObsFixture(g)
+			twin := buildFixedObsFixture(g)
 
 			commits := 0
 			for i := 0; i < 1200; i++ {
@@ -307,7 +304,7 @@ func TestTxnRandomCommitAbortLeavesNoTrace(t *testing.T) {
 			// A fresh pipeline loaded with the final edge list agrees to
 			// accumulation tolerance (exactly the guarantee periodic
 			// Recompute relies on).
-			fresh := buildFixedObsFixture(subject.state.Graph(), cfg.shards, cfg.cutoff)
+			fresh := buildFixedObsFixture(subject.state.Graph())
 			if diff := subject.scorer.Score() - fresh.scorer.Score(); diff > 1e-7 || diff < -1e-7 {
 				t.Errorf("score %v diverges from fresh bulk load %v by %v",
 					subject.scorer.Score(), fresh.scorer.Score(), diff)
@@ -328,8 +325,8 @@ func TestTxnRandomCommitAbortLeavesNoTrace(t *testing.T) {
 // buildFixedObsFixture is buildTxnFixture with every observation fixed
 // up front (no lazy noise), for tests that replay subsets of a proposal
 // sequence.
-func buildFixedObsFixture(g *graph.Graph, shards, cutoff int) txnFixture {
-	return buildFixture(g, shards, cutoff, incremental.MapObservations[queries.DegPair]{})
+func buildFixedObsFixture(g *graph.Graph) txnFixture {
+	return buildFixture(g, incremental.MapObservations[queries.DegPair]{})
 }
 
 // TestTxnAbortRestoresScoreExactly drives the sampler's own rejection
@@ -342,7 +339,7 @@ func TestTxnAbortRestoresScoreExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := buildFixedObsFixture(g, 1, engine.DefaultSerialCutoff)
+	f := buildFixedObsFixture(g)
 	for i := 0; i < 2000; i++ {
 		p, ok := f.state.Propose(rng)
 		if !ok {

@@ -41,7 +41,7 @@ func TestSharedFusesByKey(t *testing.T) {
 // key and both types, not with a bare interface-conversion error.
 func TestSharedNamesBothTypesOnKeyCollision(t *testing.T) {
 	m := New(true)
-	Shared(m, Node{Key: "degrees"}, func() incremental.Source[int] { return engine.NewInput[int](engine.New(1)) })
+	Shared(m, Node{Key: "degrees"}, func() incremental.Source[int] { return engine.NewInput[int](engine.New()) })
 	defer func() {
 		msg, _ := recover().(string)
 		for _, want := range []string{`"degrees"`, "incremental.Source[string]", "*engine.Input[int]"} {
@@ -50,7 +50,7 @@ func TestSharedNamesBothTypesOnKeyCollision(t *testing.T) {
 			}
 		}
 	}()
-	Shared(m, Node{Key: "degrees"}, func() incremental.Source[string] { return engine.NewInput[string](engine.New(1)) })
+	Shared(m, Node{Key: "degrees"}, func() incremental.Source[string] { return engine.NewInput[string](engine.New()) })
 	t.Error("key requested at a second stream type was served")
 }
 
@@ -128,7 +128,7 @@ func TestNilMemoBuilds(t *testing.T) {
 // the tap does not disturb other subscribers.
 func TestCountTapsBatchDeliveries(t *testing.T) {
 	m := New(true)
-	in := engine.NewInput[int](engine.New(1))
+	in := engine.NewInput[int](engine.New())
 	Count[int](m, in)
 	var seen int
 	in.Subscribe(func(batch []incremental.Delta[int]) { seen += len(batch) })

@@ -102,7 +102,7 @@ func TestCompilePrefersConnectedExtensions(t *testing.T) {
 // must not fuse).
 func TestFragmentKeys(t *testing.T) {
 	m := plan.New(true)
-	in := engine.NewInput[graph.Edge](engine.New(1))
+	in := engine.NewInput[graph.Edge](engine.New())
 	refs := func() map[string]int {
 		out := map[string]int{}
 		for _, f := range m.DAG() {

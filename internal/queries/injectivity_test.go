@@ -227,7 +227,7 @@ func TestDistinctReducesAreInjective(t *testing.T) {
 // of every reduce its distinct joins declare.
 func declaredReduces[T comparable](e Expr[T]) []uintptr {
 	var out []uintptr
-	edges := engine.NewInput[graph.Edge](engine.New(1))
+	edges := engine.NewInput[graph.Edge](engine.New())
 	e.source(&lowering{
 		built:    map[any]any{root.n: edges},
 		declared: func(reduce any) { out = append(out, reflect.ValueOf(reduce).Pointer()) },

@@ -1,7 +1,6 @@
 package queries
 
 import (
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -39,35 +38,28 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-// pipelineLayout is one executor configuration the pipeline-vs-query
-// checks run under. shards -1 is the retired reference engine's value,
-// which every layer that still accepts it reads as one shard
-// (workload.NewPlanFused); cutoff 0 forces parallel dispatch on every
-// round so the race detector sees real concurrency.
+// pipelineLayout is one subtest the pipeline-vs-query checks run. The
+// names are those of the executor layouts the checks once ran under (the
+// retired reference engine, one shard, four shards dispatching in
+// parallel), kept because test ids outlive what they named. Every row
+// runs the one engine there is; each walks its own swap sequence, and
+// the first walks the checks' original one.
 type pipelineLayout struct {
-	name           string
-	shards, cutoff int
+	name string
+	seed int64 // of the edge swaps
 }
 
-// allLayouts is the table; its engine rows are named after the executor
-// parameters, the form the sharded-pipeline tests have always reported.
 var allLayouts = []pipelineLayout{
-	{"serial", -1, engine.DefaultSerialCutoff},
-	{fmt.Sprintf("shards=1,cutoff=%d", engine.DefaultSerialCutoff), 1, engine.DefaultSerialCutoff},
-	{"shards=4,cutoff=0", 4, 0},
+	{"serial", 99},
+	{"shards=1,cutoff=512", 1099},
+	{"shards=4,cutoff=0", 2099},
 }
 
-// The -1 row and the explicit rows, for the tests that are split by them.
+// The first row and the others, for the tests that are split by them.
 var serialLayout, engineLayouts = allLayouts[:1], allLayouts[1:]
 
-func (l pipelineLayout) newRoot() *engine.Input[graph.Edge] {
-	eng := engine.New(max(l.shards, 1))
-	eng.SetSerialCutoff(l.cutoff)
-	return engine.NewInput[graph.Edge](eng)
-}
-
 // checkPipelineMatchesQuery is the one table every description is held
-// to: on each layout it lowers e to the executor, loads a graph, applies
+// to: on each row it lowers e to the executor, loads a graph, applies
 // a series of random valid edge swaps, and verifies after each step that
 // the stream's output equals e's one-shot lowering on the current graph
 // — the end-to-end equivalence of the tree's two lowerings. (That the
@@ -79,7 +71,7 @@ func checkPipelineMatchesQuery[T comparable](t *testing.T, layouts []pipelineLay
 		l := l
 		t.Run(name+"/"+l.name, func(t *testing.T) {
 			g := testGraph(t)
-			in := l.newRoot()
+			in := engine.NewInput[graph.Edge](engine.New())
 			out := incremental.Collect(Stream(e, nil, in))
 			in.PushDataset(graph.SymmetricEdges(g))
 
@@ -91,7 +83,7 @@ func checkPipelineMatchesQuery[T comparable](t *testing.T, layouts []pipelineLay
 			}
 			compare(-1)
 
-			rng := rand.New(rand.NewSource(99))
+			rng := rand.New(rand.NewSource(l.seed))
 			edges := g.EdgeList()
 			for step := 0; step < swaps; step++ {
 				ei, ej := rng.Intn(len(edges)), rng.Intn(len(edges))
@@ -122,7 +114,7 @@ func checkPipelineMatchesQuery[T comparable](t *testing.T, layouts []pipelineLay
 // The TbI/TbD/JDD/wedges/star4 equivalence checks live in the
 // registry-driven table test in wpinq/internal/workload
 // (TestRegisteredWorkloadsMatchQueryOnEveryExecutor), which covers every
-// registered workload on every layout. The checks here and in
+// registered workload on every row. The checks here and in
 // motif_test.go / motifdegree_test.go cover the descriptions that are not
 // registry workloads.
 
@@ -154,7 +146,7 @@ func TestTbIPipelineRollback(t *testing.T) {
 	// Pushing a swap and its inverse restores the pipeline exactly: the
 	// MCMC rejection path on a real query.
 	g := testGraph(t)
-	in := engine.NewInput[graph.Edge](engine.New(1))
+	in := engine.NewInput[graph.Edge](engine.New())
 	out := incremental.Collect(Stream(TbI(), nil, in))
 	in.PushDataset(graph.SymmetricEdges(g))
 	before := out.Weight(Unit{})

@@ -490,14 +490,13 @@ type checkpointMeta struct {
 }
 
 // run executes one job: load the release, build the seed graph, fit.
-// The whole pipeline shares one rng seeded from the request, and every
-// job fits at one shard — jobs and chains are the daemon's parallelism —
-// so a job is a function of (stored bytes, seed), bit-identical across
-// processes and to an in-process fit at Shards 1. A job with a
+// The whole pipeline shares one rng seeded from the request, and each
+// chain of the fit runs its engine on one goroutine — jobs and chains
+// are the daemon's parallelism — so a job is a function of (stored bytes, seed),
+// bit-identical across processes and to an in-process fit. A job with a
 // checkpoint attached (boot recovery, explicit resume) replays the
 // identical prefix — rng, measurement load, seed graph — and then
-// continues from the checkpoint instead of step 0, at the width the
-// checkpoint records.
+// continues from the checkpoint instead of step 0.
 func (jm *JobManager) run(j *Job) {
 	req := j.req
 	seed := req.Seed
@@ -536,7 +535,6 @@ func (jm *JobManager) run(j *Job) {
 		Workloads:     req.Workloads, // empty = every measured workload
 		Pow:           req.Pow,
 		Steps:         req.Steps,
-		Shards:        1,
 		ProgressEvery: req.ProgressEvery,
 		Chains:        req.Chains,
 		SwapEvery:     req.SwapEvery,

@@ -48,7 +48,8 @@ type Options struct {
 	// Individual jobs may override it.
 	Chains int
 	// Workers bounds the synthesis worker pool. 0 sizes it to
-	// GOMAXPROCS: every job fits at one shard, so one job per CPU.
+	// GOMAXPROCS: a chain's engine runs on one goroutine, so one job per
+	// CPU.
 	Workers int
 	// CheckpointEvery makes synthesis jobs durable by default: every
 	// that many steps a job persists a resumable checkpoint, and a
@@ -118,8 +119,8 @@ func New(opts Options) (*Service, error) {
 	return s, nil
 }
 
-// workerCount sizes the job pool: each job fits at one shard, so the
-// pool admits GOMAXPROCS jobs at once unless Options.Workers says
+// workerCount sizes the job pool: a chain's engine runs on one
+// goroutine, so the pool admits GOMAXPROCS jobs at once unless Options.Workers says
 // otherwise.
 func workerCount(opts Options) int {
 	if opts.Workers > 0 {

@@ -107,7 +107,7 @@ func TestStorePersistsAcrossRestart(t *testing.T) {
 // same content id — before and after.
 func TestMeasurementBytesSurviveAFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	cfg := synth.Config{Eps: 1, Workloads: []string{"jdd", "tbd"}, Bucket: 2, Pow: 1e4, Steps: 600, Shards: 1, Chains: 3, SwapEvery: 100}
+	cfg := synth.Config{Eps: 1, Workloads: []string{"jdd", "tbd"}, Bucket: 2, Pow: 1e4, Steps: 600, Chains: 3, SwapEvery: 100}
 	m, err := synth.Measure(testGraph(t, 80), cfg, rng)
 	if err != nil {
 		t.Fatal(err)
@@ -460,16 +460,20 @@ func TestMeasureRanksForeignIDsPerDataset(t *testing.T) {
 // audit replays clean.
 func TestMeasurePanicLeavesDatasetUsable(t *testing.T) {
 	const poisoned = 13
-	workload.MustRegister(workload.Define(workload.Workload{
-		Name:        "tbi-panics-at-13",
-		Description: "test only: TbI whose description panics at bucket 13",
-		Bucketed:    true,
-	}, workload.Builders[queries.Unit]{Expr: func(bucket int) queries.Expr[queries.Unit] {
-		if bucket == poisoned {
-			panic("description failed under the dataset lock")
-		}
-		return queries.TbI()
-	}}))
+	// The registry is process-wide: a second run in one process
+	// (-count=2) finds the workload the first registered.
+	if _, err := workload.Get("tbi-panics-at-13"); err != nil {
+		workload.MustRegister(workload.Define(workload.Workload{
+			Name:        "tbi-panics-at-13",
+			Description: "test only: TbI whose description panics at bucket 13",
+			Bucketed:    true,
+		}, workload.Builders[queries.Unit]{Expr: func(bucket int) queries.Expr[queries.Unit] {
+			if bucket == poisoned {
+				panic("description failed under the dataset lock")
+			}
+			return queries.TbI()
+		}}))
+	}
 
 	dir := t.TempDir()
 	svc := newTestService(t, Options{Dir: dir})

@@ -112,19 +112,21 @@ func sameEdges(t *testing.T, label string, a, b []graph.Edge) {
 // TestChainDeterminism is the acceptance table: (a) Chains=1 is
 // trace-identical to the default-config fit, chunked by OnProgress or
 // not, and (b) fixed-seed multi-chain runs reproduce the
-// same synthetic edge list with scores equal to 1e-9 relative, on both
-// executors. Run under -race this also exercises the chain goroutines.
+// same synthetic edge list with scores equal to 1e-9 relative, from
+// each row's master seed (the rows are named after the executors the
+// table once ran on). Run under -race this also exercises the chain
+// goroutines.
 func TestChainDeterminism(t *testing.T) {
 	m, seed := fixtureMeasurements(t, 70, []string{"tbi"}, 0)
 	cases := []struct {
 		name   string
-		shards int
+		seed   int64 // the master rng's
 		chains int
 	}{
-		{"serial/1chain", -1, 1},
-		{"engine2/1chain", 2, 1},
-		{"serial/4chains", -1, 4},
-		{"engine2/4chains", 2, 4},
+		{"serial/1chain", 530, 1},
+		{"engine2/1chain", 1530, 1},
+		{"serial/4chains", 530, 4},
+		{"engine2/4chains", 1530, 4},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -135,14 +137,13 @@ func TestChainDeterminism(t *testing.T) {
 					Workloads: []string{"tbi"},
 					Pow:       500,
 					Steps:     900,
-					Shards:    tc.shards,
 					Chains:    tc.chains,
 					SwapEvery: 128,
 				}
 				if extra != nil {
 					extra(&cfg)
 				}
-				res, err := Synthesize(m, seed.Clone(), cfg, testRng(530))
+				res, err := Synthesize(m, seed.Clone(), cfg, testRng(tc.seed))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -206,7 +207,6 @@ func TestMultiChainCancellation(t *testing.T) {
 		Steps:     1000,
 		Chains:    3,
 		SwapEvery: 100,
-		Shards:    -1,
 		OnProgress: func(p Progress) bool {
 			rounds++
 			if len(p.Chains) != 3 {
@@ -240,7 +240,7 @@ func TestMultiChainImprovesFit(t *testing.T) {
 	}
 	res, err := Synthesize(m, seed.Clone(), Config{
 		Eps: m.Eps, Workloads: []string{"tbi"}, Pow: 500,
-		Steps: 4000, Chains: 3, SwapEvery: 250, Shards: -1,
+		Steps: 4000, Chains: 3, SwapEvery: 250,
 	}, testRng(551))
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestMultiChainImprovesFit(t *testing.T) {
 // grow between stops, and the joins TbI is made of index records.
 func TestFitReportsOperators(t *testing.T) {
 	m, seed := fixtureMeasurements(t, 60, []string{"tbi"}, 0)
-	cfg := Config{Eps: m.Eps, Workloads: []string{"tbi"}, Pow: 100, Steps: 256, ProgressEvery: 64, Shards: 1}
+	cfg := Config{Eps: m.Eps, Workloads: []string{"tbi"}, Pow: 100, Steps: 256, ProgressEvery: 64}
 	var stops [][]OperatorProfile
 	cfg.OnProgress = func(p Progress) bool { stops = append(stops, p.Operators); return true }
 	res, err := Synthesize(m, seed.Clone(), cfg, testRng(511))

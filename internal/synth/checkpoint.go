@@ -55,8 +55,7 @@ type ChainCheckpoint struct {
 	// Pow is the chain's current ladder assignment (moved by swaps).
 	Pow float64 `json:"pow"`
 	// ScoreBits is math.Float64bits of the re-anchored score, verified
-	// on resume under the cross-process determinism contract (one shard
-	// only; multi-shard routing seeds are per-process).
+	// on resume when the document records one shard (see Shards).
 	ScoreBits uint64 `json:"score_bits"`
 	// Walk statistics accumulated so far.
 	Accepted      int `json:"accepted"`
@@ -83,8 +82,10 @@ type Checkpoint struct {
 	Step            int      `json:"step"`
 	CheckpointEvery int      `json:"checkpoint_every"`
 	SwapEvery       int      `json:"swap_every"`
-	// Shards is the resolved executor width (auto-resolution happens
-	// before the first step, so resume reuses the original's choice).
+	// Shards is the executor width the fit ran at: 1 in every document
+	// this driver writes. A document recording N > 1 — from a writer
+	// that sharded its engine — resumes at one partition without its
+	// score bits checked: they came from a per-process routing order.
 	Shards int `json:"shards"`
 	// Ladder and Parity carry the replica-exchange schedule state.
 	Ladder []int `json:"ladder"`
@@ -167,9 +168,8 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	if len(ck.Chains) == 0 {
 		return nil, errors.New("synth: checkpoint has no chains")
 	}
-	// Every v3 writer resolves the width (-1 and 0 included) before its
-	// first step, so a document recording less than one shard was not
-	// written by this driver.
+	// Every v3 writer recorded a width of at least one shard, so a
+	// document recording less was not written by this driver.
 	if ck.Shards < 1 {
 		return nil, fmt.Errorf("%w: checkpoint records shards %d, not a resolved executor width", ErrCheckpointStale, ck.Shards)
 	}

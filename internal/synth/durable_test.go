@@ -4,10 +4,9 @@ package synth
 // at a checkpoint boundary, resume it in "another process" (a fresh
 // master rng replaying the same load/seed prefix), and require the
 // resumed run to be bit-identical to an unbroken one — same final edge
-// list, same accept/reject trace, same score bits — at one shard, the
-// layout the determinism contract covers, asked for as 1 and as -1.
-// Plus rejection paths: stale seeds, mismatched parent hashes, tampered
-// documents.
+// list, same accept/reject trace, same score bits. Plus the documents
+// older writers left (a retired shard count), and rejection paths: stale
+// seeds, mismatched parent hashes, tampered documents.
 
 import (
 	"bytes"
@@ -189,36 +188,24 @@ func TestDurableKillResumeBitIdentical(t *testing.T) {
 	}
 }
 
-// TestResumeLegacySerialCheckpoint pins what Shards -1 means on disk. A
-// run configured with it records 1 in its checkpoints: every writer
-// resolves the width before its first step, so no v3 document recording
-// fewer than one shard was ever written, and LoadCheckpoint refuses one
-// as stale. A one-shard checkpoint whose score bits the re-anchor does
-// not reproduce is stale too.
+// TestResumeLegacySerialCheckpoint pins what a shard count means on
+// disk. A run configured with the retired Shards -1 records 1 in its
+// checkpoints, as every run does: no v3 document recording fewer than one
+// shard was ever written, and LoadCheckpoint refuses one as stale. A
+// one-shard checkpoint whose score bits the re-anchor does not reproduce
+// is stale too.
 func TestResumeLegacySerialCheckpoint(t *testing.T) {
 	data := durableFixture(t)
 	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1700, Shards: -1, CheckpointEvery: 500}
 	const seed = 77
 	_, _, ckpts := runDurable(t, data, seed, cfg, 500)
 
-	// resave rewrites the step-500 checkpoint as another executor would
-	// have left it: the given shard count, the score one ulp away.
-	resave := func(shards int) []byte {
-		ck, err := LoadCheckpoint(bytes.NewReader(ckpts[500]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ck.Shards != 1 {
-			t.Fatalf("a Shards -1 run recorded shards %d in its checkpoint, want 1", ck.Shards)
-		}
-		ck.Shards = shards
-		ck.Chains[0].ScoreBits ^= 1
-		var buf bytes.Buffer
-		if err := ck.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+	if ck, err := LoadCheckpoint(bytes.NewReader(ckpts[500])); err != nil {
+		t.Fatal(err)
+	} else if ck.Shards != 1 {
+		t.Fatalf("a Shards -1 run recorded shards %d in its checkpoint, want 1", ck.Shards)
 	}
+	resave := func(shards int) []byte { return resaveCheckpoint(t, ckpts[500], shards) }
 
 	for _, shards := range []int{-1, 0} {
 		doc := resave(shards)
@@ -235,9 +222,54 @@ func TestResumeLegacySerialCheckpoint(t *testing.T) {
 	}
 }
 
+// resaveCheckpoint rewrites a checkpoint as another executor would have
+// left it: the given shard count, chain 0's score one ulp away.
+func resaveCheckpoint(t *testing.T, doc []byte, shards int) []byte {
+	t.Helper()
+	ck, err := LoadCheckpoint(bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Shards = shards
+	ck.Chains[0].ScoreBits ^= 1
+	var buf bytes.Buffer
+	if err := ck.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestResumeMultiShardCheckpoint pins the documents a sharded executor
+// left: a v3 checkpoint recording two shards resumes, at one partition,
+// to completion. Its score bits came from a per-process routing order, so
+// they are not checked (the fixture's are one ulp off), and every
+// checkpoint the resumed run writes records one shard.
+func TestResumeMultiShardCheckpoint(t *testing.T) {
+	data := durableFixture(t)
+	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1700, CheckpointEvery: 500}
+	const seed = 77
+	_, _, ckpts := runDurable(t, data, seed, cfg, 500)
+	var shards []int
+	res, _, err := resumeDurable(t, data, seed, resaveCheckpoint(t, ckpts[500], 2), Config{
+		OnCheckpoint: func(ck *Checkpoint) bool {
+			shards = append(shards, ck.Shards)
+			return true
+		},
+	})
+	if err != nil {
+		t.Fatalf("a \"shards\":2 checkpoint: %v", err)
+	}
+	if res.Cancelled || res.Stats.Steps != cfg.Steps {
+		t.Fatalf("resumed run stopped at %d of %d steps (cancelled %v)", res.Stats.Steps, cfg.Steps, res.Cancelled)
+	}
+	if want := []int{1, 1}; fmt.Sprint(shards) != fmt.Sprint(want) {
+		t.Errorf("the resumed run's checkpoints record shards %v, want %v", shards, want)
+	}
+}
+
 func TestResumeRejectsWrongMasterSeed(t *testing.T) {
 	data := durableFixture(t)
-	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1500, Shards: -1, CheckpointEvery: 500}
+	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1500, CheckpointEvery: 500}
 	_, _, ckpts := runDurable(t, data, 77, cfg, 500)
 	if _, _, err := resumeDurable(t, data, 78, ckpts[500], Config{}); !errors.Is(err, ErrCheckpointStale) {
 		t.Fatalf("resume under a different master seed: got %v, want ErrCheckpointStale", err)
@@ -249,7 +281,7 @@ func TestResumeRejectsWrongMasterSeed(t *testing.T) {
 // checkpoint, not a panic in the plan load.
 func TestResumeRejectsForeignVertices(t *testing.T) {
 	data := durableFixture(t)
-	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1500, Shards: -1, CheckpointEvery: 500}
+	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1500, CheckpointEvery: 500}
 	_, _, ckpts := runDurable(t, data, 77, cfg, 500)
 	for _, id := range []int32{-1, 1 << 22} {
 		ck, err := LoadCheckpoint(bytes.NewReader(ckpts[500]))
@@ -270,7 +302,7 @@ func TestResumeRejectsForeignVertices(t *testing.T) {
 func TestResumeRejectsMismatchedParentHash(t *testing.T) {
 	data := durableFixture(t)
 	cfg := Config{
-		Eps: 1.0, Pow: 2000, Steps: 1500, Shards: -1,
+		Eps: 1.0, Pow: 2000, Steps: 1500,
 		CheckpointEvery: 500, ParentHash: "aaaa",
 	}
 	_, _, ckpts := runDurable(t, data, 77, cfg, 500)
@@ -292,7 +324,7 @@ func TestResumeRejectsMismatchedParentHash(t *testing.T) {
 
 func TestLoadCheckpointRejectsCorruption(t *testing.T) {
 	data := durableFixture(t)
-	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1000, Shards: -1, CheckpointEvery: 500}
+	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1000, CheckpointEvery: 500}
 	_, _, ckpts := runDurable(t, data, 77, cfg, 500)
 	good := ckpts[500]
 

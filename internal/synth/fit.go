@@ -20,7 +20,7 @@ package synth
 // so the state at a boundary is a pure function of the checkpoint's
 // contents and a resumed process continues the exact proposal trace the
 // original would have produced (bit-identical final edge lists and
-// accept/reject decisions at one shard; see DESIGN.md "Durable jobs").
+// accept/reject decisions; see DESIGN.md "Durable jobs").
 // Re-anchoring replaces incrementally maintained float state with freshly
 // accumulated state, which is why a checkpointed run's trace differs from
 // a CheckpointEvery=0 run of the same seed.
@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -89,7 +88,7 @@ func (ch *fitChain) operators() []OperatorProfile {
 // fit carries the shared context of one Phase 2 run.
 type fit struct {
 	m     *Measurements
-	cfg   Config // validated, Shards resolved
+	cfg   Config // validated
 	names []string
 	// isolated is the seed's degree-zero nodes. Swaps never create or
 	// absorb one, so it holds for the whole fit and is recomputed from
@@ -113,13 +112,6 @@ func newFit(m *Measurements, seed *graph.Graph, cfg Config, names []string, ck *
 		if _, ok := m.Fits[name]; !ok {
 			return nil, fmt.Errorf("synth: %s fitting requested but not measured", name)
 		}
-	}
-	if cfg.Shards == 0 {
-		// Auto sharding splits the CPUs across chains instead of giving
-		// every chain a full-width executor. It resolves here, before the
-		// first step, and checkpoints record the result: the original and
-		// a resuming process must run at the same width.
-		cfg.Shards = max(1, runtime.GOMAXPROCS(0)/cfg.Chains)
 	}
 	f := &fit{
 		m:        m,
@@ -157,10 +149,10 @@ func newFit(m *Measurements, seed *graph.Graph, cfg Config, names []string, ck *
 		if err := f.anchor(i, cc.Pow, cc); err != nil {
 			return nil, err
 		}
-		// Score verification is meaningful only under the cross-process
-		// determinism contract: one shard. Multi-shard runs route records
-		// by a per-process maphash seed, so their float accumulation order
-		// legitimately differs across processes.
+		// A checkpoint recording N > 1 shards was written by a sharded
+		// executor whose float accumulation order came from a per-process
+		// routing seed: it resumes at one partition, and its score bits
+		// are not ours to reproduce.
 		if got := math.Float64bits(ch.runner.Score()); ck.Shards == 1 && got != cc.ScoreBits {
 			return nil, fmt.Errorf("%w: chain %d re-anchored score %x does not reproduce checkpointed %x",
 				ErrCheckpointStale, i, got, cc.ScoreBits)
@@ -184,7 +176,7 @@ func newFit(m *Measurements, seed *graph.Graph, cfg Config, names []string, ck *
 // accumulations downstream are order-sensitive and must come out
 // bit-for-bit. It consumes no rng.
 func (f *fit) anchor(idx int, pow float64, at *ChainCheckpoint) error {
-	plan := workload.NewPlan(f.cfg.Shards)
+	plan := workload.NewPlan()
 	for _, name := range f.names {
 		if err := f.m.Fits[name].Attach(plan, f.m.Eps); err != nil {
 			return fmt.Errorf("synth: chain %d: %w", idx, err)
@@ -214,7 +206,7 @@ func (f *fit) anchor(idx int, pow float64, at *ChainCheckpoint) error {
 // seed draws and verifies them against the checkpoint, so a different
 // measurement or master seed fails with ErrCheckpointStale instead of
 // silently diverging. The trace-relevant configuration (steps, chains,
-// cadences, executor width) comes from the checkpoint; cfg supplies only
+// cadences) comes from the checkpoint; cfg supplies only
 // observational hooks (progress, checkpoint sink) and ParentHash for the
 // staleness check.
 func SynthesizeResume(m *Measurements, seed *graph.Graph, ck *Checkpoint, cfg Config, rng *rand.Rand) (*Result, error) {
@@ -233,7 +225,6 @@ func SynthesizeResume(m *Measurements, seed *graph.Graph, ck *Checkpoint, cfg Co
 	cfg.Chains = len(ck.Chains)
 	cfg.SwapEvery = ck.SwapEvery
 	cfg.CheckpointEvery = ck.CheckpointEvery
-	cfg.Shards = ck.Shards
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -355,7 +346,7 @@ func (f *fit) reanchor(done int, _ []*mcmc.Runner, ladder []int, parity int, sta
 		Step:            done,
 		CheckpointEvery: f.cfg.CheckpointEvery,
 		SwapEvery:       f.cfg.SwapEvery,
-		Shards:          f.cfg.Shards,
+		Shards:          1,
 		Ladder:          append([]int(nil), ladder...),
 		Parity:          parity,
 		SwapSeed:        f.swapSeed,

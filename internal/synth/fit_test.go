@@ -34,7 +34,9 @@ func multiRecordFixture(t *testing.T) []byte {
 // score the dataflow maintained through the walk (the sum of the
 // result's per-workload residuals, and Stats.FinalScore) equals the score
 // of the final graph loaded into a fresh plan attached to the *same*
-// Measurements value — one chain or three, checkpointed or not. That
+// Measurements value — one chain or three, checkpointed or not, from
+// each row's master seed (rows named after the shard counts the test once
+// ran at). That
 // holds only if the score is a function of the graph: a sink that keeps
 // the observations of proposals it aborted, or of the other chains,
 // carries terms no load of the final graph re-derives.
@@ -42,13 +44,19 @@ func TestFitReconcilesWithCallersMeasurements(t *testing.T) {
 	data := multiRecordFixture(t)
 	for _, chains := range []int{1, 3} {
 		for _, every := range []int{0, 200} {
-			for _, shards := range []int{1, 4} {
-				name := fmt.Sprintf("every=%d/shards=%d", every, shards)
+			for _, row := range []struct {
+				name string
+				seed int64
+			}{
+				{"shards=1", 701},
+				{"shards=4", 1701},
+			} {
+				name := fmt.Sprintf("every=%d/%s", every, row.name)
 				if chains > 1 {
 					name = fmt.Sprintf("chains=%d/%s", chains, name)
 				}
 				t.Run(name, func(t *testing.T) {
-					rng := testRng(701)
+					rng := testRng(row.seed)
 					m, err := LoadMeasurements(bytes.NewReader(data), rng)
 					if err != nil {
 						t.Fatal(err)
@@ -60,7 +68,7 @@ func TestFitReconcilesWithCallersMeasurements(t *testing.T) {
 					released := m.Fits["tbd"].Hist.Len() + m.Fits["jdd"].Hist.Len()
 					heldDerived := false
 					res, err := Synthesize(m, seed, Config{
-						Eps: m.Eps, Pow: 1e4, Steps: 1600, Shards: shards, CheckpointEvery: every,
+						Eps: m.Eps, Pow: 1e4, Steps: 1600, CheckpointEvery: every,
 						Chains: chains, SwapEvery: 128, ProgressEvery: 100,
 						OnProgress: func(p Progress) bool {
 							bins := 0
@@ -87,7 +95,7 @@ func TestFitReconcilesWithCallersMeasurements(t *testing.T) {
 					if maintained != res.Stats.FinalScore {
 						t.Errorf("residuals sum to %v, Stats.FinalScore is %v", maintained, res.Stats.FinalScore)
 					}
-					plan := workload.NewPlan(shards)
+					plan := workload.NewPlan()
 					for _, name := range m.FitNames() {
 						if err := m.Fits[name].Attach(plan, m.Eps); err != nil {
 							t.Fatal(err)
@@ -122,7 +130,7 @@ func TestProgressStopsAreTheUnion(t *testing.T) {
 		chains := tc.chains
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
-				Eps: 1.0, Pow: 500, Steps: 1000, Shards: 1, Chains: chains,
+				Eps: 1.0, Pow: 500, Steps: 1000, Chains: chains,
 				ProgressEvery: tc.every, SwapEvery: 128, CheckpointEvery: 250,
 			}
 			want := map[int]bool{1000: true}

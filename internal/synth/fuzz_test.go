@@ -63,7 +63,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	var saved bytes.Buffer
-	cfg := Config{Eps: 1, Pow: 2000, Steps: 400, Shards: 1, Chains: 2, SwapEvery: 100, CheckpointEvery: 200}
+	cfg := Config{Eps: 1, Pow: 2000, Steps: 400, Chains: 2, SwapEvery: 100, CheckpointEvery: 200}
 	cfg.OnCheckpoint = func(ck *Checkpoint) bool {
 		if err := ck.Save(&saved); err != nil {
 			f.Fatal(err)

@@ -56,7 +56,10 @@ type Config struct {
 	Bucket int
 	// Pow sharpens the MCMC posterior (paper: 10000).
 	Pow float64
-	// Steps is the number of MCMC steps in Phase 2.
+	// Steps is the number of MCMC steps in Phase 2. Each step scores its
+	// proposal transactionally: one propagation, with a rejected swap
+	// unwound from operator undo logs rather than re-propagated
+	// (DESIGN.md "Transactional scoring").
 	Steps int
 	// OnProgress, when set, observes Phase 2 progress at every stop of
 	// the fit — each multiple of ProgressEvery, of SwapEvery (Chains > 1)
@@ -84,19 +87,11 @@ type Config struct {
 	// SwapEvery is the step interval between replica swap rounds
 	// (default 1024; only consulted when Chains > 1).
 	SwapEvery int
-	// Shards is the executor's shard count for Phase 2: 0 (the default)
-	// is one shard per CPU, n > 0 exactly n. Sharding pays off on the
-	// bulk initial load and on large per-swap difference fronts; a walk's
-	// rounds fall below the engine's parallel cutoff whatever the count.
-	// -1, which selected the retired single-threaded reference engine,
-	// stays accepted and means one shard (Validate rewrites it to 1, so
-	// that is what checkpoints record).
-	//
-	// Phase 2 scores proposals transactionally: one propagation per
-	// step, with rejected swaps unwound from operator undo logs rather
-	// than re-propagated (DESIGN.md "Transactional scoring") — the
-	// dominant cost saving in high-Pow and replica-exchange (cold chain)
-	// regimes where most steps reject.
+	// Shards is retired: nothing reads it, and Validate neither checks
+	// nor rewrites it. Every chain fits on one engine, and chains are
+	// the one parallelism axis; a checkpoint records one shard. The
+	// field goes when the end-to-end benchmark, its last writer, stops
+	// setting it.
 	Shards int
 	// CheckpointEvery > 0 makes Phase 2 durable: every that many steps
 	// the fit re-anchors (rebuilds its pipelines from the live edge
@@ -134,12 +129,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Steps < 0 {
 		return errors.New("synth: Steps must be non-negative")
-	}
-	if c.Shards < -1 {
-		return errors.New("synth: Shards must be 0 (auto), positive, or -1 (one shard)")
-	}
-	if c.Shards == -1 {
-		c.Shards = 1
 	}
 	if c.ProgressEvery <= 0 {
 		c.ProgressEvery = 1024
@@ -453,7 +442,7 @@ type Result struct {
 }
 
 // Synthesize implements Phase 2: for each of cfg.Chains chains build a
-// fit plan at cfg.Shards, attach each requested workload's pipeline and
+// fit plan, attach each requested workload's pipeline and
 // scoring sink (cfg.Workloads; empty fits everything measured), load the
 // seed graph, and run the fit (fit.go); the best-scoring chain's graph
 // is returned, with per-chain detail in Result.Chains when there are

@@ -201,9 +201,9 @@ func TestRandomGraphStaysTrianglePoor(t *testing.T) {
 }
 
 func TestExecutorsScoreIdentically(t *testing.T) {
-	// Every shard layout must assign the same fit score to the same seed
-	// graph under the same measurements: Synthesize with zero steps
-	// reports the initial scorer value, which exercises every registered
+	// Shards is retired: whatever width a caller still passes, the fit
+	// is the same one, to the bit. Synthesize with zero steps reports
+	// the initial scorer value, which exercises every registered
 	// workload's pipeline stack end to end.
 	g := clusteredGraph(t, 90)
 	base := Config{
@@ -231,18 +231,17 @@ func TestExecutorsScoreIdentically(t *testing.T) {
 		return res.Stats.FinalScore
 	}
 	ref := score(-1)
-	for _, shards := range []int{1, 4} {
-		got := score(shards)
-		if math.Abs(got-ref) > 1e-6*(1+math.Abs(ref)) {
+	for _, shards := range []int{0, 1, 4} {
+		if got := score(shards); math.Float64bits(got) != math.Float64bits(ref) {
 			t.Errorf("shards=%d score %v, shards=-1 %v", shards, got, ref)
 		}
 	}
 }
 
 func TestReferenceEngineWorkflowRuns(t *testing.T) {
-	// Shards -1 selected the retired serial reference engine; it stays
-	// accepted and is one shard: the same fixed-seed workflow, edge for
-	// edge and score bit for score bit.
+	// Shards -1 selected the retired serial reference engine; like any
+	// Shards value it is accepted and ignored: the same fixed-seed
+	// workflow, edge for edge and score bit for score bit.
 	g := clusteredGraph(t, 80)
 	run := func(shards int) *Result {
 		cfg := Config{
@@ -312,7 +311,7 @@ func TestNewWorkloadsSynthesizeEndToEnd(t *testing.T) {
 	// The registry's payoff scenario: fit workloads the pre-registry
 	// architecture could not express at all — the wedge count plus the
 	// star4-by-degree motif profile — run the whole measure → save →
-	// load → seed → fit workflow on both executors. The wedge signal is
+	// load → seed → fit workflow. The wedge signal is
 	// invariant under degree-preserving swaps (it is a function of the
 	// degree sequence), so the fit's moving part is the motif profile;
 	// what this test pins is that heterogeneous, motif-typed workloads
@@ -339,29 +338,25 @@ func TestNewWorkloadsSynthesizeEndToEnd(t *testing.T) {
 	if err := m.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{-1, 2} {
-		loaded, err := LoadMeasurements(bytes.NewReader(buf.Bytes()), testRng(61))
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if got := loaded.Fits["star4-by-degree"].Bucket; got != 8 {
-			t.Fatalf("star4-by-degree bucket = %d after round trip, want 8", got)
-		}
-		seed, err := SeedGraph(loaded, testRng(62))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fit := cfg
-		fit.Shards = shards
-		res, err := Synthesize(loaded, seed, fit, testRng(63))
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		if res.Stats.Accepted == 0 {
-			t.Errorf("shards=%d: motif-profile fit accepted nothing", shards)
-		}
-		if math.IsNaN(res.Stats.FinalScore) || res.Stats.FinalScore <= 0 {
-			t.Errorf("shards=%d: degenerate final score %v", shards, res.Stats.FinalScore)
-		}
+	loaded, err := LoadMeasurements(bytes.NewReader(buf.Bytes()), testRng(61))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loaded.Fits["star4-by-degree"].Bucket; got != 8 {
+		t.Fatalf("star4-by-degree bucket = %d after round trip, want 8", got)
+	}
+	seed, err := SeedGraph(loaded, testRng(62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Synthesize(loaded, seed, cfg, testRng(63))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Accepted == 0 {
+		t.Error("motif-profile fit accepted nothing")
+	}
+	if math.IsNaN(res.Stats.FinalScore) || res.Stats.FinalScore <= 0 {
+		t.Errorf("degenerate final score %v", res.Stats.FinalScore)
 	}
 }

@@ -25,38 +25,34 @@ import (
 // proposal on the fused 5-workload plan must run in a handful of
 // allocations, not O(touched records).
 //
-// One shard at the default cutoff — what a walk runs on — never
-// dispatches a goroutine, and is pinned next to what it measures:
-// AllocsPerRun's integral average over 100 proposals reads 0.0 in 17 of
-// 20 processes and 1.0 in the rest (the runtime seeds each map's hash
-// per process, which moves the proposals on which a state map's table
-// splits). Three shards at cutoff 0 pay for goroutine dispatch on every
-// round (measured ≈400), so that bound is deliberately loose; it still
-// sits well below the pre-pooling cost, so reintroducing per-push batch
-// or undo allocation fails immediately.
+// The budget sits next to what it measures: AllocsPerRun's integral
+// average over 100 proposals reads 0.0 to 2.0 from process to process
+// (the runtime seeds each map's hash per process, which moves the
+// proposals on which a state map's table splits), so reintroducing
+// per-push batch or undo allocation fails immediately. The rows are
+// named after the executor layouts the pin once covered; each walks its
+// own proposal sequence.
 func TestSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state warm-up is slow under -short")
 	}
 	fits := measureFits(t, testGraph(t), workload.Names(), 2, 1.0, 11)
+	const budget = 4 // allocs per proposal (committed or aborted)
 	for _, l := range []struct {
-		name   string
-		shards int
-		cutoff int
-		budget float64 // allocs per proposal (committed or aborted)
+		name string
+		seed int64 // of the proposals
 	}{
-		{"engine-1", 1, engine.DefaultSerialCutoff, 4},
-		{"engine-3", 3, 0, 600},
+		{"engine-1", 99},
+		{"engine-3", 1099},
 	} {
-		l := l
 		t.Run(l.name, func(t *testing.T) {
 			g, err := graph.ErdosRenyi(36, 100, rand.New(rand.NewSource(7)))
 			if err != nil {
 				t.Fatal(err)
 			}
-			p, _, _ := fusePlan(t, fits, l.shards, l.cutoff, true, 1.0, 23)
+			p, _, _ := fusePlan(t, fits, true, 1.0, 23)
 			state := mcmc.NewGraphState(g, p.Input()) // pushes the initial dataset itself
-			rng := rand.New(rand.NewSource(99))
+			rng := rand.New(rand.NewSource(l.seed))
 			scorer := p.Scorer()
 
 			// step runs one valid proposal end to end. Commit and abort
@@ -84,12 +80,12 @@ func TestSteadyStateAllocs(t *testing.T) {
 
 			committed := testing.AllocsPerRun(100, func() { step(true) })
 			aborted := testing.AllocsPerRun(100, func() { step(false) })
-			t.Logf("allocs/proposal: committed=%.1f aborted=%.1f (budget %.0f)", committed, aborted, l.budget)
-			if committed > l.budget {
-				t.Errorf("committed proposal: %.1f allocs, budget %.0f", committed, l.budget)
+			t.Logf("allocs/proposal: committed=%.1f aborted=%.1f (budget %d)", committed, aborted, budget)
+			if committed > budget {
+				t.Errorf("committed proposal: %.1f allocs, budget %d", committed, budget)
 			}
-			if aborted > l.budget {
-				t.Errorf("aborted proposal: %.1f allocs, budget %.0f", aborted, l.budget)
+			if aborted > budget {
+				t.Errorf("aborted proposal: %.1f allocs, budget %d", aborted, budget)
 			}
 		})
 	}
@@ -179,17 +175,16 @@ func BenchmarkWalkHotStep(b *testing.B) {
 // ring lattice pairs its 16 in-edges with its 16 out-edges, 48 000
 // directed edges in, 768 000 records out — must allocate no more than 4×
 // the bytes of the batches the join emits — as the bare operator body
-// (the -1 row) and through the engine at one and two shards. The
-// budget is the accumulator's entry array (1×: it is the emitted batch,
-// reserved once from the group sizes), its cell table (8 B a cell, at
-// most half full, a power of two: 1–2×) and the input side (grouping,
-// routing, the join's own state). The layout this replaced — keys,
-// weights and a separate output array each grown from nothing, the
-// table rebuilt at every doubling, the engine copying each shard's
-// emission — measured 13.8× (bare), 15.4× (one shard) and 15.5× (two);
-// this one 2.3×, 2.4× and 2.5×. The reduce is injective, so the same
-// rows run again on a distinct join (JoinDistinct), whose load builds
-// no cell table: its budget is 2×, and it measured 1.3–1.6×.
+// and through the engine. The budget is the accumulator's entry array
+// (1×: it is the emitted batch, reserved once from the group sizes), its
+// cell table (8 B a cell, at most half full, a power of two: 1–2×) and
+// the input side (grouping, the join's own state). The layout this
+// replaced — keys, weights and a separate output array each grown from
+// nothing, the table rebuilt at every doubling, the engine copying each
+// emission — measured 13.8× (bare) and 15.4× (engine); this one 2.25×
+// for both. The reduce is injective, so the same rows run again on a
+// distinct join (JoinDistinct), whose load builds no cell table: its
+// budget is 2×, and it measured 1.3×.
 func TestLoadAllocatesOnce(t *testing.T) {
 	const n, d = 3000, 16
 	var edges []incremental.Delta[uint64] // src<<32 | dst
@@ -212,14 +207,14 @@ func TestLoadAllocatesOnce(t *testing.T) {
 		if distinct {
 			body, join, budget = incremental.JoinDistinct[uint64, uint64, uint64, [2]uint64], engine.JoinDistinct[uint64, uint64, uint64, [2]uint64], 2
 		}
-		for _, shards := range []int{-1, 1, 2} {
-			row := fmt.Sprintf("distinct=%v shards=%d", distinct, shards)
+		for _, bare := range []bool{true, false} {
+			row := fmt.Sprintf("distinct=%v bare=%v", distinct, bare)
 			var push func([]incremental.Delta[uint64])
-			if shards < 0 {
+			if bare {
 				j := body(dst, src, path, count)
 				push = func(b []incremental.Delta[uint64]) { j.ApplyLeft(b); j.ApplyRight(b) }
 			} else {
-				in := engine.NewInput[uint64](engine.New(shards))
+				in := engine.NewInput[uint64](engine.New())
 				join(in, in, dst, src, path).Subscribe(count)
 				push = in.Push
 			}
@@ -256,7 +251,7 @@ func liveHeap() float64 {
 // them, so every batch of a load — the operators' released arrays —
 // stayed reachable until later rounds happened to overwrite the slots:
 // on this plan (the benchmark's bulk-load: fused jdd,wedges over
-// HolmeKim(4000,5), one shard) the live heap read 67 MB after the load
+// HolmeKim(4000,5)) the live heap read 67 MB after the load
 // and 18 MB two hundred proposals later. It must now read the same, to
 // within 10 %, at both points: the state, and nothing else.
 func TestLoadLeavesNothingPinned(t *testing.T) {
@@ -266,7 +261,7 @@ func TestLoadLeavesNothingPinned(t *testing.T) {
 	}
 	fits := measureFits(t, g, []string{"jdd", "wedges"}, 0, 0.1, 11)
 	base := liveHeap()
-	p := workload.NewPlan(1)
+	p := workload.NewPlan()
 	for _, fit := range fits {
 		if err := fit.Attach(p, 0.1); err != nil {
 			t.Fatal(err)

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"wpinq/internal/engine"
 	"wpinq/internal/graph"
 	"wpinq/internal/incremental"
 	"wpinq/internal/workload"
@@ -15,21 +14,19 @@ import (
 // TestRegisteredWorkloadsMatchQueryOnEveryExecutor is the registry's
 // payoff for correctness coverage: one table-driven test proves, for
 // EVERY registered workload, that its pipeline tracks the one-shot
-// reference query exactly on every layout (see fuseLayouts for the -1
-// row) — initially and across a sequence of random edge swaps.
-// Registering a new workload buys this coverage for free; no
-// per-workload equivalence test needs to be written. Run under -race,
-// the cutoff-0 layout also exercises the executor's real parallel
-// dispatch.
+// reference query exactly — initially and across a sequence of random
+// edge swaps, one per row (the row names are the executor layouts the
+// test once ran on; see fuseLayouts). Registering a new workload buys
+// this coverage for free; no per-workload equivalence test needs to be
+// written.
 func TestRegisteredWorkloadsMatchQueryOnEveryExecutor(t *testing.T) {
 	layouts := []struct {
-		name   string
-		shards int
-		cutoff int
+		name string
+		seed int64 // of the edge swaps
 	}{
-		{"serial", -1, engine.DefaultSerialCutoff},
-		{"engine-1", 1, engine.DefaultSerialCutoff},
-		{"engine-4", 4, 0}, // cutoff 0: parallel dispatch on every round
+		{"serial", 7},
+		{"engine-1", 1007},
+		{"engine-4", 2007},
 	}
 	for _, w := range workload.All() {
 		w := w
@@ -42,8 +39,7 @@ func TestRegisteredWorkloadsMatchQueryOnEveryExecutor(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", w.Name, l.name), func(t *testing.T) {
 				t.Parallel()
 				g := testGraph(t)
-				p := workload.NewPlan(l.shards)
-				p.Engine().SetSerialCutoff(l.cutoff)
+				p := workload.NewPlan()
 				col := w.Collect(p, bucket)
 				p.Input().PushDataset(graph.SymmetricEdges(g))
 
@@ -61,7 +57,7 @@ func TestRegisteredWorkloadsMatchQueryOnEveryExecutor(t *testing.T) {
 				}
 				compare(-1)
 
-				rng := rand.New(rand.NewSource(7))
+				rng := rand.New(rand.NewSource(l.seed))
 				edges := g.EdgeList()
 				for step := 0; step < 8; step++ {
 					ei, ej := rng.Intn(len(edges)), rng.Intn(len(edges))

@@ -11,25 +11,23 @@ import (
 
 	"wpinq/internal/budget"
 	"wpinq/internal/core"
-	"wpinq/internal/engine"
 	"wpinq/internal/graph"
-	"wpinq/internal/plan"
 	"wpinq/internal/workload"
 )
 
-// fuseLayouts are the executor layouts every fused-vs-unfused
-// differential runs on: Shards -1 (the retired reference engine's value,
-// which bench/ and stored checkpoints still pass: one shard), one shard
-// asked for by name, and a genuinely parallel three-shard executor with
-// serial cutoff 0 (parallel dispatch on every round; run under -race).
+// fuseLayouts are the subtests every fused-vs-unfused differential
+// runs. The names are those of the executor layouts the differentials
+// once ran on (the retired reference engine, one shard, three shards
+// dispatching in parallel), kept because test ids outlive what they
+// named. Every row runs the one engine there is, each walking its own
+// swap sequence; the first walks the test's original one.
 var fuseLayouts = []struct {
-	name   string
-	shards int
-	cutoff int
+	name string
+	seed int64 // offset of the walk's swap seed
 }{
-	{"serial", -1, engine.DefaultSerialCutoff},
-	{"engine-1", 1, engine.DefaultSerialCutoff},
-	{"engine-3", 3, 0},
+	{"serial", 0},
+	{"engine-1", 1000},
+	{"engine-3", 2000},
 }
 
 // fuseSubsets samples the power set of registered workloads at the
@@ -81,15 +79,14 @@ func measureFits(t testing.TB, g *graph.Graph, names []string, bucket int, eps f
 	return fits
 }
 
-// fusePlan builds one plan (fused or not) on a layout, attaches every
+// fusePlan builds one plan (fused or not), attaches every
 // fit (its own copy, loaded under a fixed seed, so both plans of a
 // differential pair hold bit-identical released histograms and draw
 // bit-identical lazy noise) plus a collector per workload, and returns
 // the plan, the attached fits, and the collectors in workload order.
-func fusePlan(t testing.TB, fits []workload.Measured, shards, cutoff int, fuse bool, eps float64, noiseSeed int64) (*workload.Plan, []workload.Measured, []workload.Collected) {
+func fusePlan(t testing.TB, fits []workload.Measured, fuse bool, eps float64, noiseSeed int64) (*workload.Plan, []workload.Measured, []workload.Collected) {
 	t.Helper()
-	p := workload.NewPlanFused(shards, fuse)
-	p.Engine().SetSerialCutoff(cutoff)
+	p := workload.NewPlanFused(1, fuse)
 	rng := rand.New(rand.NewSource(noiseSeed))
 	attached := make([]workload.Measured, 0, len(fits))
 	cols := make([]workload.Collected, 0, len(fits))
@@ -135,8 +132,8 @@ func scoresClose(a, b float64) bool {
 }
 
 // TestFusedMatchesUnfusedOnWorkloadSubsets is the tentpole's primary
-// differential: over power-set samples of the registry and every
-// executor layout, a fused plan and a per-workload-pipeline plan
+// differential: over power-set samples of the registry and every row, a
+// fused plan and a per-workload-pipeline plan
 // attached to bit-identical released histograms produce the same fit
 // scores and the same collected outputs, initially and across a
 // sequence of edge swaps — and the fused plan does strictly less
@@ -155,8 +152,8 @@ func TestFusedMatchesUnfusedOnWorkloadSubsets(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/%s", names, l.name), func(t *testing.T) {
 				t.Parallel()
 				g := g0.Clone()
-				fused, fusedFits, fusedCols := fusePlan(t, fits, l.shards, l.cutoff, true, eps, 23)
-				plain, plainFits, plainCols := fusePlan(t, fits, l.shards, l.cutoff, false, eps, 23)
+				fused, fusedFits, fusedCols := fusePlan(t, fits, true, eps, 23)
+				plain, plainFits, plainCols := fusePlan(t, fits, false, eps, 23)
 
 				// The released histograms the two plans fit against must be
 				// byte-identical: fusion is a plan transformation, not a
@@ -191,7 +188,7 @@ func TestFusedMatchesUnfusedOnWorkloadSubsets(t *testing.T) {
 				}
 				compare(-1)
 
-				rng := rand.New(rand.NewSource(17))
+				rng := rand.New(rand.NewSource(17 + l.seed))
 				edges := g.EdgeList()
 				for step := 0; step < 6; step++ {
 					ei, ej := rng.Intn(len(edges)), rng.Intn(len(edges))
@@ -244,9 +241,9 @@ func TestFusedMatchesUnfusedOnWorkloadSubsets(t *testing.T) {
 }
 
 // TestFusedPlanDAGShape pins the fused DAG the full registry compiles
-// to, on every layout: one paths join fanning out to tbi, tbd, and
-// wedges; one unbucketed degrees fragment for jdd; one bucketed degrees
-// fragment shared by tbd and star4-by-degree.
+// to: one paths join fanning out to tbi, tbd, and wedges; one unbucketed
+// degrees fragment for jdd; one bucketed degrees fragment shared by tbd
+// and star4-by-degree.
 func TestFusedPlanDAGShape(t *testing.T) {
 	const (
 		eps    = 1.0
@@ -254,56 +251,44 @@ func TestFusedPlanDAGShape(t *testing.T) {
 	)
 	g := testGraph(t)
 	fits := measureFits(t, g, workload.Names(), bucket, eps, 11)
-	var serialDAG []plan.Fragment
-	for _, l := range fuseLayouts {
-		p, _, _ := fusePlan(t, fits, l.shards, l.cutoff, true, eps, 23)
-		dag := p.Fusion().DAG()
-		fanout := map[string]int{}
-		for _, f := range dag {
-			if f.Refs > 1 {
-				fanout[f.Key] = f.Refs
+	p, _, _ := fusePlan(t, fits, true, eps, 23)
+	dag := p.Fusion().DAG()
+	fanout := map[string]int{}
+	for _, f := range dag {
+		if f.Refs > 1 {
+			fanout[f.Key] = f.Refs
+		}
+	}
+	// Collectors double every request, so expected fan-out refs are
+	// 2x the sink-only consumer counts: paths feeds tbi, tbd, wedges
+	// (via pathdeg and suffixes), degrees/b=2 feeds tbd and star4.
+	if fanout["paths"] == 0 || fanout["degrees/b=2"] == 0 {
+		t.Fatalf("expected paths and degrees/b=2 fan-outs, got %v", fanout)
+	}
+	if fanout["jdd"] != 2 || fanout["tbi"] != 2 {
+		t.Fatalf("terminal fragments should be shared by sink+collector, got %v", fanout)
+	}
+	// Inputs are read off the operator tree and requested before
+	// their consumer, so the DAG lists every fragment after all of
+	// its inputs.
+	at := map[string]int{"edges": -1}
+	inputs := map[string][]string{}
+	for i, f := range dag {
+		at[f.Key], inputs[f.Key] = i, f.Inputs
+		for _, in := range f.Inputs {
+			if j, ok := at[in]; !ok || j >= i {
+				t.Fatalf("fragment %s is recorded before its input %s: %+v", f.Key, in, dag)
 			}
 		}
-		// Collectors double every request, so expected fan-out refs are
-		// 2x the sink-only consumer counts: paths feeds tbi, tbd, wedges
-		// (via pathdeg and suffixes), degrees/b=2 feeds tbd and star4.
-		if fanout["paths"] == 0 || fanout["degrees/b=2"] == 0 {
-			t.Fatalf("%s: expected paths and degrees/b=2 fan-outs, got %v", l.name, fanout)
-		}
-		if fanout["jdd"] != 2 || fanout["tbi"] != 2 {
-			t.Fatalf("%s: terminal fragments should be shared by sink+collector, got %v", l.name, fanout)
-		}
-		// Inputs are read off the operator tree and requested before
-		// their consumer, so the DAG lists every fragment after all of
-		// its inputs.
-		at := map[string]int{"edges": -1}
-		inputs := map[string][]string{}
-		for i, f := range dag {
-			at[f.Key], inputs[f.Key] = i, f.Inputs
-			for _, in := range f.Inputs {
-				if j, ok := at[in]; !ok || j >= i {
-					t.Fatalf("%s: fragment %s is recorded before its input %s: %+v", l.name, f.Key, in, dag)
-				}
-			}
-		}
-		for key, want := range map[string][]string{
-			"paths":       {"edges"},
-			"pathdeg/b=2": {"paths", "degrees/b=2"},
-			"jdd":         {"degrees/b=1", "edges"},
-			"tbd/b=2":     {"pathdeg/b=2"},
-		} {
-			if !reflect.DeepEqual(inputs[key], want) {
-				t.Fatalf("%s: fragment %s has inputs %v, want %v", l.name, key, inputs[key], want)
-			}
-		}
-		// One description serves every layout, so the whole fragment
-		// record — key, derived inputs, reference count, in construction
-		// order — must not depend on the layout.
-		if serialDAG == nil {
-			serialDAG = dag
-		} else if !reflect.DeepEqual(serialDAG, dag) {
-			t.Fatalf("%s: DAG %+v differs from serial layout's %+v — layouts must fuse identically",
-				l.name, dag, serialDAG)
+	}
+	for key, want := range map[string][]string{
+		"paths":       {"edges"},
+		"pathdeg/b=2": {"paths", "degrees/b=2"},
+		"jdd":         {"degrees/b=1", "edges"},
+		"tbd/b=2":     {"pathdeg/b=2"},
+	} {
+		if !reflect.DeepEqual(inputs[key], want) {
+			t.Fatalf("fragment %s has inputs %v, want %v", key, inputs[key], want)
 		}
 	}
 }

@@ -50,8 +50,8 @@ func FuzzFusedEquivalence(f *testing.F) {
 		b := int(bucket % 4)
 		fits := measureFits(t, g, names, b, eps, seed+1)
 
-		fused, _, fusedCols := fusePlan(t, fits, -1, 0, true, eps, 23)
-		plain, _, plainCols := fusePlan(t, fits, -1, 0, false, eps, 23)
+		fused, _, fusedCols := fusePlan(t, fits, true, eps, 23)
+		plain, _, plainCols := fusePlan(t, fits, false, eps, 23)
 		fused.Input().PushDataset(graph.SymmetricEdges(g))
 		plain.Input().PushDataset(graph.SymmetricEdges(g))
 

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"wpinq/internal/engine"
 	"wpinq/internal/graph"
 	"wpinq/internal/mcmc"
 	"wpinq/internal/workload"
@@ -25,10 +24,10 @@ type fuseTrace struct {
 	stats       mcmc.Stats
 }
 
-// runFuseTrace measures tbi+tbd+jdd+wedges once, attaches them to a
-// fused or unfused plan on the given layout, and drives a seeded
-// 1500-step transactional MCMC walk, recording everything comparable.
-func runFuseTrace(t *testing.T, fits []workload.Measured, shards, cutoff int, fuse bool, steps int) fuseTrace {
+// runFuseTrace attaches measured fits to a fused or unfused plan and
+// drives a 1500-step transactional MCMC walk from walkSeed, recording
+// everything comparable.
+func runFuseTrace(t *testing.T, fits []workload.Measured, walkSeed int64, fuse bool, steps int) fuseTrace {
 	t.Helper()
 	const eps = 1.0
 	// Walk from a random start toward the measurements, like real
@@ -38,7 +37,7 @@ func runFuseTrace(t *testing.T, fits []workload.Measured, shards, cutoff int, fu
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, _, _ := fusePlan(t, fits, shards, cutoff, fuse, eps, 23)
+	p, _, _ := fusePlan(t, fits, fuse, eps, 23)
 
 	// NewGraphState pushes the initial edge dataset itself; pushing it
 	// again here would hold every edge at weight 2 in the dataflow while
@@ -52,7 +51,7 @@ func runFuseTrace(t *testing.T, fits []workload.Measured, shards, cutoff int, fu
 	var decisions strings.Builder
 	var scores []float64
 	runner, err := mcmc.NewRunner(state, p.Scorer(), mcmc.Config{Pow: 0.05},
-		rand.New(rand.NewSource(99)))
+		rand.New(rand.NewSource(walkSeed)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +98,8 @@ func runFuseTrace(t *testing.T, fits []workload.Measured, shards, cutoff int, fu
 }
 
 // TestFusedTraceMatchesUnfused drives the same seeded 1500-step MCMC
-// walk through a fused plan and a per-workload-pipeline plan over
+// walk (one per row, each from its own seed: the row names are the
+// executor layouts the test once ran on) through a fused plan and a per-workload-pipeline plan over
 // tbi+tbd+jdd+wedges and requires byte-identical decision streams,
 // byte-identical final edge lists, step scores within 1e-9, and the
 // tentpole's cost metric: each proposal costs exactly one propagation
@@ -110,18 +110,16 @@ func TestFusedTraceMatchesUnfused(t *testing.T) {
 	names := []string{"tbi", "tbd", "jdd", "wedges"}
 	fits := measureFits(t, testGraph(t), names, 2, 1.0, 11)
 	for _, l := range []struct {
-		name   string
-		shards int
-		cutoff int
+		name string
+		seed int64
 	}{
-		{"serial", -1, engine.DefaultSerialCutoff}, // Shards -1 is one shard: see fuseLayouts
-		{"engine-3", 3, 0},
+		{"serial", 99},
+		{"engine-3", 1099},
 	} {
-		l := l
 		t.Run(l.name, func(t *testing.T) {
 			t.Parallel()
-			fused := runFuseTrace(t, fits, l.shards, l.cutoff, true, steps)
-			plain := runFuseTrace(t, fits, l.shards, l.cutoff, false, steps)
+			fused := runFuseTrace(t, fits, l.seed, true, steps)
+			plain := runFuseTrace(t, fits, l.seed, false, steps)
 
 			if fused.decisions != plain.decisions {
 				i := 0
@@ -164,8 +162,8 @@ func TestFusedTraceMatchesUnfused(t *testing.T) {
 	}
 }
 
-// walkHotPlan builds what the benchmark's walk-hot workload runs — one
-// shard over a HolmeKim(400,3) graph with the fused tbi,tbd,jdd,wedges
+// walkHotPlan builds what the benchmark's walk-hot workload runs — a
+// HolmeKim(400,3) graph with the fused tbi,tbd,jdd,wedges
 // plan at bucket 5 — loaded and ready to walk.
 func walkHotPlan(tb testing.TB) (*workload.Plan, *mcmc.GraphState) {
 	tb.Helper()
@@ -174,13 +172,13 @@ func walkHotPlan(tb testing.TB) (*workload.Plan, *mcmc.GraphState) {
 		tb.Fatal(err)
 	}
 	fits := measureFits(tb, g, []string{"tbi", "tbd", "jdd", "wedges"}, 5, 0.1, 11)
-	p, _, _ := fusePlan(tb, fits, 1, engine.DefaultSerialCutoff, true, 0.1, 23)
+	p, _, _ := fusePlan(tb, fits, true, 0.1, 23)
 	return p, mcmc.NewGraphState(g, p.Input())
 }
 
 // TestWalkHotDeliversOncePerFragment pins what made the round scheduler
 // the one executor. A round runs every node once, whatever number of
-// paths lead to it, so at one shard a fragment's output delivers at most
+// paths lead to it, so a fragment's output delivers at most
 // one batch per proposal: deliveries per proposal are bounded by the
 // live fragments (8 on this plan; the walk measures about 4.8, because a
 // swap's differences die out before they reach every fragment).

@@ -31,12 +31,13 @@ func snapshotsExact(t *testing.T, name string, got, want map[string]float64) {
 // paths — against a never-speculated twin that only sees the committed
 // batches. Collected outputs must stay bit-identical, and the subject's
 // incrementally maintained fit score must agree with a from-scratch
-// recompute, at one shard (spelled -1) and at two with parallel dispatch.
+// recompute. The last argument chose the executor layout when the engine
+// had several; it stays so that stored corpus entries still decode.
 func FuzzFusedTxnDiamonds(f *testing.F) {
 	f.Add(int64(3), []byte{0, 1, 2, 3}, uint8(0))
 	f.Add(int64(9), []byte{1, 1, 1, 0, 0, 0, 5, 4}, uint8(1))
 	f.Add(int64(27), []byte{255, 254, 3}, uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, ops []byte, layout uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte, _ uint8) {
 		if len(ops) == 0 {
 			t.Skip("no cycles")
 		}
@@ -47,18 +48,14 @@ func FuzzFusedTxnDiamonds(f *testing.F) {
 			eps    = 1.0
 			bucket = 2
 		)
-		shards, cutoff := -1, 0
-		if layout%2 == 1 {
-			shards, cutoff = 2, 0
-		}
 		g, err := graph.ErdosRenyi(14, 28, rand.New(rand.NewSource(seed)))
 		if err != nil {
 			t.Skip(err)
 		}
 		fits := measureFits(t, g, workload.Names(), bucket, eps, seed+1)
 
-		subject, _, subjectCols := fusePlan(t, fits, shards, cutoff, true, eps, 23)
-		twin, _, twinCols := fusePlan(t, fits, shards, cutoff, true, eps, 23)
+		subject, _, subjectCols := fusePlan(t, fits, true, eps, 23)
+		twin, _, twinCols := fusePlan(t, fits, true, eps, 23)
 		subject.Input().PushDataset(graph.SymmetricEdges(g))
 		twin.Input().PushDataset(graph.SymmetricEdges(g))
 

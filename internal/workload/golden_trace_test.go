@@ -3,17 +3,9 @@ package workload_test
 import (
 	"encoding/json"
 	"flag"
-	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"testing"
-
-	"wpinq/internal/engine"
-	"wpinq/internal/graph"
-	"wpinq/internal/mcmc"
 )
 
 // updateGolden rewrites the committed golden trace files from this run.
@@ -43,27 +35,17 @@ type goldenTrace struct {
 }
 
 // TestGoldenTrace pins the full seeded 1500-step fused 4-workload walk
-// against the committed trace file of the one layout that is
-// bit-reproducible across processes, a single shard — asked for as 1 and
-// as -1, the retired reference engine's value, which must now be the
-// same walk to the last bit. (Multi-shard engines route by a per-process
-// hash seed, so their accumulation order is reproducible only
-// in-process; the engine-3 coverage is TestEngine3MatchesSerialForcedWalk
-// below.)
+// against the committed trace file: a fit is bit-reproducible across
+// processes. The rows are named after the layouts the walk was once
+// asked for at (one shard, spelled -1 and 1); both replay the one walk
+// the file pins, so the second also checks that a walk repeated in one
+// process reproduces it to the last bit.
 func TestGoldenTrace(t *testing.T) {
 	const steps = 1500
 	fits := measureFits(t, testGraph(t), goldenNames, 2, 1.0, 11)
-	for _, l := range []struct {
-		name   string
-		shards int
-		cutoff int
-	}{
-		{"serial", -1, engine.DefaultSerialCutoff},
-		{"engine-1", 1, engine.DefaultSerialCutoff},
-	} {
-		l := l
-		t.Run(l.name, func(t *testing.T) {
-			tr := runFuseTrace(t, fits, l.shards, l.cutoff, true, steps)
+	for _, name := range []string{"serial", "engine-1"} {
+		t.Run(name, func(t *testing.T) {
+			tr := runFuseTrace(t, fits, 99, true, steps)
 			got := goldenTrace{
 				Decisions:   tr.decisions,
 				Scores:      tr.scores,
@@ -116,78 +98,5 @@ func TestGoldenTrace(t *testing.T) {
 				t.Errorf("fragment batch deliveries %d, golden %d", got.MemoPushes, want.MemoPushes)
 			}
 		})
-	}
-}
-
-// TestEngine3MatchesSerialForcedWalk covers the layout the golden file
-// cannot: a genuinely parallel three-shard engine, whose per-process
-// routing seed makes its accumulation order reproducible only
-// in-process. It and the serial configuration — one shard — are driven
-// through the same deterministic proposal sequence with a forced
-// commit/abort alternation (no float-dependent branching), and after the
-// walk every workload's collected output weights must agree to float
-// tolerance.
-//
-// Scores are deliberately not compared across layouts: a sink's L1
-// permanently includes |m(x)| for every record it has ever observed,
-// and layouts with different batch granularity explore different
-// transient records (a record whose net weight cancels within one
-// shard's batch never reaches the sink there, but does when its
-// differences arrive in two). The maintained state — what pooling and
-// packed encodings could corrupt — is the snapshot, and that must match.
-func TestEngine3MatchesSerialForcedWalk(t *testing.T) {
-	const steps = 400
-	fits := measureFits(t, testGraph(t), goldenNames, 2, 1.0, 11)
-
-	run := func(shards, cutoff int) (snaps []map[string]float64, edges string) {
-		g, err := graph.ErdosRenyi(36, 100, rand.New(rand.NewSource(7)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, _, cols := fusePlan(t, fits, shards, cutoff, true, 1.0, 23)
-		state := mcmc.NewGraphState(g, p.Input()) // pushes the initial dataset itself
-		rng := rand.New(rand.NewSource(99))
-		valid := 0
-		for valid < steps {
-			prop, ok := state.Propose(rng)
-			if !ok {
-				continue
-			}
-			valid++
-			state.Speculate(prop)
-			if valid%2 == 0 {
-				state.Commit()
-			} else {
-				state.Abort(prop)
-			}
-		}
-		for _, c := range cols {
-			snap, err := c.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			snaps = append(snaps, snap)
-		}
-		final := state.Graph().EdgeList()
-		sort.Slice(final, func(i, j int) bool {
-			if final[i].Src != final[j].Src {
-				return final[i].Src < final[j].Src
-			}
-			return final[i].Dst < final[j].Dst
-		})
-		var sb strings.Builder
-		for _, e := range final {
-			fmt.Fprintf(&sb, "%d-%d;", e.Src, e.Dst)
-		}
-		return snaps, sb.String()
-	}
-
-	serialSnaps, serialEdges := run(1, engine.DefaultSerialCutoff)
-	engSnaps, engEdges := run(3, 0)
-	if serialEdges != engEdges {
-		t.Fatalf("final edge lists differ: the forced proposal sequence diverged")
-	}
-	for i := range serialSnaps {
-		diffMaps(t, i, engSnaps[i], serialSnaps[i])
 	}
 }

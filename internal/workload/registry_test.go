@@ -174,8 +174,7 @@ func TestHistogramRoundTripAndTypedGet(t *testing.T) {
 // multiplier is derived and charged (12, the paper's), its exact output
 // is eq. 6's closed form over a brute-force enumeration of 4-cycles (an
 // oracle sharing none of the query's lambdas), and its fit pipeline
-// tracks the exact output across random edge swaps on one and on four
-// shards.
+// tracks the exact output across random edge swaps.
 func TestDefineFromOneDescription(t *testing.T) {
 	sbd := workload.Define(workload.Workload{
 		Name:        "sbd",
@@ -221,43 +220,39 @@ func TestDefineFromOneDescription(t *testing.T) {
 	}
 	diffMaps(t, -1, got, want)
 
-	for _, shards := range []int{1, 4} {
-		g := g.Clone()
-		p := workload.NewPlan(shards)
-		p.Engine().SetSerialCutoff(0)
-		col := sbd.Collect(p, 0)
-		p.Input().PushDataset(graph.SymmetricEdges(g))
-		rng := rand.New(rand.NewSource(7))
-		edges := g.EdgeList()
-		swapped := 0
-		for step := 0; step < 8; step++ {
-			ei, ej := rng.Intn(len(edges)), rng.Intn(len(edges))
-			a, b := edges[ei].Src, edges[ei].Dst
-			c, d := edges[ej].Src, edges[ej].Dst
-			if ei == ej || a == d || c == b || a == c || b == d || g.HasEdge(a, d) || g.HasEdge(c, b) {
-				continue
-			}
-			g.RemoveEdge(a, b)
-			g.RemoveEdge(c, d)
-			g.AddEdge(a, d)
-			g.AddEdge(c, b)
-			edges[ei] = graph.Edge{Src: a, Dst: d}
-			edges[ej] = graph.Edge{Src: c, Dst: b}
-			p.Input().Push(swapDiffs(a, b, c, d))
+	p := workload.NewPlan()
+	col := sbd.Collect(p, 0)
+	p.Input().PushDataset(graph.SymmetricEdges(g))
+	rng := rand.New(rand.NewSource(7))
+	edges := g.EdgeList()
+	swapped := 0
+	for step := 0; step < 8; step++ {
+		ei, ej := rng.Intn(len(edges)), rng.Intn(len(edges))
+		a, b := edges[ei].Src, edges[ei].Dst
+		c, d := edges[ej].Src, edges[ej].Dst
+		if ei == ej || a == d || c == b || a == c || b == d || g.HasEdge(a, d) || g.HasEdge(c, b) {
+			continue
+		}
+		g.RemoveEdge(a, b)
+		g.RemoveEdge(c, d)
+		g.AddEdge(a, d)
+		g.AddEdge(c, b)
+		edges[ei] = graph.Edge{Src: a, Dst: d}
+		edges[ej] = graph.Edge{Src: c, Dst: b}
+		p.Input().Push(swapDiffs(a, b, c, d))
 
-			got, err := col.Snapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := sbd.Exact(g, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diffMaps(t, step, got, want)
-			swapped++
+		got, err := col.Snapshot()
+		if err != nil {
+			t.Fatal(err)
 		}
-		if swapped == 0 {
-			t.Fatalf("%d shards: no proposed swap was valid", shards)
+		want, err := sbd.Exact(g, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
+		diffMaps(t, step, got, want)
+		swapped++
+	}
+	if swapped == 0 {
+		t.Fatal("no proposed swap was valid")
 	}
 }

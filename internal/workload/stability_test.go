@@ -68,16 +68,18 @@ func l1(x, y map[string]float64) float64 {
 
 // TestPlansAreStable checks the paper's theorem on the plans that release
 // data, not only on the reference operators: every registered workload,
-// SbD and the three seed measurements are each Uses-stable — neighbouring weighted
-// edge datasets A, A' give ||Q(A) - Q(A')||_1 <= Uses * ||A - A'||_1 —
-// through the one-shot lowering, and the executor at 1 and 4 shards
-// computes the same Q: loaded with A it holds Q(A); the difference to A'
+// SbD, the three seed measurements and the motif compiler's plans are
+// each Uses-stable — neighbouring weighted edge datasets A, A' give
+// ||Q(A) - Q(A')||_1 <= Uses * ||A - A'||_1 — through the one-shot
+// lowering, and the executor computes the same Q: loaded with A it holds Q(A); the difference to A'
 // pushed in a transaction and aborted leaves Q(A) bit for bit; pushed
 // again and committed it holds Q(A').
 func TestPlansAreStable(t *testing.T) {
 	const pairs, tol = 20, 1e-9
-	// Beside the registry: SbD from a literal, and Phase 1's seed bundle —
-	// the only released plans built on Shave.
+	// Beside the registry: SbD from a literal, Phase 1's seed bundle —
+	// the only released plans built on Shave — and the motif plans `wpinq
+	// motif` releases, with the triangle's degree profile beside the
+	// registry's star4-by-degree.
 	literals := []Workload{
 		Define(Workload{Name: "sbd"},
 			Builders[queries.DegQuad]{Expr: func(int) queries.Expr[queries.DegQuad] { return queries.SbD() }}),
@@ -87,6 +89,14 @@ func TestPlansAreStable(t *testing.T) {
 			Builders[int]{Expr: func(int) queries.Expr[int] { return queries.DegreeCCDF() }}),
 		Define(Workload{Name: "seed-degree-sequence"},
 			Builders[int]{Expr: func(int) queries.Expr[int] { return queries.DegreeSequence() }}),
+		motifCount("motif-triangle", queries.TrianglePattern),
+		motifCount("motif-square", queries.SquarePattern),
+		motifCount("motif-path3", queries.PathPattern3),
+		motifCount("motif-star4", queries.StarPattern4),
+		Define(Workload{Name: "triangle-by-degree", Bucketed: true},
+			Builders[queries.DegProfile]{Expr: func(bucket int) queries.Expr[queries.DegProfile] {
+				return mustPlan(queries.MotifByDegree(queries.TrianglePattern, bucket))
+			}}),
 	}
 	for _, w := range append(All(), literals...) {
 		for _, bucket := range []int{0, 3} {
@@ -112,41 +122,38 @@ func TestPlansAreStable(t *testing.T) {
 					} else if d > 0 {
 						moved++
 					}
-					for _, shards := range []int{1, 4} {
-						p := NewPlan(shards)
-						p.Engine().SetSerialCutoff(0)
-						col := w.impl.collect(p, bucket)
-						in := p.Input()
-						snapshot := func(what string, want map[string]float64) map[string]float64 {
-							got, err := col.Snapshot()
-							if err != nil {
-								t.Fatal(err)
-							}
-							if d := l1(got, want); d > tol {
-								t.Fatalf("pair %d, %d shards: the executor %s is %v away from the one-shot query", i, shards, what, d)
-							}
-							return got
+					p := NewPlan()
+					col := w.impl.collect(p, bucket)
+					in := p.Input()
+					snapshot := func(what string, want map[string]float64) map[string]float64 {
+						got, err := col.Snapshot()
+						if err != nil {
+							t.Fatal(err)
 						}
-						in.PushDataset(a)
-						loaded := snapshot("loaded with A", qa)
-						in.Begin()
-						in.Push(diff)
-						snapshot("holding A' speculatively", qb)
-						in.Abort()
-						back := snapshot("after the abort", qa)
-						if len(back) != len(loaded) {
-							t.Fatalf("pair %d, %d shards: %d records after the abort, %d before the proposal", i, shards, len(back), len(loaded))
+						if d := l1(got, want); d > tol {
+							t.Fatalf("pair %d: the executor %s is %v away from the one-shot query", i, what, d)
 						}
-						for k, v := range loaded {
-							if math.Float64bits(back[k]) != math.Float64bits(v) {
-								t.Fatalf("pair %d, %d shards: the abort left %s at %v, it was %v", i, shards, k, back[k], v)
-							}
-						}
-						in.Begin()
-						in.Push(diff)
-						in.Commit()
-						snapshot("after committing A'", qb)
+						return got
 					}
+					in.PushDataset(a)
+					loaded := snapshot("loaded with A", qa)
+					in.Begin()
+					in.Push(diff)
+					snapshot("holding A' speculatively", qb)
+					in.Abort()
+					back := snapshot("after the abort", qa)
+					if len(back) != len(loaded) {
+						t.Fatalf("pair %d: %d records after the abort, %d before the proposal", i, len(back), len(loaded))
+					}
+					for k, v := range loaded {
+						if math.Float64bits(back[k]) != math.Float64bits(v) {
+							t.Fatalf("pair %d: the abort left %s at %v, it was %v", i, k, back[k], v)
+						}
+					}
+					in.Begin()
+					in.Push(diff)
+					in.Commit()
+					snapshot("after committing A'", qb)
 				}
 				if moved == 0 {
 					t.Error("no pair moved the query's output: the bound was never exercised")
@@ -154,4 +161,10 @@ func TestPlansAreStable(t *testing.T) {
 			})
 		}
 	}
+}
+
+// motifCount is the literal workload of a pattern's MotifCount plan.
+func motifCount(name string, p queries.Pattern) Workload {
+	return Define(Workload{Name: name},
+		Builders[queries.Unit]{Expr: func(int) queries.Expr[queries.Unit] { return mustPlan(queries.MotifCount(p)) }})
 }

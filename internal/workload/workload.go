@@ -197,10 +197,7 @@ func (w Workload) Exact(g *graph.Graph, bucket int) (map[string]float64, error) 
 }
 
 // Plan is a fit pipeline under construction: the MCMC input root plus
-// the scorer the attached sinks feed. Shards semantics match
-// synth.Config.Shards: 0 is one shard per CPU, >0 an explicit count, and
-// -1 — the retired reference engine's value, which callers and stored
-// checkpoints still pass — one shard.
+// the scorer the attached sinks feed, over one engine.
 //
 // Every plan carries a plan.Memo: pipelines request their fragments
 // through it, so attaching several workloads to one fusing plan builds a
@@ -218,15 +215,15 @@ type Plan struct {
 // NewPlan returns an empty fusing plan. Attach every workload before
 // pushing data through Input (subscriptions must complete before the
 // first push).
-func NewPlan(shards int) *Plan { return NewPlanFused(shards, true) }
+func NewPlan() *Plan { return NewPlanFused(1, true) }
 
 // NewPlanFused is NewPlan with explicit control over prefix fusion:
 // fuse false builds per-workload pipelines, for the differential tests.
+// shards is retired: nothing reads it (the engine is one partition), and
+// it goes with the bool when the end-to-end benchmark, its last caller,
+// calls NewPlan.
 func NewPlanFused(shards int, fuse bool) *Plan {
-	if shards < 0 {
-		shards = 1 // engine.New would read it as "one per CPU"
-	}
-	eng := engine.New(shards)
+	eng := engine.New()
 	return &Plan{
 		eng:    eng,
 		root:   engine.NewInput[graph.Edge](eng),

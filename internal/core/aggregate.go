@@ -48,8 +48,8 @@ func (h *Histogram[T]) Get(x T) float64 {
 
 // recordUniform hashes (salt, record) to a uniform in (0,1): FNV-1a over
 // the record's canonical JSON, finalized with a splitmix64 avalanche so
-// structurally similar records land far apart. The +0.5 offset keeps the
-// result strictly inside the open interval Quantile requires.
+// structurally similar records land far apart, and mapped into the open
+// interval Quantile requires by openUnit.
 func recordUniform(salt uint64, x any) float64 {
 	b, err := json.Marshal(x)
 	if err != nil {
@@ -69,7 +69,19 @@ func recordUniform(salt uint64, x any) float64 {
 	u ^= u >> 27
 	u *= 0x94d049bb133111eb
 	u ^= u >> 31
-	return (float64(u>>11) + 0.5) / (1 << 53)
+	return openUnit(u)
+}
+
+// openUnit maps a 64-bit hash to the open interval (0,1) by its top 53
+// bits: the midpoint of the k-th of 2^53 equal cells. The last cell's
+// midpoint rounds to 1 in float64, so that one hash maps to the largest
+// float below 1 instead; every other hash keeps the midpoint's bits.
+func openUnit(u uint64) float64 {
+	p := (float64(u>>11) + 0.5) / (1 << 53)
+	if p == 1 {
+		return math.Nextafter(1, 0)
+	}
+	return p
 }
 
 // Len returns the number of released records.

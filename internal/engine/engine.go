@@ -23,20 +23,22 @@
 // A dataflow graph is built bottom-up against a single Engine: inputs via
 // NewInput, operators via the package-level constructors. Construction
 // order is topological order, and the engine schedules one round per
-// Input.Push: every node, in construction order, takes the batches its
-// upstreams emitted earlier in the round — all of them, from every
-// upstream, at once — applies them, and emits its output downstream
-// exactly once. A node reached along several paths from the input (every
-// join whose two sides share an ancestor) therefore still runs once per
-// round, where delivering each emission as it is made would run it once
-// per path. When Push returns, every subscriber and sink reflects the
-// change.
+// Input.Push: every node, in construction order, takes the batch each of
+// its upstreams emitted earlier in the round, applies them, and emits its
+// output downstream at most once. A port therefore holds one batch. A
+// node reached along several paths from the input (every join whose two
+// sides share an ancestor) still runs once per round, where delivering
+// each emission as it is made would run it once per path. When Push
+// returns, every subscriber and sink reflects the change.
 //
 // Pushes may be bracketed by Input.Begin and Input.Commit/Input.Abort:
 // speculative rounds run identically, but every body logs the pre-images
 // of the state it overwrites, and Abort restores them in O(touched keys)
-// without another round (see txnGate and the incremental package's
-// TxnOp).
+// without another round. The transaction is the engine's, not an edge's:
+// the engine keeps one flag, drops a Begin inside a transaction and a
+// Commit or Abort outside one, and tells each party — every stateful
+// node's body and every sink — each remaining event once, outside any
+// round (see Engine.tell and the incremental package's TxnOp).
 //
 // # Sinks
 //
@@ -70,6 +72,11 @@ import (
 type Engine struct {
 	nodes []processor
 	inRun bool
+
+	// inTxn is set between a Begin and its Commit or Abort; parties are
+	// told each transaction event (tell), in registration order.
+	inTxn   bool
+	parties []func(incremental.TxnOp)
 }
 
 // processor is one schedulable node: an Input or an operator.
@@ -127,37 +134,37 @@ func (e *Engine) run() {
 	e.inRun = false
 }
 
-// port is one node's pending input from one upstream stream: the batches
-// emitted earlier in the current round, awaiting the owner's process
-// call. Batches are owned by the emitter and are read-only, valid until
-// the emitting node's next round.
+// tell applies a transaction event to the engine: it drops a Begin
+// inside a transaction and a Commit or Abort outside one, and tells every
+// party each remaining event once. Events carry no data and run on the
+// pushing goroutine, between rounds.
+func (e *Engine) tell(op incremental.TxnOp) {
+	if (op == incremental.TxnBegin) == e.inTxn {
+		return
+	}
+	e.inTxn = op == incremental.TxnBegin
+	for _, f := range e.parties {
+		f(op)
+	}
+}
+
+// port is one node's pending input from one upstream stream: the batch
+// that upstream emitted earlier in the current round, awaiting the
+// owner's process call. The batch is owned by the emitter and is
+// read-only, valid until the emitting node's next round.
 type port[T comparable] struct {
-	batches [][]incremental.Delta[T]
-	total   int
+	batch []incremental.Delta[T]
 }
 
-func (p *port[T]) add(batch []incremental.Delta[T]) {
-	p.batches = append(p.batches, batch)
-	p.total += len(batch)
+// take returns the round's pending batch (nil when the upstream emitted
+// nothing) and empties the port. The slot is cleared, not kept: a load's
+// batch is the emitter's released array, and a port that kept pointing
+// at it would keep it alive until a later round overwrote the slot.
+func (p *port[T]) take() []incremental.Delta[T] {
+	b := p.batch
+	p.batch = nil
+	return b
 }
-
-// reset empties the port once its owner has consumed the round. The
-// slots are cleared, not just truncated: a load's batches are the
-// emitter's released arrays, and a port that kept pointing at them would
-// keep them alive until later rounds happened to overwrite the slots.
-func (p *port[T]) reset() {
-	clear(p.batches)
-	p.batches, p.total = p.batches[:0], 0
-}
-
-// txnGate is the shared event-dedup gate. Transaction control events
-// (incremental.TxnOp) travel the same edges as difference batches: each
-// node receives an event from every upstream, drops redundant deliveries
-// at its gate, applies the event to its own state — for a stateful node,
-// by telling its body, which runs its own undo-log machinery — and
-// forwards it downstream. Events carry no data and run on the scheduling
-// goroutine, outside any round.
-type txnGate = incremental.TxnGate
 
 // Stream is the output side of a node: it broadcasts emitted batches to
 // downstream engine nodes (via their ports) and to handlers subscribed
@@ -166,7 +173,6 @@ type Stream[T comparable] struct {
 	e        *Engine
 	ports    []*port[T]
 	handlers []incremental.Handler[T]
-	txnSubs  []func(incremental.TxnOp)
 	prof     NodeProfile // Op, Rounds, In, Out: written by the owning node's process
 }
 
@@ -206,18 +212,12 @@ func (s *Stream[T]) Subscribe(h incremental.Handler[T]) {
 	s.handlers = append(s.handlers, h)
 }
 
-// SubscribeTxn registers a transaction control-event handler, satisfying
-// incremental.Source. Handlers run on the scheduling goroutine, outside
-// any round; registration must complete before the first push.
+// SubscribeTxn registers a transaction event handler with the engine,
+// satisfying incremental.Source: the handler is told each transaction
+// event once (Engine.tell), whichever stream it subscribed through.
+// Registration must complete before the first push.
 func (s *Stream[T]) SubscribeTxn(f func(incremental.TxnOp)) {
-	s.txnSubs = append(s.txnSubs, f)
-}
-
-// emitTxn delivers a transaction event to every control subscriber.
-func (s *Stream[T]) emitTxn(op incremental.TxnOp) {
-	for _, f := range s.txnSubs {
-		f(op)
-	}
+	s.e.parties = append(s.e.parties, f)
 }
 
 // emit broadcasts a non-empty batch downstream. The batch remains owned
@@ -228,7 +228,7 @@ func (s *Stream[T]) emit(b []incremental.Delta[T]) {
 	}
 	s.prof.Out += uint64(len(b))
 	for _, p := range s.ports {
-		p.add(b)
+		p.batch = b
 	}
 	for _, h := range s.handlers {
 		h(b)

@@ -10,7 +10,7 @@ import (
 // enter the computation. It satisfies mcmc.Input.
 type Input[T comparable] struct {
 	Stream[T]
-	pending [][]incremental.Delta[T]
+	pending []incremental.Delta[T]
 	pushes  uint64
 }
 
@@ -22,16 +22,10 @@ func NewInput[T comparable](e *Engine) *Input[T] {
 	return in
 }
 
-// process emits the batches accumulated since the last round.
+// process emits the batch pushed this round, if any.
 func (in *Input[T]) process() {
-	if len(in.pending) == 0 {
-		return
-	}
-	for _, b := range in.pending {
-		in.emit(b)
-	}
-	clear(in.pending) // the caller's batch: see port.reset
-	in.pending = in.pending[:0]
+	in.emit(in.pending)
+	in.pending = nil // the caller's batch: see port.take
 }
 
 // Push propagates a batch of differences through the graph as one round.
@@ -40,30 +34,32 @@ func (in *Input[T]) process() {
 func (in *Input[T]) Push(batch []incremental.Delta[T]) {
 	in.pushes++
 	if len(batch) > 0 {
-		in.pending = append(in.pending, batch)
+		in.pending = batch
 		in.ran(len(batch)) // an input takes what it emits
 	}
 	in.e.run()
 }
 
 // Pushes returns the number of Push calls so far: the propagation
-// counter (each Push schedules one engine round). Transaction control
-// events are not propagations and are not counted.
+// counter (each Push schedules one engine round). Transaction events are
+// not propagations and are not counted.
 func (in *Input[T]) Pushes() uint64 { return in.pushes }
 
-// Begin opens a transaction: pushes until Commit or Abort are
-// speculative, with every stateful node's body logging the pre-image
-// of the state it overwrites. Control events are broadcast synchronously
-// through the node graph outside any round; the engine must be quiescent
-// (between pushes), which the single-goroutine API contract guarantees.
-func (in *Input[T]) Begin() { in.emitTxn(incremental.TxnBegin) }
+// Begin opens the engine's transaction: pushes until Commit or Abort are
+// speculative, with every stateful node's body logging the pre-image of
+// the state it overwrites. A Begin inside a transaction is dropped. The
+// engine must be quiescent (between pushes), which the single-goroutine
+// API contract guarantees.
+func (in *Input[T]) Begin() { in.e.tell(incremental.TxnBegin) }
 
-// Commit keeps the speculative pushes and discards the undo logs.
-func (in *Input[T]) Commit() { in.emitTxn(incremental.TxnCommit) }
+// Commit keeps the speculative pushes and discards the undo logs. A
+// Commit outside a transaction is dropped.
+func (in *Input[T]) Commit() { in.e.tell(incremental.TxnCommit) }
 
 // Abort restores every stateful node and sink to its pre-transaction
-// state in O(touched keys), without a second propagation.
-func (in *Input[T]) Abort() { in.emitTxn(incremental.TxnAbort) }
+// state in O(touched keys), without a second propagation. An Abort
+// outside a transaction is dropped.
+func (in *Input[T]) Abort() { in.e.tell(incremental.TxnAbort) }
 
 // PushDataset pushes an entire weighted dataset as one batch: the idiom
 // for loading initial data into a freshly built graph. The batch is built

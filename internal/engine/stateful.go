@@ -13,9 +13,9 @@ import (
 // to the operator bodies', which are pinned against
 // wpinq/internal/weighted.
 //
-// That protocol — port, apply, take, emit, recycle, transaction fan — is
-// written once, in stateful, over one or two inlets. An operator is a
-// constructor for its body.
+// That protocol — port, apply, take, emit, recycle — is written once, in
+// stateful, over one or two inlets. An operator is a constructor for its
+// body.
 
 // body is what the wiring needs of an operator body, whatever its inputs.
 type body interface {
@@ -39,42 +39,24 @@ type binaryBody[A, B comparable] interface {
 // inlet is one input of a stateful operator, with its record type erased
 // so that one node wires inputs of different types.
 type inlet interface {
-	// pending reports how many differences the upstream emitted this round.
-	pending() int
-	// flush hands the round's differences, if any, to the body and
-	// empties the port.
-	flush(keep bool)
+	// flush hands the round's batch, if the upstream emitted one, to the
+	// body, empties the port, and returns the batch's length.
+	flush() int
 }
 
 // inletOf is the inlet of a stream of T: the port its upstream emits
-// into, the body's apply method for this input, and the reusable batch
-// a round's several pending batches are concatenated into.
+// into and the body's apply method for this input.
 type inletOf[T comparable] struct {
 	port  *port[T]
 	apply func(batch []incremental.Delta[T])
-	batch []incremental.Delta[T]
 }
 
-func (in *inletOf[T]) pending() int { return in.port.total }
-
-// flush applies the concatenation of the round's pending batches, in
-// port order, as one batch. A lone batch is applied as it is: bodies read
-// a batch only during the call.
-func (in *inletOf[T]) flush(keep bool) {
-	switch p := in.port; len(p.batches) {
-	case 0:
-		return
-	case 1:
-		in.apply(p.batches[0])
-	default:
-		b := in.batch[:0]
-		for _, pb := range p.batches {
-			b = append(b, pb...)
-		}
+func (in *inletOf[T]) flush() int {
+	b := in.port.take()
+	if len(b) > 0 {
 		in.apply(b)
-		in.batch = incremental.Recycle(b, keep)
 	}
-	in.port.reset()
+	return len(b)
 }
 
 // stateful is a stateful operator's node: inlets in flush order (a binary
@@ -85,15 +67,15 @@ type stateful[U comparable, S body] struct {
 	inlets []inlet
 	body   S
 	out    []incremental.Delta[U]
-	gate   txnGate
 }
 
 // newStateful wires a node whose body is build(out), out being where the
-// body's emissions go. The caller fills each inlet's apply and subscribes
-// the node's onTxn to every upstream.
+// body's emissions go, and registers the body as a transaction party.
+// The caller fills each inlet's apply.
 func newStateful[U comparable, S body](e *Engine, op string, build func(out incremental.Handler[U]) S, inlets ...inlet) *stateful[U, S] {
 	n := &stateful[U, S]{Stream: Stream[U]{e: e, prof: NodeProfile{Op: op}}, inlets: inlets}
 	n.body = build(n.collect)
+	e.parties = append(e.parties, n.body.Txn)
 	e.register(n)
 	return n
 }
@@ -101,11 +83,11 @@ func newStateful[U comparable, S body](e *Engine, op string, build func(out incr
 // collect is the handler the body is built with: it appends the body's
 // emitted differences to out — or, when the emission is an array its
 // emitter has just released (incremental.Recycle, asked about the same
-// array under the node's own gate, answers as it answered the body) and
-// out is empty, takes the array for out instead of copying it: a load's
-// 10^6-record emission leaves the node as a slice header.
+// array under the same transaction flag, answers as it answered the
+// body) and out is empty, takes the array for out instead of copying it:
+// a load's 10^6-record emission leaves the node as a slice header.
 func (n *stateful[U, S]) collect(b []incremental.Delta[U]) {
-	if len(n.out) == 0 && incremental.Recycle(b, n.gate.Active()) == nil {
+	if len(n.out) == 0 && incremental.Recycle(b, n.e.inTxn) == nil {
 		n.out = b
 		return
 	}
@@ -115,28 +97,14 @@ func (n *stateful[U, S]) collect(b []incremental.Delta[U]) {
 func (n *stateful[U, S]) process() {
 	total := 0
 	for _, in := range n.inlets {
-		total += in.pending()
+		total += in.flush()
 	}
 	if total == 0 {
 		return
 	}
 	n.ran(total)
-	keep := n.gate.Active()
-	for _, in := range n.inlets {
-		in.flush(keep)
-	}
 	n.emit(n.out)
-	n.out = incremental.Recycle(n.out, keep)
-}
-
-// onTxn tells the body about a transaction event, once — the node's gate
-// has dropped the redundant deliveries — and forwards it downstream.
-func (n *stateful[U, S]) onTxn(op incremental.TxnOp) {
-	if !n.gate.Enter(op) {
-		return
-	}
-	n.body.Txn(op)
-	n.emitTxn(op)
+	n.out = incremental.Recycle(n.out, n.e.inTxn)
 }
 
 // StateSize returns the number of records the operator indexes: its
@@ -154,7 +122,6 @@ func unary[T, U comparable, S unaryBody[T]](src Source[T], op string, build func
 	in := &inletOf[T]{port: src.newPort()}
 	n := newStateful(src.engine(), op, build, in)
 	in.apply = n.body.Apply
-	src.SubscribeTxn(n.onTxn)
 	return n
 }
 
@@ -164,8 +131,6 @@ func binary[A, B, U comparable, S binaryBody[A, B]](a Source[A], b Source[B], op
 	ia, ib := &inletOf[A]{port: a.newPort()}, &inletOf[B]{port: b.newPort()}
 	n := newStateful(e, op, build, ia, ib)
 	ia.apply, ib.apply = n.body.ApplyLeft, n.body.ApplyRight
-	a.SubscribeTxn(n.onTxn)
-	b.SubscribeTxn(n.onTxn)
 	return n
 }
 

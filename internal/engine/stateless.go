@@ -9,57 +9,38 @@ import (
 )
 
 // Stateless operators are linear in their input: an input difference maps
-// directly to an output difference with no maintained state, so each
-// batch an upstream emitted is transformed into one output batch of its
-// own.
+// directly to an output difference with no maintained state, so the batch
+// an upstream emitted is transformed into one output batch.
 
 // Node is a stateless operator's output: a stream of differences of type
-// T with no state of its own. Transaction events pass through unchanged
-// (deduplicated, so diamond topologies do not multiply them).
+// T with no state of its own, and so no part in a transaction.
 type Node[T comparable] struct {
 	Stream[T]
-	run  func()
-	gate txnGate
+	run func()
 }
 
 func (n *Node[T]) process() { n.run() }
 
-// onTxn forwards transaction events downstream, once each.
-func (n *Node[T]) onTxn(op incremental.TxnOp) {
-	if n.gate.Enter(op) {
-		n.emitTxn(op)
-	}
-}
-
 // mapped builds the shared skeleton of Select, Where, SelectMany and
-// Except's negation: transform applies one input batch, appending to a
-// reused per-batch output buffer — which the operators whose output is
-// bounded by the batch size grow from it first (SelectMany's fan-out is
-// f's).
+// Except's negation: transform applies the round's input batch,
+// appending to a reused output buffer — which the operators whose output
+// is bounded by the batch size grow from it first (SelectMany's fan-out
+// is f's).
 func mapped[T, U comparable](src Source[T], op string, transform func(in []incremental.Delta[T], out []incremental.Delta[U]) []incremental.Delta[U]) *Node[U] {
 	e := src.engine()
 	in := src.newPort()
 	n := &Node[U]{Stream: Stream[U]{e: e, prof: NodeProfile{Op: op}}}
-	var outs [][]incremental.Delta[U]
+	var out []incremental.Delta[U]
 	n.run = func() {
-		if in.total == 0 {
+		b := in.take()
+		if len(b) == 0 {
 			return
 		}
-		n.ran(in.total)
-		for len(outs) < len(in.batches) {
-			outs = append(outs, nil)
-		}
-		for i, b := range in.batches {
-			outs[i] = transform(b, outs[i][:0])
-			n.emit(outs[i])
-		}
-		keep := n.gate.Active()
-		for i := range outs {
-			outs[i] = incremental.Recycle(outs[i], keep)
-		}
-		in.reset()
+		n.ran(len(b))
+		out = transform(b, out)
+		n.emit(out)
+		out = incremental.Recycle(out, e.inTxn)
 	}
-	src.SubscribeTxn(n.onTxn)
 	e.register(n)
 	return n
 }
@@ -109,26 +90,22 @@ func SelectManySlice[T, U comparable](src Source[T], f func(T) []U) *Node[U] {
 	return SelectMany(src, func(x T) *weighted.Dataset[U] { return weighted.FromItems(f(x)...) })
 }
 
-// Concat adds two streams: differences pass through from either input.
+// Concat adds two streams: differences pass through from either input,
+// a's batch then b's, emitted as one batch.
 func Concat[T comparable](a, b Source[T]) *Node[T] {
 	e := sameEngine(a, b)
 	pa, pb := a.newPort(), b.newPort()
 	n := &Node[T]{Stream: Stream[T]{e: e, prof: NodeProfile{Op: "concat"}}}
+	var out []incremental.Delta[T]
 	n.run = func() {
-		if total := pa.total + pb.total; total > 0 {
-			n.ran(total)
+		out = append(append(out, pa.take()...), pb.take()...)
+		if len(out) == 0 {
+			return
 		}
-		for _, b := range pa.batches {
-			n.emit(b)
-		}
-		for _, b := range pb.batches {
-			n.emit(b)
-		}
-		pa.reset()
-		pb.reset()
+		n.ran(len(out))
+		n.emit(out)
+		out = incremental.Recycle(out, e.inTxn)
 	}
-	a.SubscribeTxn(n.onTxn)
-	b.SubscribeTxn(n.onTxn)
 	e.register(n)
 	return n
 }

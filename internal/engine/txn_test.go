@@ -111,11 +111,90 @@ func TestTxnEnginePushCounter(t *testing.T) {
 	}
 }
 
+// TestTxnEventsAreToldOnce pins the engine's transaction protocol: a
+// party is told each event once, however many paths lead to the stream
+// it subscribed through — here a diamond's reconvergence (a Join of two
+// Selects of one stream) and a stateless stream — and a Begin inside a
+// transaction, or a Commit or Abort outside one, is dropped: it leaves a
+// graph with every operator bit-identical to a twin that never saw it.
+func TestTxnEventsAreToldOnce(t *testing.T) {
+	e := New()
+	in := NewInput[int](e)
+	left := Select[int](in, func(x int) int { return x % 8 })
+	right := Select[int](in, func(x int) int { return (x * 3) % 8 })
+	diamond := Join[int, int, int, [2]int](left, right,
+		func(x int) int { return x % 4 }, func(y int) int { return y % 4 },
+		func(x, y int) [2]int { return [2]int{x, y} })
+	told := map[string]map[incremental.TxnOp]int{"diamond": {}, "select": {}}
+	diamond.SubscribeTxn(func(op incremental.TxnOp) { told["diamond"][op]++ })
+	left.SubscribeTxn(func(op incremental.TxnOp) { told["select"][op]++ })
+
+	rng := rand.New(rand.NewSource(5))
+	subjectIn, subjectCol, subjectSink := buildTxnGraph(New())
+	twinIn, twinCol, twinSink := buildTxnGraph(New())
+	base := randBatch(rng, 40, 64)
+	in.Push(base)
+	subjectIn.Push(base)
+	twinIn.Push(base)
+
+	want := map[incremental.TxnOp]int{}
+	for cycle := 0; cycle < 40; cycle++ {
+		first, second := randBatch(rng, 40, 1+rng.Intn(6)), randBatch(rng, 40, 1+rng.Intn(6))
+		end := incremental.TxnCommit
+		if rng.Intn(2) == 0 {
+			end = incremental.TxnAbort
+		}
+		stray := incremental.TxnCommit + incremental.TxnOp(rng.Intn(2))
+		for _, g := range []*Input[int]{in, subjectIn} {
+			g.Begin()
+			g.Push(first)
+			g.Begin() // inside a transaction: dropped
+			g.Push(second)
+			resolve(g, end)
+			resolve(g, stray) // outside a transaction: dropped
+		}
+		if end == incremental.TxnCommit {
+			twinIn.Push(first)
+			twinIn.Push(second)
+		}
+		want[incremental.TxnBegin]++
+		want[end]++
+		for at, got := range told {
+			for _, op := range []incremental.TxnOp{incremental.TxnBegin, incremental.TxnCommit, incremental.TxnAbort} {
+				if got[op] != want[op] {
+					t.Fatalf("cycle %d: the party at the %s was told %v %d times, want %d", cycle, at, op, got[op], want[op])
+				}
+			}
+		}
+	}
+
+	exactEqual(t, "join collector", subjectCol.Snapshot(), twinCol.Snapshot())
+	if subjectSink.L1() != twinSink.L1() {
+		t.Errorf("sink L1 %v, want %v (bit-exact)", subjectSink.L1(), twinSink.L1())
+	}
+	probe := randBatch(rng, 40, 8)
+	subjectIn.Push(probe)
+	twinIn.Push(probe)
+	exactEqual(t, "post-probe collector", subjectCol.Snapshot(), twinCol.Snapshot())
+	if subjectSink.L1() != twinSink.L1() {
+		t.Errorf("post-probe sink L1 %v, want %v (bit-exact)", subjectSink.L1(), twinSink.L1())
+	}
+}
+
+// resolve ends in's transaction with a Commit or an Abort.
+func resolve(in *Input[int], op incremental.TxnOp) {
+	if op == incremental.TxnCommit {
+		in.Commit()
+	} else {
+		in.Abort()
+	}
+}
+
 // buildFusionDiamond assembles the DAG shape plan fusion produces: one
 // shared prefix stream with three consumers — two of which reconverge
 // through a binary join (a fan-out diamond), the third a group-by
-// branch — so transaction control events reach every downstream node
-// along multiple paths and the per-node gates must dedup them.
+// branch — so one round reaches the join along two paths, and the join
+// still runs once and is told each transaction event once.
 func buildFusionDiamond(e *Engine) (*Input[int], *incremental.Collector[[2]int], *incremental.Collector[weighted.Grouped[int, int]]) {
 	in := NewInput[int](e)
 	shared := Select[int](in, func(x int) int { return x % 32 }) // the fused prefix
@@ -131,8 +210,8 @@ func buildFusionDiamond(e *Engine) (*Input[int], *incremental.Collector[[2]int],
 
 // TestTxnFanOutDiamond fuzzes randomized commit/abort cycles through the
 // fusion-shaped DAG against a twin that only ever sees the committed
-// batches: gate dedup at the diamond's reconvergence must leave aborted
-// speculation invisible, bit-for-bit.
+// batches: aborted speculation at and below the diamond's reconvergence
+// must be invisible, bit-for-bit.
 func TestTxnFanOutDiamond(t *testing.T) {
 	forEachConfig(t, func(t *testing.T, e *Engine, salt int64) {
 		rng := rand.New(rand.NewSource(77 + salt))

@@ -227,8 +227,8 @@ func checkTxn[U comparable](t *testing.T, name string, build func(engine.Source[
 }
 
 func TestTxnUnionIntersectDiamond(t *testing.T) {
-	// Diamond topology: the gate must deduplicate control events arriving
-	// along both paths, or aborts would double-restore.
+	// Diamond topology: each body must be told an event once, however
+	// many paths reach it, or aborts would double-restore.
 	checkTxn(t, "Union+Intersect", diamond)
 }
 

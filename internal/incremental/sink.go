@@ -54,7 +54,7 @@ type NoisyCountSink[T comparable] struct {
 	// grows — a record back at zero stays until Commit — so Abort restores
 	// q from undo, truncates the list, puts savedL1 back, and the sink is
 	// bit for bit what it was at Begin.
-	gate       TxnGate
+	logging    bool
 	savedL1    float64
 	savedOrder int
 	txnSeen    map[T]struct{}
@@ -68,11 +68,8 @@ type sinkObs struct {
 }
 
 // onTxn applies a transaction event to the sink's maintained state.
-// Sinks are leaves: there is nothing to forward.
 func (s *NoisyCountSink[T]) onTxn(op TxnOp) {
-	if !s.gate.Enter(op) {
-		return
-	}
+	s.logging = op == TxnBegin
 	switch op {
 	case TxnBegin:
 		if s.txnSeen == nil {
@@ -148,7 +145,7 @@ func (s *NoisyCountSink[T]) onInput(batch []Delta[T]) {
 			s.order = append(s.order, x)
 		}
 		q := s.q[x]
-		if s.gate.Active() {
+		if s.logging {
 			if _, seen := s.txnSeen[x]; !seen {
 				s.txnSeen[x] = struct{}{}
 				s.undo = append(s.undo, Delta[T]{x, q})
@@ -169,7 +166,7 @@ func (s *NoisyCountSink[T]) onInput(batch []Delta[T]) {
 			continue
 		}
 		delete(s.q, x)
-		if !s.gate.Active() {
+		if !s.logging {
 			s.forget(x)
 		}
 	}

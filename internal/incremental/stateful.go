@@ -21,8 +21,8 @@ type MinMaxNode[T comparable] struct {
 	right stateMap[T]
 	log   undoLog[T] // both indexes log here
 	// logging is set between TxnBegin and TxnCommit/TxnAbort: pushes are
-	// speculative. The caller delivers each event once (the engine's node
-	// gates them), so a body keeps a flag, not a TxnGate.
+	// speculative. The engine tells each event once, so a flag is all a
+	// body keeps.
 	logging bool
 
 	// Output batch, reused across pushes — the same array, unless Recycle

@@ -54,9 +54,9 @@ func (h Handler[T]) send(batch []Delta[T]) {
 }
 
 // Source is a stream a sink can terminate: it delivers difference batches
-// to subscribed handlers and transaction events to subscribed control
-// handlers. Every stream of wpinq/internal/engine is one. Subscriptions
-// must complete before the first push.
+// to subscribed handlers, and tells subscribed transaction handlers each
+// transaction event once. Every stream of wpinq/internal/engine is one.
+// Subscriptions must complete before the first push.
 type Source[T comparable] interface {
 	Subscribe(h Handler[T])
 	SubscribeTxn(f func(TxnOp))
@@ -67,8 +67,8 @@ type Source[T comparable] interface {
 type Collector[T comparable] struct {
 	data *weighted.Dataset[T]
 
-	gate TxnGate
-	undo collectorUndo[T]
+	logging bool // between TxnBegin and TxnCommit/TxnAbort
+	undo    collectorUndo[T]
 }
 
 // Collect attaches a new Collector to src.
@@ -76,7 +76,7 @@ func Collect[T comparable](src Source[T]) *Collector[T] {
 	c := &Collector[T]{data: weighted.New[T]()}
 	src.Subscribe(func(batch []Delta[T]) {
 		for _, d := range batch {
-			if c.gate.Active() {
+			if c.logging {
 				c.undo.observe(d.Record, c.data)
 			}
 			c.data.Add(d.Record, d.Weight)
@@ -87,9 +87,7 @@ func Collect[T comparable](src Source[T]) *Collector[T] {
 }
 
 func (c *Collector[T]) onTxn(op TxnOp) {
-	if !c.gate.Enter(op) {
-		return
-	}
+	c.logging = op == TxnBegin
 	switch op {
 	case TxnAbort:
 		c.undo.abort(c.data)

@@ -15,14 +15,13 @@ import "wpinq/internal/weighted"
 // restoring bit-identical state in O(touched keys) without pushing the
 // inverse differences back through the graph.
 //
-// Control events travel the engine's dataflow edges like difference
-// batches: a node there receives Begin/Commit/Abort from each upstream,
-// deduplicates redundant deliveries (diamond topologies deliver an event
-// once per incoming edge) with a TxnGate, tells its operator body
-// (Txn) — which applies the event to its own state and forwards it
-// to nobody — and passes it on downstream, where the sinks subscribe to
-// it (Source.SubscribeTxn). The propagation is synchronous and carries no
-// data, so its cost is one virtual call per graph edge.
+// The transaction is the engine's, not something its edges carry: the
+// engine keeps one transaction flag, drops a Begin inside a transaction
+// and a Commit or Abort outside one, and tells each party the rest once
+// — every operator body (Txn), which applies the event to its own state,
+// and every sink, which registers through Source.SubscribeTxn. Telling
+// carries no data, so a transaction event costs one call per party,
+// however many paths the graph has between them.
 //
 // Two invariants make Abort trace-faithful (see DESIGN.md "Transactional
 // scoring"):
@@ -49,36 +48,6 @@ const (
 	// TxnAbort restores every touched key's pre-image from the logs.
 	TxnAbort
 )
-
-// TxnGate deduplicates transaction events for nodes with multiple paths
-// from the root (diamond topologies, binary operators on overlapping
-// subgraphs): the first delivery of Begin opens the gate, the first
-// delivery of Commit/Abort closes it, and every redundant delivery is
-// dropped so events cannot multiply along parallel paths. The engine's
-// nodes and the sinks keep one each; the operator bodies, told each event
-// once by the node that owns them, need none.
-type TxnGate struct {
-	in bool
-}
-
-// Enter reports whether the event should be processed and forwarded.
-func (g *TxnGate) Enter(op TxnOp) bool {
-	if op == TxnBegin {
-		if g.in {
-			return false
-		}
-		g.in = true
-		return true
-	}
-	if !g.in {
-		return false
-	}
-	g.in = false
-	return true
-}
-
-// Active reports whether a transaction is open at this node.
-func (g *TxnGate) Active() bool { return g.in }
 
 // stateUndoKind tags one stateMap undo-log entry.
 type stateUndoKind uint8

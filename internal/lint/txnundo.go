@@ -34,7 +34,7 @@ const txnVerb = "txn-exempt"
 // itself (or are deliberately kept across aborts); writes to them never
 // need a log entry.
 var txnBookkeeping = map[string]bool{
-	"undo": true, "logging": true, "gate": true, "touched": true,
+	"undo": true, "logging": true, "touched": true,
 	"seen": true, "txnSeen": true, "savedL1": true, "savedOrder": true,
 }
 

@@ -25,10 +25,10 @@
 // cheap structural rules rather than cardinality estimation.
 //
 // Correctness under the transactional scoring protocol comes from the
-// executor itself: transaction control events travel the dataflow
-// edges and every node deduplicates redundant deliveries with a TxnGate,
-// so the new diamonds fusion introduces (a shared prefix reaching one
-// node along two paths) apply Begin/Commit/Abort exactly once per node.
+// executor itself: the engine keeps one transaction and tells each
+// operator body and sink each event once, so the new diamonds fusion
+// introduces (a shared prefix reaching one node along two paths) apply
+// Begin/Commit/Abort exactly once per node.
 //
 // The memo also keeps the evidence: DAG returns the fused plan for
 // inspection, Stats counts how many fragment requests were served by

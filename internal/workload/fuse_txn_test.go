@@ -27,9 +27,9 @@ func snapshotsExact(t *testing.T, name string, got, want map[string]float64) {
 // FuzzFusedTxnDiamonds drives randomized Begin/Push/Commit-or-Abort
 // cycles through the full 5-workload fused plan — whose fan-out diamonds
 // (the shared paths and degrees fragments reconverging at binary joins)
-// are exactly where transaction control events arrive along multiple
-// paths — against a never-speculated twin that only sees the committed
-// batches. Collected outputs must stay bit-identical, and the subject's
+// are where a round reaches one node along multiple paths, and where the
+// engine's one transaction must still tell each body once — against a
+// never-speculated twin that only sees the committed batches. Collected outputs must stay bit-identical, and the subject's
 // incrementally maintained fit score must agree with a from-scratch
 // recompute. The last argument chose the executor layout when the engine
 // had several; it stays so that stored corpus entries still decode.

@@ -58,7 +58,8 @@
 // An engine runs every round on the goroutine that pushes, and its API is
 // not thread-safe: building the graph, pushing differences and reading
 // sinks happen on one goroutine. Independent engines share nothing, so
-// replica-exchange chains each run their own (mcmc.RunDurable).
+// replica-exchange chains each run their own, each on its own goroutine
+// between the stops of synth's chain loop.
 package engine
 
 import (

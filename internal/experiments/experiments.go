@@ -118,26 +118,7 @@ func Table1(o Options) error {
 // a worst-case-sensitivity mechanism must add against the weight wPINQ's
 // TbI query retains.
 func Fig1(o Options) error {
-	n := int(math.Max(16, 512*o.Scale*4))
-	// Worst case: vertices 1, 2 both adjacent to all others; edge (1,2)
-	// present, so there are n-2 triangles, each through an edge of the
-	// worst-case pair.
-	worst := graph.New()
-	for i := graph.Node(3); int(i) <= n; i++ {
-		worst.AddEdge(1, i)
-		worst.AddEdge(2, i)
-	}
-	worst.AddEdge(1, 2)
-	// Best case: a ring of small cliques; max degree constant.
-	best := graph.New()
-	var base graph.Node
-	for int(base) < n {
-		best.AddEdge(base, base+1)
-		best.AddEdge(base+1, base+2)
-		best.AddEdge(base, base+2)
-		best.AddEdge(base+2, base+3)
-		base += 3
-	}
+	worst, best := fig1Graphs(int(math.Max(16, 512*o.Scale*4)))
 	fmt.Fprintln(o.Out, "Figure 1: worst-case vs best-case triangle counting")
 	tb := newTable("Graph", "Nodes", "Triangles",
 		"worstCaseNoise(|V|-2)/eps", "wPINQSignal(eq8)", "signal/noiseRatio")
@@ -154,6 +135,30 @@ func Fig1(o Options) error {
 	fmt.Fprintln(o.Out, "(wPINQ adds only Laplace(1/eps) noise to the weighted signal;")
 	fmt.Fprintln(o.Out, " worst-case-sensitivity mechanisms scale noise by |V|-2 on both graphs)")
 	return tb.Render(o.Out)
+}
+
+// fig1Graphs builds Figure 1's two graphs on about n vertices. The worst
+// case has vertices 1, 2 both adjacent to all others and edge (1,2)
+// present, so there are n-2 triangles, each through an edge of the
+// worst-case pair. The best case is a chain of triangles, each joined to
+// the next by one edge: its maximum degree is constant.
+func fig1Graphs(n int) (worst, best *graph.Graph) {
+	worst = graph.New()
+	for i := graph.Node(3); int(i) <= n; i++ {
+		worst.AddEdge(1, i)
+		worst.AddEdge(2, i)
+	}
+	worst.AddEdge(1, 2)
+	best = graph.New()
+	var base graph.Node
+	for int(base) < n {
+		best.AddEdge(base, base+1)
+		best.AddEdge(base+1, base+2)
+		best.AddEdge(base, base+2)
+		best.AddEdge(base+2, base+3)
+		base += 3
+	}
+	return worst, best
 }
 
 // trajectory runs the synthesis workflow and records (step, triangles,

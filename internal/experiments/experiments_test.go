@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"wpinq/internal/datasets"
+	"wpinq/internal/graph"
+	"wpinq/internal/queries"
 	"wpinq/internal/synth"
 )
 
@@ -44,6 +46,36 @@ func TestFig1Runs(t *testing.T) {
 	out := buf.String()
 	if !strings.Contains(out, "worst(Fig1-left)") || !strings.Contains(out, "best(Fig1-right)") {
 		t.Errorf("fig1 output incomplete:\n%s", out)
+	}
+}
+
+// TestFig1Claim asserts what Figure 1 shows, at the tiny options' n and
+// at 4n. On the best-case graph wPINQ's TbI signal-to-noise ratio,
+// TbISignal·ε against Laplace(1/ε), is at least ten times the worst-case
+// mechanism's, Triangles·ε/(|V|−2), and grows with n. On the worst-case
+// graph the signal stays below 3: it is 3(|V|−2)/(|V|−1), however many
+// triangles the graph has.
+func TestFig1Claim(t *testing.T) {
+	o := tinyOptions(nil)
+	n := int(math.Max(16, 512*o.Scale*4))
+	prev := 0.0
+	for _, n := range []int{n, 4 * n} {
+		worst, best := fig1Graphs(n)
+		s := graph.ComputeStats(best)
+		signal := queries.TbISignal(best) * o.Eps
+		worstCase := float64(s.Triangles) * o.Eps / float64(s.Nodes-2)
+		if signal < 10*worstCase {
+			t.Errorf("n=%d best case: wPINQ ratio %.3g is not 10× the worst-case mechanism's %.3g", n, signal, worstCase)
+		}
+		if signal <= prev {
+			t.Errorf("n=%d best case: wPINQ ratio %.3g did not grow from %.3g", n, signal, prev)
+		}
+		prev = signal
+		v := float64(worst.NumNodes())
+		got, want := queries.TbISignal(worst), 3*(v-2)/(v-1)
+		if got >= 3 || math.Abs(got-want) > 1e-9 {
+			t.Errorf("n=%d worst case: TbISignal %v, want 3(|V|−2)/(|V|−1) = %v < 3", n, got, want)
+		}
 	}
 }
 

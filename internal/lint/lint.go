@@ -12,8 +12,9 @@
 //     undo-log maintenance on the transaction-open path.
 //   - poolalias: pooled difference batches (takeBatch results) must not
 //     escape the synchronous flush scope.
-//   - packedbounds: packed interior keys are built only from interned
-//     node ids, and shift/mask constants agree with the 21-bit layout.
+//   - packedbounds: packed interior keys are built only from
+//     range-checked 21-bit codes (packNode, packDeg), and shift/mask
+//     constants agree with that layout.
 //   - errsink: HTTP handlers must not drop w.Write / Encoder.Encode
 //     errors.
 //

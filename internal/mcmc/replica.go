@@ -1,4 +1,4 @@
-// Replica-exchange (parallel tempering) orchestration over Runners.
+// Replica exchange (parallel tempering): the swap rule between Runners.
 //
 // The paper (Section 4.2) observes that a large pow "slows down the
 // convergence of MCMC but eventually results in outputs that more
@@ -14,6 +14,9 @@
 // joint density only sees (pow, state) pairs) and costs nothing, while
 // swapping graphs would mean re-pushing whole edge datasets through
 // both chains' dataflow pipelines.
+//
+// The loop that runs the chains between swap rounds lives with its one
+// caller, synth's fit.run; this file holds what that loop calls.
 package mcmc
 
 import (
@@ -21,13 +24,10 @@ import (
 	"math/rand"
 )
 
-// defaultSwapEvery is the swap cadence when a config leaves it unset.
-const defaultSwapEvery = 1024
-
 // ChainStats is one chain's view of a replica-exchange run: its walk
 // statistics plus its position in the temperature ladder.
 type ChainStats struct {
-	// Chain is the index of the runner in the RunDurable argument.
+	// Chain is the index of the runner in the Exchange argument.
 	Chain int
 	// Pow is the chain's current posterior sharpening — its initial
 	// ladder rung, moved by accepted swaps.
@@ -39,20 +39,11 @@ type ChainStats struct {
 	Stats
 }
 
-// ReplicaResult is the outcome of a chain run (RunDurable).
-type ReplicaResult struct {
-	// Chains holds per-chain statistics, indexed like the runners.
-	Chains []ChainStats
-	// Best is the index of the chain with the lowest final score.
-	Best int
-	// Cancelled reports that OnRound or Reanchor stopped the run early.
-	Cancelled bool
-}
-
-// exchange proposes one Metropolis swap per ladder-adjacent pair,
-// alternating even pairs (0,1)(2,3)… and odd pairs (1,2)(3,4)… between
-// rounds so every adjacency is exercised. A swap between chains a
-// (colder, pow_a > pow_b) and b is accepted with probability
+// Exchange proposes one Metropolis swap per ladder-adjacent pair of the
+// given parity: even pairs (0,1)(2,3)… at 0, odd pairs (1,2)(3,4)… at 1.
+// The caller alternates parity between rounds so every adjacency is
+// exercised. A swap between chains a (colder, pow_a > pow_b) and b is
+// accepted with probability
 //
 //	min(1, exp((pow_a − pow_b)(score_a − score_b)))
 //
@@ -61,8 +52,10 @@ type ReplicaResult struct {
 // accepted swap exchanges the two chains' pow assignments (state stays
 // put, which is equivalent and free; see the package comment). One
 // uniform variate is drawn per proposed pair whether or not the swap is
-// forced, keeping rng consumption independent of the scores.
-func exchange(runners []*Runner, stats []ChainStats, ladder []int, parity int, rng *rand.Rand) {
+// forced, keeping rng consumption independent of the scores. ladder[k]
+// is the chain holding the k-th coldest rung (largest pow first); stats
+// is indexed like runners.
+func Exchange(runners []*Runner, stats []ChainStats, ladder []int, parity int, rng *rand.Rand) {
 	for k := parity; k+1 < len(ladder); k += 2 {
 		a, b := ladder[k], ladder[k+1]
 		stats[a].SwapsProposed++

@@ -2,6 +2,7 @@ package mcmc
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"wpinq/internal/graph"
@@ -44,148 +45,173 @@ func replicaFixture(t *testing.T, n int, pows []float64, seedBase int64) []*Runn
 	return runners
 }
 
-func TestRunReplicasValidation(t *testing.T) {
-	if _, err := RunDurable(nil, DurableConfig{Steps: 10}, testRng(1)); err == nil {
-		t.Error("empty runner list accepted")
+// runLadder drives runners the way a fit's loop does: rounds of every
+// steps on each chain, each round closed by one Exchange at alternating
+// parity. goOn, when non-nil, is asked after each round whether to go
+// on, and the run stops at its first false. It returns the per-chain
+// statistics and the ladder.
+func runLadder(runners []*Runner, pows []float64, every, rounds int, rng *rand.Rand, goOn func(round int, stats []ChainStats) bool) ([]ChainStats, []int) {
+	stats := make([]ChainStats, len(runners))
+	ladder := make([]int, len(runners))
+	for i := range stats {
+		stats[i] = ChainStats{Chain: i, Pow: pows[i]}
+		ladder[i] = i
 	}
-	runners := replicaFixture(t, 2, []float64{100, 50}, 10)
-	if _, err := RunDurable(runners, DurableConfig{Steps: 10}, nil); err == nil {
-		t.Error("nil swapRng accepted for multi-chain run")
+	for round := 1; round <= rounds; round++ {
+		for i, r := range runners {
+			st := r.Run(every)
+			stats[i].Steps += st.Steps
+			stats[i].Accepted += st.Accepted
+			stats[i].Rejected += st.Rejected
+			stats[i].Invalid += st.Invalid
+			stats[i].FinalScore = st.FinalScore
+		}
+		Exchange(runners, stats, ladder, (round-1)%2, rng)
+		if goOn != nil && !goOn(round, stats) {
+			break
+		}
 	}
-	if _, err := RunDurable(runners, DurableConfig{Steps: -1}, testRng(2)); err == nil {
-		t.Error("negative Steps accepted")
-	}
-	if _, err := RunDurable([]*Runner{runners[0], nil}, DurableConfig{Steps: 10}, testRng(3)); err == nil {
-		t.Error("nil runner accepted")
-	}
+	return stats, ladder
 }
 
-func TestRunReplicasSingleChainMatchesRun(t *testing.T) {
-	// One chain through the orchestrator must be the plain Run trace:
-	// same rng consumption, same stats, same final edge list.
-	a := replicaFixture(t, 1, []float64{500}, 20)[0]
-	b := replicaFixture(t, 1, []float64{500}, 20)[0]
-	res, err := RunDurable([]*Runner{a}, DurableConfig{Steps: 700, SwapEvery: 100, RoundEvery: 100}, nil)
-	if err != nil {
-		t.Fatal(err)
+func edgeLists(runners []*Runner) [][]graph.Edge {
+	edges := make([][]graph.Edge, len(runners))
+	for i, r := range runners {
+		edges[i] = r.State().Graph().EdgeList()
 	}
-	want := b.Run(700)
-	if res.Chains[0].Stats != want {
-		t.Errorf("orchestrated stats %+v != plain run %+v", res.Chains[0].Stats, want)
-	}
-	ea, eb := a.State().Graph().EdgeList(), b.State().Graph().EdgeList()
-	for i := range ea {
-		if ea[i] != eb[i] {
-			t.Fatalf("edge lists diverge at %d: %v vs %v", i, ea[i], eb[i])
+	return edges
+}
+
+func sameEdgeLists(t *testing.T, a, b [][]graph.Edge) {
+	t.Helper()
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			t.Fatalf("chain %d edge counts differ: %d vs %d", i, len(a[i]), len(b[i]))
+		}
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				t.Fatalf("chain %d edge lists diverge at %d: %v vs %v", i, j, a[i][j], b[i][j])
+			}
 		}
 	}
 }
 
+// TestRunReplicasDeterministic runs three chains with swap rounds twice
+// from the same seeds: the stats, the ladder and every chain's edge list
+// must agree.
 func TestRunReplicasDeterministic(t *testing.T) {
 	pows := []float64{800, 400, 200}
-	run := func() (ReplicaResult, [][]graph.Edge) {
+	run := func() ([]ChainStats, []int, [][]graph.Edge) {
 		runners := replicaFixture(t, 3, pows, 30)
-		res, err := RunDurable(runners, DurableConfig{Steps: 600, SwapEvery: 50, RoundEvery: 50}, testRng(99))
-		if err != nil {
-			t.Fatal(err)
-		}
-		edges := make([][]graph.Edge, len(runners))
-		for i, r := range runners {
-			if res.Chains[i].Steps != 600 {
-				t.Fatalf("chain %d ran %d steps, want 600", i, res.Chains[i].Steps)
-			}
-			edges[i] = r.State().Graph().EdgeList()
-		}
-		return res, edges
-	}
-	r1, e1 := run()
-	r2, e2 := run()
-	if r1.Best != r2.Best {
-		t.Fatalf("best chain differs between identical runs: %d vs %d", r1.Best, r2.Best)
-	}
-	for i := range r1.Chains {
-		if r1.Chains[i] != r2.Chains[i] {
-			t.Errorf("chain %d stats differ: %+v vs %+v", i, r1.Chains[i], r2.Chains[i])
-		}
-		for j := range e1[i] {
-			if e1[i][j] != e2[i][j] {
-				t.Fatalf("chain %d edge lists diverge at %d: %v vs %v", i, j, e1[i][j], e2[i][j])
+		stats, ladder := runLadder(runners, pows, 50, 12, testRng(99), nil)
+		for i, c := range stats {
+			if c.Steps != 600 {
+				t.Fatalf("chain %d ran %d steps, want 600", i, c.Steps)
 			}
 		}
+		return stats, ladder, edgeLists(runners)
 	}
+	s1, l1, e1 := run()
+	s2, l2, e2 := run()
+	for i := range s1 {
+		if s1[i] != s2[i] {
+			t.Errorf("chain %d stats differ: %+v vs %+v", i, s1[i], s2[i])
+		}
+		if l1[i] != l2[i] {
+			t.Errorf("ladders differ between identical runs: %v vs %v", l1, l2)
+		}
+	}
+	sameEdgeLists(t, e1, e2)
 }
 
+// TestRunReplicasLadderInvariants runs four chains between alternating
+// swap rounds, as a fit's loop does, and checks what Exchange keeps:
+// swaps permute the pow assignments, the ladder names the chain holding
+// each rung in descending pow order, and each round proposes exactly the
+// adjacent pairs of its parity.
 func TestRunReplicasLadderInvariants(t *testing.T) {
 	pows := []float64{1000, 250, 60, 15}
 	runners := replicaFixture(t, 4, pows, 40)
-	res, err := RunDurable(runners, DurableConfig{Steps: 900, SwapEvery: 60, RoundEvery: 60}, testRng(7))
-	if err != nil {
-		t.Fatal(err)
+	const rounds = 15
+	stats, ladder := runLadder(runners, pows, 60, rounds, testRng(7), nil)
+	pairs := 0
+	for round := 0; round < rounds; round++ {
+		pairs += (len(ladder) - round%2) / 2
 	}
-	// Swaps permute the ladder; the multiset of pow assignments is
-	// invariant.
-	got := make(map[float64]int)
-	proposed := 0
-	for _, c := range res.Chains {
-		got[c.Pow]++
+	proposed, accepted := 0, 0
+	for i, c := range stats {
 		proposed += c.SwapsProposed
+		accepted += c.SwapsAccepted
 		if c.SwapsAccepted > c.SwapsProposed {
 			t.Errorf("chain %d accepted %d of %d proposed swaps", c.Chain, c.SwapsAccepted, c.SwapsProposed)
 		}
-	}
-	for _, p := range pows {
-		if got[p] != 1 {
-			t.Errorf("pow %v held by %d chains after swaps, want exactly 1", p, got[p])
+		if runners[i].cfg.Pow != c.Pow {
+			t.Errorf("chain %d walks at pow %v, its stats say %v", i, runners[i].cfg.Pow, c.Pow)
 		}
 	}
-	if proposed == 0 {
-		t.Error("no swaps were ever proposed")
-	}
-	for i, c := range res.Chains {
-		if c.FinalScore < res.Chains[res.Best].FinalScore {
-			t.Errorf("chain %d score %v beats reported best %v", i, c.FinalScore, res.Chains[res.Best].FinalScore)
+	for k, c := range ladder {
+		if stats[c].Pow != pows[k] {
+			t.Errorf("rung %d is held by chain %d at pow %v, want %v (ladder %v)", k, c, stats[c].Pow, pows[k], ladder)
 		}
+	}
+	if proposed != 2*pairs {
+		t.Errorf("chains took part in %d proposals, want two per proposed pair (%d pairs)", proposed, pairs)
+	}
+	if accepted == 0 {
+		t.Error("no swap was ever accepted")
 	}
 }
 
+// TestRunReplicasZeroStepsReportsScore pins that a zero-step Run reports
+// the chain's current score, not 0, so a swap round at zero steps
+// compares real scores.
 func TestRunReplicasZeroStepsReportsScore(t *testing.T) {
-	runners := replicaFixture(t, 2, []float64{100, 50}, 50)
+	pows := []float64{100, 50}
+	runners := replicaFixture(t, 2, pows, 50)
 	want := runners[0].Score()
 	if want == 0 {
 		t.Fatal("fixture has zero initial score; test needs a nonzero one")
 	}
-	res, err := RunDurable(runners, DurableConfig{Steps: 0, SwapEvery: 10, RoundEvery: 10}, testRng(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, c := range res.Chains {
+	stats, _ := runLadder(runners, pows, 0, 1, testRng(8), nil)
+	for i, c := range stats {
 		if math.Abs(c.FinalScore-want) > 1e-9 {
 			t.Errorf("chain %d zero-step FinalScore = %v, want current score %v", i, c.FinalScore, want)
 		}
 	}
 }
 
+// TestRunReplicasCancellation stops two chains after the third of ten
+// swap rounds: each chain has run exactly three rounds, and the stopped
+// run's stats and edge lists are those an unstopped run passes through
+// at its third round.
 func TestRunReplicasCancellation(t *testing.T) {
-	runners := replicaFixture(t, 2, []float64{100, 50}, 60)
-	rounds := 0
-	res, err := RunDurable(runners, DurableConfig{
-		Steps:      1000,
-		SwapEvery:  100,
-		RoundEvery: 100,
-		OnRound: func(done int, chains []ChainStats) bool {
-			rounds++
-			return rounds < 3
-		},
-	}, testRng(9))
-	if err != nil {
-		t.Fatal(err)
+	pows := []float64{100, 50}
+	runners := replicaFixture(t, 2, pows, 60)
+	stats, _ := runLadder(runners, pows, 100, 10, testRng(9), func(round int, _ []ChainStats) bool {
+		return round < 3
+	})
+	for i, c := range stats {
+		if c.Steps != 300 {
+			t.Errorf("chain %d stopped after %d steps, want 300 (3 rounds of 100)", i, c.Steps)
+		}
 	}
-	if !res.Cancelled {
-		t.Error("run not reported cancelled")
+
+	full := replicaFixture(t, 2, pows, 60)
+	var atThree []ChainStats
+	var edgesAtThree [][]graph.Edge
+	runLadder(full, pows, 100, 10, testRng(9), func(round int, s []ChainStats) bool {
+		if round == 3 {
+			atThree = append([]ChainStats(nil), s...)
+			edgesAtThree = edgeLists(full)
+		}
+		return true
+	})
+	for i := range stats {
+		if stats[i] != atThree[i] {
+			t.Errorf("chain %d stopped stats %+v, unstopped run at round 3 %+v", i, stats[i], atThree[i])
+		}
 	}
-	if got := res.Chains[0].Steps; got != 300 {
-		t.Errorf("cancelled after %d steps, want 300 (3 rounds of 100)", got)
-	}
+	sameEdgeLists(t, edgeLists(runners), edgesAtThree)
 }
 
 func TestExchangeMovesBetterFitToColdChain(t *testing.T) {
@@ -201,7 +227,7 @@ func TestExchangeMovesBetterFitToColdChain(t *testing.T) {
 	}
 	stats := []ChainStats{{Chain: 0, Pow: 100}, {Chain: 1, Pow: 10}}
 	ladder := []int{0, 1}
-	exchange(runners, stats, ladder, 0, testRng(1))
+	Exchange(runners, stats, ladder, 0, testRng(1))
 	if stats[0].Pow != 10 || stats[1].Pow != 100 {
 		t.Errorf("forced swap not applied: pows (%v, %v), want (10, 100)", stats[0].Pow, stats[1].Pow)
 	}

@@ -93,6 +93,52 @@ func TestZeroStepsReportsCurrentScore(t *testing.T) {
 		t.Errorf("OnProgress path FinalScore = %v, plain path = %v",
 			viaCallback.Stats.FinalScore, plain.Stats.FinalScore)
 	}
+	// Every chain of a ladder loads the same seed graph, so each reports
+	// the plain path's score.
+	ladder := observed
+	ladder.Chains = 2
+	multi, err := Synthesize(m, seed.Clone(), ladder, testRng(522))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(multi.Chains) != 2 {
+		t.Fatalf("a 2-chain fit reports %d chains", len(multi.Chains))
+	}
+	for _, c := range multi.Chains {
+		if c.FinalScore != plain.Stats.FinalScore {
+			t.Errorf("chain %d zero-step FinalScore = %v, want the current score %v", c.Chain, c.FinalScore, plain.Stats.FinalScore)
+		}
+	}
+}
+
+// TestChainChunkingMatchesRun pins that the loop's stops never perturb
+// a single chain: a fit reporting every 100 steps returns the Stats and
+// edge list of one Runner.Run over all its steps, on a runner anchored
+// as newFit anchors the fit's chain.
+func TestChainChunkingMatchesRun(t *testing.T) {
+	m, seed := fixtureMeasurements(t, 60, []string{"tbi"}, 0)
+	cfg := Config{Eps: m.Eps, Workloads: []string{"tbi"}, Pow: 500, Steps: 700, ProgressEvery: 100}
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := newFit(m, seed.Clone(), cfg, cfg.Workloads, nil, testRng(560))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := f.chains[0].runner.Run(cfg.Steps)
+	stops := 0
+	cfg.OnProgress = func(Progress) bool { stops++; return true }
+	res, err := Synthesize(m, seed.Clone(), cfg, testRng(560))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stops != cfg.Steps/cfg.ProgressEvery {
+		t.Errorf("%d progress stops, want %d", stops, cfg.Steps/cfg.ProgressEvery)
+	}
+	if res.Stats != want {
+		t.Errorf("chunked fit stats %+v != one Run's %+v", res.Stats, want)
+	}
+	sameEdges(t, "chunked fit vs one Run", edgeListOf(res.Synthetic), edgeListOf(f.chains[0].runner.State().Graph()))
 }
 
 func edgeListOf(g *graph.Graph) []graph.Edge { return g.EdgeList() }
@@ -178,7 +224,10 @@ func TestChainDeterminism(t *testing.T) {
 					t.Errorf("Result.Stats %+v != best chain stats %+v", r1.Stats, r1.Chains[r1.BestChain].Stats)
 				}
 				pows := make(map[float64]int)
-				for _, c := range r1.Chains {
+				for i, c := range r1.Chains {
+					if c != r2.Chains[i] || c.Steps != 900 {
+						t.Errorf("chain %d: %+v, then %+v in an identical run; want equal, at 900 steps", i, c, r2.Chains[i])
+					}
 					pows[c.Pow]++
 					if best := r1.Chains[r1.BestChain].FinalScore; c.FinalScore < best {
 						t.Errorf("chain %d score %v beats reported best %v", c.Chain, c.FinalScore, best)

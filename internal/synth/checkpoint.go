@@ -133,7 +133,8 @@ func (ck *Checkpoint) Save(w io.Writer) error {
 }
 
 // LoadCheckpoint reads a checkpoint written by Save, verifying the
-// header, the version, and the embedded self-hash. A checkpoint of an
+// header, the version, the embedded self-hash, and a swap schedule
+// (ladder and parity) a resumed fit can follow. A checkpoint of an
 // earlier version fails with ErrCheckpointStale.
 func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	br := bufio.NewReader(r)
@@ -172,6 +173,23 @@ func LoadCheckpoint(r io.Reader) (*Checkpoint, error) {
 	// document recording less was not written by this driver.
 	if ck.Shards < 1 {
 		return nil, fmt.Errorf("%w: checkpoint records shards %d, not a resolved executor width", ErrCheckpointStale, ck.Shards)
+	}
+	// A swap round indexes the ladder by parity and the chains by the
+	// ladder's entries; a document no fit could have written is refused
+	// here rather than panicking the resumed fit.
+	if ck.Parity != 0 && ck.Parity != 1 {
+		return nil, fmt.Errorf("synth: checkpoint parity %d is not 0 or 1", ck.Parity)
+	}
+	notPermutation := fmt.Errorf("synth: checkpoint ladder is not a permutation of its %d chain indices", len(ck.Chains))
+	if len(ck.Ladder) != len(ck.Chains) {
+		return nil, notPermutation
+	}
+	seen := make([]bool, len(ck.Chains))
+	for _, c := range ck.Ladder {
+		if c < 0 || c >= len(seen) || seen[c] {
+			return nil, notPermutation
+		}
+		seen[c] = true
 	}
 	return &ck, nil
 }

@@ -363,6 +363,37 @@ func TestLoadCheckpointRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestLoadCheckpointRefusesBadSchedule pins that a swap schedule no fit
+// writes is refused at load, with a plain error: a parity outside {0, 1}
+// or a ladder that is not a permutation of the chain indices would index
+// out of range in the resumed fit's first swap round, and a daemon
+// re-queueing the job at boot would die on it at every boot.
+func TestLoadCheckpointRefusesBadSchedule(t *testing.T) {
+	data := durableFixture(t)
+	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1000, Chains: 2, SwapEvery: 250, CheckpointEvery: 500}
+	_, _, ckpts := runDurable(t, data, 77, cfg, 500)
+	for name, damage := range map[string]func(*Checkpoint){
+		"parity -1":          func(ck *Checkpoint) { ck.Parity = -1 },
+		"parity 2":           func(ck *Checkpoint) { ck.Parity = 2 },
+		"repeated rung":      func(ck *Checkpoint) { ck.Ladder = []int{0, 0} },
+		"chain out of range": func(ck *Checkpoint) { ck.Ladder = []int{0, 2} },
+		"missing ladder":     func(ck *Checkpoint) { ck.Ladder = nil },
+	} {
+		ck, err := LoadCheckpoint(bytes.NewReader(ckpts[500]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		damage(ck)
+		var buf bytes.Buffer
+		if err := ck.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadCheckpoint(&buf); err == nil || errors.Is(err, ErrCheckpointStale) {
+			t.Errorf("%s: got %v, want a plain refusal", name, err)
+		}
+	}
+}
+
 func TestDurableConfigValidation(t *testing.T) {
 	if err := (&Config{Eps: 1, Workloads: []string{"tbi"}, CheckpointEvery: -1}).Validate(); err == nil {
 		t.Error("negative CheckpointEvery accepted")

@@ -2,7 +2,7 @@ package synth
 
 // Phase 2, the one way it runs. Every fit — one chain or a ladder,
 // checkpointed or not, fresh or resumed — is K >= 1 chains built by
-// newFit and driven by one mcmc.RunDurable call. Each chain owns its
+// newFit and driven by fit.run, the one chain loop. Each chain owns its
 // plan, graph state and a counted rng seeded by one draw of the master
 // rng; what the chains share is the caller's *Measurements: every chain
 // attaches m.Fits[name] itself. A fit writes nothing into m: a
@@ -12,6 +12,12 @@ package synth
 // record whatever their interleaving, and need no copy — and the
 // residuals a fit reports are residuals against the histograms the caller
 // holds (DESIGN.md "Replica exchange").
+//
+// The loop stops at every multiple of SwapEvery (more than one chain),
+// of CheckpointEvery and of ProgressEvery (OnProgress set), and at the
+// end, so the stop set is a function of the configuration alone. Between
+// stops every chain runs on its own goroutine; Runner.Run draws nothing
+// between calls, so extra stops never perturb the trace.
 //
 // CheckpointEvery > 0 adds re-anchor stops and nothing else: at each
 // one every chain's pipelines, sinks and graph state are discarded and
@@ -31,6 +37,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"sync"
 	"time"
 
 	"wpinq/internal/engine"
@@ -38,6 +45,24 @@ import (
 	"wpinq/internal/mcmc"
 	"wpinq/internal/obs"
 	"wpinq/internal/workload"
+)
+
+// The chain loop's metrics, written at its stops and never per proposal,
+// so they add no work to the walk and draw nothing from any chain's rng.
+var (
+	// fitRound's clock is read twice per stop.
+	fitRound = obs.Default.Histogram("wpinq_fit_round_seconds", "Wall seconds of each chunk of a fit between two stops (swap, checkpoint, progress or end), all chains.", nil)
+
+	// A cumulative rate says nothing about now (a walk that froze an hour
+	// ago still exports the rate it earned before): these two describe
+	// only the chunk between the loop's last two stops.
+	chunkAcceptRatio = obs.Default.HistogramVec("wpinq_fit_chunk_accept_ratio", "Per-chain share of proposals accepted in each chunk of a fit between two stops.",
+		[]float64{0, 0.001, 0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1}, "chain")
+	chunkScoreDelta = obs.Default.GaugeVec("wpinq_fit_chunk_score_delta", "Per-chain fit score at the latest stop minus the score at the stop before (negative while the fit improves).", "chain")
+
+	chainScore      = obs.Default.GaugeVec("wpinq_mcmc_chain_score", "Per-chain fit score at the latest swap-round barrier.", "chain")
+	chainAcceptRate = obs.Default.GaugeVec("wpinq_mcmc_chain_accept_rate", "Per-chain cumulative proposal accept rate.", "chain")
+	chainPow        = obs.Default.GaugeVec("wpinq_mcmc_chain_pow", "Per-chain posterior sharpening (ladder rung, moved by accepted swaps).", "chain")
 )
 
 // reanchorSeconds' clock is read at checkpoint stops only.
@@ -96,6 +121,9 @@ type fit struct {
 	isolated []graph.Node
 	seed     *graph.Graph
 	chains   []*fitChain
+	// stats is each chain's walk statistics and ladder position, indexed
+	// like chains.
+	stats    []ChainStats
 	swapSeed int64
 	swapSrc  *mcmc.CountingSource
 	swapRng  *rand.Rand
@@ -120,6 +148,7 @@ func newFit(m *Measurements, seed *graph.Graph, cfg Config, names []string, ck *
 		isolated: seed.Isolated(),
 		seed:     seed,
 		chains:   make([]*fitChain, cfg.Chains),
+		stats:    make([]ChainStats, cfg.Chains),
 	}
 	for i := range f.chains {
 		ch := &fitChain{seed: rng.Int63()}
@@ -129,9 +158,11 @@ func newFit(m *Measurements, seed *graph.Graph, cfg Config, names []string, ck *
 		if ck == nil {
 			// The ladder is geometric: chain 0 walks at the configured
 			// target sharpening, each further chain at half the previous.
-			if err := f.anchor(i, cfg.Pow/math.Pow(2, float64(i)), nil); err != nil {
+			pow := cfg.Pow / math.Pow(2, float64(i))
+			if err := f.anchor(i, pow, nil); err != nil {
 				return nil, err
 			}
+			f.stats[i] = ChainStats{Chain: i, Pow: pow, Stats: mcmc.Stats{FinalScore: ch.runner.Score()}}
 			continue
 		}
 		cc := &ck.Chains[i]
@@ -156,6 +187,19 @@ func newFit(m *Measurements, seed *graph.Graph, cfg Config, names []string, ck *
 		if got := math.Float64bits(ch.runner.Score()); ck.Shards == 1 && got != cc.ScoreBits {
 			return nil, fmt.Errorf("%w: chain %d re-anchored score %x does not reproduce checkpointed %x",
 				ErrCheckpointStale, i, got, cc.ScoreBits)
+		}
+		f.stats[i] = ChainStats{
+			Chain:         i,
+			Pow:           cc.Pow,
+			SwapsProposed: cc.SwapsProposed,
+			SwapsAccepted: cc.SwapsAccepted,
+			Stats: mcmc.Stats{
+				Steps:      ck.Step,
+				Accepted:   cc.Accepted,
+				Rejected:   cc.Rejected,
+				Invalid:    cc.Invalid,
+				FinalScore: ch.runner.Score(),
+			},
 		}
 	}
 	f.swapSeed = rng.Int63()
@@ -199,7 +243,8 @@ func (f *fit) anchor(idx int, pow float64, at *ChainCheckpoint) error {
 	return nil
 }
 
-// SynthesizeResume continues a checkpointed fit. m and seed must be
+// SynthesizeResume continues a checkpointed fit, ck as LoadCheckpoint
+// returned it (which vets its swap schedule). m and seed must be
 // reconstructed with the same master rng stream the original run used
 // (load the measurement, then SeedGraph, then call this, exactly as
 // Synthesize's callers do): the function replays the chain and swap
@@ -241,103 +286,151 @@ func SynthesizeResume(m *Measurements, seed *graph.Graph, ck *Checkpoint, cfg Co
 	return f.run(ck)
 }
 
-// run drives the fit — from ck's step, ladder and statistics when the
-// chains were built at a checkpoint — and assembles the Result.
+// run is the one chain loop. It drives every chain to cfg.Steps — from
+// ck's step, ladder and parity when the chains were built at a
+// checkpoint — stopping to swap, re-anchor and report, and assembles the
+// Result from the best chain.
 func (f *fit) run(ck *Checkpoint) (*Result, error) {
 	cfg := f.cfg
-	runners := make([]*mcmc.Runner, len(f.chains))
-	for i, ch := range f.chains {
-		runners[i] = ch.runner
-	}
-	dcfg := mcmc.DurableConfig{
-		Steps:           cfg.Steps,
-		SwapEvery:       cfg.SwapEvery,
-		CheckpointEvery: cfg.CheckpointEvery,
+	var cadences []int // Validate made each positive
+	if len(f.chains) > 1 {
+		cadences = append(cadences, cfg.SwapEvery)
 	}
 	if cfg.CheckpointEvery > 0 {
-		dcfg.Reanchor = f.reanchor
+		cadences = append(cadences, cfg.CheckpointEvery)
 	}
 	if cfg.OnProgress != nil {
-		// Extra stops never perturb the trace, so a fit is observable and
-		// stoppable without changing its result.
-		dcfg.RoundEvery = cfg.ProgressEvery
-		dcfg.OnRound = func(done int, chains []mcmc.ChainStats) bool {
-			return cfg.OnProgress(f.progress(done, chains))
-		}
+		cadences = append(cadences, cfg.ProgressEvery)
+	}
+	// ladder[k] is the chain holding the k-th coldest rung: the geometric
+	// ladder puts chain k there until swaps permute it.
+	done, parity, ladder := 0, 0, make([]int, len(f.chains))
+	for k := range ladder {
+		ladder[k] = k
 	}
 	if ck != nil {
-		dcfg.StartStep = ck.Step
-		dcfg.Ladder = append([]int(nil), ck.Ladder...)
-		dcfg.Parity = ck.Parity
-		dcfg.Stats = make([]mcmc.ChainStats, len(ck.Chains))
-		for i, cc := range ck.Chains {
-			dcfg.Stats[i] = mcmc.ChainStats{
-				Chain:         i,
-				Pow:           cc.Pow,
-				SwapsProposed: cc.SwapsProposed,
-				SwapsAccepted: cc.SwapsAccepted,
-				Stats: mcmc.Stats{
-					Steps:      ck.Step,
-					Accepted:   cc.Accepted,
-					Rejected:   cc.Rejected,
-					Invalid:    cc.Invalid,
-					FinalScore: runners[i].Score(),
-				},
+		done, parity = ck.Step, ck.Parity
+		copy(ladder, ck.Ladder)
+	}
+	chunk := make([]mcmc.Stats, len(f.chains))
+	cancelled := false
+	for done < cfg.Steps && !cancelled {
+		next := cfg.Steps
+		for _, every := range cadences {
+			next = min(next, done-done%every+every)
+		}
+		n := next - done
+		began := time.Now()
+		var wg sync.WaitGroup
+		for i, ch := range f.chains {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				chunk[i] = ch.runner.Run(n)
+			}()
+		}
+		wg.Wait()
+		fitRound.Observe(time.Since(began).Seconds())
+		for i := range f.stats {
+			s := &f.stats[i]
+			label := strconv.Itoa(i)
+			chunkAcceptRatio.With(label).Observe(chunk[i].AcceptRate())
+			chunkScoreDelta.With(label).Set(chunk[i].FinalScore - s.FinalScore)
+			s.Steps += chunk[i].Steps
+			s.Accepted += chunk[i].Accepted
+			s.Rejected += chunk[i].Rejected
+			s.Invalid += chunk[i].Invalid
+			s.FinalScore = chunk[i].FinalScore
+		}
+		done = next
+		if len(f.chains) > 1 && done < cfg.Steps && done%cfg.SwapEvery == 0 {
+			runners := make([]*mcmc.Runner, len(f.chains))
+			for i, ch := range f.chains {
+				runners[i] = ch.runner
 			}
+			mcmc.Exchange(runners, f.stats, ladder, parity, f.swapRng)
+			parity ^= 1
+		}
+		if cfg.CheckpointEvery > 0 && done < cfg.Steps && done%cfg.CheckpointEvery == 0 {
+			ok, err := f.checkpoint(done, ladder, parity)
+			if err != nil {
+				return nil, err
+			}
+			cancelled = !ok
+		}
+		for i, s := range f.stats {
+			label := strconv.Itoa(i)
+			chainScore.With(label).Set(s.FinalScore)
+			chainAcceptRate.With(label).Set(s.AcceptRate())
+			chainPow.With(label).Set(s.Pow)
+		}
+		if !cancelled && cfg.OnProgress != nil {
+			cancelled = !cfg.OnProgress(f.progress(done))
 		}
 	}
-	res, err := mcmc.RunDurable(runners, dcfg, f.swapRng)
-	if err != nil {
-		return nil, err
-	}
-	best := f.chains[res.Best]
+	b := f.best()
+	best := f.chains[b]
 	r := &Result{
 		Seed:      f.seed,
 		Synthetic: best.runner.State().Graph(),
-		Stats:     res.Chains[res.Best].Stats,
-		BestChain: res.Best,
+		Stats:     f.stats[b].Stats,
+		BestChain: b,
 		TotalCost: f.m.TotalCost,
 		Residuals: best.runner.Scorer().Residuals(residualTopK),
 		Operators: best.operators(),
-		Cancelled: res.Cancelled,
+		Cancelled: cancelled,
 	}
 	if len(f.chains) > 1 {
-		r.Chains = res.Chains
+		r.Chains = f.stats
 	}
 	return r, nil
 }
 
-// reanchor is the mcmc.DurableConfig.Reanchor hook: rebuild every chain
-// from its live edge list, then emit the checkpoint describing exactly
-// the rebuilt state.
-func (f *fit) reanchor(done int, _ []*mcmc.Runner, ladder []int, parity int, stats []mcmc.ChainStats) ([]*mcmc.Runner, bool, error) {
+// best returns the index of the chain with the lowest score, the first
+// on a tie.
+func (f *fit) best() int {
+	b := 0
+	for i := range f.stats {
+		if f.stats[i].FinalScore < f.stats[b].FinalScore {
+			b = i
+		}
+	}
+	return b
+}
+
+// checkpoint rebuilds every chain from its live edge list, adopts the
+// rebuilt scores, and emits the checkpoint describing exactly the
+// rebuilt state. It reports false when OnCheckpoint cancels the fit.
+func (f *fit) checkpoint(done int, ladder []int, parity int) (bool, error) {
 	began := time.Now()
 	ckChains := make([]ChainCheckpoint, len(f.chains))
-	next := make([]*mcmc.Runner, len(f.chains))
 	for i, ch := range f.chains {
-		cc := &ckChains[i]
+		s, cc := &f.stats[i], &ckChains[i]
 		*cc = ChainCheckpoint{
 			Seed:          ch.seed,
 			RngPos:        ch.src.Pos(),
-			Pow:           stats[i].Pow,
-			Accepted:      stats[i].Accepted,
-			Rejected:      stats[i].Rejected,
-			Invalid:       stats[i].Invalid,
-			SwapsProposed: stats[i].SwapsProposed,
-			SwapsAccepted: stats[i].SwapsAccepted,
+			Pow:           s.Pow,
+			Accepted:      s.Accepted,
+			Rejected:      s.Rejected,
+			Invalid:       s.Invalid,
+			SwapsProposed: s.SwapsProposed,
+			SwapsAccepted: s.SwapsAccepted,
 			Edges:         packEdges(ch.runner.State().Edges()),
 		}
 		if err := f.anchor(i, cc.Pow, cc); err != nil {
-			return nil, false, err
+			return false, err
 		}
-		cc.ScoreBits = math.Float64bits(ch.runner.Score())
-		next[i] = ch.runner
+		// The rebuilt pipelines re-accumulate their scores from scratch;
+		// the stats (and the next swap round) adopt the re-anchored
+		// values a resumed process computes too.
+		s.FinalScore = ch.runner.Score()
+		cc.ScoreBits = math.Float64bits(s.FinalScore)
 	}
 	reanchorSeconds.Observe(time.Since(began).Seconds())
 	if f.cfg.OnCheckpoint == nil {
-		return next, true, nil
+		return true, nil
 	}
-	return next, f.cfg.OnCheckpoint(&Checkpoint{
+	return f.cfg.OnCheckpoint(&Checkpoint{
 		Version:         checkpointVersion,
 		ParentHash:      f.cfg.ParentHash,
 		Eps:             f.m.Eps,
@@ -359,25 +452,20 @@ func (f *fit) reanchor(done int, _ []*mcmc.Runner, ladder []int, parity int, sta
 // track the best chain, whose scorer the residual breakdown reads and
 // whose graph state Progress.Synthetic reads (every chain is parked at a
 // stop, so neither read races anything).
-func (f *fit) progress(done int, chains []mcmc.ChainStats) Progress {
-	best := 0
-	for i := range chains {
-		if chains[i].FinalScore < chains[best].FinalScore {
-			best = i
-		}
-	}
-	ch := f.chains[chains[best].Chain]
+func (f *fit) progress(done int) Progress {
+	b := f.best()
+	ch := f.chains[b]
 	p := Progress{
 		Step:      done,
 		Steps:     f.cfg.Steps,
-		Accepted:  chains[best].Accepted,
-		Score:     chains[best].FinalScore,
+		Accepted:  f.stats[b].Accepted,
+		Score:     f.stats[b].FinalScore,
 		Residuals: ch.runner.Scorer().Residuals(residualTopK),
 		Operators: ch.operators(),
 		best:      ch.runner.State(),
 	}
-	if len(chains) > 1 {
-		p.Chains = ChainSnapshots(chains)
+	if len(f.chains) > 1 {
+		p.Chains = ChainSnapshots(f.stats)
 	}
 	live := 0
 	for _, r := range p.Residuals {

@@ -82,7 +82,7 @@ type Config struct {
 	// sharpening, each further chain at half the previous. With K > 1,
 	// Metropolis swap proposals between temperature-adjacent chains every
 	// SwapEvery steps let hot chains explore while cold chains refine (see
-	// mcmc.RunDurable and DESIGN.md "Replica exchange").
+	// mcmc.Exchange and DESIGN.md "Replica exchange").
 	Chains int
 	// SwapEvery is the step interval between replica swap rounds
 	// (default 1024; only consulted when Chains > 1).

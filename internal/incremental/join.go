@@ -33,11 +33,11 @@ type JoinNode[A, B comparable, K comparable, R comparable] struct {
 	keyB   func(B) K
 	reduce func(A, B) R
 
-	// Both sides of a key live in one group under one map entry: every
+	// Both sides of a key live in one group under one table entry: every
 	// key update reads one side's records and the other's norm, so a
 	// push costs one lookup and one pointer chase per key. A group stays
-	// in the map while either side holds records.
-	groups map[K]*joinGroup[A, B]
+	// in the table while either side holds records.
+	groups table[K, *joinGroup[A, B]]
 
 	// Freelist of dropped key groups. MCMC walks churn groups (a key
 	// empties when its last record swaps away, then reappears), so
@@ -93,7 +93,6 @@ func Join[A, B comparable, K comparable, R comparable](
 		keyA:     keyA,
 		keyB:     keyB,
 		reduce:   reduce,
-		groups:   make(map[K]*joinGroup[A, B]),
 		fastPath: true,
 	}
 }
@@ -155,9 +154,7 @@ func (n *JoinNode[A, B, K, R]) SlowKeys() int64 { return n.stats.slowKeys }
 func (n *JoinNode[A, B, K, R]) StateSize() int {
 	total := 0
 	//wpinq:nondeterministic-ok integer sum over group sizes is order-independent; diagnostics only
-	for _, g := range n.groups {
-		total += g.a.len() + g.b.len()
-	}
+	n.groups.each(func(_ K, g *joinGroup[A, B]) { total += g.a.len() + g.b.len() })
 	return total
 }
 
@@ -170,19 +167,22 @@ func (n *JoinNode[A, B, K, R]) StateSize() int {
 // accumulate; a key that also has to retract and rescale records it
 // already held (no load does) grows past it as any push grows. A load
 // only asserts, each matching pair once, so at a distinct join its
-// records cannot meet and it reserves no table (reserveDistinct).
+// records cannot meet and it reserves no table (reserveDistinct). The
+// group table is reserved for the keys the push is about to add.
 func (n *JoinNode[A, B, K, R]) ApplyLeft(batch []Delta[A]) {
 	inTxn := n.logging
 	keys := n.byKeyA.group(batch, n.keyA)
 	if !inTxn {
-		size, load := 0, true
+		size, fresh, load := 0, 0, true
 		for i, e := range keys {
-			if g := n.groups[e.Record]; g != nil {
+			if g := n.groups.get(e.Record); g != nil {
 				size += len(n.byKeyA.run(i)) * g.b.len()
 				load = load && g.a.len() == 0
+			} else {
+				fresh++
 			}
 		}
-		n.reserve(size, load)
+		n.reserve(size, fresh, load)
 	}
 	for i, e := range keys {
 		k := e.Record
@@ -202,14 +202,16 @@ func (n *JoinNode[A, B, K, R]) ApplyRight(batch []Delta[B]) {
 	inTxn := n.logging
 	keys := n.byKeyB.group(batch, n.keyB)
 	if !inTxn {
-		size, load := 0, true
+		size, fresh, load := 0, 0, true
 		for i, e := range keys {
-			if g := n.groups[e.Record]; g != nil {
+			if g := n.groups.get(e.Record); g != nil {
 				size += len(n.byKeyB.run(i)) * g.a.len()
 				load = load && g.b.len() == 0
+			} else {
+				fresh++
 			}
 		}
-		n.reserve(size, load)
+		n.reserve(size, fresh, load)
 	}
 	for i, e := range keys {
 		k := e.Record
@@ -225,8 +227,10 @@ func (n *JoinNode[A, B, K, R]) ApplyRight(batch []Delta[B]) {
 }
 
 // reserve sizes the accumulator for a push outside a transaction that
-// asserts size records; load reports that every key's own side was empty.
-func (n *JoinNode[A, B, K, R]) reserve(size int, load bool) {
+// asserts size records, and the group table for fresh new keys; load
+// reports that every key's own side was empty.
+func (n *JoinNode[A, B, K, R]) reserve(size, fresh int, load bool) {
+	n.groups.reserve(n.groups.len() + fresh)
 	if n.distinct && load {
 		n.diff.reserveDistinct(size)
 		return
@@ -237,12 +241,12 @@ func (n *JoinNode[A, B, K, R]) reserve(size int, load bool) {
 // group returns k's group, creating it if the key is new, and opens it
 // in the current transaction, if any, on first touch.
 func (n *JoinNode[A, B, K, R]) group(k K) *joinGroup[A, B] {
-	g := n.groups[k]
-	created := g == nil
+	i, created := n.groups.claim(k)
+	slot := n.groups.at(i)
 	if created {
-		g = n.pool.get()
-		n.groups[k] = g
+		*slot = n.pool.get()
 	}
+	g := *slot
 	if n.logging && g.a.log == nil {
 		g.a.beginLog(&n.logA)
 		g.b.beginLog(&n.logB)
@@ -255,7 +259,7 @@ func (n *JoinNode[A, B, K, R]) group(k K) *joinGroup[A, B] {
 // do not leak memory through abandoned keys: an empty side is recycled
 // in place (its norm must read exactly zero the next time the key's
 // denominator is formed, as a fresh group's would), and a group empty on
-// both sides leaves the map for the freelist. Inside a transaction the
+// both sides leaves the table for the freelist. Inside a transaction the
 // callers defer this to commit (an empty side joins to nothing, so
 // keeping it changes no arithmetic) so Abort can restore the group in
 // place.
@@ -270,7 +274,7 @@ func (n *JoinNode[A, B, K, R]) drop(k K, g *joinGroup[A, B]) {
 		g.b.recycle()
 	}
 	if emptyA && emptyB {
-		delete(n.groups, k)
+		n.groups.remove(k)
 		n.pool.put(g)
 	}
 }

@@ -41,7 +41,7 @@ func TestJoinDrainedSideNormIsExactlyZero(t *testing.T) {
 		j := load()
 		j.ApplyLeft([]Delta[rec]{{rec{7, 1}, -0.1}})
 		j.ApplyLeft([]Delta[rec]{{rec{7, 2}, -0.2}})
-		g := j.groups[7]
+		g := j.groups.get(7)
 		if g == nil || g.a.len() != 0 || g.b.len() != 1 {
 			t.Fatalf("group 7 = %+v, want an empty left side beside the right record", g)
 		}
@@ -55,14 +55,14 @@ func TestJoinDrainedSideNormIsExactlyZero(t *testing.T) {
 		j.Txn(TxnBegin)
 		j.ApplyLeft([]Delta[rec]{{rec{7, 1}, -0.1}})
 		j.ApplyLeft([]Delta[rec]{{rec{7, 2}, -0.2}})
-		g := j.groups[7]
+		g := j.groups.get(7)
 		if g.a.len() != 0 || g.a.norm == 0 {
 			// The dust is what makes this test bite; and it must survive
 			// until commit, as it did when the drop was deferred.
 			t.Fatalf("open transaction: %d records, norm %g; want 0 records and float dust", g.a.len(), g.a.norm)
 		}
 		j.Txn(TxnCommit)
-		if j.groups[7] != g {
+		if j.groups.get(7) != g {
 			t.Fatal("commit dropped a group whose right side still holds a record")
 		}
 		if g.a.norm != 0 {
@@ -82,13 +82,13 @@ func TestJoinAbortDropsCreatedGroups(t *testing.T) {
 	j.Txn(TxnBegin)
 	j.ApplyLeft([]Delta[rec]{{rec{2, 0}, 1}, {rec{3, 0}, 2}})
 	j.ApplyRight([]Delta[rec]{{rec{3, 1}, 1}, {rec{4, 1}, 1}})
-	if len(j.groups) != 4 {
-		t.Fatalf("%d groups inside the transaction, want 4", len(j.groups))
+	if j.groups.len() != 4 {
+		t.Fatalf("%d groups inside the transaction, want 4", j.groups.len())
 	}
 	j.Txn(TxnAbort)
 
-	if len(j.groups) != 1 || j.groups[1] == nil {
-		t.Fatalf("groups after abort: %v, want only key 1", slices.Collect(maps.Keys(j.groups)))
+	if j.groups.len() != 1 || j.groups.get(1) == nil {
+		t.Fatalf("groups after abort: %v, want only key 1", slices.Collect(maps.Keys(j.groups.toMap())))
 	}
 	if len(j.pool.free) != 3 {
 		t.Errorf("%d groups on the freelist, want the 3 the transaction created", len(j.pool.free))
@@ -113,7 +113,11 @@ type mapImage struct {
 }
 
 func imageOf(m *stateMap[rec]) mapImage {
-	return mapImage{slices.Clone(m.recs), slices.Clone(m.ws), maps.Clone(m.pos), m.norm}
+	var pos map[rec]int
+	if m.pos != nil {
+		pos = m.pos.toMap()
+	}
+	return mapImage{slices.Clone(m.recs), slices.Clone(m.ws), pos, m.norm}
 }
 
 func (im mapImage) equal(o mapImage) bool {
@@ -141,13 +145,13 @@ func TestJoinMultiGroupAbortRestoresEverySide(t *testing.T) {
 	load = append(load, Delta[rec]{rec{3, 0}, 0.1}, Delta[rec]{rec{3, 1}, 0.2}, Delta[rec]{rec{4, 0}, 2})
 	j.ApplyLeft(load)
 	j.ApplyRight(load[3:])
-	if j.groups[1].a.pos == nil || j.groups[2].a.pos != nil {
+	if j.groups.get(1).a.pos == nil || j.groups.get(2).a.pos != nil {
 		t.Fatal("fixture: want a position index on key 1's left side only")
 	}
 
 	type sides struct{ a, b mapImage }
 	before := map[int]sides{}
-	for k, g := range j.groups {
+	for k, g := range j.groups.toMap() {
 		before[k] = sides{imageOf(&g.a), imageOf(&g.b)}
 	}
 
@@ -173,11 +177,11 @@ func TestJoinMultiGroupAbortRestoresEverySide(t *testing.T) {
 	}
 	j.Txn(TxnAbort)
 
-	if len(j.groups) != len(before) {
-		t.Errorf("%d groups after abort, want %d", len(j.groups), len(before))
+	if j.groups.len() != len(before) {
+		t.Errorf("%d groups after abort, want %d", j.groups.len(), len(before))
 	}
 	for k, want := range before {
-		g := j.groups[k]
+		g := j.groups.get(k)
 		if g == nil {
 			t.Errorf("key %d: group gone after abort", k)
 			continue

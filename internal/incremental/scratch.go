@@ -31,12 +31,13 @@ const (
 	scratchRetain = 1 << 10
 )
 
-// hashSeed is the process-wide hash seed every scratchIndex probe hashes
-// under, for every key type (a fixed 64-bit finaliser for the packed
-// uint64 keys was tried and dropped: the hash is 3 % of a load, the cache
-// miss on the cell it picks is the rest).
+// hashSeed is the process-wide hash seed every scratchIndex and state
+// table probe hashes under, for every key type (a fixed 64-bit finaliser
+// for the packed uint64 keys was tried and dropped, twice: the hash is
+// 3 % of a load, the cache miss on the cell it picks is the rest, and a
+// seeded multiplicative hash did not separate from this one on walk-hot).
 //
-//wpinq:nondeterministic-ok the one sanctioned random seed, drawn once at init, never on a scoring path: scratchIndex.probe only picks cells with it, and slots are assigned in first-appearance order whatever the seed, so no result depends on it
+//wpinq:nondeterministic-ok the one sanctioned random seed, drawn once at init, never on a scoring path: scratchIndex.probe and table.probe only pick cells with it, slots are assigned in first-appearance order whatever the seed, and nothing but order-independent sums iterates a table, so no result depends on it
 var hashSeed = maphash.MakeSeed()
 
 // Recycle empties a per-push buffer for reuse — or releases it,

@@ -35,13 +35,15 @@ func (m MapObservations[T]) Get(x T) float64 { return m[x] }
 // difference first gives it weight (its term is 0 at that moment: entering
 // adds nothing) and leaves when its weight is back at zero.
 type NoisyCountSink[T comparable] struct {
-	q map[T]float64
-	m map[T]sinkObs // the records the sum ranges over
+	// state holds the records the sum ranges over, each with its weight,
+	// observation and place in order; nothing iterates it.
+	state table[T, sinkEntry]
 	// order lists those records: the released domain as handed over, then
 	// the never-released ones in the order they entered (a departure moves
 	// the last into the gap). RecomputeL1 accumulates in this order, a
-	// function of the sink's pushes and not of map iteration: a periodic
-	// recompute must not perturb an otherwise reproducible MCMC trace.
+	// function of the sink's pushes and not of the table's layout: a
+	// periodic recompute must not perturb an otherwise reproducible MCMC
+	// trace.
 	order    []T
 	released int // len of order's fixed prefix
 	src      Observations[T]
@@ -50,21 +52,26 @@ type NoisyCountSink[T comparable] struct {
 
 	// Transaction state: savedL1 and savedOrder snapshot the accumulator
 	// and the list's length at Begin; undo holds the pre-image weight of
-	// every record first touched since. Inside a transaction the list only
-	// grows — a record back at zero stays until Commit — so Abort restores
-	// q from undo, truncates the list, puts savedL1 back, and the sink is
-	// bit for bit what it was at Begin.
+	// every record first touched since, which an entry's stamp equal to
+	// txn marks. Inside a transaction the list only grows — a record back
+	// at zero stays until Commit — so Abort restores q from undo, drops
+	// the records past savedOrder, puts savedL1 back, and the sink is bit
+	// for bit what it was at Begin.
 	logging    bool
+	txn        uint64 // the current transaction's stamp, counted from 1
 	savedL1    float64
 	savedOrder int
-	txnSeen    map[T]struct{}
 	undo       []Delta[T]
 }
 
-// sinkObs is one held record's observation and its index in order.
-type sinkObs struct {
-	v   float64
+// sinkEntry is one held record: its weight q(x), its observation m(x),
+// its index in order plus one (so no held entry is zero), and the stamp
+// of the last transaction that logged it.
+type sinkEntry struct {
+	q   float64
+	obs float64
 	pos int
+	txn uint64
 }
 
 // onTxn applies a transaction event to the sink's maintained state.
@@ -72,33 +79,28 @@ func (s *NoisyCountSink[T]) onTxn(op TxnOp) {
 	s.logging = op == TxnBegin
 	switch op {
 	case TxnBegin:
-		if s.txnSeen == nil {
-			s.txnSeen = make(map[T]struct{})
-		}
+		s.txn++
 		s.savedL1 = s.l1
 		s.savedOrder = len(s.order)
 		return
 	case TxnAbort:
 		for _, u := range s.undo {
-			if u.Weight == 0 {
-				delete(s.q, u.Record)
+			i, _ := s.state.find(u.Record)
+			if e := s.state.at(i); e.pos > s.savedOrder {
+				s.state.removeAt(i) // entered since Begin
 			} else {
-				s.q[u.Record] = u.Weight
+				e.q = u.Weight
 			}
-		}
-		for _, x := range s.order[s.savedOrder:] {
-			delete(s.m, x)
 		}
 		s.order = s.order[:s.savedOrder]
 		s.l1 = s.savedL1
 	case TxnCommit:
 		for _, u := range s.undo {
-			if _, live := s.q[u.Record]; !live {
+			if s.state.get(u.Record).q == 0 {
 				s.forget(u.Record)
 			}
 		}
 	}
-	clear(s.txnSeen)
 	s.undo = s.undo[:0]
 }
 
@@ -107,18 +109,15 @@ func (s *NoisyCountSink[T]) onTxn(op TxnOp) {
 // parameter the measurement was taken with, used by scorers to weight this
 // sink's distance.
 func NewNoisyCountSink[T comparable](source Source[T], obs Observations[T], domain []T, eps float64) *NoisyCountSink[T] {
-	s := &NoisyCountSink[T]{
-		q:   make(map[T]float64),
-		m:   make(map[T]sinkObs, len(domain)),
-		src: obs,
-		eps: eps,
-	}
+	s := &NoisyCountSink[T]{src: obs, eps: eps}
+	s.state.reserve(len(domain))
 	for _, x := range domain {
-		if _, ok := s.m[x]; ok {
+		i, fresh := s.state.claim(x)
+		if !fresh {
 			continue
 		}
 		mv := obs.Get(x)
-		s.m[x] = sinkObs{v: mv, pos: len(s.order)}
+		*s.state.at(i) = sinkEntry{obs: mv, pos: len(s.order) + 1}
 		s.order = append(s.order, x)
 		s.l1 += math.Abs(mv)
 	}
@@ -129,29 +128,27 @@ func NewNoisyCountSink[T comparable](source Source[T], obs Observations[T], doma
 }
 
 // onInput applies a batch one run of equal consecutive records at a time:
-// the observation, the current weight and the transaction's first-touch
-// bookkeeping are looked up once per run and the weight is written back
-// once, while the float operations are the per-difference ones in the
-// per-difference order — so how a stream is cut into batches or runs
-// cannot show in l1. Unit sinks (wedges, tbi) receive nothing but one
-// record: hundreds of differences per proposal, a million per load.
+// the entry — observation, current weight, transaction stamp — is looked
+// up once per run and the weight is written back once, while the float
+// operations are the per-difference ones in the per-difference order — so
+// how a stream is cut into batches or runs cannot show in l1. Unit sinks
+// (wedges, tbi) receive nothing but one record: hundreds of differences
+// per proposal, a million per load.
 func (s *NoisyCountSink[T]) onInput(batch []Delta[T]) {
 	for i := 0; i < len(batch); {
 		x := batch[i].Record
-		o, ok := s.m[x]
-		if !ok {
-			o = sinkObs{v: s.src.Get(x), pos: len(s.order)}
-			s.m[x] = o
+		j, fresh := s.state.claim(x)
+		e := s.state.at(j)
+		if fresh {
+			*e = sinkEntry{obs: s.src.Get(x), pos: len(s.order) + 1}
 			s.order = append(s.order, x)
 		}
-		q := s.q[x]
-		if s.logging {
-			if _, seen := s.txnSeen[x]; !seen {
-				s.txnSeen[x] = struct{}{}
-				s.undo = append(s.undo, Delta[T]{x, q})
-			}
+		q := e.q
+		if s.logging && e.txn != s.txn {
+			e.txn = s.txn
+			s.undo = append(s.undo, Delta[T]{x, q})
 		}
-		l1, mv := s.l1, o.v
+		l1, mv := s.l1, e.obs
 		for ; i < len(batch) && batch[i].Record == x; i++ {
 			newQ := q + batch[i].Weight
 			if math.Abs(newQ) < 1e-12 {
@@ -161,12 +158,8 @@ func (s *NoisyCountSink[T]) onInput(batch []Delta[T]) {
 			q = newQ
 		}
 		s.l1 = l1
-		if q != 0 {
-			s.q[x] = q
-			continue
-		}
-		delete(s.q, x)
-		if !s.logging {
+		e.q = q
+		if q == 0 && !s.logging {
 			s.forget(x)
 		}
 	}
@@ -177,7 +170,8 @@ func (s *NoisyCountSink[T]) onInput(batch []Delta[T]) {
 //
 //wpinq:txn-exempt runs outside a transaction or at its commit, never between Begin and Abort: a record at zero inside a transaction stays listed so that Abort only has to truncate
 func (s *NoisyCountSink[T]) forget(x T) {
-	pos := s.m[x].pos
+	i, _ := s.state.find(x)
+	pos := s.state.at(i).pos - 1
 	if pos < s.released {
 		return
 	}
@@ -185,10 +179,11 @@ func (s *NoisyCountSink[T]) forget(x T) {
 	if pos != last {
 		y := s.order[last]
 		s.order[pos] = y
-		s.m[y] = sinkObs{v: s.m[y].v, pos: pos}
+		j, _ := s.state.find(y)
+		s.state.at(j).pos = pos + 1
 	}
 	s.order = s.order[:last]
-	delete(s.m, x)
+	s.state.removeAt(i)
 }
 
 // L1 returns the incrementally maintained distance.
@@ -198,7 +193,7 @@ func (s *NoisyCountSink[T]) L1() float64 { return s.l1 }
 func (s *NoisyCountSink[T]) Epsilon() float64 { return s.eps }
 
 // Weight returns the current query output weight q(x), for tests.
-func (s *NoisyCountSink[T]) Weight(x T) float64 { return s.q[x] }
+func (s *NoisyCountSink[T]) Weight(x T) float64 { return s.state.get(x).q }
 
 // RecomputeL1 re-derives the distance from scratch and returns it; it also
 // replaces the maintained value, squashing any accumulated floating-point
@@ -218,8 +213,8 @@ func (s *NoisyCountSink[T]) Drift() float64 {
 
 // term returns the i-th held record's weight, observation and term of L1.
 func (s *NoisyCountSink[T]) term(i int) (q, m, t float64) {
-	x := s.order[i]
-	q, m = s.q[x], s.m[x].v
+	e := s.state.get(s.order[i])
+	q, m = e.q, e.obs
 	t = math.Abs(q - m)
 	if i >= s.released {
 		t -= math.Abs(m)

@@ -13,17 +13,23 @@ import (
 // difference to the handler it was built with.
 
 // MinMaxNode is the body of Union or Intersect: an element-wise max/min
-// with both inputs' current weights indexed.
+// with both inputs' current weights indexed. One table holds each
+// record's pair of weights — left, right — so a difference on either side
+// costs one probe, which finds the weight it changes and the one it is
+// compared with; a record leaves the table when both are zero. Nothing
+// iterates the table: output follows the input batch, difference by
+// difference.
 type MinMaxNode[T comparable] struct {
 	pick  func(x, y float64) float64
 	emit  Handler[T]
-	left  stateMap[T]
-	right stateMap[T]
-	log   undoLog[T] // both indexes log here
+	state table[T, [2]float64]
+	sizes [2]int // records with a non-zero weight, per side
 	// logging is set between TxnBegin and TxnCommit/TxnAbort: pushes are
 	// speculative. The engine tells each event once, so a flag is all a
-	// body keeps.
+	// body keeps. undo holds the pre-image pair of every difference the
+	// transaction applied, in order; Abort puts them back newest first.
 	logging bool
+	undo    []minMaxUndo[T]
 
 	// Output batch, reused across pushes — the same array, unless Recycle
 	// releases it: handlers must not retain emitted batches and emission
@@ -31,23 +37,26 @@ type MinMaxNode[T comparable] struct {
 	out []Delta[T]
 }
 
-// Txn applies a transaction event to both input indexes. The indexes are
-// fixed (not keyed), so Begin opens them eagerly — two pointer stores,
-// not a state walk.
+// minMaxUndo is one logged MinMaxNode difference: the record and its
+// pair of weights before it.
+type minMaxUndo[T comparable] struct {
+	x   T
+	old [2]float64
+}
+
+// Txn applies a transaction event: Abort replays the undo log last in,
+// first out, which leaves every pair, and so the table's key set and
+// the side counts, as Begin found them.
 func (n *MinMaxNode[T]) Txn(op TxnOp) {
 	n.logging = op == TxnBegin
-	switch op {
-	case TxnBegin:
-		n.left.beginLog(&n.log)
-		n.right.beginLog(&n.log)
-		return
-	case TxnCommit:
-		n.log.commit()
-	case TxnAbort:
-		n.log.abort()
+	if op == TxnAbort {
+		for k := len(n.undo) - 1; k >= 0; k-- {
+			u := &n.undo[k]
+			i, _ := n.state.claim(u.x)
+			n.set(i, u.x, *n.state.at(i), u.old)
+		}
 	}
-	n.left.endLog()
-	n.right.endLog()
+	n.undo = n.undo[:0]
 }
 
 // Union incrementally computes the element-wise maximum of two streams,
@@ -66,20 +75,35 @@ func Intersect[T comparable](out Handler[T]) *MinMaxNode[T] {
 // StateSize returns the number of records indexed across both inputs: the
 // node's memory footprint in records (paper Section 4.3 observes this
 // grows with the number of length-two paths for the triangle queries).
-func (n *MinMaxNode[T]) StateSize() int { return n.left.len() + n.right.len() }
+func (n *MinMaxNode[T]) StateSize() int { return n.sizes[0] + n.sizes[1] }
 
 // ApplyLeft applies a batch of the left input's differences.
-func (n *MinMaxNode[T]) ApplyLeft(batch []Delta[T]) { n.apply(batch, &n.left, &n.right) }
+func (n *MinMaxNode[T]) ApplyLeft(batch []Delta[T]) { n.apply(batch, 0) }
 
 // ApplyRight applies a batch of the right input's differences.
-func (n *MinMaxNode[T]) ApplyRight(batch []Delta[T]) { n.apply(batch, &n.right, &n.left) }
+func (n *MinMaxNode[T]) ApplyRight(batch []Delta[T]) { n.apply(batch, 1) }
 
-//wpinq:txn-exempt out is per-push scratch; the indexes are written through stateMap.apply, which logs
-func (n *MinMaxNode[T]) apply(batch []Delta[T], own, other *stateMap[T]) {
+// apply adds each difference to its record's weight on side own.
+// Weights with magnitude below weighted.Eps collapse to exactly zero, as
+// weighted.Dataset's do. A load reserves the table for a new record per
+// difference, which is what it adds when the two sides share few
+// records, as TbI's rotated paths and paths do.
+func (n *MinMaxNode[T]) apply(batch []Delta[T], own int) {
+	if !n.logging {
+		n.state.reserve(n.state.len() + len(batch))
+	}
 	out := slices.Grow(n.out, len(batch))
 	for _, d := range batch {
-		oldW, newW := own.apply(d.Record, d.Weight)
-		ow := other.weight(d.Record)
+		i, _ := n.state.claim(d.Record)
+		old := *n.state.at(i)
+		oldW, ow := old[own], old[1-own]
+		newW := oldW + d.Weight
+		if math.Abs(newW) < weighted.Eps {
+			newW = 0
+		}
+		pair := old
+		pair[own] = newW
+		n.set(i, d.Record, old, pair)
 		diff := n.pick(newW, ow) - n.pick(oldW, ow)
 		if math.Abs(diff) >= weighted.Eps {
 			out = append(out, Delta[T]{d.Record, diff})
@@ -89,10 +113,33 @@ func (n *MinMaxNode[T]) apply(batch []Delta[T], own, other *stateMap[T]) {
 	n.out = Recycle(out, n.logging)
 }
 
+// set replaces record x's pair old, in its claimed slot i, with pair:
+// it logs old inside a transaction, keeps the side counts, and empties
+// the slot when pair is zero.
+func (n *MinMaxNode[T]) set(i int, x T, old, pair [2]float64) {
+	if n.logging && pair != old {
+		n.undo = append(n.undo, minMaxUndo[T]{x, old})
+	}
+	for side := range pair {
+		if (old[side] != 0) != (pair[side] != 0) {
+			if pair[side] != 0 {
+				n.sizes[side]++
+			} else {
+				n.sizes[side]--
+			}
+		}
+	}
+	if pair == ([2]float64{}) {
+		n.state.removeAt(i)
+		return
+	}
+	*n.state.at(i) = pair
+}
+
 // GroupByNode is the body of GroupBy.
 type GroupByNode[T comparable, K comparable, R comparable] struct {
 	emit   Handler[weighted.Grouped[K, R]]
-	groups map[K]*stateMap[T]
+	groups table[K, *stateMap[T]]
 	key    func(T) K
 	reduce func([]T) R
 
@@ -112,7 +159,7 @@ type GroupByNode[T comparable, K comparable, R comparable] struct {
 	// Transaction state: the undo log every group shares, and the groups
 	// first touched this transaction (they log to it), in touch order.
 	// Group deletion is deferred to commit — an empty group expands to
-	// nothing, so keeping it in the map until the transaction resolves
+	// nothing, so keeping it in the table until the transaction resolves
 	// changes no arithmetic, and Abort can restore its members in place.
 	logging bool
 	log     undoLog[T]
@@ -146,11 +193,11 @@ func (n *GroupByNode[T, K, R]) Txn(op TxnOp) {
 	}
 }
 
-// drop moves k's emptied group from the map to the freelist.
+// drop moves k's emptied group from the table to the freelist.
 //
 //wpinq:txn-exempt runs only outside a transaction or from Txn once the group's log is resolved; a group dropped while open would be written by abort after the pool reissued it
 func (n *GroupByNode[T, K, R]) drop(k K, g *stateMap[T]) {
-	delete(n.groups, k)
+	n.groups.remove(k)
 	g.recycle()
 	n.pool.put(g)
 }
@@ -165,7 +212,6 @@ func GroupBy[T comparable, K comparable, R comparable](
 ) *GroupByNode[T, K, R] {
 	return &GroupByNode[T, K, R]{
 		emit:   out,
-		groups: make(map[K]*stateMap[T]),
 		key:    key,
 		reduce: reduce,
 	}
@@ -180,17 +226,18 @@ func (n *GroupByNode[T, K, R]) Apply(batch []Delta[T]) {
 		// A group of equal weights — every group of a load — reduces to
 		// one prefix: one retracted and one asserted per key.
 		diff.reserve(2 * len(keys))
+		n.groups.reserve(n.groups.len() + len(keys))
 	}
 	for i, e := range keys {
 		k := e.Record
-		group := n.groups[k]
+		group := n.groups.get(k)
 		// Retract old outputs.
 		n.expand(k, group, func(g weighted.Grouped[K, R], w float64) { diff.add(g, -w) })
 		// Apply the differences.
 		created := group == nil
 		if created {
 			group = n.pool.get()
-			n.groups[k] = group
+			n.groups.put(k, group)
 		}
 		if n.logging && group.log == nil {
 			group.beginLog(&n.log)
@@ -216,9 +263,7 @@ func (n *GroupByNode[T, K, R]) Apply(batch []Delta[T]) {
 func (n *GroupByNode[T, K, R]) StateSize() int {
 	total := 0
 	//wpinq:nondeterministic-ok integer sum over group sizes is order-independent; diagnostics only
-	for _, g := range n.groups {
-		total += g.len()
-	}
+	n.groups.each(func(_ K, g *stateMap[T]) { total += g.len() })
 	return total
 }
 

@@ -111,21 +111,24 @@ func (c *Collector[T]) Norm() float64 { return c.data.Norm() }
 // a record-weight index with Eps cleanup matching weighted.Dataset, plus an
 // incrementally maintained norm.
 //
-// Records are held in a slice with a position index, not a bare map, so
-// that each (deletions backfill from the tail) visits records in an order
-// that is a pure function of the update history — never of Go's map
-// iteration order. Operators that expand or rescale whole groups
+// Records are held in a slice with a position index (a state table, see
+// table.go), not in the table alone, so that each (deletions backfill
+// from the tail) visits records in an order that is a pure function of
+// the update history — never of the table's slot order, which follows
+// hashSeed. Operators that expand or rescale whole groups
 // therefore emit deterministically, which is what makes a seeded MCMC
 // trace bit-reproducible: the sinks' floating-point score accumulation
 // sees the same operand order on every identically-seeded run.
 type stateMap[T comparable] struct {
-	// pos is nil until the map grows past posThreshold records; below
-	// that, lookups linear-scan recs. Most groups are keyed by a vertex
-	// and hold O(degree) records — or are join-key singletons — so the
-	// common case never allocates the map at all. Once built, pos is
-	// maintained forever (inserts, deletes, abort replay), so a lookup
-	// path switch can never observe a stale index.
-	pos  map[T]int
+	// pos maps each record to its index in recs, plus one. It is nil
+	// until the map grows past posThreshold records; below that,
+	// lookups linear-scan recs. Most groups are keyed by a vertex and
+	// hold O(degree) records — or are join-key singletons — so the
+	// common case never allocates the table at all, and a group keeps
+	// its first record on the cache lines a pointer leaves free. Once
+	// built, pos is maintained forever (inserts, deletes, abort replay),
+	// so a lookup path switch can never observe a stale index.
+	pos  *table[T, int]
 	recs []T
 	ws   []float64
 	norm float64
@@ -149,14 +152,14 @@ type stateMap[T comparable] struct {
 // posThreshold is the record count past which a stateMap builds its
 // position index. Below it a lookup scans recs — at most posThreshold
 // comparisons against (typically packed-integer) records, cheaper than
-// one map probe plus the map's allocation.
+// one table probe plus the table's allocation.
 const posThreshold = 16
 
 // index locates record x, via pos when built, else by scanning recs.
 func (m *stateMap[T]) index(x T) (int, bool) {
 	if m.pos != nil {
-		i, ok := m.pos[x]
-		return i, ok
+		i := m.pos.get(x) - 1
+		return i, i >= 0
 	}
 	for i, r := range m.recs {
 		if r == x {
@@ -188,8 +191,8 @@ func (m *stateMap[T]) apply(x T, delta float64) (oldW, newW float64) {
 			m.recs = m.recs[:last]
 			m.ws = m.ws[:last]
 			if m.pos != nil {
-				m.pos[moved] = i
-				delete(m.pos, x) // after pos[moved]: moved may be x itself
+				m.pos.put(moved, i+1)
+				m.pos.remove(x) // after moved's put: moved may be x itself
 			}
 		}
 	case ok:
@@ -202,7 +205,7 @@ func (m *stateMap[T]) apply(x T, delta float64) (oldW, newW float64) {
 			m.log.entries = append(m.log.entries, stateUndo[T]{m: m, kind: undoInsert, oldNorm: m.norm})
 		}
 		if m.pos != nil {
-			m.pos[x] = len(m.recs)
+			m.pos.put(x, len(m.recs)+1)
 		}
 		if m.recs == nil {
 			m.recs, m.ws = m.rec0[:0], m.w0[:0]
@@ -210,9 +213,10 @@ func (m *stateMap[T]) apply(x T, delta float64) (oldW, newW float64) {
 		m.recs = append(m.recs, x)
 		m.ws = append(m.ws, newW)
 		if m.pos == nil && len(m.recs) > posThreshold {
-			m.pos = make(map[T]int, 2*posThreshold)
+			m.pos = new(table[T, int])
+			m.pos.reserve(2 * posThreshold)
 			for j, r := range m.recs {
-				m.pos[r] = j
+				m.pos.put(r, j+1)
 			}
 		}
 	}

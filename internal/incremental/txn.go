@@ -106,7 +106,7 @@ func (l *undoLog[T]) abort() {
 		case undoInsert:
 			last := len(m.recs) - 1
 			if m.pos != nil {
-				delete(m.pos, m.recs[last])
+				m.pos.remove(m.recs[last])
 			}
 			m.recs = m.recs[:last]
 			m.ws = m.ws[:last]
@@ -123,13 +123,13 @@ func (l *undoLog[T]) abort() {
 				m.recs = append(m.recs, moved)
 				m.ws = append(m.ws, m.ws[u.i])
 				if m.pos != nil {
-					m.pos[moved] = last
+					m.pos.put(moved, last+1)
 				}
 				m.recs[u.i] = u.x
 				m.ws[u.i] = u.oldW
 			}
 			if m.pos != nil {
-				m.pos[u.x] = u.i
+				m.pos.put(u.x, u.i+1)
 			}
 		}
 		m.norm = u.oldNorm
@@ -138,9 +138,9 @@ func (l *undoLog[T]) abort() {
 }
 
 // touchedGroup records one key group first touched during a transaction,
-// for the keyed operators (GroupBy, Join) whose state is a dynamic map of
-// groups. created marks groups that did not exist at TxnBegin: Abort
-// removes them from the map once the log is unwound.
+// for the keyed operators (GroupBy, Join) whose state is a dynamic table
+// of groups. created marks groups that did not exist at TxnBegin: Abort
+// removes them from the table once the log is unwound.
 type touchedGroup[K comparable, G any] struct {
 	k       K
 	g       *G

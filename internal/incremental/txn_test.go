@@ -211,3 +211,159 @@ func TestTxnStateMapAbortRestoresOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestTxnMinMax drives Union and Intersect, whose two inputs share one
+// table of weight pairs, with left and right pushes interleaved inside
+// each transaction — a third of the differences retract a record's
+// whole weight on one side, often while the other side holds it — and a
+// twin that sees only the committed pushes, untracked. After every
+// commit and every abort the two must agree on everything they emitted
+// and on StateSize, and a final probe must emit alike on both: an abort
+// that left any pair, or a side count, other than Begin found it would
+// show in the next difference on that record.
+func TestTxnMinMax(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(Handler[int]) *MinMaxNode[int]
+	}{{"Union", Union[int]}, {"Intersect", Intersect[int]}} {
+		t.Run(tc.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(63))
+			subjectOut, twinOut := weighted.New[int](), weighted.New[int]()
+			subject := tc.build(func(b []Delta[int]) { fold(subjectOut)(b) })
+			twin := tc.build(fold(twinOut))
+
+			type push struct {
+				right bool
+				batch []Delta[int]
+			}
+			apply := func(n *MinMaxNode[int], p push) {
+				if p.right {
+					n.ApplyRight(p.batch)
+				} else {
+					n.ApplyLeft(p.batch)
+				}
+			}
+			// sides mirrors the subject's input weights, so a difference
+			// can retract exactly what a side holds.
+			sides := [2]*weighted.Dataset[int]{weighted.New[int](), weighted.New[int]()}
+			pushBoth := func(p push) {
+				apply(subject, p)
+				apply(twin, p)
+				side := 0
+				if p.right {
+					side = 1
+				}
+				applyToReference(sides[side], p.batch)
+			}
+			for x := 0; x < 8; x++ {
+				pushBoth(push{false, []Delta[int]{{x, 1 + rng.Float64()}}})
+				pushBoth(push{true, []Delta[int]{{x, 1 + rng.Float64()}}})
+			}
+
+			for cycle := 0; cycle < 400; cycle++ {
+				subject.Txn(TxnBegin)
+				began := subjectOut.Clone()
+				beganSides := [2]*weighted.Dataset[int]{sides[0].Clone(), sides[1].Clone()}
+				pushes := make([]push, 2+rng.Intn(3))
+				for i := range pushes {
+					p := push{right: rng.Intn(2) == 1}
+					side := sides[0]
+					if p.right {
+						side = sides[1]
+					}
+					for range 1 + rng.Intn(3) {
+						x := rng.Intn(10)
+						w := rng.Float64()*2 - 1
+						if rng.Intn(3) == 0 {
+							w = -side.Weight(x) // to zero on this side
+						}
+						p.batch = append(p.batch, Delta[int]{x, w})
+						side.Add(x, w)
+					}
+					pushes[i] = p
+					apply(subject, p)
+				}
+				if rng.Intn(2) == 0 {
+					subject.Txn(TxnCommit)
+					for _, p := range pushes {
+						apply(twin, p)
+					}
+				} else {
+					subject.Txn(TxnAbort)
+					subjectOut, sides = began, beganSides
+				}
+				exactEqual(t, tc.name, subjectOut, twinOut)
+				if subject.StateSize() != twin.StateSize() {
+					t.Fatalf("cycle %d: StateSize %d, twin %d", cycle, subject.StateSize(), twin.StateSize())
+				}
+			}
+
+			for x := 0; x < 10; x++ {
+				pushBoth(push{x%2 == 0, []Delta[int]{{x, 0.5}}})
+				pushBoth(push{x%2 == 1, []Delta[int]{{x, -0.25}}})
+			}
+			exactEqual(t, tc.name+" probe", subjectOut, twinOut)
+			if subject.StateSize() != twin.StateSize() {
+				t.Fatalf("probe: StateSize %d, twin %d", subject.StateSize(), twin.StateSize())
+			}
+		})
+	}
+}
+
+// TestTxnSinkRecordEntersAndLeaves pushes a never-released record into a
+// sink and back out within one transaction, among differences on records
+// it already holds. Aborted, the sink must read as a twin that never saw
+// the transaction; committed, as a twin pushed the same batches
+// untracked — L1 bits, records held and weights — and so must both go on
+// reading after the same next push.
+func TestTxnSinkRecordEntersAndLeaves(t *testing.T) {
+	obs := obsFunc[int](func(x int) float64 { return float64(x%5) - 1.5 })
+	build := func() (*feed[int], *NoisyCountSink[int]) {
+		in := newFeed[int]()
+		s := NewNoisyCountSink[int](in, obs, []int{0, 1}, 0.5)
+		in.Push([]Delta[int]{{0, 1}, {2, 0.5}, {3, 2}})
+		return in, s
+	}
+	same := func(t *testing.T, what string, got, want *NoisyCountSink[int]) {
+		t.Helper()
+		if math.Float64bits(got.L1()) != math.Float64bits(want.L1()) || got.Bins() != want.Bins() {
+			t.Fatalf("%s: L1 %v over %d records, twin %v over %d", what, got.L1(), got.Bins(), want.L1(), want.Bins())
+		}
+		for x := 0; x < 10; x++ {
+			if got.Weight(x) != want.Weight(x) {
+				t.Fatalf("%s: q(%d) = %v, twin %v", what, x, got.Weight(x), want.Weight(x))
+			}
+		}
+	}
+	batches := [][]Delta[int]{
+		{{7, 1}, {2, 0.25}},
+		{{3, -2}, {7, 0.5}},
+		{{7, -1.5}, {0, 1}}, // 7 leaves; 3 left at zero before it
+	}
+	next := []Delta[int]{{7, 2}, {3, 1}, {2, -0.75}}
+
+	for _, commit := range []bool{false, true} {
+		in, subject := build()
+		twinIn, twin := build()
+		in.Txn(TxnBegin)
+		for _, b := range batches {
+			in.Push(b)
+		}
+		if commit {
+			in.Txn(TxnCommit)
+			for _, b := range batches {
+				twinIn.Push(b)
+			}
+		} else {
+			in.Txn(TxnAbort)
+		}
+		what := map[bool]string{false: "abort", true: "commit"}[commit]
+		same(t, what, subject, twin)
+		in.Push(next)
+		twinIn.Push(next)
+		same(t, what+", next push", subject, twin)
+		if drift := subject.Drift(); drift > 1e-12 {
+			t.Errorf("%s: maintained L1 drifts from recomputed by %v", what, drift)
+		}
+	}
+}

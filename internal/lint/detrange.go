@@ -10,6 +10,8 @@ import (
 // run, so any observation of it — emission order, floating-point
 // accumulation order, noise assignment order — breaks the repo's
 // bit-reproducible seeded traces (DESIGN.md "Deterministic emission").
+// A call of the incremental state table's each method is flagged the
+// same way: the table's slot order follows a per-process hash seed.
 //
 // Two escapes exist: a loop that only collects keys/values into slices
 // handed to sort.*/slices.* later in the same function is allowed (the
@@ -64,6 +66,11 @@ func checkRangesIn(pass *Pass, body *ast.BlockStmt) {
 			// visit (with their own body as the sort scope).
 			return false
 		}
+		if call, ok := n.(*ast.CallExpr); ok && isTableEach(pass, call) && !pass.Suppressed(ndVerb, call.Pos()) {
+			pass.Reportf(call.Pos(),
+				"state table each: iteration order follows the hash seed in a determinism-pinned package; keep results off it, or annotate //wpinq:%s <reason>",
+				ndVerb)
+		}
 		rs, ok := n.(*ast.RangeStmt)
 		if !ok {
 			return true
@@ -86,6 +93,29 @@ func checkRangesIn(pass *Pass, body *ast.BlockStmt) {
 			types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)), ndVerb)
 		return true
 	})
+}
+
+// isTableEach reports whether call is x.each(...) for a method each of
+// a named type called table: the incremental state table's iteration.
+func isTableEach(pass *Pass, call *ast.CallExpr) bool {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok || sel.Sel.Name != "each" {
+		return false
+	}
+	fn, ok := pass.Info.ObjectOf(sel.Sel).(*types.Func)
+	if !ok {
+		return false
+	}
+	recv := fn.Type().(*types.Signature).Recv()
+	if recv == nil {
+		return false
+	}
+	t := types.Unalias(recv.Type())
+	if p, ok := t.(*types.Pointer); ok {
+		t = types.Unalias(p.Elem())
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == "table"
 }
 
 // feedsSort reports whether rs only accumulates into slices that a

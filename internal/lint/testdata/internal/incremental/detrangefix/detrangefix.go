@@ -63,3 +63,46 @@ func rangeOverSlice(xs []int) int {
 	}
 	return t
 }
+
+// table stands in for the incremental state table: its each visits
+// slots in an order that follows a per-process hash seed.
+type table[K comparable, V any] struct {
+	keys []K
+	vals []V
+}
+
+func (t *table[K, V]) each(f func(K, V)) {
+	for i, k := range t.keys {
+		f(k, t.vals[i])
+	}
+}
+
+// tableSum observes slot order through float accumulation: flagged.
+func tableSum(t *table[string, float64]) float64 {
+	var s float64
+	t.each(func(_ string, v float64) { s += v }) // want `state table each`
+	return s
+}
+
+// tableCount is order-independent and carries the reasoned directive.
+func tableCount(t *table[string, []int]) int {
+	n := 0
+	//wpinq:nondeterministic-ok integer sum over group sizes is order-independent
+	t.each(func(_ string, v []int) { n += len(v) })
+	return n
+}
+
+// list is not the state table: its each is ordered.
+type list []int
+
+func (l list) each(f func(int)) {
+	for _, x := range l {
+		f(x)
+	}
+}
+
+func listSum(l list) int {
+	n := 0
+	l.each(func(x int) { n += x })
+	return n
+}

@@ -35,7 +35,7 @@ const txnVerb = "txn-exempt"
 // need a log entry.
 var txnBookkeeping = map[string]bool{
 	"undo": true, "logging": true, "touched": true,
-	"seen": true, "txnSeen": true, "savedL1": true, "savedOrder": true,
+	"seen": true, "savedL1": true, "savedOrder": true,
 }
 
 func runTxnUndo(pass *Pass) error {

@@ -226,9 +226,11 @@ func (f *fit) anchor(idx int, pow float64, at *ChainCheckpoint) error {
 			return fmt.Errorf("synth: chain %d: %w", idx, err)
 		}
 	}
-	edges := f.seed.EdgeList()
+	var edges []graph.Edge
 	if at != nil {
 		edges = unpackEdges(at.Edges)
+	} else {
+		edges = f.seed.EdgeList()
 	}
 	state, err := mcmc.NewGraphStateFromEdges(edges, f.isolated, plan.Input())
 	if err != nil {

@@ -127,11 +127,12 @@ func walkHotStep(tb testing.TB) func(commit bool) {
 // stretch is one fit's length, and commits outnumber aborts as they do
 // at walk-hot's accept rate.
 //
-// What is left (≈7 KB, ≈3 allocations a step) is state, not scratch:
-// the Go maps under the join groups and the large position indexes
-// re-split their tables as the walk inserts and deletes keys (≈6 KB),
+// What is left (≈1.2 KB, ≈2.5 allocations a step) is state, not
+// scratch: a state table doubles when the walk inserts past its load,
 // and a proposal that creates more path keys than the freelist holds
-// allocates the new groups.
+// allocates the new groups. (While that state lived in Go maps, whose
+// tables re-split as the walk inserted and deleted keys, it was ≈7 KB
+// and ≈3 allocations.)
 func TestSteadyStateAllocsWalkHot(t *testing.T) {
 	if testing.Short() {
 		t.Skip("bulk-loads a 1.2k-edge four-workload plan")

@@ -125,9 +125,9 @@ func edgeInput() *engine.Input[graph.Edge] {
 	return engine.NewInput[graph.Edge](engine.New())
 }
 
-// tbiFixture wires a TbI pipeline over a clustered graph and returns the
-// MCMC runner, for per-step benchmarks.
-func tbiFixture(b *testing.B, fastPath bool) *mcmc.Runner {
+// tbiFixture wires the registered TbI query over a clustered graph and
+// returns the MCMC runner, for per-step benchmarks.
+func tbiFixture(b *testing.B) *mcmc.Runner {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))
 	g, err := graph.HolmeKim(400, 5, 0.6, rng)
@@ -135,18 +135,8 @@ func tbiFixture(b *testing.B, fastPath bool) *mcmc.Runner {
 		b.Fatal(err)
 	}
 	in := edgeInput()
-	// Inline the TbI pipeline so the join node is reachable for SetFastPath.
-	joined := engine.Join(in, in,
-		func(e graph.Edge) graph.Node { return e.Dst },
-		func(e graph.Edge) graph.Node { return e.Src },
-		func(x, y graph.Edge) queries.Path { return queries.Path{A: x.Src, B: x.Dst, C: y.Dst} })
-	joined.SetFastPath(fastPath)
-	paths := engine.Where[queries.Path](joined, func(p queries.Path) bool { return p.A != p.C })
-	rotated := engine.Select[queries.Path](paths, func(p queries.Path) queries.Path { return p.Rotate() })
-	tris := engine.Intersect[queries.Path](rotated, paths)
-	unit := engine.Select[queries.Path](tris, func(queries.Path) queries.Unit { return queries.Unit{} })
 	sink := incremental.NewNoisyCountSink[queries.Unit](
-		unit,
+		queries.Stream(queries.TbI(), nil, in),
 		incremental.MapObservations[queries.Unit]{{}: queries.TbISignal(g) * 1.5},
 		[]queries.Unit{{}},
 		0.5)
@@ -161,26 +151,6 @@ func tbiFixture(b *testing.B, fastPath bool) *mcmc.Runner {
 	return runner
 }
 
-// BenchmarkAblationJoinFastPath measures the norm-unchanged Join fast path
-// (Appendix B): edge swaps preserve every key group's norm, so with the
-// fast path on each step touches only the changed records; with it off the
-// join rescales whole key groups.
-func BenchmarkAblationJoinFastPath(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"on", true}, {"off", false}} {
-		mode := mode
-		b.Run(mode.name, func(b *testing.B) {
-			runner := tbiFixture(b, mode.on)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				runner.Step()
-			}
-		})
-	}
-}
-
 // BenchmarkAblationIncrementalVsRescore compares one incremental MCMC step
 // against re-evaluating the TbI query from scratch on the mutated graph —
 // the paper's core systems claim (Section 4.3).
@@ -191,7 +161,7 @@ func BenchmarkAblationIncrementalVsRescore(b *testing.B) {
 		b.Fatal(err)
 	}
 	b.Run("incremental", func(b *testing.B) {
-		runner := tbiFixture(b, true)
+		runner := tbiFixture(b)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			runner.Step()
@@ -286,7 +256,7 @@ func BenchmarkWeightedJoinReference(b *testing.B) {
 }
 
 func BenchmarkIncrementalSwapThroughTbI(b *testing.B) {
-	runner := tbiFixture(b, true)
+	runner := tbiFixture(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		runner.Step()

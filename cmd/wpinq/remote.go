@@ -22,6 +22,7 @@ import (
 
 	"wpinq/internal/graph"
 	"wpinq/internal/service"
+	"wpinq/internal/synth"
 	"wpinq/internal/workload"
 )
 
@@ -106,9 +107,9 @@ func runRemoteSynthesize(args []string) error {
 	fitNames := fs.String("workloads", "",
 		"comma-separated fit workloads (default: every workload in the release)")
 	steps := fs.Int("steps", 100000, "MCMC steps")
-	pow := fs.Float64("pow", 10000, "posterior sharpening")
+	pow := fs.Float64("pow", synth.DefaultPow, "posterior sharpening")
 	chains := fs.Int("chains", 0, "replica-exchange chains (0 = server default, 1 = single chain)")
-	swapEvery := fs.Int("swap-every", 0, "steps between replica swap attempts (0 = default 1024)")
+	swapEvery := fs.Int("swap-every", 0, fmt.Sprintf("steps between replica swap attempts (0 = default %d)", synth.DefaultSwapEvery))
 	checkpointEvery := fs.Int("checkpoint-every", 0,
 		"checkpoint cadence in MCMC steps: >0 makes the job durable across daemon restarts, <0 forces off (0 = server default)")
 	seed := fs.Int64("seed", 0, "job seed (0 = server-derived)")

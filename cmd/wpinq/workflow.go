@@ -80,10 +80,10 @@ func runSynthesize(args []string) error {
 	names := fs.String("workloads", "",
 		"comma-separated fit workloads (default: every workload in the measurements)")
 	steps := fs.Int("steps", 100000, "MCMC steps")
-	pow := fs.Float64("pow", 10000, "posterior sharpening")
+	pow := fs.Float64("pow", synth.DefaultPow, "posterior sharpening")
 	seed := fs.Int64("seed", 1, "random seed")
 	chains := fs.Int("chains", 1, "replica-exchange chains at a geometric pow ladder (1 = single chain)")
-	swapEvery := fs.Int("swap-every", 1024, "steps between replica swap attempts (with -chains > 1)")
+	swapEvery := fs.Int("swap-every", synth.DefaultSwapEvery, "steps between replica swap attempts (with -chains > 1)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

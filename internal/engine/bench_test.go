@@ -24,7 +24,7 @@ func benchBatch(n, dom int) []incremental.Delta[int] {
 	return batch
 }
 
-func BenchmarkShaveShards(b *testing.B) {
+func BenchmarkShaveLoad(b *testing.B) {
 	batch := benchBatch(1<<16, 1<<13)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -36,7 +36,7 @@ func BenchmarkShaveShards(b *testing.B) {
 	}
 }
 
-func BenchmarkGroupByShards(b *testing.B) {
+func BenchmarkGroupByLoad(b *testing.B) {
 	batch := benchBatch(1<<16, 1<<13)
 	key := func(x int) int { return x >> 3 }
 	reduce := func(m []int) int { return len(m) }
@@ -50,7 +50,7 @@ func BenchmarkGroupByShards(b *testing.B) {
 	}
 }
 
-func BenchmarkJoinShards(b *testing.B) {
+func BenchmarkJoinLoad(b *testing.B) {
 	// Self-join on a moderate key space: each key group holds ~8 records,
 	// so the initial load exercises the slow path's outer products.
 	batch := benchBatch(1<<14, 1<<12)

@@ -5,11 +5,16 @@
 // A query is a graph of operator nodes, each translating input weight
 // differences into output differences:
 //
-//   - Stateless operators (Select, Where, SelectMany, Concat, Except)
-//     transform each batch their upstreams emitted into one output batch.
-//   - Stateful operators (Shave, Union, Intersect, GroupBy, Join) hand
-//     each input's pending differences to one operator body, which indexes
-//     them and emits what changed.
+//   - Stateless operators (Select, Where, SelectManySlice) transform the
+//     batch their upstream emitted into one output batch.
+//   - Stateful operators (ShaveConst, GroupBy, Join, JoinDistinct,
+//     Intersect) hand each input's pending differences to one operator
+//     body, which indexes them and emits what changed.
+//
+// These are the operators wpinq/internal/queries lowers its analyses to,
+// and nothing else: the rest of the paper's language (Union, Concat,
+// Except, a general Shave or SelectMany) lives in wpinq/internal/core,
+// where measurements are taken, and is never fitted.
 //
 // A stateful node's state is one operator body from
 // wpinq/internal/incremental — a state machine the node calls, and where

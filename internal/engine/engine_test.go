@@ -89,8 +89,7 @@ func TestIncrementalSinksAttachToEngineStreams(t *testing.T) {
 
 func TestJoinFastPathStats(t *testing.T) {
 	// An edge swap leaves group norms unchanged, so the engine's join
-	// must resolve it through the fast path, mirroring the incremental
-	// engine's ablation counters.
+	// must resolve it through the fast path, which the body counts.
 	e := New()
 	key := func(x int) int { return x % 2 }
 	in := NewInput[int](e)
@@ -100,11 +99,10 @@ func TestJoinFastPathStats(t *testing.T) {
 	other.Push([]incremental.Delta[int]{{Record: 0, Weight: 1}, {Record: 2, Weight: 1}})
 	in.Push([]incremental.Delta[int]{{Record: 4, Weight: 1}})
 	// Move weight from record 4 to record 6: same key (0), same norm.
-	j.SetFastPath(true)
-	before := j.FastKeys()
+	before := j.body.FastKeys()
 	in.Push([]incremental.Delta[int]{{Record: 4, Weight: -1}, {Record: 6, Weight: 1}})
-	if j.FastKeys() != before+1 {
-		t.Errorf("fast keys = %d, want %d", j.FastKeys(), before+1)
+	if j.body.FastKeys() != before+1 {
+		t.Errorf("fast keys = %d, want %d", j.body.FastKeys(), before+1)
 	}
 	if j.StateSize() == 0 {
 		t.Error("join state size = 0, want > 0")
@@ -122,15 +120,17 @@ func TestShaveStateSize(t *testing.T) {
 	}
 }
 
+// TestMinMaxStateSize counts an Intersect node's records on both sides,
+// through the engine. It counted Union's until Union left the executor.
 func TestMinMaxStateSize(t *testing.T) {
 	e := New()
 	a, b := NewInput[int](e), NewInput[int](e)
-	u := Union[int](a, b)
+	u := Intersect[int](a, b)
 	incremental.Collect[int](u)
 	a.Push([]incremental.Delta[int]{{Record: 1, Weight: 1}})
 	b.Push([]incremental.Delta[int]{{Record: 1, Weight: 2}, {Record: 2, Weight: 1}})
 	if got := u.StateSize(); got != 3 {
-		t.Errorf("union state size = %d, want 3", got)
+		t.Errorf("intersect state size = %d, want 3", got)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestCrossEnginePanics(t *testing.T) {
 	}()
 	a := NewInput[int](New())
 	b := NewInput[int](New())
-	Concat[int](a, b)
+	Intersect[int](a, b)
 }
 
 func TestReentrantPushPanics(t *testing.T) {

@@ -5,8 +5,8 @@ import (
 	"wpinq/internal/weighted"
 )
 
-// Stateful operators index what they have seen — by record for Shave,
-// Union and Intersect, by key for GroupBy and Join. A node's state is one
+// Stateful operators index what they have seen — by record for Shave and
+// Intersect, by key for GroupBy and Join. A node's state is one
 // operator body from wpinq/internal/incremental, a single-threaded state
 // machine the node calls; the engine's contribution is the per-round
 // batch of each input and the scheduling. Correctness therefore reduces
@@ -137,34 +137,26 @@ func binary[A, B, U comparable, S binaryBody[A, B]](a Source[A], b Source[B], op
 // The operators' node types: each is the one wiring over its own body
 // type, so every node has StateSize.
 type (
-	// ShaveNode is the output of Shave.
+	// ShaveNode is the output of ShaveConst.
 	ShaveNode[T comparable] = stateful[weighted.Indexed[T], *incremental.ShaveNode[T]]
-	// MinMaxNode is the output of Union or Intersect.
-	MinMaxNode[T comparable] = stateful[T, *incremental.MinMaxNode[T]]
+	// IntersectNode is the output of Intersect.
+	IntersectNode[T comparable] = stateful[T, *incremental.IntersectNode[T]]
 	// GroupByNode is the output of GroupBy.
 	GroupByNode[T, K, R comparable] = stateful[weighted.Grouped[K, R], *incremental.GroupByNode[T, K, R]]
+	// JoinNode is the output of Join or JoinDistinct.
+	JoinNode[A, B, K, R comparable] = stateful[R, *incremental.JoinNode[A, B, K, R]]
 )
 
-// Shave decomposes records into indexed slices following the weight
-// sequence f (paper Section 2.8). f must be pure.
-func Shave[T comparable](src Source[T], f func(x T, i int) float64) *ShaveNode[T] {
+// ShaveConst decomposes records into indexed slices of weight w (paper
+// Section 2.8, with a constant weight sequence).
+func ShaveConst[T comparable](src Source[T], w float64) *ShaveNode[T] {
 	return unary(src, "shave", func(out incremental.Handler[weighted.Indexed[T]]) *incremental.ShaveNode[T] {
-		return incremental.Shave(f, out)
+		return incremental.Shave(func(T, int) float64 { return w }, out)
 	})
 }
 
-// ShaveConst is Shave with a constant weight sequence.
-func ShaveConst[T comparable](src Source[T], w float64) *ShaveNode[T] {
-	return Shave(src, func(T, int) float64 { return w })
-}
-
-// Union computes the element-wise maximum of two streams.
-func Union[T comparable](a, b Source[T]) *MinMaxNode[T] {
-	return binary(a, b, "union", incremental.Union[T])
-}
-
 // Intersect computes the element-wise minimum of two streams.
-func Intersect[T comparable](a, b Source[T]) *MinMaxNode[T] {
+func Intersect[T comparable](a, b Source[T]) *IntersectNode[T] {
 	return binary(a, b, "intersect", incremental.Intersect[T])
 }
 
@@ -176,17 +168,11 @@ func GroupBy[T, K, R comparable](src Source[T], key func(T) K, reduce func([]T) 
 	})
 }
 
-// JoinNode is the output of Join: the wiring plus the body's fast-path
-// switch and counters.
-type JoinNode[A, B, K, R comparable] struct {
-	*stateful[R, *incremental.JoinNode[A, B, K, R]]
-}
-
 // Join is wPINQ's normalized join (paper Section 2.7). keyA, keyB and
 // reduce must be pure.
 func Join[A, B, K, R comparable](
 	a Source[A], b Source[B], keyA func(A) K, keyB func(B) K, reduce func(A, B) R,
-) JoinNode[A, B, K, R] {
+) *JoinNode[A, B, K, R] {
 	return join(a, b, keyA, keyB, reduce, incremental.Join[A, B, K, R])
 }
 
@@ -196,25 +182,15 @@ func Join[A, B, K, R comparable](
 // bit; a reduce that can collapse pairs must use Join.
 func JoinDistinct[A, B, K, R comparable](
 	a Source[A], b Source[B], keyA func(A) K, keyB func(B) K, reduce func(A, B) R,
-) JoinNode[A, B, K, R] {
+) *JoinNode[A, B, K, R] {
 	return join(a, b, keyA, keyB, reduce, incremental.JoinDistinct[A, B, K, R])
 }
 
 func join[A, B, K, R comparable](
 	a Source[A], b Source[B], keyA func(A) K, keyB func(B) K, reduce func(A, B) R,
 	body func(func(A) K, func(B) K, func(A, B) R, incremental.Handler[R]) *incremental.JoinNode[A, B, K, R],
-) JoinNode[A, B, K, R] {
-	return JoinNode[A, B, K, R]{binary(a, b, "join", func(out incremental.Handler[R]) *incremental.JoinNode[A, B, K, R] {
+) *JoinNode[A, B, K, R] {
+	return binary(a, b, "join", func(out incremental.Handler[R]) *incremental.JoinNode[A, B, K, R] {
 		return body(keyA, keyB, reduce, out)
-	})}
+	})
 }
-
-// SetFastPath toggles the norm-unchanged optimization (default on).
-// Results are identical either way.
-func (n JoinNode[A, B, K, R]) SetFastPath(on bool) { n.body.SetFastPath(on) }
-
-// FastKeys returns the number of key updates resolved via the fast path.
-func (n JoinNode[A, B, K, R]) FastKeys() int64 { return n.body.FastKeys() }
-
-// SlowKeys returns the number of key updates that required rescaling.
-func (n JoinNode[A, B, K, R]) SlowKeys() int64 { return n.body.SlowKeys() }

@@ -27,17 +27,17 @@ func exactEqual[T comparable](t *testing.T, name string, got, want *weighted.Dat
 }
 
 // buildTxnGraph assembles a pipeline covering every operator: a stateless
-// prefix through all five stateless operators, a self-join, a group-by,
-// a shave, and a min/max diamond, terminating in both an engine
-// Collector and an incremental sink attached across the package
-// boundary.
+// prefix through the three stateless operators, an Intersect diamond (sel
+// reaches it directly and through the prefix), a self-join, a group-by
+// and a shave, terminating in both an engine Collector and an incremental
+// sink attached across the package boundary. (The diamond went through
+// Except, Concat and Union until they left the executor.)
 func buildTxnGraph(e *Engine) (*Input[int], *incremental.Collector[[2]int], *incremental.NoisyCountSink[weighted.Grouped[int, int]]) {
 	in := NewInput[int](e)
 	sel := Select[int](in, func(x int) int { return x % 16 })
-	evens := Where[int](sel, func(x int) bool { return x%2 == 0 })
-	odds := Except[int](sel, evens)
+	odds := Where[int](sel, func(x int) bool { return x%2 == 1 })
 	spread := SelectManySlice[int, int](odds, func(x int) []int { return []int{x, x + 1} })
-	merged := Union[int](Concat[int](evens, spread), evens)
+	merged := Intersect[int](spread, sel)
 	j := Join[int, int, int, [2]int](merged, merged,
 		func(x int) int { return x % 3 }, func(y int) int { return y % 3 },
 		func(x, y int) [2]int { return [2]int{x, y} })

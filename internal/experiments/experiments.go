@@ -61,7 +61,7 @@ func Defaults(out io.Writer) Options {
 		EpinionsScale: 0.03,
 		Steps:         20000,
 		Eps:           0.1,
-		Pow:           10000,
+		Pow:           synth.DefaultPow,
 		Seed:          1,
 		Samples:       20,
 		Repeats:       5,

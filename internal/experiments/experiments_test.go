@@ -168,6 +168,60 @@ func TestFig5Runs(t *testing.T) {
 	}
 }
 
+// TestFig5Claim asserts what Figure 5 shows: the error of a TbI fit
+// shrinks as ε grows. On the GrQc stand-in at the tiny options' scale
+// (595 true triangles) it fits TbI at ε = 0.01, 0.1, 1 and 10, five seeds
+// each, 8 000 steps, and takes the RMS of synthetic minus true triangles.
+// The RMS must fall strictly from 0.01 to 0.1 to 1. From ε = 1 on the
+// noise no longer dominates the fit, so ε = 10 may not be worse than
+// ε = 1 by more than the spread of ε = 1's own errors (their standard
+// deviation). Measured on two sets of seeds, the RMS read 758 / 193 / 32
+// / 28 and 776 / 130 / 64 / 43, and ε = 1's standard deviation 17.5 and
+// 36. At 2 000 steps the fit had not converged (a probe read a mean error
+// of 426 at ε = 10), so -short keeps the step count and cuts the ε grid
+// to its two ends.
+func TestFig5Claim(t *testing.T) {
+	o := tinyOptions(nil)
+	g, err := datasets.Generate(datasets.GrQc, o.Scale, o.rng(80))
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := float64(g.Triangles())
+	epsilons := []float64{0.01, 0.1, 1, 10}
+	if testing.Short() {
+		epsilons = []float64{0.01, 10}
+	}
+	const seeds, steps = 5, 8000
+	rms := make([]float64, len(epsilons))
+	spread := make([]float64, len(epsilons))
+	for i, eps := range epsilons {
+		errs := make([]float64, seeds)
+		sq := 0.0
+		for rep := range errs {
+			cfg := synth.Config{Eps: eps, Workloads: []string{"tbi"}, Pow: o.Pow, Steps: steps}
+			res, err := synth.Run(g, cfg, o.rng(90+int64(rep)+int64(eps*1000)))
+			if err != nil {
+				t.Fatalf("eps=%v: %v", eps, err)
+			}
+			errs[rep] = float64(res.Synthetic.Triangles()) - truth
+			sq += errs[rep] * errs[rep]
+		}
+		rms[i] = math.Sqrt(sq / seeds)
+		_, spread[i] = meanStd(errs)
+		t.Logf("eps=%v: RMS triangle error %.1f (truth %v, errors %v)", eps, rms[i], truth, errs)
+	}
+	for i := 1; i < len(epsilons); i++ {
+		if epsilons[i] <= 1 {
+			if rms[i] >= rms[i-1] {
+				t.Errorf("eps %v → %v: RMS error %.1f → %.1f did not fall", epsilons[i-1], epsilons[i], rms[i-1], rms[i])
+			}
+		} else if rms[i] > rms[i-1]+spread[i-1] {
+			t.Errorf("eps %v → %v: RMS error %.1f → %.1f, worse by more than the spread %.1f",
+				epsilons[i-1], epsilons[i], rms[i-1], rms[i], spread[i-1])
+		}
+	}
+}
+
 func TestTable3Runs(t *testing.T) {
 	var buf bytes.Buffer
 	if err := Table3(tinyOptions(&buf)); err != nil {

@@ -65,24 +65,21 @@ func TestGroupByEquivalence(t *testing.T) {
 	}
 }
 
+// TestUnionIntersectEquivalence drives Intersect with random batches on
+// both sides. Union left the executor (no analysis lowers to it); its
+// semantics stay pinned in wpinq/internal/weighted and core.
 func TestUnionIntersectEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	outUnion, outInter := weighted.New[int](), weighted.New[int]()
-	union, inter := Union(fold(outUnion)), Intersect(fold(outInter))
+	outInter := weighted.New[int]()
+	inter := Intersect(fold(outInter))
 	refA, refB := weighted.New[int](), weighted.New[int]()
 	for step := 0; step < 80; step++ {
 		ba := randBatch(rng, 6, 2)
 		bb := randBatch(rng, 6, 2)
-		for _, n := range []*MinMaxNode[int]{union, inter} {
-			n.ApplyLeft(ba)
-			n.ApplyRight(bb)
-		}
+		inter.ApplyLeft(ba)
+		inter.ApplyRight(bb)
 		applyToReference(refA, ba)
 		applyToReference(refB, bb)
-		if !weighted.Equal(outUnion, weighted.Union(refA, refB), eqTol) {
-			t.Fatalf("Union diverged at step %d:\nincremental: %v\nreference:   %v",
-				step, outUnion, weighted.Union(refA, refB))
-		}
 		if !weighted.Equal(outInter, weighted.Intersect(refA, refB), eqTol) {
 			t.Fatalf("Intersect diverged at step %d:\nincremental: %v\nreference:   %v",
 				step, outInter, weighted.Intersect(refA, refB))
@@ -93,35 +90,32 @@ func TestUnionIntersectEquivalence(t *testing.T) {
 func joinKeys(x int) int { return x % 2 }
 
 func TestJoinEquivalence(t *testing.T) {
-	for _, fastPath := range []bool{true, false} {
-		rng := rand.New(rand.NewSource(8))
-		out := weighted.New[[2]int]()
-		j := Join(joinKeys, joinKeys,
-			func(x, y int) [2]int { return [2]int{x, y} }, fold(out))
-		j.SetFastPath(fastPath)
-		refA, refB := weighted.New[int](), weighted.New[int]()
-		for step := 0; step < 80; step++ {
-			// Joins divide by group norms; keep weights non-negative as in
-			// real wPINQ pipelines.
-			push := func(apply func([]Delta[int]), ref *weighted.Dataset[int]) {
-				x := rng.Intn(8)
-				cur := ref.Weight(x)
-				delta := rng.Float64()*3 - 1
-				if cur+delta < 0 {
-					delta = -cur
-				}
-				b := []Delta[int]{{x, delta}}
-				apply(b)
-				applyToReference(ref, b)
+	rng := rand.New(rand.NewSource(8))
+	out := weighted.New[[2]int]()
+	j := Join(joinKeys, joinKeys,
+		func(x, y int) [2]int { return [2]int{x, y} }, fold(out))
+	refA, refB := weighted.New[int](), weighted.New[int]()
+	for step := 0; step < 80; step++ {
+		// Joins divide by group norms; keep weights non-negative as in
+		// real wPINQ pipelines.
+		push := func(apply func([]Delta[int]), ref *weighted.Dataset[int]) {
+			x := rng.Intn(8)
+			cur := ref.Weight(x)
+			delta := rng.Float64()*3 - 1
+			if cur+delta < 0 {
+				delta = -cur
 			}
-			push(j.ApplyLeft, refA)
-			push(j.ApplyRight, refB)
-			want := weighted.Join(refA, refB, joinKeys, joinKeys,
-				func(x, y int) [2]int { return [2]int{x, y} })
-			if !weighted.Equal(out, want, eqTol) {
-				t.Fatalf("Join(fastPath=%v) diverged at step %d:\nincremental: %v\nreference:   %v",
-					fastPath, step, out, want)
-			}
+			b := []Delta[int]{{x, delta}}
+			apply(b)
+			applyToReference(ref, b)
+		}
+		push(j.ApplyLeft, refA)
+		push(j.ApplyRight, refB)
+		want := weighted.Join(refA, refB, joinKeys, joinKeys,
+			func(x, y int) [2]int { return [2]int{x, y} })
+		if !weighted.Equal(out, want, eqTol) {
+			t.Fatalf("Join diverged at step %d:\nincremental: %v\nreference:   %v",
+				step, out, want)
 		}
 	}
 }

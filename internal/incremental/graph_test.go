@@ -47,18 +47,20 @@ func TestDeepPipelineEquivalence(t *testing.T) {
 }
 
 func TestDeepChainLongRun(t *testing.T) {
-	// GroupBy -> Shave -> GroupBy -> Union(with its own Intersect)
+	// GroupBy -> Shave -> GroupBy -> Join(with its own Intersect)
 	type shaved = weighted.Indexed[weighted.Grouped[int, int]]
 	key := func(x int) int { return x % 3 }
 	count := func(m []int) int { return len(m) }
 	index := func(s shaved) int { return s.Index }
 	keys := func(m []shaved) int { return len(m) }
+	result := func(g weighted.Grouped[int, int]) int { return g.Result }
+	pair := func(a, b weighted.Grouped[int, int]) [2]int { return [2]int{a.Key, b.Key} }
 	rng := rand.New(rand.NewSource(100))
 	in := engine.NewInput[int](engine.New())
 	grp := engine.GroupBy(in, key, count)
 	flat := engine.GroupBy(engine.ShaveConst(grp, 0.4), index, keys)
 	both := engine.Intersect[weighted.Grouped[int, int]](flat, grp)
-	out := incremental.Collect(engine.Union[weighted.Grouped[int, int]](flat, both))
+	out := incremental.Collect(engine.Join(flat, both, result, result, pair))
 
 	ref := weighted.New[int]()
 	for step := 0; step < 3000; step++ {
@@ -74,7 +76,7 @@ func TestDeepChainLongRun(t *testing.T) {
 	// Reference evaluation of the same pipeline.
 	rgrp := weighted.GroupBy(ref, key, count)
 	rflat := weighted.GroupBy(weighted.ShaveConst(rgrp, 0.4), index, keys)
-	want := weighted.Union(rflat, weighted.Intersect(rflat, rgrp))
+	want := weighted.Join(rflat, weighted.Intersect(rflat, rgrp), result, result, pair)
 	if !weighted.Equal(out.Snapshot(), want, 1e-6) {
 		t.Errorf("deep chain diverged after 3000 updates:\nincremental: %v\nreference:   %v",
 			out.Snapshot(), want)
@@ -109,13 +111,14 @@ func TestDiamondTopology(t *testing.T) {
 }
 
 // diamond derives a second stream from s with a self-join and reconverges
-// the two through Union and Intersect: every node downstream of s is
-// reached along more than one path.
+// the two through Intersects and a second join: every node downstream of
+// s is reached along more than one path. (It reconverged through Union
+// until Union left the executor.)
 func diamond(s engine.Source[int]) engine.Source[int] {
-	mixed := engine.Join(s, s,
-		func(x int) int { return x % 2 }, func(y int) int { return y % 2 },
-		func(x, y int) int { return (x + y) % 10 })
-	return engine.Intersect[int](engine.Union[int](s, mixed), s)
+	mod2 := func(x int) int { return x % 2 }
+	mixed := engine.Join(s, s, mod2, mod2, func(x, y int) int { return (x + y) % 10 })
+	low := engine.Intersect[int](s, mixed)
+	return engine.Intersect[int](engine.Join(low, s, mod2, mod2, func(x, y int) int { return (x * y) % 10 }), mixed)
 }
 
 type tbiPath struct{ a, b, c int }
@@ -160,7 +163,7 @@ func checkRollback[U comparable](t *testing.T, name string, build func(engine.So
 }
 
 func TestRollbackUnionIntersect(t *testing.T) {
-	checkRollback(t, "Union+Intersect", diamond)
+	checkRollback(t, "Join+Intersect diamond", diamond)
 }
 
 func TestRollbackDeepTbIShape(t *testing.T) {
@@ -229,7 +232,7 @@ func checkTxn[U comparable](t *testing.T, name string, build func(engine.Source[
 func TestTxnUnionIntersectDiamond(t *testing.T) {
 	// Diamond topology: each body must be told an event once, however
 	// many paths reach it, or aborts would double-restore.
-	checkTxn(t, "Union+Intersect", diamond)
+	checkTxn(t, "Join+Intersect diamond", diamond)
 }
 
 func TestTxnDeepTbIShape(t *testing.T) {

@@ -19,8 +19,9 @@ import (
 //     key must be rescaled: the node retracts the key's old outer product
 //     and asserts the new one.
 //
-// The fast path can be disabled (SetFastPath) to measure its benefit; see
-// BenchmarkAblationJoinFastPath. Results are identical either way.
+// The fast path is always on: it makes a TbI proposal about three times
+// cheaper (DESIGN.md, "Join fast path, always on"). FastKeys and SlowKeys
+// count the key updates each path took.
 //
 // A join built by JoinDistinct declares that no two matching pairs reduce
 // to the same record. A load onto it — a push outside a transaction
@@ -44,7 +45,6 @@ type JoinNode[A, B comparable, K comparable, R comparable] struct {
 	// dropped groups are recycled rather than released.
 	pool groupPool[joinGroup[A, B]]
 
-	fastPath bool
 	distinct bool // set at construction (JoinDistinct); no setter
 	stats    joinStats
 
@@ -76,7 +76,7 @@ type joinGroup[A, B comparable] struct {
 	b stateMap[B]
 }
 
-// joinStats counts key-updates taken through each path, for ablations.
+// joinStats counts key-updates taken through each path.
 type joinStats struct {
 	fastKeys int64
 	slowKeys int64
@@ -89,11 +89,10 @@ func Join[A, B comparable, K comparable, R comparable](
 	reduce func(A, B) R, out Handler[R],
 ) *JoinNode[A, B, K, R] {
 	return &JoinNode[A, B, K, R]{
-		emit:     out,
-		keyA:     keyA,
-		keyB:     keyB,
-		reduce:   reduce,
-		fastPath: true,
+		emit:   out,
+		keyA:   keyA,
+		keyB:   keyB,
+		reduce: reduce,
 	}
 }
 
@@ -137,11 +136,6 @@ func (n *JoinNode[A, B, K, R]) Txn(op TxnOp) {
 		n.touched = n.touched[:0]
 	}
 }
-
-// SetFastPath toggles the norm-unchanged optimization (default on).
-//
-//wpinq:txn-exempt an ablation switch set while the graph is built, not state: both paths produce identical results and no transaction replays it
-func (n *JoinNode[A, B, K, R]) SetFastPath(on bool) { n.fastPath = on }
 
 // FastKeys returns the number of key updates resolved via the fast path.
 func (n *JoinNode[A, B, K, R]) FastKeys() int64 { return n.stats.fastKeys }
@@ -187,7 +181,7 @@ func (n *JoinNode[A, B, K, R]) ApplyLeft(batch []Delta[A]) {
 	for i, e := range keys {
 		k := e.Record
 		g := n.group(k)
-		joinUpdateSide(&n.stats, n.byKeyA.run(i), &g.a, &g.b, n.fastPath, n.reduce, &n.scratchA, &n.diff)
+		joinUpdateSide(&n.stats, n.byKeyA.run(i), &g.a, &g.b, n.reduce, &n.scratchA, &n.diff)
 		n.scratchA.reset(inTxn)
 		if !inTxn {
 			n.drop(k, g)
@@ -216,7 +210,7 @@ func (n *JoinNode[A, B, K, R]) ApplyRight(batch []Delta[B]) {
 	for i, e := range keys {
 		k := e.Record
 		g := n.group(k)
-		joinUpdateSide(&n.stats, n.byKeyB.run(i), &g.b, &g.a, n.fastPath, swapped, &n.scratchB, &n.diff)
+		joinUpdateSide(&n.stats, n.byKeyB.run(i), &g.b, &g.a, swapped, &n.scratchB, &n.diff)
 		n.scratchB.reset(inTxn)
 		if !inTxn {
 			n.drop(k, g)
@@ -287,7 +281,6 @@ func joinUpdateSide[X, Y comparable, R comparable](
 	stats *joinStats,
 	ds []Delta[X],
 	own *stateMap[X], other *stateMap[Y],
-	fastPath bool,
 	reduce func(X, Y) R,
 	scratch *scratchIndex[X],
 	diff *orderedDiff[R],
@@ -306,7 +299,7 @@ func joinUpdateSide[X, Y comparable, R comparable](
 		if other.len() == 0 {
 			return
 		}
-		if fastPath && math.Abs(newDenom-oldDenom) < weighted.Eps && oldDenom >= weighted.Eps {
+		if math.Abs(newDenom-oldDenom) < weighted.Eps && oldDenom >= weighted.Eps {
 			stats.fastKeys++
 			if dw := newW - oldW; math.Abs(dw) >= weighted.Eps {
 				other.each(func(y Y, wy float64) {
@@ -357,7 +350,7 @@ func joinUpdateSide[X, Y comparable, R comparable](
 		return
 	}
 
-	if fastPath && math.Abs(newDenom-oldDenom) < weighted.Eps && oldDenom >= weighted.Eps {
+	if math.Abs(newDenom-oldDenom) < weighted.Eps && oldDenom >= weighted.Eps {
 		stats.fastKeys++
 		for _, t := range touched {
 			x, dw := t.Record, own.weight(t.Record)-t.Weight

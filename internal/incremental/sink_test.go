@@ -172,31 +172,38 @@ func TestJoinFastPathStats(t *testing.T) {
 	}
 }
 
+// TestJoinFastPathMatchesSlowPathResults drives a join with a mix of
+// norm-preserving moves, which take the fast path, and single
+// differences, which take the slow one, and compares its output with the
+// reference join of the accumulated inputs. The switch that ran the same
+// sequence with the fast path off left with the ablation it served; the
+// reference stands in for the slow-path-only run.
 func TestJoinFastPathMatchesSlowPathResults(t *testing.T) {
-	// Same update sequence with and without the fast path must produce
-	// identical outputs (the ablation's correctness precondition).
-	run := func(fast bool) *weighted.Dataset[[2]int] {
-		rng := rand.New(rand.NewSource(13))
-		out := weighted.New[[2]int]()
-		j := Join(joinKeys, joinKeys,
-			func(x, y int) [2]int { return [2]int{x, y} }, fold(out))
-		j.SetFastPath(fast)
-		for i := 0; i < 200; i++ {
-			// Norm-preserving moves half the time.
-			if rng.Intn(2) == 0 {
-				a, b := rng.Intn(4)*2, rng.Intn(4)*2 // same key (even)
-				j.ApplyLeft([]Delta[int]{{a, 1}, {b, -1}})
-			} else {
-				j.ApplyLeft(randBatch(rng, 8, 1))
-				j.ApplyRight(randBatch(rng, 8, 1))
-			}
+	rng := rand.New(rand.NewSource(13))
+	out := weighted.New[[2]int]()
+	reduce := func(x, y int) [2]int { return [2]int{x, y} }
+	j := Join(joinKeys, joinKeys, reduce, fold(out))
+	refA, refB := weighted.New[int](), weighted.New[int]()
+	for i := 0; i < 200; i++ {
+		// Norm-preserving moves half the time.
+		if rng.Intn(2) == 0 {
+			a, b := rng.Intn(4)*2, rng.Intn(4)*2 // same key (even)
+			batch := []Delta[int]{{a, 1}, {b, -1}}
+			j.ApplyLeft(batch)
+			applyToReference(refA, batch)
+		} else {
+			ba, bb := randBatch(rng, 8, 1), randBatch(rng, 8, 1)
+			j.ApplyLeft(ba)
+			j.ApplyRight(bb)
+			applyToReference(refA, ba)
+			applyToReference(refB, bb)
 		}
-		return out
 	}
-	withFast := run(true)
-	withoutFast := run(false)
-	if !weighted.Equal(withFast, withoutFast, 1e-8) {
-		t.Errorf("fast path changed results:\nfast: %v\nslow: %v", withFast, withoutFast)
+	if j.FastKeys() == 0 || j.SlowKeys() == 0 {
+		t.Fatalf("fast keys %d, slow keys %d: the sequence must take both paths", j.FastKeys(), j.SlowKeys())
+	}
+	if want := weighted.Join(refA, refB, joinKeys, joinKeys, reduce); !weighted.Equal(out, want, 1e-8) {
+		t.Errorf("fast path diverged from the reference:\nincremental: %v\nreference:   %v", out, want)
 	}
 }
 
@@ -219,10 +226,10 @@ func TestCollectorWeightAndNorm(t *testing.T) {
 func TestEmptyBatchNoEmission(t *testing.T) {
 	calls := 0
 	count := func([]Delta[int]) { calls++ }
-	u := Union(count)
+	u := Intersect(count)
 	u.ApplyLeft(nil)
 	u.ApplyRight([]Delta[int]{})
-	u.ApplyLeft([]Delta[int]{{1, -1}}) // max(-1, 0) is still 0
+	u.ApplyLeft([]Delta[int]{{1, 1}}) // min(1, 0) is still 0
 	j := Join(joinKeys, joinKeys, func(x, y int) int { return x + y }, count)
 	j.ApplyLeft([]Delta[int]{{1, 1}, {2, 1}})
 	s := Shave(func(int, int) float64 { return 1 }, func([]Delta[weighted.Indexed[int]]) { calls++ })

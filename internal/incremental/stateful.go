@@ -12,15 +12,13 @@ import (
 // translated into the exact difference of outputs, and hands that
 // difference to the handler it was built with.
 
-// MinMaxNode is the body of Union or Intersect: an element-wise max/min
-// with both inputs' current weights indexed. One table holds each
-// record's pair of weights — left, right — so a difference on either side
-// costs one probe, which finds the weight it changes and the one it is
-// compared with; a record leaves the table when both are zero. Nothing
-// iterates the table: output follows the input batch, difference by
-// difference.
-type MinMaxNode[T comparable] struct {
-	pick  func(x, y float64) float64
+// IntersectNode is the body of Intersect: an element-wise minimum with
+// both inputs' current weights indexed. One table holds each record's
+// pair of weights — left, right — so a difference on either side costs
+// one probe, which finds the weight it changes and the one it is compared
+// with; a record leaves the table when both are zero. Nothing iterates
+// the table: output follows the input batch, difference by difference.
+type IntersectNode[T comparable] struct {
 	emit  Handler[T]
 	state table[T, [2]float64]
 	sizes [2]int // records with a non-zero weight, per side
@@ -29,7 +27,7 @@ type MinMaxNode[T comparable] struct {
 	// body keeps. undo holds the pre-image pair of every difference the
 	// transaction applied, in order; Abort puts them back newest first.
 	logging bool
-	undo    []minMaxUndo[T]
+	undo    []intersectUndo[T]
 
 	// Output batch, reused across pushes — the same array, unless Recycle
 	// releases it: handlers must not retain emitted batches and emission
@@ -37,9 +35,9 @@ type MinMaxNode[T comparable] struct {
 	out []Delta[T]
 }
 
-// minMaxUndo is one logged MinMaxNode difference: the record and its
+// intersectUndo is one logged IntersectNode difference: the record and its
 // pair of weights before it.
-type minMaxUndo[T comparable] struct {
+type intersectUndo[T comparable] struct {
 	x   T
 	old [2]float64
 }
@@ -47,7 +45,7 @@ type minMaxUndo[T comparable] struct {
 // Txn applies a transaction event: Abort replays the undo log last in,
 // first out, which leaves every pair, and so the table's key set and
 // the side counts, as Begin found them.
-func (n *MinMaxNode[T]) Txn(op TxnOp) {
+func (n *IntersectNode[T]) Txn(op TxnOp) {
 	n.logging = op == TxnBegin
 	if op == TxnAbort {
 		for k := len(n.undo) - 1; k >= 0; k-- {
@@ -59,36 +57,31 @@ func (n *MinMaxNode[T]) Txn(op TxnOp) {
 	n.undo = n.undo[:0]
 }
 
-// Union incrementally computes the element-wise maximum of two streams,
-// handing its output differences to out. It maintains both inputs'
-// current weights; a difference on either side changes the output only
-// when it moves the maximum.
-func Union[T comparable](out Handler[T]) *MinMaxNode[T] {
-	return &MinMaxNode[T]{pick: math.Max, emit: out}
-}
-
-// Intersect incrementally computes the element-wise minimum of two streams.
-func Intersect[T comparable](out Handler[T]) *MinMaxNode[T] {
-	return &MinMaxNode[T]{pick: math.Min, emit: out}
+// Intersect incrementally computes the element-wise minimum of two
+// streams, handing its output differences to out. It maintains both
+// inputs' current weights; a difference on either side changes the
+// output only when it moves the minimum.
+func Intersect[T comparable](out Handler[T]) *IntersectNode[T] {
+	return &IntersectNode[T]{emit: out}
 }
 
 // StateSize returns the number of records indexed across both inputs: the
 // node's memory footprint in records (paper Section 4.3 observes this
 // grows with the number of length-two paths for the triangle queries).
-func (n *MinMaxNode[T]) StateSize() int { return n.sizes[0] + n.sizes[1] }
+func (n *IntersectNode[T]) StateSize() int { return n.sizes[0] + n.sizes[1] }
 
 // ApplyLeft applies a batch of the left input's differences.
-func (n *MinMaxNode[T]) ApplyLeft(batch []Delta[T]) { n.apply(batch, 0) }
+func (n *IntersectNode[T]) ApplyLeft(batch []Delta[T]) { n.apply(batch, 0) }
 
 // ApplyRight applies a batch of the right input's differences.
-func (n *MinMaxNode[T]) ApplyRight(batch []Delta[T]) { n.apply(batch, 1) }
+func (n *IntersectNode[T]) ApplyRight(batch []Delta[T]) { n.apply(batch, 1) }
 
 // apply adds each difference to its record's weight on side own.
 // Weights with magnitude below weighted.Eps collapse to exactly zero, as
 // weighted.Dataset's do. A load reserves the table for a new record per
 // difference, which is what it adds when the two sides share few
 // records, as TbI's rotated paths and paths do.
-func (n *MinMaxNode[T]) apply(batch []Delta[T], own int) {
+func (n *IntersectNode[T]) apply(batch []Delta[T], own int) {
 	if !n.logging {
 		n.state.reserve(n.state.len() + len(batch))
 	}
@@ -104,7 +97,7 @@ func (n *MinMaxNode[T]) apply(batch []Delta[T], own int) {
 		pair := old
 		pair[own] = newW
 		n.set(i, d.Record, old, pair)
-		diff := n.pick(newW, ow) - n.pick(oldW, ow)
+		diff := math.Min(newW, ow) - math.Min(oldW, ow)
 		if math.Abs(diff) >= weighted.Eps {
 			out = append(out, Delta[T]{d.Record, diff})
 		}
@@ -116,9 +109,9 @@ func (n *MinMaxNode[T]) apply(batch []Delta[T], own int) {
 // set replaces record x's pair old, in its claimed slot i, with pair:
 // it logs old inside a transaction, keeps the side counts, and empties
 // the slot when pair is zero.
-func (n *MinMaxNode[T]) set(i int, x T, old, pair [2]float64) {
+func (n *IntersectNode[T]) set(i int, x T, old, pair [2]float64) {
 	if n.logging && pair != old {
-		n.undo = append(n.undo, minMaxUndo[T]{x, old})
+		n.undo = append(n.undo, intersectUndo[T]{x, old})
 	}
 	for side := range pair {
 		if (old[side] != 0) != (pair[side] != 0) {
@@ -287,7 +280,7 @@ type ShaveNode[T comparable] struct {
 	f     func(x T, i int) float64
 	log   undoLog[T]
 
-	logging bool // see MinMaxNode
+	logging bool // see IntersectNode
 
 	// Per-push scratch, reused across pushes (see GroupByNode). pending
 	// consolidates a batch per record before expansion: an unconsolidated
@@ -301,7 +294,7 @@ type ShaveNode[T comparable] struct {
 }
 
 // Txn applies a transaction event to the record index (see
-// MinMaxNode.Txn).
+// IntersectNode.Txn).
 func (n *ShaveNode[T]) Txn(op TxnOp) {
 	n.logging = op == TxnBegin
 	switch op {

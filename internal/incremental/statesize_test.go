@@ -27,12 +27,18 @@ func TestJoinStateSizeTracksInputs(t *testing.T) {
 	}
 }
 
+// TestMinMaxStateSize counts Intersect's records on both sides, the one
+// element-wise body left since Union left the executor.
 func TestMinMaxStateSize(t *testing.T) {
-	u := Union(func([]Delta[string]) {})
+	u := Intersect(func([]Delta[string]) {})
 	u.ApplyLeft([]Delta[string]{{"x", 1}, {"y", 1}})
 	u.ApplyRight([]Delta[string]{{"x", 2}})
 	if got := u.StateSize(); got != 3 {
-		t.Errorf("union state = %d, want 3", got)
+		t.Errorf("intersect state = %d, want 3", got)
+	}
+	u.ApplyLeft([]Delta[string]{{"y", -1}})
+	if got := u.StateSize(); got != 2 {
+		t.Errorf("intersect state after retraction = %d, want 2", got)
 	}
 }
 

@@ -3,7 +3,6 @@ package queries
 import (
 	"slices"
 
-	"wpinq/internal/budget"
 	"wpinq/internal/core"
 	"wpinq/internal/engine"
 	"wpinq/internal/graph"
@@ -31,10 +30,13 @@ type node[T comparable] struct {
 	// operand first, the edge root among them: what a fragment wrapped
 	// around this node consumes.
 	below []input
+	// uses is how many times the node reads the edge dataset, set when
+	// the node is built (see Uses).
+	uses int
 }
 
-func op[T comparable](below []input, oneShot func(*lowering) *core.Collection[T], stream func(*lowering) engine.Source[T]) Expr[T] {
-	return Expr[T]{&node[T]{oneShot, stream, below}}
+func op[T comparable](below []input, uses int, oneShot func(*lowering) *core.Collection[T], stream func(*lowering) engine.Source[T]) Expr[T] {
+	return Expr[T]{&node[T]{oneShot, stream, below, uses}}
 }
 
 // input is one entry of a fragment's input list: its key and, unless it
@@ -84,18 +86,18 @@ func Stream[T comparable](e Expr[T], m *plan.Memo, edges engine.Source[graph.Edg
 }
 
 // Uses returns the analysis's privacy multiplier: how many times its
-// tree reads the protected edge dataset. It is the count core propagates
-// through a one-shot lowering (Join and Intersect add their operands',
-// everything else passes its input's through — the paper's stability
-// rules); nothing is evaluated.
-func Uses[T comparable](e Expr[T]) int {
-	src := budget.NewSource("edges", 0)
-	return OneShot(e, core.FromDataset(weighted.New[graph.Edge](), src)).Uses().Count(src)
-}
+// tree reads the protected edge dataset. It is a fold over the tree,
+// each node's count set when the node was built by the paper's stability
+// rules: Join and Intersect add their operands' counts, every other
+// operator passes its input's through, and the root reads the edges
+// once. A node shared by two operands counts once per operand, as core
+// counts a collection read twice. It is the count core charges a
+// one-shot lowering (TestUsesIsTheOneShotCount); nothing is lowered.
+func Uses[T comparable](e Expr[T]) int { return e.n.uses }
 
 // root is the root of every tree: the symmetric edge dataset. It has no
 // lowering of its own; OneShot and Stream hand it theirs.
-var root = Expr[graph.Edge]{&node[graph.Edge]{below: []input{{key: "edges"}}}}
+var root = Expr[graph.Edge]{&node[graph.Edge]{below: []input{{key: "edges"}}, uses: 1}}
 
 // frag marks body as a fragment: the unit of sharing between the
 // analyses fitted on one plan. One-shot it is the identity. In the
@@ -111,7 +113,7 @@ var root = Expr[graph.Edge]{&node[graph.Edge]{below: []input{{key: "edges"}}}}
 // comparable identity and no inspectable body — so a key spells every
 // parameter that changes the subgraph.
 func frag[T comparable](key string, body Expr[T]) Expr[T] {
-	e := Expr[T]{&node[T]{oneShot: body.collection}}
+	e := Expr[T]{&node[T]{oneShot: body.collection, uses: body.n.uses}}
 	e.n.stream = func(l *lowering) engine.Source[T] {
 		inputs := make([]string, len(body.n.below))
 		for i, in := range body.n.below {
@@ -145,31 +147,31 @@ func union(a, b []input) []input {
 // builds its operands left before right on both backends.
 
 func sel[T, U comparable](in Expr[T], f func(T) U) Expr[U] {
-	return op(in.n.below,
+	return op(in.n.below, in.n.uses,
 		func(l *lowering) *core.Collection[U] { return core.Select(in.collection(l), f) },
 		func(l *lowering) engine.Source[U] { return engine.Select(in.source(l), f) })
 }
 
 func where[T comparable](in Expr[T], p func(T) bool) Expr[T] {
-	return op(in.n.below,
+	return op(in.n.below, in.n.uses,
 		func(l *lowering) *core.Collection[T] { return core.Where(in.collection(l), p) },
 		func(l *lowering) engine.Source[T] { return engine.Where(in.source(l), p) })
 }
 
 func selectManySlice[T, U comparable](in Expr[T], f func(T) []U) Expr[U] {
-	return op(in.n.below,
+	return op(in.n.below, in.n.uses,
 		func(l *lowering) *core.Collection[U] { return core.SelectManySlice(in.collection(l), f) },
 		func(l *lowering) engine.Source[U] { return engine.SelectManySlice(in.source(l), f) })
 }
 
 func shaveConst[T comparable](in Expr[T], w float64) Expr[weighted.Indexed[T]] {
-	return op(in.n.below,
+	return op(in.n.below, in.n.uses,
 		func(l *lowering) *core.Collection[weighted.Indexed[T]] { return core.ShaveConst(in.collection(l), w) },
 		func(l *lowering) engine.Source[weighted.Indexed[T]] { return engine.ShaveConst(in.source(l), w) })
 }
 
 func groupBy[T, K, R comparable](in Expr[T], key func(T) K, reduce func([]T) R) Expr[weighted.Grouped[K, R]] {
-	return op(in.n.below,
+	return op(in.n.below, in.n.uses,
 		func(l *lowering) *core.Collection[weighted.Grouped[K, R]] {
 			return core.GroupBy(in.collection(l), key, reduce)
 		},
@@ -179,7 +181,7 @@ func groupBy[T, K, R comparable](in Expr[T], key func(T) K, reduce func([]T) R) 
 }
 
 func join[A, B, K, R comparable](a Expr[A], b Expr[B], keyA func(A) K, keyB func(B) K, reduce func(A, B) R) Expr[R] {
-	return op(union(a.n.below, b.n.below),
+	return op(union(a.n.below, b.n.below), a.n.uses+b.n.uses,
 		func(l *lowering) *core.Collection[R] {
 			return core.Join(a.collection(l), b.collection(l), keyA, keyB, reduce)
 		},
@@ -193,7 +195,7 @@ func join[A, B, K, R comparable](a Expr[A], b Expr[B], keyA func(A) K, keyB func
 // function, and injectivity_test.go checks it exhaustively over a small
 // domain.
 func joinDistinct[A, B, K, R comparable](a Expr[A], b Expr[B], keyA func(A) K, keyB func(B) K, reduce func(A, B) R) Expr[R] {
-	return op(union(a.n.below, b.n.below),
+	return op(union(a.n.below, b.n.below), a.n.uses+b.n.uses,
 		func(l *lowering) *core.Collection[R] {
 			return core.Join(a.collection(l), b.collection(l), keyA, keyB, reduce)
 		},
@@ -206,7 +208,7 @@ func joinDistinct[A, B, K, R comparable](a Expr[A], b Expr[B], keyA func(A) K, k
 }
 
 func intersect[T comparable](a, b Expr[T]) Expr[T] {
-	return op(union(a.n.below, b.n.below),
+	return op(union(a.n.below, b.n.below), a.n.uses+b.n.uses,
 		func(l *lowering) *core.Collection[T] { return core.Intersect(a.collection(l), b.collection(l)) },
 		func(l *lowering) engine.Source[T] { return engine.Intersect(a.source(l), b.source(l)) })
 }

@@ -244,13 +244,13 @@ func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 		}
 	}
 	if req.Pow == 0 {
-		req.Pow = 10000
+		req.Pow = synth.DefaultPow
 	}
 	if req.Pow < 0 {
 		return JobStatus{}, fmt.Errorf("job Pow must be positive, got %g", req.Pow)
 	}
 	if req.ProgressEvery <= 0 {
-		req.ProgressEvery = 1024
+		req.ProgressEvery = synth.DefaultProgressEvery
 	}
 	if req.Chains < 0 {
 		return JobStatus{}, fmt.Errorf("job Chains must be non-negative, got %d", req.Chains)

@@ -113,6 +113,15 @@ type Config struct {
 	ParentHash string
 }
 
+// The fit defaults: what Validate fills in for a zero Pow, ProgressEvery
+// or SwapEvery. Every caller that spells a default — the CLI's flags, the
+// job manager, the experiments — reads it from here.
+const (
+	DefaultPow           = 10000
+	DefaultProgressEvery = 1024
+	DefaultSwapEvery     = 1024
+)
+
 // Validate fills defaults and rejects inconsistent configurations.
 func (c *Config) Validate() error {
 	if !(c.Eps > 0) || math.IsInf(c.Eps, 1) {
@@ -125,13 +134,13 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("synth: %w", err)
 	}
 	if c.Pow <= 0 {
-		c.Pow = 10000
+		c.Pow = DefaultPow
 	}
 	if c.Steps < 0 {
 		return errors.New("synth: Steps must be non-negative")
 	}
 	if c.ProgressEvery <= 0 {
-		c.ProgressEvery = 1024
+		c.ProgressEvery = DefaultProgressEvery
 	}
 	if c.Chains < 0 {
 		return errors.New("synth: Chains must be non-negative")
@@ -146,7 +155,7 @@ func (c *Config) Validate() error {
 		return errors.New("synth: SwapEvery must be non-negative")
 	}
 	if c.SwapEvery == 0 {
-		c.SwapEvery = 1024
+		c.SwapEvery = DefaultSwapEvery
 	}
 	return nil
 }

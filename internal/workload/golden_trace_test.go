@@ -36,15 +36,15 @@ type goldenTrace struct {
 
 // TestGoldenTrace pins the full seeded 1500-step fused 4-workload walk
 // against the committed trace file: a fit is bit-reproducible across
-// processes. The rows are named after the layouts the walk was once
-// asked for at (one shard, spelled -1 and 1); both replay the one walk
-// the file pins, so the second also checks that a walk repeated in one
-// process reproduces it to the last bit.
+// processes. Its one row keeps the name of the layout the walk was once
+// asked for at (test ids outlive what they named) and replays the walk
+// twice: the second also checks that a walk repeated in one process
+// reproduces the file to the last bit.
 func TestGoldenTrace(t *testing.T) {
 	const steps = 1500
 	fits := measureFits(t, testGraph(t), goldenNames, 2, 1.0, 11)
-	for _, name := range []string{"serial", "engine-1"} {
-		t.Run(name, func(t *testing.T) {
+	t.Run("serial", func(t *testing.T) {
+		for range 2 {
 			tr := runFuseTrace(t, fits, 99, true, steps)
 			got := goldenTrace{
 				Decisions:   tr.decisions,
@@ -97,6 +97,6 @@ func TestGoldenTrace(t *testing.T) {
 			if got.MemoPushes != want.MemoPushes {
 				t.Errorf("fragment batch deliveries %d, golden %d", got.MemoPushes, want.MemoPushes)
 			}
-		})
-	}
+		}
+	})
 }

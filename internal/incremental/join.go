@@ -19,9 +19,9 @@ import (
 //     key must be rescaled: the node retracts the key's old outer product
 //     and asserts the new one.
 //
-// The fast path is always on: it makes a TbI proposal about three times
-// cheaper (DESIGN.md, "Join fast path, always on"). FastKeys and SlowKeys
-// count the key updates each path took.
+// One rule, joinUpdateSide, serves both sides. Its fast path is always
+// on: it makes a TbI proposal about three times cheaper (DESIGN.md, "Join
+// fast path, always on"). FastKeys and SlowKeys count each path's updates.
 //
 // A join built by JoinDistinct declares that no two matching pairs reduce
 // to the same record. A load onto it — a push outside a transaction
@@ -152,26 +152,50 @@ func (n *JoinNode[A, B, K, R]) StateSize() int {
 	return total
 }
 
-// ApplyLeft (and ApplyRight, its mirror image) applies one side's batch
-// key by key. Outside a transaction it first reserves the accumulator for
-// what the push asserts: under each key, every difference of the run
-// against every record the other side holds. For a load — every key's
-// own side is empty, and the other holds what the same push put there a
-// moment ago, or nothing — that is exactly the distinct records it will
+// ApplyLeft and ApplyRight apply a batch of one side's differences (see
+// applySide).
+func (n *JoinNode[A, B, K, R]) ApplyLeft(batch []Delta[A]) {
+	applySide(n, batch, n.keyA, &n.byKeyA, &n.scratchA, leftSide[A, B], n.reduce)
+}
+
+func (n *JoinNode[A, B, K, R]) ApplyRight(batch []Delta[B]) {
+	applySide(n, batch, n.keyB, &n.byKeyB, &n.scratchB, rightSide[A, B], func(y B, x A) R { return n.reduce(x, y) })
+}
+
+// leftSide and rightSide pick a group's (own, other) sides for a push.
+func leftSide[A, B comparable](g *joinGroup[A, B]) (*stateMap[A], *stateMap[B])  { return &g.a, &g.b }
+func rightSide[A, B comparable](g *joinGroup[A, B]) (*stateMap[B], *stateMap[A]) { return &g.b, &g.a }
+
+// applySide applies one side's batch key by key. X is the pushed side's
+// record type and Y the other's; sides picks (own, other) from a group,
+// and reduce takes (own record, other record) — the node's reduce,
+// swapped for the right side — so every emitted record is reduce(A, B).
+// Outside a transaction it first reserves the accumulator for what the
+// push asserts: under each key, every difference of the run against
+// every record the other side holds. For a load — every key's own side
+// is empty, and the other holds what the same push put there a moment
+// ago, or nothing — that is exactly the distinct records it will
 // accumulate; a key that also has to retract and rescale records it
 // already held (no load does) grows past it as any push grows. A load
 // only asserts, each matching pair once, so at a distinct join its
 // records cannot meet and it reserves no table (reserveDistinct). The
 // group table is reserved for the keys the push is about to add.
-func (n *JoinNode[A, B, K, R]) ApplyLeft(batch []Delta[A]) {
+func applySide[A, B, K, R, X, Y comparable](
+	n *JoinNode[A, B, K, R],
+	batch []Delta[X], key func(X) K,
+	byKey *keyGrouper[K, X], scratch *scratchIndex[X],
+	sides func(*joinGroup[A, B]) (*stateMap[X], *stateMap[Y]),
+	reduce func(X, Y) R,
+) {
 	inTxn := n.logging
-	keys := n.byKeyA.group(batch, n.keyA)
+	keys := byKey.group(batch, key)
 	if !inTxn {
 		size, fresh, load := 0, 0, true
 		for i, e := range keys {
 			if g := n.groups.get(e.Record); g != nil {
-				size += len(n.byKeyA.run(i)) * g.b.len()
-				load = load && g.a.len() == 0
+				own, other := sides(g)
+				size += len(byKey.run(i)) * other.len()
+				load = load && own.len() == 0
 			} else {
 				fresh++
 			}
@@ -181,42 +205,14 @@ func (n *JoinNode[A, B, K, R]) ApplyLeft(batch []Delta[A]) {
 	for i, e := range keys {
 		k := e.Record
 		g := n.group(k)
-		joinUpdateSide(&n.stats, n.byKeyA.run(i), &g.a, &g.b, n.reduce, &n.scratchA, &n.diff)
-		n.scratchA.reset(inTxn)
+		own, other := sides(g)
+		joinUpdateSide(&n.stats, byKey.run(i), own, other, reduce, scratch, &n.diff)
+		scratch.reset(inTxn)
 		if !inTxn {
 			n.drop(k, g)
 		}
 	}
-	n.byKeyA.reset(inTxn)
-	n.emit.send(n.diff.takeBatch(inTxn))
-}
-
-func (n *JoinNode[A, B, K, R]) ApplyRight(batch []Delta[B]) {
-	swapped := func(y B, x A) R { return n.reduce(x, y) }
-	inTxn := n.logging
-	keys := n.byKeyB.group(batch, n.keyB)
-	if !inTxn {
-		size, fresh, load := 0, 0, true
-		for i, e := range keys {
-			if g := n.groups.get(e.Record); g != nil {
-				size += len(n.byKeyB.run(i)) * g.a.len()
-				load = load && g.b.len() == 0
-			} else {
-				fresh++
-			}
-		}
-		n.reserve(size, fresh, load)
-	}
-	for i, e := range keys {
-		k := e.Record
-		g := n.group(k)
-		joinUpdateSide(&n.stats, n.byKeyB.run(i), &g.b, &g.a, swapped, &n.scratchB, &n.diff)
-		n.scratchB.reset(inTxn)
-		if !inTxn {
-			n.drop(k, g)
-		}
-	}
-	n.byKeyB.reset(inTxn)
+	byKey.reset(inTxn)
 	n.emit.send(n.diff.takeBatch(inTxn))
 }
 
@@ -273,10 +269,9 @@ func (n *JoinNode[A, B, K, R]) drop(k K, g *joinGroup[A, B]) {
 	}
 }
 
-// joinUpdateSide applies differences ds to the changing side's group (own)
-// and accumulates output differences against the fixed side (other).
-// The reduce function receives (changing record, fixed record); callers
-// swap argument order as needed so the emitted records are reduce(A, B).
+// joinUpdateSide is the join's one update rule (see JoinNode): it applies
+// one key's differences ds to own and accumulates the output differences
+// against other into diff, through reduce(own record, other record).
 func joinUpdateSide[X, Y comparable, R comparable](
 	stats *joinStats,
 	ds []Delta[X],
@@ -288,59 +283,14 @@ func joinUpdateSide[X, Y comparable, R comparable](
 	otherNorm := other.norm
 	oldDenom := own.norm + otherNorm
 
-	// Fast path for the overwhelmingly common MCMC shape: one difference
-	// for this key that leaves the group norm unchanged is impossible (a
-	// single signed delta moves the norm unless it cancels exactly), but a
-	// single difference avoids the pre-weight scratch below.
-	if len(ds) == 1 {
-		d := ds[0]
-		oldW, newW := own.apply(d.Record, d.Weight)
-		newDenom := own.norm + otherNorm
-		if other.len() == 0 {
-			return
-		}
-		if math.Abs(newDenom-oldDenom) < weighted.Eps && oldDenom >= weighted.Eps {
-			stats.fastKeys++
-			if dw := newW - oldW; math.Abs(dw) >= weighted.Eps {
-				other.each(func(y Y, wy float64) {
-					diff.add(reduce(d.Record, y), dw*wy/oldDenom)
-				})
-			}
-			return
-		}
-		stats.slowKeys++
-		if oldDenom >= weighted.Eps {
-			if oldW != 0 {
-				other.each(func(y Y, wy float64) {
-					diff.add(reduce(d.Record, y), -oldW*wy/oldDenom)
-				})
-			}
-			own.each(func(x X, wx float64) {
-				if x == d.Record {
-					return
-				}
-				other.each(func(y Y, wy float64) {
-					diff.add(reduce(x, y), -wx*wy/oldDenom)
-				})
-			})
-		}
-		if newDenom >= weighted.Eps {
-			own.each(func(x X, wx float64) {
-				other.each(func(y Y, wy float64) {
-					diff.add(reduce(x, y), wx*wy/newDenom)
-				})
-			})
-		}
-		return
-	}
-
-	// Apply differences, remembering each touched record's prior weight
-	// in first-touch order (the caller resets the scratch).
+	// Apply differences, remembering each touched record's pre-push
+	// weight — apply's pre-image at its first touch — in first-touch order
+	// (the caller resets the scratch).
 	for _, d := range ds {
+		oldW, _ := own.apply(d.Record, d.Weight)
 		if i, fresh := scratch.slot(d.Record); fresh {
-			scratch.ents[i].Weight = own.weight(d.Record)
+			scratch.ents[i].Weight = oldW
 		}
-		own.apply(d.Record, d.Weight)
 	}
 	touched := scratch.ents // Weight: the record's pre-push weight
 	newDenom := own.norm + otherNorm

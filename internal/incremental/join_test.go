@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"wpinq/internal/weighted"
 )
 
 // rec is a join input record for the paired-group tests: k is the join
@@ -358,5 +360,152 @@ func TestJoinDistinctLoadMatchesAccumulator(t *testing.T) {
 		if paths[what] == 0 {
 			t.Errorf("no seed exercised %q: %v", what, paths)
 		}
+	}
+}
+
+// FuzzJoinKeyUpdate checks the join's one update rule against the
+// reference join. The fuzzed bytes program a run of cycles: a load (a
+// push outside any transaction) or one to three pushes inside a
+// transaction that commits or aborts. Every push is one side's batch of
+// one to six differences over three keys and four records a key, and a
+// difference is one of: a fixed weight; a drain of the record's whole
+// weight (a re-add when it holds none); a move of its weight to the next
+// record of its key, which keeps the key's norm (the fast path when the
+// signs agree); or a change and its exact undo in one batch. After every
+// push:
+//
+//   - the collected output equals weighted.Join of the accumulated
+//     inputs within eqTol (1e-8): the inputs are sums of a few multiples
+//     of 0.1, so rounding sits orders of magnitude below it;
+//   - FastKeys + SlowKeys grew by exactly the number of the batch's
+//     distinct keys whose other side holds a record.
+//
+// After every cycle each side holds exactly the accumulated inputs, and
+// an abort restores StateSize; the collected output is restored as an
+// aborting downstream would, so the next push checks what the abort
+// left. Two joins run the program: a merging one whose reduce collapses
+// pairs of different keys, and a distinct one whose loads skip the
+// accumulator's table.
+func FuzzJoinKeyUpdate(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 2, 12, 49, 0, 1, 13, 1, 88, 0, 84, 4, 2, 72, 85})
+	f.Add([]byte{0, 4, 0, 3, 6, 0, 2, 26, 1, 10, 84, 85, 86, 97, 98, 2, 3, 12, 100, 14, 1, 0, 72})
+	f.Add([]byte{3, 1, 0, 1, 9, 6, 96, 72, 3, 37, 0, 1, 2, 3, 4, 5, 0, 11, 12, 13, 24, 36, 48, 60})
+	f.Add([]byte{0, 10, 0, 1, 2, 3, 4, 5, 0, 11, 0, 1, 2, 3, 4, 5, 1, 2, 84, 90, 2, 4, 85, 86, 87, 8, 5, 2, 72, 73, 96, 100})
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if len(prog) > 512 {
+			return
+		}
+		runJoinProgram(t, "merging", prog, Join[rec, rec, int, [2]int],
+			func(x, y rec) [2]int { return [2]int{x.id, y.id} })
+		runJoinProgram(t, "distinct", prog, JoinDistinct[rec, rec, int, [2]rec],
+			func(x, y rec) [2]rec { return [2]rec{x, y} })
+	})
+}
+
+// joinFuzzWeights are the fixed weights a fuzzed difference may carry;
+// the codes past them are the drain, the move and the change-and-undo.
+var joinFuzzWeights = []float64{1, -1, 0.5, 2, 0.1, -0.3}
+
+// runJoinProgram runs one FuzzJoinKeyUpdate program on the join build
+// makes with reduce.
+func runJoinProgram[R comparable](t *testing.T, name string, prog []byte,
+	build func(func(rec) int, func(rec) int, func(rec, rec) R, Handler[R]) *JoinNode[rec, rec, int, R],
+	reduce func(rec, rec) R,
+) {
+	out := weighted.New[R]()
+	j := build(recKey, recKey, reduce, func(b []Delta[R]) { fold(out)(b) })
+	refs := [2]*weighted.Dataset[rec]{weighted.New[rec](), weighted.New[rec]()} // left, right
+	take := func() int {
+		if len(prog) == 0 {
+			return 0
+		}
+		b := prog[0]
+		prog = prog[1:]
+		return int(b)
+	}
+	for cycle := 0; len(prog) > 0; cycle++ {
+		c := take()
+		mode, pushes := c%3, 1+c/3%3 // mode 0: a load, 1: commit, 2: abort
+		var began *weighted.Dataset[R]
+		var beganRefs [2]*weighted.Dataset[rec]
+		beganSize := j.StateSize()
+		if mode == 0 {
+			pushes = 1
+		} else {
+			began, beganRefs = out.Clone(), [2]*weighted.Dataset[rec]{refs[0].Clone(), refs[1].Clone()}
+			j.Txn(TxnBegin)
+		}
+		for range pushes {
+			h := take()
+			side := h & 1
+			own, other := refs[side], refs[1-side]
+			var batch []Delta[rec]
+			add := func(r rec, w float64) {
+				batch = append(batch, Delta[rec]{r, w})
+				own.Add(r, w)
+			}
+			for range 1 + h>>1%6 {
+				b := take()
+				r := rec{k: b % 3, id: b / 3 % 4}
+				switch code := b / 12 % (len(joinFuzzWeights) + 3); {
+				case code < len(joinFuzzWeights):
+					add(r, joinFuzzWeights[code])
+				case code == len(joinFuzzWeights): // drain, or re-add
+					if w := own.Weight(r); w != 0 {
+						add(r, -w)
+					} else {
+						add(r, 1)
+					}
+				case code == len(joinFuzzWeights)+1: // move
+					w := own.Weight(r)
+					add(r, -w)
+					add(rec{r.k, (r.id + 1) % 4}, w)
+				default: // change and undo
+					add(r, 1.5)
+					add(r, -1.5)
+				}
+			}
+			var keys []int
+			for _, d := range batch {
+				if !slices.Contains(keys, d.Record.k) {
+					keys = append(keys, d.Record.k)
+				}
+			}
+			matched := 0
+			for _, k := range keys {
+				if slices.ContainsFunc(other.Records(), func(y rec) bool { return y.k == k }) {
+					matched++
+				}
+			}
+			counted := j.FastKeys() + j.SlowKeys()
+			if side == 0 {
+				j.ApplyLeft(batch)
+			} else {
+				j.ApplyRight(batch)
+			}
+			if got := j.FastKeys() + j.SlowKeys() - counted; got != int64(matched) {
+				t.Fatalf("%s cycle %d: %d key updates counted, want %d (batch %v)", name, cycle, got, matched, batch)
+			}
+			if want := weighted.Join(refs[0], refs[1], recKey, recKey, reduce); !weighted.Equal(out, want, eqTol) {
+				t.Fatalf("%s cycle %d: output diverged from the reference join (batch %v)\nincremental: %v\nreference:   %v", name, cycle, batch, out, want)
+			}
+		}
+		switch mode {
+		case 1:
+			j.Txn(TxnCommit)
+		case 2:
+			j.Txn(TxnAbort)
+			out, refs = began, beganRefs
+			if got := j.StateSize(); got != beganSize {
+				t.Fatalf("%s cycle %d: StateSize %d after abort, want %d", name, cycle, got, beganSize)
+			}
+		}
+		sides := [2]*weighted.Dataset[rec]{weighted.New[rec](), weighted.New[rec]()}
+		j.groups.each(func(_ int, g *joinGroup[rec, rec]) {
+			g.a.each(sides[0].Add)
+			g.b.each(sides[1].Add)
+		})
+		exactEqual(t, name+" left side", sides[0], refs[0])
+		exactEqual(t, name+" right side", sides[1], refs[1])
 	}
 }

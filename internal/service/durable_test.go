@@ -8,6 +8,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -74,6 +75,59 @@ func TestCancelQueuedJobImmediatelyTerminal(t *testing.T) {
 	}
 	if _, err := svc.Jobs().Cancel(long.ID); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestQueueFullRefuses fills the queue behind one running job and
+// submits one more, in process and over HTTP. Both are refused with
+// ErrQueueFull (503, queue_full), the refused jobs are failed, not
+// left queued, and once Close has finished every job the live-job
+// gauge reads what it read before the service started.
+func TestQueueFullRefuses(t *testing.T) {
+	before := jobsActive.Value()
+	svc, _, mID := measureOnce(t, Options{Workers: 1})
+	long, err := svc.SubmitJob(JobRequest{Measurement: mID, Steps: 50_000_000, ProgressEvery: 100, Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The one worker takes the long job off the queue, which leaves all
+	// of the queue to fill.
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, _ := svc.Jobs().Get(long.ID); st.State == JobRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the long job never started")
+		}
+	}
+	for i := range jobQueueDepth {
+		if _, err := svc.SubmitJob(JobRequest{Measurement: mID, Steps: 10, Seed: int64(i + 1)}); err != nil {
+			t.Fatalf("submission %d of %d: %v", i+1, jobQueueDepth, err)
+		}
+	}
+	st, err := svc.SubmitJob(JobRequest{Measurement: mID, Steps: 10, Seed: 1})
+	if !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("submit to a full queue: got %v, want ErrQueueFull", err)
+	}
+	if st.State != JobFailed || st.Error != ErrQueueFull.Error() {
+		t.Errorf("refused job: state %s, error %q; want failed, %q", st.State, st.Error, ErrQueueFull.Error())
+	}
+	if got, err := svc.Jobs().Get(st.ID); err != nil || got.State != JobFailed {
+		t.Errorf("refused job as listed: %+v, %v; want failed", got, err)
+	}
+
+	rec := postRaw(svc.Handler(), "/v1/jobs", []byte(`{"measurement":"`+mID+`","steps":10}`))
+	var api APIError
+	if err := json.Unmarshal(rec.Body.Bytes(), &api); err != nil {
+		t.Fatalf("body %q is not an APIError: %v", rec.Body, err)
+	}
+	if rec.Code != http.StatusServiceUnavailable || api.Code != CodeQueueFull {
+		t.Errorf("POST /v1/jobs to a full queue: %d %s, want %d %s", rec.Code, api.Code, http.StatusServiceUnavailable, CodeQueueFull)
+	}
+
+	svc.Close()
+	if got := jobsActive.Value(); got != before {
+		t.Errorf("wpinq_jobs_active = %v after Close, want %v as before", got, before)
 	}
 }
 

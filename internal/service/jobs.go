@@ -296,30 +296,40 @@ func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 		},
 		done: make(chan struct{}),
 	}
-	jm.jobs[j.status.ID] = j
-	jm.order = append(jm.order, j.status.ID)
-	recordJobState(JobQueued)
-	jobsActive.Add(1)
-	queued := false
-	select {
-	case jm.queue <- j:
-		queued = true
-	default:
-	}
+	err = jm.enqueue(j)
 	jm.mu.Unlock()
+	if err != nil {
+		return j.Status(), err
+	}
 	jm.log.Info("job queued", "job", j.status.ID,
 		"measurement", req.Measurement, "steps", req.Steps,
 		"chains", req.Chains,
 		"checkpointEvery", req.CheckpointEvery)
+	return j.Status(), nil
+}
 
-	if !queued {
+// enqueue registers j under its ID, counts it queued and active, and
+// offers it to the workers' queue. A full queue fails the job at once
+// and returns ErrQueueFull. The caller holds jm.mu, so the enqueue and
+// Close's drain of the queue cannot interleave.
+func (jm *JobManager) enqueue(j *Job) error {
+	id := j.status.ID
+	if _, ok := jm.jobs[id]; !ok {
+		jm.order = append(jm.order, id)
+	}
+	jm.jobs[id] = j
+	recordJobState(JobQueued)
+	jobsActive.Add(1)
+	select {
+	case jm.queue <- j:
+		return nil
+	default:
 		j.finish(func(st *JobStatus) {
 			st.State = JobFailed
 			st.Error = ErrQueueFull.Error()
 		})
-		return j.Status(), ErrQueueFull
+		return ErrQueueFull
 	}
-	return j.Status(), nil
 }
 
 // Status returns a snapshot of the job's state.
@@ -771,29 +781,15 @@ func (jm *JobManager) requeue(id string, req JobRequest, ck *synth.Checkpoint) (
 			jm.mu.Unlock()
 			return st, nil
 		}
-	} else {
-		jm.order = append(jm.order, id)
 	}
-	jm.jobs[id] = j
 	// Keep fresh submissions from ever colliding with a recovered ID.
 	if n, err := strconv.Atoi(strings.TrimPrefix(id, "j")); err == nil && n > jm.nextID {
 		jm.nextID = n
 	}
-	recordJobState(JobQueued)
-	jobsActive.Add(1)
-	queued := false
-	select {
-	case jm.queue <- j:
-		queued = true
-	default:
-	}
+	err := jm.enqueue(j)
 	jm.mu.Unlock()
-	if !queued {
-		j.finish(func(st *JobStatus) {
-			st.State = JobFailed
-			st.Error = ErrQueueFull.Error()
-		})
-		return j.Status(), ErrQueueFull
+	if err != nil {
+		return j.Status(), err
 	}
 	jm.log.Info("job resumed from checkpoint", "job", id,
 		"step", ck.Step, "steps", req.Steps, "measurement", req.Measurement)

@@ -133,7 +133,10 @@ func (c *Config) Validate() error {
 	if _, err := workload.Resolve(c.Workloads); err != nil {
 		return fmt.Errorf("synth: %w", err)
 	}
-	if c.Pow <= 0 {
+	if c.Pow < 0 {
+		return errors.New("synth: Pow must be non-negative")
+	}
+	if c.Pow == 0 {
 		c.Pow = DefaultPow
 	}
 	if c.Steps < 0 {

@@ -30,6 +30,7 @@ func TestConfigValidate(t *testing.T) {
 		{Eps: math.Inf(1), Workloads: []string{"tbi"}},
 		{Eps: 0.1, Workloads: []string{"tbi"}, Pow: math.NaN()},
 		{Eps: 0.1, Workloads: []string{"tbi"}, Pow: math.Inf(1)},
+		{Eps: 0.1, Workloads: []string{"tbi"}, Pow: -5},
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {

@@ -578,17 +578,49 @@ func BenchmarkRejectHeavy(b *testing.B) {
 	})
 }
 
-// fusedChainsSink defeats dead-code elimination in BenchmarkFusedChains.
+// fusedChainsSink defeats dead-code elimination in the swap benchmarks
+// (pushSwaps).
 var fusedChainsSink float64
 
-// BenchmarkFusedChains measures per-proposal propagation cost over the
-// full five-workload fit with plan fusion on and off: the same
-// preloaded plan absorbs a steady stream of edge-swap differences (each
-// swap immediately undone by its inverse, so state cannot drift across
-// b.N). Fusion's claim is that per-proposal work scales with the merged
-// DAG, not the workload count; fragpushes/op reports the fragment batch
-// deliveries behind each swap, the quantity fusing shrinks.
+// BenchmarkFusedChains measures per-proposal propagation cost over
+// walk-hot's four workloads (tbi, tbd, jdd, wedges) with plan fusion on
+// and off: the same preloaded plan absorbs a steady stream of edge-swap
+// differences (each swap immediately undone by its inverse, so state
+// cannot drift across b.N). Fusion's claim is that per-proposal work
+// scales with the merged DAG, not the workload count; fragpushes/op
+// reports the fragment batch deliveries behind each swap, the quantity
+// fusing shrinks. star4-by-degree stays out: it costs three orders of
+// magnitude more a swap than the other four together, so with it the
+// fused/unfused gap measured star4, not fusion (BenchmarkStar4ByDegreeStep
+// tracks it on its own).
 func BenchmarkFusedChains(b *testing.B) {
+	for _, cfg := range []struct {
+		name string
+		fuse bool
+	}{{"fused", true}, {"unfused", false}} {
+		b.Run(cfg.name, func(b *testing.B) {
+			p, fwd, rev := swapPlan(b, []string{"tbi", "tbd", "jdd", "wedges"}, cfg.fuse)
+			base := p.Fusion().Pushes()
+			pushSwaps(b, p, fwd, rev)
+			b.ReportMetric(float64(p.Fusion().Pushes()-base)/float64(b.N), "fragpushes/op")
+		})
+	}
+}
+
+// BenchmarkStar4ByDegreeStep measures what one swap costs the
+// star4-by-degree workload alone, on BenchmarkFusedChains' graph and
+// swap: its joins keyed by embedded degrees make it the costliest
+// workload a fit can name by far.
+func BenchmarkStar4ByDegreeStep(b *testing.B) {
+	p, fwd, rev := swapPlan(b, []string{"star4-by-degree"}, true)
+	pushSwaps(b, p, fwd, rev)
+}
+
+// swapPlan measures the named workloads on HolmeKim(100, 3) (eps 0.5,
+// bucket 5), loads the fits into a plan, fused or not, with the graph
+// pushed, and returns the plan with one valid swap and its inverse.
+func swapPlan(b *testing.B, names []string, fuse bool) (*workload.Plan, []incremental.Delta[graph.Edge], []incremental.Delta[graph.Edge]) {
+	b.Helper()
 	rng := rand.New(rand.NewSource(11))
 	g, err := graph.HolmeKim(100, 3, 0.5, rng)
 	if err != nil {
@@ -598,7 +630,6 @@ func BenchmarkFusedChains(b *testing.B) {
 		eps    = 0.5
 		bucket = 5
 	)
-	names := workload.Names()
 	ws, err := workload.Resolve(names)
 	if err != nil {
 		b.Fatal(err)
@@ -609,14 +640,26 @@ func BenchmarkFusedChains(b *testing.B) {
 	}
 	src := budget.NewSource("edges", float64(total)*eps*(1+1e-9))
 	edges := core.FromDataset(graph.SymmetricEdges(g), src)
-	fits := make([]workload.Measured, 0, len(ws))
+	p := workload.NewPlanFused(1, fuse)
+	seedRng := rand.New(rand.NewSource(23))
 	for _, w := range ws {
 		m, err := w.Measure(edges, bucket, eps, rng)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fits = append(fits, m)
+		entries, err := m.Entries()
+		if err != nil {
+			b.Fatal(err)
+		}
+		fit, err := w.Load(entries, m.Bucket, eps, seedRng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := fit.Attach(p, eps); err != nil {
+			b.Fatal(err)
+		}
 	}
+	p.Input().PushDataset(graph.SymmetricEdges(g))
 
 	// One valid swap and its inverse, pushed alternately.
 	el := g.EdgeList()
@@ -639,50 +682,28 @@ func BenchmarkFusedChains(b *testing.B) {
 	if fwd == nil {
 		b.Fatal("no valid swap found")
 	}
+	return p, fwd, rev
+}
 
-	for _, cfg := range []struct {
-		name string
-		fuse bool
-	}{{"fused", true}, {"unfused", false}} {
-		cfg := cfg
-		b.Run(cfg.name, func(b *testing.B) {
-			p := workload.NewPlanFused(1, cfg.fuse)
-			seedRng := rand.New(rand.NewSource(23))
-			for _, fit := range fits {
-				entries, err := fit.Entries()
-				if err != nil {
-					b.Fatal(err)
-				}
-				fit, err := fit.Workload.Load(entries, fit.Bucket, eps, seedRng)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := fit.Attach(p, eps); err != nil {
-					b.Fatal(err)
-				}
-			}
-			p.Input().PushDataset(graph.SymmetricEdges(g))
-			// Swaps are pushed the way a fit pushes them, inside a
-			// transaction: a push outside one is a load to the operators,
-			// which release a load's oversized scratch as it ends.
-			in := p.Input()
-			base := p.Fusion().Pushes()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				in.Begin()
-				if i%2 == 0 {
-					in.Push(fwd)
-				} else {
-					in.Push(rev)
-				}
-				in.Commit()
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(p.Fusion().Pushes()-base)/float64(b.N), "fragpushes/op")
-			fusedChainsSink = p.Scorer().Score()
-		})
+// pushSwaps times b.N pushes of fwd and rev, alternately. Swaps are
+// pushed the way a fit pushes them, inside a transaction: a push outside
+// one is a load to the operators, which release a load's oversized
+// scratch as it ends.
+func pushSwaps(b *testing.B, p *workload.Plan, fwd, rev []incremental.Delta[graph.Edge]) {
+	in := p.Input()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		in.Begin()
+		if i%2 == 0 {
+			in.Push(fwd)
+		} else {
+			in.Push(rev)
+		}
+		in.Commit()
 	}
+	b.StopTimer()
+	fusedChainsSink = p.Scorer().Score()
 }
 
 // --- Million-edge scale --------------------------------------------------

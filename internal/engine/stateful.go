@@ -161,7 +161,9 @@ func Intersect[T comparable](a, b Source[T]) *IntersectNode[T] {
 }
 
 // GroupBy groups records by key and re-reduces weight-ordered prefixes
-// (paper Section 2.5). key and reduce must be pure.
+// (paper Section 2.5). key and reduce must be pure, and reduce must
+// neither modify nor retain its argument, which may be a window on the
+// operator's live state (see incremental.GroupBy).
 func GroupBy[T, K, R comparable](src Source[T], key func(T) K, reduce func([]T) R) *GroupByNode[T, K, R] {
 	return unary(src, "groupby", func(out incremental.Handler[weighted.Grouped[K, R]]) *incremental.GroupByNode[T, K, R] {
 		return incremental.GroupBy(key, reduce, out)

@@ -144,10 +144,11 @@ type GroupByNode[T comparable, K comparable, R comparable] struct {
 	// per batch. Safe because emitted batches are owned by this node and
 	// handlers must not retain them. Keys are processed — and
 	// differences emitted — in first-appearance order (see stateMap).
-	byKey         keyGrouper[K, T]
-	members       []weighted.Pair[T]
-	prefixScratch []T
-	diff          orderedDiff[weighted.Grouped[K, R]]
+	byKey   keyGrouper[K, T]
+	members []weighted.Pair[T] // expand's copy of a group not in weight order,
+	recs    []T                // its records filtered and sorted,
+	ws      []float64          // and their weights
+	diff    orderedDiff[weighted.Grouped[K, R]]
 
 	// Transaction state: the undo log every group shares, and the groups
 	// first touched this transaction (they log to it), in touch order.
@@ -199,7 +200,9 @@ func (n *GroupByNode[T, K, R]) drop(k K, g *stateMap[T]) {
 // prefixes. When a difference arrives, only the affected keys' outputs are
 // re-derived: the old prefix outputs are retracted and the new ones
 // asserted (their overlap cancels, so unchanged prefixes emit nothing).
-// Output differences go to out.
+// Output differences go to out. reduce must neither modify nor retain its
+// argument: for a group already in weight order it is a window on the
+// node's live records (see weighted.ReducePrefixes).
 func GroupBy[T comparable, K comparable, R comparable](
 	key func(T) K, reduce func([]T) R, out Handler[weighted.Grouped[K, R]],
 ) *GroupByNode[T, K, R] {
@@ -260,9 +263,19 @@ func (n *GroupByNode[T, K, R]) StateSize() int {
 	return total
 }
 
-//wpinq:txn-exempt writes only the expansion scratch (members, prefixScratch), never group state
+// expand emits group k's prefix outputs. A group whose weights already
+// run in weight order — every group of unit-weight records, so every
+// vertex group of degrees() — expands over its own slices: no copy, no
+// sort, and reduce sees a window on the live records. Any other group is
+// copied, filtered and stable-sorted first.
+//
+//wpinq:txn-exempt writes only the expansion scratch (members, recs, ws), never group state
 func (n *GroupByNode[T, K, R]) expand(k K, group *stateMap[T], emit func(weighted.Grouped[K, R], float64)) {
 	if group == nil || group.len() == 0 {
+		return
+	}
+	if weighted.InWeightOrder(group.ws) {
+		weighted.ReducePrefixes(k, group.recs, group.ws, n.reduce, emit)
 		return
 	}
 	members := n.members[:0]
@@ -270,7 +283,7 @@ func (n *GroupByNode[T, K, R]) expand(k K, group *stateMap[T], emit func(weighte
 		members = append(members, weighted.Pair[T]{Record: x, Weight: w})
 	})
 	n.members = members
-	n.prefixScratch = weighted.PrefixReduceInto(k, members, n.reduce, emit, n.prefixScratch)
+	n.recs, n.ws = weighted.PrefixReduce(k, members, n.reduce, emit, n.recs, n.ws)
 }
 
 // ShaveNode is the body of Shave.

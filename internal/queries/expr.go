@@ -170,6 +170,9 @@ func shaveConst[T comparable](in Expr[T], w float64) Expr[weighted.Indexed[T]] {
 		func(l *lowering) engine.Source[weighted.Indexed[T]] { return engine.ShaveConst(in.source(l), w) })
 }
 
+// groupBy lowers to core.GroupBy and engine.GroupBy. reduce must neither
+// modify nor retain its argument: on the engine it may be a window on the
+// operator's live state.
 func groupBy[T, K, R comparable](in Expr[T], key func(T) K, reduce func([]T) R) Expr[weighted.Grouped[K, R]] {
 	return op(in.n.below, in.n.uses,
 		func(l *lowering) *core.Collection[weighted.Grouped[K, R]] {

@@ -112,8 +112,10 @@ func GroupByEach[T comparable, K comparable, R comparable](a *Dataset[T], key fu
 		}
 		groups[k] = append(groups[k], Pair[T]{x, w})
 	})
+	var recs []T
+	var ws []float64
 	for _, k := range order {
-		PrefixReduce(k, groups[k], reduce, emit)
+		recs, ws = PrefixReduce(k, groups[k], reduce, emit, recs, ws)
 	}
 }
 
@@ -125,12 +127,14 @@ func GroupByEach[T comparable, K comparable, R comparable](a *Dataset[T], key fu
 // of unit-weight inputs — only the full group appears, with weight w/2.
 //
 // The reducer receives the prefix's records; its output must be comparable
-// so that identical results accumulate. Reducers must not retain the slice.
+// so that identical results accumulate. Reducers must neither modify nor
+// retain the slice: the incremental GroupBy hands them a window on its
+// live state (see ReducePrefixes).
 // The paper defines each prefix as a *set*: records of equal weight appear
 // in unspecified relative order (their boundary prefixes carry zero
 // weight), so reducers must not depend on the order of equal-weight
 // records — use order-insensitive functions (count, sum, ...) or sort
-// within the reducer.
+// within the reducer (a copy: see above).
 func GroupBy[T comparable, K comparable, R comparable](a *Dataset[T], key func(T) K, reduce func([]T) R) *Dataset[Grouped[K, R]] {
 	out := New[Grouped[K, R]]()
 	GroupByEach(a, key, reduce, out.Add)

@@ -171,6 +171,76 @@ func BenchmarkWalkHotStep(b *testing.B) {
 	}
 }
 
+// walkColdStep returns a function running one step of a pow-1e4 walk
+// over walk-cold's plan: jdd alone, on HolmeKim(2000, 5), with no
+// collector attached. Its one GroupBy (degrees) re-expands the four
+// vertex groups a swap touches, all of unit weight, on every proposal.
+func walkColdStep(tb testing.TB) func() {
+	tb.Helper()
+	g, err := graph.HolmeKim(2000, 5, 0.5, rand.New(rand.NewSource(3)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := workload.NewPlan()
+	for _, fit := range measureFits(tb, g, []string{"jdd"}, 0, 0.1, 11) {
+		if err := fit.Attach(p, 0.1); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	runner, err := mcmc.NewRunner(mcmc.NewGraphState(g, p.Input()), p.Scorer(), mcmc.Config{Pow: 1e4}, rand.New(rand.NewSource(99)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() { runner.Run(1) }
+}
+
+// TestSteadyStateAllocsWalkCold pins the per-proposal allocation cost of
+// walk-cold's plan the way TestSteadyStateAllocsWalkHot pins walk-hot's:
+// a short warm-up, then one fit's length of steps. It measured 6 B and
+// 0.2 allocations a step both before and after GroupBy expanded groups
+// in place: the copy and prefix the sorting expansion made were reused
+// scratch, so what the in-place path saves is time, not allocation. The
+// budget is a few times that: an expansion that allocated its copy per
+// call (four vertex groups of ≈ 22 records, twice a proposal) would
+// cost kilobytes a step.
+func TestSteadyStateAllocsWalkCold(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures and bulk-loads jdd on a 10k-edge graph")
+	}
+	step := walkColdStep(t)
+	for i := 0; i < 20; i++ {
+		step()
+	}
+	const steps = 40000 // walk-cold's fit length
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < steps; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / steps
+	allocs := float64(after.Mallocs-before.Mallocs) / steps
+	t.Logf("per proposal: %.0f B, %.1f allocs", bytes, allocs)
+	const maxBytes, maxAllocs = 256, 1
+	if bytes > maxBytes {
+		t.Errorf("%.0f B per proposal, budget %d", bytes, maxBytes)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("%.1f allocs per proposal, budget %d", allocs, maxAllocs)
+	}
+}
+
+// BenchmarkWalkColdStep is the profiling handle for walk-cold's plan:
+// go test -run '^$' -bench WalkColdStep -cpu 1 -cpuprofile ... ./internal/workload
+func BenchmarkWalkColdStep(b *testing.B) {
+	step := walkColdStep(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
+
 // TestLoadAllocatesOnce pins what a load is allowed to allocate. One
 // bulk push of a paths-shaped self-join — every vertex of a 16-regular
 // ring lattice pairs its 16 in-edges with its 16 out-edges, 48 000

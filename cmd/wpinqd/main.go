@@ -54,7 +54,7 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("wpinqd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
-	data := fs.String("data", "", "directory persisting released measurements (empty = in-memory)")
+	data := fs.String("data", "", "directory persisting releases, job checkpoints and the provenance ledger (empty = a private temporary directory, removed at shutdown)")
 	chains := fs.Int("chains", 1, "default replica-exchange chains per synthesis job (1 = single chain)")
 	workers := fs.Int("workers", 0, "synthesis worker pool size (0 = GOMAXPROCS)")
 	checkpointEvery := fs.Int("checkpoint-every", 0,
@@ -93,7 +93,7 @@ func run(args []string) error {
 	srv := &http.Server{Addr: *addr, Handler: svc.Handler(), ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 2)
 	go func() { errc <- srv.ListenAndServe() }()
-	logger.Info("serving", "addr", *addr, "store", storeDesc(*data))
+	logger.Info("serving", "addr", *addr, "store", svc.Store().Dir())
 
 	var debug *http.Server
 	if *debugAddr != "" {
@@ -132,11 +132,4 @@ func debugMux() *http.ServeMux {
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
-}
-
-func storeDesc(dir string) string {
-	if dir == "" {
-		return "in-memory"
-	}
-	return dir
 }

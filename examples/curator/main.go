@@ -38,7 +38,7 @@ func main() {
 
 func run() error {
 	// Start wpinqd on a loopback port, exactly as `wpinqd -addr ...`
-	// would (in-memory measurement store for the demo).
+	// would without -data (a private temporary store that Close removes).
 	svc, err := service.New(service.Options{Seed: 1})
 	if err != nil {
 		return err

@@ -347,3 +347,49 @@ func TestFig6Runs(t *testing.T) {
 		}
 	}
 }
+
+// TestJDDAssortativityClaim asserts the claim examples/jddassort makes:
+// a fit to a JDD measurement moves assortativity from the Phase 1 seed
+// toward the truth. The seed matches degrees and nothing else, so its r
+// sits near or below zero while the collaboration stand-in's is assortative. On
+// the GrQc stand-in at the scaled defaults (scale 0.12, ε = 0.1, 20 000
+// steps), five seeds must bring the mean |r(fit) − r(true)| below the
+// mean |r(seed) − r(true)| by more than the spread, the sum of the two
+// sets' standard deviations: it measured 0.187 ± 0.058 against
+// 0.319 ± 0.013. -short fits the tiny options' 210-node stand-in for
+// 8 000 steps at ε = 1 and asserts only the direction (0.199 ± 0.075
+// against 0.314 ± 0.030).
+func TestJDDAssortativityClaim(t *testing.T) {
+	o := Defaults(nil)
+	if testing.Short() {
+		o = tinyOptions(nil)
+		o.Steps = 8000
+	}
+	g, err := datasets.Generate(datasets.GrQc, o.Scale, o.rng(int64(41+len(datasets.GrQc))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := g.Assortativity()
+	cfg := synth.Config{Eps: o.Eps, Workloads: []string{"jdd"}, Pow: o.Pow, Steps: o.Steps}
+	var seedErr, fitErr []float64
+	for rep := range int64(5) {
+		res, err := synth.Run(g, cfg, o.rng(190+rep))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seedErr = append(seedErr, math.Abs(res.Seed.Assortativity()-truth))
+		fitErr = append(fitErr, math.Abs(res.Synthetic.Assortativity()-truth))
+	}
+	meanSeed, sSeed := meanStd(seedErr)
+	meanFit, sFit := meanStd(fitErr)
+	t.Logf("%d nodes, r(true) %.3f: |r(seed) − r(true)| %.3f ± %.3f, |r(fit) − r(true)| %.3f ± %.3f",
+		g.NumNodes(), truth, meanSeed, sSeed, meanFit, sFit)
+	spread := sSeed + sFit
+	if testing.Short() {
+		spread = 0
+	}
+	if meanSeed-meanFit <= spread {
+		t.Errorf("mean |r(fit) − r(true)| %.3f is not below mean |r(seed) − r(true)| %.3f by more than %.3f",
+			meanFit, meanSeed, spread)
+	}
+}

@@ -376,6 +376,43 @@ func TestBootCountsParentFormatCheckpointAsStale(t *testing.T) {
 	}
 }
 
+// TestBootSkipsTheIDOfAKeptCheckpoint boots over a directory holding an
+// unusable ckpt-j1.json, which recovery leaves on disk. Its ID is taken:
+// a durable job submitted after the boot must be issued another one, and
+// so can neither overwrite the kept file at its first checkpoint nor
+// delete it at its clean finish.
+func TestBootSkipsTheIDOfAKeptCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{Dir: dir, Workers: 1, Seed: 1}
+	svc1, _, mID := measureOnce(t, opts)
+	svc1.Close()
+	kept := filepath.Join(dir, "ckpt-j1.json")
+	corrupt := []byte("wpinq-checkpoint v3\nnot a checkpoint\n")
+	if err := os.WriteFile(kept, corrupt, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	svc2 := newTestService(t, opts)
+	st, err := svc2.SubmitJob(JobRequest{Measurement: mID, Steps: 300, CheckpointEvery: 100, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.ID == "j1" {
+		t.Errorf("a fresh job was issued j1, the ID of the checkpoint kept on disk")
+	}
+	j, err := svc2.jobs.get(st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	if got := j.Status(); got.State != JobDone {
+		t.Fatalf("job %s finished %s (%s)", st.ID, got.State, got.Error)
+	}
+	if got, err := os.ReadFile(kept); err != nil || !bytes.Equal(got, corrupt) {
+		t.Errorf("the kept checkpoint changed under job %s: %q, %v", st.ID, got, err)
+	}
+}
+
 func TestTornProvenanceTailHandling(t *testing.T) {
 	dir := t.TempDir()
 	svc, dsID, _ := measureOnce(t, Options{Dir: dir})

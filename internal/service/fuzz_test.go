@@ -8,7 +8,7 @@ import (
 )
 
 // FuzzRequestDecoders sends arbitrary bytes as the body of both JSON
-// endpoints of a fresh in-memory service holding one small dataset. Each
+// endpoints of a fresh service holding one small dataset. Each
 // answer is a 2xx or a 4xx carrying a coded APIError — never a 5xx, never
 // a panic — and a 4xx leaves the dataset's ledger exactly where it was.
 func FuzzRequestDecoders(f *testing.F) {

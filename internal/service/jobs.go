@@ -673,15 +673,16 @@ func (jm *JobManager) run(j *Job) {
 }
 
 // Recover re-queues every job with a persisted checkpoint under its
-// original job ID, advancing the ID counter past them. The service
-// calls it once at boot, after the workers are up: a daemon killed
-// mid-job comes back with the job queued at its last checkpoint rather
-// than silently forgotten. An unusable checkpoint (corrupt, metadata
-// that does not match its file, or written by an earlier fit driver —
-// counted as stale) is logged and counted but left on disk for
-// inspection; it never blocks boot.
+// original job ID. The service calls it once at boot, after the workers
+// are up: a daemon killed mid-job comes back with the job queued at its
+// last checkpoint rather than silently forgotten. An unusable checkpoint
+// (corrupt, metadata that does not match its file, or written by an
+// earlier fit driver — counted as stale) is logged and counted but left
+// on disk for inspection; it never blocks boot. Its ID stays taken like
+// a usable one's, so no fresh job overwrites or retires the kept file.
 func (jm *JobManager) Recover() {
 	for _, id := range jm.store.Checkpoints() {
+		jm.reserveID(id)
 		ck, req, err := jm.loadCheckpoint(id)
 		if err != nil {
 			outcome := "error"
@@ -752,8 +753,24 @@ func (jm *JobManager) loadCheckpoint(id string) (*synth.Checkpoint, JobRequest, 
 	return ck, meta.Request, nil
 }
 
+// jobNumber parses a job ID of the j<N> form Submit issues.
+func jobNumber(id string) (int, bool) {
+	n, err := strconv.Atoi(strings.TrimPrefix(id, "j"))
+	return n, err == nil && n > 0 && id == "j"+strconv.Itoa(n)
+}
+
+// reserveID keeps fresh submissions from ever being issued id.
+func (jm *JobManager) reserveID(id string) {
+	jm.mu.Lock()
+	defer jm.mu.Unlock()
+	if n, ok := jobNumber(id); ok && n > jm.nextID {
+		jm.nextID = n
+	}
+}
+
 // requeue registers and enqueues a recovered job under its original ID.
 func (jm *JobManager) requeue(id string, req JobRequest, ck *synth.Checkpoint) (JobStatus, error) {
+	jm.reserveID(id)
 	j := &Job{
 		req:    req,
 		resume: ck,
@@ -781,10 +798,6 @@ func (jm *JobManager) requeue(id string, req JobRequest, ck *synth.Checkpoint) (
 			jm.mu.Unlock()
 			return st, nil
 		}
-	}
-	// Keep fresh submissions from ever colliding with a recovered ID.
-	if n, err := strconv.Atoi(strings.TrimPrefix(id, "j")); err == nil && n > jm.nextID {
-		jm.nextID = n
 	}
 	err := jm.enqueue(j)
 	jm.mu.Unlock()

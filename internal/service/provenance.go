@@ -136,33 +136,28 @@ func (st *Store) AppendProvenance(rec ProvenanceRecord) (ProvenanceRecord, error
 	if rec.Hash, err = recordHash(rec); err != nil {
 		return ProvenanceRecord{}, fmt.Errorf("%w: %v", ErrInternal, err)
 	}
-	if st.dir != "" {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return ProvenanceRecord{}, err
-		}
-		f, err := os.OpenFile(filepath.Join(st.dir, provenanceFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return ProvenanceRecord{}, fmt.Errorf("%w: opening provenance ledger: %v", ErrInternal, err)
-		}
-		// One Write call for line+newline: a crash can tear the suffix of
-		// this single append but can never interleave two records, which is
-		// what lets loadProvenance classify an unterminated final line as a
-		// torn tail rather than tampering. The fsync bounds the loss to the
-		// record being appended — earlier records are durable.
-		_, werr := f.Write(append(line, '\n'))
-		if serr := f.Sync(); werr == nil {
-			werr = serr
-		}
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return ProvenanceRecord{}, fmt.Errorf("%w: appending provenance record: %v", ErrInternal, werr)
-		}
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return ProvenanceRecord{}, err
 	}
-	if st.prov == nil {
-		st.prov = make(map[string][]ProvenanceRecord)
+	f, err := os.OpenFile(filepath.Join(st.dir, provenanceFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return ProvenanceRecord{}, fmt.Errorf("%w: opening provenance ledger: %v", ErrInternal, err)
+	}
+	// One Write call for line+newline: a crash can tear the suffix of
+	// this single append but can never interleave two records, which is
+	// what lets loadProvenance classify an unterminated final line as a
+	// torn tail rather than tampering. The fsync bounds the loss to the
+	// record being appended — earlier records are durable.
+	_, werr := f.Write(append(line, '\n'))
+	if serr := f.Sync(); werr == nil {
+		werr = serr
+	}
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return ProvenanceRecord{}, fmt.Errorf("%w: appending provenance record: %v", ErrInternal, werr)
 	}
 	st.prov[rec.Dataset] = append(chain, rec)
 	provenanceRecords.Inc()
@@ -231,9 +226,6 @@ func (st *Store) loadProvenance() error {
 		if h, err := recordHash(rec); err != nil || h != rec.Hash {
 			return fmt.Errorf("service: provenance ledger line %d: dataset %s record %d hash mismatch",
 				line, rec.Dataset, rec.Seq)
-		}
-		if st.prov == nil {
-			st.prov = make(map[string][]ProvenanceRecord)
 		}
 		st.prov[rec.Dataset] = append(chain, rec)
 		return nil

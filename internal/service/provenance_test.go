@@ -179,7 +179,7 @@ func expectProblem(t *testing.T, name string, rep AuditReport, want string) {
 // even though each record is individually well-formed and the final
 // total agrees with the ledger.
 func TestAuditDetectsOutOfOrderSpend(t *testing.T) {
-	st, err := NewStore("", nil)
+	st, err := NewStore(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,6 +29,7 @@ package service
 import (
 	"fmt"
 	"log/slog"
+	"os"
 	"runtime"
 	"runtime/debug"
 	"strconv"
@@ -39,9 +40,8 @@ import (
 
 // Options configures a Service.
 type Options struct {
-	// Dir, when non-empty, persists stored measurements as files under
-	// this directory (created if absent). Empty keeps the store
-	// memory-only.
+	// Dir is the store directory (created if absent). Empty makes a
+	// private temporary one that Close removes: nothing outlives the process.
 	Dir string
 	// Chains is the default replica-exchange chain count for synthesis
 	// jobs (synth.Config.Chains semantics; 0 or 1 = single chain).
@@ -76,10 +76,11 @@ type Service struct {
 	jobs     *JobManager
 	seedCtr  atomic.Int64
 	started  time.Time
+	private  string // the temporary store directory made for an empty Options.Dir
 }
 
 // New builds a Service, loading any measurements already persisted
-// under opts.Dir.
+// under opts.Dir (a private temporary directory when it is empty).
 func New(opts Options) (*Service, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
@@ -90,8 +91,17 @@ func New(opts Options) (*Service, error) {
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.DiscardHandler)
 	}
+	private := ""
+	if opts.Dir == "" {
+		dir, err := os.MkdirTemp("", "wpinqd-")
+		if err != nil {
+			return nil, fmt.Errorf("service: creating private store dir: %w", err)
+		}
+		private, opts.Dir = dir, dir
+	}
 	st, err := NewStore(opts.Dir, opts.Logger)
 	if err != nil {
+		os.RemoveAll(private)
 		return nil, err
 	}
 	s := &Service{
@@ -99,6 +109,7 @@ func New(opts Options) (*Service, error) {
 		store:    st,
 		registry: NewRegistry(),
 		started:  time.Now(),
+		private:  private,
 	}
 	// Dataset IDs restart at d1 on every boot (the registry is
 	// in-memory), but the persisted provenance ledger may already hold
@@ -200,9 +211,12 @@ func (s *Service) Audit(id string) (AuditReport, error) {
 	return AuditRecords(id, s.store.Provenance(id), info.Ledger, s.store.Bytes), nil
 }
 
-// Close stops the job workers, cancelling any running jobs, and waits
-// for them to exit.
-func (s *Service) Close() { s.jobs.Close() }
+// Close stops the job workers, cancelling any running jobs, waits for
+// them to exit, and removes a private store directory.
+func (s *Service) Close() {
+	s.jobs.Close()
+	os.RemoveAll(s.private) // a no-op for a caller's Dir: private is ""
+}
 
 // SubmitJob fills the request defaults the service owns (the derived
 // seed) and enqueues a synthesis job. ResumeJob is the only way to

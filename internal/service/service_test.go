@@ -112,7 +112,7 @@ func TestMeasurementBytesSurviveAFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := NewStore("", nil)
+	store, err := NewStore(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,9 +2,9 @@ package service
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
+	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"math/rand"
 	"os"
@@ -24,17 +24,20 @@ import (
 // without ever colliding or silently mutating: same bytes, same ID.
 // Measurements are differentially private, so the store is the public,
 // analyst-facing half of the service — nothing in it is sensitive.
+//
+// It keeps an index in memory and the bytes in the one directory it
+// writes to: everything it serves is read back from its file.
 type Store struct {
 	dir string
 	log *slog.Logger
 
-	mu      sync.Mutex
-	entries map[string]storeEntry
-	order   []string // insertion order, for stable listings
-	prov    map[string][]ProvenanceRecord
-	ckpts   map[string][]byte // job ID -> serialized checkpoint
+	mu    sync.Mutex
+	index map[string]MeasurementInfo // release ID -> listing metadata
+	order []string                   // insertion order, for stable listings
+	prov  map[string][]ProvenanceRecord
 
 	write func(path string, data []byte) error // writeAtomic; tests make a chosen step of it fail
+	read  func(path string) ([]byte, error)    // os.ReadFile; tests record the paths it opens
 }
 
 // writeAtomic persists data at path so that a crash at any point leaves
@@ -65,11 +68,6 @@ func writeAtomic(path string, data []byte) error {
 	return err
 }
 
-type storeEntry struct {
-	info MeasurementInfo
-	data []byte
-}
-
 // MeasurementInfo describes one stored release.
 type MeasurementInfo struct {
 	ID        string  `json:"id"`
@@ -84,41 +82,38 @@ type MeasurementInfo struct {
 	Bytes   int            `json:"bytes"`
 }
 
-// NewStore opens (and if needed creates) a store rooted at dir, loading
-// every previously persisted measurement and job checkpoint. An empty
-// dir keeps the store in memory only. logger receives boot-time repair
-// warnings (torn provenance tails); nil discards them.
+// NewStore opens (and if needed creates) a store rooted at dir,
+// indexing every previously persisted measurement and verifying the
+// provenance ledger. logger receives boot-time repair warnings (torn
+// provenance tails); nil discards them.
 func NewStore(dir string, logger *slog.Logger) (*Store, error) {
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	st := &Store{
-		dir:     dir,
-		log:     logger,
-		entries: make(map[string]storeEntry),
-		ckpts:   make(map[string][]byte),
-		write:   writeAtomic,
-	}
-	if dir == "" {
-		return st, nil
+		dir:   dir,
+		log:   logger,
+		index: make(map[string]MeasurementInfo),
+		prov:  make(map[string][]ProvenanceRecord),
+		write: writeAtomic,
+		read:  os.ReadFile,
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("service: creating store dir: %w", err)
 	}
 	// A crash between a temp file's creation and its rename leaves it
 	// behind; nothing ever acknowledged it.
-	tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp"))
+	tmps, err := st.files("*.tmp")
 	if err != nil {
 		return nil, err
 	}
 	for _, tmp := range tmps {
 		os.Remove(tmp)
 	}
-	names, err := filepath.Glob(filepath.Join(dir, "m*.json"))
+	names, err := st.files("m*.json")
 	if err != nil {
 		return nil, err
 	}
-	sort.Strings(names)
 	for _, name := range names {
 		data, err := os.ReadFile(name)
 		if err != nil {
@@ -132,103 +127,90 @@ func NewStore(dir string, logger *slog.Logger) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("service: %s: %w", name, err)
 		}
-		st.entries[id] = storeEntry{info: info, data: data}
+		st.index[id] = info
 		st.order = append(st.order, id)
 	}
 	if err := st.loadProvenance(); err != nil {
 		return nil, err
 	}
-	if err := st.loadCheckpoints(); err != nil {
-		return nil, err
-	}
 	return st, nil
 }
 
-// checkpointFile names a job's persisted checkpoint under the store
-// dir. Job IDs are j<N>, so the name set is disjoint from measurement
-// blobs (m<hash>.json) and the provenance ledger.
-func checkpointFile(jobID string) string { return "ckpt-" + jobID + ".json" }
+// Dir returns the directory the store reads and writes.
+func (st *Store) Dir() string { return st.dir }
 
-// loadCheckpoints reads every persisted job checkpoint back into
-// memory. The bytes are not validated here — Recover parses and
-// verifies each one, and must be able to report (rather than refuse
-// boot over) an individually unusable checkpoint.
-func (st *Store) loadCheckpoints() error {
-	names, err := filepath.Glob(filepath.Join(st.dir, "ckpt-*.json"))
-	if err != nil {
-		return err
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		data, err := os.ReadFile(name)
-		if err != nil {
-			return fmt.Errorf("service: reading job checkpoint: %w", err)
+// files returns the paths of the store dir's files whose names match
+// pattern, sorted. The directory is listed, not globbed: its own path
+// may hold glob metacharacters.
+func (st *Store) files(pattern string) ([]string, error) {
+	entries, err := os.ReadDir(st.dir)
+	var out []string
+	for _, e := range entries {
+		if ok, _ := filepath.Match(pattern, e.Name()); ok {
+			out = append(out, filepath.Join(st.dir, e.Name()))
 		}
-		id := strings.TrimSuffix(strings.TrimPrefix(filepath.Base(name), "ckpt-"), ".json")
-		st.ckpts[id] = data
 	}
-	return nil
+	return out, err
+}
+
+// checkpointPath names a job's checkpoint file under the store dir. Job
+// IDs are j<N>, so the name set is disjoint from measurement blobs
+// (m<hash>.json) and the provenance ledger.
+func (st *Store) checkpointPath(jobID string) string {
+	return filepath.Join(st.dir, "ckpt-"+jobID+".json")
 }
 
 // PutCheckpoint persists a job's serialized checkpoint, replacing any
 // previous one, atomically (writeAtomic): a crash mid-checkpoint leaves
-// the previous checkpoint intact, never a torn half-document.
+// the previous checkpoint intact, never a torn half-document. jobID is
+// one the job manager issued or recovered, never a request's.
 func (st *Store) PutCheckpoint(jobID string, data []byte) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.dir != "" {
-		if err := st.write(filepath.Join(st.dir, checkpointFile(jobID)), data); err != nil {
-			return fmt.Errorf("%w: persisting checkpoint: %v", ErrInternal, err)
-		}
+	if err := st.write(st.checkpointPath(jobID), data); err != nil {
+		return fmt.Errorf("%w: persisting checkpoint: %v", ErrInternal, err)
 	}
-	st.ckpts[jobID] = append([]byte(nil), data...)
 	return nil
 }
 
-// Checkpoint returns a job's persisted checkpoint bytes.
+// Checkpoint returns a job's persisted checkpoint bytes, read from its
+// file. jobID may come from a request, so only the j<N> form the job
+// manager issues names a file: anything else is ErrNotFound, and no file
+// is opened.
 func (st *Store) Checkpoint(jobID string) ([]byte, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	data, ok := st.ckpts[jobID]
-	if !ok {
+	if _, ok := jobNumber(jobID); !ok {
 		return nil, fmt.Errorf("%w: no checkpoint for job %s", ErrNotFound, jobID)
 	}
-	return append([]byte(nil), data...), nil
+	data, err := st.read(st.checkpointPath(jobID))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil, fmt.Errorf("%w: no checkpoint for job %s", ErrNotFound, jobID)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: reading checkpoint: %v", ErrInternal, err)
+	}
+	return data, nil
 }
 
 // DeleteCheckpoint removes a job's checkpoint (no-op if absent).
 func (st *Store) DeleteCheckpoint(jobID string) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, ok := st.ckpts[jobID]; !ok {
-		return nil
-	}
-	delete(st.ckpts, jobID)
-	if st.dir != "" {
-		if err := os.Remove(filepath.Join(st.dir, checkpointFile(jobID))); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("%w: deleting checkpoint: %v", ErrInternal, err)
-		}
+	if err := os.Remove(st.checkpointPath(jobID)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("%w: deleting checkpoint: %v", ErrInternal, err)
 	}
 	return nil
 }
 
-// Checkpoints returns the job IDs with a persisted checkpoint, sorted.
+// Checkpoints returns the job IDs with a checkpoint file on disk, sorted.
 func (st *Store) Checkpoints() []string {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]string, 0, len(st.ckpts))
-	for id := range st.ckpts {
-		out = append(out, id)
+	names, _ := st.files("ckpt-*.json") // on a listing error, what was listed
+	out := make([]string, len(names))
+	for i, name := range names {
+		out[i] = strings.TrimSuffix(strings.TrimPrefix(filepath.Base(name), "ckpt-"), ".json")
 	}
 	sort.Strings(out)
 	return out
 }
 
-// contentID derives the content-addressed ID of a saved release.
-func contentID(data []byte) string {
-	sum := sha256.Sum256(data)
-	return "m" + hex.EncodeToString(sum[:8])
-}
+// contentID derives the content-addressed ID of a saved release: the
+// first 16 hex digits of its ContentHash.
+func contentID(data []byte) string { return "m" + ContentHash(data)[:16] }
 
 // describeMeasurement parses saved bytes into listing metadata (the
 // disk-load path). The throwaway rng is never sampled: only presence
@@ -274,15 +256,13 @@ func (st *Store) Put(m *synth.Measurements) (MeasurementInfo, error) {
 	info := describeLoaded(id, m, len(data))
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if prev, ok := st.entries[id]; ok {
-		return prev.info, nil
+	if prev, ok := st.index[id]; ok {
+		return prev, nil
 	}
-	if st.dir != "" {
-		if err := st.write(filepath.Join(st.dir, id+".json"), data); err != nil {
-			return MeasurementInfo{}, fmt.Errorf("%w: persisting measurement: %v", ErrInternal, err)
-		}
+	if err := st.write(filepath.Join(st.dir, id+".json"), data); err != nil {
+		return MeasurementInfo{}, fmt.Errorf("%w: persisting measurement: %v", ErrInternal, err)
 	}
-	st.entries[id] = storeEntry{info: info, data: data}
+	st.index[id] = info
 	st.order = append(st.order, id)
 	measurementsStored.Inc()
 	return info, nil
@@ -294,7 +274,7 @@ func (st *Store) List() []MeasurementInfo {
 	defer st.mu.Unlock()
 	out := make([]MeasurementInfo, 0, len(st.order))
 	for _, id := range st.order {
-		out = append(out, st.entries[id].info)
+		out = append(out, st.index[id])
 	}
 	return out
 }
@@ -303,22 +283,29 @@ func (st *Store) List() []MeasurementInfo {
 func (st *Store) Info(id string) (MeasurementInfo, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	e, ok := st.entries[id]
+	info, ok := st.index[id]
 	if !ok {
 		return MeasurementInfo{}, fmt.Errorf("%w: measurement %s", ErrNotFound, id)
 	}
-	return e.info, nil
+	return info, nil
 }
 
-// Bytes returns the exact stored bytes of one release.
+// Bytes returns the exact stored bytes of one release, read from its
+// file. Only an ID in the index names a file, and bytes that no longer
+// hash to their ID are ErrInternal: what is served is what the
+// provenance ledger hashed.
 func (st *Store) Bytes(id string) ([]byte, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.entries[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: measurement %s", ErrNotFound, id)
+	if _, err := st.Info(id); err != nil {
+		return nil, err
 	}
-	return append([]byte(nil), e.data...), nil
+	data, err := st.read(filepath.Join(st.dir, id+".json"))
+	if err != nil {
+		return nil, fmt.Errorf("%w: reading measurement %s: %v", ErrInternal, id, err)
+	}
+	if got := contentID(data); got != id {
+		return nil, fmt.Errorf("%w: measurement %s on disk hashes to %s", ErrInternal, id, got)
+	}
+	return data, nil
 }
 
 // Load deserializes one release. The rng salts the noise derived for

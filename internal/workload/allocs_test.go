@@ -241,6 +241,66 @@ func BenchmarkWalkColdStep(b *testing.B) {
 	}
 }
 
+// star4Step returns a function running one step of a pow-1e4 walk over
+// star4-by-degree alone, on root BenchmarkStar4ByDegreeStep's graph and
+// measurement (HolmeKim(100, 3), eps 0.5, bucket 5), with no collector
+// attached.
+func star4Step(tb testing.TB) func() {
+	tb.Helper()
+	g, err := graph.HolmeKim(100, 3, 0.5, rand.New(rand.NewSource(11)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	p := workload.NewPlan()
+	for _, fit := range measureFits(tb, g, []string{"star4-by-degree"}, 5, 0.5, 11) {
+		if err := fit.Attach(p, 0.5); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	runner, err := mcmc.NewRunner(mcmc.NewGraphState(g, p.Input()), p.Scorer(), mcmc.Config{Pow: 1e4}, rand.New(rand.NewSource(99)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return func() { runner.Run(1) }
+}
+
+// TestSteadyStateAllocsStar4ByDegree pins the per-proposal allocation
+// cost of the costliest workload a fit can name, the way the walk-hot and
+// walk-cold pins do theirs: a short warm-up, then a measured stretch, a
+// short one here since a step costs tens of milliseconds. It measured
+// 352 000 B and 7.0 allocations a step over these 20 steps (the same in
+// every process: both seeds are fixed), and 452 KB and 6.5 over 60: what
+// a step allocates is the state tables growing, not scratch. The budget
+// is about three times that; an operator that allocated per touched
+// record would cost megabytes a step, as a first push of one swap does
+// (root BenchmarkStar4ByDegreeStep at -benchtime 3x reads 59 MB an op).
+func TestSteadyStateAllocsStar4ByDegree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a star4-by-degree step costs over 100 ms")
+	}
+	step := star4Step(t)
+	for i := 0; i < 2; i++ {
+		step()
+	}
+	const steps = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < steps; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / steps
+	allocs := float64(after.Mallocs-before.Mallocs) / steps
+	t.Logf("per proposal: %.0f B, %.1f allocs", bytes, allocs)
+	const maxBytes, maxAllocs = 1 << 20, 24
+	if bytes > maxBytes {
+		t.Errorf("%.0f B per proposal, budget %d", bytes, maxBytes)
+	}
+	if allocs > maxAllocs {
+		t.Errorf("%.1f allocs per proposal, budget %d", allocs, maxAllocs)
+	}
+}
+
 // TestLoadAllocatesOnce pins what a load is allowed to allocate. One
 // bulk push of a paths-shaped self-join — every vertex of a 16-regular
 // ring lattice pairs its 16 in-edges with its 16 out-edges, 48 000

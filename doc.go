@@ -11,7 +11,8 @@
 // operators' bodies live in internal/incremental, one per operator;
 // equivalence tests pin both to the from-scratch semantics in
 // internal/weighted. Replica-exchange chains, each on its own engine, are
-// the one parallelism axis.
+// a fit's one parallelism axis; a measurement evaluates its queries'
+// exact answers concurrently and releases them in order.
 //
 // cmd/wpinq regenerates the paper's tables and figures, and examples/
 // holds runnable demonstrations. bench_test.go at this root maps one

@@ -118,7 +118,8 @@ func HistogramFromMaterialized[T comparable](counts map[T]float64, eps float64, 
 // instead of scaling noise up.
 //
 // The budget is charged before the collection is evaluated, so a refused
-// aggregation costs no query work either.
+// aggregation costs no query work either, unless Evaluate computed the
+// collection in advance: that moves the work, not the charge or the noise.
 //
 // Noise is assigned in canonical record order (weighted.PairsSorted), not
 // in the order the plan happened to produce records, so a fixed rng seed

@@ -138,6 +138,52 @@ func TestFig3Runs(t *testing.T) {
 	}
 }
 
+// TestFig3Claim asserts what Figure 3 shows: at equal ε, a TbD fit with
+// degree bucketing (bucket 20) brings the GrQc stand-in's triangle count
+// closer to the truth than an unbucketed TbD fit does. At the scaled
+// defaults (scale 0.12, 630 vertices, 2 949 triangles; ε = 0.1, Fig3's
+// quarter budget of 5 000 steps) five seeds each fit both ways from the
+// same rng seed. The mean |fit − truth| bucketed, 2 008 ± 339, sits below
+// the unbucketed 2 127 ± 116, but not by more than the spread, the sum of
+// the two standard deviations, that the other claims clear: bucketing
+// wins on two of the five seeds, and neither fit gets within two thirds
+// of the truth in 5 000 steps. That is a finding (CHANGES.md), not a
+// result, so both variants assert only the direction of the means and
+// log the numbers. -short fits the tiny options' 211-vertex stand-in at
+// ε = 1 (8 000 / 4 steps): 577 ± 80 against 641 ± 20.
+func TestFig3Claim(t *testing.T) {
+	o := Defaults(nil)
+	if testing.Short() {
+		o = tinyOptions(nil)
+		o.Steps = 8000
+	}
+	g, err := datasets.Generate(datasets.GrQc, o.Scale, o.rng(31))
+	if err != nil {
+		t.Fatal(err)
+	}
+	truth := float64(g.Triangles())
+	fitErr := func(bucket int) []float64 {
+		cfg := synth.Config{Eps: o.Eps, Workloads: []string{"tbd"}, Bucket: bucket, Pow: o.Pow, Steps: o.Steps / 4}
+		var errs []float64
+		for rep := range int64(5) {
+			res, err := synth.Run(g, cfg, o.rng(210+rep))
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs = append(errs, math.Abs(float64(res.Synthetic.Triangles())-truth))
+		}
+		return errs
+	}
+	flat, bucketed := fitErr(1), fitErr(20)
+	mFlat, sFlat := meanStd(flat)
+	mBucketed, sBucketed := meanStd(bucketed)
+	t.Logf("%d nodes, %v true triangles: |fit − truth| unbucketed %v (%.1f ± %.1f), bucketed %v (%.1f ± %.1f)",
+		g.NumNodes(), truth, flat, mFlat, sFlat, bucketed, mBucketed, sBucketed)
+	if mBucketed >= mFlat {
+		t.Errorf("mean |fit − truth| bucketed %.1f is not below unbucketed %.1f", mBucketed, mFlat)
+	}
+}
+
 // TestTrajectoryShape pins what a figure line holds: Samples + 1 points,
 // the first the seed graph's at step 0, the rest at multiples of
 // sampleEvery — not at the swap stops a ladder adds between them — and the

@@ -523,7 +523,7 @@ func (jm *JobManager) run(j *Job) {
 	}
 
 	rng := rand.New(rand.NewSource(seed))
-	m, err := jm.store.Load(req.Measurement, rng)
+	m, parentHash, err := jm.store.load(req.Measurement, rng)
 	if err != nil {
 		fail("load", err)
 		return
@@ -568,18 +568,13 @@ func (jm *JobManager) run(j *Job) {
 	}
 	durable := req.CheckpointEvery > 0
 	if durable {
-		data, err := jm.store.Bytes(req.Measurement)
-		if err != nil {
-			fail("checkpoint-parent", err)
-			return
-		}
 		meta, err := json.Marshal(checkpointMeta{Job: id, Request: req})
 		if err != nil {
 			fail("checkpoint-meta", err)
 			return
 		}
 		cfg.CheckpointEvery = req.CheckpointEvery
-		cfg.ParentHash = ContentHash(data)
+		cfg.ParentHash = parentHash
 		cfg.OnCheckpoint = func(ck *synth.Checkpoint) bool {
 			began := time.Now()
 			ck.Meta = meta

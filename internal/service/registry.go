@@ -281,7 +281,7 @@ func (s *Service) measureLocked(d *dataset, req MeasureRequest, cfg synth.Config
 	}
 	// Persist before discarding: a store failure (e.g. full disk) must
 	// not destroy the only copy of a release the budget already paid for.
-	info, err := s.store.Put(m)
+	info, saved, err := s.store.put(m)
 	if err != nil {
 		failure = "store"
 		return MeasureResult{}, err
@@ -289,11 +289,6 @@ func (s *Service) measureLocked(d *dataset, req MeasureRequest, cfg synth.Config
 	// Chain the release into the dataset's provenance ledger while still
 	// holding the dataset lock: the parent list and SpentAfter checkpoint
 	// must reflect exactly the state this charge committed against.
-	stored, err := s.store.Bytes(info.ID)
-	if err != nil {
-		failure = "store"
-		return MeasureResult{}, err
-	}
 	if _, err := s.store.AppendProvenance(ProvenanceRecord{
 		Dataset:       d.id,
 		Op:            ProvenanceOpMeasure,
@@ -302,9 +297,9 @@ func (s *Service) measureLocked(d *dataset, req MeasureRequest, cfg synth.Config
 		Eps:           cfg.Eps,
 		Cost:          cost,
 		SpentAfter:    ledger.Spent,
-		FormatVersion: formatVersion(stored),
+		FormatVersion: formatVersion(saved.data),
 		Parents:       append([]string(nil), d.measurements...),
-		ContentHash:   ContentHash(stored),
+		ContentHash:   saved.hash,
 	}); err != nil {
 		// The release is stored and the charge stands, but an unledgered
 		// release would fail every future audit — surface that now.

@@ -210,7 +210,10 @@ func (st *Store) Checkpoints() []string {
 
 // contentID derives the content-addressed ID of a saved release: the
 // first 16 hex digits of its ContentHash.
-func contentID(data []byte) string { return "m" + ContentHash(data)[:16] }
+func contentID(data []byte) string { return idOf(ContentHash(data)) }
+
+// idOf is the release ID a ContentHash names.
+func idOf(hash string) string { return "m" + hash[:16] }
 
 // describeMeasurement parses saved bytes into listing metadata (the
 // disk-load path). The throwaway rng is never sampled: only presence
@@ -247,25 +250,40 @@ func describeLoaded(id string, m *synth.Measurements, size int) MeasurementInfo 
 // Put serializes m and stores it, returning its metadata. Storing the
 // same release twice is an idempotent no-op (same content, same ID).
 func (st *Store) Put(m *synth.Measurements) (MeasurementInfo, error) {
+	info, _, err := st.put(m)
+	return info, err
+}
+
+// put is Put, also returning the stored bytes and their ContentHash —
+// what a provenance record names — so that chaining a fresh release reads
+// nothing back and hashes it once.
+func (st *Store) put(m *synth.Measurements) (info MeasurementInfo, s stored, err error) {
 	var buf bytes.Buffer
 	if err := m.Save(&buf); err != nil {
-		return MeasurementInfo{}, err
+		return MeasurementInfo{}, stored{}, err
 	}
-	data := buf.Bytes()
-	id := contentID(data)
-	info := describeLoaded(id, m, len(data))
+	s = stored{data: buf.Bytes()}
+	s.hash = ContentHash(s.data)
+	id := idOf(s.hash)
+	info = describeLoaded(id, m, len(s.data))
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if prev, ok := st.index[id]; ok {
-		return prev, nil
+		return prev, s, nil
 	}
-	if err := st.write(filepath.Join(st.dir, id+".json"), data); err != nil {
-		return MeasurementInfo{}, fmt.Errorf("%w: persisting measurement: %v", ErrInternal, err)
+	if err := st.write(filepath.Join(st.dir, id+".json"), s.data); err != nil {
+		return MeasurementInfo{}, stored{}, fmt.Errorf("%w: persisting measurement: %v", ErrInternal, err)
 	}
 	st.index[id] = info
 	st.order = append(st.order, id)
 	measurementsStored.Inc()
-	return info, nil
+	return info, s, nil
+}
+
+// stored is a release's bytes with their ContentHash.
+type stored struct {
+	data []byte
+	hash string
 }
 
 // List returns every stored release's metadata in insertion order.
@@ -295,25 +313,41 @@ func (st *Store) Info(id string) (MeasurementInfo, error) {
 // hash to their ID are ErrInternal: what is served is what the
 // provenance ledger hashed.
 func (st *Store) Bytes(id string) ([]byte, error) {
+	s, err := st.verified(id)
+	return s.data, err
+}
+
+// verified reads one release from its file and verifies it (see Bytes),
+// returning the bytes with the ContentHash it verified them by.
+func (st *Store) verified(id string) (stored, error) {
 	if _, err := st.Info(id); err != nil {
-		return nil, err
+		return stored{}, err
 	}
 	data, err := st.read(filepath.Join(st.dir, id+".json"))
 	if err != nil {
-		return nil, fmt.Errorf("%w: reading measurement %s: %v", ErrInternal, id, err)
+		return stored{}, fmt.Errorf("%w: reading measurement %s: %v", ErrInternal, id, err)
 	}
-	if got := contentID(data); got != id {
-		return nil, fmt.Errorf("%w: measurement %s on disk hashes to %s", ErrInternal, id, got)
+	hash := ContentHash(data)
+	if got := idOf(hash); got != id {
+		return stored{}, fmt.Errorf("%w: measurement %s on disk hashes to %s", ErrInternal, id, got)
 	}
-	return data, nil
+	return stored{data: data, hash: hash}, nil
 }
 
 // Load deserializes one release. The rng salts the noise derived for
 // records outside the release (see synth.LoadMeasurements).
 func (st *Store) Load(id string, rng *rand.Rand) (*synth.Measurements, error) {
-	data, err := st.Bytes(id)
+	m, _, err := st.load(id, rng)
+	return m, err
+}
+
+// load is Load, also returning the ContentHash the release was verified
+// by: the parent hash a durable job's checkpoints carry.
+func (st *Store) load(id string, rng *rand.Rand) (*synth.Measurements, string, error) {
+	s, err := st.verified(id)
 	if err != nil {
-		return nil, err
+		return nil, "", err
 	}
-	return synth.LoadMeasurements(bytes.NewReader(data), rng)
+	m, err := synth.LoadMeasurements(bytes.NewReader(s.data), rng)
+	return m, s.hash, err
 }

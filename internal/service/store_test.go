@@ -10,7 +10,11 @@ import (
 	"os"
 	"path/filepath"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
+
+	"wpinq/internal/synth"
 )
 
 // TestStoreServesOnlyVerifiedBytes overwrites a stored release on disk
@@ -134,5 +138,92 @@ func TestStoreDirMayHoldGlobMetacharacters(t *testing.T) {
 	}
 	if got := st.Checkpoints(); !slices.Equal(got, []string{"j1"}) {
 		t.Errorf("the restarted store's Checkpoints() = %v, want [j1]", got)
+	}
+}
+
+// TestReleaseIsReadOncePerJobAndNotAtMeasure counts, through the store's
+// read hook, the files a release's lifecycle opens. A measure opens
+// nothing: the provenance record names the hash of the bytes Put has just
+// written. A durable job's start opens its release once: the load that
+// verifies it also yields the parent hash its checkpoints carry. The
+// hashes and the ID are the ones the stored file's bytes give.
+func TestReleaseIsReadOncePerJobAndNotAtMeasure(t *testing.T) {
+	dir := t.TempDir()
+	svc := newTestService(t, Options{Dir: dir, Workers: 1, Seed: 1})
+	st := svc.Store()
+	var (
+		mu       sync.Mutex
+		opened   []string
+		parents  []string
+		writeOld = st.write
+	)
+	st.read = func(path string) ([]byte, error) {
+		mu.Lock()
+		opened = append(opened, filepath.Base(path))
+		mu.Unlock()
+		return os.ReadFile(path)
+	}
+	st.write = func(path string, data []byte) error {
+		if strings.HasPrefix(filepath.Base(path), "ckpt-") {
+			ck, err := synth.LoadCheckpoint(bytes.NewReader(data))
+			if err != nil {
+				t.Errorf("checkpoint %s: %v", path, err)
+			} else {
+				mu.Lock()
+				parents = append(parents, ck.ParentHash)
+				mu.Unlock()
+			}
+		}
+		return writeOld(path, data)
+	}
+
+	ds, err := svc.Registry().Upload("reads", tbiCost, bytes.NewReader(edgeListBytes(t, testGraph(t, 40))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := svc.Measure(ds.ID, MeasureRequest{Eps: 1, Workloads: []string{"tbi"}, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mID := res.Measurement.ID
+	if len(opened) != 0 {
+		t.Errorf("a measure opened %v, want nothing", opened)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, mID+".json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := contentID(data); got != mID {
+		t.Errorf("release ID %s, want the stored bytes' %s", mID, got)
+	}
+	recs := st.Provenance(ds.ID)
+	if len(recs) != 1 || recs[0].ContentHash != ContentHash(data) || recs[0].FormatVersion != "v2" {
+		t.Fatalf("provenance %+v, want one v2 record with content hash %s", recs, ContentHash(data))
+	}
+
+	js, err := svc.SubmitJob(JobRequest{Measurement: mID, Steps: 300, CheckpointEvery: 100, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := svc.jobs.get(js.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Done()
+	if got := j.Status(); got.State != JobDone {
+		t.Fatalf("job %s finished %s (%s)", js.ID, got.State, got.Error)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{mID + ".json"}; !slices.Equal(opened, want) {
+		t.Errorf("a durable job's start opened %v, want %v", opened, want)
+	}
+	if len(parents) == 0 {
+		t.Fatal("the durable job wrote no checkpoint")
+	}
+	for _, p := range parents {
+		if p != ContentHash(data) {
+			t.Errorf("checkpoint parent hash %s, want the stored bytes' %s", p, ContentHash(data))
+		}
 	}
 }

@@ -89,7 +89,7 @@ type Config struct {
 	SwapEvery int
 	// Shards is retired: nothing reads it, and Validate neither checks
 	// nor rewrites it. Every chain fits on one engine, and chains are
-	// the one parallelism axis; a checkpoint records one shard. The
+	// a fit's one parallelism axis; a checkpoint records one shard. The
 	// field goes when the end-to-end benchmark, its last writer, stops
 	// setting it.
 	Shards int
@@ -276,7 +276,10 @@ func (m *Measurements) FitNames() []string {
 // charging an internally created budget source sized exactly to the
 // query plan (a smaller budget would make the final aggregation fail).
 // Fit workloads are measured in sorted name order, so identically-seeded
-// runs release byte-identical measurements.
+// runs release byte-identical measurements. The queries' exact answers
+// are computed first, on GOMAXPROCS workers (core.Evaluate); the charges
+// and noise draws then follow one after another in that order, so the
+// release does not depend on the worker count.
 func Measure(g *graph.Graph, cfg Config, rng *rand.Rand) (*Measurements, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -299,22 +302,39 @@ func Measure(g *graph.Graph, cfg Config, rng *rand.Rand) (*Measurements, error) 
 	src := budget.NewSource("edges", cfg.MeasureCost()*(1+1e-9))
 	edges := core.FromDataset(graph.SymmetricEdges(g), src)
 
+	// Lower every query of the release, evaluate their exact answers
+	// concurrently, then release them in order: the charges, salts and
+	// noise draws are a sequential pass's (DESIGN.md, "Releases evaluate
+	// concurrently").
+	degSeq := queries.OneShot(queries.DegreeSequence(), edges)
+	ccdf := queries.OneShot(queries.DegreeCCDF(), edges)
+	nodes := queries.OneShot(queries.NodeCount(), edges)
+	all := []core.Evaluable{degSeq, ccdf, nodes}
+	fits := make([]workload.Lowered, len(ws))
+	for i, w := range ws {
+		if fits[i], err = w.Lower(edges, cfg.Bucket); err != nil {
+			return nil, fmt.Errorf("synth: %w", err)
+		}
+		all = append(all, fits[i])
+	}
+	core.Evaluate(all...)
+
 	m := &Measurements{Eps: cfg.Eps, Fits: make(map[string]workload.Measured, len(ws))}
-	if m.DegSeq, err = core.NoisyCount(queries.OneShot(queries.DegreeSequence(), edges), cfg.Eps, rng); err != nil {
+	if m.DegSeq, err = core.NoisyCount(degSeq, cfg.Eps, rng); err != nil {
 		return nil, fmt.Errorf("synth: degree sequence: %w", err)
 	}
-	if m.CCDF, err = core.NoisyCount(queries.OneShot(queries.DegreeCCDF(), edges), cfg.Eps, rng); err != nil {
+	if m.CCDF, err = core.NoisyCount(ccdf, cfg.Eps, rng); err != nil {
 		return nil, fmt.Errorf("synth: degree ccdf: %w", err)
 	}
-	if m.NodeCount, err = core.NoisyCount(queries.OneShot(queries.NodeCount(), edges), cfg.Eps, rng); err != nil {
+	if m.NodeCount, err = core.NoisyCount(nodes, cfg.Eps, rng); err != nil {
 		return nil, fmt.Errorf("synth: node count: %w", err)
 	}
-	for _, w := range ws {
-		fit, err := w.Measure(edges, cfg.Bucket, cfg.Eps, rng)
+	for i, l := range fits {
+		fit, err := l.Release(cfg.Eps, rng)
 		if err != nil {
 			return nil, fmt.Errorf("synth: %w", err)
 		}
-		m.Fits[w.Name] = fit
+		m.Fits[ws[i].Name] = fit
 	}
 	m.TotalCost = src.Spent()
 	return m, nil

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"wpinq/internal/graph"
@@ -65,6 +66,54 @@ func TestMeasureCostMatchesPaper(t *testing.T) {
 	}
 	if math.Abs(m2.TotalCost-1.2) > 1e-9 {
 		t.Errorf("TbD workflow cost = %v, want 1.2", m2.TotalCost)
+	}
+}
+
+// TestMeasureIsTheSameAtAnyGOMAXPROCS pins that evaluating a release's
+// queries concurrently moves no released bit: on two graphs and two seeds,
+// a release of every registered workload measured at GOMAXPROCS 1, 2 and
+// 4 saves to the same bytes, charges the same total and leaves the rng at
+// the same draw. GOMAXPROCS 1 evaluates on the calling goroutine, one
+// query after another, as a sequential Measure does.
+func TestMeasureIsTheSameAtAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	other, err := graph.HolmeKim(80, 3, 0.3, testRng(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Eps: 0.5, Workloads: []string{"tbi", "tbd", "jdd", "wedges", "star4-by-degree"}, Bucket: 5}
+	for gi, g := range []*graph.Graph{clusteredGraph(t, 60), other} {
+		for _, seed := range []int64{1, 2} {
+			var want []byte
+			var wantCost float64
+			var wantNext uint64
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				rng := testRng(seed)
+				m, err := Measure(g, cfg, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := m.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				next := rng.Uint64()
+				if procs == 1 {
+					want, wantCost, wantNext = buf.Bytes(), m.TotalCost, next
+					continue
+				}
+				if !bytes.Equal(buf.Bytes(), want) {
+					t.Errorf("graph %d, seed %d: GOMAXPROCS %d saves different bytes than GOMAXPROCS 1", gi, seed, procs)
+				}
+				if m.TotalCost != wantCost {
+					t.Errorf("graph %d, seed %d: GOMAXPROCS %d charges %v, GOMAXPROCS 1 %v", gi, seed, procs, m.TotalCost, wantCost)
+				}
+				if next != wantNext {
+					t.Errorf("graph %d, seed %d: GOMAXPROCS %d leaves the rng at %x, GOMAXPROCS 1 at %x", gi, seed, procs, next, wantNext)
+				}
+			}
+		}
 	}
 }
 

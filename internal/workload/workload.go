@@ -135,7 +135,7 @@ type Workload struct {
 // impl is the type-erased view of a workload's description, provided by
 // Define.
 type impl interface {
-	measure(edges *core.Collection[graph.Edge], bucket int, eps float64, rng *rand.Rand) (Histogram, error)
+	lower(edges *core.Collection[graph.Edge], bucket int) query
 	load(entries []Entry, eps float64, rng *rand.Rand) (Histogram, error)
 	attach(p *Plan, name string, h Histogram, bucket int, eps float64) error
 	collect(p *Plan, bucket int) Collected
@@ -154,17 +154,50 @@ func (w Workload) normBucket(bucket int) int {
 
 // Measure takes the workload's differentially private measurement of
 // the protected edge collection, charging Uses*eps of the collection's
-// budget.
+// budget: Lower, then Release.
 func (w Workload) Measure(edges *core.Collection[graph.Edge], bucket int, eps float64, rng *rand.Rand) (Measured, error) {
+	l, err := w.Lower(edges, bucket)
+	if err != nil {
+		return Measured{}, err
+	}
+	return l.Release(eps, rng)
+}
+
+// Lower builds the workload's one-shot query over the protected edge
+// collection. Building costs nothing and releases nothing; the result is
+// a core.Evaluable, so core.Evaluate can compute its exact answer
+// alongside other queries' before Release aggregates it.
+func (w Workload) Lower(edges *core.Collection[graph.Edge], bucket int) (Lowered, error) {
 	if w.impl == nil {
-		return Measured{}, fmt.Errorf("workload: %q has no implementation", w.Name)
+		return Lowered{}, fmt.Errorf("workload: %q has no implementation", w.Name)
 	}
 	b := w.normBucket(bucket)
-	h, err := w.impl.measure(edges, b, eps, rng)
+	return Lowered{query: w.impl.lower(edges, b), w: w, bucket: b}, nil
+}
+
+// Lowered is one workload's one-shot query, built over a protected edge
+// collection and not yet released.
+type Lowered struct {
+	query
+	w      Workload
+	bucket int
+}
+
+// query is a lowered one-shot query of some record type: a collection
+// that core.Evaluate can compute and that release aggregates.
+type query interface {
+	core.Evaluable
+	release(eps float64, rng *rand.Rand) (Histogram, error)
+}
+
+// Release takes the measurement: it charges Uses*eps of the edge
+// collection's budget and draws the noise, exactly as NoisyCount does.
+func (l Lowered) Release(eps float64, rng *rand.Rand) (Measured, error) {
+	h, err := l.release(eps, rng)
 	if err != nil {
-		return Measured{}, fmt.Errorf("workload %s: %w", w.Name, err)
+		return Measured{}, fmt.Errorf("workload %s: %w", l.w.Name, err)
 	}
-	return Measured{Workload: w, Bucket: b, Hist: h}, nil
+	return Measured{Workload: l.w, Bucket: l.bucket, Hist: h}, nil
 }
 
 // Load reconstructs a previously released measurement from its
@@ -271,8 +304,17 @@ func Define[T comparable](w Workload, b Builders[T]) Workload {
 	return w
 }
 
-func (b Builders[T]) measure(edges *core.Collection[graph.Edge], bucket int, eps float64, rng *rand.Rand) (Histogram, error) {
-	h, err := core.NoisyCount(queries.OneShot(b.Expr(bucket), edges), eps, rng)
+func (b Builders[T]) lower(edges *core.Collection[graph.Edge], bucket int) query {
+	return typedQuery[T]{queries.OneShot(b.Expr(bucket), edges)}
+}
+
+// typedQuery is a lowered one-shot query of record type T.
+type typedQuery[T comparable] struct {
+	*core.Collection[T]
+}
+
+func (q typedQuery[T]) release(eps float64, rng *rand.Rand) (Histogram, error) {
+	h, err := core.NoisyCount(q.Collection, eps, rng)
 	if err != nil {
 		return nil, err
 	}

@@ -108,10 +108,10 @@ func runRemoteSynthesize(args []string) error {
 		"comma-separated fit workloads (default: every workload in the release)")
 	steps := fs.Int("steps", 100000, "MCMC steps")
 	pow := fs.Float64("pow", synth.DefaultPow, "posterior sharpening")
-	chains := fs.Int("chains", 0, "replica-exchange chains (0 = server default, 1 = single chain)")
+	chains := fs.Int("chains", 1, "replica-exchange chains (1 = single chain)")
 	swapEvery := fs.Int("swap-every", 0, fmt.Sprintf("steps between replica swap attempts (0 = default %d)", synth.DefaultSwapEvery))
 	checkpointEvery := fs.Int("checkpoint-every", 0,
-		"checkpoint cadence in MCMC steps: >0 makes the job durable across daemon restarts, <0 forces off (0 = server default)")
+		"checkpoint cadence in MCMC steps: >0 makes the job durable across daemon restarts (0 = not durable)")
 	seed := fs.Int64("seed", 0, "job seed (0 = server-derived)")
 	poll := fs.Duration("poll", 500*time.Millisecond, "progress polling interval")
 	if err := fs.Parse(args); err != nil {

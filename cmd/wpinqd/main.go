@@ -5,13 +5,13 @@
 //
 // Usage:
 //
-//	wpinqd [-addr :8080] [-data DIR] [-chains K] [-workers N]
-//	       [-checkpoint-every N] [-seed N] [-log-format text|json]
-//	       [-debug-addr ADDR]
+//	wpinqd [-addr :8080] [-data DIR] [-workers N] [-seed N]
+//	       [-log-format text|json] [-debug-addr ADDR]
 //
-// A synthesis job is a function of the release bytes and its seed,
-// bit-identical across processes; the daemon runs jobs (and a job its
-// -chains) in parallel, one worker per CPU by default.
+// A synthesis job is a function of the release bytes and its request —
+// chains, checkpoint cadence and seed included — bit-identical across
+// processes and daemons; the daemon runs jobs (and a job its chains) in
+// parallel, one worker per CPU by default.
 //
 // The API is documented on service.Handler; `wpinq remote` is the
 // matching command-line client. See README.md, "Serving".
@@ -55,10 +55,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("wpinqd", flag.ContinueOnError)
 	addr := fs.String("addr", ":8080", "listen address")
 	data := fs.String("data", "", "directory persisting releases, job checkpoints and the provenance ledger (empty = a private temporary directory, removed at shutdown)")
-	chains := fs.Int("chains", 1, "default replica-exchange chains per synthesis job (1 = single chain)")
 	workers := fs.Int("workers", 0, "synthesis worker pool size (0 = GOMAXPROCS)")
-	checkpointEvery := fs.Int("checkpoint-every", 0,
-		"default checkpoint cadence in MCMC steps for synthesis jobs (durable jobs survive daemon restarts; 0 = not durable)")
 	seed := fs.Int64("seed", 1, "base seed for requests that do not supply one")
 	logFormat := fs.String("log-format", "text", "log output format: text or json")
 	debugAddr := fs.String("debug-addr", "", "separate listen address for /metrics and /debug/pprof (empty = disabled)")
@@ -78,12 +75,10 @@ func run(args []string) error {
 	logger := slog.New(handler)
 
 	svc, err := service.New(service.Options{
-		Dir:             *data,
-		Chains:          *chains,
-		Workers:         *workers,
-		CheckpointEvery: *checkpointEvery,
-		Seed:            *seed,
-		Logger:          logger,
+		Dir:     *data,
+		Workers: *workers,
+		Seed:    *seed,
+		Logger:  logger,
 	})
 	if err != nil {
 		return err

@@ -13,3 +13,14 @@ func TestShardsFlagIsUndefined(t *testing.T) {
 		t.Fatalf("wpinqd -shards 1: got %v, want an undefined-flag error", err)
 	}
 }
+
+// TestJobSettingFlagsAreUndefined pins a job to its request: the daemon
+// has no default chain count or checkpoint cadence to fall back on.
+func TestJobSettingFlagsAreUndefined(t *testing.T) {
+	for _, args := range [][]string{{"-chains", "2"}, {"-checkpoint-every", "500"}} {
+		err := run(args)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
+			t.Errorf("wpinqd %s: got %v, want an undefined-flag error", strings.Join(args, " "), err)
+		}
+	}
+}

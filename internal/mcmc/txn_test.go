@@ -1,6 +1,7 @@
 package mcmc
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -152,22 +153,15 @@ func runInversePush(f txnFixture, pow float64, rngSeed int64, n int) (Stats, []s
 // TestTxnTraceMatchesInversePushPath pins the protocol end to end: for a
 // fixed seed, the transactional walk's accept/reject decisions and final
 // edge list are byte-identical to the inverse-push walk's, on each row's
-// walk (the row names are the executor layouts the test once ran at).
+// walk, named after its seed.
 // (Scores are not compared bitwise: the inverse-push path
 // re-derives state arithmetically and its scalar accumulators can drift
 // by ~1e-15 on rare rejects, which is exactly the imprecision the undo
 // log removes; such drift would flip a decision only at an
 // astronomically near tie.)
 func TestTxnTraceMatchesInversePushPath(t *testing.T) {
-	for _, cfg := range []struct {
-		name string
-		seed int64 // of the walk
-	}{
-		{"serial", 99},
-		{"engine1", 1099},
-		{"engine3", 2099},
-	} {
-		t.Run(cfg.name, func(t *testing.T) {
+	for _, seed := range []int64{99, 1099, 2099} { // of the walk
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			rng := testRng(21)
 			g, err := graph.ErdosRenyi(50, 140, rng)
 			if err != nil {
@@ -176,8 +170,8 @@ func TestTxnTraceMatchesInversePushPath(t *testing.T) {
 			txn := buildTxnFixture(g, 77)
 			old := buildTxnFixture(g, 77)
 
-			stTxn, trTxn := runTraced(t, txn, 300, cfg.seed, 1500)
-			stOld, trOld := runInversePush(old, 300, cfg.seed, 1500)
+			stTxn, trTxn := runTraced(t, txn, 300, seed, 1500)
+			stOld, trOld := runInversePush(old, 300, seed, 1500)
 
 			if stTxn.Steps != stOld.Steps || stTxn.Accepted != stOld.Accepted ||
 				stTxn.Rejected != stOld.Rejected || stTxn.Invalid != stOld.Invalid {

@@ -15,7 +15,6 @@ import (
 
 	"wpinq/internal/graph"
 	"wpinq/internal/synth"
-	"wpinq/internal/workload"
 )
 
 // jobQueueDepth bounds how many submitted-but-unstarted jobs the
@@ -57,20 +56,38 @@ type JobRequest struct {
 	// ProgressEvery is the progress-update cadence in MCMC steps
 	// (default 1024). It also bounds cancellation latency.
 	ProgressEvery int `json:"progressEvery,omitempty"`
-	// Chains is the replica-exchange chain count (synth.Config.Chains
-	// semantics; 0 uses the service default, which itself defaults to a
-	// single chain).
+	// Chains is the replica-exchange chain count (default 1, a single
+	// chain; at most maxJobChains).
 	Chains int `json:"chains,omitempty"`
 	// SwapEvery is the replica swap interval in steps (default 1024;
 	// only meaningful when the job runs more than one chain). Swap
 	// rounds are progress and cancellation points too.
 	SwapEvery int `json:"swapEvery,omitempty"`
-	// CheckpointEvery makes the job durable: every that many steps it
+	// CheckpointEvery > 0 makes the job durable: every that many steps it
 	// persists a resumable checkpoint through the store, and a daemon
 	// restart re-queues it from the last one (synth.Config.CheckpointEvery
-	// semantics; see DESIGN.md "Durable jobs"). 0 uses the service
-	// default; a negative value disables checkpointing explicitly.
+	// semantics; see DESIGN.md "Durable jobs"). 0 leaves the job not
+	// durable; a negative value is refused.
 	CheckpointEvery int `json:"checkpointEvery,omitempty"`
+}
+
+// fitConfig is the one mapping from a request to the fit it runs,
+// against a release of the given eps: Submit validates a request through
+// it, and run executes what it returns. synth's Validate fills the fit
+// defaults and refuses what a fit cannot run.
+func (req JobRequest) fitConfig(eps float64) (synth.Config, error) {
+	cfg := synth.Config{
+		Eps:             eps,
+		Workloads:       req.Workloads, // empty = every measured workload
+		Pow:             req.Pow,
+		Steps:           req.Steps,
+		ProgressEvery:   req.ProgressEvery,
+		Chains:          req.Chains,
+		SwapEvery:       req.SwapEvery,
+		CheckpointEvery: req.CheckpointEvery,
+	}
+	err := cfg.Validate()
+	return cfg, err
 }
 
 // WorkloadResidual, BinResidual and OperatorProfile re-export the synth
@@ -142,10 +159,8 @@ type Job struct {
 // the pool size queue; cancellation reaches queued jobs immediately and
 // running jobs at their next progress checkpoint.
 type JobManager struct {
-	store           *Store
-	defaultChains   int
-	defaultCkptEvry int
-	log             *slog.Logger
+	store *Store
+	log   *slog.Logger
 
 	mu     sync.Mutex
 	closed bool
@@ -159,33 +174,21 @@ type JobManager struct {
 	wg        sync.WaitGroup
 }
 
-// NewJobManager starts workers goroutines consuming the job queue.
-// defaultChains is the replica-exchange chain count applied to jobs that
-// do not set one (values below 1 mean a single chain).
-// defaultCheckpointEvery is the checkpoint cadence for jobs that do not
-// set one (0 leaves jobs non-durable). A nil logger discards job
-// lifecycle logs.
-func NewJobManager(store *Store, defaultChains, workers, defaultCheckpointEvery int, logger *slog.Logger) *JobManager {
+// NewJobManager starts workers goroutines consuming the job queue. A nil
+// logger discards job lifecycle logs.
+func NewJobManager(store *Store, workers int, logger *slog.Logger) *JobManager {
 	if workers < 1 {
 		workers = 1
-	}
-	if defaultChains < 1 {
-		defaultChains = 1
-	}
-	if defaultCheckpointEvery < 0 {
-		defaultCheckpointEvery = 0
 	}
 	if logger == nil {
 		logger = slog.New(slog.DiscardHandler)
 	}
 	jm := &JobManager{
-		store:           store,
-		defaultChains:   defaultChains,
-		defaultCkptEvry: defaultCheckpointEvery,
-		log:             logger,
-		jobs:            make(map[string]*Job),
-		queue:           make(chan *Job, jobQueueDepth),
-		quit:            make(chan struct{}),
+		store: store,
+		log:   logger,
+		jobs:  make(map[string]*Job),
+		queue: make(chan *Job, jobQueueDepth),
+		quit:  make(chan struct{}),
 	}
 	jm.wg.Add(workers)
 	for i := 0; i < workers; i++ {
@@ -219,16 +222,21 @@ func (jm *JobManager) Close() {
 	}
 }
 
-// Submit validates and enqueues a job.
+// Submit validates and enqueues a job. The request it queues, and that a
+// durable job's checkpoints record, has every fit default resolved.
 func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 	if req.Steps <= 0 {
 		return JobStatus{}, fmt.Errorf("job Steps must be positive, got %d", req.Steps)
+	}
+	if req.Chains > maxJobChains {
+		return JobStatus{}, fmt.Errorf("job Chains must be at most %d, got %d", maxJobChains, req.Chains)
 	}
 	info, err := jm.store.Info(req.Measurement)
 	if err != nil {
 		return JobStatus{}, err
 	}
-	if _, err := workload.Resolve(req.Workloads); err != nil {
+	cfg, err := req.fitConfig(info.Eps)
+	if err != nil {
 		return JobStatus{}, err
 	}
 	// Reject workloads the release does not contain at submission time
@@ -243,35 +251,7 @@ func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 				req.Measurement, name, info.Kinds)
 		}
 	}
-	if req.Pow == 0 {
-		req.Pow = synth.DefaultPow
-	}
-	if req.Pow < 0 {
-		return JobStatus{}, fmt.Errorf("job Pow must be positive, got %g", req.Pow)
-	}
-	if req.ProgressEvery <= 0 {
-		req.ProgressEvery = synth.DefaultProgressEvery
-	}
-	if req.Chains < 0 {
-		return JobStatus{}, fmt.Errorf("job Chains must be non-negative, got %d", req.Chains)
-	}
-	if req.Chains > maxJobChains {
-		return JobStatus{}, fmt.Errorf("job Chains must be at most %d, got %d", maxJobChains, req.Chains)
-	}
-	if req.Chains == 0 {
-		req.Chains = jm.defaultChains
-	}
-	if req.SwapEvery < 0 {
-		return JobStatus{}, fmt.Errorf("job SwapEvery must be non-negative, got %d", req.SwapEvery)
-	}
-	if req.CheckpointEvery == 0 {
-		req.CheckpointEvery = jm.defaultCkptEvry
-	}
-	if req.CheckpointEvery < 0 {
-		// Negative is the explicit "off" spelling (0 means "server
-		// default"); normalize so everything downstream tests > 0.
-		req.CheckpointEvery = 0
-	}
+	req.Pow, req.ProgressEvery, req.Chains, req.SwapEvery = cfg.Pow, cfg.ProgressEvery, cfg.Chains, cfg.SwapEvery
 
 	// The closed check and the enqueue sit under one critical section
 	// with Close's closed=true: either Submit sees closed and refuses, or
@@ -284,18 +264,7 @@ func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 		return JobStatus{}, ErrManagerClosed
 	}
 	jm.nextID++
-	j := &Job{
-		req: req,
-		status: JobStatus{
-			ID:              fmt.Sprintf("j%d", jm.nextID),
-			Measurement:     req.Measurement,
-			State:           JobQueued,
-			Steps:           req.Steps,
-			Seed:            req.Seed,
-			CheckpointEvery: req.CheckpointEvery,
-		},
-		done: make(chan struct{}),
-	}
+	j := newJob(fmt.Sprintf("j%d", jm.nextID), req, nil)
 	err = jm.enqueue(j)
 	jm.mu.Unlock()
 	if err != nil {
@@ -306,6 +275,28 @@ func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 		"chains", req.Chains,
 		"checkpointEvery", req.CheckpointEvery)
 	return j.Status(), nil
+}
+
+// newJob builds a queued job for a resolved request; ck is the checkpoint
+// a recovered or resumed job continues from, nil for a fresh one.
+func newJob(id string, req JobRequest, ck *synth.Checkpoint) *Job {
+	j := &Job{
+		req:    req,
+		resume: ck,
+		status: JobStatus{
+			ID:              id,
+			Measurement:     req.Measurement,
+			State:           JobQueued,
+			Steps:           req.Steps,
+			Seed:            req.Seed,
+			CheckpointEvery: req.CheckpointEvery,
+		},
+		done: make(chan struct{}),
+	}
+	if ck != nil {
+		j.status.Step, j.status.ResumedFrom = ck.Step, ck.Step
+	}
+	return j
 }
 
 // enqueue registers j under its ID, counts it queued and active, and
@@ -502,11 +493,11 @@ type checkpointMeta struct {
 // run executes one job: load the release, build the seed graph, fit.
 // The whole pipeline shares one rng seeded from the request, and each
 // chain of the fit runs its engine on one goroutine — jobs and chains
-// are the daemon's parallelism — so a job is a function of (stored bytes, seed),
-// bit-identical across processes and to an in-process fit. A job with a
-// checkpoint attached (boot recovery, explicit resume) replays the
-// identical prefix — rng, measurement load, seed graph — and then
-// continues from the checkpoint instead of step 0.
+// are the daemon's parallelism — so a job is a function of (stored bytes,
+// request), bit-identical across processes, on any daemon, and to an
+// in-process fit. A job with a checkpoint attached (boot recovery,
+// explicit resume) replays the identical prefix — rng, measurement load,
+// seed graph — and then continues from the checkpoint instead of step 0.
 func (jm *JobManager) run(j *Job) {
 	req := j.req
 	seed := req.Seed
@@ -528,6 +519,11 @@ func (jm *JobManager) run(j *Job) {
 		fail("load", err)
 		return
 	}
+	cfg, err := req.fitConfig(m.Eps)
+	if err != nil {
+		fail("config", err)
+		return
+	}
 	began := time.Now()
 	seedG, err := synth.SeedGraph(m, rng)
 	jobSeed.Observe(time.Since(began).Seconds())
@@ -540,31 +536,22 @@ func (jm *JobManager) run(j *Job) {
 	j.status.SeedEdges = seedG.NumEdges()
 	j.mu.Unlock()
 
-	cfg := synth.Config{
-		Eps:           m.Eps,
-		Workloads:     req.Workloads, // empty = every measured workload
-		Pow:           req.Pow,
-		Steps:         req.Steps,
-		ProgressEvery: req.ProgressEvery,
-		Chains:        req.Chains,
-		SwapEvery:     req.SwapEvery,
-		OnProgress: func(p synth.Progress) bool {
-			j.mu.Lock()
-			j.status.Step = p.Step
-			j.status.Accepted = p.Accepted
-			j.status.AcceptRate = p.AcceptRate()
-			j.status.Score = p.Score
-			j.status.Chains = p.Chains
-			j.status.Residuals = p.Residuals
-			j.status.Operators = p.Operators
-			j.mu.Unlock()
-			select {
-			case <-jm.quit:
-				return false
-			default:
-			}
-			return !j.cancelled.Load()
-		},
+	cfg.OnProgress = func(p synth.Progress) bool {
+		j.mu.Lock()
+		j.status.Step = p.Step
+		j.status.Accepted = p.Accepted
+		j.status.AcceptRate = p.AcceptRate()
+		j.status.Score = p.Score
+		j.status.Chains = p.Chains
+		j.status.Residuals = p.Residuals
+		j.status.Operators = p.Operators
+		j.mu.Unlock()
+		select {
+		case <-jm.quit:
+			return false
+		default:
+		}
+		return !j.cancelled.Load()
 	}
 	durable := req.CheckpointEvery > 0
 	if durable {
@@ -573,7 +560,6 @@ func (jm *JobManager) run(j *Job) {
 			fail("checkpoint-meta", err)
 			return
 		}
-		cfg.CheckpointEvery = req.CheckpointEvery
 		cfg.ParentHash = parentHash
 		cfg.OnCheckpoint = func(ck *synth.Checkpoint) bool {
 			began := time.Now()
@@ -766,21 +752,7 @@ func (jm *JobManager) reserveID(id string) {
 // requeue registers and enqueues a recovered job under its original ID.
 func (jm *JobManager) requeue(id string, req JobRequest, ck *synth.Checkpoint) (JobStatus, error) {
 	jm.reserveID(id)
-	j := &Job{
-		req:    req,
-		resume: ck,
-		status: JobStatus{
-			ID:              id,
-			Measurement:     req.Measurement,
-			State:           JobQueued,
-			Steps:           req.Steps,
-			Step:            ck.Step,
-			Seed:            req.Seed,
-			CheckpointEvery: req.CheckpointEvery,
-			ResumedFrom:     ck.Step,
-		},
-		done: make(chan struct{}),
-	}
+	j := newJob(id, req, ck)
 	jm.mu.Lock()
 	if jm.closed {
 		jm.mu.Unlock()

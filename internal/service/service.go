@@ -38,25 +38,16 @@ import (
 	"time"
 )
 
-// Options configures a Service.
+// Options configures a Service. It holds no job setting: a synthesis
+// job is configured by its JobRequest alone.
 type Options struct {
 	// Dir is the store directory (created if absent). Empty makes a
 	// private temporary one that Close removes: nothing outlives the process.
 	Dir string
-	// Chains is the default replica-exchange chain count for synthesis
-	// jobs (synth.Config.Chains semantics; 0 or 1 = single chain).
-	// Individual jobs may override it.
-	Chains int
 	// Workers bounds the synthesis worker pool. 0 sizes it to
 	// GOMAXPROCS: a chain's engine runs on one goroutine, so one job per
 	// CPU.
 	Workers int
-	// CheckpointEvery makes synthesis jobs durable by default: every
-	// that many steps a job persists a resumable checkpoint, and a
-	// daemon restart re-queues interrupted jobs from their last one.
-	// 0 (the default) leaves jobs non-durable; individual jobs may
-	// override either way via JobRequest.CheckpointEvery.
-	CheckpointEvery int
 	// Seed is the base for deriving per-request noise/MCMC seeds when a
 	// request does not supply one. Defaults to 1.
 	Seed int64
@@ -84,9 +75,6 @@ type Service struct {
 func New(opts Options) (*Service, error) {
 	if opts.Seed == 0 {
 		opts.Seed = 1
-	}
-	if opts.Chains < 0 || opts.Chains > maxJobChains {
-		return nil, fmt.Errorf("service: invalid chain count %d (max %d)", opts.Chains, maxJobChains)
 	}
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.DiscardHandler)
@@ -121,7 +109,7 @@ func New(opts Options) (*Service, error) {
 			s.registry.nextID = n
 		}
 	}
-	s.jobs = NewJobManager(st, opts.Chains, workerCount(opts), opts.CheckpointEvery, opts.Logger)
+	s.jobs = NewJobManager(st, workerCount(opts), opts.Logger)
 	// Boot-time crash recovery: any job with a persisted checkpoint was
 	// interrupted (cleanly finished jobs retire theirs); re-queue each
 	// under its original ID so a killed daemon's work resumes instead of

@@ -28,13 +28,21 @@
 // A dataflow graph is built bottom-up against a single Engine: inputs via
 // NewInput, operators via the package-level constructors. Construction
 // order is topological order, and the engine schedules one round per
-// Input.Push: every node, in construction order, takes the batch each of
-// its upstreams emitted earlier in the round, applies them, and emits its
-// output downstream at most once. A port therefore holds one batch. A
-// node reached along several paths from the input (every join whose two
-// sides share an ancestor) still runs once per round, where delivering
-// each emission as it is made would run it once per path. When Push
-// returns, every subscriber and sink reflects the change.
+// Input.Push: every node, after its upstreams, takes the batch each of
+// them emitted earlier in the round, applies them, and emits its output
+// downstream at most once. A port therefore holds one batch. A node
+// reached along several paths from the input (every join whose two sides
+// share an ancestor) still runs once per round, where delivering each
+// emission as it is made would run it once per path. When Push returns,
+// every subscriber and sink reflects the change.
+//
+// A round inside a transaction — an MCMC proposal — runs on the pushing
+// goroutine, node after node in construction order, and so does a small
+// push outside one. A load of at least minLoad records runs on GOMAXPROCS
+// goroutines, the pushing one among them: a node starts once every
+// upstream has finished, so branches that share no operator run at once.
+// No operator's state is split, and a node takes the same batches in the
+// same order either way, so no bit depends on GOMAXPROCS.
 //
 // Pushes may be bracketed by Input.Begin and Input.Commit/Input.Abort:
 // speculative rounds run identically, but every body logs the pre-images
@@ -49,8 +57,9 @@
 //
 // Every engine stream implements incremental.Source, so the incremental
 // package's terminal consumers — Collect, NewNoisyCountSink — attach to a
-// pipeline directly. Handlers subscribed this way run on the scheduling
-// goroutine.
+// pipeline directly. A handler subscribed this way runs on whichever of
+// the round's goroutines runs the node it hangs on, after that node's
+// upstreams and before its downstreams.
 //
 // # Profile
 //
@@ -60,15 +69,22 @@
 //
 // # Concurrency contract
 //
-// An engine runs every round on the goroutine that pushes, and its API is
-// not thread-safe: building the graph, pushing differences and reading
-// sinks happen on one goroutine. Independent engines share nothing, so
-// replica-exchange chains each run their own, each on its own goroutine
-// between the stops of synth's chain loop.
+// An engine's API is not thread-safe: building the graph, pushing
+// differences and reading sinks happen on one goroutine. A load may run
+// nodes on other goroutines, but none outlives the Push, and a panic in
+// one is raised again on the pushing goroutine. A node, its sinks and its
+// handlers write nothing another node reaches; what several nodes share
+// — a counter every fragment taps — must be safe for concurrent use.
+// Independent engines share nothing, so replica-exchange chains each run
+// their own, each on its own goroutine between the stops of synth's chain
+// loop.
 package engine
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"wpinq/internal/incremental"
 )
@@ -77,6 +93,9 @@ import (
 // Engine per graph.
 type Engine struct {
 	nodes []processor
+	// downs[i] lists the nodes that take node i's emissions, one entry
+	// per port: the edges of the dataflow DAG a load schedules by.
+	downs [][]int
 	inRun bool
 
 	// inTxn is set between a Begin and its Commit or Abort; parties are
@@ -88,7 +107,7 @@ type Engine struct {
 // processor is one schedulable node: an Input or an operator.
 type processor interface {
 	// process drains the node's pending input, applies it, and emits any
-	// output downstream. Called once per round in construction order.
+	// output downstream. Called once per round, after every upstream.
 	process()
 	// profile returns the node's counters (see NodeProfile).
 	profile() NodeProfile
@@ -124,20 +143,133 @@ func New() *Engine { return &Engine{} }
 // register appends a node to the schedule. Nodes are constructed after
 // their upstreams, so registration order is a topological order of the
 // dataflow DAG and one scheduling pass per round suffices.
-func (e *Engine) register(p processor) { e.nodes = append(e.nodes, p) }
+func (e *Engine) register(p processor) {
+	e.nodes = append(e.nodes, p)
+	e.downs = append(e.downs, nil)
+}
 
-// run executes one round: every node processes once, in topological
-// order. Emissions from node i land in the pending ports of nodes > i,
-// which the same pass then drains.
-func (e *Engine) run() {
+// minLoad is the number of records a push outside a transaction must
+// carry for its round to run independent branches at once. On a 2-CPU
+// host, a wpinqd job's checkpoint re-anchor of a 1 200-edge graph pushes
+// ≈ 2.4·10³ records while another job keeps the second CPU busy, and
+// overlapping its branches cost the daemon a tenth of its throughput; a
+// fit's start on a 2·10⁴-edge graph pushes 4·10⁴ records and loads in
+// three fifths of the serial time.
+const minLoad = 1 << 12
+
+// run executes the round of a push of records differences: every node
+// processes once, after its upstreams. Inside a transaction — a
+// proposal, whose round is too short to split — or for fewer than
+// minLoad records, the pushing goroutine runs the nodes in construction
+// order: emissions from node i land in the pending ports of nodes > i,
+// which the same pass then drains. A larger push outside a transaction,
+// a load, runs independent branches at once on GOMAXPROCS goroutines
+// (load).
+func (e *Engine) run(records int) {
 	if e.inRun {
 		panic("engine: re-entrant Push (subscribed handlers must not push)")
 	}
 	e.inRun = true
-	for _, n := range e.nodes {
-		n.process()
+	if e.inTxn || records < minLoad || !e.load() {
+		for _, n := range e.nodes {
+			n.process()
+		}
 	}
 	e.inRun = false
+}
+
+// load runs one round on min(GOMAXPROCS, nodes) goroutines, the pushing
+// one among them, or reports false and runs nothing when that is one: a
+// node starts once every upstream has finished, so it takes exactly the
+// batches the serial pass would hand it, left inlet before right, and
+// writes only its own state, ports and sinks — no float is accumulated
+// in another order. A goroutine that finishes a node runs the first
+// downstream it readied itself and hands the others out.
+//
+// A panic in a node, or in a handler it calls, is recovered there; no
+// node starts after it, and once every started node has returned it is
+// raised again on the pushing goroutine: the panic of the lowest-indexed
+// node that panicked. Nothing load starts outlives it.
+func (e *Engine) load() bool {
+	workers := min(runtime.GOMAXPROCS(0), len(e.nodes))
+	if workers < 2 {
+		return false
+	}
+	waiting := make([]atomic.Int32, len(e.nodes)) // upstreams yet to finish
+	for _, ds := range e.downs {
+		for _, d := range ds {
+			waiting[d].Add(1)
+		}
+	}
+	var (
+		ready   = make(chan int, len(e.nodes)) // each node is sent once at most
+		open    atomic.Int32                   // nodes readied and not yet finished
+		stopped atomic.Bool
+		wg      sync.WaitGroup
+	)
+	panics, panicked := make([]any, len(e.nodes)), make([]bool, len(e.nodes))
+	for i := range e.nodes {
+		if waiting[i].Load() == 0 {
+			open.Add(1)
+			ready <- i
+		}
+	}
+	work := func() {
+		for i := range ready {
+			for i >= 0 {
+				next := -1
+				if !stopped.Load() {
+					if panics[i], panicked[i] = processRecovered(e.nodes[i]); panicked[i] {
+						stopped.Store(true)
+					} else {
+						for _, d := range e.downs[i] {
+							if waiting[d].Add(-1) > 0 {
+								continue
+							}
+							open.Add(1)
+							if next < 0 {
+								next = d
+							} else {
+								ready <- d
+							}
+						}
+					}
+				}
+				if open.Add(-1) == 0 {
+					close(ready)
+				}
+				i = next
+			}
+		}
+	}
+	for range workers - 1 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
+	for i, p := range panicked {
+		if p {
+			panic(panics[i])
+		}
+	}
+	return true
+}
+
+// processRecovered runs one node's round and reports whether it
+// panicked, with the recovered value.
+func processRecovered(n processor) (value any, panicked bool) {
+	panicked = true
+	defer func() {
+		if panicked {
+			value = recover()
+		}
+	}()
+	n.process()
+	return nil, false
 }
 
 // tell applies a transaction event to the engine: it drops a Begin
@@ -177,6 +309,7 @@ func (p *port[T]) take() []incremental.Delta[T] {
 // through the incremental.Source interface. Operator nodes embed Stream.
 type Stream[T comparable] struct {
 	e        *Engine
+	node     int // the owning node's index
 	ports    []*port[T]
 	handlers []incremental.Handler[T]
 	prof     NodeProfile // Op, Rounds, In, Out: written by the owning node's process
@@ -193,6 +326,11 @@ type Source[T comparable] interface {
 	newPort() *port[T]
 }
 
+// newStream returns the output of the node about to be registered with e.
+func newStream[T comparable](e *Engine, op string) Stream[T] {
+	return Stream[T]{e: e, node: len(e.nodes), prof: NodeProfile{Op: op}}
+}
+
 func (s *Stream[T]) engine() *Engine { return s.e }
 
 func (s *Stream[T]) profile() NodeProfile { return s.prof }
@@ -203,17 +341,20 @@ func (s *Stream[T]) ran(in int) {
 	s.prof.In += uint64(in)
 }
 
-// newPort registers a downstream engine node's input port.
+// newPort registers an input port of the node about to be registered:
+// one edge of the DAG.
 func (s *Stream[T]) newPort() *port[T] {
 	p := &port[T]{}
 	s.ports = append(s.ports, p)
+	s.e.downs[s.node] = append(s.e.downs[s.node], len(s.e.nodes))
 	return p
 }
 
 // Subscribe registers a handler, satisfying incremental.Source.
-// The handler runs on the scheduling goroutine once per emitted batch; it
-// must not retain or mutate the batch, and subscriptions must complete
-// before the first push.
+// The handler runs once per emitted batch, on the goroutine that runs the
+// node (see the package's Concurrency contract); it must not retain or
+// mutate the batch, and subscriptions must complete before the first
+// push.
 func (s *Stream[T]) Subscribe(h incremental.Handler[T]) {
 	s.handlers = append(s.handlers, h)
 }

@@ -17,7 +17,7 @@ type Input[T comparable] struct {
 // NewInput returns a new dataflow input registered with e. Every input
 // and operator of one graph must share one engine.
 func NewInput[T comparable](e *Engine) *Input[T] {
-	in := &Input[T]{Stream: Stream[T]{e: e, prof: NodeProfile{Op: "input"}}}
+	in := &Input[T]{Stream: newStream[T](e, "input")}
 	e.register(in)
 	return in
 }
@@ -37,7 +37,7 @@ func (in *Input[T]) Push(batch []incremental.Delta[T]) {
 		in.pending = batch
 		in.ran(len(batch)) // an input takes what it emits
 	}
-	in.e.run()
+	in.e.run(len(batch))
 }
 
 // Pushes returns the number of Push calls so far: the propagation

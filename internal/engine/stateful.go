@@ -73,7 +73,7 @@ type stateful[U comparable, S body] struct {
 // body's emissions go, and registers the body as a transaction party.
 // The caller fills each inlet's apply.
 func newStateful[U comparable, S body](e *Engine, op string, build func(out incremental.Handler[U]) S, inlets ...inlet) *stateful[U, S] {
-	n := &stateful[U, S]{Stream: Stream[U]{e: e, prof: NodeProfile{Op: op}}, inlets: inlets}
+	n := &stateful[U, S]{Stream: newStream[U](e, op), inlets: inlets}
 	n.body = build(n.collect)
 	e.parties = append(e.parties, n.body.Txn)
 	e.register(n)

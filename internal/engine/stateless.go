@@ -29,7 +29,7 @@ func (n *Node[T]) process() { n.run() }
 func mapped[T, U comparable](src Source[T], op string, transform func(in []incremental.Delta[T], out []incremental.Delta[U]) []incremental.Delta[U]) *Node[U] {
 	e := src.engine()
 	in := src.newPort()
-	n := &Node[U]{Stream: Stream[U]{e: e, prof: NodeProfile{Op: op}}}
+	n := &Node[U]{Stream: newStream[U](e, op)}
 	var out []incremental.Delta[U]
 	n.run = func() {
 		b := in.take()

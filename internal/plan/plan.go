@@ -43,6 +43,7 @@ import (
 	"fmt"
 	"reflect"
 	"strconv"
+	"sync/atomic"
 
 	"wpinq/internal/incremental"
 	"wpinq/internal/obs"
@@ -92,8 +93,11 @@ type Stats struct {
 // *Memo is valid and disables both fusion and accounting (every Shared
 // call builds privately).
 //
-// Like the dataflow graphs it builds, a Memo is single-goroutine:
-// construction and Pushes reads are not synchronized.
+// Like the dataflow graphs it builds, a Memo is built on one goroutine,
+// and Pushes is read between rounds. Only the push counter is written
+// during a round, by every fragment's Count tap, and a load runs
+// fragments that share no operator on different goroutines: it is
+// atomic.
 type Memo struct {
 	fuse  bool
 	built map[string]any
@@ -102,7 +106,7 @@ type Memo struct {
 
 	requests int
 	shared   int
-	pushes   uint64
+	pushes   atomic.Uint64
 }
 
 // New returns an empty memo. fuse selects whether Shared actually
@@ -161,7 +165,7 @@ func (m *Memo) Pushes() uint64 {
 	if m == nil {
 		return 0
 	}
-	return m.pushes
+	return m.pushes.Load()
 }
 
 // Shared resolves a fragment request: on a fusing memo the first
@@ -214,7 +218,7 @@ func Count[T comparable](m *Memo, src incremental.Source[T]) {
 	}
 	c := fragPushes.With(strconv.FormatBool(m.fuse))
 	src.Subscribe(func([]incremental.Delta[T]) {
-		m.pushes++
+		m.pushes.Add(1)
 		c.Inc()
 	})
 }

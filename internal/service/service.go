@@ -45,8 +45,9 @@ type Options struct {
 	// private temporary one that Close removes: nothing outlives the process.
 	Dir string
 	// Workers bounds the synthesis worker pool. 0 sizes it to
-	// GOMAXPROCS: a chain's engine runs on one goroutine, so one job per
-	// CPU.
+	// GOMAXPROCS: a chain's walk runs on one goroutine (only a large
+	// graph's loads, its start and each re-anchor, use more), so one job
+	// per CPU.
 	Workers int
 	// Seed is the base for deriving per-request noise/MCMC seeds when a
 	// request does not supply one. Defaults to 1.
@@ -118,7 +119,7 @@ func New(opts Options) (*Service, error) {
 	return s, nil
 }
 
-// workerCount sizes the job pool: a chain's engine runs on one
+// workerCount sizes the job pool: a chain's walk runs on one
 // goroutine, so the pool admits GOMAXPROCS jobs at once unless Options.Workers says
 // otherwise.
 func workerCount(opts Options) int {

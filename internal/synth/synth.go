@@ -88,8 +88,8 @@ type Config struct {
 	// (default 1024; only consulted when Chains > 1).
 	SwapEvery int
 	// Shards is retired: nothing reads it, and Validate neither checks
-	// nor rewrites it. Every chain fits on one engine, and chains are
-	// a fit's one parallelism axis; a checkpoint records one shard. The
+	// nor rewrites it. Every chain fits on one engine, which no shard
+	// count splits; a checkpoint records one shard. The
 	// field goes when the end-to-end benchmark, its last writer, stops
 	// setting it.
 	Shards int

@@ -2,9 +2,13 @@ package synth
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"wpinq/internal/graph"
@@ -111,6 +115,76 @@ func TestMeasureIsTheSameAtAnyGOMAXPROCS(t *testing.T) {
 				}
 				if next != wantNext {
 					t.Errorf("graph %d, seed %d: GOMAXPROCS %d leaves the rng at %x, GOMAXPROCS 1 at %x", gi, seed, procs, next, wantNext)
+				}
+			}
+		}
+	}
+}
+
+// TestFitIsTheSameAtAnyGOMAXPROCS pins that a load running the plan's
+// independent branches at once moves no bit of a fit: durable fits of two
+// fused workload sets on two graphs, whose start and every re-anchor are
+// loads, give the same edge list, Stats, score bits, residuals and
+// checkpoint bytes at GOMAXPROCS 1, 2 and 4. GOMAXPROCS 1 runs every
+// round on the pushing goroutine, node after node. Each graph has at
+// least 2 048 edges, so that a load pushes the 4 096 records (two per
+// edge) the engine runs at once.
+func TestFitIsTheSameAtAnyGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for gi, n := range []int{700, 800} {
+		g, err := graph.HolmeKim(n, 3, 0.5, testRng(int64(20+gi)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g.NumEdges() < 2048 {
+			t.Fatalf("graph %d has %d edges: its loads would run serially", gi, g.NumEdges())
+		}
+		for _, workloads := range [][]string{{"tbi", "tbd", "jdd", "wedges"}, {"jdd", "wedges"}} {
+			m, err := Measure(g, Config{Eps: 0.5, Workloads: workloads, Bucket: 5}, testRng(3))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want *Result
+			var wantCkpts map[int][]byte
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				rng := testRng(7)
+				seedG, err := SeedGraph(m, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ckpts := make(map[int][]byte)
+				cfg := Config{Eps: 0.5, Steps: 300, CheckpointEvery: 150, OnCheckpoint: func(ck *Checkpoint) bool {
+					var buf bytes.Buffer
+					if err := ck.Save(&buf); err != nil {
+						t.Errorf("saving checkpoint at step %d: %v", ck.Step, err)
+					}
+					ckpts[ck.Step] = buf.Bytes()
+					return true
+				}}
+				res, err := Synthesize(m, seedG, cfg, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(ckpts) == 0 {
+					t.Fatal("the fit wrote no checkpoint")
+				}
+				if procs == 1 {
+					want, wantCkpts = res, ckpts
+					continue
+				}
+				at := fmt.Sprintf("graph %d, %v, GOMAXPROCS %d", gi, workloads, procs)
+				if !slices.Equal(res.Synthetic.EdgeList(), want.Synthetic.EdgeList()) {
+					t.Errorf("%s: a different edge list than at GOMAXPROCS 1", at)
+				}
+				if res.Stats != want.Stats || math.Float64bits(res.Stats.FinalScore) != math.Float64bits(want.Stats.FinalScore) {
+					t.Errorf("%s: Stats %+v, at GOMAXPROCS 1 %+v", at, res.Stats, want.Stats)
+				}
+				if !reflect.DeepEqual(res.Residuals, want.Residuals) {
+					t.Errorf("%s: residuals %+v, at GOMAXPROCS 1 %+v", at, res.Residuals, want.Residuals)
+				}
+				if !maps.EqualFunc(ckpts, wantCkpts, bytes.Equal) {
+					t.Errorf("%s: checkpoints differ from GOMAXPROCS 1's", at)
 				}
 			}
 		}

@@ -463,62 +463,13 @@ func BenchmarkRegressionPostprocessing(b *testing.B) {
 	}
 }
 
-// --- Replica exchange ----------------------------------------------------
-
-// BenchmarkChains measures the whole-chain parallelism axis: the same
-// TbI fit run as 1, 2, and 4 replica-exchange chains (each chain runs
-// its engine on one goroutine, so chains are the only concurrency). Wall-clock
-// per iteration should stay near-flat as chains grow when CPUs are
-// available — K chains explore K temperatures for the cost of one on an
-// idle machine — while total proposals scale with K.
-func BenchmarkChains(b *testing.B) {
-	rng := rand.New(rand.NewSource(8))
-	g, err := graph.HolmeKim(300, 4, 0.6, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m, err := synth.Measure(g, synth.Config{Eps: 0.5, Workloads: []string{"tbi"}}, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	seed, err := synth.SeedGraph(m, rng)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, chains := range []int{1, 2, 4} {
-		chains := chains
-		b.Run(fmt.Sprintf("chains=%d", chains), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				cfg := synth.Config{
-					Eps:       m.Eps,
-					Workloads: []string{"tbi"},
-					Pow:       1000,
-					Steps:     2000,
-					SwapEvery: 500,
-					Chains:    chains,
-				}
-				if _, err := synth.Synthesize(m, seed, cfg, rand.New(rand.NewSource(int64(i)))); err != nil {
-					b.Fatal(err)
-				}
-			}
-			// ns/op reports the wall-clock flatness claim; ns/chainop
-			// normalizes by the chain count to expose aggregate proposal
-			// throughput: on an idle multi-core box it should fall toward
-			// 1/K of the chains=1 figure, and on a single CPU it should
-			// stay near-flat (same total work, serialized).
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(chains), "ns/chainop")
-		})
-	}
-}
-
 // rejectHeavySink defeats dead-code elimination in BenchmarkRejectHeavy.
 var rejectHeavySink float64
 
 // BenchmarkRejectHeavy measures the transactional propose/score/abort
 // protocol where it pays: a fit whose pow is harsh enough that the
-// overwhelming majority of proposals is rejected (the regime
-// replica-exchange cold chains deliberately run in). Each iteration runs
+// overwhelming majority of proposals is rejected (the regime a
+// near-greedy pow runs in). Each iteration runs
 // the same seeded 1500-step walk, aborting rejected proposals from the
 // operators' undo logs: one propagation per proposal, where re-pushing
 // the inverse swap — the pre-transactional protocol, last measured at

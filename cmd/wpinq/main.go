@@ -78,8 +78,6 @@ func run(args []string) error {
 	fs.Int64Var(&opts.Seed, "seed", opts.Seed, "random seed")
 	fs.IntVar(&opts.Samples, "samples", opts.Samples, "trajectory points per figure line")
 	fs.IntVar(&opts.Repeats, "repeats", opts.Repeats, "repetitions for error bars (fig5)")
-	fs.IntVar(&opts.Chains, "chains", opts.Chains,
-		"replica-exchange chains per fit at a geometric pow ladder (0 or 1 = single chain)")
 	if err := fs.Parse(args[1:]); err != nil {
 		return err
 	}
@@ -130,6 +128,6 @@ remote verbs (clients of a wpinqd curator server; see `+"`wpinqd -h`"+`):
   remote resume      re-attach to (or re-queue) a durable job after a restart
   remote status      inspect dataset ledgers, releases, and jobs
 
-flags (after the experiment name): -scale -epinions-scale -steps -eps -pow -seed -samples -repeats -chains
+flags (after the experiment name): -scale -epinions-scale -steps -eps -pow -seed -samples -repeats
 (measure/synthesize/motif and the remote verbs take their own flags; run them with -h)`)
 }

@@ -108,8 +108,6 @@ func runRemoteSynthesize(args []string) error {
 		"comma-separated fit workloads (default: every workload in the release)")
 	steps := fs.Int("steps", 100000, "MCMC steps")
 	pow := fs.Float64("pow", synth.DefaultPow, "posterior sharpening")
-	chains := fs.Int("chains", 1, "replica-exchange chains (1 = single chain)")
-	swapEvery := fs.Int("swap-every", 0, fmt.Sprintf("steps between replica swap attempts (0 = default %d)", synth.DefaultSwapEvery))
 	checkpointEvery := fs.Int("checkpoint-every", 0,
 		"checkpoint cadence in MCMC steps: >0 makes the job durable across daemon restarts (0 = not durable)")
 	seed := fs.Int64("seed", 0, "job seed (0 = server-derived)")
@@ -129,8 +127,6 @@ func runRemoteSynthesize(args []string) error {
 		Workloads:       workloads,
 		Steps:           *steps,
 		Pow:             *pow,
-		Chains:          *chains,
-		SwapEvery:       *swapEvery,
 		CheckpointEvery: *checkpointEvery,
 		Seed:            *seed,
 	}
@@ -199,10 +195,6 @@ func waitJobResult(c *service.Client, verb, id string, poll time.Duration, out s
 	}
 	fmt.Fprintf(os.Stderr, "remote: job %s done, final score %.6g (%d/%d accepted)\n",
 		final.ID, final.Score, final.Accepted, final.Steps)
-	for _, ch := range final.Chains {
-		fmt.Fprintf(os.Stderr, "remote:   chain %d pow %-8.4g score %.6g accepted %d swaps %d\n",
-			ch.Chain, ch.Pow, ch.Score, ch.Accepted, ch.Swaps)
-	}
 	printResiduals(os.Stderr, "remote:   ", final.Residuals)
 	g, err := c.JobResult(final.ID)
 	if err != nil {
@@ -268,9 +260,6 @@ func runRemoteStatus(args []string) error {
 func printJob(st service.JobStatus) {
 	fmt.Printf("%s [%s] measurement %s step %d/%d score %.6g accept %.1f%%",
 		st.ID, st.State, st.Measurement, st.Step, st.Steps, st.Score, 100*st.AcceptRate)
-	if len(st.Chains) > 0 {
-		fmt.Printf(" chains %d", len(st.Chains))
-	}
 	if st.Error != "" {
 		fmt.Printf(" error: %s", st.Error)
 	}

@@ -114,9 +114,12 @@ func TestRemoteValidation(t *testing.T) {
 	if err := runRemote([]string{"synthesize"}); err == nil {
 		t.Error("synthesize without -measurement accepted")
 	}
-	// Every daemon job fits at one shard; the client has no knob for it.
-	err := runRemote([]string{"synthesize", "-shards", "1", "-measurement", "m1"})
-	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
-		t.Errorf("synthesize -shards: got %v, want an undefined-flag error", err)
+	// Every daemon job fits one chain at one shard; the client has no
+	// knob for either.
+	for _, flag := range []string{"-shards", "-chains", "-swap-every"} {
+		err := runRemote([]string{"synthesize", flag, "1", "-measurement", "m1"})
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag) {
+			t.Errorf("synthesize %s: got %v, want an undefined-flag error", flag, err)
+		}
 	}
 }

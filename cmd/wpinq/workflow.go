@@ -82,8 +82,6 @@ func runSynthesize(args []string) error {
 	steps := fs.Int("steps", 100000, "MCMC steps")
 	pow := fs.Float64("pow", synth.DefaultPow, "posterior sharpening")
 	seed := fs.Int64("seed", 1, "random seed")
-	chains := fs.Int("chains", 1, "replica-exchange chains at a geometric pow ladder (1 = single chain)")
-	swapEvery := fs.Int("swap-every", synth.DefaultSwapEvery, "steps between replica swap attempts (with -chains > 1)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -116,8 +114,6 @@ func runSynthesize(args []string) error {
 		Workloads: workloads, // empty = every workload in the file
 		Pow:       *pow,
 		Steps:     *steps,
-		Chains:    *chains,
-		SwapEvery: *swapEvery,
 	}
 	res, err := synth.Synthesize(m, seedGraph, cfg, rng)
 	if err != nil {
@@ -125,14 +121,6 @@ func runSynthesize(args []string) error {
 	}
 	fmt.Fprintf(os.Stderr, "synthesize: %d steps (%d accepted, rate %.1f%%), synthetic graph has %d triangles\n",
 		res.Stats.Steps, res.Stats.Accepted, 100*res.Stats.AcceptRate(), res.Synthetic.Triangles())
-	for _, c := range res.Chains {
-		marker := " "
-		if c.Chain == res.BestChain {
-			marker = "*"
-		}
-		fmt.Fprintf(os.Stderr, "synthesize: %s chain %d pow %-8.4g score %.6g accepted %d swaps %d/%d\n",
-			marker, c.Chain, c.Pow, c.FinalScore, c.Accepted, c.SwapsAccepted, c.SwapsProposed)
-	}
 
 	w := os.Stdout
 	if *out != "" {

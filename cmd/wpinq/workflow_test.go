@@ -115,14 +115,18 @@ func TestRunDispatch(t *testing.T) {
 	if err := run([]string{"not-an-experiment"}); err == nil {
 		t.Error("unknown experiment accepted")
 	}
-	// The engine is one partition, so no verb has a shard knob: a
-	// retired flag is refused, never silently ignored.
+	// The engine is one partition and a fit is one chain, so no verb has
+	// a shard, chain or swap knob: a retired flag is refused, never
+	// silently ignored.
 	for _, args := range [][]string{
 		{"synthesize", "-shards", "1"},
 		{"fig3", "-shards", "1"},
+		{"synthesize", "-chains", "2"},
+		{"synthesize", "-swap-every", "512"},
+		{"fig3", "-chains", "2"},
 	} {
 		err := run(args)
-		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[1]) {
 			t.Errorf("%v: got %v, want an undefined-flag error", args, err)
 		}
 	}

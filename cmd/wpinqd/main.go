@@ -9,15 +9,15 @@
 //	       [-log-format text|json] [-debug-addr ADDR]
 //
 // A synthesis job is a function of the release bytes and its request —
-// chains, checkpoint cadence and seed included — bit-identical across
-// processes and daemons; the daemon runs jobs (and a job its chains) in
-// parallel, one worker per CPU by default.
+// checkpoint cadence and seed included — bit-identical across processes
+// and daemons; the daemon runs jobs in parallel, one worker per CPU by
+// default, and a job's fit is one chain.
 //
 // The API is documented on service.Handler; `wpinq remote` is the
 // matching command-line client. See README.md, "Serving".
 //
 // Observability: GET /metrics on the main address serves Prometheus-
-// text metrics (engine pushes, MCMC accept/swap rates, HTTP latencies,
+// text metrics (engine pushes, MCMC accept rates, HTTP latencies,
 // per-dataset budget gauges). -debug-addr additionally serves the
 // metrics page and net/http/pprof profiles on a separate listener,
 // which keeps profiling endpoints off the public API address.

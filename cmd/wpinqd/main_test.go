@@ -15,9 +15,10 @@ func TestShardsFlagIsUndefined(t *testing.T) {
 }
 
 // TestJobSettingFlagsAreUndefined pins a job to its request: the daemon
-// has no default chain count or checkpoint cadence to fall back on.
+// has no default checkpoint cadence to fall back on, and no chain count or
+// swap cadence at all (a fit is one chain).
 func TestJobSettingFlagsAreUndefined(t *testing.T) {
-	for _, args := range [][]string{{"-chains", "2"}, {"-checkpoint-every", "500"}} {
+	for _, args := range [][]string{{"-chains", "2"}, {"-swap-every", "512"}, {"-checkpoint-every", "500"}} {
 		err := run(args)
 		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+args[0]) {
 			t.Errorf("wpinqd %s: got %v, want an undefined-flag error", strings.Join(args, " "), err)

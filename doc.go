@@ -11,10 +11,9 @@
 // large load's on GOMAXPROCS goroutines, with branches that share no
 // operator at once. The stateful operators' bodies live in
 // internal/incremental, one per operator; equivalence tests pin both to
-// the from-scratch semantics in internal/weighted. Replica-exchange
-// chains, each on its own engine, parallelize a fit's walk; a
-// measurement evaluates its queries' exact answers concurrently and
-// releases them in order.
+// the from-scratch semantics in internal/weighted. A fit is one
+// Metropolis chain, as in the paper; a measurement evaluates its
+// queries' exact answers concurrently and releases them in order.
 //
 // cmd/wpinq regenerates the paper's tables and figures, and examples/
 // holds runnable demonstrations. bench_test.go at this root maps one

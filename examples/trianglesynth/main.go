@@ -5,9 +5,7 @@
 //  2. Regress a degree sequence and build a random seed graph.
 //  3. Fit the seed to the TbI triangle signal with Metropolis-Hastings
 //     over degree-preserving edge swaps, scored incrementally on the
-//     dataflow executor — as two replica-exchange chains: a cold
-//     chain at the target pow refines while a hot chain at pow/2
-//     explores, trading temperatures every SwapEvery steps.
+//     dataflow executor: one chain at the target pow.
 //
 // The seed starts triangle-poor; MCMC recovers a large share of the true
 // triangle count using only the released noisy measurements.
@@ -41,12 +39,10 @@ func main() {
 	cfg := synth.Config{
 		Eps:       0.5,             // per-measurement privacy parameter
 		Workloads: []string{"tbi"}, // triangles-by-intersect (4 eps)
-		Pow:       10000,           // near-greedy posterior (cold chain)
+		Pow:       10000,           // near-greedy posterior
 		Steps:     30000,
-		Chains:    2, // replica exchange: cold (pow) + hot (pow/2), one goroutine each
-		SwapEvery: 2048,
 	}
-	// Watch the fit at its stops: every 5000 steps, the best chain's graph.
+	// Watch the fit at its stops: every 5000 steps, the synthetic graph.
 	const every = 5000
 	cfg.ProgressEvery = every
 	cfg.OnProgress = func(p synth.Progress) bool {
@@ -70,16 +66,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\ntotal privacy cost: %.2f (= 7 x eps: 3 seed + 4 TbI)\n", res.TotalCost)
-	fmt.Printf("accepted %d / rejected %d / invalid %d proposals (best chain)\n",
-		res.Stats.Accepted, res.Stats.Rejected, res.Stats.Invalid)
-	for _, c := range res.Chains {
-		marker := " "
-		if c.Chain == res.BestChain {
-			marker = "*"
-		}
-		fmt.Printf("%s chain %d: pow %-7.5g score %.4g, %d accepted, %d/%d swaps\n",
-			marker, c.Chain, c.Pow, c.FinalScore, c.Accepted, c.SwapsAccepted, c.SwapsProposed)
-	}
+	fmt.Printf("accepted %d / rejected %d / invalid %d proposals, final score %.4g\n",
+		res.Stats.Accepted, res.Stats.Rejected, res.Stats.Invalid, res.Stats.FinalScore)
 	fmt.Println("\ntriangles:")
 	fmt.Printf("  seed graph (phase 1):      %6d\n", res.Seed.Triangles())
 	fmt.Printf("  synthetic graph (phase 2): %6d\n", res.Synthetic.Triangles())

@@ -46,11 +46,6 @@ type Options struct {
 	Samples int
 	// Repeats is the number of repetitions for error bars (Figure 5).
 	Repeats int
-	// Chains runs every synthesis fit as this many replica-exchange
-	// chains at a geometric pow ladder (see synth.Config.Chains; 0 or 1
-	// = the single-chain walk the paper uses). Trajectory samples follow
-	// the best chain at each stop, as Result.Synthetic does at the end.
-	Chains int
 }
 
 // Defaults returns the scaled-down defaults used by the CLI and benches.
@@ -162,8 +157,8 @@ func fig1Graphs(n int) (worst, best *graph.Graph) {
 }
 
 // trajectory runs the synthesis workflow and records (step, triangles,
-// assortativity) samples: the seed graph at step 0, then the best chain's
-// graph at every progress stop that falls on a multiple of sampleEvery.
+// assortativity) samples: the seed graph at step 0, then the fit's graph
+// at every progress stop that falls on a multiple of sampleEvery.
 func trajectory(g *graph.Graph, cfg synth.Config, o Options, seedOffset int64, name string) (*series, *synth.Result, error) {
 	every := o.sampleEvery()
 	var stops [][]float64
@@ -220,7 +215,6 @@ func Fig3(o Options) error {
 			Bucket:    run.bucket,
 			Pow:       o.Pow,
 			Steps:     steps,
-			Chains:    o.Chains,
 		}
 		line, _, err := trajectory(run.g, cfg, o, 33+int64(i), run.name)
 		if err != nil {
@@ -260,7 +254,6 @@ func Fig4(o Options) error {
 		Workloads: []string{"tbi"},
 		Pow:       o.Pow,
 		Steps:     o.Steps,
-		Chains:    o.Chains,
 	}
 	i := int64(0)
 	for _, name := range []datasets.Name{datasets.GrQc, datasets.HepTh, datasets.HepPh, datasets.Caltech} {
@@ -302,7 +295,6 @@ func Table2(o Options) error {
 		Workloads: []string{"tbi"},
 		Pow:       o.Pow,
 		Steps:     o.Steps,
-		Chains:    o.Chains,
 	}
 	for i, name := range []datasets.Name{datasets.GrQc, datasets.HepPh, datasets.HepTh, datasets.Caltech} {
 		g := graphs[name]
@@ -338,7 +330,6 @@ func Fig5(o Options) error {
 					Workloads: []string{"tbi"},
 					Pow:       o.Pow,
 					Steps:     o.Steps,
-					Chains:    o.Chains,
 				}
 				res, err := synth.Run(run.g, cfg, o.rng(90+int64(rep)+int64(eps*1000)))
 				if err != nil {
@@ -451,7 +442,6 @@ func Fig6(o Options) error {
 		Workloads: []string{"tbi"},
 		Pow:       o.Pow,
 		Steps:     o.Steps,
-		Chains:    o.Chains,
 	}
 	for i, run := range []struct {
 		label string

@@ -186,8 +186,8 @@ func TestFig3Claim(t *testing.T) {
 
 // TestTrajectoryShape pins what a figure line holds: Samples + 1 points,
 // the first the seed graph's at step 0, the rest at multiples of
-// sampleEvery — not at the swap stops a ladder adds between them — and the
-// last the graph the fit returns.
+// sampleEvery — not at the checkpoint stops a durable fit adds between
+// them — and the last the graph the fit returns.
 func TestTrajectoryShape(t *testing.T) {
 	var buf bytes.Buffer
 	o := tinyOptions(&buf)
@@ -197,7 +197,7 @@ func TestTrajectoryShape(t *testing.T) {
 	}
 	cfg := synth.Config{
 		Eps: o.Eps, Workloads: []string{"tbi"}, Pow: o.Pow, Steps: o.Steps,
-		Chains: 2, SwapEvery: 64,
+		CheckpointEvery: 64,
 	}
 	line, res, err := trajectory(g, cfg, o, 33, "shape")
 	if err != nil {

@@ -8,11 +8,11 @@ import "testing"
 // the same process. This held only to ~1e-13 before the incremental
 // engine's flush paths were made order-deterministic (map-ordered
 // emission perturbed the sink's floating-point accumulation and flipped
-// near-tie accept decisions), and it is the property the replica-exchange
-// determinism guarantees build on.
+// near-tie accept decisions), and it is the property a fit's determinism
+// guarantees build on.
 func TestRunTraceIsReproducible(t *testing.T) {
-	a := replicaFixture(t, 1, []float64{500}, 20)[0]
-	b := replicaFixture(t, 1, []float64{500}, 20)[0]
+	a := replicaFixture(t, 500, 20)
+	b := replicaFixture(t, 500, 20)
 	sa, sb := a.Run(700), b.Run(700)
 	if sa != sb {
 		t.Errorf("identically-seeded runs diverge: %+v vs %+v", sa, sb)

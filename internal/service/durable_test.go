@@ -291,15 +291,14 @@ func TestCrashRecoveryResumesDurableJob(t *testing.T) {
 
 // TestBootCountsParentFormatCheckpointAsStale pins what a daemon
 // upgraded across a checkpoint format cut does with a job it was killed
-// in the middle of: a `wpinq-checkpoint v1` or `v2` file, or a v3 one
-// recording fewer than one shard, which no v3 writer produces, is counted
+// in the middle of: a `wpinq-checkpoint v1`, `v2` or `v3` file is counted
 // under wpinq_job_restores_total{outcome="stale"}, left on disk, and
 // neither re-queued nor allowed to fail the boot; an explicit resume of it
 // is refused as stale, 409 over HTTP.
 func TestBootCountsParentFormatCheckpointAsStale(t *testing.T) {
 	reheader := func(header string) func(*testing.T, []byte) []byte {
 		return func(t *testing.T, current []byte) []byte {
-			return bytes.Replace(current, []byte("wpinq-checkpoint v3\n"), []byte(header), 1)
+			return bytes.Replace(current, []byte("wpinq-checkpoint v4\n"), []byte(header), 1)
 		}
 	}
 	for _, tc := range []struct {
@@ -308,18 +307,7 @@ func TestBootCountsParentFormatCheckpointAsStale(t *testing.T) {
 	}{
 		{"v1", reheader("wpinq-checkpoint v1\n")},
 		{"v2", reheader("wpinq-checkpoint v2\n")},
-		{"shards=-1", func(t *testing.T, current []byte) []byte {
-			ck, err := synth.LoadCheckpoint(bytes.NewReader(current))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ck.Shards = -1
-			var buf bytes.Buffer
-			if err := ck.Save(&buf); err != nil {
-				t.Fatal(err)
-			}
-			return buf.Bytes()
-		}},
+		{"v3", reheader("wpinq-checkpoint v3\n")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()

@@ -145,9 +145,12 @@ func (s *Service) handleUpload(w http.ResponseWriter, r *http.Request) {
 const maxJSONBody = 1 << 20
 
 // decodeJSON reads r's body, at most maxJSONBody of it, as exactly one
-// JSON value into v: bytes after the value are an error, not ignored.
+// JSON value into v: bytes after the value, and a field v does not have,
+// are an error, not ignored — a client naming a setting the server does
+// not read is told so rather than served something else.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxJSONBody))
+	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}

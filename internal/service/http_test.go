@@ -4,13 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -191,134 +188,43 @@ func TestConcurrentOverdrawOverHTTP(t *testing.T) {
 	}
 }
 
-// TestJobRequestIgnoresRetiredFields pins the wire format's one rule for
-// retired fields: a field the server no longer reads is ignored, never an
-// error. "fuse" left with the fusion choice (every plan fuses) and
-// "shards" with the executor width (the engine is one partition); a
-// client still sending either is served, and no status reports the field
-// back. The last row is the same rule on disk: a checkpoint whose meta
-// request still carries "shards", and which records two shards — as a
-// daemon that ran jobs at two shards wrote it — recovers at boot, runs to
-// done, and writes its next checkpoint at one shard.
-func TestJobRequestIgnoresRetiredFields(t *testing.T) {
+// TestJobRequestRefusesRetiredFields pins the wire format's one rule for
+// a field the server does not read: the request is refused as a 400
+// bad_request, queues nothing and takes no job ID. "fuse" left with the
+// fusion choice (every plan fuses), "shards" with the executor width (the
+// engine is one partition), and "chains" and "swapEvery" with replica
+// exchange (a fit is one chain); a client still sending any of them is
+// told so instead of being served a fit it did not ask for.
+func TestJobRequestRefusesRetiredFields(t *testing.T) {
+	svc, _, mID := measureOnce(t, Options{Workers: 1})
+	h := svc.Handler()
 	for _, tc := range []struct{ name, field string }{
 		{"fuse=false", `"fuse":false`},
 		{"shards=4", `"shards":4`},
 		{"shards=-1", `"shards":-1`},
+		{"chains=2", `"chains":2`},
+		{"swapEvery=512", `"swapEvery":512`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			svc, _, mID := measureOnce(t, Options{Workers: 1})
-			srv := httptest.NewServer(svc.Handler())
-			defer srv.Close()
-			body := `{"measurement":"` + mID + `","steps":50,"seed":3,` + tc.field + `}`
-			resp, err := http.Post(srv.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
+			before := svc.jobs.nextID
+			rec := postRaw(h, "/v1/jobs", []byte(`{"measurement":"`+mID+`","steps":50,"seed":3,`+tc.field+`}`))
+			var api APIError
+			if err := json.Unmarshal(rec.Body.Bytes(), &api); err != nil || rec.Code != http.StatusBadRequest || api.Code != CodeBadRequest {
+				t.Fatalf("job request carrying %s: got %d %q (%v), want 400 %s", tc.field, rec.Code, rec.Body, err, CodeBadRequest)
 			}
-			defer resp.Body.Close()
-			raw, err := io.ReadAll(resp.Body)
-			if err != nil {
-				t.Fatal(err)
+			if jobs := svc.Jobs().List(); len(jobs) != 0 {
+				t.Errorf("%d jobs queued, want none", len(jobs))
 			}
-			if resp.StatusCode != http.StatusAccepted {
-				t.Fatalf("job request carrying %s: status %d, body %s", tc.field, resp.StatusCode, raw)
-			}
-			if bytes.Contains(raw, []byte(`"fused"`)) || bytes.Contains(raw, []byte(`"shards"`)) {
-				t.Errorf("job status still reports a retired field: %s", raw)
-			}
-			var st JobStatus
-			if err := json.Unmarshal(raw, &st); err != nil {
-				t.Fatal(err)
-			}
-			final, err := NewClient(srv.URL).WaitJob(st.ID, 5*time.Millisecond, nil)
-			if err != nil || final.State != JobDone {
-				t.Fatalf("job finished %+v, %v", final, err)
+			if after := svc.jobs.nextID; after != before {
+				t.Errorf("next job ID moved %d -> %d", before, after)
 			}
 		})
 	}
-
-	t.Run("checkpoint-shards=2", func(t *testing.T) {
-		dir := t.TempDir()
-		opts := Options{Dir: dir, Workers: 1, Seed: 1}
-		svc1, _, mID := measureOnce(t, opts)
-		job, err := svc1.SubmitJob(JobRequest{
-			Measurement: mID, Steps: 40_000, ProgressEvery: 100, CheckpointEvery: 500, Seed: 42,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ckptPath := filepath.Join(dir, "ckpt-"+job.ID+".json")
-		waitForCheckpoint(t, ckptPath)
-		svc1.Close()
-		data, err := os.ReadFile(ckptPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck, err := synth.LoadCheckpoint(bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ck.Shards != 1 {
-			t.Fatalf("the daemon's checkpoint records shards %d, want 1", ck.Shards)
-		}
-
-		// Rewrite it as a daemon that ran the job at two shards did.
-		var meta map[string]json.RawMessage
-		if err := json.Unmarshal(ck.Meta, &meta); err != nil {
-			t.Fatal(err)
-		}
-		var req map[string]json.RawMessage
-		if err := json.Unmarshal(meta["request"], &req); err != nil {
-			t.Fatal(err)
-		}
-		req["shards"] = json.RawMessage("2")
-		if meta["request"], err = json.Marshal(req); err != nil {
-			t.Fatal(err)
-		}
-		if ck.Meta, err = json.Marshal(meta); err != nil {
-			t.Fatal(err)
-		}
-		ck.Shards = 2
-		var buf bytes.Buffer
-		if err := ck.Save(&buf); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(ckptPath, buf.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-
-		svc2 := newTestService(t, opts)
-		j, err := svc2.jobs.get(job.ID)
-		if err != nil {
-			t.Fatalf("boot recovery did not re-queue job %s: %v", job.ID, err)
-		}
-		if st := j.Status(); st.ResumedFrom != ck.Step {
-			t.Fatalf("recovered job resumedFrom = %d, want %d", st.ResumedFrom, ck.Step)
-		}
-		// The resumed fit's next checkpoint records the one partition it
-		// runs at. A clean finish retires the file, so it is read while
-		// the job runs.
-		next := -1
-		for next < 0 {
-			select {
-			case <-j.Done():
-				t.Fatal("the recovered job finished before a later checkpoint was read")
-			case <-time.After(2 * time.Millisecond):
-			}
-			if data, err := os.ReadFile(ckptPath); err == nil {
-				if later, err := synth.LoadCheckpoint(bytes.NewReader(data)); err == nil && later.Step > ck.Step {
-					next = later.Shards
-				}
-			}
-		}
-		if next != 1 {
-			t.Errorf("the recovered job's next checkpoint records shards %d, want 1", next)
-		}
-		<-j.Done()
-		if st := j.Status(); st.State != JobDone {
-			t.Errorf("recovered job finished %s (%s), want done", st.State, st.Error)
-		}
-	})
+	// The same request without the retired field is served.
+	rec := postRaw(h, "/v1/jobs", []byte(`{"measurement":"`+mID+`","steps":50,"seed":3}`))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("plain job request: got %d %q, want 202", rec.Code, rec.Body)
+	}
 }
 
 // TestCancelJobOverHTTP covers Client.CancelJob: cancelling a live job
@@ -384,8 +290,9 @@ func TestHTTPErrorShapes(t *testing.T) {
 	}
 
 	// Hostile JSON bodies, served in memory: a body over the cap is a typed
-	// 413 before any of it is interpreted, bytes after the JSON value are a
-	// 400, and neither charges the ledger nor queues a job.
+	// 413 before any of it is interpreted, bytes after the JSON value and a
+	// field the endpoint does not read are a 400, and none of them charges
+	// the ledger or queues a job.
 	svc := newTestService(t, Options{})
 	info, err := svc.Registry().Upload("g", 9, strings.NewReader("0 1\n1 2\n0 2\n"))
 	if err != nil {
@@ -393,7 +300,8 @@ func TestHTTPErrorShapes(t *testing.T) {
 	}
 	spent := math.Float64bits(info.Ledger.Spent)
 	huge := []byte(`{"workloads":"` + strings.Repeat("a", 2<<20) + `"}`)
-	trailing := []byte(`{"steps":1}garbage`)
+	trailingMeasure := []byte(`{"eps":1}garbage`)
+	trailingJob := []byte(`{"steps":1}garbage`)
 	for _, c := range []struct {
 		name, path string
 		body       []byte
@@ -402,11 +310,12 @@ func TestHTTPErrorShapes(t *testing.T) {
 	}{
 		{"oversized measure", "/v1/datasets/" + info.ID + "/measure", huge, http.StatusRequestEntityTooLarge, CodeRequestTooLarge, "too large"},
 		{"oversized job", "/v1/jobs", huge, http.StatusRequestEntityTooLarge, CodeRequestTooLarge, "too large"},
-		{"trailing bytes on measure", "/v1/datasets/" + info.ID + "/measure", trailing, http.StatusBadRequest, CodeBadRequest, "trailing data"},
-		{"trailing bytes on job", "/v1/jobs", trailing, http.StatusBadRequest, CodeBadRequest, "trailing data"},
+		{"trailing bytes on measure", "/v1/datasets/" + info.ID + "/measure", trailingMeasure, http.StatusBadRequest, CodeBadRequest, "trailing data"},
+		{"trailing bytes on job", "/v1/jobs", trailingJob, http.StatusBadRequest, CodeBadRequest, "trailing data"},
+		{"job field on measure", "/v1/datasets/" + info.ID + "/measure", []byte(`{"eps":1,"steps":1}`), http.StatusBadRequest, CodeBadRequest, `unknown field "steps"`},
 		// Resuming is POST /v1/jobs/{id}/resume alone: a retired "resume"
-		// field is ignored like "fuse", leaving a request with no steps.
-		{"retired resume field", "/v1/jobs", []byte(`{"resume":"j1"}`), http.StatusBadRequest, CodeBadRequest, "Steps must be positive"},
+		// field is refused like "fuse".
+		{"retired resume field", "/v1/jobs", []byte(`{"resume":"j1"}`), http.StatusBadRequest, CodeBadRequest, `unknown field "resume"`},
 	} {
 		rec := postRaw(svc.Handler(), c.path, c.body)
 		var api APIError

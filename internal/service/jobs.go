@@ -21,12 +21,6 @@ import (
 // manager will hold before refusing submissions with ErrQueueFull.
 const jobQueueDepth = 256
 
-// maxJobChains bounds the replica-exchange chain count a single job may
-// request. Every chain owns full fit pipelines, so Chains multiplies
-// resident memory; an unbounded network-facing knob would let one
-// request OOM the daemon.
-const maxJobChains = 64
-
 // Job states reported by JobStatus.State.
 const (
 	JobQueued    = "queued"
@@ -56,13 +50,6 @@ type JobRequest struct {
 	// ProgressEvery is the progress-update cadence in MCMC steps
 	// (default 1024). It also bounds cancellation latency.
 	ProgressEvery int `json:"progressEvery,omitempty"`
-	// Chains is the replica-exchange chain count (default 1, a single
-	// chain; at most maxJobChains).
-	Chains int `json:"chains,omitempty"`
-	// SwapEvery is the replica swap interval in steps (default 1024;
-	// only meaningful when the job runs more than one chain). Swap
-	// rounds are progress and cancellation points too.
-	SwapEvery int `json:"swapEvery,omitempty"`
 	// CheckpointEvery > 0 makes the job durable: every that many steps it
 	// persists a resumable checkpoint through the store, and a daemon
 	// restart re-queues it from the last one (synth.Config.CheckpointEvery
@@ -82,8 +69,6 @@ func (req JobRequest) fitConfig(eps float64) (synth.Config, error) {
 		Pow:             req.Pow,
 		Steps:           req.Steps,
 		ProgressEvery:   req.ProgressEvery,
-		Chains:          req.Chains,
-		SwapEvery:       req.SwapEvery,
 		CheckpointEvery: req.CheckpointEvery,
 	}
 	err := cfg.Validate()
@@ -118,18 +103,13 @@ type JobStatus struct {
 	// re-queued from, for recovered or explicitly resumed jobs.
 	CheckpointEvery int `json:"checkpointEvery,omitempty"`
 	ResumedFrom     int `json:"resumedFrom,omitempty"`
-	// Chains is the per-chain progress of a replica-exchange job (pow
-	// assignment, accepted proposals and swaps, current score), in chain
-	// order; absent for single-chain jobs. The top-level Step, Score,
-	// Accepted, and AcceptRate track the best chain.
-	Chains []synth.ChainProgress `json:"chains,omitempty"`
 	// Residuals breaks the current score into per-workload fit residuals
 	// (L1 distance to the released noisy counts, weighted by epsilon)
 	// with the worst-fitting bins of each workload — the diagnostic for
 	// which workload the sampler is failing to match. Updated at each
 	// progress checkpoint and final on termination.
 	Residuals []synth.WorkloadResidual `json:"residuals,omitempty"`
-	// Operators is the best chain's executor profile, one entry per
+	// Operators is the fit's executor profile, one entry per
 	// dataflow node: rounds run, differences in and out, records indexed
 	// (counted from the chain's last checkpoint re-anchor). Updated with
 	// Residuals.
@@ -228,9 +208,6 @@ func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 	if req.Steps <= 0 {
 		return JobStatus{}, fmt.Errorf("job Steps must be positive, got %d", req.Steps)
 	}
-	if req.Chains > maxJobChains {
-		return JobStatus{}, fmt.Errorf("job Chains must be at most %d, got %d", maxJobChains, req.Chains)
-	}
 	info, err := jm.store.Info(req.Measurement)
 	if err != nil {
 		return JobStatus{}, err
@@ -251,7 +228,7 @@ func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 				req.Measurement, name, info.Kinds)
 		}
 	}
-	req.Pow, req.ProgressEvery, req.Chains, req.SwapEvery = cfg.Pow, cfg.ProgressEvery, cfg.Chains, cfg.SwapEvery
+	req.Pow, req.ProgressEvery = cfg.Pow, cfg.ProgressEvery
 
 	// The closed check and the enqueue sit under one critical section
 	// with Close's closed=true: either Submit sees closed and refuses, or
@@ -272,7 +249,6 @@ func (jm *JobManager) Submit(req JobRequest) (JobStatus, error) {
 	}
 	jm.log.Info("job queued", "job", j.status.ID,
 		"measurement", req.Measurement, "steps", req.Steps,
-		"chains", req.Chains,
 		"checkpointEvery", req.CheckpointEvery)
 	return j.Status(), nil
 }
@@ -491,10 +467,9 @@ type checkpointMeta struct {
 }
 
 // run executes one job: load the release, build the seed graph, fit.
-// The whole pipeline shares one rng seeded from the request, and each
-// chain of the fit runs its engine on one goroutine — jobs and chains
-// are the daemon's parallelism — so a job is a function of (stored bytes,
-// request), bit-identical across processes, on any daemon, and to an
+// The whole pipeline shares one rng seeded from the request, and the
+// fit's one chain walks on the worker's goroutine — jobs are the daemon's
+// parallelism — so a job is a function of (stored bytes, request), bit-identical across processes, on any daemon, and to an
 // in-process fit. A job with a checkpoint attached (boot recovery,
 // explicit resume) replays the identical prefix — rng, measurement load,
 // seed graph — and then continues from the checkpoint instead of step 0.
@@ -542,7 +517,6 @@ func (jm *JobManager) run(j *Job) {
 		j.status.Accepted = p.Accepted
 		j.status.AcceptRate = p.AcceptRate()
 		j.status.Score = p.Score
-		j.status.Chains = p.Chains
 		j.status.Residuals = p.Residuals
 		j.status.Operators = p.Operators
 		j.mu.Unlock()
@@ -644,7 +618,6 @@ func (jm *JobManager) run(j *Job) {
 		st.Step = res.Stats.Steps
 		st.ResultNodes = res.Synthetic.NumNodes()
 		st.ResultEdges = res.Synthetic.NumEdges()
-		st.Chains = synth.ChainSnapshots(res.Chains)
 		st.Residuals = res.Residuals
 		st.Operators = res.Operators
 	})

@@ -47,7 +47,7 @@ func TestMetricsExposedOverHTTP(t *testing.T) {
 		}
 	}
 
-	// Which operator is hot: the finished job carries the best chain's
+	// Which operator is hot: the finished job carries its chain's
 	// executor profile, and the same stop exported it.
 	var ran, stateful *OperatorProfile
 	for i, op := range final.Operators {
@@ -82,6 +82,7 @@ func TestMetricsExposedOverHTTP(t *testing.T) {
 		`wpinq_plan_pushes_total`,
 		`wpinq_plan_txn_total{op="begin"}`,
 		`wpinq_mcmc_steps_total{outcome="accepted"}`,
+		`wpinq_fit_chunk_accept_ratio_count`,
 		`wpinq_store_measurements_total`,
 		`wpinq_store_provenance_records_total`,
 	} {
@@ -93,6 +94,13 @@ func TestMetricsExposedOverHTTP(t *testing.T) {
 	}
 	if v, ok := metricValue(text, `wpinq_dataset_budget_spent{dataset="`+ds.ID+`"}`); ok && v != tbiCost {
 		t.Errorf("budget spent gauge = %g, want %g", v, tbiCost)
+	}
+	// A fit is one chain: no fit metric carries a chain label, and there
+	// is no swap or pow series.
+	for _, gone := range []string{`chain="`, "wpinq_mcmc_swaps_total", "wpinq_mcmc_chain_pow"} {
+		if strings.Contains(text, gone) {
+			t.Errorf("/metrics still exports %s", gone)
+		}
 	}
 
 	// The provenance endpoint and a client-side audit complete the

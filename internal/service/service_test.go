@@ -101,13 +101,13 @@ func TestStorePersistsAcrossRestart(t *testing.T) {
 
 // TestMeasurementBytesSurviveAFit pins that the release is fixed at
 // Measure: neither Phase 1 (which reads the degree histograms far past
-// their released records) nor a three-chain Phase 2 (whose proposals give
-// weight to records the fit histograms never contained) writes into it,
+// their released records) nor Phase 2 (whose proposals give weight to
+// records the fit histograms never contained) writes into it,
 // so it serializes to the same bytes — and the store addresses it by the
 // same content id — before and after.
 func TestMeasurementBytesSurviveAFit(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	cfg := synth.Config{Eps: 1, Workloads: []string{"jdd", "tbd"}, Bucket: 2, Pow: 1e4, Steps: 600, Chains: 3, SwapEvery: 100}
+	cfg := synth.Config{Eps: 1, Workloads: []string{"jdd", "tbd"}, Bucket: 2, Pow: 1e4, Steps: 600}
 	m, err := synth.Measure(testGraph(t, 80), cfg, rng)
 	if err != nil {
 		t.Fatal(err)

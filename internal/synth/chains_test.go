@@ -2,10 +2,10 @@ package synth
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"wpinq/internal/graph"
-	"wpinq/internal/mcmc"
 )
 
 // fixtureMeasurements measures a small clustered graph and builds its
@@ -22,25 +22,6 @@ func fixtureMeasurements(t *testing.T, n int, workloads []string, bucket int) (*
 		t.Fatal(err)
 	}
 	return m, seed
-}
-
-func TestChainConfigValidate(t *testing.T) {
-	bad := []Config{
-		{Eps: 1, Workloads: []string{"tbi"}, Chains: -1},
-		{Eps: 1, Workloads: []string{"tbi"}, SwapEvery: -1},
-	}
-	for i, c := range bad {
-		if err := c.Validate(); err == nil {
-			t.Errorf("config %d should be invalid: %+v", i, c)
-		}
-	}
-	good := Config{Eps: 1, Workloads: []string{"tbi"}}
-	if err := good.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if good.Chains != 1 || good.SwapEvery != 1024 || good.ProgressEvery != 1024 {
-		t.Errorf("defaults not applied: %+v", good)
-	}
 }
 
 // TestRunChunkedProgressEveryZeroTerminates pins the regression where a
@@ -93,28 +74,12 @@ func TestZeroStepsReportsCurrentScore(t *testing.T) {
 		t.Errorf("OnProgress path FinalScore = %v, plain path = %v",
 			viaCallback.Stats.FinalScore, plain.Stats.FinalScore)
 	}
-	// Every chain of a ladder loads the same seed graph, so each reports
-	// the plain path's score.
-	ladder := observed
-	ladder.Chains = 2
-	multi, err := Synthesize(m, seed.Clone(), ladder, testRng(522))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(multi.Chains) != 2 {
-		t.Fatalf("a 2-chain fit reports %d chains", len(multi.Chains))
-	}
-	for _, c := range multi.Chains {
-		if c.FinalScore != plain.Stats.FinalScore {
-			t.Errorf("chain %d zero-step FinalScore = %v, want the current score %v", c.Chain, c.FinalScore, plain.Stats.FinalScore)
-		}
-	}
 }
 
 // TestChainChunkingMatchesRun pins that the loop's stops never perturb
 // a single chain: a fit reporting every 100 steps returns the Stats and
 // edge list of one Runner.Run over all its steps, on a runner anchored
-// as newFit anchors the fit's chain.
+// as newFit anchors it.
 func TestChainChunkingMatchesRun(t *testing.T) {
 	m, seed := fixtureMeasurements(t, 60, []string{"tbi"}, 0)
 	cfg := Config{Eps: m.Eps, Workloads: []string{"tbi"}, Pow: 500, Steps: 700, ProgressEvery: 100}
@@ -125,7 +90,7 @@ func TestChainChunkingMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := f.chains[0].runner.Run(cfg.Steps)
+	want := f.runner.Run(cfg.Steps)
 	stops := 0
 	cfg.OnProgress = func(Progress) bool { stops++; return true }
 	res, err := Synthesize(m, seed.Clone(), cfg, testRng(560))
@@ -138,7 +103,7 @@ func TestChainChunkingMatchesRun(t *testing.T) {
 	if res.Stats != want {
 		t.Errorf("chunked fit stats %+v != one Run's %+v", res.Stats, want)
 	}
-	sameEdges(t, "chunked fit vs one Run", edgeListOf(res.Synthetic), edgeListOf(f.chains[0].runner.State().Graph()))
+	sameEdges(t, "chunked fit vs one Run", edgeListOf(res.Synthetic), edgeListOf(f.runner.State().Graph()))
 }
 
 func edgeListOf(g *graph.Graph) []graph.Edge { return g.EdgeList() }
@@ -155,13 +120,15 @@ func sameEdges(t *testing.T, label string, a, b []graph.Edge) {
 	}
 }
 
-// TestChainDeterminism is the acceptance table: (a) Chains=1 is
-// trace-identical to the default-config fit, chunked by OnProgress or
-// not, and (b) fixed-seed multi-chain runs reproduce the
-// same synthetic edge list with scores equal to 1e-9 relative, from
-// each row's master seed (the rows are named after the executors the
-// table once ran on). Run under -race this also exercises the chain
-// goroutines.
+// TestChainDeterminism is the acceptance table: (a) a fixed-seed fit
+// reproduces the same synthetic edge list and score, and is
+// trace-identical chunked by OnProgress or not, and (b) four chains
+// (fits) walking at once against one *Measurements each reproduce their
+// solo run bit for bit: a fit writes nothing into the measurements, so
+// chains sharing them — a caller keeping the best of K — cannot perturb
+// each other. Each row starts from its master seed (the rows are named
+// after the executors the table once ran on). Run under -race this also
+// exercises the shared measurements.
 func TestChainDeterminism(t *testing.T) {
 	m, seed := fixtureMeasurements(t, 70, []string{"tbi"}, 0)
 	cases := []struct {
@@ -175,92 +142,72 @@ func TestChainDeterminism(t *testing.T) {
 		{"engine2/4chains", 1530, 4},
 	}
 	for _, tc := range cases {
-		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(extra func(*Config)) *Result {
-				cfg := Config{
-					Eps:       m.Eps,
-					Workloads: []string{"tbi"},
-					Pow:       500,
-					Steps:     900,
-					Chains:    tc.chains,
-					SwapEvery: 128,
-				}
+			run := func(seedOffset int64, extra func(*Config)) *Result {
+				cfg := Config{Eps: m.Eps, Workloads: []string{"tbi"}, Pow: 500, Steps: 900}
 				if extra != nil {
 					extra(&cfg)
 				}
-				res, err := Synthesize(m, seed.Clone(), cfg, testRng(tc.seed))
+				res, err := Synthesize(m, seed.Clone(), cfg, testRng(tc.seed+seedOffset))
 				if err != nil {
-					t.Fatal(err)
+					t.Error(err)
+					return nil
 				}
 				return res
 			}
-			r1, r2 := run(nil), run(nil)
-			sameEdges(t, "repeat", edgeListOf(r1.Synthetic), edgeListOf(r2.Synthetic))
-			if diff := math.Abs(r1.Stats.FinalScore - r2.Stats.FinalScore); diff > 1e-9*(1+math.Abs(r1.Stats.FinalScore)) {
-				t.Errorf("scores differ between identical runs: %v vs %v", r1.Stats.FinalScore, r2.Stats.FinalScore)
-			}
 			if tc.chains == 1 {
-				// (a) The explicit Chains=1 run must be trace-identical to
-				// the default config, chunked by OnProgress or not.
-				legacy := run(func(c *Config) { c.Chains = 0; c.SwapEvery = 0 })
-				sameEdges(t, "legacy", edgeListOf(r1.Synthetic), edgeListOf(legacy.Synthetic))
-				if r1.Stats != legacy.Stats {
-					t.Errorf("Chains=1 stats %+v != default-path stats %+v", r1.Stats, legacy.Stats)
+				r1, r2 := run(0, nil), run(0, nil)
+				sameEdges(t, "repeat", edgeListOf(r1.Synthetic), edgeListOf(r2.Synthetic))
+				if r1.Stats != r2.Stats {
+					t.Errorf("identical runs differ: %+v vs %+v", r1.Stats, r2.Stats)
 				}
-				chunked := run(func(c *Config) {
+				chunked := run(0, func(c *Config) {
 					c.ProgressEvery = 97
 					c.OnProgress = func(Progress) bool { return true }
 				})
 				sameEdges(t, "chunked", edgeListOf(r1.Synthetic), edgeListOf(chunked.Synthetic))
-			} else {
-				// (b) Multi-chain bookkeeping: per-chain stats present, the
-				// reported best chain backs Result.Stats, and the pow
-				// multiset is the configured geometric ladder.
-				if len(r1.Chains) != tc.chains {
-					t.Fatalf("Result.Chains has %d entries, want %d", len(r1.Chains), tc.chains)
+				if r1.Stats != chunked.Stats {
+					t.Errorf("chunked stats %+v != unchunked %+v", chunked.Stats, r1.Stats)
 				}
-				if r1.Stats != r1.Chains[r1.BestChain].Stats {
-					t.Errorf("Result.Stats %+v != best chain stats %+v", r1.Stats, r1.Chains[r1.BestChain].Stats)
-				}
-				pows := make(map[float64]int)
-				for i, c := range r1.Chains {
-					if c != r2.Chains[i] || c.Steps != 900 {
-						t.Errorf("chain %d: %+v, then %+v in an identical run; want equal, at 900 steps", i, c, r2.Chains[i])
-					}
-					pows[c.Pow]++
-					if best := r1.Chains[r1.BestChain].FinalScore; c.FinalScore < best {
-						t.Errorf("chain %d score %v beats reported best %v", c.Chain, c.FinalScore, best)
-					}
-				}
-				for i := 0; i < tc.chains; i++ {
-					want := 500 / math.Pow(2, float64(i))
-					if pows[want] != 1 {
-						t.Errorf("ladder rung %v held by %d chains, want 1", want, pows[want])
-					}
+				return
+			}
+			together := make([]*Result, tc.chains)
+			var wg sync.WaitGroup
+			for i := range together {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					together[i] = run(int64(i), nil)
+				}()
+			}
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			for i, r := range together {
+				solo := run(int64(i), nil)
+				sameEdges(t, "together vs solo", edgeListOf(r.Synthetic), edgeListOf(solo.Synthetic))
+				if r.Stats != solo.Stats || math.Float64bits(r.Stats.FinalScore) != math.Float64bits(solo.Stats.FinalScore) {
+					t.Errorf("chain %d: %+v walking beside three others, %+v alone", i, r.Stats, solo.Stats)
 				}
 			}
 		})
 	}
 }
 
-// TestMultiChainCancellation stops a 3-chain run from OnProgress and
-// checks every chain halted at the same barrier.
-func TestMultiChainCancellation(t *testing.T) {
+// TestFitCancellation stops a fit from OnProgress at its second stop: the
+// chain halts there, and the result reports the cancellation.
+func TestFitCancellation(t *testing.T) {
 	m, seed := fixtureMeasurements(t, 60, []string{"tbi"}, 0)
 	rounds := 0
 	cfg := Config{
-		Eps:       m.Eps,
-		Workloads: []string{"tbi"},
-		Pow:       200,
-		Steps:     1000,
-		Chains:    3,
-		SwapEvery: 100,
+		Eps:           m.Eps,
+		Workloads:     []string{"tbi"},
+		Pow:           200,
+		Steps:         1000,
+		ProgressEvery: 100,
 		OnProgress: func(p Progress) bool {
 			rounds++
-			if len(p.Chains) != 3 {
-				t.Errorf("progress carries %d chains, want 3", len(p.Chains))
-			}
 			return rounds < 2
 		},
 	}
@@ -271,41 +218,13 @@ func TestMultiChainCancellation(t *testing.T) {
 	if !res.Cancelled {
 		t.Error("run not reported cancelled")
 	}
-	for _, c := range res.Chains {
-		if c.Steps != 200 {
-			t.Errorf("chain %d ran %d steps, want 200 (2 rounds of 100)", c.Chain, c.Steps)
-		}
+	if res.Stats.Steps != 200 {
+		t.Errorf("ran %d steps, want 200 (2 stops of 100)", res.Stats.Steps)
 	}
-}
-
-// TestMultiChainImprovesFit sanity-checks that replica exchange still
-// fits: the best chain's final score must beat the common initial score.
-func TestMultiChainImprovesFit(t *testing.T) {
-	m, seed := fixtureMeasurements(t, 80, []string{"tbi"}, 0)
-	initial, err := Synthesize(m, seed.Clone(),
-		Config{Eps: m.Eps, Workloads: []string{"tbi"}, Pow: 500, Steps: 0}, testRng(550))
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Synthesize(m, seed.Clone(), Config{
-		Eps: m.Eps, Workloads: []string{"tbi"}, Pow: 500,
-		Steps: 4000, Chains: 3, SwapEvery: 250,
-	}, testRng(551))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.FinalScore >= initial.Stats.FinalScore {
-		t.Errorf("best chain score %v did not improve on initial %v",
-			res.Stats.FinalScore, initial.Stats.FinalScore)
-	}
-	if res.Stats.Accepted == 0 {
-		t.Error("best chain accepted nothing")
-	}
-	var _ mcmc.Stats = res.Stats
 }
 
 // TestFitReportsOperators pins the executor profile's way out of a fit:
-// every progress stop and the Result carry the best chain's, node by node
+// every progress stop and the Result carry the chain's, node by node
 // in scheduling order, counted from the chain's last anchor — the input
 // ran once for the load and at most once per proposal, counters only
 // grow between stops, and the joins TbI is made of index records.

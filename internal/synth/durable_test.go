@@ -5,13 +5,12 @@ package synth
 // master rng replaying the same load/seed prefix), and require the
 // resumed run to be bit-identical to an unbroken one — same final edge
 // list, same accept/reject trace, same score bits. Plus the documents
-// older writers left (a retired shard count), and rejection paths: stale
-// seeds, mismatched parent hashes, tampered documents.
+// older writers left, and rejection paths: stale seeds, foreign score
+// bits, mismatched parent hashes, tampered documents.
 
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -35,7 +34,7 @@ func durableFixture(t testing.TB) []byte {
 	return buf.Bytes()
 }
 
-// stepTrace is chain 0 after one proposal: its cumulative accept count
+// stepTrace is the chain after one proposal: its cumulative accept count
 // and its score at the bit level. One per step is the run's full
 // accept/reject trace.
 type stepTrace struct {
@@ -44,22 +43,18 @@ type stepTrace struct {
 	score    uint64
 }
 
-// traceSteps makes every step a progress stop and records chain 0's
+// traceSteps makes every step a progress stop and records the chain's
 // stepTrace at each.
 func traceSteps(cfg *Config, trace *[]stepTrace) {
 	cfg.ProgressEvery = 1
 	cfg.OnProgress = func(p Progress) bool {
-		accepted, score := p.Accepted, p.Score
-		if len(p.Chains) > 0 {
-			accepted, score = p.Chains[0].Accepted, p.Chains[0].Score
-		}
-		*trace = append(*trace, stepTrace{p.Step, accepted, math.Float64bits(score)})
+		*trace = append(*trace, stepTrace{p.Step, p.Accepted, math.Float64bits(p.Score)})
 		return true
 	}
 }
 
 // runDurable executes a durable fit over the fixture bytes with master
-// seed, capturing the chain-0 decision trace and every checkpoint's
+// seed, capturing the chain's decision trace and every checkpoint's
 // serialized form. If stopAt > 0 the run is cancelled at that boundary
 // (simulating a kill: the checkpoint is written, the process dies).
 func runDurable(t *testing.T, data []byte, seed int64, cfg Config, stopAt int) (*Result, []stepTrace, map[int][]byte) {
@@ -120,16 +115,13 @@ func TestDurableKillResumeBitIdentical(t *testing.T) {
 	cases := []struct {
 		name   string
 		shards int
-		chains int
 		steps  int
 		stopAt int
 	}{
 		// Steps deliberately not a multiple of CheckpointEvery: the final
 		// partial chunk must replay identically too.
-		{"serial-1chain", -1, 1, 1700, 500},
-		{"1shard-1chain", 1, 1, 1700, 1000},
-		{"serial-2chain", -1, 2, 1700, 500},
-		{"1shard-2chain", 1, 2, 1700, 1000},
+		{"serial-1chain", -1, 1700, 500},
+		{"1shard-1chain", 1, 1700, 1000},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -138,8 +130,6 @@ func TestDurableKillResumeBitIdentical(t *testing.T) {
 				Pow:             2000,
 				Steps:           tc.steps,
 				Shards:          tc.shards,
-				Chains:          tc.chains,
-				SwapEvery:       512, // deliberately not a divisor of CheckpointEvery
 				CheckpointEvery: 500,
 			}
 			const seed = 77
@@ -181,89 +171,37 @@ func TestDurableKillResumeBitIdentical(t *testing.T) {
 						i, resumedTrace[i], suffix[i])
 				}
 			}
-			if tc.chains > 1 && len(resumed.Chains) != tc.chains {
-				t.Errorf("resumed result has %d chain stats, want %d", len(resumed.Chains), tc.chains)
-			}
 		})
 	}
 }
 
-// TestResumeLegacySerialCheckpoint pins what a shard count means on
-// disk. A run configured with the retired Shards -1 records 1 in its
-// checkpoints, as every run does: no v3 document recording fewer than one
-// shard was ever written, and LoadCheckpoint refuses one as stale. A
-// one-shard checkpoint whose score bits the re-anchor does not reproduce
-// is stale too.
+// TestResumeLegacySerialCheckpoint pins what the retired shard count
+// means on disk: nothing. A run configured with Shards -1 writes the
+// checkpoints a Shards 0 run writes, byte for byte. And a checkpoint whose
+// score bits the re-anchor does not reproduce — as an executor with
+// another float accumulation order would have left it — is stale.
 func TestResumeLegacySerialCheckpoint(t *testing.T) {
 	data := durableFixture(t)
 	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1700, Shards: -1, CheckpointEvery: 500}
 	const seed = 77
 	_, _, ckpts := runDurable(t, data, seed, cfg, 500)
-
-	if ck, err := LoadCheckpoint(bytes.NewReader(ckpts[500])); err != nil {
-		t.Fatal(err)
-	} else if ck.Shards != 1 {
-		t.Fatalf("a Shards -1 run recorded shards %d in its checkpoint, want 1", ck.Shards)
-	}
-	resave := func(shards int) []byte { return resaveCheckpoint(t, ckpts[500], shards) }
-
-	for _, shards := range []int{-1, 0} {
-		doc := resave(shards)
-		if !bytes.Contains(doc, []byte(fmt.Sprintf(`"shards":%d`, shards))) {
-			t.Fatalf("fixture does not carry \"shards\":%d", shards)
-		}
-		if _, err := LoadCheckpoint(bytes.NewReader(doc)); !errors.Is(err, ErrCheckpointStale) {
-			t.Errorf("a stored \"shards\":%d checkpoint: got %v, want ErrCheckpointStale", shards, err)
-		}
+	cfg.Shards = 0
+	_, _, plain := runDurable(t, data, seed, cfg, 500)
+	if !bytes.Equal(ckpts[500], plain[500]) {
+		t.Error("a Shards -1 run's checkpoint differs from a Shards 0 run's")
 	}
 
-	if _, _, err := resumeDurable(t, data, seed, resave(1), Config{}); !errors.Is(err, ErrCheckpointStale) {
-		t.Fatalf("one-shard checkpoint with foreign score bits: got %v, want ErrCheckpointStale", err)
-	}
-}
-
-// resaveCheckpoint rewrites a checkpoint as another executor would have
-// left it: the given shard count, chain 0's score one ulp away.
-func resaveCheckpoint(t *testing.T, doc []byte, shards int) []byte {
-	t.Helper()
-	ck, err := LoadCheckpoint(bytes.NewReader(doc))
+	ck, err := LoadCheckpoint(bytes.NewReader(ckpts[500]))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck.Shards = shards
-	ck.Chains[0].ScoreBits ^= 1
+	ck.ScoreBits ^= 1
 	var buf bytes.Buffer
 	if err := ck.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
-}
-
-// TestResumeMultiShardCheckpoint pins the documents a sharded executor
-// left: a v3 checkpoint recording two shards resumes, at one partition,
-// to completion. Its score bits came from a per-process routing order, so
-// they are not checked (the fixture's are one ulp off), and every
-// checkpoint the resumed run writes records one shard.
-func TestResumeMultiShardCheckpoint(t *testing.T) {
-	data := durableFixture(t)
-	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1700, CheckpointEvery: 500}
-	const seed = 77
-	_, _, ckpts := runDurable(t, data, seed, cfg, 500)
-	var shards []int
-	res, _, err := resumeDurable(t, data, seed, resaveCheckpoint(t, ckpts[500], 2), Config{
-		OnCheckpoint: func(ck *Checkpoint) bool {
-			shards = append(shards, ck.Shards)
-			return true
-		},
-	})
-	if err != nil {
-		t.Fatalf("a \"shards\":2 checkpoint: %v", err)
-	}
-	if res.Cancelled || res.Stats.Steps != cfg.Steps {
-		t.Fatalf("resumed run stopped at %d of %d steps (cancelled %v)", res.Stats.Steps, cfg.Steps, res.Cancelled)
-	}
-	if want := []int{1, 1}; fmt.Sprint(shards) != fmt.Sprint(want) {
-		t.Errorf("the resumed run's checkpoints record shards %v, want %v", shards, want)
+	if _, _, err := resumeDurable(t, data, seed, buf.Bytes(), Config{}); !errors.Is(err, ErrCheckpointStale) {
+		t.Fatalf("checkpoint with foreign score bits: got %v, want ErrCheckpointStale", err)
 	}
 }
 
@@ -288,7 +226,7 @@ func TestResumeRejectsForeignVertices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ck.Chains[0].Edges[0][1] = id
+		ck.Edges[0][1] = id
 		var buf bytes.Buffer
 		if err := ck.Save(&buf); err != nil {
 			t.Fatal(err)
@@ -339,15 +277,21 @@ func TestLoadCheckpointRejectsCorruption(t *testing.T) {
 	}
 	// A document headed by an earlier version was written by an earlier
 	// driver — v1's rng positions count draws this one never makes, v2's
-	// walk scored against its observation history — so it is stale, not
-	// resumable onto a different trace.
+	// walk scored against its observation history, v3's master rng drew a
+	// replica-exchange swap seed — so it is stale, not resumable onto a
+	// different trace.
 	v2, err := os.ReadFile(filepath.Join("testdata", "checkpoint.v2.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
+	v3, err := os.ReadFile(filepath.Join("testdata", "checkpoint.v3.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for name, doc := range map[string][]byte{
-		"a v1 header":               bytes.Replace(good, []byte("wpinq-checkpoint v3\n"), []byte("wpinq-checkpoint v1\n"), 1),
+		"a v1 header":               bytes.Replace(good, []byte("wpinq-checkpoint v4\n"), []byte("wpinq-checkpoint v1\n"), 1),
 		"the last v2 driver's file": v2,
+		"the last v3 driver's file": v3,
 	} {
 		if _, err := LoadCheckpoint(bytes.NewReader(doc)); bytes.Equal(doc, good) || !errors.Is(err, ErrCheckpointStale) {
 			t.Errorf("%s: got %v, want ErrCheckpointStale", name, err)
@@ -363,21 +307,21 @@ func TestLoadCheckpointRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestLoadCheckpointRefusesBadSchedule pins that a swap schedule no fit
-// writes is refused at load, with a plain error: a parity outside {0, 1}
-// or a ladder that is not a permutation of the chain indices would index
-// out of range in the resumed fit's first swap round, and a daemon
-// re-queueing the job at boot would die on it at every boot.
+// TestLoadCheckpointRefusesBadSchedule pins that a checkpoint schedule
+// no fit writes is refused at load, with a plain error: a step off the
+// CheckpointEvery cadence, past Steps or negative, or a cadence that is
+// not positive, names no boundary a resumed fit could start from, and a
+// daemon re-queueing the job at boot would fail it at every boot.
 func TestLoadCheckpointRefusesBadSchedule(t *testing.T) {
 	data := durableFixture(t)
-	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1000, Chains: 2, SwapEvery: 250, CheckpointEvery: 500}
+	cfg := Config{Eps: 1.0, Pow: 2000, Steps: 1000, CheckpointEvery: 250}
 	_, _, ckpts := runDurable(t, data, 77, cfg, 500)
 	for name, damage := range map[string]func(*Checkpoint){
-		"parity -1":          func(ck *Checkpoint) { ck.Parity = -1 },
-		"parity 2":           func(ck *Checkpoint) { ck.Parity = 2 },
-		"repeated rung":      func(ck *Checkpoint) { ck.Ladder = []int{0, 0} },
-		"chain out of range": func(ck *Checkpoint) { ck.Ladder = []int{0, 2} },
-		"missing ladder":     func(ck *Checkpoint) { ck.Ladder = nil },
+		"step off the cadence": func(ck *Checkpoint) { ck.Step = 600 },
+		"step past the end":    func(ck *Checkpoint) { ck.Step = 1250 },
+		"negative step":        func(ck *Checkpoint) { ck.Step = -250 },
+		"zero cadence":         func(ck *Checkpoint) { ck.CheckpointEvery = 0 },
+		"negative cadence":     func(ck *Checkpoint) { ck.CheckpointEvery = -250 },
 	} {
 		ck, err := LoadCheckpoint(bytes.NewReader(ckpts[500]))
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"wpinq/internal/graph"
@@ -34,12 +35,12 @@ func multiRecordFixture(t *testing.T) []byte {
 // score the dataflow maintained through the walk (the sum of the
 // result's per-workload residuals, and Stats.FinalScore) equals the score
 // of the final graph loaded into a fresh plan attached to the *same*
-// Measurements value — one chain or three, checkpointed or not, from
-// each row's master seed (rows named after the shard counts the test once
-// ran at). That
-// holds only if the score is a function of the graph: a sink that keeps
-// the observations of proposals it aborted, or of the other chains,
-// carries terms no load of the final graph re-derives.
+// Measurements value — one chain, or three fitting those measurements at
+// once, checkpointed or not, from each row's master seed (rows named
+// after the shard counts the test once ran at). That holds only if the
+// score is a function of the graph: a sink that keeps the observations of
+// proposals it aborted, or of the other chains, carries terms no load of
+// the final graph re-derives.
 func TestFitReconcilesWithCallersMeasurements(t *testing.T) {
 	data := multiRecordFixture(t)
 	for _, chains := range []int{1, 3} {
@@ -66,45 +67,60 @@ func TestFitReconcilesWithCallersMeasurements(t *testing.T) {
 						t.Fatal(err)
 					}
 					released := m.Fits["tbd"].Hist.Len() + m.Fits["jdd"].Hist.Len()
-					heldDerived := false
-					res, err := Synthesize(m, seed, Config{
-						Eps: m.Eps, Pow: 1e4, Steps: 1600, CheckpointEvery: every,
-						Chains: chains, SwapEvery: 128, ProgressEvery: 100,
-						OnProgress: func(p Progress) bool {
-							bins := 0
-							for _, r := range p.Residuals {
-								bins += r.Bins
-							}
-							heldDerived = heldDerived || bins > released
-							return true
-						},
-					}, rng)
-					if err != nil {
-						t.Fatal(err)
+					results := make([]*Result, chains)
+					errs := make([]error, chains)
+					heldDerived := make([]bool, chains)
+					var wg sync.WaitGroup
+					for i := range results {
+						chainRng := rng
+						if i > 0 {
+							chainRng = testRng(row.seed + int64(i))
+						}
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							results[i], errs[i] = Synthesize(m, seed.Clone(), Config{
+								Eps: m.Eps, Pow: 1e4, Steps: 1600, CheckpointEvery: every, ProgressEvery: 100,
+								OnProgress: func(p Progress) bool {
+									bins := 0
+									for _, r := range p.Residuals {
+										bins += r.Bins
+									}
+									heldDerived[i] = heldDerived[i] || bins > released
+									return true
+								},
+							}, chainRng)
+						}()
 					}
-					if !heldDerived {
-						t.Error("no sink held a never-released record at any stop: the comparison is vacuous")
-					}
+					wg.Wait()
 					if after := m.Fits["tbd"].Hist.Len() + m.Fits["jdd"].Hist.Len(); after != released {
 						t.Errorf("the fit wrote into the caller's histograms: %d -> %d records", released, after)
 					}
-					var maintained float64
-					for _, r := range res.Residuals {
-						maintained += r.Weighted
-					}
-					if maintained != res.Stats.FinalScore {
-						t.Errorf("residuals sum to %v, Stats.FinalScore is %v", maintained, res.Stats.FinalScore)
-					}
-					plan := workload.NewPlan()
-					for _, name := range m.FitNames() {
-						if err := m.Fits[name].Attach(plan, m.Eps); err != nil {
-							t.Fatal(err)
+					for i, res := range results {
+						if errs[i] != nil {
+							t.Fatal(errs[i])
 						}
-					}
-					mcmc.NewGraphState(res.Synthetic, plan.Input())
-					scratch := plan.Scorer().Score()
-					if math.Abs(maintained-scratch) > 1e-6*math.Max(math.Abs(maintained), math.Abs(scratch)) {
-						t.Errorf("maintained score %v != from-scratch score %v over the caller's measurements", maintained, scratch)
+						if !heldDerived[i] {
+							t.Errorf("chain %d: no sink held a never-released record at any stop: the comparison is vacuous", i)
+						}
+						var maintained float64
+						for _, r := range res.Residuals {
+							maintained += r.Weighted
+						}
+						if maintained != res.Stats.FinalScore {
+							t.Errorf("chain %d: residuals sum to %v, Stats.FinalScore is %v", i, maintained, res.Stats.FinalScore)
+						}
+						plan := workload.NewPlan()
+						for _, name := range m.FitNames() {
+							if err := m.Fits[name].Attach(plan, m.Eps); err != nil {
+								t.Fatal(err)
+							}
+						}
+						mcmc.NewGraphState(res.Synthetic, plan.Input())
+						scratch := plan.Scorer().Score()
+						if math.Abs(maintained-scratch) > 1e-6*math.Max(math.Abs(maintained), math.Abs(scratch)) {
+							t.Errorf("chain %d: maintained score %v != from-scratch score %v over the caller's measurements", i, maintained, scratch)
+						}
 					}
 				})
 			}
@@ -113,34 +129,26 @@ func TestFitReconcilesWithCallersMeasurements(t *testing.T) {
 }
 
 // TestProgressStopsAreTheUnion pins where a fit can be observed: with
-// OnProgress set, reports arrive at every multiple of ProgressEvery, of
-// SwapEvery (more than one chain) and of CheckpointEvery, and once at the
-// end — at ProgressEvery 1, once per step — and observing changes
+// OnProgress set, reports arrive at every multiple of ProgressEvery and
+// of CheckpointEvery, and once at the end — at ProgressEvery 1, once per step — and observing changes
 // nothing: the final edge list is the one the unobserved run produces.
 func TestProgressStopsAreTheUnion(t *testing.T) {
 	data := durableFixture(t)
 	for _, tc := range []struct {
-		name          string
-		chains, every int
+		name  string
+		every int
 	}{
-		{"chains=1", 1, 300},
-		{"chains=3", 3, 300},
-		{"every=1", 1, 1},
+		{"chains=1", 300},
+		{"every=1", 1},
 	} {
-		chains := tc.chains
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := Config{
-				Eps: 1.0, Pow: 500, Steps: 1000, Chains: chains,
-				ProgressEvery: tc.every, SwapEvery: 128, CheckpointEvery: 250,
+				Eps: 1.0, Pow: 500, Steps: 1000,
+				ProgressEvery: tc.every, CheckpointEvery: 250,
 			}
 			want := map[int]bool{1000: true}
 			for _, every := range []int{tc.every, 250} {
 				for s := every; s < cfg.Steps; s += every {
-					want[s] = true
-				}
-			}
-			if chains > 1 {
-				for s := 128; s < cfg.Steps; s += 128 {
 					want[s] = true
 				}
 			}
@@ -160,8 +168,8 @@ func TestProgressStopsAreTheUnion(t *testing.T) {
 				if observe {
 					c.OnProgress = func(p Progress) bool {
 						stops = append(stops, p.Step)
-						if (len(p.Chains) > 0) != (chains > 1) || p.Steps != cfg.Steps {
-							t.Errorf("progress at %d: %d chain views for %d chains, steps %d", p.Step, len(p.Chains), chains, p.Steps)
+						if p.Steps != cfg.Steps {
+							t.Errorf("progress at %d: steps %d, want %d", p.Step, p.Steps, cfg.Steps)
 						}
 						if p.Step == cfg.Steps {
 							lastStop = edgeListOf(p.Synthetic())
@@ -184,7 +192,7 @@ func TestProgressStopsAreTheUnion(t *testing.T) {
 					t.Errorf("report %d at step %d: not a stop, or out of order (%v)", i, s, stops)
 				}
 			}
-			// The last stop sees the best chain, the graph the fit returns.
+			// The last stop sees the graph the fit returns.
 			sameEdges(t, "last stop vs result", lastStop, edgeListOf(observed.Synthetic))
 			plain, _ := run(false)
 			sameEdges(t, "observed vs unobserved", edgeListOf(observed.Synthetic), edgeListOf(plain.Synthetic))

@@ -43,16 +43,18 @@ func FuzzLoadMeasurements(f *testing.F) {
 }
 
 // FuzzLoadCheckpoint does the same for LoadCheckpoint, which boot
-// recovery runs over whatever a killed daemon left in its store — a
-// document of the previous format among it (testdata/checkpoint.v2.golden,
-// written by the last v2 driver), which must be refused as stale however
-// its body is damaged.
+// recovery runs over whatever a killed daemon left in its store —
+// documents of earlier formats among it (testdata/checkpoint.v2.golden and
+// checkpoint.v3.golden, written by the last v2 and v3 drivers), which must
+// be refused as stale however their bodies are damaged.
 func FuzzLoadCheckpoint(f *testing.F) {
-	v2, err := os.ReadFile(filepath.Join("testdata", "checkpoint.v2.golden"))
-	if err != nil {
-		f.Fatal(err)
+	for _, name := range []string{"checkpoint.v2.golden", "checkpoint.v3.golden"} {
+		doc, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(doc)
 	}
-	f.Add(v2)
 	rng := testRng(77)
 	m, err := LoadMeasurements(bytes.NewReader(durableFixture(f)), rng)
 	if err != nil {
@@ -63,7 +65,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		f.Fatal(err)
 	}
 	var saved bytes.Buffer
-	cfg := Config{Eps: 1, Pow: 2000, Steps: 400, Chains: 2, SwapEvery: 100, CheckpointEvery: 200}
+	cfg := Config{Eps: 1, Pow: 2000, Steps: 400, CheckpointEvery: 200}
 	cfg.OnCheckpoint = func(ck *Checkpoint) bool {
 		if err := ck.Save(&saved); err != nil {
 			f.Fatal(err)
@@ -76,8 +78,10 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	addWithDamage(f, saved.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ck, err := LoadCheckpoint(bytes.NewReader(data))
-		if bytes.HasPrefix(data, []byte("wpinq-checkpoint v2\n")) && !errors.Is(err, ErrCheckpointStale) {
-			t.Fatalf("a v2-headed document was not refused as stale: %v", err)
+		for _, old := range []string{"wpinq-checkpoint v2\n", "wpinq-checkpoint v3\n"} {
+			if bytes.HasPrefix(data, []byte(old)) && !errors.Is(err, ErrCheckpointStale) {
+				t.Fatalf("a %q-headed document was not refused as stale: %v", old[:len(old)-1], err)
+			}
 		}
 		if err != nil {
 			return

@@ -62,36 +62,20 @@ type Config struct {
 	// (DESIGN.md "Transactional scoring").
 	Steps int
 	// OnProgress, when set, observes Phase 2 progress at every stop of
-	// the fit — each multiple of ProgressEvery, of SwapEvery (Chains > 1)
-	// and of CheckpointEvery — and once after the final step, with
-	// per-chain detail in Progress.Chains for multi-chain runs. Returning
-	// false cancels the run: every chain stops at the barrier it has
-	// reached and Synthesize returns the partial synthetic graph with
-	// Result.Cancelled set. Long-running fits become observable and
+	// the fit — each multiple of ProgressEvery and of CheckpointEvery —
+	// and once after the final step. Returning false cancels the run: the
+	// chain stops at the stop it has reached and Synthesize returns the
+	// partial synthetic graph with Result.Cancelled set. Long-running fits become observable and
 	// stoppable (e.g. by an async job manager) without touching the MCMC
 	// trace: stopping a run does not change the sequence of proposals.
 	OnProgress func(Progress) bool
 	// ProgressEvery is the OnProgress callback cadence in steps
 	// (default 1024; only consulted when OnProgress is set).
 	ProgressEvery int
-	// Chains is the number of replica-exchange (parallel tempering)
-	// MCMC chains run concurrently in Phase 2 (default 1). Each chain
-	// gets its own fit pipelines, graph state, and a deterministic rng
-	// seeded from the master rng, and walks at its own rung of the
-	// geometric ladder Pow/2^i: chain 0 at the configured target
-	// sharpening, each further chain at half the previous. With K > 1,
-	// Metropolis swap proposals between temperature-adjacent chains every
-	// SwapEvery steps let hot chains explore while cold chains refine (see
-	// mcmc.Exchange and DESIGN.md "Replica exchange").
-	Chains int
-	// SwapEvery is the step interval between replica swap rounds
-	// (default 1024; only consulted when Chains > 1).
-	SwapEvery int
 	// Shards is retired: nothing reads it, and Validate neither checks
-	// nor rewrites it. Every chain fits on one engine, which no shard
-	// count splits; a checkpoint records one shard. The
-	// field goes when the end-to-end benchmark, its last writer, stops
-	// setting it.
+	// nor rewrites it. A fit runs on one engine, which no shard count
+	// splits. The field goes when the end-to-end benchmark, its last
+	// writer, stops setting it.
 	Shards int
 	// CheckpointEvery > 0 makes Phase 2 durable: every that many steps
 	// the fit re-anchors (rebuilds its pipelines from the live edge
@@ -102,8 +86,8 @@ type Config struct {
 	// CheckpointEvery=0 run of the same seed; it does not depend on
 	// whether OnCheckpoint is set.
 	CheckpointEvery int
-	// OnCheckpoint receives each checkpoint of a durable run, with all
-	// chains parked. Returning false cancels the run at this boundary
+	// OnCheckpoint receives each checkpoint of a durable run, with the
+	// chain parked. Returning false cancels the run at this boundary
 	// (the checkpoint is still valid to resume from).
 	OnCheckpoint func(*Checkpoint) bool
 	// ParentHash, when set, is stored in every emitted checkpoint and
@@ -113,13 +97,12 @@ type Config struct {
 	ParentHash string
 }
 
-// The fit defaults: what Validate fills in for a zero Pow, ProgressEvery
-// or SwapEvery. Every caller that spells a default — the CLI's flags, the
+// The fit defaults: what Validate fills in for a zero Pow or
+// ProgressEvery. Every caller that spells a default — the CLI's flags, the
 // job manager, the experiments — reads it from here.
 const (
 	DefaultPow           = 10000
 	DefaultProgressEvery = 1024
-	DefaultSwapEvery     = 1024
 )
 
 // Validate fills defaults and rejects inconsistent configurations.
@@ -145,53 +128,34 @@ func (c *Config) Validate() error {
 	if c.ProgressEvery <= 0 {
 		c.ProgressEvery = DefaultProgressEvery
 	}
-	if c.Chains < 0 {
-		return errors.New("synth: Chains must be non-negative")
-	}
-	if c.Chains == 0 {
-		c.Chains = 1
-	}
 	if c.CheckpointEvery < 0 {
 		return errors.New("synth: CheckpointEvery must be non-negative")
-	}
-	if c.SwapEvery < 0 {
-		return errors.New("synth: SwapEvery must be non-negative")
-	}
-	if c.SwapEvery == 0 {
-		c.SwapEvery = DefaultSwapEvery
 	}
 	return nil
 }
 
 // Progress is a snapshot of a running Phase 2 fit, delivered to
-// Config.OnProgress. For multi-chain runs, Step counts each chain's
-// completed steps (the chains advance in lockstep between swap
-// barriers), the top-level Accepted and Score track the best
-// (lowest-score) chain, and Chains holds the per-chain detail.
+// Config.OnProgress.
 type Progress struct {
-	Step     int     // MCMC steps completed so far (per chain)
-	Steps    int     // total steps configured (per chain)
-	Accepted int     // proposals accepted so far (best chain)
-	Score    float64 // current fit score (lower is better; best chain)
-	// Chains is the per-chain view of a replica-exchange run, in chain
-	// order; nil for single-chain runs.
-	Chains []ChainProgress
+	Step     int     // MCMC steps completed so far
+	Steps    int     // total steps configured
+	Accepted int     // proposals accepted so far
+	Score    float64 // current fit score (lower is better)
 	// Residuals breaks the score down by workload, each with its top-K
-	// worst measurement bins (best chain for multi-chain runs): the
-	// operator-level provenance of the score.
+	// worst measurement bins: the operator-level provenance of the score.
 	Residuals []WorkloadResidual
-	// Operators is the best chain's executor profile, one entry per
-	// dataflow node in scheduling order: which operator is hot. Counters
-	// run from the chain's last (re-)anchor.
+	// Operators is the chain's executor profile, one entry per dataflow
+	// node in scheduling order: which operator is hot. Counters run from
+	// the chain's last (re-)anchor.
 	Operators []OperatorProfile
 
-	best *mcmc.GraphState // the best chain's, parked for the callback
+	state *mcmc.GraphState // the chain's, parked for the callback
 }
 
-// Synthetic builds the best chain's synthetic graph as of this stop. Call
-// it only inside the OnProgress callback, while every chain is parked; the
-// graph is a snapshot that later proposals do not change.
-func (p Progress) Synthetic() *graph.Graph { return p.best.Graph() }
+// Synthetic builds the synthetic graph as of this stop. Call it only
+// inside the OnProgress callback, while the chain is parked; the graph is
+// a snapshot that later proposals do not change.
+func (p Progress) Synthetic() *graph.Graph { return p.state.Graph() }
 
 // WorkloadResidual is one workload's share of the fit score with its
 // worst bins; see incremental.WorkloadResidual for the field contract.
@@ -208,17 +172,6 @@ type BinResidual = incremental.BinResidual
 // residualTopK is how many worst bins each workload's residual report
 // carries in progress snapshots and results.
 const residualTopK = 5
-
-// ChainProgress is one replica-exchange chain's live view: its current
-// ladder position and fit state. It doubles as the wire representation
-// the curator service reports per chain.
-type ChainProgress struct {
-	Chain    int     `json:"chain"`    // index into the chain list
-	Pow      float64 `json:"pow"`      // current pow assignment (moves with swaps)
-	Accepted int     `json:"accepted"` // proposals accepted so far
-	Swaps    int     `json:"swaps"`    // accepted temperature swaps participated in
-	Score    float64 `json:"score"`    // current fit score (lower is better)
-}
 
 // AcceptRate returns the fraction of completed steps that were accepted.
 func (p Progress) AcceptRate() float64 {
@@ -446,44 +399,31 @@ func scanExtent(get func(int) float64, eps float64, limit int) int {
 	return limit
 }
 
-// ChainStats is one replica-exchange chain's final statistics (see
-// mcmc.ChainStats: walk stats plus ladder position and swap counts).
-type ChainStats = mcmc.ChainStats
-
 // Result is the output of the full workflow.
 type Result struct {
 	Seed      *graph.Graph // Phase 1 seed (before MCMC)
-	Synthetic *graph.Graph // Phase 2 output (best chain for multi-chain runs)
-	Stats     mcmc.Stats   // best chain's walk statistics
+	Synthetic *graph.Graph // Phase 2 output
+	Stats     mcmc.Stats   // the walk's statistics
 	TotalCost float64      // privacy cost in epsilon
-	// Chains holds per-chain statistics of a replica-exchange run in
-	// chain order (nil for single-chain runs); Stats duplicates the
-	// entry at BestChain.
-	Chains []ChainStats
-	// BestChain indexes Chains at the chain whose graph Synthetic is;
-	// 0 for single-chain runs.
-	BestChain int
 	// Residuals is the final per-workload score breakdown of the
-	// returned synthetic graph (the best chain's, for multi-chain runs).
+	// returned synthetic graph.
 	Residuals []WorkloadResidual
-	// Operators is that chain's executor profile (see Progress).
+	// Operators is the chain's executor profile (see Progress).
 	Operators []OperatorProfile
 	// Cancelled reports that OnProgress stopped the fit early; Synthetic
 	// holds the partial result at the point of cancellation.
 	Cancelled bool
 }
 
-// Synthesize implements Phase 2: for each of cfg.Chains chains build a
-// fit plan, attach each requested workload's pipeline and
-// scoring sink (cfg.Workloads; empty fits everything measured), load the
-// seed graph, and run the fit (fit.go); the best-scoring chain's graph
-// is returned, with per-chain detail in Result.Chains when there are
-// several. Each workload fits at the bucket width its measurement was
+// Synthesize implements Phase 2: build a fit plan, attach each requested
+// workload's pipeline and scoring sink (cfg.Workloads; empty fits
+// everything measured), load the seed graph, and run the one chain
+// (fit.go). Each workload fits at the bucket width its measurement was
 // released with — a pipeline bucketed differently would miss the
 // measured domain and fit fresh noise. The seed graph is not modified;
 // the synthetic result is independent.
 //
-// The chains score against m's own histograms and write nothing into
+// The chain scores against m's own histograms and writes nothing into
 // them: the residuals a fit reports reconcile with m, m serializes to the
 // same bytes afterwards, and two fits against one m agree bit for bit.
 func Synthesize(m *Measurements, seed *graph.Graph, cfg Config, rng *rand.Rand) (*Result, error) {

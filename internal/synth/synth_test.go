@@ -46,7 +46,7 @@ func TestConfigValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if good.Pow != 10000 || good.SwapEvery == 0 || good.ProgressEvery == 0 {
+	if good.Pow != DefaultPow || good.ProgressEvery != DefaultProgressEvery {
 		t.Errorf("defaults not applied: %+v", good)
 	}
 }

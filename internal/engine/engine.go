@@ -5,8 +5,8 @@
 // A query is a graph of operator nodes, each translating input weight
 // differences into output differences:
 //
-//   - Stateless operators (Select, Where, SelectManySlice) transform the
-//     batch their upstream emitted into one output batch.
+//   - Stateless operators (Select, Where, SelectManySlice) transform each
+//     batch their upstream emits as it is emitted.
 //   - Stateful operators (ShaveConst, GroupBy, Join, JoinDistinct,
 //     Intersect) hand each input's pending differences to one operator
 //     body, which indexes them and emits what changed.
@@ -28,13 +28,35 @@
 // A dataflow graph is built bottom-up against a single Engine: inputs via
 // NewInput, operators via the package-level constructors. Construction
 // order is topological order, and the engine schedules one round per
-// Input.Push: every node, after its upstreams, takes the batch each of
-// them emitted earlier in the round, applies them, and emits its output
-// downstream at most once. A port therefore holds one batch. A node
-// reached along several paths from the input (every join whose two sides
-// share an ancestor) still runs once per round, where delivering each
-// emission as it is made would run it once per path. When Push returns,
-// every subscriber and sink reflects the change.
+// Input.Push: every node runs once, after its upstreams.
+//
+// A node's emissions reach its consumers in one of two ways (see Stream).
+// A stateful operator owns a port on each input: its upstream's round
+// output lands there as one batch, and the operator applies the batches
+// of all its ports when it runs. A node reached along several paths from
+// the input (every join whose two sides share an ancestor) therefore
+// still applies each input once per round, where delivering each
+// emission as it is made would run it once per path. A stateless
+// operator, a sink and any other subscribed handler is a push consumer
+// instead: it is called with each batch as its upstream emits it, on the
+// emitting goroutine, so a stateless node transforms a batch the moment
+// it exists and passes the result on the same way. A stateless node still
+// has its place in the schedule and its edge in the DAG; its own run only
+// hands the round's output to its ports, if it has any, and counts the
+// round. A node with no port below it — none of its own, none on any
+// stateless node fed by it — keeps no round buffer: outside a
+// transaction a stateful node then sends each of its body's emissions on
+// as it is made, and a JoinDistinct's load emits its outer product in
+// chunks of a fixed size (incremental.JoinDistinct) instead of whole, so
+// a path join summed by a noisy count never holds its paths at once.
+// Inside a transaction a stateful node emits once per round, so each
+// fragment of a fit delivers at most one batch per proposal. When Push
+// returns, every subscriber and sink reflects the change.
+//
+// No bit depends on how a round is cut into batches: every stateful body
+// applies the same batch, in the same order, as when each node emitted
+// once, and push consumers are linear or, like the sinks, accumulate
+// difference by difference in arrival order.
 //
 // A round inside a transaction — an MCMC proposal — runs on the pushing
 // goroutine, node after node in construction order, and so does a small
@@ -57,32 +79,36 @@
 //
 // Every engine stream implements incremental.Source, so the incremental
 // package's terminal consumers — Collect, NewNoisyCountSink — attach to a
-// pipeline directly. A handler subscribed this way runs on whichever of
-// the round's goroutines runs the node it hangs on, after that node's
-// upstreams and before its downstreams.
+// pipeline directly, as push consumers. A handler subscribed this way
+// runs on the goroutine that emits each batch: whichever of the round's
+// goroutines runs the nearest stateful node (or input) above it, after
+// that node's upstreams and before its stateful downstreams.
 //
 // # Profile
 //
-// Every node counts the rounds it executed and the differences it took
-// and emitted; Engine.Profile reads the counters, with each stateful
-// node's indexed records, between rounds.
+// Every node counts the rounds in which it took differences, the
+// differences it took and those it emitted, however many batches they
+// came in; Engine.Profile reads the counters, with each stateful node's
+// indexed records, between rounds.
 //
 // # Concurrency contract
 //
 // An engine's API is not thread-safe: building the graph, pushing
 // differences and reading sinks happen on one goroutine. A load may run
 // nodes on other goroutines, but none outlives the Push, and a panic in
-// one is raised again on the pushing goroutine. A node, its sinks and its
-// handlers write nothing another node reaches; what several nodes share
-// — a counter every fragment taps — must be safe for concurrent use.
-// Independent engines share nothing, so replica-exchange chains each run
-// their own, each on its own goroutine between the stops of synth's chain
-// loop.
+// one — or in a stateless node or handler it calls — is raised again on
+// the pushing goroutine. A stateful node runs on one goroutine, and with
+// it every stateless node and handler below it up to the next stateful
+// node; each of them writes its own buffers and counters and nothing
+// another branch reaches. What several nodes share — a counter every
+// fragment taps — must be safe for concurrent use. Independent engines
+// share nothing.
 package engine
 
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -162,7 +188,7 @@ const minLoad = 1 << 12
 // proposal, whose round is too short to split — or for fewer than
 // minLoad records, the pushing goroutine runs the nodes in construction
 // order: emissions from node i land in the pending ports of nodes > i,
-// which the same pass then drains. A larger push outside a transaction,
+// which the same pass then drains, and reach push consumers at once. A larger push outside a transaction,
 // a load, runs independent branches at once on GOMAXPROCS goroutines
 // (load).
 func (e *Engine) run(records int) {
@@ -182,14 +208,14 @@ func (e *Engine) run(records int) {
 // one among them, or reports false and runs nothing when that is one: a
 // node starts once every upstream has finished, so it takes exactly the
 // batches the serial pass would hand it, left inlet before right, and
-// writes only its own state, ports and sinks — no float is accumulated
-// in another order. A goroutine that finishes a node runs the first
+// writes only its own state, its ports and its push consumers — no float
+// is accumulated in another order. A goroutine that finishes a node runs the first
 // downstream it readied itself and hands the others out.
 //
-// A panic in a node, or in a handler it calls, is recovered there; no
-// node starts after it, and once every started node has returned it is
-// raised again on the pushing goroutine: the panic of the lowest-indexed
-// node that panicked. Nothing load starts outlives it.
+// A panic in a node, or in a push consumer it calls, is recovered
+// there; no node starts after it, and once every started node has
+// returned it is raised again on the pushing goroutine: the panic of the
+// lowest-indexed node that panicked. Nothing load starts outlives it.
 func (e *Engine) load() bool {
 	workers := min(runtime.GOMAXPROCS(0), len(e.nodes))
 	if workers < 2 {
@@ -304,16 +330,23 @@ func (p *port[T]) take() []incremental.Delta[T] {
 	return b
 }
 
-// Stream is the output side of a node: it broadcasts emitted batches to
-// downstream engine nodes (via their ports) and to handlers subscribed
-// through the incremental.Source interface. Operator nodes embed Stream.
+// Stream is the output side of a node. Its consumers take what it emits
+// in one of two ways. A stateful operator owns a port, where the node's
+// round output lands as one batch for the operator to take when it runs.
+// A push consumer — a stateless operator, or a handler subscribed through
+// the incremental.Source interface — is called with each batch as the
+// node emits it, on the emitting goroutine. Operator nodes embed Stream.
 type Stream[T comparable] struct {
 	e        *Engine
 	node     int // the owning node's index
 	ports    []*port[T]
-	handlers []incremental.Handler[T]
-	prof     NodeProfile // Op, Rounds, In, Out: written by the owning node's process
+	handlers []incremental.Handler[T] // the push consumers, in subscription order
+	tails    []buffering              // the stateless ones among them
+	prof     NodeProfile              // Op, Rounds, In, Out: written by the owning node's process and emissions
 }
+
+// buffering is what a stream asks of its stateless consumers.
+type buffering interface{ buffered() bool }
 
 // Source is a stream of weight differences of type T produced by a
 // dataflow node. Every Source is also an incremental.Source, so
@@ -324,6 +357,7 @@ type Source[T comparable] interface {
 	incremental.Source[T]
 	engine() *Engine
 	newPort() *port[T]
+	newPush(c buffering, h incremental.Handler[T])
 }
 
 // newStream returns the output of the node about to be registered with e.
@@ -350,11 +384,29 @@ func (s *Stream[T]) newPort() *port[T] {
 	return p
 }
 
+// newPush registers c, the stateless node about to be registered, as a
+// push consumer whose handler is h. It is still an edge of the DAG: c's
+// process, which hands its round output to its own ports, runs after
+// this node's.
+func (s *Stream[T]) newPush(c buffering, h incremental.Handler[T]) {
+	s.handlers = append(s.handlers, h)
+	s.tails = append(s.tails, c)
+	s.e.downs[s.node] = append(s.e.downs[s.node], len(s.e.nodes))
+}
+
+// buffered reports whether some consumer needs the node's round output
+// as one batch: a port of this stream, or of a stateless consumer of it,
+// at any depth. Without one, a round may reach every consumer in any
+// number of batches, and the node need not hold its output whole.
+func (s *Stream[T]) buffered() bool {
+	return len(s.ports) > 0 || slices.ContainsFunc(s.tails, buffering.buffered)
+}
+
 // Subscribe registers a handler, satisfying incremental.Source.
-// The handler runs once per emitted batch, on the goroutine that runs the
-// node (see the package's Concurrency contract); it must not retain or
-// mutate the batch, and subscriptions must complete before the first
-// push.
+// The handler is a push consumer: it runs once per emitted batch, on the
+// goroutine that emits it (see the package's Concurrency contract); it
+// must not retain or mutate the batch, and subscriptions must complete
+// before the first push.
 func (s *Stream[T]) Subscribe(h incremental.Handler[T]) {
 	s.handlers = append(s.handlers, h)
 }
@@ -367,16 +419,31 @@ func (s *Stream[T]) SubscribeTxn(f func(incremental.TxnOp)) {
 	s.e.parties = append(s.e.parties, f)
 }
 
-// emit broadcasts a non-empty batch downstream. The batch remains owned
-// by the caller, which may reuse it after the round completes.
+// emit hands a round's output to the ports and sends it to the push
+// consumers. The batch remains owned by the caller, which may reuse it
+// after the round completes.
 func (s *Stream[T]) emit(b []incremental.Delta[T]) {
+	s.hand(b)
+	s.send(b)
+}
+
+// hand puts a non-empty round output in every port.
+func (s *Stream[T]) hand(b []incremental.Delta[T]) {
+	if len(b) == 0 {
+		return
+	}
+	for _, p := range s.ports {
+		p.batch = b
+	}
+}
+
+// send counts a non-empty batch as emitted and calls every push consumer
+// with it. The caller may reuse the batch once send returns.
+func (s *Stream[T]) send(b []incremental.Delta[T]) {
 	if len(b) == 0 {
 		return
 	}
 	s.prof.Out += uint64(len(b))
-	for _, p := range s.ports {
-		p.batch = b
-	}
 	for _, h := range s.handlers {
 		h(b)
 	}

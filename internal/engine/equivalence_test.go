@@ -248,10 +248,12 @@ func TestJoinSelfJoinEquivalence(t *testing.T) {
 // TestLoadEmissionChangesHands covers the one place a batch is kept by
 // its receiver: a load whose emission is past the retention bound is
 // released by the node's body and taken, not copied, by the node's
-// output buffer. The load must read like the reference downstream of two
-// more operators, and the buffers must be the engine's own afterwards —
-// transactional pushes that reuse them, commits, aborts and a second
-// load all keep agreeing with the reference.
+// output buffer. That join's Where has a stateful consumer too, so the
+// join keeps its round whole; a twin join whose tail is stateless
+// streams its load instead. Both loads must read like the reference
+// downstream of two more operators, and the buffers must be the engine's
+// own afterwards — transactional pushes that reuse them, commits, aborts
+// and a second load all keep agreeing with the reference.
 func TestLoadEmissionChangesHands(t *testing.T) {
 	type edge struct{ s, d int }
 	type path struct{ a, b, c int }
@@ -262,14 +264,23 @@ func TestLoadEmissionChangesHands(t *testing.T) {
 	ends := func(p path) [2]int { return [2]int{p.a, p.c} }
 	forEachConfig(t, func(t *testing.T, e *Engine, salt int64) {
 		in := NewInput[edge](e)
-		j := Join[edge, edge, int, path](in, in, dstKey, srcKey, mkPath)
-		out := incremental.Collect[[2]int](Select(Where[path](j, open), ends))
+		var outs []*incremental.Collector[[2]int]
+		for _, buffered := range []bool{true, false} {
+			opened := Where[path](Join[edge, edge, int, path](in, in, dstKey, srcKey, mkPath), open)
+			outs = append(outs, incremental.Collect[[2]int](Select(opened, ends)))
+			if buffered {
+				ShaveConst[path](opened, 1)
+			}
+		}
 		ref := weighted.New[edge]()
 		check := func(when string) {
 			t.Helper()
 			paths := weighted.Join(ref, ref, dstKey, srcKey, mkPath)
-			if want := weighted.Select(weighted.Where(paths, open), ends); !weighted.Equal(out.Snapshot(), want, eqTol) {
-				t.Fatalf("%s: engine diverged from the reference (%d vs %d records)", when, out.Snapshot().Len(), want.Len())
+			want := weighted.Select(weighted.Where(paths, open), ends)
+			for i, out := range outs {
+				if !weighted.Equal(out.Snapshot(), want, eqTol) {
+					t.Fatalf("%s: pipeline %d diverged from the reference (%d vs %d records)", when, i, out.Snapshot().Len(), want.Len())
+				}
 			}
 		}
 		push := func(n, from int) {

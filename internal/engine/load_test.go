@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"wpinq/internal/incremental"
+	"wpinq/internal/weighted"
 )
 
 // A load — a push of at least minLoad records outside any transaction —
@@ -55,46 +56,61 @@ func pushRecovered(in *Input[int], batch []incremental.Delta[int]) (value any) {
 }
 
 // TestLoadRunsBranchesAtOnce pins that a load at GOMAXPROCS 2 runs two
-// sibling Selects concurrently — each waits for the other inside its
+// sibling GroupBys concurrently — each waits for the other inside its key
 // function — and that the same two nodes in a Begin/Push/Commit round, or
 // in a push of fewer than minLoad records, run on the pushing goroutine,
-// starting none.
+// starting none. (Sibling Selects would not do: a stateless node runs on
+// its upstream's goroutine.)
 func TestLoadRunsBranchesAtOnce(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	e := New()
 	in := NewInput[int](e)
 	meet := make(chan struct{})
 	loading := true
-	branch := func(send bool) *Node[int] {
-		return Select[int](in, func(x int) int {
+	mod := func(x int) int { return x % 64 }
+	count := func(m []int) int { return len(m) }
+	branch := func(send bool) *GroupByNode[int, int, int] {
+		return GroupBy[int](in, func(x int) int {
 			if loading && x == 0 {
 				rendezvous(t, meet, send)
 			}
-			return x + 1
-		})
+			return mod(x)
+		}, count)
 	}
 	left, right := branch(true), branch(false)
 	var during []int
-	for _, s := range []*Node[int]{left, right} {
-		s.Subscribe(func([]incremental.Delta[int]) {
+	for _, s := range []*GroupByNode[int, int, int]{left, right} {
+		s.Subscribe(func([]incremental.Delta[weighted.Grouped[int, int]]) {
 			if !loading {
 				during = append(during, runtime.NumGoroutine())
 			}
 		})
 	}
-	lc, rc := incremental.Collect[int](left), incremental.Collect[int](right)
-
-	in.Push(loadBatch())
-	if lc.Weight(minLoad) != 1 || rc.Weight(minLoad) != 1 {
-		t.Fatalf("load: weights %v, %v at %d, want 1, 1", lc.Weight(minLoad), rc.Weight(minLoad), minLoad)
+	lc, rc := incremental.Collect[weighted.Grouped[int, int]](left), incremental.Collect[weighted.Grouped[int, int]](right)
+	ref := weighted.New[int]()
+	push := func(batch []incremental.Delta[int]) {
+		for _, d := range batch {
+			ref.Add(d.Record, d.Weight)
+		}
+		in.Push(batch)
 	}
+	check := func(when string) {
+		t.Helper()
+		want := weighted.GroupBy(ref, mod, count)
+		if !weighted.Equal(lc.Snapshot(), want, eqTol) || !weighted.Equal(rc.Snapshot(), want, eqTol) {
+			t.Fatalf("%s: the branches diverged from the reference", when)
+		}
+	}
+
+	push(loadBatch())
+	check("load")
 
 	loading = false
 	before := runtime.NumGoroutine()
 	in.Begin()
-	in.Push([]incremental.Delta[int]{{Record: 1, Weight: -1}, {Record: -3, Weight: 1}})
+	push([]incremental.Delta[int]{{Record: 1, Weight: -1}, {Record: -3, Weight: 1}})
 	in.Commit()
-	in.Push([]incremental.Delta[int]{{Record: -5, Weight: 1}})
+	push([]incremental.Delta[int]{{Record: -5, Weight: 1}})
 	if len(during) != 4 {
 		t.Fatalf("handlers ran %d times in the two serial rounds, want 4", len(during))
 	}
@@ -103,15 +119,14 @@ func TestLoadRunsBranchesAtOnce(t *testing.T) {
 			t.Errorf("%d goroutines during a serial round, %d before it", n, before)
 		}
 	}
-	if lc.Weight(2) != 0 || lc.Weight(-2) != 1 || rc.Weight(-4) != 1 {
-		t.Errorf("after the serial rounds: weights %v, %v, %v, want 0, 1, 1", lc.Weight(2), lc.Weight(-2), rc.Weight(-4))
-	}
+	check("the serial rounds")
 }
 
 // TestLoadPanicReachesThePusher pins that a panic on one of a load's
 // goroutines is raised again on the pushing one, with its value: that of
 // the lowest-indexed node when two branches panic, and only once the
-// goroutines the load started have returned.
+// goroutines the load started have returned. A stateless node's panic is
+// raised on its upstream's goroutine, and reaches the pusher the same way.
 //
 // A goroutine is counted from its last statement until the runtime frees
 // it, and on a busy host its thread can be descheduled in between, so a
@@ -132,15 +147,20 @@ func TestLoadPanicReachesThePusher(t *testing.T) {
 		}, boom{"reduce"}},
 		{"two branches", func(t *testing.T, in *Input[int]) {
 			meet := make(chan struct{})
-			Select[int](in, func(int) int {
+			count := func(m []int) int { return len(m) }
+			GroupBy[int](in, func(int) int {
 				rendezvous(t, meet, true)
 				panic(boom{"left"})
-			})
-			Select[int](in, func(int) int {
+			}, count)
+			GroupBy[int](in, func(int) int {
 				rendezvous(t, meet, false)
 				panic(boom{"right"})
-			})
+			}, count)
 		}, boom{"left"}},
+		{"where", func(t *testing.T, in *Input[int]) {
+			grouped := GroupBy[int](in, func(x int) int { return x % 2 }, func(m []int) int { return len(m) })
+			Where(grouped, func(weighted.Grouped[int, int]) bool { panic(boom{"where"}) })
+		}, boom{"where"}},
 	}
 	const loads = 20
 	for _, row := range rows {
@@ -162,5 +182,61 @@ func TestLoadPanicReachesThePusher(t *testing.T) {
 				t.Errorf("%d of %d loads left more goroutines than they found", counted, loads)
 			}
 		})
+	}
+}
+
+// TestLoadStreamsItsStatelessTail pins a load through stateless nodes on
+// the load's goroutines. Two distinct self-joins take the same 131 072
+// paths; each feeds a Where and a Select. The first join's tail keeps
+// nothing, so the join streams its load in chunks through it. The second
+// Where also feeds a ShaveConst, so that Where keeps the round whole and
+// its join emits once. Both must read like the reference, and every
+// stateless node must count one round whose input is what its upstream
+// emitted.
+func TestLoadStreamsItsStatelessTail(t *testing.T) {
+	e := New()
+	in := NewInput[int](e)
+	key := func(x int) int { return x % 128 }
+	pair := func(x, y int) [2]int { return [2]int{x, y} }
+	open := func(p [2]int) bool { return p[0] != p[1] }
+	first := func(p [2]int) int { return p[0] % 5 }
+	type tail struct {
+		where      *Node[[2]int]
+		sel        *Node[int]
+		out        *incremental.Collector[int]
+		deliveries int
+	}
+	tails := make([]*tail, 2)
+	for i := range tails {
+		tl := &tail{where: Where(JoinDistinct[int, int, int, [2]int](in, in, key, key, pair), open)}
+		tl.where.Subscribe(func([]incremental.Delta[[2]int]) { tl.deliveries++ })
+		tl.sel = Select(tl.where, first)
+		tl.out = incremental.Collect[int](tl.sel)
+		tails[i] = tl
+	}
+	ShaveConst[[2]int](tails[1].where, 1)
+	batch := loadBatch()
+	in.Push(batch)
+
+	ref := weighted.New[int]()
+	for _, d := range batch {
+		ref.Add(d.Record, d.Weight)
+	}
+	want := weighted.Select(weighted.Where(weighted.Join(ref, ref, key, key, pair), open), first)
+	for i, tl := range tails {
+		if !weighted.Equal(tl.out.Snapshot(), want, eqTol) {
+			t.Errorf("tail %d diverged from the reference", i)
+		}
+	}
+	if tails[0].deliveries < 2 || tails[1].deliveries != 1 {
+		t.Errorf("the Wheres emitted the load in %d and %d batches, want several and 1", tails[0].deliveries, tails[1].deliveries)
+	}
+	prof := e.Profile()
+	for _, tl := range tails {
+		where, sel := prof[tl.where.node], prof[tl.sel.node]
+		join := prof[tl.where.node-1]
+		if where.Rounds != 1 || sel.Rounds != 1 || where.In != join.Out || sel.In != where.Out || sel.Out != sel.In {
+			t.Errorf("profile of join, Where, Select: %+v, %+v, %+v", join, where, sel)
+		}
 	}
 }

@@ -80,13 +80,26 @@ func newStateful[U comparable, S body](e *Engine, op string, build func(out incr
 	return n
 }
 
-// collect is the handler the body is built with: it appends the body's
-// emitted differences to out — or, when the emission is an array its
-// emitter has just released (incremental.Recycle, asked about the same
-// array under the same transaction flag, answers as it answered the
-// body) and out is empty, takes the array for out instead of copying it:
-// a load's 10^6-record emission leaves the node as a slice header.
+// streams reports whether the node sends each of its body's emissions on
+// as it is made, rather than emitting the round's once: outside a
+// transaction, when no consumer needs the round whole (Stream.buffered).
+// The push consumers then take the same differences in the same order
+// as the round's one batch holds them. Inside a transaction the node
+// emits once, so that a proposal delivers one batch per fragment.
+func (n *stateful[U, S]) streams() bool { return !n.e.inTxn && !n.buffered() }
+
+// collect is the handler the body is built with. When the node streams
+// it sends the emission on. Otherwise it appends the emission to out —
+// or, when the emission is an array its emitter has just released
+// (incremental.Recycle, asked about the same array under the same
+// transaction flag, answers as it answered the body) and out is empty,
+// takes the array for out instead of copying it: a load's 10^6-record
+// emission leaves the node as a slice header.
 func (n *stateful[U, S]) collect(b []incremental.Delta[U]) {
+	if n.streams() {
+		n.send(b)
+		return
+	}
 	if len(n.out) == 0 && incremental.Recycle(b, n.e.inTxn) == nil {
 		n.out = b
 		return
@@ -175,24 +188,22 @@ func GroupBy[T, K, R comparable](src Source[T], key func(T) K, reduce func([]T) 
 func Join[A, B, K, R comparable](
 	a Source[A], b Source[B], keyA func(A) K, keyB func(B) K, reduce func(A, B) R,
 ) *JoinNode[A, B, K, R] {
-	return join(a, b, keyA, keyB, reduce, incremental.Join[A, B, K, R])
+	return binary(a, b, "join", func(out incremental.Handler[R]) *incremental.JoinNode[A, B, K, R] {
+		return incremental.Join(keyA, keyB, reduce, out)
+	})
 }
 
 // JoinDistinct is Join for a reduce under which no two matching pairs
 // give the same record (incremental.JoinDistinct): a load's outer
-// product is emitted without merging. The results are Join's, bit for
-// bit; a reduce that can collapse pairs must use Join.
+// product is emitted without merging — and, when the node streams, in
+// chunks, so that no copy of it is ever whole. The results are Join's,
+// bit for bit; a reduce that can collapse pairs must use Join.
 func JoinDistinct[A, B, K, R comparable](
 	a Source[A], b Source[B], keyA func(A) K, keyB func(B) K, reduce func(A, B) R,
 ) *JoinNode[A, B, K, R] {
-	return join(a, b, keyA, keyB, reduce, incremental.JoinDistinct[A, B, K, R])
-}
-
-func join[A, B, K, R comparable](
-	a Source[A], b Source[B], keyA func(A) K, keyB func(B) K, reduce func(A, B) R,
-	body func(func(A) K, func(B) K, func(A, B) R, incremental.Handler[R]) *incremental.JoinNode[A, B, K, R],
-) *JoinNode[A, B, K, R] {
-	return binary(a, b, "join", func(out incremental.Handler[R]) *incremental.JoinNode[A, B, K, R] {
-		return body(keyA, keyB, reduce, out)
+	var n *JoinNode[A, B, K, R]
+	n = binary(a, b, "join", func(out incremental.Handler[R]) *incremental.JoinNode[A, B, K, R] {
+		return incremental.JoinDistinct(keyA, keyB, reduce, out, func() bool { return n.streams() })
 	})
+	return n
 }

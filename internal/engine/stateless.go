@@ -9,39 +9,52 @@ import (
 )
 
 // Stateless operators are linear in their input: an input difference maps
-// directly to an output difference with no maintained state, so the batch
-// an upstream emitted is transformed into one output batch.
+// directly to an output difference with no maintained state, so a batch
+// can be transformed as soon as it is emitted. A stateless node is a push
+// consumer of its upstream (see Stream): it runs on each batch the
+// upstream emits, on the emitting goroutine, and sends what it makes on to
+// its own push consumers at once. Only its stateful consumers, which take
+// one batch a round, make it keep the round's output whole, for its
+// process to hand to their ports.
 
 // Node is a stateless operator's output: a stream of differences of type
 // T with no state of its own, and so no part in a transaction.
 type Node[T comparable] struct {
 	Stream[T]
-	run func()
+	in int // differences taken this round, counted by process
+	// out is the round's output when the node has ports, and otherwise
+	// the last batch's, reused for the next.
+	out []incremental.Delta[T]
 }
 
-func (n *Node[T]) process() { n.run() }
+// process counts the round, if the node took anything in it, and hands
+// the round's output to the ports.
+func (n *Node[T]) process() {
+	if n.in == 0 {
+		return
+	}
+	n.ran(n.in)
+	n.in = 0
+	n.hand(n.out)
+	n.out = incremental.Recycle(n.out, n.e.inTxn)
+}
 
 // mapped builds the shared skeleton of Select, Where and
-// SelectManySlice: transform applies the round's input batch, appending
-// to a reused output buffer — which the operators whose output is
-// bounded by the batch size grow from it first (SelectManySlice's
-// fan-out is f's).
+// SelectManySlice: transform applies one input batch, appending to the
+// node's output buffer — which the operators whose output is bounded by
+// the batch size grow from it first (SelectManySlice's fan-out is f's).
 func mapped[T, U comparable](src Source[T], op string, transform func(in []incremental.Delta[T], out []incremental.Delta[U]) []incremental.Delta[U]) *Node[U] {
-	e := src.engine()
-	in := src.newPort()
-	n := &Node[U]{Stream: newStream[U](e, op)}
-	var out []incremental.Delta[U]
-	n.run = func() {
-		b := in.take()
-		if len(b) == 0 {
-			return
+	n := &Node[U]{Stream: newStream[U](src.engine(), op)}
+	src.newPush(n, func(b []incremental.Delta[T]) {
+		n.in += len(b)
+		if len(n.ports) == 0 {
+			n.out = n.out[:0]
 		}
-		n.ran(len(b))
-		out = transform(b, out)
-		n.emit(out)
-		out = incremental.Recycle(out, e.inTxn)
-	}
-	e.register(n)
+		start := len(n.out)
+		n.out = transform(b, n.out)
+		n.send(n.out[start:])
+	})
+	src.engine().register(n)
 	return n
 }
 

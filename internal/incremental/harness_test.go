@@ -32,6 +32,12 @@ func both[T, K, R comparable](j *JoinNode[T, T, K, R]) func([]Delta[T]) {
 	}
 }
 
+// streamedJoin builds a distinct join whose receiver takes a load in
+// any number of batches, as an engine node that streams does.
+func streamedJoin[A, B, K, R comparable](keyA func(A) K, keyB func(B) K, reduce func(A, B) R, out Handler[R]) *JoinNode[A, B, K, R] {
+	return JoinDistinct(keyA, keyB, reduce, out, func() bool { return true })
+}
+
 // feed is the stub Source the sink tests push through: one handler, one
 // control handler, no fan-out. Push drops empty batches, as every stream
 // does.

@@ -28,6 +28,9 @@ import (
 // whose keys all had an empty own side — then appends each record it
 // asserts straight to the output batch, with no accumulator table: the
 // batch is the one the accumulator would emit, element for element.
+// When its receiver takes a load in any number of batches, the load
+// emits that batch in chunks of loadChunk records as they fill, and
+// never holds more than one.
 type JoinNode[A, B comparable, K comparable, R comparable] struct {
 	emit   Handler[R]
 	keyA   func(A) K
@@ -46,7 +49,13 @@ type JoinNode[A, B comparable, K comparable, R comparable] struct {
 	pool groupPool[joinGroup[A, B]]
 
 	distinct bool // set at construction (JoinDistinct); no setter
-	stats    joinStats
+	// streams, set at construction (JoinDistinct), reports whether emit
+	// takes a load in chunks; nil: in one batch.
+	streams func() bool
+	stats   joinStats
+	// size is the number of records indexed across both sides and all
+	// keys (StateSize); sizeAtBegin is its value at TxnBegin.
+	size, sizeAtBegin int
 
 	// Per-push scratch (see scratch.go), reused across pushes so hot
 	// loops do not re-allocate a grouping and a difference accumulator —
@@ -99,12 +108,15 @@ func Join[A, B comparable, K comparable, R comparable](
 // JoinDistinct is Join for a reduce under which no two matching pairs
 // (x, y) give the same record: its loads skip the accumulator's table.
 // A reduce that can collapse pairs must use Join, whose loads merge them.
+// streams, if not nil, is asked at each load whether out takes it in any
+// number of batches — keeping none of them — rather than in one; when it
+// does, the load is emitted in chunks of loadChunk records.
 func JoinDistinct[A, B comparable, K comparable, R comparable](
 	keyA func(A) K, keyB func(B) K,
-	reduce func(A, B) R, out Handler[R],
+	reduce func(A, B) R, out Handler[R], streams func() bool,
 ) *JoinNode[A, B, K, R] {
 	n := Join(keyA, keyB, reduce, out)
-	n.distinct = true
+	n.distinct, n.streams = true, streams
 	return n
 }
 
@@ -113,6 +125,8 @@ func JoinDistinct[A, B comparable, K comparable, R comparable](
 func (n *JoinNode[A, B, K, R]) Txn(op TxnOp) {
 	n.logging = op == TxnBegin
 	switch op {
+	case TxnBegin:
+		n.sizeAtBegin = n.size
 	case TxnCommit:
 		n.logA.commit()
 		n.logB.commit()
@@ -124,6 +138,7 @@ func (n *JoinNode[A, B, K, R]) Txn(op TxnOp) {
 		n.touched = n.touched[:0]
 	case TxnAbort:
 		// The two sides are disjoint state; each unwinds its own log.
+		n.size = n.sizeAtBegin
 		n.logA.abort()
 		n.logB.abort()
 		for _, t := range n.touched {
@@ -145,12 +160,7 @@ func (n *JoinNode[A, B, K, R]) SlowKeys() int64 { return n.stats.slowKeys }
 
 // StateSize returns the number of records indexed across both sides and
 // all keys: the node's memory footprint in records.
-func (n *JoinNode[A, B, K, R]) StateSize() int {
-	total := 0
-	//wpinq:nondeterministic-ok integer sum over group sizes is order-independent; diagnostics only
-	n.groups.each(func(_ K, g *joinGroup[A, B]) { total += g.a.len() + g.b.len() })
-	return total
-}
+func (n *JoinNode[A, B, K, R]) StateSize() int { return n.size }
 
 // ApplyLeft and ApplyRight apply a batch of one side's differences (see
 // applySide).
@@ -206,7 +216,7 @@ func applySide[A, B, K, R, X, Y comparable](
 		k := e.Record
 		g := n.group(k)
 		own, other := sides(g)
-		joinUpdateSide(&n.stats, byKey.run(i), own, other, reduce, scratch, &n.diff)
+		n.size += joinUpdateSide(&n.stats, byKey.run(i), own, other, reduce, scratch, &n.diff)
 		scratch.reset(inTxn)
 		if !inTxn {
 			n.drop(k, g)
@@ -222,7 +232,11 @@ func applySide[A, B, K, R, X, Y comparable](
 func (n *JoinNode[A, B, K, R]) reserve(size, fresh int, load bool) {
 	n.groups.reserve(n.groups.len() + fresh)
 	if n.distinct && load {
-		n.diff.reserveDistinct(size)
+		var chunks Handler[R]
+		if n.streams != nil && n.streams() {
+			chunks = n.emit
+		}
+		n.diff.reserveDistinct(size, chunks)
 		return
 	}
 	n.diff.reserve(size)
@@ -271,7 +285,8 @@ func (n *JoinNode[A, B, K, R]) drop(k K, g *joinGroup[A, B]) {
 
 // joinUpdateSide is the join's one update rule (see JoinNode): it applies
 // one key's differences ds to own and accumulates the output differences
-// against other into diff, through reduce(own record, other record).
+// against other into diff, through reduce(own record, other record). It
+// returns by how many records own grew.
 func joinUpdateSide[X, Y comparable, R comparable](
 	stats *joinStats,
 	ds []Delta[X],
@@ -279,25 +294,27 @@ func joinUpdateSide[X, Y comparable, R comparable](
 	reduce func(X, Y) R,
 	scratch *scratchIndex[X],
 	diff *orderedDiff[R],
-) {
+) (grew int) {
 	otherNorm := other.norm
 	oldDenom := own.norm + otherNorm
 
 	// Apply differences, remembering each touched record's pre-push
 	// weight — apply's pre-image at its first touch — in first-touch order
 	// (the caller resets the scratch).
+	before := own.len()
 	for _, d := range ds {
 		oldW, _ := own.apply(d.Record, d.Weight)
 		if i, fresh := scratch.slot(d.Record); fresh {
 			scratch.ents[i].Weight = oldW
 		}
 	}
+	grew = own.len() - before
 	touched := scratch.ents // Weight: the record's pre-push weight
 	newDenom := own.norm + otherNorm
 
 	if other.len() == 0 {
 		// No matches: the key contributes no outputs before or after.
-		return
+		return grew
 	}
 
 	if math.Abs(newDenom-oldDenom) < weighted.Eps && oldDenom >= weighted.Eps {
@@ -311,7 +328,7 @@ func joinUpdateSide[X, Y comparable, R comparable](
 				diff.add(reduce(x, y), dw*wy/oldDenom)
 			})
 		}
-		return
+		return grew
 	}
 
 	stats.slowKeys++
@@ -343,4 +360,5 @@ func joinUpdateSide[X, Y comparable, R comparable](
 			})
 		})
 	}
+	return grew
 }

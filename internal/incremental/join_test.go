@@ -1,6 +1,7 @@
 package incremental
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
@@ -329,7 +330,7 @@ func TestJoinDistinctLoadMatchesAccumulator(t *testing.T) {
 		}
 	}
 	fresh := func() pair {
-		return pair{Join(key, key, pairOf, record(&plainOut)), JoinDistinct(key, key, observed, record(&distinctOut))}
+		return pair{Join(key, key, pairOf, record(&plainOut)), JoinDistinct(key, key, observed, record(&distinctOut), nil)}
 	}
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -360,6 +361,66 @@ func TestJoinDistinctLoadMatchesAccumulator(t *testing.T) {
 		if paths[what] == 0 {
 			t.Errorf("no seed exercised %q: %v", what, paths)
 		}
+	}
+}
+
+// TestJoinDistinctStreamsLoadInChunks pins a streamed distinct load: a
+// self-join whose receiver takes a load in any number of batches emits
+// the outer product in chunks of loadChunk records and a shorter last
+// one, which together are the accumulator's one batch — records, weight
+// bits and order. A push in a transaction afterwards is one batch again.
+func TestJoinDistinctStreamsLoadInChunks(t *testing.T) {
+	key := func(x int) int { return x % 7 }
+	pairOf := func(x, y int) [2]int { return [2]int{x, y} }
+	var plainOut, streamedOut [][]Delta[[2]int]
+	record := func(into *[][]Delta[[2]int]) Handler[[2]int] {
+		return func(b []Delta[[2]int]) { *into = append(*into, slices.Clone(b)) }
+	}
+	plain := Join(key, key, pairOf, record(&plainOut))
+	streamed := streamedJoin(key, key, pairOf, record(&streamedOut))
+	same := func(what string, want, got []Delta[[2]int]) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d records streamed, %d from Join", what, len(got), len(want))
+		}
+		for i, d := range want {
+			if got[i].Record != d.Record || math.Float64bits(got[i].Weight) != math.Float64bits(d.Weight) {
+				t.Fatalf("%s: element %d is %v streamed, %v from Join", what, i, got[i], d)
+			}
+		}
+	}
+
+	var load []Delta[int]
+	for x := range 700 { // 100 records a key: 70 000 paths
+		load = append(load, Delta[int]{x, 1 + float64(x%3)/4})
+	}
+	both(plain)(load)
+	both(streamed)(load)
+	if len(plainOut) != 1 {
+		t.Fatalf("Join emitted the load in %d batches, want 1", len(plainOut))
+	}
+	same("load", plainOut[0], slices.Concat(streamedOut...))
+	n := len(plainOut[0])
+	if want := (n + loadChunk - 1) / loadChunk; len(streamedOut) != want || want < 2 {
+		t.Fatalf("the load of %d records came in %d batches, want %d of at most %d", n, len(streamedOut), want, loadChunk)
+	}
+	for i, b := range streamedOut[:len(streamedOut)-1] {
+		if len(b) != loadChunk {
+			t.Fatalf("chunk %d holds %d records, want %d", i, len(b), loadChunk)
+		}
+	}
+
+	plainOut, streamedOut = nil, nil
+	for _, j := range []*JoinNode[int, int, int, [2]int]{plain, streamed} {
+		j.Txn(TxnBegin)
+		both(j)([]Delta[int]{{3, -1}, {701, 1}})
+		j.Txn(TxnCommit)
+	}
+	if len(streamedOut) != len(plainOut) {
+		t.Fatalf("a proposal came in %d batches streamed, %d from Join", len(streamedOut), len(plainOut))
+	}
+	for i := range plainOut {
+		same(fmt.Sprintf("proposal batch %d", i), plainOut[i], streamedOut[i])
 	}
 }
 
@@ -397,7 +458,7 @@ func FuzzJoinKeyUpdate(f *testing.F) {
 		}
 		runJoinProgram(t, "merging", prog, Join[rec, rec, int, [2]int],
 			func(x, y rec) [2]int { return [2]int{x.id, y.id} })
-		runJoinProgram(t, "distinct", prog, JoinDistinct[rec, rec, int, [2]rec],
+		runJoinProgram(t, "distinct", prog, streamedJoin[rec, rec, int, [2]rec],
 			func(x, y rec) [2]rec { return [2]rec{x, y} })
 	})
 }

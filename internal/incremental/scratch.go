@@ -29,6 +29,12 @@ const (
 	// outside a transaction releases a per-push buffer rather than keep
 	// it for the next push (Recycle).
 	scratchRetain = 1 << 10
+
+	// loadChunk is the number of records in each chunk of a distinct
+	// join's streamed load (orderedDiff.reserveDistinct): 128 KiB of a
+	// paths join's 16-byte differences, and about 120 chunks for a
+	// 10⁶-record load.
+	loadChunk = 1 << 13
 )
 
 // hashSeed is the process-wide hash seed every scratchIndex and state

@@ -383,7 +383,7 @@ func TestScratchReserveBuildsOnce(t *testing.T) {
 		what    string
 		reserve func(int)
 		ents    *[]Delta[int]
-	}{{"reserve", idx.reserve, &idx.ents}, {"reserveDistinct", diff.reserveDistinct, &diff.ents}} {
+	}{{"reserve", idx.reserve, &idx.ents}, {"reserveDistinct", func(n int) { diff.reserveDistinct(n, nil) }, &diff.ents}} {
 		func() {
 			defer func() {
 				msg, _ := recover().(string)

@@ -158,6 +158,10 @@ type GroupByNode[T comparable, K comparable, R comparable] struct {
 	logging bool
 	log     undoLog[T]
 	touched []touchedGroup[K, stateMap[T]]
+
+	// size is the number of records indexed across all groups
+	// (StateSize); sizeAtBegin is its value at TxnBegin.
+	size, sizeAtBegin int
 }
 
 // Txn applies a transaction event to every group touched since Begin.
@@ -166,6 +170,8 @@ type GroupByNode[T comparable, K comparable, R comparable] struct {
 func (n *GroupByNode[T, K, R]) Txn(op TxnOp) {
 	n.logging = op == TxnBegin
 	switch op {
+	case TxnBegin:
+		n.sizeAtBegin = n.size
 	case TxnCommit:
 		n.log.commit()
 		for _, t := range n.touched {
@@ -176,6 +182,7 @@ func (n *GroupByNode[T, K, R]) Txn(op TxnOp) {
 		}
 		n.touched = n.touched[:0]
 	case TxnAbort:
+		n.size = n.sizeAtBegin
 		n.log.abort()
 		for _, t := range n.touched {
 			t.g.endLog()
@@ -239,9 +246,11 @@ func (n *GroupByNode[T, K, R]) Apply(batch []Delta[T]) {
 			group.beginLog(&n.log)
 			n.touched = append(n.touched, touchedGroup[K, stateMap[T]]{k: k, g: group, created: created})
 		}
+		before := group.len()
 		for _, d := range n.byKey.run(i) {
 			group.apply(d.Record, d.Weight)
 		}
+		n.size += group.len() - before
 		if group.len() == 0 && !inTxn {
 			// Deletion is deferred to commit inside a transaction so
 			// Abort can restore the group in place.
@@ -256,12 +265,7 @@ func (n *GroupByNode[T, K, R]) Apply(batch []Delta[T]) {
 }
 
 // StateSize returns the number of records indexed across all groups.
-func (n *GroupByNode[T, K, R]) StateSize() int {
-	total := 0
-	//wpinq:nondeterministic-ok integer sum over group sizes is order-independent; diagnostics only
-	n.groups.each(func(_ K, g *stateMap[T]) { total += g.len() })
-	return total
-}
+func (n *GroupByNode[T, K, R]) StateSize() int { return n.size }
 
 // expand emits group k's prefix outputs. A group whose weights already
 // run in weight order — every group of unit-weight records, so every

@@ -62,25 +62,84 @@ func TestGroupByAndShaveStateSize(t *testing.T) {
 	}
 }
 
+// walkSize is the reference StateSize of a join: the records its key
+// groups hold, counted group by group.
+func (n *JoinNode[A, B, K, R]) walkSize() int {
+	total := 0
+	n.groups.each(func(_ K, g *joinGroup[A, B]) { total += g.a.len() + g.b.len() })
+	return total
+}
+
+// walkSize is the reference StateSize of a GroupBy.
+func (n *GroupByNode[T, K, R]) walkSize() int {
+	total := 0
+	n.groups.each(func(_ K, g *stateMap[T]) { total += g.len() })
+	return total
+}
+
+// TestStateSizeStableUnderChurn pins the join's and the GroupBy's running
+// record counts against the walk over their groups, under random
+// assert/retract churn pushed plainly or inside transactions: every
+// push committed, or every third one aborted. No push leaks or loses an
+// entry, and an Abort puts the count back with the state.
 func TestStateSizeStableUnderChurn(t *testing.T) {
-	// Random assert/retract churn must not leak state entries.
-	rng := rand.New(rand.NewSource(50))
-	j := Join(
-		func(x int) int { return x % 3 }, func(y int) int { return y % 3 },
-		func(x, y int) [2]int { return [2]int{x, y} }, func([]Delta[[2]int]) {})
-	push := both(j)
-	live := map[int]bool{}
-	for step := 0; step < 2000; step++ {
-		x := rng.Intn(30)
-		if live[x] {
-			push([]Delta[int]{{x, -1}})
-			delete(live, x)
-		} else {
-			push([]Delta[int]{{x, 1}})
-			live[x] = true
-		}
-	}
-	if got, want := j.StateSize(), 2*len(live); got != want {
-		t.Errorf("state size = %d, want %d (no leaks)", got, want)
+	for _, row := range []struct {
+		name       string
+		txn        bool
+		abortEvery int // 0: never
+	}{
+		{"untracked", false, 0},
+		{"Begin→push→Commit", true, 0},
+		{"Begin→push→Abort", true, 3},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(50))
+			j := Join(
+				func(x int) int { return x % 3 }, func(y int) int { return y % 3 },
+				func(x, y int) [2]int { return [2]int{x, y} }, func([]Delta[[2]int]) {})
+			g := GroupBy(func(x int) int { return x % 3 }, func(m []int) int { return len(m) }, func([]Delta[weighted.Grouped[int, int]]) {})
+			txn := func(op TxnOp) {
+				if row.txn {
+					j.Txn(op)
+					g.Txn(op)
+				}
+			}
+			live := map[int]bool{}
+			aborts := 0
+			for step := 0; step < 2000; step++ {
+				x := rng.Intn(30)
+				d := []Delta[int]{{x, 1}}
+				if live[x] {
+					d[0].Weight = -1
+				}
+				txn(TxnBegin)
+				both(j)(d)
+				g.Apply(d)
+				if row.abortEvery > 0 && step%row.abortEvery == 0 {
+					txn(TxnAbort)
+					aborts++
+				} else {
+					txn(TxnCommit)
+					if live[x] {
+						delete(live, x)
+					} else {
+						live[x] = true
+					}
+				}
+				if j.StateSize() != j.walkSize() || g.StateSize() != g.walkSize() {
+					t.Fatalf("step %d: state sizes %d, %d; the groups hold %d, %d",
+						step, j.StateSize(), g.StateSize(), j.walkSize(), g.walkSize())
+				}
+			}
+			if row.abortEvery > 0 && aborts == 0 {
+				t.Fatal("no push was aborted")
+			}
+			if got, want := j.StateSize(), 2*len(live); got != want {
+				t.Errorf("join state size = %d, want %d (no leaks)", got, want)
+			}
+			if got, want := g.StateSize(), len(live); got != want {
+				t.Errorf("groupby state size = %d, want %d (no leaks)", got, want)
+			}
+		})
 	}
 }

@@ -273,6 +273,9 @@ type orderedDiff[T comparable] struct {
 
 	// direct is set, until takeBatch, by reserveDistinct: add appends.
 	direct bool
+	// chunks, if set with direct, takes the entries each time loadChunk
+	// of them have been added.
+	chunks Handler[T]
 }
 
 // reserveDistinct readies an empty accumulator for a push that adds n
@@ -281,10 +284,16 @@ type orderedDiff[T comparable] struct {
 // batch is the one the accumulator would emit: with every record
 // distinct, first-appearance order is the order they are added in, and
 // each sum is 0 + w = w, collapsed below weighted.Eps as add collapses it.
-func (d *orderedDiff[T]) reserveDistinct(n int) {
+// With chunks, the array holds loadChunk records at most: add hands each
+// full one to chunks before it starts the next, and takeBatch returns
+// the rest, so the push emits the same records in the same order.
+func (d *orderedDiff[T]) reserveDistinct(n int, chunks Handler[T]) {
+	if chunks != nil {
+		n = min(n, loadChunk)
+	}
 	refuseSlots(n)
 	d.ents = slices.Grow(d.ents, n)
-	d.direct = true
+	d.direct, d.chunks = true, chunks
 }
 
 // add accumulates w onto record x (a first appearance starts from the
@@ -293,6 +302,10 @@ func (d *orderedDiff[T]) add(x T, w float64) {
 	if d.direct {
 		if math.Abs(w) < weighted.Eps {
 			return
+		}
+		if d.chunks != nil && len(d.ents) == loadChunk {
+			d.chunks(d.ents)
+			d.ents = d.ents[:0]
 		}
 		d.ents = append(d.ents, Delta[T]{x, w})
 		return
@@ -324,7 +337,7 @@ func (d *orderedDiff[T]) takeBatch(keep bool) []Delta[T] {
 			}
 		}
 	}
-	d.ents, d.direct = out, false
+	d.ents, d.direct, d.chunks = out, false, nil
 	d.reset(keep)
 	return out
 }

@@ -11,7 +11,6 @@ var (
 	stepsAccepted = stepsVec.With("accepted")
 	stepsRejected = stepsVec.With("rejected")
 	stepsInvalid  = stepsVec.With("invalid")
-	lastScore     = obs.Default.Gauge("wpinq_mcmc_last_score", "Fit score at the end of the most recent Run call (lower is better).")
 )
 
 // recordRun publishes one Run call's outcome counts.
@@ -19,5 +18,4 @@ func recordRun(st Stats) {
 	stepsAccepted.Add(float64(st.Accepted))
 	stepsRejected.Add(float64(st.Rejected))
 	stepsInvalid.Add(float64(st.Invalid))
-	lastScore.Set(st.FinalScore)
 }

@@ -51,17 +51,54 @@ func BenchmarkGroupByLoad(b *testing.B) {
 }
 
 func BenchmarkJoinLoad(b *testing.B) {
-	// Self-join on a moderate key space: each key group holds ~8 records,
-	// so the initial load exercises the slow path's outer products.
-	batch := benchBatch(1<<14, 1<<12)
-	key := func(x int) int { return x >> 3 }
-	reduce := func(x, y int) [2]int { return [2]int{x, y} }
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e := New()
-		in := NewInput[int](e)
-		out := incremental.Collect[[2]int](Join[int, int, int, [2]int](in, in, key, key, reduce))
-		in.Push(batch)
-		benchSink = out.Norm()
+	pair := func(x, y int) [2]int { return [2]int{x, y} }
+	// groups=8: a self-join on a moderate key space, each key group
+	// holding ~8 records, so the load exercises the slow path's outer
+	// products. singleton: JDD's shape — directed edges, keyed by the
+	// edge on the left and by its reverse on the right, so that every key
+	// group holds one record a side, and a reduce that merges the pairs
+	// into a few thousand records, as JDD's degree pairs do.
+	for _, row := range []struct {
+		name       string
+		batch      []incremental.Delta[int]
+		keyA, keyB func(int) int
+		reduce     func(x, y int) [2]int
+	}{
+		{"groups=8", benchBatch(1<<14, 1<<12), func(x int) int { return x >> 3 }, func(x int) int { return x >> 3 }, pair},
+		{"singleton", benchEdges(4000, 20000),
+			func(e int) int { return e },
+			func(e int) int { return e&(1<<16-1)<<16 | e>>16 },
+			func(x, y int) [2]int { return [2]int{x >> 16 % 64, y >> 16 % 64} }},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				e := New()
+				in := NewInput[int](e)
+				out := incremental.Collect[[2]int](Join[int, int, int, [2]int](in, in, row.keyA, row.keyB, row.reduce))
+				in.Push(row.batch)
+				benchSink = out.Norm()
+			}
+			// Each record enters the self-join twice, once a side.
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(2*len(row.batch)), "ns/record")
+		})
 	}
+}
+
+// benchEdges returns m distinct random undirected edges on n < 2¹⁶
+// vertices, each as its two directed records src<<16 | dst at unit
+// weight.
+func benchEdges(n, m int) []incremental.Delta[int] {
+	rng := rand.New(rand.NewSource(11))
+	seen := map[int]bool{}
+	var batch []incremental.Delta[int]
+	for len(batch) < 2*m {
+		u, v := rng.Intn(n), rng.Intn(n)
+		if u == v || seen[u<<16|v] {
+			continue
+		}
+		seen[u<<16|v], seen[v<<16|u] = true, true
+		batch = append(batch, incremental.Delta[int]{Record: u<<16 | v, Weight: 1}, incremental.Delta[int]{Record: v<<16 | u, Weight: 1})
+	}
+	return batch
 }

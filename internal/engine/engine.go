@@ -95,7 +95,8 @@
 //
 // An engine's API is not thread-safe: building the graph, pushing
 // differences and reading sinks happen on one goroutine. A load may run
-// nodes on other goroutines, but none outlives the Push, and a panic in
+// nodes on other goroutines, but none outlives the Push (the engine
+// counts them until each has returned), and a panic in
 // one — or in a stateless node or handler it calls — is raised again on
 // the pushing goroutine. A stateful node runs on one goroutine, and with
 // it every stateless node and handler below it up to the next stateful
@@ -183,6 +184,10 @@ func (e *Engine) register(p processor) {
 // three fifths of the serial time.
 const minLoad = 1 << 12
 
+// loadWorkers counts the goroutines loads have started that are still
+// running (see load).
+var loadWorkers atomic.Int32
+
 // run executes the round of a push of records differences: every node
 // processes once, after its upstreams. Inside a transaction — a
 // proposal, whose round is too short to split — or for fewer than
@@ -216,6 +221,9 @@ func (e *Engine) run(records int) {
 // there; no node starts after it, and once every started node has
 // returned it is raised again on the pushing goroutine: the panic of the
 // lowest-indexed node that panicked. Nothing load starts outlives it.
+//
+// loadWorkers counts the goroutines a load has started and not yet seen
+// return, across engines: it reads 0 whenever no Push is in a load.
 func (e *Engine) load() bool {
 	workers := min(runtime.GOMAXPROCS(0), len(e.nodes))
 	if workers < 2 {
@@ -270,8 +278,10 @@ func (e *Engine) load() bool {
 	}
 	for range workers - 1 {
 		wg.Add(1)
+		loadWorkers.Add(1)
 		go func() {
 			defer wg.Done()
+			defer loadWorkers.Add(-1) // before Done: none is counted once Wait returns
 			work()
 		}()
 	}

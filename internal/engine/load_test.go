@@ -128,11 +128,11 @@ func TestLoadRunsBranchesAtOnce(t *testing.T) {
 // goroutines the load started have returned. A stateless node's panic is
 // raised on its upstream's goroutine, and reaches the pusher the same way.
 //
-// A goroutine is counted from its last statement until the runtime frees
-// it, and on a busy host its thread can be descheduled in between, so a
-// load whose workers have all returned may, rarely, still count one. Each
-// row therefore loads twenty times and tolerates two such counts: a Push
-// that did not wait for its workers leaves them counted after most loads.
+// The engine counts the goroutines its loads start until each has
+// returned (loadWorkers), so after every Push the count reads exactly 0,
+// however busy the host: the runtime's goroutine count, which keeps a
+// goroutine until its thread has freed it, could not say that. Each row
+// loads twenty times.
 func TestLoadPanicReachesThePusher(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	type boom struct{ at string }
@@ -165,21 +165,16 @@ func TestLoadPanicReachesThePusher(t *testing.T) {
 	const loads = 20
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			counted := 0
 			for range loads {
 				in := NewInput[int](New())
 				row.build(t, in)
-				before := runtime.NumGoroutine()
 				got := pushRecovered(in, loadBatch())
-				if runtime.NumGoroutine() != before {
-					counted++
+				if n := loadWorkers.Load(); n != 0 {
+					t.Fatalf("%d of the load's goroutines outlived its push", n)
 				}
 				if got != row.want {
 					t.Fatalf("push panicked with %v, want %v", got, row.want)
 				}
-			}
-			if counted > loads/10 {
-				t.Errorf("%d of %d loads left more goroutines than they found", counted, loads)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package incremental
 
 import (
 	"math"
+	"slices"
 
 	"wpinq/internal/weighted"
 )
@@ -18,6 +19,12 @@ import (
 //   - Slow path: the denominator changed, so every output record under the
 //     key must be rescaled: the node retracts the key's old outer product
 //     and asserts the new one.
+//
+// Both sides of a key live in one group, the first record of each inline
+// (see joinGroup), in one flat array the key's index entry names: a key
+// whose sides hold one record each — every key of JDD's edge-keyed
+// self-join — costs one probe, no allocation and nothing for the
+// collector to trace. A side spills to a stateMap at its second record.
 //
 // One rule, joinUpdateSide, serves both sides. Its fast path is always
 // on: it makes a TbI proposal about three times cheaper (DESIGN.md, "Join
@@ -37,16 +44,16 @@ type JoinNode[A, B comparable, K comparable, R comparable] struct {
 	keyB   func(B) K
 	reduce func(A, B) R
 
-	// Both sides of a key live in one group under one table entry: every
-	// key update reads one side's records and the other's norm, so a
-	// push costs one lookup and one pointer chase per key. A group stays
-	// in the table while either side holds records.
-	groups table[K, *joinGroup[A, B]]
-
-	// Freelist of dropped key groups. MCMC walks churn groups (a key
-	// empties when its last record swaps away, then reappears), so
-	// dropped groups are recycled rather than released.
-	pool groupPool[joinGroup[A, B]]
+	// index maps each key to the 1-based position of its group in
+	// groups. A position stays put while its key is held, so nothing
+	// that outlives a key update points into the index, which a claim
+	// may resize and a removal backshift; a dropped key's position is
+	// reissued from free.
+	index  table[K, int32]
+	groups []joinGroup[A, B]
+	free   []int32
+	a      joinStore[A]
+	b      joinStore[B]
 
 	distinct bool // set at construction (JoinDistinct); no setter
 	// streams, set at construction (JoinDistinct), reports whether emit
@@ -69,20 +76,60 @@ type JoinNode[A, B comparable, K comparable, R comparable] struct {
 	scratchB scratchIndex[B]
 	diff     orderedDiff[R]
 
-	// Transaction state: one undo log per side, shared by every group,
-	// and the groups first touched this transaction (their stateMaps log
-	// to logA/logB), in touch order. As in GroupByNode, dropping empty
-	// groups is deferred to commit so Abort can restore them in place.
+	// Transaction state: each group first touched inside a transaction,
+	// with its key and a copy of it as it was (zero: the key was
+	// absent), in touch order; each side's spills log their mutations to
+	// the side's undo log. As in GroupByNode, dropping drained sides and
+	// groups is deferred to commit, so that abort puts every group back
+	// at its index.
 	logging bool
-	logA    undoLog[A]
-	logB    undoLog[B]
-	touched []touchedGroup[K, joinGroup[A, B]]
+	touched []joinTouched[K, A, B]
 }
 
-// joinGroup is one key's state: the records of each side under that key.
+// joinGroup is one key's state: each side's inline fields and, once the
+// side has held two records at once, the 1-based index of its spill in
+// the side's pool (0: inline). A spilled side keeps its records, weights
+// and norm in the spill, and its inline fields read zero; it comes back
+// inline when it drains, at the drop. open marks a group touched in the
+// current transaction.
 type joinGroup[A, B comparable] struct {
-	a stateMap[A]
-	b stateMap[B]
+	a     joinSide[A]
+	b     joinSide[B]
+	spill [2]int32
+	open  bool
+}
+
+// empty reports whether the group holds nothing: both sides inline and
+// empty (an empty inline side is the zero joinSide).
+func (g *joinGroup[A, B]) empty() bool {
+	return g.a.w == 0 && g.b.w == 0 && g.spill == [2]int32{}
+}
+
+// joinSide is one side of a key group while it has not spilled: its one
+// record, if it holds one (w ≠ 0 — a held weight never reads zero). Its
+// norm is |w|, exactly what a stateMap's would read: an inline side only
+// ever goes from empty to one record and back, whose norms, 0 + |w| and
+// |w| − |w|, are exact, and a drained side is reset at the drop. An
+// update of the held record's weight in place, whose norm
+// |w| + (|w'| − |w|) may carry float dust, spills first.
+type joinSide[T comparable] struct {
+	rec T
+	w   float64
+}
+
+// joinStore is what a join keeps per side beside its groups: the spills
+// and the undo log they write inside a transaction.
+type joinStore[T comparable] struct {
+	spills spillPool[T]
+	log    undoLog[T]
+}
+
+// joinTouched is a group first touched inside a transaction: its key,
+// its index and the group as the transaction found it.
+type joinTouched[K, A, B comparable] struct {
+	k   K
+	i   int32
+	was joinGroup[A, B]
 }
 
 // joinStats counts key-updates taken through each path.
@@ -121,35 +168,43 @@ func JoinDistinct[A, B comparable, K comparable, R comparable](
 }
 
 // Txn applies a transaction event to every group touched since Begin —
-// O(touched keys), opened lazily by group.
+// O(touched keys). Abort first unwinds the spills' logs, then puts back
+// each touched group as the transaction found it, newest first; a spill
+// the transaction made has unwound to empty and returns to its pool, and
+// a group it made leaves the index, its position freed in the reverse
+// order of the claims, which leaves the free positions as they were.
 func (n *JoinNode[A, B, K, R]) Txn(op TxnOp) {
 	n.logging = op == TxnBegin
 	switch op {
 	case TxnBegin:
 		n.sizeAtBegin = n.size
+		return
 	case TxnCommit:
-		n.logA.commit()
-		n.logB.commit()
+		n.a.log.commit()
+		n.b.log.commit()
 		for _, t := range n.touched {
-			t.g.a.endLog()
-			t.g.b.endLog()
-			n.drop(t.k, t.g)
+			g := n.group(t.i)
+			g.open = false
+			n.a.spills.end(g.spill[0], true)
+			n.b.spills.end(g.spill[1], true)
+			n.drop(t.k, t.i)
 		}
-		n.touched = n.touched[:0]
 	case TxnAbort:
-		// The two sides are disjoint state; each unwinds its own log.
 		n.size = n.sizeAtBegin
-		n.logA.abort()
-		n.logB.abort()
-		for _, t := range n.touched {
-			t.g.a.endLog()
-			t.g.b.endLog()
-			if t.created {
-				n.drop(t.k, t.g) // unwound to empty on both sides
+		n.a.log.abort()
+		n.b.log.abort()
+		for i := len(n.touched) - 1; i >= 0; i-- {
+			t := &n.touched[i]
+			g := n.group(t.i)
+			n.a.spills.end(g.spill[0], g.spill[0] == t.was.spill[0])
+			n.b.spills.end(g.spill[1], g.spill[1] == t.was.spill[1])
+			*g = t.was
+			if g.empty() {
+				n.release(t.k, t.i)
 			}
 		}
-		n.touched = n.touched[:0]
 	}
+	n.touched = n.touched[:0]
 }
 
 // FastKeys returns the number of key updates resolved via the fast path.
@@ -165,20 +220,26 @@ func (n *JoinNode[A, B, K, R]) StateSize() int { return n.size }
 // ApplyLeft and ApplyRight apply a batch of one side's differences (see
 // applySide).
 func (n *JoinNode[A, B, K, R]) ApplyLeft(batch []Delta[A]) {
-	applySide(n, batch, n.keyA, &n.byKeyA, &n.scratchA, leftSide[A, B], n.reduce)
+	applySide(n, batch, n.keyA, &n.byKeyA, &n.scratchA, &n.a, &n.b, leftSide[A, B], n.reduce)
 }
 
 func (n *JoinNode[A, B, K, R]) ApplyRight(batch []Delta[B]) {
-	applySide(n, batch, n.keyB, &n.byKeyB, &n.scratchB, rightSide[A, B], func(y B, x A) R { return n.reduce(x, y) })
+	applySide(n, batch, n.keyB, &n.byKeyB, &n.scratchB, &n.b, &n.a, rightSide[A, B], func(y B, x A) R { return n.reduce(x, y) })
 }
 
-// leftSide and rightSide pick a group's (own, other) sides for a push.
-func leftSide[A, B comparable](g *joinGroup[A, B]) (*stateMap[A], *stateMap[B])  { return &g.a, &g.b }
-func rightSide[A, B comparable](g *joinGroup[A, B]) (*stateMap[B], *stateMap[A]) { return &g.b, &g.a }
+// leftSide and rightSide pick a group's (own, other) sides for a push:
+// each side's inline fields and spill reference.
+func leftSide[A, B comparable](g *joinGroup[A, B]) (*joinSide[A], *int32, *joinSide[B], *int32) {
+	return &g.a, &g.spill[0], &g.b, &g.spill[1]
+}
+
+func rightSide[A, B comparable](g *joinGroup[A, B]) (*joinSide[B], *int32, *joinSide[A], *int32) {
+	return &g.b, &g.spill[1], &g.a, &g.spill[0]
+}
 
 // applySide applies one side's batch key by key. X is the pushed side's
-// record type and Y the other's; sides picks (own, other) from a group,
-// and reduce takes (own record, other record) — the node's reduce,
+// record type and Y the other's, ownStore and otherStore their stores;
+// sides picks (own, other) from a group, and reduce takes (own record, other record) — the node's reduce,
 // swapped for the right side — so every emitted record is reduce(A, B).
 // Outside a transaction it first reserves the accumulator for what the
 // push asserts: under each key, every difference of the run against
@@ -189,37 +250,46 @@ func rightSide[A, B comparable](g *joinGroup[A, B]) (*stateMap[B], *stateMap[A])
 // already held (no load does) grows past it as any push grows. A load
 // only asserts, each matching pair once, so at a distinct join its
 // records cannot meet and it reserves no table (reserveDistinct). The
-// group table is reserved for the keys the push is about to add.
+// index and the groups are reserved for the keys the push is about to
+// add.
 func applySide[A, B, K, R, X, Y comparable](
 	n *JoinNode[A, B, K, R],
 	batch []Delta[X], key func(X) K,
 	byKey *keyGrouper[K, X], scratch *scratchIndex[X],
-	sides func(*joinGroup[A, B]) (*stateMap[X], *stateMap[Y]),
+	ownStore *joinStore[X], otherStore *joinStore[Y],
+	sides func(*joinGroup[A, B]) (*joinSide[X], *int32, *joinSide[Y], *int32),
 	reduce func(X, Y) R,
 ) {
 	inTxn := n.logging
+	if !inTxn {
+		// A load's second side meets, mostly, the keys its first side
+		// made: size the grouping for as many, or for every record if
+		// fewer, rather than regrow it key by key.
+		byKey.idx.reserve(min(len(batch), n.index.len()))
+	}
 	keys := byKey.group(batch, key)
 	if !inTxn {
-		size, fresh, load := 0, 0, true
+		size, fresh, load := 0, len(keys), true
 		for i, e := range keys {
-			if g := n.groups.get(e.Record); g != nil {
-				own, other := sides(g)
+			if j, ok := n.index.find(e.Record); ok {
+				in, spill, otherIn, otherSpill := sides(n.group(*n.index.at(j)))
+				own, other := ownStore.side(in, spill, false), otherStore.side(otherIn, otherSpill, false)
 				size += len(byKey.run(i)) * other.len()
 				load = load && own.len() == 0
-			} else {
-				fresh++
+				fresh--
 			}
 		}
 		n.reserve(size, fresh, load)
 	}
 	for i, e := range keys {
 		k := e.Record
-		g := n.group(k)
-		own, other := sides(g)
-		n.size += joinUpdateSide(&n.stats, byKey.run(i), own, other, reduce, scratch, &n.diff)
+		gi, g := n.claim(k)
+		in, spill, otherIn, otherSpill := sides(g)
+		own, other := ownStore.side(in, spill, inTxn), otherStore.side(otherIn, otherSpill, inTxn)
+		n.size += joinUpdateSide(&n.stats, byKey.run(i), &own, &other, reduce, scratch, &n.diff)
 		scratch.reset(inTxn)
 		if !inTxn {
-			n.drop(k, g)
+			n.drop(k, gi)
 		}
 	}
 	byKey.reset(inTxn)
@@ -227,10 +297,13 @@ func applySide[A, B, K, R, X, Y comparable](
 }
 
 // reserve sizes the accumulator for a push outside a transaction that
-// asserts size records, and the group table for fresh new keys; load
-// reports that every key's own side was empty.
+// asserts size records, and the index and the groups for fresh new keys;
+// load reports that every key's own side was empty.
+//
+//wpinq:txn-exempt runs only for a push outside a transaction (applySide); it sizes the groups array, which holds the same groups after it
 func (n *JoinNode[A, B, K, R]) reserve(size, fresh int, load bool) {
-	n.groups.reserve(n.groups.len() + fresh)
+	n.index.reserve(n.index.len() + fresh)
+	n.groups = slices.Grow(n.groups, max(0, fresh-len(n.free)))
 	if n.distinct && load {
 		var chunks Handler[R]
 		if n.streams != nil && n.streams() {
@@ -242,45 +315,186 @@ func (n *JoinNode[A, B, K, R]) reserve(size, fresh int, load bool) {
 	n.diff.reserve(size)
 }
 
-// group returns k's group, creating it if the key is new, and opens it
-// in the current transaction, if any, on first touch.
-func (n *JoinNode[A, B, K, R]) group(k K) *joinGroup[A, B] {
-	i, created := n.groups.claim(k)
-	slot := n.groups.at(i)
-	if created {
-		*slot = n.pool.get()
+// group returns the group at index i. The pointer is valid until the
+// next claim.
+func (n *JoinNode[A, B, K, R]) group(i int32) *joinGroup[A, B] { return &n.groups[i-1] }
+
+// claim returns k's group and its index, giving a new key an empty
+// group: the index a key dropped last, or a new one. Inside a
+// transaction it logs the group as the transaction found it, on first
+// touch.
+func (n *JoinNode[A, B, K, R]) claim(k K) (int32, *joinGroup[A, B]) {
+	var i int32
+	if j, fresh := n.index.claim(k); !fresh {
+		i = *n.index.at(j)
+	} else {
+		if last := len(n.free) - 1; last >= 0 {
+			i, n.free = n.free[last], n.free[:last]
+		} else {
+			n.groups = append(n.groups, joinGroup[A, B]{})
+			i = int32(len(n.groups))
+		}
+		*n.index.at(j) = i
 	}
-	g := *slot
-	if n.logging && g.a.log == nil {
-		g.a.beginLog(&n.logA)
-		g.b.beginLog(&n.logB)
-		n.touched = append(n.touched, touchedGroup[K, joinGroup[A, B]]{k: k, g: g, created: created})
+	g := n.group(i)
+	if n.logging && !g.open {
+		n.touched = append(n.touched, joinTouched[K, A, B]{k, i, *g})
+		g.open = true
 	}
-	return g
+	return i, g
+}
+
+// release removes k, whose group at index i is empty, and frees i.
+//
+//wpinq:txn-exempt runs from drop, outside a transaction or at commit, and from Txn at abort, where it frees the indices the transaction claimed in the reverse order it claimed them
+func (n *JoinNode[A, B, K, R]) release(k K, i int32) {
+	n.index.remove(k)
+	n.free = append(n.free, i)
 }
 
 // drop retires whatever of k's group has drained, so long random walks
-// do not leak memory through abandoned keys: an empty side is recycled
-// in place (its norm must read exactly zero the next time the key's
-// denominator is formed, as a fresh group's would), and a group empty on
-// both sides leaves the table for the freelist. Inside a transaction the
-// callers defer this to commit (an empty side joins to nothing, so
-// keeping it changes no arithmetic) so Abort can restore the group in
-// place.
+// do not leak memory through abandoned keys: a spill its side fits
+// inline again returns to its pool (spillPool.settle) — an empty side
+// then reads as the zero side, whose norm is exactly zero the next time
+// the key's denominator is formed, as a fresh group's would, where a
+// drained spill's can carry float dust — and an empty group leaves the
+// index. Inside a transaction the callers defer this to commit (an
+// empty side joins to nothing, so keeping it changes no arithmetic) so
+// Abort can restore the group as it was.
 //
-//wpinq:txn-exempt runs only outside a transaction or from Txn once the group's logs are resolved; a group dropped while open would be written by abort after the pool reissued it
-func (n *JoinNode[A, B, K, R]) drop(k K, g *joinGroup[A, B]) {
-	emptyA, emptyB := g.a.len() == 0, g.b.len() == 0
-	if emptyA {
-		g.a.recycle()
+//wpinq:txn-exempt runs only outside a transaction or from Txn once the spills' logs are resolved; a spill released while open would be written by abort after the pool reissued it
+func (n *JoinNode[A, B, K, R]) drop(k K, i int32) {
+	g := n.group(i)
+	n.a.spills.settle(&g.spill[0], &g.a)
+	n.b.spills.settle(&g.spill[1], &g.b)
+	if g.empty() {
+		n.release(k, i)
 	}
-	if emptyB {
-		g.b.recycle()
+}
+
+// side is one side of a key group as a key update sees it: the inline
+// fields in the group, its spill reference there, and the spill itself
+// once the side has spilled. It is valid for one key update: the groups
+// move when a claim grows them.
+type side[T comparable] struct {
+	in    *joinSide[T]
+	spill *int32
+	m     *stateMap[T] // the spill; nil while inline
+	store *joinStore[T]
+	log   bool // the update is inside a transaction
+}
+
+// side returns the view of a group's side whose inline fields are in
+// and whose spill reference is spill; inside a transaction, the spill's
+// mutations log to the side's undo log.
+func (st *joinStore[T]) side(in *joinSide[T], spill *int32, logging bool) side[T] {
+	s := side[T]{in: in, spill: spill, store: st, log: logging}
+	if *spill != 0 {
+		s.m = st.spills.at(*spill)
+		if logging {
+			s.m.beginLog(&st.log)
+		}
 	}
-	if emptyA && emptyB {
-		n.groups.remove(k)
-		n.pool.put(g)
+	return s
+}
+
+// len returns the number of records the side holds.
+func (s *side[T]) len() int {
+	if s.m != nil {
+		return s.m.len()
 	}
+	if s.in.w != 0 {
+		return 1
+	}
+	return 0
+}
+
+// norm returns the side's norm.
+func (s *side[T]) norm() float64 {
+	if s.m != nil {
+		return s.m.norm
+	}
+	return math.Abs(s.in.w)
+}
+
+// weight returns x's weight on the side.
+func (s *side[T]) weight(x T) float64 {
+	if s.m != nil {
+		return s.m.weight(x)
+	}
+	if s.in.w != 0 && s.in.rec == x {
+		return s.in.w
+	}
+	return 0
+}
+
+// each visits the side's records in stateMap order.
+func (s *side[T]) each(f func(x T, w float64)) {
+	if s.m != nil {
+		s.m.each(f)
+	} else if s.in.w != 0 {
+		f(s.in.rec, s.in.w)
+	}
+}
+
+// apply is stateMap.apply on the side, with the same arithmetic. An
+// inline side takes a record into an empty side and drops its record;
+// anything else — a second record, or an update of its record's weight
+// in place — spills first (spillOut).
+func (s *side[T]) apply(x T, delta float64) (oldW, newW float64) {
+	if s.m == nil {
+		in := s.in
+		held := in.w != 0 && in.rec == x
+		if held {
+			oldW = in.w
+		}
+		newW = oldW + delta
+		if math.Abs(newW) < weighted.Eps {
+			newW = 0
+		}
+		switch {
+		case newW == 0 && held: // drop the record
+			*in = joinSide[T]{}
+			return oldW, newW
+		case newW == 0: // nothing to hold or drop
+			return oldW, newW
+		case in.w == 0: // take the first record
+			in.rec, in.w = x, newW
+			return oldW, newW
+		}
+		s.spillOut()
+	}
+	return s.m.apply(x, delta)
+}
+
+// spillOut moves an inline side into a new spill, which then goes on
+// exactly as one stateMap would have from the start: a held record's
+// norm there is 0 + |w|, which is |w|. Inside a transaction the move is
+// logged, so that abort unwinds a spill it made to empty.
+func (s *side[T]) spillOut() {
+	in := s.in
+	*s.spill = s.store.spills.get()
+	s.m = s.store.spills.at(*s.spill)
+	if s.log {
+		s.m.beginLog(&s.store.log)
+	}
+	if in.w != 0 {
+		s.m.apply(in.rec, in.w)
+		*in = joinSide[T]{}
+	}
+}
+
+// expect readies the side for a run of n > 1 differences outside a
+// transaction — a load's, which asserts records: the run spills the
+// side before its first, since its second would, and the spill makes
+// room for n more records at once, where its slices would otherwise
+// double their way up. A proposal's runs, inside a transaction, are
+// left alone.
+func (s *side[T]) expect(n int) {
+	if s.m == nil {
+		s.spillOut()
+	}
+	s.m.grow(n)
 }
 
 // joinUpdateSide is the join's one update rule (see JoinNode): it applies
@@ -290,18 +504,21 @@ func (n *JoinNode[A, B, K, R]) drop(k K, g *joinGroup[A, B]) {
 func joinUpdateSide[X, Y comparable, R comparable](
 	stats *joinStats,
 	ds []Delta[X],
-	own *stateMap[X], other *stateMap[Y],
+	own *side[X], other *side[Y],
 	reduce func(X, Y) R,
 	scratch *scratchIndex[X],
 	diff *orderedDiff[R],
 ) (grew int) {
-	otherNorm := other.norm
-	oldDenom := own.norm + otherNorm
+	otherNorm := other.norm()
+	oldDenom := own.norm() + otherNorm
 
 	// Apply differences, remembering each touched record's pre-push
 	// weight — apply's pre-image at its first touch — in first-touch order
 	// (the caller resets the scratch).
 	before := own.len()
+	if !own.log && len(ds) > 1 {
+		own.expect(len(ds))
+	}
 	for _, d := range ds {
 		oldW, _ := own.apply(d.Record, d.Weight)
 		if i, fresh := scratch.slot(d.Record); fresh {
@@ -310,7 +527,7 @@ func joinUpdateSide[X, Y comparable, R comparable](
 	}
 	grew = own.len() - before
 	touched := scratch.ents // Weight: the record's pre-push weight
-	newDenom := own.norm + otherNorm
+	newDenom := own.norm() + otherNorm
 
 	if other.len() == 0 {
 		// No matches: the key contributes no outputs before or after.

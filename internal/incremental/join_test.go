@@ -23,14 +23,52 @@ func newRecJoin() *JoinNode[rec, rec, int, [2]rec] {
 	return Join(recKey, recKey, func(x, y rec) [2]rec { return [2]rec{x, y} }, func([]Delta[[2]rec]) {})
 }
 
-// TestJoinDrainedSideNormIsExactlyZero pins what pairing the two sides
-// of a key must not lose. When the sides were separate map entries, a
-// side that drained was dropped and re-created fresh, so its norm read
-// bit-exact 0 the next time the key's denominator was formed. Paired, the
-// drained side stays beside its partner — and a drained stateMap can
-// carry float dust (0.1 + 0.2 - 0.1 - 0.2 leaves 2.8e-17), so it must be
-// reset at the same two points the drop used to happen: after the push
-// outside a transaction, at commit inside one.
+// sidesOf returns views of key k's two sides, and whether the table
+// holds k. The views open no log: they are for reading.
+func (n *JoinNode[A, B, K, R]) sidesOf(k K) (a side[A], b side[B], ok bool) {
+	i, ok := n.index.find(k)
+	if !ok {
+		return a, b, false
+	}
+	g := n.group(*n.index.at(i))
+	return n.a.side(&g.a, &g.spill[0], false), n.b.side(&g.b, &g.spill[1], false), true
+}
+
+// groupOf returns a copy of key k's group, and whether the index holds
+// k.
+func (n *JoinNode[A, B, K, R]) groupOf(k K) (joinGroup[A, B], bool) {
+	if i, ok := n.index.find(k); ok {
+		return *n.group(*n.index.at(i)), true
+	}
+	return joinGroup[A, B]{}, false
+}
+
+// openSpills returns how many of the node's spills are open in a
+// transaction, and how many are out of their pools.
+func (n *JoinNode[A, B, K, R]) openSpills() (open, out int) {
+	for _, m := range n.a.spills.maps {
+		if m.log != nil {
+			open++
+		}
+	}
+	for _, m := range n.b.spills.maps {
+		if m.log != nil {
+			open++
+		}
+	}
+	return open, len(n.a.spills.maps) - len(n.a.spills.free) + len(n.b.spills.maps) - len(n.b.spills.free)
+}
+
+// TestJoinDrainedSideNormIsExactlyZero pins what keeping the two sides
+// of a key in one group must not lose. When the sides were separate map
+// entries, a side that drained was dropped and re-created fresh, so its
+// norm read bit-exact 0 the next time the key's denominator was formed.
+// In one group the drained side stays beside its partner — and a
+// drained side can carry float dust (0.1 + 0.2 - 0.1 - 0.2 leaves
+// 2.8e-17), so it must be reset at the same two points the drop used to
+// happen: after the push outside a transaction, at commit inside one.
+// The side here has spilled (two records); the reset also returns the
+// spill to its pool, which brings the side back inline.
 func TestJoinDrainedSideNormIsExactlyZero(t *testing.T) {
 	load := func() *JoinNode[rec, rec, int, [2]rec] {
 		j := newRecJoin()
@@ -44,12 +82,15 @@ func TestJoinDrainedSideNormIsExactlyZero(t *testing.T) {
 		j := load()
 		j.ApplyLeft([]Delta[rec]{{rec{7, 1}, -0.1}})
 		j.ApplyLeft([]Delta[rec]{{rec{7, 2}, -0.2}})
-		g := j.groups.get(7)
-		if g == nil || g.a.len() != 0 || g.b.len() != 1 {
-			t.Fatalf("group 7 = %+v, want an empty left side beside the right record", g)
+		a, b, ok := j.sidesOf(7)
+		if !ok || a.len() != 0 || b.len() != 1 {
+			t.Fatalf("key 7 held %v, %d left and %d right records; want an empty left side beside the right record", ok, a.len(), b.len())
 		}
-		if g.a.norm != 0 {
-			t.Errorf("drained side's norm = %g, want exactly 0", g.a.norm)
+		if a.norm() != 0 {
+			t.Errorf("drained side's norm = %g, want exactly 0", a.norm())
+		}
+		if _, out := j.openSpills(); a.m != nil || out != 0 {
+			t.Errorf("the drained side kept its spill (%d out of the pools)", out)
 		}
 	})
 
@@ -58,21 +99,22 @@ func TestJoinDrainedSideNormIsExactlyZero(t *testing.T) {
 		j.Txn(TxnBegin)
 		j.ApplyLeft([]Delta[rec]{{rec{7, 1}, -0.1}})
 		j.ApplyLeft([]Delta[rec]{{rec{7, 2}, -0.2}})
-		g := j.groups.get(7)
-		if g.a.len() != 0 || g.a.norm == 0 {
+		a, _, _ := j.sidesOf(7)
+		if a.len() != 0 || a.norm() == 0 {
 			// The dust is what makes this test bite; and it must survive
 			// until commit, as it did when the drop was deferred.
-			t.Fatalf("open transaction: %d records, norm %g; want 0 records and float dust", g.a.len(), g.a.norm)
+			t.Fatalf("open transaction: %d records, norm %g; want 0 records and float dust", a.len(), a.norm())
 		}
 		j.Txn(TxnCommit)
-		if j.groups.get(7) != g {
+		a, _, ok := j.sidesOf(7)
+		if !ok {
 			t.Fatal("commit dropped a group whose right side still holds a record")
 		}
-		if g.a.norm != 0 {
-			t.Errorf("drained side's norm = %g after commit, want exactly 0", g.a.norm)
+		if a.norm() != 0 {
+			t.Errorf("drained side's norm = %g after commit, want exactly 0", a.norm())
 		}
-		if g.a.log != nil || g.b.log != nil {
-			t.Error("commit left the group's sides open")
+		if open, out := j.openSpills(); open != 0 || out != 0 {
+			t.Errorf("commit left %d spills open and %d out of the pools", open, out)
 		}
 	})
 }
@@ -81,33 +123,174 @@ func TestJoinAbortDropsCreatedGroups(t *testing.T) {
 	j := newRecJoin()
 	j.ApplyLeft([]Delta[rec]{{rec{1, 0}, 1}})
 	j.ApplyRight([]Delta[rec]{{rec{1, 1}, 1}})
+	before, _ := j.groupOf(1)
 
 	j.Txn(TxnBegin)
-	j.ApplyLeft([]Delta[rec]{{rec{2, 0}, 1}, {rec{3, 0}, 2}})
+	j.ApplyLeft([]Delta[rec]{{rec{2, 0}, 1}, {rec{3, 0}, 2}, {rec{3, 2}, 1}, {rec{1, 2}, 1}})
 	j.ApplyRight([]Delta[rec]{{rec{3, 1}, 1}, {rec{4, 1}, 1}})
-	if j.groups.len() != 4 {
-		t.Fatalf("%d groups inside the transaction, want 4", j.groups.len())
+	if j.index.len() != 4 {
+		t.Fatalf("%d groups inside the transaction, want 4", j.index.len())
+	}
+	if _, out := j.openSpills(); out != 2 {
+		t.Fatalf("fixture: %d spills out, want key 1's and key 3's left sides", out)
 	}
 	j.Txn(TxnAbort)
 
-	if j.groups.len() != 1 || j.groups.get(1) == nil {
-		t.Fatalf("groups after abort: %v, want only key 1", slices.Collect(maps.Keys(j.groups.toMap())))
+	if g, _ := j.groupOf(1); j.index.len() != 1 || g != before {
+		t.Fatalf("groups after abort: %v, want only key 1 as it was", j.index.toMap())
 	}
-	if len(j.pool.free) != 3 {
-		t.Errorf("%d groups on the freelist, want the 3 the transaction created", len(j.pool.free))
+	// Freed newest first, the next new key takes position 2, as it does
+	// on a join that never saw the transaction.
+	if !slices.Equal(j.free, []int32{4, 3, 2}) {
+		t.Errorf("free positions %v after abort, want [4 3 2]: the 3 the transaction made, freed newest first", j.free)
 	}
-	for _, g := range j.pool.free {
-		if g.a.len() != 0 || g.b.len() != 0 || g.a.norm != 0 || g.b.norm != 0 || g.a.log != nil || g.b.log != nil {
-			t.Errorf("pooled group not fresh: %+v", g)
+	for _, i := range j.free {
+		if g := *j.group(i); g != (joinGroup[rec, rec]{}) {
+			t.Errorf("freed group %d not zero: %+v", i, g)
 		}
 	}
-	if len(j.touched) != 0 || len(j.logA.entries) != 0 || len(j.logB.entries) != 0 {
+	if open, out := j.openSpills(); open != 0 || out != 0 {
+		t.Errorf("abort left %d spills open and %d out of the pools, want the 2 the transaction made back", open, out)
+	}
+	for _, m := range j.a.spills.maps {
+		if m.len() != 0 || m.norm != 0 || m.log != nil {
+			t.Errorf("pooled spill not fresh: %+v", m)
+		}
+	}
+	if len(j.touched) != 0 || len(j.a.log.entries) != 0 || len(j.b.log.entries) != 0 {
 		t.Error("abort left transaction state behind")
 	}
 }
 
+// pairJoin is a join of recs by key into pairs, with its collected
+// output, the batch it emitted last, and the reference sides.
+type pairJoin struct {
+	j    *JoinNode[rec, rec, int, [2]rec]
+	out  *weighted.Dataset[[2]rec]
+	last []Delta[[2]rec]
+	refs [2]*weighted.Dataset[rec]
+}
+
+func pair(a, b rec) [2]rec { return [2]rec{a, b} }
+
+func newPairJoin() *pairJoin {
+	x := &pairJoin{out: weighted.New[[2]rec](), refs: [2]*weighted.Dataset[rec]{weighted.New[rec](), weighted.New[rec]()}}
+	x.j = Join(recKey, recKey, pair, func(b []Delta[[2]rec]) {
+		x.last = append(x.last[:0], b...)
+		fold(x.out)(b)
+	})
+	return x
+}
+
+// push applies batch to the left side (0) or the right (1), and to its
+// reference.
+func (x *pairJoin) push(side int, batch []Delta[rec]) {
+	x.last = x.last[:0]
+	for _, d := range batch {
+		x.refs[side].Add(d.Record, d.Weight)
+	}
+	if side == 0 {
+		x.j.ApplyLeft(batch)
+	} else {
+		x.j.ApplyRight(batch)
+	}
+}
+
+// TestJoinSideGrowsAndShrinksThroughItsSpill walks one key's left side
+// through 0 → 1 → 2 → 1 → 0 records — inline, spilled, a spill holding
+// one record, drained — beside a right side holding one, as a load (each
+// push outside a transaction), inside a transaction that aborts, and
+// inside one that commits. After every push the output matches the
+// reference join and StateSize a walk of the groups. After the
+// transaction a probe push must emit exactly — records, weights, order —
+// what it emits on a twin that took the committed pushes, none at abort,
+// outside any transaction.
+func TestJoinSideGrowsAndShrinksThroughItsSpill(t *testing.T) {
+	steps := [][]Delta[rec]{
+		{{rec{1, 0}, 0.1}},  // 0 → 1: inline
+		{{rec{1, 1}, 0.2}},  // 1 → 2: spills
+		{{rec{1, 0}, -0.1}}, // 2 → 1: the spill holds one
+		{{rec{1, 1}, -0.2}}, // 1 → 0: drained
+	}
+	base := []Delta[rec]{{rec{1, 9}, 1}, {rec{2, 9}, 0.5}}
+	probe := []Delta[rec]{{rec{1, 2}, 0.3}, {rec{2, 0}, 1}, {rec{1, 3}, 0.7}}
+	for _, mode := range []string{"load", "abort", "commit"} {
+		t.Run(mode, func(t *testing.T) {
+			x, twin := newPairJoin(), newPairJoin()
+			x.push(1, base)
+			twin.push(1, base)
+			if mode != "load" {
+				x.j.Txn(TxnBegin)
+			}
+			for i, step := range steps {
+				x.push(0, step)
+				if want := weighted.Join(x.refs[0], x.refs[1], recKey, recKey, pair); !weighted.Equal(x.out, want, eqTol) {
+					t.Fatalf("step %d: output %v, want %v", i, x.out, want)
+				}
+				if got, walked := x.j.StateSize(), x.j.walkSize(); got != walked {
+					t.Fatalf("step %d: StateSize %d, a walk counts %d", i, got, walked)
+				}
+				if mode != "abort" {
+					twin.push(0, step)
+				}
+			}
+			switch mode {
+			case "abort":
+				x.j.Txn(TxnAbort)
+			case "commit":
+				x.j.Txn(TxnCommit)
+			}
+			if open, out := x.j.openSpills(); open != 0 || out != 0 {
+				t.Errorf("%d spills open and %d out of the pools once key 1's side drained", open, out)
+			}
+			x.push(0, probe)
+			twin.push(0, probe)
+			if len(twin.last) == 0 || !slices.Equal(x.last, twin.last) {
+				t.Errorf("the probe emitted\n %v\nwant what the twin emits\n %v", x.last, twin.last)
+			}
+		})
+	}
+}
+
+// TestJoinSpillSettlesInlineOnlyWhenExact pins when a side that spilled
+// comes back inline holding one record: when the spill's norm is that
+// record's |w| to the bit, so that the inline side, whose norm is |w|,
+// reads the same. Weights 1 and 2 leave norm 3 − 1 = 2, exact; 0.1 and
+// 0.2 leave 0.1 + 0.2 − 0.1 = 0.20000000000000004, and the side stays
+// spilled. Outside a transaction it settles after the push; inside one,
+// at commit.
+func TestJoinSpillSettlesInlineOnlyWhenExact(t *testing.T) {
+	for _, row := range []struct {
+		w0, w1  float64
+		settles bool
+	}{{1, 2, true}, {0.1, 0.2, false}} {
+		for _, txn := range []bool{false, true} {
+			j := newRecJoin()
+			j.ApplyRight([]Delta[rec]{{rec{1, 9}, 1}})
+			if txn {
+				j.Txn(TxnBegin)
+			}
+			j.ApplyLeft([]Delta[rec]{{rec{1, 0}, row.w0}, {rec{1, 1}, row.w1}})
+			j.ApplyLeft([]Delta[rec]{{rec{1, 0}, -row.w0}})
+			if txn {
+				if a, _, _ := j.sidesOf(1); a.m == nil {
+					t.Fatalf("w=%v,%v: the side is inline before commit", row.w0, row.w1)
+				}
+				j.Txn(TxnCommit)
+			}
+			a, _, _ := j.sidesOf(1)
+			if settled := a.m == nil; settled != row.settles {
+				t.Errorf("w=%v,%v txn=%v: settled inline %v, want %v", row.w0, row.w1, txn, settled, row.settles)
+			}
+			if a.len() != 1 || a.weight(rec{1, 1}) != row.w1 || row.settles && a.norm() != math.Abs(row.w1) {
+				t.Errorf("w=%v,%v txn=%v: the side holds %d records, weight %v, norm %v", row.w0, row.w1, txn, a.len(), a.weight(rec{1, 1}), a.norm())
+			}
+		}
+	}
+}
+
 // mapImage is a deep copy of everything abort must restore in one
-// stateMap.
+// side.
 type mapImage struct {
 	recs []rec
 	ws   []float64
@@ -115,7 +298,14 @@ type mapImage struct {
 	norm float64
 }
 
-func imageOf(m *stateMap[rec]) mapImage {
+func imageOf(s side[rec]) mapImage {
+	if s.m == nil {
+		var im mapImage
+		s.each(func(x rec, w float64) { im.recs, im.ws = append(im.recs, x), append(im.ws, w) })
+		im.norm = s.norm()
+		return im
+	}
+	m := s.m
 	var pos map[rec]int
 	if m.pos != nil {
 		pos = m.pos.toMap()
@@ -129,11 +319,12 @@ func (im mapImage) equal(o mapImage) bool {
 }
 
 // TestJoinMultiGroupAbortRestoresEverySide drives one transaction across
-// four groups and both sides — inserts, in-place updates, swap-deletes
-// from the middle and the tail, a drain, a group created, a fifth group
-// left alone — through the node's two shared logs, and requires abort to put
-// back every side's records, weights, slice order, position index and
-// norm exactly. The per-map logs this replaces were each replayed on
+// five groups and both sides — inserts, in-place updates, swap-deletes
+// from the middle and the tail, a drain, a spill made, a group created, a
+// sixth group left alone — through the node's two shared logs and its
+// touched groups, and requires abort to put back every group's slot as it
+// was, and every side's records, weights, slice order, position index
+// and norm exactly. The per-map logs this replaces were each replayed on
 // their own; one log per side interleaves the groups' entries, which is
 // only equivalent because groups share no state.
 func TestJoinMultiGroupAbortRestoresEverySide(t *testing.T) {
@@ -145,18 +336,29 @@ func TestJoinMultiGroupAbortRestoresEverySide(t *testing.T) {
 	for id := 0; id < 5; id++ {
 		load = append(load, Delta[rec]{rec{2, id}, 1 / float64(id+3)})
 	}
-	load = append(load, Delta[rec]{rec{3, 0}, 0.1}, Delta[rec]{rec{3, 1}, 0.2}, Delta[rec]{rec{4, 0}, 2})
+	load = append(load, Delta[rec]{rec{3, 0}, 0.1}, Delta[rec]{rec{3, 1}, 0.2}, Delta[rec]{rec{4, 0}, 2}, Delta[rec]{rec{5, 0}, 0.3})
 	j.ApplyLeft(load)
 	j.ApplyRight(load[3:])
-	if j.groups.get(1).a.pos == nil || j.groups.get(2).a.pos != nil {
+	a1, _, _ := j.sidesOf(1)
+	a2, _, _ := j.sidesOf(2)
+	if a1.m == nil || a1.m.pos == nil || a2.m.pos != nil {
 		t.Fatal("fixture: want a position index on key 1's left side only")
 	}
-
-	type sides struct{ a, b mapImage }
-	before := map[int]sides{}
-	for k, g := range j.groups.toMap() {
-		before[k] = sides{imageOf(&g.a), imageOf(&g.b)}
+	if a5, _, _ := j.sidesOf(5); a5.m != nil {
+		t.Fatal("fixture: want key 5's left side inline")
 	}
+
+	type sides struct {
+		g    joinGroup[rec, rec]
+		a, b mapImage
+	}
+	before := map[int]sides{}
+	for k := range j.index.toMap() {
+		g, _ := j.groupOf(k)
+		a, b, _ := j.sidesOf(k)
+		before[k] = sides{g, imageOf(a), imageOf(b)}
+	}
+	_, outBefore := j.openSpills()
 
 	j.Txn(TxnBegin)
 	j.ApplyLeft([]Delta[rec]{
@@ -167,6 +369,7 @@ func TestJoinMultiGroupAbortRestoresEverySide(t *testing.T) {
 		{rec{9, 0}, 1},       // create a group
 		{rec{1, 99}, 4},      // insert into the indexed side
 		{rec{2, 4}, -1. / 7}, // swap-delete the tail
+		{rec{5, 1}, 0.4},     // spill an inline side
 	})
 	j.ApplyRight([]Delta[rec]{
 		{rec{1, 5}, -5.5}, // the other side of the same keys
@@ -174,30 +377,33 @@ func TestJoinMultiGroupAbortRestoresEverySide(t *testing.T) {
 		{rec{9, 1}, 1},
 		{rec{1, 5}, 5.5}, // re-insert what this transaction deleted
 	})
-	j.ApplyLeft([]Delta[rec]{{rec{1, 99}, -4}, {rec{3, 7}, 1}}) // and again on top of the first push
-	if len(j.logA.entries) == 0 || len(j.logB.entries) == 0 || len(j.touched) < 4 {
-		t.Fatalf("fixture: %d+%d log entries over %d groups", len(j.logA.entries), len(j.logB.entries), len(j.touched))
+	j.ApplyLeft([]Delta[rec]{{rec{1, 99}, -4}, {rec{3, 7}, 1}, {rec{5, 0}, -0.3}}) // and again on top of the first push
+	if len(j.a.log.entries) == 0 || len(j.b.log.entries) == 0 || len(j.touched) < 4 {
+		t.Fatalf("fixture: %d+%d log entries over %d groups", len(j.a.log.entries), len(j.b.log.entries), len(j.touched))
 	}
 	j.Txn(TxnAbort)
 
-	if j.groups.len() != len(before) {
-		t.Errorf("%d groups after abort, want %d", j.groups.len(), len(before))
+	if j.index.len() != len(before) {
+		t.Errorf("%d groups after abort, want %d", j.index.len(), len(before))
 	}
 	for k, want := range before {
-		g := j.groups.get(k)
-		if g == nil {
+		a, b, ok := j.sidesOf(k)
+		if !ok {
 			t.Errorf("key %d: group gone after abort", k)
 			continue
 		}
-		if got := imageOf(&g.a); !got.equal(want.a) {
+		if g, _ := j.groupOf(k); g != want.g {
+			t.Errorf("key %d: slot\n got %+v\nwant %+v", k, g, want.g)
+		}
+		if got := imageOf(a); !got.equal(want.a) {
 			t.Errorf("key %d left side:\n got %+v\nwant %+v", k, got, want.a)
 		}
-		if got := imageOf(&g.b); !got.equal(want.b) {
+		if got := imageOf(b); !got.equal(want.b) {
 			t.Errorf("key %d right side:\n got %+v\nwant %+v", k, got, want.b)
 		}
-		if g.a.log != nil || g.b.log != nil {
-			t.Errorf("key %d: abort left a side open", k)
-		}
+	}
+	if open, out := j.openSpills(); open != 0 || out != outBefore {
+		t.Errorf("abort left %d spills open and %d out of the pools, want %d out", open, out, outBefore)
 	}
 }
 
@@ -452,6 +658,13 @@ func FuzzJoinKeyUpdate(f *testing.F) {
 	f.Add([]byte{0, 4, 0, 3, 6, 0, 2, 26, 1, 10, 84, 85, 86, 97, 98, 2, 3, 12, 100, 14, 1, 0, 72})
 	f.Add([]byte{3, 1, 0, 1, 9, 6, 96, 72, 3, 37, 0, 1, 2, 3, 4, 5, 0, 11, 12, 13, 24, 36, 48, 60})
 	f.Add([]byte{0, 10, 0, 1, 2, 3, 4, 5, 0, 11, 0, 1, 2, 3, 4, 5, 1, 2, 84, 90, 2, 4, 85, 86, 87, 8, 5, 2, 72, 73, 96, 100})
+	// Key 0's left side through 0 → 1 → 2 → 1 → 0 records beside one
+	// right record: loaded, then committed in one transaction; then
+	// 0 → 1 → 2 → 1 aborted.
+	f.Add([]byte{0, 1, 0, 0, 0, 0, 7, 0, 39, 0, 72, 0, 75, 8, 0, 0, 0, 39, 0, 72})
+	// The same as loads, at 0.1 and −0.3: the spill left holding −0.3
+	// has a norm of 0.30000000000000004 and stays spilled.
+	f.Add([]byte{0, 1, 0, 0, 0, 48, 0, 0, 63, 0, 0, 72, 0, 0, 75, 0, 0, 48})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		if len(prog) > 512 {
 			return
@@ -562,9 +775,10 @@ func runJoinProgram[R comparable](t *testing.T, name string, prog []byte,
 			}
 		}
 		sides := [2]*weighted.Dataset[rec]{weighted.New[rec](), weighted.New[rec]()}
-		j.groups.each(func(_ int, g *joinGroup[rec, rec]) {
-			g.a.each(sides[0].Add)
-			g.b.each(sides[1].Add)
+		j.index.each(func(k int, _ int32) {
+			a, b, _ := j.sidesOf(k)
+			a.each(sides[0].Add)
+			b.each(sides[1].Add)
 		})
 		exactEqual(t, name+" left side", sides[0], refs[0])
 		exactEqual(t, name+" right side", sides[1], refs[1])

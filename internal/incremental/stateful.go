@@ -247,7 +247,11 @@ func (n *GroupByNode[T, K, R]) Apply(batch []Delta[T]) {
 			n.touched = append(n.touched, touchedGroup[K, stateMap[T]]{k: k, g: group, created: created})
 		}
 		before := group.len()
-		for _, d := range n.byKey.run(i) {
+		run := n.byKey.run(i)
+		if !inTxn && len(run) > 1 {
+			group.grow(len(run)) // as a join side's spill (side.expect)
+		}
+		for _, d := range run {
 			group.apply(d.Record, d.Weight)
 		}
 		n.size += group.len() - before

@@ -66,7 +66,10 @@ func TestGroupByAndShaveStateSize(t *testing.T) {
 // groups hold, counted group by group.
 func (n *JoinNode[A, B, K, R]) walkSize() int {
 	total := 0
-	n.groups.each(func(_ K, g *joinGroup[A, B]) { total += g.a.len() + g.b.len() })
+	n.index.each(func(k K, _ int32) {
+		a, b, _ := n.sidesOf(k)
+		total += a.len() + b.len()
+	})
 	return total
 }
 

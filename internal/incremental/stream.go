@@ -241,6 +241,14 @@ func (m *stateMap[T]) recycle() {
 	m.log = nil
 }
 
+// grow makes room for n more records without another allocation.
+//
+//wpinq:txn-exempt called only for a push outside a transaction (side.expect, GroupByNode.Apply), and moves no record: abort replays indices, not capacity
+func (m *stateMap[T]) grow(n int) {
+	m.recs = slices.Grow(m.recs, n)
+	m.ws = slices.Grow(m.ws, n)
+}
+
 func (m *stateMap[T]) weight(x T) float64 {
 	if i, ok := m.index(x); ok {
 		return m.ws[i]

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -200,5 +201,55 @@ func TestProgressStopsAreTheUnion(t *testing.T) {
 				t.Errorf("observing changed the walk: %+v vs %+v", observed.Stats, plain.Stats)
 			}
 		})
+	}
+}
+
+// TestConcurrentFitsShareOneRelease runs two fits at once on one
+// *Measurements fresh from Measure, whose histograms build their release
+// in canonical order at its first use — here, two attaches racing for
+// it. Under -race the release must be built once and only read after;
+// each fit must end on the edge list and score the same fit run alone
+// ends on.
+func TestConcurrentFitsShareOneRelease(t *testing.T) {
+	m, err := Measure(clusteredGraph(t, 80), Config{Eps: 1, Workloads: []string{"jdd", "wedges"}}, testRng(40))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed, err := SeedGraph(m, testRng(41))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Eps: m.Eps, Pow: 1e4, Steps: 300}
+	var (
+		wg      sync.WaitGroup
+		results [2]*Result
+		errs    [2]error
+	)
+	for i := range results {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = Synthesize(m, seed.Clone(), cfg, testRng(42))
+		}()
+	}
+	wg.Wait()
+	alone, err := Synthesize(m, seed.Clone(), cfg, testRng(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !slices.Equal(res.Synthetic.EdgeList(), alone.Synthetic.EdgeList()) || res.Stats.FinalScore != alone.Stats.FinalScore {
+			t.Errorf("fit %d, run beside another, ended elsewhere than the same fit run alone", i)
+		}
+	}
+	for _, name := range m.FitNames() {
+		a, errA := m.Fits[name].Entries()
+		b, errB := m.Fits[name].Entries()
+		if errA != nil || errB != nil || len(a) == 0 || &a[0] != &b[0] {
+			t.Errorf("%s: the release was not built once (%v, %v, %d records)", name, errA, errB, len(a))
+		}
 	}
 }

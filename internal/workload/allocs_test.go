@@ -268,9 +268,13 @@ func star4Step(tb testing.TB) func() {
 // cost of the costliest workload a fit can name, the way the walk-hot and
 // walk-cold pins do theirs: a short warm-up, then a measured stretch, a
 // short one here since a step costs tens of milliseconds. It measured
-// 352 000 B and 7.0 allocations a step over these 20 steps (the same in
-// every process: both seeds are fixed), and 452 KB and 6.5 over 60: what
-// a step allocates is the state tables growing, not scratch. The budget
+// 601 000 B and 15.6 allocations a step over these 20 steps (the same in
+// every process: both seeds are fixed), and 595 KB and 11.4 over 60:
+// what a step allocates is the state growing, not scratch — a join's
+// flat array of key groups doubling, a side taking a spill. Later
+// 20-step windows read 494 KB and 6.3, then 432 KB and 8.3. With a heap
+// object per join key group it read 352 KB and 7.0 here, 452 KB and 6.5
+// over 60. The budget
 // is about three times that; an operator that allocated per touched
 // record would cost megabytes a step, as a first push of one swap does
 // (root BenchmarkStar4ByDegreeStep at -benchtime 3x reads 59 MB an op).
@@ -319,6 +323,12 @@ func TestSteadyStateAllocsStar4ByDegree(t *testing.T) {
 // node streams its load to a consumer that keeps none of it, the same
 // join holds one chunk of its output at a time.
 //
+// The edge-keyed row is JDD's self-join, whose key groups hold one
+// record a side: 1.2 MB out, and the join's index, groups, grouping and
+// accumulator beside it. With a heap object per key group, and a
+// stateMap per side, it measured 27.4×; with each side's first record
+// inline in a flat array of groups, 18.0×.
+//
 // The last row is the wedges tail: the distinct self-join, then a Where
 // and a Select to a unit record, which a noisy count sums. No consumer
 // keeps what it takes, so the load streams through all three in chunks:
@@ -340,15 +350,15 @@ func TestLoadAllocatesOnce(t *testing.T) {
 	path := func(x, y uint64) [2]uint64 { return [2]uint64{x, y} }
 	emitted := 0
 	count := func(batch []incremental.Delta[[2]uint64]) { emitted += len(batch) }
-	load := func(row string, push func([]incremental.Delta[uint64]), budget float64) {
+	load := func(row string, push func([]incremental.Delta[uint64]), want int, budget float64) {
 		t.Helper()
 		emitted = 0
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		push(edges)
 		runtime.ReadMemStats(&after)
-		if emitted != n*d*d {
-			t.Fatalf("%s: the load emitted %d records, want %d", row, emitted, n*d*d)
+		if emitted != want {
+			t.Fatalf("%s: the load emitted %d records, want %d", row, emitted, want)
 		}
 		out := float64(emitted) * float64(unsafe.Sizeof(incremental.Delta[[2]uint64]{}))
 		multiple := float64(after.TotalAlloc-before.TotalAlloc) / out
@@ -376,9 +386,17 @@ func TestLoadAllocatesOnce(t *testing.T) {
 				join(in, in, dst, src, path).Subscribe(count)
 				push = in.Push
 			}
-			load(fmt.Sprintf("distinct=%v bare=%v", distinct, bare), push, budget)
+			load(fmt.Sprintf("distinct=%v bare=%v", distinct, bare), push, n*d*d, budget)
 		}
 	}
+
+	// JDD's shape: each directed edge keyed by itself on one side and by
+	// its reverse on the other, so that every key group holds one record
+	// a side and each edge meets its reverse once. What it emits is small
+	// beside what it keeps; the budget is on the state: 22×.
+	reverse := func(e uint64) uint64 { return dst(e)<<32 | src(e) }
+	edge := incremental.Join(func(e uint64) uint64 { return e }, reverse, path, count)
+	load("edge-keyed", func(b []incremental.Delta[uint64]) { edge.ApplyLeft(b); edge.ApplyRight(b) }, n*d, 22)
 
 	type unit struct{}
 	in := engine.NewInput[uint64](engine.New())
@@ -387,7 +405,7 @@ func TestLoadAllocatesOnce(t *testing.T) {
 	open := engine.Where(paths, func(p [2]uint64) bool { return src(p[0]) != dst(p[1]) })
 	wedges := engine.Select(open, func([2]uint64) unit { return unit{} })
 	sink := incremental.NewNoisyCountSink[unit](wedges, incremental.MapObservations[unit]{}, nil, 1)
-	load("streamed tail", in.Push, 0.5)
+	load("streamed tail", in.Push, n*d*d, 0.5)
 	// Each vertex closes 16 of its 256 paths; each path weighs 1/(16+16).
 	if got, want := sink.Weight(unit{}), float64(n*(d*d-d))/(2*d); got != want {
 		t.Errorf("streamed tail: the noisy count reads %v, want %v", got, want)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,6 +94,63 @@ func TestMeasureChargesRegisteredUses(t *testing.T) {
 				t.Fatal("measurement succeeded on an undersized budget: registered Uses understates the plan")
 			}
 		})
+	}
+}
+
+// TestLoadAdoptsOnlyCanonicalEntries pins where a histogram's canonical
+// release comes from. Entries already in canonical order — strictly
+// ascending keys, each the encoding of its record, as Save writes them —
+// are the release: Entries hands back the loaded slice, and every later
+// call the same one. Entries in any other order, or spelled otherwise,
+// are re-encoded and sorted, once, to exactly what the canonical ones
+// give.
+func TestLoadAdoptsOnlyCanonicalEntries(t *testing.T) {
+	w, err := workload.Get("jdd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges := core.FromDataset(graph.SymmetricEdges(testGraph(t)), budget.NewSource("edges", 100))
+	fit, err := w.Measure(edges, 1, 1.0, rand.New(rand.NewSource(2)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := fit.Entries()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := fit.Entries(); len(canonical) < 2 || &again[0] != &canonical[0] {
+		t.Fatalf("a measured histogram built its release twice, or released %d records", len(canonical))
+	}
+	reversed := append([]workload.Entry(nil), canonical...)
+	slices.Reverse(reversed)
+	spaced := append([]workload.Entry(nil), canonical...)
+	spaced[0].Key = append(json.RawMessage(" "), spaced[0].Key...)
+	for _, row := range []struct {
+		name    string
+		entries []workload.Entry
+		adopted bool
+	}{
+		{"canonical", canonical, true},
+		{"reversed", reversed, false},
+		{"spaced", spaced, false},
+	} {
+		back, err := w.Load(row.entries, 1, 1.0, rand.New(rand.NewSource(3)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := back.Entries()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, canonical) {
+			t.Errorf("%s: Entries differ from the canonical release", row.name)
+		}
+		if adopted := &got[0] == &row.entries[0]; adopted != row.adopted {
+			t.Errorf("%s: loaded entries adopted as the release: %v, want %v", row.name, adopted, row.adopted)
+		}
+		if again, _ := back.Entries(); &again[0] != &got[0] {
+			t.Errorf("%s: the release was built twice", row.name)
+		}
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"wpinq/internal/core"
 	"wpinq/internal/engine"
@@ -75,7 +76,8 @@ type Histogram interface {
 	// released records and other's, over the union of their keys.
 	Distance(other Histogram) (float64, error)
 	// Entries returns the released (key, count) pairs sorted bytewise by
-	// key: the canonical serialization.
+	// key: the canonical serialization. The slice is the histogram's own,
+	// shared by every caller: it must not be modified.
 	Entries() ([]Entry, error)
 }
 
@@ -323,18 +325,22 @@ func (q typedQuery[T]) release(eps float64, rng *rand.Rand) (Histogram, error) {
 
 func (b Builders[T]) load(entries []Entry, eps float64, rng *rand.Rand) (Histogram, error) {
 	counts := make(map[T]float64, len(entries))
-	for _, e := range entries {
-		var x T
-		if err := json.Unmarshal(e.Key, &x); err != nil {
+	recs := make([]T, len(entries))
+	for i, e := range entries {
+		if err := json.Unmarshal(e.Key, &recs[i]); err != nil {
 			return nil, fmt.Errorf("decoding record %s: %w", e.Key, err)
 		}
-		counts[x] = e.Count
+		counts[recs[i]] = e.Count
 	}
 	h, err := core.HistogramFromMaterialized(counts, eps, rng)
 	if err != nil {
 		return nil, err
 	}
-	return &typedHist[T]{h: h}, nil
+	t := &typedHist[T]{h: h}
+	if release := (byKey[T]{recs, entries}); release.isCanonical() {
+		t.once.Do(func() { t.release = release })
+	}
+	return t, nil
 }
 
 func (b Builders[T]) attach(p *Plan, name string, h Histogram, bucket int, eps float64) error {
@@ -388,9 +394,16 @@ func canonicalize[T comparable](d *weighted.Dataset[T]) (map[string]float64, err
 	return out, nil
 }
 
-// typedHist implements Histogram over a core.Histogram[T].
+// typedHist implements Histogram over a core.Histogram[T]. Its release
+// in canonical order is built once — when the histogram is loaded from
+// entries already in that order, or at its first use — and then shared
+// read-only by every attach and Entries: fits on one *Measurements run
+// at once.
 type typedHist[T comparable] struct {
-	h *core.Histogram[T]
+	h       *core.Histogram[T]
+	once    sync.Once
+	release byKey[T]
+	err     error
 }
 
 func (t *typedHist[T]) Len() int { return t.h.Len() }
@@ -417,19 +430,39 @@ func (b byKey[T]) Swap(i, j int) {
 	b.entries[i], b.entries[j] = b.entries[j], b.entries[i]
 }
 
-func (t *typedHist[T]) canonical() (byKey[T], error) {
-	mat := t.h.Materialized()
-	recs, entries := make([]T, 0, len(mat)), make([]Entry, 0, len(mat))
-	for x, c := range mat {
-		key, err := json.Marshal(x)
-		if err != nil {
-			return byKey[T]{}, fmt.Errorf("workload: encoding record %v: %w", x, err)
+// isCanonical reports whether b is a release in canonical order: its
+// keys strictly ascending bytewise, each the encoding of its record.
+func (b byKey[T]) isCanonical() bool {
+	for i, e := range b.entries {
+		if i > 0 && bytes.Compare(b.entries[i-1].Key, e.Key) >= 0 {
+			return false
 		}
-		recs = append(recs, x)
-		entries = append(entries, Entry{Key: key, Count: c})
+		if key, err := json.Marshal(b.recs[i]); err != nil || !bytes.Equal(key, e.Key) {
+			return false
+		}
 	}
-	sort.Sort(byKey[T]{recs, entries})
-	return byKey[T]{recs, entries}, nil
+	return true
+}
+
+// canonical returns the release in canonical order, built on first use.
+// Its slices are shared: callers must not modify them.
+func (t *typedHist[T]) canonical() (byKey[T], error) {
+	t.once.Do(func() {
+		mat := t.h.Materialized()
+		recs, entries := make([]T, 0, len(mat)), make([]Entry, 0, len(mat))
+		for x, c := range mat {
+			key, err := json.Marshal(x)
+			if err != nil {
+				t.err = fmt.Errorf("workload: encoding record %v: %w", x, err)
+				return
+			}
+			recs = append(recs, x)
+			entries = append(entries, Entry{Key: key, Count: c})
+		}
+		sort.Sort(byKey[T]{recs, entries})
+		t.release = byKey[T]{recs, entries}
+	})
+	return t.release, t.err
 }
 
 func (t *typedHist[T]) Entries() ([]Entry, error) {
